@@ -101,9 +101,9 @@ func benchQuery(outDir string, records int64, workers int) error {
 		}
 	}
 	report.StoreRecords = st.Records()
-	// Compact to the columnar v2 layout — projection only pays off on
-	// columnar frames, and a long-lived store is compacted in practice.
-	fmt.Println("== compacting to record format v2")
+	// Compact: a long-lived store is, in practice, and the serial vs
+	// parallel comparison below wants full-size merged segments.
+	fmt.Println("== compacting the store")
 	if _, err := st.Compact(store.CompactOptions{}); err != nil {
 		return err
 	}

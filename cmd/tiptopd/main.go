@@ -38,7 +38,7 @@
 //	                               every sample, serve range queries
 //	tiptopd -fsync 2s,1000-records -compact 1h
 //	                               group-commit durability; periodic
-//	                               compaction to record format v2
+//	                               merging of sealed segments
 package main
 
 import (
@@ -89,7 +89,7 @@ func run(args []string, stdout io.Writer) error {
 		retention  = fs.Duration("retention", 0, "store age horizon, e.g. 72h (0 = bounded by the byte budget only)")
 		budgetStr  = fs.String("budget", "", "store on-disk byte budget, e.g. 64MB (default 64MB)")
 		fsyncStr   = fs.String("fsync", "", "store group-commit durability: off, an interval (2s), a record count (1000-records), or both comma-combined (default off)")
-		compact    = fs.Duration("compact", 0, "compact the store into record format v2 at startup and then every period, e.g. 1h (0 = never)")
+		compact    = fs.Duration("compact", 0, "merge the store's sealed segments at startup and then every period, e.g. 1h (0 = never)")
 		wire       = fs.String("wire", "", "stream encoding used when dialing -join agents: json or binary (default json)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -178,22 +178,31 @@ func TestFleetQueryExprAggregates(t *testing.T) {
 
 	// Pointwise: for every completed bucket present in all three
 	// results, ipc_total(t) == instr_total(t)/cycles_total(t). The
-	// agents keep sampling between the three requests, so the trailing
-	// (still-filling) bucket of each result is excluded.
+	// agents keep sampling between the three requests, each on its own
+	// clock, so a bucket is complete only once every agent has moved
+	// past it: buckets at or after the slowest agent's newest one are
+	// excluded (the fleet-wide newest would still admit the bucket a
+	// lagging agent is filling).
 	total := func(r *query.Result) map[float64]float64 {
+		newest := map[string]float64{}
+		for _, s := range r.Series {
+			for _, p := range s.Points {
+				if !s.Total && p.TimeSeconds > newest[s.Agent] {
+					newest[s.Agent] = p.TimeSeconds
+				}
+			}
+		}
+		frontier := math.MaxFloat64
+		for _, at := range newest {
+			frontier = math.Min(frontier, at)
+		}
 		m := map[float64]float64{}
 		for _, s := range r.Series {
 			if !s.Total {
 				continue
 			}
-			last := -math.MaxFloat64
 			for _, p := range s.Points {
-				if p.TimeSeconds > last {
-					last = p.TimeSeconds
-				}
-			}
-			for _, p := range s.Points {
-				if p.TimeSeconds < last { // completed buckets only
+				if p.TimeSeconds < frontier { // completed buckets only
 					m[p.TimeSeconds] = p.Value
 				}
 			}

@@ -100,9 +100,9 @@ type OptionsXML struct {
 	// flush interval ("2s"), a record count ("1000-records"), or both
 	// comma-combined ("2s,1000-records"). Empty never syncs.
 	Fsync string `xml:"fsync,attr,omitempty"`
-	// Compact is the period at which a daemon compacts its store into
-	// the columnar record format v2, as a Go duration ("1h"). Empty
-	// never compacts automatically.
+	// Compact is the period at which a daemon merges its store's
+	// sealed segments, as a Go duration ("1h"). Empty never compacts
+	// automatically.
 	Compact string `xml:"compact,attr,omitempty"`
 	// Wire selects the stream encoding a client negotiates when
 	// dialing a daemon (tiptop -connect, tiptopd -join): "json" (the

@@ -2,10 +2,12 @@ package query
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"tiptop/internal/store"
 )
@@ -74,6 +76,80 @@ func TestHandlerExprOverStore(t *testing.T) {
 	}
 	if !strings.Contains(body, "series") {
 		t.Fatalf("raw query body %q is not a store response", body)
+	}
+}
+
+// TestNonFiniteSamplesStayQueryable: NaN and ±Inf in a sample (a ratio
+// column over a zero denominator, say) are stored as 0. The v2 float
+// encoding would otherwise persist them bit-exactly, and every JSON
+// encode of a range touching them would fail from then on.
+func TestNonFiniteSamplesStayQueryable(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetColumns([]string{"a", "b", "c"})
+	for i := 1; i <= 13; i++ { // past t=20s: the 10s tier flushes a bucket of them too
+		s := sampleAt(time.Duration(i)*2*time.Second, 2)
+		s.Rows[0].CPUPct = math.NaN()
+		s.Rows[0].Values = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		s.Rows[1].CPUPct = math.Inf(1)
+		s.Rows[1].Values = []float64{1, 2, 3}
+		if err := st.AppendSample(s); err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsNaN(s.Rows[0].CPUPct) || !math.IsInf(s.Rows[0].Values[1], 1) {
+			t.Fatal("AppendSample sanitised the caller's sample in place")
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetColumns([]string{"a", "b", "c"})
+	h := Handler(st, nil)
+	for _, target := range []string{"/api/v1/query", "/api/v1/query?step=10"} {
+		code, body := get(t, h, target)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", target, code, body)
+		}
+		var res store.Result
+		if err := json.Unmarshal([]byte(body), &res); err != nil {
+			t.Fatalf("%s: bad JSON: %v\n%s", target, err, body)
+		}
+		if len(res.Series) != 2 || len(res.Series[0].Points) == 0 || len(res.Machine) == 0 {
+			t.Fatalf("%s: %d series, %d machine points", target, len(res.Series), len(res.Machine))
+		}
+		for _, p := range res.Series[0].Points {
+			if p.CPUPct != 0 || len(p.Values) != 3 || p.Values[0] != 0 || p.Values[1] != 0 || p.Values[2] != 0 {
+				t.Fatalf("%s: non-finite inputs read back as %+v, want zeros", target, p)
+			}
+		}
+		for _, p := range res.Series[1].Points {
+			if p.CPUPct != 0 || p.Values[1] != 2 {
+				t.Fatalf("%s: row with one infinite field read back as %+v", target, p)
+			}
+		}
+		for _, p := range res.Machine {
+			if p.CPUPct != 0 {
+				t.Fatalf("%s: machine roll-up cpu_pct = %g, want the sum of the sanitised rows (0)", target, p.CPUPct)
+			}
+		}
+	}
+	code, body := get(t, h, "/api/v1/query?expr=avg_over_time(b)")
+	if code != http.StatusOK {
+		t.Fatalf("expression query: status %d, body %s", code, body)
+	}
+	var res Result
+	if err := json.Unmarshal([]byte(body), &res); err != nil {
+		t.Fatalf("expression query: bad JSON: %v\n%s", err, body)
+	}
+	if len(res.Series) == 0 {
+		t.Fatal("expression query returned no series")
 	}
 }
 

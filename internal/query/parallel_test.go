@@ -13,8 +13,8 @@ import (
 	"tiptop/internal/store"
 )
 
-// seedMixedStore seeds a store, compacts it to v2 columnar segments,
-// then appends more refreshes so fresh v1 segments follow the csegs.
+// seedMixedStore seeds a store, compacts it into merged .cseg segments,
+// then appends more refreshes so live segments follow the csegs.
 func seedMixedStore(t *testing.T, tasks, refreshes int) *store.Store {
 	t.Helper()
 	st := seedStore(t, tasks, refreshes)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -87,8 +88,27 @@ func Dial(base string) (*Client, error) {
 	return DialWith(base, DialOptions{})
 }
 
-// DialWith is Dial with explicit options.
+// DialWith is Dial with explicit options. A daemon that is up but has
+// not finished its first refresh answers 503 with a Retry-After; that
+// is a reason to wait, not to give up, so the first fetch is retried
+// with a short backoff for up to DialTimeout — a client racing a
+// freshly started tiptopd attaches instead of exiting.
 func DialWith(base string, opt DialOptions) (*Client, error) {
+	return dial(context.Background(), base, opt, DialTimeout)
+}
+
+// notReadyError is Poll's error for a 503: the agent answers, but has
+// no sample to serve yet.
+type notReadyError struct {
+	msg        string
+	retryAfter time.Duration // the server's Retry-After, 0 if absent
+}
+
+func (e *notReadyError) Error() string { return e.msg }
+
+// dial is DialWith under a context (a fleet stops waiting for an agent
+// when it shuts down) and with the not-ready wait as a parameter.
+func dial(ctx context.Context, base string, opt DialOptions, wait time.Duration) (*Client, error) {
 	switch opt.Wire {
 	case "", "json", "binary":
 	default:
@@ -105,10 +125,25 @@ func DialWith(base string, opt DialOptions) (*Client, error) {
 		poll:   &http.Client{Timeout: DialTimeout},
 		stream: &http.Client{},
 	}
-	if _, err := c.Poll(); err != nil {
-		return nil, err
+	start := time.Now()
+	for delay := 20 * time.Millisecond; ; delay *= 2 {
+		_, err := c.Poll()
+		if err == nil {
+			return c, nil
+		}
+		var notReady *notReadyError
+		if !errors.As(err, &notReady) {
+			return nil, err
+		}
+		// Retry-After is the longest the server suggests waiting; poll
+		// sooner at first, the first refresh is usually milliseconds away.
+		if hint := notReady.retryAfter; hint > 0 && delay > hint {
+			delay = hint
+		}
+		if time.Since(start)+delay > wait || !sleepCtx(ctx, delay) {
+			return nil, fmt.Errorf("%w (still not ready after %s)", err, time.Since(start).Round(time.Millisecond))
+		}
 	}
-	return c, nil
 }
 
 // Host returns the agent's host:port.
@@ -136,7 +171,12 @@ func (c *Client) Poll() (*Sample, error) {
 		return nil, fmt.Errorf("remote: %s: %w", c.base, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("remote: %s/api/v1/sample: %s", c.base, strings.TrimSpace(firstLine(data, resp.Status)))
+		msg := fmt.Sprintf("remote: %s/api/v1/sample: %s", c.base, strings.TrimSpace(firstLine(data, resp.Status)))
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			secs, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+			return nil, &notReadyError{msg: msg, retryAfter: time.Duration(secs) * time.Second}
+		}
+		return nil, errors.New(msg)
 	}
 	ws, err := Decode(data)
 	if err != nil {

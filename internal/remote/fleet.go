@@ -146,7 +146,7 @@ func (f *Fleet) Labels() []string {
 // runPeer dials, streams and re-dials one agent until ctx ends.
 func (f *Fleet) runPeer(ctx context.Context, p *peer) {
 	for ctx.Err() == nil {
-		client, err := DialWith(p.url, DialOptions{Wire: f.opt.Wire})
+		client, err := dial(ctx, p.url, DialOptions{Wire: f.opt.Wire}, DialTimeout)
 		if err != nil {
 			p.setDown(err)
 			if !sleepCtx(ctx, f.opt.ReconnectDelay) {

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,6 +388,63 @@ func TestDialErrors(t *testing.T) {
 	defer ts.Close()
 	if _, err := Dial(ts.URL); err == nil || !strings.Contains(err.Error(), "api/v1/sample") {
 		t.Fatalf("Dial against a non-tiptopd = %v", err)
+	}
+}
+
+// TestDialWaitsForFirstSample: a daemon that answers but has not
+// refreshed yet (503 + Retry-After) is waited for, not given up on — the
+// race a `tiptop -connect` started right after its tiptopd loses.
+func TestDialWaitsForFirstSample(t *testing.T) {
+	srv := NewServer(nil)
+	var polls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The first refresh lands between the second poll and the third.
+		if polls.Add(1) == 3 {
+			if err := srv.Publish(testSample(0, 1)); err != nil {
+				t.Error(err)
+			}
+		}
+		srv.HandleSample(w, r)
+	}))
+	defer ts.Close()
+
+	client, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatalf("Dial gave up on a daemon that was about to be ready: %v", err)
+	}
+	defer client.Close()
+	if got := polls.Load(); got != 3 {
+		t.Fatalf("server saw %d polls, want 3 (two 503s, then the sample)", got)
+	}
+	if client.Latest() == nil || client.Latest().Refresh != 1 {
+		t.Fatalf("client latest = %+v", client.Latest())
+	}
+
+	// Never ready: the wait is bounded, and the error passes on what the
+	// daemon said so the user knows it is up and what to do.
+	never := httptest.NewServer(http.HandlerFunc(NewServer(nil).HandleSample))
+	defer never.Close()
+	resp, err := http.Get(never.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("not-ready answer = %d with Retry-After %q, want 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	start := time.Now()
+	_, err = dial(context.Background(), never.URL, DialOptions{}, 150*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "no sample yet") || !strings.Contains(err.Error(), "retry shortly") {
+		t.Fatalf("dialing a never-ready daemon = %v, want the 503's message and hint", err)
+	}
+	if waited := time.Since(start); waited < 50*time.Millisecond || waited > 5*time.Second {
+		t.Fatalf("gave up after %s, want roughly the 150ms bound", waited)
+	}
+	// A caller that stops waiting (a fleet shutting down) is not held.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := dial(ctx, never.URL, DialOptions{}, time.Minute); err == nil {
+		t.Fatal("dial outlived its cancelled context")
 	}
 }
 

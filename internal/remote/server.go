@@ -98,6 +98,7 @@ func (s *Server) HandleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	if body == nil {
+		w.Header().Set("Retry-After", "1")
 		WriteErrorHint(w, http.StatusServiceUnavailable, "no sample yet",
 			"the daemon has not completed its first refresh; retry shortly")
 		return

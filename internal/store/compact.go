@@ -1,13 +1,15 @@
 package store
 
-// Compaction: rewriting a tier's sealed segments into record-format v2
-// (recordv2.go). The rewrite merges restart-fragmented segments into
-// full-size ones, replaces JSON payloads with the columnar layout, and
-// optionally tombstones series that exited long ago. Query results are
-// unchanged by construction — floats are carried bit-exactly — except
-// that tombstoned rows disappear (the machine roll-up keeps their
-// contribution; it is an aggregate of what happened, not of what is
-// retained).
+// Compaction: rewriting a tier's sealed segments into fewer, fuller
+// ones. Live segments already hold record-format-v2 frames, so there is
+// nothing left to shrink frame by frame; the rewrite merges segments
+// that sealed small (by age, or fragmented by restarts) into full-size
+// ones under a single dictionary, converts whatever v1 JSON frames an
+// older build left behind, and optionally tombstones series that exited
+// long ago. Query results are unchanged by construction — floats are
+// carried bit-exactly — except that tombstoned rows disappear (the
+// machine roll-up keeps their contribution; it is an aggregate of what
+// happened, not of what is retained).
 //
 // Crash safety follows the name-carries-the-range protocol:
 //
@@ -25,10 +27,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -64,11 +64,12 @@ type CompactionResult struct {
 	Tiers []TierCompaction `json:"tiers"`
 }
 
-// Compact rewrites every tier's sealed segments into the columnar v2
-// layout, merging them into segments of Options.SegmentBytes. The
-// active segments are untouched — appends and queries run concurrently
-// with the rewrite (queries see the swap atomically). Calling Compact
-// on a store with nothing to rewrite is a cheap no-op.
+// Compact rewrites every tier's sealed segments, merging them into
+// compacted segments of Options.SegmentBytes (all record format v2,
+// whatever the inputs held). The active segments are untouched —
+// appends and queries run concurrently with the rewrite (queries see
+// the swap atomically). Calling Compact on a store with nothing to
+// rewrite is a cheap no-op.
 func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) {
 	type job struct {
 		t      *tier
@@ -151,7 +152,7 @@ func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) {
 // and retention is deferred.
 func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (TierCompaction, []*segment, error) {
 	tc := TierCompaction{Tier: tierNames[t.idx], Segments: len(inputs)}
-	dict := newV2Dict()
+	dict := newV2Dict(nil)
 	lastSeen := make(map[hpm.TaskID]time.Duration)
 	var newest time.Duration
 	for _, in := range inputs {
@@ -327,14 +328,14 @@ func (w *compactWriter) start(a int64) error {
 	w.f, w.bw = f, bufio.NewWriterSize(f, 1<<16)
 	w.a, w.b = a, a
 	w.size, w.n, w.first, w.last = 0, 0, 0, 0
-	w.buf = w.dict.appendDictFrame(w.buf[:0])
-	return w.writeFrame(w.buf)
+	w.buf = w.dict.appendDictFrame(beginFrame(w.buf[:0]), 0)
+	return w.writeFrame()
 }
 
 // record encodes one record as a v2 data frame.
 func (w *compactWriter) record(rec *Record) error {
-	w.buf = appendV2Data(w.buf[:0], rec, w.dict)
-	if err := w.writeFrame(w.buf); err != nil {
+	w.buf = appendV2Data(beginFrame(w.buf[:0]), rec, w.dict)
+	if err := w.writeFrame(); err != nil {
 		return err
 	}
 	rt := recTime(rec)
@@ -346,17 +347,13 @@ func (w *compactWriter) record(rec *Record) error {
 	return nil
 }
 
-func (w *compactWriter) writeFrame(payload []byte) error {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+// writeFrame seals the frame built in w.buf and writes it out.
+func (w *compactWriter) writeFrame() error {
+	endFrame(w.buf)
+	if _, err := w.bw.Write(w.buf); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	w.size += int64(frameHeader + len(payload))
+	w.size += int64(len(w.buf))
 	return nil
 }
 

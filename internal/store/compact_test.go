@@ -2,9 +2,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,83 +88,142 @@ func countFiles(t *testing.T, dir, pattern string) int {
 }
 
 // TestCompactGoldenQueryIdentical is the golden test: compaction must
-// shrink sealed segments >= 3x while leaving every query's marshaled
-// result byte-for-byte identical — before and after, and again after a
-// close/reopen that recovers the compacted chain from disk.
+// leave every query's marshaled result byte-for-byte identical — before
+// and after, and again after a close/reopen that recovers the compacted
+// chain from disk. Over segments an older build wrote as v1 JSON the
+// rewrite must also shrink them >= 3x; over live v2 segments there is
+// nothing left to shrink, only segments to merge, so it must not grow.
 func TestCompactGoldenQueryIdentical(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{SegmentBytes: 8 << 10})
-	st.SetColumns([]string{"branch-miss", "llc-load"})
-	seed := uint64(42)
-	n := 400
-	if testing.Short() {
-		n = 120
-	}
-	fillVaried(t, st, 500*time.Millisecond, 1500*time.Millisecond, n, 8, &seed)
-	pre := snapshotQueries(t, st)
-	records := st.Records()
+	for _, tc := range []struct {
+		name     string
+		v1       bool
+		minRatio int64
+	}{
+		{name: "v1-written", v1: true, minRatio: 3},
+		{name: "v2-live", minRatio: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := Options{SegmentBytes: 8 << 10}
+			st := mustOpen(t, dir, opt)
+			st.SetColumns([]string{"branch-miss", "llc-load"})
+			seed := uint64(42)
+			n := 400
+			if testing.Short() {
+				n = 120
+			}
+			fillVaried(t, st, 500*time.Millisecond, 1500*time.Millisecond, n, 8, &seed)
+			pre := snapshotQueries(t, st)
+			records := st.Records()
+			if tc.v1 {
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				rewriteSegmentsV1(t, dir)
+				st = mustOpen(t, dir, opt)
+				for i, b := range snapshotQueries(t, st) {
+					if !bytes.Equal(b, pre[i]) {
+						t.Fatalf("query %d differs between the v2 and v1 renderings of the same appends", i)
+					}
+				}
+			}
 
-	res, err := st.Compact(CompactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tiers) == 0 {
-		t.Fatal("nothing compacted")
-	}
-	var before, after int64
-	for _, tc := range res.Tiers {
-		before += tc.BytesBefore
-		after += tc.BytesAfter
-		if tc.Records == 0 {
-			t.Fatalf("tier %s compacted zero records", tc.Tier)
-		}
-	}
-	if after*3 > before {
-		t.Fatalf("compaction ratio %.2fx, want >= 3x (%d -> %d bytes)",
-			float64(before)/float64(after), before, after)
-	}
-	if got := st.Records(); got != records {
-		t.Fatalf("record count changed: %d -> %d", records, got)
-	}
-	for i, b := range snapshotQueries(t, st) {
-		if !bytes.Equal(b, pre[i]) {
-			t.Fatalf("query %d differs after compaction:\npre:  %s\npost: %s", i, pre[i], b)
-		}
-	}
+			res, err := st.Compact(CompactOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Tiers) == 0 {
+				t.Fatal("nothing compacted")
+			}
+			var before, after int64
+			for _, tc := range res.Tiers {
+				before += tc.BytesBefore
+				after += tc.BytesAfter
+				if tc.Records == 0 {
+					t.Fatalf("tier %s compacted zero records", tc.Tier)
+				}
+			}
+			if after*tc.minRatio > before {
+				t.Fatalf("compaction ratio %.2fx, want >= %dx (%d -> %d bytes)",
+					float64(before)/float64(after), tc.minRatio, before, after)
+			}
+			if got := st.Records(); got != records {
+				t.Fatalf("record count changed: %d -> %d", records, got)
+			}
+			for i, b := range snapshotQueries(t, st) {
+				if !bytes.Equal(b, pre[i]) {
+					t.Fatalf("query %d differs after compaction:\npre:  %s\npost: %s", i, pre[i], b)
+				}
+			}
 
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st = mustOpen(t, dir, Options{SegmentBytes: 8 << 10})
-	if got := st.Records(); got != records {
-		t.Fatalf("record count after reopen: %d, want %d", got, records)
-	}
-	for i, b := range snapshotQueries(t, st) {
-		if !bytes.Equal(b, pre[i]) {
-			t.Fatalf("query %d differs after reopen", i)
-		}
-	}
-	// The store stays appendable: compacted tails are sealed, so the
-	// next append starts a fresh segment past the compacted range.
-	fillVaried(t, st, 0, time.Second, 5, 8, &seed)
-	if got := st.Records(); got <= records {
-		t.Fatalf("appends after compaction not recorded (%d <= %d)", got, records)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = mustOpen(t, dir, opt)
+			if got := st.Records(); got != records {
+				t.Fatalf("record count after reopen: %d, want %d", got, records)
+			}
+			for i, b := range snapshotQueries(t, st) {
+				if !bytes.Equal(b, pre[i]) {
+					t.Fatalf("query %d differs after reopen", i)
+				}
+			}
+			// The store stays appendable: compacted tails are sealed, so the
+			// next append starts a fresh segment past the compacted range.
+			fillVaried(t, st, 0, time.Second, 5, 8, &seed)
+			if got := st.Records(); got <= records {
+				t.Fatalf("appends after compaction not recorded (%d <= %d)", got, records)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// TestMixedVersionTwin drives two identical append sequences, compacts
-// one store mid-way (its directory then mixes v2 columnar and v1 JSON
-// segments), and requires every query to match the all-v1 twin.
+// frameKinds counts a segment file's frames by what they hold.
+func frameKinds(t *testing.T, path string) (v1, dicts, v2 int) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fr := newFrameReader(f)
+	for {
+		payload, ok, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return v1, dicts, v2
+		}
+		fr.accept()
+		switch {
+		case payload[0] == '{':
+			v1++
+		case payload[1] == v2KindDict:
+			dicts++
+		default:
+			v2++
+		}
+	}
+}
+
+// TestMixedVersionTwin is the old-store test. Two stores take identical
+// appends; one is turned mid-way into exactly what a build with the v1
+// live writer left behind — compacted .cseg segments plus v1 JSON .seg
+// segments, the tail included — and must then open, append (v2 frames
+// after the v1 ones in the tail file), query, compact and reopen with
+// answers byte-identical to the twin that was v2 from the start.
 func TestMixedVersionTwin(t *testing.T) {
 	opt := Options{SegmentBytes: 4 << 10}
 	mixed := mustOpen(t, t.TempDir(), opt)
 	plain := mustOpen(t, t.TempDir(), opt)
-	mixed.SetColumns([]string{"c"})
-	plain.SetColumns([]string{"c"})
 	seedA, seedB := uint64(7), uint64(7)
+	for _, st := range []*Store{mixed, plain} {
+		st.SetColumns([]string{"c"})
+	}
 	fillVaried(t, mixed, time.Second, time.Second, 150, 4, &seedA)
 	fillVaried(t, plain, time.Second, time.Second, 150, 4, &seedB)
 	if _, err := mixed.Compact(CompactOptions{}); err != nil {
@@ -174,25 +231,66 @@ func TestMixedVersionTwin(t *testing.T) {
 	}
 	fillVaried(t, mixed, 151*time.Second, time.Second, 150, 4, &seedA)
 	fillVaried(t, plain, 151*time.Second, time.Second, 150, 4, &seedB)
+	// Both restart (a restart drops the partial downsample buckets, so
+	// the twin must take it too); only one wakes up with v1 segments.
+	for _, st := range []*Store{mixed, plain} {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewriteSegmentsV1(t, mixed.Dir())
+	// The v1 rendering of a full v2 segment is several times the segment
+	// size; reopen with room, so the tail is the part-filled segment an
+	// old build would have left and takes appends instead of rotating.
+	opt.SegmentBytes = 16 << 10
+	mixed = mustOpen(t, mixed.Dir(), opt)
+	plain = mustOpen(t, plain.Dir(), opt)
+	mixed.SetColumns([]string{"c"})
+	plain.SetColumns([]string{"c"})
 	if countFiles(t, mixed.Dir(), "*.cseg") == 0 || countFiles(t, mixed.Dir(), "*.seg") == 0 {
-		t.Fatal("directory does not actually mix v1 and v2 segments")
+		t.Fatal("directory does not actually mix compacted and v1 segments")
+	}
+	tail := newestSegment(t, mixed.Dir(), "raw")
+	if v1, dicts, v2 := frameKinds(t, tail); v1 == 0 || dicts+v2 != 0 {
+		t.Fatalf("old store's tail holds %d v1, %d dictionary, %d v2 frames; want v1 only", v1, dicts, v2)
 	}
 	want := snapshotQueries(t, plain)
 	for i, b := range snapshotQueries(t, mixed) {
 		if !bytes.Equal(b, want[i]) {
-			t.Fatalf("query %d: mixed-version store differs from all-v1 twin:\nv1:    %s\nmixed: %s", i, want[i], b)
+			t.Fatalf("query %d: old store differs from its v2 twin:\nv2:  %s\nold: %s", i, want[i], b)
 		}
 	}
-	if err := mixed.Close(); err != nil {
+	// A few appends land in the recovered v1 tail file, the rest seal it
+	// and spill into fresh v2 segments.
+	fillVaried(t, mixed, time.Second, time.Second, 2, 4, &seedA)
+	fillVaried(t, plain, time.Second, time.Second, 2, 4, &seedB)
+	if v1, dicts, v2 := frameKinds(t, tail); v1 == 0 || dicts != 1 || v2 != 2 {
+		t.Fatalf("recovered tail holds %d v1, %d dictionary, %d v2 frames; want v1 frames, then one dictionary and two v2 records", v1, dicts, v2)
+	}
+	fillVaried(t, mixed, 3*time.Second, time.Second, 98, 4, &seedA)
+	fillVaried(t, plain, 3*time.Second, time.Second, 98, 4, &seedB)
+	compare := func(when string) {
+		t.Helper()
+		want := snapshotQueries(t, plain)
+		for i, b := range snapshotQueries(t, mixed) {
+			if !bytes.Equal(b, want[i]) {
+				t.Fatalf("query %d differs %s:\nv2:  %s\nold: %s", i, when, want[i], b)
+			}
+		}
+	}
+	compare("after appending to the old store")
+	if _, err := mixed.Compact(CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Recovery over the mixed directory must reach the same answers.
-	mixed = mustOpen(t, mixed.Dir(), opt)
-	for i, b := range snapshotQueries(t, mixed) {
-		if !bytes.Equal(b, want[i]) {
-			t.Fatalf("query %d differs after mixed-version recovery", i)
+	compare("after compacting the old store")
+	for _, st := range []*Store{mixed, plain} {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
+	mixed = mustOpen(t, mixed.Dir(), opt)
+	plain = mustOpen(t, plain.Dir(), opt)
+	compare("after mixed-version recovery")
 	mixed.Close()
 	plain.Close()
 }
@@ -204,10 +302,9 @@ func writeRawFrame(t *testing.T, path string, payload []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := f.Write(append(hdr[:], payload...)); err != nil {
+	frame := append(beginFrame(nil), payload...)
+	endFrame(frame)
+	if _, err := f.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -375,12 +472,17 @@ func TestCompactTombstones(t *testing.T) {
 // the existing compacted one, keeping the chain short across restarts.
 func TestCompactRemerges(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{SegmentBytes: 64 << 10, NoDownsample: true}
+	// Segments seal by age, well under the size target, so every pass
+	// has small sealed segments to fold into one output.
+	opt := Options{SegmentBytes: 64 << 10, SegmentAge: 40 * time.Second, NoDownsample: true}
 	st := mustOpen(t, dir, opt)
 	seed := uint64(9)
 	fillVaried(t, st, time.Second, time.Second, 100, 3, &seed)
 	if _, err := st.Compact(CompactOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	if got := countFiles(t, dir, "raw-*.cseg"); got != 1 {
+		t.Fatalf("first pass left %d compacted segments, want 1", got)
 	}
 	// No-op second pass: one compacted segment and nothing else sealed.
 	res, err := st.Compact(CompactOptions{})
@@ -390,7 +492,7 @@ func TestCompactRemerges(t *testing.T) {
 	if len(res.Tiers) != 0 {
 		t.Fatalf("idle compaction rewrote %v", res.Tiers)
 	}
-	// Restart fragmentation: reopen (seals the tail), twice.
+	// Two restarts, each sealing more segments behind the compacted one.
 	for i := 0; i < 2; i++ {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)

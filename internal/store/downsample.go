@@ -43,22 +43,11 @@ type dsTask struct {
 	misses     uint64
 }
 
-// dsRow is one averaged task row of a flushed bucket.
-type dsRow struct {
-	id         hpm.TaskID
-	user, comm string
-	cpuPct     float64
-	ipc        float64
-	values     []float64
-	instr      uint64
-	cycles     uint64
-	misses     uint64
-}
-
-// bucket is a completed downsample window ready to be written.
+// bucket is a completed downsample window ready to be written: one
+// averaged row per task, sorted by PID then TID.
 type bucket struct {
 	end  time.Duration
-	rows []dsRow
+	rows []RecordRow
 }
 
 // accumulator folds finer-tier records into fixed-width buckets.
@@ -127,10 +116,10 @@ func (a *accumulator) close() *bucket {
 		if t.cycles > 0 {
 			ipc = float64(t.instr) / float64(t.cycles)
 		}
-		a.funnel.rows = append(a.funnel.rows, dsRow{
-			id: id, user: t.user, comm: t.comm,
-			cpuPct: t.cpuSum / n, ipc: ipc, values: t.avg,
-			instr: t.instr, cycles: t.cycles, misses: t.misses,
+		a.funnel.rows = append(a.funnel.rows, RecordRow{
+			PID: id.PID, TID: id.TID, User: t.user, Command: t.comm,
+			CPUPct: t.cpuSum / n, IPC: ipc, Values: t.avg,
+			Instr: t.instr, Cycles: t.cycles, Misses: t.misses,
 		})
 		t.n = 0
 		t.cpuSum, t.ipcSum = 0, 0
@@ -144,40 +133,40 @@ func (a *accumulator) close() *bucket {
 	}
 	rows := a.funnel.rows
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].id.PID != rows[j].id.PID {
-			return rows[i].id.PID < rows[j].id.PID
+		if rows[i].PID != rows[j].PID {
+			return rows[i].PID < rows[j].PID
 		}
-		return rows[i].id.TID < rows[j].id.TID
+		return rows[i].TID < rows[j].TID
 	})
 	return &a.funnel
 }
 
 // fold adds one finer-tier task row to the current bucket.
-func (a *accumulator) fold(id hpm.TaskID, user, comm string, cpuPct, ipc float64,
-	values []float64, instr, cycles, misses uint64) {
+func (a *accumulator) fold(r *RecordRow) {
+	id := hpm.TaskID{PID: r.PID, TID: r.TID}
 	t := a.tasks[id]
 	if t == nil {
 		t = &dsTask{id: id}
 		a.tasks[id] = t
 	}
-	t.user, t.comm = user, comm
+	t.user, t.comm = r.User, r.Command
 	t.lastBucket = a.cur
 	t.n++
-	t.cpuSum += cpuPct
-	t.ipcSum += ipc
-	t.instr += instr
-	t.cycles += cycles
-	t.misses += misses
-	if len(t.valSums) < len(values) {
-		if cap(t.valSums) < len(values) {
-			grown := make([]float64, len(values))
+	t.cpuSum += r.CPUPct
+	t.ipcSum += r.IPC
+	t.instr += r.Instr
+	t.cycles += r.Cycles
+	t.misses += r.Misses
+	if len(t.valSums) < len(r.Values) {
+		if cap(t.valSums) < len(r.Values) {
+			grown := make([]float64, len(r.Values))
 			copy(grown, t.valSums)
 			t.valSums = grown
 		} else {
-			t.valSums = t.valSums[:len(values)]
+			t.valSums = t.valSums[:len(r.Values)]
 		}
 	}
-	for i, v := range values {
+	for i, v := range r.Values {
 		t.valSums[i] += v
 	}
 }

@@ -10,6 +10,7 @@ package store
 // size before use).
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -43,9 +44,13 @@ func fuzzSeedRecord() *Record {
 // pre-seeded one — so both the index-out-of-range rejection and the
 // in-range dictionary paths stay covered, and the cheap prefix readers
 // (framePrefix, v2PeekCols) see the same bytes the full decode does.
+// The same bytes are then read as a whole segment file, the way
+// recovery walks a tail it is about to append to: frame by frame,
+// folding incremental dictionary frames into the table the live writer
+// resumes from.
 func FuzzDecodeFrame(f *testing.F) {
 	rec := fuzzSeedRecord()
-	dict := newV2Dict()
+	dict := newV2Dict(nil)
 	for _, r := range rec.Rows {
 		dict.intern(r.User)
 		dict.intern(r.Command)
@@ -53,7 +58,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, c := range rec.Cols {
 		dict.intern(c)
 	}
-	dictFrame := dict.appendDictFrame(nil)
+	dictFrame := dict.appendDictFrame(nil, 0)
 	dataFrame := appendV2Data(nil, rec, dict)
 
 	f.Add([]byte(`{"v":1,"time_s":1.5,"rows":[{"pid":1,"user":"u","command":"c",` +
@@ -72,6 +77,27 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0x03, v2KindData, 0x00}) // future binary version
 	f.Add([]byte("{"))
 	f.Add([]byte{})
+	// A live segment's opening: two records, each preceded by the
+	// incremental dictionary frame carrying the strings it introduced.
+	framed := func(payload []byte) []byte {
+		frame := append(beginFrame(nil), payload...)
+		endFrame(frame)
+		return frame
+	}
+	live := newV2Dict(nil)
+	first := *rec
+	first.Rows = rec.Rows[:2]
+	data1 := framed(appendV2Data(nil, &first, live))
+	known := len(live.strs)
+	dict1 := framed(live.appendDictFrame(nil, 0))
+	data2 := framed(appendV2Data(nil, rec, live))
+	dict2 := framed(live.appendDictFrame(nil, known))
+	seg := bytes.Join([][]byte{dict1, data1, dict2, data2}, nil)
+	if sc, err := scanFrames(bytes.NewReader(seg)); err != nil || sc.n != 2 || sc.valid != int64(len(seg)) || len(sc.dict) != len(live.strs) || known == len(live.strs) {
+		f.Fatalf("segment seed walks as %+v (%v), want 2 records over %d bytes and a %d-entry dictionary grown from %d",
+			sc, err, len(seg), len(live.strs), known)
+	}
+	f.Add(seg)
 
 	seeded := append([]string(nil), dict.strs...)
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -88,6 +114,15 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 		framePrefix(payload)
+		if sc, err := scanFrames(bytes.NewReader(payload)); err == nil {
+			if sc.valid > int64(len(payload)) || sc.n > sc.valid {
+				t.Fatalf("segment walk over %d bytes claims %d valid bytes, %d records", len(payload), sc.valid, sc.n)
+			}
+			// What the walk accepted, the live writer resumes from.
+			if d := newV2Dict(sc.dict); len(d.strs) != len(sc.dict) {
+				t.Fatalf("resumed dictionary holds %d of %d entries", len(d.strs), len(sc.dict))
+			}
+		}
 		if len(payload) >= 2 && payload[0] == recordVersionV2 && payload[1] == v2KindData {
 			rec, err := decodeV2Record(payload, seeded)
 			if err != nil {

@@ -193,8 +193,8 @@ var colsKey = []byte(`,"cols":[`)
 
 // scanQueryFile walks one segment's valid prefix, streaming the
 // records inside the range through fn. Frames are version-sniffed
-// individually (a recovered tail segment can hold v1 JSON appended
-// after a v2 rewrite). Records before the range are normally skipped
+// individually (an old store's recovered tail segment holds v1 JSON
+// with v2 frames appended after it). Records before the range are normally skipped
 // undecoded, but v2 dictionary frames always fold into the decoder
 // state, and records carrying column names (each segment's first
 // record, and any screen change) surface them so *cols tracks the

@@ -1,29 +1,25 @@
 package store
 
-// Record payloads: the versioned JSON documents inside the frames. The
-// write path hand-encodes into a reused buffer (the steady-state append
-// must stay near-zero-alloc, like history.Recorder.Observe); the read
-// path decodes with encoding/json, whose allocations only matter on
-// queries and recovery.
+// Records: the in-memory shape of one stored refresh, and the legacy
+// record format v1 — one JSON document per frame — that stores written
+// before live appends switched to the columnar v2 frames (recordv2.go)
+// still hold. v1 is read-only here: DecodeRecord and recordPrefix keep
+// old segments readable, nothing in this package writes the format.
 //
-// Field order is fixed — `{"v":1,"time_s":...}` first — so recovery can
-// read a record's version and timestamp with a cheap prefix parse
-// instead of a full decode (see recordPrefix).
+// The v1 field order is fixed — `{"v":1,"time_s":...}` first — so
+// recovery can read a record's version and timestamp with a cheap
+// prefix parse instead of a full decode (see recordPrefix).
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"strconv"
-	"time"
-	"unicode/utf8"
 )
 
 // Record is one decoded store record: the per-task rows of one refresh
 // (or one downsample bucket) plus the machine-wide roll-up.
 type Record struct {
-	// V is the record version (RecordVersion when written by this code).
+	// V is the version of the frame the record was decoded from.
 	V int `json:"v"`
 	// TimeSeconds is the record's time on the store's monotonic clock.
 	TimeSeconds float64 `json:"time_s"`
@@ -62,16 +58,7 @@ type RecordAgg struct {
 	Misses uint64  `json:"misses"`
 }
 
-// rollup is the write-side accumulator for RecordAgg.
-type rollup struct {
-	tasks  int
-	cpuPct float64
-	instr  uint64
-	cycles uint64
-	misses uint64
-}
-
-// DecodeRecord parses and version-checks one record payload.
+// DecodeRecord parses and version-checks one v1 JSON record payload.
 func DecodeRecord(payload []byte) (*Record, error) {
 	var rec Record
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -81,142 +68,6 @@ func DecodeRecord(payload []byte) (*Record, error) {
 		return nil, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", rec.V, RecordVersion)
 	}
 	return &rec, nil
-}
-
-// encoder builds framed records into one reused buffer: 8 bytes of
-// frame header (filled in by frame()), then the JSON payload.
-type encoder struct {
-	buf      []byte
-	firstRow bool
-}
-
-func (e *encoder) beginRecord(now, res time.Duration, cols []string) {
-	if e.buf == nil {
-		e.buf = make([]byte, frameHeader, 4096)
-	}
-	e.buf = e.buf[:frameHeader]
-	e.buf = append(e.buf, `{"v":`...)
-	e.buf = strconv.AppendInt(e.buf, recordVersionJSON, 10)
-	e.buf = append(e.buf, `,"time_s":`...)
-	e.buf = appendSeconds(e.buf, now)
-	if res > 0 {
-		e.buf = append(e.buf, `,"res":`...)
-		e.buf = appendSeconds(e.buf, res)
-	}
-	if len(cols) > 0 {
-		e.buf = append(e.buf, `,"cols":[`...)
-		for i, c := range cols {
-			if i > 0 {
-				e.buf = append(e.buf, ',')
-			}
-			e.buf = appendJSONString(e.buf, c)
-		}
-		e.buf = append(e.buf, ']')
-	}
-	e.buf = append(e.buf, `,"rows":[`...)
-	e.firstRow = true
-}
-
-func (e *encoder) row(pid, tid int, user, command string, cpuPct, ipc float64,
-	values []float64, instr, cycles, misses uint64) {
-	if !e.firstRow {
-		e.buf = append(e.buf, ',')
-	}
-	e.firstRow = false
-	e.buf = append(e.buf, `{"pid":`...)
-	e.buf = strconv.AppendInt(e.buf, int64(pid), 10)
-	if tid != 0 {
-		e.buf = append(e.buf, `,"tid":`...)
-		e.buf = strconv.AppendInt(e.buf, int64(tid), 10)
-	}
-	e.buf = append(e.buf, `,"user":`...)
-	e.buf = appendJSONString(e.buf, user)
-	e.buf = append(e.buf, `,"command":`...)
-	e.buf = appendJSONString(e.buf, command)
-	e.buf = append(e.buf, `,"cpu_pct":`...)
-	e.buf = appendFloat(e.buf, cpuPct)
-	e.buf = append(e.buf, `,"ipc":`...)
-	e.buf = appendFloat(e.buf, ipc)
-	e.buf = append(e.buf, `,"values":[`...)
-	for i, v := range values {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.buf = appendFloat(e.buf, v)
-	}
-	e.buf = append(e.buf, `],"instr":`...)
-	e.buf = strconv.AppendUint(e.buf, instr, 10)
-	e.buf = append(e.buf, `,"cycles":`...)
-	e.buf = strconv.AppendUint(e.buf, cycles, 10)
-	e.buf = append(e.buf, `,"misses":`...)
-	e.buf = strconv.AppendUint(e.buf, misses, 10)
-	e.buf = append(e.buf, '}')
-}
-
-func (e *encoder) endRecord(agg *rollup) {
-	e.buf = append(e.buf, `],"machine":{"tasks":`...)
-	e.buf = strconv.AppendInt(e.buf, int64(agg.tasks), 10)
-	e.buf = append(e.buf, `,"cpu_pct":`...)
-	e.buf = appendFloat(e.buf, agg.cpuPct)
-	e.buf = append(e.buf, `,"instr":`...)
-	e.buf = strconv.AppendUint(e.buf, agg.instr, 10)
-	e.buf = append(e.buf, `,"cycles":`...)
-	e.buf = strconv.AppendUint(e.buf, agg.cycles, 10)
-	e.buf = append(e.buf, `,"misses":`...)
-	e.buf = strconv.AppendUint(e.buf, agg.misses, 10)
-	e.buf = append(e.buf, `}}`...)
-}
-
-// frame fills in the length/checksum header and returns the complete
-// frame, valid until the next beginRecord.
-func (e *encoder) frame() []byte {
-	payload := e.buf[frameHeader:]
-	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(e.buf[4:8], crc32.Checksum(payload, crcTable))
-	return e.buf
-}
-
-// appendSeconds renders a duration as decimal seconds with millisecond
-// precision — compact, and cheap to re-parse during recovery.
-func appendSeconds(b []byte, d time.Duration) []byte {
-	ms := d.Milliseconds()
-	b = strconv.AppendInt(b, ms/1000, 10)
-	if frac := ms % 1000; frac != 0 {
-		b = append(b, '.')
-		b = append(b, byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
-	}
-	return b
-}
-
-// appendFloat renders a float compactly; NaN and infinities (legal
-// float64s, illegal JSON) are stored as 0.
-func appendFloat(b []byte, f float64) []byte {
-	if f != f || f > 1e308 || f < -1e308 {
-		return append(b, '0')
-	}
-	return strconv.AppendFloat(b, f, 'g', -1, 64)
-}
-
-// appendJSONString writes a JSON string literal, escaping the control
-// and structural characters (task commands can contain anything).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c >= 0x20 && c < utf8.RuneSelf:
-			b = append(b, c)
-		case c >= utf8.RuneSelf:
-			// Multi-byte UTF-8 passes through verbatim.
-			b = append(b, c)
-		default:
-			const hex = "0123456789abcdef"
-			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
-	}
-	return append(b, '"')
 }
 
 // parseFloat parses a decimal number from a byte slice.

@@ -1,11 +1,13 @@
 package store
 
-// Record format v2: the columnar layout compaction rewrites sealed
-// segments into. The framing (length/CRC header, torn-tail clipping)
-// is unchanged; only the payload differs. Version sniffing is by first
-// payload byte — '{' (0x7b) opens a v1 JSON document, 0x02 a v2 binary
-// frame, and anything else in 0x02..0x1f is a newer binary version this
-// build rejects loudly, mirroring the JSON "v" field contract.
+// Record format v2: the columnar layout every record is written in —
+// live appends (store.go) and compaction's merged rewrites (compact.go)
+// alike. The framing (length/CRC header, torn-tail clipping) is shared
+// with the legacy v1 JSON records (record.go); only the payload
+// differs. Version sniffing is by first payload byte — '{' (0x7b) opens
+// a v1 JSON document, 0x02 a v2 binary frame, and anything else in
+// 0x02..0x1f is a newer binary version this build rejects loudly,
+// mirroring the JSON "v" field contract.
 //
 // A v2 segment holds two payload kinds:
 //
@@ -13,7 +15,10 @@ package store
 //	           Cumulative — entries append to the segment's table; user,
 //	           command and column names in data frames are indices into
 //	           it, so a name repeated across thousands of records is
-//	           stored once per segment.
+//	           stored once per segment. A live segment writes one
+//	           whenever a record brings strings its table lacks, just
+//	           ahead of that record; a compacted segment opens with one
+//	           frame holding its whole table.
 //	0x02 0x01  data: one record, column-major. Header (uvarint time and
 //	           resolution in ms, a flags byte, optional column-name
 //	           indices), then per-field arrays over the rows: PIDs
@@ -37,10 +42,7 @@ import (
 )
 
 const (
-	// recordVersionJSON stamps the JSON payloads the live append path
-	// writes; RecordVersion (2) is the ceiling readers accept.
-	recordVersionJSON = 1
-	recordVersionV2   = 2
+	recordVersionV2 = 2
 
 	v2KindDict = 0x00
 	v2KindData = 0x01
@@ -93,14 +95,21 @@ func framePrefix(p []byte) (t time.Duration, v int, kind int, ok bool) {
 	return 0, 0, 0, false
 }
 
-// v2Dict interns the strings of one compaction output segment.
+// v2Dict is the string table of a segment being written: strs is the
+// table as the file's dictionary frames lay it out, index its inverse.
 type v2Dict struct {
 	index map[string]uint64
 	strs  []string
 }
 
-func newV2Dict() *v2Dict {
-	return &v2Dict{index: make(map[string]uint64)}
+// newV2Dict resumes the table a segment's dictionary frames have
+// established so far (nil for a new segment).
+func newV2Dict(strs []string) *v2Dict {
+	d := &v2Dict{index: make(map[string]uint64, len(strs)), strs: strs}
+	for i, s := range strs {
+		d.index[s] = uint64(i)
+	}
+	return d
 }
 
 func (d *v2Dict) intern(s string) uint64 {
@@ -113,18 +122,21 @@ func (d *v2Dict) intern(s string) uint64 {
 	return i
 }
 
-// appendDictFrame renders the table as one dictionary payload.
-func (d *v2Dict) appendDictFrame(buf []byte) []byte {
+// appendDictFrame renders the table's entries from index from onward as
+// one dictionary payload (the format is cumulative, so a reader appends
+// them to whatever the file established before).
+func (d *v2Dict) appendDictFrame(buf []byte, from int) []byte {
 	buf = append(buf, recordVersionV2, v2KindDict)
-	buf = binenc.AppendUvarint(buf, uint64(len(d.strs)))
-	for _, s := range d.strs {
+	buf = binenc.AppendUvarint(buf, uint64(len(d.strs)-from))
+	for _, s := range d.strs[from:] {
 		buf = binenc.AppendString(buf, s)
 	}
 	return buf
 }
 
-// appendV2Data encodes one record as a v2 data payload. Every string it
-// references must already be interned in d (compaction's first pass).
+// appendV2Data encodes one record as a v2 data payload, interning the
+// strings it references in d; entries that adds must reach the file in a
+// dictionary frame ahead of this payload.
 func appendV2Data(buf []byte, rec *Record, d *v2Dict) []byte {
 	buf = append(buf, recordVersionV2, v2KindData)
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.TimeSeconds*1000)))

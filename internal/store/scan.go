@@ -281,6 +281,12 @@ func scanParallel(files []queryFile, startCols []string, from, to time.Duration,
 	abort := func() { stop.Do(func() { close(done) }) }
 	free := make(chan *Record, workers*scanBatchSize*4)
 	batchFree := make(chan *scanBatch, workers*4)
+	// window bounds how many files are decoded but not yet merged. A
+	// file's batches queue until the merger reaches it, so without the
+	// bound the workers run ahead through a tier of small segments and
+	// hold the whole range decoded at once. Two files per worker keeps
+	// everyone busy while the merger drains the oldest.
+	window := make(chan struct{}, 2*workers)
 	var nextFile int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -289,6 +295,13 @@ func scanParallel(files []queryFile, startCols []string, from, to time.Duration,
 			defer wg.Done()
 			sc := segScanner{proj: mk()}
 			for {
+				// Slot first, file second: the files holding slots are then
+				// always the next ones the merger will reach.
+				select {
+				case window <- struct{}{}:
+				case <-done:
+					return
+				}
 				i := int(atomic.AddInt64(&nextFile, 1)) - 1
 				if i >= len(files) {
 					return
@@ -331,6 +344,7 @@ func scanParallel(files []queryFile, startCols []string, from, to time.Duration,
 		if errs[i] != nil {
 			return errs[i]
 		}
+		<-window
 	}
 	return nil
 }

@@ -52,12 +52,15 @@ func collectScan(t *testing.T, st *Store, opts ScanOptions) []scannedRec {
 	return out
 }
 
-// mixedStore builds a store whose sealed segments span both formats:
-// varied appends, a compaction pass (v2 rewrite), then more appends
-// (fresh v1 segments) under changed columns.
+// mixedStore builds a store whose segments span every layout a scan can
+// meet: varied appends, a compaction pass (merged v2 .cseg), more
+// appends rewritten as the v1 JSON an older build's live writer left,
+// then live v2 appends — the first of them after the v1 frames of the
+// recovered tail.
 func mixedStore(t *testing.T) *Store {
 	t.Helper()
-	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 8 << 10})
+	dir := t.TempDir()
+	st := mustOpen(t, dir, Options{SegmentBytes: 8 << 10})
 	st.SetColumns([]string{"branch-miss", "llc-load"})
 	seed := uint64(7)
 	n := 240
@@ -70,6 +73,18 @@ func mixedStore(t *testing.T) *Store {
 	}
 	fillVaried(t, st, time.Duration(n)*1500*time.Millisecond+500*time.Millisecond,
 		1500*time.Millisecond, n/2, 6, &seed)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rewriteSegmentsV1(t, dir)
+	// Segment size raised so the v1 tail still has room for appends.
+	st = mustOpen(t, dir, Options{SegmentBytes: 64 << 10})
+	st.SetColumns([]string{"branch-miss", "llc-load"})
+	fillVaried(t, st, 1500*time.Millisecond, 1500*time.Millisecond, n/2, 6, &seed)
+	if v1, dicts, v2 := frameKinds(t, newestSegment(t, dir, "raw")); v1 == 0 || dicts == 0 || v2 == 0 {
+		t.Fatalf("tail segment holds %d v1, %d dictionary, %d v2 frames; want all three", v1, dicts, v2)
+	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 

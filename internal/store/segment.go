@@ -20,10 +20,10 @@ import (
 
 const (
 	segmentExt = ".seg"
-	// compactedExt marks a segment the compactor produced: a merged,
-	// columnar (record v2) rewrite of the sequence range its name
-	// carries. compactingExt is the same file before it is published —
-	// recovery deletes those (the originals are still intact).
+	// compactedExt marks a segment the compactor produced: the merged
+	// rewrite of the sequence range its name carries. compactingExt is
+	// the same file before it is published — recovery deletes those (the
+	// originals are still intact).
 	compactedExt  = ".cseg"
 	compactingExt = ".cmpct"
 	// frameHeader is the per-record framing overhead.
@@ -34,15 +34,17 @@ const (
 )
 
 // segment is one on-disk segment file. The writer appends through f
-// (nil once sealed); size, n and the record-time bounds are maintained
-// in memory and rebuilt by scanning on open. A compacted segment spans
-// the sequence range [seq, seqEnd] of the segments it replaced; plain
-// segments have seqEnd == seq.
+// and interns strings in dict (both nil once sealed); size, n, the
+// record-time bounds and dict are maintained in memory and rebuilt by
+// scanning on open. A compacted segment spans the sequence range
+// [seq, seqEnd] of the segments it replaced; plain segments have
+// seqEnd == seq.
 type segment struct {
 	path   string
 	seq    int64
 	seqEnd int64
 	f      *os.File
+	dict   *v2Dict
 	size   int64
 	n      int64
 	first  time.Duration
@@ -69,7 +71,7 @@ func createSegment(dir, tier string, seq int64) (*segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &segment{path: path, seq: seq, seqEnd: seq, f: f}, nil
+	return &segment{path: path, seq: seq, seqEnd: seq, f: f, dict: newV2Dict(nil)}, nil
 }
 
 // sync flushes the segment's file to stable storage (group-commit
@@ -84,16 +86,29 @@ func (sg *segment) sync() error {
 	return nil
 }
 
-// append writes one framed record. The frame slice already carries the
-// length/checksum header (encoder.frame).
-func (sg *segment) append(frame []byte) error {
+// beginFrame reserves a frame header at the start of a frame being
+// built in buf; endFrame fills it in once the payload follows it.
+func beginFrame(buf []byte) []byte {
+	return append(buf, make([]byte, frameHeader)...)
+}
+
+func endFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+}
+
+// append writes one record's frames — its data frame, preceded by a
+// dictionary frame when it needs one — in a single write, so the file
+// only ever grows by whole records.
+func (sg *segment) append(frames []byte) error {
 	if sg.f == nil {
 		return fmt.Errorf("store: segment %s is sealed", filepath.Base(sg.path))
 	}
-	if _, err := sg.f.Write(frame); err != nil {
+	if _, err := sg.f.Write(frames); err != nil {
 		return fmt.Errorf("store: append %s: %w", filepath.Base(sg.path), err)
 	}
-	sg.size += int64(len(frame))
+	sg.size += int64(len(frames))
 	sg.n++
 	return nil
 }
@@ -104,7 +119,7 @@ func (sg *segment) seal() error {
 		return nil
 	}
 	err := sg.f.Close()
-	sg.f = nil
+	sg.f, sg.dict = nil, nil
 	if err != nil {
 		return fmt.Errorf("store: seal %s: %w", filepath.Base(sg.path), err)
 	}
@@ -121,7 +136,7 @@ func openSegment(path string, seq, seqEnd int64, writable bool) (*segment, error
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	valid, n, first, last, scanErr := scanFrames(bufio.NewReaderSize(f, 1<<16))
+	sc, scanErr := scanFrames(bufio.NewReaderSize(f, 1<<16))
 	closeErr := f.Close()
 	if scanErr != nil {
 		return nil, scanErr
@@ -129,10 +144,10 @@ func openSegment(path string, seq, seqEnd int64, writable bool) (*segment, error
 	if closeErr != nil {
 		return nil, fmt.Errorf("store: %w", closeErr)
 	}
-	sg.size, sg.n, sg.first, sg.last = valid, n, first, last
-	if fi, err := os.Stat(path); err == nil && fi.Size() > valid && writable {
+	sg.size, sg.n, sg.first, sg.last = sc.valid, sc.n, sc.first, sc.last
+	if fi, err := os.Stat(path); err == nil && fi.Size() > sc.valid && writable {
 		// Crash mid-append: clip the torn tail so the chain is clean.
-		if err := os.Truncate(path, valid); err != nil {
+		if err := os.Truncate(path, sc.valid); err != nil {
 			return nil, fmt.Errorf("store: clip %s: %w", filepath.Base(path), err)
 		}
 	}
@@ -141,45 +156,60 @@ func openSegment(path string, seq, seqEnd int64, writable bool) (*segment, error
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		sg.f = w
+		sg.f, sg.dict = w, newV2Dict(sc.dict)
 	}
 	return sg, nil
 }
 
-// scanFrames walks the segment from the start, returning the byte
-// length of the valid prefix, the record count, and the first/last
-// record times. It stops (without error) at the first invalid frame.
-// Frames are version-sniffed individually (v1 JSON and v2 columnar mix
-// freely); v2 dictionary frames join the valid prefix but are not
-// records, so they never count or move the time bounds.
-func scanFrames(r io.Reader) (valid, n int64, first, last time.Duration, err error) {
+// frameScan is what scanFrames learns about a segment's valid prefix:
+// its byte length, the record count and first/last record times, and
+// the string table its dictionary frames establish — what a tail
+// segment reopened for appending resumes interning against.
+type frameScan struct {
+	valid, n    int64
+	first, last time.Duration
+	dict        []string
+}
+
+// scanFrames walks the segment from the start and stops (without error)
+// at the first invalid frame. Frames are version-sniffed individually
+// (v1 JSON and v2 columnar mix freely); v2 dictionary frames join the
+// valid prefix but are not records, so they never count or move the
+// time bounds.
+func scanFrames(r io.Reader) (sc frameScan, err error) {
 	br := newFrameReader(r)
 	for {
 		payload, ok, rerr := br.next()
 		if rerr != nil {
-			return 0, 0, 0, 0, rerr
+			return frameScan{}, rerr
 		}
 		if !ok {
-			return br.valid, n, first, last, nil
+			return sc, nil
 		}
 		t, v, kind, ok := framePrefix(payload)
 		if !ok {
 			// Structurally sound frame with an unparseable payload:
 			// treat as corruption, clip here.
-			return br.valid, n, first, last, nil
+			return sc, nil
 		}
 		if v > RecordVersion {
-			return 0, 0, 0, 0, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
+			return frameScan{}, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
+		}
+		if kind == frameKindMeta {
+			dict, derr := decodeV2Dict(payload, sc.dict)
+			if derr != nil {
+				return sc, nil // corrupt like the above
+			}
+			sc.dict = dict
+		} else {
+			if sc.n == 0 {
+				sc.first = t
+			}
+			sc.last = t
+			sc.n++
 		}
 		br.accept()
-		if kind == frameKindMeta {
-			continue
-		}
-		if n == 0 {
-			first = t
-		}
-		last = t
-		n++
+		sc.valid = br.valid
 	}
 }
 

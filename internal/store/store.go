@@ -10,16 +10,23 @@
 //
 //	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
 //
-// with lengths little-endian and the payload a versioned JSON document
-// in the same style as the remote wire format (a leading "v" field;
-// readers accept versions up to their own RecordVersion and reject
-// newer ones loudly). The write path hand-encodes the payload into a
-// reused buffer, so steady-state appends are near-zero-alloc like
+// with lengths little-endian and the payload a versioned binary frame:
+// record format v2 (recordv2.go), column-major with XOR-compressed
+// floats and a per-segment string dictionary, so the log is dense the
+// moment it is written and a query decodes only the columns it names.
+// The first payload byte is the version; readers accept versions up to
+// their own RecordVersion and reject newer ones loudly, like the remote
+// wire format. Stores written by older builds hold record format v1 —
+// one JSON document per frame (record.go) — which is still read, frame
+// by frame, but never written. The write path encodes into reused
+// buffers, so steady-state appends are near-zero-alloc like
 // history.Recorder.Observe — a store teed into a recorder does not
 // perturb the sampling loop.
 //
-// Crash safety. Appends go straight to the file; no in-process write
-// buffering means a crash loses at most the record being written. Open
+// Crash safety. Appends go straight to the file, one write per record
+// (a record that introduces new strings carries its dictionary frame in
+// the same write); no in-process write buffering means a crash loses at
+// most the record being written. Open
 // scans every segment, verifies each frame's length and checksum, and
 // physically clips a torn or corrupt tail off the newest segment of
 // each tier (earlier segments are clipped logically), so recovery never
@@ -54,12 +61,13 @@ import (
 	"tiptop/internal/hpm"
 )
 
-// RecordVersion is the newest record format this build reads and
-// writes: 1 is the JSON layout the live append path produces, 2 the
-// columnar layout compaction rewrites sealed segments into (recordv2.go).
-// Readers sniff the version per frame, accept documents up to this
-// ceiling and reject newer ones loudly, mirroring the remote wire
-// contract.
+// RecordVersion is the newest record format this build reads, and the
+// one it writes: 2 is the columnar layout of recordv2.go, in live
+// segments and compacted ones alike; 1 is the JSON layout older builds
+// appended, decode-only now. Readers sniff the version per frame (a
+// recovered tail may hold v1 frames followed by v2 ones), accept
+// documents up to this ceiling and reject newer ones loudly, mirroring
+// the remote wire contract.
 const RecordVersion = 2
 
 // Resolutions are the store's downsampling tiers: raw refreshes, then
@@ -136,7 +144,12 @@ type Store struct {
 	base     time.Duration
 	lastTime time.Duration
 	records  int64 // appended + recovered, all tiers
-	enc      encoder
+	// Append scratch, reused so steady-state appends do not allocate:
+	// the raw tier's rows and their values, the data frame, and the
+	// dictionary+data pair when one is needed.
+	rows      []RecordRow
+	vals      []float64
+	buf, pair []byte
 	// group-commit fsync bookkeeping (zero policy: never touched).
 	unsynced int64
 	lastSync time.Time
@@ -319,39 +332,35 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		// back. One millisecond is the record clock's precision.
 		now = st.lastTime + time.Millisecond
 	}
-	var agg rollup
+	// Rows and values are copied into store-owned scratch: writeRecord
+	// sanitises them in place, and the sample belongs to the caller.
+	nvals := 0
+	for i := range s.Rows {
+		nvals += len(s.Rows[i].Values)
+	}
+	if cap(st.vals) < nvals {
+		st.vals = make([]float64, 0, nvals)
+	}
+	vals, rows := st.vals[:0], st.rows[:0]
 	for i := range s.Rows {
 		row := &s.Rows[i]
-		agg.tasks++
-		agg.cpuPct += row.CPUPct
-		agg.instr += row.Events[hpm.EventInstructions]
-		agg.cycles += row.Events[hpm.EventCycles]
-		agg.misses += row.Events[hpm.EventCacheMisses]
+		off := len(vals)
+		vals = append(vals, row.Values...)
+		rows = append(rows, RecordRow{
+			PID: row.Info.ID.PID, TID: row.Info.ID.TID,
+			User: row.Info.User, Command: row.Info.Comm,
+			CPUPct: row.CPUPct, IPC: row.IPC(), Values: vals[off:],
+			Instr:  row.Events[hpm.EventInstructions],
+			Cycles: row.Events[hpm.EventCycles],
+			Misses: row.Events[hpm.EventCacheMisses],
+		})
 	}
-	err := st.writeRecord(st.tiers[0], now, &agg, func(e *encoder) {
-		for i := range s.Rows {
-			row := &s.Rows[i]
-			e.row(row.Info.ID.PID, row.Info.ID.TID, row.Info.User, row.Info.Comm,
-				row.CPUPct, row.IPC(), row.Values,
-				row.Events[hpm.EventInstructions],
-				row.Events[hpm.EventCycles],
-				row.Events[hpm.EventCacheMisses])
-		}
-	})
-	if err != nil {
+	st.rows = rows
+	if err := st.writeRecord(st.tiers[0], now, rows); err != nil {
 		return err
 	}
 	if !st.opt.NoDownsample {
-		if err := st.fold(1, now, func(acc *accumulator) {
-			for i := range s.Rows {
-				row := &s.Rows[i]
-				acc.fold(row.Info.ID, row.Info.User, row.Info.Comm, row.CPUPct, row.IPC(),
-					row.Values,
-					row.Events[hpm.EventInstructions],
-					row.Events[hpm.EventCycles],
-					row.Events[hpm.EventCacheMisses])
-			}
-		}); err != nil {
+		if err := st.fold(1, now, rows); err != nil {
 			return err
 		}
 	}
@@ -405,20 +414,63 @@ func (st *Store) colsFor(t *tier) []string {
 	return st.cols
 }
 
-// writeRecord rotates the tier's active segment if due, encodes one
-// record (header, rows via emit, the machine roll-up) into the reused
-// buffer, and appends the framed result.
-func (st *Store) writeRecord(t *tier, now time.Duration, agg *rollup, emit func(*encoder)) error {
+// finite maps NaN and ±Inf — legal float64s, illegal JSON — to 0.
+func finite(f float64) float64 {
+	if f-f != 0 {
+		return 0
+	}
+	return f
+}
+
+// writeRecord rotates the tier's active segment if due and appends rows
+// (store-owned scratch, sanitised in place) as one record-v2 data
+// frame, computing the machine roll-up on the way. Non-finite floats
+// become 0 here: the XOR float encoding would persist them bit-exactly
+// and every later JSON encode of a query over them would fail. When the
+// record names a user, command or column the segment's dictionary has
+// not seen, an incremental dictionary frame precedes the data frame and
+// the pair goes down in one write, so a concurrent scan's snapshot and
+// crash clipping never separate a record from the strings it needs.
+func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow) error {
 	if t.active == nil || t.active.size >= st.opt.SegmentBytes ||
 		(t.active.n > 0 && now-t.active.first >= st.opt.SegmentAge) {
 		if err := st.rotateLocked(t); err != nil {
 			return err
 		}
 	}
-	st.enc.beginRecord(now, t.res, st.colsFor(t))
-	emit(&st.enc)
-	st.enc.endRecord(agg)
-	if err := t.active.append(st.enc.frame()); err != nil {
+	rec := &Record{
+		// Millisecond precision: the record clock's, and what every
+		// reader reconstructs.
+		TimeSeconds: float64(now.Milliseconds()) / 1000,
+		ResSeconds:  t.res.Seconds(),
+		Cols:        st.colsFor(t),
+		Rows:        rows,
+		Machine:     RecordAgg{Tasks: len(rows)},
+	}
+	for i := range rows {
+		r := &rows[i]
+		r.CPUPct, r.IPC = finite(r.CPUPct), finite(r.IPC)
+		for j, v := range r.Values {
+			r.Values[j] = finite(v)
+		}
+		rec.Machine.CPUPct += r.CPUPct
+		rec.Machine.Instr += r.Instr
+		rec.Machine.Cycles += r.Cycles
+		rec.Machine.Misses += r.Misses
+	}
+	rec.Machine.CPUPct = finite(rec.Machine.CPUPct)
+	dict := t.active.dict
+	known := len(dict.strs)
+	st.buf = appendV2Data(beginFrame(st.buf[:0]), rec, dict)
+	endFrame(st.buf)
+	frames := st.buf
+	if len(dict.strs) > known {
+		st.pair = dict.appendDictFrame(beginFrame(st.pair[:0]), known)
+		endFrame(st.pair)
+		st.pair = append(st.pair, st.buf...)
+		frames = st.pair
+	}
+	if err := t.active.append(frames); err != nil {
 		return err
 	}
 	if st.opt.Fsync.enabled() {
@@ -433,52 +485,26 @@ func (st *Store) writeRecord(t *tier, now time.Duration, agg *rollup, emit func(
 	return nil
 }
 
-// fold pushes one finer-tier record into tier ti's accumulator, flushing
-// completed buckets down the chain. emit folds each task row into the
-// accumulator it is handed.
-func (st *Store) fold(ti int, now time.Duration, emit func(*accumulator)) error {
+// fold pushes one finer-tier record's rows into tier ti's accumulator.
+// A bucket that completes on the way is written as a record of tier ti
+// and folded into the next coarser tier first.
+func (st *Store) fold(ti int, now time.Duration, rows []RecordRow) error {
 	if ti >= len(st.tiers) {
 		return nil
 	}
 	t := st.tiers[ti]
-	if flushed := t.acc.advance(now); flushed != nil {
-		if err := st.flushBucket(t, flushed); err != nil {
+	if b := t.acc.advance(now); b != nil {
+		if err := st.writeRecord(t, b.end, b.rows); err != nil {
+			return err
+		}
+		if err := st.fold(ti+1, b.end, b.rows); err != nil {
 			return err
 		}
 	}
-	emit(t.acc)
+	for i := range rows {
+		t.acc.fold(&rows[i])
+	}
 	return nil
-}
-
-// flushBucket writes one completed downsample bucket as a record of
-// tier t and folds it into the next coarser tier.
-func (st *Store) flushBucket(t *tier, b *bucket) error {
-	if len(b.rows) == 0 {
-		return nil
-	}
-	end := b.end
-	var agg rollup
-	for _, r := range b.rows {
-		agg.tasks++
-		agg.cpuPct += r.cpuPct
-		agg.instr += r.instr
-		agg.cycles += r.cycles
-		agg.misses += r.misses
-	}
-	err := st.writeRecord(t, end, &agg, func(e *encoder) {
-		for _, r := range b.rows {
-			e.row(r.id.PID, r.id.TID, r.user, r.comm, r.cpuPct, r.ipc, r.values,
-				r.instr, r.cycles, r.misses)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return st.fold(t.idx+1, end, func(acc *accumulator) {
-		for _, r := range b.rows {
-			acc.fold(r.id, r.user, r.comm, r.cpuPct, r.ipc, r.values, r.instr, r.cycles, r.misses)
-		}
-	})
 }
 
 // rotateLocked seals the tier's active segment and starts the next one.

@@ -136,8 +136,10 @@ func TestQuerierLocalRejectsExtra(t *testing.T) {
 }
 
 // TestQuerierMixedVersionStore: QueryExpr over a store holding both
-// v1 (JSON) and v2 (columnar) segments answers identically to an
-// uncompacted all-v1 twin — the unified API is format-transparent.
+// compacted (.cseg) and live (.seg) segments answers identically to a
+// never-compacted twin — the unified API is layout-transparent. (The
+// v1 JSON half of the mixed-version contract needs the store package's
+// test-only v1 writer; internal/store's TestMixedVersionTwin covers it.)
 func TestQuerierMixedVersionStore(t *testing.T) {
 	build := func(dir string, compactAt int) *tiptop.Store {
 		st, err := tiptop.OpenStore(dir, tiptop.StoreOptions{SegmentBytes: 8 << 10})
@@ -190,7 +192,7 @@ func TestQuerierMixedVersionStore(t *testing.T) {
 		aj, _ := json.Marshal(a)
 		bj, _ := json.Marshal(b)
 		if string(aj) != string(bj) {
-			t.Errorf("%q: mixed-version store diverges from all-v1 twin:\n%s\nvs\n%s", expr, aj, bj)
+			t.Errorf("%q: compacted store diverges from its never-compacted twin:\n%s\nvs\n%s", expr, aj, bj)
 		}
 		if len(a.Series) == 0 {
 			t.Errorf("%q: no series", expr)

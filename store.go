@@ -182,13 +182,14 @@ type CompactOptions = store.CompactOptions
 // CompactionResult reports what a compaction pass rewrote, per tier.
 type CompactionResult = store.CompactionResult
 
-// Compact rewrites the store's sealed segments into the columnar
-// record format v2: delta/varint columns, a per-segment string
-// dictionary, restart-fragmented segments merged, and series of
-// long-exited tasks tombstoned. Queries keep answering (and appends
-// keep landing) during the pass, and read v1 and v2 segments
-// transparently afterwards. tiptopd runs this periodically with
-// -compact; archival users call it after bulk loads.
+// Compact merges the store's sealed segments — those that sealed small
+// by age, or were fragmented by restarts — into full-size ones under
+// one string dictionary each, tombstoning series of long-exited tasks
+// if asked. Appends already write the columnar record format v2, so
+// this shrinks only what an older build left as v1 JSON. Queries keep
+// answering (and appends keep landing) during the pass, and read every
+// segment layout transparently afterwards. tiptopd runs this
+// periodically with -compact; archival users call it after bulk loads.
 func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) { return st.s.Compact(opt) }
 
 // QueryOptions select the time range and step of an expression query.

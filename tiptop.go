@@ -117,8 +117,8 @@ type Config struct {
 	// crash may leave durable history. The zero policy never syncs.
 	StoreFsync FsyncPolicy
 	// StoreCompact, when positive, is the period at which a daemon
-	// compacts its store into the columnar record format v2 (tiptopd
-	// -compact, <options compact=>). 0 never compacts automatically.
+	// merges its store's sealed segments (tiptopd -compact, <options
+	// compact=>). 0 never compacts automatically.
 	StoreCompact time.Duration
 }
 
