@@ -36,15 +36,18 @@ docs:
 	./scripts/check-docs.sh
 
 # Short coverage-guided passes over the metric-expression parser, the
-# query-layer compiler and the v2 columnar frame decoder; CI runs them
-# so a grammar change that panics, breaks the canonical rendering
-# fixpoint, lets a non-finite value through the totality rule, or makes
-# the store's frame reader panic/over-read on corrupt bytes is caught
-# before it lands.
+# query-layer compiler, the v2 columnar frame decoder and the wire
+# encoders; CI runs them so a grammar change that panics, breaks the
+# canonical rendering fixpoint, lets a non-finite value through the
+# totality rule, makes the store's frame reader or the binary wire
+# decoder panic/over-read on corrupt bytes, or lets the hand-written
+# JSON wire encoder drift from encoding/json is caught before it lands.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/remote/
 
 # The counter-validation oracle (§2.4): every ukernel.ValidationSuite
 # micro-kernel runs live on all four machine models and its measured
@@ -60,8 +63,6 @@ validate:
 # machine-readable trajectory files:
 #   results/BENCH_refresh.json  ns/op and allocs/op for the 1000/4000-task
 #                               serial and sharded refreshes
-#   results/BENCH_daemon.json   tiptopd serving costs — cached vs uncached
-#                               /metrics encode, wire encode, SSE fan-out
 #   results/BENCH_store.json    durable store: steady-state append ns/op +
 #                               allocs/op, recovery of a 1M-record store,
 #                               1m-tier range query
@@ -71,7 +72,6 @@ validate:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+' -benchmem ./internal/core/
 	$(GO) run ./cmd/tipbench -bench-refresh -out results
-	$(GO) run ./cmd/tipbench -bench-daemon -out results
 	$(GO) run ./cmd/tipbench -bench-store -out results
 	$(GO) run ./cmd/tipbench -bench-query -out results
 	$(GO) run ./cmd/tipbench -bench-mux -out results

@@ -42,7 +42,6 @@ func run(args []string) error {
 		list        = fs.Bool("list", false, "list experiments and exit")
 		benchRef    = fs.Bool("bench-refresh", false, "measure engine refresh cost and write BENCH_refresh.json, then exit")
 		benchTasks  = fs.String("bench-tasks", "1000,4000", "task counts for -bench-refresh")
-		benchDmn    = fs.Bool("bench-daemon", false, "measure tiptopd serving cost (cached vs uncached /metrics, SSE fan-out) and write BENCH_daemon.json, then exit")
 		benchSt     = fs.Bool("bench-store", false, "measure the durable store (append cost, recovery of a large store, 1m-tier query) and write BENCH_store.json, then exit")
 		benchStRec  = fs.Int64("store-records", 1_000_000, "store size, in records, for the -bench-store recovery measurement")
 		benchQry    = fs.Bool("bench-query", false, "measure the expression query engine (10s/1m tiers over a large store, topk by user, 3-agent fleet merge) and write BENCH_query.json, then exit")
@@ -62,9 +61,6 @@ func run(args []string) error {
 	}
 	if *benchRef {
 		return benchRefresh(*outDir, *benchTasks)
-	}
-	if *benchDmn {
-		return benchDaemon(*outDir)
 	}
 	if *benchSt {
 		return benchStore(*outDir, *benchStRec)

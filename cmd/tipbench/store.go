@@ -4,8 +4,8 @@ package main
 // — steady-state append cost (which must stay near-zero-alloc, like
 // the recorder it tees from), crash recovery of a million-record store,
 // and a range query served from the 1-minute downsample tier — and
-// write them as machine-readable JSON (BENCH_store.json), the third
-// trajectory file next to BENCH_refresh.json and BENCH_daemon.json.
+// write them as machine-readable JSON (BENCH_store.json), a
+// trajectory file next to BENCH_refresh.json.
 
 import (
 	"encoding/json"

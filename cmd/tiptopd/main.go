@@ -369,7 +369,8 @@ func newDaemon(mon *tiptop.Monitor, rec *tiptop.Recorder, pace time.Duration, hi
 }
 
 // publish converts one refresh to the wire format and hands it to the
-// stream hub and caches — encoded once per refresh, shared by every
+// stream hub and caches — encoded at most once per format, by the
+// first reader that wants it rather than here, and shared by every
 // subscriber and scraper. Store append errors (latched by the tee,
 // which cannot return them) are surfaced here, once per refresh: a
 // daemon whose durable history has stopped must fail loudly, not keep

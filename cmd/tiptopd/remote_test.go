@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,6 +162,41 @@ func TestRemoteMonitorByteIdentical(t *testing.T) {
 	if snap := remoteRec.Snapshot(); snap.Refreshes != 5 || snap.Machine.Tasks != 11 {
 		t.Fatalf("remote recorder snapshot = refreshes %d tasks %d", snap.Refreshes, snap.Machine.Tasks)
 	}
+}
+
+// TestDeferredEncodeAgainstLiveSampler: the wire encoders run on the
+// readers' goroutines while the loop is already sampling the next
+// refresh. Under -race this is the proof that a published sample shares
+// nothing the sampler still writes.
+func TestDeferredEncodeAgainstLiveSampler(t *testing.T) {
+	_, srv := testDaemon(t)
+	var wg sync.WaitGroup
+	for _, wire := range []string{"json", "binary"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rm, err := tiptop.NewRemoteMonitorWire(srv.URL, wire)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer rm.Close()
+			var last time.Duration
+			for i := 0; i < 40; i++ {
+				s, err := rm.Sample()
+				if err != nil {
+					t.Errorf("%s stream: %v", wire, err)
+					return
+				}
+				if s.Time <= last || len(s.Rows) == 0 {
+					t.Errorf("%s stream: sample at %v after %v with %d rows", wire, s.Time, last, len(s.Rows))
+					return
+				}
+				last = s.Time
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDaemonMetricsETag: the cached /metrics revalidates with ETags —

@@ -1,7 +1,9 @@
 package export
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,5 +191,137 @@ func TestWriteOpenMetrics(t *testing.T) {
 	}
 	if sb2.String() != out {
 		t.Fatal("exposition is not deterministic")
+	}
+}
+
+// snapFixture builds a snapshot by hand: n tasks, the given columns,
+// and label values that need every escape the format has.
+func snapFixture(n int, cols []string, nvalues int) *history.Snapshot {
+	snap := &history.Snapshot{
+		TimeSeconds: 12.5,
+		Refreshes:   7,
+		Columns:     cols,
+		Machine:     history.Aggregate{Tasks: n, CPUPct: 180.25, IPC: 1.25, WindowIPC: 1.5, WindowMIPS: 1e-7, Instructions: 1 << 40, Cycles: 3, CacheMisses: 9},
+		Users:       map[string]history.Aggregate{},
+		Commands:    map[string]history.Aggregate{},
+	}
+	users := []string{"alice", `bo"b`, "c\\d", "e\nf"}
+	for i := 0; i < n; i++ {
+		t := history.TaskSnap{
+			PID: 100 + i/2, TID: 100 + i, User: users[i%len(users)],
+			Command: fmt.Sprintf("cmd%d \"%d\"\\\n", i%3, i), State: "R",
+			CPUPct: float64(i) * 12.5, IPC: 1 / float64(i+1),
+			Coverage: []float64{0, 0.25, 1, 1.5, -1}[i%5],
+		}
+		for v := 0; v < nvalues; v++ {
+			t.Values = append(t.Values, float64(i*v)/3)
+		}
+		snap.Tasks = append(snap.Tasks, t)
+		snap.Users[t.User] = history.Aggregate{Tasks: i + 1, IPC: float64(i)}
+		snap.Commands[t.Command] = history.Aggregate{Tasks: 1, CPUPct: t.CPUPct}
+	}
+	return snap
+}
+
+// TestOpenMetricsMatchesReference holds the append-based writer to the
+// bytes of the writer it replaced, solo and fleet, over the shapes the
+// writer branches on.
+func TestOpenMetricsMatchesReference(t *testing.T) {
+	shapes := map[string]*history.Snapshot{
+		"tasks and columns":   snapFixture(7, []string{"ipc", `d"mis\`, "x\ny"}, 3),
+		"zero tasks":          snapFixture(0, []string{"ipc"}, 1),
+		"zero columns":        snapFixture(5, nil, 0),
+		"values < columns":    snapFixture(5, []string{"a", "b", "c"}, 2),
+		"values > columns":    snapFixture(5, []string{"a"}, 3),
+		"many tasks (chunks)": snapFixture(900, []string{"a", "b", "c", "d"}, 4),
+	}
+	for name, snap := range shapes {
+		var got, want bytes.Buffer
+		if err := WriteOpenMetrics(&got, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteOpenMetrics(&want, snap); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("solo %s: exposition differs from the reference writer\n%s", name, firstDiff(got.Bytes(), want.Bytes()))
+		}
+	}
+	fleets := map[string][]FleetMachine{
+		"mixed": {
+			{Label: `z"9:1`, Up: true, Snapshot: shapes["tasks and columns"]},
+			{Label: "a:1", Up: false, Snapshot: shapes["zero tasks"]},
+			{Label: "m:1", Up: true, Snapshot: shapes["zero columns"]},
+			{Label: "b:1", Up: true, Snapshot: shapes["values < columns"]},
+		},
+		"no columns anywhere": {{Label: "a:1", Up: true, Snapshot: shapes["zero columns"]}},
+		"no machines":         nil,
+	}
+	for name, ms := range fleets {
+		var got, want bytes.Buffer
+		if err := WriteFleetOpenMetrics(&got, ms); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteFleetOpenMetrics(&want, ms); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("fleet %s: exposition differs from the reference writer\n%s", name, firstDiff(got.Bytes(), want.Bytes()))
+		}
+	}
+}
+
+func firstDiff(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(0, i-80)
+	return fmt.Sprintf("at byte %d:\n got  %q\n want %q", i, got[lo:min(len(got), i+80)], want[lo:min(len(want), i+80)])
+}
+
+// TestFleetExpositionCarriesCoverage: a -join head must not hide the
+// multiplexing coverage every agent exports.
+func TestFleetExpositionCarriesCoverage(t *testing.T) {
+	var b bytes.Buffer
+	ms := []FleetMachine{{Label: "a:1", Up: true, Snapshot: snapFixture(2, []string{"ipc"}, 1)}}
+	if err := WriteFleetOpenMetrics(&b, ms); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE tiptop_task_coverage gauge\n",
+		"tiptop_task_coverage{machine=\"a:1\",pid=\"100\",tid=\"100\",user=\"alice\",command=\"cmd0 \\\"0\\\"\\\\\\n\"} 1\n",
+		"tiptop_task_coverage{machine=\"a:1\",pid=\"100\",tid=\"101\",user=\"bo\\\"b\",command=\"cmd1 \\\"1\\\"\\\\\\n\"} 0.25\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("fleet exposition missing %q\n%s", want, b.String())
+		}
+	}
+}
+
+// TestOpenMetricsSurfacesWriteError: a failing destination is reported
+// whichever chunk it fails on.
+func TestOpenMetricsSurfacesWriteError(t *testing.T) {
+	snap := snapFixture(900, []string{"a", "b"}, 2)
+	for _, n := range []int{0, 10, omChunk + 10} {
+		if err := WriteOpenMetrics(&failWriter{n: n}, snap); err == nil {
+			t.Errorf("write error after %d bytes was swallowed", n)
+		}
+	}
+}
+
+// TestOpenMetricsEncodeAllocs gates what the exposition of a 2000-task
+// refresh may allocate (38,068 with the per-sample writer).
+func TestOpenMetricsEncodeAllocs(t *testing.T) {
+	snap := snapFixture(2000, []string{"a", "b", "c", "d", "e"}, 5)
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(5, func() {
+		buf.Reset()
+		if err := WriteOpenMetrics(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("one OpenMetrics encode of 2000 tasks = %.0f allocs, want <= 100", allocs)
 	}
 }

@@ -17,6 +17,8 @@
 package history
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -494,20 +496,36 @@ func (r *Recorder) Snapshot() *Snapshot {
 	for c, a := range r.commands {
 		snap.Commands[c] = a.aggregate(a.epoch == r.epoch, r.lastTime, r.opt.Window)
 	}
+	if r.machine.epoch != r.epoch || r.machine.tasks == 0 {
+		return snap // nothing observed, or an empty last refresh
+	}
+	// The last refresh's row count bounds the live tasks. They are put
+	// in order as ring pointers (cheaper to move than TaskSnaps), and
+	// one array backs every task's Values (each capped to its own run,
+	// so a consumer's append cannot reach a neighbour's).
+	live := make([]*ring, 0, r.machine.tasks)
 	for _, rg := range r.series {
-		if rg.lastEpoch != r.epoch || rg.n == 0 {
-			continue
+		if rg.lastEpoch == r.epoch && rg.n > 0 {
+			live = append(live, rg)
 		}
+	}
+	slices.SortFunc(live, func(a, b *ring) int {
+		if c := cmp.Compare(a.id.PID, b.id.PID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id.TID, b.id.TID)
+	})
+	ncols := max(r.ncols, 0)
+	snap.Tasks = make([]TaskSnap, len(live))
+	values := make([]float64, 0, len(live)*ncols)
+	for i, rg := range live {
 		last := (rg.head + rg.n - 1) % len(rg.times)
-		ncols := r.ncols
-		if ncols < 0 {
-			ncols = 0
-		}
 		coverage := rg.coverage
 		if coverage >= 1 {
 			coverage = 0 // exact counting is elided from the JSON
 		}
-		snap.Tasks = append(snap.Tasks, TaskSnap{
+		t := &snap.Tasks[i]
+		*t = TaskSnap{
 			PID:      rg.id.PID,
 			TID:      rg.id.TID,
 			User:     rg.user,
@@ -516,16 +534,13 @@ func (r *Recorder) Snapshot() *Snapshot {
 			CPUPct:   rg.cpu[last],
 			IPC:      rg.ipc[last],
 			Coverage: coverage,
-			Values:   append([]float64(nil), rg.vals[last*ncols:(last+1)*ncols]...),
-		})
-	}
-	sort.Slice(snap.Tasks, func(i, j int) bool {
-		a, b := snap.Tasks[i], snap.Tasks[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
 		}
-		return a.TID < b.TID
-	})
+		if ncols > 0 {
+			lo := len(values)
+			values = append(values, rg.vals[last*ncols:(last+1)*ncols]...)
+			t.Values = values[lo:len(values):len(values)]
+		}
+	}
 	return snap
 }
 

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 
 	"tiptop/internal/binenc"
@@ -71,14 +70,6 @@ func WireFormatFor(r *http.Request) (WireFormat, error) {
 // parameter always wins.
 func WantsOpenMetrics(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-}
-
-// buildBinaryFrame wraps one encoded sample in the stream framing:
-// uint32 little-endian payload length, then the payload.
-func buildBinaryFrame(payload []byte) []byte {
-	b := make([]byte, 4, 4+len(payload))
-	binary.LittleEndian.PutUint32(b, uint32(len(payload)))
-	return append(b, payload...)
 }
 
 // readBinaryFrame reads one length-prefixed frame from a stream.
@@ -132,7 +123,12 @@ func (e *binEncoder) slice(isNil bool, n int) {
 // connection). DecodeBinary(EncodeBinary(s)) reproduces exactly what
 // Decode(s.Encode()) would: same values bit for bit, same nil-ness.
 func (s *Sample) EncodeBinary() []byte {
-	e := &binEncoder{b: make([]byte, 0, 512), dict: make(map[string]uint64, 16)}
+	return s.appendBinary(make([]byte, 0, s.sizeHint()/4))
+}
+
+// appendBinary appends the sample's binary payload to b.
+func (s *Sample) appendBinary(b []byte) []byte {
+	e := &binEncoder{b: b, dict: make(map[string]uint64, 16)}
 	e.b = append(e.b, byte(s.V))
 	e.b = binenc.AppendUvarint(e.b, s.Refresh)
 	e.str(s.Source)
@@ -153,7 +149,7 @@ func (s *Sample) EncodeBinary() []byte {
 	e.slice(s.Rows == nil, len(s.Rows))
 	var prev Row
 	prevPID := 0
-	var names []string
+	var events eventOrder
 	for i := range s.Rows {
 		r := &s.Rows[i]
 		// PIDs arrive sorted by the screen, TIDs cluster around their
@@ -183,14 +179,10 @@ func (s *Sample) EncodeBinary() []byte {
 		}
 		// Events are a map; a deterministic frame needs a fixed order.
 		e.b = binenc.AppendUvarint(e.b, uint64(len(r.Events)))
-		names = names[:0]
-		for n := range r.Events {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		events.load(r.Events)
+		for j, n := range events.names {
 			e.str(n)
-			e.b = binenc.AppendUvarint(e.b, r.Events[n])
+			e.b = binenc.AppendUvarint(e.b, events.vals[j])
 		}
 		prev = *r
 		prevPID = r.PID
@@ -225,16 +217,23 @@ func (d *binDecoder) str() string {
 	return d.dict[i-1]
 }
 
+// Fewest bytes one element of each slice can occupy on the wire.
+const (
+	minColumnBytes = 4  // three strings and a width
+	minRowBytes    = 12 // two ids, three strings, flags, four floats, two headers
+)
+
 // slice reads a slice header, returning (n, isNil). The count is
-// sanity-checked against the remaining bytes so a corrupt header
-// cannot trigger an unbounded allocation.
-func (d *binDecoder) slice() (int, bool) {
+// checked against what the remaining bytes could hold at elem bytes an
+// element, so a corrupt header cannot make the decoder allocate more
+// than a small multiple of its input.
+func (d *binDecoder) slice(elem int) (int, bool) {
 	h := d.r.Uvarint()
 	if h == 0 {
 		return 0, true
 	}
 	n := h - 1
-	if n > uint64(d.r.Len()) {
+	if n > uint64(d.r.Len()/elem) {
 		d.fail("slice of %d elements in %d remaining bytes", n, d.r.Len())
 		return 0, false
 	}
@@ -259,7 +258,7 @@ func DecodeBinary(data []byte) (*Sample, error) {
 	s.TimeSeconds = r.Float(0)
 	s.Dropped = int(r.Varint())
 
-	if n, isNil := d.slice(); !isNil {
+	if n, isNil := d.slice(minColumnBytes); !isNil {
 		s.Columns = make([]Column, n)
 		for i := range s.Columns {
 			c := &s.Columns[i]
@@ -270,7 +269,7 @@ func DecodeBinary(data []byte) (*Sample, error) {
 		}
 	}
 
-	if n, isNil := d.slice(); !isNil {
+	if n, isNil := d.slice(minRowBytes); !isNil {
 		s.Rows = make([]Row, n)
 		var prev Row
 		prevPID := 0
@@ -289,7 +288,7 @@ func DecodeBinary(data []byte) (*Sample, error) {
 			row.IPC = r.Float(prev.IPC)
 			row.StartSeconds = r.Float(prev.StartSeconds)
 			row.Coverage = r.Float(prev.Coverage)
-			if nv, isNil := d.slice(); !isNil {
+			if nv, isNil := d.slice(1); !isNil {
 				row.Values = make([]float64, nv)
 				for j := range row.Values {
 					var p float64
@@ -300,7 +299,7 @@ func DecodeBinary(data []byte) (*Sample, error) {
 				}
 			}
 			if ne := r.Uvarint(); ne > 0 {
-				if ne > uint64(r.Len()) {
+				if ne > uint64(r.Len()/2) { // a name and a count each
 					d.fail("event map of %d entries in %d remaining bytes", ne, r.Len())
 					break
 				}

@@ -169,10 +169,7 @@ func TestClientNegotiatesBinary(t *testing.T) {
 		t.Fatal("client did not negotiate the binary stream")
 	}
 
-	srv.mu.RLock()
-	jdata := srv.latestJSON
-	srv.mu.RUnlock()
-	want, err := Decode(jdata)
+	want, err := Decode(srv.hub.Latest().Payload(FormatJSON))
 	if err != nil {
 		t.Fatalf("Decode latest JSON: %v", err)
 	}
@@ -191,13 +188,15 @@ func TestClientFallsBackToSSE(t *testing.T) {
 	defer srv.Close()
 	mux := http.NewServeMux()
 	// An old server: SSE only, no negotiation, no binary sample body.
-	mux.HandleFunc("GET /api/v1/stream", srv.hub.ServeSSE)
+	mux.HandleFunc("GET /api/v1/stream", func(w http.ResponseWriter, r *http.Request) {
+		old := r.Clone(r.Context())
+		old.URL.RawQuery = ""
+		old.Header.Del("Accept")
+		srv.hub.ServeStream(w, old)
+	})
 	mux.HandleFunc("GET /api/v1/sample", func(w http.ResponseWriter, r *http.Request) {
-		srv.mu.RLock()
-		body := srv.latestJSON
-		srv.mu.RUnlock()
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
+		_, _ = w.Write(srv.hub.Latest().Payload(FormatJSON))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

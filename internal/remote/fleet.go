@@ -237,9 +237,9 @@ func (f *Fleet) observe(p *peer, ws *Sample) {
 	tagged := *ws
 	tagged.Source = p.label
 	tagged.Refresh = v
-	if data, err := tagged.Encode(); err == nil {
-		f.hub.PublishWire(v, data, tagged.EncodeBinary())
-	}
+	// A sample the hub refuses (a binary-wire agent can deliver a NaN)
+	// is recorded but not re-broadcast.
+	_ = f.hub.Publish(v, &tagged)
 }
 
 // sleepCtx pauses for d, returning false when ctx ended first.

@@ -222,7 +222,7 @@ func TestFleetRebroadcastTagsSource(t *testing.T) {
 
 	select {
 	case frame := <-ch:
-		s := string(frame)
+		s := string(frame.Stream(FormatJSON))
 		i := strings.Index(s, "data: ")
 		if i < 0 {
 			t.Fatalf("frame = %q", s)

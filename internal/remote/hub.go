@@ -2,20 +2,70 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
-// Hub fans one stream of pre-encoded frames out to many subscribers,
-// in up to two encodings: SSE frames carrying the JSON sample —
-// "id: N\nevent: sample\ndata: <json>\n\n" — and, when the publisher
-// supplies one, a length-prefixed binary frame. Each frame is built
-// exactly once per Publish and every subscriber of that format
-// receives the same byte slice, so the per-refresh serving cost grows
-// with the subscriber count only by channel sends, never by
-// re-encoding.
+// Frame is one published refresh: the retained sample plus its two
+// stream encodings, each built at most once — by the first consumer
+// that asks for that format, on that consumer's goroutine — and shared
+// by every later one. A format nobody asks for is never encoded.
+type Frame struct {
+	id      uint64
+	sample  *Sample
+	encodes *[2]atomic.Uint64 // the publishing hub's encode counters
+	enc     [2]struct {
+		once sync.Once
+		// stream is the frame as a stream connection carries it: "id: N\n
+		// event: sample\ndata: <json>\n\n" for SSE, a uint32 little-endian
+		// length then the payload for binary; payload the sample inside.
+		stream, payload []byte
+	}
+}
+
+// Stream returns the frame in its stream framing (shared, read-only).
+func (f *Frame) Stream(format WireFormat) []byte {
+	f.encode(format)
+	return f.enc[format].stream
+}
+
+// Payload returns the bare encoded sample, the /api/v1/sample body.
+func (f *Frame) Payload(format WireFormat) []byte {
+	f.encode(format)
+	return f.enc[format].payload
+}
+
+func (f *Frame) encode(format WireFormat) {
+	e := &f.enc[format]
+	e.once.Do(func() {
+		if format == FormatBinary {
+			b := f.sample.appendBinary(make([]byte, 4, 4+f.sample.sizeHint()/4))
+			binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+			e.stream, e.payload = b, b[4:]
+		} else {
+			b := append(make([]byte, 0, f.sample.sizeHint()+48), "id: "...)
+			b = strconv.AppendUint(b, f.id, 10)
+			b = append(b, "\nevent: sample\ndata: "...)
+			lo := len(b)
+			b = f.sample.appendJSON(b)
+			hi := len(b)
+			b = append(b, '\n', '\n')
+			e.stream, e.payload = b, b[lo:hi]
+		}
+		f.encodes[format].Add(1)
+	})
+}
+
+// Hub fans one stream of refreshes out to many subscribers, in two
+// encodings: SSE frames carrying the JSON sample and length-prefixed
+// binary frames. Publish only hands every subscriber the same *Frame;
+// a frame is encoded at most once per format, on first demand, never
+// on the publishing goroutine, so the per-refresh serving cost grows
+// with the subscriber count only by channel sends.
 //
 // Subscribers that fall behind lose the oldest buffered frames first:
 // for a monitor stream the newest refresh is the valuable one, and a
@@ -23,17 +73,14 @@ import (
 // subscribers.
 type Hub struct {
 	mu     sync.Mutex
-	subs   map[*subscriber]struct{}
-	latest [2][]byte // indexed by WireFormat
+	subs   map[chan *Frame]struct{}
+	latest *Frame
 	closed bool
 	// dropped counts frames discarded because a subscriber's buffer was
-	// full (visible to tests and debugging).
+	// full (visible to tests and debugging), encodes the encodes done
+	// per format (the tests' proof of once-per-refresh).
 	dropped uint64
-}
-
-type subscriber struct {
-	ch     chan []byte
-	format WireFormat
+	encodes [2]atomic.Uint64
 }
 
 // subscriberBuffer is each subscriber's frame backlog. One frame per
@@ -43,108 +90,85 @@ const subscriberBuffer = 16
 
 // NewHub creates an empty hub.
 func NewHub() *Hub {
-	return &Hub{subs: make(map[*subscriber]struct{})}
+	return &Hub{subs: make(map[chan *Frame]struct{})}
 }
 
-// buildFrame renders one SSE frame. payload must be newline-free
-// (compact JSON is).
-func buildFrame(id uint64, payload []byte) []byte {
-	b := make([]byte, 0, len(payload)+48)
-	b = append(b, "id: "...)
-	b = strconv.AppendUint(b, id, 10)
-	b = append(b, "\nevent: sample\ndata: "...)
-	b = append(b, payload...)
-	b = append(b, '\n', '\n')
-	return b
-}
-
-// Publish encodes the JSON payload into an SSE frame once and offers
-// it to every JSON subscriber. It never blocks: a subscriber whose
-// buffer is full loses its oldest frame instead.
-func (h *Hub) Publish(id uint64, payload []byte) {
-	h.PublishWire(id, payload, nil)
-}
-
-// PublishWire publishes one refresh in both encodings: jsonPayload
-// feeds the SSE subscribers, binPayload (may be nil when the publisher
-// does not produce binary frames) the binary ones. Each frame is built
-// once.
-func (h *Hub) PublishWire(id uint64, jsonPayload, binPayload []byte) {
-	var frames [2][]byte
-	frames[FormatJSON] = buildFrame(id, jsonPayload)
-	if binPayload != nil {
-		frames[FormatBinary] = buildBinaryFrame(binPayload)
+// Publish offers one refresh to every subscriber and keeps it as the
+// latest. The hub retains s — the caller must not modify it afterwards
+// — and encodes nothing here; the only per-row work is the scan that
+// rejects a non-finite float with encoding/json's error, so no deferred
+// encode can fail. It never blocks: a full subscriber loses its oldest
+// frame instead.
+func (h *Hub) Publish(id uint64, s *Sample) error {
+	if err := s.checkFinite(); err != nil {
+		return err
 	}
+	f := &Frame{id: id, sample: s, encodes: &h.encodes}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return
+		return nil
 	}
-	h.latest[FormatJSON] = frames[FormatJSON]
-	if frames[FormatBinary] != nil {
-		h.latest[FormatBinary] = frames[FormatBinary]
-	}
-	for s := range h.subs {
-		frame := frames[s.format]
-		if frame == nil {
-			continue
-		}
+	h.latest = f
+	for ch := range h.subs {
 		select {
-		case s.ch <- frame:
+		case ch <- f:
 		default:
 			// Full: drop the oldest buffered frame to make room. Publish
 			// holds the hub lock, so there is exactly one producer and
 			// the two-step drain-then-send cannot race another Publish.
 			select {
-			case <-s.ch:
+			case <-ch:
 				h.dropped++
 			default:
 			}
 			select {
-			case s.ch <- frame:
+			case ch <- f:
 			default:
 			}
 		}
 	}
+	return nil
 }
 
-// Subscribe registers a JSON/SSE consumer. The latest published frame
-// (if any) is replayed immediately so a new subscriber renders without
-// waiting a full refresh. cancel unregisters and closes the channel;
-// it is safe to call more than once.
-func (h *Hub) Subscribe() (<-chan []byte, func()) {
-	return h.SubscribeWire(FormatJSON)
+// Latest returns the most recently published frame, nil before the
+// first.
+func (h *Hub) Latest() *Frame {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.latest
 }
 
-// SubscribeWire registers a consumer for one of the hub's frame
-// encodings.
-func (h *Hub) SubscribeWire(format WireFormat) (<-chan []byte, func()) {
-	s := &subscriber{ch: make(chan []byte, subscriberBuffer), format: format}
+// Subscribe registers a consumer. The latest published frame (if any)
+// is replayed immediately so a new subscriber renders without waiting
+// a full refresh. cancel unregisters and closes the channel; it is
+// safe to call more than once.
+func (h *Hub) Subscribe() (<-chan *Frame, func()) {
+	ch := make(chan *Frame, subscriberBuffer)
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		closed := make(chan []byte)
-		close(closed)
-		return closed, func() {}
+		close(ch)
+		return ch, func() {}
 	}
-	if h.latest[format] != nil {
-		s.ch <- h.latest[format]
+	if h.latest != nil {
+		ch <- h.latest
 	}
-	h.subs[s] = struct{}{}
+	h.subs[ch] = struct{}{}
 	h.mu.Unlock()
 
 	var once sync.Once
 	cancel := func() {
 		once.Do(func() {
 			h.mu.Lock()
-			if _, ok := h.subs[s]; ok {
-				delete(h.subs, s)
-				close(s.ch)
+			if _, ok := h.subs[ch]; ok {
+				delete(h.subs, ch)
+				close(ch)
 			}
 			h.mu.Unlock()
 		})
 	}
-	return s.ch, cancel
+	return ch, cancel
 }
 
 // Subscribers returns the current subscriber count.
@@ -163,7 +187,7 @@ func (h *Hub) Dropped() uint64 {
 }
 
 // Close disconnects every subscriber and rejects future ones. In-flight
-// ServeSSE handlers observe their channel closing and return, which is
+// ServeStream handlers observe their channel closing and return, which is
 // what lets an http.Server.Shutdown complete while streams are open.
 func (h *Hub) Close() {
 	h.mu.Lock()
@@ -172,37 +196,27 @@ func (h *Hub) Close() {
 		return
 	}
 	h.closed = true
-	for s := range h.subs {
-		delete(h.subs, s)
-		close(s.ch)
+	for ch := range h.subs {
+		delete(h.subs, ch)
+		close(ch)
 	}
 }
 
-// ServeStream streams the hub to one HTTP client in the encoding the
-// request negotiates: SSE JSON by default, length-prefixed binary
-// frames with ?wire=binary (or the binary media type in Accept; the
-// parameter wins). An unknown ?wire= value is a 400 with the API error
-// envelope.
+// ServeStream streams the hub to one HTTP client, until the client goes
+// away or the hub closes, in the encoding the request negotiates: SSE
+// JSON by default, length-prefixed binary frames with ?wire=binary (or
+// the binary media type in Accept; the parameter wins). An unknown
+// ?wire= value is a 400 with the API error envelope.
 func (h *Hub) ServeStream(w http.ResponseWriter, r *http.Request) {
 	format, err := WireFormatFor(r)
 	if err != nil {
 		WriteErrorHint(w, http.StatusBadRequest, err.Error(), "pass wire=json or wire=binary")
 		return
 	}
+	contentType := "text/event-stream"
 	if format == FormatBinary {
-		h.serveFrames(w, r, FormatBinary, ContentTypeBinary)
-		return
+		contentType = ContentTypeBinary
 	}
-	h.ServeSSE(w, r)
-}
-
-// ServeSSE streams the hub to one HTTP client until the client goes
-// away or the hub closes.
-func (h *Hub) ServeSSE(w http.ResponseWriter, r *http.Request) {
-	h.serveFrames(w, r, FormatJSON, "text/event-stream")
-}
-
-func (h *Hub) serveFrames(w http.ResponseWriter, r *http.Request, format WireFormat, contentType string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -214,7 +228,7 @@ func (h *Hub) serveFrames(w http.ResponseWriter, r *http.Request, format WireFor
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	ch, cancel := h.SubscribeWire(format)
+	ch, cancel := h.Subscribe()
 	defer cancel()
 	for {
 		select {
@@ -224,7 +238,7 @@ func (h *Hub) serveFrames(w http.ResponseWriter, r *http.Request, format WireFor
 			if !ok {
 				return
 			}
-			if _, err := w.Write(frame); err != nil {
+			if _, err := w.Write(frame.Stream(format)); err != nil {
 				return
 			}
 			fl.Flush()
@@ -245,7 +259,6 @@ type EncodeCache struct {
 	version uint64
 	body    []byte
 	etag    string
-	buf     bytes.Buffer
 }
 
 // NewEncodeCache wraps an encoder (e.g. an OpenMetrics snapshot writer).
@@ -259,13 +272,13 @@ func (c *EncodeCache) Get(version uint64) (body []byte, etag string, err error) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.valid || c.version != version {
-		c.buf.Reset()
-		if err := c.encode(&c.buf); err != nil {
+		// A new buffer per version (earlier bodies may still be in flight
+		// on other goroutines), sized by the last one and served as it is.
+		buf := bytes.NewBuffer(make([]byte, 0, len(c.body)+len(c.body)/8))
+		if err := c.encode(buf); err != nil {
 			return nil, "", err
 		}
-		// Copy out of the reused buffer: earlier Get results may still
-		// be in flight on other goroutines.
-		c.body = append([]byte(nil), c.buf.Bytes()...)
+		c.body = buf.Bytes()
 		c.etag = `"` + strconv.FormatUint(version, 10) + `"`
 		c.version = version
 		c.valid = true

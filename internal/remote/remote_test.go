@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -136,26 +137,46 @@ func TestScreenSynthesis(t *testing.T) {
 	}
 }
 
+// hubSample is a minimal publishable sample whose time marks it.
+func hubSample(n int) *Sample {
+	return &Sample{V: WireVersion, Refresh: uint64(n), Machine: "m", TimeSeconds: float64(n)}
+}
+
+// wantSSE is the SSE frame the hub must build for a sample: the
+// reference is json.Marshal, not the encoder under test.
+func wantSSE(t *testing.T, id uint64, s *Sample) string {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("id: %d\nevent: sample\ndata: %s\n\n", id, data)
+}
+
 func TestHubFanout(t *testing.T) {
 	hub := NewHub()
 	const subs = 8
-	chans := make([]<-chan []byte, subs)
+	chans := make([]<-chan *Frame, subs)
 	cancels := make([]func(), subs)
 	for i := range chans {
 		chans[i], cancels[i] = hub.Subscribe()
 	}
-	payload := []byte(`{"v":1}`)
-	hub.Publish(1, payload)
-	want := "id: 1\nevent: sample\ndata: {\"v\":1}\n\n"
+	if err := hub.Publish(1, hubSample(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := hub.encodes[FormatJSON].Load() + hub.encodes[FormatBinary].Load(); n != 0 {
+		t.Fatalf("Publish encoded %d frames before anybody asked", n)
+	}
+	want := wantSSE(t, 1, hubSample(1))
 	for i, ch := range chans {
-		got := <-ch
+		got := (<-ch).Stream(FormatJSON)
 		if string(got) != want {
 			t.Fatalf("subscriber %d frame = %q, want %q", i, got, want)
 		}
 	}
 	// A late subscriber gets the latest frame replayed.
 	late, cancelLate := hub.Subscribe()
-	if got := <-late; string(got) != want {
+	if got := (<-late).Stream(FormatJSON); string(got) != want {
 		t.Fatalf("late subscriber frame = %q", got)
 	}
 	cancelLate()
@@ -165,6 +186,9 @@ func TestHubFanout(t *testing.T) {
 	if n := hub.Subscribers(); n != 0 {
 		t.Fatalf("subscribers after cancel = %d", n)
 	}
+	if j, b := hub.encodes[FormatJSON].Load(), hub.encodes[FormatBinary].Load(); j != 1 || b != 0 {
+		t.Fatalf("encodes json=%d binary=%d, want 1 and 0 (nine readers share one encode)", j, b)
+	}
 }
 
 func TestHubSlowSubscriberDropsOldest(t *testing.T) {
@@ -172,25 +196,26 @@ func TestHubSlowSubscriberDropsOldest(t *testing.T) {
 	ch, cancel := hub.Subscribe()
 	defer cancel()
 	// Overfill the buffer without draining.
-	for i := 1; i <= subscriberBuffer+5; i++ {
-		hub.Publish(uint64(i), []byte(fmt.Sprintf(`{"n":%d}`, i)))
+	const published = subscriberBuffer + 5
+	for i := 1; i <= published; i++ {
+		if err := hub.Publish(uint64(i), hubSample(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if hub.Dropped() == 0 {
-		t.Fatal("no frames dropped despite overfull buffer")
+	if hub.Dropped() != 5 {
+		t.Fatalf("dropped = %d, want 5", hub.Dropped())
 	}
-	// The newest frame must still be buffered (oldest were dropped).
-	var last []byte
-	for {
+	// Only the oldest frames went: what is buffered is the newest
+	// subscriberBuffer refreshes, in order.
+	for want := published - subscriberBuffer + 1; want <= published; want++ {
 		select {
 		case f := <-ch:
-			last = f
-			continue
+			if f.id != uint64(want) {
+				t.Fatalf("buffered frame %d, want %d", f.id, want)
+			}
 		default:
+			t.Fatalf("frame %d lost", want)
 		}
-		break
-	}
-	if !bytes.Contains(last, []byte(fmt.Sprintf(`{"n":%d}`, subscriberBuffer+5))) {
-		t.Fatalf("newest frame lost; last buffered = %q", last)
 	}
 }
 
@@ -203,7 +228,9 @@ func TestHubClose(t *testing.T) {
 		t.Fatal("channel still open after hub close")
 	}
 	// Publishing and subscribing after close must not panic or block.
-	hub.Publish(1, []byte("{}"))
+	if err := hub.Publish(1, hubSample(1)); err != nil {
+		t.Fatal(err)
+	}
 	ch2, cancel2 := hub.Subscribe()
 	defer cancel2()
 	if _, ok := <-ch2; ok {
@@ -463,7 +490,10 @@ func TestHubConcurrentPublishSubscribe(t *testing.T) {
 				return
 			default:
 			}
-			hub.Publish(i, []byte(`{}`))
+			if err := hub.Publish(i, hubSample(int(i))); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	for i := 0; i < 8; i++ {

@@ -4,14 +4,14 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
+	"sync/atomic"
 )
 
 // Server is the serving side of the wire protocol: the sampling loop
 // publishes each refresh once, and the server fans it out over
 //
-//	/api/v1/stream   SSE push of every refresh (one encode, many subscribers)
-//	/api/v1/sample   the latest refresh as JSON, ETag'd by refresh counter
+//	/api/v1/stream   push of every refresh (at most one encode per format, many subscribers)
+//	/api/v1/sample   the latest refresh, ETag'd by refresh counter
 //	/metrics         OpenMetrics text, cached per refresh and ETag'd
 //
 // The /metrics body is produced by the encode function handed to
@@ -20,12 +20,7 @@ import (
 type Server struct {
 	hub     *Hub
 	metrics *EncodeCache
-
-	mu         sync.RWMutex
-	version    uint64
-	latestJSON []byte
-	latestBin  []byte
-	latestETag string
+	version atomic.Uint64
 }
 
 // NewServer creates a server; metricsEncode renders the current
@@ -38,48 +33,28 @@ func NewServer(metricsEncode func(io.Writer) error) *Server {
 	return s
 }
 
-// Publish stamps the sample with the next refresh version, encodes it
-// once per wire format (JSON and binary), and hands the bytes to the
-// stream hub and the /api/v1/sample cache. It is called from the
-// sampling loop, once per refresh.
+// Publish stamps the sample with the next refresh version and hands it
+// to the stream hub, which is also what /api/v1/sample serves from. It
+// is called from the sampling loop, once per refresh, and encodes
+// nothing: each wire format is encoded at most once per refresh, by
+// the first stream subscriber or /api/v1/sample request that wants it.
+// The server retains ws; the caller must not modify it afterwards. A
+// non-finite value is rejected here with encoding/json's error.
 func (s *Server) Publish(ws *Sample) error {
-	s.mu.Lock()
-	s.version++
-	v := s.version
+	v := s.version.Add(1)
 	ws.V = WireVersion
 	ws.Refresh = v
-	data, err := ws.Encode()
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	bin := ws.EncodeBinary()
-	s.latestJSON = data
-	s.latestBin = bin
-	s.latestETag = `"` + strconv.FormatUint(v, 10) + `"`
-	s.mu.Unlock()
-	s.hub.PublishWire(v, data, bin)
-	return nil
+	return s.hub.Publish(v, ws)
 }
 
 // Version returns the number of refreshes published so far.
-func (s *Server) Version() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
-}
+func (s *Server) Version() uint64 { return s.version.Load() }
 
 // Hub exposes the stream hub (for subscriber accounting in tests).
 func (s *Server) Hub() *Hub { return s.hub }
 
 // Close terminates every open stream so the HTTP server can shut down.
 func (s *Server) Close() { s.hub.Close() }
-
-// HandleStream serves the refresh stream: SSE JSON by default, binary
-// frames when the request negotiates them (?wire=binary).
-func (s *Server) HandleStream(w http.ResponseWriter, r *http.Request) {
-	s.hub.ServeStream(w, r)
-}
 
 // HandleSample serves the latest wire sample with ETag revalidation,
 // in the encoding the request negotiates. The binary representation
@@ -91,23 +66,18 @@ func (s *Server) HandleSample(w http.ResponseWriter, r *http.Request) {
 		WriteErrorHint(w, http.StatusBadRequest, err.Error(), "pass wire=json or wire=binary")
 		return
 	}
-	s.mu.RLock()
-	body, etag := s.latestJSON, s.latestETag
-	if format == FormatBinary {
-		body = s.latestBin
-	}
-	s.mu.RUnlock()
-	if body == nil {
+	f := s.hub.Latest()
+	if f == nil {
 		w.Header().Set("Retry-After", "1")
 		WriteErrorHint(w, http.StatusServiceUnavailable, "no sample yet",
 			"the daemon has not completed its first refresh; retry shortly")
 		return
 	}
+	etag, contentType := strconv.FormatUint(f.id, 10), "application/json"
 	if format == FormatBinary {
-		ServeCached(w, r, body, etag[:len(etag)-1]+`-b"`, ContentTypeBinary)
-		return
+		etag, contentType = etag+"-b", ContentTypeBinary
 	}
-	ServeCached(w, r, body, etag, "application/json")
+	ServeCached(w, r, f.Payload(format), `"`+etag+`"`, contentType)
 }
 
 // HandleMetrics serves the per-refresh cached OpenMetrics exposition.
@@ -116,10 +86,7 @@ func (s *Server) HandleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	s.mu.RLock()
-	v := s.version
-	s.mu.RUnlock()
-	body, etag, err := s.metrics.Get(v)
+	body, etag, err := s.metrics.Get(s.version.Load())
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -129,7 +96,7 @@ func (s *Server) HandleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // Register mounts the server's endpoints on a mux.
 func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /api/v1/stream", s.HandleStream)
+	mux.HandleFunc("GET /api/v1/stream", s.hub.ServeStream)
 	mux.HandleFunc("GET /api/v1/sample", s.HandleSample)
 	if s.metrics != nil {
 		mux.HandleFunc("GET /metrics", s.HandleMetrics)

@@ -186,13 +186,15 @@ func (m *RemoteMonitor) SampleNow() (*Sample, error) {
 
 // convert turns a wire sample into the public representation, keeps the
 // synthesized screen current, and feeds subscribed recorders — the same
-// observer contract the local engine honors.
+// observer contract the local engine honors. The rows alias the wire
+// sample's Values and Events: the client decoded it for this caller
+// alone, and recorders only read.
 func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
 	m.screen = ws.Screen()
 	out := &Sample{Time: ws.Time(), Rows: make([]Row, 0, len(ws.Rows)), Dropped: ws.Dropped}
 	for i := range ws.Rows {
 		r := &ws.Rows[i]
-		row := Row{
+		out.Rows = append(out.Rows, Row{
 			PID:       r.PID,
 			TID:       r.TID,
 			User:      r.User,
@@ -200,16 +202,12 @@ func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
 			State:     r.State,
 			CPUPct:    r.CPUPct,
 			IPC:       r.IPC,
-			Columns:   append([]float64(nil), r.Values...),
+			Columns:   r.Values,
 			Coverage:  coverageFromWire(r.Coverage),
 			Monitored: r.Monitored,
 			Start:     time.Duration(r.StartSeconds * float64(time.Second)),
-			Events:    make(map[string]uint64, len(r.Events)),
-		}
-		for e, v := range r.Events {
-			row.Events[e] = v
-		}
-		out.Rows = append(out.Rows, row)
+			Events:    r.Events,
+		})
 	}
 	if len(m.recs) > 0 {
 		cs := ws.CoreSample()

@@ -54,7 +54,7 @@ tiptopd:sim tiptopd:config tiptopd:join tiptopd:store
 tiptopd:retention tiptopd:budget tiptopd:system-wide tiptopd:counters
 tiptopd:fsync tiptopd:compact tiptopd:wire
 tipbench:run tipbench:scale tipbench:out tipbench:list
-tipbench:bench-refresh tipbench:bench-daemon tipbench:bench-store
+tipbench:bench-refresh tipbench:bench-store
 tipbench:bench-query tipbench:query-records tipbench:query-workers
 tipbench:bench-mux tipbench:validate
 "
