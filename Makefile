@@ -35,15 +35,17 @@ race:
 docs:
 	./scripts/check-docs.sh
 
-# Short coverage-guided passes over the metric-expression parser, the
-# query-layer compiler, the v2 columnar frame decoder and the wire
-# encoders; CI runs them so a grammar change that panics, breaks the
-# canonical rendering fixpoint, lets a non-finite value through the
-# totality rule, makes the store's frame reader or the binary wire
+# Short coverage-guided passes over the metric-expression parser and
+# evaluator, the query-layer compiler, the v2 columnar frame decoder and
+# the wire encoders; CI runs them so a grammar change that panics, breaks
+# the canonical rendering fixpoint, lets a non-finite value through the
+# totality rule, lets the engine's slot-bound column evaluation drift
+# from Expr.Eval, makes the store's frame reader or the binary wire
 # decoder panic/over-read on corrupt bytes, or lets the hand-written
 # JSON wire encoder drift from encoding/json is caught before it lands.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundEvalMatchesEnv$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/

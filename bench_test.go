@@ -259,6 +259,26 @@ func BenchmarkMetricExprEval(b *testing.B) {
 	}
 }
 
+// BenchmarkMetricExprEvalBound is the same expression as the sampling
+// engine evaluates it: bound once to a slot vector, no names hashed.
+func BenchmarkMetricExprEvalBound(b *testing.B) {
+	expr := metrics.MustCompile("per100(CACHE_MISSES, INSTRUCTIONS) + ratio(INSTRUCTIONS, CYCLES)")
+	bound, err := expr.Bind([]string{"CACHE_MISSES", "INSTRUCTIONS", "CYCLES"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	slots, stack := []float64{1234, 1e9, 2e9}, make([]float64, bound.Depth())
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += bound.Eval(slots, stack)
+	}
+	if sink == 0 {
+		b.Fatal("bound eval produced nothing")
+	}
+}
+
 func BenchmarkMonitorSample(b *testing.B) {
 	sc, err := NewScenario(MachineXeonW3550)
 	if err != nil {

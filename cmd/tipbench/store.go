@@ -97,6 +97,7 @@ func rawTierBytes(dir string) (int64, error) {
 // benchSample builds one synthetic refresh of n tasks at time now.
 func benchSample(now time.Duration, n int) *core.Sample {
 	s := &core.Sample{Time: now}
+	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
 	for i := 0; i < n; i++ {
 		pid := 100 + i
 		s.Rows = append(s.Rows, core.Row{
@@ -106,12 +107,9 @@ func benchSample(now time.Duration, n int) *core.Sample {
 			},
 			CPUPct: 50,
 			Values: []float64{1.5, 2.5, 3.5, 4.5},
-			Events: map[string]uint64{
-				hpm.EventInstructions: uint64(1000 * pid),
-				hpm.EventCycles:       uint64(500 * pid),
-				hpm.EventCacheMisses:  uint64(pid),
-			},
-			Valid: true,
+			Counts: []uint64{uint64(1000 * pid), uint64(500 * pid), uint64(pid)},
+			Table:  table,
+			Valid:  true,
 		})
 	}
 	return s

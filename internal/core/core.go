@@ -20,10 +20,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,11 +113,32 @@ type Options struct {
 // Observer receives every sample a Session produces, synchronously on
 // the sampling goroutine, immediately after the rows are sorted and
 // before any MaxRows truncation — a recorder sees every monitored task
-// even when the display is clipped. Observe must not retain the sample
-// or its slices beyond the call: the engine reuses backing storage on
-// the next refresh.
+// even when the display is clipped. A sample owns its storage: the
+// engine writes nothing of it again once Update returns it, so an
+// observer may keep the sample, its rows and their slices, and must
+// treat them as read-only, like every other holder.
 type Observer interface {
 	Observe(*Sample)
+}
+
+// EventTable names the positions of Row.Counts: event names live once
+// per sample (once per session, for the engine's own samples) and the
+// rows carry their counter deltas positionally.
+type EventTable struct {
+	names []string
+	// Positions of the three counts every recorder, store and IPC
+	// reader wants, -1 when the table lacks the event.
+	instr, cycles, misses int
+}
+
+// NewEventTable builds the table of the given canonical event names.
+func NewEventTable(names ...string) *EventTable {
+	return &EventTable{
+		names:  names,
+		instr:  slices.Index(names, hpm.EventInstructions),
+		cycles: slices.Index(names, hpm.EventCycles),
+		misses: slices.Index(names, hpm.EventCacheMisses),
+	}
 }
 
 // Row is one displayed task with its computed metrics.
@@ -125,11 +147,13 @@ type Row struct {
 	CPUPct float64
 	// Values holds one entry per screen column.
 	Values []float64
-	// Events holds the raw per-event deltas for this refresh interval,
-	// keyed by canonical event name — the stable identity events have
-	// everywhere downstream of the backend (recorders, exports, the
-	// remote wire format).
-	Events map[string]uint64
+	// Counts holds the raw per-event deltas of this refresh interval,
+	// positionally: Counts[i] is the event Table names at i (nil on a row
+	// without counters). The canonical names are the stable identity
+	// events have everywhere downstream of the backend; Count and Events
+	// read the row by name.
+	Counts []uint64
+	Table  *EventTable
 	// Coverage is the fraction of the refresh interval the task's
 	// events were actually counted, averaged over the events: 1 when
 	// the PMU accommodated everything, lower when counts are
@@ -149,19 +173,101 @@ type Sample struct {
 	Dropped int // tasks that disappeared since the previous refresh
 }
 
+// SetEvents resolves rows that arrive name-keyed — off the wire, from
+// the public facade — to positional counts, once, at that boundary:
+// events(i) is row i's name→delta map. The rows share one table, of
+// every name any of them carries, sorted; a row without events keeps
+// nil Counts.
+func (s *Sample) SetEvents(events func(i int) map[string]uint64) {
+	var names []string
+	for widened := true; widened; {
+		widened = false
+		table, n := NewEventTable(names...), len(names)
+		counts := make([]uint64, len(s.Rows)*n)
+		for i := range s.Rows {
+			m := events(i)
+			if len(m) == 0 {
+				continue
+			}
+			row, found := counts[i*n:(i+1)*n:(i+1)*n], 0
+			for j, name := range names {
+				if v, ok := m[name]; ok {
+					row[j] = v
+					found++
+				}
+			}
+			if found < len(m) {
+				// The row names events the table lacks (always so for the
+				// first row, rarely again): widen it and start over — every
+				// row resolved so far is resolved again.
+				names = slices.Grow(names, len(m))
+				for name := range m {
+					if !slices.Contains(names, name) {
+						names = append(names, name)
+					}
+				}
+				slices.Sort(names)
+				widened = true
+				break
+			}
+			s.Rows[i].Counts, s.Rows[i].Table = row, table
+		}
+	}
+}
+
+func (r *Row) at(i int) uint64 {
+	if i < 0 || i >= len(r.Counts) {
+		return 0
+	}
+	return r.Counts[i]
+}
+
+// Count returns the row's delta of the named event, 0 when the row does
+// not carry it.
+func (r *Row) Count(name string) uint64 {
+	for have, v := range r.Events {
+		if have == name {
+			return v
+		}
+	}
+	return 0
+}
+
+// Basics returns the three deltas every recorder and store keeps —
+// instructions, cycles and cache misses — read by cached position.
+func (r *Row) Basics() (instr, cycles, misses uint64) {
+	t := r.Table
+	if t == nil {
+		return 0, 0, 0
+	}
+	return r.at(t.instr), r.at(t.cycles), r.at(t.misses)
+}
+
+// Events iterates the row's deltas by canonical event name
+// (`for name, delta := range row.Events`).
+func (r *Row) Events(yield func(string, uint64) bool) {
+	if r.Table == nil {
+		return
+	}
+	for i, name := range r.Table.names {
+		if i >= len(r.Counts) || !yield(name, r.Counts[i]) {
+			return
+		}
+	}
+}
+
 // IPC is a convenience accessor returning instructions/cycles for a row,
 // 0 when unavailable.
 func (r *Row) IPC() float64 {
-	c := r.Events[hpm.EventCycles]
-	if c == 0 {
+	instr, cycles, _ := r.Basics()
+	if cycles == 0 {
 		return 0
 	}
-	return float64(r.Events[hpm.EventInstructions]) / float64(c)
+	return float64(instr) / float64(cycles)
 }
 
 // taskState is the engine's book-keeping for one monitored task.
 type taskState struct {
-	info    TaskInfo
 	counter hpm.TaskCounter
 	// reader is non-nil when the counter supports allocation-free
 	// reads; prevCounts and spare then ping-pong as its destination.
@@ -171,6 +277,7 @@ type taskState struct {
 	prevCPUTime time.Duration
 	prevSeenAt  time.Duration
 	everSampled bool
+	seen        uint64 // shard epoch that last listed the task
 }
 
 // Session is a running tiptop engine.
@@ -181,7 +288,14 @@ type Session struct {
 	opt      Options
 	registry *hpm.Registry
 	events   []hpm.EventDesc
-	shards   []*shard
+	// table names events in order, for every sample's rows; columns are
+	// the screen's expressions bound to a row's slot vector (the event
+	// deltas by index, then metrics.ContextVars), stackDepth the scratch
+	// their evaluation needs.
+	table      *EventTable
+	columns    []*metrics.Bound
+	stackDepth int
+	shards     []*shard
 	// attachMu serializes backend.Attach and TaskCounter.Close across
 	// shard workers: the hpm contract only requires backends to
 	// tolerate concurrent Read on distinct counters.
@@ -239,6 +353,20 @@ func NewSession(backend hpm.Backend, proc ProcSource, clock Clock, opt Options) 
 		opt:      opt,
 		registry: registry,
 		events:   events,
+	}
+	slots := make([]string, 0, len(events)+len(metrics.ContextVars))
+	for _, e := range events {
+		slots = append(slots, e.Name)
+	}
+	s.table = NewEventTable(slots...)
+	slots = append(slots, metrics.ContextVars[:]...)
+	for _, col := range opt.Screen.Columns {
+		b, err := col.Expr.Bind(slots)
+		if err != nil {
+			return nil, fmt.Errorf("core: screen %q column %q: %w", opt.Screen.Name, col.Name, err)
+		}
+		s.columns = append(s.columns, b)
+		s.stackDepth = max(s.stackDepth, b.Depth())
 	}
 	s.shards = make([]*shard, opt.Parallelism)
 	for i := range s.shards {
@@ -319,12 +447,13 @@ func (s *Session) Update() (*Sample, error) {
 		sh.work = sh.work[:0]
 	}
 	n := 0
-	for _, info := range infos {
+	for i := range infos {
+		info := &infos[i]
 		if s.opt.FilterUser != "" && info.User != s.opt.FilterUser {
 			continue
 		}
 		sh := s.shards[shardIndex(info.ID, nshard)]
-		sh.work = append(sh.work, workItem{info: info, idx: n})
+		sh.work = append(sh.work, workItem{info: *info, idx: n})
 		n++
 	}
 
@@ -410,7 +539,7 @@ func ValidateSortKey(screen *metrics.Screen, key string) error {
 
 // cpuPct computes OS CPU usage over the refresh interval, or since task
 // start on the first observation (as top does on its first screen).
-func (s *Session) cpuPct(st *taskState, info TaskInfo, now time.Duration) float64 {
+func (s *Session) cpuPct(st *taskState, info *TaskInfo, now time.Duration) float64 {
 	var used, wall time.Duration
 	if st != nil && st.everSampled {
 		used = info.CPUTime - st.prevCPUTime
@@ -444,21 +573,21 @@ func (s *Session) sortRows(rows []Row) {
 			}
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := &rows[i], &rows[j]
+	// Descending by the key, ties (and NaN, which no key yields) broken
+	// by ascending PID.
+	slices.SortStableFunc(rows, func(a, b Row) int {
 		switch {
 		case key == "pid":
-			return a.Info.ID.PID < b.Info.ID.PID
 		case colIdx >= 0:
-			if a.Values[colIdx] != b.Values[colIdx] {
-				return a.Values[colIdx] > b.Values[colIdx]
+			if c := cmp.Compare(b.Values[colIdx], a.Values[colIdx]); c != 0 {
+				return c
 			}
 		default:
-			if a.CPUPct != b.CPUPct {
-				return a.CPUPct > b.CPUPct
+			if c := cmp.Compare(b.CPUPct, a.CPUPct); c != 0 {
+				return c
 			}
 		}
-		return a.Info.ID.PID < b.Info.ID.PID
+		return cmp.Compare(a.Info.ID.PID, b.Info.ID.PID)
 	})
 }
 

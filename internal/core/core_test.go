@@ -176,7 +176,7 @@ func TestUpdateComputesIPCAndDeltas(t *testing.T) {
 	if got := row.Values[0]; got < 15349 || got > 15351 {
 		t.Fatalf("Mcycle = %v, want 15350", got)
 	}
-	if row.Events[hpm.EventCycles] == 0 {
+	if row.Count(hpm.EventCycles) == 0 {
 		t.Fatal("raw event deltas must be exposed")
 	}
 }
@@ -447,7 +447,7 @@ func TestNewSessionResolvesThroughRegistry(t *testing.T) {
 	if got := row.Values[0]; got < 0.49 || got > 0.51 {
 		t.Fatalf("MY_RAW/CYCLES = %v, want ~0.5", got)
 	}
-	if row.Events["MY_RAW"] == 0 {
+	if row.Count("MY_RAW") == 0 {
 		t.Fatal("raw deltas must be keyed by event name")
 	}
 }

@@ -7,7 +7,9 @@ package core_test
 // data-race regression suite.
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -130,6 +132,40 @@ func TestShardedManyTaskChurn(t *testing.T) {
 	}
 	if len(sample.Rows) != tasks-killed {
 		t.Fatalf("rows = %d, want %d", len(sample.Rows), tasks-killed)
+	}
+}
+
+// TestUpdateAllocsFlat is the engine's allocation budget: a steady-state
+// refresh allocates per refresh (the rows and the arrays their values
+// and counts are carved from, a goroutine per shard), never per task.
+func TestUpdateAllocsFlat(t *testing.T) {
+	steady := func(tasks, parallelism int) uint64 {
+		s := simManySession(t, manyTaskKernel(t, tasks), parallelism)
+		defer s.Close()
+		if _, err := s.Update(); err != nil { // attach all counters
+			t.Fatal(err)
+		}
+		// The simulator allocates as it advances; count Update alone.
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for i := 0; i < 3; i++ {
+			s.AdvanceClock()
+			runtime.ReadMemStats(&before)
+			if _, err := s.Update(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	// Serially the count is exact; starting shard goroutines costs the
+	// runtime an allocation more or less from run to run.
+	if small, large := steady(1000, 1), steady(4000, 1); small != large || large > 64 {
+		t.Errorf("serial: %d allocations per refresh of 1000 tasks, %d of 4000; want equal and <= 64", small, large)
+	}
+	if small, large := steady(1000, 4), steady(4000, 4); small > 64 || large > 64 {
+		t.Errorf("4 shards: %d allocations per refresh of 1000 tasks, %d of 4000; want <= 64", small, large)
 	}
 }
 

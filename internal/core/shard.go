@@ -23,21 +23,19 @@ type shard struct {
 	s      *Session
 	states map[hpm.TaskID]*taskState
 	failed map[hpm.TaskID]*attachFailure
+	// epoch counts refreshes: a task's state or attach failure stamped
+	// with an older one belongs to a task the snapshot no longer lists.
+	epoch uint64
 
-	// Per-refresh scratch, reused across refreshes to keep the
-	// steady-state garbage per tick low.
+	// Scratch reused across refreshes. None of it is reachable from a
+	// sample: what a refresh hands out (rows, their Values and Counts)
+	// is carved from arrays made for that refresh alone. slots is one
+	// row's slot vector — its event deltas by index, then the context
+	// variables — and stack the column evaluator's value stack.
 	work   []workItem
-	seen   map[hpm.TaskID]bool
-	deltas []uint64
-	env    metrics.MapEnv
+	slots  []float64
+	stack  []float64
 	reaped []hpm.TaskCounter
-	// eventMaps holds one name→delta map per work slot, reused across
-	// refreshes (events are keyed by canonical name; rebuilding
-	// string-keyed maps every tick would dominate the refresh cost at
-	// thousands of rows). Observers must not retain them — the engine
-	// overwrites the backing storage on the next refresh, which the
-	// Observer contract already states.
-	eventMaps []map[string]uint64
 }
 
 // workItem is one snapshot entry routed to a shard. idx is the entry's
@@ -54,6 +52,7 @@ type attachFailure struct {
 	permanent bool
 	attempts  int
 	retryAt   time.Duration // next attach attempt not before this time
+	seen      uint64        // shard epoch that last listed the task
 }
 
 // Attach retry policy: the first failure is retried on the very next
@@ -73,8 +72,8 @@ func newShard(s *Session) *shard {
 		s:      s,
 		states: make(map[hpm.TaskID]*taskState),
 		failed: make(map[hpm.TaskID]*attachFailure),
-		seen:   make(map[hpm.TaskID]bool),
-		env:    metrics.MapEnv{},
+		slots:  make([]float64, len(s.events)+len(metrics.ContextVars)),
+		stack:  make([]float64, s.stackDepth),
 	}
 }
 
@@ -94,37 +93,39 @@ func shardIndex(id hpm.TaskID, n int) int {
 // read deltas and evaluate columns for known tasks, and reap the shard's
 // tasks that disappeared. Runs concurrently with other shards' refresh.
 func (sh *shard) refresh(now time.Duration, rows []Row, dropped *atomic.Int64) {
-	clear(sh.seen)
-	// One backing array serves every row's column values this refresh.
-	ncols := len(sh.s.opt.Screen.Columns)
+	sh.epoch++
+	// One backing array serves every row's column values this refresh,
+	// another every row's counter deltas.
+	ncols, nev := len(sh.s.columns), len(sh.s.events)
 	values := make([]float64, len(sh.work)*ncols)
-	for wi, w := range sh.work {
-		info := w.info
-		sh.seen[info.ID] = true
+	counts := make([]uint64, len(sh.work)*nev)
+	for wi := range sh.work {
+		w := &sh.work[wi]
+		info, row := &w.info, &rows[w.idx]
 		vals := values[:ncols:ncols]
 		values = values[ncols:]
-		events := sh.eventMap(wi)
 		st, ok := sh.states[info.ID]
 		if !ok {
 			st = sh.admit(info, now)
 			if st == nil {
 				// Attach failed; show an unmonitored row.
-				rows[w.idx] = sh.cpuOnlyRow(info, now, nil, vals, events)
+				sh.cpuOnlyRow(row, info, now, nil, vals)
 				continue
 			}
 			sh.states[info.ID] = st
 		}
-		rows[w.idx] = sh.sampleTask(st, info, now, vals, events)
-		st.info = info
+		sh.sampleTask(row, st, info, now, vals, counts[:nev:nev])
+		counts = counts[nev:]
 		st.prevCPUTime = info.CPUTime
 		st.prevSeenAt = now
 		st.everSampled = true
+		st.seen = sh.epoch
 	}
 
 	// Reap tasks that disappeared. Their counters are handed back to
 	// Update, which closes them serially after all shards join.
 	for id, st := range sh.states {
-		if !sh.seen[id] {
+		if st.seen != sh.epoch {
 			if st.counter != nil {
 				sh.reaped = append(sh.reaped, st.counter)
 			}
@@ -135,8 +136,8 @@ func (sh *shard) refresh(now time.Duration, rows []Row, dropped *atomic.Int64) {
 	// Attach-failure state goes with the task: the map cannot grow
 	// without bound under churn, and a reused TaskID starts clean
 	// instead of inheriting a previous owner's blacklisting.
-	for id := range sh.failed {
-		if !sh.seen[id] {
+	for id, f := range sh.failed {
+		if f.seen != sh.epoch {
 			delete(sh.failed, id)
 		}
 	}
@@ -145,9 +146,12 @@ func (sh *shard) refresh(now time.Duration, rows []Row, dropped *atomic.Int64) {
 // admit starts monitoring a newly seen task. Returns nil when counters
 // cannot be attached; failures are remembered with bounded
 // retry-with-backoff (permanent ones are never retried).
-func (sh *shard) admit(info TaskInfo, now time.Duration) *taskState {
-	if f, ok := sh.failed[info.ID]; ok && (f.permanent || now < f.retryAt) {
-		return nil
+func (sh *shard) admit(info *TaskInfo, now time.Duration) *taskState {
+	if f, ok := sh.failed[info.ID]; ok {
+		f.seen = sh.epoch
+		if f.permanent || now < f.retryAt {
+			return nil
+		}
 	}
 	s := sh.s
 	s.attachMu.Lock()
@@ -168,7 +172,6 @@ func (sh *shard) admit(info TaskInfo, now time.Duration) *taskState {
 	delete(sh.failed, info.ID)
 	reader, _ := ctr.(hpm.CountReader)
 	return &taskState{
-		info:        info,
 		counter:     ctr,
 		reader:      reader,
 		prevCounts:  counts,
@@ -182,7 +185,7 @@ func (sh *shard) admit(info TaskInfo, now time.Duration) *taskState {
 func (sh *shard) noteFailure(id hpm.TaskID, now time.Duration, err error) {
 	f := sh.failed[id]
 	if f == nil {
-		f = &attachFailure{}
+		f = &attachFailure{seen: sh.epoch}
 		sh.failed[id] = f
 	}
 	f.attempts++
@@ -201,23 +204,10 @@ func (sh *shard) noteFailure(id hpm.TaskID, now time.Duration, err error) {
 	}
 }
 
-// eventMap returns the reusable name→delta map of work slot wi,
-// cleared for this refresh.
-func (sh *shard) eventMap(wi int) map[string]uint64 {
-	if wi < len(sh.eventMaps) {
-		m := sh.eventMaps[wi]
-		clear(m)
-		return m
-	}
-	m := make(map[string]uint64, len(sh.s.events))
-	sh.eventMaps = append(sh.eventMaps, m)
-	return m
-}
-
-// sampleTask reads counter deltas and evaluates the screen columns into
-// vals, the row's pre-carved slot of the shard's value array; events is
-// the row's reusable name→delta map.
-func (sh *shard) sampleTask(st *taskState, info TaskInfo, now time.Duration, vals []float64, events map[string]uint64) Row {
+// sampleTask fills row: it reads counter deltas into deltas and
+// evaluates the screen columns into vals — the row's pre-carved slots
+// of the shard's arrays for this refresh.
+func (sh *shard) sampleTask(row *Row, st *taskState, info *TaskInfo, now time.Duration, vals []float64, deltas []uint64) {
 	s := sh.s
 	var counts []hpm.Count
 	var err error
@@ -226,45 +216,37 @@ func (sh *shard) sampleTask(st *taskState, info TaskInfo, now time.Duration, val
 	} else {
 		counts, err = st.counter.Read()
 	}
-	if err != nil {
-		return sh.cpuOnlyRow(info, now, st, vals, events)
+	if err != nil || len(counts) != len(deltas) {
+		sh.cpuOnlyRow(row, info, now, st, vals)
+		return
 	}
-	sh.deltas = hpm.DeltasInto(sh.deltas, st.prevCounts, counts)
+	hpm.DeltasInto(deltas, st.prevCounts, counts)
 	coverage := coverageOf(st.prevCounts, counts)
 	st.spare = st.prevCounts
 	st.prevCounts = counts
 
-	// The env keys are the same every refresh (the session's event set
-	// plus the fixed variables), so the shard's map is overwritten in
-	// place rather than rebuilt.
-	for i := range s.events {
-		name := s.events[i].Name
-		events[name] = sh.deltas[i]
-		sh.env[name] = float64(sh.deltas[i])
-	}
 	cpuPct := s.cpuPct(st, info, now)
-	sh.env[metrics.VarDeltaNS] = float64(now - st.prevSeenAt)
-	sh.env[metrics.VarFreqHz] = s.opt.FreqHz
-	sh.env[metrics.VarCPUPct] = cpuPct
-	sh.env[metrics.VarNumCPU] = float64(s.opt.NumCPUs)
-	sh.env[metrics.VarSamplePct] = coverage * 100
-
-	row := Row{
-		Info:     info,
+	for i, d := range deltas {
+		sh.slots[i] = float64(d)
+	}
+	ctx := sh.slots[len(deltas):]
+	ctx[metrics.SlotDeltaNS] = float64(now - st.prevSeenAt)
+	ctx[metrics.SlotFreqHz] = s.opt.FreqHz
+	ctx[metrics.SlotCPUPct] = cpuPct
+	ctx[metrics.SlotNumCPU] = float64(s.opt.NumCPUs)
+	ctx[metrics.SlotSamplePct] = coverage * 100
+	for i, col := range s.columns {
+		vals[i] = col.Eval(sh.slots, sh.stack)
+	}
+	*row = Row{
+		Info:     *info,
 		CPUPct:   cpuPct,
-		Events:   events,
+		Counts:   deltas,
+		Table:    s.table,
 		Values:   vals,
 		Coverage: coverage,
 		Valid:    true,
 	}
-	for i, col := range s.opt.Screen.Columns {
-		v, err := col.Expr.Eval(sh.env)
-		if err != nil {
-			v = 0
-		}
-		vals[i] = v
-	}
-	return row
 }
 
 // coverageOf computes the refresh's counter coverage: the mean over
@@ -318,13 +300,11 @@ func coverageOf(prev, cur []hpm.Count) float64 {
 	return sum / float64(len(cur))
 }
 
-// cpuOnlyRow builds an unmonitored row (no counters available).
-func (sh *shard) cpuOnlyRow(info TaskInfo, now time.Duration, st *taskState, vals []float64, events map[string]uint64) Row {
-	return Row{
-		Info:   info,
+// cpuOnlyRow fills row as unmonitored (no counters available).
+func (sh *shard) cpuOnlyRow(row *Row, info *TaskInfo, now time.Duration, st *taskState, vals []float64) {
+	*row = Row{
+		Info:   *info,
 		CPUPct: sh.s.cpuPct(st, info, now),
 		Values: vals,
-		Events: events,
-		Valid:  false,
 	}
 }

@@ -67,15 +67,15 @@ func RunFig3(cfg Config) (*Result, error) {
 		}
 		err = monitorUntilDone(s, k, 500_000, func(i int, sample *coreSample) {
 			row := rowByComm(sample, "R")
-			if row == nil || !row.Valid || row.Events[hpm.EventCycles] == 0 {
+			if row == nil || !row.Valid || row.Count(hpm.EventCycles) == 0 {
 				return
 			}
 			out.ipc.Add(float64(i), row.IPC())
 			if out.assist != nil {
-				instr := row.Events[hpm.EventInstructions]
+				instr := row.Count(hpm.EventInstructions)
 				if instr > 0 {
 					out.assist.Add(float64(i),
-						100*float64(row.Events[hpm.EventFPAssist])/float64(instr))
+						100*float64(row.Count(hpm.EventFPAssist))/float64(instr))
 				}
 			}
 			out.samples = i + 1

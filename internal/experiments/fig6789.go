@@ -36,7 +36,7 @@ func phaseTrace(cfg Config, m *machine.Machine, w *workload.Workload, interval t
 		if ipc == 0 {
 			return
 		}
-		cumInstr += float64(row.Events[hpm.EventInstructions])
+		cumInstr += float64(row.Count(hpm.EventInstructions))
 		byTime.Add(float64(i), ipc)
 		byInstr.Add(cumInstr/1e6, ipc)
 		samples = i + 1

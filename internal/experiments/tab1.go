@@ -45,9 +45,9 @@ func RunTable1(cfg Config) (*Result, error) {
 		var cycles, instr, assists uint64
 		err = monitorUntilDone(s, k, 100000, func(_ int, sample *coreSample) {
 			if row := rowByComm(sample, "fpmicro"); row != nil && row.Valid {
-				cycles += row.Events[hpm.EventCycles]
-				instr += row.Events[hpm.EventInstructions]
-				assists += row.Events[hpm.EventFPAssist]
+				cycles += row.Count(hpm.EventCycles)
+				instr += row.Count(hpm.EventInstructions)
+				assists += row.Count(hpm.EventFPAssist)
 			}
 		})
 		if err != nil {

@@ -54,7 +54,7 @@ func RunValidation(cfg Config) (*Result, error) {
 		var instr uint64
 		err = monitorUntilDone(s, kern, 1_000_000, func(_ int, sample *coreSample) {
 			if row := rowByComm(sample, k.Name); row != nil && row.Valid {
-				instr += row.Events[hpm.EventInstructions]
+				instr += row.Count(hpm.EventInstructions)
 			}
 		})
 		if err != nil {

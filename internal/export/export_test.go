@@ -137,12 +137,9 @@ func recorderFixture() *history.Recorder {
 			},
 			CPUPct: 90,
 			Values: []float64{1.5, 0.2},
-			Events: map[string]uint64{
-				hpm.EventInstructions: 3000,
-				hpm.EventCycles:       2000,
-				hpm.EventCacheMisses:  10,
-			},
-			Valid: true,
+			Counts: []uint64{3000, 2000, 10},
+			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses),
+			Valid:  true,
 		})
 		rec.Observe(cs)
 	}

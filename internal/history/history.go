@@ -6,7 +6,9 @@
 // The Recorder implements core.Observer and is fed synchronously from
 // the sampling goroutine, so its hot path is engineered like the
 // engine's: recording one refresh costs O(rows) work and — once every
-// task's ring and every aggregate entry exist — zero allocations. All
+// task's ring and every aggregate entry exist — zero allocations, and
+// one hashed lookup per row, of its TaskID: counts are read by position
+// and each ring caches its user's and command's aggregates. All
 // storage a refresh writes into (ring arrays, aggregate checkpoint
 // rings, the touched-scratch slice) is preallocated or reused; only
 // genuinely new tasks, users or commands allocate.
@@ -216,9 +218,25 @@ func (a *aggState) aggregate(live bool, now, window time.Duration) Aggregate {
 	return out
 }
 
-// ring is the fixed-capacity time series of one task. The value matrix
-// is one flat array (capacity × columns), so a push after warm-up
-// writes in place and never allocates.
+// point holds the scalars of one recorded observation.
+type point struct {
+	t                     time.Duration
+	cpu                   float64
+	instr, cycles, misses uint64 // per-interval counter deltas, for expression queries
+}
+
+// ipc is the point's instructions per cycle, as core.Row.IPC computes it.
+func (p *point) ipc() float64 {
+	if p.cycles == 0 {
+		return 0
+	}
+	return float64(p.instr) / float64(p.cycles)
+}
+
+// ring is the fixed-capacity time series of one task: the per-point
+// scalars in one array and the value matrix in another (capacity ×
+// columns, flat), so a push after warm-up writes in place and never
+// allocates.
 type ring struct {
 	id        hpm.TaskID
 	user      string
@@ -227,39 +245,35 @@ type ring struct {
 	coverage  float64       // counted fraction of the latest interval
 	start     time.Duration // TaskInfo.StartTime, the pid-reuse detector
 	lastEpoch uint64
-	ncols     int
-	times     []time.Duration
-	cpu       []float64
-	ipc       []float64
-	vals      []float64 // len = cap(times) * ncols, row-major
-	instr     []uint64  // per-interval counter deltas, for expression queries
-	cycles    []uint64
-	misses    []uint64
-	head, n   int
+	// userAgg and commAgg are the aggregates the task's deltas fold
+	// into, those of aggUser and aggComm — the user and command of its
+	// latest row, where user and comm label the series as first seen —
+	// so a refresh that finds both unchanged hashes neither string.
+	aggUser, aggComm string
+	userAgg, commAgg *aggState
+	ncols            int
+	points           []point
+	vals             []float64 // len = len(points) * ncols, row-major
+	head, n          int
 }
 
-func (rg *ring) push(now time.Duration, cpuPct, ipc float64, values []float64, ncols int, instr, cycles, misses uint64) {
+func (rg *ring) push(p point, values []float64, ncols int) {
 	if ncols != rg.ncols {
 		// The screen's column count was learned after this ring was
 		// created (a first refresh with no rows): rebuild the value
 		// matrix once and restart the series.
 		rg.ncols = ncols
-		rg.vals = make([]float64, len(rg.times)*ncols)
+		rg.vals = make([]float64, len(rg.points)*ncols)
 		rg.head, rg.n = 0, 0
 	}
-	c := len(rg.times)
+	c := len(rg.points)
 	idx := (rg.head + rg.n) % c
 	if rg.n == c {
 		rg.head = (rg.head + 1) % c
 	} else {
 		rg.n++
 	}
-	rg.times[idx] = now
-	rg.cpu[idx] = cpuPct
-	rg.ipc[idx] = ipc
-	rg.instr[idx] = instr
-	rg.cycles[idx] = cycles
-	rg.misses[idx] = misses
+	rg.points[idx] = p
 	copy(rg.vals[idx*ncols:(idx+1)*ncols], values)
 }
 
@@ -327,8 +341,7 @@ func (r *Recorder) Capacity() int { return r.opt.Capacity }
 // sampling goroutine but outside the recorder's lock, so a slow tee
 // (a disk write) delays the next refresh, not concurrent queries. Like
 // Subscribe, not safe to call concurrently with Observe; a nil o
-// detaches. Samples must not be retained by the tee (the core.Observer
-// contract).
+// detaches. The tee gets the sample on core.Observer's terms: read-only.
 func (r *Recorder) Tee(o core.Observer) {
 	r.tee = o
 	r.mu.RLock()
@@ -362,35 +375,31 @@ func (r *Recorder) observe(s *core.Sample) {
 			r.ncols = len(row.Values)
 		}
 		rg := r.series[row.Info.ID]
-		if rg == nil {
+		switch {
+		case rg == nil:
 			rg = r.admit(row.Info)
-		} else if rg.start != row.Info.StartTime {
+		case rg.start != row.Info.StartTime:
 			// The OS recycled this TaskID for a new process: restart
 			// the series in place instead of splicing two tasks'
 			// histories under the old user/command labels.
-			rg.reset(row.Info)
+			rg.head, rg.n = 0, 0
+			rg.start = row.Info.StartTime
+			rg.user, rg.comm = row.Info.User, row.Info.Comm
+			r.resolveAggs(rg, row.Info)
+		case rg.aggUser != row.Info.User || rg.aggComm != row.Info.Comm:
+			// Same task, new credentials or an exec: its deltas now
+			// count towards the new user's and command's aggregates.
+			r.resolveAggs(rg, row.Info)
 		}
 		rg.lastEpoch = r.epoch
 		rg.state = row.Info.State
 		rg.coverage = row.Coverage
-		ipc := row.IPC()
-		instr := row.Events[hpm.EventInstructions]
-		cycles := row.Events[hpm.EventCycles]
-		misses := row.Events[hpm.EventCacheMisses]
-		rg.push(s.Time, row.CPUPct, ipc, row.Values, r.ncols, instr, cycles, misses)
-		r.fold(&r.machine, row, instr, cycles, misses)
-		ua := r.users[row.Info.User]
-		if ua == nil {
-			ua = &aggState{}
-			r.users[row.Info.User] = ua
-		}
-		r.fold(ua, row, instr, cycles, misses)
-		ca := r.commands[row.Info.Comm]
-		if ca == nil {
-			ca = &aggState{}
-			r.commands[row.Info.Comm] = ca
-		}
-		r.fold(ca, row, instr, cycles, misses)
+		p := point{t: s.Time, cpu: row.CPUPct}
+		p.instr, p.cycles, p.misses = row.Basics()
+		rg.push(p, row.Values, r.ncols)
+		r.fold(&r.machine, &p)
+		r.fold(rg.userAgg, &p)
+		r.fold(rg.commAgg, &p)
 	}
 
 	// One windowed-rate checkpoint per aggregate the refresh touched.
@@ -399,18 +408,18 @@ func (r *Recorder) observe(s *core.Sample) {
 	}
 }
 
-func (r *Recorder) fold(a *aggState, row *core.Row, instr, cycles, misses uint64) {
+func (r *Recorder) fold(a *aggState, p *point) {
 	if a.epoch != r.epoch {
 		a.touch(r.epoch)
 		r.touched = append(r.touched, a)
 	}
 	a.tasks++
-	a.cpuPct += row.CPUPct
-	a.dInstr += float64(instr)
-	a.dCycles += float64(cycles)
-	a.instr += instr
-	a.cycles += cycles
-	a.cacheMisses += misses
+	a.cpuPct += p.cpu
+	a.dInstr += float64(p.instr)
+	a.dCycles += float64(p.cycles)
+	a.instr += p.instr
+	a.cycles += p.cycles
+	a.cacheMisses += p.misses
 }
 
 // admit creates the ring for a newly seen task, evicting the stalest
@@ -420,35 +429,35 @@ func (r *Recorder) admit(info core.TaskInfo) *ring {
 		r.evict()
 	}
 	c := r.opt.Capacity
-	ncols := r.ncols
-	if ncols < 0 {
-		ncols = 0
-	}
+	ncols := max(r.ncols, 0)
 	rg := &ring{
 		id:     info.ID,
 		user:   info.User,
 		comm:   info.Comm,
 		start:  info.StartTime,
 		ncols:  ncols,
-		times:  make([]time.Duration, c),
-		cpu:    make([]float64, c),
-		ipc:    make([]float64, c),
+		points: make([]point, c),
 		vals:   make([]float64, c*ncols),
-		instr:  make([]uint64, c),
-		cycles: make([]uint64, c),
-		misses: make([]uint64, c),
 	}
+	r.resolveAggs(rg, info)
 	r.series[info.ID] = rg
 	return rg
 }
 
-// reset re-labels a ring for a new owner of a recycled TaskID and
-// drops the previous task's points (storage is kept).
-func (rg *ring) reset(info core.TaskInfo) {
-	rg.user = info.User
-	rg.comm = info.Comm
-	rg.start = info.StartTime
-	rg.head, rg.n = 0, 0
+// resolveAggs points the ring at the aggregates of the task's current
+// user and command, creating the entry of one first seen.
+func (r *Recorder) resolveAggs(rg *ring, info core.TaskInfo) {
+	rg.aggUser, rg.aggComm = info.User, info.Comm
+	rg.userAgg, rg.commAgg = aggOf(r.users, info.User), aggOf(r.commands, info.Comm)
+}
+
+func aggOf(m map[string]*aggState, key string) *aggState {
+	a := m[key]
+	if a == nil {
+		a = &aggState{}
+		m[key] = a
+	}
+	return a
 }
 
 // evict drops the series with the oldest last observation, preferring
@@ -519,7 +528,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 	snap.Tasks = make([]TaskSnap, len(live))
 	values := make([]float64, 0, len(live)*ncols)
 	for i, rg := range live {
-		last := (rg.head + rg.n - 1) % len(rg.times)
+		last := (rg.head + rg.n - 1) % len(rg.points)
 		coverage := rg.coverage
 		if coverage >= 1 {
 			coverage = 0 // exact counting is elided from the JSON
@@ -531,8 +540,8 @@ func (r *Recorder) Snapshot() *Snapshot {
 			User:     rg.user,
 			Command:  rg.comm,
 			State:    rg.state,
-			CPUPct:   rg.cpu[last],
-			IPC:      rg.ipc[last],
+			CPUPct:   rg.points[last].cpu,
+			IPC:      rg.points[last].ipc(),
 			Coverage: coverage,
 		}
 		if ncols > 0 {
@@ -575,15 +584,16 @@ func (r *Recorder) copySeries(rg *ring) Series {
 		Points:  make([]Point, 0, rg.n),
 	}
 	for i := 0; i < rg.n; i++ {
-		idx := (rg.head + i) % len(rg.times)
+		idx := (rg.head + i) % len(rg.points)
+		p := &rg.points[idx]
 		s.Points = append(s.Points, Point{
-			TimeSeconds: rg.times[idx].Seconds(),
-			CPUPct:      rg.cpu[idx],
-			IPC:         rg.ipc[idx],
+			TimeSeconds: p.t.Seconds(),
+			CPUPct:      p.cpu,
+			IPC:         p.ipc(),
 			Values:      append([]float64(nil), rg.vals[idx*ncols:(idx+1)*ncols]...),
-			Instr:       rg.instr[idx],
-			Cycles:      rg.cycles[idx],
-			Misses:      rg.misses[idx],
+			Instr:       p.instr,
+			Cycles:      p.cycles,
+			Misses:      p.misses,
 		})
 	}
 	return s

@@ -27,12 +27,9 @@ func mkSample(t time.Duration, specs []rowSpec) *core.Sample {
 			},
 			CPUPct: sp.cpuPct,
 			Values: []float64{float64(sp.instr) / float64(sp.cycle), 42},
-			Events: map[string]uint64{
-				hpm.EventInstructions: sp.instr,
-				hpm.EventCycles:       sp.cycle,
-				hpm.EventCacheMisses:  sp.instr / 100,
-			},
-			Valid: true,
+			Counts: []uint64{sp.instr, sp.cycle, sp.instr / 100},
+			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses),
+			Valid:  true,
 		})
 	}
 	return s
@@ -259,6 +256,58 @@ func TestObserveSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// TestObserveAggregatesFollowRelabel: a ring caches the aggregates its
+// task folds into. A recycled pid and a task that changes user or
+// command mid-life must re-resolve them — counting towards the new
+// labels from that refresh on — and doing so among known users and
+// commands allocates nothing.
+func TestObserveAggregatesFollowRelabel(t *testing.T) {
+	r := New(Options{Capacity: 8})
+	r.SetColumns([]string{"ipc", "const"})
+	a := mkSample(time.Second, []rowSpec{
+		{pid: 1, user: "alice", comm: "mcf", cpuPct: 50, instr: 1000, cycle: 1000},
+		{pid: 2, user: "bob", comm: "astar", cpuPct: 50, instr: 10, cycle: 10},
+	})
+	b := mkSample(2*time.Second, []rowSpec{
+		{pid: 1, user: "bob", comm: "astar", cpuPct: 50, instr: 1000, cycle: 1000}, // pid 1 recycled
+		{pid: 2, user: "alice", comm: "mcf", cpuPct: 50, instr: 10, cycle: 10},     // setuid + exec
+	})
+	b.Rows[0].Info.StartTime = time.Second
+	r.Observe(a)
+	r.Observe(b)
+	r.Observe(b)
+	snap := r.Snapshot()
+	for key, want := range map[string]uint64{"alice": 1020, "bob": 2010} {
+		if got := snap.Users[key].Instructions; got != want {
+			t.Errorf("user %s: %d instructions, want %d", key, got, want)
+		}
+	}
+	for key, want := range map[string]uint64{"mcf": 1020, "astar": 2010} {
+		if got := snap.Commands[key].Instructions; got != want {
+			t.Errorf("command %s: %d instructions, want %d", key, got, want)
+		}
+	}
+	// The recycled pid's series restarted under its new labels; the
+	// relabelled task keeps its series and the labels it was first seen with.
+	if s := r.History(1)[0]; s.User != "bob" || len(s.Points) != 2 {
+		t.Errorf("recycled pid: user %q with %d points, want bob with 2", s.User, len(s.Points))
+	}
+	if s := r.History(2)[0]; s.User != "bob" || len(s.Points) != 3 {
+		t.Errorf("relabelled task: user %q with %d points, want bob with 3", s.User, len(s.Points))
+	}
+	flip := false
+	allocs := testing.AllocsPerRun(100, func() {
+		if flip = !flip; flip {
+			r.Observe(a)
+		} else {
+			r.Observe(b)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("relabelling among known users and commands allocates %.1f times per refresh, want 0", allocs)
+	}
+}
+
 // teeTarget records what a Recorder.Tee observer receives.
 type teeTarget struct {
 	samples int
@@ -285,7 +334,8 @@ func TestTee(t *testing.T) {
 	s.Rows = []core.Row{{
 		Info:   core.TaskInfo{ID: hpm.TaskID{PID: 1, TID: 1}, User: "u", Comm: "c"},
 		Values: []float64{1, 2},
-		Events: map[string]uint64{hpm.EventInstructions: 10, hpm.EventCycles: 5},
+		Counts: []uint64{10, 5},
+		Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles),
 	}}
 	r.Observe(s)
 	r.Observe(s)

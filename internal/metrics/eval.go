@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Env resolves identifiers during evaluation. The engine provides an Env
@@ -45,11 +46,76 @@ func (e *EvalError) Error() string {
 // expression renders identically wherever it runs and OpenMetrics
 // output never carries NaN.
 func (e *Expr) Eval(env Env) (float64, error) {
-	v, err := e.root.eval(env)
+	return e.evalNamed(&named{names: e.names, env: env})
+}
+
+// EvalBucket evaluates the expression over one query bucket: sum is
+// the bucket-level environment (counter identifiers summed over the
+// bucket, column values averaged, DELTA_NS set to the bucket width in
+// nanoseconds), and points are the per-point environments the
+// *_over_time functions fold over. points may be nil when
+// NeedsPointwise is false. The total-evaluation rule of Eval applies:
+// the result is always finite.
+func (e *Expr) EvalBucket(sum Env, points []Env) (float64, error) {
+	return e.evalNamed(&named{names: e.names, env: sum, points: points, bucket: true})
+}
+
+func (e *Expr) evalNamed(by *named) (float64, error) {
+	var buf [16]float64
+	stack := buf[:]
+	if e.depth > len(stack) {
+		stack = make([]float64, e.depth)
+	}
+	v, err := run(e.prog, nil, by, stack)
 	if err != nil {
 		return 0, err
 	}
 	return finite(v), nil
+}
+
+// Bound is an expression whose identifiers were resolved once to
+// positions of a slot vector: the sampling engine binds every screen
+// column when a session starts and evaluates it per row. It runs the
+// program Expr.Eval runs, with index loads where that looks names up.
+type Bound struct {
+	prog  []instr
+	depth int
+}
+
+// Bind resolves the expression's identifiers against slots, the names
+// of a slot vector in order. An identifier that is not among them is an
+// error here, wherever it appears — also in a conditional branch no
+// evaluation would take.
+func (e *Expr) Bind(slots []string) (*Bound, error) {
+	prog := slices.Clone(e.prog)
+	for i := range prog {
+		in := &prog[i]
+		if in.op != opIdent && in.op != opIdentOpt {
+			continue
+		}
+		name := e.names[in.n]
+		switch slot := slices.Index(slots, name); {
+		case slot >= 0:
+			in.op, in.n = opIdent, slot
+		case in.op == opIdentOpt:
+			*in = instr{op: opConst}
+		default:
+			return nil, &EvalError{Expr: name, Msg: "undefined identifier " + name}
+		}
+	}
+	return &Bound{prog: prog, depth: e.depth}, nil
+}
+
+// Depth is the length of the scratch stack Eval needs.
+func (b *Bound) Depth() int { return b.depth }
+
+// Eval computes the expression over slots, ordered as the names given
+// to Bind, with stack (at least Depth long) as scratch: total like
+// Expr.Eval, and allocation-free.
+func (b *Bound) Eval(slots, stack []float64) float64 {
+	// Every identifier was resolved by Bind, so run cannot fail.
+	v, _ := run(b.prog, slots, nil, stack)
+	return finite(v)
 }
 
 // finite implements the total-evaluation rule: non-finite values
@@ -61,102 +127,225 @@ func finite(v float64) float64 {
 	return v
 }
 
-func (n *numberNode) eval(Env) (float64, error) { return n.val, nil }
+// An expression compiles to a postfix program over a value stack: the
+// one place operator and builtin semantics live, whichever way the
+// identifiers resolve.
+type opcode uint8
 
-func (n *identNode) eval(env Env) (float64, error) {
-	v, ok := env.Lookup(n.name)
-	if !ok {
-		return 0, &EvalError{Expr: n.name, Msg: "undefined identifier " + n.name}
-	}
-	return v, nil
+const (
+	opConst    opcode = iota // push val
+	opIdent                  // push identifier n; undefined is an error
+	opIdentOpt               // push identifier n; undefined reads 0
+	opNeg                    // negate the top
+	opBinary                 // apply tok to the two topmost values
+	opSelect                 // cond, then, else → then if cond != 0, else else
+	opCall                   // apply fn to the n topmost values
+	opFold                   // fold the next n instructions over the bucket's points with fn
+)
+
+type instr struct {
+	op  opcode
+	tok tokenKind
+	n   int
+	val float64
+	fn  *builtin
 }
 
-func (n *unaryNode) eval(env Env) (float64, error) {
-	v, err := n.expr.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	return -v, nil
+// named is what a program's identifiers read when they resolve by name:
+// opIdent n looks names[n] up in env. bucket and points are EvalBucket's.
+type named struct {
+	names  []string
+	env    Env
+	bucket bool
+	points []Env
 }
 
-func (n *binaryNode) eval(env Env) (float64, error) {
-	l, err := n.l.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := n.r.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch n.op {
-	case tokPlus:
-		return l + r, nil
-	case tokMinus:
-		return l - r, nil
-	case tokStar:
-		return l * r, nil
-	case tokSlash:
-		if r == 0 {
-			return 0, nil
+// run executes prog, its identifiers reading slots by index or, when by
+// is set, its environment by name. Both branches of a conditional are
+// computed before one is selected: evaluation is total and
+// side-effect-free, so the only observable difference is that an
+// unbound identifier errors even when its branch is not taken —
+// `0 ? A : 0` must not silently mask a missing name.
+func run(prog []instr, slots []float64, by *named, stack []float64) (float64, error) {
+	sp := 0
+	for pc := 0; pc < len(prog); pc++ {
+		in := &prog[pc]
+		switch in.op {
+		case opConst:
+			stack[sp] = in.val
+			sp++
+		case opIdent, opIdentOpt:
+			if by == nil {
+				stack[sp] = slots[in.n]
+			} else {
+				name := by.names[in.n]
+				v, ok := by.env.Lookup(name)
+				if !ok {
+					if in.op == opIdent {
+						return 0, &EvalError{Expr: name, Msg: "undefined identifier " + name}
+					}
+					v = 0
+				}
+				stack[sp] = v
+			}
+			sp++
+		case opNeg:
+			stack[sp-1] = -stack[sp-1]
+		case opBinary:
+			sp--
+			stack[sp-1] = applyBinary(in.tok, stack[sp-1], stack[sp])
+		case opSelect:
+			sp -= 2
+			if stack[sp-1] != 0 {
+				stack[sp-1] = stack[sp]
+			} else {
+				stack[sp-1] = stack[sp+1]
+			}
+		case opCall:
+			sp -= in.n - 1
+			var a args
+			switch in.n {
+			case 3:
+				a[2] = stack[sp+1]
+				fallthrough
+			case 2:
+				a[1] = stack[sp]
+				fallthrough
+			case 1:
+				a[0] = stack[sp-1]
+			}
+			stack[sp-1] = in.fn.impl(a)
+		case opFold:
+			v, err := by.fold(in.fn, prog[pc+1:pc+1+in.n], slots, stack[sp:])
+			if err != nil {
+				return 0, err
+			}
+			pc += in.n
+			stack[sp] = v
+			sp++
 		}
-		return l / r, nil
-	case tokPercent:
-		if r == 0 {
-			return 0, nil
-		}
-		return math.Mod(l, r), nil
-	case tokEQ:
-		return boolVal(l == r), nil
-	case tokNE:
-		return boolVal(l != r), nil
-	case tokLT:
-		return boolVal(l < r), nil
-	case tokGT:
-		return boolVal(l > r), nil
-	case tokLE:
-		return boolVal(l <= r), nil
-	case tokGE:
-		return boolVal(l >= r), nil
 	}
-	return 0, &EvalError{Expr: "?", Msg: "internal: unknown operator"}
+	return stack[0], nil
 }
 
-func (n *condNode) eval(env Env) (float64, error) {
-	// Both branches evaluate eagerly: evaluation is total and
-	// side-effect-free, so the only observable difference is that an
-	// unbound identifier errors even when its branch is not taken —
-	// `0 ? A : 0` must not silently mask a missing name.
-	c, err := n.cond.eval(env)
-	if err != nil {
-		return 0, err
+// fold evaluates an *_over_time call whose argument is sub: folded over
+// the points of EvalBucket's bucket, and the identity otherwise — the
+// interval is then the single point.
+func (by *named) fold(fn *builtin, sub []instr, slots, stack []float64) (float64, error) {
+	if by == nil || !by.bucket {
+		return run(sub, slots, by, stack)
 	}
-	tv, err := n.then.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	ev, err := n.els.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	if c != 0 {
-		return tv, nil
-	}
-	return ev, nil
-}
-
-func (n *callNode) eval(env Env) (float64, error) {
-	args := make([]float64, len(n.args))
-	for i, a := range n.args {
-		v, err := a.eval(env)
+	acc := 0.0
+	for i, pe := range by.points {
+		// A nested *_over_time folds over just this point.
+		point := named{names: by.names, env: pe, bucket: true, points: by.points[i : i+1]}
+		v, err := run(sub, nil, &point, stack)
 		if err != nil {
 			return 0, err
 		}
-		args[i] = v
+		acc = fn.fold(acc, v, i)
 	}
-	if n.fn.envImpl != nil {
-		return n.fn.envImpl(env, args), nil
+	if fn.mean && len(by.points) > 0 {
+		acc /= float64(len(by.points))
 	}
-	return n.fn.impl(args), nil
+	return finite(acc), nil
+}
+
+func applyBinary(op tokenKind, l, r float64) float64 {
+	switch op {
+	case tokPlus:
+		return l + r
+	case tokMinus:
+		return l - r
+	case tokStar:
+		return l * r
+	case tokSlash:
+		if r == 0 {
+			return 0
+		}
+		return l / r
+	case tokPercent:
+		if r == 0 {
+			return 0
+		}
+		return math.Mod(l, r)
+	case tokEQ:
+		return boolVal(l == r)
+	case tokNE:
+		return boolVal(l != r)
+	case tokLT:
+		return boolVal(l < r)
+	case tokGT:
+		return boolVal(l > r)
+	case tokLE:
+		return boolVal(l <= r)
+	case tokGE:
+		return boolVal(l >= r)
+	}
+	panic("metrics: unknown operator in a compiled expression")
+}
+
+// compiler flattens a parsed expression into its program, naming each
+// identifier once and tracking the deepest the value stack gets.
+type compiler struct {
+	prog      []instr
+	names     []string
+	sp, depth int
+}
+
+func (c *compiler) emit(in instr, grow int) {
+	c.prog = append(c.prog, in)
+	c.sp += grow
+	c.depth = max(c.depth, c.sp)
+}
+
+func (c *compiler) ident(op opcode, name string) {
+	i := slices.Index(c.names, name)
+	if i < 0 {
+		i = len(c.names)
+		c.names = append(c.names, name)
+	}
+	c.emit(instr{op: op, n: i}, 1)
+}
+
+func (c *compiler) node(n node) {
+	switch n := n.(type) {
+	case *numberNode:
+		c.emit(instr{op: opConst, val: n.val}, 1)
+	case *identNode:
+		c.ident(opIdent, n.name)
+	case *unaryNode:
+		c.node(n.expr)
+		c.emit(instr{op: opNeg}, 0)
+	case *binaryNode:
+		c.node(n.l)
+		c.node(n.r)
+		c.emit(instr{op: opBinary, tok: n.op}, -1)
+	case *condNode:
+		c.node(n.cond)
+		c.node(n.then)
+		c.node(n.els)
+		c.emit(instr{op: opSelect}, -2)
+	case *callNode:
+		if n.fn.fold != nil {
+			// The argument runs once per point on the stack above the
+			// fold, leaving the one folded value: no growth of its own.
+			at := len(c.prog)
+			c.emit(instr{op: opFold, fn: n.fn}, 0)
+			c.node(n.args[0])
+			c.prog[at].n = len(c.prog) - at - 1
+			return
+		}
+		for _, a := range n.args {
+			c.node(a)
+		}
+		argc := len(n.args)
+		if n.fn.ctxVar != "" {
+			c.ident(opIdentOpt, n.fn.ctxVar)
+			argc++
+		}
+		c.emit(instr{op: opCall, fn: n.fn, n: argc}, 1-argc)
+	}
 }
 
 func boolVal(b bool) float64 {
@@ -166,79 +355,69 @@ func boolVal(b bool) float64 {
 	return 0
 }
 
-// builtin is a function callable from expressions. Most are pure
-// (impl); a few read context variables from the environment (envImpl,
-// used instead of impl when set) or carry series-level meaning the
-// bucket evaluator intercepts (the *_over_time family, topk).
+// builtin is a function callable from expressions, pure in its
+// arguments. ctxVar names a context variable passed as one more,
+// trailing argument (0 when the environment lacks it). fold gives the
+// *_over_time family its series-level meaning: over a bucket the
+// argument is evaluated at every point and folded (n counts the points
+// so far; mean divides by their number), while in an instant context —
+// a live screen cell — the fold of the one point is the point itself.
 type builtin struct {
-	arity   int
-	impl    func(args []float64) float64
-	envImpl func(env Env, args []float64) float64
-	doc     string
+	arity  int
+	impl   func(args) float64
+	ctxVar string
+	fold   func(acc, v float64, n int) float64
+	mean   bool
+	doc    string
 }
 
-// overTimeFolds maps the *_over_time functions to their point-fold.
-// Over a bucket the argument is evaluated at every point and folded;
-// in an instant context (a live screen cell, where the bucket is the
-// single refresh interval) the fold of one point is the point itself,
-// so the instant impl is the identity.
-var overTimeFolds = map[string]func(acc, v float64, n int) float64{
-	"avg_over_time": func(acc, v float64, n int) float64 { return acc + v },
-	"sum_over_time": func(acc, v float64, n int) float64 { return acc + v },
-	"min_over_time": func(acc, v float64, n int) float64 {
-		if n == 0 || v < acc {
-			return v
-		}
-		return acc
-	},
-	"max_over_time": func(acc, v float64, n int) float64 {
-		if n == 0 || v > acc {
-			return v
-		}
-		return acc
-	},
-}
+// args carries a call's arguments by value (no builtin takes more), so
+// that calling through the table leaves the evaluator's stack on the
+// goroutine stack.
+type args [3]float64
+
+func foldSum(acc, v float64, n int) float64 { return acc + v }
 
 // builtins is the function table. All functions are total: they return 0
 // instead of NaN/Inf on degenerate inputs, keeping table cells printable.
 var builtins = map[string]*builtin{
-	"ratio": {arity: 2, impl: func(a []float64) float64 {
+	"ratio": {arity: 2, impl: func(a args) float64 {
 		if a[1] == 0 {
 			return 0
 		}
 		return a[0] / a[1]
 	}, doc: "ratio(a,b) = a/b, 0 when b==0"},
-	"per100": {arity: 2, impl: func(a []float64) float64 {
+	"per100": {arity: 2, impl: func(a args) float64 {
 		if a[1] == 0 {
 			return 0
 		}
 		return 100 * a[0] / a[1]
 	}, doc: "per100(a,b) = occurrences of a per hundred b (e.g. misses per 100 instructions)"},
-	"per1000": {arity: 2, impl: func(a []float64) float64 {
+	"per1000": {arity: 2, impl: func(a args) float64 {
 		if a[1] == 0 {
 			return 0
 		}
 		return 1000 * a[0] / a[1]
 	}, doc: "per1000(a,b) = occurrences of a per thousand b"},
-	"min": {arity: 2, impl: func(a []float64) float64 { return math.Min(a[0], a[1]) },
+	"min": {arity: 2, impl: func(a args) float64 { return math.Min(a[0], a[1]) },
 		doc: "min(a,b)"},
-	"max": {arity: 2, impl: func(a []float64) float64 { return math.Max(a[0], a[1]) },
+	"max": {arity: 2, impl: func(a args) float64 { return math.Max(a[0], a[1]) },
 		doc: "max(a,b)"},
-	"abs": {arity: 1, impl: func(a []float64) float64 { return math.Abs(a[0]) },
+	"abs": {arity: 1, impl: func(a args) float64 { return math.Abs(a[0]) },
 		doc: "abs(a)"},
-	"sqrt": {arity: 1, impl: func(a []float64) float64 {
+	"sqrt": {arity: 1, impl: func(a args) float64 {
 		if a[0] < 0 {
 			return 0
 		}
 		return math.Sqrt(a[0])
 	}, doc: "sqrt(a), 0 for negative input"},
-	"log2": {arity: 1, impl: func(a []float64) float64 {
+	"log2": {arity: 1, impl: func(a args) float64 {
 		if a[0] <= 0 {
 			return 0
 		}
 		return math.Log2(a[0])
 	}, doc: "log2(a), 0 for non-positive input"},
-	"clamp": {arity: 3, impl: func(a []float64) float64 {
+	"clamp": {arity: 3, impl: func(a args) float64 {
 		v := a[0]
 		if v < a[1] {
 			v = a[1]
@@ -248,32 +427,39 @@ var builtins = map[string]*builtin{
 		}
 		return v
 	}, doc: "clamp(x,lo,hi)"},
-	"mega": {arity: 1, impl: func(a []float64) float64 { return a[0] / 1e6 },
+	"mega": {arity: 1, impl: func(a args) float64 { return a[0] / 1e6 },
 		doc: "mega(a) = a/1e6 (counts in millions, as the Mcycle/Minst columns)"},
-	"giga": {arity: 1, impl: func(a []float64) float64 { return a[0] / 1e9 },
+	"giga": {arity: 1, impl: func(a args) float64 { return a[0] / 1e9 },
 		doc: "giga(a) = a/1e9"},
 
 	// Series-oriented functions shared with the query engine. Their
 	// instant forms are chosen so a live screen cell and a one-point
 	// query bucket agree exactly.
-	"delta": {arity: 1, impl: func(a []float64) float64 { return a[0] },
+	"delta": {arity: 1, impl: func(a args) float64 { return a[0] },
 		doc: "delta(e) = change of counter e over the interval (identifiers already are interval deltas, so this is the identity — kept for .tiptoprc compatibility)"},
-	"rate": {arity: 1, envImpl: func(env Env, a []float64) float64 {
-		dt, ok := env.Lookup(VarDeltaNS)
-		if !ok || dt <= 0 {
+	"rate": {arity: 1, ctxVar: VarDeltaNS, impl: func(a args) float64 {
+		if a[1] <= 0 {
 			return 0
 		}
-		return a[0] * 1e9 / dt
+		return a[0] * 1e9 / a[1]
 	}, doc: "rate(e) = delta(e) per second of wall clock (delta * 1e9 / DELTA_NS), 0 when the interval is unknown"},
-	"avg_over_time": {arity: 1, impl: func(a []float64) float64 { return a[0] },
+	"avg_over_time": {arity: 1, fold: foldSum, mean: true,
 		doc: "avg_over_time(e) = mean of e over the points inside the query bucket"},
-	"min_over_time": {arity: 1, impl: func(a []float64) float64 { return a[0] },
-		doc: "min_over_time(e) = minimum of e over the points inside the query bucket"},
-	"max_over_time": {arity: 1, impl: func(a []float64) float64 { return a[0] },
-		doc: "max_over_time(e) = maximum of e over the points inside the query bucket"},
-	"sum_over_time": {arity: 1, impl: func(a []float64) float64 { return a[0] },
+	"min_over_time": {arity: 1, fold: func(acc, v float64, n int) float64 {
+		if n == 0 || v < acc {
+			return v
+		}
+		return acc
+	}, doc: "min_over_time(e) = minimum of e over the points inside the query bucket"},
+	"max_over_time": {arity: 1, fold: func(acc, v float64, n int) float64 {
+		if n == 0 || v > acc {
+			return v
+		}
+		return acc
+	}, doc: "max_over_time(e) = maximum of e over the points inside the query bucket"},
+	"sum_over_time": {arity: 1, fold: foldSum,
 		doc: "sum_over_time(e) = sum of e over the points inside the query bucket"},
-	"topk": {arity: 2, impl: func(a []float64) float64 { return a[1] },
+	"topk": {arity: 2, impl: func(a args) float64 { return a[1] },
 		doc: "topk(k, e) = the k series with the highest mean e (query engine only; must be the outermost construct)"},
 }
 

@@ -79,6 +79,34 @@ func TestParseExprTable(t *testing.T) {
 	}
 }
 
+// compileSeeds is the corpus both fuzz targets start from.
+var compileSeeds = []string{
+	"ratio(INSTRUCTIONS, CYCLES)",
+	"per100(CACHE_MISSES, INSTRUCTIONS)",
+	"mega(CYCLES)",
+	"-A + B*C / (D-1)",
+	"A / 0",
+	"-(-(-X))",
+	"A > B ? A : clamp(B, 0, 1)",
+	"1e9 % 7",
+	"((((((A))))))",
+	"min(max(A, B), sqrt(C))",
+	"A == B",
+	"bogus(",
+	")(",
+	"1..5",
+	"rate(INSTRUCTIONS)",
+	"delta(INSTRUCTIONS) / delta(CYCLES)",
+	"topk(5, rate(CYCLES))",
+	"avg_over_time(ratio(INSTRUCTIONS, CYCLES))",
+	"max_over_time(CPU_PCT) by user",
+	"sum_over_time(CACHE_MISSES) by command",
+	"rate(INSTRUCTIONS) by agent",
+	"topk(3, min_over_time(A + B)) by user",
+	"A by bogus",
+	"topk(A, B)",
+}
+
 // FuzzParseExpr throws arbitrary input at the compiler. Invariants for
 // every input that compiles:
 //
@@ -89,33 +117,7 @@ func TestParseExprTable(t *testing.T) {
 //   - Identifiers never panics and only reports names that lex as
 //     identifiers.
 func FuzzParseExpr(f *testing.F) {
-	seeds := []string{
-		"ratio(INSTRUCTIONS, CYCLES)",
-		"per100(CACHE_MISSES, INSTRUCTIONS)",
-		"mega(CYCLES)",
-		"-A + B*C / (D-1)",
-		"A / 0",
-		"-(-(-X))",
-		"A > B ? A : clamp(B, 0, 1)",
-		"1e9 % 7",
-		"((((((A))))))",
-		"min(max(A, B), sqrt(C))",
-		"A == B",
-		"bogus(",
-		")(",
-		"1..5",
-		"rate(INSTRUCTIONS)",
-		"delta(INSTRUCTIONS) / delta(CYCLES)",
-		"topk(5, rate(CYCLES))",
-		"avg_over_time(ratio(INSTRUCTIONS, CYCLES))",
-		"max_over_time(CPU_PCT) by user",
-		"sum_over_time(CACHE_MISSES) by command",
-		"rate(INSTRUCTIONS) by agent",
-		"topk(3, min_over_time(A + B)) by user",
-		"A by bogus",
-		"topk(A, B)",
-	}
-	for _, s := range seeds {
+	for _, s := range compileSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,6 +19,25 @@ const (
 	// (kernel multiplexing or internal/mux rotation).
 	VarSamplePct = "SMPL_PCT"
 )
+
+// Positions of the context variables in a row's slot vector, counted
+// from the end of the session's event deltas.
+const (
+	SlotDeltaNS = iota
+	SlotFreqHz
+	SlotCPUPct
+	SlotNumCPU
+	SlotSamplePct
+)
+
+// ContextVars names the context variables in slot order.
+var ContextVars = [...]string{
+	SlotDeltaNS:   VarDeltaNS,
+	SlotFreqHz:    VarFreqHz,
+	SlotCPUPct:    VarCPUPct,
+	SlotNumCPU:    VarNumCPU,
+	SlotSamplePct: VarSamplePct,
+}
 
 // Column describes one displayed metric column: a header, a printf format
 // for the cell, a fixed width, and the expression that computes the value
@@ -59,11 +79,7 @@ func (c *Column) Identifiers() []string {
 // IsContextVar reports whether name is one of the variables the
 // sampling engine provides alongside the counter deltas.
 func IsContextVar(name string) bool {
-	switch name {
-	case VarDeltaNS, VarFreqHz, VarCPUPct, VarNumCPU, VarSamplePct:
-		return true
-	}
-	return false
+	return slices.Contains(ContextVars[:], name)
 }
 
 // Screen is a named set of columns, mirroring tiptop's configurable

@@ -8,8 +8,6 @@ import (
 
 // node is an AST node of a parsed expression.
 type node interface {
-	// eval computes the node's value in the given environment.
-	eval(env Env) (float64, error)
 	// walk invokes f on this node and all descendants.
 	walk(f func(node))
 	// render reconstructs a canonical source form.
@@ -48,6 +46,17 @@ type Expr struct {
 	// groupBy is the optional `by user|command|agent` grouping clause:
 	// a series-level roll-up key that only the query engine acts on.
 	groupBy string
+	// prog is root flattened for evaluation: names are the identifiers
+	// it reads, depth the value stack it needs.
+	prog  []instr
+	names []string
+	depth int
+}
+
+func newExpr(src string, root node, groupBy string) *Expr {
+	var c compiler
+	c.node(root)
+	return &Expr{src: src, root: root, groupBy: groupBy, prog: c.prog, names: c.names, depth: c.depth}
 }
 
 // Source returns the original expression text.
@@ -125,7 +134,7 @@ func Compile(src string) (*Expr, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errf(p.peek().pos, "unexpected %s after expression", p.peek().kind)
 	}
-	return &Expr{src: src, root: root, groupBy: groupBy}, nil
+	return newExpr(src, root, groupBy), nil
 }
 
 // MustCompile is Compile that panics on error, for statically known

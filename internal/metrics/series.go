@@ -11,7 +11,7 @@ package metrics
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -29,28 +29,15 @@ func (e *Expr) NodeCount() int {
 // HasCall reports whether the expression calls the named builtin
 // anywhere in its tree.
 func (e *Expr) HasCall(name string) bool {
-	found := false
-	e.root.walk(func(n node) {
-		if c, ok := n.(*callNode); ok && c.name == name {
-			found = true
-		}
-	})
-	return found
+	fn := builtins[name]
+	return fn != nil && slices.ContainsFunc(e.prog, func(in instr) bool { return in.fn == fn })
 }
 
 // NeedsPointwise reports whether evaluating the expression over a
 // bucket requires the individual points inside the bucket (any
 // *_over_time call), or only the bucket-sum environment.
 func (e *Expr) NeedsPointwise() bool {
-	found := false
-	e.root.walk(func(n node) {
-		if c, ok := n.(*callNode); ok {
-			if _, over := overTimeFolds[c.name]; over {
-				found = true
-			}
-		}
-	})
-	return found
+	return slices.ContainsFunc(e.prog, func(in instr) bool { return in.op == opFold })
 }
 
 // SeriesOnly reports why the expression only makes sense to the
@@ -86,24 +73,14 @@ func (e *Expr) SplitTopK() (int, *Expr, error) {
 		return 0, nil, &SyntaxError{Src: e.src, Pos: root.pos,
 			Msg: "topk() needs a positive integer literal as its first argument"}
 	}
-	inner := root.args[1]
-	if exprContainsTopK(inner) {
-		return 0, nil, &SyntaxError{Src: e.src, Pos: topkPos(inner),
+	var b strings.Builder
+	root.args[1].render(&b)
+	inner := newExpr(b.String(), root.args[1], e.groupBy)
+	if inner.HasCall("topk") {
+		return 0, nil, &SyntaxError{Src: e.src, Pos: topkPos(inner.root),
 			Msg: "topk() cannot be nested"}
 	}
-	var b strings.Builder
-	inner.render(&b)
-	return int(kn.val), &Expr{src: b.String(), root: inner, groupBy: e.groupBy}, nil
-}
-
-func exprContainsTopK(n node) bool {
-	found := false
-	n.walk(func(m node) {
-		if c, ok := m.(*callNode); ok && c.name == "topk" {
-			found = true
-		}
-	})
-	return found
+	return int(kn.val), inner, nil
 }
 
 // topkPos finds the byte offset of the first topk call under n, for
@@ -119,121 +96,6 @@ func topkPos(n node) int {
 		return 0
 	}
 	return pos
-}
-
-// EvalBucket evaluates the expression over one query bucket: sum is
-// the bucket-level environment (counter identifiers summed over the
-// bucket, column values averaged, DELTA_NS set to the bucket width in
-// nanoseconds), and points are the per-point environments the
-// *_over_time functions fold over. points may be nil when
-// NeedsPointwise is false. The total-evaluation rule of Eval applies:
-// the result is always finite.
-func (e *Expr) EvalBucket(sum Env, points []Env) (float64, error) {
-	v, err := evalBucket(e.root, sum, points)
-	if err != nil {
-		return 0, err
-	}
-	return finite(v), nil
-}
-
-func evalBucket(n node, sum Env, points []Env) (float64, error) {
-	switch n := n.(type) {
-	case *numberNode, *identNode:
-		return n.eval(sum)
-	case *unaryNode:
-		v, err := evalBucket(n.expr, sum, points)
-		if err != nil {
-			return 0, err
-		}
-		return -v, nil
-	case *binaryNode:
-		l, err := evalBucket(n.l, sum, points)
-		if err != nil {
-			return 0, err
-		}
-		r, err := evalBucket(n.r, sum, points)
-		if err != nil {
-			return 0, err
-		}
-		return applyBinary(n.op, l, r)
-	case *condNode:
-		c, err := evalBucket(n.cond, sum, points)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return evalBucket(n.then, sum, points)
-		}
-		return evalBucket(n.els, sum, points)
-	case *callNode:
-		if fold, over := overTimeFolds[n.name]; over {
-			if len(points) == 0 {
-				return 0, nil
-			}
-			acc := 0.0
-			for i, pe := range points {
-				// A nested *_over_time folds over just this point.
-				v, err := evalBucket(n.args[0], pe, points[i:i+1])
-				if err != nil {
-					return 0, err
-				}
-				acc = fold(acc, v, i)
-			}
-			if n.name == "avg_over_time" {
-				acc /= float64(len(points))
-			}
-			return finite(acc), nil
-		}
-		args := make([]float64, len(n.args))
-		for i, a := range n.args {
-			v, err := evalBucket(a, sum, points)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = v
-		}
-		if n.fn.envImpl != nil {
-			return n.fn.envImpl(sum, args), nil
-		}
-		return n.fn.impl(args), nil
-	}
-	return 0, &EvalError{Expr: "?", Msg: "internal: unknown node"}
-}
-
-// applyBinary mirrors binaryNode.eval's operator table for the bucket
-// evaluator.
-func applyBinary(op tokenKind, l, r float64) (float64, error) {
-	switch op {
-	case tokPlus:
-		return l + r, nil
-	case tokMinus:
-		return l - r, nil
-	case tokStar:
-		return l * r, nil
-	case tokSlash:
-		if r == 0 {
-			return 0, nil
-		}
-		return l / r, nil
-	case tokPercent:
-		if r == 0 {
-			return 0, nil
-		}
-		return math.Mod(l, r), nil
-	case tokEQ:
-		return boolVal(l == r), nil
-	case tokNE:
-		return boolVal(l != r), nil
-	case tokLT:
-		return boolVal(l < r), nil
-	case tokGT:
-		return boolVal(l > r), nil
-	case tokLE:
-		return boolVal(l <= r), nil
-	case tokGE:
-		return boolVal(l >= r), nil
-	}
-	return 0, &EvalError{Expr: "?", Msg: "internal: unknown operator"}
 }
 
 // SuggestNames returns up to three candidates from known that are

@@ -30,12 +30,9 @@ func sampleAt(now time.Duration, tasks int) *core.Sample {
 			},
 			CPUPct: 50,
 			Values: []float64{float64(pid)},
-			Events: map[string]uint64{
-				hpm.EventInstructions: uint64(1000 * pid),
-				hpm.EventCycles:       uint64(500 * pid),
-				hpm.EventCacheMisses:  uint64(pid),
-			},
-			Valid: true,
+			Counts: []uint64{uint64(1000 * pid), uint64(500 * pid), uint64(pid)},
+			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses),
+			Valid:  true,
 		})
 	}
 	return s
@@ -337,12 +334,9 @@ func TestDivZeroUnifiedAcrossBackends(t *testing.T) {
 		return &core.Sample{Time: now, Rows: []core.Row{{
 			Info:   core.TaskInfo{ID: hpm.TaskID{PID: 7, TID: 7}, User: "u", Comm: "idle", State: "S"},
 			Values: []float64{0},
-			Events: map[string]uint64{
-				hpm.EventInstructions: 5,
-				hpm.EventCycles:       0,
-				hpm.EventCacheMisses:  0,
-			},
-			Valid: true,
+			Counts: []uint64{5, 0, 0},
+			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses),
+			Valid:  true,
 		}}}
 	}
 	st, err := store.Open(t.TempDir(), store.Options{})

@@ -101,8 +101,8 @@ func TestCoreSampleConversion(t *testing.T) {
 	if r.Info.StartTime != 1500*time.Millisecond {
 		t.Fatalf("StartTime = %v", r.Info.StartTime)
 	}
-	if r.Events[hpm.EventCycles] != 1000 || r.Events[hpm.EventInstructions] != 700 {
-		t.Fatalf("events = %v", r.Events)
+	if r.Count(hpm.EventCycles) != 1000 || r.Count(hpm.EventInstructions) != 700 {
+		t.Fatalf("counts = %v", r.Counts)
 	}
 	if !r.Valid || cs.Rows[1].Valid {
 		t.Fatal("Valid flags lost in conversion")
@@ -117,8 +117,8 @@ func TestCoreSampleCarriesUnknownEvents(t *testing.T) {
 	s := testSample(1, 1)
 	s.Rows[0].Events["FUTURE_EVENT"] = 42
 	cs := s.CoreSample()
-	if got := cs.Rows[0].Events["FUTURE_EVENT"]; got != 42 {
-		t.Fatalf("events = %v, want FUTURE_EVENT carried through", cs.Rows[0].Events)
+	if got := cs.Rows[0].Count("FUTURE_EVENT"); got != 42 {
+		t.Fatalf("counts = %v, want FUTURE_EVENT carried through", cs.Rows[0].Counts)
 	}
 }
 

@@ -388,8 +388,9 @@ func (s *Sample) Screen() *metrics.Screen {
 // which is what recorders (history.Recorder) consume. Events travel by
 // canonical name end to end — rows carry the names verbatim, so an
 // agent can stream counters (including user-defined raw events) that
-// the aggregator's build has never heard of. Values and Events alias
-// the wire sample's: observers only read them.
+// the aggregator's build has never heard of. The name-keyed rows are
+// resolved to positional counts here, once; Values alias the wire
+// sample's, which observers only read.
 func (s *Sample) CoreSample() *core.Sample {
 	cs := &core.Sample{Time: s.Time(), Dropped: s.Dropped}
 	cs.Rows = make([]core.Row, 0, len(s.Rows))
@@ -408,9 +409,9 @@ func (s *Sample) CoreSample() *core.Sample {
 			// Absent on the wire means exact counting.
 			Coverage: normCoverage(r.Coverage),
 			Valid:    r.Monitored,
-			Events:   r.Events,
 		})
 	}
+	cs.SetEvents(func(i int) map[string]uint64 { return s.Rows[i].Events })
 	return cs
 }
 

@@ -32,12 +32,9 @@ func variedSample(now time.Duration, tasks int, seed *uint64) *core.Sample {
 			},
 			CPUPct: 100 * next(),
 			Values: []float64{1000 * next(), next()},
-			Events: map[string]uint64{
-				hpm.EventInstructions: uint64(1e6 * next()),
-				hpm.EventCycles:       uint64(1e6 * next()),
-				hpm.EventCacheMisses:  uint64(1e3 * next()),
-			},
-			Valid: true,
+			Counts: []uint64{uint64(1e6 * next()), uint64(1e6 * next()), uint64(1e3 * next())},
+			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses),
+			Valid:  true,
 		})
 	}
 	return s
@@ -410,7 +407,8 @@ func TestCompactTombstones(t *testing.T) {
 		s.Rows = append(s.Rows, core.Row{
 			Info:   core.TaskInfo{ID: hpm.TaskID{PID: 200, TID: 200}, User: "u", Comm: "gone", State: "R"},
 			CPUPct: 10, Values: []float64{1},
-			Events: map[string]uint64{hpm.EventInstructions: 10, hpm.EventCycles: 5},
+			Counts: []uint64{10, 5},
+			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles),
 			Valid:  true,
 		})
 		return s

@@ -58,7 +58,6 @@ import (
 	"time"
 
 	"tiptop/internal/core"
-	"tiptop/internal/hpm"
 )
 
 // RecordVersion is the newest record format this build reads, and the
@@ -346,13 +345,12 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		row := &s.Rows[i]
 		off := len(vals)
 		vals = append(vals, row.Values...)
+		instr, cycles, misses := row.Basics()
 		rows = append(rows, RecordRow{
 			PID: row.Info.ID.PID, TID: row.Info.ID.TID,
 			User: row.Info.User, Command: row.Info.Comm,
 			CPUPct: row.CPUPct, IPC: row.IPC(), Values: vals[off:],
-			Instr:  row.Events[hpm.EventInstructions],
-			Cycles: row.Events[hpm.EventCycles],
-			Misses: row.Events[hpm.EventCacheMisses],
+			Instr: instr, Cycles: cycles, Misses: misses,
 		})
 	}
 	st.rows = rows

@@ -26,12 +26,9 @@ func sampleAt(now time.Duration, tasks int) *core.Sample {
 			},
 			CPUPct: 50,
 			Values: []float64{float64(pid)},
-			Events: map[string]uint64{
-				hpm.EventInstructions: uint64(1000 * pid),
-				hpm.EventCycles:       uint64(500 * pid),
-				hpm.EventCacheMisses:  uint64(pid),
-			},
-			Valid: true,
+			Counts: []uint64{uint64(1000 * pid), uint64(500 * pid), uint64(pid)},
+			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses),
+			Valid:  true,
 		})
 	}
 	return s

@@ -23,11 +23,9 @@ func sampleFixture() (*metrics.Screen, *core.Sample) {
 				},
 				CPUPct: 100.0,
 				Values: []float64{26456, 52125, 1.97, 0.0},
-				Events: map[string]uint64{
-					hpm.EventCycles:       26456e6,
-					hpm.EventInstructions: 52125e6,
-				},
-				Valid: true,
+				Counts: []uint64{26456e6, 52125e6},
+				Table:  core.NewEventTable(hpm.EventCycles, hpm.EventInstructions),
+				Valid:  true,
 			},
 			{
 				Info: core.TaskInfo{

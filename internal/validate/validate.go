@@ -243,7 +243,7 @@ func Run(opt Options) (*Report, error) {
 
 // validationScreen builds a screen whose columns reference exactly the
 // given events, so the session resolves and attaches precisely the
-// validation set and Row.Events carries each one's per-refresh delta.
+// validation set and every row carries each one's per-refresh delta.
 func validationScreen(events []string) *metrics.Screen {
 	s := &metrics.Screen{Name: "validate"}
 	for _, ev := range events {
@@ -424,7 +424,7 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 				continue
 			}
 			for _, ev := range events {
-				sums[ev] += row.Events[ev]
+				sums[ev] += row.Count(ev)
 			}
 		}
 		if err := st.AppendSample(sample); err != nil {

@@ -60,12 +60,8 @@ func (m *Monitor) WireSample(s *Sample) *remote.Sample {
 		IntervalSeconds: m.Interval().Seconds(),
 		TimeSeconds:     s.Time.Seconds(),
 		Dropped:         s.Dropped,
+		Columns:         m.wireCols,
 		Rows:            make([]remote.Row, 0, len(s.Rows)),
-	}
-	for _, c := range m.ColumnSpecs() {
-		ws.Columns = append(ws.Columns, remote.Column{
-			Name: c.Name, Header: c.Header, Width: c.Width, Format: c.Format,
-		})
 	}
 	for i := range s.Rows {
 		r := &s.Rows[i]

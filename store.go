@@ -154,10 +154,10 @@ func (st *Store) RecordSample(s *Sample) error {
 			},
 			CPUPct: r.CPUPct,
 			Values: r.Columns,
-			Events: r.Events,
 			Valid:  r.Monitored,
 		})
 	}
+	cs.SetEvents(func(i int) map[string]uint64 { return s.Rows[i].Events })
 	return st.s.AppendSample(cs)
 }
 

@@ -43,6 +43,7 @@ import (
 	"tiptop/internal/mux"
 	"tiptop/internal/perfevent"
 	"tiptop/internal/procfs"
+	"tiptop/internal/remote"
 	"tiptop/internal/ui"
 )
 
@@ -181,7 +182,9 @@ type Row struct {
 	// Columns holds the screen's computed values, ordered as Headers().
 	Columns []float64
 	// Events holds raw counter deltas keyed by canonical event name
-	// (CYCLES, INSTRUCTIONS, CACHE_MISSES, ...).
+	// (CYCLES, INSTRUCTIONS, CACHE_MISSES, ...): a view built once per
+	// refresh, which the sample's wire form shares — do not write to it
+	// once the sample is published.
 	Events map[string]uint64
 	// Coverage is the fraction of the refresh interval the row's
 	// counters were actually counting: 1 when exact, lower when the
@@ -220,6 +223,19 @@ type Sample struct {
 type Monitor struct {
 	session *core.Session
 	machine string
+	// wireCols is the screen's wire description, fixed for the session
+	// and shared by every WireSample.
+	wireCols []remote.Column
+}
+
+func newMonitor(session *core.Session, machine string) *Monitor {
+	m := &Monitor{session: session, machine: machine}
+	for _, c := range m.ColumnSpecs() {
+		m.wireCols = append(m.wireCols, remote.Column{
+			Name: c.Name, Header: c.Header, Width: c.Width, Format: c.Format,
+		})
+	}
+	return m
 }
 
 // ErrNoBackend is returned by NewRealMonitor when perf_event_open is not
@@ -375,7 +391,7 @@ func NewRealMonitor(cfg Config) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{session: session, machine: "live perf_event"}, nil
+	return newMonitor(session, "live perf_event"), nil
 }
 
 // NewSimMonitor monitors a simulated scenario. The scenario's clock is
@@ -396,7 +412,7 @@ func NewSimMonitor(sc *Scenario, cfg Config) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{session: session, machine: sc.Machine().Name}, nil
+	return newMonitor(session, sc.Machine().Name), nil
 }
 
 // resolve builds the screen and event registry of a configuration,
@@ -460,10 +476,16 @@ func (m *Monitor) sampleNow() (*Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Sample{Time: cs.Time, Rows: make([]Row, 0, len(cs.Rows)), Dropped: cs.Dropped}
+	// The core sample owns its storage, so the public rows alias its
+	// Values; the name-keyed Events view is built here, once per row.
+	out := &Sample{Time: cs.Time, Rows: make([]Row, len(cs.Rows)), Dropped: cs.Dropped}
 	for i := range cs.Rows {
 		r := &cs.Rows[i]
-		row := Row{
+		events := make(map[string]uint64, len(r.Counts))
+		for name, v := range r.Events {
+			events[name] = v
+		}
+		out.Rows[i] = Row{
 			PID:       r.Info.ID.PID,
 			TID:       r.Info.ID.TID,
 			User:      r.Info.User,
@@ -471,16 +493,12 @@ func (m *Monitor) sampleNow() (*Sample, error) {
 			State:     r.Info.State,
 			CPUPct:    r.CPUPct,
 			IPC:       r.IPC(),
-			Columns:   append([]float64(nil), r.Values...),
+			Columns:   r.Values,
 			Coverage:  r.Coverage,
 			Monitored: r.Valid,
 			Start:     r.Info.StartTime,
-			Events:    make(map[string]uint64, len(r.Events)),
+			Events:    events,
 		}
-		for e, v := range r.Events {
-			row.Events[e] = v
-		}
-		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
@@ -496,9 +514,10 @@ func (m *Monitor) Render(w io.Writer, s *Sample) error {
 // refresh renders byte-identically on both sides of the wire.
 func renderSample(screen *metrics.Screen, w io.Writer, s *Sample) error {
 	// Rebuild a core sample view for the renderer.
-	cs := &core.Sample{Time: s.Time}
-	for _, row := range s.Rows {
-		cr := core.Row{
+	cs := &core.Sample{Time: s.Time, Rows: make([]core.Row, len(s.Rows))}
+	for i := range s.Rows {
+		row := &s.Rows[i]
+		cs.Rows[i] = core.Row{
 			Info: core.TaskInfo{
 				ID:    hpm.TaskID{PID: row.PID, TID: row.TID},
 				User:  row.User,
@@ -509,7 +528,6 @@ func renderSample(screen *metrics.Screen, w io.Writer, s *Sample) error {
 			Values: row.Columns,
 			Valid:  row.Monitored,
 		}
-		cs.Rows = append(cs.Rows, cr)
 	}
 	br := &ui.BatchRenderer{W: w, Timestamps: true}
 	return br.Render(screen, cs)
