@@ -68,12 +68,8 @@ validate:
 #   results/BENCH_store.json    durable store: steady-state append ns/op +
 #                               allocs/op, recovery of a 1M-record store,
 #                               1m-tier range query
-#   results/BENCH_query.json    expression query engine: IPC over a
-#                               1M-record store from the 10s and 1m tiers,
-#                               topk-by-user ranking, 3-agent fleet merge
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+' -benchmem ./internal/core/
 	$(GO) run ./cmd/tipbench -bench-refresh -out results
 	$(GO) run ./cmd/tipbench -bench-store -out results
-	$(GO) run ./cmd/tipbench -bench-query -out results
 	$(GO) run ./cmd/tipbench -bench-mux -out results

@@ -34,21 +34,18 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tipbench", flag.ContinueOnError)
 	var (
-		runIDs      = fs.String("run", "", "comma-separated experiment IDs (default: all)")
-		scale       = fs.Float64("scale", 0.02, "workload scale; 1.0 regenerates the paper's full-length runs")
-		seed        = fs.Int64("seed", 1, "simulation seed")
-		parallel    = fs.Int("j", 0, "sampling shards for the engine (0 = one per CPU, 1 = serial)")
-		outDir      = fs.String("out", "results", "output directory")
-		list        = fs.Bool("list", false, "list experiments and exit")
-		benchRef    = fs.Bool("bench-refresh", false, "measure engine refresh cost and write BENCH_refresh.json, then exit")
-		benchTasks  = fs.String("bench-tasks", "1000,4000", "task counts for -bench-refresh")
-		benchSt     = fs.Bool("bench-store", false, "measure the durable store (append cost, recovery of a large store, 1m-tier query) and write BENCH_store.json, then exit")
-		benchStRec  = fs.Int64("store-records", 1_000_000, "store size, in records, for the -bench-store recovery measurement")
-		benchQry    = fs.Bool("bench-query", false, "measure the expression query engine (10s/1m tiers over a large store, topk by user, 3-agent fleet merge) and write BENCH_query.json, then exit")
-		benchQryRec = fs.Int64("query-records", 1_000_000, "store size, in records, for the -bench-query measurements")
-		benchQryWrk = fs.Int("query-workers", 0, "scan workers for the -bench-query parallel measurements (0 = one per CPU)")
-		benchMx     = fs.Bool("bench-mux", false, "measure counter multiplexing (12-event wide screen on a 4-counter Cortex-A7: rotation cost vs unconstrained, extrapolation error vs sim ground truth) and write BENCH_mux.json, then exit")
-		benchVal    = fs.Bool("validate", false, "run the counter-validation oracle (analytic micro-kernels through session, mux, store and query on all four machine models), write VALIDATE.json, then exit non-zero if any layer is out of tolerance")
+		runIDs     = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		scale      = fs.Float64("scale", 0.02, "workload scale; 1.0 regenerates the paper's full-length runs")
+		seed       = fs.Int64("seed", 1, "simulation seed")
+		parallel   = fs.Int("j", 0, "sampling shards for the engine (0 = one per CPU, 1 = serial)")
+		outDir     = fs.String("out", "results", "output directory")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		benchRef   = fs.Bool("bench-refresh", false, "measure engine refresh cost and write BENCH_refresh.json, then exit")
+		benchTasks = fs.String("bench-tasks", "1000,4000", "task counts for -bench-refresh")
+		benchSt    = fs.Bool("bench-store", false, "measure the durable store (append cost, recovery of a large store, 1m-tier query) and write BENCH_store.json, then exit")
+		benchStRec = fs.Int64("store-records", 1_000_000, "store size, in records, for the -bench-store recovery measurement")
+		benchMx    = fs.Bool("bench-mux", false, "measure counter multiplexing (12-event wide screen on a 4-counter Cortex-A7: rotation cost vs unconstrained, extrapolation error vs sim ground truth) and write BENCH_mux.json, then exit")
+		benchVal   = fs.Bool("validate", false, "run the counter-validation oracle (analytic micro-kernels through session, mux, store and query on all four machine models), write VALIDATE.json, then exit non-zero if any layer is out of tolerance")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,9 +61,6 @@ func run(args []string) error {
 	}
 	if *benchSt {
 		return benchStore(*outDir, *benchStRec)
-	}
-	if *benchQry {
-		return benchQuery(*outDir, *benchQryRec, *benchQryWrk)
 	}
 	if *benchMx {
 		return benchMux(*outDir)

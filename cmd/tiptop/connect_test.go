@@ -47,11 +47,13 @@ func startWireAgent(t *testing.T) *httptest.Server {
 		if err := publish(s); err != nil {
 			return
 		}
+		pace := time.NewTicker(time.Millisecond)
+		defer pace.Stop()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-time.After(time.Millisecond):
+			case <-pace.C:
 			}
 			s, err := mon.Sample()
 			if err != nil {

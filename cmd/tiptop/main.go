@@ -30,7 +30,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"tiptop"
 	"tiptop/internal/config"
@@ -45,39 +44,74 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+// options is one resolved command line: the flags, overlaid with what
+// the -config file sets.
+type options struct {
+	shared                            *config.Flags
+	cfg                               tiptop.Config
+	batch, list, listEvents, dumpConf bool
+	// outFormat is -o as given; format and record also take the file's
+	// defaults.
+	outFormat, format, record, connect string
+}
+
+func resolve(args []string) (*options, error) {
 	fs := flag.NewFlagSet("tiptop", flag.ContinueOnError)
-	var (
-		batch      = fs.Bool("b", false, "batch mode: stream text, no screen control")
-		delay      = fs.Float64("d", 2, "delay between refreshes, seconds")
-		iterations = fs.Int("n", 0, "number of refreshes (0 = until interrupted / scenario ends)")
-		screenName = fs.String("screen", "", "screen: default, branch, fp, mem, wide, system (or one from -config; default \"default\", or \"system\" with -system-wide)")
-		sortBy     = fs.String("sort", "cpu", "sort key: cpu, pid, or a column name")
-		maxRows    = fs.Int("rows", 0, "maximum rows displayed (0 = all)")
-		user       = fs.String("u", "", "only show this user's tasks")
-		parallel   = fs.Int("j", 0, "sampling shards (0 = one per CPU, 1 = serial)")
-		outFormat  = fs.String("o", "", "batch output format: text, csv, jsonl (default text)")
-		recordPath = fs.String("record", "", "record every sample to this target: a CSV file, a JSONL file (.jsonl/.ndjson), or a durable store directory (existing dir, trailing /, or .store)")
-		connect    = fs.String("connect", "", "monitor a remote tiptopd (host:port or URL) instead of this machine")
-		wireFormat = fs.String("wire", "", "stream encoding for -connect: json or binary (default json; binary falls back against older daemons)")
-		fsyncStr   = fs.String("fsync", "", "store -record durability: off, an interval (2s), a record count (1000-records), or both comma-combined (default off)")
-		simName    = fs.String("sim", "", "monitor a simulated scenario: spec, revolution, conflict, datacenter, assist, steady, validate")
-		systemWide = fs.Bool("system-wide", false, "monitor logical CPUs instead of tasks (perf's -a; one row per CPU)")
-		counters   = fs.Int("counters", 0, "PMU counter capacity for the real backend: rotate events beyond it in userland (0 = kernel multiplexing)")
-		scale      = fs.Float64("scale", 0.01, "workload scale for simulated scenarios (1.0 = paper length)")
-		list       = fs.Bool("list", false, "list screens and scenarios, then exit")
-		listEvents = fs.Bool("list-events", false, "list the event registry with per-backend support, then exit")
-		dumpConf   = fs.Bool("dump-config", false, "print the built-in XML configuration and exit")
-		confFile   = fs.String("config", "", "load custom events and screens from an XML configuration file")
-	)
+	// -d -n -screen -sort -u -j -sim -scale -system-wide -counters
+	// -config -wire -fsync are shared with tiptopd.
+	o := &options{shared: config.BindFlags(fs)}
+	fs.BoolVar(&o.batch, "b", false, "batch mode: stream text, no screen control")
+	maxRows := fs.Int("rows", 0, "maximum rows displayed (0 = all)")
+	fs.StringVar(&o.outFormat, "o", "", "batch output format: text, csv, jsonl (default text)")
+	fs.StringVar(&o.record, "record", "", "record every sample to this target: a CSV file, a JSONL file (.jsonl/.ndjson), or a durable store directory (existing dir, trailing /, or .store)")
+	fs.StringVar(&o.connect, "connect", "", "monitor a remote tiptopd (host:port or URL) instead of this machine")
+	fs.BoolVar(&o.list, "list", false, "list screens and scenarios, then exit")
+	fs.BoolVar(&o.listEvents, "list-events", false, "list the event registry with per-backend support, then exit")
+	fs.BoolVar(&o.dumpConf, "dump-config", false, "print the built-in XML configuration and exit")
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.dumpConf || o.list {
+		return o, nil
+	}
+	cfg, parsed, err := tiptop.ConfigFromFlags(o.shared, tiptop.Config{MaxRows: *maxRows})
+	if err != nil {
+		return nil, err
+	}
+	o.cfg, o.format = cfg, o.outFormat
+	if parsed != nil {
+		// The options only this command understands; like the shared
+		// ones, what the file sets wins — except the output format,
+		// record target and daemon address, which a shared file only
+		// defaults.
+		if parsed.Options.Batch {
+			o.batch = true
+		}
+		if parsed.Options.MaxTasks > 0 {
+			o.cfg.MaxRows = parsed.Options.MaxTasks
+		}
+		if o.format == "" {
+			o.format = parsed.Options.Format
+		}
+		if o.record == "" {
+			o.record = parsed.Options.Record
+		}
+		if o.connect == "" {
+			o.connect = parsed.Options.Connect
+		}
+	}
+	return o, nil
+}
+
+func run(args []string, stdout io.Writer) error {
+	o, err := resolve(args)
+	if err != nil {
 		return err
 	}
-
-	if *dumpConf {
+	if o.dumpConf {
 		return config.Write(stdout, config.Default())
 	}
-	if *list {
+	if o.list {
 		fmt.Fprintln(stdout, "screens:")
 		screens := metrics.BuiltinScreens()
 		for _, name := range metrics.ScreenNames() {
@@ -91,87 +125,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "catalog workloads:", strings.Join(tiptop.WorkloadNames(), ", "))
 		return nil
 	}
-	if *delay <= 0 {
-		return fmt.Errorf("refresh delay must be positive, got -d %v", *delay)
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("sampling shards cannot be negative, got -j %d", *parallel)
-	}
-
-	if *counters < 0 {
-		return fmt.Errorf("counter capacity cannot be negative, got -counters %d", *counters)
-	}
-	cfg := tiptop.Config{
-		Interval:    time.Duration(*delay * float64(time.Second)),
-		Screen:      *screenName,
-		SortBy:      *sortBy,
-		MaxRows:     *maxRows,
-		User:        *user,
-		Parallelism: *parallel,
-		SystemWide:  *systemWide,
-		Counters:    *counters,
-	}
-	format := *outFormat
-	record := *recordPath
-	if *confFile != "" {
-		parsed, err := config.Load(*confFile)
-		if err != nil {
-			return err
-		}
-		// Custom files may override options and define events and
-		// screens; the definitions translate to the facade's
-		// EventDef/ScreenDef, so a custom screen is selectable with
-		// -screen and its expressions may reference custom events.
-		if parsed.Options.Interval() > 0 {
-			cfg.Interval = parsed.Options.Interval()
-		}
-		if parsed.Options.Sort != "" {
-			cfg.SortBy = parsed.Options.Sort
-		}
-		if parsed.Options.MaxTasks > 0 {
-			cfg.MaxRows = parsed.Options.MaxTasks
-		}
-		if parsed.Options.Parallelism > 0 {
-			cfg.Parallelism = parsed.Options.Parallelism
-		}
-		if parsed.Options.SystemWide {
-			cfg.SystemWide = true
-		}
-		if parsed.Options.Counters > 0 && cfg.Counters == 0 {
-			cfg.Counters = parsed.Options.Counters
-		}
-		if format == "" {
-			format = parsed.Options.Format
-		}
-		if record == "" {
-			record = parsed.Options.Record
-		}
-		if *connect == "" {
-			*connect = parsed.Options.Connect
-		}
-		if parsed.Options.Wire != "" {
-			*wireFormat = parsed.Options.Wire
-		}
-		if parsed.Options.Fsync != "" {
-			*fsyncStr = parsed.Options.Fsync
-		}
-		if parsed.Options.Store != "" {
-			cfg.StoreDir = parsed.Options.Store
-		}
-		cfg.StoreRetention = parsed.Options.RetentionValue()
-		cfg.StoreBudget = parsed.Options.BudgetValue()
-		cfg.ApplyDefinitions(parsed)
-	}
-	switch *wireFormat {
-	case "", "json", "binary":
-	default:
-		return fmt.Errorf("unknown wire format %q, want -wire json or -wire binary", *wireFormat)
-	}
-	fsync, err := tiptop.ParseFsync(*fsyncStr)
-	if err != nil {
-		return fmt.Errorf("bad -fsync: %w", err)
-	}
-	cfg.StoreFsync = fsync
+	shared, cfg, format, record := o.shared, o.cfg, o.format, o.record
 	// A -record target naming a directory (existing, trailing "/", or
 	// the .store extension) selects the durable store instead of a
 	// CSV/JSONL file; XML <options store=> is the same thing spelled in
@@ -180,16 +134,16 @@ func run(args []string, stdout io.Writer) error {
 		cfg.StoreDir = record
 		record = ""
 	}
-	if *listEvents {
-		return printEvents(stdout, cfg, *simName)
+	if o.listEvents {
+		return printEvents(stdout, cfg, shared.Sim)
 	}
 	switch format {
 	case "", "text", "csv", "jsonl":
 	default:
 		return fmt.Errorf("unknown output format %q (want text, csv or jsonl)", format)
 	}
-	if format != "" && format != "text" && !*batch {
-		if *outFormat != "" {
+	if format != "" && format != "text" && !o.batch {
+		if o.outFormat != "" {
 			// An explicit -o outside batch mode is a usage error...
 			return fmt.Errorf("-o %s requires batch mode (-b)", format)
 		}
@@ -213,15 +167,15 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var mon tiptop.MonitorAPI
-	if *connect != "" {
-		if *simName != "" {
-			return fmt.Errorf("-connect monitors a remote daemon and cannot be combined with -sim %s", *simName)
+	if o.connect != "" {
+		if shared.Sim != "" {
+			return fmt.Errorf("-connect monitors a remote daemon and cannot be combined with -sim %s", shared.Sim)
 		}
 		// The remote daemon's screen, sort order and cadence are
 		// authoritative: -connect renders what the agent samples.
-		mon, err = tiptop.NewRemoteMonitorWire(*connect, *wireFormat)
+		mon, err = tiptop.NewRemoteMonitorWire(o.connect, shared.Wire)
 	} else {
-		mon, err = buildMonitor(*simName, *scale, cfg)
+		mon, err = buildMonitor(shared.Sim, shared.Scale, cfg)
 	}
 	if err != nil {
 		return err
@@ -234,10 +188,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	em.displayRows = displayRows
 
-	if *batch {
-		err = batchLoop(mon, *iterations, em)
+	if o.batch {
+		err = batchLoop(mon, shared.Iterations, em)
 	} else {
-		err = liveLoop(mon, *iterations, em)
+		err = liveLoop(mon, shared.Iterations, em)
 	}
 	// A failing final flush or file close means the recording is
 	// incomplete — surface it instead of exiting 0.

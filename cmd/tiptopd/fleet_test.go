@@ -91,7 +91,7 @@ func startFleet(t *testing.T, agents []*agent) (*remote.Fleet, *httptest.Server)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	fleet.Start(ctx)
-	fd := newFleetDaemon(fleet, nil)
+	fd := &daemon{fleet: fleet, srv: fleet.Server()}
 	ts := httptest.NewServer(fd.handler())
 	t.Cleanup(func() {
 		fleet.Close()
@@ -102,15 +102,25 @@ func startFleet(t *testing.T, agents []*agent) (*remote.Fleet, *httptest.Server)
 	return fleet, ts
 }
 
+// waitUntil polls until cond returns true, bounded by the test deadline
+// (less a margin, so the failure names what never happened) — the one
+// place these tests pause.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
+	deadline, bounded := t.Deadline()
 	for !cond() {
-		if time.Now().After(deadline) {
+		if bounded && time.Until(deadline) < 5*time.Second {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
+}
+
+// waitRefreshes waits until the fleet has observed n more samples.
+func waitRefreshes(t *testing.T, fleet *remote.Fleet, n uint64) {
+	t.Helper()
+	target := fleet.Version() + n
+	waitUntil(t, "the fleet to observe more samples", func() bool { return fleet.Version() >= target })
 }
 
 // TestFleetAggregatorEndToEnd is the federation acceptance test: three
@@ -287,7 +297,8 @@ func TestFleetSSESubscribersDuringChurn(t *testing.T) {
 	}
 
 	// Let subscribers stream, then kill one agent mid-flight.
-	time.Sleep(100 * time.Millisecond)
+	waitUntil(t, "stream subscribers", func() bool { return fleet.Server().Hub().Subscribers() > 0 })
+	waitRefreshes(t, fleet, 10)
 	agents[0].close(t)
 	waitUntil(t, "dead agent marked down", func() bool {
 		snap := fleet.Snapshot()
@@ -304,7 +315,8 @@ func TestFleetSSESubscribersDuringChurn(t *testing.T) {
 	if !strings.Contains(body, fmt.Sprintf(`tiptop_agent_up{machine="%s"} 1`, agents[1].host())) {
 		t.Error("live agent not reported up in /metrics")
 	}
-	time.Sleep(100 * time.Millisecond)
+	// The survivors keep the stream flowing after the churn.
+	waitRefreshes(t, fleet, 10)
 	close(stop)
 	wg.Wait()
 	close(errs)

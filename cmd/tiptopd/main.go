@@ -15,15 +15,25 @@
 //	/api/v1/events          the event registry with backend support, JSON
 //	/api/v1/sample          latest refresh in the versioned wire format
 //	/api/v1/stream          SSE push of every refresh (tiptop -connect)
-//	/api/v1/query           durable-store range queries (with -store):
-//	                        ?pid=&from=&to=&step=, JSON or
-//	                        &format=openmetrics text
+//	/api/v1/query           range queries over recorded history:
+//	                        ?expr=&from=&to=&step= expressions (over the
+//	                        store, or the live rings without -store) and
+//	                        ?pid=&from=&to=&step= raw series (-store
+//	                        only), JSON or &format=openmetrics text
 //
-// With -join the daemon becomes a fleet aggregator instead: it streams
-// N remote tiptopd agents and serves their merged, per-machine-labelled
-// state on /metrics, /api/v1/snapshot, /api/v1/agents and
-// /api/v1/stream (see fleet.go). `tiptop -connect` attaches to agents,
-// not to aggregators — the aggregator's stream interleaves machines.
+// There is one daemon and two sample sources: the local sampling loop,
+// or — with -join — a fleet of N remote tiptopd agents streamed and
+// merged per machine. The source is all that differs: both publish
+// into one remote.Server, persist into stores opened (and, with
+// -compact, compacted) by one routine — the solo store, or one per
+// agent — and are served by one handler and one
+// listen/serve/signal/shutdown loop. An aggregator serves the merged,
+// per-machine-labelled state on /metrics, /api/v1/snapshot and
+// /api/v1/stream, routes /api/v1/query by ?agent=label (or merges with
+// ?agent=*), and replaces /api/v1/history, /api/v1/events and
+// /api/v1/sample — which need one monitor — with /api/v1/agents.
+// `tiptop -connect` attaches to agents, not to aggregators — the
+// aggregator's stream interleaves machines.
 //
 // Usage:
 //
@@ -38,7 +48,8 @@
 //	                               every sample, serve range queries
 //	tiptopd -fsync 2s,1000-records -compact 1h
 //	                               group-commit durability; periodic
-//	                               merging of sealed segments
+//	                               merging of sealed segments (every
+//	                               agent's store under -join)
 package main
 
 import (
@@ -51,11 +62,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"tiptop"
 	"tiptop/internal/config"
+	"tiptop/internal/core"
+	"tiptop/internal/history"
 	"tiptop/internal/remote"
 	"tiptop/internal/store"
 )
@@ -67,247 +82,128 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+// options is one resolved command line: the flags, overlaid with what
+// the -config file sets.
+type options struct {
+	shared     *config.Flags
+	cfg        tiptop.Config
+	addr, join string
+	historyCap int
+	window     time.Duration
+}
+
+func resolve(args []string) (*options, error) {
 	fs := flag.NewFlagSet("tiptopd", flag.ContinueOnError)
+	// -d -n -screen -sort -u -j -sim -scale -system-wide -counters
+	// -config -wire -fsync are shared with tiptop.
+	o := &options{shared: config.BindFlags(fs)}
+	fs.StringVar(&o.addr, "addr", ":9412", "HTTP listen address")
+	fs.IntVar(&o.historyCap, "history", 0, "points retained per task (0 = default 600)")
+	fs.DurationVar(&o.window, "window", 0, "windowed-rate horizon, capped at 128 refreshes (0 = default 1m)")
+	fs.StringVar(&o.join, "join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
 	var (
-		addr       = fs.String("addr", ":9412", "HTTP listen address")
-		delay      = fs.Float64("d", 2, "delay between refreshes, seconds")
-		iterations = fs.Int("n", 0, "number of refreshes to serve (0 = until interrupted)")
-		screenName = fs.String("screen", "", "screen: default, branch, fp, mem, lat, roofline, wide, system (default \"default\", or \"system\" with -system-wide)")
-		sortBy     = fs.String("sort", "cpu", "sort key: cpu, pid, or a column name")
-		user       = fs.String("u", "", "only monitor this user's tasks")
-		parallel   = fs.Int("j", 0, "sampling shards (0 = one per CPU, 1 = serial)")
-		simName    = fs.String("sim", "", "monitor a simulated scenario: spec, revolution, conflict, datacenter, assist, steady, validate")
-		scale      = fs.Float64("scale", 0.01, "workload scale for simulated scenarios")
-		systemWide = fs.Bool("system-wide", false, "monitor logical CPUs instead of tasks (perf's -a; one row per CPU)")
-		counters   = fs.Int("counters", 0, "PMU counter capacity for the real backend: rotate events beyond it in userland (0 = kernel multiplexing)")
-		historyCap = fs.Int("history", 0, "points retained per task (0 = default 600)")
-		window     = fs.Duration("window", 0, "windowed-rate horizon, capped at 128 refreshes (0 = default 1m)")
-		confFile   = fs.String("config", "", "load options from an XML configuration file (set options override flags)")
-		join       = fs.String("join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
-		storeDir   = fs.String("store", "", "durable history store directory: recover on boot, tee every sample, serve /api/v1/query")
-		retention  = fs.Duration("retention", 0, "store age horizon, e.g. 72h (0 = bounded by the byte budget only)")
-		budgetStr  = fs.String("budget", "", "store on-disk byte budget, e.g. 64MB (default 64MB)")
-		fsyncStr   = fs.String("fsync", "", "store group-commit durability: off, an interval (2s), a record count (1000-records), or both comma-combined (default off)")
-		compact    = fs.Duration("compact", 0, "merge the store's sealed segments at startup and then every period, e.g. 1h (0 = never)")
-		wire       = fs.String("wire", "", "stream encoding used when dialing -join agents: json or binary (default json)")
+		storeDir  = fs.String("store", "", "durable history store directory: recover on boot, tee every sample, serve /api/v1/query (one subdirectory per agent with -join)")
+		retention = fs.Duration("retention", 0, "store age horizon, e.g. 72h (0 = bounded by the byte budget only)")
+		budgetStr = fs.String("budget", "", "store on-disk byte budget, e.g. 64MB (default 64MB)")
+		compact   = fs.Duration("compact", 0, "merge the store's sealed segments at startup and then every period, e.g. 1h (0 = never)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
-	if *delay <= 0 {
-		return fmt.Errorf("refresh delay must be positive, got -d %v", *delay)
+	if o.historyCap < 0 {
+		return nil, fmt.Errorf("history capacity cannot be negative, got -history %d", o.historyCap)
 	}
-	if *parallel < 0 {
-		return fmt.Errorf("sampling shards cannot be negative, got -j %d", *parallel)
-	}
-	if *historyCap < 0 {
-		return fmt.Errorf("history capacity cannot be negative, got -history %d", *historyCap)
-	}
-	if *window < 0 {
-		return fmt.Errorf("rate window cannot be negative, got -window %v", *window)
-	}
-	if *counters < 0 {
-		return fmt.Errorf("counter capacity cannot be negative, got -counters %d", *counters)
+	if o.window < 0 {
+		return nil, fmt.Errorf("rate window cannot be negative, got -window %v", o.window)
 	}
 	var budget int64
 	if *budgetStr != "" {
 		b, err := store.ParseBytes(*budgetStr)
 		if err != nil {
-			return fmt.Errorf("bad -budget: %w", err)
+			return nil, fmt.Errorf("bad -budget: %w", err)
 		}
 		budget = b
 	}
-	fsync, err := store.ParseFsync(*fsyncStr)
-	if err != nil {
-		return fmt.Errorf("bad -fsync: %w", err)
-	}
 	if *compact < 0 {
-		return fmt.Errorf("compaction period cannot be negative, got -compact %v", *compact)
+		return nil, fmt.Errorf("compaction period cannot be negative, got -compact %v", *compact)
 	}
-
-	cfg := tiptop.Config{
-		Interval:    time.Duration(*delay * float64(time.Second)),
-		Screen:      *screenName,
-		SortBy:      *sortBy,
-		User:        *user,
-		Parallelism: *parallel,
-		SystemWide:  *systemWide,
-		Counters:    *counters,
+	cfg, parsed, err := tiptop.ConfigFromFlags(o.shared, tiptop.Config{
+		StoreDir:       *storeDir,
+		StoreRetention: *retention,
+		StoreBudget:    budget,
+		StoreCompact:   *compact,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if *confFile != "" {
-		parsed, err := config.Load(*confFile)
-		if err != nil {
-			return err
-		}
-		if parsed.Options.Interval() > 0 {
-			cfg.Interval = parsed.Options.Interval()
-		}
-		if parsed.Options.Sort != "" {
-			cfg.SortBy = parsed.Options.Sort
-		}
-		if parsed.Options.Parallelism > 0 {
-			cfg.Parallelism = parsed.Options.Parallelism
-		}
-		if parsed.Options.SystemWide {
-			cfg.SystemWide = true
-		}
-		if parsed.Options.Counters > 0 {
-			cfg.Counters = parsed.Options.Counters
-		}
-		// Like delay/sort/parallelism above (and cmd/tiptop), options
-		// the config file sets override flags.
+	o.cfg = cfg
+	if parsed != nil {
+		// The options only this command understands; like the shared
+		// ones, what the file sets overrides the flag.
 		if parsed.Options.History > 0 {
-			*historyCap = parsed.Options.History
+			o.historyCap = parsed.Options.History
 		}
 		if parsed.Options.Listen != "" {
-			*addr = parsed.Options.Listen
+			o.addr = parsed.Options.Listen
 		}
 		if parsed.Options.Join != "" {
-			*join = parsed.Options.Join
+			o.join = parsed.Options.Join
 		}
-		if parsed.Options.Store != "" {
-			*storeDir = parsed.Options.Store
-		}
-		if parsed.Options.Retention != "" {
-			*retention = parsed.Options.RetentionValue()
-		}
-		if parsed.Options.Budget != "" {
-			budget = parsed.Options.BudgetValue()
-		}
-		if parsed.Options.Fsync != "" {
-			fsync = parsed.Options.FsyncValue()
-		}
-		if parsed.Options.Compact != "" {
-			*compact = parsed.Options.CompactValue()
-		}
-		if parsed.Options.Wire != "" {
-			*wire = parsed.Options.Wire
-		}
-		// Event and screen definitions translate to the facade, so a
-		// daemon can sample (and stream) custom screens over
-		// user-defined events.
-		cfg.ApplyDefinitions(parsed)
 	}
-	cfg.StoreDir = *storeDir
-	cfg.StoreRetention = *retention
-	cfg.StoreBudget = budget
-	cfg.StoreFsync = fsync
-	cfg.StoreCompact = *compact
+	return o, nil
+}
+
+func run(args []string, stdout io.Writer) error {
+	o, err := resolve(args)
+	if err != nil {
+		return err
+	}
+	shared, cfg := o.shared, o.cfg
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	switch *wire {
-	case "", "json", "binary":
-	default:
-		return fmt.Errorf("unknown wire format %q, want -wire json or -wire binary", *wire)
-	}
-	if *join != "" {
-		if *simName != "" {
-			return fmt.Errorf("-join aggregates remote agents and cannot monitor -sim %s itself", *simName)
-		}
-		return runFleet(*join, *addr, *iterations, *historyCap, *window, *wire, cfg, stdout)
-	}
-	// A solo daemon always serves both encodings; -wire (and a shared
-	// config's wire= attribute) only selects how -join dials agents.
 
-	mon, pace, err := buildMonitor(*simName, *scale, cfg)
-	if err != nil {
-		return err
-	}
-	defer mon.Close()
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: *historyCap, Window: *window})
-	mon.Subscribe(rec)
-	var hist *tiptop.Store
-	if cfg.StoreDir != "" {
-		hist, err = tiptop.OpenStore(cfg.StoreDir, cfg.StoreOptions())
-		if err != nil {
+	// The one thing the two modes differ in is where samples come from.
+	// A solo daemon always serves both stream encodings; -wire only
+	// selects how -join dials agents.
+	d := &daemon{stores: map[string]*tiptop.Store{}, named: cfg.NamedExprs()}
+	defer d.close()
+	if o.join != "" {
+		if shared.Sim != "" {
+			return fmt.Errorf("-join aggregates remote agents and cannot monitor -sim %s itself", shared.Sim)
+		}
+		opts := remote.FleetOptions{
+			History: history.Options{Capacity: o.historyCap, Window: o.window},
+			// The encoding the aggregator negotiates with each agent;
+			// binary falls back per agent against daemons that predate it.
+			Wire: shared.Wire,
+		}
+		if cfg.StoreDir != "" {
+			// Every agent's stream persists into its own store.
+			opts.Tee = func(label string) (core.Observer, error) {
+				return d.openStore(label, agentStoreDir(cfg.StoreDir, label), cfg, stdout)
+			}
+		}
+		if d.fleet, err = remote.NewFleet(strings.Split(o.join, ","), opts); err != nil {
 			return err
 		}
-		defer func() {
-			if cerr := hist.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "tiptopd: store:", cerr)
-			}
-		}()
-		rec.Tee(hist)
-		fmt.Fprintf(stdout, "tiptopd: store %s: %d records recovered (%d bytes, history to t=%s)\n",
-			cfg.StoreDir, hist.Records(), hist.DiskUsage(), hist.LastTime().Truncate(time.Second))
-		if cfg.StoreCompact > 0 {
-			// One pass over the recovered history now, then periodically:
-			// long-running daemons keep their on-disk format at v2
-			// density without an operator cron job.
-			res, err := hist.Compact(tiptop.CompactOptions{})
-			if err != nil {
-				return fmt.Errorf("store compaction: %w", err)
-			}
-			fmt.Fprintf(stdout, "tiptopd: store compacted: %s\n", compactSummary(res))
-			stopCompact := make(chan struct{})
-			compactDone := make(chan struct{})
-			go func() {
-				defer close(compactDone)
-				tick := time.NewTicker(cfg.StoreCompact)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stopCompact:
-						return
-					case <-tick.C:
-						// Appends and queries continue during the pass;
-						// a failed pass is logged, not fatal — the store
-						// keeps serving its current segments.
-						if _, err := hist.Compact(tiptop.CompactOptions{}); err != nil {
-							fmt.Fprintln(os.Stderr, "tiptopd: store compaction:", err)
-						}
-					}
-				}
-			}()
-			defer func() { close(stopCompact); <-compactDone }()
+		d.srv = d.fleet.Server()
+	} else {
+		if d.mon, d.pace, err = buildMonitor(shared.Sim, shared.Scale, cfg); err != nil {
+			return err
 		}
+		d.rec = tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: o.historyCap, Window: o.window})
+		d.mon.Subscribe(d.rec)
+		if cfg.StoreDir != "" {
+			st, err := d.openStore("", cfg.StoreDir, cfg, stdout)
+			if err != nil {
+				return err
+			}
+			d.rec.Tee(st)
+		}
+		d.srv = remote.NewServer(d.rec.WriteOpenMetrics)
 	}
-	d := newDaemon(mon, rec, pace, hist)
-	d.named = cfg.NamedExprs()
-	defer d.srv.Close()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "tiptopd: monitoring %s, serving http://%s/metrics\n", mon.Machine(), ln.Addr())
-
-	srv := &http.Server{Handler: d.handler()}
-	stop := make(chan struct{})
-	loopDone := make(chan error, 1)
-	go func() { loopDone <- d.loop(stop, *iterations) }()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	interrupted := make(chan os.Signal, 1)
-	signal.Notify(interrupted, os.Interrupt)
-
-	shutdown := func() {
-		// Disconnect stream subscribers first: SSE handlers are active
-		// requests Shutdown would otherwise wait out.
-		d.srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-serveDone
-	}
-	select {
-	case err := <-loopDone:
-		// Finite -n run completed, the scenario drained, or sampling
-		// failed: stop serving and report.
-		shutdown()
-		return err
-	case err := <-serveDone:
-		close(stop)
-		<-loopDone
-		return err
-	case <-interrupted:
-		close(stop)
-		<-loopDone
-		shutdown()
-		return nil
-	}
+	return d.serve(o.addr, shared.Iterations, cfg.StoreCompact, stdout)
 }
 
 // buildMonitor selects the backend like cmd/tiptop: a named scenario,
@@ -335,51 +231,214 @@ func buildMonitor(simName string, scale float64, cfg tiptop.Config) (*tiptop.Mon
 	return mon, mon.Interval(), nil
 }
 
-// daemon couples one monitor and its recorder to the HTTP handlers.
-// The sampling loop is the only goroutine touching the monitor; the
-// handlers read exclusively through the recorder (whose lock makes
-// scrapes safe against the live sharded sampler) and the remote.Server
-// caches the loop publishes into.
+// daemon couples one sample source to the HTTP handlers: a local
+// monitor and its recorder, or — under -join — a fleet of remote
+// agents. Exactly one of mon and fleet is set. The source's goroutines
+// are the only ones touching the monitor or the agent streams; the
+// handlers read exclusively through the recorders (whose locks make
+// scrapes safe against the live samplers) and the remote.Server the
+// source publishes into.
 type daemon struct {
-	mon  *tiptop.Monitor
-	rec  *tiptop.Recorder
-	pace time.Duration
-	// srv owns the wire-protocol surface: the SSE stream hub, the
-	// latest wire sample, and the per-refresh cached, ETag'd /metrics
-	// body (one OpenMetrics encode per interval, however many scrapers).
+	mon   *tiptop.Monitor
+	rec   *tiptop.Recorder
+	pace  time.Duration
+	fleet *remote.Fleet
+	// srv owns the wire-protocol surface: the stream hub, the latest
+	// wire sample, and the cached, ETag'd /metrics body (one OpenMetrics
+	// encode per published refresh, however many scrapers).
 	srv *remote.Server
-	// hist is the durable store behind /api/v1/query, nil without
-	// -store.
-	hist *tiptop.Store
+	// stores are the durable stores behind /api/v1/query: the solo
+	// daemon's one store under the empty label, an aggregator's by agent
+	// label (?agent=label selects one, ?agent=* merges them); empty
+	// without -store.
+	stores map[string]*tiptop.Store
 	// named maps stored expression names (config <expr> elements) to
 	// their sources for /api/v1/query?expr=<name>.
 	named map[string]string
 }
 
-// newDaemon wires a monitor and recorder to a wire-protocol server;
-// hist (may be nil) adds the durable range-query surface.
-func newDaemon(mon *tiptop.Monitor, rec *tiptop.Recorder, pace time.Duration, hist *tiptop.Store) *daemon {
-	return &daemon{
-		mon:  mon,
-		rec:  rec,
-		pace: pace,
-		srv:  remote.NewServer(rec.WriteOpenMetrics),
-		hist: hist,
+// agentStoreDir maps an agent label to its store directory (the colon
+// of host:port is awkward in file names).
+func agentStoreDir(base, label string) string {
+	return filepath.Join(base, strings.NewReplacer(":", "_", "/", "_").Replace(label))
+}
+
+// openStore opens (recovering) the store in dir, registers it under
+// label and, with -compact, runs the startup compaction pass — the one
+// routine behind the solo store and every per-agent store.
+func (d *daemon) openStore(label, dir string, cfg tiptop.Config, stdout io.Writer) (*tiptop.Store, error) {
+	for other, st := range d.stores {
+		if st.Dir() == dir {
+			// Sanitization ("host:9412" → "host_9412") must not silently
+			// point two agents' writers at one segment chain.
+			return nil, fmt.Errorf("agents %q and %q map to the same store directory %s", other, label, dir)
+		}
 	}
+	st, err := tiptop.OpenStore(dir, cfg.StoreOptions())
+	if err != nil {
+		return nil, err
+	}
+	d.stores[label] = st
+	fmt.Fprintf(stdout, "tiptopd: store %s: %d records recovered (%d bytes, history to t=%s)\n",
+		dir, st.Records(), st.DiskUsage(), st.LastTime().Truncate(time.Second))
+	if cfg.StoreCompact > 0 {
+		// One pass over the recovered history now, then periodically
+		// (serve): long-running daemons keep their segments merged
+		// without an operator cron job.
+		res, err := st.Compact(tiptop.CompactOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("store compaction: %w", err)
+		}
+		fmt.Fprintf(stdout, "tiptopd: store compacted: %s\n", compactSummary(res))
+	}
+	return st, nil
+}
+
+// storeErr reports the first append error any store has latched (the
+// tee cannot return them). The source checks it as it publishes: a
+// daemon whose durable history has stopped must fail loudly, not keep
+// serving while the past silently goes missing.
+func (d *daemon) storeErr() error {
+	for _, st := range d.stores {
+		if err := st.Err(); err != nil {
+			return fmt.Errorf("store %s: %w", st.Dir(), err)
+		}
+	}
+	return nil
+}
+
+// close releases the source and seals the stores. Close returns a
+// store's first latched append error; surface it instead of exiting
+// silently incomplete.
+func (d *daemon) close() {
+	if d.mon != nil {
+		d.mon.Close()
+	}
+	for _, st := range d.stores {
+		if err := st.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "tiptopd: store %s: %v\n", st.Dir(), err)
+		}
+	}
+}
+
+// serve listens on addr and runs the daemon until its source finishes
+// (a finite -n, a drained scenario, a sampling or store failure), the
+// HTTP server fails, or an interrupt arrives.
+func (d *daemon) serve(addr string, n int, compactEvery time.Duration, stdout io.Writer) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	if d.fleet != nil {
+		labels := d.fleet.Labels()
+		fmt.Fprintf(stdout, "tiptopd: aggregating %d agents (%s), serving http://%s/metrics\n", len(labels), strings.Join(labels, ", "), ln.Addr())
+	} else {
+		fmt.Fprintf(stdout, "tiptopd: monitoring %s, serving http://%s/metrics\n", d.mon.Machine(), ln.Addr())
+	}
+
+	srv := &http.Server{Handler: d.handler()}
+	stop := make(chan struct{})
+	sourceDone := make(chan error, 1)
+	go func() { sourceDone <- d.run(stop, n) }()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	compactDone := make(chan struct{})
+	go func() {
+		defer close(compactDone)
+		if compactEvery > 0 {
+			d.compactEvery(compactEvery, stop)
+		}
+	}()
+	interrupted := make(chan os.Signal, 1)
+	signal.Notify(interrupted, os.Interrupt)
+	defer signal.Stop(interrupted)
+
+	sourceRunning, serving := true, true
+	select {
+	case err = <-sourceDone:
+		sourceRunning = false
+	case err = <-serveDone:
+		serving = false
+	case <-interrupted:
+	}
+	close(stop)
+	if sourceRunning {
+		<-sourceDone
+	}
+	if serving {
+		// Disconnect stream subscribers first: they are active requests
+		// Shutdown would otherwise wait out.
+		d.srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		<-serveDone
+	}
+	<-compactDone
+	return err
+}
+
+// compactEvery merges every store's sealed segments each period until
+// stop closes. Appends and queries continue during a pass; a failed
+// pass is logged, not fatal — the store keeps serving its current
+// segments.
+func (d *daemon) compactEvery(period time.Duration, stop <-chan struct{}) {
+	tick := time.NewTicker(period)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+			for _, st := range d.stores {
+				if _, err := st.Compact(tiptop.CompactOptions{}); err != nil {
+					fmt.Fprintf(os.Stderr, "tiptopd: store %s: compaction: %v\n", st.Dir(), err)
+				}
+			}
+		}
+	}
+}
+
+// run drives the sample source until stop closes or, with n > 0, n
+// refreshes have been published: the local sampling loop, or the
+// fleet's agent streams (where n counts samples across all agents —
+// the bounded mode tests and demos use).
+func (d *daemon) run(stop <-chan struct{}, n int) error {
+	if d.fleet == nil {
+		return d.loop(stop, n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	d.fleet.Start(ctx)
+	defer func() {
+		cancel()
+		d.fleet.Wait()
+	}()
+	period := time.Second
+	if n > 0 {
+		period = 5 * time.Millisecond
+	}
+	tick := time.NewTicker(period)
+	defer tick.Stop()
+	for n <= 0 || d.srv.Version() < uint64(n) {
+		select {
+		case <-stop:
+			return nil
+		case <-tick.C:
+			if err := d.storeErr(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // publish converts one refresh to the wire format and hands it to the
 // stream hub and caches — encoded at most once per format, by the
 // first reader that wants it rather than here, and shared by every
-// subscriber and scraper. Store append errors (latched by the tee,
-// which cannot return them) are surfaced here, once per refresh: a
-// daemon whose durable history has stopped must fail loudly, not keep
-// serving while the past silently goes missing.
+// subscriber and scraper.
 func (d *daemon) publish(s *tiptop.Sample) error {
-	if d.hist != nil {
-		if err := d.hist.Err(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+	if err := d.storeErr(); err != nil {
+		return err
 	}
 	return d.srv.Publish(d.mon.WireSample(s))
 }
@@ -422,14 +481,23 @@ func (d *daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /", d.index)
 	mux.HandleFunc("GET /api/v1/snapshot", d.snapshot)
+	// With stores: raw and expression queries over durable history.
+	// Without, a solo daemon still answers expression queries from its
+	// recorder's live rings; only raw range queries need a store.
+	mux.Handle("GET /api/v1/query", tiptop.NamedExprHandler(d.named, tiptop.FleetQueryHandler(d.stores, d.rec)))
+	// /metrics and /api/v1/stream come from the wire server (cached,
+	// ETag'd, fan-out), as does a solo daemon's /api/v1/sample — an
+	// aggregator's latest frame is one arbitrary agent's, so it serves
+	// /api/v1/agents in its place, and has no single monitor to answer
+	// /api/v1/history or /api/v1/events from.
+	if d.fleet != nil {
+		mux.HandleFunc("GET /api/v1/agents", d.agents)
+		mux.HandleFunc("GET /api/v1/stream", d.srv.Hub().ServeStream)
+		mux.HandleFunc("GET /metrics", d.srv.HandleMetrics)
+		return mux
+	}
 	mux.HandleFunc("GET /api/v1/history", d.history)
 	mux.HandleFunc("GET /api/v1/events", d.events)
-	// With a store: raw and expression queries over durable history.
-	// Without one, expression queries still run against the recorder's
-	// live rings; only raw range queries need the store.
-	mux.Handle("GET /api/v1/query", tiptop.NamedExprHandler(d.named, tiptop.QueryHandler(d.hist, d.rec)))
-	// /metrics, /api/v1/sample and /api/v1/stream come from the wire
-	// server (cached, ETag'd, fan-out).
 	d.srv.Register(mux)
 	return mux
 }
@@ -440,9 +508,18 @@ func (d *daemon) index(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if d.fleet != nil {
+		fmt.Fprintf(w, "tiptopd aggregating %s\n\n/metrics\n/api/v1/snapshot\n/api/v1/agents\n/api/v1/stream\n",
+			strings.Join(d.fleet.Labels(), ", "))
+		if len(d.stores) > 0 {
+			fmt.Fprintf(w, "/api/v1/query?agent=*&expr=&from=&to=&step=\n")
+			fmt.Fprintf(w, "/api/v1/query?agent=&pid=&from=&to=&step=\n")
+		}
+		return
+	}
 	fmt.Fprintf(w, "tiptopd monitoring %s\n\n/metrics\n/api/v1/snapshot\n/api/v1/history?pid=N\n/api/v1/events\n/api/v1/sample\n/api/v1/stream\n", d.mon.Machine())
 	fmt.Fprintf(w, "/api/v1/query?expr=&from=&to=&step=\n")
-	if d.hist != nil {
+	if len(d.stores) > 0 {
 		fmt.Fprintf(w, "/api/v1/query?pid=&from=&to=&step=\n")
 	}
 }
@@ -461,7 +538,17 @@ func (d *daemon) events(w http.ResponseWriter, _ *http.Request) {
 	}{backend, capacity, d.mon.EventList()})
 }
 
+func (d *daemon) agents(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, struct {
+		Agents []remote.AgentStatus `json:"agents"`
+	}{d.fleet.Snapshot().Agents})
+}
+
 func (d *daemon) snapshot(w http.ResponseWriter, _ *http.Request) {
+	if d.fleet != nil {
+		writeJSON(w, http.StatusOK, d.fleet.Snapshot())
+		return
+	}
 	// "machine_name": the embedded Snapshot already owns the "machine"
 	// key for the machine-wide aggregate, and encoding/json silently
 	// drops the deeper of two same-named fields.

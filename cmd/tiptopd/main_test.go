@@ -13,7 +13,19 @@ import (
 	"time"
 
 	"tiptop"
+	"tiptop/internal/remote"
 )
+
+// newDaemon wires a monitor and recorder to a wire-protocol server the
+// way run does for a solo daemon; hist (may be nil) adds the durable
+// range-query surface.
+func newDaemon(mon *tiptop.Monitor, rec *tiptop.Recorder, pace time.Duration, hist *tiptop.Store) *daemon {
+	d := &daemon{mon: mon, rec: rec, pace: pace, srv: remote.NewServer(rec.WriteOpenMetrics), stores: map[string]*tiptop.Store{}}
+	if hist != nil {
+		d.stores[""] = hist
+	}
+	return d
+}
 
 // testDaemon builds a daemon over a fast simulated datacenter scenario
 // and starts its sampling loop.
@@ -45,14 +57,7 @@ func testDaemon(t *testing.T) (*daemon, *httptest.Server) {
 		mon.Close()
 	})
 
-	// Wait until the first refreshes landed.
-	deadline := time.Now().Add(5 * time.Second)
-	for rec.Snapshot().Refreshes < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("sampling loop produced no refreshes")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the first refreshes", func() bool { return d.srv.Version() >= 2 })
 	return d, srv
 }
 
@@ -279,13 +284,7 @@ func TestDaemonSystemWideEndToEnd(t *testing.T) {
 			t.Errorf("store close: %v", err)
 		}
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for rec.Snapshot().Refreshes < 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("sampling loop produced no refreshes")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the first refreshes", func() bool { return d.srv.Version() >= 4 })
 
 	// The scrape carries one task per logical CPU of the A7.
 	_, metrics := get(t, srv.URL+"/metrics")

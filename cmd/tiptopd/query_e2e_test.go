@@ -17,11 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"tiptop"
 	"tiptop/internal/core"
 	"tiptop/internal/history"
 	"tiptop/internal/query"
 	"tiptop/internal/remote"
-	"tiptop/internal/store"
 )
 
 func getQueryResult(t *testing.T, url string) *query.Result {
@@ -44,7 +44,7 @@ func getQueryResult(t *testing.T, url string) *query.Result {
 func TestQueryExprMatchesLiveScreenIPC(t *testing.T) {
 	d, ts, shutdown := bootDaemon(t, t.TempDir())
 	defer shutdown()
-	waitUntil(t, "daemon to record", func() bool { return d.hist.Records() >= 30 })
+	waitUntil(t, "daemon to record", func() bool { return d.stores[""].Records() >= 30 })
 
 	res := getQueryResult(t, ts.URL+"/api/v1/query?expr=delta(INSTRUCTIONS)%2Fdelta(CYCLES)")
 	if len(res.Series) < 2 {
@@ -117,7 +117,7 @@ func TestFleetQueryExprAggregates(t *testing.T) {
 		}
 	}()
 	base := t.TempDir()
-	stores := map[string]*store.Store{}
+	stores := map[string]*tiptop.Store{}
 	urls := make([]string, len(agents))
 	for i, a := range agents {
 		urls[i] = a.ts.URL
@@ -126,7 +126,7 @@ func TestFleetQueryExprAggregates(t *testing.T) {
 		History:        history.Options{Capacity: 64, Window: time.Second},
 		ReconnectDelay: 10 * time.Millisecond,
 		Tee: func(label string) (core.Observer, error) {
-			st, err := store.Open(agentStoreDir(base, label), store.Options{})
+			st, err := tiptop.OpenStore(agentStoreDir(base, label), tiptop.StoreOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -139,7 +139,7 @@ func TestFleetQueryExprAggregates(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	fleet.Start(ctx)
-	fd := newFleetDaemon(fleet, stores)
+	fd := &daemon{fleet: fleet, srv: fleet.Server(), stores: stores}
 	ts := httptest.NewServer(fd.handler())
 	defer func() {
 		fleet.Close()

@@ -24,7 +24,6 @@ import (
 	"tiptop/internal/core"
 	"tiptop/internal/history"
 	"tiptop/internal/remote"
-	"tiptop/internal/store"
 )
 
 // bootDaemon starts one daemon "boot" over the datacenter scenario with
@@ -78,7 +77,7 @@ func TestStoreQueryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	d1, _, shutdown1 := bootDaemon(t, dir)
-	waitUntil(t, "first boot to record", func() bool { return d1.hist.Records() >= 20 })
+	waitUntil(t, "first boot to record", func() bool { return d1.stores[""].Records() >= 20 })
 	shutdown1()
 
 	st, err := tiptop.OpenStore(dir, tiptop.StoreOptions{})
@@ -96,7 +95,7 @@ func TestStoreQueryAcrossRestart(t *testing.T) {
 	d2, ts, shutdown2 := bootDaemon(t, dir)
 	defer shutdown2()
 	waitUntil(t, "second boot to record past the restart", func() bool {
-		return d2.hist.LastTime().Seconds() > boundary+0.05
+		return d2.stores[""].LastTime().Seconds() > boundary+0.05
 	})
 
 	qc, err := tiptop.NewQueryClient(ts.URL)
@@ -220,26 +219,13 @@ func TestStoreRealProcessRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		res, err := qc.Query(tiptop.StoreQuery{PID: -1})
-		if err == nil && len(res.Machine) > 0 &&
-			res.Machine[len(res.Machine)-1].TimeSeconds > boundary+0.05 {
-			var before int
-			for _, p := range res.Machine {
-				if p.TimeSeconds <= boundary {
-					before++
-				}
-			}
-			if before == 0 {
-				t.Fatalf("restarted binary lost pre-restart history (boundary t=%g)", boundary)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("query never spanned the restart (last err: %v)", err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	var res *tiptop.StoreResult
+	waitUntil(t, "a query spanning the restart", func() bool {
+		res, err = qc.Query(tiptop.StoreQuery{PID: -1})
+		return err == nil && len(res.Machine) > 0 && res.Machine[len(res.Machine)-1].TimeSeconds > boundary+0.05
+	})
+	if res.Machine[0].TimeSeconds > boundary {
+		t.Fatalf("restarted binary lost pre-restart history (boundary t=%g)", boundary)
 	}
 }
 
@@ -247,7 +233,7 @@ func TestStoreQueryOpenMetricsVariant(t *testing.T) {
 	dir := t.TempDir()
 	d, ts, shutdown := bootDaemon(t, dir)
 	defer shutdown()
-	waitUntil(t, "records", func() bool { return d.hist.Records() >= 5 })
+	waitUntil(t, "records", func() bool { return d.stores[""].Records() >= 5 })
 
 	resp, err := http.Get(ts.URL + "/api/v1/query?format=openmetrics")
 	if err != nil {
@@ -302,7 +288,7 @@ func TestFleetPerAgentDurableStores(t *testing.T) {
 		}
 	}()
 	base := t.TempDir()
-	stores := map[string]*store.Store{}
+	stores := map[string]*tiptop.Store{}
 	urls := make([]string, len(agents))
 	for i, a := range agents {
 		urls[i] = a.ts.URL
@@ -311,7 +297,7 @@ func TestFleetPerAgentDurableStores(t *testing.T) {
 		History:        history.Options{Capacity: 64, Window: time.Second},
 		ReconnectDelay: 10 * time.Millisecond,
 		Tee: func(label string) (core.Observer, error) {
-			st, err := store.Open(agentStoreDir(base, label), store.Options{})
+			st, err := tiptop.OpenStore(agentStoreDir(base, label), tiptop.StoreOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -324,7 +310,7 @@ func TestFleetPerAgentDurableStores(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	fleet.Start(ctx)
-	fd := newFleetDaemon(fleet, stores)
+	fd := &daemon{fleet: fleet, srv: fleet.Server(), stores: stores}
 	ts := httptest.NewServer(fd.handler())
 	defer func() {
 		fleet.Close()
@@ -370,8 +356,7 @@ func TestFleetPerAgentDurableStores(t *testing.T) {
 // same store directory must be rejected, not silently share segments.
 func TestFleetStoreDirCollision(t *testing.T) {
 	base := t.TempDir()
-	cfg := tiptop.Config{StoreDir: base}
-	err := runFleet("host:9412,host_9412", "127.0.0.1:0", 1, 0, 0, "", cfg, io.Discard)
+	err := run([]string{"-join", "host:9412,host_9412", "-addr", "127.0.0.1:0", "-n", "1", "-store", base}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "same store directory") {
 		t.Fatalf("colliding labels accepted: %v", err)
 	}
@@ -407,5 +392,67 @@ func TestLoopSurfacesStoreError(t *testing.T) {
 	err = d.loop(make(chan struct{}), 5)
 	if err == nil || !strings.Contains(err.Error(), "store") {
 		t.Fatalf("loop ignored the failing store: %v", err)
+	}
+}
+
+// TestFleetCompactsAgentStores: -compact (and <options compact=>)
+// applies to the per-agent stores of a -join aggregator exactly as to a
+// solo daemon's store — the startup pass merges what earlier boots left
+// as several small sealed segments. The aggregator used to ignore it.
+func TestFleetCompactsAgentStores(t *testing.T) {
+	a := startAgent(t, "datacenter")
+	defer a.close(t)
+	confFile := filepath.Join(t.TempDir(), "c.xml")
+	if err := os.WriteFile(confFile, []byte(`<tiptop><options compact="1h"/></tiptop>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, compactArgs := range map[string][]string{
+		"flag":   {"-compact", "1h"},
+		"config": {"-config", confFile},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := t.TempDir()
+			dir := agentStoreDir(base, a.host())
+			// An earlier boot left several small sealed segments.
+			st, err := tiptop.OpenStore(dir, tiptop.StoreOptions{SegmentBytes: 1 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := tiptop.NewNamedScenario("spec", 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: 10 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mon.Close()
+			for i := 0; i < 40; i++ {
+				s, err := mon.Sample()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.RecordSample(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if segs, _ := filepath.Glob(filepath.Join(dir, "raw-*.seg")); len(segs) < 3 {
+				t.Fatalf("fixture left %d raw segments, want several", len(segs))
+			}
+			var out strings.Builder
+			args := append([]string{"-join", a.host(), "-addr", "127.0.0.1:0", "-n", "3", "-store", base}, compactArgs...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("run(%q): %v\n%s", args, err, out.String())
+			}
+			if merged, _ := filepath.Glob(filepath.Join(dir, "raw-*.cseg")); len(merged) == 0 {
+				t.Fatalf("the agent's store was never compacted; daemon said:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), "store compacted: ") {
+				t.Fatalf("no compaction banner in:\n%s", out.String())
+			}
+		})
 	}
 }

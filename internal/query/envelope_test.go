@@ -20,11 +20,11 @@ import (
 // structurally, not just embedded in prose.
 func TestErrorEnvelope(t *testing.T) {
 	st := seedStore(t, 1, 10)
-	solo := Handler(st, nil)
+	solo := Handler(one(st), nil)
 	bare := Handler(nil, nil)
 	stores := map[string]*store.Store{"a:1": seedStore(t, 1, 10), "b:2": seedStore(t, 1, 10)}
-	fleet := FleetHandler(stores, func() []string { return []string{"a:1", "b:2"} })
-	empty := FleetHandler(nil, func() []string { return nil })
+	fleet := Handler(stores, nil)
+	empty := Handler(nil, nil)
 
 	intp := func(n int) *int { return &n }
 	tests := []struct {
@@ -121,8 +121,8 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 		h      http.Handler
 		target string
 	}{
-		{"solo", Handler(st, nil), "/api/v1/query?expr=delta(CYCLES)&step=1m"},
-		{"fleet", FleetHandler(stores, func() []string { return []string{"a:1"} }),
+		{"solo", Handler(one(st), nil), "/api/v1/query?expr=delta(CYCLES)&step=1m"},
+		{"fleet", Handler(stores, nil),
 			"/api/v1/query?expr=delta(CYCLES)&step=1m&agent=*"},
 	}
 	for _, tc := range cases {

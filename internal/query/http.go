@@ -1,12 +1,14 @@
 package query
 
-// The HTTP surface: /api/v1/query grows an expr= parameter. Without
-// expr the endpoint keeps its PR-5 contract (raw range queries served
-// by store.Handler); with expr the shared engine evaluates it over the
-// durable store (or live history when no store is configured), solo or
-// fleet-wide. Parse and validation failures are always HTTP 400 with
-// the offending position — never 500 — and unknown identifiers name
-// the nearest known ones.
+// The HTTP surface of recorded history: the one /api/v1/query handler
+// tiptopd mounts, solo and aggregating alike, and the Client that
+// consumes it — the query side of the remote monitoring story. Without
+// expr the endpoint serves one store's raw per-task series
+// (store.Query); with expr the shared engine evaluates it over the
+// selected stores (or live history when no store is configured). Parse
+// and validation failures are always HTTP 400 with the offending
+// position — never 500 — and unknown identifiers name the nearest known
+// ones.
 
 import (
 	"bufio"
@@ -26,104 +28,92 @@ import (
 	"tiptop/internal/store"
 )
 
-// Handler serves expression and raw range queries for a solo daemon:
+// Handler serves /api/v1/query over a fleet of labelled stores plus an
+// optional live recorder:
 //
-//	GET ...?expr=E&from=S&to=S&step=S[&format=openmetrics]  expression query
-//	GET ...?pid=N&from=S&to=S&step=S                        raw series (store.Handler)
+//	GET ...?expr=E&from=S&to=S&step=S   expression query
+//	GET ...?pid=N&from=S&to=S&step=S    raw per-task series of one store
 //
-// st may be nil (no -store): raw queries are rejected with a hint,
-// expression queries fall back to the recorder's live rings. rec may
-// be nil when only a store exists (tiptop -record archives).
-func Handler(st *store.Store, rec *history.Recorder) http.Handler {
+// both as JSON, or OpenMetrics text with &format=openmetrics (or an
+// Accept header asking for it). A solo daemon is the fleet of one
+// unlabelled store, {"": st}, which no selector can mismatch (?agent= is
+// ignored); an aggregator's stores are keyed by agent label,
+// ?agent=label selecting one and ?agent=* (or no selector) all of them
+// — a raw query needs exactly one, an expression merges however many on
+// aligned steps. stores may be empty (no -store): raw
+// queries are rejected with a hint and expression queries fall back to
+// rec's live rings, as they do with ?source=live. rec may be nil
+// (aggregators, tiptop -record archives).
+func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler {
+	labels := make([]string, 0, len(stores))
+	for label := range stores {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		expr := r.URL.Query().Get("expr")
-		if expr == "" {
-			if st == nil {
-				remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured",
-					"start tiptopd with -store DIR, or pass expr= to query live history")
-				return
-			}
-			store.Handler(st).ServeHTTP(w, r)
-			return
-		}
-		opt, format, live, err := parseExprQuery(r.URL.Query())
+		p, err := parseParams(r.URL.Query())
 		if err != nil {
-			writeParamError(w, err)
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		format = negotiateFormat(format, r)
-		if st == nil || live {
+		if p.format == "" && remote.WantsOpenMetrics(r) {
+			// Content negotiation: the ?format= parameter wins, the
+			// Accept header decides otherwise.
+			p.format = "openmetrics"
+		}
+		if p.expr != "" && (p.live || len(stores) == 0) {
 			if rec == nil {
-				remote.WriteErrorHint(w, http.StatusNotFound, "no live recorder to query",
-					"this daemon records neither live history nor a store; drop source=live or configure one")
+				remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured and no live recorder to query",
+					"start tiptopd with -store DIR; source=live needs a daemon that samples locally")
 				return
 			}
-			serveExpr(w, expr, format, KnownNames(rec.Columns()), func(c *Compiled) (*Result, error) {
-				return QueryHistory(rec, c, opt)
+			serveExpr(w, p, KnownNames(rec.Columns()), func(c *Compiled) (*Result, error) {
+				return QueryHistory(rec, c, p.opt)
 			})
 			return
 		}
-		serveExpr(w, expr, format, KnownNames(st.Columns()), func(c *Compiled) (*Result, error) {
-			return QueryStore(st, c, opt)
-		})
-	})
-}
-
-// FleetHandler serves /api/v1/query for an aggregator: ?agent=label
-// routes to one agent's store (raw or expression), ?agent=* (or an
-// absent selector with expr=) merges every agent's store through the
-// shared engine.
-func FleetHandler(stores map[string]*store.Store, labels func() []string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if len(stores) == 0 {
-			remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured",
-				"start the aggregator with -store DIR")
-			return
-		}
-		expr := r.URL.Query().Get("expr")
-		agent := r.URL.Query().Get("agent")
-		if expr == "" {
-			// Raw range query: exactly one agent's store serves it.
-			if agent == "" && len(stores) == 1 {
-				for label := range stores {
-					agent = label
-				}
+			hint := "start tiptopd with -store DIR"
+			if rec != nil {
+				hint += ", or pass expr= to query live history"
 			}
-			st, ok := stores[agent]
-			if !ok {
-				remote.WriteErrorHint(w, http.StatusBadRequest,
-					fmt.Sprintf("unknown agent %q", agent),
-					fmt.Sprintf("want agent=%s, or agent=* with expr=", strings.Join(labels(), "|")))
-				return
-			}
-			store.Handler(st).ServeHTTP(w, r)
+			remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured", hint)
 			return
 		}
-		opt, format, _, err := parseExprQuery(r.URL.Query())
-		if err != nil {
-			writeParamError(w, err)
-			return
-		}
-		format = negotiateFormat(format, r)
 		selected := stores
-		if agent != "" && agent != "*" {
-			st, ok := stores[agent]
-			if !ok {
-				remote.WriteErrorHint(w, http.StatusBadRequest,
-					fmt.Sprintf("unknown agent %q", agent),
-					fmt.Sprintf("want agent=%s or agent=*", strings.Join(labels(), "|")))
-				return
-			}
-			selected = map[string]*store.Store{agent: st}
+		if _, solo := stores[""]; solo {
+			p.agent = "" // an unlabelled store has no selector to mismatch
 		}
-		if len(selected) > 1 && opt.StepSeconds <= 0 {
+		if st, ok := stores[p.agent]; ok {
+			selected = map[string]*store.Store{p.agent: st}
+		} else if p.agent != "" && p.agent != "*" {
+			selected = nil
+		}
+		// Raw series carry no agent label: exactly one store serves them.
+		raw := p.expr == ""
+		if selected == nil || raw && len(selected) != 1 {
+			hint := "want agent=%s or agent=*"
+			if raw {
+				hint = "want agent=%s, or agent=* with expr="
+			}
+			remote.WriteErrorHint(w, http.StatusBadRequest, fmt.Sprintf("unknown agent %q", p.agent),
+				fmt.Sprintf(hint, strings.Join(labels, "|")))
+			return
+		}
+		if raw {
+			for _, st := range selected { // the one
+				serveRaw(w, st, p)
+			}
+			return
+		}
+		if len(selected) > 1 && p.opt.StepSeconds <= 0 {
 			remote.WriteErrorHint(w, http.StatusBadRequest,
 				fmt.Sprintf("merging %d agents needs an explicit step (buckets align per-agent clocks)", len(selected)),
 				"pass step=, e.g. step=10")
 			return
 		}
-		serveExpr(w, expr, format, fleetKnownNames(selected), func(c *Compiled) (*Result, error) {
-			return QueryFleet(selected, c, opt)
+		serveExpr(w, p, knownNames(selected), func(c *Compiled) (*Result, error) {
+			return QueryFleet(selected, c, p.opt)
 		})
 	})
 }
@@ -148,9 +138,9 @@ func NamedExprs(named map[string]string, h http.Handler) http.Handler {
 	})
 }
 
-// fleetKnownNames is the identifier vocabulary of a fleet query: the
-// union of every selected agent's columns.
-func fleetKnownNames(stores map[string]*store.Store) []string {
+// knownNames is the identifier vocabulary of a query over the selected
+// stores: the union of their columns.
+func knownNames(stores map[string]*store.Store) []string {
 	seen := map[string]bool{}
 	var cols []string
 	for _, st := range stores {
@@ -165,88 +155,122 @@ func fleetKnownNames(stores map[string]*store.Store) []string {
 	return KnownNames(cols)
 }
 
+// serveRaw answers one raw range query from one store.
+func serveRaw(w http.ResponseWriter, st *store.Store, p *params) {
+	res, err := st.Query(store.QueryOptions{
+		PID:         p.pid,
+		FromSeconds: p.opt.FromSeconds,
+		ToSeconds:   p.opt.ToSeconds,
+		StepSeconds: p.opt.StepSeconds,
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	p.respond(w, res, func(w io.Writer) error { return writeRawOpenMetrics(w, res) })
+}
+
 // serveExpr compiles and runs one expression query, mapping
 // compilation failures to 400 (with position) and evaluation failures
 // to 400 as well — an expression can only fail on what the request
-// supplied, never on server state.
-func serveExpr(w http.ResponseWriter, expr, format string, known []string, run func(*Compiled) (*Result, error)) {
-	c, err := Compile(expr, known)
+// supplied, never on server state; only real I/O against a store maps
+// to 500.
+func serveExpr(w http.ResponseWriter, p *params, known []string, run func(*Compiled) (*Result, error)) {
+	c, err := Compile(p.expr, known)
 	if err != nil {
-		writeExprError(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	res, err := run(c)
 	if err != nil {
-		// A bad range or step surfaced by the store is still the
-		// request's fault: 400 with the hint, like every other
-		// validation failure — only real I/O maps to 500.
-		var re *store.RangeError
-		if errors.As(err, &re) {
-			remote.WriteErrorHint(w, http.StatusBadRequest, re.Msg, re.Hint)
-			return
-		}
 		status := http.StatusBadRequest
 		if _, ok := err.(*metrics.SyntaxError); !ok {
 			if _, ok := err.(*metrics.EvalError); !ok {
-				status = http.StatusInternalServerError // I/O against the store
+				status = http.StatusInternalServerError
 			}
 		}
-		writeExprError(w, status, err)
+		writeError(w, status, err)
 		return
 	}
-	switch format {
-	case "openmetrics", "om":
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		_ = WriteOpenMetrics(w, res)
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(res)
-	}
+	p.respond(w, res, func(w io.Writer) error { return WriteOpenMetrics(w, res) })
 }
 
-// parseExprQuery reads the range/step/format parameters of an
-// expression query. The step accepts both bare seconds and duration
-// suffixes ("30s", "1m", "1h"). source=live forces the recorder
-// backend on a solo daemon that also has a store.
-func parseExprQuery(v url.Values) (Options, string, bool, error) {
-	var opt Options
-	var err error
-	if opt.FromSeconds, err = floatParam(v, "from"); err != nil {
-		return opt, "", false, err
+// params are one request's parsed parameters — raw and expression
+// queries share the range, step and format syntax.
+type params struct {
+	expr, agent string
+	pid         int // -1 = every task (raw queries)
+	opt         Options
+	format      string
+	live        bool // source=live: the recorder, even beside a store
+}
+
+// respond writes a result in the negotiated format: indented JSON, or
+// the exposition om renders — OpenMetrics 1.0, not the 0.0.4 text
+// format: range exports carry float-seconds timestamps and the # EOF
+// marker, which 0.0.4 parsers would misread.
+func (p *params) respond(w http.ResponseWriter, res any, om func(io.Writer) error) {
+	if p.format == "openmetrics" || p.format == "om" {
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+		_ = om(w)
+		return
 	}
-	if opt.ToSeconds, err = floatParam(v, "to"); err != nil {
-		return opt, "", false, err
-	}
-	if opt.StepSeconds, err = metrics.ParseStep(v.Get("step")); err != nil {
-		return opt, "", false, &store.RangeError{
-			Msg:  err.Error(),
-			Hint: "steps are bare seconds or duration suffixes (30s, 1m, 1h), never negative",
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(res)
+}
+
+// stepHint rides every step error.
+const stepHint = "the step is a bucket width: bare seconds or a duration suffix (30s, 1m, 1h), never negative; omit it (or pass 0) for the serving tier's native resolution"
+
+// parseParams reads a query's parameters. from/to are seconds on the
+// store clock (to absent or 0 = open end); the step accepts bare
+// seconds and duration suffixes ("30s", "1m", "1h"), picks the
+// downsample tier and, when coarser, the bucket width.
+func parseParams(v url.Values) (*params, error) {
+	p := &params{expr: v.Get("expr"), agent: v.Get("agent"), pid: -1, format: v.Get("format")}
+	if s := v.Get("pid"); s != "" {
+		pid, err := strconv.Atoi(s)
+		if err != nil || pid < 0 {
+			return nil, fmt.Errorf("bad pid %q", s)
 		}
+		p.pid = pid
 	}
-	if opt.ToSeconds > 0 && opt.ToSeconds < opt.FromSeconds {
-		return opt, "", false, &store.RangeError{
-			Msg:  fmt.Sprintf("range ends (%gs) before it starts (%gs)", opt.ToSeconds, opt.FromSeconds),
+	var err error
+	if p.opt.FromSeconds, err = floatParam(v, "from"); err != nil {
+		return nil, err
+	}
+	if p.opt.ToSeconds, err = floatParam(v, "to"); err != nil {
+		return nil, err
+	}
+	step := v.Get("step")
+	if p.opt.StepSeconds, err = metrics.ParseStep(step); err != nil {
+		msg := err.Error()
+		if abs, aerr := metrics.ParseStep(strings.TrimPrefix(step, "-")); aerr == nil && abs > 0 {
+			msg = fmt.Sprintf("negative step %g", -abs)
+		}
+		return nil, &store.RangeError{Msg: msg, Hint: stepHint}
+	}
+	if p.opt.ToSeconds > 0 && p.opt.ToSeconds < p.opt.FromSeconds {
+		return nil, &store.RangeError{
+			Msg:  fmt.Sprintf("range ends (%gs) before it starts (%gs)", p.opt.ToSeconds, p.opt.FromSeconds),
 			Hint: "want from <= to; omit to (or pass 0) to query to the end",
 		}
 	}
-	format := v.Get("format")
-	switch format {
+	switch p.format {
 	case "", "json", "openmetrics", "om":
 	default:
-		return opt, "", false, fmt.Errorf("unknown format %q (want json or openmetrics)", format)
+		return nil, fmt.Errorf("unknown format %q (want json or openmetrics)", p.format)
 	}
-	live := false
 	switch v.Get("source") {
-	case "":
+	case "", "store":
 	case "live":
-		live = true
-	case "store":
+		p.live = true
 	default:
-		return opt, "", false, fmt.Errorf("unknown source %q (want live or store)", v.Get("source"))
+		return nil, fmt.Errorf("unknown source %q (want live or store)", v.Get("source"))
 	}
-	return opt, format, live, nil
+	return p, nil
 }
 
 func floatParam(v url.Values, name string) (float64, error) {
@@ -261,38 +285,64 @@ func floatParam(v url.Values, name string) (float64, error) {
 	return f, nil
 }
 
-// writeParamError writes one request-parameter failure as a 400,
-// carrying a range error's hint structurally in the envelope.
-func writeParamError(w http.ResponseWriter, err error) {
+// writeError maps a failure onto the API error envelope, carrying a
+// range error's hint and a syntax error's byte offset and did-you-mean
+// hint structurally. A bad range or step is the request's fault even
+// when the store surfaces it: always 400, never 500.
+func writeError(w http.ResponseWriter, status int, err error) {
+	e := remote.APIError{Message: err.Error()}
 	var re *store.RangeError
 	if errors.As(err, &re) {
-		remote.WriteErrorHint(w, http.StatusBadRequest, re.Msg, re.Hint)
-		return
-	}
-	remote.WriteError(w, http.StatusBadRequest, err.Error())
-}
-
-// negotiateFormat resolves the response format: the ?format= parameter
-// (already validated) wins; with no parameter, an Accept header asking
-// for application/openmetrics-text selects the exposition format.
-func negotiateFormat(format string, r *http.Request) string {
-	if format == "" && remote.WantsOpenMetrics(r) {
-		return "openmetrics"
-	}
-	return format
-}
-
-// writeExprError maps an expression failure onto the API error
-// envelope, carrying a syntax error's byte offset and did-you-mean
-// hint structurally.
-func writeExprError(w http.ResponseWriter, status int, err error) {
-	e := remote.APIError{Message: err.Error()}
-	if se, ok := err.(*metrics.SyntaxError); ok {
+		status = http.StatusBadRequest
+		e = remote.APIError{Message: re.Msg, Hint: re.Hint}
+	} else if se, ok := err.(*metrics.SyntaxError); ok {
 		pos := se.Pos
 		e.Offset = &pos
 		e.Hint = se.Hint
 	}
 	remote.WriteAPIError(w, status, e)
+}
+
+// writeRawOpenMetrics renders a raw range-query result as OpenMetrics
+// text with explicit timestamps: one sample per point, so a range query
+// exports straight into tools that speak the exposition format.
+// Ordering is deterministic (series sorted by pid/tid, points by time).
+func writeRawOpenMetrics(w io.Writer, res *store.Result) error {
+	bw := bufio.NewWriter(w)
+	emit := func(name string, labels string, p *store.Point, v float64) {
+		fmt.Fprintf(bw, "%s{%s} %g %g\n", name, labels, v, p.TimeSeconds)
+	}
+	resolution := `resolution="` + strconv.FormatFloat(res.ResolutionSeconds, 'g', -1, 64) + `"`
+	fmt.Fprintf(bw, "# TYPE tiptop_range_machine_cpu_pct gauge\n")
+	fmt.Fprintf(bw, "# TYPE tiptop_range_machine_ipc gauge\n")
+	for i := range res.Machine {
+		p := &res.Machine[i]
+		emit("tiptop_range_machine_cpu_pct", resolution, p, p.CPUPct)
+		emit("tiptop_range_machine_ipc", resolution, p, p.IPC)
+	}
+	fmt.Fprintf(bw, "# TYPE tiptop_range_cpu_pct gauge\n")
+	fmt.Fprintf(bw, "# TYPE tiptop_range_ipc gauge\n")
+	if len(res.Columns) > 0 {
+		fmt.Fprintf(bw, "# TYPE tiptop_range_metric gauge\n")
+	}
+	for i := range res.Series {
+		s := &res.Series[i]
+		labels := fmt.Sprintf(`pid="%d",tid="%d",user=%s,command=%s`,
+			s.PID, s.TID, strconv.Quote(s.User), strconv.Quote(s.Command))
+		for j := range s.Points {
+			p := &s.Points[j]
+			emit("tiptop_range_cpu_pct", labels, p, p.CPUPct)
+			emit("tiptop_range_ipc", labels, p, p.IPC)
+			for k, v := range p.Values {
+				if k >= len(res.Columns) {
+					break
+				}
+				emit("tiptop_range_metric", labels+`,column=`+strconv.Quote(res.Columns[k]), p, v)
+			}
+		}
+	}
+	fmt.Fprintf(bw, "# EOF\n")
+	return bw.Flush()
 }
 
 // WriteOpenMetrics renders an expression query result as OpenMetrics
@@ -328,53 +378,96 @@ func WriteOpenMetrics(w io.Writer, res *Result) error {
 	return bw.Flush()
 }
 
-// Client consumes a daemon's /api/v1/query?expr= endpoint — the
-// expression counterpart of store.Client's raw range queries, sharing
-// its transport.
+// Client queries a tiptopd's /api/v1/query endpoint — the range-query
+// counterpart of remote.Client's live stream.
 type Client struct {
-	c *store.Client
+	base string
+	hc   *http.Client
 }
 
-// NewClient builds an expression query client for a daemon at addr
-// ("host:port" or a full URL, as served by tiptopd -addr).
-func NewClient(addr string) (*Client, error) {
-	c, err := store.NewClient(addr)
-	if err != nil {
-		return nil, err
+// NewClient builds a query client for a daemon at base ("host:port" or
+// a full URL, as served by tiptopd -addr; the /api/v1/query path is
+// implied).
+func NewClient(base string) (*Client, error) {
+	if base == "" {
+		return nil, fmt.Errorf("query: empty daemon address")
 	}
-	return &Client{c: c}, nil
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	u, err := url.Parse(base)
+	if err != nil {
+		return nil, fmt.Errorf("query: bad daemon address: %w", err)
+	}
+	u.Path = strings.TrimSuffix(u.Path, "/")
+	return &Client{base: u.String(), hc: &http.Client{}}, nil
 }
 
-// NewClientFrom wraps an existing raw query client.
-func NewClientFrom(c *store.Client) *Client { return &Client{c: c} }
-
-// QueryExpr runs one expression query. extra parameters (the
-// aggregator's agent selector, source=live) can be appended by name.
-func (c *Client) QueryExpr(expr string, opt Options, extra ...string) (*Result, error) {
-	if len(extra)%2 != 0 {
-		return nil, fmt.Errorf("query: extra parameters must come in pairs")
+// get runs one query — the range in opt plus name/value pairs of other
+// parameters — and decodes the JSON response into res. Non-200
+// responses are turned into errors carrying the server's {"error": ...}
+// message and hint.
+func (c *Client) get(res any, opt Options, pairs ...string) error {
+	if len(pairs)%2 != 0 {
+		return fmt.Errorf("query: extra parameters must come in pairs")
 	}
 	v := url.Values{}
-	v.Set("expr", expr)
-	if opt.FromSeconds != 0 {
-		v.Set("from", strconv.FormatFloat(opt.FromSeconds, 'g', -1, 64))
+	for name, f := range map[string]float64{"from": opt.FromSeconds, "to": opt.ToSeconds, "step": opt.StepSeconds} {
+		if f != 0 {
+			v.Set(name, strconv.FormatFloat(f, 'g', -1, 64))
+		}
 	}
-	if opt.ToSeconds != 0 {
-		v.Set("to", strconv.FormatFloat(opt.ToSeconds, 'g', -1, 64))
+	for i := 0; i+1 < len(pairs); i += 2 {
+		v.Set(pairs[i], pairs[i+1])
 	}
-	if opt.StepSeconds != 0 {
-		v.Set("step", strconv.FormatFloat(opt.StepSeconds, 'g', -1, 64))
-	}
-	for i := 0; i+1 < len(extra); i += 2 {
-		v.Set(extra[i], extra[i+1])
-	}
-	body, err := c.c.Get("/api/v1/query", v)
+	resp, err := c.hc.Get(c.base + "/api/v1/query?" + v.Encode())
 	if err != nil {
+		return fmt.Errorf("query: %w", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("query: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		var e remote.APIError
+		if json.Unmarshal(body, &e) == nil && e.Message != "" {
+			msg := e.Message
+			if e.Hint != "" {
+				msg += " (" + e.Hint + ")"
+			}
+			return fmt.Errorf("query: %s (HTTP %d)", msg, resp.StatusCode)
+		}
+		return fmt.Errorf("query: HTTP %d", resp.StatusCode)
+	}
+	if err := json.Unmarshal(body, res); err != nil {
+		return fmt.Errorf("query: bad response: %w", err)
+	}
+	return nil
+}
+
+// Query runs one raw range query: per-task series in a time window, at
+// the resolution tier the step selects. extra parameters (e.g. the
+// aggregator's agent selector) can be appended by name.
+func (c *Client) Query(q store.QueryOptions, extra ...string) (*store.Result, error) {
+	if q.PID >= 0 {
+		extra = append(extra[:len(extra):len(extra)], "pid", strconv.Itoa(q.PID))
+	}
+	var res store.Result
+	opt := Options{FromSeconds: q.FromSeconds, ToSeconds: q.ToSeconds, StepSeconds: q.StepSeconds}
+	if err := c.get(&res, opt, extra...); err != nil {
 		return nil, err
 	}
+	return &res, nil
+}
+
+// QueryExpr runs one expression query on the daemon. extra parameters
+// come in name/value pairs — "agent", "*" merges a fleet aggregator's
+// agents, "source", "live" forces a solo daemon's live rings.
+func (c *Client) QueryExpr(expr string, opt Options, extra ...string) (*Result, error) {
 	var res Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, fmt.Errorf("query: bad response: %w", err)
+	if err := c.get(&res, opt, append(extra[:len(extra):len(extra)], "expr", expr)...); err != nil {
+		return nil, err
 	}
 	return &res, nil
 }

@@ -12,6 +12,11 @@ import (
 	"tiptop/internal/store"
 )
 
+// one is the fleet a solo daemon serves: a single unlabelled store.
+func one(st *store.Store) map[string]*store.Store {
+	return map[string]*store.Store{"": st}
+}
+
 func get(t *testing.T, h http.Handler, target string) (int, string) {
 	t.Helper()
 	w := httptest.NewRecorder()
@@ -21,7 +26,7 @@ func get(t *testing.T, h http.Handler, target string) (int, string) {
 
 func TestHandlerParseErrorsAre400(t *testing.T) {
 	st := seedStore(t, 1, 10)
-	h := Handler(st, nil)
+	h := Handler(one(st), nil)
 
 	// Syntax error: 400, never 500, and the offending position named.
 	code, body := get(t, h, "/api/v1/query?expr="+strings.ReplaceAll("delta(INSTRUCTIONS", " ", "%20"))
@@ -49,7 +54,7 @@ func TestHandlerParseErrorsAre400(t *testing.T) {
 
 func TestHandlerExprOverStore(t *testing.T) {
 	st := seedStore(t, 2, 63)
-	h := Handler(st, nil)
+	h := Handler(one(st), nil)
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=1m")
 	if code != http.StatusOK {
 		t.Fatalf("status %d, body %s", code, body)
@@ -111,7 +116,7 @@ func TestNonFiniteSamplesStayQueryable(t *testing.T) {
 	}
 	defer st.Close()
 	st.SetColumns([]string{"a", "b", "c"})
-	h := Handler(st, nil)
+	h := Handler(one(st), nil)
 	for _, target := range []string{"/api/v1/query", "/api/v1/query?step=10"} {
 		code, body := get(t, h, target)
 		if code != http.StatusOK {
@@ -155,7 +160,7 @@ func TestNonFiniteSamplesStayQueryable(t *testing.T) {
 
 func TestHandlerOpenMetrics(t *testing.T) {
 	st := seedStore(t, 1, 63)
-	h := Handler(st, nil)
+	h := Handler(one(st), nil)
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=1m&format=openmetrics")
 	if code != http.StatusOK {
 		t.Fatalf("status %d, body %s", code, body)
@@ -197,8 +202,7 @@ func TestFleetHandler(t *testing.T) {
 		"a:1": seedStore(t, 2, 63),
 		"b:2": seedStore(t, 2, 63),
 	}
-	labels := func() []string { return []string{"a:1", "b:2"} }
-	h := FleetHandler(stores, labels)
+	h := Handler(stores, nil)
 
 	// agent=* merges the fleet.
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=1m&agent=*")
@@ -240,7 +244,7 @@ func TestFleetHandler(t *testing.T) {
 
 func TestQueryExprClient(t *testing.T) {
 	st := seedStore(t, 2, 63)
-	srv := httptest.NewServer(Handler(st, nil))
+	srv := httptest.NewServer(Handler(one(st), nil))
 	defer srv.Close()
 	c, err := NewClient(srv.URL)
 	if err != nil {
@@ -256,5 +260,86 @@ func TestQueryExprClient(t *testing.T) {
 	// Server-side errors surface as client errors, not decode failures.
 	if _, err := c.QueryExpr("delta(CYCLE)", Options{}); err == nil || !strings.Contains(err.Error(), "CYCLES") {
 		t.Fatalf("client error = %v, want the server's suggestion passed through", err)
+	}
+}
+
+// TestOneRangeParser: raw and expression queries read from/to/step with
+// one parser — a raw query accepts the duration suffixes an expression
+// query does (step=1m was a 400 while expr=…&step=1m worked), and both
+// reject a negative step and an inverted range with the same envelope.
+func TestOneRangeParser(t *testing.T) {
+	h := Handler(one(seedStore(t, 2, 63)), nil)
+	for _, q := range []string{"pid=100", "expr=delta(CYCLES)"} {
+		code, want := get(t, h, "/api/v1/query?"+q+"&step=60")
+		if code != http.StatusOK {
+			t.Fatalf("%s&step=60: status %d, body %s", q, code, want)
+		}
+		for _, step := range []string{"1m", "60s"} {
+			if code, body := get(t, h, "/api/v1/query?"+q+"&step="+step); code != http.StatusOK || body != want {
+				t.Errorf("%s&step=%s: status %d, body differs from step=60:\n%s", q, step, code, body)
+			}
+		}
+	}
+	for _, bad := range []string{"step=-10", "step=-1m", "step=never", "from=100&to=50"} {
+		rawCode, raw := get(t, h, "/api/v1/query?pid=100&"+bad)
+		exprCode, expr := get(t, h, "/api/v1/query?expr=CYCLES&"+bad)
+		if rawCode != http.StatusBadRequest || exprCode != rawCode || raw != expr || !strings.Contains(raw, `"hint"`) {
+			t.Errorf("%s: raw answers %d %s, expr %d %s; want one 400 envelope with a hint", bad, rawCode, raw, exprCode, expr)
+		}
+	}
+}
+
+// TestSoloIsFleetOfOne: one store served as a solo daemon serves it
+// ({"": st}) and as the only agent of an aggregator ({"a:1": st},
+// selected by name, by agent=* or by default) answers with the same
+// bytes — raw series, one pid, grouped and ranked expressions, JSON and
+// OpenMetrics. Only per-task expression series differ, by design and by
+// exactly the agent label.
+func TestSoloIsFleetOfOne(t *testing.T) {
+	st := seedStore(t, 3, 63)
+	solo := Handler(one(st), nil)
+	fleet := Handler(map[string]*store.Store{"a:1": st}, nil)
+	for _, q := range []string{
+		"",
+		"step=10",
+		"pid=101&from=20&to=90",
+		"pid=101&step=1m&format=openmetrics",
+		"expr=rate(INSTRUCTIONS)+by+user&step=10",
+		"expr=topk(1,delta(CYCLES))+by+command&step=1m",
+		"expr=avg_over_time(pidcol)+by+user&step=60&format=openmetrics",
+	} {
+		code, want := get(t, solo, "/api/v1/query?"+q)
+		if code != http.StatusOK {
+			t.Fatalf("solo %q: status %d, body %s", q, code, want)
+		}
+		// A solo daemon has no label to select by and ignores the selector.
+		if code, got := get(t, solo, "/api/v1/query?"+q+"&agent=a:1"); code != http.StatusOK || got != want {
+			t.Errorf("solo %q&agent=a:1: status %d, body differs:\n%s\nvs\n%s", q, code, got, want)
+		}
+		for _, agent := range []string{"", "&agent=a:1", "&agent=*"} {
+			if code, got := get(t, fleet, "/api/v1/query?"+q+agent); code != http.StatusOK || got != want {
+				t.Errorf("fleet of one %q%s: status %d, body differs from solo:\n%s\nvs\n%s", q, agent, code, got, want)
+			}
+		}
+	}
+
+	// Per-task series carry the agent: the same result once it is removed.
+	const q = "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=10"
+	_, want := get(t, solo, q)
+	_, got := get(t, fleet, q)
+	var res Result
+	if err := json.Unmarshal([]byte(got), &res); err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Series {
+		s := &res.Series[i]
+		if !s.Total && s.Agent != "a:1" {
+			t.Fatalf("fleet series %q carries agent %q, want a:1", s.Key, s.Agent)
+		}
+		s.Agent, s.Key = "", strings.TrimPrefix(s.Key, "a:1/")
+	}
+	stripped, _ := json.MarshalIndent(&res, "", "  ")
+	if string(stripped)+"\n" != want {
+		t.Errorf("per-task expression differs beyond the agent label:\n%s\nvs\n%s", stripped, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tiptop/internal/core"
@@ -51,11 +50,13 @@ func (o FleetOptions) withDefaults() FleetOptions {
 // recorded history, is re-dialed with backoff, and is marked down in
 // the snapshot and the tiptop_agent_up metric meanwhile.
 type Fleet struct {
-	opt     FleetOptions
-	peers   []*peer
-	hub     *Hub
-	version atomic.Uint64
-	wg      sync.WaitGroup
+	opt   FleetOptions
+	peers []*peer
+	// srv re-broadcasts every observed refresh and serves the merged
+	// exposition, exactly as a solo daemon's server does for its one
+	// machine; its version counts samples observed across all agents.
+	srv *Server
+	wg  sync.WaitGroup
 }
 
 type peer struct {
@@ -81,7 +82,8 @@ func NewFleet(addrs []string, opt FleetOptions) (*Fleet, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("remote: fleet needs at least one agent")
 	}
-	f := &Fleet{opt: opt.withDefaults(), hub: NewHub()}
+	f := &Fleet{opt: opt.withDefaults()}
+	f.srv = NewServer(f.WriteOpenMetrics)
 	seen := map[string]bool{}
 	for _, a := range addrs {
 		base, label, err := normalizeBase(a)
@@ -125,14 +127,15 @@ func (f *Fleet) Start(ctx context.Context) {
 func (f *Fleet) Wait() { f.wg.Wait() }
 
 // Close terminates the re-broadcast stream subscribers.
-func (f *Fleet) Close() { f.hub.Close() }
+func (f *Fleet) Close() { f.srv.Close() }
 
-// Hub exposes the merged re-broadcast stream.
-func (f *Fleet) Hub() *Hub { return f.hub }
+// Server is the wire surface the fleet publishes through: the
+// re-broadcast /api/v1/stream and the merged /metrics, cached per
+// observed sample so scrape cost is independent of scrape rate.
+func (f *Fleet) Server() *Server { return f.srv }
 
-// Version counts samples observed across all agents; it keys the
-// aggregator's metrics cache.
-func (f *Fleet) Version() uint64 { return f.version.Load() }
+// Version counts samples observed across all agents.
+func (f *Fleet) Version() uint64 { return f.srv.Version() }
 
 // Labels lists the agent labels in join order.
 func (f *Fleet) Labels() []string {
@@ -230,16 +233,14 @@ func (f *Fleet) observe(p *peer, ws *Sample) {
 	}
 	p.rec.Observe(ws.CoreSample())
 
-	// Re-broadcast with the fleet's own monotonic refresh counter (the
-	// per-agent counters would interleave non-monotonically) and the
-	// originating agent in Source.
-	v := f.version.Add(1)
+	// Re-broadcast under the server's own monotonic refresh counter (the
+	// per-agent counters would interleave non-monotonically) with the
+	// originating agent in Source. A sample the hub refuses (a
+	// binary-wire agent can deliver a NaN) is recorded but not
+	// re-broadcast.
 	tagged := *ws
 	tagged.Source = p.label
-	tagged.Refresh = v
-	// A sample the hub refuses (a binary-wire agent can deliver a NaN)
-	// is recorded but not re-broadcast.
-	_ = f.hub.Publish(v, &tagged)
+	_ = f.srv.Publish(&tagged)
 }
 
 // sleepCtx pauses for d, returning false when ctx ended first.

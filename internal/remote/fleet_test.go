@@ -62,15 +62,17 @@ func TestNewFleetValidation(t *testing.T) {
 	}
 }
 
-// waitFor polls until cond returns true or the deadline passes.
+// waitFor polls until cond returns true, bounded by the test deadline
+// (less a margin, so the failure names what never happened) — the one
+// place these tests pause.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline, bounded := t.Deadline()
 	for !cond() {
-		if time.Now().After(deadline) {
+		if bounded && time.Until(deadline) < 5*time.Second {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -210,7 +212,7 @@ func TestFleetRebroadcastTagsSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancelSub := fleet.Hub().Subscribe()
+	ch, cancelSub := fleet.Server().Hub().Subscribe()
 	defer cancelSub()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() {
@@ -220,22 +222,19 @@ func TestFleetRebroadcastTagsSource(t *testing.T) {
 	}()
 	fleet.Start(ctx)
 
-	select {
-	case frame := <-ch:
-		s := string(frame.Stream(FormatJSON))
-		i := strings.Index(s, "data: ")
-		if i < 0 {
-			t.Fatalf("frame = %q", s)
-		}
-		payload := strings.TrimSuffix(s[i+len("data: "):], "\n\n")
-		ws, err := Decode([]byte(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ws.Source != agent.host() {
-			t.Fatalf("Source = %q, want %q", ws.Source, agent.host())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no re-broadcast frame")
+	waitFor(t, "a re-broadcast frame", func() bool { return fleet.Version() >= 1 })
+	frame := <-ch
+	s := string(frame.Stream(FormatJSON))
+	i := strings.Index(s, "data: ")
+	if i < 0 {
+		t.Fatalf("frame = %q", s)
+	}
+	payload := strings.TrimSuffix(s[i+len("data: "):], "\n\n")
+	ws, err := Decode([]byte(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Source != agent.host() {
+		t.Fatalf("Source = %q, want %q", ws.Source, agent.host())
 	}
 }

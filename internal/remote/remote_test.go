@@ -355,21 +355,18 @@ func TestServerEndpoints(t *testing.T) {
 		ws, err := client.Next()
 		got <- next{ws, err}
 	}()
-	// Give Next time to connect and skip the replayed frame 1.
-	time.Sleep(50 * time.Millisecond)
+	// Next has connected (and been handed the replayed frame 1, which it
+	// skips) once the hub counts its stream.
+	waitFor(t, "Next to open its stream", func() bool { return srv.Hub().Subscribers() == 1 })
 	if err := srv.Publish(testSample(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case n := <-got:
-		if n.err != nil {
-			t.Fatal(n.err)
-		}
-		if n.ws.Refresh != 2 || n.ws.TimeSeconds != 3 {
-			t.Fatalf("Next = %+v, want the second publish", n.ws)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next did not deliver the published refresh")
+	n := <-got
+	if n.err != nil {
+		t.Fatal(n.err)
+	}
+	if n.ws.Refresh != 2 || n.ws.TimeSeconds != 3 {
+		t.Fatalf("Next = %+v, want the second publish", n.ws)
 	}
 }
 
@@ -394,15 +391,10 @@ func TestClientCloseUnblocksNext(t *testing.T) {
 		_, err := client.Next()
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "Next to block on its stream", func() bool { return srv.Hub().Subscribers() == 1 })
 	client.Close()
-	select {
-	case err := <-done:
-		if err != ErrClosed {
-			t.Fatalf("Next after Close = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next still blocked after Close")
+	if err := <-done; err != ErrClosed {
+		t.Fatalf("Next after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -496,21 +488,22 @@ func TestHubConcurrentPublishSubscribe(t *testing.T) {
 			}
 		}
 	}()
+	// The publisher runs until every subscriber has been through its
+	// rounds; a subscriber always gets a frame, the replayed latest if
+	// nothing newer.
+	var subs sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
+		subs.Add(1)
 		go func() {
-			defer wg.Done()
+			defer subs.Done()
 			for n := 0; n < 50; n++ {
 				ch, cancel := hub.Subscribe()
-				select {
-				case <-ch:
-				case <-time.After(time.Second):
-				}
+				<-ch
 				cancel()
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
+	subs.Wait()
 	close(stop)
 	wg.Wait()
 	hub.Close()

@@ -29,7 +29,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -155,9 +155,17 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (Ti
 	dict := newV2Dict(nil)
 	lastSeen := make(map[hpm.TaskID]time.Duration)
 	var newest time.Duration
+	// Both passes ride the scan walker over each input's whole time
+	// range, decoding every field into one scratch record.
+	var sc segScanner
+	scratch := &Record{}
+	each := func(in *segment, fn func(rec *Record, fileCols []string) error) error {
+		f := queryFile{path: in.path, valid: in.size}
+		return sc.scanFile(f, math.MinInt64, math.MaxInt64, func() *Record { return scratch }, fn)
+	}
 	for _, in := range inputs {
 		tc.BytesBefore += in.size
-		err := forEachRecord(in.path, in.size, func(rec *Record) error {
+		err := each(in, func(rec *Record, _ []string) error {
 			tc.Records++
 			rt := recTime(rec)
 			if rt > newest {
@@ -202,9 +210,9 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (Ti
 			}
 			writtenCols = nil
 		}
-		err := forEachRecord(in.path, in.size, func(rec *Record) error {
-			if len(rec.Cols) > 0 {
-				activeCols = rec.Cols
+		err := each(in, func(rec *Record, fileCols []string) error {
+			if fileCols != nil {
+				activeCols = fileCols // owned by the walk, unlike rec.Cols
 			}
 			out := *rec
 			if len(dead) > 0 {
@@ -265,39 +273,6 @@ func sameCols(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// forEachRecord streams the records of one segment's valid prefix in
-// order, decoding each frame (dictionary frames fold into decoder
-// state and are not surfaced).
-func forEachRecord(path string, valid int64, fn func(*Record) error) error {
-	fh, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer fh.Close()
-	fr := newFrameReader(bufio.NewReaderSize(io.LimitReader(fh, valid), 1<<16))
-	var fd frameDecoder
-	for {
-		payload, ok, rerr := fr.next()
-		if rerr != nil {
-			return rerr
-		}
-		if !ok {
-			return nil
-		}
-		fr.accept()
-		rec, derr := fd.decode(payload)
-		if derr != nil {
-			return derr
-		}
-		if rec == nil {
-			continue
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
 }
 
 // compactWriter produces the output segments of one tier's rewrite,

@@ -38,16 +38,17 @@ func fuzzSeedRecord() *Record {
 	}
 }
 
-// FuzzDecodeFrame drives the v2 frame decoder (and the v1 JSON path it
-// dispatches to) with corrupt, truncated and mutated payloads. Each
-// input is decoded twice — against an empty dictionary and against a
+// FuzzDecodeFrame drives the scan walker's v2 frame decode (and the v1
+// JSON path it dispatches to) with corrupt, truncated and mutated
+// payloads, asserting walker ≡ reference loop on each. Each input is
+// walked twice as a frame — against an empty dictionary and against a
 // pre-seeded one — so both the index-out-of-range rejection and the
 // in-range dictionary paths stay covered, and the cheap prefix readers
 // (framePrefix, v2PeekCols) see the same bytes the full decode does.
-// The same bytes are then read as a whole segment file, the way
-// recovery walks a tail it is about to append to: frame by frame,
-// folding incremental dictionary frames into the table the live writer
-// resumes from.
+// The same bytes are then read as a whole segment file, by the walker
+// and the way recovery walks a tail it is about to append to: frame by
+// frame, folding incremental dictionary frames into the table the live
+// writer resumes from.
 func FuzzDecodeFrame(f *testing.F) {
 	rec := fuzzSeedRecord()
 	dict := newV2Dict(nil)
@@ -100,19 +101,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(seg)
 
 	seeded := append([]string(nil), dict.strs...)
+	warmPrefix := framed(dictFrame)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// A fresh decoder: every dictionary reference is out of range.
-		fresh := &frameDecoder{}
-		if rec, err := fresh.decode(payload); err != nil && rec != nil {
-			t.Fatalf("decode returned both a record and an error: %v", err)
-		}
-		// A decoder mid-segment, dictionary already established.
-		warm := &frameDecoder{dict: seeded}
-		if rec, err := warm.decode(payload); err == nil && rec != nil {
-			if len(rec.Rows) > len(payload) {
-				t.Fatalf("decoded %d rows from a %d-byte payload", len(rec.Rows), len(payload))
-			}
-		}
+		// The input as one frame of a segment: alone (every dictionary
+		// reference is out of range) and mid-segment (the dictionary is
+		// established); then as a whole segment file.
+		walkerMatchesReference(t, framed(payload))
+		walkerMatchesReference(t, append(append([]byte(nil), warmPrefix...), framed(payload)...))
+		walkerMatchesReference(t, payload)
 		framePrefix(payload)
 		if sc, err := scanFrames(bytes.NewReader(payload)); err == nil {
 			if sc.valid > int64(len(payload)) || sc.n > sc.valid {
@@ -124,22 +120,74 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 		if len(payload) >= 2 && payload[0] == recordVersionV2 && payload[1] == v2KindData {
-			rec, err := decodeV2Record(payload, seeded)
-			if err != nil {
+			var rec Record
+			if err := decodeV2RecordInto(&rec, payload, seeded, nil); err != nil {
 				// The cheap peek may accept a payload the full decode
 				// rejects (it only reads the header prefix).
 				return
+			}
+			if len(rec.Rows) > len(payload) {
+				t.Fatalf("decoded %d rows from a %d-byte payload", len(rec.Rows), len(payload))
 			}
 			// The reverse — peek erroring, or disagreeing about the
 			// column list, where the full decode succeeded — would mean
 			// the two readers disagree about the header layout.
 			cols, err := v2PeekCols(payload, seeded)
 			if err != nil {
-				t.Fatalf("decodeV2Record accepted a payload v2PeekCols rejects: %v", err)
+				t.Fatalf("the full decode accepted a payload v2PeekCols rejects: %v", err)
 			}
 			if len(cols) != len(rec.Cols) {
-				t.Fatalf("v2PeekCols saw %d columns, decodeV2Record %d", len(cols), len(rec.Cols))
+				t.Fatalf("v2PeekCols saw %d columns, the full decode %d", len(cols), len(rec.Cols))
 			}
 		}
 	})
+}
+
+// walkerMatchesReference reads seg as a segment file through the scan
+// walker — one reused scratch record, the way an inline ScanWith and
+// Compact run it — and through the reference loop's fresh decodes: the
+// same records with the same columns in force, and failure on the same
+// frame or on none. A projecting walker must stop at the same record.
+func walkerMatchesReference(t *testing.T, seg []byte) {
+	t.Helper()
+	const all = 1<<63 - 1
+	var want [][]byte
+	var cols []string
+	refErr := refScanStream(bytes.NewReader(seg), -all, all, &cols, func(rec *Record, cols []string) error {
+		want = append(want, recordBytes(rec, cols))
+		return nil
+	})
+	for _, proj := range []*projection{nil, newProjection([]string{"IPC"}, false, true)} {
+		sc := segScanner{proj: proj}
+		scratch := &Record{}
+		n := 0
+		var inForce []string
+		err := sc.scan(bytes.NewReader(seg), -all, all, func() *Record { return scratch },
+			func(rec *Record, fileCols []string) error {
+				if fileCols != nil {
+					inForce = fileCols
+				}
+				if proj == nil && (n >= len(want) || !bytes.Equal(recordBytes(rec, inForce), want[n])) {
+					t.Fatalf("walker record %d differs from the reference decode", n)
+				}
+				n++
+				return nil
+			})
+		if n != len(want) || (err == nil) != (refErr == nil) {
+			t.Fatalf("walker (projecting: %v) emitted %d records (%v), the reference %d (%v)",
+				proj != nil, n, err, len(want), refErr)
+		}
+	}
+}
+
+// recordBytes renders a decoded record and the columns in force as
+// bytes, so records compare bit for bit (NaN payloads included) and
+// nil-versus-empty slices — fresh decode versus reused scratch — do not.
+func recordBytes(rec *Record, cols []string) []byte {
+	d := newV2Dict(nil)
+	b := appendV2Data(nil, rec, d)
+	for _, c := range cols {
+		b = append(append(b, 0), c...)
+	}
+	return d.appendDictFrame(b, 0)
 }

@@ -78,16 +78,23 @@ func TestTailRecoveryResumesDictionary(t *testing.T) {
 			namedSample(time.Duration(40+i)*time.Second, 3, "gamma", "beta", "delta"))
 	}
 
-	// Across the seam: the serial full decode, the parallel projected
-	// scan and the never-restarted twin all agree.
-	serial := collectScan(t, st, ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: 1})
+	// Across the seam: the reference full decode, the walker (inline and
+	// pooled, full and projected) and the never-restarted twin all agree.
+	serial := refScan(t, st, QueryOptions{PID: -1})
 	if len(serial) != 80 {
-		t.Fatalf("serial scan saw %d records, want 80", len(serial))
+		t.Fatalf("reference scan saw %d records, want 80", len(serial))
 	}
 	all := ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: 4,
 		Project: true, Columns: []string{"v"}, NeedCPUPct: true, NeedIPC: true}
-	if par := collectScan(t, st, all); !reflect.DeepEqual(serial, par) {
-		t.Fatal("parallel projected scan differs from the serial full decode across the restart seam")
+	for _, workers := range []int{1, 4} {
+		full := ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: workers}
+		proj := all
+		proj.Workers = workers
+		for name, opts := range map[string]ScanOptions{"full": full, "projected": proj} {
+			if got := collectScan(t, st, opts); !reflect.DeepEqual(serial, got) {
+				t.Fatalf("%d-worker %s scan differs from the reference full decode across the restart seam", workers, name)
+			}
+		}
 	}
 	// The twin differs in one legitimate way: SetColumns after the
 	// restart re-announces the columns mid-segment.

@@ -9,11 +9,7 @@ package store
 // with appends.
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -107,8 +103,8 @@ func TierFor(step time.Duration) time.Duration {
 // record). Scan does not filter rows by PID — consumers that care
 // filter per row. It returns the serving tier's resolution.
 //
-// Scan decodes segments on a worker pool (see ScanWith): the record
-// passed to fn is reused scratch, valid only for the duration of the
+// Scan decodes segments inline or on a worker pool (see ScanWith): the
+// record passed to fn is reused scratch, valid only for the duration of the
 // call — fn must copy anything it keeps. Invalid ranges (to before
 // from, a negative step) fail with a *RangeError.
 func (st *Store) Scan(q QueryOptions, fn func(rec *Record, cols []string) error) (time.Duration, error) {
@@ -184,80 +180,6 @@ func (st *Store) snapshotTier(step time.Duration) (*queryView, time.Duration, er
 	}
 	add(t.active)
 	return view, t.res, nil
-}
-
-// colsKey marks a record payload carrying column names. The bare
-// quotes cannot occur inside a JSON string value (they would be
-// escaped), so a substring match never false-positives on task names.
-var colsKey = []byte(`,"cols":[`)
-
-// scanQueryFile walks one segment's valid prefix, streaming the
-// records inside the range through fn. Frames are version-sniffed
-// individually (an old store's recovered tail segment holds v1 JSON
-// with v2 frames appended after it). Records before the range are normally skipped
-// undecoded, but v2 dictionary frames always fold into the decoder
-// state, and records carrying column names (each segment's first
-// record, and any screen change) surface them so *cols tracks the
-// columns in force where the range starts — not an older screen's.
-func scanQueryFile(f queryFile, from, to time.Duration, cols *[]string, fn func(rec *Record, cols []string) error) error {
-	fh, err := os.Open(f.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // retired by retention between snapshot and scan
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	defer fh.Close()
-	fr := newFrameReader(bufio.NewReaderSize(io.LimitReader(fh, f.valid), 1<<16))
-	var fd frameDecoder
-	for {
-		payload, ok, err := fr.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		fr.accept()
-		t, v, kind, pok := framePrefix(payload)
-		if !pok {
-			return nil
-		}
-		if v > RecordVersion {
-			return fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
-		}
-		if kind == frameKindMeta {
-			if _, err := fd.decode(payload); err != nil {
-				return err
-			}
-			continue
-		}
-		if t > to {
-			return nil // records are time-ordered; nothing further matches
-		}
-		if t < from {
-			if payload[0] == '{' {
-				if bytes.Contains(payload, colsKey) {
-					if rec, derr := DecodeRecord(payload); derr == nil && len(rec.Cols) > 0 {
-						*cols = rec.Cols
-					}
-				}
-			} else if c, derr := v2PeekCols(payload, fd.dict); derr == nil && len(c) > 0 {
-				*cols = c
-			}
-			continue
-		}
-		rec, err := fd.decode(payload)
-		if err != nil {
-			return err
-		}
-		if len(rec.Cols) > 0 {
-			*cols = rec.Cols
-		}
-		if err := fn(rec, *cols); err != nil {
-			return err
-		}
-	}
 }
 
 // seriesSet assembles query output, optionally re-bucketing to a step

@@ -286,25 +286,15 @@ func (p *projection) keepCol(j int) bool {
 	return j < len(p.keep) && p.keep[j]
 }
 
-// decodeV2Record decodes one v2 data payload against the segment's
-// dictionary. It mirrors appendV2Data exactly; trailing bytes are an
-// error, not ignored.
-func decodeV2Record(p []byte, dict []string) (*Record, error) {
-	rec := &Record{}
-	if err := decodeV2RecordInto(rec, p, dict, nil); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// decodeV2RecordInto decodes one v2 data payload into rec, reusing its
-// row, value and column buffers — the zero-steady-state-allocation
-// decode the scan workers run. Strings are shared with the segment
-// dictionary, never re-allocated. A nil proj decodes every field
-// (decodeV2Record's behavior); otherwise unreferenced value columns and
-// unrequested CPU/IPC fields are stepped over via their control bytes
-// and their slots left zero, keeping Values index-aligned with the
-// columns in force.
+// decodeV2RecordInto decodes one v2 data payload against the segment's
+// dictionary into rec, reusing its row, value and column buffers — the
+// zero-steady-state-allocation decode the scan walker runs. It mirrors
+// appendV2Data exactly; trailing bytes are an error, not ignored.
+// Strings are shared with the segment dictionary, never re-allocated. A
+// nil proj decodes every field; otherwise unreferenced value columns
+// and unrequested CPU/IPC fields are stepped over via their control
+// bytes and their slots left zero, keeping Values index-aligned with
+// the columns in force.
 func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) error {
 	r := binenc.NewReader(p[2:])
 	rec.V = recordVersionV2
@@ -492,35 +482,4 @@ func v2PeekCols(p []byte, dict []string) ([]string, error) {
 		cols = append(cols, dict[idx])
 	}
 	return cols, r.Err()
-}
-
-// frameDecoder decodes a segment's frames in order, carrying the
-// dictionary state dictionary frames establish. One decoder per file —
-// dictionaries never span segments.
-type frameDecoder struct {
-	dict []string
-}
-
-// decode turns one frame payload into a record. rec is nil (with no
-// error) for meta frames, which only update decoder state.
-func (d *frameDecoder) decode(payload []byte) (*Record, error) {
-	_, v, kind, ok := framePrefix(payload)
-	if !ok {
-		return nil, fmt.Errorf("store: unparseable record payload")
-	}
-	if v > RecordVersion {
-		return nil, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
-	}
-	if kind == frameKindMeta {
-		dict, err := decodeV2Dict(payload, d.dict)
-		if err != nil {
-			return nil, err
-		}
-		d.dict = dict
-		return nil, nil
-	}
-	if payload[0] == '{' {
-		return DecodeRecord(payload)
-	}
-	return decodeV2Record(payload, d.dict)
 }

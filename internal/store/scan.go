@@ -1,12 +1,14 @@
 package store
 
-// The scan engine behind Scan and ScanWith: a projected, parallel walk
-// over the selected tier's segment snapshot. Workers claim whole
-// segment files (segments never overlap in time, so file order is time
-// order), decode them concurrently into per-worker scratch, and an
-// ordered merger on the calling goroutine replays the decoded records
-// file by file — the consumer sees exactly the sequence the serial
-// scan produced, record for record, column change for column change.
+// The scan engine behind Scan, ScanWith and Compact: one file walker
+// (segScanner.scanFile) over the selected tier's segment snapshot, run
+// inline on the caller's goroutine when one worker suffices and by a
+// pool otherwise. Pool workers claim whole segment files (segments
+// never overlap in time, so file order is time order), decode them
+// concurrently into per-worker scratch, and an ordered merger on the
+// calling goroutine replays the decoded records file by file — the
+// consumer sees exactly the sequence the inline walk produces, record
+// for record, column change for column change.
 //
 // The determinism contract: for the same snapshot, ScanWith emits the
 // same records with the same column annotations regardless of worker
@@ -31,8 +33,8 @@ import (
 type ScanOptions struct {
 	QueryOptions
 	// Workers sizes the decode pool: 0 uses one worker per CPU
-	// (GOMAXPROCS), 1 forces the serial path. Parallelism never exceeds
-	// the number of segment files in range.
+	// (GOMAXPROCS), 1 walks inline on the caller's goroutine. Parallelism
+	// never exceeds the number of segment files in range.
 	Workers int
 	// Project restricts v2 decodes to the Columns named below; v1 JSON
 	// frames transparently fall back to a full decode. Unprojected
@@ -97,38 +99,20 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 	if workers > len(files) {
 		workers = len(files)
 	}
-	var proj *projection
-	if opts.Project {
-		proj = newProjection(opts.Columns, opts.NeedCPUPct, opts.NeedIPC)
-	}
-	if workers <= 1 {
-		if proj == nil {
-			// The original serial loop: fresh records, full decode — the
-			// reference the parallel path is tested against, and the
-			// benchmark baseline.
-			cols := view.cols
-			for _, f := range files {
-				if err := scanQueryFile(f, from, to, &cols, fn); err != nil {
-					return 0, err
-				}
-			}
-			return res, nil
+	mk := func() *projection {
+		if !opts.Project {
+			return nil
 		}
-		return res, scanSerialProjected(files, view.cols, from, to, proj, fn)
+		return newProjection(opts.Columns, opts.NeedCPUPct, opts.NeedIPC)
 	}
-	mk := func() *projection { return nil }
-	if opts.Project {
-		mk = func() *projection { return newProjection(opts.Columns, opts.NeedCPUPct, opts.NeedIPC) }
+	if workers > 1 {
+		return res, scanParallel(files, view.cols, from, to, workers, mk, fn)
 	}
-	return res, scanParallel(files, view.cols, from, to, workers, mk, fn)
-}
-
-// scanSerialProjected is the one-worker projected path: a single
-// scratch record reused across every file.
-func scanSerialProjected(files []queryFile, startCols []string, from, to time.Duration, proj *projection, fn func(rec *Record, cols []string) error) error {
-	sc := segScanner{proj: proj}
+	// One file in range, or one worker asked for: the same walker, inline
+	// on the caller's goroutine with a single scratch record.
+	sc := segScanner{proj: mk()}
 	scratch := &Record{}
-	cols := startCols
+	cols := view.cols
 	for _, f := range files {
 		err := sc.scanFile(f, from, to,
 			func() *Record { return scratch },
@@ -139,10 +123,10 @@ func scanSerialProjected(files []queryFile, startCols []string, from, to time.Du
 				return fn(rec, cols)
 			})
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // segScanner walks segment files one at a time, carrying reusable
@@ -155,17 +139,25 @@ type segScanner struct {
 	br   *bufio.Reader
 }
 
-// scanFile streams one segment's in-range records. next supplies the
-// record each v2 frame decodes into (the caller's scratch policy; v1
-// frames always decode fresh). emit receives each record together with
-// the columns the file has established so far — nil until the file
-// names them, meaning "inherited from earlier files"; non-nil slices
-// are owned by the scan, never aliased to scratch.
+// colsKey marks a v1 record payload carrying column names. The bare
+// quotes cannot occur inside a JSON string value (they would be
+// escaped), so a substring match never false-positives on task names.
+var colsKey = []byte(`,"cols":[`)
+
+// scanFile streams one segment's in-range records. Frames are
+// version-sniffed individually (an old store's recovered tail segment
+// holds v1 JSON with v2 frames appended after it). Records before the
+// range are skipped undecoded, but dictionary frames always fold into
+// the decoder state, and records carrying column names (each segment's
+// first record, and any screen change) surface them, so the columns
+// reported where the range starts are the ones in force there — not an
+// older screen's. next supplies the record each v2 frame decodes into
+// (the caller's scratch policy; v1 frames always decode fresh). emit
+// receives each record together with the columns the file has
+// established so far — nil until the file names them, meaning
+// "inherited from earlier files"; non-nil slices are owned by the scan,
+// never aliased to scratch.
 func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
-	s.dict = s.dict[:0]
-	if s.proj != nil {
-		s.proj.reset()
-	}
 	fh, err := os.Open(f.path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -173,11 +165,20 @@ func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *
 		}
 		return fmt.Errorf("store: %w", err)
 	}
-	defer fh.Close()
+	defer fh.Close() // read-only
+	return s.scan(io.LimitReader(fh, f.valid), from, to, next, emit)
+}
+
+// scan is scanFile over the segment's bytes.
+func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
+	s.dict = s.dict[:0]
+	if s.proj != nil {
+		s.proj.reset()
+	}
 	if s.br == nil {
 		s.br = bufio.NewReaderSize(nil, 1<<16)
 	}
-	s.br.Reset(io.LimitReader(fh, f.valid))
+	s.br.Reset(r)
 	fr := newFrameReader(s.br)
 	var fileCols []string
 	for {
@@ -353,8 +354,8 @@ func scanParallel(files []queryFile, startCols []string, from, to time.Duration,
 // scratch through the free lists. The error it returns is the file's
 // own scan failure; an aborted merge returns nil (nobody is listening).
 // Records decoded before a failure are still flushed — the merger
-// delivers them before surfacing the error, exactly like the serial
-// scan.
+// delivers them before surfacing the error, exactly like the inline
+// walk.
 func runScanFile(sc *segScanner, f queryFile, from, to time.Duration, out chan<- *scanBatch, free chan *Record, batchFree chan *scanBatch, done <-chan struct{}) error {
 	getBatch := func() *scanBatch {
 		select {

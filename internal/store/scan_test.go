@@ -1,8 +1,9 @@
 package store
 
-// Tests for the parallel, projected scan path: the worker pool must
-// reproduce the serial scan record-for-record (including column-change
-// annotations) over stores mixing v1 JSON and v2 columnar segments;
+// Tests for the scan walker: inline and pooled, full and projected, it
+// must reproduce the reference loop (refscan_test.go) record-for-record
+// (including column-change annotations) over stores mixing v1 JSON and
+// v2 columnar segments;
 // projection must zero exactly the unreferenced fields and nothing
 // else; invalid ranges must fail with typed errors; and scans must be
 // race-free against concurrent appends and compaction.
@@ -88,6 +89,16 @@ func mixedStore(t *testing.T) *Store {
 	return st
 }
 
+// everything is a projection that keeps every field mixedStore writes,
+// so a projected scan must equal the reference outright.
+func everything(q QueryOptions, workers int) ScanOptions {
+	return ScanOptions{QueryOptions: q, Workers: workers, Project: true,
+		Columns: []string{"branch-miss", "llc-load"}, NeedCPUPct: true, NeedIPC: true}
+}
+
+// TestScanParallelMatchesSerial: the one walker, inline (one worker) or
+// pooled, full or projected, emits exactly the reference loop's
+// sequence over every segment layout.
 func TestScanParallelMatchesSerial(t *testing.T) {
 	st := mixedStore(t)
 	for _, q := range []QueryOptions{
@@ -97,37 +108,41 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 		{PID: -1, FromSeconds: 100, ToSeconds: 300},
 		{PID: -1, FromSeconds: 77.7},
 	} {
-		serial := collectScan(t, st, ScanOptions{QueryOptions: q, Workers: 1})
-		if len(serial) == 0 {
+		ref := refScan(t, st, q)
+		if len(ref) == 0 {
 			t.Fatalf("query %+v scanned nothing", q)
 		}
-		for _, workers := range []int{2, 4, 16} {
-			par := collectScan(t, st, ScanOptions{QueryOptions: q, Workers: workers})
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("query %+v: %d-worker scan differs from serial (%d vs %d records)",
-					q, workers, len(par), len(serial))
+		for _, workers := range []int{1, 2, 4, 16} {
+			for name, opts := range map[string]ScanOptions{
+				"full":      {QueryOptions: q, Workers: workers},
+				"projected": everything(q, workers),
+			} {
+				if got := collectScan(t, st, opts); !reflect.DeepEqual(ref, got) {
+					t.Fatalf("query %+v: %d-worker %s scan differs from the reference (%d vs %d records)",
+						q, workers, name, len(got), len(ref))
+				}
 			}
 		}
 	}
 }
 
 // TestScanProjectedMatchesFull: every record of a projected scan must
-// equal its full-decode counterpart with exactly the unreferenced
+// equal the reference's full decode with exactly the unreferenced
 // fields zeroed — or, for v1 JSON frames (which fall back to a full
 // decode), the full record unchanged. Both oracles are computed from
-// the full stream using the columns in force at each record.
+// the reference stream using the columns in force at each record.
 func TestScanProjectedMatchesFull(t *testing.T) {
 	st := mixedStore(t)
 	q := QueryOptions{PID: -1, StepSeconds: 10}
 	keepName := "llc-load"
+	full := refScan(t, st, q)
 	for _, workers := range []int{1, 4} {
-		full := collectScan(t, st, ScanOptions{QueryOptions: q, Workers: workers})
 		proj := collectScan(t, st, ScanOptions{
 			QueryOptions: q, Workers: workers,
 			Project: true, Columns: []string{keepName, "INSTRUCTIONS"}, NeedCPUPct: false,
 		})
 		if len(proj) != len(full) {
-			t.Fatalf("%d-worker projected scan has %d records, full has %d",
+			t.Fatalf("%d-worker projected scan has %d records, the reference has %d",
 				workers, len(proj), len(full))
 		}
 		zeroed := 0
@@ -169,6 +184,39 @@ func TestScanProjectedMatchesFull(t *testing.T) {
 		if !kept {
 			t.Fatal("projected scan kept no values for the referenced column")
 		}
+	}
+}
+
+// TestScanAllocsPerRecord: a projected scan in steady state — scratch
+// records, batches, dictionaries and read buffers all recycled — costs
+// at most one allocation per record amortised, inline and pooled alike.
+// What remains is per file (open, dictionary strings, column names) and,
+// in the pool, the scratch the decode window holds in flight: at most
+// 2×workers files of three 64-record batches each, whatever the range.
+func TestScanAllocsPerRecord(t *testing.T) {
+	const records = 24000
+	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 64 << 10, NoDownsample: true})
+	defer st.Close()
+	st.SetColumns([]string{"branch-miss", "llc-load"})
+	seed := uint64(11)
+	fillVaried(t, st, time.Second, time.Second, records, 6, &seed)
+	for _, workers := range []int{1, 4} {
+		opts := ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: workers,
+			Project: true, Columns: []string{"llc-load"}, NeedIPC: true}
+		var seen int
+		allocs := testing.AllocsPerRun(3, func() {
+			seen = 0
+			if _, err := st.ScanWith(opts, func(*Record, []string) error { seen++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if seen != records {
+			t.Fatalf("%d-worker scan saw %d records, want %d", workers, seen, records)
+		}
+		if allocs > records {
+			t.Fatalf("%d-worker projected scan: %.0f allocations for %d records, want <= 1 per record", workers, allocs, records)
+		}
+		t.Logf("%d-worker projected scan: %.3f allocations per record", workers, allocs/records)
 	}
 }
 

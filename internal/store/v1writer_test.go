@@ -143,7 +143,7 @@ func rewriteSegmentsV1(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 		var out []byte
-		err = forEachRecord(path, fi.Size(), func(rec *Record) error {
+		err = refForEachRecord(path, fi.Size(), func(rec *Record) error {
 			start := len(out)
 			out = appendV1Record(beginFrame(out), rec)
 			endFrame(out[start:])

@@ -53,7 +53,10 @@ func (q storeQuerier) QueryExpr(expr string, opt QueryOptions, extra ...string) 
 type recorderQuerier struct{ r *Recorder }
 
 // Querier returns the recorder's unified query surface over its live
-// ring buffers.
+// ring buffers — the same data the interactive screens render, served
+// as series. Semantics match a Store's on the same observations:
+// counters (INSTRUCTIONS, CYCLES, CACHE_MISSES) sum per bucket while
+// columns and CPU_PCT average.
 func (r *Recorder) Querier() Querier { return recorderQuerier{r} }
 
 func (q recorderQuerier) QueryExpr(expr string, opt QueryOptions, extra ...string) (*QueryResult, error) {

@@ -55,8 +55,8 @@ func querierFixture(t *testing.T) (*tiptop.Recorder, *tiptop.Store, *httptest.Se
 }
 
 // TestQuerierUnification: the same expression through every Querier
-// backend — Store, Recorder, QueryClient — and through the deprecated
-// per-type methods, all answer identically over the same samples.
+// backend — Store, Recorder, QueryClient — answers identically over the
+// same samples.
 func TestQuerierUnification(t *testing.T) {
 	rec, st, ts := querierFixture(t)
 	qc, err := tiptop.NewQueryClient(ts.URL)
@@ -93,23 +93,6 @@ func TestQuerierUnification(t *testing.T) {
 			if string(gotJSON) != string(wantJSON) {
 				t.Errorf("%s %q diverges from store:\n%s\nvs\n%s", name, expr, gotJSON, wantJSON)
 			}
-		}
-		// The deprecated delegates answer through the same path.
-		old, err := st.QueryExpr(expr, opt)
-		if err != nil {
-			t.Fatalf("deprecated store QueryExpr %q: %v", expr, err)
-		}
-		oldJSON, _ := json.Marshal(old)
-		if string(oldJSON) != string(wantJSON) {
-			t.Errorf("deprecated Store.QueryExpr %q diverges", expr)
-		}
-		oldRec, err := rec.QueryExpr(expr, opt)
-		if err != nil {
-			t.Fatalf("deprecated recorder QueryExpr %q: %v", expr, err)
-		}
-		oldRecJSON, _ := json.Marshal(oldRec)
-		if string(oldRecJSON) != string(wantJSON) {
-			t.Errorf("deprecated Recorder.QueryExpr %q diverges", expr)
 		}
 	}
 }

@@ -86,18 +86,6 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 	return export.WriteOpenMetrics(w, r.h.Snapshot())
 }
 
-// QueryExpr evaluates a screen-language expression over the recorder's
-// live ring buffers — the same data the interactive screens render,
-// served as series. Semantics match Store.QueryExpr on the same
-// observations; counters (INSTRUCTIONS, CYCLES, CACHE_MISSES) sum per
-// bucket while columns and CPU_PCT average.
-//
-// Deprecated: use Querier().QueryExpr, the variadic contract shared
-// with Store and QueryClient. This delegate remains for compatibility.
-func (r *Recorder) QueryExpr(expr string, opt QueryOptions) (*QueryResult, error) {
-	return r.Querier().QueryExpr(expr, opt)
-}
-
 // Validate reports configuration errors a Monitor constructor would
 // reject, with tiptop-level messages: an unknown screen or event
 // definition, an unknown sort key, a negative interval or negative

@@ -25,9 +25,12 @@ for ep in $(grep -ohE '/api/v1/[a-z]+|/metrics' $docs | sort -u); do
 done
 
 # --- 2. flags ---------------------------------------------------------
-# flag_defined CMD FLAG -> 0 when cmd/CMD defines the flag.
+# flag_defined CMD FLAG -> 0 when cmd/CMD defines the flag, itself or —
+# tiptop and tiptopd — through the shared set in internal/config/flags.go.
 flag_defined() {
-    grep -qE "fs\.[A-Za-z0-9]+\(\"$2\"" "cmd/$1"/*.go
+    shared=internal/config/flags.go
+    [ "$1" = tipbench ] && shared=
+    grep -qE "fs\.[A-Za-z0-9]+\((&[A-Za-z.]+, )?\"$2\"" "cmd/$1"/*.go $shared
 }
 
 # 2a. `cmd -flag` adjacencies found in the docs. The leading character
@@ -55,7 +58,6 @@ tiptopd:retention tiptopd:budget tiptopd:system-wide tiptopd:counters
 tiptopd:fsync tiptopd:compact tiptopd:wire
 tipbench:run tipbench:scale tipbench:out tipbench:list
 tipbench:bench-refresh tipbench:bench-store
-tipbench:bench-query tipbench:query-records tipbench:query-workers
 tipbench:bench-mux tipbench:validate
 "
 

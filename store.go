@@ -70,6 +70,11 @@ func (r *Recorder) Tee(st *Store) {
 	r.h.Tee(st.s)
 }
 
+// Observe appends one engine refresh, latching append errors for Err —
+// the core.Observer hook a fleet aggregator tees each agent's stream
+// into (Recorder.Tee is the same hook for a local recorder).
+func (st *Store) Observe(s *core.Sample) { st.s.Observe(s) }
+
 // Dir returns the store's directory.
 func (st *Store) Dir() string { return st.s.Dir() }
 
@@ -94,39 +99,40 @@ func (st *Store) SetColumns(names []string) { st.s.SetColumns(names) }
 // tier the query's step selects.
 func (st *Store) Query(q StoreQuery) (*StoreResult, error) { return st.s.Query(q) }
 
-// QueryExpr evaluates a screen-language expression over the store's
-// recorded history: `delta(INSTRUCTIONS)/delta(CYCLES)`,
-// `topk(3, rate(CYCLES)) by user`, `avg_over_time(ipc)` and friends,
-// bucketed to opt.StepSeconds. The same engine answers live recorders
-// (Recorder.QueryExpr) and fleet aggregators.
-//
-// Deprecated: use Querier().QueryExpr, the variadic contract shared
-// with Recorder and QueryClient. This delegate remains for
-// compatibility.
-func (st *Store) QueryExpr(expr string, opt QueryOptions) (*QueryResult, error) {
-	return st.Querier().QueryExpr(expr, opt)
-}
-
 // Handler serves the store's range queries over HTTP — the same
 // /api/v1/query contract tiptopd mounts: raw per-task series without
 // parameters, expression queries with ?expr= (JSON, or OpenMetrics
 // text with ?format=openmetrics).
-func (st *Store) Handler() http.Handler { return query.Handler(st.s, nil) }
+func (st *Store) Handler() http.Handler { return QueryHandler(st, nil) }
 
 // QueryHandler serves the full /api/v1/query contract for a daemon:
 // raw range queries against the store, expression queries against the
 // store (or the recorder's live rings when st is nil, or with
 // ?source=live). Either argument may be nil.
 func QueryHandler(st *Store, rec *Recorder) http.Handler {
-	var s *store.Store
+	// A solo daemon is a fleet of one unlabelled store.
+	stores := map[string]*Store{}
 	if st != nil {
-		s = st.s
+		stores[""] = st
+	}
+	return FleetQueryHandler(stores, rec)
+}
+
+// FleetQueryHandler is QueryHandler over any number of stores keyed by
+// agent label, as a tiptopd -join aggregator mounts it: ?agent=label
+// selects one store, ?agent=* (or no selector) all of them — raw
+// queries need exactly one, expression queries merge however many on
+// aligned steps.
+func FleetQueryHandler(stores map[string]*Store, rec *Recorder) http.Handler {
+	ss := make(map[string]*store.Store, len(stores))
+	for label, st := range stores {
+		ss[label] = st.s
 	}
 	var h *history.Recorder
 	if rec != nil {
 		h = rec.h
 	}
-	return query.Handler(s, h)
+	return query.Handler(ss, h)
 }
 
 // NamedExprHandler wraps a query handler (QueryHandler, or a fleet
@@ -208,30 +214,11 @@ type QueryPoint = query.Point
 // QueryClient queries a remote tiptopd's /api/v1/query endpoint — the
 // durable-history counterpart of NewRemoteMonitor's live stream. It
 // serves both raw range queries (Query) and expression queries
-// (QueryExpr) over one connection.
-type QueryClient struct {
-	c *store.Client
-	q *query.Client
-}
+// (QueryExpr; optional extra parameters come in name/value pairs —
+// "agent", "*" merges a fleet aggregator's agents, "source", "live"
+// forces a solo daemon's live rings).
+type QueryClient = query.Client
 
 // NewQueryClient builds a query client for a daemon at addr
 // ("host:port" or a full URL, as served by tiptopd -addr).
-func NewQueryClient(addr string) (*QueryClient, error) {
-	c, err := store.NewClient(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryClient{c: c, q: query.NewClientFrom(c)}, nil
-}
-
-// Query runs a raw range query: per-task series in a time window, at
-// the resolution tier the step selects.
-func (c *QueryClient) Query(q StoreQuery) (*StoreResult, error) { return c.c.Query(q) }
-
-// QueryExpr runs an expression query on the daemon. Optional extra
-// parameters come in name/value pairs — "agent", "*" merges a fleet
-// aggregator's agents, "source", "live" forces a solo daemon's live
-// rings.
-func (c *QueryClient) QueryExpr(expr string, opt QueryOptions, extra ...string) (*QueryResult, error) {
-	return c.q.QueryExpr(expr, opt, extra...)
-}
+func NewQueryClient(addr string) (*QueryClient, error) { return query.NewClient(addr) }

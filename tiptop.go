@@ -257,6 +257,90 @@ func (cfg Config) buildRegistry() (*hpm.Registry, error) {
 	return registry, nil
 }
 
+// ConfigFromFlags resolves the flags tiptop and tiptopd share into a
+// Config: base carries what the command's own flags set, the shared
+// flags fill in the rest, and — when -config names a file — the options
+// the file sets override them all (ApplyOptions) and its <event>,
+// <expr> and <screen> definitions are merged in (ApplyDefinitions). The
+// parsed file (nil without -config) is returned for the options only
+// one command understands; f.Wire is updated in place, having no Config
+// field.
+func ConfigFromFlags(f *config.Flags, base Config) (Config, *config.File, error) {
+	cfg := base
+	if err := f.Validate(); err != nil {
+		return cfg, nil, err
+	}
+	cfg.Interval = time.Duration(f.Delay * float64(time.Second))
+	cfg.Screen = f.Screen
+	cfg.SortBy = f.Sort
+	cfg.User = f.User
+	cfg.Parallelism = f.Parallelism
+	cfg.SystemWide = f.SystemWide
+	cfg.Counters = f.Counters
+	fsync, err := ParseFsync(f.Fsync)
+	if err != nil {
+		return cfg, nil, fmt.Errorf("bad -fsync: %w", err)
+	}
+	cfg.StoreFsync = fsync
+	var parsed *config.File
+	if f.ConfigFile != "" {
+		if parsed, err = config.Load(f.ConfigFile); err != nil {
+			return cfg, nil, err
+		}
+		cfg.ApplyOptions(&parsed.Options)
+		if parsed.Options.Wire != "" {
+			f.Wire = parsed.Options.Wire
+		}
+		cfg.ApplyDefinitions(parsed)
+	}
+	switch f.Wire {
+	case "", "json", "binary":
+	default:
+		return cfg, nil, fmt.Errorf("unknown wire format %q, want -wire json or -wire binary", f.Wire)
+	}
+	return cfg, parsed, nil
+}
+
+// ApplyOptions overlays the <options> a configuration file sets onto
+// the config — the one overlay both commands use, so the rule is the
+// same for every option: what the file sets wins, what it leaves unset
+// keeps the flag's value.
+func (cfg *Config) ApplyOptions(o *config.OptionsXML) {
+	if o.Interval() > 0 {
+		cfg.Interval = o.Interval()
+	}
+	if o.Sort != "" {
+		cfg.SortBy = o.Sort
+	}
+	if o.OnlyUser != "" {
+		cfg.User = o.OnlyUser
+	}
+	if o.Parallelism > 0 {
+		cfg.Parallelism = o.Parallelism
+	}
+	if o.SystemWide {
+		cfg.SystemWide = true
+	}
+	if o.Counters > 0 {
+		cfg.Counters = o.Counters
+	}
+	if o.Store != "" {
+		cfg.StoreDir = o.Store
+	}
+	if o.Retention != "" {
+		cfg.StoreRetention = o.RetentionValue()
+	}
+	if o.Budget != "" {
+		cfg.StoreBudget = o.BudgetValue()
+	}
+	if o.Fsync != "" {
+		cfg.StoreFsync = o.FsyncValue()
+	}
+	if o.Compact != "" {
+		cfg.StoreCompact = o.CompactValue()
+	}
+}
+
 // ApplyDefinitions merges a parsed XML configuration document's
 // <event>, <expr> and <screen> elements into the config — the one
 // translation both commands (tiptop, tiptopd) use. Screen columns
