@@ -72,4 +72,3 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+' -benchmem ./internal/core/
 	$(GO) run ./cmd/tipbench -bench-refresh -out results
 	$(GO) run ./cmd/tipbench -bench-store -out results
-	$(GO) run ./cmd/tipbench -bench-mux -out results

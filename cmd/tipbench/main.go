@@ -44,7 +44,6 @@ func run(args []string) error {
 		benchTasks = fs.String("bench-tasks", "1000,4000", "task counts for -bench-refresh")
 		benchSt    = fs.Bool("bench-store", false, "measure the durable store (append cost, recovery of a large store, 1m-tier query) and write BENCH_store.json, then exit")
 		benchStRec = fs.Int64("store-records", 1_000_000, "store size, in records, for the -bench-store recovery measurement")
-		benchMx    = fs.Bool("bench-mux", false, "measure counter multiplexing (12-event wide screen on a 4-counter Cortex-A7: rotation cost vs unconstrained, extrapolation error vs sim ground truth) and write BENCH_mux.json, then exit")
 		benchVal   = fs.Bool("validate", false, "run the counter-validation oracle (analytic micro-kernels through session, mux, store and query on all four machine models), write VALIDATE.json, then exit non-zero if any layer is out of tolerance")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -61,9 +60,6 @@ func run(args []string) error {
 	}
 	if *benchSt {
 		return benchStore(*outDir, *benchStRec)
-	}
-	if *benchMx {
-		return benchMux(*outDir)
 	}
 	if *benchVal {
 		return benchValidate(*outDir)

@@ -117,60 +117,6 @@ func TestBenchRefreshJSON(t *testing.T) {
 	}
 }
 
-// TestBenchMuxJSON drives -bench-mux and checks the machine-readable
-// report carries both refresh measurements and an extrapolation error
-// under the CI gate.
-func TestBenchMuxJSON(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-bench-mux", "-out", dir}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_mux.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		GeneratedBy string `json:"generated_by"`
-		Capacity    int    `json:"capacity"`
-		Events      int    `json:"events"`
-		Benchmarks  []struct {
-			Name        string  `json:"name"`
-			Multiplexed bool    `json:"multiplexed"`
-			Iterations  int     `json:"iterations"`
-			NsPerOp     float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-		Refreshes     int `json:"refreshes"`
-		Extrapolation []struct {
-			Event       string  `json:"event"`
-			MaxRelError float64 `json:"max_rel_error"`
-		} `json:"extrapolation"`
-		MaxRelError float64 `json:"max_rel_error"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_mux.json: %v\n%s", err, data)
-	}
-	if report.Capacity != 4 || report.Events <= report.Capacity {
-		t.Fatalf("report must describe an oversubscribed PMU, got %d events on %d counters",
-			report.Events, report.Capacity)
-	}
-	if len(report.Benchmarks) != 2 ||
-		report.Benchmarks[0].Name != "RefreshWideMuxed" || !report.Benchmarks[0].Multiplexed ||
-		report.Benchmarks[1].Name != "RefreshWideUnconstrained" || report.Benchmarks[1].Multiplexed {
-		t.Fatalf("benchmarks = %+v", report.Benchmarks)
-	}
-	for _, b := range report.Benchmarks {
-		if b.Iterations <= 0 || b.NsPerOp <= 0 {
-			t.Fatalf("bench = %+v", b)
-		}
-	}
-	if len(report.Extrapolation) != 2 || report.Refreshes <= 0 {
-		t.Fatalf("extrapolation = %+v over %d refreshes", report.Extrapolation, report.Refreshes)
-	}
-	if report.MaxRelError <= 0 || report.MaxRelError > 0.05 {
-		t.Fatalf("max_rel_error = %v, want within the 5%% CI gate", report.MaxRelError)
-	}
-}
-
 func TestBenchRefreshBadTasks(t *testing.T) {
 	for _, bad := range []string{"", "0", "-5", "abc", "10,x"} {
 		if err := run([]string{"-bench-refresh", "-bench-tasks", bad, "-out", t.TempDir()}); err == nil {

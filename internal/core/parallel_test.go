@@ -28,9 +28,15 @@ import (
 // evolve identically.
 func manyTaskKernel(tb testing.TB, n int) *sched.Kernel {
 	tb.Helper()
-	m, ok := machine.Presets()["e5640"]
+	return manyTaskKernelOn(tb, "e5640", n)
+}
+
+// manyTaskKernelOn is manyTaskKernel on another machine preset.
+func manyTaskKernelOn(tb testing.TB, preset string, n int) *sched.Kernel {
+	tb.Helper()
+	m, ok := machine.Presets()[preset]
 	if !ok {
-		tb.Fatal("e5640 preset missing")
+		tb.Fatalf("%s preset missing", preset)
 	}
 	k, err := sched.New(m, sched.Options{})
 	if err != nil {
@@ -145,19 +151,7 @@ func TestUpdateAllocsFlat(t *testing.T) {
 		if _, err := s.Update(); err != nil { // attach all counters
 			t.Fatal(err)
 		}
-		// The simulator allocates as it advances; count Update alone.
-		least := uint64(math.MaxUint64)
-		var before, after runtime.MemStats
-		for i := 0; i < 3; i++ {
-			s.AdvanceClock()
-			runtime.ReadMemStats(&before)
-			if _, err := s.Update(); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			least = min(least, after.Mallocs-before.Mallocs)
-		}
-		return least
+		return leastUpdateAllocs(t, s)
 	}
 	// Serially the count is exact; starting shard goroutines costs the
 	// runtime an allocation more or less from run to run.
@@ -167,6 +161,25 @@ func TestUpdateAllocsFlat(t *testing.T) {
 	if small, large := steady(1000, 4), steady(4000, 4); small > 64 || large > 64 {
 		t.Errorf("4 shards: %d allocations per refresh of 1000 tasks, %d of 4000; want <= 64", small, large)
 	}
+}
+
+// leastUpdateAllocs returns the fewest heap allocations one of three
+// steady-state refreshes made. The simulator allocates as it advances;
+// Update alone is counted.
+func leastUpdateAllocs(t *testing.T, s *core.Session) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		s.AdvanceClock()
+		runtime.ReadMemStats(&before)
+		if _, err := s.Update(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
 }
 
 // benchUpdate measures steady-state refreshes (after the attach warm-up)

@@ -134,15 +134,29 @@ type CountReader interface {
 	ReadInto(dst []Count) ([]Count, error)
 }
 
+// Gate is an optional TaskCounter extension for counters that can be
+// paused without being released (PERF_EVENT_IOC_DISABLE/ENABLE): a
+// disabled counter keeps its descriptors but advances neither Raw,
+// Enabled nor Running, and resumes from where it stopped. A counter is
+// enabled when Attach returns it. internal/mux rotates through it — all
+// rotation groups stay open, one is enabled — instead of closing and
+// re-attaching a group per refresh. Gate calls are like Read: never
+// concurrent with another call on the same counter, free to overlap
+// with anything on other counters (including Attach and Close).
+type Gate interface {
+	Enable() error
+	Disable() error
+}
+
 // Backend creates counters. Attach and TaskCounter.Close are always
 // serialized by the engine (one call at a time per backend), so
 // implementations need not support two of either running concurrently.
-// They MUST however tolerate TaskCounter.Read on distinct counters
-// running concurrently — with each other and with an in-flight Attach
-// or Close on a *different* task — because the sharded engine samples
-// known tasks while admitting new ones. In practice: Attach/Close may
-// not mutate state that Read on other counters consults without
-// synchronizing it.
+// They MUST however tolerate TaskCounter.Read (and Gate calls, where
+// offered) on distinct counters running concurrently — with each other
+// and with an in-flight Attach or Close on a *different* counter —
+// because the sharded engine samples known tasks while admitting new
+// ones. In practice: Attach/Close may not mutate state that Read on
+// other counters consults without synchronizing it.
 type Backend interface {
 	// Name returns a short human-readable backend name ("perf_event",
 	// "sim").

@@ -9,11 +9,23 @@
 // (hpm.Backend.Capacity), Attach passes straight through. When they do
 // not, the decorator partitions the slot-costing events into rotation
 // groups of at most Capacity slots, keeps zero-cost events (software
-// events, fixed counters) attached continuously, and round-robins one
+// events, fixed counters) counting continuously, and round-robins one
 // group per refresh: each Read harvests the counts of the group that
 // was live since the previous Read, credits every rotated event with
-// the elapsed enabled time, then closes the live group and attaches the
-// next one.
+// the elapsed enabled time, then makes the next group the live one.
+//
+// Every rotation group is opened once, at Attach, and rotation is
+// gating (hpm.Gate): all groups stay open, one is enabled, and a Read
+// costs two inner reads and two gate calls — no inner Attach or Close,
+// hence no backend-wide lock, so the engine's shards sample a
+// multiplexed screen in parallel (LIKWID's discipline: program the
+// groups once, then only start, stop and read). The price is one
+// descriptor per event rather than per live event. A task falls back
+// to closing the live group and attaching the next on every Read,
+// under the backend mutex, when its inner counters offer no hpm.Gate,
+// its idle groups could not be opened (descriptor exhaustion degrades
+// one task, it does not fail its attach) or a gate call fails later.
+// Both modes share one accounting routine.
 //
 // The result is reported through the existing hpm.Count mechanism —
 // Raw/Running grow only while an event's group is live, and the window
@@ -42,10 +54,9 @@ import (
 type Backend struct {
 	inner hpm.Backend
 	// mu serializes every Attach and Close on the inner backend. The
-	// engine serializes its own Attach/Close calls, but rotation makes
-	// additional ones from TaskCounter.Read, which the engine runs
-	// concurrently across shards — without this lock those would break
-	// the inner backend's concurrency contract.
+	// engine serializes its own, but a task rotating by close/re-attach
+	// (the fallback) makes more from TaskCounter.Read, which the engine
+	// runs concurrently across shards. A gated Read never takes it.
 	mu sync.Mutex
 }
 
@@ -55,9 +66,6 @@ var _ hpm.Backend = (*Backend)(nil)
 // the inner capacity are passed through untouched, so wrapping an
 // unconstrained backend (Capacity 0) costs nothing.
 func Wrap(inner hpm.Backend) *Backend { return &Backend{inner: inner} }
-
-// Unwrap returns the decorated backend.
-func (b *Backend) Unwrap() hpm.Backend { return b.inner }
 
 // Name implements hpm.Backend; the decorator is transparent.
 func (b *Backend) Name() string { return b.inner.Name() }
@@ -141,13 +149,23 @@ func (b *Backend) Attach(task hpm.TaskID, events []hpm.EventDesc) (hpm.TaskCount
 		}
 		return nil, err
 	}
+	c.holdGroupsLocked()
 	return c, nil
+}
+
+// readInto reads through the allocation-free path when ctr offers it.
+func readInto(ctr hpm.TaskCounter, dst []hpm.Count) ([]hpm.Count, error) {
+	if r, ok := ctr.(hpm.CountReader); ok {
+		return r.ReadInto(dst)
+	}
+	return ctr.Read()
 }
 
 // passthrough wraps an unrotated inner counter so that its Close takes
 // the backend mutex: the engine serializes its own Attach/Close calls,
-// but rotations of *other* counters issue inner Attach/Close from Read
-// goroutines, and the inner backend is promised those never overlap.
+// but fallback rotations of *other* counters issue inner Attach/Close
+// from Read goroutines, and the inner backend is promised those never
+// overlap.
 type passthrough struct {
 	b   *Backend
 	ctr hpm.TaskCounter
@@ -160,10 +178,7 @@ func (p *passthrough) Task() hpm.TaskID           { return p.ctr.Task() }
 func (p *passthrough) Read() ([]hpm.Count, error) { return p.ctr.Read() }
 
 func (p *passthrough) ReadInto(dst []hpm.Count) ([]hpm.Count, error) {
-	if r, ok := p.ctr.(hpm.CountReader); ok {
-		return r.ReadInto(dst)
-	}
-	return p.ctr.Read()
+	return readInto(p.ctr, dst)
 }
 
 func (p *passthrough) Close() error {
@@ -172,18 +187,23 @@ func (p *passthrough) Close() error {
 	return p.ctr.Close()
 }
 
-// liveGroup is one attached inner counter of the currently live
-// rotation group with the event indices it covers. Normally the whole
-// group is one inner counter; after a partial attach failure it decays
-// to one counter per still-working event.
-type liveGroup struct {
+// part is one inner counter of a rotation group with the event indices
+// it covers. Normally a whole group is one part; after a partial attach
+// failure a fallback group decays to one part per still-working event.
+type part struct {
 	ctr  hpm.TaskCounter
 	idxs []int
+	// Held parts only (gated rotation): their readings are cumulative,
+	// so a harvest differences against the previous reading (prev) and
+	// swaps it with the storage the next read lands in (buf). A
+	// fallback part is read once, from zero, and has neither.
+	gate      hpm.Gate
+	prev, buf []hpm.Count
 }
 
-// counter is the rotating TaskCounter. All mutable state is guarded by
-// the backend mutex during rotation; the engine guarantees Read/Close
-// of one counter are never concurrent with each other.
+// counter is the rotating TaskCounter. The engine never runs Read/Close
+// of one counter concurrently, which is all the protection its own
+// state needs; the backend mutex guards inner Attach/Close calls only.
 type counter struct {
 	b      *Backend
 	task   hpm.TaskID
@@ -192,13 +212,20 @@ type counter struct {
 	groups [][]int // rotation groups over slot-costing event indices
 
 	freeCtr hpm.TaskCounter
+	freeBuf []hpm.Count
 	// freeEnabled is the free counter's last Enabled reading, used to
 	// measure the refresh window when a rotation attach failed and no
 	// live group can report it.
 	freeEnabled uint64
 
-	cur  int // index of the live group
-	live []liveGroup
+	cur int // index of the live group
+	// held is the gated mode's state: one open part per rotation group,
+	// all but held[cur] disabled. Nil while the task rotates by
+	// close/re-attach.
+	held []part
+	// live is what the next Read harvests: held[cur:cur+1] when gated,
+	// the parts attached for group cur otherwise.
+	live []part
 	acc  []hpm.Count // accumulated totals per event, in attach order
 	// pending banks each group's schedulable-but-idle window time; it is
 	// credited to the group's Enabled when the group is next harvested,
@@ -222,18 +249,18 @@ func (c *counter) descs(idxs []int) []hpm.EventDesc {
 	return out
 }
 
-// attachGroupLocked attaches rotation group g, preferring one inner
-// counter for the whole group and decaying to per-event counters when
-// the group attach fails — a transiently failing event must not stall
-// its groupmates (they keep counting; the failed event is simply
-// skipped this turn and retried when its group next comes up). The
-// error is only returned when not a single event of the group could be
-// attached. Caller holds b.mu.
+// attachGroupLocked attaches rotation group g as the live group,
+// preferring one inner counter for the whole group and decaying to
+// per-event counters when the group attach fails — a transiently
+// failing event must not stall its groupmates (they keep counting; the
+// failed event is simply skipped this turn and retried when its group
+// next comes up). The error is only returned when not a single event of
+// the group could be attached. Caller holds b.mu.
 func (c *counter) attachGroupLocked(g int) error {
 	idxs := c.groups[g]
 	ctr, err := c.b.inner.Attach(c.task, c.descs(idxs))
 	if err == nil {
-		c.live = append(c.live, liveGroup{ctr: ctr, idxs: idxs})
+		c.live = append(c.live, part{ctr: ctr, idxs: idxs})
 		return nil
 	}
 	firstErr := err
@@ -242,12 +269,71 @@ func (c *counter) attachGroupLocked(g int) error {
 		if err != nil {
 			continue
 		}
-		c.live = append(c.live, liveGroup{ctr: ctr, idxs: []int{idx}})
+		c.live = append(c.live, part{ctr: ctr, idxs: []int{idx}})
 	}
 	if len(c.live) == 0 {
 		return fmt.Errorf("mux: group %d of %v: %w", g, c.task, firstErr)
 	}
 	return nil
+}
+
+// holdGroupsLocked promotes a freshly attached counter to gated
+// rotation: with group 0 live as one inner counter, open every other
+// group too and leave it disabled. Anything short of that — no
+// hpm.Gate, an idle group that cannot be opened (EMFILE: held groups
+// cost a descriptor per event, not per live event) or disabled —
+// releases what was opened and leaves the task on close/re-attach
+// rotation, which needs nothing beyond group 0. Caller holds b.mu.
+func (c *counter) holdGroupsLocked() {
+	if len(c.live) != 1 || len(c.live[0].idxs) != len(c.groups[0]) {
+		return // group 0 decayed to per-event counters
+	}
+	held := make([]part, len(c.groups))
+	held[0] = c.live[0]
+	for g := range held {
+		p := &held[g]
+		if g > 0 {
+			ctr, err := c.b.inner.Attach(c.task, c.descs(c.groups[g]))
+			if err != nil {
+				break
+			}
+			p.ctr, p.idxs = ctr, c.groups[g]
+		}
+		gate, ok := p.ctr.(hpm.Gate)
+		if !ok || (g > 0 && gate.Disable() != nil) {
+			break
+		}
+		n := len(p.idxs)
+		both := make([]hpm.Count, 2*n)
+		p.gate, p.prev, p.buf = gate, both[:n], both[n:]
+	}
+	if held[len(held)-1].gate == nil {
+		for _, p := range held[1:] {
+			if p.ctr != nil {
+				p.ctr.Close()
+			}
+		}
+		return
+	}
+	c.held, c.live = held, held[:1]
+}
+
+// releaseGroupsLocked closes every open rotation-group counter: the
+// live parts, and in gated mode the held idle groups with them. Caller
+// holds b.mu.
+func (c *counter) releaseGroupsLocked() error {
+	parts := c.live
+	if c.held != nil {
+		parts, c.held, c.live = c.held, nil, nil
+	}
+	var err error
+	for _, p := range parts {
+		if cerr := p.ctr.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	c.live = c.live[:0]
+	return err
 }
 
 // Read implements hpm.TaskCounter.
@@ -264,32 +350,47 @@ func (c *counter) ReadInto(dst []hpm.Count) ([]hpm.Count, error) {
 	if c.closed {
 		return nil, fmt.Errorf("mux: read of closed counter for %v", c.task)
 	}
-	c.b.mu.Lock()
-	// Harvest the group that was live since the previous Read. The
-	// window length is what the inner backend reports as enabled time
-	// since the group's attach.
+	c.harvest()
+	c.rotate()
+	return append(dst[:0], c.acc...), nil
+}
+
+// harvest is the rotation accounting, shared by both modes: fold what
+// the live group counted since the previous Read into the totals and
+// credit or bank the window.
+func (c *counter) harvest() {
+	// The window length is the enabled time the live group reports
+	// since its last harvest (held) or since its attach (fallback).
 	var windowNS uint64
-	for _, lg := range c.live {
-		counts, err := lg.ctr.Read()
-		if err == nil {
-			for j, idx := range lg.idxs {
-				c.acc[idx].Raw += counts[j].Raw
-				c.acc[idx].Running += counts[j].Running
-				if counts[j].Enabled > windowNS {
-					windowNS = counts[j].Enabled
-				}
+	for i := range c.live {
+		p := &c.live[i]
+		counts, err := readInto(p.ctr, p.buf)
+		if err != nil {
+			continue
+		}
+		for j, idx := range p.idxs {
+			var prev hpm.Count
+			if p.prev != nil {
+				prev = p.prev[j]
+			}
+			c.acc[idx].Raw += counts[j].Raw - prev.Raw
+			c.acc[idx].Running += counts[j].Running - prev.Running
+			if w := counts[j].Enabled - prev.Enabled; w > windowNS {
+				windowNS = w
 			}
 		}
-		lg.ctr.Close()
+		if p.prev != nil {
+			p.prev, p.buf = counts, p.prev
+		}
 	}
-	c.live = c.live[:0]
 	// Free (zero-cost) events stay attached: their cumulative reading
 	// is authoritative and always exact. Their Enabled progression also
 	// measures the window when no live group could (every rotation
 	// attach failed last turn).
 	if c.freeCtr != nil {
-		counts, err := c.freeCtr.Read()
+		counts, err := readInto(c.freeCtr, c.freeBuf)
 		if err == nil {
+			c.freeBuf = counts
 			for j, idx := range c.free {
 				c.acc[idx] = counts[j]
 			}
@@ -314,19 +415,33 @@ func (c *counter) ReadInto(dst []hpm.Count) ([]hpm.Count, error) {
 		c.acc[idx].Enabled += c.pending[c.cur]
 	}
 	c.pending[c.cur] = 0
+}
+
+// rotate makes the next group the live one. Gated: disable the live
+// group, enable the next — this task's own counters, no lock. Fallback,
+// and a gated task whose gate call failed (demoted for good, its held
+// groups released): close what is open and attach the next group,
+// under the backend mutex.
+func (c *counter) rotate() {
+	was := c.cur
 	c.cur = (c.cur + 1) % len(c.groups)
+	if c.held != nil {
+		err := c.held[was].gate.Disable()
+		if err == nil {
+			err = c.held[c.cur].gate.Enable()
+		}
+		if err == nil {
+			c.live = c.held[c.cur : c.cur+1]
+			return
+		}
+	}
+	c.b.mu.Lock()
+	defer c.b.mu.Unlock()
+	c.releaseGroupsLocked()
 	// A failure here (task died, transient EBUSY) leaves this turn
 	// uncounted; the next Read simply tries the following group. The
 	// engine notices dead tasks through its process snapshot.
 	_ = c.attachGroupLocked(c.cur)
-	c.b.mu.Unlock()
-
-	if cap(dst) < len(c.acc) {
-		dst = make([]hpm.Count, len(c.acc))
-	}
-	dst = dst[:len(c.acc)]
-	copy(dst, c.acc)
-	return dst, nil
 }
 
 // Close implements hpm.TaskCounter.
@@ -337,13 +452,7 @@ func (c *counter) Close() error {
 	c.closed = true
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
-	var err error
-	for _, lg := range c.live {
-		if cerr := lg.ctr.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	c.live = nil
+	err := c.releaseGroupsLocked()
 	if c.freeCtr != nil {
 		if cerr := c.freeCtr.Close(); cerr != nil && err == nil {
 			err = cerr

@@ -8,29 +8,45 @@ import (
 	"testing"
 	"time"
 
+	"tiptop/internal/core"
 	"tiptop/internal/hpm"
+	"tiptop/internal/metrics"
+	"tiptop/internal/sim/machine"
+	"tiptop/internal/sim/pmu"
+	"tiptop/internal/sim/sched"
+	"tiptop/internal/sim/workload"
 )
 
 // fakeInner is a scriptable capacity-limited backend: every attached
-// event counts exactly at a fixed per-second rate while attached, the
-// way a real PMU counts a group that fits its registers.
+// event counts exactly at a fixed per-second rate while attached (and,
+// when its counters are gates, enabled), the way a real PMU counts a
+// group that fits its registers.
 type fakeInner struct {
 	nowNS    atomic.Int64
 	capacity int
+	gating   bool            // counters implement hpm.Gate
 	zeroCost map[string]bool // event names costing no slot
 
 	mu          sync.Mutex
 	rates       map[string]float64 // counts per second per event name
-	failAttach  map[string]int     // remaining attach failures per event name
+	failAttach  map[string]int     // remaining attach (and enable) failures per event name
+	openLimit   int                // attaches beyond this many live counters fail (0 = no limit)
+	failDisable bool               // Disable fails (a gate that cannot be closed)
 	attaches    int
+	gates       int
 	maxGroom    int // largest slot cost seen in one attach
 	liveCtrs    int
 	totalClosed int
 }
 
+// fakeGates makes newFakeInner hand out gating backends; TestGatingInner
+// flips it to run the whole suite over both kinds of inner backend.
+var fakeGates bool
+
 func newFakeInner(capacity int) *fakeInner {
 	return &fakeInner{
 		capacity:   capacity,
+		gating:     fakeGates,
 		zeroCost:   map[string]bool{},
 		rates:      map[string]float64{},
 		failAttach: map[string]int{},
@@ -50,6 +66,17 @@ func (f *fakeInner) SlotCost(e hpm.EventDesc) int {
 	return 1
 }
 
+// failingLocked consumes one scripted failure of any of the events.
+func (f *fakeInner) failingLocked(events []hpm.EventDesc) error {
+	for _, e := range events {
+		if n := f.failAttach[e.Name]; n > 0 {
+			f.failAttach[e.Name] = n - 1
+			return fmt.Errorf("fake: %s: transient failure", e.Name)
+		}
+	}
+	return nil
+}
+
 func (f *fakeInner) Attach(task hpm.TaskID, events []hpm.EventDesc) (hpm.TaskCounter, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -59,10 +86,9 @@ func (f *fakeInner) Attach(task hpm.TaskID, events []hpm.EventDesc) (hpm.TaskCou
 		if !f.zeroCost[e.Name] {
 			cost++
 		}
-		if n := f.failAttach[e.Name]; n > 0 {
-			f.failAttach[e.Name] = n - 1
-			return nil, fmt.Errorf("fake: attach %s: transient failure", e.Name)
-		}
+	}
+	if err := f.failingLocked(events); err != nil {
+		return nil, err
 	}
 	if cost > f.maxGroom {
 		f.maxGroom = cost
@@ -70,25 +96,41 @@ func (f *fakeInner) Attach(task hpm.TaskID, events []hpm.EventDesc) (hpm.TaskCou
 	if f.capacity > 0 && cost > f.capacity {
 		return nil, fmt.Errorf("fake: %d slots requested, have %d", cost, f.capacity)
 	}
+	if f.openLimit > 0 && f.liveCtrs >= f.openLimit {
+		return nil, errors.New("fake: too many open files")
+	}
 	f.liveCtrs++
-	return &fakeCtr{f: f, task: task, events: events, t0: f.nowNS.Load()}, nil
+	c := &fakeCtr{f: f, task: task, events: events, t0: f.nowNS.Load()}
+	if f.gating {
+		return gatedFakeCtr{c}, nil
+	}
+	return c, nil
 }
 
 type fakeCtr struct {
 	f      *fakeInner
 	task   hpm.TaskID
 	events []hpm.EventDesc
-	t0     int64
+	t0     int64 // start of the current counting span
+	banked int64 // ns counted in earlier spans (gated counters only)
+	off    bool
 	closed bool
 }
 
 func (c *fakeCtr) Task() hpm.TaskID { return c.task }
 
+func (c *fakeCtr) elapsedNS() int64 {
+	if c.off {
+		return c.banked
+	}
+	return c.banked + c.f.nowNS.Load() - c.t0
+}
+
 func (c *fakeCtr) Read() ([]hpm.Count, error) {
 	if c.closed {
 		return nil, errors.New("fake: closed")
 	}
-	elapsedNS := c.f.nowNS.Load() - c.t0
+	elapsedNS := c.elapsedNS()
 	sec := float64(elapsedNS) / 1e9
 	c.f.mu.Lock()
 	defer c.f.mu.Unlock()
@@ -110,6 +152,35 @@ func (c *fakeCtr) Close() error {
 		c.f.liveCtrs--
 		c.f.totalClosed++
 		c.f.mu.Unlock()
+	}
+	return nil
+}
+
+// gatedFakeCtr adds hpm.Gate. A scripted attach failure of one of its
+// events also fails Enable: to the mux both mean "this group could not
+// be made live".
+type gatedFakeCtr struct{ *fakeCtr }
+
+func (c gatedFakeCtr) Disable() error {
+	c.f.mu.Lock()
+	defer c.f.mu.Unlock()
+	c.f.gates++
+	if c.f.failDisable {
+		return errors.New("fake: disable failed")
+	}
+	c.banked, c.off = c.elapsedNS(), true
+	return nil
+}
+
+func (c gatedFakeCtr) Enable() error {
+	c.f.mu.Lock()
+	defer c.f.mu.Unlock()
+	c.f.gates++
+	if err := c.f.failingLocked(c.events); err != nil {
+		return err
+	}
+	if c.off {
+		c.t0, c.off = c.f.nowNS.Load(), false
 	}
 	return nil
 }
@@ -335,6 +406,50 @@ func TestCloseReleasesEverything(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+
+	// The same on the simulated PMU, where a leaked counter is a sink
+	// still registered with the task: every rotation group is held open
+	// while the task is monitored, and closing (task exit) releases them
+	// all.
+	k, err := sched.New(machine.Presets()["a7"], sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spin, err := workload.NewSpin(workload.Synthetic(workload.ManyTaskSpec(0)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := k.Spawn("u", "job", spin, nil)
+	sim := pmu.New(k)
+	wide, err := core.ResolveScreenEvents(hpm.DefaultRegistry(), metrics.WideScreen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Wrap(sim).Attach(job.ID(), wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Syscalls().Opens; got != int64(len(wide)) {
+		t.Fatalf("%d descriptors open for %d events: groups are not held", got, len(wide))
+	}
+	for i := 0; i < 5; i++ {
+		k.Advance(10 * time.Millisecond)
+		if _, err := sc.Read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !job.Monitored() {
+		t.Fatal("task lost its sinks while monitored")
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if job.Monitored() {
+		t.Fatal("sinks leaked on the task after Close")
+	}
+	if sys := sim.Syscalls(); sys.Closes != sys.Opens {
+		t.Fatalf("%d descriptors opened, %d closed", sys.Opens, sys.Closes)
 	}
 }
 

@@ -32,8 +32,8 @@ func perfEventOpenNR() (uintptr, bool) {
 	return 0, false
 }
 
-// openSyscall invokes perf_event_open(attr, pid, cpu, -1, 0).
-func openSyscall(a *Attr, pid, cpu int) (int, error) {
+// openSyscall invokes perf_event_open(attr, pid, cpu, group_fd, flags).
+func openSyscall(a *Attr, pid, cpu, groupFD int, flags uintptr) (int, error) {
 	nr, ok := perfEventOpenNR()
 	if !ok {
 		return -1, fmt.Errorf("perfevent: unknown syscall number on %s", runtime.GOARCH)
@@ -42,8 +42,7 @@ func openSyscall(a *Attr, pid, cpu int) (int, error) {
 	fd, _, errno := syscall.Syscall6(nr,
 		uintptr(unsafe.Pointer(&blob[0])),
 		uintptr(pid), uintptr(cpu),
-		^uintptr(0), // group_fd = -1
-		0, 0)
+		uintptr(groupFD), flags, 0)
 	if errno != 0 {
 		return -1, errno
 	}
@@ -58,11 +57,10 @@ func readFD(fd int, buf []byte) (int, error) {
 const (
 	ioctlEnable  = 0x2400
 	ioctlDisable = 0x2401
-	ioctlReset   = 0x2403
 )
 
-func ioctlFD(fd int, req uintptr) error {
-	_, _, errno := syscall.Syscall(syscall.SYS_IOCTL, uintptr(fd), req, 0)
+func ioctlFD(fd int, req, arg uintptr) error {
+	_, _, errno := syscall.Syscall(syscall.SYS_IOCTL, uintptr(fd), req, arg)
 	if errno != 0 {
 		return errno
 	}
@@ -90,6 +88,11 @@ func mapOpenError(task hpm.TaskID, err error) error {
 		return fmt.Errorf("perfevent: open for %v: %v: %w", task, errno, hpm.ErrUnsupportedEvent)
 	case syscall.ENOSYS:
 		return fmt.Errorf("perfevent: open for %v: %v: %w", task, errno, hpm.ErrUnavailable)
+	case syscall.EMFILE, syscall.ENFILE:
+		// Transient by construction: it wraps none of the permanent hpm
+		// errors, so the engine retries the task with backoff and the
+		// mux keeps it on one open group instead of all of them.
+		return fmt.Errorf("perfevent: open for %v: out of file descriptors (one per event per task; raise RLIMIT_NOFILE, `ulimit -n`): %w", task, errno)
 	}
 	return fmt.Errorf("perfevent: open for %v: %w", task, errno)
 }

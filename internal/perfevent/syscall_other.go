@@ -11,7 +11,7 @@ import (
 // perf_event_open exists only on Linux; on other platforms the backend
 // reports itself unavailable and the tool falls back to the simulator.
 
-func openSyscall(*Attr, int, int) (int, error) {
+func openSyscall(*Attr, int, int, int, uintptr) (int, error) {
 	return -1, fmt.Errorf("perf_event_open is Linux-only: %w", hpm.ErrUnavailable)
 }
 
@@ -24,10 +24,9 @@ func closeFD(int) {}
 const (
 	ioctlEnable  = 0
 	ioctlDisable = 0
-	ioctlReset   = 0
 )
 
-func ioctlFD(int, uintptr) error {
+func ioctlFD(int, uintptr, uintptr) error {
 	return fmt.Errorf("perfevent: %w", hpm.ErrUnavailable)
 }
 

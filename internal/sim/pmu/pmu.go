@@ -14,6 +14,7 @@ package pmu
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tiptop/internal/hpm"
 	"tiptop/internal/sim/cpu"
@@ -27,6 +28,29 @@ import (
 // by the owner of all displayed processes).
 type Backend struct {
 	k *sched.Kernel
+	// Syscall equivalents: what internal/perfevent would ask of the
+	// kernel for the same calls with a capacity configured (one fd per
+	// event, one read(2) and one gate ioctl per counter, which is one
+	// kernel group). Atomic because reads and gate calls arrive from
+	// every engine shard at once.
+	opens, closes, reads, gates atomic.Int64
+}
+
+// Syscalls is a snapshot of the backend's syscall-equivalent tallies, so
+// that the per-refresh budget of a monitor (no opens or closes in steady
+// state, a fixed number of reads and gate ioctls per task) is asserted
+// by tests on the simulator rather than only observed on hardware.
+type Syscalls struct {
+	Opens, Closes int64 // perf_event_open / close: one per event
+	Reads, Gates  int64 // read(2) / PERF_EVENT_IOC_{EN,DIS}ABLE: one per counter
+}
+
+// Syscalls returns the tallies since the backend was created.
+func (b *Backend) Syscalls() Syscalls {
+	return Syscalls{
+		Opens: b.opens.Load(), Closes: b.closes.Load(),
+		Reads: b.reads.Load(), Gates: b.gates.Load(),
+	}
 }
 
 var _ hpm.Backend = (*Backend)(nil)
@@ -202,6 +226,7 @@ func (b *Backend) Attach(task hpm.TaskID, events []hpm.EventDesc) (hpm.TaskCount
 		}
 		c.cpu = cpuID
 		c.cpuScope = true
+		b.opens.Add(int64(len(events)))
 		return c, nil
 	}
 	var targets []*sched.Task
@@ -217,6 +242,7 @@ func (b *Backend) Attach(task hpm.TaskID, events []hpm.EventDesc) (hpm.TaskCount
 	for _, t := range targets {
 		t.AttachSink(c)
 	}
+	b.opens.Add(int64(len(events)))
 	return c, nil
 }
 
@@ -237,6 +263,9 @@ type counter struct {
 	slots   int   // hardware counters available
 	rot     int   // multiplex rotation cursor over costed
 	closed  bool
+	// disabled gates the whole counter (hpm.Gate): no event counts and
+	// neither time advances until it is enabled again.
+	disabled bool
 
 	// CPU scope (system-wide counting on one logical CPU).
 	cpuScope bool
@@ -245,6 +274,7 @@ type counter struct {
 
 var _ hpm.TaskCounter = (*counter)(nil)
 var _ hpm.CountReader = (*counter)(nil)
+var _ hpm.Gate = (*counter)(nil)
 var _ sched.EventSink = (*counter)(nil)
 
 // Task implements hpm.TaskCounter.
@@ -255,6 +285,9 @@ func (c *counter) Task() hpm.TaskID { return c.id }
 // the kernel rotates the active PMU set each timer tick when more events
 // are requested than hardware counters exist.
 func (c *counter) OnQuantum(d cpu.Delta, ranNS uint64) {
+	if c.disabled {
+		return
+	}
 	for i := range c.sources {
 		c.counts[i].Enabled += ranNS
 	}
@@ -289,7 +322,23 @@ func (c *counter) ReadInto(dst []hpm.Count) ([]hpm.Count, error) {
 	if c.closed {
 		return nil, fmt.Errorf("pmu: read of closed counter for %v", c.id)
 	}
+	c.backend.reads.Add(1)
 	return append(dst[:0], c.counts...), nil
+}
+
+// Enable implements hpm.Gate.
+func (c *counter) Enable() error { return c.gate(false) }
+
+// Disable implements hpm.Gate.
+func (c *counter) Disable() error { return c.gate(true) }
+
+func (c *counter) gate(disabled bool) error {
+	if c.closed {
+		return fmt.Errorf("pmu: counter for %v is closed", c.id)
+	}
+	c.backend.gates.Add(1)
+	c.disabled = disabled
+	return nil
 }
 
 // Close implements hpm.TaskCounter.
@@ -298,6 +347,7 @@ func (c *counter) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.backend.closes.Add(int64(len(c.sources)))
 	if c.cpuScope {
 		c.backend.k.DetachCPUSink(c.cpu, c)
 		return nil

@@ -378,3 +378,61 @@ func TestGenericAliasResolvesByEncoding(t *testing.T) {
 		t.Fatal("unknown hardware config supported")
 	}
 }
+
+// TestGateAndSyscallTally: a disabled counter advances neither Raw,
+// Enabled nor Running and resumes where it stopped (hpm.Gate), and the
+// backend tallies what the same calls cost a real perf_event monitor:
+// one open and one close per event, one read and one ioctl per call.
+func TestGateAndSyscallTally(t *testing.T) {
+	k, b, task := setup(t, machine.XeonW3550())
+	ctr, err := b.Attach(task.ID(), evs(t, hpm.EventCycles, hpm.EventInstructions, hpm.EventPageFaults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, ok := ctr.(hpm.Gate)
+	if !ok {
+		t.Fatal("simulated counters must offer hpm.Gate")
+	}
+	k.Advance(50 * time.Millisecond)
+	on, _ := ctr.Read()
+	if on[0].Raw == 0 || on[0].Enabled == 0 {
+		t.Fatalf("a fresh counter must be enabled: %+v", on)
+	}
+	if err := gate.Disable(); err != nil {
+		t.Fatal(err)
+	}
+	k.Advance(50 * time.Millisecond)
+	off, _ := ctr.Read()
+	for i := range on {
+		if off[i] != on[i] {
+			t.Fatalf("event %d advanced while disabled: %+v -> %+v", i, on[i], off[i])
+		}
+	}
+	if err := gate.Enable(); err != nil {
+		t.Fatal(err)
+	}
+	k.Advance(50 * time.Millisecond)
+	again, _ := ctr.Read()
+	if again[0].Raw <= on[0].Raw || again[0].Enabled <= on[0].Enabled || again[0].Running != again[0].Enabled {
+		t.Fatalf("a re-enabled counter must resume, exact: %+v -> %+v", on[0], again[0])
+	}
+	if got, want := b.Syscalls(), (Syscalls{Opens: 3, Reads: 3, Gates: 2}); got != want {
+		t.Fatalf("tally %+v, want %+v", got, want)
+	}
+	ctr.Close()
+	if err := gate.Enable(); err == nil {
+		t.Fatal("gating a closed counter must fail")
+	}
+	if got, want := b.Syscalls(), (Syscalls{Opens: 3, Closes: 3, Reads: 3, Gates: 2}); got != want {
+		t.Fatalf("tally after close %+v, want %+v", got, want)
+	}
+	// System-wide counters are descriptors too.
+	cpu0, err := b.Attach(hpm.CPUTask(0), evs(t, hpm.EventCycles))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu0.Close()
+	if got := b.Syscalls(); got.Opens != 4 || got.Closes != 4 {
+		t.Fatalf("tally after a CPU-scope attach and close %+v, want 4 opens and closes", got)
+	}
+}

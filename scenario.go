@@ -289,7 +289,7 @@ func (sc *Scenario) AddSyntheticThread(pid int, job SyntheticJob, pinned ...int)
 // TaskTotal returns the simulator's exact cumulative count of a named
 // event (CYCLES, INSTRUCTIONS, ...) for process pid since it started —
 // the ground truth that extrapolated multiplexed counts are validated
-// against in the mux convergence tests and tipbench -bench-mux.
+// against in the mux convergence tests.
 func (sc *Scenario) TaskTotal(pid int, event string) (uint64, error) {
 	t, ok := sc.kernel.Task(pid)
 	if !ok {

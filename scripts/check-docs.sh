@@ -58,7 +58,7 @@ tiptopd:retention tiptopd:budget tiptopd:system-wide tiptopd:counters
 tiptopd:fsync tiptopd:compact tiptopd:wire
 tipbench:run tipbench:scale tipbench:out tipbench:list
 tipbench:bench-refresh tipbench:bench-store
-tipbench:bench-mux tipbench:validate
+tipbench:validate
 "
 
 # 2c. Named scenarios the docs mention as `-sim NAME` must exist in
