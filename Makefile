@@ -37,12 +37,13 @@ docs:
 
 # Short coverage-guided passes over the metric-expression parser and
 # evaluator, the query-layer compiler, the v2 columnar frame decoder and
-# the wire encoders; CI runs them so a grammar change that panics, breaks
-# the canonical rendering fixpoint, lets a non-finite value through the
-# totality rule, lets the engine's slot-bound column evaluation drift
-# from Expr.Eval, makes the store's frame reader or the binary wire
-# decoder panic/over-read on corrupt bytes, or lets the hand-written
-# JSON wire encoder drift from encoding/json is caught before it lands.
+# the wire encoders and decoders; CI runs them so a grammar change that
+# panics, breaks the canonical rendering fixpoint, lets a non-finite
+# value through the totality rule, lets the engine's slot-bound column
+# evaluation drift from Expr.Eval, makes the store's frame reader or
+# either wire decoder (binary, JSON + SSE) panic/over-read on corrupt
+# bytes or accept a newer version, or lets the hand-written JSON wire
+# encoder drift from encoding/json is caught before it lands.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundEvalMatchesEnv$$' -fuzztime 15s ./internal/metrics/
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/remote/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s ./internal/remote/
 
 # The counter-validation oracle (§2.4): every ukernel.ValidationSuite
 # micro-kernel runs live on all four machine models and its measured
@@ -61,14 +63,12 @@ fuzz:
 validate:
 	$(GO) run ./cmd/tipbench -validate -out results
 
-# Serial vs sharded sampling on the many-task stress scenario, plus the
-# machine-readable trajectory files:
-#   results/BENCH_refresh.json  ns/op and allocs/op for the 1000/4000-task
-#                               serial and sharded refreshes
-#   results/BENCH_store.json    durable store: steady-state append ns/op +
-#                               allocs/op, recovery of a 1M-record store,
-#                               1m-tier range query
+# The ruler: bench/ runs every BENCHMARK.json workload against one
+# daemon composed as cmd/tiptopd composes it and writes
+# results/bench/report.json (end-to-end metrics gated by the bounds in
+# BENCHMARK.json, per-layer metrics beside them). The go test line is
+# for eyeballing serial vs sharded refreshes; its allocation budget is
+# asserted by TestUpdateAllocsFlat.
 bench:
+	$(GO) run ./bench
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+' -benchmem ./internal/core/
-	$(GO) run ./cmd/tipbench -bench-refresh -out results
-	$(GO) run ./cmd/tipbench -bench-store -out results

@@ -10,6 +10,7 @@
 //	tipbench -scale 0.1         deeper runs (1.0 = the paper's full length)
 //	tipbench -out results       output directory (default "results")
 //	tipbench -list              list experiment IDs
+//	tipbench -validate          run the counter-validation oracle (§2.4)
 package main
 
 import (
@@ -34,17 +35,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tipbench", flag.ContinueOnError)
 	var (
-		runIDs     = fs.String("run", "", "comma-separated experiment IDs (default: all)")
-		scale      = fs.Float64("scale", 0.02, "workload scale; 1.0 regenerates the paper's full-length runs")
-		seed       = fs.Int64("seed", 1, "simulation seed")
-		parallel   = fs.Int("j", 0, "sampling shards for the engine (0 = one per CPU, 1 = serial)")
-		outDir     = fs.String("out", "results", "output directory")
-		list       = fs.Bool("list", false, "list experiments and exit")
-		benchRef   = fs.Bool("bench-refresh", false, "measure engine refresh cost and write BENCH_refresh.json, then exit")
-		benchTasks = fs.String("bench-tasks", "1000,4000", "task counts for -bench-refresh")
-		benchSt    = fs.Bool("bench-store", false, "measure the durable store (append cost, recovery of a large store, 1m-tier query) and write BENCH_store.json, then exit")
-		benchStRec = fs.Int64("store-records", 1_000_000, "store size, in records, for the -bench-store recovery measurement")
-		benchVal   = fs.Bool("validate", false, "run the counter-validation oracle (analytic micro-kernels through session, mux, store and query on all four machine models), write VALIDATE.json, then exit non-zero if any layer is out of tolerance")
+		runIDs   = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		scale    = fs.Float64("scale", 0.02, "workload scale; 1.0 regenerates the paper's full-length runs")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		parallel = fs.Int("j", 0, "sampling shards for the engine (0 = one per CPU, 1 = serial)")
+		outDir   = fs.String("out", "results", "output directory")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		benchVal = fs.Bool("validate", false, "run the counter-validation oracle (analytic micro-kernels through session, mux, store and query on all four machine models), write VALIDATE.json, then exit non-zero if any layer is out of tolerance")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,12 +51,6 @@ func run(args []string) error {
 			fmt.Printf("%-7s %s\n", e.ID, e.Title)
 		}
 		return nil
-	}
-	if *benchRef {
-		return benchRefresh(*outDir, *benchTasks)
-	}
-	if *benchSt {
-		return benchStore(*outDir, *benchStRec)
 	}
 	if *benchVal {
 		return benchValidate(*outDir)

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -326,17 +328,27 @@ func TestFleetSSESubscribersDuringChurn(t *testing.T) {
 }
 
 // TestRunFleetFlag drives the real run() in -join mode for a bounded
-// number of observed samples.
+// number of observed samples. The flag and the file's join= attribute
+// are split by one rule: entries trimmed, empty ones dropped.
 func TestRunFleetFlag(t *testing.T) {
 	a := startAgent(t, "datacenter")
 	t.Cleanup(func() { a.close(t) })
-	var sb strings.Builder
-	err := run([]string{"-join", a.host(), "-addr", "127.0.0.1:0", "-n", "5"}, &sb)
-	if err != nil {
+	xml := filepath.Join(t.TempDir(), "join.xml")
+	if err := os.WriteFile(xml, []byte(`<tiptop><options join="`+a.host()+`, "/></tiptop>`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "aggregating 1 agents") {
-		t.Fatalf("stdout = %q", sb.String())
+	for _, join := range [][]string{
+		{"-join", a.host()},
+		{"-join", " " + a.host() + " ,"},
+		{"-config", xml},
+	} {
+		var sb strings.Builder
+		if err := run(append(join, "-addr", "127.0.0.1:0", "-n", "5"), &sb); err != nil {
+			t.Fatalf("%q: %v", join, err)
+		}
+		if !strings.Contains(sb.String(), "aggregating 1 agents") {
+			t.Fatalf("%q: stdout = %q", join, sb.String())
+		}
 	}
 }
 

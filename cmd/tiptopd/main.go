@@ -87,7 +87,8 @@ func main() {
 type options struct {
 	shared     *config.Flags
 	cfg        tiptop.Config
-	addr, join string
+	addr       string
+	peers      []string // -join / join=, split; empty = monitor locally
 	historyCap int
 	window     time.Duration
 }
@@ -100,7 +101,7 @@ func resolve(args []string) (*options, error) {
 	fs.StringVar(&o.addr, "addr", ":9412", "HTTP listen address")
 	fs.IntVar(&o.historyCap, "history", 0, "points retained per task (0 = default 600)")
 	fs.DurationVar(&o.window, "window", 0, "windowed-rate horizon, capped at 128 refreshes (0 = default 1m)")
-	fs.StringVar(&o.join, "join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
+	join := fs.String("join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
 	var (
 		storeDir  = fs.String("store", "", "durable history store directory: recover on boot, tee every sample, serve /api/v1/query (one subdirectory per agent with -join)")
 		retention = fs.Duration("retention", 0, "store age horizon, e.g. 72h (0 = bounded by the byte budget only)")
@@ -147,8 +148,11 @@ func resolve(args []string) (*options, error) {
 			o.addr = parsed.Options.Listen
 		}
 		if parsed.Options.Join != "" {
-			o.join = parsed.Options.Join
+			*join = parsed.Options.Join
 		}
+	}
+	if o.peers = config.SplitPeers(*join); *join != "" && len(o.peers) == 0 {
+		return nil, fmt.Errorf("-join %q names no agents", *join)
 	}
 	return o, nil
 }
@@ -168,7 +172,7 @@ func run(args []string, stdout io.Writer) error {
 	// selects how -join dials agents.
 	d := &daemon{stores: map[string]*tiptop.Store{}, named: cfg.NamedExprs()}
 	defer d.close()
-	if o.join != "" {
+	if len(o.peers) > 0 {
 		if shared.Sim != "" {
 			return fmt.Errorf("-join aggregates remote agents and cannot monitor -sim %s itself", shared.Sim)
 		}
@@ -184,7 +188,7 @@ func run(args []string, stdout io.Writer) error {
 				return d.openStore(label, agentStoreDir(cfg.StoreDir, label), cfg, stdout)
 			}
 		}
-		if d.fleet, err = remote.NewFleet(strings.Split(o.join, ","), opts); err != nil {
+		if d.fleet, err = remote.NewFleet(o.peers, opts); err != nil {
 			return err
 		}
 		d.srv = d.fleet.Server()

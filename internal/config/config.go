@@ -168,14 +168,12 @@ func (o *OptionsXML) CompactValue() time.Duration {
 	return d
 }
 
-// Peers splits the Join list into trimmed agent addresses.
-func (o *OptionsXML) Peers() []string {
-	if o.Join == "" {
-		return nil
-	}
-	parts := strings.Split(o.Join, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
+// SplitPeers splits a comma-separated agent list — the join attribute
+// and tiptopd's -join flag alike — into trimmed addresses, dropping
+// empty entries (nil when none remain).
+func SplitPeers(list string) []string {
+	var out []string
+	for _, p := range strings.Split(list, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			out = append(out, p)
 		}
@@ -281,7 +279,7 @@ func (f *File) Validate() error {
 	if f.Options.History < 0 {
 		return fmt.Errorf("config: negative history capacity")
 	}
-	if f.Options.Join != "" && len(f.Options.Peers()) == 0 {
+	if f.Options.Join != "" && len(SplitPeers(f.Options.Join)) == 0 {
 		return fmt.Errorf("config: join %q names no agents", f.Options.Join)
 	}
 	if f.Options.Retention != "" {
@@ -508,43 +506,6 @@ func RegisterUserEvent(registry *hpm.Registry, name, spec, unit, desc string) er
 		d.Desc = base.Desc
 	}
 	return registry.Register(d)
-}
-
-// BuildScreens converts the parsed document into engine screens,
-// expanding column references to named stored expressions.
-func (f *File) BuildScreens() (map[string]*metrics.Screen, error) {
-	named := f.NamedExprs()
-	out := map[string]*metrics.Screen{}
-	for _, sx := range f.Screens {
-		s := &metrics.Screen{Name: sx.Name}
-		for _, cx := range sx.Columns {
-			expr, err := metrics.Compile(expandExpr(cx.Expr, named))
-			if err != nil {
-				return nil, fmt.Errorf("config: %w", err)
-			}
-			format := cx.Format
-			if format == "" {
-				format = "%8.2f"
-			}
-			width := cx.Width
-			if width == 0 {
-				width = len(cx.Header)
-				if width < 6 {
-					width = 6
-				}
-			}
-			s.Columns = append(s.Columns, &metrics.Column{
-				Name:   cx.Name,
-				Header: cx.Header,
-				Width:  width,
-				Format: format,
-				Expr:   expr,
-				Desc:   cx.Desc,
-			})
-		}
-		out[s.Name] = s
-	}
-	return out, nil
 }
 
 // Load reads and validates a configuration file from disk.

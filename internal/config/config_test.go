@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tiptop/internal/hpm"
-	"tiptop/internal/metrics"
 )
 
 const sampleXML = `
@@ -46,34 +45,6 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
-func TestBuildScreens(t *testing.T) {
-	f, err := Parse(strings.NewReader(sampleXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	screens, err := f.BuildScreens()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := screens["fpstudy"]
-	if s == nil {
-		t.Fatal("screen missing")
-	}
-	if len(s.Columns) != 2 {
-		t.Fatalf("columns = %d", len(s.Columns))
-	}
-	// Defaults: format and width filled in.
-	asst := s.Column("asst")
-	if asst.Format != "%8.2f" || asst.Width != 6 {
-		t.Fatalf("defaults: %+v", asst)
-	}
-	// The expression works.
-	v, err := asst.Expr.Eval(metrics.MapEnv{"FP_ASSIST": 25, "INSTRUCTIONS": 100})
-	if err != nil || v != 25 {
-		t.Fatalf("eval = %v, %v", v, err)
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"not xml at all <",
@@ -90,58 +61,6 @@ func TestParseErrors(t *testing.T) {
 	for i, src := range bad {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d should fail: %s", i, src)
-		}
-	}
-}
-
-func TestDefaultRoundTrip(t *testing.T) {
-	f := Default()
-	var sb strings.Builder
-	if err := Write(&sb, f); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"<tiptop>", `name="default"`, `name="fp"`, "ratio(INSTRUCTIONS, CYCLES)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("serialized config missing %q", want)
-		}
-	}
-	// Re-parse and rebuild: same screens as the built-ins.
-	f2, err := Parse(strings.NewReader(out))
-	if err != nil {
-		t.Fatalf("round-trip parse: %v\n%s", err, out)
-	}
-	screens, err := f2.BuildScreens()
-	if err != nil {
-		t.Fatal(err)
-	}
-	builtin := metrics.BuiltinScreens()
-	if len(screens) != len(builtin) {
-		t.Fatalf("screens = %d, want %d", len(screens), len(builtin))
-	}
-	for name, want := range builtin {
-		got := screens[name]
-		if got == nil {
-			t.Fatalf("screen %q lost in round trip", name)
-		}
-		if len(got.Columns) != len(want.Columns) {
-			t.Fatalf("screen %q: %d columns, want %d", name, len(got.Columns), len(want.Columns))
-		}
-		for i := range want.Columns {
-			env := metrics.MapEnv{
-				"CYCLES": 100, "INSTRUCTIONS": 150, "CACHE_MISSES": 5,
-				"BRANCHES": 20, "BRANCH_MISSES": 1, "FP_ASSIST": 2,
-				"FP_OPS": 30, "LOADS": 40, "L2_MISSES": 3,
-				"MEM_STALL_CYCLES": 250, "CACHE_REFERENCES": 9,
-				"STORES": 11, "SMPL_PCT": 75,
-				"PAGE_FAULTS": 7, "CONTEXT_SWITCHES": 13, "CPU_MIGRATIONS": 2,
-			}
-			v1, err1 := want.Columns[i].Expr.Eval(env)
-			v2, err2 := got.Columns[i].Expr.Eval(env)
-			if err1 != nil || err2 != nil || v1 != v2 {
-				t.Fatalf("screen %q column %q: %v/%v vs %v/%v",
-					name, want.Columns[i].Name, v1, err1, v2, err2)
-			}
 		}
 	}
 }
@@ -261,10 +180,10 @@ func TestPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"host1:9412", "host2:9412", "host3:9412"}
-	if got := f.Options.Peers(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Peers = %v, want %v", got, want)
+	if got := SplitPeers(f.Options.Join); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SplitPeers = %v, want %v", got, want)
 	}
-	if (&OptionsXML{}).Peers() != nil {
+	if SplitPeers("") != nil {
 		t.Fatal("empty join must yield nil peers")
 	}
 	f, err = Parse(strings.NewReader(`<tiptop><options connect="host:9412"/></tiptop>`))
@@ -383,26 +302,6 @@ func TestEventValidation(t *testing.T) {
 	}
 }
 
-// TestExamplesConfigLoads keeps the documented example configuration
-// honest: examples/custom-events.xml must parse, validate and define
-// the screen the README walks through.
-func TestExamplesConfigLoads(t *testing.T) {
-	f, err := Load(filepath.Join("..", "..", "examples", "custom-events.xml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Events) == 0 {
-		t.Fatal("example defines no events")
-	}
-	screens, err := f.BuildScreens()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if screens["fpcustom"] == nil {
-		t.Fatalf("example screens = %v", screens)
-	}
-}
-
 // TestStoreOptions covers the durable-store attributes: parsed values
 // flow through, malformed ones are rejected at load time.
 func TestStoreOptions(t *testing.T) {
@@ -429,73 +328,5 @@ func TestStoreOptions(t *testing.T) {
 		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted %s", bad)
 		}
-	}
-}
-
-// TestNamedExprs covers <expr> elements: validation of names and
-// sources, expansion into screen columns, and the round trip.
-func TestNamedExprs(t *testing.T) {
-	doc := `<tiptop>
-  <expr name="fleet_ipc" expr="delta(INSTRUCTIONS)/delta(CYCLES)" desc="cluster IPC"/>
-  <expr name="busy_users" expr="topk(3, rate(CYCLES)) by user"/>
-  <screen name="s" desc="uses a stored expr">
-    <column name="ipc" header="IPC" expr="fleet_ipc"/>
-  </screen>
-</tiptop>`
-	f, err := Parse(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	named := f.NamedExprs()
-	if named["fleet_ipc"] != "delta(INSTRUCTIONS)/delta(CYCLES)" {
-		t.Fatalf("NamedExprs = %v", named)
-	}
-	screens, err := f.BuildScreens()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := screens["s"].Columns[0].Expr.Source(); got != "delta(INSTRUCTIONS)/delta(CYCLES)" {
-		t.Fatalf("column expr not expanded: %q", got)
-	}
-
-	// Round trip preserves the expressions.
-	var buf strings.Builder
-	if err := Write(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := Parse(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f2.Exprs) != 2 || f2.Exprs[1].Expr != "topk(3, rate(CYCLES)) by user" {
-		t.Fatalf("round trip lost exprs: %+v", f2.Exprs)
-	}
-
-	for _, bad := range []string{
-		// A series-only stored expr cannot be a screen column.
-		`<tiptop><expr name="t" expr="topk(2, CYCLES)"/><screen name="s"><column name="c" header="C" expr="t"/></screen></tiptop>`,
-		// Unknown identifier inside a stored expr, caught at load time.
-		`<tiptop><expr name="x" expr="delta(CYCLE)"/></tiptop>`,
-		// Duplicates and shadowing.
-		`<tiptop><expr name="x" expr="CYCLES"/><expr name="x" expr="CYCLES"/></tiptop>`,
-		`<tiptop><expr name="CYCLES" expr="CYCLES"/></tiptop>`,
-		`<tiptop><expr name="DELTA_NS" expr="CYCLES"/></tiptop>`,
-		`<tiptop><expr name="" expr="CYCLES"/></tiptop>`,
-		`<tiptop><expr name="no spaces" expr="CYCLES"/></tiptop>`,
-	} {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted %s", bad)
-		}
-	}
-
-	// Stored expressions may reference built-in screen columns (the
-	// query backends serve them) and user events.
-	ok := `<tiptop>
-  <event name="MY_ASSISTS" raw="0x1EF7"/>
-  <expr name="assist_rate" expr="rate(MY_ASSISTS)"/>
-  <expr name="avg_ipc" expr="avg_over_time(ipc)"/>
-</tiptop>`
-	if _, err := Parse(strings.NewReader(ok)); err != nil {
-		t.Fatal(err)
 	}
 }

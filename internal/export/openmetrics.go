@@ -157,7 +157,7 @@ func (l *labelSets) key(k string) {
 
 func (l *labelSets) str(k, v string) {
 	l.key(k)
-	l.b = append(appendEscapedLabel(l.b, v), '"')
+	l.b = append(AppendEscapedLabel(l.b, v), '"')
 }
 
 func (l *labelSets) int(k string, v int) {
@@ -246,7 +246,7 @@ func (e *omWriter) machines(ms []FleetMachine, metricFamily bool) {
 		snap := ms[i].Snapshot
 		e.cols.reset()
 		for _, col := range snap.Columns {
-			e.cols.b = append(appendEscapedLabel(append(e.cols.b, `,column="`...), col), '"')
+			e.cols.b = append(AppendEscapedLabel(append(e.cols.b, `,column="`...), col), '"')
 			e.cols.end()
 		}
 		for j := range snap.Tasks {
@@ -320,8 +320,10 @@ func (e *omWriter) aggFamilies(scope string) {
 	}
 }
 
-// appendEscapedLabel escapes a label value per the exposition format.
-func appendEscapedLabel(b []byte, s string) []byte {
+// AppendEscapedLabel appends a label value escaped per the exposition
+// format, which defines exactly three escapes (\\, \", \n); every other
+// byte — control characters, DEL, UTF-8 — passes through raw.
+func AppendEscapedLabel(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\\':

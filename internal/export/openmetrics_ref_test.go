@@ -122,7 +122,7 @@ func (e *omEncoder) sample(name string, labels []label, v float64) {
 			}
 			b = append(b, l.k...)
 			b = append(b, '=', '"')
-			b = appendEscapedLabel(b, l.v)
+			b = AppendEscapedLabel(b, l.v)
 			b = append(b, '"')
 		}
 		b = append(b, '}')

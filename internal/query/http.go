@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tiptop/internal/export"
 	"tiptop/internal/history"
 	"tiptop/internal/metrics"
 	"tiptop/internal/remote"
@@ -303,6 +304,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	remote.WriteAPIError(w, status, e)
 }
 
+// quoteLabel renders a label value as the exposition format quotes it —
+// not as Go does: a comm is arbitrary bytes, and strconv.Quote's \t or
+// \x7f are escapes no OpenMetrics parser knows.
+func quoteLabel(s string) string {
+	return string(append(export.AppendEscapedLabel([]byte{'"'}, s), '"'))
+}
+
 // writeRawOpenMetrics renders a raw range-query result as OpenMetrics
 // text with explicit timestamps: one sample per point, so a range query
 // exports straight into tools that speak the exposition format.
@@ -328,7 +336,7 @@ func writeRawOpenMetrics(w io.Writer, res *store.Result) error {
 	for i := range res.Series {
 		s := &res.Series[i]
 		labels := fmt.Sprintf(`pid="%d",tid="%d",user=%s,command=%s`,
-			s.PID, s.TID, strconv.Quote(s.User), strconv.Quote(s.Command))
+			s.PID, s.TID, quoteLabel(s.User), quoteLabel(s.Command))
 		for j := range s.Points {
 			p := &s.Points[j]
 			emit("tiptop_range_cpu_pct", labels, p, p.CPUPct)
@@ -337,7 +345,7 @@ func writeRawOpenMetrics(w io.Writer, res *store.Result) error {
 				if k >= len(res.Columns) {
 					break
 				}
-				emit("tiptop_range_metric", labels+`,column=`+strconv.Quote(res.Columns[k]), p, v)
+				emit("tiptop_range_metric", labels+`,column=`+quoteLabel(res.Columns[k]), p, v)
 			}
 		}
 	}
@@ -356,18 +364,18 @@ func WriteOpenMetrics(w io.Writer, res *Result) error {
 	fmt.Fprintf(bw, "# HELP tiptop_query %s\n", strings.ReplaceAll(res.Expr, "\n", " "))
 	for i := range res.Series {
 		s := &res.Series[i]
-		labels := `expr=` + strconv.Quote(res.Expr) + `,key=` + strconv.Quote(s.Key)
+		labels := `expr=` + quoteLabel(res.Expr) + `,key=` + quoteLabel(s.Key)
 		if s.Agent != "" {
-			labels += `,agent=` + strconv.Quote(s.Agent)
+			labels += `,agent=` + quoteLabel(s.Agent)
 		}
 		if s.PID != 0 {
 			labels += fmt.Sprintf(`,pid="%d"`, s.PID)
 		}
 		if s.User != "" {
-			labels += `,user=` + strconv.Quote(s.User)
+			labels += `,user=` + quoteLabel(s.User)
 		}
 		if s.Command != "" {
-			labels += `,command=` + strconv.Quote(s.Command)
+			labels += `,command=` + quoteLabel(s.Command)
 		}
 		for j := range s.Points {
 			p := &s.Points[j]

@@ -175,6 +175,53 @@ func TestHandlerOpenMetrics(t *testing.T) {
 	}
 }
 
+// TestOpenMetricsLabelEscapes: a comm is arbitrary bytes
+// (prctl(PR_SET_NAME)), and the exposition format defines three escapes
+// and no others. Both range writers must emit \\, \" and \n for those
+// three and every other byte — tab, DEL, UTF-8 — raw; Go's \t, \x7f or
+// \u00e9 would be read as a literal backslash and a letter.
+func TestOpenMetricsLabelEscapes(t *testing.T) {
+	const nasty = "a\tb\"c\\d\ne\x7fé"
+	const escaped = "a\tb\\\"c\\\\d\\ne\x7fé" // the tab, DEL and é are raw bytes
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	st.SetColumns([]string{nasty})
+	for i := 1; i <= 3; i++ {
+		s := sampleAt(time.Duration(i)*time.Second, 1)
+		s.Rows[0].Info.User, s.Rows[0].Info.Comm = nasty, nasty
+		if err := st.AppendSample(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := Handler(one(st), nil)
+	for _, tc := range []struct {
+		target string
+		labels []string
+	}{
+		{"/api/v1/query?pid=100&format=openmetrics", []string{"user", "command", "column"}},
+		{"/api/v1/query?expr=CYCLES&format=openmetrics", []string{"user", "command"}},
+		{"/api/v1/query?expr=CYCLES+by+command&format=openmetrics", []string{"key"}},
+	} {
+		code, body := get(t, h, tc.target)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", tc.target, code, body)
+		}
+		for _, l := range tc.labels {
+			if !strings.Contains(body, l+`="`+escaped+`"`) {
+				t.Errorf("%s: no %s label carrying %q:\n%s", tc.target, l, escaped, body)
+			}
+		}
+		for _, goEscape := range []string{`\t`, `\x`, `\u`} {
+			if strings.Contains(body, goEscape) {
+				t.Errorf("%s: body carries the Go escape %s:\n%s", tc.target, goEscape, body)
+			}
+		}
+	}
+}
+
 func TestHandlerLiveFallback(t *testing.T) {
 	rec := seedRecorder(2, 20)
 	h := Handler(nil, rec)

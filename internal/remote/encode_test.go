@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -228,6 +230,17 @@ func edgeSamples() []*Sample {
 	}
 }
 
+// sampleSeeds are fuzzSrc inputs of mixed length, fixed across runs.
+func sampleSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(13))
+	seeds := make([][]byte, 16)
+	for i := range seeds {
+		seeds[i] = make([]byte, 64<<(i%4))
+		rng.Read(seeds[i])
+	}
+	return seeds
+}
+
 // FuzzWireJSONIdentity: for any sample, the hand-written JSON encoder
 // and encoding/json agree byte for byte (or error for error).
 func FuzzWireJSONIdentity(f *testing.F) {
@@ -235,10 +248,7 @@ func FuzzWireJSONIdentity(f *testing.F) {
 		checkWireIdentity(f, ws)
 	}
 	f.Add([]byte{})
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 16; i++ {
-		seed := make([]byte, 64<<(i%4))
-		rng.Read(seed)
+	for _, seed := range sampleSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -270,6 +280,71 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if _, err := DecodeBinary(ws.EncodeBinary()); err != nil {
 			t.Fatalf("accepted sample does not survive a re-encode: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeWire: the JSON frame — the curl path and the default
+// -connect one — is untrusted bytes too. Whatever they are, Decode and
+// the SSE reader return without panicking; nothing newer than
+// WireVersion is accepted; an accepted sample re-encodes, and to a
+// fixpoint (decode → encode is idempotent after one pass); and a payload
+// the hub could frame as an SSE event reads back byte for byte.
+func FuzzDecodeWire(f *testing.F) {
+	add := func(ws *Sample) {
+		if b, err := ws.Encode(); err == nil {
+			f.Add(b)
+			f.Add([]byte(fmt.Sprintf("id: 7\nevent: sample\ndata: %s\n\n", b)))
+		}
+	}
+	for _, ws := range edgeSamples() {
+		add(ws)
+	}
+	for _, seed := range sampleSeeds() { // FuzzWireJSONIdentity's corpus, encoded
+		add((&fuzzSrc{b: seed}).sample())
+	}
+	f.Add([]byte(`{"v":2,"refresh":1}`))
+	f.Add([]byte(`{"v":1,"rows":[{"events":{}}]}`))
+	f.Add([]byte(": keep-alive\n\nevent: status\ndata: {}\n\ndata: {\"v\":1,\ndata: \"refresh\":3}\r\n\r\n"))
+	decode := func(t *testing.T, data []byte) {
+		ws, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if ws.V < 1 || ws.V > WireVersion {
+			t.Fatalf("wire version %d accepted", ws.V)
+		}
+		once, err := ws.Encode()
+		if err != nil {
+			t.Fatalf("accepted sample does not re-encode: %v", err)
+		}
+		back, err := Decode(once)
+		if err != nil {
+			t.Fatalf("re-encoded sample does not decode: %v\n%s", err, once)
+		}
+		if twice, err := back.Encode(); err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("decode → encode is not a fixpoint (%v)\n once  %s\n twice %s", err, once, twice)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decode(t, data)
+		br := bufio.NewReader(bytes.NewReader(data))
+		for {
+			payload, err := readSSEData(br)
+			if err != nil {
+				break
+			}
+			if len(payload) == 0 {
+				t.Fatal("SSE reader returned an empty event")
+			}
+			decode(t, payload)
+		}
+		if len(data) == 0 || bytes.IndexByte(data, '\n') >= 0 || data[len(data)-1] == '\r' {
+			return // not a payload one data: line can carry
+		}
+		framed := fmt.Sprintf("id: 1\nevent: sample\ndata: %s\n\n", data)
+		if got, err := readSSEData(bufio.NewReader(strings.NewReader(framed))); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("framed payload %q read back as %q (%v)", data, got, err)
 		}
 	})
 }

@@ -22,7 +22,6 @@ package store
 // still holds their data.
 
 import (
-	"sort"
 	"time"
 
 	"tiptop/internal/hpm"
@@ -43,8 +42,9 @@ type dsTask struct {
 	misses     uint64
 }
 
-// bucket is a completed downsample window ready to be written: one
-// averaged row per task, sorted by PID then TID.
+// bucket is a completed downsample window: one averaged row per task,
+// in no particular order (Store.fold sorts what it writes; the query
+// side assembles per-task series and needs no order).
 type bucket struct {
 	end  time.Duration
 	rows []RecordRow
@@ -66,8 +66,8 @@ func newAccumulator(res time.Duration) *accumulator {
 // closes the current bucket and it holds data, the completed bucket is
 // returned for flushing (valid until the next advance).
 //
-// Buckets are the half-open (k·res, (k+1)·res] windows — the same
-// convention the query-side re-bucketing uses. The closed upper end
+// Buckets are the half-open (k·res, (k+1)·res] windows, on the read side
+// too: Query re-buckets through this accumulator. The closed upper end
 // matters for tier chaining: a finer-tier record stamped exactly on a
 // boundary (10s records always are) carries data from *before* that
 // instant and must fold into the bucket ending there, not the one
@@ -131,13 +131,6 @@ func (a *accumulator) close() *bucket {
 		}
 		t.valSums = t.valSums[:0]
 	}
-	rows := a.funnel.rows
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].PID != rows[j].PID {
-			return rows[i].PID < rows[j].PID
-		}
-		return rows[i].TID < rows[j].TID
-	})
 	return &a.funnel
 }
 

@@ -112,7 +112,10 @@ func (st *Store) Scan(q QueryOptions, fn func(rec *Record, cols []string) error)
 }
 
 // Query scans the selected tier and returns every matching series,
-// sorted by PID then TID, plus the machine roll-up.
+// sorted by PID then TID, plus the machine roll-up. A step coarser than
+// the serving tier re-buckets through the downsampling accumulator —
+// the fold that wrote the tiers — so reading a tier at a coarser step
+// and writing that coarser tier agree by construction.
 func (st *Store) Query(q QueryOptions) (*Result, error) {
 	step := time.Duration(q.StepSeconds * float64(time.Second))
 	res := TierFor(step)
@@ -120,20 +123,38 @@ func (st *Store) Query(q QueryOptions) (*Result, error) {
 	if q.PID < 0 {
 		out.PID = -1
 	}
-	rebucket := step > res && step > 0
-	if rebucket {
+	// The machine roll-up travels as one pseudo-task's row, in a set and
+	// an accumulator of its own: a PID filter must not thin it.
+	tasks, machine := seriesSet{}, seriesSet{}
+	var taskAcc, machineAcc *accumulator
+	if step > res {
 		out.StepSeconds = step.Seconds()
+		taskAcc, machineAcc = newAccumulator(step), newAccumulator(step)
 	}
-	agg := newSeriesSet(rebucket, step)
 	_, err := st.Scan(q, func(rec *Record, cols []string) error {
 		out.Columns = cols
-		agg.addMachine(rec.TimeSeconds, &rec.Machine)
+		m := RecordRow{
+			CPUPct: rec.Machine.CPUPct, IPC: ratio(rec.Machine.Instr, rec.Machine.Cycles),
+			Instr: rec.Machine.Instr, Cycles: rec.Machine.Cycles,
+		}
+		if machineAcc == nil {
+			machine.add(rec.TimeSeconds, &m)
+		} else {
+			now := time.Duration(rec.TimeSeconds * float64(time.Second))
+			machine.addBucket(machineAcc.advance(now))
+			tasks.addBucket(taskAcc.advance(now))
+			machineAcc.fold(&m)
+		}
 		for i := range rec.Rows {
 			r := &rec.Rows[i]
 			if q.PID >= 0 && r.PID != q.PID {
 				continue
 			}
-			agg.addRow(rec.TimeSeconds, r)
+			if taskAcc == nil {
+				tasks.add(rec.TimeSeconds, r)
+			} else {
+				taskAcc.fold(r)
+			}
 		}
 		return nil
 	})
@@ -147,7 +168,14 @@ func (st *Store) Query(q QueryOptions) (*Result, error) {
 		out.Columns = append([]string(nil), st.cols...)
 		st.mu.Unlock()
 	}
-	agg.finish(out)
+	if machineAcc != nil {
+		machine.addBucket(machineAcc.close())
+		tasks.addBucket(taskAcc.close())
+	}
+	if s := machine[hpm.TaskID{}]; s != nil {
+		out.Machine = s.Points
+	}
+	out.Series = tasks.sorted()
 	return out, nil
 }
 
@@ -182,140 +210,48 @@ func (st *Store) snapshotTier(step time.Duration) (*queryView, time.Duration, er
 	return view, t.res, nil
 }
 
-// seriesSet assembles query output, optionally re-bucketing to a step
-// coarser than the serving tier.
-type seriesSet struct {
-	rebucket bool
-	step     time.Duration
-	tasks    map[hpm.TaskID]*seriesAcc
-	machine  seriesAcc
-}
+// seriesSet assembles one series per task, points in scan (time) order.
+type seriesSet map[hpm.TaskID]*Series
 
-type seriesAcc struct {
-	pid, tid   int
-	user, comm string
-	points     []Point
-	// step-bucket accumulation
-	bucket int64
-	n      int
-	cpu    float64
-	ipc    float64
-	instr  uint64
-	cycles uint64
-	vals   []float64
-}
-
-func newSeriesSet(rebucket bool, step time.Duration) *seriesSet {
-	ss := &seriesSet{rebucket: rebucket, step: step, tasks: make(map[hpm.TaskID]*seriesAcc)}
-	ss.machine.bucket = -1
-	return ss
-}
-
-func (ss *seriesSet) addRow(timeSec float64, r *RecordRow) {
+// add copies one row (a scan's or an accumulator's reused scratch) into
+// a point of its task's series, stamped at.
+func (ss seriesSet) add(at float64, r *RecordRow) {
 	id := hpm.TaskID{PID: r.PID, TID: r.TID}
-	acc := ss.tasks[id]
-	if acc == nil {
-		acc = &seriesAcc{pid: r.PID, tid: r.TID, bucket: -1}
-		ss.tasks[id] = acc
+	s := ss[id]
+	if s == nil {
+		s = &Series{PID: r.PID, TID: r.TID}
+		ss[id] = s
 	}
-	acc.user, acc.comm = r.User, r.Command
-	ss.add(acc, timeSec, r.CPUPct, r.IPC, r.Values, r.Instr, r.Cycles)
-}
-
-func (ss *seriesSet) addMachine(timeSec float64, m *RecordAgg) {
-	ss.add(&ss.machine, timeSec, m.CPUPct, ratio(m.Instr, m.Cycles), nil, m.Instr, m.Cycles)
-}
-
-// add appends one observation to a series, directly or via its step
-// bucket.
-func (ss *seriesSet) add(acc *seriesAcc, timeSec, cpu, ipc float64, values []float64, instr, cycles uint64) {
-	if !ss.rebucket {
-		acc.points = append(acc.points, Point{
-			TimeSeconds: timeSec, CPUPct: cpu, IPC: ipc,
-			Values: append([]float64(nil), values...),
-		})
-		return
-	}
-	// Points are stamped at their window's end, so step buckets are the
-	// half-open (start, end] windows: a point at exactly t=30 belongs to
-	// the bucket ending at 30, not the one starting there.
-	d := time.Duration(timeSec * float64(time.Second))
-	idx := int64(0)
-	if d > 0 {
-		idx = int64((d - 1) / ss.step)
-	}
-	if acc.bucket >= 0 && idx != acc.bucket {
-		acc.flush(ss.step)
-	}
-	acc.bucket = idx
-	acc.n++
-	acc.cpu += cpu
-	acc.ipc += ipc
-	acc.instr += instr
-	acc.cycles += cycles
-	if len(acc.vals) < len(values) {
-		grown := make([]float64, len(values))
-		copy(grown, acc.vals)
-		acc.vals = grown
-	}
-	for i, v := range values {
-		acc.vals[i] += v
-	}
-}
-
-// flush emits the current step bucket as one averaged point.
-func (acc *seriesAcc) flush(step time.Duration) {
-	if acc.n == 0 {
-		return
-	}
-	n := float64(acc.n)
-	p := Point{
-		TimeSeconds: (time.Duration(acc.bucket+1) * step).Seconds(),
-		CPUPct:      acc.cpu / n,
-		IPC:         acc.ipc / n,
-	}
-	if acc.cycles > 0 {
-		p.IPC = float64(acc.instr) / float64(acc.cycles)
-	}
-	if len(acc.vals) > 0 {
-		p.Values = make([]float64, len(acc.vals))
-		for i, v := range acc.vals {
-			p.Values[i] = v / n
-		}
-	}
-	acc.points = append(acc.points, p)
-	acc.n = 0
-	acc.cpu, acc.ipc = 0, 0
-	acc.instr, acc.cycles = 0, 0
-	for i := range acc.vals {
-		acc.vals[i] = 0
-	}
-	acc.vals = acc.vals[:0]
-}
-
-// finish flushes pending buckets and writes the sorted series list.
-func (ss *seriesSet) finish(out *Result) {
-	if ss.rebucket {
-		ss.machine.flush(ss.step)
-		for _, acc := range ss.tasks {
-			acc.flush(ss.step)
-		}
-	}
-	out.Machine = ss.machine.points
-	out.Series = make([]Series, 0, len(ss.tasks))
-	for _, acc := range ss.tasks {
-		out.Series = append(out.Series, Series{
-			PID: acc.pid, TID: acc.tid, User: acc.user, Command: acc.comm,
-			Points: acc.points,
-		})
-	}
-	sort.Slice(out.Series, func(i, j int) bool {
-		a, b := &out.Series[i], &out.Series[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		return a.TID < b.TID
+	s.User, s.Command = r.User, r.Command
+	s.Points = append(s.Points, Point{
+		TimeSeconds: at, CPUPct: r.CPUPct, IPC: r.IPC,
+		Values: append([]float64(nil), r.Values...),
 	})
+}
+
+// addBucket adds a completed step bucket's rows (nil: none completed).
+func (ss seriesSet) addBucket(b *bucket) {
+	if b == nil {
+		return
+	}
+	for i := range b.rows {
+		ss.add(b.end.Seconds(), &b.rows[i])
+	}
+}
+
+// sorted returns the series ordered by PID then TID.
+func (ss seriesSet) sorted() []Series {
+	out := make([]Series, 0, len(ss))
+	for _, s := range ss {
+		out = append(out, *s)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].PID != out[j].PID {
+			return out[i].PID < out[j].PID
+		}
+		return out[i].TID < out[j].TID
+	})
+	return out
 }
 
 func ratio(num, den uint64) float64 {

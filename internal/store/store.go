@@ -484,14 +484,21 @@ func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow) error
 }
 
 // fold pushes one finer-tier record's rows into tier ti's accumulator.
-// A bucket that completes on the way is written as a record of tier ti
-// and folded into the next coarser tier first.
+// A bucket that completes on the way is written as a record of tier ti,
+// rows sorted by PID then TID, and folded into the next coarser tier
+// first.
 func (st *Store) fold(ti int, now time.Duration, rows []RecordRow) error {
 	if ti >= len(st.tiers) {
 		return nil
 	}
 	t := st.tiers[ti]
 	if b := t.acc.advance(now); b != nil {
+		sort.Slice(b.rows, func(i, j int) bool {
+			if b.rows[i].PID != b.rows[j].PID {
+				return b.rows[i].PID < b.rows[j].PID
+			}
+			return b.rows[i].TID < b.rows[j].TID
+		})
 		if err := st.writeRecord(t, b.end, b.rows); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -426,32 +427,101 @@ func TestConcurrentAppendsAndQueries(t *testing.T) {
 	}
 }
 
-// TestAppendSteadyStateAllocs pins the hot path: once segments and
-// accumulator entries exist, appending one refresh must stay within a
-// few allocations (the CI bench gates the same bound end to end).
+// wideSampleAt is sampleAt with four constant value columns per task —
+// at 100 tasks, the refresh the density bound below was measured on.
+func wideSampleAt(now time.Duration, tasks int) *core.Sample {
+	s := sampleAt(now, tasks)
+	for i := range s.Rows {
+		s.Rows[i].Values = []float64{1.5, 2.5, 3.5, 4.5}
+	}
+	return s
+}
+
+// TestAppendSteadyStateAllocs pins the hot path, which runs on the
+// sampling goroutine: once segments and accumulator entries exist,
+// appending one refresh stays within a few allocations — with
+// downsampling off, and as every command runs it, folding into the 10s
+// and 1m tiers (200 one-second appends close 20 10s and 3 1m buckets,
+// so bucket writes are inside the mean; measured: under half an
+// allocation per append).
 func TestAppendSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opt    Options
+		sample *core.Sample
+		cols   []string
+		max    float64
+	}{
+		{"raw-only", Options{NoDownsample: true}, sampleAt(0, 50), []string{"v"}, 3},
+		{"downsampling", Options{Budget: 1 << 30}, wideSampleAt(0, 100), []string{"mcycle", "minst", "ipc", "dmis"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := mustOpen(t, t.TempDir(), tc.opt)
+			st.SetColumns(tc.cols)
+			s, now := tc.sample, time.Duration(0)
+			step := func() {
+				now += time.Second
+				s.Time = now
+				if err := st.AppendSample(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm up: grow the encoder buffers, open every tier's
+			// segment, populate both accumulators.
+			for i := 0; i < 130; i++ {
+				step()
+			}
+			if avg := testing.AllocsPerRun(200, step); avg > tc.max {
+				t.Fatalf("steady-state append costs %.1f allocs/op, want <= %.0f", avg, tc.max)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAppendDensity pins how dense live appends write the raw tier: at
+// most 48.4 bytes per task-refresh on the wide sample — a third of what
+// the retired v1 JSON writer needed for it (141 with this one-letter
+// user, 145.26 with the five-letter one the bound was derived from);
+// typical: ~19.
+func TestAppendDensity(t *testing.T) {
 	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{NoDownsample: true})
-	st.SetColumns([]string{"v"})
-	s := sampleAt(0, 50)
-	now := time.Duration(0)
-	// Warm up: grow the encoder buffer and open the segment.
-	for i := 0; i < 4; i++ {
-		now += time.Second
-		s.Time = now
-		if err := st.AppendSample(s); err != nil {
+	// The budget keeps retention away: a dropped segment would read as
+	// density.
+	st := mustOpen(t, dir, Options{Budget: 1 << 30})
+	st.SetColumns([]string{"mcycle", "minst", "ipc", "dmis"})
+	const tasks, appends = 100, 600
+	rawBytes := func() (total int64) {
+		paths, err := filepath.Glob(filepath.Join(dir, "raw-*"))
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, p := range paths {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += fi.Size()
+		}
+		return total
+	}
+	// The first records carry the segment's dictionary and column names;
+	// measure the steady state after them.
+	fillWide := func(start, n int) {
+		for i := start; i < start+n; i++ {
+			if err := st.AppendSample(wideSampleAt(time.Duration(i+1)*time.Second, tasks)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	avg := testing.AllocsPerRun(100, func() {
-		now += time.Second
-		s.Time = now
-		if err := st.AppendSample(s); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 3 {
-		t.Fatalf("steady-state append costs %.1f allocs/op, want <= 3", avg)
+	fillWide(0, 8)
+	before := rawBytes()
+	fillWide(8, appends)
+	density := float64(rawBytes()-before) / (appends * tasks)
+	if density <= 0 || density > 48.4 {
+		t.Fatalf("live appends write %.1f raw-tier bytes per task-refresh, want in (0, 48.4]", density)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -516,6 +586,82 @@ func TestDownsampleBoundaryAlignment(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadFoldEqualsWriteFold: Query's re-bucketing and the downsample
+// tiers are one fold. Store a's 10s-tier records, replayed as the raw
+// refreshes of store b on a clock ten times faster (a step under 10 s
+// keeps b's query on its raw tier) and re-bucketed there at 6 s,
+// reproduce a's 1m tier point for point, bit for bit, on every complete
+// bucket — with tasks absent from whole 10s buckets along the way. The
+// machine roll-up is left out: a tier record sums its rows' averages,
+// a re-bucketed one averages the finer records' sums.
+func TestReadFoldEqualsWriteFold(t *testing.T) {
+	a := mustOpen(t, t.TempDir(), Options{})
+	a.SetColumns([]string{"x", "y"})
+	seed := uint64(7)
+	for i := 0; i < 400; i++ {
+		s := variedSample(500*time.Millisecond+time.Duration(i)*1500*time.Millisecond, 8, &seed)
+		if drop := (i / 20) % 9; drop < len(s.Rows) { // each task sits out 30 s in turn
+			s.Rows = append(s.Rows[:drop], s.Rows[drop+1:]...)
+		}
+		if err := a.AppendSample(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := mustOpen(t, t.TempDir(), Options{NoDownsample: true})
+	b.SetColumns(a.Columns())
+	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
+	if _, err := a.Scan(QueryOptions{PID: -1, StepSeconds: 10}, func(rec *Record, _ []string) error {
+		s := &core.Sample{Time: time.Duration(rec.TimeSeconds / 10 * float64(time.Second))}
+		for _, r := range rec.Rows {
+			s.Rows = append(s.Rows, core.Row{
+				Info:   core.TaskInfo{ID: hpm.TaskID{PID: r.PID, TID: r.TID}, User: r.User, Comm: r.Command},
+				CPUPct: r.CPUPct, Values: append([]float64(nil), r.Values...),
+				Counts: []uint64{r.Instr, r.Cycles, r.Misses}, Table: table, Valid: true,
+			})
+		}
+		return b.AppendSample(s)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Query(QueryOptions{PID: -1, StepSeconds: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Query(QueryOptions{PID: -1, StepSeconds: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.ResolutionSeconds != 60 || want.StepSeconds != 0 || got.ResolutionSeconds != 0 || got.StepSeconds != 6 {
+		t.Fatalf("tiers: want served at %g/%g, got at %g/%g", want.ResolutionSeconds, want.StepSeconds, got.ResolutionSeconds, got.StepSeconds)
+	}
+	if len(want.Series) != 8 || len(got.Series) != 8 {
+		t.Fatalf("series: 1m tier %d, re-bucketed %d, want 8 each", len(want.Series), len(got.Series))
+	}
+	for i, ws := range want.Series {
+		gs := got.Series[i]
+		if gs.PID != ws.PID || gs.User != ws.User || gs.Command != ws.Command {
+			t.Fatalf("series %d: %d/%s/%s vs %d/%s/%s", i, gs.PID, gs.User, gs.Command, ws.PID, ws.User, ws.Command)
+		}
+		// 400 refreshes 1.5 s apart: 9 or 10 complete minutes per task,
+		// and at most the one trailing partial bucket beyond them.
+		if len(ws.Points) < 9 || len(gs.Points) < len(ws.Points) || len(gs.Points) > len(ws.Points)+1 {
+			t.Fatalf("pid %d: %d 1m points, %d re-bucketed", ws.PID, len(ws.Points), len(gs.Points))
+		}
+		for j, wp := range ws.Points {
+			gp := gs.Points[j]
+			gp.TimeSeconds *= 10
+			if !reflect.DeepEqual(gp, wp) {
+				t.Fatalf("pid %d point %d: re-bucketed %+v, 1m tier %+v", ws.PID, j, gp, wp)
+			}
+		}
+	}
+	for _, st := range []*Store{a, b} {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -57,7 +57,6 @@ tiptopd:sim tiptopd:config tiptopd:join tiptopd:store
 tiptopd:retention tiptopd:budget tiptopd:system-wide tiptopd:counters
 tiptopd:fsync tiptopd:compact tiptopd:wire
 tipbench:run tipbench:scale tipbench:out tipbench:list
-tipbench:bench-refresh tipbench:bench-store
 tipbench:validate
 "
 
