@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet test race bench fuzz docs validate
+.PHONY: verify fmt build vet test race bench fuzz docs validate loc
 
 verify: fmt build vet race docs
 
@@ -28,8 +28,9 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The docs gate: flags and endpoints named in README.md and
-# ARCHITECTURE.md must exist in the source (stale docs fail the build).
+# The docs gate: flags, endpoints and make targets named in README.md
+# and ARCHITECTURE.md must exist in the source (stale docs fail the
+# build).
 # The Example functions run under `go test`, so the documented snippets
 # are covered by race/test above.
 docs:
@@ -72,3 +73,8 @@ validate:
 bench:
 	$(GO) run ./bench
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+' -benchmem ./internal/core/
+
+# Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
+# the count issues and CHANGES.md entries quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l

@@ -178,8 +178,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		opts := remote.FleetOptions{
 			History: history.Options{Capacity: o.historyCap, Window: o.window},
-			// The encoding the aggregator negotiates with each agent;
-			// binary falls back per agent against daemons that predate it.
+			// The encoding the aggregator negotiates with each agent:
+			// binary unless -wire json, falling back per agent against
+			// daemons that predate it.
 			Wire: shared.Wire,
 		}
 		if cfg.StoreDir != "" {

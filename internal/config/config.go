@@ -105,9 +105,9 @@ type OptionsXML struct {
 	// automatically.
 	Compact string `xml:"compact,attr,omitempty"`
 	// Wire selects the stream encoding a client negotiates when
-	// dialing a daemon (tiptop -connect, tiptopd -join): "json" (the
-	// SSE default) or "binary" (the length-prefixed binary frame,
-	// falling back to SSE against older daemons).
+	// dialing a daemon (tiptop -connect, tiptopd -join): "binary" (the
+	// default: the length-prefixed binary frame, falling back to SSE
+	// per connection against older daemons) or "json" (always SSE).
 	Wire string `xml:"wire,attr,omitempty"`
 	// SystemWide monitors logical CPUs instead of tasks (perf's -a
 	// mode): one row per CPU, counters opened system-wide.

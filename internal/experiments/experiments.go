@@ -45,12 +45,6 @@ func DefaultConfig() Config {
 	return Config{Scale: 0.02, Seed: 1}
 }
 
-// FullConfig returns the paper-scale configuration used by cmd/tipbench
-// when asked for full fidelity.
-func FullConfig() Config {
-	return Config{Scale: 1.0, Seed: 1}
-}
-
 func (c Config) normalized() Config {
 	if c.Scale <= 0 {
 		c.Scale = 0.02

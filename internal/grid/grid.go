@@ -176,9 +176,6 @@ func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// Jobs returns all jobs in submission order.
-func (c *Cluster) Jobs() []*Job { return c.jobs }
-
 // Nodes returns the cluster's nodes.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 

@@ -185,8 +185,8 @@ type Backend interface {
 	SlotCost(e EventDesc) int
 }
 
-// Deltas computes per-event deltas between two readings taken from the
-// same TaskCounter. Each delta is the interval's raw increment scaled by
+// DeltasInto computes per-event deltas between two readings taken from
+// the same TaskCounter. Each delta is the interval's raw increment scaled by
 // the interval's own Enabled/Running ratio — the multiplex correction is
 // applied to the refresh window itself, not by differencing cumulative
 // Scaled() estimates. Differencing cumulative estimates is subtly wrong
@@ -200,14 +200,11 @@ type Backend interface {
 // that window's coverage alone. A negative delta (counter re-created,
 // task died and pid reused) is clamped to zero: the tool displays
 // occurrences since the previous refresh and must never show garbage.
-func Deltas(prev, cur []Count) []uint64 {
-	return DeltasInto(nil, prev, cur)
-}
-
-// DeltasInto is Deltas writing into dst, which is grown as needed and
-// returned. The sampling engine calls it once per task per refresh; the
-// reusable destination keeps the per-tick garbage independent of the
-// number of monitored tasks.
+//
+// The deltas are written into dst, which is grown as needed and
+// returned: the sampling engine calls this once per task per refresh,
+// and the reusable destination keeps the per-tick garbage independent
+// of the number of monitored tasks.
 func DeltasInto(dst []uint64, prev, cur []Count) []uint64 {
 	if cap(dst) < len(cur) {
 		dst = make([]uint64, len(cur))

@@ -259,7 +259,7 @@ func TestCPUScope(t *testing.T) {
 func TestDeltas(t *testing.T) {
 	prev := []Count{{Raw: 100, Enabled: 1, Running: 1}, {Raw: 50, Enabled: 1, Running: 1}}
 	cur := []Count{{Raw: 180, Enabled: 2, Running: 2}, {Raw: 40, Enabled: 2, Running: 2}}
-	d := Deltas(prev, cur)
+	d := DeltasInto(nil, prev, cur)
 	if d[0] != 80 {
 		t.Fatalf("delta[0] = %d, want 80", d[0])
 	}
@@ -292,7 +292,7 @@ func TestDeltasLengthMismatch(t *testing.T) {
 	// New events appended since last read: their full value is the delta.
 	prev := []Count{{Raw: 10, Enabled: 1, Running: 1}}
 	cur := []Count{{Raw: 15, Enabled: 1, Running: 1}, {Raw: 7, Enabled: 1, Running: 1}}
-	d := Deltas(prev, cur)
+	d := DeltasInto(nil, prev, cur)
 	if len(d) != 2 || d[0] != 5 || d[1] != 7 {
 		t.Fatalf("deltas = %v", d)
 	}
@@ -308,7 +308,7 @@ func TestPropDeltasMonotone(t *testing.T) {
 		}
 		prev := []Count{{Raw: lo, Enabled: 1, Running: 1}}
 		cur := []Count{{Raw: hi, Enabled: 1, Running: 1}}
-		d := Deltas(prev, cur)
+		d := DeltasInto(nil, prev, cur)
 		return d[0] == hi-lo
 	}
 	if err := quick.Check(f, nil); err != nil {

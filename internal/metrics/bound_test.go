@@ -138,11 +138,13 @@ func refEval(n node, env Env, bucket bool, points []Env) (float64, error) {
 	panic("unknown node")
 }
 
-// FuzzBoundEvalMatchesEnv: the slot-bound evaluation the sampling
-// engine runs is Expr.Eval over the same values, bit for bit — and an
-// identifier missing from the slots is an error at Bind exactly when it
-// is one at Eval, also in a conditional branch no evaluation takes.
-// Eval and EvalBucket in turn agree with the reference tree walk.
+// FuzzBoundEvalMatchesEnv guards the Expr.Eval(Env) adapter: resolving
+// names through an Env gives what the slot-bound evaluation gives over
+// the same values, bit for bit — and an identifier missing from the
+// slots is an error at Bind exactly when it is one at Eval, also in a
+// conditional branch no evaluation takes. Eval and Bound.EvalBucket in
+// turn agree with the reference tree walk, over a two-point bucket and
+// over each point as a bucket of its own.
 func FuzzBoundEvalMatchesEnv(f *testing.F) {
 	srcs := slices.Concat(compileSeeds, savedCorpus(f, "FuzzParseExpr"), []string{
 		"rate(A) + DELTA_NS",         // rate's interval and the same name read directly
@@ -183,17 +185,6 @@ func FuzzBoundEvalMatchesEnv(f *testing.F) {
 				refErr == nil && math.Float64bits(finite(ref)) != math.Float64bits(want) {
 				t.Fatalf("%q over %v: Eval %v, %v; reference %v, %v", src, env, want, wantErr, ref, refErr)
 			}
-			// A bucket of two points: this env and one with other values.
-			other := MapEnv{}
-			for name, v := range env {
-				other[name] = v*3 + 1
-			}
-			points := []Env{env, other}
-			bv, bErr := e.EvalBucket(env, points)
-			if ref, refErr := refEval(e.root, env, true, points); (refErr != nil) != (bErr != nil) ||
-				refErr == nil && math.Float64bits(finite(ref)) != math.Float64bits(bv) {
-				t.Fatalf("%q over %v: EvalBucket %v, %v; reference %v, %v", src, env, bv, bErr, ref, refErr)
-			}
 			bound, err := e.Bind(names)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%q over %v: Bind error %v, Eval error %v", src, names, err, wantErr)
@@ -201,9 +192,32 @@ func FuzzBoundEvalMatchesEnv(f *testing.F) {
 			if err != nil {
 				return
 			}
-			got := bound.Eval(slots, make([]float64, bound.Depth()))
+			stack := make([]float64, bound.Depth())
+			got := bound.Eval(slots, stack)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%q over %v = %v: bound %v, Eval %v", src, names, slots, got, want)
+			}
+			// A bucket of two points: these values and others.
+			other, otherSlots := MapEnv{}, make([]float64, len(names))
+			for i, name := range names {
+				otherSlots[i] = slots[i]*3 + 1
+				other[name] = otherSlots[i]
+			}
+			bv := bound.EvalBucket(slots, [][]float64{slots, otherSlots}, stack)
+			if ref, refErr := refEval(e.root, env, true, []Env{env, other}); refErr != nil ||
+				math.Float64bits(finite(ref)) != math.Float64bits(bv) {
+				t.Fatalf("%q over %v: EvalBucket %v; reference %v, %v", src, env, bv, ref, refErr)
+			}
+			// Pointwise: each point as a bucket of its own.
+			for _, p := range []struct {
+				env   MapEnv
+				slots []float64
+			}{{env, slots}, {other, otherSlots}} {
+				one := bound.EvalBucket(p.slots, [][]float64{p.slots}, stack)
+				if ref, refErr := refEval(e.root, p.env, true, []Env{p.env}); refErr != nil ||
+					math.Float64bits(finite(ref)) != math.Float64bits(one) {
+					t.Fatalf("%q over %v: one-point bucket %v; reference %v, %v", src, p.env, one, ref, refErr)
+				}
 			}
 		}
 		// As the engine binds: the identifiers, then the context variables.

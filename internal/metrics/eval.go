@@ -6,9 +6,10 @@ import (
 	"slices"
 )
 
-// Env resolves identifiers during evaluation. The engine provides an Env
-// mapping event names to counter deltas for the current refresh interval
-// plus context variables such as DELTA_NS.
+// Env resolves identifiers by name for Expr.Eval's one-shot callers:
+// event names map to counter deltas for the refresh interval, context
+// variables such as DELTA_NS to theirs. The engines never build one —
+// they bind (Expr.Bind) and fill slot vectors.
 type Env interface {
 	// Lookup returns the value of the named variable and whether it is
 	// defined.
@@ -45,38 +46,38 @@ func (e *EvalError) Error() string {
 // screen cells, store-backed range queries and fleet merges — so an
 // expression renders identically wherever it runs and OpenMetrics
 // output never carries NaN.
+//
+// Eval is an adapter for one-shot callers: it resolves the expression's
+// identifiers through env into a scratch slot vector and evaluates the
+// expression bound to its own names. An identifier env lacks is an
+// *EvalError — also in a conditional branch no evaluation would take —
+// unless only a builtin's context argument reads it (rate's DELTA_NS),
+// which then reads 0.
 func (e *Expr) Eval(env Env) (float64, error) {
-	return e.evalNamed(&named{names: e.names, env: env})
-}
-
-// EvalBucket evaluates the expression over one query bucket: sum is
-// the bucket-level environment (counter identifiers summed over the
-// bucket, column values averaged, DELTA_NS set to the bucket width in
-// nanoseconds), and points are the per-point environments the
-// *_over_time functions fold over. points may be nil when
-// NeedsPointwise is false. The total-evaluation rule of Eval applies:
-// the result is always finite.
-func (e *Expr) EvalBucket(sum Env, points []Env) (float64, error) {
-	return e.evalNamed(&named{names: e.names, env: sum, points: points, bucket: true})
-}
-
-func (e *Expr) evalNamed(by *named) (float64, error) {
-	var buf [16]float64
-	stack := buf[:]
-	if e.depth > len(stack) {
-		stack = make([]float64, e.depth)
+	var buf [32]float64
+	scratch := buf[:]
+	if need := e.depth + len(e.names); need > len(scratch) {
+		scratch = make([]float64, need)
 	}
-	v, err := run(e.prog, nil, by, stack)
-	if err != nil {
-		return 0, err
+	slots := scratch[e.depth : e.depth+len(e.names)]
+	for i, name := range e.names {
+		v, ok := env.Lookup(name)
+		if !ok {
+			if e.required[i] {
+				return 0, &EvalError{Expr: name, Msg: "undefined identifier " + name}
+			}
+			v = 0
+		}
+		slots[i] = v
 	}
-	return finite(v), nil
+	return finite(run(e.prog, slots, nil, scratch[:e.depth])), nil
 }
 
 // Bound is an expression whose identifiers were resolved once to
-// positions of a slot vector: the sampling engine binds every screen
-// column when a session starts and evaluates it per row. It runs the
-// program Expr.Eval runs, with index loads where that looks names up.
+// positions of a slot vector — the only way a program reads them: the
+// sampling engine binds every screen column when a session starts and
+// evaluates it per row, the query engine binds its expression to the
+// row layout it folds records into.
 type Bound struct {
 	prog  []instr
 	depth int
@@ -113,9 +114,21 @@ func (b *Bound) Depth() int { return b.depth }
 // to Bind, with stack (at least Depth long) as scratch: total like
 // Expr.Eval, and allocation-free.
 func (b *Bound) Eval(slots, stack []float64) float64 {
-	// Every identifier was resolved by Bind, so run cannot fail.
-	v, _ := run(b.prog, slots, nil, stack)
-	return finite(v)
+	return finite(run(b.prog, slots, nil, stack))
+}
+
+// EvalBucket evaluates the expression over one query bucket: sum is the
+// bucket-level slot row (counter identifiers summed over the bucket,
+// column values averaged, DELTA_NS set to the bucket width in
+// nanoseconds) and points are the per-point rows, in the same layout,
+// that the *_over_time functions fold over — unread, and so free to be
+// nil, unless NeedsPointwise. The total-evaluation rule of Eval
+// applies: the result is always finite.
+func (b *Bound) EvalBucket(sum []float64, points [][]float64, stack []float64) float64 {
+	if points == nil {
+		points = [][]float64{} // an empty bucket, not an instant
+	}
+	return finite(run(b.prog, sum, points, stack))
 }
 
 // finite implements the total-evaluation rule: non-finite values
@@ -128,14 +141,14 @@ func finite(v float64) float64 {
 }
 
 // An expression compiles to a postfix program over a value stack: the
-// one place operator and builtin semantics live, whichever way the
-// identifiers resolve.
+// one place operator and builtin semantics live. Identifier n reads
+// slot n — of Expr.names as compiled, of the caller's vector once bound.
 type opcode uint8
 
 const (
 	opConst    opcode = iota // push val
-	opIdent                  // push identifier n; undefined is an error
-	opIdentOpt               // push identifier n; undefined reads 0
+	opIdent                  // push identifier n; unresolvable is an error
+	opIdentOpt               // push identifier n; unresolvable reads 0
 	opNeg                    // negate the top
 	opBinary                 // apply tok to the two topmost values
 	opSelect                 // cond, then, else → then if cond != 0, else else
@@ -151,22 +164,12 @@ type instr struct {
 	fn  *builtin
 }
 
-// named is what a program's identifiers read when they resolve by name:
-// opIdent n looks names[n] up in env. bucket and points are EvalBucket's.
-type named struct {
-	names  []string
-	env    Env
-	bucket bool
-	points []Env
-}
-
-// run executes prog, its identifiers reading slots by index or, when by
-// is set, its environment by name. Both branches of a conditional are
-// computed before one is selected: evaluation is total and
-// side-effect-free, so the only observable difference is that an
-// unbound identifier errors even when its branch is not taken —
-// `0 ? A : 0` must not silently mask a missing name.
-func run(prog []instr, slots []float64, by *named, stack []float64) (float64, error) {
+// run executes prog, its identifiers reading slots by index. points are
+// the rows an *_over_time call folds over; nil evaluates an instant,
+// where the interval is the single point and the fold its identity.
+// Both branches of a conditional are computed before one is selected:
+// evaluation is total and side-effect-free.
+func run(prog []instr, slots []float64, points [][]float64, stack []float64) float64 {
 	sp := 0
 	for pc := 0; pc < len(prog); pc++ {
 		in := &prog[pc]
@@ -175,19 +178,7 @@ func run(prog []instr, slots []float64, by *named, stack []float64) (float64, er
 			stack[sp] = in.val
 			sp++
 		case opIdent, opIdentOpt:
-			if by == nil {
-				stack[sp] = slots[in.n]
-			} else {
-				name := by.names[in.n]
-				v, ok := by.env.Lookup(name)
-				if !ok {
-					if in.op == opIdent {
-						return 0, &EvalError{Expr: name, Msg: "undefined identifier " + name}
-					}
-					v = 0
-				}
-				stack[sp] = v
-			}
+			stack[sp] = slots[in.n]
 			sp++
 		case opNeg:
 			stack[sp-1] = -stack[sp-1]
@@ -216,39 +207,28 @@ func run(prog []instr, slots []float64, by *named, stack []float64) (float64, er
 			}
 			stack[sp-1] = in.fn.impl(a)
 		case opFold:
-			v, err := by.fold(in.fn, prog[pc+1:pc+1+in.n], slots, stack[sp:])
-			if err != nil {
-				return 0, err
-			}
+			stack[sp] = fold(in.fn, prog[pc+1:pc+1+in.n], slots, points, stack[sp:])
 			pc += in.n
-			stack[sp] = v
 			sp++
 		}
 	}
-	return stack[0], nil
+	return stack[0]
 }
 
-// fold evaluates an *_over_time call whose argument is sub: folded over
-// the points of EvalBucket's bucket, and the identity otherwise — the
-// interval is then the single point.
-func (by *named) fold(fn *builtin, sub []instr, slots, stack []float64) (float64, error) {
-	if by == nil || !by.bucket {
-		return run(sub, slots, by, stack)
+// fold evaluates an *_over_time call whose argument is sub over points.
+func fold(fn *builtin, sub []instr, slots []float64, points [][]float64, stack []float64) float64 {
+	if points == nil {
+		return run(sub, slots, nil, stack)
 	}
 	acc := 0.0
-	for i, pe := range by.points {
+	for i, p := range points {
 		// A nested *_over_time folds over just this point.
-		point := named{names: by.names, env: pe, bucket: true, points: by.points[i : i+1]}
-		v, err := run(sub, nil, &point, stack)
-		if err != nil {
-			return 0, err
-		}
-		acc = fn.fold(acc, v, i)
+		acc = fn.fold(acc, run(sub, p, points[i:i+1], stack), i)
 	}
-	if fn.mean && len(by.points) > 0 {
-		acc /= float64(len(by.points))
+	if fn.mean && len(points) > 0 {
+		acc /= float64(len(points))
 	}
-	return finite(acc), nil
+	return finite(acc)
 }
 
 func applyBinary(op tokenKind, l, r float64) float64 {
@@ -357,7 +337,7 @@ func boolVal(b bool) float64 {
 
 // builtin is a function callable from expressions, pure in its
 // arguments. ctxVar names a context variable passed as one more,
-// trailing argument (0 when the environment lacks it). fold gives the
+// trailing argument (0 when no slot carries it). fold gives the
 // *_over_time family its series-level meaning: over a bucket the
 // argument is evaluated at every point and folded (n counts the points
 // so far; mean divides by their number), while in an instant context —

@@ -62,8 +62,11 @@ func TestParseExprTable(t *testing.T) {
 		"ratio(A, B",     // unclosed call
 		"-",              // dangling unary
 		"--",             // dangling chain
-		strings.Repeat("(", maxExprDepth+1) + "A" + strings.Repeat(")", maxExprDepth+1),
-		strings.Repeat("-", maxExprDepth+1) + "A",
+		strings.Repeat("(", maxParseDepth) + "A" + strings.Repeat(")", maxParseDepth),
+		strings.Repeat("-", maxExprDepth) + "A",    // a tree one level too tall
+		"A" + strings.Repeat("+A", maxExprDepth),   // so is a chain: it leans left
+		"A" + strings.Repeat("?A:A", maxExprDepth), // or right
+		strings.Repeat("abs(", maxExprDepth) + "A" + strings.Repeat(")", maxExprDepth),
 	}
 	for _, src := range bad {
 		if _, err := Compile(src); err == nil {
@@ -71,11 +74,30 @@ func TestParseExprTable(t *testing.T) {
 		}
 	}
 
-	// Nesting inside the bound compiles (each parenthesis level costs
-	// two recursion frames: parseExpr and parseUnary).
-	ok := strings.Repeat("(", maxExprDepth/4) + "A" + strings.Repeat(")", maxExprDepth/4)
-	if _, err := Compile(ok); err != nil {
-		t.Errorf("Compile(%d-deep parens): %v", maxExprDepth/4, err)
+	// Nesting inside the bounds compiles, and so does its canonical form
+	// — which parenthesises every node and echoes through Result.Expr and
+	// stored <expr>s: accepted once, accepted rendered (ROADMAP N5's two
+	// reproducers are the unary chain and, refused above, the long sum).
+	for _, ok := range []string{
+		strings.Repeat("(", maxExprDepth) + "A" + strings.Repeat(")", maxExprDepth),
+		strings.Repeat("-", 133) + "0",
+		strings.Repeat("-", maxExprDepth-1) + "A",
+		"A" + strings.Repeat("+A", maxExprDepth-1),
+		"A" + strings.Repeat("-(A", maxExprDepth/2-1) + strings.Repeat(")", maxExprDepth/2-1),
+		"A" + strings.Repeat("?A:A", maxExprDepth-1),
+		strings.Repeat("abs(", maxExprDepth-1) + "A" + strings.Repeat(")", maxExprDepth-1),
+	} {
+		e, err := Compile(ok)
+		if err != nil {
+			t.Errorf("Compile(%.20q…): %v", ok, err)
+			continue
+		}
+		re, err := Compile(e.String())
+		if err != nil {
+			t.Errorf("canonical form of %.20q… does not recompile: %v", ok, err)
+		} else if re.String() != e.String() {
+			t.Errorf("rendering of %.20q… is not a fixpoint", ok)
+		}
 	}
 }
 
@@ -149,10 +171,16 @@ func FuzzParseExpr(f *testing.F) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("Eval(%q) = %v, want finite", src, v)
 		}
-		bv, err := e.EvalBucket(env, []Env{env, env})
+		ids := e.Identifiers()
+		bound, err := e.Bind(ids)
 		if err != nil {
-			t.Fatalf("EvalBucket of %q failed: %v", src, err)
+			t.Fatalf("Bind of %q to its own identifiers failed: %v", src, err)
 		}
+		row := make([]float64, len(ids))
+		for i := range row {
+			row[i] = 1
+		}
+		bv := bound.EvalBucket(row, [][]float64{row, row}, make([]float64, bound.Depth()))
 		if math.IsNaN(bv) || math.IsInf(bv, 0) {
 			t.Fatalf("EvalBucket(%q) = %v, want finite", src, bv)
 		}

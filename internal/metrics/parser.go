@@ -47,16 +47,24 @@ type Expr struct {
 	// a series-level roll-up key that only the query engine acts on.
 	groupBy string
 	// prog is root flattened for evaluation: names are the identifiers
-	// it reads, depth the value stack it needs.
-	prog  []instr
-	names []string
-	depth int
+	// it reads (required where some read is not a builtin's optional
+	// context argument), depth the value stack it needs.
+	prog     []instr
+	names    []string
+	required []bool
+	depth    int
 }
 
 func newExpr(src string, root node, groupBy string) *Expr {
 	var c compiler
 	c.node(root)
-	return &Expr{src: src, root: root, groupBy: groupBy, prog: c.prog, names: c.names, depth: c.depth}
+	required := make([]bool, len(c.names))
+	for _, in := range c.prog {
+		if in.op == opIdent {
+			required[in.n] = true
+		}
+	}
+	return &Expr{src: src, root: root, groupBy: groupBy, prog: c.prog, names: c.names, required: required, depth: c.depth}
 }
 
 // Source returns the original expression text.
@@ -134,6 +142,9 @@ func Compile(src string) (*Expr, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errf(p.peek().pos, "unexpected %s after expression", p.peek().kind)
 	}
+	if height(root) > maxExprDepth {
+		return nil, p.errf(0, "expression nests deeper than %d levels", maxExprDepth)
+	}
 	return newExpr(src, root, groupBy), nil
 }
 
@@ -147,11 +158,37 @@ func MustCompile(src string) *Expr {
 	return e
 }
 
-// maxExprDepth bounds expression nesting. The parser recurses on
-// parenthesised groups, unary operators and call arguments; without a
-// bound, adversarial input ("((((…" from a config file or fuzzer)
-// exhausts the goroutine stack instead of returning an error.
-const maxExprDepth = 200
+// maxExprDepth bounds expression nesting: the height of the parsed
+// tree, which a long operator chain reaches without any parser
+// recursion ("A+A+…" leans left one level per term). maxParseDepth
+// bounds the recursion itself — on parenthesised groups, unary
+// operators and call arguments — so adversarial input ("((((…" from a
+// config file or fuzzer) returns an error instead of exhausting the
+// goroutine stack. The canonical rendering parenthesises every node and
+// re-parses at most three frames per level, hence the factor: whatever
+// Compile accepts, Compile(e.String()) accepts too.
+const (
+	maxExprDepth  = 200
+	maxParseDepth = 3 * maxExprDepth
+)
+
+// height is the number of nodes on the longest path from n to a leaf.
+func height(n node) int {
+	h := 0
+	switch n := n.(type) {
+	case *unaryNode:
+		h = height(n.expr)
+	case *binaryNode:
+		h = max(height(n.l), height(n.r))
+	case *condNode:
+		h = max(height(n.cond), height(n.then), height(n.els))
+	case *callNode:
+		for _, a := range n.args {
+			h = max(h, height(a))
+		}
+	}
+	return h + 1
+}
 
 // parser is a Pratt (precedence-climbing) parser over the token stream.
 type parser struct {
@@ -164,8 +201,8 @@ type parser struct {
 // enter tracks recursion depth; every call must be paired with leave.
 func (p *parser) enter(pos int) error {
 	p.depth++
-	if p.depth > maxExprDepth {
-		return p.errf(pos, "expression nests deeper than %d levels", maxExprDepth)
+	if p.depth > maxParseDepth {
+		return p.errf(pos, "expression nests deeper than %d levels", maxParseDepth)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func (e *Expr) HasCall(name string) bool {
 
 // NeedsPointwise reports whether evaluating the expression over a
 // bucket requires the individual points inside the bucket (any
-// *_over_time call), or only the bucket-sum environment.
+// *_over_time call), or only the bucket's sum row.
 func (e *Expr) NeedsPointwise() bool {
 	return slices.ContainsFunc(e.prog, func(in instr) bool { return in.op == opFold })
 }

@@ -87,10 +87,12 @@ func TestEvalTotality(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("Eval(%q) = %v, want finite", src, v)
 		}
-		bv, err := e.EvalBucket(env, []Env{env})
+		bound, err := e.Bind([]string{"A", "Z"})
 		if err != nil {
-			t.Fatalf("EvalBucket(%q): %v", src, err)
+			t.Fatalf("Bind(%q): %v", src, err)
 		}
+		row := []float64{env["A"], env["Z"]}
+		bv := bound.EvalBucket(row, [][]float64{row}, make([]float64, bound.Depth()))
 		if math.IsNaN(bv) || math.IsInf(bv, 0) {
 			t.Errorf("EvalBucket(%q) = %v, want finite", src, bv)
 		}
@@ -101,12 +103,9 @@ func TestEvalTotality(t *testing.T) {
 }
 
 func TestEvalBucketOverTime(t *testing.T) {
-	sum := MapEnv{"X": 60, VarDeltaNS: 3e9} // bucket totals
-	points := []Env{
-		MapEnv{"X": 10, VarDeltaNS: 1e9},
-		MapEnv{"X": 20, VarDeltaNS: 1e9},
-		MapEnv{"X": 30, VarDeltaNS: 1e9},
-	}
+	layout := []string{"X", VarDeltaNS}
+	sum := []float64{60, 3e9} // bucket totals
+	points := [][]float64{{10, 1e9}, {20, 1e9}, {30, 1e9}}
 	cases := []struct {
 		src  string
 		want float64
@@ -115,24 +114,35 @@ func TestEvalBucketOverTime(t *testing.T) {
 		{"min_over_time(X)", 10},
 		{"max_over_time(X)", 30},
 		{"sum_over_time(X)", 60},
-		{"X", 60},                      // identifiers read the bucket env
+		{"X", 60},                      // identifiers read the bucket row
 		{"rate(X)", 20},                // 60 over 3s
 		{"max_over_time(rate(X))", 30}, // rate per point: 10, 20, 30
 		{"avg_over_time(X) + X", 80},
 		{"max_over_time(X) - min_over_time(X)", 20},
+		{"sum_over_time(max_over_time(X))", 60}, // a nested fold sees one point
 	}
 	for _, tc := range cases {
-		v, err := MustCompile(tc.src).EvalBucket(sum, points)
+		bound, err := MustCompile(tc.src).Bind(layout)
 		if err != nil {
-			t.Fatalf("EvalBucket(%q): %v", tc.src, err)
+			t.Fatalf("Bind(%q): %v", tc.src, err)
 		}
-		if math.Abs(v-tc.want) > 1e-9 {
+		stack := make([]float64, bound.Depth())
+		if v := bound.EvalBucket(sum, points, stack); math.Abs(v-tc.want) > 1e-9 {
 			t.Errorf("EvalBucket(%q) = %v, want %v", tc.src, v, tc.want)
 		}
 	}
-	// An empty bucket folds to 0, never panics.
-	if v, err := MustCompile("avg_over_time(X)").EvalBucket(sum, nil); err != nil || v != 0 {
-		t.Fatalf("empty bucket: v=%v err=%v", v, err)
+	// An empty bucket folds to 0, never panics — and is not an instant,
+	// where the fold is the identity.
+	bound, err := MustCompile("avg_over_time(X)").Bind(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := make([]float64, bound.Depth())
+	if v := bound.EvalBucket(sum, nil, stack); v != 0 {
+		t.Fatalf("empty bucket: %v, want 0", v)
+	}
+	if v := bound.Eval(sum, stack); v != 60 {
+		t.Fatalf("instant: %v, want 60", v)
 	}
 }
 

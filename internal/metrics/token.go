@@ -8,10 +8,11 @@
 //	DMIS  = per100(CACHE_MISSES, INSTRUCTIONS)
 //	%MISP = 100 * BRANCH_MISSES / BRANCHES
 //
-// Identifiers resolve against an Env supplied by the sampling engine:
-// event names map to the event's delta since the previous refresh, and a
-// handful of context variables (DELTA_NS, FREQ_HZ, CPU_PCT) expose the
-// sampling period, the nominal clock frequency, and OS CPU usage.
+// Identifiers resolve to positions of a slot vector the caller fills
+// (Expr.Bind; Expr.Eval is the by-name adapter over it): event names
+// read the event's delta since the previous refresh, and a handful of
+// context variables (DELTA_NS, FREQ_HZ, CPU_PCT) expose the sampling
+// period, the nominal clock frequency, and OS CPU usage.
 package metrics
 
 import (

@@ -1,16 +1,17 @@
 // Package query is the shared expression query engine: the screen
 // expression language (internal/metrics) evaluated as time series over
-// any of three backends — live history rings (history.Recorder), the
-// durable store's downsample tiers (store.Store), and fleet mode's
-// per-agent stores merged on aligned steps. One engine, one grammar
-// and one totality rule serve the interactive screens, the
-// /api/v1/query?expr= endpoint and the fleet aggregator, so
-// `delta(INSTRUCTIONS)/delta(CYCLES)` means exactly the same thing in
-// a terminal column, a stored range query and a cluster roll-up.
+// labelled sources of store records — a durable store's downsample
+// tiers (store.Store), live history rings replayed as records (Rings),
+// several agents' stores merged on aligned steps. One engine, one
+// grammar, one slot binding and one totality rule serve the interactive
+// screens, the /api/v1/query?expr= endpoint and the fleet aggregator,
+// so `delta(INSTRUCTIONS)/delta(CYCLES)` means exactly the same thing
+// in a terminal column, a stored range query and a cluster roll-up.
 package query
 
 import (
 	"fmt"
+	"slices"
 
 	"tiptop/internal/hpm"
 	"tiptop/internal/metrics"
@@ -42,7 +43,22 @@ type Compiled struct {
 	// Pointwise is set when the expression folds *_over_time functions
 	// and so needs the individual points inside each bucket.
 	Pointwise bool
+	// slots is the layout of the rows the engine folds records into —
+	// BaseNames, then the screen columns Expr references — and bound is
+	// Expr resolved to it.
+	slots []string
+	bound *metrics.Bound
 }
+
+// Row positions of BaseNames; the referenced columns follow.
+const (
+	slotInstr = iota
+	slotCycles
+	slotMisses
+	slotDeltaNS
+	slotCPU
+	slotCols
+)
 
 // BaseNames are the identifiers every query backend resolves: the raw
 // counters persisted per record/point, plus the context variables that
@@ -89,7 +105,7 @@ func Compile(src string, known []string) (*Compiled, error) {
 		c.K, c.Expr = k, inner
 	}
 	for _, id := range c.Expr.Identifiers() {
-		if !knownName(id, known) {
+		if !slices.Contains(known, id) {
 			// Msg and Hint stay separate so the HTTP envelope can carry
 			// the did-you-mean structurally; Error() renders both,
 			// matching FormatUnknownName.
@@ -101,6 +117,15 @@ func Compile(src string, known []string) (*Compiled, error) {
 		}
 	}
 	c.Pointwise = c.Expr.NeedsPointwise()
+	c.slots = BaseNames()
+	for _, id := range c.References() {
+		if !slices.Contains(c.slots, id) {
+			c.slots = append(c.slots, id)
+		}
+	}
+	if c.bound, err = c.Expr.Bind(c.slots); err != nil {
+		return nil, err // unreachable: every identifier has a slot
+	}
 	return c, nil
 }
 
@@ -111,15 +136,6 @@ func Compile(src string, known []string) (*Compiled, error) {
 // ignores the rest.
 func (c *Compiled) References() []string {
 	return c.Expr.Identifiers()
-}
-
-func knownName(id string, known []string) bool {
-	for _, k := range known {
-		if k == id {
-			return true
-		}
-	}
-	return false
 }
 
 // identPos locates an identifier in the source for error reporting.

@@ -1,28 +1,34 @@
 package query
 
 // The evaluation engine: a push-based accumulator that sources feed
-// time-stamped frames of task observations into. The engine buckets
-// each observation on the query step using the store's (start, end]
-// convention, accumulates per-series per-bucket sums (counters) and
-// means (column values, CPU), and evaluates the compiled expression
-// once per bucket at Finish — so a source can stream records straight
-// off a segment scan, or merge several agents' scans, without
+// store records into, as scanned. The engine buckets each record on the
+// query step by the store's own rule (store.BucketEnd), folds every
+// task row into per-series per-bucket slot rows, and evaluates the
+// compiled expression — bound once, at Compile, to that row layout —
+// per bucket at Finish. So a source streams records straight off a
+// segment scan, and several sources' partial engines merge, without
 // materialising intermediate series.
 //
-// Within a bucket, counter identifiers (INSTRUCTIONS, CYCLES,
-// CACHE_MISSES) carry the bucket *sum* — so delta() is the bucket
+// A row's layout is INSTRUCTIONS, CYCLES, CACHE_MISSES, DELTA_NS,
+// CPU_PCT, then the screen columns the expression references. Within a
+// bucket the counters carry the bucket *sum* — so delta() is the bucket
 // delta and ratios recompute from sums (Σinstr/Σcycles), matching the
 // store's downsampling and the fleet snapshot's aggregate semantics.
-// Column identifiers and CPU_PCT carry the mean over the contributing
-// observations. DELTA_NS is the bucket width (step), or the source's
-// refresh interval at raw resolution.
+// CPU_PCT carries the mean over the contributing rows, a column the
+// mean over the rows that carried it: values fold under their column's
+// *name* (Push maps record positions to slots per column list), so a
+// range may cross a screen change. DELTA_NS is the bucket width (step);
+// at the serving resolution it is the record's own — a downsample
+// tier's resolution, or the time since the source's previous record
+// (0, unknown, for the first one in range).
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
-	"tiptop/internal/hpm"
-	"tiptop/internal/metrics"
+	"tiptop/internal/store"
 )
 
 // Options select the range, step and output shape of one query.
@@ -81,34 +87,6 @@ type Result struct {
 	Series            []Series `json:"series"`
 }
 
-// Frame is one time-stamped batch of observations pushed into the
-// engine: all tasks one backend saw at one instant.
-type Frame struct {
-	// Agent labels the source in fleet merges; "" solo.
-	Agent string
-	// TimeSeconds is the frame's time on its backend's clock.
-	TimeSeconds float64
-	// DTNanos is the interval the frame's deltas cover, when the
-	// source knows it (a downsample tier's resolution); 0 lets the
-	// engine derive it from successive frame times per agent, and a
-	// negative value marks it genuinely unknown (a series' first
-	// point), evaluating DELTA_NS as 0 rather than guessing.
-	DTNanos float64
-	Rows    []FrameRow
-}
-
-// FrameRow is one task's observation inside a frame.
-type FrameRow struct {
-	PID, TID      int
-	User, Command string
-	CPUPct        float64
-	// Values are the screen column values, aligned to the engine's
-	// current columns (SetColumns).
-	Values []float64
-	// Counter deltas over the frame's interval.
-	Instr, Cycles, Misses float64
-}
-
 // seriesKey identifies one output series while accumulating.
 type seriesKey struct {
 	agent    string
@@ -117,13 +95,13 @@ type seriesKey struct {
 	total    bool
 }
 
+// bucketAcc is one series' bucket: a slot row of sums, and the point
+// rows behind it when the expression folds over them.
 type bucketAcc struct {
-	n                     int
-	instr, cycles, misses float64
-	cpu                   float64
-	vals                  []float64
-	dtNS                  float64
-	points                []metrics.Env
+	n      int       // rows folded
+	sum    []float64 // slot layout; DELTA_NS holds the latest row's interval
+	seen   []float64 // per column slot, how many rows carried the column
+	points [][]float64
 }
 
 type seriesAcc struct {
@@ -132,37 +110,46 @@ type seriesAcc struct {
 	buckets    map[float64]*bucketAcc
 }
 
-// Engine accumulates frames and evaluates the expression per bucket.
+// Engine accumulates one source's records and evaluates the expression
+// per bucket.
 type Engine struct {
-	c        *Compiled
-	opt      Options
-	step     time.Duration
-	cols     []string
-	colIdx   map[string]int
-	series   map[seriesKey]*seriesAcc
-	lastTime map[string]float64 // per agent, for derived frame intervals
-	res      float64            // serving resolution, set by the source
+	c      *Compiled
+	opt    Options
+	step   time.Duration
+	agent  string   // labels the source's series in fleet merges; "" solo
+	cols   []string // the record columns remap was built for
+	remap  []int    // record value position → slot, -1 when unreferenced
+	series map[seriesKey]*seriesAcc
+	last   float64 // the previous record's time, -1 before the first
+	res    float64 // serving resolution, set by the source
 }
 
-// NewEngine builds an engine for one compiled query.
-func NewEngine(c *Compiled, opt Options) *Engine {
+// NewEngine builds an engine for one source of one compiled query.
+func NewEngine(c *Compiled, agent string, opt Options) *Engine {
 	return &Engine{
-		c:        c,
-		opt:      opt,
-		step:     time.Duration(opt.StepSeconds * float64(time.Second)),
-		series:   make(map[seriesKey]*seriesAcc),
-		lastTime: make(map[string]float64),
+		c:      c,
+		opt:    opt,
+		step:   time.Duration(opt.StepSeconds * float64(time.Second)),
+		agent:  agent,
+		series: make(map[seriesKey]*seriesAcc),
+		last:   -1,
 	}
 }
 
-// SetColumns aligns subsequent frames' Values with the named screen
-// columns. Sources call it before the first frame and again whenever
-// the scan crosses a screen change.
-func (e *Engine) SetColumns(cols []string) {
+// setColumns maps the value positions of records labelled cols to
+// slots; the remap is rebuilt only when the scan crosses a screen
+// change.
+func (e *Engine) setColumns(cols []string) {
+	if e.remap != nil && slices.Equal(cols, e.cols) {
+		return
+	}
 	e.cols = cols
-	e.colIdx = make(map[string]int, len(cols))
-	for i, c := range cols {
-		e.colIdx[c] = i
+	e.remap = make([]int, len(cols))
+	for i, name := range cols {
+		e.remap[i] = slices.Index(e.c.slots[slotCols:], name)
+		if e.remap[i] >= 0 {
+			e.remap[i] += slotCols
+		}
 	}
 }
 
@@ -175,62 +162,41 @@ func (e *Engine) SetResolution(resSeconds float64) {
 	}
 }
 
-// Push folds one frame into the accumulators.
-func (e *Engine) Push(f *Frame) {
-	if e.opt.ToSeconds > 0 && f.TimeSeconds > e.opt.ToSeconds {
-		return
+// Push folds one in-range record, its values labelled cols, into the
+// accumulators. The record is only read: a scan's reused scratch is
+// fine.
+func (e *Engine) Push(rec *store.Record, cols []string) {
+	e.setColumns(cols)
+	dtNS := rec.ResSeconds * 1e9
+	if dtNS == 0 && e.last >= 0 && rec.TimeSeconds > e.last {
+		dtNS = (rec.TimeSeconds - e.last) * 1e9
 	}
-	if f.TimeSeconds < e.opt.FromSeconds {
-		e.lastTime[f.Agent] = f.TimeSeconds
-		return
+	e.last = rec.TimeSeconds
+	bt := rec.TimeSeconds
+	if e.step > 0 {
+		bt = store.BucketEnd(time.Duration(bt*float64(time.Second)), e.step).Seconds()
 	}
-	dtNS := f.DTNanos
-	if dtNS == 0 {
-		if last, ok := e.lastTime[f.Agent]; ok && f.TimeSeconds > last {
-			dtNS = (f.TimeSeconds - last) * 1e9
-		}
-	}
-	if dtNS < 0 {
-		dtNS = 0
-	}
-	e.lastTime[f.Agent] = f.TimeSeconds
-	bt := e.bucketTime(f.TimeSeconds)
-	for i := range f.Rows {
-		r := &f.Rows[i]
-		e.fold(e.rowKey(f.Agent, r), r, bt, dtNS)
+	for i := range rec.Rows {
+		r := &rec.Rows[i]
+		e.fold(e.rowKey(r), r, bt, dtNS)
 		e.fold(seriesKey{total: true}, r, bt, dtNS)
 	}
 }
 
 // rowKey maps a row to its output series under the query's grouping.
-func (e *Engine) rowKey(agent string, r *FrameRow) seriesKey {
+func (e *Engine) rowKey(r *store.RecordRow) seriesKey {
 	switch e.c.GroupBy {
 	case "user":
 		return seriesKey{group: r.User}
 	case "command":
 		return seriesKey{group: r.Command}
 	case "agent":
-		return seriesKey{group: agent}
+		return seriesKey{group: e.agent}
 	}
-	return seriesKey{agent: agent, pid: r.PID, tid: r.TID}
+	return seriesKey{agent: e.agent, pid: r.PID, tid: r.TID}
 }
 
-// bucketTime maps a frame time to its bucket's end time. Buckets are
-// the store's half-open (start, end] windows: a point at exactly t=30
-// belongs to the bucket ending at 30, not the one starting there.
-func (e *Engine) bucketTime(t float64) float64 {
-	if e.step <= 0 {
-		return t
-	}
-	d := time.Duration(t * float64(time.Second))
-	idx := int64(0)
-	if d > 0 {
-		idx = int64((d - 1) / e.step)
-	}
-	return (time.Duration(idx+1) * e.step).Seconds()
-}
-
-func (e *Engine) fold(key seriesKey, r *FrameRow, bt, dtNS float64) {
+func (e *Engine) fold(key seriesKey, r *store.RecordRow, bt, dtNS float64) {
 	acc := e.series[key]
 	if acc == nil {
 		acc = &seriesAcc{key: key, buckets: make(map[float64]*bucketAcc)}
@@ -239,43 +205,44 @@ func (e *Engine) fold(key seriesKey, r *FrameRow, bt, dtNS float64) {
 	acc.user, acc.comm = r.User, r.Command
 	b := acc.buckets[bt]
 	if b == nil {
-		b = &bucketAcc{}
+		n := len(e.c.slots)
+		vals := make([]float64, 2*n-slotCols)
+		b = &bucketAcc{sum: vals[:n], seen: vals[n:]}
 		acc.buckets[bt] = b
 	}
 	b.n++
-	b.instr += r.Instr
-	b.cycles += r.Cycles
-	b.misses += r.Misses
-	b.cpu += r.CPUPct
-	b.dtNS = dtNS
-	if len(b.vals) < len(r.Values) {
-		grown := make([]float64, len(r.Values))
-		copy(grown, b.vals)
-		b.vals = grown
-	}
-	for i, v := range r.Values {
-		b.vals[i] += v
-	}
+	b.sum[slotInstr] += float64(r.Instr)
+	b.sum[slotCycles] += float64(r.Cycles)
+	b.sum[slotMisses] += float64(r.Misses)
+	b.sum[slotDeltaNS] = dtNS
+	b.sum[slotCPU] += r.CPUPct
+	var point []float64
 	if e.c.Pointwise {
-		b.points = append(b.points, &bucketEnv{
-			instr: r.Instr, cycles: r.Cycles, misses: r.Misses,
-			cpu: r.CPUPct, dtNS: dtNS,
-			vals: append([]float64(nil), r.Values...), cols: e.colIdx,
-		})
+		point = make([]float64, len(b.sum))
+		point[slotInstr], point[slotCycles], point[slotMisses] = float64(r.Instr), float64(r.Cycles), float64(r.Misses)
+		point[slotDeltaNS], point[slotCPU] = dtNS, r.CPUPct
+		b.points = append(b.points, point)
+	}
+	for i, v := range r.Values[:min(len(r.Values), len(e.remap))] {
+		slot := e.remap[i]
+		if slot < 0 {
+			continue
+		}
+		b.sum[slot] += v
+		b.seen[slot-slotCols]++
+		if point != nil {
+			point[slot] = v
+		}
 	}
 }
 
 // Merge folds another engine's accumulated state into e, as if o's
-// frames had been pushed after e's own. Sources that partition their
-// input — fleet queries scanning agents concurrently into per-agent
-// partials — merge the partials in a fixed order, so the result does
-// not depend on scan interleaving: bucket sums append in merge order,
-// and o wins the last-writer fields (series labels, bucket intervals,
-// columns), exactly as its frames would have arriving last.
+// records had been pushed after e's own. Sources scan concurrently into
+// an engine each and the partials merge in a fixed order, so the result
+// does not depend on scan interleaving: bucket sums append in merge
+// order, and o wins the last-writer fields (series labels, bucket
+// intervals), exactly as its records would have arriving last.
 func (e *Engine) Merge(o *Engine) {
-	if o.cols != nil {
-		e.cols, e.colIdx = o.cols, o.colIdx
-	}
 	e.SetResolution(o.res)
 	for key, oacc := range o.series {
 		acc := e.series[key]
@@ -291,57 +258,22 @@ func (e *Engine) Merge(o *Engine) {
 				continue
 			}
 			b.n += ob.n
-			b.instr += ob.instr
-			b.cycles += ob.cycles
-			b.misses += ob.misses
-			b.cpu += ob.cpu
-			b.dtNS = ob.dtNS
-			if len(b.vals) < len(ob.vals) {
-				grown := make([]float64, len(ob.vals))
-				copy(grown, b.vals)
-				b.vals = grown
+			for i, v := range ob.sum {
+				b.sum[i] += v
 			}
-			for i, v := range ob.vals {
-				b.vals[i] += v
+			b.sum[slotDeltaNS] = ob.sum[slotDeltaNS]
+			for i, n := range ob.seen {
+				b.seen[i] += n
 			}
 			b.points = append(b.points, ob.points...)
 		}
 	}
 }
 
-// bucketEnv is the evaluation environment of one bucket (or one point
-// inside a bucket): counters, context variables and column values.
-type bucketEnv struct {
-	instr, cycles, misses float64
-	cpu                   float64
-	dtNS                  float64
-	vals                  []float64
-	cols                  map[string]int
-}
-
-func (b *bucketEnv) Lookup(name string) (float64, bool) {
-	switch name {
-	case hpm.EventInstructions:
-		return b.instr, true
-	case hpm.EventCycles:
-		return b.cycles, true
-	case hpm.EventCacheMisses:
-		return b.misses, true
-	case metrics.VarDeltaNS:
-		return b.dtNS, true
-	case metrics.VarCPUPct:
-		return b.cpu, true
-	}
-	if i, ok := b.cols[name]; ok && i < len(b.vals) {
-		return b.vals[i], true
-	}
-	return 0, false
-}
-
 // Finish evaluates every accumulated bucket and assembles the result:
 // series sorted deterministically (total first, then groups or tasks),
 // topk ranking applied when the query asked for one.
-func (e *Engine) Finish() (*Result, error) {
+func (e *Engine) Finish() *Result {
 	out := &Result{
 		Expr:              e.c.Expr.String(),
 		GroupBy:           e.c.GroupBy,
@@ -350,6 +282,8 @@ func (e *Engine) Finish() (*Result, error) {
 		StepSeconds:       e.opt.StepSeconds,
 	}
 	stepNS := e.opt.StepSeconds * 1e9
+	row := make([]float64, len(e.c.slots))
+	stack := make([]float64, e.c.bound.Depth())
 	for _, acc := range e.series {
 		times := make([]float64, 0, len(acc.buckets))
 		for bt := range acc.buckets {
@@ -373,28 +307,17 @@ func (e *Engine) Finish() (*Result, error) {
 		sum := 0.0
 		for _, bt := range times {
 			b := acc.buckets[bt]
-			n := float64(b.n)
-			env := &bucketEnv{
-				instr: b.instr, cycles: b.cycles, misses: b.misses,
-				cpu: b.cpu / n, dtNS: b.dtNS, cols: e.colIdx,
-			}
+			copy(row, b.sum)
 			if stepNS > 0 {
-				env.dtNS = stepNS
+				row[slotDeltaNS] = stepNS
 			}
-			env.vals = make([]float64, len(b.vals))
-			for i, v := range b.vals {
-				env.vals[i] = v / n
+			row[slotCPU] /= float64(b.n)
+			for i, n := range b.seen {
+				if n > 0 {
+					row[slotCols+i] /= n
+				}
 			}
-			var v float64
-			var err error
-			if e.c.Pointwise {
-				v, err = e.c.Expr.EvalBucket(env, b.points)
-			} else {
-				v, err = e.c.Expr.Eval(env)
-			}
-			if err != nil {
-				return nil, err
-			}
+			v := e.c.bound.EvalBucket(row, b.points, stack)
 			s.Points = append(s.Points, Point{TimeSeconds: bt, Value: v})
 			sum += v
 		}
@@ -407,7 +330,7 @@ func (e *Engine) Finish() (*Result, error) {
 	if e.c.K > 0 {
 		out.Series = applyTopK(out.Series, e.c.K)
 	}
-	return out, nil
+	return out
 }
 
 func taskKey(k seriesKey) string {
@@ -415,33 +338,11 @@ func taskKey(k seriesKey) string {
 	if k.agent != "" {
 		key = k.agent + "/"
 	}
-	key += "pid:" + itoa(k.pid)
+	key += "pid:" + strconv.Itoa(k.pid)
 	if k.tid != 0 && k.tid != k.pid {
-		key += ":" + itoa(k.tid)
+		key += ":" + strconv.Itoa(k.tid)
 	}
 	return key
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // sortSeries orders output deterministically: the total roll-up first,

@@ -18,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,9 +69,7 @@ func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler
 					"start tiptopd with -store DIR; source=live needs a daemon that samples locally")
 				return
 			}
-			serveExpr(w, p, KnownNames(rec.Columns()), func(c *Compiled) (*Result, error) {
-				return QueryHistory(rec, c, p.opt)
-			})
+			serveExpr(w, p, map[string]Source{"": Rings(rec)})
 			return
 		}
 		if len(stores) == 0 {
@@ -113,9 +112,11 @@ func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler
 				"pass step=, e.g. step=10")
 			return
 		}
-		serveExpr(w, p, knownNames(selected), func(c *Compiled) (*Result, error) {
-			return QueryFleet(selected, c, p.opt)
-		})
+		srcs := make(map[string]Source, len(selected))
+		for label, st := range selected {
+			srcs[label] = st
+		}
+		serveExpr(w, p, srcs)
 	})
 }
 
@@ -139,15 +140,13 @@ func NamedExprs(named map[string]string, h http.Handler) http.Handler {
 	})
 }
 
-// knownNames is the identifier vocabulary of a query over the selected
-// stores: the union of their columns.
-func knownNames(stores map[string]*store.Store) []string {
-	seen := map[string]bool{}
+// knownNames is the identifier vocabulary of a query over srcs: the
+// union of their columns.
+func knownNames(srcs map[string]Source) []string {
 	var cols []string
-	for _, st := range stores {
-		for _, c := range st.Columns() {
-			if !seen[c] {
-				seen[c] = true
+	for _, src := range srcs {
+		for _, c := range src.Columns() {
+			if !slices.Contains(cols, c) {
 				cols = append(cols, c)
 			}
 		}
@@ -171,26 +170,20 @@ func serveRaw(w http.ResponseWriter, st *store.Store, p *params) {
 	p.respond(w, res, func(w io.Writer) error { return writeRawOpenMetrics(w, res) })
 }
 
-// serveExpr compiles and runs one expression query, mapping
-// compilation failures to 400 (with position) and evaluation failures
-// to 400 as well — an expression can only fail on what the request
-// supplied, never on server state; only real I/O against a store maps
-// to 500.
-func serveExpr(w http.ResponseWriter, p *params, known []string, run func(*Compiled) (*Result, error)) {
-	c, err := Compile(p.expr, known)
+// serveExpr compiles and runs one expression query over srcs.
+// Compilation failures are 400 with the position, and so is a range the
+// scan refuses: an expression can only fail on what the request
+// supplied — evaluation itself is total. Only real I/O against a store
+// maps to 500.
+func serveExpr(w http.ResponseWriter, p *params, srcs map[string]Source) {
+	c, err := Compile(p.expr, knownNames(srcs))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := run(c)
+	res, err := Run(srcs, c, p.opt)
 	if err != nil {
-		status := http.StatusBadRequest
-		if _, ok := err.(*metrics.SyntaxError); !ok {
-			if _, ok := err.(*metrics.EvalError); !ok {
-				status = http.StatusInternalServerError
-			}
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	p.respond(w, res, func(w io.Writer) error { return WriteOpenMetrics(w, res) })

@@ -107,7 +107,7 @@ func TestQueryStoreParallelProjectedEqual(t *testing.T) {
 }
 
 func TestQueryFleetParallelEqual(t *testing.T) {
-	stores := map[string]*store.Store{
+	stores := map[string]Source{
 		"a:1": seedMixedStore(t, 3, 60),
 		"b:2": seedMixedStore(t, 5, 60),
 		"c:3": seedStore(t, 2, 40), // pure v1, never compacted
@@ -122,11 +122,11 @@ func TestQueryFleetParallelEqual(t *testing.T) {
 		serial := opt
 		serial.Workers = 1
 		serial.FullDecode = true
-		want, err := QueryFleet(stores, c, serial)
+		want, err := Run(stores, c, serial)
 		if err != nil {
 			t.Fatalf("%s serial: %v", src, err)
 		}
-		got, err := QueryFleet(stores, c, opt)
+		got, err := Run(stores, c, opt)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", src, err)
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -235,57 +236,52 @@ func seedRecorder(tasks, refreshes int) *history.Recorder {
 }
 
 // TestLiveMatchesStore is the cross-backend agreement check: the same
-// refreshes observed into a live recorder and a durable store must
-// evaluate to identical expression series.
+// refreshes observed into a live recorder and a durable store evaluate
+// to identical expression series — exactly, since the rings replay as
+// the records the store wrote and both go through one scan-and-fold. At
+// step 0 both serve raw records; at step 10 the store serves its 10s
+// tier, whose sums and means of this data are exact in floating point.
 func TestLiveMatchesStore(t *testing.T) {
 	st := seedStore(t, 3, 50)
-	rec := seedRecorder(3, 50)
-	// Bound the window at 90s: the store's last partial 10s bucket
-	// (90,100] is still pending (unflushed) while the live rings hold
-	// every point, so only fully-flushed buckets are comparable.
+	live := Rings(seedRecorder(3, 50))
 	for _, src := range []string{
 		"delta(INSTRUCTIONS) / delta(CYCLES)",
 		"delta(CACHE_MISSES)",
 		"pidcol",
+		"rate(CYCLES)",
+		"max_over_time(rate(INSTRUCTIONS)) + avg_over_time(pidcol)",
+		"topk(1, rate(CYCLES)) by user",
 	} {
 		c := mustCompile(t, src, "pidcol")
-		opt := Options{StepSeconds: 10, ToSeconds: 90}
-		sres, err := QueryStore(st, c, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hres, err := QueryHistory(rec, c, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sres.Series) != len(hres.Series) {
-			t.Fatalf("%s: store %d series, live %d", src, len(sres.Series), len(hres.Series))
-		}
-		for i := range sres.Series {
-			ss, hs := sres.Series[i], hres.Series[i]
-			if ss.Key != hs.Key {
-				t.Fatalf("%s: series %d keys differ: %q vs %q", src, i, ss.Key, hs.Key)
+		// Bound the window at 90s: the store's last partial 10s bucket
+		// (90,100] is still pending (unflushed) while the live rings hold
+		// every point, so only fully-flushed buckets are comparable.
+		for _, opt := range []Options{{ToSeconds: 90}, {StepSeconds: 10, ToSeconds: 90}, {StepSeconds: 10, FromSeconds: 21, ToSeconds: 70}} {
+			sres, err := QueryStore(st, c, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(ss.Points) != len(hs.Points) {
-				t.Fatalf("%s %q: store %d points, live %d", src, ss.Key, len(ss.Points), len(hs.Points))
+			hres, err := Run(map[string]Source{"": live}, c, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range ss.Points {
-				if math.Abs(ss.Points[j].Value-hs.Points[j].Value) > 1e-9 {
-					t.Fatalf("%s %q point %d: store %v, live %v",
-						src, ss.Key, j, ss.Points[j].Value, hs.Points[j].Value)
-				}
+			if len(sres.Series) == 0 || len(sres.Series[0].Points) == 0 {
+				t.Fatalf("%s %+v: the store evaluated nothing", src, opt)
+			}
+			if !reflect.DeepEqual(sres.Series, hres.Series) {
+				t.Fatalf("%s %+v: store and live differ:\n%+v\n%+v", src, opt, sres.Series, hres.Series)
 			}
 		}
 	}
 }
 
 func TestQueryFleetMerge(t *testing.T) {
-	stores := map[string]*store.Store{
+	stores := map[string]Source{
 		"a:1": seedStore(t, 2, 63),
 		"b:2": seedStore(t, 2, 63),
 	}
 	c := mustCompile(t, "delta(INSTRUCTIONS)")
-	res, err := QueryFleet(stores, c, Options{StepSeconds: 60})
+	res, err := Run(stores, c, Options{StepSeconds: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +306,7 @@ func TestQueryFleetMerge(t *testing.T) {
 
 	// Grouping by agent rolls each store up.
 	c = mustCompile(t, "delta(INSTRUCTIONS) by agent")
-	res, err = QueryFleet(stores, c, Options{StepSeconds: 60})
+	res, err = Run(stores, c, Options{StepSeconds: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +316,7 @@ func TestQueryFleetMerge(t *testing.T) {
 
 	// Merging several agents without a step is an error, not silent
 	// misalignment.
-	if _, err := QueryFleet(stores, c, Options{}); err == nil {
+	if _, err := Run(stores, c, Options{}); err == nil {
 		t.Fatal("fleet merge without step unexpectedly succeeded")
 	}
 }
@@ -357,7 +353,7 @@ func TestDivZeroUnifiedAcrossBackends(t *testing.T) {
 	c := mustCompile(t, "delta(INSTRUCTIONS) / delta(CYCLES)", "c0")
 	for name, run := range map[string]func() (*Result, error){
 		"store": func() (*Result, error) { return QueryStore(st, c, Options{StepSeconds: 10}) },
-		"live":  func() (*Result, error) { return QueryHistory(rec, c, Options{StepSeconds: 10}) },
+		"live":  func() (*Result, error) { return Run(map[string]Source{"": Rings(rec)}, c, Options{StepSeconds: 10}) },
 	} {
 		res, err := run()
 		if err != nil {

@@ -1,44 +1,89 @@
 package query
 
-// The three backends: the durable store's tiers, live history rings,
-// and fleet mode's per-agent stores merged on aligned steps. Each
-// adapts its records into engine frames; the bucketing, grouping and
-// evaluation semantics live in the engine alone.
+// Sources: whatever replays its history as store records. A durable
+// store is one as it stands; live history rings become one through
+// Rings; a fleet is several, labelled by agent. Run scans each into an
+// engine of its own and merges the partials in sorted label order, so
+// the result is independent of scan interleaving — the bucketing,
+// grouping and evaluation semantics live in the engine alone.
 //
-// Store-backed queries run vectorized: the scan decodes segments on a
-// worker pool and projects v2 records down to the columns the compiled
-// expression references (plus CPU_PCT when referenced — IPC is always
-// recomputed from counters, so the stored per-row ratio is never
-// needed). Fleet queries scan agents concurrently into per-agent
-// engines merged in sorted label order, so the result is independent
-// of scan interleaving.
+// Store scans run vectorized: segments decode on a worker pool,
+// projected down to the columns the compiled expression references
+// (plus CPU_PCT when referenced — IPC is always recomputed from
+// counters, so the stored per-row ratio is never needed).
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"tiptop/internal/history"
 	"tiptop/internal/metrics"
 	"tiptop/internal/store"
 )
 
-// QueryStore evaluates a compiled expression over one durable store,
-// streaming the records of the selected tier through the engine.
-func QueryStore(st *store.Store, c *Compiled, opt Options) (*Result, error) {
-	eng := NewEngine(c, opt)
-	if err := scanInto(eng, st, "", c, opt); err != nil {
-		return nil, err
-	}
-	return eng.Finish()
+// Source is one backend of an expression query: the value columns an
+// expression may name, and a time-ordered scan of its records under
+// store.Store's ScanWith contract (fn's record is scratch, cols are the
+// columns in force at that record).
+type Source interface {
+	Columns() []string
+	ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols []string) error) (time.Duration, error)
 }
 
-// scanInto streams one store's records into an engine, labelling the
-// frames with the agent name (empty solo). The scan projects the
-// decode down to what the expression references unless opt asks for a
-// full decode.
-func scanInto(eng *Engine, st *store.Store, agent string, c *Compiled, opt Options) error {
+// Rings adapts a live recorder's ring buffers — the data the
+// interactive screens render — to a Source: one raw-resolution record
+// per recorded instant, rows in PID/TID order.
+func Rings(rec *history.Recorder) Source { return rings{rec} }
+
+type rings struct{ *history.Recorder }
+
+func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols []string) error) (time.Duration, error) {
+	cols := r.Columns()
+	series := r.AllSeries()
+	// Every ring holds a time-ordered run of the recorder's refresh
+	// instants: one cursor per ring walks them in step.
+	next := make([]int, len(series))
+	var rec store.Record
+	for {
+		rec.TimeSeconds = math.Inf(1)
+		for i := range series {
+			if n := next[i]; n < len(series[i].Points) {
+				rec.TimeSeconds = min(rec.TimeSeconds, series[i].Points[n].TimeSeconds)
+			}
+		}
+		if math.IsInf(rec.TimeSeconds, 1) || opts.ToSeconds > 0 && rec.TimeSeconds > opts.ToSeconds {
+			return 0, nil
+		}
+		rec.Rows = rec.Rows[:0]
+		for i := range series {
+			s := &series[i]
+			if n := next[i]; n < len(s.Points) && s.Points[n].TimeSeconds == rec.TimeSeconds {
+				p := &s.Points[n]
+				next[i]++
+				rec.Rows = append(rec.Rows, store.RecordRow{
+					PID: s.PID, TID: s.TID, User: s.User, Command: s.Command,
+					CPUPct: p.CPUPct, IPC: p.IPC, Values: p.Values,
+					Instr: p.Instr, Cycles: p.Cycles, Misses: p.Misses,
+				})
+			}
+		}
+		if rec.TimeSeconds < opts.FromSeconds {
+			continue
+		}
+		if err := fn(&rec, cols); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// scanInto streams one source's in-range records into an engine. The
+// scan projects the decode down to what the expression references
+// unless opt asks for a full decode.
+func scanInto(eng *Engine, src Source, c *Compiled, opt Options) error {
 	so := store.ScanOptions{
 		QueryOptions: store.QueryOptions{
 			PID:         -1,
@@ -57,138 +102,56 @@ func scanInto(eng *Engine, st *store.Store, agent string, c *Compiled, opt Optio
 			}
 		}
 	}
-	frame := Frame{Agent: agent}
-	res, err := st.ScanWith(so, func(rec *store.Record, cols []string) error {
-		eng.SetColumns(cols)
-		frame.TimeSeconds = rec.TimeSeconds
-		frame.DTNanos = rec.ResSeconds * 1e9
-		frame.Rows = frame.Rows[:0]
-		for i := range rec.Rows {
-			r := &rec.Rows[i]
-			frame.Rows = append(frame.Rows, FrameRow{
-				PID: r.PID, TID: r.TID,
-				User: r.User, Command: r.Command,
-				CPUPct: r.CPUPct, Values: r.Values,
-				Instr:  float64(r.Instr),
-				Cycles: float64(r.Cycles),
-				Misses: float64(r.Misses),
-			})
-		}
-		eng.Push(&frame)
+	res, err := src.ScanWith(so, func(rec *store.Record, cols []string) error {
+		eng.Push(rec, cols)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
 	eng.SetResolution(res.Seconds())
-	return nil
+	return err
 }
 
-// QueryHistory evaluates a compiled expression over a live recorder's
-// ring buffers — the same data the interactive screens render, queried
-// as series. Points arrive already holding per-interval counter
-// deltas; the interval is derived from successive point times.
-func QueryHistory(rec *history.Recorder, c *Compiled, opt Options) (*Result, error) {
-	eng := NewEngine(c, opt)
-	eng.SetColumns(rec.Columns())
-	type obs struct {
-		t    float64
-		dtNS float64
-		row  FrameRow
-	}
-	series := rec.AllSeries()
-	total := 0
-	for _, s := range series {
-		total += len(s.Points)
-	}
-	all := make([]obs, 0, total)
-	for _, s := range series {
-		prev := -1.0
-		for i := range s.Points {
-			p := &s.Points[i]
-			dtNS := -1.0 // first point: interval unknown
-			if prev >= 0 && p.TimeSeconds > prev {
-				dtNS = (p.TimeSeconds - prev) * 1e9
-			}
-			prev = p.TimeSeconds
-			all = append(all, obs{t: p.TimeSeconds, dtNS: dtNS, row: FrameRow{
-				PID: s.PID, TID: s.TID,
-				User: s.User, Command: s.Command,
-				CPUPct: p.CPUPct, Values: p.Values,
-				Instr:  float64(p.Instr),
-				Cycles: float64(p.Cycles),
-				Misses: float64(p.Misses),
-			}})
-		}
-	}
-	// The engine derives unknown intervals from successive frame
-	// times, so observations must arrive time-ordered; each carries
-	// its own interval here, computed per ring above.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].t < all[j].t })
-	// Consecutive observations sharing a timestamp and interval ride
-	// one shared frame instead of a single-row frame each — the rings
-	// observe every task at the same refresh instants, so this folds a
-	// whole refresh into one push. The frame struct and its row slice
-	// are reused across pushes (Push does not retain them); the stable
-	// sort keeps fold order, and so every float sum, identical to the
-	// one-row-per-frame path.
-	var frame Frame
-	for i := range all {
-		o := &all[i]
-		if len(frame.Rows) > 0 && (o.t != frame.TimeSeconds || o.dtNS != frame.DTNanos) {
-			eng.Push(&frame)
-			frame.Rows = frame.Rows[:0]
-		}
-		frame.TimeSeconds = o.t
-		frame.DTNanos = o.dtNS
-		frame.Rows = append(frame.Rows, o.row)
-	}
-	if len(frame.Rows) > 0 {
-		eng.Push(&frame)
-	}
-	return eng.Finish()
+// QueryStore evaluates a compiled expression over one durable store.
+func QueryStore(st *store.Store, c *Compiled, opt Options) (*Result, error) {
+	return Run(map[string]Source{"": st}, c, opt)
 }
 
-// QueryFleet evaluates a compiled expression across several agents'
-// stores: per-task series stay labelled by agent, grouped roll-ups
-// (`by user`, `by agent`) and the total sum across the fleet on
-// aligned step buckets, with ratios recomputed from the summed
-// counters — the same Σinstr/Σcycles semantics as the fleet's
-// /api/v1/snapshot. Merging across agents aligns bucket ends on each
-// store's own monotonic clock, so a step is required when more than
-// one agent is queried.
+// Run evaluates a compiled expression across labelled sources — the one
+// unlabelled source of a solo query, or a fleet's per-agent stores:
+// per-task series stay labelled by agent, grouped roll-ups (`by user`,
+// `by agent`) and the total sum across the fleet on aligned step
+// buckets, with ratios recomputed from the summed counters — the same
+// Σinstr/Σcycles semantics as the fleet's /api/v1/snapshot. Merging
+// aligns bucket ends on each source's own monotonic clock, so a step is
+// required when more than one is queried.
 //
-// Agents scan concurrently, each into its own engine; the partials
+// Sources scan concurrently, each into its own engine; the partials
 // merge in sorted label order, so serial and concurrent execution
 // produce identical results.
-func QueryFleet(stores map[string]*store.Store, c *Compiled, opt Options) (*Result, error) {
-	if len(stores) == 0 {
+func Run(srcs map[string]Source, c *Compiled, opt Options) (*Result, error) {
+	if len(srcs) == 0 {
 		return nil, fmt.Errorf("query: no agent stores to query")
 	}
-	if len(stores) > 1 && opt.StepSeconds <= 0 {
-		return nil, fmt.Errorf("query: merging %d agents needs an explicit step (buckets align per-agent clocks)", len(stores))
+	if len(srcs) > 1 && opt.StepSeconds <= 0 {
+		return nil, fmt.Errorf("query: merging %d agents needs an explicit step (buckets align per-agent clocks)", len(srcs))
 	}
-	labels := make([]string, 0, len(stores))
-	for label := range stores {
+	labels := make([]string, 0, len(srcs))
+	for label := range srcs {
 		labels = append(labels, label)
 	}
 	sort.Strings(labels)
-	// Divide the scan pool across the concurrent agent scans so a
-	// fleet query uses the same total parallelism as a solo one.
-	agentOpt := opt
+	// Divide the scan pool across the concurrent scans so a fleet query
+	// uses the same total parallelism as a solo one.
+	scanOpt := opt
 	pool := opt.Workers
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
-	if agentOpt.Workers = pool / len(labels); agentOpt.Workers < 1 {
-		agentOpt.Workers = 1
-	}
+	scanOpt.Workers = max(pool/len(labels), 1)
 	engines := make([]*Engine, len(labels))
 	errs := make([]error, len(labels))
 	scan := func(i int) {
-		eng := NewEngine(c, agentOpt)
-		errs[i] = scanInto(eng, stores[labels[i]], labels[i], c, agentOpt)
-		engines[i] = eng
+		engines[i] = NewEngine(c, labels[i], opt)
+		errs[i] = scanInto(engines[i], srcs[labels[i]], c, scanOpt)
 	}
 	if opt.Workers == 1 || len(labels) == 1 {
 		for i := range labels {
@@ -198,10 +161,10 @@ func QueryFleet(stores map[string]*store.Store, c *Compiled, opt Options) (*Resu
 		var wg sync.WaitGroup
 		for i := range labels {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
 				scan(i)
-			}(i)
+			}()
 		}
 		wg.Wait()
 	}
@@ -214,5 +177,5 @@ func QueryFleet(stores map[string]*store.Store, c *Compiled, opt Options) (*Resu
 	for _, o := range engines[1:] {
 		eng.Merge(o)
 	}
-	return eng.Finish()
+	return eng.Finish(), nil
 }

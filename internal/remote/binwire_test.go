@@ -130,59 +130,60 @@ func TestBinaryTruncation(t *testing.T) {
 }
 
 // TestClientNegotiatesBinary is the end-to-end negotiation test: a
-// binary-asking client against a binary-speaking server receives the
-// binary stream, and every sample it sees is identical to the JSON
-// wire's decoded form.
+// client that does not say otherwise — binary is the default, "binary"
+// spells it out — receives the binary stream from a binary-speaking
+// server, every sample identical to the JSON wire's decoded form, and
+// "json" forces the SSE stream out of the same server.
 func TestClientNegotiatesBinary(t *testing.T) {
-	srv := NewServer(nil)
-	defer srv.Close()
-	mux := http.NewServeMux()
-	srv.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	for _, wire := range []string{"", "binary", "json"} {
+		srv := NewServer(nil)
+		mux := http.NewServeMux()
+		srv.Register(mux)
+		ts := httptest.NewServer(mux)
 
-	if err := srv.Publish(fullSample()); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-
-	c, err := DialWith(ts.URL, DialOptions{Wire: "binary"})
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
-	defer c.Close()
-
-	// Next skips refreshes the Dial-time Poll already saw, so push a
-	// fresh one for the stream to deliver.
-	next := fullSample()
-	next.TimeSeconds += 2
-	if err := srv.Publish(next); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	got, err := c.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	c.mu.Lock()
-	binary := c.binary
-	c.mu.Unlock()
-	if !binary {
-		t.Fatal("client did not negotiate the binary stream")
-	}
-
-	want, err := Decode(srv.hub.Latest().Payload(FormatJSON))
-	if err != nil {
-		t.Fatalf("Decode latest JSON: %v", err)
-	}
-	if got.Refresh != 2 {
-		t.Fatalf("refresh = %d, want 2", got.Refresh)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("binary stream sample diverges from JSON wire decode:\ngot:  %+v\nwant: %+v", got, want)
+		if err := srv.Publish(fullSample()); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		c, err := DialWith(ts.URL, DialOptions{Wire: wire})
+		if err != nil {
+			t.Fatalf("DialWith: %v", err)
+		}
+		// Next skips refreshes the dial-time Poll already saw, so push a
+		// fresh one for the stream to deliver.
+		next := fullSample()
+		next.TimeSeconds += 2
+		if err := srv.Publish(next); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		got, err := c.Next()
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		c.mu.Lock()
+		binary := c.binary
+		c.mu.Unlock()
+		if binary != (wire != "json") {
+			t.Fatalf("wire %q: stream is binary = %v", wire, binary)
+		}
+		want, err := Decode(srv.hub.Latest().Payload(FormatJSON))
+		if err != nil {
+			t.Fatalf("Decode latest JSON: %v", err)
+		}
+		if got.Refresh != 2 {
+			t.Fatalf("refresh = %d, want 2", got.Refresh)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("wire %q: stream sample diverges from JSON wire decode:\ngot:  %+v\nwant: %+v", wire, got, want)
+		}
+		c.Close()
+		ts.Close()
+		srv.Close()
 	}
 }
 
-// TestClientFallsBackToSSE: a binary-asking client against a server
-// that ignores ?wire= (an older daemon) keeps working over SSE JSON.
+// TestClientFallsBackToSSE: a client dialing with the default wire —
+// which asks for binary — against a server that ignores ?wire= (an
+// older daemon) keeps working over SSE JSON.
 func TestClientFallsBackToSSE(t *testing.T) {
 	srv := NewServer(nil)
 	defer srv.Close()
@@ -204,7 +205,7 @@ func TestClientFallsBackToSSE(t *testing.T) {
 	if err := srv.Publish(fullSample()); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	c, err := DialWith(ts.URL, DialOptions{Wire: "binary"})
+	c, err := DialWith(ts.URL, DialOptions{})
 	if err != nil {
 		t.Fatalf("DialWith: %v", err)
 	}

@@ -29,8 +29,8 @@ var ErrClosed = errors.New("remote: client closed")
 type Client struct {
 	base string
 	host string
-	// wire is the requested stream encoding ("" or "json" for SSE,
-	// "binary" for length-prefixed binary frames).
+	// wire is the requested stream encoding ("json" for SSE; "" or
+	// "binary" ask for length-prefixed binary frames).
 	wire string
 	// poll is the request client for one-shot fetches; stream requests
 	// use their own context and must not carry a timeout.
@@ -55,7 +55,7 @@ const DialTimeout = 10 * time.Second
 
 // normalizeBase canonicalizes an agent address ("host:port" or a full
 // URL): trimmed, no trailing slash, scheme defaulted to http, host
-// non-empty. Dial and NewFleet share it so an address the fleet labels
+// non-empty. DialWith and NewFleet share it so an address the fleet labels
 // is always one the client can dial.
 func normalizeBase(addr string) (base, host string, err error) {
 	base = strings.TrimRight(strings.TrimSpace(addr), "/")
@@ -74,21 +74,17 @@ func normalizeBase(addr string) (base, host string, err error) {
 
 // DialOptions tune a client connection.
 type DialOptions struct {
-	// Wire selects the stream encoding: "" or "json" for the SSE JSON
-	// stream, "binary" for length-prefixed binary frames. Binary is a
-	// request, not a demand — a server that does not speak it answers
-	// with the SSE stream and the client falls back transparently.
+	// Wire selects the stream encoding: "" (the default) or "binary"
+	// for length-prefixed binary frames, "json" for the SSE JSON stream.
+	// Binary is a request, not a demand — a server that does not speak
+	// it answers with the SSE stream and the client falls back
+	// transparently, per connection; "json" forces SSE.
 	Wire string
 }
 
-// Dial connects to a tiptopd at base ("host:port" or a full URL) and
-// fetches its current sample, so Machine/Interval/Columns are known
-// before the first Next.
-func Dial(base string) (*Client, error) {
-	return DialWith(base, DialOptions{})
-}
-
-// DialWith is Dial with explicit options. A daemon that is up but has
+// DialWith connects to a tiptopd at base ("host:port" or a full URL)
+// and fetches its current sample, so Machine/Interval/Columns are known
+// before the first Next. A daemon that is up but has
 // not finished its first refresh answers 503 with a Retry-After; that
 // is a reason to wait, not to give up, so the first fetch is retried
 // with a short backoff for up to DialTimeout — a client racing a
@@ -264,20 +260,17 @@ func (c *Client) ensureStream() (*bufio.Reader, bool, error) {
 		return c.br, c.binary, nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	url := c.base + "/api/v1/stream"
-	if c.wire == "binary" {
+	url, accept := c.base+"/api/v1/stream", "text/event-stream"
+	if c.wire != "json" {
 		url += "?wire=binary"
+		accept = ContentTypeBinary + ", " + accept
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		cancel()
 		return nil, false, err
 	}
-	if c.wire == "binary" {
-		req.Header.Set("Accept", ContentTypeBinary+", text/event-stream")
-	} else {
-		req.Header.Set("Accept", "text/event-stream")
-	}
+	req.Header.Set("Accept", accept)
 	resp, err := c.stream.Do(req)
 	if err != nil {
 		cancel()

@@ -27,8 +27,9 @@ type FleetOptions struct {
 	// -join -store persists every agent's stream into a per-agent
 	// durable store. Returning an error aborts NewFleet.
 	Tee func(label string) (core.Observer, error)
-	// Wire selects the per-agent stream encoding ("binary" asks each
-	// agent for binary frames, falling back to SSE JSON per agent).
+	// Wire selects the per-agent stream encoding: "" or "binary" asks
+	// each agent for binary frames, falling back to SSE JSON per agent;
+	// "json" forces SSE.
 	Wire string
 }
 

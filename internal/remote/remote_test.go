@@ -338,7 +338,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Client: Dial picks up the published sample; Next dedupes the
 	// stream replay and blocks until the next publish.
-	client, err := Dial(ts.URL)
+	client, err := DialWith(ts.URL, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestClientCloseUnblocksNext(t *testing.T) {
 	if err := srv.Publish(testSample(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(ts.URL)
+	client, err := DialWith(ts.URL, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,13 +399,13 @@ func TestClientCloseUnblocksNext(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := Dial("http://"); err == nil {
+	if _, err := DialWith("http://", DialOptions{}); err == nil {
 		t.Fatal("dialed an empty host")
 	}
 	// A server without the API: Dial must fail with a useful error.
 	ts := httptest.NewServer(http.NotFoundHandler())
 	defer ts.Close()
-	if _, err := Dial(ts.URL); err == nil || !strings.Contains(err.Error(), "api/v1/sample") {
+	if _, err := DialWith(ts.URL, DialOptions{}); err == nil || !strings.Contains(err.Error(), "api/v1/sample") {
 		t.Fatalf("Dial against a non-tiptopd = %v", err)
 	}
 }
@@ -427,7 +427,7 @@ func TestDialWaitsForFirstSample(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	client, err := Dial(ts.URL)
+	client, err := DialWith(ts.URL, DialOptions{})
 	if err != nil {
 		t.Fatalf("Dial gave up on a daemon that was about to be ready: %v", err)
 	}

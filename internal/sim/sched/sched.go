@@ -167,7 +167,6 @@ type Kernel struct {
 	// System-wide counting state: per-CPU event aggregation for the
 	// pid=-1,cpu=N attach scope, indexed by logical CPU.
 	cpuSinks  [][]EventSink
-	cpuTotals []cpu.Delta
 	cpuBusyNS []uint64
 
 	totalSwitches uint64
@@ -188,7 +187,6 @@ func New(m *machine.Machine, opt Options) (*Kernel, error) {
 		byTID:     make(map[int]*Task),
 		lastOnCPU: make([]*Task, m.NumLogical()),
 		cpuSinks:  make([][]EventSink, m.NumLogical()),
-		cpuTotals: make([]cpu.Delta, m.NumLogical()),
 		cpuBusyNS: make([]uint64, m.NumLogical()),
 	}, nil
 }
@@ -233,15 +231,6 @@ func (k *Kernel) CPUBusy(cpu machine.CPUID) time.Duration {
 		return 0
 	}
 	return time.Duration(k.cpuBusyNS[cpu])
-}
-
-// CPUTotals returns the cumulative architectural events executed on a
-// logical CPU, summed over every task that ran there.
-func (k *Kernel) CPUTotals(c machine.CPUID) cpu.Delta {
-	if int(c) < 0 || int(c) >= len(k.cpuTotals) {
-		return cpu.Delta{}
-	}
-	return k.cpuTotals[c]
 }
 
 // Spawn creates a runnable task executing r.
@@ -446,7 +435,6 @@ func (k *Kernel) quantum(nsec uint64) {
 		t.lastCPU = a.cpu
 		t.hasRun = true
 		t.totals.Add(delta)
-		k.cpuTotals[a.cpu].Add(delta)
 		k.cpuBusyNS[a.cpu] += usedNS
 
 		// Update observed insertion rates for next quantum's

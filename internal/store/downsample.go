@@ -31,8 +31,8 @@ import (
 type dsTask struct {
 	id         hpm.TaskID
 	user, comm string
-	n          int // finer-tier records folded this bucket
-	lastBucket int64
+	n          int           // finer-tier records folded this bucket
+	lastEnd    time.Duration // end of the last bucket folded into
 	cpuSum     float64
 	ipcSum     float64
 	valSums    []float64
@@ -53,39 +53,43 @@ type bucket struct {
 // accumulator folds finer-tier records into fixed-width buckets.
 type accumulator struct {
 	res    time.Duration
-	cur    int64 // current bucket index, -1 before the first fold
+	end    time.Duration // current bucket's end, 0 before the first fold
 	tasks  map[hpm.TaskID]*dsTask
 	funnel bucket // reused flush scratch
 }
 
 func newAccumulator(res time.Duration) *accumulator {
-	return &accumulator{res: res, cur: -1, tasks: make(map[hpm.TaskID]*dsTask)}
+	return &accumulator{res: res, tasks: make(map[hpm.TaskID]*dsTask)}
+}
+
+// BucketEnd is the bucketing rule, for tiers, re-bucketed reads and
+// expression queries alike: the end of the half-open (k·res, (k+1)·res]
+// window holding now. The closed upper end matters for tier chaining: a
+// finer-tier record stamped exactly on a boundary (10s records always
+// are) carries data from *before* that instant and must fold into the
+// bucket ending there, not the one starting there.
+func BucketEnd(now, res time.Duration) time.Duration {
+	idx := time.Duration(0)
+	if now > 0 {
+		idx = (now - 1) / res
+	}
+	return (idx + 1) * res
 }
 
 // advance moves the accumulator to the bucket containing now. When that
 // closes the current bucket and it holds data, the completed bucket is
 // returned for flushing (valid until the next advance).
-//
-// Buckets are the half-open (k·res, (k+1)·res] windows, on the read side
-// too: Query re-buckets through this accumulator. The closed upper end
-// matters for tier chaining: a finer-tier record stamped exactly on a
-// boundary (10s records always are) carries data from *before* that
-// instant and must fold into the bucket ending there, not the one
-// starting there.
 func (a *accumulator) advance(now time.Duration) *bucket {
-	idx := int64(0)
-	if now > 0 {
-		idx = int64((now - 1) / a.res)
-	}
-	if a.cur < 0 {
-		a.cur = idx
+	end := BucketEnd(now, a.res)
+	if a.end == 0 {
+		a.end = end
 		return nil
 	}
-	if idx == a.cur {
+	if end == a.end {
 		return nil
 	}
 	out := a.close()
-	a.cur = idx
+	a.end = end
 	if len(out.rows) == 0 {
 		return nil
 	}
@@ -95,11 +99,11 @@ func (a *accumulator) advance(now time.Duration) *bucket {
 // close drains the current bucket into the reused flush scratch,
 // resetting per-bucket sums and evicting tasks gone for over a bucket.
 func (a *accumulator) close() *bucket {
-	a.funnel.end = time.Duration(a.cur+1) * a.res
+	a.funnel.end = a.end
 	a.funnel.rows = a.funnel.rows[:0]
 	for id, t := range a.tasks {
 		if t.n == 0 {
-			if a.cur-t.lastBucket > 1 {
+			if a.end-t.lastEnd > a.res {
 				delete(a.tasks, id)
 			}
 			continue
@@ -143,7 +147,7 @@ func (a *accumulator) fold(r *RecordRow) {
 		a.tasks[id] = t
 	}
 	t.user, t.comm = r.User, r.Command
-	t.lastBucket = a.cur
+	t.lastEnd = a.end
 	t.n++
 	t.cpuSum += r.CPUPct
 	t.ipcSum += r.IPC

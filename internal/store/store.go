@@ -51,6 +51,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -256,17 +257,8 @@ func (st *Store) usageLocked() int64 {
 func (st *Store) SetColumns(names []string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(names) == len(st.cols) {
-		same := true
-		for i := range names {
-			if names[i] != st.cols[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+	if slices.Equal(names, st.cols) {
+		return
 	}
 	st.cols = append(st.cols[:0:0], names...)
 	for _, t := range st.tiers {

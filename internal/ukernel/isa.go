@@ -59,24 +59,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// IsBranch reports whether the op is a control transfer.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpJmp, OpJne, OpJe, OpJlt, OpJge:
-		return true
-	}
-	return false
-}
-
-// IsFP reports whether the op is a floating-point arithmetic operation.
-func (o Op) IsFP() bool {
-	switch o {
-	case OpFAdd, OpFAddX87, OpFMul:
-		return true
-	}
-	return false
-}
-
 // NumRegs is the number of integer and float registers each.
 const NumRegs = 16
 

@@ -32,42 +32,33 @@ type Querier interface {
 
 var _ Querier = (*QueryClient)(nil)
 
-// storeQuerier adapts a Store to the Querier contract.
-type storeQuerier struct{ st *Store }
-
-// Querier returns the store's unified query surface.
-func (st *Store) Querier() Querier { return storeQuerier{st} }
-
-func (q storeQuerier) QueryExpr(expr string, opt QueryOptions, extra ...string) (*QueryResult, error) {
-	if err := rejectExtra("store", extra); err != nil {
-		return nil, err
-	}
-	c, err := query.Compile(expr, query.KnownNames(q.st.s.Columns()))
-	if err != nil {
-		return nil, err
-	}
-	return query.QueryStore(q.st.s, c, opt)
+// localQuerier adapts an in-process history — a Store's segments, a
+// Recorder's rings — to the Querier contract.
+type localQuerier struct {
+	backend string
+	src     query.Source
 }
 
-// recorderQuerier adapts a Recorder to the Querier contract.
-type recorderQuerier struct{ r *Recorder }
+// Querier returns the store's unified query surface.
+func (st *Store) Querier() Querier { return localQuerier{"store", st.s} }
 
 // Querier returns the recorder's unified query surface over its live
 // ring buffers — the same data the interactive screens render, served
-// as series. Semantics match a Store's on the same observations:
-// counters (INSTRUCTIONS, CYCLES, CACHE_MISSES) sum per bucket while
-// columns and CPU_PCT average.
-func (r *Recorder) Querier() Querier { return recorderQuerier{r} }
+// as series. The rings replay as the records a Store would have written
+// from the same observations, so the two answer identically: counters
+// (INSTRUCTIONS, CYCLES, CACHE_MISSES) sum per bucket while columns and
+// CPU_PCT average.
+func (r *Recorder) Querier() Querier { return localQuerier{"recorder", query.Rings(r.h)} }
 
-func (q recorderQuerier) QueryExpr(expr string, opt QueryOptions, extra ...string) (*QueryResult, error) {
-	if err := rejectExtra("recorder", extra); err != nil {
+func (q localQuerier) QueryExpr(expr string, opt QueryOptions, extra ...string) (*QueryResult, error) {
+	if err := rejectExtra(q.backend, extra); err != nil {
 		return nil, err
 	}
-	c, err := query.Compile(expr, query.KnownNames(q.r.h.Columns()))
+	c, err := query.Compile(expr, query.KnownNames(q.src.Columns()))
 	if err != nil {
 		return nil, err
 	}
-	return query.QueryHistory(q.r.h, c, opt)
+	return query.Run(map[string]query.Source{"": q.src}, c, opt)
 }
 
 // rejectExtra fails a local query that passes remote-only parameters:

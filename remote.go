@@ -121,10 +121,10 @@ func NewRemoteMonitor(url string) (*RemoteMonitor, error) {
 }
 
 // NewRemoteMonitorWire attaches like NewRemoteMonitor and selects the
-// stream encoding: "binary" negotiates the length-prefixed binary
-// frame (tiptop -connect -wire binary), transparently falling back to
-// SSE + JSON against daemons that predate it; "json" or "" keeps the
-// default.
+// stream encoding: "" (the default) or "binary" negotiates the
+// length-prefixed binary frame, transparently falling back to SSE +
+// JSON against daemons that predate it; "json" forces SSE (tiptop
+// -connect -wire json).
 func NewRemoteMonitorWire(url, wire string) (*RemoteMonitor, error) {
 	c, err := remote.DialWith(url, remote.DialOptions{Wire: wire})
 	if err != nil {

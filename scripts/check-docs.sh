@@ -1,13 +1,16 @@
 #!/bin/sh
 # Docs gate: fail CI when README.md or ARCHITECTURE.md reference flags
-# or endpoints that no longer exist in the source. Two checks run in the
-# docs -> source direction (stale documentation is the failure mode):
+# endpoints or make targets that no longer exist in the source. Three
+# checks run in the docs -> source direction (stale documentation is the
+# failure mode):
 #
 #  1. every /api/v1/* endpoint and /metrics mentioned in the docs must
 #     appear in cmd/ or internal/ Go sources;
 #  2. every `<command> -flag` pair in the docs, plus the flag manifest
 #     below (the flags the docs describe in prose or tables), must be
-#     defined by that command's flag set.
+#     defined by that command's flag set;
+#  3. every `make target` the docs quote or list at the start of a line
+#     must be a Makefile target.
 #
 # Run as `make docs` (part of `make verify`).
 set -eu
@@ -74,6 +77,14 @@ for entry in $manifest; do
     flag=${entry#*:}
     if ! flag_defined "$cmd" "$flag"; then
         echo "docs gate: manifest names $cmd -$flag but cmd/$cmd defines no -$flag flag"
+        fail=1
+    fi
+done
+
+# --- 3. make targets --------------------------------------------------
+for target in $(grep -ohE '(^|`)make +[a-z][a-z-]*' $docs | awk '{print $NF}' | sort -u); do
+    if ! grep -qE "^$target:" Makefile; then
+        echo "docs gate: docs show 'make $target' but the Makefile has no such target"
         fail=1
     fi
 done
