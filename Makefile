@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet test race bench fuzz docs validate loc
+.PHONY: verify fmt build vet test race bench fuzz docs validate loc loc-check
 
-verify: fmt build vet race docs
+verify: fmt build vet race docs loc-check
 
 # The tree must be gofmt-clean; print the offenders and fail otherwise.
 fmt:
@@ -78,3 +78,8 @@ bench:
 # the count issues and CHANGES.md entries quote.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# The size gate: `make loc` must not exceed scripts/loc-budget. A change
+# that needs more code raises the budget in its own diff.
+loc-check:
+	./scripts/check-loc.sh

@@ -1,50 +1,28 @@
 package main
 
 import (
-	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"time"
+	"slices"
+	"strings"
 
 	"tiptop"
 	"tiptop/internal/term"
 )
 
-// buildMonitor selects the backend: a named simulated scenario, or the
-// real machine with automatic fallback to the quickstart scenario when
-// perf_event is unavailable (the common case inside containers).
-func buildMonitor(simName string, scale float64, cfg tiptop.Config) (*tiptop.Monitor, error) {
-	if simName == "" {
-		mon, err := tiptop.NewRealMonitor(cfg)
-		if err == nil {
-			return mon, nil
-		}
-		fmt.Fprintf(os.Stderr, "tiptop: %v; falling back to -sim spec\n", err)
-		simName = "spec"
-	}
-	sc, err := buildScenario(simName, scale)
-	if err != nil {
-		return nil, err
-	}
-	return tiptop.NewSimMonitor(sc, cfg)
-}
-
-// buildScenario constructs the named simulated scenario.
-func buildScenario(name string, scale float64) (*tiptop.Scenario, error) {
-	return tiptop.NewNamedScenario(name, scale)
-}
-
-// batchLoop streams samples (tiptop -b) through the emitter: classic
-// text blocks, or CSV/JSONL when -o selects a sink. It runs against any
-// MonitorAPI — a local engine or a -connect'ed remote daemon.
-func batchLoop(mon tiptop.MonitorAPI, iterations int, em *emitter) error {
+// refreshLoop is the one refresh loop, batch or interactive, against any
+// MonitorAPI — a local engine or a -connect'ed remote daemon: one attach
+// pass, then a sample per iteration handed to the emitter (which shows
+// it and tees it to the record sinks) until -n refreshes are done, quit
+// fires, or — without -n — a simulated scenario drains.
+func refreshLoop(mon tiptop.MonitorAPI, iterations int, em *emitter, quit <-chan os.Signal) error {
 	if _, err := mon.SampleNow(); err != nil { // attach pass
 		return err
 	}
-	interrupted := interruptChan()
 	for i := 0; iterations <= 0 || i < iterations; i++ {
 		select {
-		case <-interrupted:
+		case <-quit:
 			return nil
 		default:
 		}
@@ -56,104 +34,55 @@ func batchLoop(mon tiptop.MonitorAPI, iterations int, em *emitter) error {
 			return err
 		}
 		if len(sample.Rows) == 0 && iterations <= 0 {
-			// Simulated scenario drained.
 			return nil
 		}
 	}
 	return nil
 }
 
-// liveLoop repaints an ANSI screen every interval, teeing each sample
-// to the record sink when -record is set. Keyboard handling is
-// line-based (press q then Enter) to stay within the standard library;
-// Ctrl-C always works.
-func liveLoop(mon tiptop.MonitorAPI, iterations int, em *emitter) error {
-	screen, err := term.NewScreen(os.Stdout, 40, 160)
-	if err != nil {
+// paint puts one refresh on the interactive screen: the lines of the
+// block -b prints for it, with the "--- t=" line turned into the status
+// bar and the heading bold. Rows below the terminal's last line are
+// dropped (Screen.SetLine ignores them).
+func (e *emitter) paint(s *tiptop.Sample) error {
+	var block strings.Builder
+	if err := e.mon.Render(&block, s); err != nil {
 		return err
 	}
-	defer screen.Close()
-
-	keys := make(chan term.Key, 8)
-	go func() {
-		buf := make([]byte, 64)
-		for {
-			n, err := os.Stdin.Read(buf)
-			if err != nil {
-				return
-			}
-			for _, k := range term.DecodeKeys(buf[:n]) {
-				keys <- k
-			}
-		}
-	}()
-	interrupted := interruptChan()
-
-	if _, err := mon.SampleNow(); err != nil {
-		return err
+	lines := strings.Split(strings.TrimSuffix(block.String(), "\n"), "\n")
+	e.screen.Clear()
+	e.screen.SetLine(0, term.Reverse("tiptop - "+e.mon.Machine()+" - "+
+		strings.TrimPrefix(lines[0], "--- ")+" (q<Enter> or Ctrl-C quits)"))
+	e.screen.SetLine(1, term.Bold(lines[1]))
+	for i, line := range lines[2:] {
+		e.screen.SetLine(2+i, line)
 	}
-	for i := 0; iterations <= 0 || i < iterations; i++ {
-		sample, err := mon.Sample()
-		if err != nil {
-			return err
-		}
-		paint(screen, mon, em.display(sample))
-		if err := em.record(sample); err != nil {
-			return err
-		}
-		select {
-		case <-interrupted:
-			return nil
-		case k := <-keys:
-			if k == term.KeyQuit {
-				return nil
-			}
-		default:
-		}
-		if len(sample.Rows) == 0 && iterations <= 0 {
-			return nil
-		}
-	}
-	return nil
+	return e.screen.Flush()
 }
 
-func paint(screen *term.Screen, mon tiptop.MonitorAPI, sample *tiptop.Sample) {
-	rows, _ := screen.Size()
-	screen.Clear()
-	status := fmt.Sprintf("tiptop - %s - %d tasks - t=%s (q<Enter> or Ctrl-C quits)",
-		mon.Machine(), len(sample.Rows), sample.Time.Truncate(time.Millisecond))
-	screen.SetLine(0, term.Reverse(status))
-	header := fmt.Sprintf("%7s %-8s %5s", "PID", "USER", "%CPU")
-	for _, h := range mon.Headers() {
-		header += fmt.Sprintf(" %8s", h)
-	}
-	header += " COMMAND"
-	screen.SetLine(1, term.Bold(header))
-	for i, row := range sample.Rows {
-		if 2+i >= rows {
-			break
-		}
-		line := fmt.Sprintf("%7d %-8.8s %5.1f", row.PID, row.User, row.CPUPct)
-		for _, v := range row.Columns {
-			if row.Monitored {
-				line += fmt.Sprintf(" %8.2f", v)
-			} else {
-				line += fmt.Sprintf(" %8s", "-")
-			}
-		}
-		line += " " + row.Command
-		screen.SetLine(2+i, line)
-	}
-	_ = screen.Flush()
-}
-
-func interruptChan() <-chan os.Signal {
+// quitChan fires on Ctrl-C and, when keys is set (the interactive
+// screen's stdin), on a line containing q. Keyboard handling is
+// line-based to stay within the standard library.
+func quitChan(keys io.Reader) <-chan os.Signal {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt)
+	if keys != nil {
+		go func() {
+			buf := make([]byte, 64)
+			for {
+				n, err := keys.Read(buf)
+				if slices.Contains(term.DecodeKeys(buf[:n]), term.KeyQuit) {
+					select {
+					case ch <- os.Interrupt:
+					default: // an interrupt is already pending
+					}
+					return
+				}
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
 	return ch
-}
-
-// newTestScreen builds a small off-screen terminal for tests.
-func newTestScreen(w interface{ Write([]byte) (int, error) }) (*term.Screen, error) {
-	return term.NewScreen(w, 30, 140)
 }

@@ -35,6 +35,7 @@ import (
 	"tiptop/internal/config"
 	"tiptop/internal/export"
 	"tiptop/internal/metrics"
+	"tiptop/internal/term"
 )
 
 func main() {
@@ -175,7 +176,9 @@ func run(args []string, stdout io.Writer) error {
 		// authoritative: -connect renders what the agent samples.
 		mon, err = tiptop.NewRemoteMonitorWire(o.connect, shared.Wire)
 	} else {
-		mon, err = buildMonitor(shared.Sim, shared.Scale, cfg)
+		// Without -sim: the real machine, or the quickstart scenario where
+		// perf_event is unavailable.
+		mon, _, err = tiptop.OpenMonitor(shared.Sim, "spec", shared.Scale, cfg)
 	}
 	if err != nil {
 		return err
@@ -188,11 +191,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	em.displayRows = displayRows
 
-	if o.batch {
-		err = batchLoop(mon, shared.Iterations, em)
-	} else {
-		err = liveLoop(mon, shared.Iterations, em)
+	var keys io.Reader
+	if !o.batch {
+		em.screen, _ = term.NewScreen(stdout, 40, 160) // fails on a bad geometry only
+		keys = os.Stdin
 	}
+	err = refreshLoop(mon, shared.Iterations, em, quitChan(keys))
 	// A failing final flush or file close means the recording is
 	// incomplete — surface it instead of exiting 0.
 	if cerr := closeSinks(); cerr != nil && err == nil {
@@ -206,7 +210,10 @@ func run(args []string, stdout io.Writer) error {
 // support status. The sim column reflects the machine the selected
 // scenario runs on.
 func printEvents(stdout io.Writer, cfg tiptop.Config, simName string) error {
-	machine := scenarioMachine(simName)
+	machine, ok := tiptop.ScenarioMachine(simName)
+	if !ok {
+		machine = tiptop.MachineXeonW3550
+	}
 	infos, err := tiptop.ListEvents(cfg, machine)
 	if err != nil {
 		return err
@@ -249,17 +256,6 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-// scenarioMachine names the machine preset a -sim scenario runs on.
-func scenarioMachine(simName string) tiptop.MachineName {
-	switch simName {
-	case "datacenter":
-		return tiptop.MachineE5640
-	case "steady", "validate":
-		return tiptop.MachineCortexA7
-	}
-	return tiptop.MachineXeonW3550
-}
-
 // isStoreTarget reports whether a -record path selects the durable
 // store rather than a CSV/JSONL file: an existing directory, a path
 // with a trailing separator, or the .store extension.
@@ -277,15 +273,16 @@ func isStoreTarget(path string) bool {
 	return err == nil && fi.IsDir()
 }
 
-// emitter routes samples: batch output to stdout (classic text blocks
-// or a structured sink) plus an optional record sink behind -record —
-// a CSV/JSONL file or the durable store when the target is a
-// directory. Sinks always receive the full sample; displayRows clips
-// only the rendered text/screen view (the -rows semantics).
+// emitter routes samples: to stdout — the interactive screen, classic
+// batch text blocks or a structured sink — plus an optional record sink
+// behind -record, a CSV/JSONL file or the durable store when the target
+// is a directory. Sinks always receive the full sample; displayRows
+// clips only the rendered text/screen view (the -rows semantics).
 type emitter struct {
 	mon         tiptop.MonitorAPI
 	cols        []string
 	stdout      io.Writer
+	screen      *term.Screen  // the interactive display (run sets it); nil in batch mode
 	stdoutSink  export.Sink   // nil for text format
 	recordSink  export.Sink   // nil without a file -record target
 	recordStore *tiptop.Store // nil without a store -record target
@@ -333,7 +330,10 @@ func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPa
 	}
 	closer := func() error {
 		var first error
-		if e.stdoutSink != nil {
+		switch {
+		case e.screen != nil:
+			first = e.screen.Close() // restores the cursor
+		case e.stdoutSink != nil:
 			first = e.stdoutSink.Close()
 		}
 		if e.recordSink != nil {
@@ -391,36 +391,27 @@ func (e *emitter) display(s *tiptop.Sample) *tiptop.Sample {
 	return &clipped
 }
 
-// emit writes one batch-mode sample to stdout and the record sinks.
+// emit shows one sample on stdout — painted, rendered or through the
+// structured sink — and tees it to the record sinks.
 func (e *emitter) emit(s *tiptop.Sample) error {
 	var es *export.Sample
 	if e.stdoutSink != nil || e.recordSink != nil {
 		es = e.toExport(s)
 	}
-	if e.stdoutSink != nil {
-		if err := e.stdoutSink.Write(es); err != nil {
-			return err
-		}
-	} else {
-		if err := e.mon.Render(e.stdout, e.display(s)); err != nil {
-			return err
-		}
+	var err error
+	switch {
+	case e.stdoutSink != nil:
+		err = e.stdoutSink.Write(es)
+	case e.screen != nil:
+		err = e.paint(e.display(s))
+	default:
+		err = e.mon.Render(e.stdout, e.display(s))
+	}
+	if err != nil {
+		return err
 	}
 	if e.recordSink != nil {
 		if err := e.recordSink.Write(es); err != nil {
-			return err
-		}
-	}
-	if e.recordStore != nil {
-		return e.recordStore.RecordSample(s)
-	}
-	return nil
-}
-
-// record writes only to the record sinks (the live loop's tee).
-func (e *emitter) record(s *tiptop.Sample) error {
-	if e.recordSink != nil {
-		if err := e.recordSink.Write(e.toExport(s)); err != nil {
 			return err
 		}
 	}

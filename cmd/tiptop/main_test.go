@@ -14,7 +14,7 @@ import (
 
 func TestBuildScenarioAll(t *testing.T) {
 	for _, name := range []string{"spec", "revolution", "conflict", "datacenter", "assist"} {
-		sc, err := buildScenario(name, 0.001)
+		sc, err := tiptop.NewNamedScenario(name, 0.001)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -22,13 +22,13 @@ func TestBuildScenarioAll(t *testing.T) {
 			t.Fatalf("%s: nil scenario", name)
 		}
 	}
-	if _, err := buildScenario("wargames", 1); err == nil {
+	if _, err := tiptop.NewNamedScenario("wargames", 1); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }
 
 func TestBuildScenarioDatacenterShape(t *testing.T) {
-	sc, err := buildScenario("datacenter", 0.01)
+	sc, err := tiptop.NewNamedScenario("datacenter", 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBuildMonitorFallsBack(t *testing.T) {
 	// In environments without perf_event this exercises the fallback;
 	// where perf works, it exercises the real path. Either way a
 	// usable monitor must come back.
-	mon, err := buildMonitor("", 0.001, tiptop.Config{Interval: time.Second})
+	mon, _, err := tiptop.OpenMonitor("", "spec", 0.001, tiptop.Config{Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,32 +306,6 @@ func TestRunWithConfigFile(t *testing.T) {
 	}
 	if err := run([]string{"-b", "-config", filepath.Join(dir, "missing.xml"), "-sim", "spec"}, io.Discard); err == nil {
 		t.Fatal("missing config must fail")
-	}
-}
-
-func TestPaintDoesNotPanic(t *testing.T) {
-	sc, err := buildScenario("spec", 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.SampleNow()
-	sample, err := mon.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	screen, err := newTestScreen(&sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paint(screen, mon, sample)
-	if !strings.Contains(sb.String(), "tiptop") {
-		t.Fatal("status bar missing")
 	}
 }
 

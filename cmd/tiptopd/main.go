@@ -194,8 +194,14 @@ func run(args []string, stdout io.Writer) error {
 		}
 		d.srv = d.fleet.Server()
 	} else {
-		if d.mon, d.pace, err = buildMonitor(shared.Sim, shared.Scale, cfg); err != nil {
+		// Without -sim: the real machine, or the simulated data-center
+		// node where perf_event is unavailable.
+		var simulated bool
+		if d.mon, simulated, err = tiptop.OpenMonitor(shared.Sim, "datacenter", shared.Scale, cfg); err != nil {
 			return err
+		}
+		if simulated {
+			d.pace = d.mon.Interval()
 		}
 		d.rec = tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: o.historyCap, Window: o.window})
 		d.mon.Subscribe(d.rec)
@@ -211,31 +217,6 @@ func run(args []string, stdout io.Writer) error {
 	return d.serve(o.addr, shared.Iterations, cfg.StoreCompact, stdout)
 }
 
-// buildMonitor selects the backend like cmd/tiptop: a named scenario,
-// or the real machine with fallback to the simulated data-center node.
-// The returned pace is the real-time pause between refreshes for
-// simulated backends, whose Sample() advances virtual time instantly
-// (the real backend sleeps inside Sample itself).
-func buildMonitor(simName string, scale float64, cfg tiptop.Config) (*tiptop.Monitor, time.Duration, error) {
-	if simName == "" {
-		mon, err := tiptop.NewRealMonitor(cfg)
-		if err == nil {
-			return mon, 0, nil
-		}
-		fmt.Fprintf(os.Stderr, "tiptopd: %v; falling back to -sim datacenter\n", err)
-		simName = "datacenter"
-	}
-	sc, err := tiptop.NewNamedScenario(simName, scale)
-	if err != nil {
-		return nil, 0, err
-	}
-	mon, err := tiptop.NewSimMonitor(sc, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return mon, mon.Interval(), nil
-}
-
 // daemon couples one sample source to the HTTP handlers: a local
 // monitor and its recorder, or — under -join — a fleet of remote
 // agents. Exactly one of mon and fleet is set. The source's goroutines
@@ -244,8 +225,11 @@ func buildMonitor(simName string, scale float64, cfg tiptop.Config) (*tiptop.Mon
 // scrapes safe against the live samplers) and the remote.Server the
 // source publishes into.
 type daemon struct {
-	mon   *tiptop.Monitor
-	rec   *tiptop.Recorder
+	mon *tiptop.Monitor
+	rec *tiptop.Recorder
+	// pace is the real-time pause between refreshes of a simulated
+	// backend, whose Sample advances virtual time instantly (the real
+	// backend sleeps inside Sample itself).
 	pace  time.Duration
 	fleet *remote.Fleet
 	// srv owns the wire-protocol surface: the stream hub, the latest

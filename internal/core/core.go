@@ -166,6 +166,25 @@ type Row struct {
 	Valid bool
 }
 
+// ElideCoverage maps Row.Coverage to its serialized form, the one rule
+// behind wire rows and snapshot tasks: exact counting (>= 1) travels as
+// 0, which every encoding omits, so only multiplexed rows spend bytes
+// on the field and documents that predate it keep decoding.
+func ElideCoverage(c float64) float64 {
+	if c >= 1 {
+		return 0
+	}
+	return c
+}
+
+// ExactCoverage is the inverse: absent (or out of range) means exact.
+func ExactCoverage(c float64) float64 {
+	if c <= 0 || c > 1 {
+		return 1
+	}
+	return c
+}
+
 // Sample is the result of one refresh.
 type Sample struct {
 	Time    time.Duration // clock time at the refresh

@@ -451,3 +451,28 @@ func TestNewSessionResolvesThroughRegistry(t *testing.T) {
 		t.Fatal("raw deltas must be keyed by event name")
 	}
 }
+
+// TestCoverageElision pins the one serialization rule of Row.Coverage —
+// wire rows, snapshot tasks and the OpenMetrics gauge all go through
+// this pair: exact counting is absent, a fraction travels as itself, and
+// anything out of range reads back as exact.
+func TestCoverageElision(t *testing.T) {
+	for _, tc := range []struct{ c, wire, back float64 }{
+		{1, 0, 1},
+		{1.5, 0, 1}, // over-counted: still exact
+		{0.25, 0.25, 0.25},
+		{0, 0, 1}, // the zero value of rows predating the field
+	} {
+		if got := ElideCoverage(tc.c); got != tc.wire {
+			t.Errorf("ElideCoverage(%v) = %v, want %v", tc.c, got, tc.wire)
+		}
+		if got := ExactCoverage(tc.wire); got != tc.back {
+			t.Errorf("ExactCoverage(%v) = %v, want %v", tc.wire, got, tc.back)
+		}
+	}
+	for _, bad := range []float64{-0.5, 1.01, 7} {
+		if got := ExactCoverage(bad); got != 1 {
+			t.Errorf("ExactCoverage(%v) = %v, want 1 (out of range means exact)", bad, got)
+		}
+	}
+}

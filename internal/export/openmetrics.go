@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"tiptop/internal/core"
 	"tiptop/internal/history"
 )
 
@@ -231,12 +232,7 @@ func (e *omWriter) machines(ms []FleetMachine, metricFamily bool) {
 	e.perTask("tiptop_task_ipc", "Instructions per cycle of the task over the last refresh.", ms,
 		func(t *history.TaskSnap) float64 { return t.IPC })
 	e.perTask("tiptop_task_coverage", "Counted fraction of the last refresh interval (1 = exact, lower = multiplexed extrapolation).", ms,
-		func(t *history.TaskSnap) float64 {
-			if t.Coverage <= 0 || t.Coverage > 1 {
-				return 1 // elided on the snapshot means exact counting
-			}
-			return t.Coverage
-		})
+		func(t *history.TaskSnap) float64 { return core.ExactCoverage(t.Coverage) })
 	if !metricFamily {
 		return
 	}

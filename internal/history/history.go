@@ -529,10 +529,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 	values := make([]float64, 0, len(live)*ncols)
 	for i, rg := range live {
 		last := (rg.head + rg.n - 1) % len(rg.points)
-		coverage := rg.coverage
-		if coverage >= 1 {
-			coverage = 0 // exact counting is elided from the JSON
-		}
 		t := &snap.Tasks[i]
 		*t = TaskSnap{
 			PID:      rg.id.PID,
@@ -542,7 +538,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 			State:    rg.state,
 			CPUPct:   rg.points[last].cpu,
 			IPC:      rg.points[last].ipc(),
-			Coverage: coverage,
+			Coverage: core.ElideCoverage(rg.coverage),
 		}
 		if ncols > 0 {
 			lo := len(values)

@@ -10,7 +10,7 @@ import (
 // event deltas.
 const (
 	VarDeltaNS = "DELTA_NS" // nanoseconds since previous refresh
-	VarFreqHz  = "FREQ_HZ"  // nominal core clock of the machine
+	VarFreqHz  = "FREQ_HZ"  // nominal core clock: the simulated model's, 0 on the real backend (not probed)
 	VarCPUPct  = "CPU_PCT"  // OS-reported %CPU over the interval
 	VarNumCPU  = "NUM_CPUS" // logical CPUs on the machine
 	// VarSamplePct is the counter coverage of the refresh, percent: 100
@@ -49,6 +49,20 @@ type Column struct {
 	Format string // fmt verb for the value, e.g. "%5.2f"
 	Expr   *Expr  // value expression
 	Desc   string // one-line description for help output
+}
+
+// NewColumn builds a column from a definition that may leave the
+// display attributes unset — a custom <column>, a wire column — and is
+// the one place their defaults live: format "" means "%8.2f", width 0
+// the header's length but at least 6.
+func NewColumn(name, header, format string, width int) *Column {
+	if format == "" {
+		format = "%8.2f"
+	}
+	if width == 0 {
+		width = max(len(header), 6)
+	}
+	return &Column{Name: name, Header: header, Width: width, Format: format}
 }
 
 // Cell formats a value for display in this column.

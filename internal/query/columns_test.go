@@ -23,10 +23,11 @@ func colValue(name string) float64 { return float64(name[0]-'a') + 1 }
 
 // layoutStore writes one refresh per second, two tasks each, under
 // layouts[i] during phase i; a phase lasts until ends[i] (inclusive).
-// Segments are tiny so a scan crosses several files.
+// Segments are tiny so a scan crosses several files; downsampling is on,
+// as in every command, so steps of 10 and 60 read the folded tiers.
 func layoutStore(t *testing.T, layouts [][]string, ends []int) *store.Store {
 	t.Helper()
-	st, err := store.Open(t.TempDir(), store.Options{SegmentBytes: 512, NoDownsample: true})
+	st, err := store.Open(t.TempDir(), store.Options{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,29 +82,38 @@ func queryEveryWay(t *testing.T, st *store.Store, c *Compiled, step float64) *Re
 
 // TestScreenChangeFoldsByName is the regression test for positional
 // folding: under [a, b] then [b, a] with a ≡ 1 and b ≡ 2, `a` used to
-// answer 0 (projected) or 2 (full decode) before the change.
+// answer 0 (projected) or 2 (full decode) before the change. The second
+// case is the write side's: the 10s and 1m tier buckets open at the
+// change (t = 75, inside (70, 80] and (60, 120]) used to average both
+// layouts into one vector, so both columns read 1.5 there; the store
+// now flushes partial buckets under the names they were folded with.
 func TestScreenChangeFoldsByName(t *testing.T) {
-	st := layoutStore(t, [][]string{{"a", "b"}, {"b", "a"}}, []int{6, 12})
-	for _, name := range []string{"a", "b"} {
-		c := mustCompile(t, name, "a", "b")
-		// Step 4's bucket (4, 8] straddles the change after t = 6.
-		for _, step := range []float64{0, 4} {
-			res := queryEveryWay(t, st, c, step)
-			want := 12
-			if step > 0 {
-				want = 3
-			}
-			if len(res.Series) != 3 {
-				t.Fatalf("%s step %v: %d series, want total + 2 tasks", name, step, len(res.Series))
-			}
-			for _, s := range res.Series {
-				if len(s.Points) != want {
-					t.Fatalf("%s step %v: series %q has %d points, want %d", name, step, s.Key, len(s.Points), want)
+	for _, tc := range []struct {
+		ends   []int
+		points map[float64]int // step → points per series
+	}{
+		// Raw tier; step 4's bucket (4, 8] straddles the change after t = 6.
+		{[]int{6, 12}, map[float64]int{0: 12, 4: 3}},
+		// The tiers' completed buckets: 10s to t = 190, 1m to t = 180.
+		{[]int{75, 200}, map[float64]int{10: 19, 60: 3}},
+	} {
+		st := layoutStore(t, [][]string{{"a", "b"}, {"b", "a"}}, tc.ends)
+		for _, name := range []string{"a", "b"} {
+			c := mustCompile(t, name, "a", "b")
+			for step, want := range tc.points {
+				res := queryEveryWay(t, st, c, step)
+				if len(res.Series) != 3 {
+					t.Fatalf("%s step %v: %d series, want total + 2 tasks", name, step, len(res.Series))
 				}
-				for _, p := range s.Points {
-					if p.Value != colValue(name) {
-						t.Fatalf("%s step %v: series %q at %vs = %v, want %v",
-							name, step, s.Key, p.TimeSeconds, p.Value, colValue(name))
+				for _, s := range res.Series {
+					if len(s.Points) != want {
+						t.Fatalf("%s step %v: series %q has %d points, want %d", name, step, s.Key, len(s.Points), want)
+					}
+					for _, p := range s.Points {
+						if p.Value != colValue(name) {
+							t.Fatalf("%s step %v: series %q at %vs = %v, want %v",
+								name, step, s.Key, p.TimeSeconds, p.Value, colValue(name))
+						}
 					}
 				}
 			}

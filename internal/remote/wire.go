@@ -363,23 +363,7 @@ func (s *Sample) Time() time.Duration {
 func (s *Sample) Screen() *metrics.Screen {
 	sc := &metrics.Screen{Name: "remote"}
 	for _, c := range s.Columns {
-		width := c.Width
-		if width == 0 {
-			width = len(c.Header)
-			if width < 6 {
-				width = 6
-			}
-		}
-		format := c.Format
-		if format == "" {
-			format = "%8.2f"
-		}
-		sc.Columns = append(sc.Columns, &metrics.Column{
-			Name:   c.Name,
-			Header: c.Header,
-			Width:  width,
-			Format: format,
-		})
+		sc.Columns = append(sc.Columns, metrics.NewColumn(c.Name, c.Header, c.Format, c.Width))
 	}
 	return sc
 }
@@ -404,24 +388,14 @@ func (s *Sample) CoreSample() *core.Sample {
 				State:     r.State,
 				StartTime: time.Duration(r.StartSeconds * float64(time.Second)),
 			},
-			CPUPct: r.CPUPct,
-			Values: r.Values,
-			// Absent on the wire means exact counting.
-			Coverage: normCoverage(r.Coverage),
+			CPUPct:   r.CPUPct,
+			Values:   r.Values,
+			Coverage: core.ExactCoverage(r.Coverage),
 			Valid:    r.Monitored,
 		})
 	}
 	cs.SetEvents(func(i int) map[string]uint64 { return s.Rows[i].Events })
 	return cs
-}
-
-// normCoverage maps the wire encoding (0 or absent = exact) back to
-// the engine's coverage fraction.
-func normCoverage(c float64) float64 {
-	if c <= 0 || c > 1 {
-		return 1
-	}
-	return c
 }
 
 // ColumnNames returns the wire columns' machine-friendly names.

@@ -253,12 +253,20 @@ func (st *Store) usageLocked() int64 {
 
 // SetColumns records the screen's column names; they are embedded in
 // the first record of every segment so each segment is self-describing
-// after older ones are retired. Idempotent.
+// after older ones are retired. Idempotent. On a changed list every
+// tier's partial bucket is written out first, under the names it was
+// folded with: the accumulators sum Values positionally, and a bucket
+// must not average two layouts into one vector. (The bucket then
+// reopens, so two tier records may share an end stamp; readers fold
+// them by name.) A failed write is latched like an append's.
 func (st *Store) SetColumns(names []string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if slices.Equal(names, st.cols) {
 		return
+	}
+	for ti := 1; ti < len(st.tiers) && st.lastErr == nil; ti++ {
+		st.lastErr = st.writeBucket(ti, st.tiers[ti].acc.close())
 	}
 	st.cols = append(st.cols[:0:0], names...)
 	for _, t := range st.tiers {
@@ -485,16 +493,7 @@ func (st *Store) fold(ti int, now time.Duration, rows []RecordRow) error {
 	}
 	t := st.tiers[ti]
 	if b := t.acc.advance(now); b != nil {
-		sort.Slice(b.rows, func(i, j int) bool {
-			if b.rows[i].PID != b.rows[j].PID {
-				return b.rows[i].PID < b.rows[j].PID
-			}
-			return b.rows[i].TID < b.rows[j].TID
-		})
-		if err := st.writeRecord(t, b.end, b.rows); err != nil {
-			return err
-		}
-		if err := st.fold(ti+1, b.end, b.rows); err != nil {
+		if err := st.writeBucket(ti, b); err != nil {
 			return err
 		}
 	}
@@ -502,6 +501,25 @@ func (st *Store) fold(ti int, now time.Duration, rows []RecordRow) error {
 		t.acc.fold(&rows[i])
 	}
 	return nil
+}
+
+// writeBucket writes a bucket of tier ti's accumulator as a record of
+// that tier, rows sorted by PID then TID, and folds it into the next
+// coarser tier; an empty bucket writes nothing.
+func (st *Store) writeBucket(ti int, b *bucket) error {
+	if len(b.rows) == 0 {
+		return nil
+	}
+	sort.Slice(b.rows, func(i, j int) bool {
+		if b.rows[i].PID != b.rows[j].PID {
+			return b.rows[i].PID < b.rows[j].PID
+		}
+		return b.rows[i].TID < b.rows[j].TID
+	})
+	if err := st.writeRecord(st.tiers[ti], b.end, b.rows); err != nil {
+		return err
+	}
+	return st.fold(ti+1, b.end, b.rows)
 }
 
 // rotateLocked seals the tier's active segment and starts the next one.

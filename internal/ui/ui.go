@@ -1,19 +1,19 @@
-// Package ui renders the tiptop engine's samples: a batch renderer that
-// streams text (the `tiptop -b` mode, "convenient for further
-// processing, in the spirit of UNIX filters"), and a live renderer that
-// repaints an ANSI screen like the interactive mode of top.
+// Package ui formats the tiptop engine's samples as text: Header and
+// FormatRow are the only code that formats a heading or a task row, and
+// the batch renderer streams them as blocks (the `tiptop -b` mode,
+// "convenient for further processing, in the spirit of UNIX filters").
+// The interactive screen paints the same block's lines (cmd/tiptop), so
+// live, batch, local and -connect output cannot disagree.
 package ui
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
 	"tiptop/internal/core"
 	"tiptop/internal/metrics"
-	"tiptop/internal/term"
 )
 
 // Header produces the column header line for a screen, in the Figure 1
@@ -76,50 +76,4 @@ func (br *BatchRenderer) Render(screen *metrics.Screen, sample *core.Sample) err
 
 func formatDur(d time.Duration) string {
 	return d.Truncate(time.Millisecond).String()
-}
-
-// LiveRenderer paints samples onto a term.Screen with a status bar, the
-// interactive analogue of top.
-type LiveRenderer struct {
-	Screen  *term.Screen
-	Machine string // status-bar machine description
-}
-
-// Render paints one sample.
-func (lr *LiveRenderer) Render(screen *metrics.Screen, sample *core.Sample) error {
-	rows, _ := lr.Screen.Size()
-	lr.Screen.Clear()
-	status := fmt.Sprintf("tiptop - %s - %d tasks - screen %q - t=%s (q quits)",
-		lr.Machine, len(sample.Rows), screen.Name, formatDur(sample.Time))
-	lr.Screen.SetLine(0, term.Reverse(status))
-	lr.Screen.SetLine(1, term.Bold(Header(screen)))
-	for i := range sample.Rows {
-		line := 2 + i
-		if line >= rows {
-			break
-		}
-		lr.Screen.SetLine(line, FormatRow(screen, &sample.Rows[i]))
-	}
-	return lr.Screen.Flush()
-}
-
-// HelpText summarizes the interactive commands and screen columns.
-func HelpText(screens map[string]*metrics.Screen) string {
-	var b strings.Builder
-	b.WriteString("interactive commands:\n")
-	b.WriteString("  q  quit\n  s  cycle screens\n  p  toggle pid sort\n  h  this help\n\n")
-	b.WriteString("screens:\n")
-	names := make([]string, 0, len(screens))
-	for name := range screens {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "  %-8s", name)
-		for _, c := range screens[name].Columns {
-			fmt.Fprintf(&b, " %s", c.Header)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -8,7 +8,6 @@ import (
 	"tiptop/internal/core"
 	"tiptop/internal/hpm"
 	"tiptop/internal/metrics"
-	"tiptop/internal/term"
 )
 
 func sampleFixture() (*metrics.Screen, *core.Sample) {
@@ -97,47 +96,5 @@ func TestBatchRenderer(t *testing.T) {
 	br.Render(screen, sample)
 	if strings.Contains(sb.String(), "---") {
 		t.Fatal("timestamps must be optional")
-	}
-}
-
-func TestLiveRenderer(t *testing.T) {
-	screen, sample := sampleFixture()
-	var sb strings.Builder
-	ts, err := term.NewScreen(&sb, 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr := &LiveRenderer{Screen: ts, Machine: "test-machine"}
-	if err := lr.Render(screen, sample); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"tiptop", "test-machine", "process1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("live output missing %q", want)
-		}
-	}
-}
-
-func TestLiveRendererTruncatesRows(t *testing.T) {
-	screen, sample := sampleFixture()
-	// Screen with room for status+header only.
-	var sb strings.Builder
-	ts, _ := term.NewScreen(&sb, 2, 120)
-	lr := &LiveRenderer{Screen: ts}
-	if err := lr.Render(screen, sample); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "process1") {
-		t.Fatal("rows beyond screen height must be dropped")
-	}
-}
-
-func TestHelpText(t *testing.T) {
-	help := HelpText(metrics.BuiltinScreens())
-	for _, want := range []string{"q  quit", "default", "IPC", "fp"} {
-		if !strings.Contains(help, want) {
-			t.Errorf("help missing %q", want)
-		}
 	}
 }

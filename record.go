@@ -52,12 +52,7 @@ func (m *Monitor) Subscribe(r *Recorder) {
 	if r == nil {
 		return
 	}
-	cols := m.session.Screen().Columns
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	r.h.SetColumns(names)
+	r.h.SetColumns(m.Columns())
 	m.session.Subscribe(r.h)
 }
 

@@ -1,9 +1,12 @@
 package tiptop
 
 import (
+	"flag"
 	"strings"
 	"testing"
 	"time"
+
+	"tiptop/internal/config"
 )
 
 func recordedMonitor(t *testing.T) (*Monitor, *Recorder) {
@@ -167,13 +170,37 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewNamedScenarioNames: the one scenario table drives the names,
+// the builder, the machine lookup and the error text — and the -sim flag
+// help, which lives in internal/config, must name every entry too.
 func TestNewNamedScenarioNames(t *testing.T) {
-	for _, name := range ScenarioNames() {
-		if _, err := NewNamedScenario(name, 0.001); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if _, err := NewNamedScenario("wargames", 1); err == nil {
+	fs := flag.NewFlagSet("tiptop", flag.ContinueOnError)
+	config.BindFlags(fs)
+	simHelp := fs.Lookup("sim").Usage
+	_, err := NewNamedScenario("wargames", 1)
+	if err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+	if _, ok := ScenarioMachine("wargames"); ok {
+		t.Fatal("unknown scenario has a machine")
+	}
+	for _, name := range ScenarioNames() {
+		sc, err2 := NewNamedScenario(name, 0.001)
+		if err2 != nil {
+			t.Fatalf("%s: %v", name, err2)
+		}
+		machine, ok := ScenarioMachine(name)
+		if !ok {
+			t.Fatalf("%s: no machine", name)
+		}
+		if bare, _ := NewScenario(machine); bare.Machine().Name != sc.Machine().Name {
+			t.Errorf("%s runs on %q, ScenarioMachine says %q", name, sc.Machine().Name, bare.Machine().Name)
+		}
+		if !strings.Contains(simHelp, name) {
+			t.Errorf("-sim help %q does not name %q", simHelp, name)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-scenario error %q does not name %q", err, name)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"tiptop/internal/core"
 	"tiptop/internal/metrics"
 	"tiptop/internal/remote"
 )
@@ -75,30 +76,12 @@ func (m *Monitor) WireSample(s *Sample) *remote.Sample {
 			IPC:          r.IPC,
 			Monitored:    r.Monitored,
 			StartSeconds: r.Start.Seconds(),
-			Coverage:     wireCoverage(r.Coverage),
+			Coverage:     core.ElideCoverage(r.Coverage),
 			Values:       r.Columns,
 			Events:       r.Events,
 		})
 	}
 	return ws
-}
-
-// wireCoverage maps a row coverage to its wire form: exact counting
-// (>= 1, or the zero value of rows predating the field) is elided from
-// the JSON, so only multiplexed rows spend bytes on it.
-func wireCoverage(c float64) float64 {
-	if c >= 1 {
-		return 0
-	}
-	return c
-}
-
-// coverageFromWire is the inverse: absent means exact.
-func coverageFromWire(c float64) float64 {
-	if c <= 0 || c > 1 {
-		return 1
-	}
-	return c
 }
 
 // RemoteMonitor is a Monitor whose engine runs in a tiptopd somewhere
@@ -199,7 +182,7 @@ func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
 			CPUPct:    r.CPUPct,
 			IPC:       r.IPC,
 			Columns:   r.Values,
-			Coverage:  coverageFromWire(r.Coverage),
+			Coverage:  core.ExactCoverage(r.Coverage),
 			Monitored: r.Monitored,
 			Start:     time.Duration(r.StartSeconds * float64(time.Second)),
 			Events:    r.Events,

@@ -2,6 +2,7 @@ package tiptop
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"tiptop/internal/core"
@@ -359,104 +360,80 @@ func ScenarioManyTasks(n int) (*Scenario, error) {
 	return sc, nil
 }
 
-// ScenarioNames lists the ready-made scenarios NewNamedScenario builds.
-func ScenarioNames() []string {
-	return []string{"spec", "revolution", "conflict", "datacenter", "assist", "steady", "validate"}
-}
-
-// NewNamedScenario builds one of the ready-made scenarios by name — the
-// ones behind the tiptop/tiptopd -sim flag:
-//
-//   - "spec": the Nehalem workstation running a mix of SPEC-like jobs;
-//   - "revolution": the Figure 3 R evolutionary algorithm;
-//   - "conflict": the Figure 11 three-mcf co-run, pinned like taskset;
-//   - "datacenter": the Figure 1 bi-Xeon grid node with eleven
-//     synthetic jobs at the paper's observed IPCs;
-//   - "assist": the §3.1 FP-assist pathology — the Figure 4 x87
-//     micro-kernel on infinite vs finite operands plus a synthetic
-//     control job, for watching the architecture-specific FP_ASSIST
-//     event (also reachable as raw code 0x1EF7);
-//   - "steady": endless constant-rate synthetic jobs on the quad-core
-//     Cortex-A7, whose four PMU counters force counter rotation for
-//     any wide screen — the validation bed for internal/mux (steady
-//     rates make Enabled/Running extrapolation converge to the true
-//     counts, which TaskTotal exposes);
-//   - "validate": the §2.4 counter-validation oracle in interactive
-//     form — every ukernel.ValidationSuite micro-kernel running on the
-//     4-counter Cortex-A7, so the screen shows analytically known
-//     counts through the full mux path (the batch twin, asserted on
-//     all four machine models, is tipbench -validate).
-//
-// scale shrinks workload lengths (1.0 = the paper's, 0.01 is a good
-// interactive default; ignored by the endless datacenter jobs).
-func NewNamedScenario(name string, scale float64) (*Scenario, error) {
-	switch name {
-	case "spec":
-		sc, err := NewScenario(MachineXeonW3550)
-		if err != nil {
-			return nil, err
-		}
+// scenarios is the ordered table of ready-made scenarios, the ones
+// behind the tiptop/tiptopd -sim flag: ScenarioNames, ScenarioMachine,
+// NewNamedScenario and its error text all read it. build populates the
+// empty machine; scale shrinks workload lengths (1.0 = the paper's, 0.01
+// is a good interactive default; endless jobs ignore it).
+var scenarios = []struct {
+	name    string
+	machine MachineName
+	build   func(sc *Scenario, scale float64) error
+}{
+	// The Nehalem workstation running a mix of SPEC-like jobs.
+	{"spec", MachineXeonW3550, func(sc *Scenario, scale float64) error {
 		for _, w := range []string{"mcf", "astar", "gromacs", "hmmer-gcc"} {
 			if _, err := sc.StartWorkload("user", w, scale); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return sc, nil
-	case "revolution":
-		sc, err := NewScenario(MachineXeonW3550)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sc.StartWorkload("biologist", "r-evolution", scale); err != nil {
-			return nil, err
-		}
-		return sc, nil
-	case "conflict":
-		sc, err := NewScenario(MachineXeonW3550)
-		if err != nil {
-			return nil, err
-		}
-		// Three mcf copies pinned to distinct physical cores, the
-		// Figure 11 taskset setup.
+		return nil
+	}},
+	// The Figure 3 R evolutionary algorithm.
+	{"revolution", MachineXeonW3550, func(sc *Scenario, scale float64) error {
+		_, err := sc.StartWorkload("biologist", "r-evolution", scale)
+		return err
+	}},
+	// The Figure 11 co-run: three mcf copies pinned to distinct physical
+	// cores, the taskset setup.
+	{"conflict", MachineXeonW3550, func(sc *Scenario, scale float64) error {
 		for i := 0; i < 3; i++ {
 			if _, err := sc.StartWorkload("user", "mcf", scale, i); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return sc, nil
-	case "assist":
-		// §3.1 in miniature: the Nehalem workstation running the
-		// Figure 4 FP micro-kernel on non-finite operands (every x87
-		// add takes the micro-code assist path) next to its finite
-		// twin and a steady synthetic control job. The assists are an
-		// architecture-specific event: watch them through the fp
-		// screen, or through a custom screen referencing the raw code
-		// (<event name="..." raw="0x1EF7"/>).
-		sc, err := NewScenario(MachineXeonW3550)
-		if err != nil {
-			return nil, err
+		return nil
+	}},
+	// The Figure 1 bi-Xeon grid node with eleven synthetic jobs at the
+	// paper's observed IPCs.
+	{"datacenter", MachineE5640, func(sc *Scenario, _ float64) error {
+		ipcs := []float64{1.97, 1.32, 2.27, 2.36, 1.17, 0.66, 1.73, 1.44, 1.39, 1.39, 1.62}
+		users := []string{"user1", "user3", "user1", "user1", "user3", "user2",
+			"user1", "user1", "user1", "user1", "user1"}
+		for i, ipc := range ipcs {
+			name := fmt.Sprintf("process%d", i+1)
+			if _, err := sc.StartSynthetic(users[i], name, ipc); err != nil {
+				return err
+			}
 		}
+		return nil
+	}},
+	// §3.1 in miniature: the Nehalem workstation running the Figure 4 FP
+	// micro-kernel on non-finite operands (every x87 add takes the
+	// micro-code assist path) next to its finite twin and a steady
+	// synthetic control job. The assists are an architecture-specific
+	// event: watch them through the fp screen, or through a custom
+	// screen referencing the raw code (<event name="..." raw="0x1EF7"/>).
+	{"assist", MachineXeonW3550, func(sc *Scenario, scale float64) error {
 		iters := int64(500_000_000 * scale)
 		if iters < 100_000 {
 			iters = 100_000
 		}
 		for _, values := range []string{"inf", "finite"} {
 			if _, err := sc.StartFPMicro("fpdev", "x87", values, iters); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		if _, err := sc.StartSynthetic("ops", "control", 1.50); err != nil {
-			return nil, err
-		}
-		return sc, nil
-	case "steady":
-		sc, err := NewScenario(MachineCortexA7)
-		if err != nil {
-			return nil, err
-		}
-		// One steady job per core, each pinned so rates stay constant
-		// across the whole run: the ideal regime for validating
-		// rotation-extrapolated counts against TaskTotal ground truth.
+		_, err := sc.StartSynthetic("ops", "control", 1.50)
+		return err
+	}},
+	// Endless constant-rate synthetic jobs on the quad-core Cortex-A7,
+	// whose four PMU counters force counter rotation for any wide
+	// screen — the validation bed for internal/mux. One job per core,
+	// each pinned so rates stay constant across the whole run: the ideal
+	// regime for validating rotation-extrapolated counts against
+	// TaskTotal ground truth.
+	{"steady", MachineCortexA7, func(sc *Scenario, _ float64) error {
 		jobs := []SyntheticJob{
 			{Name: "steady-cpu", IPC: 1.60},
 			{Name: "steady-mix", IPC: 1.10, MemRefsPKI: 120},
@@ -465,22 +442,23 @@ func NewNamedScenario(name string, scale float64) (*Scenario, error) {
 		}
 		for i, job := range jobs {
 			if _, err := sc.StartSyntheticJob("bench", job, i); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return sc, nil
-	case "validate":
-		// The validation suite's micro-kernels as live processes. At
-		// their analytic lengths the kernels halt within a fraction of
-		// a millisecond of simulated time, so the loop bound (in r1 by
-		// suite convention) is stretched with scale to give refreshes
-		// something to observe — the loop bodies, and therefore the
-		// per-iteration event rates the oracle derives, are unchanged.
-		// Use a small delay (-d 0.001) to catch them alive.
-		sc, err := NewScenario(MachineCortexA7)
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}},
+	// The §2.4 counter-validation oracle in interactive form: every
+	// ukernel.ValidationSuite micro-kernel as a live process on the
+	// 4-counter Cortex-A7, so the screen shows analytically known counts
+	// through the full mux path (the batch twin, asserted on all four
+	// machine models, is tipbench -validate). At their analytic lengths
+	// the kernels halt within a fraction of a millisecond of simulated
+	// time, so the loop bound (in r1 by suite convention) is stretched
+	// with scale to give refreshes something to observe — the loop
+	// bodies, and therefore the per-iteration event rates the oracle
+	// derives, are unchanged. Use a small delay (-d 0.001) to catch them
+	// alive.
+	{"validate", MachineCortexA7, func(sc *Scenario, scale float64) error {
 		factor := int64(2000 * scale)
 		if factor < 1 {
 			factor = 1
@@ -491,28 +469,54 @@ func NewNamedScenario(name string, scale float64) (*Scenario, error) {
 			}
 			runner, err := ukernel.NewRunner(vk.Name, vk.Program, vk.Inputs, sc.kernel.Machine())
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sc.kernel.Spawn("oracle", vk.Name, runner, nil)
 		}
-		return sc, nil
-	case "datacenter":
-		sc, err := NewScenario(MachineE5640)
+		return nil
+	}},
+}
+
+// ScenarioNames lists the ready-made scenarios NewNamedScenario builds.
+func ScenarioNames() []string {
+	names := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		names[i] = s.name
+	}
+	return names
+}
+
+// ScenarioMachine names the machine preset a ready-made scenario runs
+// on; ok is false for a name NewNamedScenario would reject.
+func ScenarioMachine(name string) (machine MachineName, ok bool) {
+	for _, s := range scenarios {
+		if s.name == name {
+			return s.machine, true
+		}
+	}
+	return "", false
+}
+
+// NewNamedScenario builds one of the ready-made scenarios (ScenarioNames)
+// on its machine. scale shrinks workload lengths: 1.0 is the paper's,
+// 0.01 a good interactive default.
+func NewNamedScenario(name string, scale float64) (*Scenario, error) {
+	for _, s := range scenarios {
+		if s.name != name {
+			continue
+		}
+		sc, err := NewScenario(s.machine)
 		if err != nil {
 			return nil, err
 		}
-		ipcs := []float64{1.97, 1.32, 2.27, 2.36, 1.17, 0.66, 1.73, 1.44, 1.39, 1.39, 1.62}
-		users := []string{"user1", "user3", "user1", "user1", "user3", "user2",
-			"user1", "user1", "user1", "user1", "user1"}
-		for i, ipc := range ipcs {
-			name := fmt.Sprintf("process%d", i+1)
-			if _, err := sc.StartSynthetic(users[i], name, ipc); err != nil {
-				return nil, err
-			}
+		if err := s.build(sc, scale); err != nil {
+			return nil, err
 		}
 		return sc, nil
 	}
-	return nil, fmt.Errorf("tiptop: unknown scenario %q (want spec, revolution, conflict, datacenter, assist, steady or validate)", name)
+	names := ScenarioNames()
+	return nil, fmt.Errorf("tiptop: unknown scenario %q (want %s or %s)",
+		name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 }
 
 // ScenarioSPEC builds a ready-made scenario: the Nehalem workstation

@@ -12,7 +12,6 @@ import (
 
 	"tiptop/internal/core"
 	"tiptop/internal/history"
-	"tiptop/internal/hpm"
 	"tiptop/internal/query"
 	"tiptop/internal/store"
 )
@@ -146,23 +145,7 @@ func NamedExprHandler(named map[string]string, h http.Handler) http.Handler {
 // uses when its target is a store directory rather than a CSV/JSONL
 // file.
 func (st *Store) RecordSample(s *Sample) error {
-	cs := &core.Sample{Time: s.Time, Dropped: s.Dropped}
-	cs.Rows = make([]core.Row, 0, len(s.Rows))
-	for i := range s.Rows {
-		r := &s.Rows[i]
-		cs.Rows = append(cs.Rows, core.Row{
-			Info: core.TaskInfo{
-				ID:        hpm.TaskID{PID: r.PID, TID: r.TID},
-				User:      r.User,
-				Comm:      r.Command,
-				State:     r.State,
-				StartTime: r.Start,
-			},
-			CPUPct: r.CPUPct,
-			Values: r.Columns,
-			Valid:  r.Monitored,
-		})
-	}
+	cs := s.coreView()
 	cs.SetEvents(func(i int) map[string]uint64 { return s.Rows[i].Events })
 	return st.s.AppendSample(cs)
 }

@@ -33,6 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -420,30 +422,16 @@ func buildScreen(sd ScreenDef) (*metrics.Screen, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tiptop: screen %q column %q: %w", sd.Name, cd.Name, err)
 		}
-		format := cd.Format
-		if format == "" {
-			format = "%8.2f"
-		}
-		width := cd.Width
-		if width == 0 {
-			width = len(cd.Header)
-			if width < 6 {
-				width = 6
-			}
-		}
-		s.Columns = append(s.Columns, &metrics.Column{
-			Name:   cd.Name,
-			Header: cd.Header,
-			Width:  width,
-			Format: format,
-			Expr:   expr,
-			Desc:   cd.Desc,
-		})
+		col := metrics.NewColumn(cd.Name, cd.Header, cd.Format, cd.Width)
+		col.Expr, col.Desc = expr, cd.Desc
+		s.Columns = append(s.Columns, col)
 	}
 	return s, nil
 }
 
-func coreOptions(cfg Config, screen *metrics.Screen, registry *hpm.Registry) core.Options {
+// coreOptions builds the engine options; freqHz and numCPUs are what
+// expressions read as FREQ_HZ and NUM_CPUS.
+func coreOptions(cfg Config, screen *metrics.Screen, registry *hpm.Registry, freqHz float64, numCPUs int) core.Options {
 	return core.Options{
 		Screen:      screen,
 		Interval:    cfg.Interval,
@@ -452,12 +440,15 @@ func coreOptions(cfg Config, screen *metrics.Screen, registry *hpm.Registry) cor
 		FilterUser:  cfg.User,
 		Parallelism: cfg.Parallelism,
 		Registry:    registry,
+		FreqHz:      freqHz,
+		NumCPUs:     numCPUs,
 	}
 }
 
 // NewRealMonitor monitors the real machine through perf_event and /proc.
 // It returns ErrNoBackend (wrapped) when the kernel does not permit
-// perf_event_open here.
+// perf_event_open here. Expressions read NUM_CPUS as runtime.NumCPU()
+// and FREQ_HZ as 0: the nominal clock is not probed.
 func NewRealMonitor(cfg Config) (*Monitor, error) {
 	screen, registry, err := cfg.resolve()
 	if err != nil {
@@ -471,7 +462,7 @@ func NewRealMonitor(cfg Config) (*Monitor, error) {
 	src := procfs.NewSource("")
 	src.PerThread = cfg.PerThread
 	src.SystemWide = cfg.SystemWide
-	session, err := core.NewSession(mux.Wrap(backend), src, core.NewRealClock(), coreOptions(cfg, screen, registry))
+	session, err := core.NewSession(mux.Wrap(backend), src, core.NewRealClock(), coreOptions(cfg, screen, registry, 0, runtime.NumCPU()))
 	if err != nil {
 		return nil, err
 	}
@@ -492,11 +483,34 @@ func NewSimMonitor(sc *Scenario, cfg Config) (*Monitor, error) {
 	src := sc.source()
 	src.PerThread = cfg.PerThread
 	src.SystemWide = cfg.SystemWide
-	session, err := core.NewSession(mux.Wrap(sc.backend()), src, sc.clock(), coreOptions(cfg, screen, registry))
+	m := sc.Machine()
+	session, err := core.NewSession(mux.Wrap(sc.backend()), src, sc.clock(), coreOptions(cfg, screen, registry, m.FreqHz, m.NumLogical()))
 	if err != nil {
 		return nil, err
 	}
-	return newMonitor(session, sc.Machine().Name), nil
+	return newMonitor(session, m.Name), nil
+}
+
+// OpenMonitor selects the backend the way both commands do: the named
+// ready-made scenario, or — with sim empty — the real machine, falling
+// back to the fallback scenario (announced on stderr) where perf_event
+// is unavailable, the common case inside containers. simulated reports
+// a scenario backend: its Sample advances virtual time instantly, so a
+// daemon paces it, where the real backend sleeps inside Sample.
+func OpenMonitor(sim, fallback string, scale float64, cfg Config) (mon *Monitor, simulated bool, err error) {
+	if sim == "" {
+		if mon, err = NewRealMonitor(cfg); err == nil {
+			return mon, false, nil
+		}
+		fmt.Fprintf(os.Stderr, "%v; falling back to -sim %s\n", err, fallback)
+		sim = fallback
+	}
+	sc, err := NewNamedScenario(sim, scale)
+	if err != nil {
+		return nil, false, err
+	}
+	mon, err = NewSimMonitor(sc, cfg)
+	return mon, true, err
 }
 
 // resolve builds the screen and event registry of a configuration,
@@ -597,24 +611,33 @@ func (m *Monitor) Render(w io.Writer, s *Sample) error {
 // given screen — shared by the local and remote monitors so the same
 // refresh renders byte-identically on both sides of the wire.
 func renderSample(screen *metrics.Screen, w io.Writer, s *Sample) error {
-	// Rebuild a core sample view for the renderer.
-	cs := &core.Sample{Time: s.Time, Rows: make([]core.Row, len(s.Rows))}
+	br := &ui.BatchRenderer{W: w, Timestamps: true}
+	return br.Render(screen, s.coreView())
+}
+
+// coreView is the one public → engine row translation, behind both the
+// renderer and Store.RecordSample. Values alias the sample's Columns;
+// the name-keyed Events are not resolved here (core.Sample.SetEvents
+// does that for the one caller that stores them).
+func (s *Sample) coreView() *core.Sample {
+	cs := &core.Sample{Time: s.Time, Dropped: s.Dropped, Rows: make([]core.Row, len(s.Rows))}
 	for i := range s.Rows {
 		row := &s.Rows[i]
 		cs.Rows[i] = core.Row{
 			Info: core.TaskInfo{
-				ID:    hpm.TaskID{PID: row.PID, TID: row.TID},
-				User:  row.User,
-				Comm:  row.Command,
-				State: row.State,
+				ID:        hpm.TaskID{PID: row.PID, TID: row.TID},
+				User:      row.User,
+				Comm:      row.Command,
+				State:     row.State,
+				StartTime: row.Start,
 			},
-			CPUPct: row.CPUPct,
-			Values: row.Columns,
-			Valid:  row.Monitored,
+			CPUPct:   row.CPUPct,
+			Values:   row.Columns,
+			Coverage: row.Coverage,
+			Valid:    row.Monitored,
 		}
 	}
-	br := &ui.BatchRenderer{W: w, Timestamps: true}
-	return br.Render(screen, cs)
+	return cs
 }
 
 // Close releases the monitor's counters.

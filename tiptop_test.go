@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tiptop/internal/metrics"
+	"tiptop/internal/remote"
 )
 
 func TestScenarioCreation(t *testing.T) {
@@ -592,5 +595,69 @@ func TestValidateMatchesConstructors(t *testing.T) {
 	shadow := Config{Events: []EventDef{{Name: "DELTA_NS", Spec: "RAW:0x1"}}}
 	if err := shadow.Validate(); err == nil || !strings.Contains(err.Error(), "context variable") {
 		t.Fatalf("context-variable shadowing error = %v", err)
+	}
+}
+
+// TestMachineContextVars: FREQ_HZ and NUM_CPUS read the scenario's
+// machine model (they were 0 in every Monitor: the facade never passed
+// them to the engine).
+func TestMachineContextVars(t *testing.T) {
+	cfg := Config{Interval: time.Second, Screen: "hw", Screens: []ScreenDef{{Name: "hw", Columns: []ColumnDef{
+		{Name: "ghz", Header: "GHz", Expr: "FREQ_HZ/1e9"},
+		{Name: "ncpu", Header: "NCPU", Expr: "NUM_CPUS"},
+		// A screen must count something; this is the custom column the
+		// zeros silently broke: cycles per nominal cycle of the interval.
+		{Name: "util", Header: "UTIL", Expr: "CYCLES/(FREQ_HZ*DELTA_NS/1e9)"},
+	}}}}
+	for _, name := range []MachineName{MachineE5640, MachineCortexA7} {
+		sc, err := NewScenario(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.StartSynthetic("u", "job", 1.0); err != nil {
+			t.Fatal(err)
+		}
+		mon, err := NewSimMonitor(sc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mon.Close()
+		mon.SampleNow()
+		s, err := mon.Sample()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sc.Machine()
+		if got := s.Rows[0].Columns; m.FreqHz == 0 || got[0] != m.FreqHz/1e9 || got[1] != float64(m.NumLogical()) || got[2] <= 0 {
+			t.Errorf("%s: FREQ_HZ/1e9, NUM_CPUS, utilization = %v, want %v, %d, > 0", name, got, m.FreqHz/1e9, m.NumLogical())
+		}
+	}
+}
+
+// TestColumnDisplayDefaults pins the one width/format default through
+// both of its callers: a custom screen definition and a wire column.
+func TestColumnDisplayDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		header, format string
+		width          int
+		wantFormat     string
+		wantWidth      int
+	}{
+		{"IPC", "", 0, "%8.2f", 6},
+		{"LONGHEADER", "", 0, "%8.2f", 10},
+		{"IPC", "%5.1f", 4, "%5.1f", 4},
+	} {
+		local, err := buildScreen(ScreenDef{Name: "s", Columns: []ColumnDef{
+			{Name: "c", Header: tc.header, Format: tc.format, Width: tc.width, Expr: "CYCLES"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := (&remote.Sample{Columns: []remote.Column{
+			{Name: "c", Header: tc.header, Format: tc.format, Width: tc.width}}}).Screen()
+		for side, sc := range map[string]*metrics.Screen{"buildScreen": local, "remote.Sample.Screen": wire} {
+			if c := sc.Columns[0]; c.Format != tc.wantFormat || c.Width != tc.wantWidth {
+				t.Errorf("%s %+v: format %q width %d, want %q %d", side, tc, c.Format, c.Width, tc.wantFormat, tc.wantWidth)
+			}
+		}
 	}
 }
