@@ -43,12 +43,14 @@ docs:
 # value through the totality rule, lets the engine's slot-bound column
 # evaluation drift from Expr.Eval, makes the store's frame reader or
 # either wire decoder (binary, JSON + SSE) panic/over-read on corrupt
-# bytes or accept a newer version, or lets the hand-written JSON wire
-# encoder drift from encoding/json is caught before it lands.
+# bytes or accept a newer version, or lets a hand-written JSON encoder
+# (the wire sample's, the query responses') drift from encoding/json is
+# caught before it lands.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundEvalMatchesEnv$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 15s ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryJSONIdentity$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/remote/

@@ -9,6 +9,11 @@ package query
 // segment scan, and several sources' partial engines merge, without
 // materialising intermediate series.
 //
+// A series' buckets are a time-ordered slice, their rows carved from
+// slabs, and a record's row i usually belongs to the series the previous
+// record's row i did: in a time-ordered scan of a stable task set a fold
+// touches no map and allocates nothing.
+//
 // A row's layout is INSTRUCTIONS, CYCLES, CACHE_MISSES, DELTA_NS,
 // CPU_PCT, then the screen columns the expression references. Within a
 // bucket the counters carry the bucket *sum* — so delta() is the bucket
@@ -23,6 +28,7 @@ package query
 // (0, unknown, for the first one in range).
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strconv"
@@ -95,19 +101,41 @@ type seriesKey struct {
 	total    bool
 }
 
-// bucketAcc is one series' bucket: a slot row of sums, and the point
-// rows behind it when the expression folds over them.
-type bucketAcc struct {
-	n      int       // rows folded
-	sum    []float64 // slot layout; DELTA_NS holds the latest row's interval
-	seen   []float64 // per column slot, how many rows carried the column
+// bucket is one series' bucket ending at t: a slot row of sums, and the
+// point rows behind it when the expression folds over them.
+type bucket struct {
+	t float64
+	n int // rows folded
+	// vals is the slot row of sums (DELTA_NS holds the latest row's
+	// interval), then per column slot how many rows carried the column.
+	vals   []float64
 	points [][]float64
 }
 
+// seriesAcc is one series' buckets in time order.
 type seriesAcc struct {
 	key        seriesKey
 	user, comm string
-	buckets    map[float64]*bucketAcc
+	buckets    []bucket
+}
+
+// slab carves small slices out of chunk allocations that double up to
+// slabMax elements, so a fold allocates per chunk, not per bucket.
+type slab[T any] struct {
+	free []T
+	next int
+}
+
+const slabMin, slabMax = 256, 1 << 15
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.next = min(max(2*s.next, slabMin), slabMax)
+		s.free = make([]T, max(n, s.next))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // Engine accumulates one source's records and evaluates the expression
@@ -120,8 +148,12 @@ type Engine struct {
 	cols   []string // the record columns remap was built for
 	remap  []int    // record value position → slot, -1 when unreferenced
 	series map[seriesKey]*seriesAcc
-	last   float64 // the previous record's time, -1 before the first
-	res    float64 // serving resolution, set by the source
+	total  *seriesAcc   // series[seriesKey{total: true}], nil before the first row
+	pos    []*seriesAcc // the series the previous record's row i folded into
+	rows   slab[float64]
+	heads  slab[[]float64] // backing of buckets' points lists
+	last   float64         // the previous record's time, -1 before the first
+	res    float64         // serving resolution, set by the source
 }
 
 // NewEngine builds an engine for one source of one compiled query.
@@ -172,14 +204,33 @@ func (e *Engine) Push(rec *store.Record, cols []string) {
 		dtNS = (rec.TimeSeconds - e.last) * 1e9
 	}
 	e.last = rec.TimeSeconds
+	if len(rec.Rows) == 0 {
+		return
+	}
 	bt := rec.TimeSeconds
 	if e.step > 0 {
 		bt = store.BucketEnd(time.Duration(bt*float64(time.Second)), e.step).Seconds()
 	}
+	if e.total == nil {
+		e.total = e.lookup(seriesKey{total: true})
+	}
+	// Every row of the record lands in the same bucket of the total.
+	tb := e.bucketAt(e.total, bt)
+	for len(e.pos) < len(rec.Rows) {
+		e.pos = append(e.pos, e.total) // matches no row's key
+	}
 	for i := range rec.Rows {
 		r := &rec.Rows[i]
-		e.fold(e.rowKey(r), r, bt, dtNS)
-		e.fold(seriesKey{total: true}, r, bt, dtNS)
+		// A stable task set keeps every task at its row position: the
+		// series the previous record's row i went to is checked before
+		// the keyed lookup hashes the row's strings.
+		acc, key := e.pos[i], e.rowKey(r)
+		if acc.key != key {
+			acc = e.lookup(key)
+			e.pos[i] = acc
+		}
+		acc.user, acc.comm = r.User, r.Command
+		e.fold(e.bucketAt(acc, bt), tb, r, dtNS)
 	}
 }
 
@@ -196,40 +247,76 @@ func (e *Engine) rowKey(r *store.RecordRow) seriesKey {
 	return seriesKey{agent: e.agent, pid: r.PID, tid: r.TID}
 }
 
-func (e *Engine) fold(key seriesKey, r *store.RecordRow, bt, dtNS float64) {
+// lookup returns key's series, creating it on first sight.
+func (e *Engine) lookup(key seriesKey) *seriesAcc {
 	acc := e.series[key]
 	if acc == nil {
-		acc = &seriesAcc{key: key, buckets: make(map[float64]*bucketAcc)}
+		acc = &seriesAcc{key: key}
 		e.series[key] = acc
 	}
-	acc.user, acc.comm = r.User, r.Command
-	b := acc.buckets[bt]
-	if b == nil {
-		n := len(e.c.slots)
-		vals := make([]float64, 2*n-slotCols)
-		b = &bucketAcc{sum: vals[:n], seen: vals[n:]}
-		acc.buckets[bt] = b
+	return acc
+}
+
+// bucketAt returns acc's bucket ending at bt. Scans and rings deliver
+// records in time order, so it is the newest bucket or a new one after
+// it; anything else is searched for and inserted in place — order buys
+// speed, never correctness. The pointer is good until acc's next
+// bucketAt.
+func (e *Engine) bucketAt(acc *seriesAcc, bt float64) *bucket {
+	i := len(acc.buckets)
+	if i > 0 && acc.buckets[i-1].t >= bt {
+		if acc.buckets[i-1].t == bt {
+			return &acc.buckets[i-1]
+		}
+		var found bool
+		i, found = slices.BinarySearchFunc(acc.buckets, bt, func(b bucket, t float64) int { return cmp.Compare(b.t, t) })
+		if found {
+			return &acc.buckets[i]
+		}
 	}
-	b.n++
-	b.sum[slotInstr] += float64(r.Instr)
-	b.sum[slotCycles] += float64(r.Cycles)
-	b.sum[slotMisses] += float64(r.Misses)
-	b.sum[slotDeltaNS] = dtNS
-	b.sum[slotCPU] += r.CPUPct
+	acc.buckets = slices.Insert(acc.buckets, i, bucket{t: bt, vals: e.rows.take(2*len(e.c.slots) - slotCols)})
+	return &acc.buckets[i]
+}
+
+// addPoint appends a point row to b's list, regrowing it out of the
+// header slab.
+func (e *Engine) addPoint(b *bucket, point []float64) {
+	if len(b.points) == cap(b.points) {
+		grown := e.heads.take(max(4, 2*cap(b.points)))
+		b.points = grown[:copy(grown, b.points)]
+	}
+	b.points = append(b.points, point)
+}
+
+// fold adds one row to its series' bucket b and the total's tb. Both
+// share the row's point: it is only read once filled.
+func (e *Engine) fold(b, tb *bucket, r *store.RecordRow, dtNS float64) {
 	var point []float64
 	if e.c.Pointwise {
-		point = make([]float64, len(b.sum))
+		point = e.rows.take(len(e.c.slots))
 		point[slotInstr], point[slotCycles], point[slotMisses] = float64(r.Instr), float64(r.Cycles), float64(r.Misses)
 		point[slotDeltaNS], point[slotCPU] = dtNS, r.CPUPct
-		b.points = append(b.points, point)
+		e.addPoint(b, point)
+		e.addPoint(tb, point)
 	}
+	for _, b := range [...]*bucket{b, tb} {
+		b.n++
+		b.vals[slotInstr] += float64(r.Instr)
+		b.vals[slotCycles] += float64(r.Cycles)
+		b.vals[slotMisses] += float64(r.Misses)
+		b.vals[slotDeltaNS] = dtNS
+		b.vals[slotCPU] += r.CPUPct
+	}
+	seen := len(e.c.slots) - slotCols // slot's count sits at seen+slot
 	for i, v := range r.Values[:min(len(r.Values), len(e.remap))] {
 		slot := e.remap[i]
 		if slot < 0 {
 			continue
 		}
-		b.sum[slot] += v
-		b.seen[slot-slotCols]++
+		b.vals[slot] += v
+		b.vals[seen+slot]++
+		tb.vals[slot] += v
+		tb.vals[seen+slot]++
 		if point != nil {
 			point[slot] = v
 		}
@@ -251,22 +338,27 @@ func (e *Engine) Merge(o *Engine) {
 			continue
 		}
 		acc.user, acc.comm = oacc.user, oacc.comm
-		for bt, ob := range oacc.buckets {
-			b := acc.buckets[bt]
-			if b == nil {
-				acc.buckets[bt] = ob
-				continue
+		// Two time-ordered lists: walk them together.
+		merged := make([]bucket, 0, len(acc.buckets)+len(oacc.buckets))
+		a, ob := acc.buckets, oacc.buckets
+		for len(a) > 0 && len(ob) > 0 {
+			switch {
+			case a[0].t < ob[0].t:
+				merged, a = append(merged, a[0]), a[1:]
+			case a[0].t > ob[0].t:
+				merged, ob = append(merged, ob[0]), ob[1:]
+			default:
+				b := a[0]
+				b.n += ob[0].n
+				for i, v := range ob[0].vals {
+					b.vals[i] += v
+				}
+				b.vals[slotDeltaNS] = ob[0].vals[slotDeltaNS]
+				b.points = append(b.points, ob[0].points...)
+				merged, a, ob = append(merged, b), a[1:], ob[1:]
 			}
-			b.n += ob.n
-			for i, v := range ob.sum {
-				b.sum[i] += v
-			}
-			b.sum[slotDeltaNS] = ob.sum[slotDeltaNS]
-			for i, n := range ob.seen {
-				b.seen[i] += n
-			}
-			b.points = append(b.points, ob.points...)
 		}
+		acc.buckets = append(append(merged, a...), ob...)
 	}
 }
 
@@ -284,16 +376,18 @@ func (e *Engine) Finish() *Result {
 	stepNS := e.opt.StepSeconds * 1e9
 	row := make([]float64, len(e.c.slots))
 	stack := make([]float64, e.c.bound.Depth())
+	npoints := 0
 	for _, acc := range e.series {
-		times := make([]float64, 0, len(acc.buckets))
-		for bt := range acc.buckets {
-			times = append(times, bt)
-		}
-		sort.Float64s(times)
+		npoints += len(acc.buckets)
+	}
+	points := make([]Point, 0, npoints) // every series' points, back to back
+	if len(e.series) > 0 {
+		out.Series = make([]Series, 0, len(e.series))
+	}
+	for _, acc := range e.series {
 		s := Series{
 			PID: acc.key.pid, TID: acc.key.tid,
 			Agent: acc.key.agent, Total: acc.key.total,
-			Points: make([]Point, 0, len(times)),
 		}
 		switch {
 		case acc.key.total:
@@ -305,22 +399,24 @@ func (e *Engine) Finish() *Result {
 			s.User, s.Command = acc.user, acc.comm
 		}
 		sum := 0.0
-		for _, bt := range times {
-			b := acc.buckets[bt]
-			copy(row, b.sum)
+		first := len(points)
+		for i := range acc.buckets {
+			b := &acc.buckets[i]
+			copy(row, b.vals)
 			if stepNS > 0 {
 				row[slotDeltaNS] = stepNS
 			}
 			row[slotCPU] /= float64(b.n)
-			for i, n := range b.seen {
+			for i, n := range b.vals[len(row):] {
 				if n > 0 {
 					row[slotCols+i] /= n
 				}
 			}
 			v := e.c.bound.EvalBucket(row, b.points, stack)
-			s.Points = append(s.Points, Point{TimeSeconds: bt, Value: v})
+			points = append(points, Point{TimeSeconds: b.t, Value: v})
 			sum += v
 		}
+		s.Points = points[first:len(points):len(points)]
 		if len(s.Points) > 0 {
 			s.Mean = sum / float64(len(s.Points))
 		}
@@ -348,21 +444,15 @@ func taskKey(k seriesKey) string {
 // sortSeries orders output deterministically: the total roll-up first,
 // then groups by key, then tasks by agent/pid/tid.
 func sortSeries(ss []Series) {
-	sort.Slice(ss, func(i, j int) bool {
-		a, b := &ss[i], &ss[j]
+	slices.SortFunc(ss, func(a, b Series) int {
 		if a.Total != b.Total {
-			return a.Total
+			if a.Total {
+				return -1
+			}
+			return 1
 		}
-		if a.Agent != b.Agent {
-			return a.Agent < b.Agent
-		}
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		return a.Key < b.Key
+		return cmp.Or(cmp.Compare(a.Agent, b.Agent), cmp.Compare(a.PID, b.PID),
+			cmp.Compare(a.TID, b.TID), cmp.Compare(a.Key, b.Key))
 	})
 }
 

@@ -2,9 +2,11 @@ package query
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -150,5 +152,62 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 				t.Fatalf("format=json with openmetrics Accept: Content-Type %q", ct)
 			}
 		})
+	}
+}
+
+// TestUnencodableResultIs500: a result carrying a value JSON cannot
+// express — a mean that overflowed, say — is a 500 envelope whose hint
+// names the series, never the empty 200 a failed json.Encoder left
+// behind; the exposition format, which can carry it, still answers.
+func TestUnencodableResultIs500(t *testing.T) {
+	huge := "/api/v1/query?expr=" + url.QueryEscape("1e308 + CYCLES * 0")
+	solo := Handler(one(seedStore(t, 2, 10)), nil)
+	respond := func(res response) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { (&params{}).respond(w, res) })
+	}
+	tests := []struct {
+		name     string
+		h        http.Handler
+		target   string
+		wantHint string
+	}{
+		{"mean overflows over the range", solo, huge, `series "total" (mean +Inf)`},
+		{"NaN point", respond(&Result{Series: []Series{{Key: "ok"}, {Key: "pid:7", Points: []Point{{Value: math.NaN()}}}}}),
+			"/", `series "pid:7"`},
+		{"infinite resolution", respond(&Result{ResolutionSeconds: math.Inf(1)}), "/", "resolution or step"},
+		{"raw series", respond(&rawResult{Series: []store.Series{{PID: 1}, {PID: 7, TID: 8, Command: "job",
+			Points: []store.Point{{Values: []float64{0, math.Inf(-1)}}}}}}), "/", "series pid:7 tid:8 (job)"},
+		{"raw machine roll-up", respond(&rawResult{Machine: []store.Point{{IPC: math.NaN()}}}), "/", "machine roll-up"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			w := httptest.NewRecorder()
+			tc.h.ServeHTTP(w, httptest.NewRequest("GET", tc.target, nil))
+			var e remote.APIError
+			if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusInternalServerError || err != nil {
+				t.Fatalf("status %d (%v), want a 500 envelope; body %q", w.Code, err, w.Body)
+			}
+			if !strings.Contains(e.Message, "not encodable as JSON") || !strings.Contains(e.Hint, tc.wantHint) ||
+				!strings.Contains(e.Hint, "format=openmetrics") {
+				t.Errorf("envelope %+v, want a hint naming %q and the format that can carry it", e, tc.wantHint)
+			}
+		})
+	}
+	code, body := get(t, solo, huge+"&format=openmetrics")
+	if code != http.StatusOK || !strings.Contains(body, "} 1e+308 ") || !strings.HasSuffix(body, "# EOF\n") {
+		t.Fatalf("format=openmetrics of the same query: status %d, body %q", code, body)
+	}
+}
+
+// TestResponsesCarryContentLength: both formats of both query kinds are
+// written as one buffer, so the client sees its length up front.
+func TestResponsesCarryContentLength(t *testing.T) {
+	h := Handler(one(seedStore(t, 2, 10)), nil)
+	for _, target := range []string{"/api/v1/query", "/api/v1/query?expr=CYCLES", "/api/v1/query?format=om", "/api/v1/query?expr=CYCLES&format=om"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+		if got := w.Header().Get("Content-Length"); w.Code != http.StatusOK || got != strconv.Itoa(w.Body.Len()) || w.Body.Len() == 0 {
+			t.Errorf("%s: status %d, Content-Length %q for a %d-byte body", target, w.Code, got, w.Body.Len())
+		}
 	}
 }

@@ -11,7 +11,6 @@ package query
 // ones.
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 
-	"tiptop/internal/export"
 	"tiptop/internal/history"
 	"tiptop/internal/metrics"
 	"tiptop/internal/remote"
@@ -167,7 +165,7 @@ func serveRaw(w http.ResponseWriter, st *store.Store, p *params) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	p.respond(w, res, func(w io.Writer) error { return writeRawOpenMetrics(w, res) })
+	p.respond(w, (*rawResult)(res))
 }
 
 // serveExpr compiles and runs one expression query over srcs.
@@ -186,7 +184,7 @@ func serveExpr(w http.ResponseWriter, p *params, srcs map[string]Source) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	p.respond(w, res, func(w io.Writer) error { return WriteOpenMetrics(w, res) })
+	p.respond(w, res)
 }
 
 // params are one request's parsed parameters — raw and expression
@@ -199,20 +197,24 @@ type params struct {
 	live        bool // source=live: the recorder, even beside a store
 }
 
-// respond writes a result in the negotiated format: indented JSON, or
-// the exposition om renders — OpenMetrics 1.0, not the 0.0.4 text
-// format: range exports carry float-seconds timestamps and the # EOF
-// marker, which 0.0.4 parsers would misread.
-func (p *params) respond(w http.ResponseWriter, res any, om func(io.Writer) error) {
+// respond writes a result in the negotiated format — indented JSON or
+// the OpenMetrics exposition — as one buffer with its Content-Length. A
+// result JSON cannot express is a 500 envelope, never an empty 200.
+func (p *params) respond(w http.ResponseWriter, res response) {
+	var body []byte
 	if p.format == "openmetrics" || p.format == "om" {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		_ = om(w)
-		return
+		body = res.appendOpenMetrics(make([]byte, 0, res.sizeHint()))
+	} else {
+		if err := res.checkFinite(); err != nil {
+			remote.WriteErrorHint(w, http.StatusInternalServerError, "query: the result is not encodable as JSON", err.Error())
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		body = res.AppendJSON(make([]byte, 0, res.sizeHint()))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(res)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // stepHint rides every step error.
@@ -295,88 +297,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		e.Hint = se.Hint
 	}
 	remote.WriteAPIError(w, status, e)
-}
-
-// quoteLabel renders a label value as the exposition format quotes it —
-// not as Go does: a comm is arbitrary bytes, and strconv.Quote's \t or
-// \x7f are escapes no OpenMetrics parser knows.
-func quoteLabel(s string) string {
-	return string(append(export.AppendEscapedLabel([]byte{'"'}, s), '"'))
-}
-
-// writeRawOpenMetrics renders a raw range-query result as OpenMetrics
-// text with explicit timestamps: one sample per point, so a range query
-// exports straight into tools that speak the exposition format.
-// Ordering is deterministic (series sorted by pid/tid, points by time).
-func writeRawOpenMetrics(w io.Writer, res *store.Result) error {
-	bw := bufio.NewWriter(w)
-	emit := func(name string, labels string, p *store.Point, v float64) {
-		fmt.Fprintf(bw, "%s{%s} %g %g\n", name, labels, v, p.TimeSeconds)
-	}
-	resolution := `resolution="` + strconv.FormatFloat(res.ResolutionSeconds, 'g', -1, 64) + `"`
-	fmt.Fprintf(bw, "# TYPE tiptop_range_machine_cpu_pct gauge\n")
-	fmt.Fprintf(bw, "# TYPE tiptop_range_machine_ipc gauge\n")
-	for i := range res.Machine {
-		p := &res.Machine[i]
-		emit("tiptop_range_machine_cpu_pct", resolution, p, p.CPUPct)
-		emit("tiptop_range_machine_ipc", resolution, p, p.IPC)
-	}
-	fmt.Fprintf(bw, "# TYPE tiptop_range_cpu_pct gauge\n")
-	fmt.Fprintf(bw, "# TYPE tiptop_range_ipc gauge\n")
-	if len(res.Columns) > 0 {
-		fmt.Fprintf(bw, "# TYPE tiptop_range_metric gauge\n")
-	}
-	for i := range res.Series {
-		s := &res.Series[i]
-		labels := fmt.Sprintf(`pid="%d",tid="%d",user=%s,command=%s`,
-			s.PID, s.TID, quoteLabel(s.User), quoteLabel(s.Command))
-		for j := range s.Points {
-			p := &s.Points[j]
-			emit("tiptop_range_cpu_pct", labels, p, p.CPUPct)
-			emit("tiptop_range_ipc", labels, p, p.IPC)
-			for k, v := range p.Values {
-				if k >= len(res.Columns) {
-					break
-				}
-				emit("tiptop_range_metric", labels+`,column=`+quoteLabel(res.Columns[k]), p, v)
-			}
-		}
-	}
-	fmt.Fprintf(bw, "# EOF\n")
-	return bw.Flush()
-}
-
-// WriteOpenMetrics renders an expression query result as OpenMetrics
-// 1.0 text, one sample per evaluated point. The totality rule
-// guarantees every value is finite, so the exposition never carries
-// NaN. Ordering is deterministic (the engine sorts series; points are
-// time-ordered).
-func WriteOpenMetrics(w io.Writer, res *Result) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# TYPE tiptop_query gauge\n")
-	fmt.Fprintf(bw, "# HELP tiptop_query %s\n", strings.ReplaceAll(res.Expr, "\n", " "))
-	for i := range res.Series {
-		s := &res.Series[i]
-		labels := `expr=` + quoteLabel(res.Expr) + `,key=` + quoteLabel(s.Key)
-		if s.Agent != "" {
-			labels += `,agent=` + quoteLabel(s.Agent)
-		}
-		if s.PID != 0 {
-			labels += fmt.Sprintf(`,pid="%d"`, s.PID)
-		}
-		if s.User != "" {
-			labels += `,user=` + quoteLabel(s.User)
-		}
-		if s.Command != "" {
-			labels += `,command=` + quoteLabel(s.Command)
-		}
-		for j := range s.Points {
-			p := &s.Points[j]
-			fmt.Fprintf(bw, "tiptop_query{%s} %g %g\n", labels, p.Value, p.TimeSeconds)
-		}
-	}
-	fmt.Fprintf(bw, "# EOF\n")
-	return bw.Flush()
 }
 
 // Client queries a tiptopd's /api/v1/query endpoint — the range-query

@@ -137,11 +137,11 @@ func (s *Sample) appendJSON(b []byte) []byte {
 	b = append(b, `,"refresh":`...)
 	b = strconv.AppendUint(b, s.Refresh, 10)
 	if s.Source != "" {
-		b = appendJSONString(append(b, `,"source":`...), s.Source)
+		b = AppendJSONString(append(b, `,"source":`...), s.Source)
 	}
-	b = appendJSONString(append(b, `,"machine":`...), s.Machine)
-	b = appendJSONFloat(append(b, `,"interval_s":`...), s.IntervalSeconds)
-	b = appendJSONFloat(append(b, `,"time_s":`...), s.TimeSeconds)
+	b = AppendJSONString(append(b, `,"machine":`...), s.Machine)
+	b = AppendJSONFloat(append(b, `,"interval_s":`...), s.IntervalSeconds)
+	b = AppendJSONFloat(append(b, `,"time_s":`...), s.TimeSeconds)
 	if s.Dropped != 0 {
 		b = strconv.AppendInt(append(b, `,"dropped":`...), int64(s.Dropped), 10)
 	}
@@ -156,13 +156,13 @@ func (s *Sample) appendJSON(b []byte) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(append(b, `{"name":`...), c.Name)
-			b = appendJSONString(append(b, `,"header":`...), c.Header)
+			b = AppendJSONString(append(b, `{"name":`...), c.Name)
+			b = AppendJSONString(append(b, `,"header":`...), c.Header)
 			if c.Width != 0 {
 				b = strconv.AppendInt(append(b, `,"width":`...), int64(c.Width), 10)
 			}
 			if c.Format != "" {
-				b = appendJSONString(append(b, `,"format":`...), c.Format)
+				b = AppendJSONString(append(b, `,"format":`...), c.Format)
 			}
 			b = append(b, '}')
 		}
@@ -184,19 +184,19 @@ func (s *Sample) appendJSON(b []byte) []byte {
 		if r.TID != 0 {
 			b = strconv.AppendInt(append(b, `,"tid":`...), int64(r.TID), 10)
 		}
-		b = appendJSONString(append(b, `,"user":`...), r.User)
-		b = appendJSONString(append(b, `,"command":`...), r.Command)
+		b = AppendJSONString(append(b, `,"user":`...), r.User)
+		b = AppendJSONString(append(b, `,"command":`...), r.Command)
 		if r.State != "" {
-			b = appendJSONString(append(b, `,"state":`...), r.State)
+			b = AppendJSONString(append(b, `,"state":`...), r.State)
 		}
-		b = appendJSONFloat(append(b, `,"cpu_pct":`...), r.CPUPct)
-		b = appendJSONFloat(append(b, `,"ipc":`...), r.IPC)
+		b = AppendJSONFloat(append(b, `,"cpu_pct":`...), r.CPUPct)
+		b = AppendJSONFloat(append(b, `,"ipc":`...), r.IPC)
 		b = strconv.AppendBool(append(b, `,"monitored":`...), r.Monitored)
 		if r.StartSeconds != 0 {
-			b = appendJSONFloat(append(b, `,"start_s":`...), r.StartSeconds)
+			b = AppendJSONFloat(append(b, `,"start_s":`...), r.StartSeconds)
 		}
 		if r.Coverage != 0 {
-			b = appendJSONFloat(append(b, `,"coverage":`...), r.Coverage)
+			b = AppendJSONFloat(append(b, `,"coverage":`...), r.Coverage)
 		}
 		b = append(b, `,"values":`...)
 		if r.Values == nil {
@@ -207,7 +207,7 @@ func (s *Sample) appendJSON(b []byte) []byte {
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = appendJSONFloat(b, v)
+				b = AppendJSONFloat(b, v)
 			}
 			b = append(b, ']')
 		}
@@ -218,7 +218,7 @@ func (s *Sample) appendJSON(b []byte) []byte {
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = append(appendJSONString(b, name), ':')
+				b = append(AppendJSONString(b, name), ':')
 				b = strconv.AppendUint(b, events.vals[j], 10)
 			}
 			b = append(b, '}')
@@ -263,10 +263,12 @@ func (o *eventOrder) load(m map[string]uint64) {
 	}
 }
 
-// appendJSONFloat formats f as encoding/json does: the shortest
-// round-tripping digits, exponent form outside [1e-6, 1e21) with a
-// one-digit negative exponent unpadded ("e-09" → "e-9").
-func appendJSONFloat(b []byte, f float64) []byte {
+// AppendJSONFloat appends f formatted as encoding/json does: the
+// shortest round-tripping digits, exponent form outside [1e-6, 1e21)
+// with a one-digit negative exponent unpadded ("e-09" → "e-9"). f must
+// be finite. Shared with the query response encoder (internal/query);
+// FuzzWireJSONIdentity guards it.
+func AppendJSONFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -279,10 +281,11 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendJSONString quotes s as encoding/json does with HTML escaping on:
-// \" \\ and the short control escapes, \u00XX for other control bytes and
-// < > &, \ufffd per invalid UTF-8 byte, U+2028 and U+2029 escaped.
-func appendJSONString(b []byte, s string) []byte {
+// AppendJSONString appends s quoted as encoding/json does with HTML
+// escaping on: \" \\ and the short control escapes, \u00XX for other
+// control bytes and < > &, \ufffd per invalid UTF-8 byte, U+2028 and
+// U+2029 escaped.
+func AppendJSONString(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
