@@ -43,15 +43,17 @@ docs:
 # value through the totality rule, lets the engine's slot-bound column
 # evaluation drift from Expr.Eval, makes the store's frame reader or
 # either wire decoder (binary, JSON + SSE) panic/over-read on corrupt
-# bytes or accept a newer version, or lets a hand-written JSON encoder
-# (the wire sample's, the query responses') drift from encoding/json is
-# caught before it lands.
+# bytes or accept a newer version, lets a hand-written JSON encoder
+# (the wire sample's, the query responses') drift from encoding/json, or
+# lets the /metrics integer path drift from strconv.AppendFloat is caught
+# before it lands.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundEvalMatchesEnv$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryJSONIdentity$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenMetricsValueIdentity$$' -fuzztime 15s ./internal/export/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s ./internal/remote/
@@ -69,12 +71,14 @@ validate:
 # The ruler: bench/ runs every BENCHMARK.json workload against one
 # daemon composed as cmd/tiptopd composes it and writes
 # results/bench/report.json (end-to-end metrics gated by the bounds in
-# BENCHMARK.json, per-layer metrics beside them). The go test line is
-# for eyeballing serial vs sharded refreshes; its allocation budget is
-# asserted by TestUpdateAllocsFlat.
+# BENCHMARK.json, per-layer metrics beside them). The go test lines are
+# for eyeballing serial vs sharded refreshes and one /metrics encode of
+# 2000 tasks; their allocation budgets are asserted by
+# TestUpdateAllocsFlat and TestScrapeEncodeSteadyAllocs.
 bench:
 	$(GO) run ./bench
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkScrapeEncode2000' -benchmem .
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
 # the count issues and CHANGES.md entries quote.

@@ -9,12 +9,16 @@ package tiptop
 // `go test -bench=. -benchmem` doubles as a results table.
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
 	"tiptop/internal/experiments"
 	"tiptop/internal/hpm"
 	"tiptop/internal/metrics"
+	"tiptop/internal/remote"
 	"tiptop/internal/sim/cache"
 	"tiptop/internal/sim/cpu"
 	"tiptop/internal/sim/machine"
@@ -303,4 +307,53 @@ func BenchmarkMonitorSample(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// scrapeFixture is bench/'s live_fleet node as a recorder sees it: tasks
+// synthetic jobs job00000… owned by five users on the default screen,
+// sampled refreshes times at 1 s (70 fill the one-minute rate window).
+func scrapeFixture(tb testing.TB, tasks, refreshes int) (*Scenario, *Monitor, *Recorder) {
+	tb.Helper()
+	sc, err := NewScenario(MachineE5640)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < tasks; i++ {
+		job := SyntheticJob{Name: fmt.Sprintf("job%05d", i), IPC: 0.25 + 2.95*rng.Float64(), MemRefsPKI: float64(rng.Intn(8) * 40)}
+		if _, err := sc.StartSyntheticJob("user"+strconv.Itoa(rng.Intn(5)), job); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	mon, err := NewSimMonitor(sc, Config{Interval: time.Second})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { mon.Close() })
+	rec := NewRecorder(RecorderOptions{})
+	mon.Subscribe(rec)
+	for i := 0; i < refreshes; i++ {
+		if _, err := mon.Sample(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sc, mon, rec
+}
+
+// BenchmarkScrapeEncode2000 is what one refresh costs the first scraper
+// of a 2000-task daemon: the recorder's copy-out, the exposition and the
+// cache body it lands in (2.1 MB), once per version.
+func BenchmarkScrapeEncode2000(b *testing.B) {
+	_, _, rec := scrapeFixture(b, 2000, 70)
+	cache := remote.NewEncodeCache(rec.WriteOpenMetrics)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lease, err := cache.Acquire(uint64(i + 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		lease.Release()
+	}
+	b.ReportMetric(float64(cache.Stats().BodyBytes), "body-bytes")
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,11 +148,19 @@ func recorderFixture() *history.Recorder {
 	return rec
 }
 
-func TestWriteOpenMetrics(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteOpenMetrics(&sb, recorderFixture().Snapshot()); err != nil {
+// encodeSolo renders the recorder's exposition through a fresh encoder.
+func encodeSolo(t testing.TB, w io.Writer, rec *history.Recorder) {
+	t.Helper()
+	var v history.View
+	rec.View(&v)
+	if err := new(Encoder).Write(w, &v); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestWriteOpenMetrics(t *testing.T) {
+	var sb strings.Builder
+	encodeSolo(t, &sb, recorderFixture())
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE tiptop_tasks gauge",
@@ -183,25 +193,22 @@ func TestWriteOpenMetrics(t *testing.T) {
 	}
 	// Deterministic output: a second render is byte-identical.
 	var sb2 strings.Builder
-	if err := WriteOpenMetrics(&sb2, recorderFixture().Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	encodeSolo(t, &sb2, recorderFixture())
 	if sb2.String() != out {
 		t.Fatal("exposition is not deterministic")
 	}
 }
 
-// snapFixture builds a snapshot by hand: n tasks, the given columns,
-// and label values that need every escape the format has.
-func snapFixture(n int, cols []string, nvalues int) *history.Snapshot {
-	snap := &history.Snapshot{
+// viewFixture builds a view by hand: n tasks, the given columns, and
+// label values that need every escape the format has.
+func viewFixture(n int, cols []string, nvalues int) *history.View {
+	v := &history.View{
 		TimeSeconds: 12.5,
 		Refreshes:   7,
 		Columns:     cols,
 		Machine:     history.Aggregate{Tasks: n, CPUPct: 180.25, IPC: 1.25, WindowIPC: 1.5, WindowMIPS: 1e-7, Instructions: 1 << 40, Cycles: 3, CacheMisses: 9},
-		Users:       map[string]history.Aggregate{},
-		Commands:    map[string]history.Aggregate{},
 	}
+	byUser, byCommand := map[string]history.Aggregate{}, map[string]history.Aggregate{}
 	users := []string{"alice", `bo"b`, "c\\d", "e\nf"}
 	for i := 0; i < n; i++ {
 		t := history.TaskSnap{
@@ -213,31 +220,44 @@ func snapFixture(n int, cols []string, nvalues int) *history.Snapshot {
 		for v := 0; v < nvalues; v++ {
 			t.Values = append(t.Values, float64(i*v)/3)
 		}
-		snap.Tasks = append(snap.Tasks, t)
-		snap.Users[t.User] = history.Aggregate{Tasks: i + 1, IPC: float64(i)}
-		snap.Commands[t.Command] = history.Aggregate{Tasks: 1, CPUPct: t.CPUPct}
+		v.Tasks = append(v.Tasks, t)
+		byUser[t.User] = history.Aggregate{Tasks: i + 1, IPC: float64(i)}
+		byCommand[t.Command] = history.Aggregate{Tasks: 1, CPUPct: t.CPUPct}
 	}
-	return snap
+	v.Users, v.Commands = keyed(byUser), keyed(byCommand)
+	return v
+}
+
+func keyed(m map[string]history.Aggregate) []history.KeyedAggregate {
+	var out []history.KeyedAggregate
+	for k, a := range m {
+		out = append(out, history.KeyedAggregate{Key: k, Aggregate: a})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 // TestOpenMetricsMatchesReference holds the append-based writer to the
 // bytes of the writer it replaced, solo and fleet, over the shapes the
 // writer branches on.
 func TestOpenMetricsMatchesReference(t *testing.T) {
-	shapes := map[string]*history.Snapshot{
-		"tasks and columns":   snapFixture(7, []string{"ipc", `d"mis\`, "x\ny"}, 3),
-		"zero tasks":          snapFixture(0, []string{"ipc"}, 1),
-		"zero columns":        snapFixture(5, nil, 0),
-		"values < columns":    snapFixture(5, []string{"a", "b", "c"}, 2),
-		"values > columns":    snapFixture(5, []string{"a"}, 3),
-		"many tasks (chunks)": snapFixture(900, []string{"a", "b", "c", "d"}, 4),
+	shapes := map[string]*history.View{
+		"tasks and columns":   viewFixture(7, []string{"ipc", `d"mis\`, "x\ny"}, 3),
+		"zero tasks":          viewFixture(0, []string{"ipc"}, 1),
+		"zero columns":        viewFixture(5, nil, 0),
+		"values < columns":    viewFixture(5, []string{"a", "b", "c"}, 2),
+		"values > columns":    viewFixture(5, []string{"a"}, 3),
+		"many tasks (chunks)": viewFixture(900, []string{"a", "b", "c", "d"}, 4),
 	}
-	for name, snap := range shapes {
+	// One encoder for every shape: a view it has not rendered is never
+	// served another's label blocks.
+	var enc Encoder
+	for name, v := range shapes {
 		var got, want bytes.Buffer
-		if err := WriteOpenMetrics(&got, snap); err != nil {
+		if err := enc.Write(&got, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := refWriteOpenMetrics(&want, snap); err != nil {
+		if err := refWriteOpenMetrics(&want, v.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -246,20 +266,20 @@ func TestOpenMetricsMatchesReference(t *testing.T) {
 	}
 	fleets := map[string][]FleetMachine{
 		"mixed": {
-			{Label: `z"9:1`, Up: true, Snapshot: shapes["tasks and columns"]},
-			{Label: "a:1", Up: false, Snapshot: shapes["zero tasks"]},
-			{Label: "m:1", Up: true, Snapshot: shapes["zero columns"]},
-			{Label: "b:1", Up: true, Snapshot: shapes["values < columns"]},
+			{Label: `z"9:1`, Up: true, View: shapes["tasks and columns"]},
+			{Label: "a:1", Up: false, View: shapes["zero tasks"]},
+			{Label: "m:1", Up: true, View: shapes["zero columns"]},
+			{Label: "b:1", Up: true, View: shapes["values < columns"]},
 		},
-		"no columns anywhere": {{Label: "a:1", Up: true, Snapshot: shapes["zero columns"]}},
+		"no columns anywhere": {{Label: "a:1", Up: true, View: shapes["zero columns"]}},
 		"no machines":         nil,
 	}
 	for name, ms := range fleets {
 		var got, want bytes.Buffer
-		if err := WriteFleetOpenMetrics(&got, ms); err != nil {
+		if err := enc.WriteFleet(&got, ms); err != nil {
 			t.Fatal(err)
 		}
-		if err := refWriteFleetOpenMetrics(&want, ms); err != nil {
+		if err := refWriteFleetOpenMetrics(&want, refMachines(ms)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -281,8 +301,8 @@ func firstDiff(got, want []byte) string {
 // multiplexing coverage every agent exports.
 func TestFleetExpositionCarriesCoverage(t *testing.T) {
 	var b bytes.Buffer
-	ms := []FleetMachine{{Label: "a:1", Up: true, Snapshot: snapFixture(2, []string{"ipc"}, 1)}}
-	if err := WriteFleetOpenMetrics(&b, ms); err != nil {
+	ms := []FleetMachine{{Label: "a:1", Up: true, View: viewFixture(2, []string{"ipc"}, 1)}}
+	if err := new(Encoder).WriteFleet(&b, ms); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -299,26 +319,31 @@ func TestFleetExpositionCarriesCoverage(t *testing.T) {
 // TestOpenMetricsSurfacesWriteError: a failing destination is reported
 // whichever chunk it fails on.
 func TestOpenMetricsSurfacesWriteError(t *testing.T) {
-	snap := snapFixture(900, []string{"a", "b"}, 2)
+	v := viewFixture(900, []string{"a", "b"}, 2)
 	for _, n := range []int{0, 10, omChunk + 10} {
-		if err := WriteOpenMetrics(&failWriter{n: n}, snap); err == nil {
+		if err := new(Encoder).Write(&failWriter{n: n}, v); err == nil {
 			t.Errorf("write error after %d bytes was swallowed", n)
 		}
 	}
 }
 
 // TestOpenMetricsEncodeAllocs gates what the exposition of a 2000-task
-// refresh may allocate (38,068 with the per-sample writer).
+// refresh may allocate once the encoder has rendered the view's label
+// blocks (38,068 with the per-sample writer, 84 with the per-call one).
 func TestOpenMetricsEncodeAllocs(t *testing.T) {
-	snap := snapFixture(2000, []string{"a", "b", "c", "d", "e"}, 5)
+	v := viewFixture(2000, []string{"a", "b", "c", "d", "e"}, 5)
 	var buf bytes.Buffer
+	var enc Encoder
 	allocs := testing.AllocsPerRun(5, func() {
 		buf.Reset()
-		if err := WriteOpenMetrics(&buf, snap); err != nil {
+		if err := enc.Write(&buf, v); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 100 {
-		t.Fatalf("one OpenMetrics encode of 2000 tasks = %.0f allocs, want <= 100", allocs)
+	if allocs != 0 {
+		t.Fatalf("one steady-state OpenMetrics encode of 2000 tasks = %.0f allocs, want 0", allocs)
+	}
+	if encodes, renders := enc.Stats(); encodes != 6 || renders != 1 {
+		t.Fatalf("%d encodes of which %d rendered labels, want 6 and 1", encodes, renders)
 	}
 }

@@ -141,13 +141,38 @@ func (e *omEncoder) aggFamilies(scope string, labelSets [][]label, aggs []histor
 		name := "tiptop_" + scope + "_" + f.suffix
 		e.family(name, f.typ, f.help)
 		for i := range aggs {
-			e.sample(name, labelSets[i], f.get(aggs[i]))
+			e.sample(name, labelSets[i], f.get(&aggs[i]))
 		}
 	}
 }
 
-func refWriteFleetOpenMetrics(w io.Writer, machines []FleetMachine) error {
-	ms := append([]FleetMachine(nil), machines...)
+// refMachine is FleetMachine as the reference writer knew it: a
+// snapshot, not a view.
+type refMachine struct {
+	Label    string
+	Up       bool
+	Snapshot *history.Snapshot
+}
+
+func refMachines(ms []FleetMachine) []refMachine {
+	out := make([]refMachine, len(ms))
+	for i, m := range ms {
+		out[i] = refMachine{m.Label, m.Up, m.View.Snapshot()}
+	}
+	return out
+}
+
+func sortedKeys(m map[string]history.Aggregate) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func refWriteFleetOpenMetrics(w io.Writer, machines []refMachine) error {
+	ms := append([]refMachine(nil), machines...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Label < ms[j].Label })
 
 	bw := bufio.NewWriter(w)

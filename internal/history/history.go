@@ -13,8 +13,8 @@
 // rings, the touched-scratch slice) is preallocated or reused; only
 // genuinely new tasks, users or commands allocate.
 //
-// Queries (Snapshot, History, PIDs) copy out under a read lock and may
-// run concurrently with recording — this is what lets an HTTP daemon
+// Queries (View, Snapshot, History, PIDs) copy out under a read lock and
+// may run concurrently with recording — this is what lets an HTTP daemon
 // serve scrapes against a live sharded sampler.
 package history
 
@@ -127,6 +127,64 @@ type Snapshot struct {
 	Tasks       []TaskSnap           `json:"tasks"` // live tasks, sorted by pid then tid
 }
 
+// KeyedAggregate is one user's or command's Aggregate in a View.
+type KeyedAggregate struct {
+	Key string
+	Aggregate
+}
+
+// View is the recorder's current state copied out positionally into
+// storage the caller keeps between calls: what a Snapshot holds, the
+// keyed aggregates as key-sorted slices instead of maps. Refilled by
+// the recorder that filled it, a View reuses its slices and — once they
+// have grown to the machine's size — allocates nothing.
+type View struct {
+	TimeSeconds     float64
+	Refreshes       uint64
+	Columns         []string // the recorder's own slice: read-only
+	Machine         Aggregate
+	Users, Commands []KeyedAggregate // sorted by Key
+	Tasks           []TaskSnap       // live tasks by pid then tid; Values share one array
+	// Gen changes whenever the keys of Users or Commands, or the
+	// identity, order or labels (PID, TID, User, Command) of Tasks may
+	// have: while it stands, a consumer may keep what it derived from
+	// those — rendered label blocks — across refills.
+	Gen    uint64
+	values []float64
+}
+
+// Snapshot converts the view into a Snapshot that shares none of its
+// storage.
+func (v *View) Snapshot() *Snapshot {
+	snap := &Snapshot{
+		TimeSeconds: v.TimeSeconds,
+		Refreshes:   v.Refreshes,
+		Columns:     append([]string(nil), v.Columns...),
+		Machine:     v.Machine,
+		Users:       make(map[string]Aggregate, len(v.Users)),
+		Commands:    make(map[string]Aggregate, len(v.Commands)),
+	}
+	for _, u := range v.Users {
+		snap.Users[u.Key] = u.Aggregate
+	}
+	for _, c := range v.Commands {
+		snap.Commands[c.Key] = c.Aggregate
+	}
+	// One array backs every task's Values (each capped to its own run,
+	// so a consumer's append cannot reach a neighbour's). No live task
+	// leaves Tasks nil.
+	snap.Tasks = append([]TaskSnap(nil), v.Tasks...)
+	values := make([]float64, 0, len(v.values))
+	for i := range snap.Tasks {
+		if t := &snap.Tasks[i]; len(t.Values) > 0 {
+			lo := len(values)
+			values = append(values, t.Values...)
+			t.Values = values[lo:len(values):len(values)]
+		}
+	}
+	return snap
+}
+
 // aggCheckpoints is the capacity of each aggregate's checkpoint ring
 // backing the windowed rates. At the default 2 s cadence it spans over
 // four minutes, comfortably more than the default 60 s window.
@@ -134,6 +192,7 @@ const aggCheckpoints = 128
 
 // aggState is the recorder's book-keeping for one aggregate key.
 type aggState struct {
+	refs  int    // rings folding into this aggregate; it is dropped with the last
 	epoch uint64 // refresh that last touched this aggregate
 	// Per-refresh accumulation, reset lazily when a new epoch first
 	// touches the entry.
@@ -172,24 +231,23 @@ func (a *aggState) checkpoint(now time.Duration) {
 	a.ckCycle[idx] = a.cycles
 }
 
-// window finds the oldest checkpoint still inside [now-window, now] and
+// window finds the oldest checkpoint still inside [now-window, now] —
+// by bisection: checkpoint times never decrease along the ring — and
 // returns the instruction/cycle/time deltas up to the newest one.
 func (a *aggState) window(now, window time.Duration) (dInstr, dCycles uint64, dt time.Duration) {
-	if a.ckLen < 2 {
-		return 0, 0, 0
-	}
-	newest := (a.ckHead + a.ckLen - 1) % aggCheckpoints
-	oldest := newest
-	for i := 1; i < a.ckLen; i++ {
-		idx := (a.ckHead + a.ckLen - 1 - i) % aggCheckpoints
-		if a.ckTime[idx] < now-window {
-			break
+	lo, hi := 0, a.ckLen-1 // positions from the oldest checkpoint; hi is the newest
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if a.ckTime[(a.ckHead+mid)%aggCheckpoints] < now-window {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		oldest = idx
 	}
-	if oldest == newest {
-		return 0, 0, 0
+	if lo >= a.ckLen-1 {
+		return 0, 0, 0 // fewer than two checkpoints in the window
 	}
+	oldest, newest := (a.ckHead+lo)%aggCheckpoints, (a.ckHead+a.ckLen-1)%aggCheckpoints
 	return a.ckInstr[newest] - a.ckInstr[oldest],
 		a.ckCycle[newest] - a.ckCycle[oldest],
 		a.ckTime[newest] - a.ckTime[oldest]
@@ -295,6 +353,14 @@ type Recorder struct {
 	// cumulative totals and checkpoints are folded in once per entry;
 	// reused across refreshes.
 	touched []*aggState
+	// keyGen counts changes to the key sets of users and commands,
+	// ringGen changes to which rings exist and how one is labelled
+	// (admit, evict, pid reuse): what View's kept order is checked by.
+	keyGen, ringGen uint64
+	// orphans lists the aggregates the current refresh left without a
+	// ring; those still without one when it ends are dropped.
+	orphans []orphan
+	order   viewOrder
 	// tee receives every observed sample after the recorder's own fold,
 	// outside the recorder lock — the hook a durable store attaches by.
 	tee core.Observer
@@ -385,6 +451,7 @@ func (r *Recorder) observe(s *core.Sample) {
 			rg.head, rg.n = 0, 0
 			rg.start = row.Info.StartTime
 			rg.user, rg.comm = row.Info.User, row.Info.Comm
+			r.ringGen++
 			r.resolveAggs(rg, row.Info)
 		case rg.aggUser != row.Info.User || rg.aggComm != row.Info.Comm:
 			// Same task, new credentials or an exec: its deltas now
@@ -406,6 +473,16 @@ func (r *Recorder) observe(s *core.Sample) {
 	for _, a := range r.touched {
 		a.checkpoint(s.Time)
 	}
+	// An aggregate lives as long as a ring in series folds into it (a
+	// dead task's ring still does). Dropping waits for the refresh to
+	// end, so one that a later row claimed again is kept as it is.
+	for _, o := range r.orphans {
+		if a := o.m[o.key]; a != nil && a.refs == 0 {
+			delete(o.m, o.key)
+			r.keyGen++
+		}
+	}
+	r.orphans = r.orphans[:0]
 }
 
 func (r *Recorder) fold(a *aggState, p *point) {
@@ -441,23 +518,48 @@ func (r *Recorder) admit(info core.TaskInfo) *ring {
 	}
 	r.resolveAggs(rg, info)
 	r.series[info.ID] = rg
+	r.ringGen++
 	return rg
 }
 
 // resolveAggs points the ring at the aggregates of the task's current
-// user and command, creating the entry of one first seen.
+// user and command, creating the entry of one first seen and letting go
+// of the ones it folded into before.
 func (r *Recorder) resolveAggs(rg *ring, info core.TaskInfo) {
+	r.release(rg)
 	rg.aggUser, rg.aggComm = info.User, info.Comm
-	rg.userAgg, rg.commAgg = aggOf(r.users, info.User), aggOf(r.commands, info.Comm)
+	rg.userAgg, rg.commAgg = r.aggOf(r.users, info.User), r.aggOf(r.commands, info.Comm)
 }
 
-func aggOf(m map[string]*aggState, key string) *aggState {
+func (r *Recorder) aggOf(m map[string]*aggState, key string) *aggState {
 	a := m[key]
 	if a == nil {
 		a = &aggState{}
 		m[key] = a
+		r.keyGen++
 	}
+	a.refs++
 	return a
+}
+
+// orphan names an aggregate whose last ring let go of it.
+type orphan struct {
+	m   map[string]*aggState
+	key string
+}
+
+// release ends the ring's hold on its aggregates (a newly admitted ring
+// has none yet).
+func (r *Recorder) release(rg *ring) {
+	if rg.userAgg == nil {
+		return
+	}
+	if rg.userAgg.refs--; rg.userAgg.refs == 0 {
+		r.orphans = append(r.orphans, orphan{r.users, rg.aggUser})
+	}
+	if rg.commAgg.refs--; rg.commAgg.refs == 0 {
+		r.orphans = append(r.orphans, orphan{r.commands, rg.aggComm})
+	}
 }
 
 // evict drops the series with the oldest last observation, preferring
@@ -483,53 +585,96 @@ func (r *Recorder) evict() {
 		}
 	}
 	if found {
+		r.release(r.series[victim])
 		delete(r.series, victim)
+		r.ringGen++
 	}
 }
 
-// Snapshot copies out the recorder's current state.
-func (r *Recorder) Snapshot() *Snapshot {
+// viewOrder is what View keeps between calls: the aggregates in key
+// order and the live rings in pid, tid order, rebuilt only when the
+// recorder's generations or the liveness check say they changed. View
+// runs under the recorder's read lock, which does not keep a second
+// View out; mu does.
+type viewOrder struct {
+	mu              sync.Mutex
+	keyGen, ringGen uint64 // the recorder generations the lists were built at
+	gen             uint64 // rebuilds of either so far: View.Gen
+	users, commands []keyedAgg
+	live            []*ring
+}
+
+type keyedAgg struct {
+	key string
+	agg *aggState
+}
+
+func sortedAggs(dst []keyedAgg, m map[string]*aggState) []keyedAgg {
+	for k, a := range m {
+		dst = append(dst, keyedAgg{k, a})
+	}
+	slices.SortFunc(dst, func(a, b keyedAgg) int { return cmp.Compare(a.key, b.key) })
+	return dst
+}
+
+// View copies the recorder's current state out into v, reusing v's
+// storage. The read lock is held for the copy only.
+func (r *Recorder) View(v *View) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	snap := &Snapshot{
-		TimeSeconds: r.lastTime.Seconds(),
-		Refreshes:   r.refreshes,
-		Columns:     append([]string(nil), r.columns...),
-		Machine:     r.machine.aggregate(r.machine.epoch == r.epoch, r.lastTime, r.opt.Window),
-		Users:       make(map[string]Aggregate, len(r.users)),
-		Commands:    make(map[string]Aggregate, len(r.commands)),
+	o := &r.order
+	o.mu.Lock()
+	defer o.mu.Unlock()
+
+	if o.keyGen != r.keyGen {
+		o.users, o.commands = sortedAggs(o.users[:0], r.users), sortedAggs(o.commands[:0], r.commands)
+		o.keyGen = r.keyGen
+		o.gen++
 	}
-	for u, a := range r.users {
-		snap.Users[u] = a.aggregate(a.epoch == r.epoch, r.lastTime, r.opt.Window)
+	// The kept order stands while no ring was admitted, evicted or
+	// relabelled, it holds as many rings as the last refresh had rows and
+	// each is live: then it is the live set. An exit or a return after a
+	// missed refresh raises no event; the count or the liveness shows it.
+	live := 0
+	if r.machine.epoch == r.epoch {
+		live = r.machine.tasks
 	}
-	for c, a := range r.commands {
-		snap.Commands[c] = a.aggregate(a.epoch == r.epoch, r.lastTime, r.opt.Window)
+	stands := o.ringGen == r.ringGen && len(o.live) == live
+	for i := 0; stands && i < len(o.live); i++ {
+		stands = o.live[i].lastEpoch == r.epoch
 	}
-	if r.machine.epoch != r.epoch || r.machine.tasks == 0 {
-		return snap // nothing observed, or an empty last refresh
-	}
-	// The last refresh's row count bounds the live tasks. They are put
-	// in order as ring pointers (cheaper to move than TaskSnaps), and
-	// one array backs every task's Values (each capped to its own run,
-	// so a consumer's append cannot reach a neighbour's).
-	live := make([]*ring, 0, r.machine.tasks)
-	for _, rg := range r.series {
-		if rg.lastEpoch == r.epoch && rg.n > 0 {
-			live = append(live, rg)
+	if !stands {
+		o.live = o.live[:0]
+		for _, rg := range r.series {
+			if rg.lastEpoch == r.epoch && rg.n > 0 {
+				o.live = append(o.live, rg)
+			}
 		}
+		slices.SortFunc(o.live, func(a, b *ring) int {
+			if c := cmp.Compare(a.id.PID, b.id.PID); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id.TID, b.id.TID)
+		})
+		o.ringGen = r.ringGen
+		o.gen++
 	}
-	slices.SortFunc(live, func(a, b *ring) int {
-		if c := cmp.Compare(a.id.PID, b.id.PID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id.TID, b.id.TID)
-	})
+
+	v.TimeSeconds, v.Refreshes, v.Columns = r.lastTime.Seconds(), r.refreshes, r.columns
+	v.Gen, v.Machine = o.gen, r.aggregate(&r.machine)
+	v.Users, v.Commands = slices.Grow(v.Users[:0], len(o.users)), slices.Grow(v.Commands[:0], len(o.commands))
+	for _, k := range o.users {
+		v.Users = append(v.Users, KeyedAggregate{k.key, r.aggregate(k.agg)})
+	}
+	for _, k := range o.commands {
+		v.Commands = append(v.Commands, KeyedAggregate{k.key, r.aggregate(k.agg)})
+	}
 	ncols := max(r.ncols, 0)
-	snap.Tasks = make([]TaskSnap, len(live))
-	values := make([]float64, 0, len(live)*ncols)
-	for i, rg := range live {
+	v.Tasks = slices.Grow(v.Tasks[:0], len(o.live))[:len(o.live)]
+	v.values = slices.Grow(v.values[:0], len(o.live)*ncols)
+	for i, rg := range o.live {
 		last := (rg.head + rg.n - 1) % len(rg.points)
-		t := &snap.Tasks[i]
+		t := &v.Tasks[i]
 		*t = TaskSnap{
 			PID:      rg.id.PID,
 			TID:      rg.id.TID,
@@ -541,12 +686,22 @@ func (r *Recorder) Snapshot() *Snapshot {
 			Coverage: core.ElideCoverage(rg.coverage),
 		}
 		if ncols > 0 {
-			lo := len(values)
-			values = append(values, rg.vals[last*ncols:(last+1)*ncols]...)
-			t.Values = values[lo:len(values):len(values)]
+			lo := len(v.values)
+			v.values = append(v.values, rg.vals[last*ncols:(last+1)*ncols]...)
+			t.Values = v.values[lo:len(v.values):len(v.values)]
 		}
 	}
-	return snap
+}
+
+func (r *Recorder) aggregate(a *aggState) Aggregate {
+	return a.aggregate(a.epoch == r.epoch, r.lastTime, r.opt.Window)
+}
+
+// Snapshot copies out the recorder's current state.
+func (r *Recorder) Snapshot() *Snapshot {
+	var v View
+	r.View(&v)
+	return v.Snapshot()
 }
 
 // History returns copies of every recorded series whose PID matches,

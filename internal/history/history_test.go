@@ -1,6 +1,10 @@
 package history
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -361,5 +365,224 @@ func TestTee(t *testing.T) {
 	r.Observe(s)
 	if tee.samples != 2 {
 		t.Fatalf("detached tee still observed (%d samples)", tee.samples)
+	}
+}
+
+// TestAggregatesDroppedWithLastRing: an aggregate lives as long as a
+// ring in series folds into it. Under command churn at the retention
+// bound the maps stay bounded and an evicted name leaves the view; a
+// dead task's ring keeps its aggregates until it is evicted.
+func TestAggregatesDroppedWithLastRing(t *testing.T) {
+	const maxSeries = 16
+	r := New(Options{Capacity: 4, MaxSeries: maxSeries})
+	r.SetColumns([]string{"ipc", "const"})
+	name := func(i int) string { return "cmd" + strconv.Itoa(i) }
+	var v View
+	for i := 0; i < 200; i++ {
+		// Eight live tasks; each refresh retires the oldest command name
+		// (and its pid) for a new one.
+		var specs []rowSpec
+		for j := i; j < i+8; j++ {
+			specs = append(specs, rowSpec{pid: j + 1, user: "u" + strconv.Itoa(j%3), comm: name(j), cpuPct: 1, instr: 10, cycle: 10})
+		}
+		r.Observe(mkSample(time.Duration(i+1)*time.Second, specs))
+		if len(r.commands) > maxSeries || len(r.users) > 3 {
+			t.Fatalf("refresh %d: %d commands and %d users for %d series", i, len(r.commands), len(r.users), len(r.series))
+		}
+		r.View(&v)
+		if len(v.Commands) != len(r.commands) {
+			t.Fatalf("refresh %d: view has %d commands, recorder %d", i, len(v.Commands), len(r.commands))
+		}
+		for _, c := range v.Commands {
+			if n, _ := strconv.Atoi(c.Key[3:]); n+maxSeries < i+8 {
+				t.Fatalf("refresh %d: command %s outlived its evicted ring", i, c.Key)
+			}
+			if a := r.commands[c.Key]; a.refs != 1 {
+				t.Fatalf("refresh %d: command %s has %d refs, want 1", i, c.Key, a.refs)
+			}
+		}
+	}
+	if len(r.commands) != maxSeries {
+		t.Fatalf("%d commands for %d retained series: dead rings must keep theirs", len(r.commands), maxSeries)
+	}
+
+	// A relabel that leaves an aggregate without rings drops it; one that
+	// a later row of the same refresh claims again is kept, totals and all.
+	r = New(Options{Capacity: 4})
+	r.Observe(mkSample(time.Second, []rowSpec{
+		{pid: 1, user: "u", comm: "sh", instr: 5, cycle: 5},
+		{pid: 2, user: "u", comm: "make", instr: 7, cycle: 7},
+	}))
+	r.Observe(mkSample(2*time.Second, []rowSpec{
+		{pid: 1, user: "u", comm: "make", instr: 5, cycle: 5}, // exec: sh loses its only ring…
+		{pid: 2, user: "u", comm: "sh", instr: 7, cycle: 7},   // …and gains another
+	}))
+	if a := r.commands["sh"]; a == nil || a.refs != 1 || a.instr != 12 {
+		t.Fatalf("sh after the swap = %+v, want one ring and 12 instructions", a)
+	}
+	r.Observe(mkSample(3*time.Second, []rowSpec{
+		{pid: 1, user: "u", comm: "make", instr: 5, cycle: 5},
+		{pid: 2, user: "u", comm: "make", instr: 7, cycle: 7},
+	}))
+	if _, ok := r.commands["sh"]; ok || len(r.commands) != 1 {
+		t.Fatalf("commands = %d with sh present %v, want make alone", len(r.commands), ok)
+	}
+}
+
+// linearWindow is aggState.window as it stood before the bisection: a
+// walk back from the newest checkpoint.
+func linearWindow(a *aggState, now, window time.Duration) (dInstr, dCycles uint64, dt time.Duration) {
+	if a.ckLen < 2 {
+		return 0, 0, 0
+	}
+	newest := (a.ckHead + a.ckLen - 1) % aggCheckpoints
+	oldest := newest
+	for i := 1; i < a.ckLen; i++ {
+		idx := (a.ckHead + a.ckLen - 1 - i) % aggCheckpoints
+		if a.ckTime[idx] < now-window {
+			break
+		}
+		oldest = idx
+	}
+	if oldest == newest {
+		return 0, 0, 0
+	}
+	return a.ckInstr[newest] - a.ckInstr[oldest],
+		a.ckCycle[newest] - a.ckCycle[oldest],
+		a.ckTime[newest] - a.ckTime[oldest]
+}
+
+// TestWindowBisectionMatchesLinearScan: random cadences with repeated
+// timestamps, before and after the ring wraps, windows shorter and
+// longer than what the ring holds, and an aggregate whose last
+// checkpoint is long past (a dead command's).
+func TestWindowBisectionMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		var a aggState
+		var now time.Duration
+		steps := []time.Duration{0, time.Millisecond, time.Second, 3 * time.Second}
+		for n := rng.Intn(3 * aggCheckpoints); n >= 0; n-- {
+			now += steps[rng.Intn(len(steps))]
+			a.instr += uint64(rng.Intn(1000))
+			a.cycles += uint64(1 + rng.Intn(1000))
+			a.checkpoint(now)
+			for _, at := range []time.Duration{now, now + time.Hour} {
+				for _, window := range []time.Duration{0, time.Millisecond, 5 * time.Second, time.Minute, 24 * time.Hour} {
+					gi, gc, gt := a.window(at, window)
+					wi, wc, wt := linearWindow(&a, at, window)
+					if gi != wi || gc != wc || gt != wt {
+						t.Fatalf("trial %d, %d checkpoints, now %v window %v: bisection (%d %d %v), linear scan (%d %d %v)",
+							trial, a.ckLen, at, window, gi, gc, gt, wi, wc, wt)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refSnapshot is Snapshot as it stood before it was derived from View:
+// its own map loops and its own sort of the live rings.
+func refSnapshot(r *Recorder) *Snapshot {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	snap := &Snapshot{
+		TimeSeconds: r.lastTime.Seconds(),
+		Refreshes:   r.refreshes,
+		Columns:     append([]string(nil), r.columns...),
+		Machine:     r.machine.aggregate(r.machine.epoch == r.epoch, r.lastTime, r.opt.Window),
+		Users:       make(map[string]Aggregate, len(r.users)),
+		Commands:    make(map[string]Aggregate, len(r.commands)),
+	}
+	for u, a := range r.users {
+		snap.Users[u] = a.aggregate(a.epoch == r.epoch, r.lastTime, r.opt.Window)
+	}
+	for c, a := range r.commands {
+		snap.Commands[c] = a.aggregate(a.epoch == r.epoch, r.lastTime, r.opt.Window)
+	}
+	var live []*ring
+	for _, rg := range r.series {
+		if rg.lastEpoch == r.epoch && rg.n > 0 {
+			live = append(live, rg)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].id.PID != live[j].id.PID {
+			return live[i].id.PID < live[j].id.PID
+		}
+		return live[i].id.TID < live[j].id.TID
+	})
+	for _, rg := range live {
+		last := (rg.head + rg.n - 1) % len(rg.points)
+		t := TaskSnap{
+			PID: rg.id.PID, TID: rg.id.TID, User: rg.user, Command: rg.comm, State: rg.state,
+			CPUPct: rg.points[last].cpu, IPC: rg.points[last].ipc(), Coverage: core.ElideCoverage(rg.coverage),
+		}
+		if r.ncols > 0 {
+			t.Values = append([]float64(nil), rg.vals[last*r.ncols:(last+1)*r.ncols]...)
+		}
+		snap.Tasks = append(snap.Tasks, t)
+	}
+	return snap
+}
+
+// TestViewKeepsItsOrderWhileItStands: a refill allocates nothing and
+// keeps its generation while membership stands; every way membership or
+// a label can change moves it, with or without an event in Observe.
+func TestViewKeepsItsOrderWhileItStands(t *testing.T) {
+	r := New(Options{Capacity: 4, MaxSeries: 4})
+	r.SetColumns([]string{"ipc", "const"})
+	row := func(pid int, comm string) rowSpec {
+		return rowSpec{pid: pid, user: "u", comm: comm, cpuPct: 1, instr: 10, cycle: 10}
+	}
+	var v View
+	now := time.Duration(0)
+	for _, step := range []struct {
+		name  string
+		start time.Duration
+		rows  []rowSpec
+		moves bool
+	}{
+		{"first refresh", 0, []rowSpec{row(3, "c"), row(1, "a"), row(2, "b")}, true},
+		{"unchanged", 0, []rowSpec{row(3, "c"), row(1, "a"), row(2, "b")}, false},
+		{"exit", 0, []rowSpec{row(1, "a"), row(3, "c")}, true},
+		{"unchanged after the exit", 0, []rowSpec{row(3, "c"), row(1, "a")}, false},
+		{"return", 0, []rowSpec{row(1, "a"), row(2, "b"), row(3, "c")}, true},
+		{"exit and admit", 0, []rowSpec{row(1, "a"), row(2, "b"), row(4, "d")}, true},
+		{"exit and return", 0, []rowSpec{row(1, "a"), row(3, "c"), row(4, "d")}, true},
+		{"exec drops a command", 0, []rowSpec{row(1, "a"), row(3, "b"), row(4, "d")}, true},
+		{"exec between commands that keep a ring", 0, []rowSpec{row(1, "a"), row(3, "a"), row(4, "d")}, false},
+		{"pid reuse", time.Minute, []rowSpec{row(1, "a"), row(3, "a"), row(4, "d")}, true},
+		{"eviction", time.Minute, []rowSpec{row(1, "a"), row(3, "a"), row(5, "e")}, true},
+		{"empty refresh", 0, nil, true},
+		{"still empty", 0, nil, false},
+	} {
+		now += time.Second
+		s := mkSample(now, step.rows)
+		for i := range s.Rows {
+			s.Rows[i].Info.StartTime = step.start
+		}
+		r.Observe(s)
+		gen := v.Gen
+		r.View(&v)
+		if got, want := v.Snapshot(), refSnapshot(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the refilled view's snapshot is\n%+v, want\n%+v", step.name, got, want)
+		}
+		if moved := v.Gen != gen; moved != step.moves {
+			t.Errorf("%s: generation moved = %v, want %v", step.name, moved, step.moves)
+		}
+	}
+
+	r = New(Options{Capacity: 8})
+	r.SetColumns([]string{"ipc", "const"})
+	specs := make([]rowSpec, 200)
+	for i := range specs {
+		specs[i] = row(i+1, "cmd"+strconv.Itoa(i%50))
+	}
+	sample := mkSample(time.Second, specs)
+	r.Observe(sample)
+	r.View(&v)
+	if allocs := testing.AllocsPerRun(20, func() { r.Observe(sample); r.View(&v) }); allocs != 0 {
+		t.Fatalf("a steady-state refill allocates %.1f times, want 0", allocs)
 	}
 }

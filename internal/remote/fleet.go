@@ -58,6 +58,13 @@ type Fleet struct {
 	// machine; its version counts samples observed across all agents.
 	srv *Server
 	wg  sync.WaitGroup
+	// scrape is what WriteOpenMetrics keeps between calls: one view per
+	// peer and the encoder that renders them.
+	scrape struct {
+		sync.Mutex
+		machines []export.FleetMachine // parallel to peers
+		enc      export.Encoder
+	}
 }
 
 type peer struct {
@@ -108,6 +115,7 @@ func NewFleet(addrs []string, opt FleetOptions) (*Fleet, error) {
 			p.rec.Tee(o)
 		}
 		f.peers = append(f.peers, p)
+		f.scrape.machines = append(f.scrape.machines, export.FleetMachine{Label: label, View: new(history.View)})
 	}
 	return f, nil
 }
@@ -333,17 +341,16 @@ func (f *Fleet) Snapshot() *FleetSnapshot {
 }
 
 // WriteOpenMetrics renders the merged, machine-labelled exposition.
+// Concurrent calls take turns.
 func (f *Fleet) WriteOpenMetrics(w io.Writer) error {
-	machines := make([]export.FleetMachine, 0, len(f.peers))
-	for _, p := range f.peers {
+	s := &f.scrape
+	s.Lock()
+	defer s.Unlock()
+	for i, p := range f.peers {
 		p.mu.Lock()
-		up := p.connected
+		s.machines[i].Up = p.connected
 		p.mu.Unlock()
-		machines = append(machines, export.FleetMachine{
-			Label:    p.label,
-			Up:       up,
-			Snapshot: p.rec.Snapshot(),
-		})
+		p.rec.View(s.machines[i].View)
 	}
-	return export.WriteFleetOpenMetrics(w, machines)
+	return s.enc.WriteFleet(w, s.machines)
 }

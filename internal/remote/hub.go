@@ -1,13 +1,13 @@
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Frame is one published refresh: the retained sample plus its two
@@ -246,19 +246,38 @@ func (h *Hub) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// EncodeCache memoizes one encoding per version: Get re-runs the encode
-// only when the version moved since the cached body was built, so a
-// thousand scrapers per refresh cost one encode plus cheap byte serves.
-// The cached body is immutable once returned; callers must not modify
-// it.
+// EncodeCache memoizes one encoding per version: Acquire re-runs the
+// encode only when the version moved since the cached body was built,
+// so a thousand scrapers per refresh cost one encode plus cheap byte
+// serves. A body is leased, not copied: it is immutable from Acquire to
+// the last Release, and only a retired body nobody holds any more
+// becomes the buffer of a later encode — in steady state two bodies
+// alternate and no encode allocates one.
 type EncodeCache struct {
 	encode func(io.Writer) error
 
-	mu      sync.Mutex
-	valid   bool
+	mu    sync.Mutex
+	cur   *Lease // the latest encoded version, nil before the first
+	spare *Lease // a retired body without readers: the next encode's buffer
+	stats CacheStats
+}
+
+// Lease is a hold on one version's encoded body. Body must not be
+// modified, nor read after Release.
+type Lease struct {
+	Body []byte
+
+	c       *EncodeCache
 	version uint64
-	body    []byte
-	etag    string
+	readers int // guarded by c.mu
+}
+
+// leaseWriter is the io.Writer an encode fills a lease's body through.
+type leaseWriter Lease
+
+func (w *leaseWriter) Write(p []byte) (int, error) {
+	w.Body = append(w.Body, p...)
+	return len(p), nil
 }
 
 // NewEncodeCache wraps an encoder (e.g. an OpenMetrics snapshot writer).
@@ -266,35 +285,76 @@ func NewEncodeCache(encode func(io.Writer) error) *EncodeCache {
 	return &EncodeCache{encode: encode}
 }
 
-// Get returns the encoding for the given version, rebuilding it at most
-// once per version change, plus a strong ETag derived from the version.
-func (c *EncodeCache) Get(version uint64) (body []byte, etag string, err error) {
+// Acquire leases the encoding for the given version, rebuilding it at
+// most once per version change. The caller must Release the lease when
+// it is done with the body.
+func (c *EncodeCache) Acquire(version uint64) (*Lease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.valid || c.version != version {
-		// A new buffer per version (earlier bodies may still be in flight
-		// on other goroutines), sized by the last one and served as it is.
-		buf := bytes.NewBuffer(make([]byte, 0, len(c.body)+len(c.body)/8))
-		if err := c.encode(buf); err != nil {
-			return nil, "", err
+	if c.cur == nil || c.cur.version != version {
+		next := c.spare
+		c.spare = nil
+		if next == nil {
+			next = &Lease{c: c}
 		}
-		c.body = buf.Bytes()
-		c.etag = `"` + strconv.FormatUint(version, 10) + `"`
-		c.version = version
-		c.valid = true
+		next.Body = next.Body[:0]
+		start := time.Now()
+		if err := c.encode((*leaseWriter)(next)); err != nil {
+			c.spare = next
+			return nil, err
+		}
+		c.stats = CacheStats{c.stats.Encodes + 1, len(next.Body), time.Since(start)}
+		next.version = version
+		if c.cur != nil && c.cur.readers == 0 {
+			c.spare = c.cur
+		}
+		c.cur = next
 	}
-	return c.body, c.etag, nil
+	c.cur.readers++
+	return c.cur, nil
 }
 
-// ServeCached writes a cached body with ETag revalidation: a scraper
-// that presents the current ETag in If-None-Match gets a bodyless 304.
+// Release ends the lease.
+func (l *Lease) Release() {
+	c := l.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if l.readers--; l.readers == 0 && l != c.cur && c.spare == nil {
+		c.spare = l
+	}
+}
+
+// CacheStats counts an EncodeCache's work.
+type CacheStats struct {
+	Encodes    uint64        // bodies encoded
+	BodyBytes  int           // size of the latest
+	LastEncode time.Duration // what the latest took
+}
+
+// Stats returns the cache's counters.
+func (c *EncodeCache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
+
+// presents reports whether the request revalidates the body etag names.
+func presents(r *http.Request, etag string) bool {
+	return r.Header.Get("If-None-Match") == etag
+}
+
+// ServeCached writes a cached body with ETag revalidation and a declared
+// length (no chunking): a scraper that presents the current ETag in
+// If-None-Match gets a bodyless 304 — a handler checks presents first
+// and then need not produce the body at all.
 func ServeCached(w http.ResponseWriter, r *http.Request, body []byte, etag, contentType string) {
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache")
-	if match := r.Header.Get("If-None-Match"); match != "" && match == etag {
+	if presents(r, etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 }

@@ -245,24 +245,130 @@ func TestEncodeCache(t *testing.T) {
 		fmt.Fprintf(w, "body-%d", encodes)
 		return nil
 	})
-	for i := 0; i < 5; i++ {
-		body, etag, err := c.Get(1)
+	get := func(version uint64) string {
+		t.Helper()
+		l, err := c.Acquire(version)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(body) != "body-1" || etag != `"1"` {
-			t.Fatalf("Get(1) = %q %q", body, etag)
+		defer l.Release()
+		return string(l.Body)
+	}
+	for i := 0; i < 5; i++ {
+		if body := get(1); body != "body-1" {
+			t.Fatalf("Acquire(1) = %q", body)
 		}
 	}
 	if encodes != 1 {
 		t.Fatalf("encodes = %d, want 1 (cache must memoize per version)", encodes)
 	}
-	body, etag, err := c.Get(2)
-	if err != nil {
+	if body := get(2); body != "body-2" || encodes != 2 {
+		t.Fatalf("Acquire(2) = %q after %d encodes", body, encodes)
+	}
+	if st := c.Stats(); st.Encodes != 2 || st.BodyBytes != len("body-2") {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestConditionalScrape: a scraper revalidating the current refresh is
+// answered 304 from the version alone — no encode runs for a body nobody
+// reads — and any other gets the body with its length declared.
+func TestConditionalScrape(t *testing.T) {
+	srv := NewServer(func(w io.Writer) error {
+		_, err := io.WriteString(w, strings.Repeat("# a metrics body longer than net/http's own length sniffing\n", 100))
+		return err
+	})
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	defer srv.Close()
+	if err := srv.Publish(testSample(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if string(body) != "body-2" || etag != `"2"` || encodes != 2 {
-		t.Fatalf("Get(2) = %q %q after %d encodes", body, etag, encodes)
+	for _, tc := range []struct {
+		path, presented string
+		status          int
+		metricsEncodes  uint64 // by /metrics so far
+		jsonEncodes     uint64 // by /api/v1/sample so far
+	}{
+		{"/metrics", `"1"`, http.StatusNotModified, 0, 0},
+		{"/api/v1/sample", `"1"`, http.StatusNotModified, 0, 0},
+		{"/metrics", `"0"`, http.StatusOK, 1, 0},
+		{"/metrics", "", http.StatusOK, 1, 0},
+		{"/metrics", `"1"`, http.StatusNotModified, 1, 0},
+		{"/api/v1/sample", `"0"`, http.StatusOK, 1, 1},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+tc.path, nil)
+		if tc.presented != "" {
+			req.Header.Set("If-None-Match", tc.presented)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		name := fmt.Sprintf("%s If-None-Match %s", tc.path, tc.presented)
+		if resp.StatusCode != tc.status || resp.Header.Get("ETag") != `"1"` {
+			t.Fatalf("%s: status %d ETag %s, want %d \"1\"", name, resp.StatusCode, resp.Header.Get("ETag"), tc.status)
+		}
+		if m, j := srv.MetricsStats().Encodes, srv.Hub().encodes[FormatJSON].Load(); m != tc.metricsEncodes || j != tc.jsonEncodes {
+			t.Fatalf("%s: encodes so far metrics=%d json=%d, want %d %d", name, m, j, tc.metricsEncodes, tc.jsonEncodes)
+		}
+		if tc.status == http.StatusNotModified {
+			if len(body) != 0 {
+				t.Fatalf("%s: 304 with %d body bytes", name, len(body))
+			}
+			continue
+		}
+		if len(body) == 0 || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: %d body bytes, Content-Length %d, Transfer-Encoding %v", name, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+}
+
+// TestLeasedBodyStaysPut: a reader that holds a body while later
+// versions are published and encoded — by readers that come and go, so
+// retired bodies are there to be reused — reads the bytes it was given;
+// and once it lets go, two bodies alternate.
+func TestLeasedBodyStaysPut(t *testing.T) {
+	version := 0
+	text := []byte(strings.Repeat("x", 64))
+	c := NewEncodeCache(func(w io.Writer) error {
+		text[0] = byte('0' + version)
+		_, err := w.Write(text)
+		return err
+	})
+	acquire := func() *Lease {
+		t.Helper()
+		version++
+		l, err := c.Acquire(uint64(version))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	held := acquire()
+	want := string(held.Body)
+	arrays := map[*byte]bool{}
+	for i := 0; i < 6; i++ {
+		l := acquire()
+		if &l.Body[0] == &held.Body[0] {
+			t.Fatalf("version %d was encoded into the body a reader still holds", version)
+		}
+		arrays[&l.Body[0]] = true
+		l.Release()
+	}
+	if got := string(held.Body); got != want {
+		t.Fatalf("held body changed under its reader: %q, want %q", got, want)
+	}
+	if len(arrays) != 2 {
+		t.Fatalf("6 encodes beside a held body used %d bodies, want 2 alternating", len(arrays))
+	}
+	held.Release()
+	if allocs := testing.AllocsPerRun(10, func() { acquire().Release() }); allocs != 0 {
+		t.Fatalf("a steady-state encode allocates %.0f times, want 0", allocs)
 	}
 }
 

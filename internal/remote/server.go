@@ -78,21 +78,43 @@ func (s *Server) HandleSample(w http.ResponseWriter, r *http.Request) {
 	if format == FormatBinary {
 		etag, contentType = etag+"-b", ContentTypeBinary
 	}
-	ServeCached(w, r, f.Payload(format), `"`+etag+`"`, contentType)
+	etag = `"` + etag + `"`
+	var body []byte
+	if !presents(r, etag) { // a 304 needs no encode
+		body = f.Payload(format)
+	}
+	ServeCached(w, r, body, etag, contentType)
 }
 
-// HandleMetrics serves the per-refresh cached OpenMetrics exposition.
+// HandleMetrics serves the per-refresh cached OpenMetrics exposition. A
+// scraper revalidating the current refresh is answered from the version
+// alone: its 304 neither waits for nor causes an encode.
 func (s *Server) HandleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.metrics == nil {
 		http.NotFound(w, r)
 		return
 	}
-	body, etag, err := s.metrics.Get(s.version.Load())
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err.Error())
-		return
+	version := s.version.Load()
+	etag := `"` + strconv.FormatUint(version, 10) + `"`
+	var body []byte
+	if !presents(r, etag) {
+		lease, err := s.metrics.Acquire(version)
+		if err != nil {
+			WriteError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		defer lease.Release()
+		body = lease.Body
 	}
 	ServeCached(w, r, body, etag, "text/plain; version=0.0.4; charset=utf-8")
+}
+
+// MetricsStats returns the /metrics cache's counters (zero without one).
+func (s *Server) MetricsStats() CacheStats {
+	if s.metrics == nil {
+		return CacheStats{}
+	}
+	return s.metrics.Stats()
 }
 
 // Register mounts the server's endpoints on a mux.

@@ -3,6 +3,7 @@ package tiptop
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"tiptop/internal/core"
 	"tiptop/internal/export"
@@ -37,6 +38,14 @@ type Snapshot = history.Snapshot
 // Queries are safe from any goroutine while sampling continues.
 type Recorder struct {
 	h *history.Recorder
+	// scrape is what WriteOpenMetrics keeps between calls: the view it
+	// copies the recorder's state into and the encoder whose label
+	// blocks outlive a refresh. One exposition is written at a time.
+	scrape struct {
+		sync.Mutex
+		view history.View
+		enc  export.Encoder
+	}
 }
 
 // NewRecorder creates an unattached Recorder; attach it to a Monitor
@@ -76,9 +85,25 @@ func (r *Recorder) History(pid int) []HistorySeries { return r.h.History(pid) }
 func (r *Recorder) PIDs() []int { return r.h.PIDs() }
 
 // WriteOpenMetrics renders the recorder's aggregates and latest task
-// values in the OpenMetrics / Prometheus text format.
+// values in the OpenMetrics / Prometheus text format. The recorder is
+// read-locked only while its state is copied out, never while values
+// are formatted or w is written; concurrent calls take turns (serve
+// many scrapers through a remote.Server, which encodes once per refresh).
 func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
-	return export.WriteOpenMetrics(w, r.h.Snapshot())
+	s := &r.scrape
+	s.Lock()
+	defer s.Unlock()
+	r.h.View(&s.view)
+	return s.enc.Write(w, &s.view)
+}
+
+// ExpositionStats counts the expositions WriteOpenMetrics has written
+// and how many of them had to render label blocks again: none while the
+// set of live tasks, users and commands stands.
+func (r *Recorder) ExpositionStats() (encodes, renders uint64) {
+	r.scrape.Lock()
+	defer r.scrape.Unlock()
+	return r.scrape.enc.Stats()
 }
 
 // Validate reports configuration errors a Monitor constructor would

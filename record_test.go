@@ -2,11 +2,13 @@ package tiptop
 
 import (
 	"flag"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"tiptop/internal/config"
+	"tiptop/internal/remote"
 )
 
 func recordedMonitor(t *testing.T) (*Monitor, *Recorder) {
@@ -202,5 +204,58 @@ func TestNewNamedScenarioNames(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-scenario error %q does not name %q", err, name)
 		}
+	}
+}
+
+// TestScrapeEncodeSteadyAllocs is the scrape path's budget on
+// live_fleet's shape: while membership stands, encoding a refresh of
+// 2000 tasks into the server's cache renders no label block, sorts
+// nothing and allocates nothing (measured 0 against a budget of 4: the
+// count is the process's, not the goroutine's); replacing one task
+// costs one re-render, once.
+func TestScrapeEncodeSteadyAllocs(t *testing.T) {
+	sc, mon, rec := scrapeFixture(t, 2000, 3)
+	cache := remote.NewEncodeCache(rec.WriteOpenMetrics)
+	version := uint64(0)
+	encode := func() (allocs, renders uint64) {
+		t.Helper()
+		if _, err := mon.Sample(); err != nil {
+			t.Fatal(err)
+		}
+		version++
+		var before, after runtime.MemStats
+		_, renders = rec.ExpositionStats()
+		runtime.ReadMemStats(&before)
+		lease, err := cache.Acquire(version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease.Release()
+		runtime.ReadMemStats(&after)
+		_, now := rec.ExpositionStats()
+		return after.Mallocs - before.Mallocs, now - renders
+	}
+	for i := 0; i < 3; i++ { // both cache bodies and every buffer at size
+		encode()
+	}
+	for i := 0; i < 5; i++ {
+		if allocs, renders := encode(); allocs > 4 || renders != 0 {
+			t.Fatalf("steady refresh %d: encode allocated %d times and re-rendered labels %d times, want <= 4 and 0", i, allocs, renders)
+		}
+	}
+	if err := sc.Kill(rec.PIDs()[1000]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.StartSynthetic("user0", "job02000", 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, renders := encode(); renders != 1 {
+		t.Fatalf("one task replaced: %d re-renders, want 1", renders)
+	}
+	if allocs, renders := encode(); allocs > 4 || renders != 0 {
+		t.Fatalf("after the replacement: encode allocated %d times and re-rendered %d times, want <= 4 and 0", allocs, renders)
+	}
+	if st := cache.Stats(); st.Encodes != version || st.BodyBytes < 2000*1000 || st.LastEncode <= 0 {
+		t.Fatalf("cache stats = %+v after %d versions", st, version)
 	}
 }
