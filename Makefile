@@ -72,12 +72,12 @@ validate:
 # daemon composed as cmd/tiptopd composes it and writes
 # results/bench/report.json (end-to-end metrics gated by the bounds in
 # BENCHMARK.json, per-layer metrics beside them). The go test lines are
-# for eyeballing serial vs sharded refreshes and one /metrics encode of
-# 2000 tasks; their allocation budgets are asserted by
+# for eyeballing one refresh of 1000 and 4000 tasks and one /metrics
+# encode of 2000; their allocation budgets are asserted by
 # TestUpdateAllocsFlat and TestScrapeEncodeSteadyAllocs.
 bench:
 	$(GO) run ./bench
-	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+$$' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkScrapeEncode2000' -benchmem .
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and

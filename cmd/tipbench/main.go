@@ -38,7 +38,6 @@ func run(args []string) error {
 		runIDs   = fs.String("run", "", "comma-separated experiment IDs (default: all)")
 		scale    = fs.Float64("scale", 0.02, "workload scale; 1.0 regenerates the paper's full-length runs")
 		seed     = fs.Int64("seed", 1, "simulation seed")
-		parallel = fs.Int("j", 0, "sampling shards for the engine (0 = one per CPU, 1 = serial)")
 		outDir   = fs.String("out", "results", "output directory")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		benchVal = fs.Bool("validate", false, "run the counter-validation oracle (analytic micro-kernels through session, mux, store and query on all four machine models), write VALIDATE.json, then exit non-zero if any layer is out of tolerance")
@@ -70,7 +69,7 @@ func run(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *parallel}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed}
 
 	var summary strings.Builder
 	fmt.Fprintf(&summary, "tiptop reproduction results (scale %g, seed %d)\n", *scale, *seed)

@@ -62,8 +62,13 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: an unknown flag is refused, never accepted and
+// ignored; -j is one.
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-nope"}); err == nil {
-		t.Fatal("bad flag must fail")
+	for _, args := range [][]string{{"-nope"}, {"-j", "2", "-list"}} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("run(%q) = %v, want the unknown-flag error", args, err)
+		}
 	}
 }

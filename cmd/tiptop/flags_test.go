@@ -23,7 +23,6 @@ var sharedOptions = []struct {
 	{"delay", "-d=3", `delay="7"`, func(o *options) any { return o.cfg.Interval }, 3 * time.Second, 7 * time.Second},
 	{"sort", "-sort=pid", `sort="ipc"`, func(o *options) any { return o.cfg.SortBy }, "pid", "ipc"},
 	{"user", "-u=alice", `user="bob"`, func(o *options) any { return o.cfg.User }, "alice", "bob"},
-	{"parallelism", "-j=2", `parallelism="3"`, func(o *options) any { return o.cfg.Parallelism }, 2, 3},
 	{"system-wide", "-system-wide", `systemwide="true"`, func(o *options) any { return o.cfg.SystemWide }, true, true},
 	{"counters", "-counters=4", `counters="6"`, func(o *options) any { return o.cfg.Counters }, 4, 6},
 	{"wire", "-wire=binary", `wire="json"`, func(o *options) any { return o.shared.Wire }, "binary", "json"},

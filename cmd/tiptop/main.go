@@ -58,7 +58,7 @@ type options struct {
 
 func resolve(args []string) (*options, error) {
 	fs := flag.NewFlagSet("tiptop", flag.ContinueOnError)
-	// -d -n -screen -sort -u -j -sim -scale -system-wide -counters
+	// -d -n -screen -sort -u -sim -scale -system-wide -counters
 	// -config -wire -fsync are shared with tiptopd.
 	o := &options{shared: config.BindFlags(fs)}
 	fs.BoolVar(&o.batch, "b", false, "batch mode: stream text, no screen control")

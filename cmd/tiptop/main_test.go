@@ -141,7 +141,7 @@ func TestRunBatchGolden(t *testing.T) {
 	}
 }
 
-// TestRunFlagValidation covers the CLI input checks: negative -j,
+// TestRunFlagValidation covers the CLI input checks: the removed -j,
 // non-positive -d, unknown -sort/-screen/-o, bad combinations.
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
@@ -151,7 +151,7 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		{"zero delay", []string{"-d", "0"}, "delay must be positive"},
 		{"negative delay", []string{"-d", "-3"}, "delay must be positive"},
-		{"negative shards", []string{"-j", "-1"}, "cannot be negative"},
+		{"removed -j", []string{"-j", "2", "-b", "-n", "1", "-sim", "spec"}, "flag provided but not defined: -j"},
 		{"unknown sort", []string{"-sort", "karma", "-sim", "spec"}, "unknown sort key"},
 		{"sort from other screen", []string{"-sort", "dmis", "-screen", "branch", "-sim", "spec"}, "unknown sort key"},
 		{"unknown screen", []string{"-screen", "nope", "-sim", "spec"}, "unknown screen"},
@@ -174,7 +174,6 @@ func TestRunFlagValidation(t *testing.T) {
 	ok := [][]string{
 		{"-b", "-n", "1", "-sort", "pid", "-sim", "spec", "-scale", "0.001"},
 		{"-b", "-n", "1", "-sort", "ipc", "-sim", "spec", "-scale", "0.001"},
-		{"-b", "-n", "1", "-j", "2", "-sim", "spec", "-scale", "0.001"},
 	}
 	for _, args := range ok {
 		if err := run(args, io.Discard); err != nil {

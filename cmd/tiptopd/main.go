@@ -95,7 +95,7 @@ type options struct {
 
 func resolve(args []string) (*options, error) {
 	fs := flag.NewFlagSet("tiptopd", flag.ContinueOnError)
-	// -d -n -screen -sort -u -j -sim -scale -system-wide -counters
+	// -d -n -screen -sort -u -sim -scale -system-wide -counters
 	// -config -wire -fsync are shared with tiptop.
 	o := &options{shared: config.BindFlags(fs)}
 	fs.StringVar(&o.addr, "addr", ":9412", "HTTP listen address")

@@ -77,8 +77,8 @@ func get(t *testing.T, url string) (int, string) {
 
 // TestDaemonEndToEndConcurrentScrapers is the subsystem's acceptance
 // test: a live simulated scenario behind the daemon, hammered by many
-// concurrent scrapers across all endpoints while the sharded sampler
-// keeps refreshing. Run under -race it doubles as the concurrency
+// concurrent scrapers across all endpoints while the sampler keeps
+// refreshing. Run under -race it doubles as the concurrency
 // regression suite.
 func TestDaemonEndToEndConcurrentScrapers(t *testing.T) {
 	d, srv := testDaemon(t)
@@ -228,7 +228,6 @@ func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-d", "0"},
 		{"-d", "-1"},
-		{"-j", "-2"},
 		{"-history", "-5"},
 		{"-window", "-30s"},
 		{"-sort", "bogus", "-sim", "spec"},
@@ -240,6 +239,11 @@ func TestRunFlagValidation(t *testing.T) {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v must fail", args)
 		}
+	}
+	// -j is not a flag: refused, never accepted and ignored.
+	err := run([]string{"-j", "2", "-sim", "spec", "-n", "1", "-addr", "127.0.0.1:0"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -j") {
+		t.Errorf("-j 2: %v, want the unknown-flag error", err)
 	}
 }
 

@@ -8,7 +8,7 @@
 // Example:
 //
 //	<tiptop>
-//	  <options delay="5" batch="true" sort="ipc" max_tasks="20" parallelism="4"/>
+//	  <options delay="5" batch="true" sort="ipc" max_tasks="20"/>
 //	  <event name="FP_ASSIST_ALL" raw="0x1EF7" desc="micro-coded FP assists"/>
 //	  <event name="L1D_MISSES" spec="L1D_READ_MISS"/>
 //	  <screen name="fpstudy" desc="IPC next to FP assists">
@@ -64,10 +64,6 @@ type OptionsXML struct {
 	MaxTasks int `xml:"max_tasks,attr,omitempty"`
 	// OnlyUser restricts monitoring to one user.
 	OnlyUser string `xml:"user,attr,omitempty"`
-	// Parallelism is the number of sampling shards the engine
-	// partitions the process table across (0 = one per CPU, 1 =
-	// serial sampling).
-	Parallelism int `xml:"parallelism,attr,omitempty"`
 	// Format selects the batch-mode output format: "text" (the classic
 	// tiptop -b blocks), "csv" or "jsonl". Empty means text.
 	Format string `xml:"format,attr,omitempty"`
@@ -264,9 +260,6 @@ func (f *File) Validate() error {
 	}
 	if f.Options.MaxTasks < 0 {
 		return fmt.Errorf("config: negative max_tasks")
-	}
-	if f.Options.Parallelism < 0 {
-		return fmt.Errorf("config: negative parallelism")
 	}
 	if f.Options.Counters < 0 {
 		return fmt.Errorf("config: negative counters capacity")

@@ -11,19 +11,18 @@ import (
 // place (tiptop.ConfigFromFlags), is that an option the -config file
 // sets overrides the flag.
 type Flags struct {
-	Delay       float64 // -d, <options delay=>
-	Iterations  int     // -n
-	Screen      string  // -screen
-	Sort        string  // -sort, sort=
-	User        string  // -u, user=
-	Parallelism int     // -j, parallelism=
-	Sim         string  // -sim
-	Scale       float64 // -scale
-	SystemWide  bool    // -system-wide, systemwide=
-	Counters    int     // -counters, counters=
-	ConfigFile  string  // -config
-	Wire        string  // -wire, wire=
-	Fsync       string  // -fsync, fsync=
+	Delay      float64 // -d, <options delay=>
+	Iterations int     // -n
+	Screen     string  // -screen
+	Sort       string  // -sort, sort=
+	User       string  // -u, user=
+	Sim        string  // -sim
+	Scale      float64 // -scale
+	SystemWide bool    // -system-wide, systemwide=
+	Counters   int     // -counters, counters=
+	ConfigFile string  // -config
+	Wire       string  // -wire, wire=
+	Fsync      string  // -fsync, fsync=
 }
 
 // BindFlags declares the shared flags on fs.
@@ -34,7 +33,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Screen, "screen", "", "screen: default, branch, fp, mem, lat, roofline, wide, system (or one from -config; default \"default\", or \"system\" with -system-wide)")
 	fs.StringVar(&f.Sort, "sort", "cpu", "sort key: cpu, pid, or a column name")
 	fs.StringVar(&f.User, "u", "", "only monitor this user's tasks")
-	fs.IntVar(&f.Parallelism, "j", 0, "sampling shards (0 = one per CPU, 1 = serial)")
 	fs.StringVar(&f.Sim, "sim", "", "monitor a simulated scenario: spec, revolution, conflict, datacenter, assist, steady, validate")
 	fs.Float64Var(&f.Scale, "scale", 0.01, "workload scale for simulated scenarios (1.0 = paper length)")
 	fs.BoolVar(&f.SystemWide, "system-wide", false, "monitor logical CPUs instead of tasks (perf's -a; one row per CPU)")
@@ -49,9 +47,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 func (f *Flags) Validate() error {
 	if f.Delay <= 0 {
 		return fmt.Errorf("refresh delay must be positive, got -d %v", f.Delay)
-	}
-	if f.Parallelism < 0 {
-		return fmt.Errorf("sampling shards cannot be negative, got -j %d", f.Parallelism)
 	}
 	if f.Counters < 0 {
 		return fmt.Errorf("counter capacity cannot be negative, got -counters %d", f.Counters)

@@ -11,23 +11,18 @@
 // refresh displays the number of occurrences of each event since the
 // previous refresh.
 //
-// Sampling is sharded: the process-table snapshot is partitioned by a
-// stable hash of the TaskID across a pool of worker shards (see
-// Options.Parallelism), each of which owns its tasks' state and samples
-// them concurrently. The merged sample is deterministically ordered —
-// byte-identical to what a serial engine produces — because rows are
-// written back at their snapshot positions before the final sort.
+// A refresh is one pass over the process-table snapshot, in snapshot
+// order, on the goroutine that called Update: the engine starts no
+// goroutine and takes no lock, and a Session is not safe for concurrent
+// use.
 package core
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tiptop/internal/hpm"
@@ -98,10 +93,8 @@ type Options struct {
 	// SortBy names the sort key: "cpu" (default), "pid", or any column
 	// name of the screen (sorted descending).
 	SortBy string
-	// Parallelism is the number of sampling shards the process table is
-	// partitioned across. 0 selects runtime.GOMAXPROCS(0); 1 samples
-	// serially on the calling goroutine. Row ordering is identical at
-	// every setting.
+	// Parallelism is ignored: the engine samples on the calling
+	// goroutine. The field remains only while bench/ still sets it.
 	Parallelism int
 	// Registry is the event universe screen expressions resolve
 	// against; nil means hpm.DefaultRegistry(). Sessions with
@@ -296,7 +289,7 @@ type taskState struct {
 	prevCPUTime time.Duration
 	prevSeenAt  time.Duration
 	everSampled bool
-	seen        uint64 // shard epoch that last listed the task
+	seen        uint64 // epoch that last listed the task
 }
 
 // Session is a running tiptop engine.
@@ -309,16 +302,18 @@ type Session struct {
 	events   []hpm.EventDesc
 	// table names events in order, for every sample's rows; columns are
 	// the screen's expressions bound to a row's slot vector (the event
-	// deltas by index, then metrics.ContextVars), stackDepth the scratch
-	// their evaluation needs.
-	table      *EventTable
-	columns    []*metrics.Bound
-	stackDepth int
-	shards     []*shard
-	// attachMu serializes backend.Attach and TaskCounter.Close across
-	// shard workers: the hpm contract only requires backends to
-	// tolerate concurrent Read on distinct counters.
-	attachMu  sync.Mutex
+	// deltas by index, then metrics.ContextVars).
+	table   *EventTable
+	columns []*metrics.Bound
+	states  map[hpm.TaskID]*taskState
+	failed  map[hpm.TaskID]*attachFailure
+	// epoch counts refreshes: a task's state or attach failure stamped
+	// with an older one belongs to a task the snapshot no longer lists.
+	epoch uint64
+	// Scratch reused across refreshes, reachable from no sample: one
+	// row's slot vector and the column evaluator's value stack.
+	slots     []float64
+	stack     []float64
 	observers []Observer
 	closed    bool
 }
@@ -356,14 +351,8 @@ func NewSession(backend hpm.Backend, proc ProcSource, clock Clock, opt Options) 
 				backend.Name(), e, hpm.ErrUnsupportedEvent)
 		}
 	}
-	if opt.Parallelism < 0 {
-		return nil, fmt.Errorf("core: negative parallelism %d", opt.Parallelism)
-	}
 	if err := ValidateSortKey(opt.Screen, opt.SortBy); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	if opt.Parallelism == 0 {
-		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	s := &Session{
 		backend:  backend,
@@ -372,6 +361,8 @@ func NewSession(backend hpm.Backend, proc ProcSource, clock Clock, opt Options) 
 		opt:      opt,
 		registry: registry,
 		events:   events,
+		states:   make(map[hpm.TaskID]*taskState),
+		failed:   make(map[hpm.TaskID]*attachFailure),
 	}
 	slots := make([]string, 0, len(events)+len(metrics.ContextVars))
 	for _, e := range events {
@@ -379,26 +370,22 @@ func NewSession(backend hpm.Backend, proc ProcSource, clock Clock, opt Options) 
 	}
 	s.table = NewEventTable(slots...)
 	slots = append(slots, metrics.ContextVars[:]...)
+	depth := 0
 	for _, col := range opt.Screen.Columns {
 		b, err := col.Expr.Bind(slots)
 		if err != nil {
 			return nil, fmt.Errorf("core: screen %q column %q: %w", opt.Screen.Name, col.Name, err)
 		}
 		s.columns = append(s.columns, b)
-		s.stackDepth = max(s.stackDepth, b.Depth())
+		depth = max(depth, b.Depth())
 	}
-	s.shards = make([]*shard, opt.Parallelism)
-	for i := range s.shards {
-		s.shards[i] = newShard(s)
-	}
+	s.slots = make([]float64, len(slots))
+	s.stack = make([]float64, depth)
 	return s, nil
 }
 
 // Screen returns the active screen.
 func (s *Session) Screen() *metrics.Screen { return s.opt.Screen }
-
-// Parallelism returns the number of sampling shards in use.
-func (s *Session) Parallelism() int { return len(s.shards) }
 
 // Events returns the counter events the session attaches to every task.
 func (s *Session) Events() []hpm.EventDesc { return s.events }
@@ -457,54 +444,70 @@ func (s *Session) Update() (*Sample, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: process snapshot: %w", err)
 	}
-	// Partition the filtered snapshot across the shards. Book-keeping
-	// is keyed by the full TaskID, so per-thread rows, per-process
-	// leader rows and group-scope rows never collide; the stable hash
-	// keeps every task's state owned by one shard for its whole life.
-	nshard := len(s.shards)
-	for _, sh := range s.shards {
-		sh.work = sh.work[:0]
+	n := len(infos)
+	if s.opt.FilterUser != "" {
+		n = 0
+		for i := range infos {
+			if infos[i].User == s.opt.FilterUser {
+				n++
+			}
+		}
 	}
-	n := 0
+	s.epoch++
+	// What a refresh hands out is made for that refresh alone: the rows,
+	// one backing array for every row's column values and another for
+	// every row's counter deltas.
+	ncols, nev := len(s.columns), len(s.events)
+	rows := make([]Row, 0, n)
+	values := make([]float64, n*ncols)
+	counts := make([]uint64, n*nev)
 	for i := range infos {
 		info := &infos[i]
 		if s.opt.FilterUser != "" && info.User != s.opt.FilterUser {
 			continue
 		}
-		sh := s.shards[shardIndex(info.ID, nshard)]
-		sh.work = append(sh.work, workItem{info: *info, idx: n})
-		n++
-	}
-
-	rows := make([]Row, n)
-	var dropped atomic.Int64
-	if nshard == 1 {
-		s.shards[0].refresh(now, rows, &dropped)
-	} else {
-		var wg sync.WaitGroup
-		for _, sh := range s.shards {
-			if len(sh.work) == 0 && len(sh.states) == 0 && len(sh.failed) == 0 {
+		rows = append(rows, Row{})
+		row := &rows[len(rows)-1]
+		vals := values[:ncols:ncols]
+		values = values[ncols:]
+		// Book-keeping is keyed by the full TaskID, so per-thread rows,
+		// per-process leader rows and group-scope rows never collide.
+		st, ok := s.states[info.ID]
+		if !ok {
+			if st = s.admit(info, now); st == nil {
+				// Attach failed; show an unmonitored row.
+				*row = Row{Info: *info, CPUPct: s.cpuPct(nil, info, now), Values: vals}
 				continue
 			}
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.refresh(now, rows, &dropped)
-			}(sh)
+			s.states[info.ID] = st
 		}
-		wg.Wait()
-	}
-	// Counters of reaped tasks are closed serially after the shards
-	// join; Close, like Attach, is not required to be concurrency-safe.
-	for _, sh := range s.shards {
-		for i, c := range sh.reaped {
-			_ = c.Close()
-			sh.reaped[i] = nil
-		}
-		sh.reaped = sh.reaped[:0]
+		s.sampleTask(row, st, info, now, vals, counts[:nev:nev])
+		counts = counts[nev:]
+		st.prevCPUTime = info.CPUTime
+		st.prevSeenAt = now
+		st.everSampled = true
+		st.seen = s.epoch
 	}
 
-	sample := &Sample{Time: now, Rows: rows, Dropped: int(dropped.Load())}
+	// Reap tasks that disappeared.
+	dropped := 0
+	for id, st := range s.states {
+		if st.seen != s.epoch {
+			_ = st.counter.Close() // the task is gone; nothing to retry
+			delete(s.states, id)
+			dropped++
+		}
+	}
+	// Attach-failure state goes with the task: the map cannot grow
+	// without bound under churn, and a reused TaskID starts clean
+	// instead of inheriting a previous owner's blacklisting.
+	for id, f := range s.failed {
+		if f.seen != s.epoch {
+			delete(s.failed, id)
+		}
+	}
+
+	sample := &Sample{Time: now, Rows: rows, Dropped: dropped}
 	s.sortRows(sample.Rows)
 	// Observers run before MaxRows clips the display: recording and
 	// aggregation must cover every monitored task.
@@ -642,15 +645,11 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	var first error
-	for _, sh := range s.shards {
-		for id, st := range sh.states {
-			if st.counter != nil {
-				if err := st.counter.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			delete(sh.states, id)
+	for id, st := range s.states {
+		if err := st.counter.Close(); err != nil && first == nil {
+			first = err
 		}
+		delete(s.states, id)
 	}
 	return first
 }

@@ -89,15 +89,6 @@ func (b *countingBackend) Attach(task hpm.TaskID, events []hpm.EventDesc) (hpm.T
 	return b.fakeBackend.Attach(task, events)
 }
 
-// failedEntries sums the attach-failure book-keeping across shards.
-func failedEntries(s *Session) int {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.failed)
-	}
-	return n
-}
-
 func TestFailedMapReapedWithTask(t *testing.T) {
 	// A task whose attach failed permanently must not leave an entry in
 	// the failure map after it disappears — under churn the map would
@@ -110,16 +101,16 @@ func TestFailedMapReapedWithTask(t *testing.T) {
 	if _, err := s.Update(); err != nil {
 		t.Fatal(err)
 	}
-	if failedEntries(s) != 1 {
-		t.Fatalf("failed entries = %d, want 1", failedEntries(s))
+	if len(s.failed) != 1 {
+		t.Fatalf("failed entries = %d, want 1", len(s.failed))
 	}
 	p.infos = nil // the task exits
 	c.Advance(time.Second)
 	if _, err := s.Update(); err != nil {
 		t.Fatal(err)
 	}
-	if failedEntries(s) != 0 {
-		t.Fatalf("failed entries after reap = %d, want 0", failedEntries(s))
+	if len(s.failed) != 0 {
+		t.Fatalf("failed entries after reap = %d, want 0", len(s.failed))
 	}
 	// The pid is reused by a task we may monitor: it must attach.
 	delete(b.attachErr, 1)
@@ -195,8 +186,8 @@ func TestTransientAttachBackoff(t *testing.T) {
 	if len(sam.Rows) != 1 || !sam.Rows[0].Valid {
 		t.Fatal("task must attach once the transient restriction clears")
 	}
-	if failedEntries(s) != 0 {
-		t.Fatalf("failed entries = %d, want 0 after recovery", failedEntries(s))
+	if len(s.failed) != 0 {
+		t.Fatalf("failed entries = %d, want 0 after recovery", len(s.failed))
 	}
 }
 
@@ -209,8 +200,8 @@ func TestBackoffStateClearedOnSuccess(t *testing.T) {
 	delete(b.attachErr, 1)
 	c.Advance(time.Second)
 	s.Update()
-	if failedEntries(s) != 0 {
-		t.Fatalf("failed entries = %d, want 0 after successful attach", failedEntries(s))
+	if len(s.failed) != 0 {
+		t.Fatalf("failed entries = %d, want 0 after successful attach", len(s.failed))
 	}
 }
 

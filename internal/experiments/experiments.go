@@ -33,10 +33,6 @@ type Config struct {
 	Seed int64
 	// Quantum is the scheduler timeslice (default 10 ms).
 	Quantum time.Duration
-	// Parallelism is the engine's sampling-shard count (0 = one shard
-	// per CPU, 1 = serial). Results are identical at every setting;
-	// only wall-clock time changes.
-	Parallelism int
 }
 
 // DefaultConfig returns the quick configuration used by tests: 2 % of
@@ -169,11 +165,10 @@ type (
 	coreSession = core.Session
 )
 
-// simSession wires a tiptop engine onto a simulated kernel with the
-// given sampling-shard count (0 = one per CPU). Exited tasks
+// simSession wires a tiptop engine onto a simulated kernel. Exited tasks
 // stay visible (like zombies with open perf descriptors) so the final
 // refresh still reads the deltas of tasks that finished mid-interval.
-func simSession(k *sched.Kernel, screen *metrics.Screen, interval time.Duration, sortBy string, parallelism int) (*core.Session, error) {
+func simSession(k *sched.Kernel, screen *metrics.Screen, interval time.Duration, sortBy string) (*core.Session, error) {
 	src := proc.NewSource(k)
 	src.IncludeExited = true
 	return core.NewSession(
@@ -181,12 +176,11 @@ func simSession(k *sched.Kernel, screen *metrics.Screen, interval time.Duration,
 		src,
 		proc.NewClock(k),
 		core.Options{
-			Screen:      screen,
-			Interval:    interval,
-			FreqHz:      k.Machine().FreqHz,
-			NumCPUs:     k.Machine().NumLogical(),
-			SortBy:      sortBy,
-			Parallelism: parallelism,
+			Screen:   screen,
+			Interval: interval,
+			FreqHz:   k.Machine().FreqHz,
+			NumCPUs:  k.Machine().NumLogical(),
+			SortBy:   sortBy,
 		},
 	)
 }

@@ -48,7 +48,7 @@ func RunFig11(cfg Config) (*Result, error) {
 				first = task
 			}
 		}
-		s, err := simSession(k, metrics.MemoryScreen(), interval, "cpu", cfg.Parallelism)
+		s, err := simSession(k, metrics.MemoryScreen(), interval, "cpu")
 		if err != nil {
 			return runOut{}, err
 		}

@@ -92,7 +92,7 @@ func RunFig1(cfg Config) (*Result, error) {
 	// Let the dispatcher place everything and the caches warm up.
 	cluster.Advance(30 * time.Second)
 
-	s, err := simSession(node.Kernel, metrics.DefaultScreen(), 10*time.Second, "cpu", cfg.Parallelism)
+	s, err := simSession(node.Kernel, metrics.DefaultScreen(), 10*time.Second, "cpu")
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func RunFig10(cfg Config) (*Result, error) {
 		}
 	}
 
-	s, err := simSession(node.Kernel, metrics.DefaultScreen(), tick, "cpu", cfg.Parallelism)
+	s, err := simSession(node.Kernel, metrics.DefaultScreen(), tick, "cpu")
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func RunFig3(cfg Config) (*Result, error) {
 			// default screen there, as the paper's plot does.
 			screen = metrics.DefaultScreen()
 		}
-		s, err := simSession(k, screen, interval, "cpu", cfg.Parallelism)
+		s, err := simSession(k, screen, interval, "cpu")
 		if err != nil {
 			return runOut{}, err
 		}

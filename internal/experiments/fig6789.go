@@ -18,7 +18,7 @@ import (
 func phaseTrace(cfg Config, m *machine.Machine, w *workload.Workload, interval time.Duration, seed int64) (*trace.Series, *trace.Series, int, error) {
 	k := newKernel(m, cfg)
 	k.Spawn("user", w.Name, workload.MustInstance(workload.Scaled(w, cfg.Scale), seed), nil)
-	s, err := simSession(k, metrics.DefaultScreen(), interval, "cpu", cfg.Parallelism)
+	s, err := simSession(k, metrics.DefaultScreen(), interval, "cpu")
 	if err != nil {
 		return nil, nil, 0, err
 	}

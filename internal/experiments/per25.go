@@ -64,7 +64,7 @@ func RunPerturbation(cfg Config) (*Result, error) {
 		task := k.Spawn("user", w.Name, r, nil)
 		var s *coreSession
 		if monitored {
-			sess, err := simSession(k, metrics.DefaultScreen(), 5*time.Second, "cpu", cfg.Parallelism)
+			sess, err := simSession(k, metrics.DefaultScreen(), 5*time.Second, "cpu")
 			if err != nil {
 				return 0, err
 			}

@@ -34,7 +34,7 @@ func RunTable1(cfg Config) (*Result, error) {
 			return cell{}, err
 		}
 		k.Spawn("user", "fpmicro", runner, nil)
-		s, err := simSession(k, metrics.FPScreen(), time.Second, "cpu", cfg.Parallelism)
+		s, err := simSession(k, metrics.FPScreen(), time.Second, "cpu")
 		if err != nil {
 			return cell{}, err
 		}

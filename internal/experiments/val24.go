@@ -46,7 +46,7 @@ func RunValidation(cfg Config) (*Result, error) {
 			return 0, 0, err
 		}
 		kern.Spawn("user", k.Name, runner, nil)
-		s, err := simSession(kern, screen, 100*time.Millisecond, "cpu", cfg.Parallelism)
+		s, err := simSession(kern, screen, 100*time.Millisecond, "cpu")
 		if err != nil {
 			return 0, 0, err
 		}

@@ -15,7 +15,7 @@
 //
 // Queries (View, Snapshot, History, PIDs) copy out under a read lock and
 // may run concurrently with recording — this is what lets an HTTP daemon
-// serve scrapes against a live sharded sampler.
+// serve scrapes against a live sampler.
 package history
 
 import (

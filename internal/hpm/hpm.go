@@ -112,9 +112,9 @@ func (c Count) Exact() bool { return c.Running >= c.Enabled }
 // file-descriptor analogue: Close must be called to release it.
 //
 // Read may be called concurrently with Read on *other* TaskCounters of
-// the same backend (the sharded engine samples distinct tasks from
-// distinct goroutines); calls on one TaskCounter are never concurrent
-// with each other or with its Close.
+// the same backend (the engine itself samples every task from one
+// goroutine; other callers need not); calls on one TaskCounter are never
+// concurrent with each other or with its Close.
 type TaskCounter interface {
 	// Task returns the task the counters are attached to.
 	Task() TaskID
@@ -148,15 +148,16 @@ type Gate interface {
 	Disable() error
 }
 
-// Backend creates counters. Attach and TaskCounter.Close are always
-// serialized by the engine (one call at a time per backend), so
-// implementations need not support two of either running concurrently.
-// They MUST however tolerate TaskCounter.Read (and Gate calls, where
-// offered) on distinct counters running concurrently — with each other
-// and with an in-flight Attach or Close on a *different* counter —
-// because the sharded engine samples known tasks while admitting new
-// ones. In practice: Attach/Close may not mutate state that Read on
-// other counters consults without synchronizing it.
+// Backend creates counters. The engine (internal/core) calls a backend
+// and its counters from one goroutine, the one running a refresh; the
+// contract is wider than that caller, for those that are not: Attach and
+// TaskCounter.Close are serialized by the caller (one call at a time
+// per backend), so implementations need not support two of either
+// running concurrently. They MUST however tolerate TaskCounter.Read
+// (and Gate calls, where offered) on distinct counters running
+// concurrently — with each other and with an in-flight Attach or Close
+// on a *different* counter. In practice: Attach/Close may not mutate
+// state that Read on other counters consults without synchronizing it.
 type Backend interface {
 	// Name returns a short human-readable backend name ("perf_event",
 	// "sim").

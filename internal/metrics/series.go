@@ -11,6 +11,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -208,7 +209,8 @@ func ParseStep(s string) (float64, error) {
 		num, mult = s[:len(s)-1], 3600
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
+	// Written so that NaN fails it too; ±Inf is no bucket width either.
+	if err != nil || !(v >= 0) || math.IsInf(v*mult, 0) {
 		return 0, fmt.Errorf("bad step %q (use seconds or 30s/1m/1h)", s)
 	}
 	return v * mult, nil

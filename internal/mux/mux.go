@@ -17,9 +17,8 @@
 // Every rotation group is opened once, at Attach, and rotation is
 // gating (hpm.Gate): all groups stay open, one is enabled, and a Read
 // costs two inner reads and two gate calls — no inner Attach or Close,
-// hence no backend-wide lock, so the engine's shards sample a
-// multiplexed screen in parallel (LIKWID's discipline: program the
-// groups once, then only start, stop and read). The price is one
+// hence no backend-wide lock (LIKWID's discipline: program the groups
+// once, then only start, stop and read). The price is one
 // descriptor per event rather than per live event. A task falls back
 // to closing the live group and attaching the next on every Read,
 // under the backend mutex, when its inner counters offer no hpm.Gate,
@@ -32,7 +31,7 @@
 // time of idle turns is banked and credited to Enabled when the group is
 // next harvested — so hpm.Count.Scaled() performs the same
 // Raw*Enabled/Running extrapolation the kernel's own multiplexing
-// relies on, and every layer above the backend (engine shards, history,
+// relies on, and every layer above the backend (engine, history,
 // store, query, wire) works unchanged. Crediting Enabled at harvest time
 // rather than every refresh keeps each event's Raw, Enabled and Running
 // advancing together, which makes the Scaled() totals monotonic across
@@ -53,10 +52,10 @@ import (
 // Backend decorates an inner backend with userland counter rotation.
 type Backend struct {
 	inner hpm.Backend
-	// mu serializes every Attach and Close on the inner backend. The
-	// engine serializes its own, but a task rotating by close/re-attach
-	// (the fallback) makes more from TaskCounter.Read, which the engine
-	// runs concurrently across shards. A gated Read never takes it.
+	// mu serializes every Attach and Close on the inner backend,
+	// including those a task rotating by close/re-attach (the fallback)
+	// makes from TaskCounter.Read — which the hpm contract lets callers
+	// run concurrently on distinct counters. A gated Read never takes it.
 	mu sync.Mutex
 }
 

@@ -453,9 +453,9 @@ func TestCloseReleasesEverything(t *testing.T) {
 	}
 }
 
-// The engine reads distinct counters from distinct shard goroutines
-// while attaching/closing others; rotation must keep the inner
-// backend's serialization promise. Run with -race.
+// The hpm contract lets a caller read distinct counters from distinct
+// goroutines while attaching/closing others; rotation must keep the
+// inner backend's serialization promise. Run with -race.
 func TestConcurrentReadsAcrossCounters(t *testing.T) {
 	f := newFakeInner(2)
 	b := Wrap(f)

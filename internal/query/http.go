@@ -15,12 +15,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"tiptop/internal/history"
 	"tiptop/internal/metrics"
@@ -54,6 +56,12 @@ func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler
 		p, err := parseParams(r.URL.Query())
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if p.expr != "" && p.pid >= 0 {
+			// Evaluating over every task would answer a different question.
+			remote.WriteErrorHint(w, http.StatusBadRequest, "pid= selects the raw series form and cannot be combined with expr=",
+				"drop pid= to evaluate the expression over every task, or drop expr= for that task's raw series")
 			return
 		}
 		if p.format == "" && remote.WantsOpenMetrics(r) {
@@ -217,7 +225,12 @@ func (p *params) respond(w http.ResponseWriter, res response) {
 	_, _ = w.Write(body)
 }
 
-// stepHint rides every step error.
+// maxSeconds is the longest time a time.Duration holds: a from, to or
+// step beyond it would wrap when converted and select another range.
+const maxSeconds = float64(math.MaxInt64) / float64(time.Second)
+
+// rangeHint rides every from/to error, stepHint every step error.
+const rangeHint = "want from <= to; omit to (or pass 0) to query to the end"
 const stepHint = "the step is a bucket width: bare seconds or a duration suffix (30s, 1m, 1h), never negative; omit it (or pass 0) for the serving tier's native resolution"
 
 // parseParams reads a query's parameters. from/to are seconds on the
@@ -248,10 +261,13 @@ func parseParams(v url.Values) (*params, error) {
 		}
 		return nil, &store.RangeError{Msg: msg, Hint: stepHint}
 	}
+	if p.opt.StepSeconds > maxSeconds {
+		return nil, &store.RangeError{Msg: fmt.Sprintf("step %q is longer than a store can hold (%.3gs)", step, maxSeconds), Hint: stepHint}
+	}
 	if p.opt.ToSeconds > 0 && p.opt.ToSeconds < p.opt.FromSeconds {
 		return nil, &store.RangeError{
 			Msg:  fmt.Sprintf("range ends (%gs) before it starts (%gs)", p.opt.ToSeconds, p.opt.FromSeconds),
-			Hint: "want from <= to; omit to (or pass 0) to query to the end",
+			Hint: rangeHint,
 		}
 	}
 	switch p.format {
@@ -277,6 +293,9 @@ func floatParam(v url.Values, name string) (float64, error) {
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad %s %q", name, s)
+	}
+	if math.IsNaN(f) || math.Abs(f) > maxSeconds {
+		return 0, &store.RangeError{Msg: fmt.Sprintf("bad %s %q: not a time on the store clock (seconds, finite, within ±%.3g)", name, s, maxSeconds), Hint: rangeHint}
 	}
 	return f, nil
 }

@@ -50,6 +50,13 @@ func TestHandlerParseErrorsAre400(t *testing.T) {
 	if code, body = get(t, h, "/api/v1/query?expr=CYCLES&step=never"); code != http.StatusBadRequest {
 		t.Fatalf("bad step: status %d, body %s", code, body)
 	}
+
+	// pid= is the raw form's filter: beside expr= it is refused, not
+	// dropped (every task's data would come back with a 200).
+	code, body = get(t, h, "/api/v1/query?expr=CYCLES&pid=100")
+	if code != http.StatusBadRequest || !strings.Contains(body, "pid=") || !strings.Contains(body, `"hint"`) {
+		t.Fatalf("expr with pid: status %d, body %s; want a 400 naming pid= with a hint", code, body)
+	}
 }
 
 func TestHandlerExprOverStore(t *testing.T) {
@@ -327,11 +334,16 @@ func TestOneRangeParser(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"step=-10", "step=-1m", "step=never", "from=100&to=50"} {
+	// A value that is not finite, or beyond what a time.Duration holds,
+	// would wrap in the conversion and select the whole history.
+	for _, bad := range []string{"step=-10", "step=-1m", "step=never", "from=100&to=50",
+		"from=1e300", "from=Inf", "from=-Inf", "from=NaN", "to=Inf", "to=NaN",
+		"step=1e300", "step=Inf", "step=NaN"} {
 		rawCode, raw := get(t, h, "/api/v1/query?pid=100&"+bad)
 		exprCode, expr := get(t, h, "/api/v1/query?expr=CYCLES&"+bad)
-		if rawCode != http.StatusBadRequest || exprCode != rawCode || raw != expr || !strings.Contains(raw, `"hint"`) {
-			t.Errorf("%s: raw answers %d %s, expr %d %s; want one 400 envelope with a hint", bad, rawCode, raw, exprCode, expr)
+		name, _, _ := strings.Cut(bad, "=")
+		if rawCode != http.StatusBadRequest || exprCode != rawCode || raw != expr || !strings.Contains(raw, `"hint"`) || !strings.Contains(raw, name) {
+			t.Errorf("%s: raw answers %d %s, expr %d %s; want one 400 envelope naming %s, with a hint", bad, rawCode, raw, exprCode, expr, name)
 		}
 	}
 }

@@ -31,8 +31,8 @@ type Backend struct {
 	// Syscall equivalents: what internal/perfevent would ask of the
 	// kernel for the same calls with a capacity configured (one fd per
 	// event, one read(2) and one gate ioctl per counter, which is one
-	// kernel group). Atomic because reads and gate calls arrive from
-	// every engine shard at once.
+	// kernel group). Atomic because the hpm contract allows reads and
+	// gate calls on distinct counters from several goroutines at once.
 	opens, closes, reads, gates atomic.Int64
 }
 

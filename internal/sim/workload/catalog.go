@@ -464,7 +464,7 @@ type SyntheticSpec struct {
 // ManyTaskSpec returns the i-th job of the many-task stress fleet: IPC
 // targets ramp over 0.25..3.2 and memory appetites cycle, so a large
 // fleet exercises the whole metric range. The public ScenarioManyTasks
-// and the engine's sharded-sampling stress tests build their load from
+// and the engine's many-task stress tests build their load from
 // this single definition.
 func ManyTaskSpec(i int) SyntheticSpec {
 	return SyntheticSpec{

@@ -33,7 +33,7 @@ import (
 type ScanOptions struct {
 	QueryOptions
 	// Workers sizes the decode pool: 0 uses one worker per CPU
-	// (GOMAXPROCS), 1 walks inline on the caller's goroutine. Parallelism
+	// (GOMAXPROCS), 1 walks inline on the caller's goroutine. The pool
 	// never exceeds the number of segment files in range.
 	Workers int
 	// Project restricts v2 decodes to the Columns named below; v1 JSON

@@ -9,12 +9,12 @@
 // assembly; internal/experiments exercises that VM-level. This package
 // asserts that those counts survive the path users actually see:
 //
-//	attach → sharded refresh → mux rotation/extrapolation
+//	attach → refresh → mux rotation/extrapolation
 //	       → store append → recovery → expression query
 //
 // Four layers are checked per kernel × model × event:
 //
-//	session   raw shard deltas summed over the run. On models whose
+//	session   raw engine deltas summed over the run. On models whose
 //	          PMU holds the whole screen (Xeon W3550, PPC970) — and
 //	          for fixed counters that never rotate (the U74's
 //	          cycle/instret CSRs) — the sum must be EXACT.
@@ -59,7 +59,7 @@ const (
 	// LayerAnalytic compares the VM oracle against the kernel's
 	// analytic instruction count (the §2.4 hand-derived expectation).
 	LayerAnalytic = "analytic"
-	// LayerSession is the unconstrained live path: raw shard deltas.
+	// LayerSession is the unconstrained live path: raw engine deltas.
 	LayerSession = "session"
 	// LayerMux is the live path under counter pressure: rotation plus
 	// Enabled/Running extrapolation.
@@ -326,7 +326,7 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 
 	// Price the sampling interval so the run spans ~RefreshTarget
 	// refreshes: enough rotations for extrapolation to converge, and
-	// the same sharded-refresh cadence regardless of kernel length.
+	// the same refresh cadence regardless of kernel length.
 	intervalNS := float64(oracle.Cycles) / m.FreqHz * 1e9 / float64(opt.RefreshTarget)
 	interval := time.Duration(intervalNS)
 	if interval < 100*time.Nanosecond {
@@ -382,12 +382,11 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 	src := proc.NewSource(kern)
 	src.IncludeExited = true
 	sess, err := core.NewSession(mux.Wrap(inner), src, proc.NewClock(kern), core.Options{
-		Screen:      screen,
-		Interval:    interval,
-		FreqHz:      m.FreqHz,
-		NumCPUs:     m.NumLogical(),
-		SortBy:      "pid",
-		Parallelism: 1,
+		Screen:   screen,
+		Interval: interval,
+		FreqHz:   m.FreqHz,
+		NumCPUs:  m.NumLogical(),
+		SortBy:   "pid",
 	})
 	if err != nil {
 		return nil, err
@@ -446,7 +445,7 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 		return nil, fmt.Errorf("live VM diverged from oracle pre-run: %+v vs %+v", got, oracle)
 	}
 
-	// Layers a/b: raw shard deltas (exact) or mux extrapolation
+	// Layers a/b: raw engine deltas (exact) or mux extrapolation
 	// (tolerance band), per event.
 	for _, ev := range events {
 		muxed := muxedEvent(ev)

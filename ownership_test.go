@@ -14,7 +14,7 @@ import (
 // the whole chain's ownership contract. Refresh k is held while twenty
 // more refreshes run with a Recorder and a Store subscribed; encoding
 // its frame and rendering it afterwards must give what they gave right
-// after refresh k. Run with -race: the shards write concurrently.
+// after refresh k.
 func TestSamplesOwnTheirStorage(t *testing.T) {
 	sc, err := NewScenario(MachineXeonW3550)
 	if err != nil {
@@ -25,7 +25,7 @@ func TestSamplesOwnTheirStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mon, err := NewSimMonitor(sc, Config{Interval: 100 * time.Millisecond, Parallelism: 3})
+	mon, err := NewSimMonitor(sc, Config{Interval: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

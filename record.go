@@ -108,8 +108,8 @@ func (r *Recorder) ExpositionStats() (encodes, renders uint64) {
 
 // Validate reports configuration errors a Monitor constructor would
 // reject, with tiptop-level messages: an unknown screen or event
-// definition, an unknown sort key, a negative interval or negative
-// parallelism. Commands call it to fail fast on bad flags.
+// definition, an unknown sort key or a negative interval. Commands call
+// it to fail fast on bad flags.
 func (c Config) Validate() error {
 	screen, _, err := c.resolve()
 	if err != nil {
@@ -117,9 +117,6 @@ func (c Config) Validate() error {
 	}
 	if c.Interval < 0 {
 		return fmt.Errorf("tiptop: negative interval %v", c.Interval)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("tiptop: negative parallelism %d", c.Parallelism)
 	}
 	if err := core.ValidateSortKey(screen, c.SortBy); err != nil {
 		return fmt.Errorf("tiptop: %w", err)

@@ -159,7 +159,6 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown sort key", Config{SortBy: "karma"}, false},
 		{"column of another screen", Config{Screen: "branch", SortBy: "dmis"}, false},
 		{"negative interval", Config{Interval: -time.Second}, false},
-		{"negative parallelism", Config{Parallelism: -1}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

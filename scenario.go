@@ -338,8 +338,8 @@ func (sc *Scenario) clock() core.Clock { return proc.NewClock(sc.kernel) }
 // ScenarioManyTasks builds a production-scale stress scenario: the
 // bi-Xeon data-center node running n endless synthetic jobs with varied
 // IPC targets and memory appetites (workload.ManyTaskSpec), spread
-// across a handful of users. It exercises the engine's sharded sampling
-// path at task counts far beyond the paper's interactive screens
+// across a handful of users. It exercises the engine's sampling path
+// at task counts far beyond the paper's interactive screens
 // (thousands of rows per refresh).
 func ScenarioManyTasks(n int) (*Scenario, error) {
 	if n <= 0 {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Docs gate: fail CI when README.md or ARCHITECTURE.md reference flags
-# endpoints or make targets that no longer exist in the source. Three
-# checks run in the docs -> source direction (stale documentation is the
-# failure mode):
+# endpoints or make targets that no longer exist in the source, or when
+# a command grows a flag README.md never mentions. Three checks run in
+# the docs -> source direction (stale documentation is the failure
+# mode):
 #
 #  1. every /api/v1/* endpoint and /metrics mentioned in the docs must
 #     appear in cmd/ or internal/ Go sources;
@@ -11,6 +12,11 @@
 #     defined by that command's flag set;
 #  3. every `make target` the docs quote or list at the start of a line
 #     must be a Makefile target.
+#
+# and one in the source -> docs direction (an undocumented flag):
+#
+#  4. every flag a command's flag set defines, the shared ones
+#     included, must appear in README.md as `-flag`.
 #
 # Run as `make docs` (part of `make verify`).
 set -eu
@@ -28,12 +34,16 @@ for ep in $(grep -ohE '/api/v1/[a-z]+|/metrics' $docs | sort -u); do
 done
 
 # --- 2. flags ---------------------------------------------------------
-# flag_defined CMD FLAG -> 0 when cmd/CMD defines the flag, itself or —
-# tiptop and tiptopd — through the shared set in internal/config/flags.go.
+# flag_files CMD -> the non-test sources that define cmd/CMD's flags: its
+# own and — tiptop and tiptopd — the shared set in internal/config/flags.go.
+flag_files() {
+    ls "cmd/$1"/*.go | grep -v '_test\.go$'
+    [ "$1" = tipbench ] || echo internal/config/flags.go
+}
+
+# flag_defined CMD FLAG -> 0 when one of them defines the flag.
 flag_defined() {
-    shared=internal/config/flags.go
-    [ "$1" = tipbench ] && shared=
-    grep -qE "fs\.[A-Za-z0-9]+\((&[A-Za-z.]+, )?\"$2\"" "cmd/$1"/*.go $shared
+    grep -qE "fs\.[A-Za-z0-9]+\((&[A-Za-z.]+, )?\"$2\"" $(flag_files "$1")
 }
 
 # 2a. `cmd -flag` adjacencies found in the docs. The leading character
@@ -51,7 +61,7 @@ done
 # 2b. The manifest: every flag the docs describe, one cmd:flag per word.
 manifest="
 tiptop:b tiptop:d tiptop:n tiptop:screen tiptop:sort tiptop:rows
-tiptop:u tiptop:j tiptop:o tiptop:record tiptop:connect tiptop:sim
+tiptop:u tiptop:o tiptop:record tiptop:connect tiptop:sim
 tiptop:scale tiptop:list tiptop:list-events tiptop:dump-config
 tiptop:config tiptop:system-wide tiptop:counters tiptop:wire
 tiptop:fsync
@@ -87,6 +97,16 @@ for target in $(grep -ohE '(^|`)make +[a-z][a-z-]*' $docs | awk '{print $NF}' | 
         echo "docs gate: docs show 'make $target' but the Makefile has no such target"
         fail=1
     fi
+done
+
+# --- 4. source -> docs: every defined flag is documented --------------
+for cmd in tiptop tiptopd tipbench; do
+    for flag in $(grep -ohE 'fs\.[A-Za-z0-9]+\((&[A-Za-z.]+, )?"[a-z][a-z-]*"' $(flag_files "$cmd") | grep -oE '"[a-z-]+"' | tr -d '"' | sort -u); do
+        if ! grep -qE -- "(^|[^[:alnum:]-])-$flag([^[:alnum:]-]|\$)" README.md; then
+            echo "docs gate: cmd/$cmd defines -$flag but README.md never shows it"
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -14,10 +14,9 @@
 //     SMT, an OS scheduler and a virtual PMU), which is how the paper's
 //     evaluation is reproduced in environments without PMU access.
 //
-// Sampling scales with the task count: the engine shards the process
-// table across a worker pool (Config.Parallelism, default one shard per
-// CPU) and reads counters and evaluates metric columns concurrently,
-// while producing exactly the row ordering of a serial scan.
+// Like the paper's tool the monitor is single-threaded — a refresh is
+// one pass over the process table on the goroutine that called Sample —
+// because what it costs the machine it watches is CPU time (§2.5).
 //
 // The quickest way in:
 //
@@ -83,12 +82,6 @@ type Config struct {
 	// simulated backend takes its capacity from the machine model and
 	// ignores this.
 	Counters int
-	// Parallelism is the number of sampling shards the engine
-	// partitions the process table across: counters are read and
-	// metric columns evaluated concurrently, one goroutine per shard,
-	// with row ordering identical to serial sampling. 0 selects one
-	// shard per CPU; 1 samples serially.
-	Parallelism int
 	// Events defines extra counter events on top of the built-in
 	// registry (typically from <event> elements of an XML configuration
 	// file). Screen expressions reference them by Name.
@@ -276,7 +269,6 @@ func ConfigFromFlags(f *config.Flags, base Config) (Config, *config.File, error)
 	cfg.Screen = f.Screen
 	cfg.SortBy = f.Sort
 	cfg.User = f.User
-	cfg.Parallelism = f.Parallelism
 	cfg.SystemWide = f.SystemWide
 	cfg.Counters = f.Counters
 	fsync, err := ParseFsync(f.Fsync)
@@ -316,9 +308,6 @@ func (cfg *Config) ApplyOptions(o *config.OptionsXML) {
 	}
 	if o.OnlyUser != "" {
 		cfg.User = o.OnlyUser
-	}
-	if o.Parallelism > 0 {
-		cfg.Parallelism = o.Parallelism
 	}
 	if o.SystemWide {
 		cfg.SystemWide = true
@@ -433,15 +422,14 @@ func buildScreen(sd ScreenDef) (*metrics.Screen, error) {
 // expressions read as FREQ_HZ and NUM_CPUS.
 func coreOptions(cfg Config, screen *metrics.Screen, registry *hpm.Registry, freqHz float64, numCPUs int) core.Options {
 	return core.Options{
-		Screen:      screen,
-		Interval:    cfg.Interval,
-		SortBy:      cfg.SortBy,
-		MaxRows:     cfg.MaxRows,
-		FilterUser:  cfg.User,
-		Parallelism: cfg.Parallelism,
-		Registry:    registry,
-		FreqHz:      freqHz,
-		NumCPUs:     numCPUs,
+		Screen:     screen,
+		Interval:   cfg.Interval,
+		SortBy:     cfg.SortBy,
+		MaxRows:    cfg.MaxRows,
+		FilterUser: cfg.User,
+		Registry:   registry,
+		FreqHz:     freqHz,
+		NumCPUs:    numCPUs,
 	}
 }
 

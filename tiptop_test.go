@@ -388,7 +388,7 @@ func TestManyTasksScenarioParallelMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := NewSimMonitor(sc, Config{Interval: time.Second, Parallelism: 4})
+	mon, err := NewSimMonitor(sc, Config{Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
