@@ -45,8 +45,9 @@ docs:
 # either wire decoder (binary, JSON + SSE) panic/over-read on corrupt
 # bytes or accept a newer version, lets a hand-written JSON encoder
 # (the wire sample's, the query responses') drift from encoding/json, or
-# lets the /metrics integer path drift from strconv.AppendFloat is caught
-# before it lands.
+# lets the /metrics integer path drift from strconv.AppendFloat, or lets
+# the packed history rings read differently from the array ring they
+# replaced, is caught before it lands.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundEvalMatchesEnv$$' -fuzztime 15s ./internal/metrics/
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s ./internal/remote/
+	$(GO) test -run '^$$' -fuzz '^FuzzRingMatchesReference$$' -fuzztime 15s ./internal/history/
 
 # The counter-validation oracle (§2.4): every ukernel.ValidationSuite
 # micro-kernel runs live on all four machine models and its measured
@@ -72,12 +74,15 @@ validate:
 # daemon composed as cmd/tiptopd composes it and writes
 # results/bench/report.json (end-to-end metrics gated by the bounds in
 # BENCHMARK.json, per-layer metrics beside them). The go test lines are
-# for eyeballing one refresh of 1000 and 4000 tasks and one /metrics
-# encode of 2000; their allocation budgets are asserted by
-# TestUpdateAllocsFlat and TestScrapeEncodeSteadyAllocs.
+# for eyeballing one refresh of 1000 and 4000 tasks, one refresh of 2000
+# folded into rings at depth, one 600-point ring read back, and one
+# /metrics encode of 2000; their allocation budgets are asserted by
+# TestUpdateAllocsFlat, TestObserveSteadyStateAllocations and
+# TestScrapeEncodeSteadyAllocs.
 bench:
 	$(GO) run ./bench
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+$$' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'Benchmark(Observe2000|History600)$$' -benchmem ./internal/history/
 	$(GO) test -run xxx -bench 'BenchmarkScrapeEncode2000' -benchmem .
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and

@@ -1,21 +1,24 @@
-// Package history records the tiptop engine's samples over time: a
-// fixed-capacity ring buffer of counter/column observations per task,
-// plus roll-up aggregates (per-user, per-command and machine-wide
-// totals and windowed rates) maintained incrementally.
+// Package history records the tiptop engine's samples over time: a ring
+// of counter/column observations per task, packed into chunks of 64
+// points (ring.go), plus roll-up aggregates (per-user, per-command and
+// machine-wide totals and windowed rates) maintained incrementally.
 //
 // The Recorder implements core.Observer and is fed synchronously from
 // the sampling goroutine, so its hot path is engineered like the
-// engine's: recording one refresh costs O(rows) work and — once every
-// task's ring and every aggregate entry exist — zero allocations, and
-// one hashed lookup per row, of its TaskID: counts are read by position
-// and each ring caches its user's and command's aggregates. All
-// storage a refresh writes into (ring arrays, aggregate checkpoint
-// rings, the touched-scratch slice) is preallocated or reused; only
-// genuinely new tasks, users or commands allocate.
+// engine's: recording one refresh costs O(rows) work and one hashed
+// lookup per row, of its TaskID: counts are read by position and each
+// ring caches its user's and command's aggregates. A ring holds what its
+// task recorded, not what Capacity allows: a growing ring allocates one
+// buffer per 64 points, and once it has reached Capacity it writes in
+// the buffers it has — from then on, and for the aggregate checkpoint
+// rings and the touched-scratch slice from the start, a refresh
+// allocates nothing. Only new tasks, users or commands, and rings still
+// filling, allocate.
 //
 // Queries (View, Snapshot, History, PIDs) copy out under a read lock and
 // may run concurrently with recording — this is what lets an HTTP daemon
-// serve scrapes against a live sampler.
+// serve scrapes against a live sampler. View reads each ring's newest
+// point, which is kept unpacked; History and AllSeries decode.
 package history
 
 import (
@@ -32,7 +35,8 @@ import (
 // Options tune a Recorder.
 type Options struct {
 	// Capacity is the number of points each task's ring retains
-	// (default 600 — twenty minutes at the paper's 2 s cadence).
+	// (default 600 — twenty minutes at the paper's 2 s cadence). It bounds
+	// how far back a ring reaches, not what a task costs before then.
 	Capacity int
 	// Window is the horizon of the windowed rates in the aggregates
 	// (default 60 s). Checkpoints are kept for the most recent 128
@@ -276,65 +280,6 @@ func (a *aggState) aggregate(live bool, now, window time.Duration) Aggregate {
 	return out
 }
 
-// point holds the scalars of one recorded observation.
-type point struct {
-	t                     time.Duration
-	cpu                   float64
-	instr, cycles, misses uint64 // per-interval counter deltas, for expression queries
-}
-
-// ipc is the point's instructions per cycle, as core.Row.IPC computes it.
-func (p *point) ipc() float64 {
-	if p.cycles == 0 {
-		return 0
-	}
-	return float64(p.instr) / float64(p.cycles)
-}
-
-// ring is the fixed-capacity time series of one task: the per-point
-// scalars in one array and the value matrix in another (capacity ×
-// columns, flat), so a push after warm-up writes in place and never
-// allocates.
-type ring struct {
-	id        hpm.TaskID
-	user      string
-	comm      string
-	state     string
-	coverage  float64       // counted fraction of the latest interval
-	start     time.Duration // TaskInfo.StartTime, the pid-reuse detector
-	lastEpoch uint64
-	// userAgg and commAgg are the aggregates the task's deltas fold
-	// into, those of aggUser and aggComm — the user and command of its
-	// latest row, where user and comm label the series as first seen —
-	// so a refresh that finds both unchanged hashes neither string.
-	aggUser, aggComm string
-	userAgg, commAgg *aggState
-	ncols            int
-	points           []point
-	vals             []float64 // len = len(points) * ncols, row-major
-	head, n          int
-}
-
-func (rg *ring) push(p point, values []float64, ncols int) {
-	if ncols != rg.ncols {
-		// The screen's column count was learned after this ring was
-		// created (a first refresh with no rows): rebuild the value
-		// matrix once and restart the series.
-		rg.ncols = ncols
-		rg.vals = make([]float64, len(rg.points)*ncols)
-		rg.head, rg.n = 0, 0
-	}
-	c := len(rg.points)
-	idx := (rg.head + rg.n) % c
-	if rg.n == c {
-		rg.head = (rg.head + 1) % c
-	} else {
-		rg.n++
-	}
-	rg.points[idx] = p
-	copy(rg.vals[idx*ncols:(idx+1)*ncols], values)
-}
-
 // Recorder accumulates history and aggregates from observed samples.
 // It implements core.Observer; queries are safe from other goroutines.
 type Recorder struct {
@@ -419,7 +364,7 @@ func (r *Recorder) Tee(o core.Observer) {
 }
 
 // Observe records one sample. It is the recorder's hot path: O(rows)
-// and allocation-free once rings and aggregate entries exist.
+// and allocation-free once aggregate entries exist and rings have filled.
 func (r *Recorder) Observe(s *core.Sample) {
 	r.observe(s)
 	if r.tee != nil {
@@ -448,7 +393,7 @@ func (r *Recorder) observe(s *core.Sample) {
 			// The OS recycled this TaskID for a new process: restart
 			// the series in place instead of splicing two tasks'
 			// histories under the old user/command labels.
-			rg.head, rg.n = 0, 0
+			rg.restart()
 			rg.start = row.Info.StartTime
 			rg.user, rg.comm = row.Info.User, row.Info.Comm
 			r.ringGen++
@@ -463,7 +408,7 @@ func (r *Recorder) observe(s *core.Sample) {
 		rg.coverage = row.Coverage
 		p := point{t: s.Time, cpu: row.CPUPct}
 		p.instr, p.cycles, p.misses = row.Basics()
-		rg.push(p, row.Values, r.ncols)
+		rg.push(p, row.Values, r.opt.Capacity)
 		r.fold(&r.machine, &p)
 		r.fold(rg.userAgg, &p)
 		r.fold(rg.commAgg, &p)
@@ -505,16 +450,12 @@ func (r *Recorder) admit(info core.TaskInfo) *ring {
 	if len(r.series) >= r.opt.MaxSeries {
 		r.evict()
 	}
-	c := r.opt.Capacity
-	ncols := max(r.ncols, 0)
 	rg := &ring{
-		id:     info.ID,
-		user:   info.User,
-		comm:   info.Comm,
-		start:  info.StartTime,
-		ncols:  ncols,
-		points: make([]point, c),
-		vals:   make([]float64, c*ncols),
+		id:       info.ID,
+		user:     info.User,
+		comm:     info.Comm,
+		start:    info.StartTime,
+		lastVals: make([]float64, r.ncols), // observe learned the width before it admits
 	}
 	r.resolveAggs(rg, info)
 	r.series[info.ID] = rg
@@ -673,7 +614,6 @@ func (r *Recorder) View(v *View) {
 	v.Tasks = slices.Grow(v.Tasks[:0], len(o.live))[:len(o.live)]
 	v.values = slices.Grow(v.values[:0], len(o.live)*ncols)
 	for i, rg := range o.live {
-		last := (rg.head + rg.n - 1) % len(rg.points)
 		t := &v.Tasks[i]
 		*t = TaskSnap{
 			PID:      rg.id.PID,
@@ -681,13 +621,13 @@ func (r *Recorder) View(v *View) {
 			User:     rg.user,
 			Command:  rg.comm,
 			State:    rg.state,
-			CPUPct:   rg.points[last].cpu,
-			IPC:      rg.points[last].ipc(),
+			CPUPct:   rg.last.cpu,
+			IPC:      rg.last.ipc(),
 			Coverage: core.ElideCoverage(rg.coverage),
 		}
 		if ncols > 0 {
 			lo := len(v.values)
-			v.values = append(v.values, rg.vals[last*ncols:(last+1)*ncols]...)
+			v.values = append(v.values, rg.lastVals...)
 			t.Values = v.values[lo:len(v.values):len(v.values)]
 		}
 	}
@@ -722,32 +662,14 @@ func (r *Recorder) History(pid int) []Series {
 }
 
 func (r *Recorder) copySeries(rg *ring) Series {
-	ncols := r.ncols
-	if ncols < 0 {
-		ncols = 0
-	}
-	s := Series{
+	return Series{
 		PID:     rg.id.PID,
 		TID:     rg.id.TID,
 		User:    rg.user,
 		Command: rg.comm,
 		Alive:   rg.lastEpoch == r.epoch,
-		Points:  make([]Point, 0, rg.n),
+		Points:  rg.points(r.opt.Capacity),
 	}
-	for i := 0; i < rg.n; i++ {
-		idx := (rg.head + i) % len(rg.points)
-		p := &rg.points[idx]
-		s.Points = append(s.Points, Point{
-			TimeSeconds: p.t.Seconds(),
-			CPUPct:      p.cpu,
-			IPC:         p.ipc(),
-			Values:      append([]float64(nil), rg.vals[idx*ncols:(idx+1)*ncols]...),
-			Instr:       p.instr,
-			Cycles:      p.cycles,
-			Misses:      p.misses,
-		})
-	}
-	return s
 }
 
 // AllSeries copies out every recorded series, sorted by PID then TID —

@@ -3,6 +3,7 @@ package history
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -234,8 +235,11 @@ func TestPIDReuseStartsFreshSeries(t *testing.T) {
 }
 
 // TestObserveSteadyStateAllocations is the subsystem's core performance
-// contract: once rings and aggregate entries exist, recording a refresh
-// allocates nothing.
+// contract. While a ring grows it allocates a buffer per chunk — the
+// first sized once more from the points that filled its 512 bytes, each
+// later one from its predecessor — and its chunk list at doublings; once
+// it has dropped a chunk it writes in the dropped one's buffer and
+// recording a refresh allocates nothing.
 func TestObserveSteadyStateAllocations(t *testing.T) {
 	r := New(Options{Capacity: 64})
 	r.SetColumns([]string{"ipc", "const"})
@@ -249,14 +253,27 @@ func TestObserveSteadyStateAllocations(t *testing.T) {
 		}
 	}
 	sample := mkSample(time.Second, specs)
-	// Warm-up: create every ring and aggregate entry, and wrap the ring
-	// at least once so the wrap path is the measured one.
-	for i := 0; i < 70; i++ {
+	r.Observe(sample) // every ring, its first buffer and every aggregate entry
+	// Filling: in refreshes 2…128 each ring sizes its first chunk, gets
+	// its second buffer and a longer chunk list, and that is all.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 2; i <= 2*chunkPoints; i++ {
 		r.Observe(sample)
 	}
-	allocs := testing.AllocsPerRun(100, func() { r.Observe(sample) })
+	runtime.ReadMemStats(&after)
+	if got, want := after.Mallocs-before.Mallocs, uint64(3*len(specs)); got > want {
+		t.Fatalf("filling two chunks allocates %d times for %d rings, want at most %d", got, len(specs), want)
+	}
+	// Refresh 129 is the first to drop a chunk; from there on, nothing.
+	allocs := testing.AllocsPerRun(3*chunkPoints, func() { r.Observe(sample) })
 	if allocs != 0 {
 		t.Fatalf("steady-state Observe allocates %.1f times per refresh, want 0", allocs)
+	}
+	for _, rg := range r.series {
+		if len(rg.chunks) != 2 {
+			t.Fatalf("a wrapped ring of capacity 64 holds %d chunks, want 2", len(rg.chunks))
+		}
 	}
 }
 
@@ -299,14 +316,20 @@ func TestObserveAggregatesFollowRelabel(t *testing.T) {
 	if s := r.History(2)[0]; s.User != "bob" || len(s.Points) != 3 {
 		t.Errorf("relabelled task: user %q with %d points, want bob with 3", s.User, len(s.Points))
 	}
+	// Every refresh from here on restarts pid 1's ring, which keeps a
+	// buffer; pid 2's grows until it has dropped a chunk.
 	flip := false
-	allocs := testing.AllocsPerRun(100, func() {
+	alternate := func() {
 		if flip = !flip; flip {
 			r.Observe(a)
 		} else {
 			r.Observe(b)
 		}
-	})
+	}
+	for i := 0; i < 2*chunkPoints; i++ {
+		alternate()
+	}
+	allocs := testing.AllocsPerRun(100, alternate)
 	if allocs != 0 {
 		t.Fatalf("relabelling among known users and commands allocates %.1f times per refresh, want 0", allocs)
 	}
@@ -513,13 +536,12 @@ func refSnapshot(r *Recorder) *Snapshot {
 		return live[i].id.TID < live[j].id.TID
 	})
 	for _, rg := range live {
-		last := (rg.head + rg.n - 1) % len(rg.points)
 		t := TaskSnap{
 			PID: rg.id.PID, TID: rg.id.TID, User: rg.user, Command: rg.comm, State: rg.state,
-			CPUPct: rg.points[last].cpu, IPC: rg.points[last].ipc(), Coverage: core.ElideCoverage(rg.coverage),
+			CPUPct: rg.last.cpu, IPC: rg.last.ipc(), Coverage: core.ElideCoverage(rg.coverage),
 		}
 		if r.ncols > 0 {
-			t.Values = append([]float64(nil), rg.vals[last*r.ncols:(last+1)*r.ncols]...)
+			t.Values = append([]float64(nil), rg.lastVals...)
 		}
 		snap.Tasks = append(snap.Tasks, t)
 	}

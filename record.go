@@ -30,11 +30,13 @@ type Aggregate = history.Aggregate
 // observation of every live task.
 type Snapshot = history.Snapshot
 
-// Recorder accumulates a Monitor's samples into fixed-capacity per-task
-// ring buffers and incrementally maintained aggregates. Recording
-// happens synchronously on the sampling goroutine and — once a task's
-// ring and the aggregate entries exist — performs no allocations, so a
-// subscribed Recorder does not perturb the engine's refresh cost.
+// Recorder accumulates a Monitor's samples into per-task ring buffers,
+// packed and bounded by RecorderOptions.Capacity, and incrementally
+// maintained aggregates. Recording happens synchronously on the sampling
+// goroutine and — once the aggregate entries exist and a task's ring has
+// filled; a growing one takes a buffer per 64 points — performs no
+// allocations, so a subscribed Recorder does not perturb the engine's
+// refresh cost.
 // Queries are safe from any goroutine while sampling continues.
 type Recorder struct {
 	h *history.Recorder
