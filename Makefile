@@ -75,15 +75,17 @@ validate:
 # results/bench/report.json (end-to-end metrics gated by the bounds in
 # BENCHMARK.json, per-layer metrics beside them). The go test lines are
 # for eyeballing one refresh of 1000 and 4000 tasks, one refresh of 2000
-# folded into rings at depth, one 600-point ring read back, and one
-# /metrics encode of 2000; their allocation budgets are asserted by
-# TestUpdateAllocsFlat, TestObserveSteadyStateAllocations and
-# TestScrapeEncodeSteadyAllocs.
+# folded into rings at depth, one 600-point ring read back, one
+# /metrics encode of 2000, and one range query of a 2000-task store in
+# each of four dashboard shapes; their allocation budgets are asserted
+# by TestUpdateAllocsFlat, TestObserveSteadyStateAllocations,
+# TestScrapeEncodeSteadyAllocs and TestDashboardQueryAllocs.
 bench:
 	$(GO) run ./bench
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+$$' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'Benchmark(Observe2000|History600)$$' -benchmem ./internal/history/
 	$(GO) test -run xxx -bench 'BenchmarkScrapeEncode2000' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkDashboardQuery2000' -benchmem ./internal/query/
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
 # the count issues and CHANGES.md entries quote.

@@ -9,10 +9,11 @@ package query
 // segment scan, and several sources' partial engines merge, without
 // materialising intermediate series.
 //
-// A series' buckets are a time-ordered slice, their rows carved from
-// slabs, and a record's row i usually belongs to the series the previous
-// record's row i did: in a time-ordered scan of a stable task set a fold
-// touches no map and allocates nothing.
+// A series' buckets are a time-ordered slice, and a record's row i
+// usually belongs to the series the previous record's row i did: in a
+// time-ordered scan of a stable task set a fold touches no map. Series,
+// their bucket lists and the buckets' rows are all carved from slabs, so
+// a fold allocates per slab chunk — not per series, bucket or row.
 //
 // A row's layout is INSTRUCTIONS, CYCLES, CACHE_MISSES, DELTA_NS,
 // CPU_PCT, then the screen columns the expression references. Within a
@@ -33,6 +34,7 @@ import (
 	"sort"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"tiptop/internal/store"
 )
@@ -119,18 +121,22 @@ type seriesAcc struct {
 	buckets    []bucket
 }
 
-// slab carves small slices out of chunk allocations that double up to
-// slabMax elements, so a fold allocates per chunk, not per bucket.
+// slab carves small slices out of chunk allocations that double from
+// slabMin elements up to slabBytes, so a fold allocates per chunk, not
+// per bucket. The cap is in bytes, not elements: a chunk is zeroed whole
+// when made, and a query that uses a few hundred 64-byte buckets must
+// not clear megabytes for them.
 type slab[T any] struct {
 	free []T
 	next int
 }
 
-const slabMin, slabMax = 256, 1 << 15
+const slabMin, slabBytes = 256, 256 << 10
 
 func (s *slab[T]) take(n int) []T {
 	if len(s.free) < n {
-		s.next = min(max(2*s.next, slabMin), slabMax)
+		var zero T
+		s.next = max(min(2*s.next, slabBytes/int(unsafe.Sizeof(zero))), slabMin)
 		s.free = make([]T, max(n, s.next))
 	}
 	out := s.free[:n:n]
@@ -150,6 +156,8 @@ type Engine struct {
 	series map[seriesKey]*seriesAcc
 	total  *seriesAcc   // series[seriesKey{total: true}], nil before the first row
 	pos    []*seriesAcc // the series the previous record's row i folded into
+	accs   slab[seriesAcc]
+	lists  slab[bucket] // backing of series' bucket lists
 	rows   slab[float64]
 	heads  slab[[]float64] // backing of buckets' points lists
 	last   float64         // the previous record's time, -1 before the first
@@ -251,7 +259,8 @@ func (e *Engine) rowKey(r *store.RecordRow) seriesKey {
 func (e *Engine) lookup(key seriesKey) *seriesAcc {
 	acc := e.series[key]
 	if acc == nil {
-		acc = &seriesAcc{key: key}
+		acc = &e.accs.take(1)[0]
+		acc.key = key
 		e.series[key] = acc
 	}
 	return acc
@@ -274,7 +283,17 @@ func (e *Engine) bucketAt(acc *seriesAcc, bt float64) *bucket {
 			return &acc.buckets[i]
 		}
 	}
-	acc.buckets = slices.Insert(acc.buckets, i, bucket{t: bt, vals: e.rows.take(2*len(e.c.slots) - slotCols)})
+	b := bucket{t: bt, vals: e.rows.take(2*len(e.c.slots) - slotCols)}
+	if i < len(acc.buckets) {
+		acc.buckets = slices.Insert(acc.buckets, i, b)
+		return &acc.buckets[i]
+	}
+	if i == cap(acc.buckets) {
+		// The in-order path regrows the list out of the slab.
+		grown := e.lists.take(max(4, 2*i))
+		acc.buckets = grown[:copy(grown, acc.buckets)]
+	}
+	acc.buckets = append(acc.buckets, b)
 	return &acc.buckets[i]
 }
 
@@ -384,6 +403,10 @@ func (e *Engine) Finish() *Result {
 	if len(e.series) > 0 {
 		out.Series = make([]Series, 0, len(e.series))
 	}
+	// Task keys are rendered back to back into one buffer and handed out
+	// as substrings of its one string: keyEnds[i] is where series i's ends.
+	keys := make([]byte, 0, len(e.series)*(len(e.agent)+16))
+	keyEnds := make([]int, 0, len(e.series))
 	for _, acc := range e.series {
 		s := Series{
 			PID: acc.key.pid, TID: acc.key.tid,
@@ -395,9 +418,10 @@ func (e *Engine) Finish() *Result {
 		case e.c.GroupBy != "":
 			s.Key = acc.key.group
 		default:
-			s.Key = taskKey(acc.key)
+			keys = appendTaskKey(keys, acc.key)
 			s.User, s.Command = acc.user, acc.comm
 		}
+		keyEnds = append(keyEnds, len(keys))
 		sum := 0.0
 		first := len(points)
 		for i := range acc.buckets {
@@ -422,6 +446,13 @@ func (e *Engine) Finish() *Result {
 		}
 		out.Series = append(out.Series, s)
 	}
+	all, start := string(keys), 0
+	for i, end := range keyEnds {
+		if end > start {
+			out.Series[i].Key = all[start:end]
+		}
+		start = end
+	}
 	sortSeries(out.Series)
 	if e.c.K > 0 {
 		out.Series = applyTopK(out.Series, e.c.K)
@@ -429,16 +460,16 @@ func (e *Engine) Finish() *Result {
 	return out
 }
 
-func taskKey(k seriesKey) string {
-	key := ""
+// appendTaskKey renders a task series' display key, "[agent/]pid:N[:tid]".
+func appendTaskKey(b []byte, k seriesKey) []byte {
 	if k.agent != "" {
-		key = k.agent + "/"
+		b = append(append(b, k.agent...), '/')
 	}
-	key += "pid:" + strconv.Itoa(k.pid)
+	b = strconv.AppendInt(append(b, "pid:"...), int64(k.pid), 10)
 	if k.tid != 0 && k.tid != k.pid {
-		key += ":" + strconv.Itoa(k.tid)
+		b = strconv.AppendInt(append(b, ':'), int64(k.tid), 10)
 	}
-	return key
+	return b
 }
 
 // sortSeries orders output deterministically: the total roll-up first,
@@ -468,11 +499,9 @@ func applyTopK(ss []Series, k int) []Series {
 	sort.SliceStable(ranked, func(a, b int) bool {
 		return ss[ranked[a]].Mean > ss[ranked[b]].Mean
 	})
-	keep := make(map[int]bool, k)
-	for i, idx := range ranked {
-		if i >= k {
-			break
-		}
+	// Sized by the series, never by k: the literal comes from the request.
+	keep := make([]bool, len(ss))
+	for _, idx := range ranked[:min(k, len(ranked))] {
 		keep[idx] = true
 	}
 	out := ss[:0]

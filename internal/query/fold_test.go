@@ -131,11 +131,13 @@ func TestFoldMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEngineFoldAllocs: folding a steady stream of R records × N rows
-// allocates per series and per slab chunk, not per row or bucket — at
-// the serving resolution (a bucket per record and series, the worst
-// case), on a step, and with the point rows a pointwise expression
-// keeps.
+// TestEngineFoldAllocs bounds a long, narrow stream: folding R = 1000
+// records × N = 50 rows allocates per slab chunk, not per series, row or
+// bucket — at the serving resolution (a bucket per record and series,
+// the worst case), on a step, and with the point rows a pointwise
+// expression keeps. What a fold pays to start amortises to nothing over
+// 1000 records; TestDashboardQueryAllocs holds the other shape, three
+// records of 2000 rows, where the start is all there is.
 func TestEngineFoldAllocs(t *testing.T) {
 	const records, rows = 1000, 50
 	stream := make([]pushed, records)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +80,17 @@ func TestHandlerExprOverStore(t *testing.T) {
 				t.Fatalf("series %q = %v, want IPC 2", s.Key, p.Value)
 			}
 		}
+	}
+
+	// A rank count past the series there are keeps them all; it is never
+	// a size (this GET was an out-of-memory exit).
+	code, body = get(t, h, "/api/v1/query?expr=topk(1000000000,delta(INSTRUCTIONS)/delta(CYCLES))&step=1m")
+	var ranked Result
+	if err := json.Unmarshal([]byte(body), &ranked); code != http.StatusOK || err != nil {
+		t.Fatalf("topk(1e9, …): status %d, %v; body %s", code, err, body)
+	}
+	if ranked.K != 1e9 || !reflect.DeepEqual(ranked.Series, res.Series) {
+		t.Fatalf("topk(1e9, …) = k %d, %d series; want the %d unranked series", ranked.K, len(ranked.Series), len(res.Series))
 	}
 
 	// Raw queries (no expr) keep the PR-5 contract.

@@ -202,6 +202,32 @@ func TestQueryTopK(t *testing.T) {
 	}
 }
 
+// TestTopKBoundedBySeries: k is a literal from the request and ranks at
+// most the series there are — every k at or past that count keeps them
+// all, and no k sizes anything (topk(1e9, …) once asked the runtime for a
+// billion-entry map, per request).
+func TestTopKBoundedBySeries(t *testing.T) {
+	mk := func() []Series {
+		return []Series{{Key: "total", Total: true}, {Key: "a", PID: 1, Mean: 2}, {Key: "b", PID: 2, Mean: 3}, {Key: "c", PID: 3, Mean: 1}}
+	}
+	keys := func(ss []Series) string {
+		var out []string
+		for _, s := range ss {
+			out = append(out, s.Key)
+		}
+		return strings.Join(out, " ")
+	}
+	for k, want := range map[int]string{1: "total b", 2: "total a b", 3: "total a b c", 4: "total a b c", 1 << 40: "total a b c"} {
+		if got := keys(applyTopK(mk(), k)); got != want {
+			t.Errorf("topk(%d) keeps %q, want %q", k, got, want)
+		}
+	}
+	ss := mk()
+	if allocs := testing.AllocsPerRun(5, func() { applyTopK(ss, 1<<40) }); allocs > 8 {
+		t.Errorf("topk(1<<40) over three series made %.0f allocations, want a handful", allocs)
+	}
+}
+
 func TestQueryOverTime(t *testing.T) {
 	st := seedStore(t, 1, 60)
 	// The pid column is constant, so min/max/avg over any bucket agree.

@@ -9,6 +9,7 @@ package query
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"tiptop/internal/store"
@@ -250,4 +251,18 @@ func (e *refEngine) Finish() *Result {
 		out.Series = applyTopK(out.Series, e.c.K)
 	}
 	return out
+}
+
+// taskKey is the engine's display key for a task series as it was built
+// before keys shared one buffer (appendTaskKey): one string per series.
+func taskKey(k seriesKey) string {
+	key := ""
+	if k.agent != "" {
+		key = k.agent + "/"
+	}
+	key += "pid:" + strconv.Itoa(k.pid)
+	if k.tid != 0 && k.tid != k.pid {
+		key += ":" + strconv.Itoa(k.tid)
+	}
+	return key
 }

@@ -157,7 +157,8 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (Ti
 	var newest time.Duration
 	// Both passes ride the scan walker over each input's whole time
 	// range, decoding every field into one scratch record.
-	var sc segScanner
+	sc := getScanner(nil)
+	defer sc.release()
 	scratch := &Record{}
 	each := func(in *segment, fn func(rec *Record, fileCols []string) error) error {
 		f := queryFile{path: in.path, valid: in.size}

@@ -144,10 +144,13 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // walkerMatchesReference reads seg as a segment file through the scan
-// walker — one reused scratch record, the way an inline ScanWith and
-// Compact run it — and through the reference loop's fresh decodes: the
-// same records with the same columns in force, and failure on the same
-// frame or on none. A projecting walker must stop at the same record.
+// walker — one leased scanner and one reused scratch record, the way an
+// inline ScanWith and Compact run them — and through the reference
+// loop's fresh decodes: the same records with the same columns in force,
+// and failure on the same frame or on none. A projecting walker must
+// stop at the same record. Each walk runs twice over the same scratch
+// and scanner, so the second decodes every record into storage the first
+// left full — of the same input, and of whatever the fuzzer ran before.
 func walkerMatchesReference(t *testing.T, seg []byte) {
 	t.Helper()
 	const all = 1<<63 - 1
@@ -157,25 +160,28 @@ func walkerMatchesReference(t *testing.T, seg []byte) {
 		want = append(want, recordBytes(rec, cols))
 		return nil
 	})
+	scratch := &Record{}
 	for _, proj := range []*projection{nil, newProjection([]string{"IPC"}, false, true)} {
-		sc := segScanner{proj: proj}
-		scratch := &Record{}
-		n := 0
-		var inForce []string
-		err := sc.scan(bytes.NewReader(seg), -all, all, func() *Record { return scratch },
-			func(rec *Record, fileCols []string) error {
-				if fileCols != nil {
-					inForce = fileCols
-				}
-				if proj == nil && (n >= len(want) || !bytes.Equal(recordBytes(rec, inForce), want[n])) {
-					t.Fatalf("walker record %d differs from the reference decode", n)
-				}
-				n++
-				return nil
-			})
-		if n != len(want) || (err == nil) != (refErr == nil) {
-			t.Fatalf("walker (projecting: %v) emitted %d records (%v), the reference %d (%v)",
-				proj != nil, n, err, len(want), refErr)
+		sc := getScanner(proj)
+		defer sc.release()
+		for pass := 0; pass < 2; pass++ {
+			n := 0
+			var inForce []string
+			err := sc.scan(bytes.NewReader(seg), -all, all, func() *Record { return scratch },
+				func(rec *Record, fileCols []string) error {
+					if fileCols != nil {
+						inForce = fileCols
+					}
+					if proj == nil && (n >= len(want) || !bytes.Equal(recordBytes(rec, inForce), want[n])) {
+						t.Fatalf("walker record %d (pass %d) differs from the reference decode", n, pass)
+					}
+					n++
+					return nil
+				})
+			if n != len(want) || (err == nil) != (refErr == nil) {
+				t.Fatalf("walker (projecting: %v, pass %d) emitted %d records (%v), the reference %d (%v)",
+					proj != nil, pass, n, err, len(want), refErr)
+			}
 		}
 	}
 }

@@ -32,6 +32,9 @@ type Record struct {
 	Cols    []string    `json:"cols,omitempty"`
 	Rows    []RecordRow `json:"rows"`
 	Machine RecordAgg   `json:"machine"`
+	// block backs every row's Values in a record the v2 decode filled —
+	// the scratch a scan reuses (see decodeV2RecordInto).
+	block []float64
 }
 
 // RecordRow is one task in a record. In downsampled records CPUPct,

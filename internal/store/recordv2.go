@@ -31,6 +31,13 @@ package store
 // Dictionary frames are not records: scans skip them when counting and
 // when tracking first/last times, and queries fold them into the
 // decoder state even when they precede the queried range.
+//
+// The decode side is built for reuse: decodeV2RecordInto fills scratch
+// the caller may have decoded into before, every row's Values a window
+// of one block per record (a 2000-row record costs its scratch one
+// values allocation, not 2000), and decodeV2Dict passes strings through
+// the scanner's intern table, so a scan shares them with every earlier
+// scan that met the same names.
 
 import (
 	"encoding/binary"
@@ -213,18 +220,32 @@ func appendV2Data(buf []byte, rec *Record, d *v2Dict) []byte {
 	return buf
 }
 
-// decodeV2Dict appends a dictionary payload's entries to dict.
-func decodeV2Dict(p []byte, dict []string) ([]string, error) {
-	r := binenc.NewReader(p[2:])
-	n := r.Uvarint()
-	if n > uint64(len(p)) {
+// decodeV2Dict appends a dictionary payload's entries to dict through an
+// intern table: an entry the table holds is shared, not re-made, and a
+// new one joins it. A nil table makes every string afresh — what
+// recovery, which reads each file once, wants.
+func decodeV2Dict(p []byte, dict []string, intern map[string]string) ([]string, error) {
+	b := p[2:]
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(p)) {
 		return nil, fmt.Errorf("store: corrupt v2 dictionary (%d entries in %d bytes)", n, len(p))
 	}
+	b = b[w:]
 	for i := uint64(0); i < n; i++ {
-		dict = append(dict, r.String())
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("store: corrupt v2 dictionary: %w", err)
+		size, w := binary.Uvarint(b)
+		if w <= 0 || size > uint64(len(b)-w) {
+			return nil, fmt.Errorf("store: corrupt v2 dictionary (entry %d of %d is truncated)", i, n)
+		}
+		raw := b[w : w+int(size)]
+		b = b[w+int(size):]
+		s, ok := intern[string(raw)] // the conversion in a map index does not allocate
+		if !ok {
+			s = string(raw)
+			if intern != nil {
+				intern[s] = s
+			}
+		}
+		dict = append(dict, s)
 	}
 	return dict, nil
 }
@@ -287,8 +308,12 @@ func (p *projection) keepCol(j int) bool {
 }
 
 // decodeV2RecordInto decodes one v2 data payload against the segment's
-// dictionary into rec, reusing its row, value and column buffers — the
-// zero-steady-state-allocation decode the scan walker runs. It mirrors
+// dictionary into rec, reusing its row, column and values storage — the
+// decode the scan walker runs. A record's Values are carved from one
+// block the record owns (Record.block), sized from the summed per-row
+// counts once those are checked against the payload: a fresh record
+// costs one values allocation however many rows it has, a reused one
+// none unless it is wider than any the scratch held. It mirrors
 // appendV2Data exactly; trailing bytes are an error, not ignored.
 // Strings are shared with the segment dictionary, never re-allocated. A
 // nil proj decodes every field; otherwise unreferenced value columns
@@ -330,11 +355,7 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 		return fmt.Errorf("store: corrupt v2 record (%d rows in %d bytes)", nrows, len(p))
 	}
 	if uint64(cap(rec.Rows)) < nrows {
-		// Grow keeping the old rows' Values capacity alive in the copied
-		// prefix.
-		grown := make([]RecordRow, nrows)
-		copy(grown, rec.Rows[:cap(rec.Rows)])
-		rec.Rows = grown
+		rec.Rows = make([]RecordRow, nrows)
 	}
 	rows := rec.Rows[:nrows]
 	rec.Rows = rows
@@ -390,28 +411,30 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 			prev = rows[i].IPC
 		}
 	}
+	// The per-row value counts are read twice: summed and checked against
+	// the payload first, so nothing is sized from a count a corrupt frame
+	// merely claims, then again to carve each row's Values.
+	counts := *r
 	maxVals, total := 0, uint64(0)
-	for i := range rows {
+	for range rows {
 		n := r.Uvarint()
-		total += n
-		if total > uint64(len(p)) {
+		if n > uint64(len(p))-total {
 			return fmt.Errorf("store: corrupt v2 record (values)")
 		}
-		v := rows[i].Values
-		if cap(v) < int(n) {
-			// Non-nil even when empty, matching encoding/json's decode
-			// of the v1 "values":[] field.
-			v = make([]float64, n)
-		} else {
-			v = v[:n]
-			for k := range v {
-				v[k] = 0
-			}
-		}
-		rows[i].Values = v
-		if int(n) > maxVals {
-			maxVals = int(n)
-		}
+		total += n
+		maxVals = max(maxVals, int(n))
+	}
+	if rec.block == nil || uint64(cap(rec.block)) < total {
+		rec.block = make([]float64, total)
+	}
+	block := rec.block[:total]
+	clear(block) // a projected decode leaves unreferenced slots unwritten
+	for i := range rows {
+		// Three-index: a consumer's append cannot reach the next row. Empty
+		// Values stay non-nil, matching encoding/json's decode of the v1
+		// "values":[] field.
+		n := int(counts.Uvarint())
+		rows[i].Values, block = block[:n:n], block[n:]
 	}
 	for j := 0; j < maxVals; j++ {
 		if proj != nil && !proj.keepCol(j) {

@@ -35,7 +35,7 @@ func (d *refDecoder) decode(payload []byte) (*Record, error) {
 		return nil, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
 	}
 	if kind == frameKindMeta {
-		dict, err := decodeV2Dict(payload, d.dict)
+		dict, err := decodeV2Dict(payload, d.dict, nil)
 		if err != nil {
 			return nil, err
 		}

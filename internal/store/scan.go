@@ -10,6 +10,14 @@ package store
 // consumer sees exactly the sequence the inline walk produces, record
 // for record, column change for column change.
 //
+// What a scan allocates: per scratch record in flight — the record, its
+// rows and the one block its rows' Values are carved from (recordv2.go) —
+// never per row; and per file, the open and the owned column names. The
+// walker's own state (read buffer, frame payload buffer, dictionary
+// slice, string intern table) outlives the scan in a sync.Pool. Scratch
+// records do not: a pool would park 2000-row records across requests for
+// the collector to mark, and a narrow range decodes only a handful.
+//
 // The determinism contract: for the same snapshot, ScanWith emits the
 // same records with the same column annotations regardless of worker
 // count or projection (projected scans differ only in the fields they
@@ -110,7 +118,8 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 	}
 	// One file in range, or one worker asked for: the same walker, inline
 	// on the caller's goroutine with a single scratch record.
-	sc := segScanner{proj: mk()}
+	sc := getScanner(mk())
+	defer sc.release()
 	scratch := &Record{}
 	cols := view.cols
 	for _, f := range files {
@@ -129,14 +138,46 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 	return res, nil
 }
 
-// segScanner walks segment files one at a time, carrying reusable
-// decoder state (the per-file dictionary and projection) and a read
-// buffer — frames are 8-byte headers plus small payloads, so reading
-// them straight off the file descriptor costs two syscalls each.
+// segScanner walks segment files one at a time, carrying the decoder
+// state a file establishes (its dictionary, the projection's keep set)
+// and the buffers every file needs: a read buffer — frames are 8-byte
+// headers plus small payloads, so reading them straight off the file
+// descriptor costs two syscalls each — the frame payload buffer, the
+// dictionary slice, and an intern table, so a dictionary string is made
+// once per distinct string, not once per file per scan. Scanners outlive
+// the scan that used them: getScanner leases one from a pool, release
+// hands it back.
 type segScanner struct {
-	proj *projection // nil = full decode
-	dict []string
-	br   *bufio.Reader
+	proj   *projection // nil = full decode
+	dict   []string
+	intern map[string]string
+	br     *bufio.Reader
+	fr     frameReader
+}
+
+// internMax bounds a pooled scanner's intern table: a table that has
+// passed it is cleared before the next file, so a store whose command
+// names churn cannot grow it without bound.
+const internMax = 4096
+
+var scanners = sync.Pool{New: func() any {
+	return &segScanner{br: bufio.NewReaderSize(nil, 1<<16), intern: make(map[string]string)}
+}}
+
+// getScanner leases a scanner that decodes under proj.
+func getScanner(proj *projection) *segScanner {
+	s := scanners.Get().(*segScanner)
+	s.proj = proj
+	return s
+}
+
+// release returns the scanner to the pool, holding neither the file it
+// last read nor the scan's projection. What it decoded stays valid:
+// records share only the dictionary's immutable strings with it.
+func (s *segScanner) release() {
+	s.br.Reset(nil)
+	s.proj = nil
+	scanners.Put(s)
 }
 
 // colsKey marks a v1 record payload carrying column names. The bare
@@ -172,14 +213,15 @@ func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *
 // scan is scanFile over the segment's bytes.
 func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
 	s.dict = s.dict[:0]
+	if len(s.intern) > internMax {
+		clear(s.intern)
+	}
 	if s.proj != nil {
 		s.proj.reset()
 	}
-	if s.br == nil {
-		s.br = bufio.NewReaderSize(nil, 1<<16)
-	}
 	s.br.Reset(r)
-	fr := newFrameReader(s.br)
+	s.fr = frameReader{r: s.br, buf: s.fr.buf}
+	fr := &s.fr
 	var fileCols []string
 	for {
 		payload, ok, err := fr.next()
@@ -198,7 +240,7 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 			return fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
 		}
 		if kind == frameKindMeta {
-			dict, err := decodeV2Dict(payload, s.dict)
+			dict, err := decodeV2Dict(payload, s.dict, s.intern)
 			if err != nil {
 				return err
 			}
@@ -294,7 +336,8 @@ func scanParallel(files []queryFile, startCols []string, from, to time.Duration,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := segScanner{proj: mk()}
+			sc := getScanner(mk())
+			defer sc.release()
 			for {
 				// Slot first, file second: the files holding slots are then
 				// always the next ones the merger will reach.
@@ -307,7 +350,7 @@ func scanParallel(files []queryFile, startCols []string, from, to time.Duration,
 				if i >= len(files) {
 					return
 				}
-				errs[i] = runScanFile(&sc, files[i], from, to, outs[i], free, batchFree, done)
+				errs[i] = runScanFile(sc, files[i], from, to, outs[i], free, batchFree, done)
 				close(outs[i])
 				select {
 				case <-done:

@@ -196,7 +196,7 @@ func scanFrames(r io.Reader) (sc frameScan, err error) {
 			return frameScan{}, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
 		}
 		if kind == frameKindMeta {
-			dict, derr := decodeV2Dict(payload, sc.dict)
+			dict, derr := decodeV2Dict(payload, sc.dict, nil)
 			if derr != nil {
 				return sc, nil // corrupt like the above
 			}
