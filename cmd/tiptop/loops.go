@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 
 	"tiptop"
@@ -71,7 +70,7 @@ func quitChan(keys io.Reader) <-chan os.Signal {
 			buf := make([]byte, 64)
 			for {
 				n, err := keys.Read(buf)
-				if slices.Contains(term.DecodeKeys(buf[:n]), term.KeyQuit) {
+				if term.Quits(buf[:n]) {
 					select {
 					case ch <- os.Interrupt:
 					default: // an interrupt is already pending

@@ -15,11 +15,11 @@
 //	/api/v1/events          the event registry with backend support, JSON
 //	/api/v1/sample          latest refresh in the versioned wire format
 //	/api/v1/stream          SSE push of every refresh (tiptop -connect)
-//	/api/v1/query           range queries over recorded history:
-//	                        ?expr=&from=&to=&step= expressions (over the
-//	                        store, or the live rings without -store) and
-//	                        ?pid=&from=&to=&step= raw series (-store
-//	                        only), JSON or &format=openmetrics text
+//	/api/v1/query           range queries over recorded history (the
+//	                        store, or the live rings without -store):
+//	                        ?expr=&from=&to=&step= expressions and
+//	                        ?pid=&from=&to=&step= raw series, JSON or
+//	                        &format=openmetrics text
 //
 // There is one daemon and two sample sources: the local sampling loop,
 // or — with -join — a fleet of N remote tiptopd agents streamed and
@@ -507,10 +507,7 @@ func (d *daemon) index(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintf(w, "tiptopd monitoring %s\n\n/metrics\n/api/v1/snapshot\n/api/v1/history?pid=N\n/api/v1/events\n/api/v1/sample\n/api/v1/stream\n", d.mon.Machine())
-	fmt.Fprintf(w, "/api/v1/query?expr=&from=&to=&step=\n")
-	if len(d.stores) > 0 {
-		fmt.Fprintf(w, "/api/v1/query?pid=&from=&to=&step=\n")
-	}
+	fmt.Fprintf(w, "/api/v1/query?expr=&from=&to=&step=\n/api/v1/query?pid=&from=&to=&step=\n")
 }
 
 // events serves the daemon's event registry — defaults plus any

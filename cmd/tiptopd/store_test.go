@@ -9,6 +9,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -267,13 +269,23 @@ func TestStoreQueryOpenMetricsVariant(t *testing.T) {
 	}
 }
 
-// TestQueryWithoutStore: a daemon without -store answers the endpoint
-// with a clear 404 instead of a blank one.
+// TestQueryWithoutStore: a daemon without -store answers raw range
+// queries from its live rings, as it does expressions (a 404 before).
 func TestQueryWithoutStore(t *testing.T) {
-	_, srv := testDaemon(t)
-	status, body := get(t, srv.URL+"/api/v1/query")
-	if status != http.StatusNotFound || !strings.Contains(body, "-store") {
-		t.Fatalf("got HTTP %d: %s", status, body)
+	d, srv := testDaemon(t)
+	pid := d.rec.PIDs()[0]
+	status, body := get(t, srv.URL+"/api/v1/query?pid="+strconv.Itoa(pid))
+	var res tiptop.StoreResult
+	if err := json.Unmarshal([]byte(body), &res); status != http.StatusOK || err != nil {
+		t.Fatalf("got HTTP %d (%v): %s", status, err, body)
+	}
+	if res.PID != pid || len(res.Series) == 0 || len(res.Machine) == 0 || len(res.Columns) == 0 {
+		t.Fatalf("raw query of pid %d from the live rings: %s", pid, body)
+	}
+	for _, s := range res.Series {
+		if s.PID != pid || len(s.Points) == 0 {
+			t.Fatalf("series %+v in pid %d's answer", s, pid)
+		}
 	}
 }
 

@@ -121,6 +121,56 @@ func TestScreenChangeFoldsByName(t *testing.T) {
 	}
 }
 
+// TestRawQueryFoldsByName is the raw form's screen-change regression
+// test: three refreshes under [ipc], three under [dmis], every value 100.
+// The store's positional fold labelled the range [dmis] and all six
+// points [100] — the first three were ipc.
+func TestRawQueryFoldsByName(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i, cols := range [][]string{{"ipc"}, {"dmis"}} {
+		st.SetColumns(cols)
+		for j := 1; j <= 3; j++ {
+			if err := st.AppendSample(sampleAt(time.Duration(3*i+j)*time.Second, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type point struct {
+		t      float64
+		values []float64
+	}
+	for _, tc := range []struct {
+		opt    Options
+		cols   []string
+		points []point
+	}{
+		{Options{}, []string{"ipc", "dmis"}, []point{
+			{1, []float64{100, 0}}, {2, []float64{100, 0}}, {3, []float64{100, 0}},
+			{4, []float64{0, 100}}, {5, []float64{0, 100}}, {6, []float64{0, 100}}}},
+		{Options{StepSeconds: 5}, []string{"ipc", "dmis"}, []point{{5, []float64{100, 100}}, {10, []float64{0, 100}}}},
+		{Options{ToSeconds: 3}, []string{"ipc"}, []point{{1, []float64{100}}, {2, []float64{100}}, {3, []float64{100}}}},
+		{Options{FromSeconds: 4}, []string{"dmis"}, []point{{4, []float64{100}}, {5, []float64{100}}, {6, []float64{100}}}},
+	} {
+		res, err := RunRaw(st, 100, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []point
+		for _, s := range res.Series {
+			for _, p := range s.Points {
+				got = append(got, point{p.TimeSeconds, p.Values})
+			}
+		}
+		if !slices.Equal(res.Columns, tc.cols) || len(res.Series) != 1 || !reflect.DeepEqual(got, tc.points) {
+			t.Errorf("%+v: columns %v, %d series, points %v; want %v and %v", tc.opt, res.Columns, len(res.Series), got, tc.cols, tc.points)
+		}
+	}
+}
+
 // TestRandomLayoutsProjectedEqualsFull: over random column layouts and
 // change points, projection and worker count never change the result,
 // and a column reads its own value wherever some row in the bucket

@@ -1,12 +1,14 @@
-// Package query is the shared expression query engine: the screen
-// expression language (internal/metrics) evaluated as time series over
-// labelled sources of store records — a durable store's downsample
-// tiers (store.Store), live history rings replayed as records (Rings),
+// Package query is the shared range-query engine: the screen expression
+// language (internal/metrics) evaluated as time series over labelled
+// sources of store records — a durable store's downsample tiers
+// (store.Store), live history rings replayed as records (Rings),
 // several agents' stores merged on aligned steps. One engine, one
 // grammar, one slot binding and one totality rule serve the interactive
 // screens, the /api/v1/query?expr= endpoint and the fleet aggregator,
 // so `delta(INSTRUCTIONS)/delta(CYCLES)` means exactly the same thing
-// in a terminal column, a stored range query and a cluster roll-up.
+// in a terminal column, a stored range query and a cluster roll-up. The
+// raw per-task form (?pid=, RunRaw) is a plan on the same fold with a
+// second output shape, not a second fold.
 package query
 
 import (
@@ -48,7 +50,20 @@ type Compiled struct {
 	// Expr resolved to it.
 	slots []string
 	bound *metrics.Bound
+	// pid is a raw plan's task filter (-1: every task); see rawPlan.
+	pid int
 }
+
+// rawPlan is the plan of a raw range query (?pid=, RunRaw): no
+// expression, the tasks of pid (every task when pid < 0). The engine
+// gives it a column slot for every column the range carries, folds each
+// record's machine roll-up as its total, and renders a RawResult.
+func rawPlan(pid int) *Compiled {
+	return &Compiled{pid: max(pid, -1), slots: BaseNames()}
+}
+
+// raw reports whether c is a raw plan rather than an expression.
+func (c *Compiled) raw() bool { return c.Expr == nil }
 
 // Row positions of BaseNames; the referenced columns follow.
 const (

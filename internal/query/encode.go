@@ -1,7 +1,7 @@
 package query
 
 // Response encoding. Both result types — the engine's Result and the
-// store's raw Result — are appended into one buffer sized up front from
+// raw plan's RawResult — are appended into one buffer sized up front from
 // their series and point counts, in exactly the bytes json.Encoder
 // writes with SetIndent("", "  "): field order, omitempty, null for a
 // nil list and [] for an empty one, HTML-escaped strings, encoding/json's
@@ -16,7 +16,6 @@ import (
 
 	"tiptop/internal/export"
 	"tiptop/internal/remote"
-	"tiptop/internal/store"
 )
 
 // response is a query result respond can render.
@@ -30,10 +29,6 @@ type response interface {
 	AppendJSON(b []byte) []byte
 	appendOpenMetrics(b []byte) []byte
 }
-
-// rawResult is store.Result as a response: internal/store stays below
-// the HTTP layers, so its encoders live here.
-type rawResult store.Result
 
 // Upper bounds on what one value contributes to a body: a float64 is at
 // most 25 bytes ("-0.0000012345678901234567"), an int 20, a string six
@@ -219,8 +214,8 @@ func (res *Result) AppendJSON(b []byte) []byte {
 	return append(j.b, '\n')
 }
 
-func (res *rawResult) sizeHint() int {
-	points := func(pts []store.Point) int {
+func (res *RawResult) sizeHint() int {
+	points := func(pts []RawPoint) int {
 		n := 0
 		for i := range pts {
 			n += rawPointFixed + 3*floatMax + len(pts[i].Values)*(rawValueFixed+floatMax)
@@ -235,8 +230,8 @@ func (res *rawResult) sizeHint() int {
 	return n
 }
 
-func (res *rawResult) checkFinite() error {
-	points := func(pts []store.Point) bool {
+func (res *RawResult) checkFinite() error {
+	points := func(pts []RawPoint) bool {
 		ok := true
 		for i := range pts {
 			p := &pts[i]
@@ -262,9 +257,9 @@ func (res *rawResult) checkFinite() error {
 }
 
 // AppendJSON appends the raw range result's JSON document to b.
-func (res *rawResult) AppendJSON(b []byte) []byte {
+func (res *RawResult) AppendJSON(b []byte) []byte {
 	j := jsonBuf{b: b}
-	points := func(key string, pts []store.Point) {
+	points := func(key string, pts []RawPoint) {
 		if !j.list(key, pts == nil) {
 			return
 		}
@@ -347,7 +342,7 @@ func appendLabel(b []byte, name, value string) []byte {
 // appendOpenMetrics renders a raw range-query result with explicit
 // timestamps, so a range query exports straight into tools that speak
 // the exposition format.
-func (res *rawResult) appendOpenMetrics(b []byte) []byte {
+func (res *RawResult) appendOpenMetrics(b []byte) []byte {
 	labels := strconv.AppendFloat([]byte(`resolution="`), res.ResolutionSeconds, 'g', -1, 64)
 	labels = append(labels, '"')
 	b = append(b, "# TYPE tiptop_range_machine_cpu_pct gauge\n# TYPE tiptop_range_machine_ipc gauge\n"...)

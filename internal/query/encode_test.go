@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"tiptop/internal/export"
-	"tiptop/internal/store"
 )
 
 // nastyStrings need every escape encoding/json has: quotes, backslash,
@@ -118,21 +117,21 @@ func (s *fuzzSrc) result() *Result {
 	return res
 }
 
-func (s *fuzzSrc) points() []store.Point {
+func (s *fuzzSrc) points() []RawPoint {
 	n := s.count(4)
 	if n < 0 {
 		return nil
 	}
-	pts := make([]store.Point, n)
+	pts := make([]RawPoint, n)
 	for i := range pts {
-		pts[i] = store.Point{TimeSeconds: s.float(), CPUPct: s.float(), IPC: s.float(), Values: s.floats()}
+		pts[i] = RawPoint{TimeSeconds: s.float(), CPUPct: s.float(), IPC: s.float(), Values: s.floats()}
 	}
 	return pts
 }
 
-// raw is result for the store's range result.
-func (s *fuzzSrc) raw() *store.Result {
-	res := &store.Result{PID: s.int(), ResolutionSeconds: s.float(), StepSeconds: s.float()}
+// raw is result for the raw range result.
+func (s *fuzzSrc) raw() *RawResult {
+	res := &RawResult{PID: s.int(), ResolutionSeconds: s.float(), StepSeconds: s.float()}
 	if n := s.count(4); n >= 0 {
 		res.Columns = make([]string, n)
 	}
@@ -141,10 +140,10 @@ func (s *fuzzSrc) raw() *store.Result {
 	}
 	res.Machine = s.points()
 	if n := s.count(4); n >= 0 {
-		res.Series = make([]store.Series, n)
+		res.Series = make([]RawSeries, n)
 	}
 	for i := range res.Series {
-		res.Series[i] = store.Series{PID: s.int(), TID: s.int(), User: s.str(), Command: s.str(), Points: s.points()}
+		res.Series[i] = RawSeries{PID: s.int(), TID: s.int(), User: s.str(), Command: s.str(), Points: s.points()}
 	}
 	return res
 }
@@ -181,17 +180,17 @@ func checkIdentity(t testing.TB, res response, v any, refOM func(io.Writer) erro
 	}
 }
 
-func checkBoth(t testing.TB, res *Result, raw *store.Result) {
+func checkBoth(t testing.TB, res *Result, raw *RawResult) {
 	t.Helper()
 	checkIdentity(t, res, res, func(w io.Writer) error { return refWriteOpenMetrics(w, res) })
-	checkIdentity(t, (*rawResult)(raw), raw, func(w io.Writer) error { return refWriteRawOpenMetrics(w, raw) })
+	checkIdentity(t, raw, raw, func(w io.Writer) error { return refWriteRawOpenMetrics(w, raw) })
 }
 
 // edgeResults are the cases the identity must hold on whatever the
 // fuzzer finds: run on every go test.
-func edgeResults() ([]*Result, []*store.Result) {
+func edgeResults() ([]*Result, []*RawResult) {
 	all := &Result{Expr: "a\nb", GroupBy: "user", K: 3, StepSeconds: math.Copysign(0, -1), Series: []Series{{Points: []Point{}}}}
-	rawAll := &store.Result{PID: -1, StepSeconds: 60, Columns: nastyStrings, Machine: []store.Point{{Values: awkwardFloats}}}
+	rawAll := &RawResult{PID: -1, StepSeconds: 60, Columns: nastyStrings, Machine: []RawPoint{{Values: awkwardFloats}}}
 	for i, s := range nastyStrings {
 		sr := Series{Key: s, PID: i % 3, TID: -i % 2, User: s, Command: s + s, Agent: s, Total: i%2 == 0}
 		for _, f := range awkwardFloats {
@@ -199,7 +198,7 @@ func edgeResults() ([]*Result, []*store.Result) {
 			sr.Points = append(sr.Points, Point{TimeSeconds: f, Value: -f})
 		}
 		all.Series = append(all.Series, sr)
-		rawAll.Series = append(rawAll.Series, store.Series{PID: -i, TID: i % 2, User: s, Command: s, Points: []store.Point{
+		rawAll.Series = append(rawAll.Series, RawSeries{PID: -i, TID: i % 2, User: s, Command: s, Points: []RawPoint{
 			{TimeSeconds: awkwardFloats[i%len(awkwardFloats)], Values: []float64{}}, {CPUPct: 1, IPC: -2.5, Values: awkwardFloats[:i]},
 		}})
 	}
@@ -207,9 +206,9 @@ func edgeResults() ([]*Result, []*store.Result) {
 	inf := &Result{Expr: "x", Series: []Series{{Key: "pid:1", Mean: math.Inf(1)}}}
 	return []*Result{
 			{}, {Series: []Series{}}, {Expr: "x", Series: []Series{{}}}, all, nan, inf, {ResolutionSeconds: math.Inf(-1)},
-		}, []*store.Result{
-			{}, {Series: []store.Series{}, Columns: []string{}, Machine: []store.Point{}}, {Series: []store.Series{{}}}, rawAll,
-			{Machine: []store.Point{{IPC: math.NaN()}}}, {Series: []store.Series{{Points: []store.Point{{Values: []float64{math.Inf(1)}}}}}},
+		}, []*RawResult{
+			{}, {Series: []RawSeries{}, Columns: []string{}, Machine: []RawPoint{}}, {Series: []RawSeries{{}}}, rawAll,
+			{Machine: []RawPoint{{IPC: math.NaN()}}}, {Series: []RawSeries{{Points: []RawPoint{{Values: []float64{math.Inf(1)}}}}}},
 			{StepSeconds: math.NaN()},
 		}
 }
@@ -237,16 +236,16 @@ func FuzzQueryJSONIdentity(f *testing.F) {
 }
 
 // bigResults are a dashboard-sized answer of each type.
-func bigResults() (*Result, *store.Result) {
+func bigResults() (*Result, *RawResult) {
 	res := &Result{Expr: "(delta(INSTRUCTIONS) / delta(CYCLES))", ResolutionSeconds: 60, StepSeconds: 60}
-	raw := &store.Result{PID: -1, ResolutionSeconds: 60, StepSeconds: 60, Columns: []string{"ipc", "miss"}}
+	raw := &RawResult{PID: -1, ResolutionSeconds: 60, StepSeconds: 60, Columns: []string{"ipc", "miss"}}
 	for i := 0; i < 40; i++ {
 		sr := Series{Key: "pid:" + strconv.Itoa(100+i), PID: 100 + i, TID: 100 + i, User: "user<" + strconv.Itoa(i%3) + ">", Command: "job"}
-		rs := store.Series{PID: 100 + i, TID: 100 + i, User: sr.User, Command: "job"}
+		rs := RawSeries{PID: 100 + i, TID: 100 + i, User: sr.User, Command: "job"}
 		for j := 0; j < 300; j++ {
 			f := awkwardFloats[(i+j)%len(awkwardFloats)]
 			sr.Points = append(sr.Points, Point{TimeSeconds: float64(60 * j), Value: f})
-			rs.Points = append(rs.Points, store.Point{TimeSeconds: float64(60 * j), CPUPct: f, IPC: -f, Values: []float64{f, 1 / 3.0}})
+			rs.Points = append(rs.Points, RawPoint{TimeSeconds: float64(60 * j), CPUPct: f, IPC: -f, Values: []float64{f, 1 / 3.0}})
 		}
 		res.Series = append(res.Series, sr)
 		raw.Series = append(raw.Series, rs)
@@ -261,7 +260,7 @@ func bigResults() (*Result, *store.Result) {
 // allocation.
 func TestResultAppendJSONAllocs(t *testing.T) {
 	res, raw := bigResults()
-	for name, r := range map[string]response{"expr": res, "raw": (*rawResult)(raw)} {
+	for name, r := range map[string]response{"expr": res, "raw": raw} {
 		buf := make([]byte, 0, r.sizeHint())
 		var out []byte
 		allocs := testing.AllocsPerRun(10, func() { out = r.AppendJSON(buf) })
@@ -281,9 +280,9 @@ func quoteLabel(s string) string {
 	return string(append(export.AppendEscapedLabel([]byte{'"'}, s), '"'))
 }
 
-func refWriteRawOpenMetrics(w io.Writer, res *store.Result) error {
+func refWriteRawOpenMetrics(w io.Writer, res *RawResult) error {
 	bw := bufio.NewWriter(w)
-	emit := func(name string, labels string, p *store.Point, v float64) {
+	emit := func(name string, labels string, p *RawPoint, v float64) {
 		fmt.Fprintf(bw, "%s{%s} %g %g\n", name, labels, v, p.TimeSeconds)
 	}
 	resolution := `resolution="` + strconv.FormatFloat(res.ResolutionSeconds, 'g', -1, 64) + `"`

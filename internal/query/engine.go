@@ -27,6 +27,11 @@ package query
 // at the serving resolution it is the record's own — a downsample
 // tier's resolution, or the time since the source's previous record
 // (0, unknown, for the first one in range).
+//
+// A raw plan (rawPlan) runs the same fold with three differences: its
+// column slots are every column the range carries, added as the scan
+// meets them; its total folds each record's machine roll-up instead of
+// the rows; and finishRaw renders the bucket rows themselves.
 
 import (
 	"cmp"
@@ -95,6 +100,43 @@ type Result struct {
 	Series            []Series `json:"series"`
 }
 
+// RawPoint is one bucket of a raw series: the mean CPU%, the IPC
+// recomputed from the summed counters, and per column the mean over the
+// rows that carried it (0 where none did).
+type RawPoint struct {
+	TimeSeconds float64   `json:"time_s"`
+	CPUPct      float64   `json:"cpu_pct"`
+	IPC         float64   `json:"ipc"`
+	Values      []float64 `json:"values,omitempty"`
+}
+
+// RawSeries is one task's points inside the queried range.
+type RawSeries struct {
+	PID     int        `json:"pid"`
+	TID     int        `json:"tid,omitempty"`
+	User    string     `json:"user"`
+	Command string     `json:"command"`
+	Points  []RawPoint `json:"points"`
+}
+
+// RawResult is a raw range query's response: per-task series of one
+// source, plus its machine-wide roll-up.
+type RawResult struct {
+	// PID echoes the query's filter, -1 for "all tasks".
+	PID int `json:"pid"`
+	// ResolutionSeconds is the resolution of the tier that served the
+	// query: 0 (raw refreshes), 10 or 60.
+	ResolutionSeconds float64 `json:"resolution_s"`
+	// StepSeconds echoes the step when it re-buckets the serving tier
+	// (0 when serving tier points as-is).
+	StepSeconds float64 `json:"step_s,omitempty"`
+	// Columns names Values' entries: every column the range carries.
+	Columns []string `json:"columns,omitempty"`
+	// Machine is the machine-wide roll-up over the same range.
+	Machine []RawPoint  `json:"machine,omitempty"`
+	Series  []RawSeries `json:"series"`
+}
+
 // seriesKey identifies one output series while accumulating.
 type seriesKey struct {
 	agent    string
@@ -151,6 +193,7 @@ type Engine struct {
 	opt    Options
 	step   time.Duration
 	agent  string   // labels the source's series in fleet merges; "" solo
+	slots  []string // the row layout: c's, grown by setColumns for a raw plan
 	cols   []string // the record columns remap was built for
 	remap  []int    // record value position → slot, -1 when unreferenced
 	series map[seriesKey]*seriesAcc
@@ -171,6 +214,7 @@ func NewEngine(c *Compiled, agent string, opt Options) *Engine {
 		opt:    opt,
 		step:   time.Duration(opt.StepSeconds * float64(time.Second)),
 		agent:  agent,
+		slots:  slices.Clip(c.slots),
 		series: make(map[seriesKey]*seriesAcc),
 		last:   -1,
 	}
@@ -178,7 +222,7 @@ func NewEngine(c *Compiled, agent string, opt Options) *Engine {
 
 // setColumns maps the value positions of records labelled cols to
 // slots; the remap is rebuilt only when the scan crosses a screen
-// change.
+// change. A raw plan gives a column it has not met yet the next slot.
 func (e *Engine) setColumns(cols []string) {
 	if e.remap != nil && slices.Equal(cols, e.cols) {
 		return
@@ -186,11 +230,34 @@ func (e *Engine) setColumns(cols []string) {
 	e.cols = cols
 	e.remap = make([]int, len(cols))
 	for i, name := range cols {
-		e.remap[i] = slices.Index(e.c.slots[slotCols:], name)
-		if e.remap[i] >= 0 {
-			e.remap[i] += slotCols
+		slot := slices.Index(e.slots[slotCols:], name)
+		if slot < 0 && e.c.raw() {
+			e.slots = append(e.slots, name)
+			slot = len(e.slots) - 1 - slotCols
+		}
+		e.remap[i] = -1
+		if slot >= 0 {
+			e.remap[i] = slotCols + slot
 		}
 	}
+}
+
+// width is the length of a bucket's vals under the current slots.
+func (e *Engine) width() int { return 2*len(e.slots) - slotCols }
+
+// widen re-lays out a bucket made before a raw plan met more columns:
+// the sums keep their slots, the counts move up behind the new ones, and
+// the new columns read as never carried.
+func (e *Engine) widen(b *bucket) *bucket {
+	if len(b.vals) == e.width() {
+		return b
+	}
+	n := (len(b.vals) + slotCols) / 2 // slots when b was made
+	vals := e.rows.take(e.width())
+	copy(vals, b.vals[:n])
+	copy(vals[len(e.slots):], b.vals[n:])
+	b.vals = vals
+	return b
 }
 
 // SetResolution records the serving tier's resolution for the result.
@@ -212,7 +279,8 @@ func (e *Engine) Push(rec *store.Record, cols []string) {
 		dtNS = (rec.TimeSeconds - e.last) * 1e9
 	}
 	e.last = rec.TimeSeconds
-	if len(rec.Rows) == 0 {
+	raw := e.c.raw()
+	if len(rec.Rows) == 0 && !raw {
 		return
 	}
 	bt := rec.TimeSeconds
@@ -224,11 +292,22 @@ func (e *Engine) Push(rec *store.Record, cols []string) {
 	}
 	// Every row of the record lands in the same bucket of the total.
 	tb := e.bucketAt(e.total, bt)
+	if raw {
+		// A raw plan's total is the machine roll-up the record carries —
+		// one fold however wide the record, a point even without tasks,
+		// and never thinned by the pid filter.
+		m := &rec.Machine
+		e.fold(tb, nil, &store.RecordRow{CPUPct: m.CPUPct, Instr: m.Instr, Cycles: m.Cycles, Misses: m.Misses}, dtNS)
+		tb = nil
+	}
 	for len(e.pos) < len(rec.Rows) {
 		e.pos = append(e.pos, e.total) // matches no row's key
 	}
 	for i := range rec.Rows {
 		r := &rec.Rows[i]
+		if raw && e.c.pid >= 0 && r.PID != e.c.pid {
+			continue
+		}
 		// A stable task set keeps every task at its row position: the
 		// series the previous record's row i went to is checked before
 		// the keyed lookup hashes the row's strings.
@@ -275,15 +354,15 @@ func (e *Engine) bucketAt(acc *seriesAcc, bt float64) *bucket {
 	i := len(acc.buckets)
 	if i > 0 && acc.buckets[i-1].t >= bt {
 		if acc.buckets[i-1].t == bt {
-			return &acc.buckets[i-1]
+			return e.widen(&acc.buckets[i-1])
 		}
 		var found bool
 		i, found = slices.BinarySearchFunc(acc.buckets, bt, func(b bucket, t float64) int { return cmp.Compare(b.t, t) })
 		if found {
-			return &acc.buckets[i]
+			return e.widen(&acc.buckets[i])
 		}
 	}
-	b := bucket{t: bt, vals: e.rows.take(2*len(e.c.slots) - slotCols)}
+	b := bucket{t: bt, vals: e.rows.take(e.width())}
 	if i < len(acc.buckets) {
 		acc.buckets = slices.Insert(acc.buckets, i, b)
 		return &acc.buckets[i]
@@ -307,18 +386,22 @@ func (e *Engine) addPoint(b *bucket, point []float64) {
 	b.points = append(b.points, point)
 }
 
-// fold adds one row to its series' bucket b and the total's tb. Both
-// share the row's point: it is only read once filled.
+// fold adds one row to its series' bucket b and the total's tb (nil for
+// a raw plan, whose total folds machine roll-ups instead). Both share
+// the row's point: it is only read once filled.
 func (e *Engine) fold(b, tb *bucket, r *store.RecordRow, dtNS float64) {
 	var point []float64
 	if e.c.Pointwise {
-		point = e.rows.take(len(e.c.slots))
+		point = e.rows.take(len(e.slots))
 		point[slotInstr], point[slotCycles], point[slotMisses] = float64(r.Instr), float64(r.Cycles), float64(r.Misses)
 		point[slotDeltaNS], point[slotCPU] = dtNS, r.CPUPct
 		e.addPoint(b, point)
 		e.addPoint(tb, point)
 	}
 	for _, b := range [...]*bucket{b, tb} {
+		if b == nil {
+			continue
+		}
 		b.n++
 		b.vals[slotInstr] += float64(r.Instr)
 		b.vals[slotCycles] += float64(r.Cycles)
@@ -326,7 +409,7 @@ func (e *Engine) fold(b, tb *bucket, r *store.RecordRow, dtNS float64) {
 		b.vals[slotDeltaNS] = dtNS
 		b.vals[slotCPU] += r.CPUPct
 	}
-	seen := len(e.c.slots) - slotCols // slot's count sits at seen+slot
+	seen := len(e.slots) - slotCols // slot's count sits at seen+slot
 	for i, v := range r.Values[:min(len(r.Values), len(e.remap))] {
 		slot := e.remap[i]
 		if slot < 0 {
@@ -334,8 +417,10 @@ func (e *Engine) fold(b, tb *bucket, r *store.RecordRow, dtNS float64) {
 		}
 		b.vals[slot] += v
 		b.vals[seen+slot]++
-		tb.vals[slot] += v
-		tb.vals[seen+slot]++
+		if tb != nil {
+			tb.vals[slot] += v
+			tb.vals[seen+slot]++
+		}
 		if point != nil {
 			point[slot] = v
 		}
@@ -457,6 +542,57 @@ func (e *Engine) Finish() *Result {
 	if e.c.K > 0 {
 		out.Series = applyTopK(out.Series, e.c.K)
 	}
+	return out
+}
+
+// finishRaw renders a raw plan's buckets as they are: per bucket the mean
+// CPU%, Σinstr/Σcycles and each column's mean over the rows that carried
+// it, the total's buckets as the machine roll-up, task series sorted by
+// PID then TID. On single-screen data that is what the downsampling
+// accumulator makes of the same rows — the fold that wrote the tiers.
+func (e *Engine) finishRaw() *RawResult {
+	out := &RawResult{PID: e.c.pid, ResolutionSeconds: e.res, Columns: e.slots[slotCols:]}
+	if step := e.step.Seconds(); step > e.res {
+		out.StepSeconds = step
+	}
+	ncols := len(out.Columns)
+	npoints := 0
+	for _, acc := range e.series {
+		npoints += len(acc.buckets)
+	}
+	// Every series' points, and every point's values, back to back.
+	points := make([]RawPoint, 0, npoints)
+	values := make([]float64, 0, npoints*ncols)
+	out.Series = make([]RawSeries, 0, len(e.series))
+	for _, acc := range e.series {
+		first := len(points)
+		for i := range acc.buckets {
+			b := e.widen(&acc.buckets[i])
+			p := RawPoint{TimeSeconds: b.t, CPUPct: b.vals[slotCPU] / float64(b.n)}
+			if cycles := b.vals[slotCycles]; cycles > 0 {
+				p.IPC = b.vals[slotInstr] / cycles
+			}
+			if !acc.key.total && ncols > 0 {
+				start := len(values)
+				for c, n := range b.vals[len(e.slots):] {
+					values = append(values, b.vals[slotCols+c]/max(n, 1)) // a column no row carried sums to 0
+				}
+				p.Values = values[start:len(values):len(values)]
+			}
+			points = append(points, p)
+		}
+		pts := points[first:len(points):len(points)]
+		if acc.key.total {
+			out.Machine = pts
+			continue
+		}
+		out.Series = append(out.Series, RawSeries{
+			PID: acc.key.pid, TID: acc.key.tid, User: acc.user, Command: acc.comm, Points: pts,
+		})
+	}
+	slices.SortFunc(out.Series, func(a, b RawSeries) int {
+		return cmp.Or(cmp.Compare(a.PID, b.PID), cmp.Compare(a.TID, b.TID))
+	})
 	return out
 }
 

@@ -70,6 +70,10 @@ func TestErrorEnvelope(t *testing.T) {
 			http.StatusNotFound, "no durable store configured", "-store DIR", nil},
 		{"fleet raw unknown agent", fleet, "/api/v1/query?pid=100&agent=nope",
 			http.StatusBadRequest, `unknown agent "nope"`, "agent=a:1|b:2", nil},
+		{"fleet raw without agent", fleet, "/api/v1/query?pid=100",
+			http.StatusBadRequest, "raw series (pid=) need one agent", "want agent=a:1|b:2", nil},
+		{"fleet raw every agent", fleet, "/api/v1/query?pid=100&agent=*",
+			http.StatusBadRequest, "raw series (pid=) need one agent", "want agent=a:1|b:2", nil},
 		{"fleet expr unknown agent", fleet, "/api/v1/query?expr=CYCLES&step=10&agent=nope",
 			http.StatusBadRequest, `unknown agent "nope"`, "agent=a:1|b:2 or agent=*", nil},
 		{"fleet merge without step", fleet, "/api/v1/query?expr=CYCLES&agent=*",
@@ -175,9 +179,9 @@ func TestUnencodableResultIs500(t *testing.T) {
 		{"NaN point", respond(&Result{Series: []Series{{Key: "ok"}, {Key: "pid:7", Points: []Point{{Value: math.NaN()}}}}}),
 			"/", `series "pid:7"`},
 		{"infinite resolution", respond(&Result{ResolutionSeconds: math.Inf(1)}), "/", "resolution or step"},
-		{"raw series", respond(&rawResult{Series: []store.Series{{PID: 1}, {PID: 7, TID: 8, Command: "job",
-			Points: []store.Point{{Values: []float64{0, math.Inf(-1)}}}}}}), "/", "series pid:7 tid:8 (job)"},
-		{"raw machine roll-up", respond(&rawResult{Machine: []store.Point{{IPC: math.NaN()}}}), "/", "machine roll-up"},
+		{"raw series", respond(&RawResult{Series: []RawSeries{{PID: 1}, {PID: 7, TID: 8, Command: "job",
+			Points: []RawPoint{{Values: []float64{0, math.Inf(-1)}}}}}}), "/", "series pid:7 tid:8 (job)"},
+		{"raw machine roll-up", respond(&RawResult{Machine: []RawPoint{{IPC: math.NaN()}}}), "/", "machine roll-up"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,12 +3,12 @@ package query
 // The HTTP surface of recorded history: the one /api/v1/query handler
 // tiptopd mounts, solo and aggregating alike, and the Client that
 // consumes it — the query side of the remote monitoring story. Without
-// expr the endpoint serves one store's raw per-task series
-// (store.Query); with expr the shared engine evaluates it over the
-// selected stores (or live history when no store is configured). Parse
-// and validation failures are always HTTP 400 with the offending
-// position — never 500 — and unknown identifiers name the nearest known
-// ones.
+// expr the endpoint serves one source's raw per-task series (the raw
+// plan, RunRaw); with expr the shared engine evaluates it over the
+// selected sources. Both shapes read the selected stores, or live
+// history when no store is configured. Parse and validation failures are
+// always HTTP 400 with the offending position — never 500 — and unknown
+// identifiers name the nearest known ones.
 
 import (
 	"encoding/json"
@@ -34,18 +34,18 @@ import (
 // optional live recorder:
 //
 //	GET ...?expr=E&from=S&to=S&step=S   expression query
-//	GET ...?pid=N&from=S&to=S&step=S    raw per-task series of one store
+//	GET ...?pid=N&from=S&to=S&step=S    raw per-task series of one source
 //
 // both as JSON, or OpenMetrics text with &format=openmetrics (or an
-// Accept header asking for it). A solo daemon is the fleet of one
-// unlabelled store, {"": st}, which no selector can mismatch (?agent= is
-// ignored); an aggregator's stores are keyed by agent label,
-// ?agent=label selecting one and ?agent=* (or no selector) all of them
-// — a raw query needs exactly one, an expression merges however many on
-// aligned steps. stores may be empty (no -store): raw
-// queries are rejected with a hint and expression queries fall back to
-// rec's live rings, as they do with ?source=live. rec may be nil
-// (aggregators, tiptop -record archives).
+// Accept header asking for it). Both shapes pick their sources by one
+// rule: rec's live rings when stores is empty (no -store) or with
+// ?source=live, the selected stores otherwise. A solo daemon is the
+// fleet of one unlabelled store, {"": st}, which no selector can
+// mismatch (?agent= is ignored); an aggregator's stores are keyed by
+// agent label, ?agent=label selecting one and ?agent=* (or no selector)
+// all of them — a raw query needs exactly one source, an expression
+// merges however many on aligned steps. rec may be nil (aggregators,
+// tiptop -record archives).
 func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler {
 	labels := make([]string, 0, len(stores))
 	for label := range stores {
@@ -58,7 +58,8 @@ func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if p.expr != "" && p.pid >= 0 {
+		raw := p.expr == ""
+		if !raw && p.pid >= 0 {
 			// Evaluating over every task would answer a different question.
 			remote.WriteErrorHint(w, http.StatusBadRequest, "pid= selects the raw series form and cannot be combined with expr=",
 				"drop pid= to evaluate the expression over every task, or drop expr= for that task's raw series")
@@ -69,60 +70,45 @@ func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler
 			// Accept header decides otherwise.
 			p.format = "openmetrics"
 		}
-		if p.expr != "" && (p.live || len(stores) == 0) {
+		srcs := map[string]Source{}
+		if _, solo := stores[""]; solo {
+			p.agent = "" // an unlabelled store has no selector to mismatch
+		}
+		switch st, ok := stores[p.agent]; {
+		case p.live || len(stores) == 0:
 			if rec == nil {
 				remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured and no live recorder to query",
 					"start tiptopd with -store DIR; source=live needs a daemon that samples locally")
 				return
 			}
-			serveExpr(w, p, map[string]Source{"": Rings(rec)})
-			return
-		}
-		if len(stores) == 0 {
-			hint := "start tiptopd with -store DIR"
-			if rec != nil {
-				hint += ", or pass expr= to query live history"
+			srcs[""] = Rings(rec)
+		case ok:
+			srcs[p.agent] = st
+		case p.agent == "" || p.agent == "*":
+			for label, st := range stores {
+				srcs[label] = st
 			}
-			remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured", hint)
-			return
-		}
-		selected := stores
-		if _, solo := stores[""]; solo {
-			p.agent = "" // an unlabelled store has no selector to mismatch
-		}
-		if st, ok := stores[p.agent]; ok {
-			selected = map[string]*store.Store{p.agent: st}
-		} else if p.agent != "" && p.agent != "*" {
-			selected = nil
-		}
-		// Raw series carry no agent label: exactly one store serves them.
-		raw := p.expr == ""
-		if selected == nil || raw && len(selected) != 1 {
-			hint := "want agent=%s or agent=*"
-			if raw {
-				hint = "want agent=%s, or agent=* with expr="
+		default:
+			hint := "want agent=" + strings.Join(labels, "|")
+			if !raw {
+				hint += " or agent=*"
 			}
-			remote.WriteErrorHint(w, http.StatusBadRequest, fmt.Sprintf("unknown agent %q", p.agent),
-				fmt.Sprintf(hint, strings.Join(labels, "|")))
+			remote.WriteErrorHint(w, http.StatusBadRequest, fmt.Sprintf("unknown agent %q", p.agent), hint)
 			return
 		}
-		if raw {
-			for _, st := range selected { // the one
-				serveRaw(w, st, p)
-			}
+		if raw && len(srcs) != 1 {
+			// Raw series carry no agent label: exactly one source serves them.
+			remote.WriteErrorHint(w, http.StatusBadRequest, "raw series (pid=) need one agent",
+				"want agent="+strings.Join(labels, "|"))
 			return
 		}
-		if len(selected) > 1 && p.opt.StepSeconds <= 0 {
+		if len(srcs) > 1 && p.opt.StepSeconds <= 0 {
 			remote.WriteErrorHint(w, http.StatusBadRequest,
-				fmt.Sprintf("merging %d agents needs an explicit step (buckets align per-agent clocks)", len(selected)),
+				fmt.Sprintf("merging %d agents needs an explicit step (buckets align per-agent clocks)", len(srcs)),
 				"pass step=, e.g. step=10")
 			return
 		}
-		srcs := make(map[string]Source, len(selected))
-		for label, st := range selected {
-			srcs[label] = st
-		}
-		serveExpr(w, p, srcs)
+		serve(w, p, srcs)
 	})
 }
 
@@ -161,33 +147,26 @@ func knownNames(srcs map[string]Source) []string {
 	return KnownNames(cols)
 }
 
-// serveRaw answers one raw range query from one store.
-func serveRaw(w http.ResponseWriter, st *store.Store, p *params) {
-	res, err := st.Query(store.QueryOptions{
-		PID:         p.pid,
-		FromSeconds: p.opt.FromSeconds,
-		ToSeconds:   p.opt.ToSeconds,
-		StepSeconds: p.opt.StepSeconds,
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	p.respond(w, (*rawResult)(res))
-}
-
-// serveExpr compiles and runs one expression query over srcs.
+// serve runs the request's plan over srcs: the raw series of p.pid from
+// the one source, or p.expr compiled against their columns.
 // Compilation failures are 400 with the position, and so is a range the
-// scan refuses: an expression can only fail on what the request
-// supplied — evaluation itself is total. Only real I/O against a store
-// maps to 500.
-func serveExpr(w http.ResponseWriter, p *params, srcs map[string]Source) {
-	c, err := Compile(p.expr, knownNames(srcs))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// scan refuses: a query can only fail on what the request supplied —
+// evaluation itself is total. Only real I/O against a store maps to 500.
+func serve(w http.ResponseWriter, p *params, srcs map[string]Source) {
+	var res response
+	var err error
+	if p.expr == "" {
+		for _, src := range srcs { // the one
+			res, err = RunRaw(src, p.pid, p.opt)
+		}
+	} else {
+		c, cerr := Compile(p.expr, knownNames(srcs))
+		if cerr != nil {
+			writeError(w, http.StatusBadRequest, cerr)
+			return
+		}
+		res, err = Run(srcs, c, p.opt)
 	}
-	res, err := Run(srcs, c, p.opt)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -389,11 +368,11 @@ func (c *Client) get(res any, opt Options, pairs ...string) error {
 // Query runs one raw range query: per-task series in a time window, at
 // the resolution tier the step selects. extra parameters (e.g. the
 // aggregator's agent selector) can be appended by name.
-func (c *Client) Query(q store.QueryOptions, extra ...string) (*store.Result, error) {
+func (c *Client) Query(q store.QueryOptions, extra ...string) (*RawResult, error) {
 	if q.PID >= 0 {
 		extra = append(extra[:len(extra):len(extra)], "pid", strconv.Itoa(q.PID))
 	}
-	var res store.Result
+	var res RawResult
 	opt := Options{FromSeconds: q.FromSeconds, ToSeconds: q.ToSeconds, StepSeconds: q.StepSeconds}
 	if err := c.get(&res, opt, extra...); err != nil {
 		return nil, err

@@ -141,7 +141,7 @@ func TestNonFiniteSamplesStayQueryable(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d, body %s", target, code, body)
 		}
-		var res store.Result
+		var res RawResult
 		if err := json.Unmarshal([]byte(body), &res); err != nil {
 			t.Fatalf("%s: bad JSON: %v\n%s", target, err, body)
 		}
@@ -245,9 +245,15 @@ func TestHandlerLiveFallback(t *testing.T) {
 	rec := seedRecorder(2, 20)
 	h := Handler(nil, rec)
 
-	// No store: raw range queries get a hint, expression queries run
-	// against the live rings.
-	if code, body := get(t, h, "/api/v1/query?pid=100"); code != http.StatusNotFound || !strings.Contains(body, "-store") {
+	// No store: both query shapes run against the live rings.
+	want, err := RunRaw(Rings(rec), 100, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Series) != 1 || len(want.Series[0].Points) != 20 || len(want.Machine) != 20 {
+		t.Fatalf("raw series of the rings: %+v, want pid 100's 20 points and 20 machine points", want)
+	}
+	if code, body := get(t, h, "/api/v1/query?pid=100"); code != http.StatusOK || body != string(want.AppendJSON(nil)) {
 		t.Fatalf("raw query without store: status %d, body %s", code, body)
 	}
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=10")

@@ -301,6 +301,36 @@ func TestLiveMatchesStore(t *testing.T) {
 	}
 }
 
+// TestRawLiveMatchesStore is TestLiveMatchesStore's raw twin: the raw
+// plan over the rings and over the store agrees on series, machine
+// roll-up and columns, exactly — ring records carry the machine sum the
+// store's writer computes. (The resolution and step echoes differ by
+// design: the rings serve raw records at any step.)
+func TestRawLiveMatchesStore(t *testing.T) {
+	st := seedStore(t, 3, 50)
+	live := Rings(seedRecorder(3, 50))
+	for _, pid := range []int{-1, 101} {
+		for _, step := range []float64{0, 10} {
+			opt := Options{StepSeconds: step, ToSeconds: 90} // the store's flushed buckets, as above
+			sres, err := RunRaw(st, pid, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hres, err := RunRaw(live, pid, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sres.Series) == 0 || len(sres.Series[0].Points) == 0 || len(sres.Machine) == 0 {
+				t.Fatalf("pid %d step %v: the store answered nothing", pid, step)
+			}
+			if !reflect.DeepEqual(sres.Series, hres.Series) || !reflect.DeepEqual(sres.Machine, hres.Machine) ||
+				!reflect.DeepEqual(sres.Columns, hres.Columns) {
+				t.Fatalf("pid %d step %v: store and live differ:\n%+v\n%+v", pid, step, sres, hres)
+			}
+		}
+	}
+}
+
 func TestQueryFleetMerge(t *testing.T) {
 	stores := map[string]Source{
 		"a:1": seedStore(t, 2, 63),

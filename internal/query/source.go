@@ -25,8 +25,8 @@ import (
 	"tiptop/internal/store"
 )
 
-// Source is one backend of an expression query: the value columns an
-// expression may name, and a time-ordered scan of its records under
+// Source is one backend of a query: the value columns an expression
+// may name, and a time-ordered scan of its records under
 // store.Store's ScanWith contract (fn's record is scratch, cols are the
 // columns in force at that record).
 type Source interface {
@@ -36,7 +36,8 @@ type Source interface {
 
 // Rings adapts a live recorder's ring buffers — the data the
 // interactive screens render — to a Source: one raw-resolution record
-// per recorded instant, rows in PID/TID order.
+// per recorded instant, rows in PID/TID order, with the machine roll-up
+// the store's writer would have computed over them.
 func Rings(rec *history.Recorder) Source { return rings{rec} }
 
 type rings struct{ *history.Recorder }
@@ -59,6 +60,7 @@ func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols 
 			return 0, nil
 		}
 		rec.Rows = rec.Rows[:0]
+		rec.Machine = store.RecordAgg{}
 		for i := range series {
 			s := &series[i]
 			if n := next[i]; n < len(s.Points) && s.Points[n].TimeSeconds == rec.TimeSeconds {
@@ -69,6 +71,10 @@ func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols 
 					CPUPct: p.CPUPct, IPC: p.IPC, Values: p.Values,
 					Instr: p.Instr, Cycles: p.Cycles, Misses: p.Misses,
 				})
+				m := &rec.Machine
+				m.Tasks++
+				m.CPUPct += p.CPUPct
+				m.Instr, m.Cycles, m.Misses = m.Instr+p.Instr, m.Cycles+p.Cycles, m.Misses+p.Misses
 			}
 		}
 		if rec.TimeSeconds < opts.FromSeconds {
@@ -82,7 +88,8 @@ func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols 
 
 // scanInto streams one source's in-range records into an engine. The
 // scan projects the decode down to what the expression references
-// unless opt asks for a full decode.
+// unless opt asks for a full decode or the plan is raw (it reads every
+// column).
 func scanInto(eng *Engine, src Source, c *Compiled, opt Options) error {
 	so := store.ScanOptions{
 		QueryOptions: store.QueryOptions{
@@ -93,7 +100,7 @@ func scanInto(eng *Engine, src Source, c *Compiled, opt Options) error {
 		},
 		Workers: opt.Workers,
 	}
-	if !opt.FullDecode {
+	if !opt.FullDecode && !c.raw() {
 		so.Project = true
 		so.Columns = c.References()
 		for _, name := range so.Columns {
@@ -128,6 +135,33 @@ func QueryStore(st *store.Store, c *Compiled, opt Options) (*Result, error) {
 // merge in sorted label order, so serial and concurrent execution
 // produce identical results.
 func Run(srcs map[string]Source, c *Compiled, opt Options) (*Result, error) {
+	eng, err := run(srcs, c, opt)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Finish(), nil
+}
+
+// RunRaw answers a raw range query from one source: the per-task series
+// of pid (every task when pid < 0) with every column the range carries,
+// plus the machine roll-up, bucketed on opt's step — the raw plan on the
+// engine Run drives.
+func RunRaw(src Source, pid int, opt Options) (*RawResult, error) {
+	eng, err := run(map[string]Source{"": src}, rawPlan(pid), opt)
+	if err != nil {
+		return nil, err
+	}
+	res := eng.finishRaw()
+	if len(res.Columns) == 0 {
+		// An empty range is labelled with the source's current columns,
+		// as a range with records would have been.
+		res.Columns = src.Columns()
+	}
+	return res, nil
+}
+
+// run scans srcs into an engine each and merges the partials.
+func run(srcs map[string]Source, c *Compiled, opt Options) (*Engine, error) {
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("query: no agent stores to query")
 	}
@@ -177,5 +211,5 @@ func Run(srcs map[string]Source, c *Compiled, opt Options) (*Result, error) {
 	for _, o := range engines[1:] {
 		eng.Merge(o)
 	}
-	return eng.Finish(), nil
+	return eng, nil
 }

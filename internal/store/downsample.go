@@ -43,8 +43,7 @@ type dsTask struct {
 }
 
 // bucket is a completed downsample window: one averaged row per task,
-// in no particular order (Store.fold sorts what it writes; the query
-// side assembles per-task series and needs no order).
+// in no particular order (Store.fold sorts what it writes).
 type bucket struct {
 	end  time.Duration
 	rows []RecordRow
@@ -62,8 +61,8 @@ func newAccumulator(res time.Duration) *accumulator {
 	return &accumulator{res: res, tasks: make(map[hpm.TaskID]*dsTask)}
 }
 
-// BucketEnd is the bucketing rule, for tiers, re-bucketed reads and
-// expression queries alike: the end of the half-open (k·res, (k+1)·res]
+// BucketEnd is the bucketing rule, for tiers and range queries (raw or
+// expression) alike: the end of the half-open (k·res, (k+1)·res]
 // window holding now. The closed upper end matters for tier chaining: a
 // finer-tier record stamped exactly on a boundary (10s records always
 // are) carries data from *before* that instant and must fold into the

@@ -1,36 +1,20 @@
 package store
 
-// Range queries. A query names a time range on the store's monotonic
-// clock, an optional PID, and a step; the step selects the downsample
-// tier (the coarsest whose resolution fits the step) and, when coarser
-// than the tier itself, re-buckets the scanned points on the fly. The
-// scan walks segment files directly — queries hold the store lock only
-// long enough to snapshot the segment list, so they run concurrently
-// with appends.
+// The raw range query as the store answered it before PR 25 made it a
+// plan on the query engine (internal/query's RunRaw), kept verbatim as
+// the reference: the store's history-reading tests run on it unedited,
+// and rawplan_test.go holds the engine's raw plan to its bytes. Query
+// re-buckets through the write side's accumulator, so reading a tier at
+// a coarser step and writing that coarser tier agree by construction —
+// on single-screen data; it labels values by position, so a range
+// across a screen change reads them under the last screen's names.
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"tiptop/internal/hpm"
 )
-
-// QueryOptions select a time range of recorded history.
-type QueryOptions struct {
-	// PID restricts the result to one process's tasks; negative means
-	// every task.
-	PID int
-	// FromSeconds and ToSeconds bound the range (inclusive) on the
-	// store clock. ToSeconds <= 0 means "to the end".
-	FromSeconds float64
-	ToSeconds   float64
-	// StepSeconds selects the resolution: the coarsest tier whose
-	// resolution is <= step serves the query (0 or anything below 10
-	// reads raw refreshes), and a step coarser than the tier averages
-	// scanned points into step-wide buckets.
-	StepSeconds float64
-}
 
 // Point is one point of a queried series, mirroring history.Point.
 type Point struct {
@@ -65,48 +49,7 @@ type Result struct {
 	Series  []Series `json:"series"`
 }
 
-// queryView is the segment list snapshot a scan walks after the store
-// lock is released: paths plus the byte length valid at snapshot time
-// (the active segment keeps growing underneath).
-type queryView struct {
-	files []queryFile
-	res   time.Duration
-	cols  []string
-}
-
-type queryFile struct {
-	path  string
-	valid int64
-	first time.Duration
-	last  time.Duration
-}
-
-// TierFor returns the resolution of the downsample tier a query step
-// selects: the coarsest tier whose resolution is <= step (0, the raw
-// tier, for steps under 10s). Pure on the step, so callers can size
-// their buckets before scanning.
-func TierFor(step time.Duration) time.Duration {
-	for i := len(Resolutions) - 1; i > 0; i-- {
-		if step >= Resolutions[i] {
-			return Resolutions[i]
-		}
-	}
-	return Resolutions[0]
-}
-
-// Scan streams every record of a time range through fn in time order,
-// serving from the tier the query's step selects — the shared iterator
-// both Query and the expression engine (internal/query) ride on. fn
-// receives each decoded record inside the range together with the
-// column names in force at that record's time (each segment's first
-// record carries the columns; a range can start after the carrying
-// record). Scan does not filter rows by PID — consumers that care
-// filter per row. It returns the serving tier's resolution.
-//
-// Scan decodes segments inline or on a worker pool (see ScanWith): the
-// record passed to fn is reused scratch, valid only for the duration of the
-// call — fn must copy anything it keeps. Invalid ranges (to before
-// from, a negative step) fail with a *RangeError.
+// Scan is ScanWith with default execution controls.
 func (st *Store) Scan(q QueryOptions, fn func(rec *Record, cols []string) error) (time.Duration, error) {
 	return st.ScanWith(ScanOptions{QueryOptions: q}, fn)
 }
@@ -177,37 +120,6 @@ func (st *Store) Query(q QueryOptions) (*Result, error) {
 	}
 	out.Series = tasks.sorted()
 	return out, nil
-}
-
-// snapshotTier picks the tier for the step and snapshots its segment
-// chain under the lock.
-func (st *Store) snapshotTier(step time.Duration) (*queryView, time.Duration, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.tiers == nil {
-		return nil, 0, fmt.Errorf("store: closed")
-	}
-	ti := 0
-	for i, r := range Resolutions {
-		if r == TierFor(step) {
-			ti = i
-		}
-	}
-	t := st.tiers[ti]
-	view := &queryView{res: t.res, cols: append([]string(nil), st.cols...)}
-	add := func(sg *segment) {
-		if sg == nil || sg.n == 0 {
-			return
-		}
-		view.files = append(view.files, queryFile{
-			path: sg.path, valid: sg.size, first: sg.first, last: sg.last,
-		})
-	}
-	for _, sg := range t.sealed {
-		add(sg)
-	}
-	add(t.active)
-	return view, t.res, nil
 }
 
 // seriesSet assembles one series per task, points in scan (time) order.

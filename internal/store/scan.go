@@ -1,6 +1,13 @@
 package store
 
-// The scan engine behind Scan, ScanWith and Compact: one file walker
+// Range reads. A range names a time span on the store's monotonic clock
+// and a step; the step selects the downsample tier (the coarsest whose
+// resolution fits it). The scan walks segment files directly — it holds
+// the store lock only long enough to snapshot the segment list, so it
+// runs concurrently with appends. Bucketing, filtering and assembling
+// series are the consumer's: internal/query folds what ScanWith streams.
+//
+// The scan engine behind ScanWith and Compact: one file walker
 // (segScanner.scanFile) over the selected tier's segment snapshot, run
 // inline on the caller's goroutine when one worker suffices and by a
 // pool otherwise. Pool workers claim whole segment files (segments
@@ -36,6 +43,82 @@ import (
 	"time"
 )
 
+// QueryOptions select a time range of recorded history.
+type QueryOptions struct {
+	// PID restricts a raw range query (internal/query's RunRaw) to one
+	// process's tasks; negative means every task. A scan ignores it:
+	// consumers filter rows themselves.
+	PID int
+	// FromSeconds and ToSeconds bound the range (inclusive) on the
+	// store clock. ToSeconds <= 0 means "to the end".
+	FromSeconds float64
+	ToSeconds   float64
+	// StepSeconds selects the resolution: the coarsest tier whose
+	// resolution is <= step serves the range (0 or anything below 10
+	// reads raw refreshes).
+	StepSeconds float64
+}
+
+// queryView is the segment list snapshot a scan walks after the store
+// lock is released: paths plus the byte length valid at snapshot time
+// (the active segment keeps growing underneath).
+type queryView struct {
+	files []queryFile
+	res   time.Duration
+	cols  []string
+}
+
+type queryFile struct {
+	path  string
+	valid int64
+	first time.Duration
+	last  time.Duration
+}
+
+// TierFor returns the resolution of the downsample tier a query step
+// selects: the coarsest tier whose resolution is <= step (0, the raw
+// tier, for steps under 10s). Pure on the step, so callers can size
+// their buckets before scanning.
+func TierFor(step time.Duration) time.Duration {
+	for i := len(Resolutions) - 1; i > 0; i-- {
+		if step >= Resolutions[i] {
+			return Resolutions[i]
+		}
+	}
+	return Resolutions[0]
+}
+
+// snapshotTier picks the tier for the step and snapshots its segment
+// chain under the lock.
+func (st *Store) snapshotTier(step time.Duration) (*queryView, time.Duration, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.tiers == nil {
+		return nil, 0, fmt.Errorf("store: closed")
+	}
+	ti := 0
+	for i, r := range Resolutions {
+		if r == TierFor(step) {
+			ti = i
+		}
+	}
+	t := st.tiers[ti]
+	view := &queryView{res: t.res, cols: append([]string(nil), st.cols...)}
+	add := func(sg *segment) {
+		if sg == nil || sg.n == 0 {
+			return
+		}
+		view.files = append(view.files, queryFile{
+			path: sg.path, valid: sg.size, first: sg.first, last: sg.last,
+		})
+	}
+	for _, sg := range t.sealed {
+		add(sg)
+	}
+	add(t.active)
+	return view, t.res, nil
+}
+
 // ScanOptions extend a range query with execution controls: how many
 // workers decode and which fields they materialize.
 type ScanOptions struct {
@@ -66,10 +149,16 @@ type RangeError struct {
 
 func (e *RangeError) Error() string { return e.Msg }
 
-// ScanWith is Scan with execution controls. The *Record passed to fn
-// is scratch reused across calls — fn must copy anything it keeps
+// ScanWith streams every record of a time range through fn in time
+// order, serving from the tier the step selects, and returns that
+// tier's resolution. fn receives each decoded record inside the range
+// together with the column names in force at that record's time (each
+// segment's first record carries the columns; a range can start after
+// the carrying record). Rows are not filtered by PID. The *Record passed
+// to fn is scratch reused across calls — fn must copy anything it keeps
 // (including Cols, Rows and Values); the cols slice is owned by the
-// scan and stable across calls.
+// scan and stable across calls. Invalid ranges (to before from, a
+// negative step) fail with a *RangeError.
 func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) error) (time.Duration, error) {
 	from := time.Duration(opts.FromSeconds * float64(time.Second))
 	to := time.Duration(opts.ToSeconds * float64(time.Second))

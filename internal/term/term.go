@@ -1,6 +1,6 @@
 // Package term provides the minimal terminal control the live mode
-// needs: ANSI escape sequences, a diffing screen buffer, and decoding of
-// the keyboard commands tiptop understands. It replaces the ncurses
+// needs: ANSI escape sequences, a diffing screen buffer, and spotting
+// the quit key in keyboard input. It replaces the ncurses
 // dependency of the original tool with a pure-stdlib implementation; when
 // the output is not a terminal, batch mode remains fully functional,
 // matching the paper's "in case the library is not available, tiptop can
@@ -8,6 +8,7 @@
 package term
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -107,53 +108,6 @@ func Bold(text string) string { return escBold + text + escReset }
 // Reverse wraps text in reverse-video styling (the header bar).
 func Reverse(text string) string { return escReverse + text + escReset }
 
-// Key is a decoded keyboard command.
-type Key int
-
-// Keyboard commands of the live mode.
-const (
-	KeyNone   Key = iota
-	KeyQuit       // q — leave
-	KeyHelp       // h — toggle help
-	KeyScreen     // s — cycle screens
-	KeyPID        // p — toggle pid sort
-	KeyUp         // arrow up
-	KeyDown       // arrow down
-	KeyOther
-)
-
-// DecodeKeys converts raw terminal input bytes into commands. It handles
-// the three-byte arrow sequences and returns one Key per decoded command.
-func DecodeKeys(buf []byte) []Key {
-	var out []Key
-	for i := 0; i < len(buf); i++ {
-		c := buf[i]
-		switch c {
-		case 'q', 'Q', 3: // q or Ctrl-C
-			out = append(out, KeyQuit)
-		case 'h', 'H', '?':
-			out = append(out, KeyHelp)
-		case 's', 'S':
-			out = append(out, KeyScreen)
-		case 'p', 'P':
-			out = append(out, KeyPID)
-		case 0x1b:
-			if i+2 < len(buf) && buf[i+1] == '[' {
-				switch buf[i+2] {
-				case 'A':
-					out = append(out, KeyUp)
-				case 'B':
-					out = append(out, KeyDown)
-				default:
-					out = append(out, KeyOther)
-				}
-				i += 2
-				continue
-			}
-			out = append(out, KeyOther)
-		default:
-			out = append(out, KeyOther)
-		}
-	}
-	return out
-}
+// Quits reports whether terminal input holds the live mode's one
+// command: q, Q or Ctrl-C.
+func Quits(buf []byte) bool { return bytes.ContainsAny(buf, "qQ\x03") }

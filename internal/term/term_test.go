@@ -101,36 +101,14 @@ func TestStyling(t *testing.T) {
 	}
 }
 
-func TestDecodeKeys(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []Key
-	}{
-		{"q", []Key{KeyQuit}},
-		{"Q", []Key{KeyQuit}},
-		{"\x03", []Key{KeyQuit}},
-		{"h", []Key{KeyHelp}},
-		{"?", []Key{KeyHelp}},
-		{"s", []Key{KeyScreen}},
-		{"p", []Key{KeyPID}},
-		{"\x1b[A", []Key{KeyUp}},
-		{"\x1b[B", []Key{KeyDown}},
-		{"\x1b[C", []Key{KeyOther}},
-		{"\x1b", []Key{KeyOther}},
-		{"zq", []Key{KeyOther, KeyQuit}},
-		{"", nil},
-		{"s\x1b[Aq", []Key{KeyScreen, KeyUp, KeyQuit}},
-	}
-	for _, c := range cases {
-		got := DecodeKeys([]byte(c.in))
-		if len(got) != len(c.want) {
-			t.Errorf("DecodeKeys(%q) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("DecodeKeys(%q)[%d] = %v, want %v", c.in, i, got[i], c.want[i])
-			}
+func TestQuits(t *testing.T) {
+	for in, want := range map[string]bool{
+		"q": true, "Q": true, "\x03": true, "zq": true, "s\x1b[Aq": true, "q\n": true,
+		"h": false, "?": false, "s": false, "p": false, "\x1b[A": false, "\x1b[B": false,
+		"\x1b[C": false, "\x1b": false, "": false, "\n": false,
+	} {
+		if got := Quits([]byte(in)); got != want {
+			t.Errorf("Quits(%q) = %v, want %v", in, got, want)
 		}
 	}
 }

@@ -27,13 +27,13 @@ type StoreQuery = store.QueryOptions
 
 // StoreResult is a range-query response: per-task series plus the
 // machine-wide roll-up, at the resolution the step selected.
-type StoreResult = store.Result
+type StoreResult = query.RawResult
 
 // StoreSeries is one task's points inside a queried range.
-type StoreSeries = store.Series
+type StoreSeries = query.RawSeries
 
 // StorePoint is one observation of a queried series.
-type StorePoint = store.Point
+type StorePoint = query.RawPoint
 
 // Store is a durable, segmented on-disk history store: every sample
 // teed into it is appended crash-safely, downsampled into 10-second
@@ -95,8 +95,10 @@ func (st *Store) LastTime() time.Duration { return st.s.LastTime() }
 func (st *Store) SetColumns(names []string) { st.s.SetColumns(names) }
 
 // Query scans the store for a time range, serving from the downsample
-// tier the query's step selects.
-func (st *Store) Query(q StoreQuery) (*StoreResult, error) { return st.s.Query(q) }
+// tier the query's step selects — the answer /api/v1/query?pid= gives.
+func (st *Store) Query(q StoreQuery) (*StoreResult, error) {
+	return query.RunRaw(st.s, q.PID, query.Options{FromSeconds: q.FromSeconds, ToSeconds: q.ToSeconds, StepSeconds: q.StepSeconds})
+}
 
 // Handler serves the store's range queries over HTTP — the same
 // /api/v1/query contract tiptopd mounts: raw per-task series without
@@ -104,10 +106,10 @@ func (st *Store) Query(q StoreQuery) (*StoreResult, error) { return st.s.Query(q
 // text with ?format=openmetrics).
 func (st *Store) Handler() http.Handler { return QueryHandler(st, nil) }
 
-// QueryHandler serves the full /api/v1/query contract for a daemon:
-// raw range queries against the store, expression queries against the
-// store (or the recorder's live rings when st is nil, or with
-// ?source=live). Either argument may be nil.
+// QueryHandler serves the full /api/v1/query contract for a daemon: raw
+// range queries and expression queries, both against the store, or the
+// recorder's live rings when st is nil or with ?source=live. Either
+// argument may be nil.
 func QueryHandler(st *Store, rec *Recorder) http.Handler {
 	// A solo daemon is a fleet of one unlabelled store.
 	stores := map[string]*Store{}
