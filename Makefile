@@ -45,7 +45,9 @@ docs:
 # either wire decoder (binary, JSON + SSE) panic/over-read on corrupt
 # bytes or accept a newer version, lets a hand-written JSON encoder
 # (the wire sample's, the query responses') drift from encoding/json, or
-# lets the /metrics integer path drift from strconv.AppendFloat, or lets
+# lets the one-pass JSON sample decoder answer differently from
+# json.Unmarshal, or lets the /metrics integer path drift from
+# strconv.AppendFloat, or lets
 # the packed history rings read differently from the array ring they
 # replaced, is caught before it lands.
 fuzz:
@@ -58,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s ./internal/remote/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzRingMatchesReference$$' -fuzztime 15s ./internal/history/
 
 # The counter-validation oracle (§2.4): every ukernel.ValidationSuite
@@ -76,16 +79,19 @@ validate:
 # BENCHMARK.json, per-layer metrics beside them). The go test lines are
 # for eyeballing one refresh of 1000 and 4000 tasks, one refresh of 2000
 # folded into rings at depth, one 600-point ring read back, one
-# /metrics encode of 2000, and one range query of a 2000-task store in
-# each of four dashboard shapes; their allocation budgets are asserted
-# by TestUpdateAllocsFlat, TestObserveSteadyStateAllocations,
-# TestScrapeEncodeSteadyAllocs and TestDashboardQueryAllocs.
+# /metrics encode of 2000, one range query of a 2000-task store in
+# each of four dashboard shapes, and one 2000-task refresh read off the
+# stream in each wire encoding; their allocation budgets are asserted by
+# TestUpdateAllocsFlat, TestObserveSteadyStateAllocations,
+# TestScrapeEncodeSteadyAllocs, TestDashboardQueryAllocs and
+# TestDecodeJSONAllocs.
 bench:
 	$(GO) run ./bench
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+$$' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'Benchmark(Observe2000|History600)$$' -benchmem ./internal/history/
 	$(GO) test -run xxx -bench 'BenchmarkScrapeEncode2000' -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkDashboardQuery2000' -benchmem ./internal/query/
+	$(GO) test -run xxx -bench 'BenchmarkDecode(JSON|Binary)2000' -benchmem ./internal/remote/
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
 # the count issues and CHANGES.md entries quote.

@@ -41,9 +41,11 @@ const (
 // recognizes the server's agreement by the response Content-Type.
 const ContentTypeBinary = "application/vnd.tiptop.sample-binary"
 
-// maxBinaryFrame bounds a stream frame's declared length, so a corrupt
-// or hostile length prefix cannot make a client allocate without bound.
-const maxBinaryFrame = 64 << 20
+// maxSampleBytes bounds one encoded sample on every read path — a binary
+// frame's declared length, an SSE event's data, an /api/v1/sample body —
+// so a corrupt or hostile peer cannot make a client allocate without
+// bound.
+const maxSampleBytes = 64 << 20
 
 // WireFormatFor picks the sample encoding a request asks for: the
 // ?wire= parameter wins, the Accept header decides otherwise, and the
@@ -79,7 +81,7 @@ func readBinaryFrame(br *bufio.Reader) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxBinaryFrame {
+	if n == 0 || n > maxSampleBytes {
 		return nil, fmt.Errorf("remote: bad binary frame length %d", n)
 	}
 	buf := make([]byte, n)

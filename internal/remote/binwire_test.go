@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -133,13 +134,26 @@ func TestBinaryTruncation(t *testing.T) {
 // client that does not say otherwise — binary is the default, "binary"
 // spells it out — receives the binary stream from a binary-speaking
 // server, every sample identical to the JSON wire's decoded form, and
-// "json" forces the SSE stream out of the same server.
+// "json" forces the SSE stream out of the same server. The dial-time
+// Poll asks for the same encoding of /api/v1/sample.
 func TestClientNegotiatesBinary(t *testing.T) {
 	for _, wire := range []string{"", "binary", "json"} {
 		srv := NewServer(nil)
 		mux := http.NewServeMux()
 		srv.Register(mux)
-		ts := httptest.NewServer(mux)
+		var (
+			mu    sync.Mutex
+			asked []WireFormat
+		)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/api/v1/sample" {
+				format, _ := WireFormatFor(r)
+				mu.Lock()
+				asked = append(asked, format)
+				mu.Unlock()
+			}
+			mux.ServeHTTP(w, r)
+		}))
 
 		if err := srv.Publish(fullSample()); err != nil {
 			t.Fatalf("Publish: %v", err)
@@ -147,6 +161,19 @@ func TestClientNegotiatesBinary(t *testing.T) {
 		c, err := DialWith(ts.URL, DialOptions{Wire: wire})
 		if err != nil {
 			t.Fatalf("DialWith: %v", err)
+		}
+		wantFormat := FormatBinary
+		if wire == "json" {
+			wantFormat = FormatJSON
+		}
+		mu.Lock()
+		polled := asked
+		mu.Unlock()
+		if len(polled) != 1 || polled[0] != wantFormat {
+			t.Fatalf("wire %q: Poll asked for %v, want one %v", wire, polled, wantFormat)
+		}
+		if want, err := Decode(srv.hub.Latest().Payload(FormatJSON)); err != nil || !reflect.DeepEqual(c.Latest(), want) {
+			t.Fatalf("wire %q: Poll = %+v, want %+v (%v)", wire, c.Latest(), want, err)
 		}
 		// Next skips refreshes the dial-time Poll already saw, so push a
 		// fresh one for the stream to deliver.

@@ -29,8 +29,8 @@ var ErrClosed = errors.New("remote: client closed")
 type Client struct {
 	base string
 	host string
-	// wire is the requested stream encoding ("json" for SSE; "" or
-	// "binary" ask for length-prefixed binary frames).
+	// wire is the requested sample encoding ("json" for SSE and a JSON
+	// /api/v1/sample; "" or "binary" ask for binary).
 	wire string
 	// poll is the request client for one-shot fetches; stream requests
 	// use their own context and must not carry a timeout.
@@ -74,11 +74,12 @@ func normalizeBase(addr string) (base, host string, err error) {
 
 // DialOptions tune a client connection.
 type DialOptions struct {
-	// Wire selects the stream encoding: "" (the default) or "binary"
-	// for length-prefixed binary frames, "json" for the SSE JSON stream.
-	// Binary is a request, not a demand — a server that does not speak
-	// it answers with the SSE stream and the client falls back
-	// transparently, per connection; "json" forces SSE.
+	// Wire selects the sample encoding of the stream and of Poll: ""
+	// (the default) or "binary" for length-prefixed binary frames and
+	// the binary /api/v1/sample body, "json" for the SSE JSON stream and
+	// the JSON body. Binary is a request, not a demand — a server that
+	// does not speak it answers with JSON and the client falls back
+	// transparently, per connection; "json" forces JSON.
 	Wire string
 }
 
@@ -148,7 +149,9 @@ func (c *Client) Host() string { return c.host }
 // URL returns the agent's base URL.
 func (c *Client) URL() string { return c.base }
 
-// Poll fetches the latest sample from /api/v1/sample.
+// Poll fetches the latest sample from /api/v1/sample, asking for the
+// configured wire encoding and decoding what the Content-Type says the
+// server sent, as the stream does.
 func (c *Client) Poll() (*Sample, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -157,12 +160,19 @@ func (c *Client) Poll() (*Sample, error) {
 	}
 	c.mu.Unlock()
 
-	resp, err := c.poll.Get(c.base + "/api/v1/sample")
+	req, err := http.NewRequest(http.MethodGet, c.base+"/api/v1/sample", nil)
+	if err != nil {
+		return nil, err
+	}
+	if c.wire != "json" {
+		req.Header.Set("Accept", ContentTypeBinary+", application/json")
+	}
+	resp, err := c.poll.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("remote: %s: %w", c.base, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSampleBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("remote: %s: %w", c.base, err)
 	}
@@ -174,7 +184,14 @@ func (c *Client) Poll() (*Sample, error) {
 		}
 		return nil, errors.New(msg)
 	}
-	ws, err := Decode(data)
+	if len(data) > maxSampleBytes {
+		return nil, fmt.Errorf("remote: %s/api/v1/sample: sample larger than %d MiB", c.base, maxSampleBytes>>20)
+	}
+	decode := Decode
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeBinary) {
+		decode = DecodeBinary
+	}
+	ws, err := decode(data)
 	if err != nil {
 		return nil, err
 	}
@@ -306,12 +323,14 @@ func (c *Client) dropStream() {
 // default event type) arrives and returns its concatenated data
 // payload. Comment lines are ignored; events of any other type are
 // discarded whole, so a future keep-alive or status event cannot be
-// misread as a sample.
+// misread as a sample. A line that would take the event's data past
+// maxSampleBytes is an error, so a stream without newlines cannot grow
+// it without bound.
 func readSSEData(br *bufio.Reader) ([]byte, error) {
 	var data []byte
 	event := ""
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := readLine(br, maxSampleBytes-len(data))
 		if err != nil {
 			return nil, err
 		}
@@ -338,6 +357,31 @@ func readSSEData(br *bufio.Reader) ([]byte, error) {
 		case "event":
 			event = string(value)
 		}
+	}
+}
+
+// readLine is br.ReadBytes('\n') refusing a line longer than room. Like
+// ReadBytes it gathers a long line in buffer-sized pieces and copies
+// them once into a line of the exact length.
+func readLine(br *bufio.Reader, room int) ([]byte, error) {
+	var pieces [][]byte
+	for n := 0; ; {
+		frag, err := br.ReadSlice('\n')
+		if n += len(frag); n > room {
+			return nil, fmt.Errorf("remote: SSE event larger than %d MiB", maxSampleBytes>>20)
+		}
+		if err == bufio.ErrBufferFull {
+			pieces = append(pieces, bytes.Clone(frag))
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		line := make([]byte, 0, n)
+		for _, p := range pieces {
+			line = append(line, p...)
+		}
+		return append(line, frag...), nil
 	}
 }
 

@@ -284,12 +284,13 @@ func FuzzDecodeBinary(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWire: the JSON frame — the curl path and the default
-// -connect one — is untrusted bytes too. Whatever they are, Decode and
-// the SSE reader return without panicking; nothing newer than
-// WireVersion is accepted; an accepted sample re-encodes, and to a
-// fixpoint (decode → encode is idempotent after one pass); and a payload
-// the hub could frame as an SSE event reads back byte for byte.
+// FuzzDecodeWire: the JSON frame — the /api/v1/sample body and the SSE
+// stream, which a client reads under -wire json — is untrusted bytes
+// too. Whatever they are, Decode and the SSE reader return without
+// panicking; nothing newer than WireVersion is accepted; an accepted
+// sample re-encodes, and to a fixpoint (decode → encode is idempotent
+// after one pass); and a payload the hub could frame as an SSE event
+// reads back byte for byte.
 func FuzzDecodeWire(f *testing.F) {
 	add := func(ws *Sample) {
 		if b, err := ws.Encode(); err == nil {
@@ -420,6 +421,110 @@ func TestPublishAllocsFlat(t *testing.T) {
 		}
 	}); allocs > 100 {
 		t.Fatalf("one JSON encode of 2000 tasks = %.0f allocs, want <= 100", allocs)
+	}
+}
+
+// sseFrame is one 2000-task refresh as the hub streams it over SSE.
+func sseFrame(t testing.TB) []byte {
+	payload, err := bigSample(2000).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(fmt.Sprintf("id: 1\nevent: sample\ndata: %s\n\n", payload))
+}
+
+// sseReader returns a function that reads frame off an SSE stream and
+// decodes it, as Client.Next does.
+func sseReader(frame []byte) func() error {
+	r := bytes.NewReader(frame)
+	br := bufio.NewReader(r)
+	return func() error {
+		r.Reset(frame)
+		br.Reset(r)
+		data, err := readSSEData(br)
+		if err == nil {
+			_, err = Decode(data)
+		}
+		return err
+	}
+}
+
+// TestDecodeJSONAllocs: a stream client reading a 2000-task refresh —
+// SSE framing included — makes at most 9 allocations a row: its values,
+// user, command, event map and event names (encoding/json made 15).
+func TestDecodeJSONAllocs(t *testing.T) {
+	next := sseReader(sseFrame(t))
+	read := func() {
+		if err := next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if perRow := testing.AllocsPerRun(5, read) / 2000; perRow > 9 {
+		t.Fatalf("a stream decode makes %.2f allocations a row, want <= 9", perRow)
+	}
+}
+
+// BenchmarkDecodeJSON2000 and BenchmarkDecodeBinary2000: a stream client
+// reading one 2000-task refresh in each wire encoding.
+func BenchmarkDecodeJSON2000(b *testing.B) {
+	frame := sseFrame(b)
+	next := sseReader(frame)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	for b.Loop() {
+		if err := next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeBinary2000(b *testing.B) {
+	payload := bigSample(2000).EncodeBinary()
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = append(frame, payload...)
+	r := bytes.NewReader(frame)
+	br := bufio.NewReader(r)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	for b.Loop() {
+		r.Reset(frame)
+		br.Reset(r)
+		data, err := readBinaryFrame(br)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := DecodeBinary(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newlineFree is n bytes without a newline.
+func newlineFree(n int64) io.Reader { return io.LimitReader(xs{}, n) }
+
+type xs struct{}
+
+func (xs) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// TestSSEEventBounded: a stream whose line does not end is refused
+// once the event passes maxSampleBytes, having allocated no more than
+// about twice that.
+func TestSSEEventBounded(t *testing.T) {
+	br := bufio.NewReader(io.MultiReader(strings.NewReader("event: sample\ndata: "), newlineFree(maxSampleBytes+1<<20)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readSSEData(br)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "64 MiB") {
+		t.Fatalf("a newline-free stream read as %v, want the 64 MiB bound", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxSampleBytes+1<<20 {
+		t.Fatalf("refusing the stream allocated %d bytes, want about twice the %d bound", got, maxSampleBytes)
 	}
 }
 

@@ -508,11 +508,25 @@ func TestDialErrors(t *testing.T) {
 	if _, err := DialWith("http://", DialOptions{}); err == nil {
 		t.Fatal("dialed an empty host")
 	}
-	// A server without the API: Dial must fail with a useful error.
-	ts := httptest.NewServer(http.NotFoundHandler())
-	defer ts.Close()
-	if _, err := DialWith(ts.URL, DialOptions{}); err == nil || !strings.Contains(err.Error(), "api/v1/sample") {
-		t.Fatalf("Dial against a non-tiptopd = %v", err)
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+		want string
+	}{
+		// A server without the API: Dial must fail with a useful error.
+		{"not a tiptopd", http.NotFoundHandler(), "api/v1/sample"},
+		// A body past the bound is refused as such, not cut short and
+		// then misread as truncated JSON.
+		{"oversized sample", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(w, io.MultiReader(strings.NewReader(`{"v":1,"refresh":1,"machine":"`), newlineFree(maxSampleBytes)))
+		}), "sample larger than 64 MiB"},
+	} {
+		ts := httptest.NewServer(tc.h)
+		_, err := DialWith(ts.URL, DialOptions{})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Dial = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

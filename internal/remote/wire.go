@@ -18,7 +18,6 @@ package remote
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -336,18 +335,6 @@ func AppendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
-}
-
-// Decode parses and version-checks a wire sample.
-func Decode(data []byte) (*Sample, error) {
-	var s Sample
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("remote: bad wire sample: %w", err)
-	}
-	if s.V < 1 || s.V > WireVersion {
-		return nil, fmt.Errorf("remote: wire version %d not supported (this client speaks <= %d)", s.V, WireVersion)
-	}
-	return &s, nil
 }
 
 // Interval returns the serving monitor's refresh period.
