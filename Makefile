@@ -74,7 +74,7 @@ validate:
 	$(GO) run ./cmd/tipbench -validate -out results
 
 # The ruler: bench/ runs every BENCHMARK.json workload against one
-# daemon composed as cmd/tiptopd composes it and writes
+# daemon (bench/rig.go composes it by hand, as tiptop.Daemon does) and writes
 # results/bench/report.json (end-to-end metrics gated by the bounds in
 # BENCHMARK.json, per-layer metrics beside them). The go test lines are
 # for eyeballing one refresh of 1000 and 4000 tasks, one refresh of 2000

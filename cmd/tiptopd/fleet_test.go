@@ -11,97 +11,46 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tiptop"
-	"tiptop/internal/history"
-	"tiptop/internal/remote"
 )
 
-// agent is one live simulated tiptopd: monitor, recorder, sampling
-// loop and HTTP surface.
-type agent struct {
-	d    *daemon
-	ts   *httptest.Server
-	stop chan struct{}
-	done chan error
-	mon  *tiptop.Monitor
-}
+// An agent is one live simulated tiptopd the aggregator joins.
+type agent = live
 
-func (a *agent) host() string { return strings.TrimPrefix(a.ts.URL, "http://") }
+func (a *agent) host() string { return strings.TrimPrefix(a.URL, "http://") }
 
 // close tears the agent down; safe to call twice.
 func (a *agent) close(t *testing.T) {
 	t.Helper()
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	a.d.srv.Close()
-	a.ts.Close()
-	if err := <-a.done; err != nil {
+	if err := a.stop(); err != nil {
 		t.Errorf("agent loop: %v", err)
 	}
-	a.mon.Close()
 }
 
 // startAgent launches a live agent over the named scenario.
 func startAgent(t *testing.T, scenario string) *agent {
 	t.Helper()
-	sc, err := tiptop.NewNamedScenario(scenario, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 64, Window: time.Second})
-	mon.Subscribe(rec)
-	d := newDaemon(mon, rec, time.Millisecond, nil)
-	a := &agent{
-		d:    d,
-		ts:   httptest.NewServer(d.handler()),
-		stop: make(chan struct{}),
-		done: make(chan error, 1),
-		mon:  mon,
-	}
-	go func() { a.done <- d.loop(a.stop, 0) }()
-	return a
+	return start(t, newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond}, tiptop.DaemonOptions{Sim: scenario}))
 }
 
-// startFleet joins the agents and serves the aggregator over httptest.
-func startFleet(t *testing.T, agents []*agent) (*remote.Fleet, *httptest.Server) {
+// startFleet runs an aggregator joining the agents — with a store
+// directory under cfg.StoreDir, one store per agent.
+func startFleet(t *testing.T, cfg tiptop.Config, agents []*agent) (*tiptop.Daemon, *live) {
 	t.Helper()
 	urls := make([]string, len(agents))
 	for i, a := range agents {
-		urls[i] = a.ts.URL
+		urls[i] = a.URL
 	}
-	fleet, err := remote.NewFleet(urls, remote.FleetOptions{
-		History:        history.Options{Capacity: 64, Window: time.Second},
-		ReconnectDelay: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	fleet.Start(ctx)
-	fd := &daemon{fleet: fleet, srv: fleet.Server()}
-	ts := httptest.NewServer(fd.handler())
-	t.Cleanup(func() {
-		fleet.Close()
-		ts.Close()
-		cancel()
-		fleet.Wait()
-	})
-	return fleet, ts
+	ts := start(t, newDaemon(t, cfg, tiptop.DaemonOptions{Join: urls}))
+	return ts.Daemon, ts
 }
 
 // waitUntil polls until cond returns true, bounded by the test deadline
@@ -119,10 +68,10 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 }
 
 // waitRefreshes waits until the fleet has observed n more samples.
-func waitRefreshes(t *testing.T, fleet *remote.Fleet, n uint64) {
+func waitRefreshes(t *testing.T, fleet *tiptop.Daemon, n uint64) {
 	t.Helper()
-	target := fleet.Version() + n
-	waitUntil(t, "the fleet to observe more samples", func() bool { return fleet.Version() >= target })
+	target := fleet.Refreshes() + n
+	waitUntil(t, "the fleet to observe more samples", func() bool { return fleet.Refreshes() >= target })
 }
 
 // TestFleetAggregatorEndToEnd is the federation acceptance test: three
@@ -138,9 +87,9 @@ func TestFleetAggregatorEndToEnd(t *testing.T) {
 		a := a
 		t.Cleanup(func() { a.close(t) })
 	}
-	fleet, ts := startFleet(t, agents)
+	fleet, ts := startFleet(t, tiptop.Config{}, agents)
 	waitUntil(t, "all agents streaming", func() bool {
-		snap := fleet.Snapshot()
+		snap := fleet.FleetSnapshot()
 		if snap.Cluster.AgentsUp != 3 {
 			return false
 		}
@@ -257,10 +206,11 @@ func TestFleetSSESubscribersDuringChurn(t *testing.T) {
 		a := a
 		t.Cleanup(func() { a.close(t) })
 	}
-	fleet, ts := startFleet(t, agents)
-	waitUntil(t, "agents streaming", func() bool { return fleet.Snapshot().Cluster.AgentsUp == 3 })
+	fleet, ts := startFleet(t, tiptop.Config{}, agents)
+	waitUntil(t, "agents streaming", func() bool { return fleet.FleetSnapshot().Cluster.AgentsUp == 3 })
 
 	const subscribers = 8
+	var streaming atomic.Bool // some subscriber has read a frame
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, subscribers)
@@ -291,6 +241,7 @@ func TestFleetSSESubscribersDuringChurn(t *testing.T) {
 					if _, err := resp.Body.Read(buf); err != nil {
 						break
 					}
+					streaming.Store(true)
 				}
 				resp.Body.Close()
 				cancel()
@@ -299,11 +250,11 @@ func TestFleetSSESubscribersDuringChurn(t *testing.T) {
 	}
 
 	// Let subscribers stream, then kill one agent mid-flight.
-	waitUntil(t, "stream subscribers", func() bool { return fleet.Server().Hub().Subscribers() > 0 })
+	waitUntil(t, "stream subscribers", streaming.Load)
 	waitRefreshes(t, fleet, 10)
 	agents[0].close(t)
 	waitUntil(t, "dead agent marked down", func() bool {
-		snap := fleet.Snapshot()
+		snap := fleet.FleetSnapshot()
 		return snap.Cluster.AgentsUp == 2
 	})
 	// The aggregator keeps serving merged state for the survivors.

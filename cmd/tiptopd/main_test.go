@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,52 +15,61 @@ import (
 	"time"
 
 	"tiptop"
-	"tiptop/internal/remote"
 )
 
-// newDaemon wires a monitor and recorder to a wire-protocol server the
-// way run does for a solo daemon; hist (may be nil) adds the durable
-// range-query surface.
-func newDaemon(mon *tiptop.Monitor, rec *tiptop.Recorder, pace time.Duration, hist *tiptop.Store) *daemon {
-	d := &daemon{mon: mon, rec: rec, pace: pace, srv: remote.NewServer(rec.WriteOpenMetrics), stores: map[string]*tiptop.Store{}}
-	if hist != nil {
-		d.stores[""] = hist
+// newDaemon builds a daemon the way run does, over a fast simulated
+// scenario (scale 0.01) unless opt joins agents, with the rings the
+// tests read.
+func newDaemon(t *testing.T, cfg tiptop.Config, opt tiptop.DaemonOptions) *tiptop.Daemon {
+	t.Helper()
+	opt.Scale = 0.01
+	opt.History, opt.Window = 64, time.Second
+	d, err := tiptop.NewDaemon(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return d
 }
 
-// testDaemon builds a daemon over a fast simulated datacenter scenario
-// and starts its sampling loop.
-func testDaemon(t *testing.T) (*daemon, *httptest.Server) {
+// live is a daemon running as run runs it — Run on an ephemeral port —
+// until stop, which returns what Run and Close returned. The test's
+// cleanup stops it too; stopping twice is safe.
+type live struct {
+	*tiptop.Daemon
+	URL  string
+	stop func() error
+}
+
+// start runs d on 127.0.0.1:0 and returns it live.
+func start(t *testing.T, d *tiptop.Daemon) *live {
 	t.Helper()
-	sc, err := tiptop.NewNamedScenario("datacenter", 0.01)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 64, Window: time.Second})
-	mon.Subscribe(rec)
-	d := newDaemon(mon, rec, time.Millisecond, nil)
-
-	stop := make(chan struct{})
-	loopDone := make(chan error, 1)
-	go func() { loopDone <- d.loop(stop, 0) }()
-	srv := httptest.NewServer(d.handler())
-	t.Cleanup(func() {
-		d.srv.Close()
-		srv.Close()
-		close(stop)
-		if err := <-loopDone; err != nil {
-			t.Errorf("sampling loop: %v", err)
-		}
-		mon.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- d.Run(ctx, ln) }()
+	l := &live{Daemon: d, URL: "http://" + ln.Addr().String()}
+	l.stop = sync.OnceValue(func() error {
+		cancel()
+		return errors.Join(<-done, d.Close())
 	})
+	t.Cleanup(func() {
+		if err := l.stop(); err != nil {
+			t.Errorf("daemon: %v", err)
+		}
+	})
+	return l
+}
 
-	waitUntil(t, "the first refreshes", func() bool { return d.srv.Version() >= 2 })
-	return d, srv
+// testDaemon runs a daemon over a fast simulated datacenter scenario
+// and waits for its first refreshes.
+func testDaemon(t *testing.T) (*tiptop.Daemon, *live) {
+	t.Helper()
+	srv := start(t, newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond}, tiptop.DaemonOptions{Sim: "datacenter"}))
+	waitUntil(t, "the first refreshes", func() bool { return srv.Refreshes() >= 2 })
+	return srv.Daemon, srv
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -82,7 +93,7 @@ func get(t *testing.T, url string) (int, string) {
 // regression suite.
 func TestDaemonEndToEndConcurrentScrapers(t *testing.T) {
 	d, srv := testDaemon(t)
-	pids := d.rec.PIDs()
+	pids := d.Recorder().PIDs()
 	if len(pids) != 11 {
 		t.Fatalf("pids = %v, want the 11 Figure 1 processes", pids)
 	}
@@ -252,43 +263,12 @@ func TestRunFlagValidation(t *testing.T) {
 // per-CPU rows must surface on /metrics as cpuN tasks and round-trip
 // through the store-backed /api/v1/query?expr= endpoint.
 func TestDaemonSystemWideEndToEnd(t *testing.T) {
-	sc, err := tiptop.NewNamedScenario("steady", 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{
+	srv := start(t, newDaemon(t, tiptop.Config{
 		Interval:   10 * time.Millisecond,
 		SystemWide: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 64, Window: time.Second})
-	mon.Subscribe(rec)
-	hist, err := tiptop.OpenStore(t.TempDir(), tiptop.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Tee(hist)
-	d := newDaemon(mon, rec, time.Millisecond, hist)
-
-	stop := make(chan struct{})
-	loopDone := make(chan error, 1)
-	go func() { loopDone <- d.loop(stop, 0) }()
-	srv := httptest.NewServer(d.handler())
-	t.Cleanup(func() {
-		d.srv.Close()
-		srv.Close()
-		close(stop)
-		if err := <-loopDone; err != nil {
-			t.Errorf("sampling loop: %v", err)
-		}
-		mon.Close()
-		if err := hist.Close(); err != nil {
-			t.Errorf("store close: %v", err)
-		}
-	})
-	waitUntil(t, "the first refreshes", func() bool { return d.srv.Version() >= 4 })
+		StoreDir:   t.TempDir(),
+	}, tiptop.DaemonOptions{Sim: "steady"}))
+	waitUntil(t, "the first refreshes", func() bool { return srv.Refreshes() >= 4 })
 
 	// The scrape carries one task per logical CPU of the A7.
 	_, metrics := get(t, srv.URL+"/metrics")

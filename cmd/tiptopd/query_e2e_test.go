@@ -8,20 +8,14 @@ package main
 // ratios recomputed from summed counters.
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"tiptop"
-	"tiptop/internal/core"
-	"tiptop/internal/history"
 	"tiptop/internal/query"
-	"tiptop/internal/remote"
 )
 
 func getQueryResult(t *testing.T, url string) *query.Result {
@@ -44,7 +38,7 @@ func getQueryResult(t *testing.T, url string) *query.Result {
 func TestQueryExprMatchesLiveScreenIPC(t *testing.T) {
 	d, ts, shutdown := bootDaemon(t, t.TempDir())
 	defer shutdown()
-	waitUntil(t, "daemon to record", func() bool { return d.stores[""].Records() >= 30 })
+	waitUntil(t, "daemon to record", func() bool { return d.Stores()[""].Records() >= 30 })
 
 	res := getQueryResult(t, ts.URL+"/api/v1/query?expr=delta(INSTRUCTIONS)%2Fdelta(CYCLES)")
 	if len(res.Series) < 2 {
@@ -58,8 +52,8 @@ func TestQueryExprMatchesLiveScreenIPC(t *testing.T) {
 		at       float64
 	}
 	live := map[obsKey]float64{}
-	for _, pid := range d.rec.PIDs() {
-		for _, s := range d.rec.History(pid) {
+	for _, pid := range d.Recorder().PIDs() {
+		for _, s := range d.Recorder().History(pid) {
 			for _, p := range s.Points {
 				live[obsKey{s.PID, s.TID, p.TimeSeconds}] = p.IPC
 			}
@@ -93,10 +87,7 @@ func TestQueryExprMatchesLiveScreenIPC(t *testing.T) {
 	}
 
 	// Stored expressions resolve by name on the endpoint.
-	d.named = map[string]string{"ipc_expr": "delta(INSTRUCTIONS)/delta(CYCLES)"}
-	srv2 := httptest.NewServer(d.handler())
-	defer srv2.Close()
-	named := getQueryResult(t, srv2.URL+"/api/v1/query?expr=ipc_expr")
+	named := getQueryResult(t, ts.URL+"/api/v1/query?expr=ipc_expr")
 	if !strings.Contains(named.Expr, "INSTRUCTIONS") {
 		t.Fatalf("named expr resolved to %q, want the stored IPC source", named.Expr)
 	}
@@ -116,43 +107,8 @@ func TestFleetQueryExprAggregates(t *testing.T) {
 			a.close(t)
 		}
 	}()
-	base := t.TempDir()
-	stores := map[string]*tiptop.Store{}
-	urls := make([]string, len(agents))
-	for i, a := range agents {
-		urls[i] = a.ts.URL
-	}
-	fleet, err := remote.NewFleet(urls, remote.FleetOptions{
-		History:        history.Options{Capacity: 64, Window: time.Second},
-		ReconnectDelay: 10 * time.Millisecond,
-		Tee: func(label string) (core.Observer, error) {
-			st, err := tiptop.OpenStore(agentStoreDir(base, label), tiptop.StoreOptions{})
-			if err != nil {
-				return nil, err
-			}
-			stores[label] = st
-			return st, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	fleet.Start(ctx)
-	fd := &daemon{fleet: fleet, srv: fleet.Server(), stores: stores}
-	ts := httptest.NewServer(fd.handler())
-	defer func() {
-		fleet.Close()
-		ts.Close()
-		cancel()
-		fleet.Wait()
-		for _, st := range stores {
-			if err := st.Close(); err != nil {
-				t.Errorf("store close: %v", err)
-			}
-		}
-	}()
-	for label, st := range stores {
+	fd, ts := startFleet(t, tiptop.Config{StoreDir: t.TempDir()}, agents)
+	for label, st := range fd.Stores() {
 		st := st
 		waitUntil(t, "store of "+label, func() bool { return st.Records() >= 20 })
 	}

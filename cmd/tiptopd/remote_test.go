@@ -32,6 +32,13 @@ func twinMonitor(t *testing.T) *tiptop.Monitor {
 	return mon
 }
 
+// twinDaemon is a daemon over the twin of twinMonitor, driven by hand
+// through Refresh.
+func twinDaemon(t *testing.T) *tiptop.Daemon {
+	t.Helper()
+	return newDaemon(t, tiptop.Config{Interval: 50 * time.Millisecond}, tiptop.DaemonOptions{Sim: "datacenter"})
+}
+
 // sameRows compares public samples field by field. Start travels the
 // wire as float seconds, so it is compared with a nanosecond-scale
 // tolerance instead of bit equality.
@@ -75,24 +82,16 @@ func sameRows(t *testing.T, step int, local, remote *tiptop.Sample) {
 func TestRemoteMonitorByteIdentical(t *testing.T) {
 	local := twinMonitor(t)
 	defer local.Close()
-	served := twinMonitor(t)
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 32})
-	served.Subscribe(rec)
-	d := newDaemon(served, rec, 0, nil)
-	ts := httptest.NewServer(d.handler())
+	d := twinDaemon(t)
+	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
-	defer d.srv.Close()
-	defer served.Close()
+	defer d.Close()
 
 	ls, err := local.SampleNow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := served.SampleNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.publish(ss); err != nil {
+	if err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,11 +132,7 @@ func TestRemoteMonitorByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err = served.Sample()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.publish(ss); err != nil {
+		if err := d.Refresh(); err != nil {
 			t.Fatal(err)
 		}
 		rs, err = rm.Sample()
@@ -203,20 +198,12 @@ func TestDeferredEncodeAgainstLiveSampler(t *testing.T) {
 // unchanged refresh version means a bodyless 304, a new refresh a new
 // body — and /api/v1/sample serves the latest wire sample.
 func TestDaemonMetricsETag(t *testing.T) {
-	served := twinMonitor(t)
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 32})
-	served.Subscribe(rec)
-	d := newDaemon(served, rec, 0, nil)
-	ts := httptest.NewServer(d.handler())
+	d := twinDaemon(t)
+	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
-	defer d.srv.Close()
-	defer served.Close()
+	defer d.Close()
 
-	s, err := served.SampleNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.publish(s); err != nil {
+	if err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,10 +231,7 @@ func TestDaemonMetricsETag(t *testing.T) {
 	}
 
 	// A new refresh invalidates the ETag.
-	if s, err = served.Sample(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.publish(s); err != nil {
+	if err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.DefaultClient.Do(req)

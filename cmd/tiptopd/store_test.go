@@ -2,7 +2,7 @@ package main
 
 // End-to-end coverage of -store: the durable history behind
 // /api/v1/query must span daemon restarts — proven twice, against the
-// in-process daemon (httptest) and against the real binary restarted
+// in-process daemon and against the real binary restarted
 // mid-run — plus the fleet aggregator's per-agent stores and the
 // OpenMetrics query variant.
 
@@ -11,8 +11,8 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"os/exec"
@@ -23,55 +23,31 @@ import (
 	"time"
 
 	"tiptop"
-	"tiptop/internal/core"
-	"tiptop/internal/history"
-	"tiptop/internal/remote"
 )
 
 // bootDaemon starts one daemon "boot" over the datacenter scenario with
-// a store in dir. Returns the daemon, its HTTP server and a shutdown
-// function (which also closes the store, like a real exit).
-func bootDaemon(t *testing.T, dir string) (*daemon, *httptest.Server, func()) {
+// a store in dir. Returns the daemon, its running server and a shutdown
+// function (which also closes the store, like a real exit; the test's
+// cleanup reports what failed). The daemon knows one stored expression,
+// ipc_expr.
+func bootDaemon(t *testing.T, dir string) (*tiptop.Daemon, *live, func()) {
 	t.Helper()
-	sc, err := tiptop.NewNamedScenario("datacenter", 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 64, Window: time.Second})
-	mon.Subscribe(rec)
-	st, err := tiptop.OpenStore(dir, tiptop.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Tee(st)
-	d := newDaemon(mon, rec, time.Millisecond, st)
-	ts := httptest.NewServer(d.handler())
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- d.loop(stop, 0) }()
-	shutdown := func() {
-		close(stop)
-		if err := <-done; err != nil {
-			t.Errorf("sampling loop: %v", err)
-		}
-		d.srv.Close()
-		ts.Close()
-		mon.Close()
-		if err := st.Err(); err != nil {
-			t.Errorf("store append: %v", err)
-		}
-		if err := st.Close(); err != nil {
-			t.Errorf("store close: %v", err)
-		}
-	}
-	return d, ts, shutdown
+	ts := start(t, newDaemon(t, tiptop.Config{
+		Interval: 10 * time.Millisecond,
+		StoreDir: dir,
+		Exprs:    []tiptop.ExprDef{{Name: "ipc_expr", Expr: "delta(INSTRUCTIONS)/delta(CYCLES)"}},
+	}, tiptop.DaemonOptions{Sim: "datacenter"}))
+	return ts.Daemon, ts, func() { _ = ts.stop() }
 }
 
-// TestStoreQueryAcrossRestart is the tentpole acceptance test (httptest
+// agentStoreDir is where an aggregator keeps an agent's store: one
+// subdirectory of the store directory per agent, host:port spelled
+// host_port.
+func agentStoreDir(base, label string) string {
+	return filepath.Join(base, strings.NewReplacer(":", "_", "/", "_").Replace(label))
+}
+
+// TestStoreQueryAcrossRestart is the tentpole acceptance test (in-process
 // half): a daemon records into -store, shuts down, a second daemon
 // recovers the same directory, and /api/v1/query serves one continuous
 // history spanning both boots.
@@ -79,7 +55,7 @@ func TestStoreQueryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	d1, _, shutdown1 := bootDaemon(t, dir)
-	waitUntil(t, "first boot to record", func() bool { return d1.stores[""].Records() >= 20 })
+	waitUntil(t, "first boot to record", func() bool { return d1.Stores()[""].Records() >= 20 })
 	shutdown1()
 
 	st, err := tiptop.OpenStore(dir, tiptop.StoreOptions{})
@@ -97,7 +73,7 @@ func TestStoreQueryAcrossRestart(t *testing.T) {
 	d2, ts, shutdown2 := bootDaemon(t, dir)
 	defer shutdown2()
 	waitUntil(t, "second boot to record past the restart", func() bool {
-		return d2.stores[""].LastTime().Seconds() > boundary+0.05
+		return d2.Stores()[""].LastTime().Seconds() > boundary+0.05
 	})
 
 	qc, err := tiptop.NewQueryClient(ts.URL)
@@ -235,7 +211,7 @@ func TestStoreQueryOpenMetricsVariant(t *testing.T) {
 	dir := t.TempDir()
 	d, ts, shutdown := bootDaemon(t, dir)
 	defer shutdown()
-	waitUntil(t, "records", func() bool { return d.stores[""].Records() >= 5 })
+	waitUntil(t, "records", func() bool { return d.Stores()[""].Records() >= 5 })
 
 	resp, err := http.Get(ts.URL + "/api/v1/query?format=openmetrics")
 	if err != nil {
@@ -273,7 +249,7 @@ func TestStoreQueryOpenMetricsVariant(t *testing.T) {
 // queries from its live rings, as it does expressions (a 404 before).
 func TestQueryWithoutStore(t *testing.T) {
 	d, srv := testDaemon(t)
-	pid := d.rec.PIDs()[0]
+	pid := d.Recorder().PIDs()[0]
 	status, body := get(t, srv.URL+"/api/v1/query?pid="+strconv.Itoa(pid))
 	var res tiptop.StoreResult
 	if err := json.Unmarshal([]byte(body), &res); status != http.StatusOK || err != nil {
@@ -299,43 +275,8 @@ func TestFleetPerAgentDurableStores(t *testing.T) {
 			a.close(t)
 		}
 	}()
-	base := t.TempDir()
-	stores := map[string]*tiptop.Store{}
-	urls := make([]string, len(agents))
-	for i, a := range agents {
-		urls[i] = a.ts.URL
-	}
-	fleet, err := remote.NewFleet(urls, remote.FleetOptions{
-		History:        history.Options{Capacity: 64, Window: time.Second},
-		ReconnectDelay: 10 * time.Millisecond,
-		Tee: func(label string) (core.Observer, error) {
-			st, err := tiptop.OpenStore(agentStoreDir(base, label), tiptop.StoreOptions{})
-			if err != nil {
-				return nil, err
-			}
-			stores[label] = st
-			return st, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	fleet.Start(ctx)
-	fd := &daemon{fleet: fleet, srv: fleet.Server(), stores: stores}
-	ts := httptest.NewServer(fd.handler())
-	defer func() {
-		fleet.Close()
-		ts.Close()
-		cancel()
-		fleet.Wait()
-		for _, st := range stores {
-			if err := st.Close(); err != nil {
-				t.Errorf("store close: %v", err)
-			}
-		}
-	}()
-
+	fd, ts := startFleet(t, tiptop.Config{StoreDir: t.TempDir()}, agents)
+	stores := fd.Stores()
 	if len(stores) != 2 {
 		t.Fatalf("expected one store per agent, got %d", len(stores))
 	}
@@ -378,30 +319,18 @@ func TestFleetStoreDirCollision(t *testing.T) {
 // sampling loop must stop with an error instead of serving on while
 // history silently goes missing.
 func TestLoopSurfacesStoreError(t *testing.T) {
-	sc, err := tiptop.NewNamedScenario("datacenter", 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 16})
-	mon.Subscribe(rec)
-	st, err := tiptop.OpenStore(t.TempDir(), tiptop.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Tee(st)
+	d := newDaemon(t, tiptop.Config{Interval: time.Millisecond, StoreDir: t.TempDir()}, tiptop.DaemonOptions{Sim: "datacenter", Refreshes: 5})
+	defer d.Close()
 	// Simulate the store failing mid-run (disk gone, etc.): every
 	// subsequent append latches an error the loop must notice.
-	if err := st.Close(); err != nil {
+	if err := d.Stores()[""].Close(); err != nil {
 		t.Fatal(err)
 	}
-	d := newDaemon(mon, rec, 0, st)
-	defer d.srv.Close()
-	err = d.loop(make(chan struct{}), 5)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.Run(context.Background(), ln)
 	if err == nil || !strings.Contains(err.Error(), "store") {
 		t.Fatalf("loop ignored the failing store: %v", err)
 	}

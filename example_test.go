@@ -1,8 +1,10 @@
 package tiptop_test
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"net"
 	"net/http/httptest"
 	"os"
 	"time"
@@ -165,6 +167,31 @@ func ExampleQueryClient() {
 	// series: 1
 	// raw points in [1s, 6s]: 3
 	// machine roll-up points: 3
+}
+
+// A Daemon is tiptopd as a value: NewDaemon opens the monitor (or joins
+// agents) and any store, and Run serves the HTTP surface on a listener
+// while it samples — until its context ends (tiptopd passes
+// signal.NotifyContext) or, here, three refreshes after the attach pass.
+func ExampleNewDaemon() {
+	d, err := tiptop.NewDaemon(tiptop.Config{Interval: 10 * time.Millisecond},
+		tiptop.DaemonOptions{Sim: "datacenter", Scale: 0.01, Refreshes: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := d.Run(context.Background(), ln); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("published %d refreshes of %d tasks\n", d.Refreshes(), d.Recorder().Snapshot().Machine.Tasks)
+	if err := d.Close(); err != nil {
+		log.Fatal(err)
+	}
+	// Output:
+	// published 4 refreshes of 11 tasks
 }
 
 // Pinning workloads reproduces the paper's taskset experiments: co-located

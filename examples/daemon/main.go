@@ -1,20 +1,19 @@
 // daemon shows the recording-and-export subsystem end-to-end: the
-// Figure 1 data-center node is monitored continuously, a Recorder keeps
-// per-task history and per-user aggregates, and a small HTTP server
-// exposes them — then the program scrapes itself like Prometheus would
-// and inspects one process's recorded IPC series, all through the
-// public API (cmd/tiptopd is the production version of this server).
+// Figure 1 data-center node is monitored by a tiptop.Daemon — the value
+// cmd/tiptopd runs — whose Recorder keeps per-task history and per-user
+// aggregates, and whose HTTP surface exposes them; the program then
+// scrapes itself like Prometheus would and inspects one process's
+// recorded IPC series, all through the public API.
 //
 //	go run ./examples/daemon
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"time"
 
@@ -22,53 +21,32 @@ import (
 )
 
 func main() {
-	scenario, err := tiptop.NewNamedScenario("datacenter", 0.01)
+	d, err := tiptop.NewDaemon(tiptop.Config{Interval: time.Second}, tiptop.DaemonOptions{
+		Sim: "datacenter", Scale: 0.01,
+		// The recorder: every sample lands in per-task rings and the
+		// user/command/machine aggregates, without perturbing sampling.
+		History: 120, Window: 30 * time.Second,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon, err := tiptop.NewSimMonitor(scenario, tiptop.Config{Interval: time.Second})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mon.Close()
+	defer d.Close()
 
-	// Attach the recorder: every sample lands in per-task rings and
-	// the user/command/machine aggregates, without perturbing sampling.
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: 120, Window: 30 * time.Second})
-	mon.Subscribe(rec)
-
-	// Sample for a simulated minute.
-	if _, err := mon.SampleNow(); err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if _, err := mon.Sample(); err != nil {
+	// Sample for a simulated minute: the attach pass, then 60 refreshes.
+	// (Run would pace them in real time; Refresh takes them at once.)
+	for i := 0; i <= 60; i++ {
+		if err := d.Refresh(); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	// Serve the recorder the way tiptopd does.
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		rec.WriteOpenMetrics(w)
-	})
-	mux.HandleFunc("/api/v1/snapshot", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(rec.Snapshot())
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
+	// Serve the daemon's endpoints on a loopback port, as tiptopd does.
+	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("monitoring %s, serving %s\n\n", mon.Machine(), base)
+	fmt.Printf("monitoring %s, serving %s\n\n", d.Machine(), srv.URL)
 
 	// Scrape ourselves like Prometheus would.
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,6 +62,7 @@ func main() {
 	}
 
 	// The per-user roll-up reproduces the Figure 1 ownership split.
+	rec := d.Recorder()
 	snap := rec.Snapshot()
 	fmt.Printf("\n%d tasks at t=%.0fs; per-user aggregates:\n", len(snap.Tasks), snap.TimeSeconds)
 	for _, user := range []string{"user1", "user2", "user3"} {

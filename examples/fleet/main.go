@@ -1,10 +1,10 @@
 // fleet shows remote monitoring and fleet aggregation end-to-end: three
-// simulated "machines" each serve their refreshes over the wire
-// protocol (what `tiptopd -sim ...` does), a fleet aggregator joins
-// them (what `tiptopd -join host1,host2,host3` does), and the program
-// then scrapes the merged, per-machine-labelled metrics, prints the
-// cluster snapshot, and attaches a RemoteMonitor to one agent to render
-// its rows exactly like `tiptop -connect host:port` would.
+// simulated "machines" each serve their refreshes as tiptop.Daemons
+// (what `tiptopd -sim ...` runs), an aggregating Daemon joins them
+// (what `tiptopd -join host1,host2,host3` runs), and the program then
+// scrapes the merged, per-machine-labelled metrics, prints the cluster
+// snapshot, and attaches a RemoteMonitor to one agent to render its
+// rows exactly like `tiptop -connect host:port` would.
 //
 //	go run ./examples/fleet
 package main
@@ -12,118 +12,69 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"tiptop"
-	"tiptop/internal/history"
-	"tiptop/internal/remote"
 )
 
-// agent is one simulated machine serving the wire protocol — the
-// in-process equivalent of a tiptopd on a fleet node.
-type agent struct {
-	mon  *tiptop.Monitor
-	srv  *remote.Server
-	http *http.Server
-	addr string
-}
-
-func startAgent(scenario string) (*agent, error) {
-	sc, err := tiptop.NewNamedScenario(scenario, 0.01)
-	if err != nil {
-		return nil, err
-	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: 500 * time.Millisecond})
-	if err != nil {
-		return nil, err
-	}
-	srv := remote.NewServer(nil)
-	mux := http.NewServeMux()
-	srv.Register(mux)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		mon.Close()
-		return nil, err
-	}
-	a := &agent{mon: mon, srv: srv, http: &http.Server{Handler: mux}, addr: ln.Addr().String()}
-	go a.http.Serve(ln)
-	return a, nil
-}
-
-// publish hands one refresh to the server in the wire format — the
-// same Monitor.WireSample translation tiptopd's sampling loop performs.
-func (a *agent) publish(s *tiptop.Sample) error {
-	return a.srv.Publish(a.mon.WireSample(s))
-}
-
-func (a *agent) close() {
-	a.srv.Close()
-	a.http.Close()
-	a.mon.Close()
-}
-
 func main() {
-	// Three fleet nodes running different workloads.
+	// Three fleet nodes running different workloads, each an agent
+	// daemon sampled by hand (Refresh) so the printout is the same on
+	// every run.
 	scenarios := []string{"datacenter", "spec", "conflict"}
-	var agents []*agent
+	var agents []*tiptop.Daemon
+	var addrs []string
 	for _, sc := range scenarios {
-		a, err := startAgent(sc)
+		d, err := tiptop.NewDaemon(tiptop.Config{Interval: 500 * time.Millisecond}, tiptop.DaemonOptions{Sim: sc, Scale: 0.01})
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer a.close()
-		agents = append(agents, a)
-		fmt.Printf("agent %-11s %s  (%s)\n", sc, a.addr, a.mon.Machine())
+		defer d.Close()
+		srv := httptest.NewServer(d.Handler()) // an ephemeral loopback port
+		defer srv.Close()
+		addr := srv.Listener.Addr().String()
+		agents, addrs = append(agents, d), append(addrs, addr)
+		fmt.Printf("agent %-11s %s  (%s)\n", sc, addr, d.Machine())
 	}
 
 	// Each agent samples and publishes a few refreshes.
-	for _, a := range agents {
-		s, err := a.mon.SampleNow()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := a.publish(s); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		for _, a := range agents {
-			s, err := a.mon.Sample()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := a.publish(s); err != nil {
+	for i := 0; i < 6; i++ {
+		for _, d := range agents {
+			if err := d.Refresh(); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 
 	// Join them into one cluster view — `tiptopd -join a,b,c`.
-	addrs := make([]string, len(agents))
-	for i, a := range agents {
-		addrs[i] = a.addr
-	}
-	fleet, err := remote.NewFleet(addrs, remote.FleetOptions{
-		History: history.Options{Capacity: 64, Window: 10 * time.Second},
+	agg, err := tiptop.NewDaemon(tiptop.Config{}, tiptop.DaemonOptions{
+		Join: addrs, History: 64, Window: 10 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	fleet.Start(ctx)
+	done := make(chan error, 1)
+	go func() { done <- agg.Run(ctx, ln) }()
 	defer func() {
-		fleet.Close()
 		cancel()
-		fleet.Wait()
+		<-done
+		agg.Close()
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for fleet.Snapshot().Cluster.AgentsUp < len(agents) {
+	for agg.Refreshes() < uint64(len(agents)) {
 		if time.Now().After(deadline) {
 			log.Fatal("agents did not connect")
 		}
@@ -131,7 +82,7 @@ func main() {
 	}
 
 	// The merged cluster snapshot.
-	snap := fleet.Snapshot()
+	snap := agg.FleetSnapshot()
 	fmt.Printf("\ncluster: %d/%d agents up, %d tasks, IPC %.2f, %d instructions total\n",
 		snap.Cluster.AgentsUp, snap.Cluster.Agents, snap.Cluster.Tasks,
 		snap.Cluster.IPC, snap.Cluster.Instructions)
@@ -145,14 +96,16 @@ func main() {
 		fmt.Printf("  %-21s %2d tasks  IPC %.2f\n", l, m.Machine.Tasks, m.Machine.IPC)
 	}
 
-	// The merged, machine-labelled exposition a Prometheus would scrape
-	// from the aggregator's /metrics.
-	var sb strings.Builder
-	if err := fleet.WriteOpenMetrics(&sb); err != nil {
+	// The merged, machine-labelled exposition a Prometheus scrapes from
+	// the aggregator's /metrics.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
+	if err != nil {
 		log.Fatal(err)
 	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	fmt.Println("\nselected merged scrape lines:")
-	for _, line := range strings.Split(sb.String(), "\n") {
+	for _, line := range strings.Split(string(body), "\n") {
 		if strings.HasPrefix(line, "tiptop_fleet_agents") ||
 			strings.HasPrefix(line, "tiptop_agent_up") ||
 			strings.HasPrefix(line, "tiptop_machine_tasks") {
@@ -163,7 +116,7 @@ func main() {
 	// And the remote TUI path: attach to one agent like
 	// `tiptop -connect host:port` and render its next refresh through
 	// the ordinary batch renderer.
-	rm, err := tiptop.NewRemoteMonitor(agents[0].addr)
+	rm, err := tiptop.NewRemoteMonitor(addrs[0])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -172,7 +125,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ntiptop -connect %s (%s):\n", agents[0].addr, rm.Machine())
+	fmt.Printf("\ntiptop -connect %s (%s):\n", addrs[0], rm.Machine())
 	if err := rm.Render(os.Stdout, s); err != nil {
 		log.Fatal(err)
 	}

@@ -135,16 +135,11 @@ func (f *Fleet) Start(ctx context.Context) {
 // Wait blocks until every agent goroutine has exited.
 func (f *Fleet) Wait() { f.wg.Wait() }
 
-// Close terminates the re-broadcast stream subscribers.
-func (f *Fleet) Close() { f.srv.Close() }
-
 // Server is the wire surface the fleet publishes through: the
 // re-broadcast /api/v1/stream and the merged /metrics, cached per
-// observed sample so scrape cost is independent of scrape rate.
+// observed sample so scrape cost is independent of scrape rate; its
+// version counts the samples observed across all agents.
 func (f *Fleet) Server() *Server { return f.srv }
-
-// Version counts samples observed across all agents.
-func (f *Fleet) Version() uint64 { return f.srv.Version() }
 
 // Labels lists the agent labels in join order.
 func (f *Fleet) Labels() []string {

@@ -96,10 +96,10 @@ func TestFleetMergesAgents(t *testing.T) {
 	defer func() {
 		cancel()
 		fleet.Wait()
-		fleet.Close()
+		fleet.Server().Close()
 	}()
 	fleet.Start(ctx)
-	waitFor(t, "all agents observed", func() bool { return fleet.Version() >= 3 })
+	waitFor(t, "all agents observed", func() bool { return fleet.Server().Version() >= 3 })
 
 	// A second refresh from each agent.
 	for i, a := range agents {
@@ -107,7 +107,7 @@ func TestFleetMergesAgents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "second refreshes", func() bool { return fleet.Version() >= 6 })
+	waitFor(t, "second refreshes", func() bool { return fleet.Server().Version() >= 6 })
 
 	snap := fleet.Snapshot()
 	if snap.Cluster.Agents != 3 || snap.Cluster.AgentsUp != 3 {
@@ -181,10 +181,10 @@ func TestFleetReconnectsAndSkipsReplay(t *testing.T) {
 	defer func() {
 		cancel()
 		fleet.Wait()
-		fleet.Close()
+		fleet.Server().Close()
 	}()
 	fleet.Start(ctx)
-	waitFor(t, "first observation", func() bool { return fleet.Version() >= 1 })
+	waitFor(t, "first observation", func() bool { return fleet.Server().Version() >= 1 })
 
 	// Kill the agent's streams: the fleet must mark it down.
 	srv.Close()
@@ -218,11 +218,11 @@ func TestFleetRebroadcastTagsSource(t *testing.T) {
 	defer func() {
 		cancel()
 		fleet.Wait()
-		fleet.Close()
+		fleet.Server().Close()
 	}()
 	fleet.Start(ctx)
 
-	waitFor(t, "a re-broadcast frame", func() bool { return fleet.Version() >= 1 })
+	waitFor(t, "a re-broadcast frame", func() bool { return fleet.Server().Version() >= 1 })
 	frame := <-ch
 	s := string(frame.Stream(FormatJSON))
 	i := strings.Index(s, "data: ")

@@ -116,15 +116,14 @@ func QueryHandler(st *Store, rec *Recorder) http.Handler {
 	if st != nil {
 		stores[""] = st
 	}
-	return FleetQueryHandler(stores, rec)
+	return queryHandler(stores, rec)
 }
 
-// FleetQueryHandler is QueryHandler over any number of stores keyed by
-// agent label, as a tiptopd -join aggregator mounts it: ?agent=label
-// selects one store, ?agent=* (or no selector) all of them — raw
-// queries need exactly one, expression queries merge however many on
-// aligned steps.
-func FleetQueryHandler(stores map[string]*Store, rec *Recorder) http.Handler {
+// queryHandler is QueryHandler over any number of stores keyed by agent
+// label, as an aggregating Daemon mounts it: ?agent=label selects one
+// store, ?agent=* (or no selector) all of them — raw queries need
+// exactly one, expression queries merge however many on aligned steps.
+func queryHandler(stores map[string]*Store, rec *Recorder) http.Handler {
 	ss := make(map[string]*store.Store, len(stores))
 	for label, st := range stores {
 		ss[label] = st.s
@@ -134,13 +133,6 @@ func FleetQueryHandler(stores map[string]*Store, rec *Recorder) http.Handler {
 		h = rec.h
 	}
 	return query.Handler(ss, h)
-}
-
-// NamedExprHandler wraps a query handler (QueryHandler, or a fleet
-// aggregator's) so expr=<name> references to the configuration's
-// stored expressions (Config.NamedExprs) expand to their sources.
-func NamedExprHandler(named map[string]string, h http.Handler) http.Handler {
-	return query.NamedExprs(named, h)
 }
 
 // RecordSample appends one public sample — the path `tiptop -record`

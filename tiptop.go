@@ -363,10 +363,10 @@ func (cfg *Config) ApplyDefinitions(f *config.File) {
 	}
 }
 
-// NamedExprs returns the config's stored expressions as a name →
-// source map, nil when none are defined — the form QueryHandler
-// consumers pass to NamedExprHandler.
-func (cfg Config) NamedExprs() map[string]string {
+// namedExprs returns the config's stored expressions as a name →
+// source map, nil when none are defined — what a Daemon's
+// /api/v1/query?expr=<name> expands.
+func (cfg Config) namedExprs() map[string]string {
 	if len(cfg.Exprs) == 0 {
 		return nil
 	}
