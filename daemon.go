@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -19,7 +18,7 @@ import (
 	"strings"
 	"time"
 
-	"tiptop/internal/core"
+	"tiptop/internal/hpm"
 	"tiptop/internal/query"
 	"tiptop/internal/remote"
 )
@@ -54,36 +53,69 @@ type DaemonOptions struct {
 // cluster-wide roll-up and every machine's snapshot.
 type FleetSnapshot = remote.FleetSnapshot
 
-// Daemon couples one sample source — a local monitor and its recorder,
-// or under Join a fleet of remote agents streamed and merged per
-// machine — to the wire server, the durable stores and the HTTP routes,
-// which are the same for both. The source's goroutines are the only
-// ones touching the monitor or the agent streams; the handlers read
-// through the recorders (whose locks make scrapes safe against the
-// samplers) and the wire server the source publishes into.
+// Daemon serves what its machines record: a solo daemon's one machine,
+// fed by the local monitor, or under Join one machine per agent, each
+// fed by that agent's stream. A machine is a label, a recorder and a
+// durable store; the wire server, the HTTP routes and the exposition
+// are the same for both modes. Only the goroutine feeding a machine
+// touches the monitor or that agent's stream; the handlers read through
+// the recorders (whose locks make scrapes safe against the feeders) and
+// the wire server every machine publishes into.
 type Daemon struct {
 	cfg Config
 	opt DaemonOptions
-	// Exactly one of mon and fleet is set.
+	// machines in join order; a solo daemon's one is labelled "".
+	machines []*node
+	// mon feeds a solo daemon's machine; nil under Join.
 	mon      *Monitor
-	rec      *Recorder
 	attached bool // the monitor's attach pass (SampleNow) is done
 	// pace is the real-time pause between refreshes of a simulated
 	// backend, whose Sample advances virtual time instantly.
-	pace  time.Duration
-	fleet *remote.Fleet
-	// srv owns the stream hub, the latest wire sample and the cached,
-	// ETag'd /metrics body (one encode per refresh).
-	srv *remote.Server
-	// stores are the durable stores behind /api/v1/query: a solo
-	// daemon's under "", an aggregator's by agent label.
-	stores map[string]*Store
+	pace time.Duration
+	// target is the published-refresh count that ends Run (0: none).
+	target uint64
+	// redial and timeout are the agent streams' re-dial pause and
+	// silence slack (remote.Agent.Stream).
+	redial, timeout time.Duration
+	// metrics renders /metrics over every machine; srv owns the stream
+	// hub, the latest wire sample and the cached, ETag'd /metrics body
+	// (one encode per refresh).
+	metrics exposition
+	srv     *remote.Server
 }
 
-// NewDaemon opens the monitor, or joins the agents, and the store in
-// cfg.StoreDir (recovered and, with cfg.StoreCompact, compacted; under
-// Join one subdirectory per agent). Nothing samples or serves before
-// Run or Refresh.
+// node is one monitored machine: its label (an agent's host:port, ""
+// for a solo daemon's own), its recorder, its store (nil without
+// Config.StoreDir) and, under Join, the agent streaming it in.
+type node struct {
+	label string
+	rec   *Recorder
+	store *Store
+	agent *remote.Agent
+	// Touched only by the goroutine feeding an agent's machine: the
+	// column set last pushed into the recorder, and the rebase of the
+	// agent's clock (the last time observed and the offset added).
+	cols         []string
+	last, offset time.Duration
+	observed     bool
+}
+
+// The agent streams' timing: the pause before re-dialing a lost agent,
+// and the slack, past two of an agent's intervals, after which a silent
+// one is given up on (also the wait for an agent not yet ready).
+var (
+	reconnectDelay = time.Second
+	agentTimeout   = remote.DialTimeout
+)
+
+// errEnough ends a feed once the DaemonOptions.Refreshes target is
+// published.
+var errEnough = errors.New("tiptop: refresh target reached")
+
+// NewDaemon opens the monitor, or prepares to join the agents, and the
+// stores in cfg.StoreDir (recovered and, with cfg.StoreCompact,
+// compacted; under Join one subdirectory per agent). Nothing samples or
+// serves before Run or Refresh.
 func NewDaemon(cfg Config, opt DaemonOptions) (_ *Daemon, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -91,7 +123,7 @@ func NewDaemon(cfg Config, opt DaemonOptions) (_ *Daemon, err error) {
 	if opt.Log == nil {
 		opt.Log = io.Discard
 	}
-	d := &Daemon{cfg: cfg, opt: opt, stores: map[string]*Store{}}
+	d := &Daemon{cfg: cfg, opt: opt, redial: reconnectDelay, timeout: agentTimeout}
 	defer func() {
 		if err != nil {
 			d.Close()
@@ -102,36 +134,45 @@ func NewDaemon(cfg Config, opt DaemonOptions) (_ *Daemon, err error) {
 		if opt.Sim != "" {
 			return nil, fmt.Errorf("-join aggregates remote agents and cannot monitor -sim %s itself", opt.Sim)
 		}
-		fo := remote.FleetOptions{History: ro, Wire: opt.Wire}
+		for _, addr := range opt.Join {
+			a, err := remote.NewAgent(addr, opt.Wire)
+			if err != nil {
+				return nil, err
+			}
+			if slices.ContainsFunc(d.machines, func(m *node) bool { return m.label == a.Label() }) {
+				return nil, fmt.Errorf("duplicate agent %q", a.Label())
+			}
+			d.machines = append(d.machines, &node{label: a.Label(), rec: NewRecorder(ro), agent: a})
+		}
+		d.target = uint64(max(opt.Refreshes, 0))
+	} else {
+		var simulated bool
+		if d.mon, simulated, err = OpenMonitor(opt.Sim, "datacenter", opt.Scale, cfg); err != nil {
+			return nil, err
+		}
+		if simulated {
+			d.pace = d.mon.Interval()
+		}
+		m := &node{rec: NewRecorder(ro)}
+		d.mon.Subscribe(m.rec)
+		d.machines = []*node{m}
+		if opt.Refreshes > 0 {
+			d.target = uint64(opt.Refreshes) + 1 // the attach pass, then -n
+		}
+	}
+	for _, m := range d.machines {
 		if cfg.StoreDir != "" {
-			// Every agent's stream persists into its own store.
-			fo.Tee = func(label string) (core.Observer, error) {
-				return d.openStore(label, agentStoreDir(cfg.StoreDir, label))
+			dir := cfg.StoreDir
+			if m.agent != nil {
+				dir = agentStoreDir(dir, m.label)
+			}
+			if err := d.openStore(m, dir); err != nil {
+				return nil, err
 			}
 		}
-		if d.fleet, err = remote.NewFleet(opt.Join, fo); err != nil {
-			return nil, err
-		}
-		d.srv = d.fleet.Server()
-		return d, nil
+		d.metrics.add(m.label, m.rec, m.agent)
 	}
-	var simulated bool
-	if d.mon, simulated, err = OpenMonitor(opt.Sim, "datacenter", opt.Scale, cfg); err != nil {
-		return nil, err
-	}
-	if simulated {
-		d.pace = d.mon.Interval()
-	}
-	d.rec = NewRecorder(ro)
-	d.mon.Subscribe(d.rec)
-	d.srv = remote.NewServer(d.rec.WriteOpenMetrics)
-	if cfg.StoreDir != "" {
-		st, err := d.openStore("", cfg.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		d.rec.Tee(st)
-	}
+	d.srv = remote.NewServer(d.metrics.write)
 	return d, nil
 }
 
@@ -141,22 +182,23 @@ func agentStoreDir(base, label string) string {
 	return filepath.Join(base, strings.NewReplacer(":", "_", "/", "_").Replace(label))
 }
 
-// openStore opens (recovering) the store in dir, registers it under
-// label and, with compaction on, runs the startup pass — the one
-// routine behind the solo store and every per-agent store.
-func (d *Daemon) openStore(label, dir string) (*Store, error) {
-	for other, st := range d.stores {
-		if st.Dir() == dir {
+// openStore opens (recovering) the store in dir as m's, tees m's
+// recorder into it and, with compaction on, runs the startup pass — the
+// one routine behind every machine's store.
+func (d *Daemon) openStore(m *node, dir string) error {
+	for _, other := range d.machines {
+		if other.store != nil && other.store.Dir() == dir {
 			// Sanitization ("host:9412" → "host_9412") must not silently
 			// point two agents' writers at one segment chain.
-			return nil, fmt.Errorf("agents %q and %q map to the same store directory %s", other, label, dir)
+			return fmt.Errorf("agents %q and %q map to the same store directory %s", other.label, m.label, dir)
 		}
 	}
 	st, err := OpenStore(dir, d.cfg.StoreOptions())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d.stores[label] = st
+	m.store = st
+	m.rec.Tee(st)
 	fmt.Fprintf(d.opt.Log, "tiptopd: store %s: %d records recovered (%d bytes, history to t=%s)\n",
 		dir, st.Records(), st.DiskUsage(), st.LastTime().Truncate(time.Second))
 	if d.cfg.StoreCompact > 0 {
@@ -165,11 +207,11 @@ func (d *Daemon) openStore(label, dir string) (*Store, error) {
 		// an operator cron job.
 		res, err := st.Compact(CompactOptions{})
 		if err != nil {
-			return nil, fmt.Errorf("store compaction: %w", err)
+			return fmt.Errorf("store compaction: %w", err)
 		}
 		fmt.Fprintf(d.opt.Log, "tiptopd: store compacted: %s\n", compactSummary(res))
 	}
-	return st, nil
+	return nil
 }
 
 // compactSummary renders one compaction pass for the startup log line:
@@ -197,35 +239,74 @@ func (d *Daemon) Machine() string {
 }
 
 // Recorder returns a solo daemon's recorder; nil under Join.
-func (d *Daemon) Recorder() *Recorder { return d.rec }
+func (d *Daemon) Recorder() *Recorder {
+	if d.mon == nil {
+		return nil
+	}
+	return d.machines[0].rec
+}
 
 // Stores returns the durable stores: a solo daemon's under "", an
 // aggregator's by agent label.
-func (d *Daemon) Stores() map[string]*Store { return maps.Clone(d.stores) }
+func (d *Daemon) Stores() map[string]*Store {
+	out := map[string]*Store{}
+	for _, m := range d.machines {
+		if m.store != nil {
+			out[m.label] = m.store
+		}
+	}
+	return out
+}
 
 // Refreshes counts the samples published: the daemon's, or every agent's.
 func (d *Daemon) Refreshes() uint64 { return d.srv.Version() }
 
-// FleetSnapshot is the cluster view an aggregator's /api/v1/snapshot
-// serves; nil for a solo daemon.
-func (d *Daemon) FleetSnapshot() *FleetSnapshot {
-	if d.fleet == nil {
-		return nil
+// labels joins the agents' labels, in join order.
+func (d *Daemon) labels() string {
+	out := make([]string, len(d.machines))
+	for i, m := range d.machines {
+		out[i] = m.label
 	}
-	return d.fleet.Snapshot()
+	return strings.Join(out, ", ")
 }
 
-// storeErr reports the first append error any store has latched (the
-// tee cannot return them). The source checks it as it publishes: a
-// daemon whose durable history has stopped must fail loudly, not keep
-// serving while the past silently goes missing.
-func (d *Daemon) storeErr() error {
-	for _, st := range d.stores {
-		if err := st.Err(); err != nil {
-			return fmt.Errorf("store %s: %w", st.Dir(), err)
+// FleetSnapshot is the cluster view an aggregator's /api/v1/snapshot
+// serves; nil for a solo daemon. The cluster's live IPC is recomputed
+// from the latest raw counter deltas of each connected agent
+// (Σinstructions / Σcycles), not averaged from per-machine ratios.
+func (d *Daemon) FleetSnapshot() *FleetSnapshot {
+	if d.mon != nil {
+		return nil
+	}
+	out := &FleetSnapshot{Machines: make(map[string]*Snapshot, len(d.machines))}
+	var dInstr, dCycles uint64
+	for _, m := range d.machines {
+		st, last := m.agent.Status()
+		out.Agents = append(out.Agents, st)
+		snap := m.rec.Snapshot()
+		out.Machines[m.label] = snap
+
+		out.Cluster.Agents++
+		out.Cluster.Instructions += snap.Machine.Instructions
+		out.Cluster.Cycles += snap.Machine.Cycles
+		out.Cluster.CacheMisses += snap.Machine.CacheMisses
+		if st.Connected {
+			out.Cluster.AgentsUp++
+			out.Cluster.Tasks += snap.Machine.Tasks
+			out.Cluster.CPUPct += snap.Machine.CPUPct
+			if last != nil {
+				for i := range last.Rows {
+					dInstr += last.Rows[i].Events[hpm.EventInstructions]
+					dCycles += last.Rows[i].Events[hpm.EventCycles]
+				}
+			}
 		}
 	}
-	return nil
+	if dCycles > 0 {
+		out.Cluster.IPC = float64(dInstr) / float64(dCycles)
+	}
+	slices.SortFunc(out.Agents, func(a, b remote.AgentStatus) int { return strings.Compare(a.Label, b.Label) })
+	return out
 }
 
 // Close disconnects the stream subscribers, releases the monitor and
@@ -239,7 +320,7 @@ func (d *Daemon) Close() error {
 	if d.mon != nil {
 		errs = append(errs, d.mon.Close())
 	}
-	for _, st := range d.stores {
+	for _, st := range d.Stores() {
 		if err := st.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("store %s: %w", st.Dir(), err))
 		}
@@ -247,15 +328,14 @@ func (d *Daemon) Close() error {
 	return errors.Join(errs...)
 }
 
-// Run serves the daemon on ln and drives its source until ctx ends, the
-// source finishes (DaemonOptions.Refreshes, a drained scenario, a
-// sampling or store failure) or serving fails, compacting the stores
-// every Config.StoreCompact meanwhile. It returns the source's or the
-// server's failure, nil when stopped. Run once, then Close.
+// Run serves the daemon on ln and feeds its machines until ctx ends, a
+// feed finishes (DaemonOptions.Refreshes, a sampling or store failure)
+// or serving fails, compacting the stores every Config.StoreCompact
+// meanwhile. It returns the feed's or the server's failure, nil when
+// stopped. Run once, then Close.
 func (d *Daemon) Run(ctx context.Context, ln net.Listener) error {
-	if d.fleet != nil {
-		labels := d.fleet.Labels()
-		fmt.Fprintf(d.opt.Log, "tiptopd: aggregating %d agents (%s), serving http://%s/metrics\n", len(labels), strings.Join(labels, ", "), ln.Addr())
+	if d.mon == nil {
+		fmt.Fprintf(d.opt.Log, "tiptopd: aggregating %d agents (%s), serving http://%s/metrics\n", len(d.machines), d.labels(), ln.Addr())
 	} else {
 		fmt.Fprintf(d.opt.Log, "tiptopd: monitoring %s, serving http://%s/metrics\n", d.mon.Machine(), ln.Addr())
 	}
@@ -303,7 +383,7 @@ func (d *Daemon) compactEvery(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			for _, st := range d.stores {
+			for _, st := range d.Stores() {
 				if _, err := st.Compact(CompactOptions{}); err != nil {
 					fmt.Fprintf(os.Stderr, "tiptopd: store %s: compaction: %v\n", st.Dir(), err)
 				}
@@ -312,48 +392,42 @@ func (d *Daemon) compactEvery(ctx context.Context) {
 	}
 }
 
-// source drives the sample source until ctx ends or, with Refreshes,
-// that many have been published: the monitor — the attach pass, then
-// refreshes paced in real time on a simulated backend — or the agents'
-// streams (where the count spans all agents).
+// source feeds every machine on a goroutine of its own until ctx ends
+// or one feed finishes, and returns that feed's failure: nil once the
+// refresh target is reached.
 func (d *Daemon) source(ctx context.Context) error {
-	if d.fleet == nil {
-		for i := 0; d.opt.Refreshes <= 0 || i <= d.opt.Refreshes; i++ {
-			if ctx.Err() != nil {
-				return nil
-			}
-			if err := d.Refresh(); err != nil {
-				return err
-			}
-			if i > 0 && d.pace > 0 {
-				select {
-				case <-ctx.Done():
-					return nil
-				case <-time.After(d.pace):
-				}
-			}
-		}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	done := make(chan error, len(d.machines))
+	for _, m := range d.machines {
+		go func() { done <- d.feed(ctx, m) }()
+	}
+	err := <-done
+	cancel()
+	for range len(d.machines) - 1 {
+		<-done
+	}
+	if err == errEnough {
 		return nil
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	d.fleet.Start(ctx)
-	defer func() {
-		cancel()
-		d.fleet.Wait()
-	}()
-	period := time.Second
-	if d.opt.Refreshes > 0 {
-		period = 5 * time.Millisecond
+	return err
+}
+
+// feed drives one machine until ctx ends or it fails: an agent's stream,
+// or the monitor — the attach pass, then refreshes paced in real time on
+// a simulated backend.
+func (d *Daemon) feed(ctx context.Context, m *node) error {
+	if m.agent != nil {
+		return m.agent.Stream(ctx, d.redial, d.timeout, func(ws *remote.Sample) error { return d.observe(m, ws) })
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for d.opt.Refreshes <= 0 || d.srv.Version() < uint64(d.opt.Refreshes) {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-tick.C:
-			if err := d.storeErr(); err != nil {
-				return err
+	for i := 0; ctx.Err() == nil; i++ {
+		if err := d.refresh(); err != nil {
+			return err
+		}
+		if i > 0 && d.pace > 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(d.pace):
 			}
 		}
 	}
@@ -369,18 +443,78 @@ func (d *Daemon) Refresh() error {
 	if d.mon == nil {
 		return errors.New("tiptop: an aggregating daemon samples through its agents, not Refresh")
 	}
+	if err := d.refresh(); err != errEnough {
+		return err
+	}
+	return nil
+}
+
+func (d *Daemon) refresh() error {
 	sample := d.mon.Sample
 	if !d.attached {
 		sample, d.attached = d.mon.SampleNow, true
 	}
-	s, err := sample()
+	s, err := sample() // the subscribed recorder records it, and tees it
 	if err != nil {
 		return err
 	}
-	if err := d.storeErr(); err != nil {
+	return d.publish(d.machines[0], d.mon.WireSample(s))
+}
+
+// observe is where an agent's refresh enters the daemon, on the agent's
+// stream goroutine: moved onto the machine's clock, recorded (and teed
+// into the machine's store), then published tagged with its origin.
+func (d *Daemon) observe(m *node, ws *remote.Sample) error {
+	tagged := *ws
+	tagged.Source = m.label
+	m.rebase(&tagged)
+	// Push the column set into the recorder only when it changes, so
+	// the steady-state observe path stays allocation-light.
+	if !slices.EqualFunc(m.cols, tagged.Columns, func(name string, c remote.Column) bool { return name == c.Name }) {
+		m.cols = tagged.ColumnNames()
+		m.rec.h.SetColumns(m.cols)
+	}
+	m.rec.h.Observe(tagged.CoreSample())
+	return d.publish(m, &tagged)
+}
+
+// rebase keeps an agent machine's clock monotone: a refresh at or
+// before the last one observed (the agent restarted, and its monitor
+// clock with it) moves the machine's offset so that it lands one
+// advertised interval after that one. Without it the store would nudge
+// every such refresh 1 ms past its horizon until the agent's new clock
+// caught up, and the recorder's rate window would see time go back.
+func (m *node) rebase(ws *remote.Sample) {
+	t := ws.Time() + m.offset
+	if m.observed && t <= m.last {
+		m.offset += m.last + ws.Interval() - t
+		t = m.last + ws.Interval()
+	}
+	if m.offset != 0 {
+		ws.TimeSeconds = t.Seconds()
+	}
+	m.last, m.observed = t, true
+}
+
+// publish is the one check after a machine recorded a refresh, made on
+// the goroutine that recorded it: a store that has latched an append
+// error fails the feed before the refresh is served; otherwise it is
+// published, and the feed ends once the refresh target is reached. A
+// refresh the hub refuses (a binary-wire agent can deliver a NaN) stays
+// recorded but is not re-broadcast; from the local monitor it fails.
+func (d *Daemon) publish(m *node, ws *remote.Sample) error {
+	if m.store != nil {
+		if err := m.store.Err(); err != nil {
+			return fmt.Errorf("store %s: %w", m.store.Dir(), err)
+		}
+	}
+	if err := d.srv.Publish(ws); err != nil && m.agent == nil {
 		return err
 	}
-	return d.srv.Publish(d.mon.WireSample(s))
+	if d.target > 0 && d.srv.Version() >= d.target {
+		return errEnough
+	}
+	return nil
 }
 
 // route is one endpoint: its mux pattern, whether this daemon serves
@@ -400,14 +534,14 @@ type route struct {
 // events. Run serves it; serve it yourself to drive the daemon with
 // Refresh.
 func (d *Daemon) Handler() http.Handler {
-	solo := d.fleet == nil
+	solo := d.mon != nil
 	// With stores: raw and expression queries over durable history.
 	// Without, a solo daemon answers both from its recorder's live
 	// rings; an aggregator lists the query forms only with stores.
 	q := []string{"/api/v1/query?expr=&from=&to=&step=", "/api/v1/query?pid=&from=&to=&step="}
 	if !solo {
 		q = []string{}
-		if len(d.stores) > 0 {
+		if d.cfg.StoreDir != "" {
 			q = []string{"/api/v1/query?agent=*&expr=&from=&to=&step=", "/api/v1/query?agent=&pid=&from=&to=&step="}
 		}
 	}
@@ -419,7 +553,7 @@ func (d *Daemon) Handler() http.Handler {
 		{"GET /api/v1/sample", solo, d.srv.HandleSample, nil},
 		{"GET /api/v1/agents", !solo, d.agents, nil},
 		{"GET /api/v1/stream", true, d.srv.Hub().ServeStream, nil},
-		{"GET /api/v1/query", true, query.NamedExprs(d.cfg.namedExprs(), queryHandler(d.stores, d.rec)).ServeHTTP, q},
+		{"GET /api/v1/query", true, query.NamedExprs(d.cfg.namedExprs(), queryHandler(d.Stores(), d.Recorder())).ServeHTTP, q},
 	}, func(rt route) bool { return !rt.on })
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {
@@ -431,7 +565,7 @@ func (d *Daemon) Handler() http.Handler {
 		if solo {
 			fmt.Fprintf(w, "tiptopd monitoring %s\n\n", d.mon.Machine())
 		} else {
-			fmt.Fprintf(w, "tiptopd aggregating %s\n\n", strings.Join(d.fleet.Labels(), ", "))
+			fmt.Fprintf(w, "tiptopd aggregating %s\n\n", d.labels())
 		}
 		for _, rt := range routes {
 			lines := rt.index
@@ -464,12 +598,12 @@ func (d *Daemon) events(w http.ResponseWriter, _ *http.Request) {
 func (d *Daemon) agents(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Agents []remote.AgentStatus `json:"agents"`
-	}{d.fleet.Snapshot().Agents})
+	}{d.FleetSnapshot().Agents})
 }
 
 func (d *Daemon) snapshot(w http.ResponseWriter, _ *http.Request) {
-	if d.fleet != nil {
-		writeJSON(w, http.StatusOK, d.fleet.Snapshot())
+	if d.mon == nil {
+		writeJSON(w, http.StatusOK, d.FleetSnapshot())
 		return
 	}
 	// "machine_name": the embedded Snapshot already owns the "machine"
@@ -479,7 +613,7 @@ func (d *Daemon) snapshot(w http.ResponseWriter, _ *http.Request) {
 		MachineName     string  `json:"machine_name"`
 		IntervalSeconds float64 `json:"interval_s"`
 		*Snapshot
-	}{d.mon.Machine(), d.mon.Interval().Seconds(), d.rec.Snapshot()})
+	}{d.mon.Machine(), d.mon.Interval().Seconds(), d.Recorder().Snapshot()})
 }
 
 func (d *Daemon) history(w http.ResponseWriter, r *http.Request) {
@@ -487,7 +621,7 @@ func (d *Daemon) history(w http.ResponseWriter, r *http.Request) {
 	if q == "" {
 		writeJSON(w, http.StatusOK, struct {
 			PIDs []int `json:"pids"`
-		}{d.rec.PIDs()})
+		}{d.Recorder().PIDs()})
 		return
 	}
 	pid, err := strconv.Atoi(q)
@@ -495,7 +629,7 @@ func (d *Daemon) history(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad pid %q", q)})
 		return
 	}
-	series := d.rec.History(pid)
+	series := d.Recorder().History(pid)
 	if series == nil {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("pid %d was never observed", pid)})
 		return

@@ -55,8 +55,8 @@ const DialTimeout = 10 * time.Second
 
 // normalizeBase canonicalizes an agent address ("host:port" or a full
 // URL): trimmed, no trailing slash, scheme defaulted to http, host
-// non-empty. DialWith and NewFleet share it so an address the fleet labels
-// is always one the client can dial.
+// non-empty. DialWith and NewAgent share it so an address an aggregator
+// labels is always one the client can dial.
 func normalizeBase(addr string) (base, host string, err error) {
 	base = strings.TrimRight(strings.TrimSpace(addr), "/")
 	if base == "" {
@@ -103,8 +103,8 @@ type notReadyError struct {
 
 func (e *notReadyError) Error() string { return e.msg }
 
-// dial is DialWith under a context (a fleet stops waiting for an agent
-// when it shuts down) and with the not-ready wait as a parameter.
+// dial is DialWith under a context (an aggregator stops waiting for an
+// agent when it shuts down) and with the not-ready wait as a parameter.
 func dial(ctx context.Context, base string, opt DialOptions, wait time.Duration) (*Client, error) {
 	switch opt.Wire {
 	case "", "json", "binary":

@@ -44,6 +44,20 @@ func testSample(refresh uint64, t float64) *Sample {
 	}
 }
 
+// waitFor polls until cond returns true, bounded by the test deadline
+// (less a margin, so the failure names what never happened) — the one
+// place these tests pause.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline, bounded := t.Deadline()
+	for !cond() {
+		if bounded && time.Until(deadline) < 5*time.Second {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	in := testSample(7, 12.5)
 	data, err := in.Encode()

@@ -35,8 +35,8 @@ func NewServer(metricsEncode func(io.Writer) error) *Server {
 
 // Publish stamps the sample with the next refresh version and hands it
 // to the stream hub, which is also what /api/v1/sample serves from. It
-// is called once per refresh — from the sampling loop, or from a
-// fleet's per-agent goroutines concurrently — and encodes nothing: each
+// is called once per refresh — from the sampling loop, or from an
+// aggregator's per-agent goroutines concurrently — and encodes nothing: each
 // wire format is encoded at most once per refresh, by the first stream
 // subscriber or /api/v1/sample request that wants it.
 // The server retains ws; the caller must not modify it afterwards. A

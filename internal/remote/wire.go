@@ -1,8 +1,8 @@
 // Package remote makes a tiptop monitor network-attachable: a versioned
 // JSON wire format for samples, an SSE fan-out hub and per-refresh
 // encode caches for the serving side, a Client that consumes a remote
-// tiptopd's refreshes, and a Fleet aggregator that merges many agents
-// into one cluster-wide view.
+// tiptopd's refreshes, and the Agent stream loop an aggregating daemon
+// follows each joined tiptopd with.
 //
 // The design goal is fleet-scale cost: every encoding of a refresh —
 // the JSON/SSE frame, the binary frame, the /metrics body — is built at

@@ -8,6 +8,7 @@ import (
 	"tiptop/internal/core"
 	"tiptop/internal/export"
 	"tiptop/internal/history"
+	"tiptop/internal/remote"
 )
 
 // RecorderOptions tune a Recorder; the zero value gives a 600-point
@@ -40,20 +41,59 @@ type Snapshot = history.Snapshot
 // Queries are safe from any goroutine while sampling continues.
 type Recorder struct {
 	h *history.Recorder
-	// scrape is what WriteOpenMetrics keeps between calls: the view it
-	// copies the recorder's state into and the encoder whose label
-	// blocks outlive a refresh. One exposition is written at a time.
-	scrape struct {
-		sync.Mutex
-		view history.View
-		enc  export.Encoder
-	}
+	// scrape is what WriteOpenMetrics keeps between calls.
+	scrape exposition
 }
 
 // NewRecorder creates an unattached Recorder; attach it to a Monitor
 // with Subscribe.
 func NewRecorder(opt RecorderOptions) *Recorder {
-	return &Recorder{h: history.New(opt)}
+	r := &Recorder{h: history.New(opt)}
+	r.scrape.add("", r, nil)
+	return r
+}
+
+// exposition is what an OpenMetrics writer keeps between calls — a
+// Recorder's own, or a Daemon's over its machines: a view per recorder
+// and the encoder whose label blocks outlive a refresh. One exposition
+// is written at a time.
+type exposition struct {
+	sync.Mutex
+	recs []*history.Recorder
+	// agents parallels recs under Join; nil renders one unlabelled
+	// machine.
+	agents []*remote.Agent
+	ms     []export.FleetMachine
+	enc    export.Encoder
+}
+
+// add appends a machine: its label, its recorder and, under Join, the
+// agent streaming it in.
+func (x *exposition) add(label string, rec *Recorder, agent *remote.Agent) {
+	x.recs = append(x.recs, rec.h)
+	if agent != nil {
+		x.agents = append(x.agents, agent)
+	}
+	x.ms = append(x.ms, export.FleetMachine{Label: label, View: new(history.View)})
+}
+
+// write copies every recorder's state into its view and renders them:
+// the single-machine exposition without agents, otherwise the
+// machine-labelled merge with each agent's up state.
+func (x *exposition) write(w io.Writer) error {
+	x.Lock()
+	defer x.Unlock()
+	for i, r := range x.recs {
+		r.View(x.ms[i].View)
+	}
+	if x.agents == nil {
+		return x.enc.Write(w, x.ms[0].View)
+	}
+	for i, a := range x.agents {
+		st, _ := a.Status()
+		x.ms[i].Up = st.Connected
+	}
+	return x.enc.WriteFleet(w, x.ms)
 }
 
 // Subscribe attaches the recorder: every subsequent Sample()/SampleNow()
@@ -91,13 +131,7 @@ func (r *Recorder) PIDs() []int { return r.h.PIDs() }
 // read-locked only while its state is copied out, never while values
 // are formatted or w is written; concurrent calls take turns (serve
 // many scrapers through a remote.Server, which encodes once per refresh).
-func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
-	s := &r.scrape
-	s.Lock()
-	defer s.Unlock()
-	r.h.View(&s.view)
-	return s.enc.Write(w, &s.view)
-}
+func (r *Recorder) WriteOpenMetrics(w io.Writer) error { return r.scrape.write(w) }
 
 // ExpositionStats counts the expositions WriteOpenMetrics has written
 // and how many of them had to render label blocks again: none while the

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"time"
 
-	"tiptop/internal/core"
 	"tiptop/internal/history"
 	"tiptop/internal/query"
 	"tiptop/internal/store"
@@ -68,11 +67,6 @@ func (r *Recorder) Tee(st *Store) {
 	}
 	r.h.Tee(st.s)
 }
-
-// Observe appends one engine refresh, latching append errors for Err —
-// the core.Observer hook a fleet aggregator tees each agent's stream
-// into (Recorder.Tee is the same hook for a local recorder).
-func (st *Store) Observe(s *core.Sample) { st.s.Observe(s) }
 
 // Dir returns the store's directory.
 func (st *Store) Dir() string { return st.s.Dir() }
