@@ -37,8 +37,9 @@ docs:
 	./scripts/check-docs.sh
 
 # Short coverage-guided passes over the metric-expression parser and
-# evaluator, the query-layer compiler, the v2 columnar frame decoder and
-# the wire encoders and decoders; CI runs them so a grammar change that
+# evaluator, the query-layer compiler, the store's frame decoder (v3 and
+# the v2 frames older builds wrote) and the wire encoders and decoders;
+# CI runs them so a grammar change that
 # panics, breaks the canonical rendering fixpoint, lets a non-finite
 # value through the totality rule, lets the engine's slot-bound column
 # evaluation drift from Expr.Eval, makes the store's frame reader or

@@ -1,5 +1,5 @@
 // Package binenc holds the low-level binary encoding primitives shared
-// by the store's columnar record format v2 (internal/store) and the
+// by the store's columnar record formats (internal/store) and the
 // remote binary wire frame (internal/remote): unsigned and zigzag
 // varints, length-prefixed strings, and an XOR-against-previous float
 // codec that round-trips every float64 bit-exactly.

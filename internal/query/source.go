@@ -9,8 +9,8 @@ package query
 //
 // Store scans run vectorized: segments decode on a worker pool,
 // projected down to the columns the compiled expression references
-// (plus CPU_PCT when referenced — IPC is always recomputed from
-// counters, so the stored per-row ratio is never needed).
+// (plus CPU_PCT when referenced; IPC is always recomputed from the
+// counters, which every decode keeps).
 
 import (
 	"fmt"
@@ -68,7 +68,7 @@ func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols 
 				next[i]++
 				rec.Rows = append(rec.Rows, store.RecordRow{
 					PID: s.PID, TID: s.TID, User: s.User, Command: s.Command,
-					CPUPct: p.CPUPct, IPC: p.IPC, Values: p.Values,
+					CPUPct: p.CPUPct, Values: p.Values,
 					Instr: p.Instr, Cycles: p.Cycles, Misses: p.Misses,
 				})
 				m := &rec.Machine

@@ -1,15 +1,16 @@
 package store
 
 // Compaction: rewriting a tier's sealed segments into fewer, fuller
-// ones. Live segments already hold record-format-v2 frames, so there is
+// ones. Live segments already hold record-format-v3 frames, so there is
 // nothing left to shrink frame by frame; the rewrite merges segments
 // that sealed small (by age, or fragmented by restarts) into full-size
-// ones under a single dictionary, converts whatever v1 JSON frames an
-// older build left behind, and optionally tombstones series that exited
-// long ago. Query results are unchanged by construction — floats are
-// carried bit-exactly — except that tombstoned rows disappear (the
-// machine roll-up keeps their contribution; it is an aggregate of what
-// happened, not of what is retained).
+// ones under a single dictionary, converts whatever v1 JSON or v2 frames
+// an older build left behind, and optionally tombstones series that
+// exited long ago. Query results are unchanged by construction — every
+// field v3 keeps is carried bit-exactly, and the v2 per-row IPC it drops
+// was never read — except that tombstoned rows disappear (the machine
+// roll-up keeps their contribution; it is an aggregate of what happened,
+// not of what is retained).
 //
 // Crash safety follows the name-carries-the-range protocol:
 //
@@ -65,7 +66,7 @@ type CompactionResult struct {
 }
 
 // Compact rewrites every tier's sealed segments, merging them into
-// compacted segments of Options.SegmentBytes (all record format v2,
+// compacted segments of Options.SegmentBytes (all record format v3,
 // whatever the inputs held). The active segments are untouched —
 // appends and queries run concurrently with the rewrite (queries see
 // the swap atomically). Calling Compact on a store with nothing to
@@ -308,9 +309,9 @@ func (w *compactWriter) start(a int64) error {
 	return w.writeFrame()
 }
 
-// record encodes one record as a v2 data frame.
+// record encodes one record as a v3 data frame.
 func (w *compactWriter) record(rec *Record) error {
-	w.buf = appendV2Data(beginFrame(w.buf[:0]), rec, w.dict)
+	w.buf = appendData(beginFrame(w.buf[:0]), rec, w.dict)
 	if err := w.writeFrame(); err != nil {
 		return err
 	}

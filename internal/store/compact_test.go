@@ -88,7 +88,7 @@ func countFiles(t *testing.T, dir, pattern string) int {
 // leave every query's marshaled result byte-for-byte identical — before
 // and after, and again after a close/reopen that recovers the compacted
 // chain from disk. Over segments an older build wrote as v1 JSON the
-// rewrite must also shrink them >= 3x; over live v2 segments there is
+// rewrite must also shrink them >= 3x; over live v3 segments there is
 // nothing left to shrink, only segments to merge, so it must not grow.
 func TestCompactGoldenQueryIdentical(t *testing.T) {
 	for _, tc := range []struct {
@@ -97,7 +97,7 @@ func TestCompactGoldenQueryIdentical(t *testing.T) {
 		minRatio int64
 	}{
 		{name: "v1-written", v1: true, minRatio: 3},
-		{name: "v2-live", minRatio: 1},
+		{name: "v3-live", minRatio: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -120,7 +120,7 @@ func TestCompactGoldenQueryIdentical(t *testing.T) {
 				st = mustOpen(t, dir, opt)
 				for i, b := range snapshotQueries(t, st) {
 					if !bytes.Equal(b, pre[i]) {
-						t.Fatalf("query %d differs between the v2 and v1 renderings of the same appends", i)
+						t.Fatalf("query %d differs between the v3 and v1 renderings of the same appends", i)
 					}
 				}
 			}
@@ -178,8 +178,12 @@ func TestCompactGoldenQueryIdentical(t *testing.T) {
 	}
 }
 
-// frameKinds counts a segment file's frames by what they hold.
-func frameKinds(t *testing.T, path string) (v1, dicts, v2 int) {
+// kinds counts a segment file's frames by what they hold: v1 JSON
+// records, dictionary frames of either binary version, and binary data
+// frames by version.
+type kinds struct{ V1, Dicts, V2, V3 int }
+
+func frameKinds(t *testing.T, path string) (k kinds) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -193,26 +197,28 @@ func frameKinds(t *testing.T, path string) (v1, dicts, v2 int) {
 			t.Fatal(err)
 		}
 		if !ok {
-			return v1, dicts, v2
+			return k
 		}
 		fr.accept()
 		switch {
 		case payload[0] == '{':
-			v1++
+			k.V1++
 		case payload[1] == v2KindDict:
-			dicts++
+			k.Dicts++
+		case payload[0] == recordVersionV2:
+			k.V2++
 		default:
-			v2++
+			k.V3++
 		}
 	}
 }
 
 // TestMixedVersionTwin is the old-store test. Two stores take identical
-// appends; one is turned mid-way into exactly what a build with the v1
-// live writer left behind — compacted .cseg segments plus v1 JSON .seg
-// segments, the tail included — and must then open, append (v2 frames
+// appends; one is turned mid-way into what a build with the v1 live
+// writer left behind — compacted .cseg segments plus v1 JSON .seg
+// segments, the tail included — and must then open, append (v3 frames
 // after the v1 ones in the tail file), query, compact and reopen with
-// answers byte-identical to the twin that was v2 from the start.
+// answers byte-identical to the twin that was v3 from the start.
 func TestMixedVersionTwin(t *testing.T) {
 	opt := Options{SegmentBytes: 4 << 10}
 	mixed := mustOpen(t, t.TempDir(), opt)
@@ -236,7 +242,7 @@ func TestMixedVersionTwin(t *testing.T) {
 		}
 	}
 	rewriteSegmentsV1(t, mixed.Dir())
-	// The v1 rendering of a full v2 segment is several times the segment
+	// The v1 rendering of a full v3 segment is several times the segment
 	// size; reopen with room, so the tail is the part-filled segment an
 	// old build would have left and takes appends instead of rotating.
 	opt.SegmentBytes = 16 << 10
@@ -248,21 +254,21 @@ func TestMixedVersionTwin(t *testing.T) {
 		t.Fatal("directory does not actually mix compacted and v1 segments")
 	}
 	tail := newestSegment(t, mixed.Dir(), "raw")
-	if v1, dicts, v2 := frameKinds(t, tail); v1 == 0 || dicts+v2 != 0 {
-		t.Fatalf("old store's tail holds %d v1, %d dictionary, %d v2 frames; want v1 only", v1, dicts, v2)
+	if k := frameKinds(t, tail); k.V1 == 0 || k != (kinds{V1: k.V1}) {
+		t.Fatalf("old store's tail holds %+v frames; want v1 only", k)
 	}
 	want := snapshotQueries(t, plain)
 	for i, b := range snapshotQueries(t, mixed) {
 		if !bytes.Equal(b, want[i]) {
-			t.Fatalf("query %d: old store differs from its v2 twin:\nv2:  %s\nold: %s", i, want[i], b)
+			t.Fatalf("query %d: old store differs from its v3 twin:\nv3:  %s\nold: %s", i, want[i], b)
 		}
 	}
 	// A few appends land in the recovered v1 tail file, the rest seal it
-	// and spill into fresh v2 segments.
+	// and spill into fresh v3 segments.
 	fillVaried(t, mixed, time.Second, time.Second, 2, 4, &seedA)
 	fillVaried(t, plain, time.Second, time.Second, 2, 4, &seedB)
-	if v1, dicts, v2 := frameKinds(t, tail); v1 == 0 || dicts != 1 || v2 != 2 {
-		t.Fatalf("recovered tail holds %d v1, %d dictionary, %d v2 frames; want v1 frames, then one dictionary and two v2 records", v1, dicts, v2)
+	if k := frameKinds(t, tail); k.V1 == 0 || k != (kinds{V1: k.V1, Dicts: 1, V3: 2}) {
+		t.Fatalf("recovered tail holds %+v frames; want v1 frames, then one dictionary and two v3 records", k)
 	}
 	fillVaried(t, mixed, 3*time.Second, time.Second, 98, 4, &seedA)
 	fillVaried(t, plain, 3*time.Second, time.Second, 98, 4, &seedB)
@@ -271,7 +277,7 @@ func TestMixedVersionTwin(t *testing.T) {
 		want := snapshotQueries(t, plain)
 		for i, b := range snapshotQueries(t, mixed) {
 			if !bytes.Equal(b, want[i]) {
-				t.Fatalf("query %d differs %s:\nv2:  %s\nold: %s", i, when, want[i], b)
+				t.Fatalf("query %d differs %s:\nv3:  %s\nold: %s", i, when, want[i], b)
 			}
 		}
 	}
@@ -310,18 +316,18 @@ func writeRawFrame(t *testing.T, path string, payload []byte) {
 }
 
 // TestFutureVersionsRejectedLoudly: a frame from the future — binary
-// v3 or JSON {"v":3} — must fail Open with a version error, not be
+// v4 or JSON {"v":4} — must fail Open with a version error, not be
 // clipped silently as corruption.
 func TestFutureVersionsRejectedLoudly(t *testing.T) {
 	for name, payload := range map[string][]byte{
-		"binary-v3": {0x03, 0x01, 0x80, 0x08},
-		"json-v3":   []byte(`{"v":3,"time_s":1,"rows":[],"machine":{}}`),
+		"binary-v4": {0x04, 0x01, 0x80, 0x08},
+		"json-v4":   []byte(`{"v":4,"time_s":1,"rows":[],"machine":{}}`),
 	} {
 		dir := t.TempDir()
 		writeRawFrame(t, filepath.Join(dir, "raw-0000000001.seg"), payload)
 		_, err := Open(dir, Options{})
-		if err == nil || !strings.Contains(err.Error(), "version 3") {
-			t.Fatalf("%s: Open = %v, want loud version-3 rejection", name, err)
+		if err == nil || !strings.Contains(err.Error(), "version 4") {
+			t.Fatalf("%s: Open = %v, want loud version-4 rejection", name, err)
 		}
 	}
 }

@@ -9,12 +9,11 @@ package store
 // before its timestamp, and a record stamped exactly on a boundary
 // folds into the coarser bucket ending there).
 //
-// Within a bucket, CPU%, IPC and column values average and the raw
-// counters (instructions, cycles, misses) sum; a coarser tier averages
-// the finer tier's averages (buckets a task was absent from do not
-// dilute it). IPC is recomputed from the summed counters whenever they
-// are present, so a bucket's IPC is Σinstr/Σcycles, not a mean of
-// ratios.
+// Within a bucket, CPU% and column values average and the raw counters
+// (instructions, cycles, misses) sum; a coarser tier averages the finer
+// tier's averages (buckets a task was absent from do not dilute it).
+// No ratio is stored: a reader's IPC is Σinstr/Σcycles over the summed
+// counters, not a mean of ratios.
 //
 // The accumulator reuses all storage across buckets: folding a task
 // that already has an entry allocates nothing, keeping the append hot
@@ -34,7 +33,6 @@ type dsTask struct {
 	n          int           // finer-tier records folded this bucket
 	lastEnd    time.Duration // end of the last bucket folded into
 	cpuSum     float64
-	ipcSum     float64
 	valSums    []float64
 	avg        []float64 // scratch the flushed row's Values point into
 	instr      uint64
@@ -115,17 +113,13 @@ func (a *accumulator) close() *bucket {
 		for i, s := range t.valSums {
 			t.avg[i] = s / n
 		}
-		ipc := t.ipcSum / n
-		if t.cycles > 0 {
-			ipc = float64(t.instr) / float64(t.cycles)
-		}
 		a.funnel.rows = append(a.funnel.rows, RecordRow{
 			PID: id.PID, TID: id.TID, User: t.user, Command: t.comm,
-			CPUPct: t.cpuSum / n, IPC: ipc, Values: t.avg,
+			CPUPct: t.cpuSum / n, Values: t.avg,
 			Instr: t.instr, Cycles: t.cycles, Misses: t.misses,
 		})
 		t.n = 0
-		t.cpuSum, t.ipcSum = 0, 0
+		t.cpuSum = 0
 		t.instr, t.cycles, t.misses = 0, 0, 0
 		// Zero before truncating: a later re-extension within capacity
 		// must expose zeros, not last bucket's sums.
@@ -149,7 +143,6 @@ func (a *accumulator) fold(r *RecordRow) {
 	t.lastEnd = a.end
 	t.n++
 	t.cpuSum += r.CPUPct
-	t.ipcSum += r.IPC
 	t.instr += r.Instr
 	t.cycles += r.Cycles
 	t.misses += r.Misses

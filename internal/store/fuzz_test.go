@@ -25,26 +25,27 @@ func fuzzSeedRecord() *Record {
 		Cols:        []string{"IPC", "CYCLES", "%MISS"},
 		Rows: []RecordRow{
 			{PID: 100, TID: 100, User: "root", Command: "tiptop",
-				CPUPct: 51.5, IPC: 1.25, Values: []float64{1.25, 3.1e9, 0.02},
+				CPUPct: 51.5, Values: []float64{1.25, 3.1e9, 0.02},
 				Instr: 1000, Cycles: 800, Misses: 3},
 			{PID: 100, TID: 101, User: "root", Command: "tiptop",
-				CPUPct: 12.5, IPC: 0.75, Values: []float64{0.75},
+				CPUPct: 12.5, Values: []float64{0.75},
 				Instr: 600, Cycles: 800, Misses: 1},
 			{PID: 204, TID: 204, User: "user", Command: "mcf",
-				CPUPct: 99.9, IPC: 0.31, Values: nil,
+				CPUPct: 99.9, Values: nil,
 				Instr: 310, Cycles: 1000, Misses: 42},
 		},
 		Machine: RecordAgg{Tasks: 3, CPUPct: 163.9, Instr: 1910, Cycles: 2600, Misses: 46},
 	}
 }
 
-// FuzzDecodeFrame drives the scan walker's v2 frame decode (and the v1
-// JSON path it dispatches to) with corrupt, truncated and mutated
-// payloads, asserting walker ≡ reference loop on each. Each input is
-// walked twice as a frame — against an empty dictionary and against a
-// pre-seeded one — so both the index-out-of-range rejection and the
-// in-range dictionary paths stay covered, and the cheap prefix readers
-// (framePrefix, v2PeekCols) see the same bytes the full decode does.
+// FuzzDecodeFrame drives the scan walker's binary frame decode, v3 and
+// v2 (and the v1 JSON path it dispatches to), with corrupt, truncated
+// and mutated payloads, asserting walker ≡ reference loop on each. Each
+// input is walked twice as a frame — against an empty dictionary and
+// against a pre-seeded one — so both the index-out-of-range rejection
+// and the in-range dictionary paths stay covered, and the cheap prefix
+// readers (framePrefix, v2PeekCols) see the same bytes the full decode
+// does.
 // The same bytes are then read as a whole segment file, by the walker
 // and the way recovery walks a tail it is about to append to: frame by
 // frame, folding incremental dictionary frames into the table the live
@@ -60,13 +61,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		dict.intern(c)
 	}
 	dictFrame := dict.appendDictFrame(nil, 0)
-	dataFrame := appendV2Data(nil, rec, dict)
+	dataFrame := appendData(nil, rec, dict)
 
 	f.Add([]byte(`{"v":1,"time_s":1.5,"rows":[{"pid":1,"user":"u","command":"c",` +
 		`"cpu_pct":50,"ipc":1,"values":[1],"instr":10,"cycles":10,"misses":0}],` +
 		`"machine":{"tasks":1,"cpu_pct":50,"instr":10,"cycles":10,"misses":0}}`))
 	f.Add(dictFrame)
 	f.Add(dataFrame)
+	// The same record and table as a v2 build wrote them.
+	f.Add(appendV2DictFrame(nil, dict, 0))
+	f.Add(appendV2Data(nil, rec, dict))
 	// Truncations and header mutations seed the interesting failure
 	// modes directly; the engine mutates from there.
 	f.Add(dataFrame[:len(dataFrame)/2])
@@ -75,7 +79,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{recordVersionV2})
 	f.Add([]byte{recordVersionV2, v2KindData})
 	f.Add([]byte{recordVersionV2, 0x7f})
-	f.Add([]byte{0x03, v2KindData, 0x00}) // future binary version
+	f.Add([]byte{RecordVersion + 1, v2KindData, 0x00}) // future binary version
 	f.Add([]byte("{"))
 	f.Add([]byte{})
 	// A live segment's opening: two records, each preceded by the
@@ -88,13 +92,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	live := newV2Dict(nil)
 	first := *rec
 	first.Rows = rec.Rows[:2]
-	data1 := framed(appendV2Data(nil, &first, live))
+	data1 := framed(appendData(nil, &first, live))
 	known := len(live.strs)
 	dict1 := framed(live.appendDictFrame(nil, 0))
-	data2 := framed(appendV2Data(nil, rec, live))
+	data2 := framed(appendData(nil, rec, live))
 	dict2 := framed(live.appendDictFrame(nil, known))
 	seg := bytes.Join([][]byte{dict1, data1, dict2, data2}, nil)
-	if sc, err := scanFrames(bytes.NewReader(seg)); err != nil || sc.n != 2 || sc.valid != int64(len(seg)) || len(sc.dict) != len(live.strs) || known == len(live.strs) {
+	if sc, err := scanFrames(newFrameReader(bytes.NewReader(seg))); err != nil || sc.n != 2 || sc.valid != int64(len(seg)) || len(sc.dict) != len(live.strs) || known == len(live.strs) {
 		f.Fatalf("segment seed walks as %+v (%v), want 2 records over %d bytes and a %d-entry dictionary grown from %d",
 			sc, err, len(seg), len(live.strs), known)
 	}
@@ -110,7 +114,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		walkerMatchesReference(t, append(append([]byte(nil), warmPrefix...), framed(payload)...))
 		walkerMatchesReference(t, payload)
 		framePrefix(payload)
-		if sc, err := scanFrames(bytes.NewReader(payload)); err == nil {
+		if sc, err := scanFrames(newFrameReader(bytes.NewReader(payload))); err == nil {
 			if sc.valid > int64(len(payload)) || sc.n > sc.valid {
 				t.Fatalf("segment walk over %d bytes claims %d valid bytes, %d records", len(payload), sc.valid, sc.n)
 			}
@@ -119,9 +123,9 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("resumed dictionary holds %d of %d entries", len(d.strs), len(sc.dict))
 			}
 		}
-		if len(payload) >= 2 && payload[0] == recordVersionV2 && payload[1] == v2KindData {
+		if len(payload) >= 2 && (payload[0] == recordVersionV2 || payload[0] == RecordVersion) && payload[1] == v2KindData {
 			var rec Record
-			if err := decodeV2RecordInto(&rec, payload, seeded, nil); err != nil {
+			if err := decodeDataInto(&rec, payload, seeded, nil); err != nil {
 				// The cheap peek may accept a payload the full decode
 				// rejects (it only reads the header prefix).
 				return
@@ -161,7 +165,7 @@ func walkerMatchesReference(t *testing.T, seg []byte) {
 		return nil
 	})
 	scratch := &Record{}
-	for _, proj := range []*projection{nil, newProjection([]string{"IPC"}, false, true)} {
+	for _, proj := range []*projection{nil, newProjection([]string{"IPC"}, false)} {
 		sc := getScanner(proj)
 		defer sc.release()
 		for pass := 0; pass < 2; pass++ {
@@ -191,7 +195,7 @@ func walkerMatchesReference(t *testing.T, seg []byte) {
 // nil-versus-empty slices — fresh decode versus reused scratch — do not.
 func recordBytes(rec *Record, cols []string) []byte {
 	d := newV2Dict(nil)
-	b := appendV2Data(nil, rec, d)
+	b := appendData(nil, rec, d)
 	for _, c := range cols {
 		b = append(append(b, 0), c...)
 	}

@@ -1,11 +1,12 @@
 package store
 
-// Tests for the live v2 append path: the per-segment dictionary must
+// Tests for the live append path: the per-segment dictionary must
 // survive a restart (resumed from the tail's dictionary frames, never
 // re-emitted, extended only by strings the file has not seen), and a
 // crash anywhere inside a dictionary+data pair must cost at most the
-// record being written. The old-store case — a v1 JSON tail taking v2
-// frames after its v1 ones — is TestMixedVersionTwin's.
+// record being written. The old-store cases — a v1 JSON or v2 tail
+// taking v3 frames after its own — are TestMixedVersionTwin's and
+// TestVersionContractAcrossFormats'.
 
 import (
 	"bytes"
@@ -51,7 +52,8 @@ func TestTailRecoveryResumesDictionary(t *testing.T) {
 		appendBoth(s, s)
 	}
 	tail := newestSegment(t, dir, "raw")
-	_, dictsBefore, recsBefore := frameKinds(t, tail)
+	k := frameKinds(t, tail)
+	dictsBefore, recsBefore := k.Dicts, k.V3
 	if dictsBefore != 1 || recsBefore == 0 {
 		t.Fatalf("tail holds %d dictionary frames and %d records before the restart; want 1 and some", dictsBefore, recsBefore)
 	}
@@ -64,14 +66,14 @@ func TestTailRecoveryResumesDictionary(t *testing.T) {
 	// The restarted store's sample clock starts over; its store clock
 	// carries on from t=40.
 	appendBoth(namedSample(time.Second, 3, "alpha", "beta"), namedSample(41*time.Second, 3, "alpha", "beta"))
-	if _, dicts, recs := frameKinds(t, tail); dicts != dictsBefore || recs != recsBefore+1 {
+	if k := frameKinds(t, tail); k.Dicts != dictsBefore || k.V3 != recsBefore+1 {
 		t.Fatalf("reusing known strings after the restart left %d dictionary frames, %d records; want %d, %d",
-			dicts, recs, dictsBefore, recsBefore+1)
+			k.Dicts, k.V3, dictsBefore, recsBefore+1)
 	}
 	appendBoth(namedSample(2*time.Second, 3, "alpha", "gamma"), namedSample(42*time.Second, 3, "alpha", "gamma"))
-	if _, dicts, recs := frameKinds(t, tail); dicts != dictsBefore+1 || recs != recsBefore+2 {
+	if k := frameKinds(t, tail); k.Dicts != dictsBefore+1 || k.V3 != recsBefore+2 {
 		t.Fatalf("a new string after the restart left %d dictionary frames, %d records; want %d, %d",
-			dicts, recs, dictsBefore+1, recsBefore+2)
+			k.Dicts, k.V3, dictsBefore+1, recsBefore+2)
 	}
 	for i := 3; i <= 40; i++ {
 		appendBoth(namedSample(time.Duration(i)*time.Second, 3, "gamma", "beta", "delta"),
@@ -85,7 +87,7 @@ func TestTailRecoveryResumesDictionary(t *testing.T) {
 		t.Fatalf("reference scan saw %d records, want 80", len(serial))
 	}
 	all := ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: 4,
-		Project: true, Columns: []string{"v"}, NeedCPUPct: true, NeedIPC: true}
+		Project: true, Columns: []string{"v"}, NeedCPUPct: true}
 	for _, workers := range []int{1, 4} {
 		full := ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: workers}
 		proj := all
@@ -153,8 +155,8 @@ func TestTornPairEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, dicts, recs := frameKinds(t, seg); dicts != 2 || recs != acked {
-		t.Fatalf("fixture holds %d dictionary frames, %d records; want 2, %d", dicts, recs, acked)
+	if k := frameKinds(t, seg); k.Dicts != 2 || k.V3 != acked {
+		t.Fatalf("fixture holds %d dictionary frames, %d records; want 2, %d", k.Dicts, k.V3, acked)
 	}
 	for cut := pairStart; cut <= int64(len(whole)); cut++ {
 		dir := t.TempDir()

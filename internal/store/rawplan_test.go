@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -22,20 +23,16 @@ import (
 )
 
 // TestRawPlanMatchesReference runs step × range over the
-// TestCompactGoldenQueryIdentical stores — written as v1 JSON by an
-// older build, or live v2 — before and after Compact, with five
-// task-less refreshes at the end.
+// TestCompactGoldenQueryIdentical stores — written as v1 JSON or v2
+// frames by an older build, or live v3 — before and after Compact, with
+// five task-less refreshes at the end.
 func TestRawPlanMatchesReference(t *testing.T) {
 	steps := []float64{0, 0.5, 3, 7, 10, 20, 30, 45, 60, 90, 120, 300, 3600}
 	refreshes := 400
 	if testing.Short() {
 		steps, refreshes = []float64{0, 3, 10, 30, 60, 3600}, 120
 	}
-	for _, v1 := range []bool{true, false} {
-		name := "v2-live"
-		if v1 {
-			name = "v1-written"
-		}
+	for _, name := range []string{"v1-written", "v2-written", "v3-live"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			opt := store.Options{SegmentBytes: 8 << 10}
@@ -49,11 +46,19 @@ func TestRawPlanMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if v1 {
+			if name != "v3-live" {
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
-				store.RewriteSegmentsV1(t, dir)
+				if name == "v1-written" {
+					store.RewriteSegmentsV1(t, dir)
+				} else {
+					segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					store.RewriteSegmentsV2(t, segs...)
+				}
 				st = store.MustOpen(t, dir, opt)
 			}
 			defer st.Close()

@@ -2,9 +2,11 @@ package store
 
 // Records: the in-memory shape of one stored refresh, and the legacy
 // record format v1 — one JSON document per frame — that stores written
-// before live appends switched to the columnar v2 frames (recordv2.go)
-// still hold. v1 is read-only here: DecodeRecord and recordPrefix keep
-// old segments readable, nothing in this package writes the format.
+// before live appends switched to columnar frames (recordv2.go) still
+// hold. v1 is read-only here: DecodeRecord and recordPrefix keep old
+// segments readable, nothing in this package writes the format. Its
+// per-row "ipc" field is not decoded: readers recompute the ratio from
+// the counters.
 //
 // The v1 field order is fixed — `{"v":1,"time_s":...}` first — so
 // recovery can read a record's version and timestamp with a cheap
@@ -32,20 +34,19 @@ type Record struct {
 	Cols    []string    `json:"cols,omitempty"`
 	Rows    []RecordRow `json:"rows"`
 	Machine RecordAgg   `json:"machine"`
-	// block backs every row's Values in a record the v2 decode filled —
-	// the scratch a scan reuses (see decodeV2RecordInto).
+	// block backs every row's Values in a record a binary decode filled —
+	// the scratch a scan reuses (see decodeDataInto).
 	block []float64
 }
 
-// RecordRow is one task in a record. In downsampled records CPUPct,
-// IPC and Values are bucket averages and the counters are bucket sums.
+// RecordRow is one task in a record. In downsampled records CPUPct and
+// Values are bucket averages and the counters are bucket sums.
 type RecordRow struct {
 	PID     int       `json:"pid"`
 	TID     int       `json:"tid,omitempty"`
 	User    string    `json:"user"`
 	Command string    `json:"command"`
 	CPUPct  float64   `json:"cpu_pct"`
-	IPC     float64   `json:"ipc"`
 	Values  []float64 `json:"values"`
 	Instr   uint64    `json:"instr"`
 	Cycles  uint64    `json:"cycles"`

@@ -1,38 +1,42 @@
 package store
 
-// Record format v2: the columnar layout every record is written in —
-// live appends (store.go) and compaction's merged rewrites (compact.go)
-// alike. The framing (length/CRC header, torn-tail clipping) is shared
-// with the legacy v1 JSON records (record.go); only the payload
+// The columnar record formats: v3, the layout every record is written
+// in — live appends (store.go) and compaction's merged rewrites
+// (compact.go) alike — and v2, which older builds wrote and this one
+// still reads. The framing (length/CRC header, torn-tail clipping) is
+// shared with the legacy v1 JSON records (record.go); only the payload
 // differs. Version sniffing is by first payload byte — '{' (0x7b) opens
-// a v1 JSON document, 0x02 a v2 binary frame, and anything else in
-// 0x02..0x1f is a newer binary version this build rejects loudly,
-// mirroring the JSON "v" field contract.
+// a v1 JSON document, 0x02 or 0x03 a binary frame of that version, and
+// anything else in 0x04..0x1f is a newer binary version this build
+// rejects loudly, mirroring the JSON "v" field contract. Names prefixed
+// v2 are the layout v2 introduced and v3 keeps.
 //
-// A v2 segment holds two payload kinds:
+// A segment holds two payload kinds (shown for v3; v2 leads with 0x02):
 //
-//	0x02 0x00  dictionary: uvarint count, then length-prefixed strings.
+//	0x03 0x00  dictionary: uvarint count, then length-prefixed strings.
 //	           Cumulative — entries append to the segment's table; user,
 //	           command and column names in data frames are indices into
 //	           it, so a name repeated across thousands of records is
 //	           stored once per segment. A live segment writes one
 //	           whenever a record brings strings its table lacks, just
 //	           ahead of that record; a compacted segment opens with one
-//	           frame holding its whole table.
-//	0x02 0x01  data: one record, column-major. Header (uvarint time and
+//	           frame holding its whole table. v2 and v3 frames extend
+//	           the same table, so a v2 tail takes v3 appends.
+//	0x03 0x01  data: one record, column-major. Header (uvarint time and
 //	           resolution in ms, a flags byte, optional column-name
 //	           indices), then per-field arrays over the rows: PIDs
 //	           zigzag-delta encoded, TIDs as zigzag(tid-pid), string
 //	           fields as dictionary indices, counters as uvarints, and
 //	           floats XOR'd against the previous row (binenc.AppendFloat)
-//	           so they round-trip bit-exactly — the compaction golden
-//	           test diffs Query output pre/post rewrite byte-for-byte.
+//	           so they round-trip bit-exactly. A v2 data frame also holds
+//	           a per-row IPC chain after the CPU% chain; v3 drops it, as
+//	           every reader recomputes Σinstr/Σcycles from the counters.
 //
 // Dictionary frames are not records: scans skip them when counting and
 // when tracking first/last times, and queries fold them into the
 // decoder state even when they precede the queried range.
 //
-// The decode side is built for reuse: decodeV2RecordInto fills scratch
+// The decode side is built for reuse: decodeDataInto fills scratch
 // the caller may have decoded into before, every row's Values a window
 // of one block per record (a 2000-row record costs its scratch one
 // values allocation, not 2000), and decodeV2Dict passes strings through
@@ -64,8 +68,8 @@ const (
 )
 
 // framePrefix classifies a frame payload and extracts its version and
-// (for records) its time without a full decode — the v2 counterpart of
-// recordPrefix, dispatching on the first payload byte.
+// (for records) its time without a full decode — the binary counterpart
+// of recordPrefix, dispatching on the first payload byte.
 func framePrefix(p []byte) (t time.Duration, v int, kind int, ok bool) {
 	if len(p) == 0 {
 		return 0, 0, 0, false
@@ -78,7 +82,7 @@ func framePrefix(p []byte) (t time.Duration, v int, kind int, ok bool) {
 		return 0, 0, 0, false
 	}
 	v = int(p[0])
-	if v != recordVersionV2 {
+	if v > RecordVersion {
 		// A newer binary version: classify as a record so the caller's
 		// version gate rejects it loudly instead of clipping it silently.
 		return 0, v, frameKindRecord, true
@@ -133,7 +137,7 @@ func (d *v2Dict) intern(s string) uint64 {
 // one dictionary payload (the format is cumulative, so a reader appends
 // them to whatever the file established before).
 func (d *v2Dict) appendDictFrame(buf []byte, from int) []byte {
-	buf = append(buf, recordVersionV2, v2KindDict)
+	buf = append(buf, RecordVersion, v2KindDict)
 	buf = binenc.AppendUvarint(buf, uint64(len(d.strs)-from))
 	for _, s := range d.strs[from:] {
 		buf = binenc.AppendString(buf, s)
@@ -141,11 +145,11 @@ func (d *v2Dict) appendDictFrame(buf []byte, from int) []byte {
 	return buf
 }
 
-// appendV2Data encodes one record as a v2 data payload, interning the
+// appendData encodes one record as a v3 data payload, interning the
 // strings it references in d; entries that adds must reach the file in a
 // dictionary frame ahead of this payload.
-func appendV2Data(buf []byte, rec *Record, d *v2Dict) []byte {
-	buf = append(buf, recordVersionV2, v2KindData)
+func appendData(buf []byte, rec *Record, d *v2Dict) []byte {
+	buf = append(buf, RecordVersion, v2KindData)
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.TimeSeconds*1000)))
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.ResSeconds*1000)))
 	var flags byte
@@ -180,11 +184,6 @@ func appendV2Data(buf []byte, rec *Record, d *v2Dict) []byte {
 	for i := range rows {
 		buf = binenc.AppendFloat(buf, prev, rows[i].CPUPct)
 		prev = rows[i].CPUPct
-	}
-	prev = 0.0
-	for i := range rows {
-		buf = binenc.AppendFloat(buf, prev, rows[i].IPC)
-		prev = rows[i].IPC
 	}
 	maxVals := 0
 	for i := range rows {
@@ -228,13 +227,13 @@ func decodeV2Dict(p []byte, dict []string, intern map[string]string) ([]string, 
 	b := p[2:]
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > uint64(len(p)) {
-		return nil, fmt.Errorf("store: corrupt v2 dictionary (%d entries in %d bytes)", n, len(p))
+		return nil, fmt.Errorf("store: corrupt dictionary (%d entries in %d bytes)", n, len(p))
 	}
 	b = b[w:]
 	for i := uint64(0); i < n; i++ {
 		size, w := binary.Uvarint(b)
 		if w <= 0 || size > uint64(len(b)-w) {
-			return nil, fmt.Errorf("store: corrupt v2 dictionary (entry %d of %d is truncated)", i, n)
+			return nil, fmt.Errorf("store: corrupt dictionary (entry %d of %d is truncated)", i, n)
 		}
 		raw := b[w : w+int(size)]
 		b = b[w+int(size):]
@@ -250,15 +249,15 @@ func decodeV2Dict(p []byte, dict []string, intern map[string]string) ([]string, 
 	return dict, nil
 }
 
-// projection restricts a v2 record decode to the value columns a query
-// references, plus the fixed CPU/IPC row fields when asked for.
+// projection restricts a binary record decode to the value columns a
+// query references, plus the fixed CPU% row field when asked for.
 // Columns are matched by the names in force at each record, so the keep
 // set follows screen changes mid-scan; until a segment has named its
 // columns the projection decodes every value column — a projected scan
 // never drops data it cannot prove is unreferenced.
 type projection struct {
-	names    map[string]bool
-	cpu, ipc bool
+	names map[string]bool
+	cpu   bool
 	// cols is an owned copy of the column names the keep set reflects
 	// (decoded Cols live in reused scratch, so they cannot be retained).
 	cols  []string
@@ -266,8 +265,8 @@ type projection struct {
 	keep  []bool
 }
 
-func newProjection(columns []string, cpu, ipc bool) *projection {
-	p := &projection{names: make(map[string]bool, len(columns)), cpu: cpu, ipc: ipc}
+func newProjection(columns []string, cpu bool) *projection {
+	p := &projection{names: make(map[string]bool, len(columns)), cpu: cpu}
 	for _, c := range columns {
 		p.names[c] = true
 	}
@@ -307,22 +306,22 @@ func (p *projection) keepCol(j int) bool {
 	return j < len(p.keep) && p.keep[j]
 }
 
-// decodeV2RecordInto decodes one v2 data payload against the segment's
-// dictionary into rec, reusing its row, column and values storage — the
-// decode the scan walker runs. A record's Values are carved from one
-// block the record owns (Record.block), sized from the summed per-row
-// counts once those are checked against the payload: a fresh record
-// costs one values allocation however many rows it has, a reused one
-// none unless it is wider than any the scratch held. It mirrors
-// appendV2Data exactly; trailing bytes are an error, not ignored.
-// Strings are shared with the segment dictionary, never re-allocated. A
-// nil proj decodes every field; otherwise unreferenced value columns
-// and unrequested CPU/IPC fields are stepped over via their control
-// bytes and their slots left zero, keeping Values index-aligned with
-// the columns in force.
-func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) error {
+// decodeDataInto decodes one v2 or v3 data payload against the
+// segment's dictionary into rec, reusing its row, column and values
+// storage — the decode the scan walker runs. A record's Values are
+// carved from one block the record owns (Record.block), sized from the
+// summed per-row counts once those are checked against the payload: a
+// fresh record costs one values allocation however many rows it has, a
+// reused one none unless it is wider than any the scratch held. It
+// mirrors appendData exactly, stepping over a v2 frame's IPC chain;
+// trailing bytes are an error, not ignored. Strings are shared with the
+// segment dictionary, never re-allocated. A nil proj decodes every
+// field; otherwise unreferenced value columns and an unrequested CPU%
+// chain are stepped over via their control bytes and their slots left
+// zero, keeping Values index-aligned with the columns in force.
+func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) error {
 	r := binenc.NewReader(p[2:])
-	rec.V = recordVersionV2
+	rec.V = int(p[0])
 	rec.TimeSeconds = float64(r.Uvarint()) / 1000
 	rec.ResSeconds = 0
 	if resMs := r.Uvarint(); resMs > 0 {
@@ -333,7 +332,7 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 	if flags&v2FlagCols != 0 {
 		n := r.Uvarint()
 		if n > uint64(len(p)) {
-			return fmt.Errorf("store: corrupt v2 record (cols)")
+			return fmt.Errorf("store: corrupt binary record (cols)")
 		}
 		for i := uint64(0); i < n; i++ {
 			idx := r.Uvarint()
@@ -341,7 +340,7 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 				return err
 			}
 			if idx >= uint64(len(dict)) {
-				return fmt.Errorf("store: v2 record references dictionary entry %d of %d", idx, len(dict))
+				return fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
 			}
 			rec.Cols = append(rec.Cols, dict[idx])
 		}
@@ -352,7 +351,7 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 	}
 	nrows := r.Uvarint()
 	if nrows > uint64(len(p)) {
-		return fmt.Errorf("store: corrupt v2 record (%d rows in %d bytes)", nrows, len(p))
+		return fmt.Errorf("store: corrupt binary record (%d rows in %d bytes)", nrows, len(p))
 	}
 	if uint64(cap(rec.Rows)) < nrows {
 		rec.Rows = make([]RecordRow, nrows)
@@ -373,7 +372,7 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 			return err
 		}
 		if idx >= uint64(len(dict)) {
-			return fmt.Errorf("store: v2 record references dictionary entry %d of %d", idx, len(dict))
+			return fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
 		}
 		rows[i].User = dict[idx]
 	}
@@ -383,7 +382,7 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 			return err
 		}
 		if idx >= uint64(len(dict)) {
-			return fmt.Errorf("store: v2 record references dictionary entry %d of %d", idx, len(dict))
+			return fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
 		}
 		rows[i].Command = dict[idx]
 	}
@@ -399,17 +398,8 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 			prev = rows[i].CPUPct
 		}
 	}
-	if proj != nil && !proj.ipc {
-		for i := range rows {
-			rows[i].IPC = 0
-		}
-		r.SkipFloats(len(rows))
-	} else {
-		prev := 0.0
-		for i := range rows {
-			rows[i].IPC = r.Float(prev)
-			prev = rows[i].IPC
-		}
+	if rec.V == recordVersionV2 {
+		r.SkipFloats(len(rows)) // the per-row IPC chain
 	}
 	// The per-row value counts are read twice: summed and checked against
 	// the payload first, so nothing is sized from a count a corrupt frame
@@ -419,7 +409,7 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 	for range rows {
 		n := r.Uvarint()
 		if n > uint64(len(p))-total {
-			return fmt.Errorf("store: corrupt v2 record (values)")
+			return fmt.Errorf("store: corrupt binary record (values)")
 		}
 		total += n
 		maxVals = max(maxVals, int(n))
@@ -470,15 +460,15 @@ func decodeV2RecordInto(rec *Record, p []byte, dict []string, proj *projection) 
 	rec.Machine.Cycles = r.Uvarint()
 	rec.Machine.Misses = r.Uvarint()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("store: corrupt v2 record: %w", err)
+		return fmt.Errorf("store: corrupt binary record: %w", err)
 	}
 	if r.Len() != 0 {
-		return fmt.Errorf("store: v2 record has %d trailing bytes", r.Len())
+		return fmt.Errorf("store: binary record has %d trailing bytes", r.Len())
 	}
 	return nil
 }
 
-// v2PeekCols extracts just the column names of a v2 data payload (nil
+// v2PeekCols extracts just the column names of a data payload (nil
 // when the frame carries none) so pre-range records can keep the column
 // tracking honest without decoding their rows.
 func v2PeekCols(p []byte, dict []string) ([]string, error) {
@@ -491,7 +481,7 @@ func v2PeekCols(p []byte, dict []string) ([]string, error) {
 	}
 	n := r.Uvarint()
 	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("store: corrupt v2 record (cols)")
+		return nil, fmt.Errorf("store: corrupt binary record (cols)")
 	}
 	cols := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -500,7 +490,7 @@ func v2PeekCols(p []byte, dict []string) ([]string, error) {
 			break
 		}
 		if idx >= uint64(len(dict)) {
-			return nil, fmt.Errorf("store: v2 record references dictionary entry %d of %d", idx, len(dict))
+			return nil, fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
 		}
 		cols = append(cols, dict[idx])
 	}

@@ -1,9 +1,11 @@
 package store
 
-// The raw range query as the store answered it before PR 25 made it a
-// plan on the query engine (internal/query's RunRaw), kept verbatim as
-// the reference: the store's history-reading tests run on it unedited,
-// and rawplan_test.go holds the engine's raw plan to its bytes. Query
+// The raw range query as the store answered it before it became a plan
+// on the query engine (internal/query's RunRaw), kept as the reference:
+// the store's history-reading tests run on it, and rawplan_test.go
+// holds the engine's raw plan to its bytes. It is verbatim but for one
+// line: a point's IPC is its row's instr/cycles, the value the record
+// formats before v3 stored beside the counters. Query
 // re-buckets through the write side's accumulator, so reading a tier at
 // a coarser step and writing that coarser tier agree by construction —
 // on single-screen data; it labels values by position, so a range
@@ -77,8 +79,7 @@ func (st *Store) Query(q QueryOptions) (*Result, error) {
 	_, err := st.Scan(q, func(rec *Record, cols []string) error {
 		out.Columns = cols
 		m := RecordRow{
-			CPUPct: rec.Machine.CPUPct, IPC: ratio(rec.Machine.Instr, rec.Machine.Cycles),
-			Instr: rec.Machine.Instr, Cycles: rec.Machine.Cycles,
+			CPUPct: rec.Machine.CPUPct, Instr: rec.Machine.Instr, Cycles: rec.Machine.Cycles,
 		}
 		if machineAcc == nil {
 			machine.add(rec.TimeSeconds, &m)
@@ -136,7 +137,7 @@ func (ss seriesSet) add(at float64, r *RecordRow) {
 	}
 	s.User, s.Command = r.User, r.Command
 	s.Points = append(s.Points, Point{
-		TimeSeconds: at, CPUPct: r.CPUPct, IPC: r.IPC,
+		TimeSeconds: at, CPUPct: r.CPUPct, IPC: ratio(r.Instr, r.Cycles),
 		Values: append([]float64(nil), r.Values...),
 	})
 }

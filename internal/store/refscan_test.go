@@ -7,7 +7,6 @@ package store
 // against record for record.
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -46,7 +45,7 @@ func (d *refDecoder) decode(payload []byte) (*Record, error) {
 		return DecodeRecord(payload)
 	}
 	rec := &Record{}
-	if err := decodeV2RecordInto(rec, payload, d.dict, nil); err != nil {
+	if err := decodeDataInto(rec, payload, d.dict, nil); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -73,7 +72,7 @@ func refScanFile(f queryFile, from, to time.Duration, cols *[]string, fn func(re
 
 // refScanStream is refScanFile over the segment's bytes.
 func refScanStream(r io.Reader, from, to time.Duration, cols *[]string, fn func(rec *Record, cols []string) error) error {
-	fr := newFrameReader(bufio.NewReaderSize(r, 1<<16))
+	fr := newFrameReader(r)
 	var fd refDecoder
 	for {
 		payload, ok, err := fr.next()

@@ -32,7 +32,6 @@ package store
 // that precedes the failure has been delivered.
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -127,17 +126,16 @@ type ScanOptions struct {
 	// (GOMAXPROCS), 1 walks inline on the caller's goroutine. The pool
 	// never exceeds the number of segment files in range.
 	Workers int
-	// Project restricts v2 decodes to the Columns named below; v1 JSON
-	// frames transparently fall back to a full decode. Unprojected
+	// Project restricts binary decodes to the Columns named below; v1
+	// JSON frames transparently fall back to a full decode. Unprojected
 	// fields are left zero, with Values index-aligned to the columns in
 	// force.
 	Project bool
 	// Columns are the referenced value-column names when projecting.
 	Columns []string
-	// NeedCPUPct / NeedIPC keep the fixed per-row CPU and IPC fields in
-	// a projected decode.
+	// NeedCPUPct keeps the fixed per-row CPU% field in a projected
+	// decode.
 	NeedCPUPct bool
-	NeedIPC    bool
 }
 
 // RangeError reports an invalid query range or step — a request error
@@ -200,7 +198,7 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 		if !opts.Project {
 			return nil
 		}
-		return newProjection(opts.Columns, opts.NeedCPUPct, opts.NeedIPC)
+		return newProjection(opts.Columns, opts.NeedCPUPct)
 	}
 	if workers > 1 {
 		return res, scanParallel(files, view.cols, from, to, workers, mk, fn)
@@ -229,19 +227,16 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 
 // segScanner walks segment files one at a time, carrying the decoder
 // state a file establishes (its dictionary, the projection's keep set)
-// and the buffers every file needs: a read buffer — frames are 8-byte
-// headers plus small payloads, so reading them straight off the file
-// descriptor costs two syscalls each — the frame payload buffer, the
-// dictionary slice, and an intern table, so a dictionary string is made
-// once per distinct string, not once per file per scan. Scanners outlive
-// the scan that used them: getScanner leases one from a pool, release
-// hands it back.
+// and the buffers every file needs: a frame reader (its read and payload
+// buffers), the dictionary slice, and an intern table, so a dictionary
+// string is made once per distinct string, not once per file per scan.
+// Scanners outlive the scan that used them: getScanner leases one from
+// a pool, release hands it back.
 type segScanner struct {
 	proj   *projection // nil = full decode
 	dict   []string
 	intern map[string]string
-	br     *bufio.Reader
-	fr     frameReader
+	fr     *frameReader
 }
 
 // internMax bounds a pooled scanner's intern table: a table that has
@@ -250,7 +245,7 @@ type segScanner struct {
 const internMax = 4096
 
 var scanners = sync.Pool{New: func() any {
-	return &segScanner{br: bufio.NewReaderSize(nil, 1<<16), intern: make(map[string]string)}
+	return &segScanner{fr: newFrameReader(nil), intern: make(map[string]string)}
 }}
 
 // getScanner leases a scanner that decodes under proj.
@@ -264,7 +259,7 @@ func getScanner(proj *projection) *segScanner {
 // last read nor the scan's projection. What it decoded stays valid:
 // records share only the dictionary's immutable strings with it.
 func (s *segScanner) release() {
-	s.br.Reset(nil)
+	s.fr.reset(nil)
 	s.proj = nil
 	scanners.Put(s)
 }
@@ -276,15 +271,15 @@ var colsKey = []byte(`,"cols":[`)
 
 // scanFile streams one segment's in-range records. Frames are
 // version-sniffed individually (an old store's recovered tail segment
-// holds v1 JSON with v2 frames appended after it). Records before the
-// range are skipped undecoded, but dictionary frames always fold into
-// the decoder state, and records carrying column names (each segment's
-// first record, and any screen change) surface them, so the columns
-// reported where the range starts are the ones in force there — not an
-// older screen's. next supplies the record each v2 frame decodes into
-// (the caller's scratch policy; v1 frames always decode fresh). emit
-// receives each record together with the columns the file has
-// established so far — nil until the file names them, meaning
+// holds v1 JSON or v2 frames with v3 ones appended after them). Records
+// before the range are skipped undecoded, but dictionary frames always
+// fold into the decoder state, and records carrying column names (each
+// segment's first record, and any screen change) surface them, so the
+// columns reported where the range starts are the ones in force there —
+// not an older screen's. next supplies the record each binary frame
+// decodes into (the caller's scratch policy; v1 frames always decode
+// fresh). emit receives each record together with the columns the file
+// has established so far — nil until the file names them, meaning
 // "inherited from earlier files"; non-nil slices are owned by the scan,
 // never aliased to scratch.
 func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
@@ -308,9 +303,8 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 	if s.proj != nil {
 		s.proj.reset()
 	}
-	s.br.Reset(r)
-	s.fr = frameReader{r: s.br, buf: s.fr.buf}
-	fr := &s.fr
+	fr := s.fr
+	fr.reset(r)
 	var fileCols []string
 	for {
 		payload, ok, err := fr.next()
@@ -362,7 +356,7 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 			}
 		} else {
 			rec = next()
-			if err := decodeV2RecordInto(rec, payload, s.dict, s.proj); err != nil {
+			if err := decodeDataInto(rec, payload, s.dict, s.proj); err != nil {
 				return err
 			}
 		}

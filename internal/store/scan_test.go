@@ -3,7 +3,7 @@ package store
 // Tests for the scan walker: inline and pooled, full and projected, it
 // must reproduce the reference loop (refscan_test.go) record-for-record
 // (including column-change annotations) over stores mixing v1 JSON and
-// v2 columnar segments;
+// v3 columnar segments;
 // projection must zero exactly the unreferenced fields and nothing
 // else; invalid ranges must fail with typed errors; and scans must be
 // race-free against concurrent appends and compaction.
@@ -59,9 +59,9 @@ func collectScan(t *testing.T, st *Store, opts ScanOptions) []scannedRec {
 }
 
 // mixedStore builds a store whose segments span every layout a scan can
-// meet: varied appends, a compaction pass (merged v2 .cseg), more
+// meet: varied appends, a compaction pass (merged v3 .cseg), more
 // appends rewritten as the v1 JSON an older build's live writer left,
-// then live v2 appends — the first of them after the v1 frames of the
+// then live v3 appends — the first of them after the v1 frames of the
 // recovered tail.
 func mixedStore(t *testing.T) *Store {
 	t.Helper()
@@ -87,8 +87,8 @@ func mixedStore(t *testing.T) *Store {
 	st = mustOpen(t, dir, Options{SegmentBytes: 64 << 10})
 	st.SetColumns([]string{"branch-miss", "llc-load"})
 	fillVaried(t, st, 1500*time.Millisecond, 1500*time.Millisecond, n/2, 6, &seed)
-	if v1, dicts, v2 := frameKinds(t, newestSegment(t, dir, "raw")); v1 == 0 || dicts == 0 || v2 == 0 {
-		t.Fatalf("tail segment holds %d v1, %d dictionary, %d v2 frames; want all three", v1, dicts, v2)
+	if k := frameKinds(t, newestSegment(t, dir, "raw")); k.V1 == 0 || k.Dicts == 0 || k.V3 == 0 {
+		t.Fatalf("tail segment holds %+v frames; want v1, dictionary and v3 ones", k)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
@@ -98,7 +98,7 @@ func mixedStore(t *testing.T) *Store {
 // so a projected scan must equal the reference outright.
 func everything(q QueryOptions, workers int) ScanOptions {
 	return ScanOptions{QueryOptions: q, Workers: workers, Project: true,
-		Columns: []string{"branch-miss", "llc-load"}, NeedCPUPct: true, NeedIPC: true}
+		Columns: []string{"branch-miss", "llc-load"}, NeedCPUPct: true}
 }
 
 // TestScanParallelMatchesSerial: the one walker, inline (one worker) or
@@ -159,7 +159,7 @@ func TestScanProjectedMatchesFull(t *testing.T) {
 			want := copyScan(&s.Rec, cols)
 			for j := range want.Rec.Rows {
 				r := &want.Rec.Rows[j]
-				r.CPUPct, r.IPC = 0, 0
+				r.CPUPct = 0
 				for k := range r.Values {
 					if k >= len(cols) || cols[k] != keepName {
 						r.Values[k] = 0
@@ -172,7 +172,7 @@ func TestScanProjectedMatchesFull(t *testing.T) {
 			zeroed++
 		}
 		if zeroed == 0 {
-			t.Fatal("no record took the projected v2 decode path")
+			t.Fatal("no record took the projected binary decode path")
 		}
 		// The projection must have kept something real.
 		kept := false
@@ -211,7 +211,7 @@ func TestScanAllocsPerRecord(t *testing.T) {
 	fillVaried(t, st, time.Second, time.Second, records, 6, &seed)
 	for _, workers := range []int{1, 4} {
 		opts := ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: workers,
-			Project: true, Columns: []string{"llc-load"}, NeedIPC: true}
+			Project: true, Columns: []string{"llc-load"}}
 		var seen int
 		allocs := testing.AllocsPerRun(3, func() {
 			seen = 0
@@ -235,13 +235,13 @@ func scratchPayload(d *v2Dict, base float64, widths ...int) []byte {
 	rec := &Record{TimeSeconds: 1, Cols: []string{"a", "b", "c"}}
 	for i, w := range widths {
 		r := RecordRow{PID: 100 + i, TID: 100 + i, User: "u", Command: "job",
-			CPUPct: base + float64(i), IPC: base / 2, Values: make([]float64, w), Instr: uint64(i)}
+			CPUPct: base + float64(i), Values: make([]float64, w), Instr: uint64(i)}
 		for k := range r.Values {
 			r.Values[k] = base + float64(10*i+k+1)
 		}
 		rec.Rows = append(rec.Rows, r)
 	}
-	return appendV2Data(nil, rec, d)
+	return appendData(nil, rec, d)
 }
 
 // TestDecodeScratchReuse: one scratch record decoded wide, then narrow,
@@ -267,16 +267,16 @@ func TestDecodeScratchReuse(t *testing.T) {
 		{"wide", wide, func() *projection { return nil }},
 		{"narrow", scratchPayload(d, 2000, 2, 2, 2, 2, 2), func() *projection { return nil }},
 		{"ragged", scratchPayload(d, 3000, 0, 1, 2, 0, 0, 3, 1, 0), func() *projection { return nil }},
-		{"projected", wide, func() *projection { return newProjection([]string{"b"}, false, false) }},
+		{"projected", wide, func() *projection { return newProjection([]string{"b"}, false) }},
 		{"empty", scratchPayload(d, 4000, 0, 0), func() *projection { return nil }},
 	}
 	scratch := &Record{}
 	for _, step := range steps {
 		fresh := &Record{}
-		if err := decodeV2RecordInto(fresh, step.payload, d.strs, step.proj()); err != nil {
+		if err := decodeDataInto(fresh, step.payload, d.strs, step.proj()); err != nil {
 			t.Fatalf("%s: fresh decode: %v", step.name, err)
 		}
-		if err := decodeV2RecordInto(scratch, step.payload, d.strs, step.proj()); err != nil {
+		if err := decodeDataInto(scratch, step.payload, d.strs, step.proj()); err != nil {
 			t.Fatalf("%s: scratch decode: %v", step.name, err)
 		}
 		if !reflect.DeepEqual(copyScan(scratch, nil), copyScan(fresh, nil)) {
@@ -302,14 +302,14 @@ func TestDecodeScratchReuse(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := decodeV2RecordInto(&Record{}, wide, d.strs, nil); err != nil {
+		if err := decodeDataInto(&Record{}, wide, d.strs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 6 {
 		t.Errorf("a fresh decode of %d rows made %.0f allocations, want <= 6 (the record, its rows, one values block, three column names appended)", len(wideRows), allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := decodeV2RecordInto(scratch, wide, d.strs, nil); err != nil {
+		if err := decodeDataInto(scratch, wide, d.strs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -320,11 +320,12 @@ func TestDecodeScratchReuse(t *testing.T) {
 // TestDecodeRefusesClaimedValueCounts: the per-row value counts size the
 // record's values block, so a payload that claims more values than it
 // has bytes — in one row, summed over rows, or by wrapping the sum — is
-// refused before anything is sized from them.
+// refused before anything is sized from them, in a v3 frame and in a v2
+// one (whose IPC chain the decode steps over).
 func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 	dict := []string{"u", "job"}
-	prefix := func() []byte {
-		b := append([]byte(nil), recordVersionV2, v2KindData)
+	prefix := func(v byte) []byte {
+		b := append([]byte(nil), v, v2KindData)
 		b = binenc.AppendUvarint(b, 1000) // time
 		b = binenc.AppendUvarint(b, 0)    // res
 		b = append(b, 0)                  // no column names
@@ -333,28 +334,34 @@ func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 		b = binenc.AppendVarint(binenc.AppendVarint(b, 0), 0)
 		b = binenc.AppendUvarint(binenc.AppendUvarint(b, 0), 0) // users
 		b = binenc.AppendUvarint(binenc.AppendUvarint(b, 1), 1) // commands
-		return append(b, 0, 0, 0, 0)                            // CPU and IPC chains, all "same as previous"
-	}
-	for name, counts := range map[string][2]uint64{
-		"one row":  {1 << 40, 0},
-		"summed":   {40, 40},
-		"wrapping": {5, 1<<64 - 3},
-	} {
-		p := binenc.AppendUvarint(binenc.AppendUvarint(prefix(), counts[0]), counts[1])
-		p = append(p, make([]byte, 24)...) // what would follow: zero control bytes and counters
-		scratch := &Record{}
-		if err := decodeV2RecordInto(scratch, p, dict, nil); err == nil {
-			t.Errorf("%s: a %d-byte payload claiming %d + %d values decoded", name, len(p), counts[0], counts[1])
+		b = append(b, 0, 0)                                     // the CPU chain, all "same as previous"
+		if v == recordVersionV2 {
+			b = append(b, 0, 0) // and the IPC chain
 		}
-		if cap(scratch.block) > len(p) {
-			t.Errorf("%s: the refused payload sized a %d-value block", name, cap(scratch.block))
-		}
+		return b
 	}
-	// The same frame with honest counts decodes.
-	p := binenc.AppendUvarint(binenc.AppendUvarint(prefix(), 1), 0)
-	p = append(p, make([]byte, 1+6+5)...) // one value, three counters a row, the roll-up
-	if err := decodeV2RecordInto(&Record{}, p, dict, nil); err != nil {
-		t.Fatalf("the hand-built frame does not decode with honest counts: %v", err)
+	for _, v := range []byte{recordVersionV2, RecordVersion} {
+		for name, counts := range map[string][2]uint64{
+			"one row":  {1 << 40, 0},
+			"summed":   {40, 40},
+			"wrapping": {5, 1<<64 - 3},
+		} {
+			p := binenc.AppendUvarint(binenc.AppendUvarint(prefix(v), counts[0]), counts[1])
+			p = append(p, make([]byte, 24)...) // what would follow: zero control bytes and counters
+			scratch := &Record{}
+			if err := decodeDataInto(scratch, p, dict, nil); err == nil {
+				t.Errorf("v%d, %s: a %d-byte payload claiming %d + %d values decoded", v, name, len(p), counts[0], counts[1])
+			}
+			if cap(scratch.block) > len(p) {
+				t.Errorf("v%d, %s: the refused payload sized a %d-value block", v, name, cap(scratch.block))
+			}
+		}
+		// The same frame with honest counts decodes.
+		p := binenc.AppendUvarint(binenc.AppendUvarint(prefix(v), 1), 0)
+		p = append(p, make([]byte, 1+6+5)...) // one value, three counters a row, the roll-up
+		if err := decodeDataInto(&Record{}, p, dict, nil); err != nil {
+			t.Fatalf("the hand-built v%d frame does not decode with honest counts: %v", v, err)
+		}
 	}
 }
 

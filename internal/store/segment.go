@@ -126,17 +126,20 @@ func (sg *segment) seal() error {
 	return nil
 }
 
-// openSegment scans an existing segment, validating every frame and
-// clipping a torn or corrupt tail: logically always (size/n/first/last
-// reflect only the valid prefix), physically when writable is set (the
-// newest segment of a tier, which reopens for appending).
-func openSegment(path string, seq, seqEnd int64, writable bool) (*segment, error) {
+// openSegment scans an existing segment through fr, validating every
+// frame and clipping a torn or corrupt tail: logically always
+// (size/n/first/last reflect only the valid prefix), physically when
+// writable is set (the newest segment of a tier, which reopens for
+// appending). Recovery passes one fr for every file it opens, so the
+// read and payload buffers are made once per Open, not once per file.
+func openSegment(fr *frameReader, path string, seq, seqEnd int64, writable bool) (*segment, error) {
 	sg := &segment{path: path, seq: seq, seqEnd: seqEnd}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	sc, scanErr := scanFrames(bufio.NewReaderSize(f, 1<<16))
+	fr.reset(f)
+	sc, scanErr := scanFrames(fr)
 	closeErr := f.Close()
 	if scanErr != nil {
 		return nil, scanErr
@@ -171,15 +174,14 @@ type frameScan struct {
 	dict        []string
 }
 
-// scanFrames walks the segment from the start and stops (without error)
-// at the first invalid frame. Frames are version-sniffed individually
-// (v1 JSON and v2 columnar mix freely); v2 dictionary frames join the
-// valid prefix but are not records, so they never count or move the
-// time bounds.
-func scanFrames(r io.Reader) (sc frameScan, err error) {
-	br := newFrameReader(r)
+// scanFrames walks a segment from where fr was reset to and stops
+// (without error) at the first invalid frame. Frames are version-sniffed
+// individually (v1 JSON and binary frames of either version mix
+// freely); dictionary frames join the valid prefix but are not records,
+// so they never count or move the time bounds.
+func scanFrames(fr *frameReader) (sc frameScan, err error) {
 	for {
-		payload, ok, rerr := br.next()
+		payload, ok, rerr := fr.next()
 		if rerr != nil {
 			return frameScan{}, rerr
 		}
@@ -208,22 +210,33 @@ func scanFrames(r io.Reader) (sc frameScan, err error) {
 			sc.last = t
 			sc.n++
 		}
-		br.accept()
-		sc.valid = br.valid
+		fr.accept()
+		sc.valid = fr.valid
 	}
 }
 
 // frameReader iterates frames over a reader, tracking the end offset of
-// the last accepted frame.
+// the last accepted frame. It reads through a 64 KiB buffer — frames are
+// 8-byte headers plus small payloads, so reading them straight off a
+// file descriptor costs two syscalls each — and reset points it at the
+// next file with both buffers kept.
 type frameReader struct {
-	r     io.Reader
+	r     *bufio.Reader
 	buf   []byte
 	off   int64 // offset after the frame just returned by next
 	valid int64 // offset after the last accepted frame
 	hdr   [frameHeader]byte
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// reset starts the reader over on r, keeping its buffers.
+func (fr *frameReader) reset(r io.Reader) {
+	fr.r.Reset(r)
+	fr.off, fr.valid = 0, 0
+}
 
 // next returns the next frame's payload, or ok=false at a clean EOF or
 // the first invalid frame (short header, implausible length, short
@@ -241,7 +254,9 @@ func (fr *frameReader) next() (payload []byte, ok bool, err error) {
 		return nil, false, nil
 	}
 	if cap(fr.buf) < int(length) {
-		fr.buf = make([]byte, length)
+		// Doubling: a walk over frames of rising size reallocates a few
+		// times, not once for every new largest frame.
+		fr.buf = make([]byte, length, min(max(int(length), 2*cap(fr.buf)), maxRecordBytes))
 	}
 	fr.buf = fr.buf[:length]
 	if _, rerr := io.ReadFull(fr.r, fr.buf); rerr != nil {

@@ -11,17 +11,17 @@
 //	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
 //
 // with lengths little-endian and the payload a versioned binary frame:
-// record format v2 (recordv2.go), column-major with XOR-compressed
+// record format v3 (recordv2.go), column-major with XOR-compressed
 // floats and a per-segment string dictionary, so the log is dense the
 // moment it is written and a query decodes only the columns it names.
 // The first payload byte is the version; readers accept versions up to
 // their own RecordVersion and reject newer ones loudly, like the remote
-// wire format. Stores written by older builds hold record format v1 —
-// one JSON document per frame (record.go) — which is still read, frame
-// by frame, but never written. The write path encodes into reused
-// buffers, so steady-state appends are near-zero-alloc like
-// history.Recorder.Observe — a store teed into a recorder does not
-// perturb the sampling loop.
+// wire format. Stores written by older builds hold record format v2 —
+// the same layout plus a per-row IPC column — or v1, one JSON document
+// per frame (record.go); both are still read, frame by frame, but never
+// written. The write path encodes into reused buffers, so steady-state
+// appends are near-zero-alloc like history.Recorder.Observe — a store
+// teed into a recorder does not perturb the sampling loop.
 //
 // Crash safety. Appends go straight to the file, one write per record
 // (a record that introduces new strings carries its dictionary frame in
@@ -62,13 +62,14 @@ import (
 )
 
 // RecordVersion is the newest record format this build reads, and the
-// one it writes: 2 is the columnar layout of recordv2.go, in live
-// segments and compacted ones alike; 1 is the JSON layout older builds
-// appended, decode-only now. Readers sniff the version per frame (a
-// recovered tail may hold v1 frames followed by v2 ones), accept
+// one it writes: 3 is the columnar layout of recordv2.go, in live
+// segments and compacted ones alike. 2 is the same layout with a stored
+// per-row IPC column, and 1 the JSON layout; older builds wrote them,
+// and they are decode-only now. Readers sniff the version per frame (a
+// recovered tail may hold v1 or v2 frames followed by v3 ones), accept
 // documents up to this ceiling and reject newer ones loudly, mirroring
 // the remote wire contract.
-const RecordVersion = 2
+const RecordVersion = 3
 
 // Resolutions are the store's downsampling tiers: raw refreshes, then
 // 10-second averages, then 1-minute averages. Index 0 is the raw tier.
@@ -349,7 +350,7 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		rows = append(rows, RecordRow{
 			PID: row.Info.ID.PID, TID: row.Info.ID.TID,
 			User: row.Info.User, Command: row.Info.Comm,
-			CPUPct: row.CPUPct, IPC: row.IPC(), Values: vals[off:],
+			CPUPct: row.CPUPct, Values: vals[off:],
 			Instr: instr, Cycles: cycles, Misses: misses,
 		})
 	}
@@ -421,7 +422,7 @@ func finite(f float64) float64 {
 }
 
 // writeRecord rotates the tier's active segment if due and appends rows
-// (store-owned scratch, sanitised in place) as one record-v2 data
+// (store-owned scratch, sanitised in place) as one record-v3 data
 // frame, computing the machine roll-up on the way. Non-finite floats
 // become 0 here: the XOR float encoding would persist them bit-exactly
 // and every later JSON encode of a query over them would fail. When the
@@ -447,7 +448,7 @@ func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow) error
 	}
 	for i := range rows {
 		r := &rows[i]
-		r.CPUPct, r.IPC = finite(r.CPUPct), finite(r.IPC)
+		r.CPUPct = finite(r.CPUPct)
 		for j, v := range r.Values {
 			r.Values[j] = finite(v)
 		}
@@ -459,7 +460,7 @@ func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow) error
 	rec.Machine.CPUPct = finite(rec.Machine.CPUPct)
 	dict := t.active.dict
 	known := len(dict.strs)
-	st.buf = appendV2Data(beginFrame(st.buf[:0]), rec, dict)
+	st.buf = appendData(beginFrame(st.buf[:0]), rec, dict)
 	endFrame(st.buf)
 	frames := st.buf
 	if len(dict.strs) > known {
@@ -765,12 +766,13 @@ func (st *Store) recover() error {
 		kept = append(kept, f)
 	}
 	files = kept
+	fr := newFrameReader(nil)
 	for i, f := range files {
 		t := st.tiers[f.tier]
 		// Only a plain tail segment reopens for appending; a compacted
 		// tail stays sealed and the next append starts a fresh segment.
 		lastOfTier := (i == len(files)-1 || files[i+1].tier != f.tier) && !f.compacted
-		sg, err := openSegment(f.path, f.seq, f.end, lastOfTier)
+		sg, err := openSegment(fr, f.path, f.seq, f.end, lastOfTier)
 		if err != nil {
 			return err
 		}

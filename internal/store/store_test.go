@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -482,10 +484,9 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAppendDensity pins how dense live appends write the raw tier: at
-// most 48.4 bytes per task-refresh on the wide sample — a third of what
-// the retired v1 JSON writer needed for it (141 with this one-letter
-// user, 145.26 with the five-letter one the bound was derived from);
-// typical: ~19.
+// most 18.5 bytes per task-refresh on the wide sample, which v3 writes
+// in 18.14 — so a per-row column added back fails here. The retired
+// writers needed 19.15 (v2, with its IPC column) and 141 (v1 JSON).
 func TestAppendDensity(t *testing.T) {
 	dir := t.TempDir()
 	// The budget keeps retention away: a dropped segment would read as
@@ -520,17 +521,43 @@ func TestAppendDensity(t *testing.T) {
 	before := rawBytes()
 	fillWide(8, appends)
 	density := float64(rawBytes()-before) / (appends * tasks)
-	if density <= 0 || density > 48.4 {
-		t.Fatalf("live appends write %.1f raw-tier bytes per task-refresh, want in (0, 48.4]", density)
+	if density <= 0 || density > 18.5 {
+		t.Fatalf("live appends write %.2f raw-tier bytes per task-refresh, want in (0, 18.5]", density)
 	}
+	t.Logf("%.2f raw-tier bytes per task-refresh", density)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRecordVersionRejected: a record newer than RecordVersion is
+// refused loudly wherever it is read — a JSON document by DecodeRecord,
+// a binary frame led by 0x04 at Open and by a scan that reaches it after
+// a v3 record.
 func TestRecordVersionRejected(t *testing.T) {
 	if _, err := DecodeRecord([]byte(`{"v":99,"time_s":1,"rows":[],"machine":{}}`)); err == nil {
 		t.Fatal("future record version accepted")
+	}
+	d := newV2Dict(nil)
+	data := appendData(nil, &Record{TimeSeconds: 1, Rows: []RecordRow{{PID: 1, User: "u", Command: "c"}}}, d)
+	path := filepath.Join(t.TempDir(), "raw-0000000001.seg")
+	for _, payload := range [][]byte{d.appendDictFrame(nil, 0), data, {0x04, v2KindData, 0x80, 0x08}} {
+		writeRawFrame(t, path, payload)
+	}
+	if _, err := Open(filepath.Dir(path), Options{}); err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("Open = %v, want a loud version-4 rejection", err)
+	}
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := getScanner(nil)
+	defer sc.release()
+	n := 0
+	err = sc.scan(bytes.NewReader(seg), 0, 1<<62, func() *Record { return &Record{} },
+		func(*Record, []string) error { n++; return nil })
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("a scan emitted %d records and returned %v, want the v3 record, then a loud version-4 rejection", n, err)
 	}
 }
 

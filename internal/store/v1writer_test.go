@@ -1,7 +1,7 @@
 package store
 
 // The record-format-v1 JSON writer live appends used before they switched
-// to v2 frames — retired from production, kept here because it is the
+// to binary frames — retired from production, kept here because it is the
 // only way to produce v1 input: the mixed-version, golden-ratio,
 // old-store and fuzz-seed tests all need segments exactly as an older
 // build wrote them.
@@ -17,7 +17,8 @@ import (
 
 // appendV1Record renders rec as the v1 JSON payload the retired live
 // writer produced, byte for byte: fixed field order, millisecond times,
-// shortest round-tripping floats, "tid" omitted when zero.
+// shortest round-tripping floats, "tid" omitted when zero, and each row's
+// "ipc" as the writer computed it — instr/cycles, 0 without cycles.
 func appendV1Record(b []byte, rec *Record) []byte {
 	b = append(b, `{"v":1,"time_s":`...)
 	b = appendV1Seconds(b, rec.TimeSeconds)
@@ -54,7 +55,7 @@ func appendV1Record(b []byte, rec *Record) []byte {
 		b = append(b, `,"cpu_pct":`...)
 		b = appendV1Float(b, r.CPUPct)
 		b = append(b, `,"ipc":`...)
-		b = appendV1Float(b, r.IPC)
+		b = appendV1Float(b, ratio(r.Instr, r.Cycles))
 		b = append(b, `,"values":[`...)
 		for j, v := range r.Values {
 			if j > 0 {
@@ -129,7 +130,7 @@ func appendV1String(b []byte, s string) []byte {
 // rewriteSegmentsV1 turns a closed store's live segments (*.seg) into
 // what the v1 writer would have left for the same appends: one JSON
 // frame per record, no dictionary frames. Compacted segments (*.cseg)
-// were v2 then too and stay as they are, so fill → Compact → fill →
+// were binary then too and stay as they are, so fill → Compact → fill →
 // Close → rewriteSegmentsV1 reproduces an old build's directory.
 func rewriteSegmentsV1(t *testing.T, dir string) {
 	t.Helper()

@@ -162,8 +162,8 @@ type CompactionResult = store.CompactionResult
 // Compact merges the store's sealed segments — those that sealed small
 // by age, or were fragmented by restarts — into full-size ones under
 // one string dictionary each, tombstoning series of long-exited tasks
-// if asked. Appends already write the columnar record format v2, so
-// this shrinks only what an older build left as v1 JSON. Queries keep
+// if asked. Appends already write the columnar record format v3, so
+// this shrinks only what an older build left as v1 JSON or v2. Queries keep
 // answering (and appends keep landing) during the pass, and read every
 // segment layout transparently afterwards. tiptopd runs this
 // periodically with -compact; archival users call it after bulk loads.
