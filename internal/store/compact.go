@@ -22,17 +22,19 @@ package store
 //
 // recover() finishes whatever step a crash interrupted: a .cmpct file
 // is deleted (its inputs are intact), a published .cseg supersedes
-// every segment file whose sequence range it contains. Retention is
-// deferred while a rewrite is in flight so inputs cannot vanish
-// mid-read; it catches up on the next append.
+// every segment file whose sequence range it contains. A tier whose
+// rewrite fails before step 3 removes what it published, so its inputs
+// stay the only copy. Retention is deferred while a rewrite is in
+// flight so inputs cannot vanish mid-read; it catches up on the next
+// append.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"tiptop/internal/hpm"
@@ -132,13 +134,9 @@ func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) {
 			// published over the input's own path (the name encodes the
 			// sequence range) — that path now holds the output, so it
 			// must survive the input cleanup.
-			kept := make(map[string]bool, len(outs))
-			for _, o := range outs {
-				kept[o.path] = true
-			}
 			for _, in := range j.inputs {
-				if !kept[in.path] {
-					_ = os.Remove(in.path)
+				if !hasPath(outs, in.path) {
+					_ = st.fsys.remove(in.path)
 				}
 			}
 		}
@@ -150,15 +148,20 @@ func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) {
 // compactTier rewrites one tier's inputs. Two streaming passes: the
 // first builds the string dictionary and the per-series last-seen map,
 // the second encodes. Runs without the store lock — inputs are sealed
-// and retention is deferred.
-func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (TierCompaction, []*segment, error) {
-	tc := TierCompaction{Tier: tierNames[t.idx], Segments: len(inputs)}
-	dict := newV2Dict(nil)
+// and retention is deferred. A failed rewrite leaves no output behind.
+func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc TierCompaction, outs []*segment, err error) {
+	tc = TierCompaction{Tier: tierNames[t.idx], Segments: len(inputs)}
+	w := &compactWriter{fsys: st.fsys, dir: st.dir, tier: tierNames[t.idx], dict: newV2Dict(nil)}
+	defer func() {
+		if err != nil {
+			w.abort(inputs)
+		}
+	}()
 	lastSeen := make(map[hpm.TaskID]time.Duration)
 	var newest time.Duration
 	// Both passes ride the scan walker over each input's whole time
 	// range, decoding every field into one scratch record.
-	sc := getScanner(nil)
+	sc := getScanner(st.fsys, nil)
 	defer sc.release()
 	scratch := &Record{}
 	each := func(in *segment, fn func(rec *Record, fileCols []string) error) error {
@@ -175,12 +178,12 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (Ti
 			}
 			for i := range rec.Rows {
 				r := &rec.Rows[i]
-				dict.intern(r.User)
-				dict.intern(r.Command)
+				w.dict.intern(r.User)
+				w.dict.intern(r.Command)
 				lastSeen[hpm.TaskID{PID: r.PID, TID: r.TID}] = rt
 			}
 			for _, c := range rec.Cols {
-				dict.intern(c)
+				w.dict.intern(c)
 			}
 			return nil
 		})
@@ -202,7 +205,6 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (Ti
 		}
 		tc.TombstonedSeries = len(dead)
 	}
-	w := &compactWriter{dir: st.dir, tier: tierNames[t.idx], dict: dict}
 	var activeCols, writtenCols []string
 	var filtered []RecordRow
 	for i, in := range inputs {
@@ -240,7 +242,6 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (Ti
 			return w.record(&out)
 		})
 		if err != nil {
-			w.abort()
 			return tc, nil, err
 		}
 		w.b = in.seqEnd
@@ -265,25 +266,16 @@ func recTime(rec *Record) time.Duration {
 	return time.Duration(rec.TimeSeconds * float64(time.Second))
 }
 
-func sameCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func sameCols(a, b []string) bool { return slices.Equal(a, b) }
 
 // compactWriter produces the output segments of one tier's rewrite,
 // one at a time: dictionary frame first, then data frames, finished by
 // fsync + publish rename.
 type compactWriter struct {
+	fsys      filesystem
 	dir, tier string
 	dict      *v2Dict
-	f         *os.File
+	f         file
 	bw        *bufio.Writer
 	tmpPath   string
 	a, b      int64
@@ -298,7 +290,7 @@ type compactWriter struct {
 // start opens the unpublished output covering inputs from sequence a.
 func (w *compactWriter) start(a int64) error {
 	w.tmpPath = filepath.Join(w.dir, fmt.Sprintf("%s-%010d%s", w.tier, a, compactingExt))
-	f, err := os.OpenFile(w.tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := w.fsys.create(w.tmpPath)
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
@@ -340,26 +332,23 @@ func (w *compactWriter) finish() error {
 		return nil
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.abort()
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
-		w.abort()
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	if err := w.f.Close(); err != nil {
-		w.f = nil
-		_ = os.Remove(w.tmpPath)
-		return fmt.Errorf("store: compact: %w", err)
-	}
+	err := w.f.Close()
 	w.f, w.bw = nil, nil
-	final := compactedPath(w.dir, w.tier, w.a, w.b, compactedExt)
-	if err := os.Rename(w.tmpPath, final); err != nil {
-		_ = os.Remove(w.tmpPath)
+	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
+	final := compactedPath(w.dir, w.tier, w.a, w.b, compactedExt)
+	if err := w.fsys.rename(w.tmpPath, final); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	w.tmpPath = ""
 	// Make the publish durable before anyone unlinks the inputs.
-	syncDir(w.dir)
+	w.fsys.syncDir(w.dir)
 	w.outs = append(w.outs, &segment{
 		path: final, seq: w.a, seqEnd: w.b,
 		size: w.size, n: w.n, first: w.first, last: w.last,
@@ -367,23 +356,24 @@ func (w *compactWriter) finish() error {
 	return nil
 }
 
-// abort discards the unpublished output.
-func (w *compactWriter) abort() {
+// abort discards the unpublished output and every output already
+// published, so the inputs stay the whole story — except an output
+// published over an input's own path, which now holds that input.
+func (w *compactWriter) abort(inputs []*segment) {
 	if w.f != nil {
 		_ = w.f.Close()
 		w.f, w.bw = nil, nil
-		_ = os.Remove(w.tmpPath)
+	}
+	if w.tmpPath != "" {
+		_ = w.fsys.remove(w.tmpPath)
+	}
+	for _, o := range w.outs {
+		if !hasPath(inputs, o.path) {
+			_ = w.fsys.remove(o.path)
+		}
 	}
 }
 
-// syncDir best-effort fsyncs a directory so a rename is on disk before
-// dependent deletes; not every platform supports it, and recovery is
-// correct either way — this only narrows the window.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
+func hasPath(segs []*segment, path string) bool {
+	return slices.ContainsFunc(segs, func(sg *segment) bool { return sg.path == path })
 }

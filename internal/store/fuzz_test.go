@@ -166,7 +166,7 @@ func walkerMatchesReference(t *testing.T, seg []byte) {
 	})
 	scratch := &Record{}
 	for _, proj := range []*projection{nil, newProjection([]string{"IPC"}, false)} {
-		sc := getScanner(proj)
+		sc := getScanner(nil, proj)
 		defer sc.release()
 		for pass := 0; pass < 2; pass++ {
 			n := 0

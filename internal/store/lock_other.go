@@ -2,9 +2,9 @@
 
 package store
 
-import "os"
+import "io"
 
 // lockDir is a no-op where flock(2) is unavailable (windows and the
 // rarer unixes): single-writer discipline is the operator's
 // responsibility there, as documented on Open.
-func lockDir(dir string) (*os.File, error) { return nil, nil }
+func lockDir(dir string) (io.Closer, error) { return nil, nil }

@@ -33,10 +33,12 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,13 +97,7 @@ func (st *Store) snapshotTier(step time.Duration) (*queryView, time.Duration, er
 	if st.tiers == nil {
 		return nil, 0, fmt.Errorf("store: closed")
 	}
-	ti := 0
-	for i, r := range Resolutions {
-		if r == TierFor(step) {
-			ti = i
-		}
-	}
-	t := st.tiers[ti]
+	t := st.tiers[slices.Index(Resolutions, TierFor(step))]
 	view := &queryView{res: t.res, cols: append([]string(nil), st.cols...)}
 	add := func(sg *segment) {
 		if sg == nil || sg.n == 0 {
@@ -201,11 +197,11 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 		return newProjection(opts.Columns, opts.NeedCPUPct)
 	}
 	if workers > 1 {
-		return res, scanParallel(files, view.cols, from, to, workers, mk, fn)
+		return res, scanParallel(st.fsys, files, view.cols, from, to, workers, mk, fn)
 	}
 	// One file in range, or one worker asked for: the same walker, inline
 	// on the caller's goroutine with a single scratch record.
-	sc := getScanner(mk())
+	sc := getScanner(st.fsys, mk())
 	defer sc.release()
 	scratch := &Record{}
 	cols := view.cols
@@ -233,6 +229,7 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 // Scanners outlive the scan that used them: getScanner leases one from
 // a pool, release hands it back.
 type segScanner struct {
+	fsys   filesystem  // where the files are
 	proj   *projection // nil = full decode
 	dict   []string
 	intern map[string]string
@@ -248,19 +245,19 @@ var scanners = sync.Pool{New: func() any {
 	return &segScanner{fr: newFrameReader(nil), intern: make(map[string]string)}
 }}
 
-// getScanner leases a scanner that decodes under proj.
-func getScanner(proj *projection) *segScanner {
+// getScanner leases a scanner that reads fsys and decodes under proj.
+func getScanner(fsys filesystem, proj *projection) *segScanner {
 	s := scanners.Get().(*segScanner)
-	s.proj = proj
+	s.fsys, s.proj = fsys, proj
 	return s
 }
 
 // release returns the scanner to the pool, holding neither the file it
-// last read nor the scan's projection. What it decoded stays valid:
-// records share only the dictionary's immutable strings with it.
+// last read nor the scan's filesystem and projection. What it decoded
+// stays valid: records share only the dictionary's immutable strings.
 func (s *segScanner) release() {
 	s.fr.reset(nil)
-	s.proj = nil
+	s.fsys, s.proj = nil, nil
 	scanners.Put(s)
 }
 
@@ -283,11 +280,11 @@ var colsKey = []byte(`,"cols":[`)
 // "inherited from earlier files"; non-nil slices are owned by the scan,
 // never aliased to scratch.
 func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
-	fh, err := os.Open(f.path)
+	fh, err := s.fsys.open(f.path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil // retired by retention or compaction between snapshot and scan
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // retired by retention or compaction between snapshot and scan
-		}
 		return fmt.Errorf("store: %w", err)
 	}
 	defer fh.Close() // read-only
@@ -396,7 +393,7 @@ var errScanAborted = fmt.Errorf("store: scan aborted")
 // decoded streams back in file (= time) order on the calling
 // goroutine. Scratch records and batches recycle through free lists,
 // so a steady-state scan allocates O(workers), not O(records).
-func scanParallel(files []queryFile, startCols []string, from, to time.Duration, workers int, mk func() *projection, fn func(rec *Record, cols []string) error) error {
+func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, to time.Duration, workers int, mk func() *projection, fn func(rec *Record, cols []string) error) error {
 	outs := make([]chan *scanBatch, len(files))
 	for i := range outs {
 		outs[i] = make(chan *scanBatch, 2)
@@ -419,7 +416,7 @@ func scanParallel(files []queryFile, startCols []string, from, to time.Duration,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := getScanner(mk())
+			sc := getScanner(fsys, mk())
 			defer sc.release()
 			for {
 				// Slot first, file second: the files holding slots are then

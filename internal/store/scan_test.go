@@ -428,7 +428,7 @@ func TestPooledScannerCarriesNothingOver(t *testing.T) {
 	}
 	big := frame(d.appendDictFrame(nil, 0))
 	small := frame(newV2Dict([]string{"one", "two"}).appendDictFrame(nil, 0))
-	sc := getScanner(nil)
+	sc := getScanner(nil, nil)
 	defer sc.release()
 	clear(sc.intern) // whatever the pool's last user left
 	none := func() *Record { t.Fatal("a dictionary-only segment decoded a record"); return nil }

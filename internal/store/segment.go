@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 )
@@ -43,7 +42,7 @@ type segment struct {
 	path   string
 	seq    int64
 	seqEnd int64
-	f      *os.File
+	f      file
 	dict   *v2Dict
 	size   int64
 	n      int64
@@ -65,9 +64,9 @@ func compactedPath(dir, tier string, a, b int64, ext string) string {
 }
 
 // createSegment starts an empty active segment.
-func createSegment(dir, tier string, seq int64) (*segment, error) {
+func createSegment(fsys filesystem, dir, tier string, seq int64) (*segment, error) {
 	path := segmentPath(dir, tier, seq)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fsys.openAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -132,9 +131,9 @@ func (sg *segment) seal() error {
 // writable is set (the newest segment of a tier, which reopens for
 // appending). Recovery passes one fr for every file it opens, so the
 // read and payload buffers are made once per Open, not once per file.
-func openSegment(fr *frameReader, path string, seq, seqEnd int64, writable bool) (*segment, error) {
+func openSegment(fsys filesystem, fr *frameReader, path string, seq, seqEnd int64, writable bool) (*segment, error) {
 	sg := &segment{path: path, seq: seq, seqEnd: seqEnd}
-	f, err := os.Open(path)
+	f, err := fsys.open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -148,14 +147,13 @@ func openSegment(fr *frameReader, path string, seq, seqEnd int64, writable bool)
 		return nil, fmt.Errorf("store: %w", closeErr)
 	}
 	sg.size, sg.n, sg.first, sg.last = sc.valid, sc.n, sc.first, sc.last
-	if fi, err := os.Stat(path); err == nil && fi.Size() > sc.valid && writable {
-		// Crash mid-append: clip the torn tail so the chain is clean.
-		if err := os.Truncate(path, sc.valid); err != nil {
+	if writable {
+		// Clip whatever follows the valid prefix (a crash mid-append) so
+		// the chain is clean; on an intact tail this changes nothing.
+		if err := fsys.truncate(path, sc.valid); err != nil {
 			return nil, fmt.Errorf("store: clip %s: %w", filepath.Base(path), err)
 		}
-	}
-	if writable {
-		w, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		w, err := fsys.openAppend(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}

@@ -49,7 +49,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -134,7 +135,8 @@ func (o Options) withDefaults() Options {
 type Store struct {
 	dir  string
 	opt  Options
-	lock *os.File // advisory directory lock, nil where unsupported
+	fsys filesystem
+	lock io.Closer // advisory directory lock, nil where unsupported
 
 	mu      sync.Mutex
 	tiers   []*tier
@@ -181,15 +183,18 @@ type tier struct {
 // directory is flock'd (on linux/darwin) for the store's lifetime: a
 // second process opening a live store fails instead of corrupting the
 // segment chain with interleaved appends.
-func Open(dir string, opt Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func Open(dir string, opt Options) (*Store, error) { return open(osFS{}, dir, opt) }
+
+// open is Open over any filesystem.
+func open(fsys filesystem, dir string, opt Options) (*Store, error) {
+	if err := fsys.mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	lock, err := lockDir(dir)
+	lock, err := fsys.lock(dir)
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, opt: opt.withDefaults(), lock: lock}
+	st := &Store{dir: dir, opt: opt.withDefaults(), fsys: fsys, lock: lock}
 	for i, res := range Resolutions {
 		t := &tier{idx: i, res: res}
 		if i > 0 {
@@ -198,9 +203,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		st.tiers = append(st.tiers, t)
 	}
 	if err := st.recover(); err != nil {
-		if lock != nil {
-			lock.Close()
-		}
+		_ = st.Close() // the tails recovery opened, and the lock
 		return nil, err
 	}
 	return st, nil
@@ -524,33 +527,34 @@ func (st *Store) writeBucket(ti int, b *bucket) error {
 }
 
 // rotateLocked seals the tier's active segment and starts the next one.
+// The sealed segment leaves t.active before the next one is created, so
+// a failed create cannot leave it listed twice.
 func (st *Store) rotateLocked(t *tier) error {
-	if t.active != nil {
+	seq := int64(1)
+	if n := len(t.sealed); n > 0 {
+		seq = t.sealed[n-1].seqEnd + 1
+	}
+	if sg := t.active; sg != nil {
 		if st.opt.Fsync.enabled() && t.dirty {
 			// The durability bound must survive the rotation: flush the
 			// outgoing segment before it is sealed away from the policy's
 			// reach.
-			if err := t.active.sync(); err != nil {
+			if err := sg.sync(); err != nil {
 				return err
 			}
 			t.dirty = false
 		}
-		if err := t.active.seal(); err != nil {
+		if err := sg.seal(); err != nil {
 			return err
 		}
-		if t.active.n > 0 {
-			t.sealed = append(t.sealed, t.active)
+		seq, t.active = sg.seqEnd+1, nil
+		if sg.n > 0 {
+			t.sealed = append(t.sealed, sg)
 		} else {
-			_ = os.Remove(t.active.path)
+			_ = st.fsys.remove(sg.path)
 		}
 	}
-	seq := int64(1)
-	if t.active != nil {
-		seq = t.active.seqEnd + 1
-	} else if n := len(t.sealed); n > 0 {
-		seq = t.sealed[n-1].seqEnd + 1
-	}
-	sg, err := createSegment(st.dir, tierNames[t.idx], seq)
+	sg, err := createSegment(st.fsys, st.dir, tierNames[t.idx], seq)
 	if err != nil {
 		return err
 	}
@@ -638,7 +642,7 @@ func (st *Store) dropOldest(t *tier) error {
 	sg := t.sealed[0]
 	t.sealed = t.sealed[1:]
 	st.records -= sg.n
-	if err := os.Remove(sg.path); err != nil && !os.IsNotExist(err) {
+	if err := st.fsys.remove(sg.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: retention: %w", err)
 	}
 	return nil
@@ -678,7 +682,7 @@ func (st *Store) Close() error {
 // supersedes every segment inside the sequence range its name carries,
 // finishing the unlink step the crash cut short.
 func (st *Store) recover() error {
-	entries, err := os.ReadDir(st.dir)
+	names, err := st.fsys.readDir(st.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -689,17 +693,13 @@ func (st *Store) recover() error {
 		path      string
 	}
 	var files []named
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), compactingExt) {
+	for _, base := range names {
+		f := named{path: filepath.Join(st.dir, base)}
+		if strings.HasSuffix(base, compactingExt) {
 			// Crash before publish: the originals are still authoritative.
-			_ = os.Remove(filepath.Join(st.dir, e.Name()))
+			_ = st.fsys.remove(f.path)
 			continue
 		}
-		f := named{path: filepath.Join(st.dir, e.Name())}
-		base := e.Name()
 		switch {
 		case strings.HasSuffix(base, compactedExt):
 			f.compacted = true
@@ -760,7 +760,7 @@ func (st *Store) recover() error {
 	kept := files[:0]
 	for _, f := range files {
 		if n := len(kept); n > 0 && kept[n-1].tier == f.tier && f.end <= kept[n-1].end {
-			_ = os.Remove(f.path)
+			_ = st.fsys.remove(f.path)
 			continue
 		}
 		kept = append(kept, f)
@@ -772,12 +772,12 @@ func (st *Store) recover() error {
 		// Only a plain tail segment reopens for appending; a compacted
 		// tail stays sealed and the next append starts a fresh segment.
 		lastOfTier := (i == len(files)-1 || files[i+1].tier != f.tier) && !f.compacted
-		sg, err := openSegment(fr, f.path, f.seq, f.end, lastOfTier)
+		sg, err := openSegment(st.fsys, fr, f.path, f.seq, f.end, lastOfTier)
 		if err != nil {
 			return err
 		}
 		if sg.n == 0 && !lastOfTier {
-			_ = os.Remove(f.path)
+			_ = st.fsys.remove(f.path)
 			continue
 		}
 		st.records += sg.n

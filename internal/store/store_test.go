@@ -551,7 +551,7 @@ func TestRecordVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := getScanner(nil)
+	sc := getScanner(nil, nil)
 	defer sc.release()
 	n := 0
 	err = sc.scan(bytes.NewReader(seg), 0, 1<<62, func() *Record { return &Record{} },
