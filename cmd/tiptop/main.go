@@ -45,61 +45,54 @@ func main() {
 	}
 }
 
-// options is one resolved command line: the flags, overlaid with what
-// the -config file sets.
+// options is one resolved command line: the flags, after the -config
+// file's <options> have set theirs.
 type options struct {
 	shared                            *config.Flags
 	cfg                               tiptop.Config
 	batch, list, listEvents, dumpConf bool
-	// outFormat is -o as given; format and record also take the file's
-	// defaults.
-	outFormat, format, record, connect string
+	rows                              int
+	format, record, connect           string
+	// formatGiven: the command line set -o. A file's format= applies
+	// only under -b; an explicit -o outside it is a usage error.
+	formatGiven bool
 }
 
-func resolve(args []string) (*options, error) {
+// flags declares the command's flag set: the shared flags (-d -n
+// -screen -sort -u -sim -scale -system-wide -counters -config -wire
+// -store -retention -budget -fsync) and tiptop's own.
+func flags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("tiptop", flag.ContinueOnError)
-	// -d -n -screen -sort -u -sim -scale -system-wide -counters
-	// -config -wire -fsync are shared with tiptopd.
 	o := &options{shared: config.BindFlags(fs)}
 	fs.BoolVar(&o.batch, "b", false, "batch mode: stream text, no screen control")
-	maxRows := fs.Int("rows", 0, "maximum rows displayed (0 = all)")
-	fs.StringVar(&o.outFormat, "o", "", "batch output format: text, csv, jsonl (default text)")
+	fs.IntVar(&o.rows, "rows", 0, "maximum rows displayed (0 = all)")
+	fs.StringVar(&o.format, "o", "", "batch output format: text, csv, jsonl (default text)")
 	fs.StringVar(&o.record, "record", "", "record every sample to this target: a CSV file, a JSONL file (.jsonl/.ndjson), or a durable store directory (existing dir, trailing /, or .store)")
 	fs.StringVar(&o.connect, "connect", "", "monitor a remote tiptopd (host:port or URL) instead of this machine")
 	fs.BoolVar(&o.list, "list", false, "list screens and scenarios, then exit")
 	fs.BoolVar(&o.listEvents, "list-events", false, "list the event registry with per-backend support, then exit")
 	fs.BoolVar(&o.dumpConf, "dump-config", false, "print the built-in XML configuration and exit")
+	return fs, o
+}
+
+func resolve(args []string) (*options, error) {
+	fs, o := flags()
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if o.dumpConf || o.list {
 		return o, nil
 	}
-	cfg, parsed, err := tiptop.ConfigFromFlags(o.shared, tiptop.Config{MaxRows: *maxRows})
+	fs.Visit(func(f *flag.Flag) { o.formatGiven = o.formatGiven || f.Name == "o" })
+	parsed, err := o.shared.ApplyConfig(fs)
 	if err != nil {
 		return nil, err
 	}
-	o.cfg, o.format = cfg, o.outFormat
-	if parsed != nil {
-		// The options only this command understands; like the shared
-		// ones, what the file sets wins — except the output format,
-		// record target and daemon address, which a shared file only
-		// defaults.
-		if parsed.Options.Batch {
-			o.batch = true
-		}
-		if parsed.Options.MaxTasks > 0 {
-			o.cfg.MaxRows = parsed.Options.MaxTasks
-		}
-		if o.format == "" {
-			o.format = parsed.Options.Format
-		}
-		if o.record == "" {
-			o.record = parsed.Options.Record
-		}
-		if o.connect == "" {
-			o.connect = parsed.Options.Connect
-		}
+	if o.rows < 0 {
+		return nil, fmt.Errorf("row limit cannot be negative, got -rows %d", o.rows)
+	}
+	if o.cfg, err = tiptop.ConfigFromFlags(o.shared, parsed, tiptop.Config{MaxRows: o.rows}); err != nil {
+		return nil, err
 	}
 	return o, nil
 }
@@ -129,8 +122,7 @@ func run(args []string, stdout io.Writer) error {
 	shared, cfg, format, record := o.shared, o.cfg, o.format, o.record
 	// A -record target naming a directory (existing, trailing "/", or
 	// the .store extension) selects the durable store instead of a
-	// CSV/JSONL file; XML <options store=> is the same thing spelled in
-	// the configuration.
+	// CSV/JSONL file; -store (or <options store=>) names one directly.
 	if isStoreTarget(record) {
 		cfg.StoreDir = record
 		record = ""
@@ -144,7 +136,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown output format %q (want text, csv or jsonl)", format)
 	}
 	if format != "" && format != "text" && !o.batch {
-		if o.outFormat != "" {
+		if o.formatGiven {
 			// An explicit -o outside batch mode is a usage error...
 			return fmt.Errorf("-o %s requires batch mode (-b)", format)
 		}

@@ -308,6 +308,34 @@ func TestRunWithConfigFile(t *testing.T) {
 	}
 }
 
+// TestConfigFormatOnlyUnderBatch: a -config file shared with batch jobs
+// may set format=, but outside -b its format does not apply — the
+// interactive screen renders text and the file's record= target still
+// records — while an explicit -o outside -b stays a usage error.
+func TestConfigFormatOnlyUnderBatch(t *testing.T) {
+	dir := t.TempDir()
+	path, rec := filepath.Join(dir, "tiptop.xml"), filepath.Join(dir, "rec.csv")
+	doc := `<tiptop><options format="csv" record="` + rec + `"/></tiptop>`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-n", "1", "-sim", "datacenter", "-config", path}, &sb); err != nil {
+		t.Fatalf("a file's format= made the interactive run fail: %v", err)
+	}
+	if out := sb.String(); strings.Contains(out, "time_s,pid") || !strings.Contains(out, "process1") {
+		t.Fatalf("interactive run with a file's format=csv did not paint the text screen:\n%q", out)
+	}
+	data, err := os.ReadFile(rec)
+	if err != nil || !strings.HasPrefix(string(data), "time_s,pid") {
+		t.Fatalf("the file's record= target was not recorded (%v):\n%s", err, data)
+	}
+	err = run([]string{"-o", "csv", "-n", "1", "-sim", "datacenter", "-config", path}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "requires batch mode") {
+		t.Fatalf("-o csv without -b: err = %v, want a batch-mode usage error", err)
+	}
+}
+
 // TestRunListEventsGolden pins the -list-events registry table: sorted
 // by name, deterministic run to run, with per-backend support status.
 func TestRunListEventsGolden(t *testing.T) {

@@ -34,10 +34,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"time"
 
 	"tiptop"
 	"tiptop/internal/config"
-	"tiptop/internal/store"
 )
 
 func main() {
@@ -47,75 +47,53 @@ func main() {
 	}
 }
 
-// options is one resolved command line: the flags, overlaid with what
-// the -config file sets.
+// options is one resolved command line: the flags, after the -config
+// file's <options> have set theirs.
 type options struct {
-	shared *config.Flags
-	cfg    tiptop.Config
-	addr   string
-	daemon tiptop.DaemonOptions
+	shared  *config.Flags
+	cfg     tiptop.Config
+	addr    string
+	join    string
+	compact time.Duration
+	daemon  tiptop.DaemonOptions
 }
 
-func resolve(args []string) (*options, error) {
+// flags declares the command's flag set: the shared flags (-d -n
+// -screen -sort -u -sim -scale -system-wide -counters -config -wire
+// -store -retention -budget -fsync) and tiptopd's own.
+func flags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("tiptopd", flag.ContinueOnError)
-	// -d -n -screen -sort -u -sim -scale -system-wide -counters
-	// -config -wire -fsync are shared with tiptop.
 	o := &options{shared: config.BindFlags(fs)}
 	fs.StringVar(&o.addr, "addr", ":9412", "HTTP listen address")
 	fs.IntVar(&o.daemon.History, "history", 0, "points retained per task (0 = default 600)")
 	fs.DurationVar(&o.daemon.Window, "window", 0, "windowed-rate horizon, capped at 128 refreshes (0 = default 1m)")
-	join := fs.String("join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
-	var (
-		storeDir  = fs.String("store", "", "durable history store directory: recover on boot, tee every sample, serve /api/v1/query (one subdirectory per agent with -join)")
-		retention = fs.Duration("retention", 0, "store age horizon, e.g. 72h (0 = bounded by the byte budget only)")
-		budgetStr = fs.String("budget", "", "store on-disk byte budget, e.g. 64MB (default 64MB)")
-		compact   = fs.Duration("compact", 0, "merge the store's sealed segments at startup and then every period, e.g. 1h (0 = never)")
-	)
+	fs.StringVar(&o.join, "join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
+	fs.DurationVar(&o.compact, "compact", 0, "merge the store's sealed segments at startup and then every period, e.g. 1h (0 = never)")
+	return fs, o
+}
+
+func resolve(args []string) (*options, error) {
+	fs, o := flags()
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if o.daemon.History < 0 {
-		return nil, fmt.Errorf("history capacity cannot be negative, got -history %d", o.daemon.History)
-	}
-	if o.daemon.Window < 0 {
-		return nil, fmt.Errorf("rate window cannot be negative, got -window %v", o.daemon.Window)
-	}
-	var budget int64
-	if *budgetStr != "" {
-		b, err := store.ParseBytes(*budgetStr)
-		if err != nil {
-			return nil, fmt.Errorf("bad -budget: %w", err)
-		}
-		budget = b
-	}
-	if *compact < 0 {
-		return nil, fmt.Errorf("compaction period cannot be negative, got -compact %v", *compact)
-	}
-	cfg, parsed, err := tiptop.ConfigFromFlags(o.shared, tiptop.Config{
-		StoreDir:       *storeDir,
-		StoreRetention: *retention,
-		StoreBudget:    budget,
-		StoreCompact:   *compact,
-	})
+	parsed, err := o.shared.ApplyConfig(fs)
 	if err != nil {
 		return nil, err
 	}
-	o.cfg = cfg
-	if parsed != nil {
-		// The options only this command understands; like the shared
-		// ones, what the file sets overrides the flag.
-		if parsed.Options.History > 0 {
-			o.daemon.History = parsed.Options.History
-		}
-		if parsed.Options.Listen != "" {
-			o.addr = parsed.Options.Listen
-		}
-		if parsed.Options.Join != "" {
-			*join = parsed.Options.Join
-		}
+	switch {
+	case o.daemon.History < 0:
+		return nil, fmt.Errorf("history capacity cannot be negative, got -history %d", o.daemon.History)
+	case o.daemon.Window < 0:
+		return nil, fmt.Errorf("rate window cannot be negative, got -window %v", o.daemon.Window)
+	case o.compact < 0:
+		return nil, fmt.Errorf("compaction period cannot be negative, got -compact %v", o.compact)
 	}
-	if o.daemon.Join = config.SplitPeers(*join); *join != "" && len(o.daemon.Join) == 0 {
-		return nil, fmt.Errorf("-join %q names no agents", *join)
+	if o.cfg, err = tiptop.ConfigFromFlags(o.shared, parsed, tiptop.Config{StoreCompact: o.compact}); err != nil {
+		return nil, err
+	}
+	if o.daemon.Join = config.SplitPeers(o.join); o.join != "" && len(o.daemon.Join) == 0 {
+		return nil, fmt.Errorf("-join %q names no agents", o.join)
 	}
 	f := o.shared
 	o.daemon.Sim, o.daemon.Scale, o.daemon.Wire, o.daemon.Refreshes = f.Sim, f.Scale, f.Wire, f.Iterations

@@ -33,13 +33,11 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"tiptop/internal/core"
 	"tiptop/internal/hpm"
 	"tiptop/internal/metrics"
 	"tiptop/internal/query"
-	"tiptop/internal/store"
 )
 
 // File is the root XML document.
@@ -51,122 +49,26 @@ type File struct {
 	Screens []ScreenXML `xml:"screen"`
 }
 
-// OptionsXML carries global tool options.
+// OptionsXML is the <options> element: a second spelling of the
+// command line. Parse keeps only the attributes Options names, and
+// Apply sets the flags they map to.
 type OptionsXML struct {
-	// DelaySeconds is the refresh interval in seconds (fractional
-	// values allowed).
-	DelaySeconds float64 `xml:"delay,attr,omitempty"`
-	// Batch selects batch mode.
-	Batch bool `xml:"batch,attr,omitempty"`
-	// Sort names the sort key ("cpu", "pid", or a column name).
-	Sort string `xml:"sort,attr,omitempty"`
-	// MaxTasks truncates the display.
-	MaxTasks int `xml:"max_tasks,attr,omitempty"`
-	// OnlyUser restricts monitoring to one user.
-	OnlyUser string `xml:"user,attr,omitempty"`
-	// Format selects the batch-mode output format: "text" (the classic
-	// tiptop -b blocks), "csv" or "jsonl". Empty means text.
-	Format string `xml:"format,attr,omitempty"`
-	// Record names a file every sample is additionally recorded to
-	// (CSV, or JSONL when the name ends in .jsonl/.ndjson).
-	Record string `xml:"record,attr,omitempty"`
-	// History is the per-task ring capacity of the recording subsystem
-	// (points retained per task; 0 = the default 600).
-	History int `xml:"history,attr,omitempty"`
-	// Listen is the tiptopd HTTP listen address (e.g. ":9412").
-	Listen string `xml:"listen,attr,omitempty"`
-	// Connect points tiptop at a remote tiptopd ("host:port" or a full
-	// URL): the local UI renders what that agent samples.
-	Connect string `xml:"connect,attr,omitempty"`
-	// Join turns tiptopd into a fleet aggregator over the listed agents
-	// (comma-separated host:port peers).
-	Join string `xml:"join,attr,omitempty"`
-	// Store names the directory of the durable on-disk history store
-	// samples are teed into (tiptopd -store; a store -record target for
-	// tiptop). Empty means no persistence.
-	Store string `xml:"store,attr,omitempty"`
-	// Retention is the store's age horizon as a Go duration ("72h"):
-	// records older than this are retired. Empty keeps everything the
-	// byte budget allows.
-	Retention string `xml:"retention,attr,omitempty"`
-	// Budget bounds the store's size on disk ("64MB", "1G", or plain
-	// bytes). Empty selects the 64 MiB default.
-	Budget string `xml:"budget,attr,omitempty"`
-	// Fsync is the store's group-commit durability policy: "off", a
-	// flush interval ("2s"), a record count ("1000-records"), or both
-	// comma-combined ("2s,1000-records"). Empty never syncs.
-	Fsync string `xml:"fsync,attr,omitempty"`
-	// Compact is the period at which a daemon merges its store's
-	// sealed segments, as a Go duration ("1h"). Empty never compacts
-	// automatically.
-	Compact string `xml:"compact,attr,omitempty"`
-	// Wire selects the stream encoding a client negotiates when
-	// dialing a daemon (tiptop -connect, tiptopd -join): "binary" (the
-	// default: the length-prefixed binary frame, falling back to SSE
-	// per connection against older daemons) or "json" (always SSE).
-	Wire string `xml:"wire,attr,omitempty"`
-	// SystemWide monitors logical CPUs instead of tasks (perf's -a
-	// mode): one row per CPU, counters opened system-wide.
-	SystemWide bool `xml:"systemwide,attr,omitempty"`
-	// Counters declares the PMU's simultaneous-counter capacity for
-	// the real backend, enabling userland rotation beyond it (0 =
-	// kernel multiplexing).
-	Counters int `xml:"counters,attr,omitempty"`
+	Attrs []xml.Attr `xml:",any,attr"`
 }
 
-// RetentionValue parses the store retention horizon (0 if unset).
-// Validate has already rejected malformed values on loaded documents.
-func (o *OptionsXML) RetentionValue() time.Duration {
-	if o.Retention == "" {
-		return 0
+// value returns an attribute's value ("" when absent).
+func (o OptionsXML) value(attr string) string {
+	for _, a := range o.Attrs {
+		if a.Name.Local == attr {
+			return a.Value
+		}
 	}
-	d, err := time.ParseDuration(o.Retention)
-	if err != nil {
-		return 0
-	}
-	return d
+	return ""
 }
 
-// BudgetValue parses the store byte budget (0 if unset). Validate has
-// already rejected malformed values on loaded documents.
-func (o *OptionsXML) BudgetValue() int64 {
-	if o.Budget == "" {
-		return 0
-	}
-	n, err := store.ParseBytes(o.Budget)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// FsyncValue parses the store durability policy (never-sync if
-// unset). Validate has already rejected malformed values on loaded
-// documents.
-func (o *OptionsXML) FsyncValue() store.FsyncPolicy {
-	p, err := store.ParseFsync(o.Fsync)
-	if err != nil {
-		return store.FsyncPolicy{}
-	}
-	return p
-}
-
-// CompactValue parses the store compaction period (0 if unset).
-// Validate has already rejected malformed values on loaded documents.
-func (o *OptionsXML) CompactValue() time.Duration {
-	if o.Compact == "" {
-		return 0
-	}
-	d, err := time.ParseDuration(o.Compact)
-	if err != nil {
-		return 0
-	}
-	return d
-}
-
-// SplitPeers splits a comma-separated agent list — the join attribute
-// and tiptopd's -join flag alike — into trimmed addresses, dropping
-// empty entries (nil when none remain).
+// SplitPeers splits a comma-separated agent list (tiptopd's -join, which
+// join= sets) into trimmed addresses, dropping empty entries (nil when
+// none remain).
 func SplitPeers(list string) []string {
 	var out []string
 	for _, p := range strings.Split(list, ",") {
@@ -175,11 +77,6 @@ func SplitPeers(list string) []string {
 		}
 	}
 	return out
-}
-
-// Interval converts the delay to a duration (0 if unset).
-func (o *OptionsXML) Interval() time.Duration {
-	return time.Duration(o.DelaySeconds * float64(time.Second))
 }
 
 // EventXML is one user-defined event.
@@ -247,6 +144,15 @@ func Parse(r io.Reader) (*File, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
+	// A file written for an older tiptop may carry attributes no option
+	// claims any more (parallelism=): it loads, and Write drops them.
+	kept := f.Options.Attrs[:0]
+	for _, a := range f.Options.Attrs {
+		if _, ok := option(a.Name.Local); ok {
+			kept = append(kept, a)
+		}
+	}
+	f.Options.Attrs = kept
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -255,54 +161,7 @@ func Parse(r io.Reader) (*File, error) {
 
 // Validate checks structural constraints and expression syntax.
 func (f *File) Validate() error {
-	if f.Options.DelaySeconds < 0 {
-		return fmt.Errorf("config: negative delay")
-	}
-	if f.Options.MaxTasks < 0 {
-		return fmt.Errorf("config: negative max_tasks")
-	}
-	if f.Options.Counters < 0 {
-		return fmt.Errorf("config: negative counters capacity")
-	}
-	switch f.Options.Format {
-	case "", "text", "csv", "jsonl":
-	default:
-		return fmt.Errorf("config: unknown output format %q (want text, csv or jsonl)", f.Options.Format)
-	}
-	if f.Options.History < 0 {
-		return fmt.Errorf("config: negative history capacity")
-	}
-	if f.Options.Join != "" && len(SplitPeers(f.Options.Join)) == 0 {
-		return fmt.Errorf("config: join %q names no agents", f.Options.Join)
-	}
-	if f.Options.Retention != "" {
-		d, err := time.ParseDuration(f.Options.Retention)
-		if err != nil || d < 0 {
-			return fmt.Errorf("config: bad store retention %q (want a Go duration such as 72h)", f.Options.Retention)
-		}
-	}
-	if f.Options.Budget != "" {
-		if _, err := store.ParseBytes(f.Options.Budget); err != nil {
-			return fmt.Errorf("config: bad store budget %q (want e.g. 64MB, 1G or plain bytes)", f.Options.Budget)
-		}
-	}
-	if f.Options.Fsync != "" {
-		if _, err := store.ParseFsync(f.Options.Fsync); err != nil {
-			return fmt.Errorf("config: bad store fsync %q (want off, an interval such as 2s, a record count such as 1000-records, or both comma-combined)", f.Options.Fsync)
-		}
-	}
-	if f.Options.Compact != "" {
-		d, err := time.ParseDuration(f.Options.Compact)
-		if err != nil || d < 0 {
-			return fmt.Errorf("config: bad store compaction period %q (want a Go duration such as 1h)", f.Options.Compact)
-		}
-	}
-	switch f.Options.Wire {
-	case "", "json", "binary":
-	default:
-		return fmt.Errorf("config: unknown wire format %q (want json or binary)", f.Options.Wire)
-	}
-	if f.Options.Connect != "" && f.Options.Join != "" {
+	if f.Options.value("connect") != "" && f.Options.value("join") != "" {
 		return fmt.Errorf("config: connect and join are mutually exclusive")
 	}
 	registry, err := f.BuildRegistry()
@@ -533,7 +392,7 @@ func Write(w io.Writer, f *File) error {
 // refresh.
 func Default() *File {
 	f := &File{
-		Options: OptionsXML{DelaySeconds: 2},
+		Options: OptionsXML{Attrs: []xml.Attr{{Name: xml.Name{Local: "delay"}, Value: "2"}}},
 	}
 	for _, s := range []*metrics.Screen{
 		metrics.DefaultScreen(), metrics.BranchScreen(),

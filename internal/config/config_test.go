@@ -1,6 +1,8 @@
 package config
 
 import (
+	"encoding/xml"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"tiptop/internal/hpm"
+	"tiptop/internal/store"
 )
 
 const sampleXML = `
@@ -28,19 +31,15 @@ func TestParseSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Options.Interval() != 5*time.Second {
-		t.Fatalf("interval = %v", f.Options.Interval())
-	}
-	if !f.Options.Batch || f.Options.Sort != "ipc" || f.Options.MaxTasks != 20 {
-		t.Fatalf("options = %+v", f.Options)
-	}
-	if f.Options.OnlyUser != "alice" {
-		t.Fatalf("user = %q", f.Options.OnlyUser)
+	for attr, want := range map[string]string{"delay": "5", "batch": "true", "sort": "ipc", "max_tasks": "20", "user": "alice"} {
+		if got := f.Options.value(attr); got != want {
+			t.Errorf("%s = %q, want %q", attr, got, want)
+		}
 	}
 	// sampleXML carries parallelism="4", an attribute no option claims any
-	// more: a file written for an older tiptop keeps loading
-	// (encoding/xml skips unclaimed attributes), and writing it back
-	// drops the attribute.
+	// more: a file written for an older tiptop keeps loading (Parse keeps
+	// only the attributes Options names), and writing it back drops the
+	// attribute.
 	var sb strings.Builder
 	if err := Write(&sb, f); err != nil {
 		t.Fatal(err)
@@ -56,8 +55,6 @@ func TestParseSample(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"not xml at all <",
-		`<tiptop><options delay="-1"/></tiptop>`,
-		`<tiptop><options max_tasks="-2"/></tiptop>`,
 		`<tiptop><screen><column name="a" header="A" expr="1"/></screen></tiptop>`,
 		`<tiptop><screen name="s"/></tiptop>`,
 		`<tiptop><screen name="s"><column header="A" expr="1"/></screen></tiptop>`,
@@ -69,6 +66,65 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d should fail: %s", i, src)
 		}
+	}
+	// An option's value is checked where it is applied, by the flag it
+	// sets (max_tasks=, tiptop's -rows, is checked by tiptop).
+	for _, attrs := range []string{`delay="-1"`, `delay="0"`, `delay="soon"`} {
+		if err := applyShared(t, attrs, nil); err == nil {
+			t.Errorf("%s applied", attrs)
+		}
+	}
+}
+
+// applyShared parses a document whose <options> carry attrs, applies
+// them to the shared flags and validates those. check, if set, sees the
+// flags afterwards.
+func applyShared(t *testing.T, attrs string, check func(*Flags)) error {
+	t.Helper()
+	f, err := Parse(strings.NewReader("<tiptop><options " + attrs + "/></tiptop>"))
+	if err != nil {
+		return err
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	flags := BindFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Options.Apply(fs); err != nil {
+		return err
+	}
+	if err := flags.Validate(); err != nil {
+		return err
+	}
+	if check != nil {
+		check(flags)
+	}
+	return nil
+}
+
+// TestApplyRules: an empty value reads as unset (README's connect=""),
+// an attribute whose flag the set does not define is ignored, and a
+// rejected value names the attribute, the value and the flag.
+func TestApplyRules(t *testing.T) {
+	f, err := Parse(strings.NewReader(`<tiptop><options connect="" listen=":1" delay="3"/></tiptop>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	flags := BindFlags(fs)
+	connect := fs.String("connect", "", "")
+	if err := fs.Parse([]string{"-connect", "h:1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Options.Apply(fs); err != nil {
+		t.Fatal(err)
+	}
+	if *connect != "h:1" || flags.Delay != 3 {
+		t.Fatalf(`connect="" delay="3" over -connect h:1: connect %q, delay %v`, *connect, flags.Delay)
+	}
+	err = applyShared(t, `counters="lots"`, nil)
+	if err == nil || !strings.Contains(err.Error(), `counters="lots"`) || !strings.Contains(err.Error(), "-counters") {
+		t.Fatalf(`counters="lots": %v, want the attribute, its value and the flag named`, err)
 	}
 }
 
@@ -85,23 +141,12 @@ func TestWriteInvalid(t *testing.T) {
 // the identity on it.
 func TestOptionsRoundTrip(t *testing.T) {
 	f := Default()
-	f.Options = OptionsXML{
-		DelaySeconds: 1.5,
-		Batch:        true,
-		Sort:         "ipc",
-		MaxTasks:     20,
-		OnlyUser:     "alice",
-		Format:       "jsonl",
-		Record:       "samples.jsonl",
-		History:      1200,
-		Listen:       "127.0.0.1:9412",
-		Join:         "host1:9412, host2:9412,host3:9412",
-		Store:        "/var/lib/tiptop/store",
-		Retention:    "72h",
-		Budget:       "64MB",
-		Fsync:        "2s,1000-records",
-		Compact:      "1h",
-		Wire:         "binary",
+	f.Options.Attrs = nil
+	for _, o := range Options {
+		if o.Attr == "connect" { // exclusive with join=
+			continue
+		}
+		f.Options.Attrs = append(f.Options.Attrs, xml.Attr{Name: xml.Name{Local: o.Attr}, Value: o.Examples[0]})
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tiptop.xml")
@@ -121,9 +166,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(f.Options, f2.Options) {
 		t.Fatalf("options did not round-trip:\nwrote  %+v\nloaded %+v", f.Options, f2.Options)
 	}
-	if f2.Options.Interval() != 1500*time.Millisecond {
-		t.Fatalf("interval = %v", f2.Options.Interval())
-	}
 	if len(f2.Screens) != len(f.Screens) {
 		t.Fatalf("screens = %d, want %d", len(f2.Screens), len(f.Screens))
 	}
@@ -140,43 +182,35 @@ func TestOptionsRoundTrip(t *testing.T) {
 }
 
 func TestNewOptionValidation(t *testing.T) {
-	bad := []string{
-		`<tiptop><options format="yaml"/></tiptop>`,
-		`<tiptop><options history="-1"/></tiptop>`,
-		`<tiptop><options join=" , "/></tiptop>`,
-		`<tiptop><options connect="host1:9412" join="host2:9412"/></tiptop>`,
-		`<tiptop><options fsync="sometimes"/></tiptop>`,
-		`<tiptop><options fsync="-2s"/></tiptop>`,
-		`<tiptop><options compact="hourly"/></tiptop>`,
-		`<tiptop><options compact="-1h"/></tiptop>`,
-		`<tiptop><options wire="carrier-pigeon"/></tiptop>`,
+	// The one cross-attribute rule stays in Parse.
+	if _, err := Parse(strings.NewReader(`<tiptop><options connect="host1:9412" join="host2:9412"/></tiptop>`)); err == nil {
+		t.Error("connect with join accepted")
 	}
-	for i, src := range bad {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
-			t.Errorf("case %d should fail: %s", i, src)
+	// The shared flags' values are checked where they are applied
+	// (format=, history=, join= and compact= by the commands that read
+	// them).
+	for _, attrs := range []string{`fsync="sometimes"`, `fsync="-2s"`, `wire="carrier-pigeon"`} {
+		if err := applyShared(t, attrs, nil); err == nil {
+			t.Errorf("%s applied", attrs)
 		}
 	}
-	good := `<tiptop><options format="csv" record="out.csv" history="300" listen=":9412"/></tiptop>`
+	good := `<tiptop><options format="csv" record="out.csv" history="300" listen=":9412" compact="30m"/></tiptop>`
 	f, err := Parse(strings.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Options.Format != "csv" || f.Options.Record != "out.csv" ||
-		f.Options.History != 300 || f.Options.Listen != ":9412" {
-		t.Fatalf("options = %+v", f.Options)
+	for attr, want := range map[string]string{"format": "csv", "record": "out.csv", "history": "300", "listen": ":9412", "compact": "30m"} {
+		if got := f.Options.value(attr); got != want {
+			t.Errorf("%s = %q, want %q", attr, got, want)
+		}
 	}
-	f, err = Parse(strings.NewReader(`<tiptop><options fsync="2s,1000-records" compact="30m" wire="binary"/></tiptop>`))
+	err = applyShared(t, `fsync="2s,1000-records" wire="binary"`, func(flags *Flags) {
+		if p := store.FsyncPolicy(flags.Fsync); p.Interval != 2*time.Second || p.Records != 1000 || flags.Wire != "binary" {
+			t.Fatalf("fsync = %+v, wire = %q", p, flags.Wire)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p := f.Options.FsyncValue(); p.Interval != 2*time.Second || p.Records != 1000 {
-		t.Fatalf("FsyncValue = %+v", p)
-	}
-	if d := f.Options.CompactValue(); d != 30*time.Minute {
-		t.Fatalf("CompactValue = %v", d)
-	}
-	if f.Options.Wire != "binary" {
-		t.Fatalf("wire = %q", f.Options.Wire)
 	}
 }
 
@@ -186,7 +220,7 @@ func TestPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"host1:9412", "host2:9412", "host3:9412"}
-	if got := SplitPeers(f.Options.Join); !reflect.DeepEqual(got, want) {
+	if got := SplitPeers(f.Options.value("join")); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SplitPeers = %v, want %v", got, want)
 	}
 	if SplitPeers("") != nil {
@@ -196,8 +230,8 @@ func TestPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Options.Connect != "host:9412" {
-		t.Fatalf("connect = %q", f.Options.Connect)
+	if got := f.Options.value("connect"); got != "host:9412" {
+		t.Fatalf("connect = %q", got)
 	}
 }
 
@@ -308,31 +342,20 @@ func TestEventValidation(t *testing.T) {
 	}
 }
 
-// TestStoreOptions covers the durable-store attributes: parsed values
-// flow through, malformed ones are rejected at load time.
+// TestStoreOptions covers the durable-store attributes: applied values
+// set the shared store flags, malformed ones are rejected.
 func TestStoreOptions(t *testing.T) {
-	f, err := Parse(strings.NewReader(
-		`<tiptop><options store="data" retention="48h" budget="256KB"/></tiptop>`))
+	err := applyShared(t, `store="data" retention="48h" budget="256KB"`, func(flags *Flags) {
+		if flags.Store != "data" || flags.Retention != 48*time.Hour || flags.Budget != 256<<10 {
+			t.Fatalf("store %q, retention %v, budget %d", flags.Store, flags.Retention, flags.Budget)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Options.Store != "data" {
-		t.Fatalf("store = %q", f.Options.Store)
-	}
-	if got := f.Options.RetentionValue(); got != 48*time.Hour {
-		t.Fatalf("retention = %v", got)
-	}
-	if got := f.Options.BudgetValue(); got != 256<<10 {
-		t.Fatalf("budget = %d", got)
-	}
-	for _, bad := range []string{
-		`<tiptop><options retention="next tuesday"/></tiptop>`,
-		`<tiptop><options retention="-5s"/></tiptop>`,
-		`<tiptop><options budget="12XB"/></tiptop>`,
-		`<tiptop><options budget="-3MB"/></tiptop>`,
-	} {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted %s", bad)
+	for _, bad := range []string{`retention="next tuesday"`, `retention="-5s"`, `budget="12XB"`, `budget="-3MB"`} {
+		if err := applyShared(t, bad, nil); err == nil {
+			t.Errorf("applied %s", bad)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tiptop
 
 import (
 	"flag"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -209,9 +210,12 @@ func TestNewNamedScenarioNames(t *testing.T) {
 // TestScrapeEncodeSteadyAllocs is the scrape path's budget on
 // live_fleet's shape: while membership stands, encoding a refresh of
 // 2000 tasks into the server's cache renders no label block, sorts
-// nothing and allocates nothing (measured 0 against a budget of 4: the
-// count is the process's, not the goroutine's); replacing one task
-// costs one re-render, once.
+// nothing and allocates nothing (measured 0 against a budget of 4);
+// replacing one task costs one re-render, once. The render counts are
+// exact for every encode. The allocation count is the process's, not
+// the goroutine's, so a goroutine another test left running can inflate
+// any one encode: the bound holds the minimum over several encodes,
+// which background allocation can only raise.
 func TestScrapeEncodeSteadyAllocs(t *testing.T) {
 	sc, mon, rec := scrapeFixture(t, 2000, 3)
 	cache := remote.NewEncodeCache(rec.WriteOpenMetrics)
@@ -237,11 +241,21 @@ func TestScrapeEncodeSteadyAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ { // both cache bodies and every buffer at size
 		encode()
 	}
-	for i := 0; i < 5; i++ {
-		if allocs, renders := encode(); allocs > 4 || renders != 0 {
-			t.Fatalf("steady refresh %d: encode allocated %d times and re-rendered labels %d times, want <= 4 and 0", i, allocs, renders)
+	steady := func(what string, n int) {
+		t.Helper()
+		least := uint64(math.MaxUint64)
+		for i := 0; i < n; i++ {
+			allocs, renders := encode()
+			if renders != 0 {
+				t.Fatalf("%s, refresh %d: labels re-rendered %d times, want 0", what, i, renders)
+			}
+			least = min(least, allocs)
+		}
+		if least > 4 {
+			t.Fatalf("%s: the least-allocating of %d encodes allocated %d times, want <= 4", what, n, least)
 		}
 	}
+	steady("steady membership", 5)
 	if err := sc.Kill(rec.PIDs()[1000]); err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +265,7 @@ func TestScrapeEncodeSteadyAllocs(t *testing.T) {
 	if _, renders := encode(); renders != 1 {
 		t.Fatalf("one task replaced: %d re-renders, want 1", renders)
 	}
-	if allocs, renders := encode(); allocs > 4 || renders != 0 {
-		t.Fatalf("after the replacement: encode allocated %d times and re-rendered %d times, want <= 4 and 0", allocs, renders)
-	}
+	steady("after the replacement", 3)
 	if st := cache.Stats(); st.Encodes != version || st.BodyBytes < 2000*1000 || st.LastEncode <= 0 {
 		t.Fatalf("cache stats = %+v after %d versions", st, version)
 	}

@@ -14,10 +14,17 @@
 #  3. every `make target` the docs quote or list at the start of a line
 #     must be a Makefile target.
 #
-# and one in the source -> docs direction (an undocumented flag):
+# one in the source -> docs direction (an undocumented flag):
 #
 #  4. every flag a command's flag set defines, the shared ones
-#     included, must appear in README.md as `-flag`.
+#     included, must appear in README.md as `-flag`;
+#
+# and one that does both for the -config file's <options> attributes:
+#
+#  5. every attribute README's Configuration section names — in its
+#     <options ...> example, or as `attr=` in its precedence paragraph —
+#     must be a row of config.Options (internal/config/flags.go), and
+#     every row must be named there.
 #
 # Run as `make docs` (part of `make verify`).
 set -eu
@@ -65,7 +72,7 @@ tiptop:b tiptop:d tiptop:n tiptop:screen tiptop:sort tiptop:rows
 tiptop:u tiptop:o tiptop:record tiptop:connect tiptop:sim
 tiptop:scale tiptop:list tiptop:list-events tiptop:dump-config
 tiptop:config tiptop:system-wide tiptop:counters tiptop:wire
-tiptop:fsync
+tiptop:fsync tiptop:store tiptop:retention tiptop:budget
 tiptopd:addr tiptopd:d tiptopd:n tiptopd:history tiptopd:window
 tiptopd:sim tiptopd:config tiptopd:join tiptopd:store
 tiptopd:retention tiptopd:budget tiptopd:system-wide tiptopd:counters
@@ -108,6 +115,26 @@ for cmd in tiptop tiptopd tipbench; do
             fail=1
         fi
     done
+done
+
+# --- 5. <options> attributes: README <-> the config.Options table ----
+rows=$(grep -oE 'Attr: +"[a-z_]+"' internal/config/flags.go | grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+section=$(sed -n '/^## Configuration/,/^### /p' README.md)
+named=$({
+    printf '%s\n' "$section" | sed -n '/<options /,/\/>/p' | grep -oE '[a-z_]+="'
+    printf '%s\n' "$section" | grep -oE '`[a-z_]+=`'
+} | tr -d '`="' | sort -u)
+for attr in $named; do
+    if ! printf '%s\n' "$rows" | grep -qx "$attr"; then
+        echo "docs gate: README names the <options> attribute $attr= but config.Options has no such row"
+        fail=1
+    fi
+done
+for attr in $rows; do
+    if ! printf '%s\n' "$named" | grep -qx "$attr"; then
+        echo "docs gate: config.Options maps $attr= but README's Configuration section never names it"
+        fail=1
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -96,9 +96,9 @@ type Config struct {
 	// screen columns may reference as their whole expression.
 	Exprs []ExprDef
 	// StoreDir, when set, names the directory of the durable on-disk
-	// history store (OpenStore) samples are teed into: tiptopd -store
-	// and tiptop -record with a store target plumb it here, as does the
-	// XML <options store=> attribute.
+	// history store (OpenStore) samples are teed into: -store (or
+	// <options store=>) and tiptop -record with a store target plumb it
+	// here.
 	StoreDir string
 	// StoreRetention is the store's age horizon: records older than
 	// this (on the store's monotonic clock) are retired. 0 keeps
@@ -252,84 +252,25 @@ func (cfg Config) buildRegistry() (*hpm.Registry, error) {
 	return registry, nil
 }
 
-// ConfigFromFlags resolves the flags tiptop and tiptopd share into a
-// Config: base carries what the command's own flags set, the shared
-// flags fill in the rest, and — when -config names a file — the options
-// the file sets override them all (ApplyOptions) and its <event>,
-// <expr> and <screen> definitions are merged in (ApplyDefinitions). The
-// parsed file (nil without -config) is returned for the options only
-// one command understands; f.Wire is updated in place, having no Config
-// field.
-func ConfigFromFlags(f *config.Flags, base Config) (Config, *config.File, error) {
-	cfg := base
+// ConfigFromFlags reads the flags tiptop and tiptopd share into a
+// Config, once the command has applied its -config file's <options> to
+// them (config.Flags.ApplyConfig). base carries what the command's own
+// flags set; file, the loaded -config document (nil without one), adds
+// its <event>, <expr> and <screen> definitions (ApplyDefinitions).
+func ConfigFromFlags(f *config.Flags, file *config.File, base Config) (Config, error) {
 	if err := f.Validate(); err != nil {
-		return cfg, nil, err
+		return Config{}, err
 	}
+	cfg := base
 	cfg.Interval = time.Duration(f.Delay * float64(time.Second))
-	cfg.Screen = f.Screen
-	cfg.SortBy = f.Sort
-	cfg.User = f.User
-	cfg.SystemWide = f.SystemWide
-	cfg.Counters = f.Counters
-	fsync, err := ParseFsync(f.Fsync)
-	if err != nil {
-		return cfg, nil, fmt.Errorf("bad -fsync: %w", err)
+	cfg.Screen, cfg.SortBy, cfg.User = f.Screen, f.Sort, f.User
+	cfg.SystemWide, cfg.Counters = f.SystemWide, f.Counters
+	cfg.StoreDir, cfg.StoreRetention = f.Store, f.Retention
+	cfg.StoreBudget, cfg.StoreFsync = int64(f.Budget), FsyncPolicy(f.Fsync)
+	if file != nil {
+		cfg.ApplyDefinitions(file)
 	}
-	cfg.StoreFsync = fsync
-	var parsed *config.File
-	if f.ConfigFile != "" {
-		if parsed, err = config.Load(f.ConfigFile); err != nil {
-			return cfg, nil, err
-		}
-		cfg.ApplyOptions(&parsed.Options)
-		if parsed.Options.Wire != "" {
-			f.Wire = parsed.Options.Wire
-		}
-		cfg.ApplyDefinitions(parsed)
-	}
-	switch f.Wire {
-	case "", "json", "binary":
-	default:
-		return cfg, nil, fmt.Errorf("unknown wire format %q, want -wire json or -wire binary", f.Wire)
-	}
-	return cfg, parsed, nil
-}
-
-// ApplyOptions overlays the <options> a configuration file sets onto
-// the config — the one overlay both commands use, so the rule is the
-// same for every option: what the file sets wins, what it leaves unset
-// keeps the flag's value.
-func (cfg *Config) ApplyOptions(o *config.OptionsXML) {
-	if o.Interval() > 0 {
-		cfg.Interval = o.Interval()
-	}
-	if o.Sort != "" {
-		cfg.SortBy = o.Sort
-	}
-	if o.OnlyUser != "" {
-		cfg.User = o.OnlyUser
-	}
-	if o.SystemWide {
-		cfg.SystemWide = true
-	}
-	if o.Counters > 0 {
-		cfg.Counters = o.Counters
-	}
-	if o.Store != "" {
-		cfg.StoreDir = o.Store
-	}
-	if o.Retention != "" {
-		cfg.StoreRetention = o.RetentionValue()
-	}
-	if o.Budget != "" {
-		cfg.StoreBudget = o.BudgetValue()
-	}
-	if o.Fsync != "" {
-		cfg.StoreFsync = o.FsyncValue()
-	}
-	if o.Compact != "" {
-		cfg.StoreCompact = o.CompactValue()
-	}
+	return cfg, nil
 }
 
 // ApplyDefinitions merges a parsed XML configuration document's
