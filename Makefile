@@ -28,9 +28,9 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The docs gate: flags, endpoints and make targets named in README.md
-# and ARCHITECTURE.md must exist in the source (stale docs fail the
-# build).
+# The docs gate: flags, endpoints, make targets and backticked
+# identifiers named in README.md and ARCHITECTURE.md must exist in the
+# source (stale docs fail the build).
 # The Example functions run under `go test`, so the documented snippets
 # are covered by race/test above.
 docs:

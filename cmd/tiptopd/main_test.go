@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"tiptop"
+	"tiptop/internal/remote"
 )
 
 // newDaemon builds a daemon the way run does, over a fast simulated
@@ -202,13 +204,26 @@ func TestDaemonEndToEndConcurrentScrapers(t *testing.T) {
 	}
 }
 
+// TestDaemonHistoryErrors: /api/v1/history fails through the shared
+// API error envelope, byte for byte what remote.WriteError writes, and
+// rejects a pid /api/v1/query would reject.
 func TestDaemonHistoryErrors(t *testing.T) {
 	_, srv := testDaemon(t)
-	if status, _ := get(t, srv.URL+"/api/v1/history?pid=999999"); status != http.StatusNotFound {
-		t.Fatalf("unknown pid status = %d, want 404", status)
-	}
-	if status, _ := get(t, srv.URL+"/api/v1/history?pid=abc"); status != http.StatusBadRequest {
-		t.Fatalf("bad pid status = %d, want 400", status)
+	for _, tc := range []struct {
+		query  string
+		status int
+		msg    string
+	}{
+		{"pid=999999", http.StatusNotFound, "pid 999999 was never observed"},
+		{"pid=abc", http.StatusBadRequest, `bad pid "abc"`},
+		{"pid=-1", http.StatusBadRequest, `bad pid "-1"`},
+	} {
+		status, body := get(t, srv.URL+"/api/v1/history?"+tc.query)
+		want := httptest.NewRecorder()
+		remote.WriteError(want, tc.status, tc.msg)
+		if status != tc.status || body != want.Body.String() {
+			t.Errorf("history?%s = %d %q, want %d %q", tc.query, status, body, tc.status, want.Body.String())
+		}
 	}
 	status, body := get(t, srv.URL+"/api/v1/history")
 	if status != http.StatusOK || !strings.Contains(body, "pids") {

@@ -625,13 +625,13 @@ func (d *Daemon) history(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pid, err := strconv.Atoi(q)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad pid %q", q)})
+	if err != nil || pid < 0 {
+		remote.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad pid %q", q))
 		return
 	}
 	series := d.Recorder().History(pid)
 	if series == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("pid %d was never observed", pid)})
+		remote.WriteError(w, http.StatusNotFound, fmt.Sprintf("pid %d was never observed", pid))
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {

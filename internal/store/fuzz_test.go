@@ -11,7 +11,9 @@ package store
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"time"
 )
 
 // fuzzSeedRecord is a representative record touching every encoded
@@ -47,9 +49,9 @@ func fuzzSeedRecord() *Record {
 // readers (framePrefix, v2PeekCols) see the same bytes the full decode
 // does.
 // The same bytes are then read as a whole segment file, by the walker
-// and the way recovery walks a tail it is about to append to: frame by
-// frame, folding incremental dictionary frames into the table the live
-// writer resumes from.
+// and by recovery, which steps the same walker over a tail it is about
+// to append to; the two must agree on the records of the valid prefix
+// recovery keeps (recoveryMatchesScan).
 func FuzzDecodeFrame(f *testing.F) {
 	rec := fuzzSeedRecord()
 	dict := newV2Dict(nil)
@@ -98,11 +100,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	data2 := framed(appendData(nil, rec, live))
 	dict2 := framed(live.appendDictFrame(nil, known))
 	seg := bytes.Join([][]byte{dict1, data1, dict2, data2}, nil)
-	if sc, err := scanFrames(newFrameReader(bytes.NewReader(seg))); err != nil || sc.n != 2 || sc.valid != int64(len(seg)) || len(sc.dict) != len(live.strs) || known == len(live.strs) {
-		f.Fatalf("segment seed walks as %+v (%v), want 2 records over %d bytes and a %d-entry dictionary grown from %d",
-			sc, err, len(seg), len(live.strs), known)
+	if sg, err := recoverWalk(seg); err != nil || sg.n != 2 || sg.size != int64(len(seg)) || len(sg.dict.strs) != len(live.strs) || known == len(live.strs) {
+		f.Fatalf("segment seed recovers as %+v (%v), want 2 records over %d bytes and a %d-entry dictionary grown from %d",
+			sg, err, len(seg), len(live.strs), known)
 	}
 	f.Add(seg)
+	// A v1 record whose time_s repeats: recovery dates it by the first,
+	// so the decode must not quietly take the second.
+	f.Add(framed([]byte(`{"v":1,"time_s":1.5,"time_s":7,"rows":[],"machine":{}}`)))
 
 	seeded := append([]string(nil), dict.strs...)
 	warmPrefix := framed(dictFrame)
@@ -114,15 +119,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		walkerMatchesReference(t, append(append([]byte(nil), warmPrefix...), framed(payload)...))
 		walkerMatchesReference(t, payload)
 		framePrefix(payload)
-		if sc, err := scanFrames(newFrameReader(bytes.NewReader(payload))); err == nil {
-			if sc.valid > int64(len(payload)) || sc.n > sc.valid {
-				t.Fatalf("segment walk over %d bytes claims %d valid bytes, %d records", len(payload), sc.valid, sc.n)
-			}
-			// What the walk accepted, the live writer resumes from.
-			if d := newV2Dict(sc.dict); len(d.strs) != len(sc.dict) {
-				t.Fatalf("resumed dictionary holds %d of %d entries", len(d.strs), len(sc.dict))
-			}
-		}
+		recoveryMatchesScan(t, payload)
 		if len(payload) >= 2 && (payload[0] == recordVersionV2 || payload[0] == RecordVersion) && payload[1] == v2KindData {
 			var rec Record
 			if err := decodeDataInto(&rec, payload, seeded, nil); err != nil {
@@ -187,6 +184,70 @@ func walkerMatchesReference(t *testing.T, seg []byte) {
 					proj != nil, pass, n, err, len(want), refErr)
 			}
 		}
+	}
+}
+
+// recoverWalk runs recovery over seg as the writable tail of an
+// in-memory store: openSegment on a scanner leased for it alone.
+func recoverWalk(seg []byte) (*segment, error) {
+	m := newMemFS()
+	if err := m.mkdirAll("store"); err != nil {
+		return nil, err
+	}
+	path := segmentPath("store", "raw", 1)
+	m.files[path] = &memInode{data: bytes.Clone(seg)}
+	sc := getScanner(m, nil)
+	defer sc.release()
+	sg, err := openSegment(sc, path, 1, 1, true)
+	if err != nil {
+		return nil, err
+	}
+	return sg, sg.f.Close() // not seal: that drops the resumed table
+}
+
+// recoveryMatchesScan holds recovery to the scan walker on seg read as a
+// whole segment file. Where recovery fails (a newer version), so does
+// the scan. Otherwise, over the valid prefix recovery kept, the scan
+// emits exactly recovery's record count with its first and last times,
+// or it fails: recovery does not decode rows, so a record it counts may
+// still not decode. The table the tail resumes is the one the scan
+// folds from the same prefix.
+func recoveryMatchesScan(t *testing.T, seg []byte) {
+	t.Helper()
+	const all = 1<<63 - 1
+	sg, rerr := recoverWalk(seg)
+	sc := getScanner(nil, nil)
+	defer sc.release()
+	if rerr != nil {
+		if err := sc.scan(bytes.NewReader(seg), -all, all, func() *Record { return &Record{} },
+			func(*Record, []string) error { return nil }); err == nil {
+			t.Fatalf("recovery fails (%v) where the scan does not", rerr)
+		}
+		return
+	}
+	if sg.size > int64(len(seg)) || sg.n > sg.size {
+		t.Fatalf("recovery over %d bytes claims %d valid bytes, %d records", len(seg), sg.size, sg.n)
+	}
+	var n int64
+	var first, last time.Duration
+	err := sc.scan(bytes.NewReader(seg[:sg.size]), -all, all, func() *Record { return &Record{} },
+		func(rec *Record, _ []string) error {
+			if n == 0 {
+				first = recTime(rec)
+			}
+			last = recTime(rec)
+			n++
+			return nil
+		})
+	if err != nil {
+		return
+	}
+	if n != sg.n || (n > 0 && (first != sg.first || last != sg.last)) {
+		t.Fatalf("recovery counts %d records over [%v, %v], the scan of its valid prefix %d over [%v, %v]",
+			sg.n, sg.first, sg.last, n, first, last)
+	}
+	if !slices.Equal(sc.dict, sg.dict.strs) {
+		t.Fatalf("recovery resumes a %d-entry table, the scan folds %d", len(sg.dict.strs), len(sc.dict))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,5 +197,62 @@ func TestTornPairEveryOffset(t *testing.T) {
 			t.Fatalf("cut at %d: first record decodes as %+v under columns %q", cut, recs[0].Rec.Rows, recs[0].Cols)
 		}
 		st.Close()
+	}
+}
+
+// TestResumedDictionaryIsOwned: the table a reopened tail resumes
+// interning against is its own, not the recovery scanner's. The scanner
+// goes back to the pool, and the next walk that leases it folds another
+// file's dictionary into the same slice; a tail sharing that slice would
+// have its table rewritten under the live writer. The scanner is driven
+// directly rather than through Open, so the walk that follows is sure
+// to reuse it (a pool may drop what it holds).
+func TestResumedDictionaryIsOwned(t *testing.T) {
+	write := func(names ...string) string {
+		t.Helper()
+		dir := t.TempDir()
+		st := mustOpen(t, dir, Options{NoDownsample: true})
+		st.SetColumns([]string{"v"})
+		for i := 1; i <= 3; i++ {
+			if err := st.AppendSample(namedSample(time.Duration(i)*time.Second, len(names), names...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return newestSegment(t, dir, "raw")
+	}
+	tail, other := write("alpha", "beta"), write("gamma", "delta", "epsilon")
+
+	sc := getScanner(osFS{}, nil)
+	defer sc.release()
+	sg, err := openSegment(sc, tail, 1, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.seal()
+	want := slices.Clone(sg.dict.strs)
+	if len(want) == 0 {
+		t.Fatal("the tail resumed an empty table")
+	}
+
+	f, err := os.Open(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc.begin(f)
+	for {
+		payload, _, err := sc.frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload == nil {
+			break
+		}
+	}
+	if !slices.Equal(sg.dict.strs, want) {
+		t.Fatalf("walking another segment rewrote the resumed table: %q, want %q", sg.dict.strs, want)
 	}
 }

@@ -62,7 +62,9 @@ type RecordAgg struct {
 	Misses uint64  `json:"misses"`
 }
 
-// DecodeRecord parses and version-checks one v1 JSON record payload.
+// DecodeRecord parses and version-checks one v1 JSON record payload,
+// rejecting one whose time is not its leading field's (recordPrefix, what
+// recovery and a scan's range filter date it by), e.g. a repeated time_s.
 func DecodeRecord(payload []byte) (*Record, error) {
 	var rec Record
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -70,6 +72,9 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	}
 	if rec.V < 1 || rec.V > RecordVersion {
 		return nil, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", rec.V, RecordVersion)
+	}
+	if t, _, ok := recordPrefix(payload); !ok || t != recTime(&rec) {
+		return nil, fmt.Errorf("store: bad record: time_s %g is not the leading field's", rec.TimeSeconds)
 	}
 	return &rec, nil
 }

@@ -45,8 +45,10 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"tiptop/internal/binenc"
@@ -219,21 +221,25 @@ func appendData(buf []byte, rec *Record, d *v2Dict) []byte {
 	return buf
 }
 
+// errCorruptDict marks a checksum-valid dictionary payload that does not
+// decode: a scan reports it, recovery clips the segment there.
+var errCorruptDict = errors.New("store: corrupt dictionary")
+
 // decodeV2Dict appends a dictionary payload's entries to dict through an
 // intern table: an entry the table holds is shared, not re-made, and a
-// new one joins it. A nil table makes every string afresh — what
-// recovery, which reads each file once, wants.
+// new one joins it. Every walker passes its scanner's table; a nil one,
+// which makes every string afresh, is the test reference decoder's.
 func decodeV2Dict(p []byte, dict []string, intern map[string]string) ([]string, error) {
 	b := p[2:]
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > uint64(len(p)) {
-		return nil, fmt.Errorf("store: corrupt dictionary (%d entries in %d bytes)", n, len(p))
+		return nil, fmt.Errorf("%w (%d entries in %d bytes)", errCorruptDict, n, len(p))
 	}
 	b = b[w:]
 	for i := uint64(0); i < n; i++ {
 		size, w := binary.Uvarint(b)
 		if w <= 0 || size > uint64(len(b)-w) {
-			return nil, fmt.Errorf("store: corrupt dictionary (entry %d of %d is truncated)", i, n)
+			return nil, fmt.Errorf("%w (entry %d of %d is truncated)", errCorruptDict, i, n)
 		}
 		raw := b[w : w+int(size)]
 		b = b[w+int(size):]
@@ -327,27 +333,13 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) erro
 	if resMs := r.Uvarint(); resMs > 0 {
 		rec.ResSeconds = float64(resMs) / 1000
 	}
-	flags := r.Byte()
-	rec.Cols = rec.Cols[:0]
-	if flags&v2FlagCols != 0 {
-		n := r.Uvarint()
-		if n > uint64(len(p)) {
-			return fmt.Errorf("store: corrupt binary record (cols)")
-		}
-		for i := uint64(0); i < n; i++ {
-			idx := r.Uvarint()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if idx >= uint64(len(dict)) {
-				return fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
-			}
-			rec.Cols = append(rec.Cols, dict[idx])
-		}
-		if proj != nil {
-			// The record's own values are laid out under its new columns.
-			proj.update(rec.Cols)
-		}
+	var err error
+	if rec.Cols, err = readCols(r, p, dict, rec.Cols[:0]); err != nil {
+		return err
+	}
+	if proj != nil {
+		// The record's own values are laid out under its new columns.
+		proj.update(rec.Cols)
 	}
 	nrows := r.Uvarint()
 	if nrows > uint64(len(p)) {
@@ -367,24 +359,14 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) erro
 		rows[i].TID = int(int64(rows[i].PID) + r.Varint())
 	}
 	for i := range rows {
-		idx := r.Uvarint()
-		if err := r.Err(); err != nil {
+		if rows[i].User, err = dictRef(r, dict); err != nil {
 			return err
 		}
-		if idx >= uint64(len(dict)) {
-			return fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
-		}
-		rows[i].User = dict[idx]
 	}
 	for i := range rows {
-		idx := r.Uvarint()
-		if err := r.Err(); err != nil {
+		if rows[i].Command, err = dictRef(r, dict); err != nil {
 			return err
 		}
-		if idx >= uint64(len(dict)) {
-			return fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
-		}
-		rows[i].Command = dict[idx]
 	}
 	if proj != nil && !proj.cpu {
 		for i := range rows {
@@ -475,24 +457,40 @@ func v2PeekCols(p []byte, dict []string) ([]string, error) {
 	r := binenc.NewReader(p[2:])
 	r.Uvarint() // time
 	r.Uvarint() // res
-	flags := r.Byte()
-	if r.Err() != nil || flags&v2FlagCols == 0 {
-		return nil, r.Err()
+	return readCols(r, p, dict, nil)
+}
+
+// readCols reads a data payload's column list (the flags byte after the
+// time and resolution, then any column-name indices) onto cols: the one
+// header parse behind decodeDataInto and v2PeekCols.
+func readCols(r *binenc.Reader, p []byte, dict, cols []string) ([]string, error) {
+	if r.Byte()&v2FlagCols == 0 {
+		return cols, r.Err()
 	}
 	n := r.Uvarint()
 	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("store: corrupt binary record (cols)")
+		return cols, fmt.Errorf("store: corrupt binary record (cols)")
 	}
-	cols := make([]string, 0, n)
+	cols = slices.Grow(cols, int(n))
 	for i := uint64(0); i < n; i++ {
-		idx := r.Uvarint()
-		if r.Err() != nil {
-			break
+		c, err := dictRef(r, dict)
+		if err != nil {
+			return cols, err
 		}
-		if idx >= uint64(len(dict)) {
-			return nil, fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
-		}
-		cols = append(cols, dict[idx])
+		cols = append(cols, c)
 	}
-	return cols, r.Err()
+	return cols, nil
+}
+
+// dictRef reads one dictionary index and resolves it against the
+// segment's table, rejecting an index the table does not hold.
+func dictRef(r *binenc.Reader, dict []string) (string, error) {
+	idx := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return "", err
+	}
+	if idx >= uint64(len(dict)) {
+		return "", fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
+	}
+	return dict[idx], nil
 }

@@ -17,6 +17,11 @@ package store
 // consumer sees exactly the sequence the inline walk produces, record
 // for record, column change for column change.
 //
+// The walker's frame step (segScanner.frame) is the only code that
+// reads a segment's frames; recovery (openSegment) steps it too. A
+// dictionary frame that passes its checksum but does not decode is an
+// error to a scan and the end of the valid prefix to recovery.
+//
 // What a scan allocates: per scratch record in flight — the record, its
 // rows and the one block its rows' Values are carved from (recordv2.go) —
 // never per row; and per file, the open and the owned column names. The
@@ -293,39 +298,12 @@ func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *
 
 // scan is scanFile over the segment's bytes.
 func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
-	s.dict = s.dict[:0]
-	if len(s.intern) > internMax {
-		clear(s.intern)
-	}
-	if s.proj != nil {
-		s.proj.reset()
-	}
-	fr := s.fr
-	fr.reset(r)
+	s.begin(r)
 	var fileCols []string
 	for {
-		payload, ok, err := fr.next()
-		if err != nil {
+		payload, t, err := s.frame()
+		if err != nil || payload == nil {
 			return err
-		}
-		if !ok {
-			return nil
-		}
-		fr.accept()
-		t, v, kind, pok := framePrefix(payload)
-		if !pok {
-			return nil
-		}
-		if v > RecordVersion {
-			return fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
-		}
-		if kind == frameKindMeta {
-			dict, err := decodeV2Dict(payload, s.dict, s.intern)
-			if err != nil {
-				return err
-			}
-			s.dict = dict
-			continue
 		}
 		if t > to {
 			return nil // records are time-ordered; nothing further matches
@@ -366,6 +344,53 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 		if err := emit(rec, fileCols); err != nil {
 			return err
 		}
+	}
+}
+
+// begin starts a walk over one segment's bytes, forgetting the decoder
+// state the previous file established: its dictionary (and the intern
+// table, once that has passed internMax) and the projection's columns.
+func (s *segScanner) begin(r io.Reader) {
+	s.dict = s.dict[:0]
+	if len(s.intern) > internMax {
+		clear(s.intern)
+	}
+	if s.proj != nil {
+		s.proj.reset()
+	}
+	s.fr.reset(r)
+}
+
+// frame steps the walk to the next record frame, returning its payload
+// (valid until the next call) and time; dictionary frames fold into
+// s.dict on the way. A frame joins the valid prefix (s.fr.valid) once
+// classified and, for a dictionary, decoded. A nil payload ends the walk:
+// a clean EOF, a torn or checksum-failing frame, or a payload framePrefix
+// rejects. A newer version fails, as does a corrupt dictionary.
+func (s *segScanner) frame() ([]byte, time.Duration, error) {
+	for {
+		payload, ok, err := s.fr.next()
+		if err != nil || !ok {
+			return nil, 0, err
+		}
+		t, v, kind, ok := framePrefix(payload)
+		if !ok {
+			return nil, 0, nil
+		}
+		if v > RecordVersion {
+			return nil, 0, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
+		}
+		if kind == frameKindMeta {
+			dict, err := decodeV2Dict(payload, s.dict, s.intern)
+			if err != nil {
+				return nil, 0, err
+			}
+			s.dict = dict
+			s.fr.accept()
+			continue
+		}
+		s.fr.accept()
+		return payload, t, nil
 	}
 }
 

@@ -2,18 +2,21 @@ package store
 
 // Segment files: the append-only unit of storage and retention. Every
 // record is framed as [uint32 length][uint32 crc32][payload], both
-// little-endian; the scan in openSegment is the store's only recovery
+// little-endian; the walk in openSegment is the store's only recovery
 // mechanism — a frame whose length is implausible, whose payload is
 // short, or whose checksum mismatches marks the end of the valid
-// prefix, and everything after it is clipped.
+// prefix, and everything after it is clipped. The walk is the query
+// scanner's (segScanner.frame), which alone drives frameReader below.
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"time"
 )
 
@@ -35,7 +38,7 @@ const (
 // segment is one on-disk segment file. The writer appends through f
 // and interns strings in dict (both nil once sealed); size, n, the
 // record-time bounds and dict are maintained in memory and rebuilt by
-// scanning on open. A compacted segment spans the sequence range
+// walking the file on open. A compacted segment spans the sequence range
 // [seq, seqEnd] of the segments it replaced; plain segments have
 // seqEnd == seq.
 type segment struct {
@@ -125,92 +128,54 @@ func (sg *segment) seal() error {
 	return nil
 }
 
-// openSegment scans an existing segment through fr, validating every
-// frame and clipping a torn or corrupt tail: logically always
-// (size/n/first/last reflect only the valid prefix), physically when
-// writable is set (the newest segment of a tier, which reopens for
-// appending). Recovery passes one fr for every file it opens, so the
-// read and payload buffers are made once per Open, not once per file.
-func openSegment(fsys filesystem, fr *frameReader, path string, seq, seqEnd int64, writable bool) (*segment, error) {
+// openSegment steps an existing segment through the scan walker sc
+// without decoding a record, validating every frame and clipping a torn
+// or corrupt tail: logically always (size/n/first/last reflect only the
+// valid prefix), physically when writable is set (the newest segment of
+// a tier, which reopens for appending and resumes its table). Recovery
+// leases one sc for every file it opens, so the walker's buffers,
+// dictionary slice and intern table are leased once per Open.
+func openSegment(sc *segScanner, path string, seq, seqEnd int64, writable bool) (*segment, error) {
 	sg := &segment{path: path, seq: seq, seqEnd: seqEnd}
-	f, err := fsys.open(path)
+	f, err := sc.fsys.open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	fr.reset(f)
-	sc, scanErr := scanFrames(fr)
-	closeErr := f.Close()
-	if scanErr != nil {
-		return nil, scanErr
+	sc.begin(f)
+	for {
+		payload, t, werr := sc.frame()
+		if werr != nil && !errors.Is(werr, errCorruptDict) {
+			f.Close() // read-only
+			return nil, werr
+		}
+		if payload == nil {
+			break // a corrupt dictionary clips like a torn frame
+		}
+		if sg.n == 0 {
+			sg.first = t
+		}
+		sg.last = t
+		sg.n++
 	}
-	if closeErr != nil {
-		return nil, fmt.Errorf("store: %w", closeErr)
+	sg.size = sc.fr.valid
+	if err := f.Close(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	sg.size, sg.n, sg.first, sg.last = sc.valid, sc.n, sc.first, sc.last
 	if writable {
 		// Clip whatever follows the valid prefix (a crash mid-append) so
 		// the chain is clean; on an intact tail this changes nothing.
-		if err := fsys.truncate(path, sc.valid); err != nil {
+		if err := sc.fsys.truncate(path, sg.size); err != nil {
 			return nil, fmt.Errorf("store: clip %s: %w", filepath.Base(path), err)
 		}
-		w, err := fsys.openAppend(path)
+		w, err := sc.fsys.openAppend(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		sg.f, sg.dict = w, newV2Dict(sc.dict)
+		// A copy: the scanner's table is the pool's, and the next walk
+		// that leases it writes into the same backing array.
+		sg.f, sg.dict = w, newV2Dict(slices.Clone(sc.dict))
 	}
 	return sg, nil
-}
-
-// frameScan is what scanFrames learns about a segment's valid prefix:
-// its byte length, the record count and first/last record times, and
-// the string table its dictionary frames establish — what a tail
-// segment reopened for appending resumes interning against.
-type frameScan struct {
-	valid, n    int64
-	first, last time.Duration
-	dict        []string
-}
-
-// scanFrames walks a segment from where fr was reset to and stops
-// (without error) at the first invalid frame. Frames are version-sniffed
-// individually (v1 JSON and binary frames of either version mix
-// freely); dictionary frames join the valid prefix but are not records,
-// so they never count or move the time bounds.
-func scanFrames(fr *frameReader) (sc frameScan, err error) {
-	for {
-		payload, ok, rerr := fr.next()
-		if rerr != nil {
-			return frameScan{}, rerr
-		}
-		if !ok {
-			return sc, nil
-		}
-		t, v, kind, ok := framePrefix(payload)
-		if !ok {
-			// Structurally sound frame with an unparseable payload:
-			// treat as corruption, clip here.
-			return sc, nil
-		}
-		if v > RecordVersion {
-			return frameScan{}, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
-		}
-		if kind == frameKindMeta {
-			dict, derr := decodeV2Dict(payload, sc.dict, nil)
-			if derr != nil {
-				return sc, nil // corrupt like the above
-			}
-			sc.dict = dict
-		} else {
-			if sc.n == 0 {
-				sc.first = t
-			}
-			sc.last = t
-			sc.n++
-		}
-		fr.accept()
-		sc.valid = fr.valid
-	}
 }
 
 // frameReader iterates frames over a reader, tracking the end offset of

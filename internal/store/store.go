@@ -766,13 +766,14 @@ func (st *Store) recover() error {
 		kept = append(kept, f)
 	}
 	files = kept
-	fr := newFrameReader(nil)
+	sc := getScanner(st.fsys, nil)
+	defer sc.release()
 	for i, f := range files {
 		t := st.tiers[f.tier]
 		// Only a plain tail segment reopens for appending; a compacted
 		// tail stays sealed and the next append starts a fresh segment.
 		lastOfTier := (i == len(files)-1 || files[i+1].tier != f.tier) && !f.compacted
-		sg, err := openSegment(st.fsys, fr, f.path, f.seq, f.end, lastOfTier)
+		sg, err := openSegment(sc, f.path, f.seq, f.end, lastOfTier)
 		if err != nil {
 			return err
 		}

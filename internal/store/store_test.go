@@ -228,29 +228,70 @@ func TestCrashRecoveryTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestRecoveryGarbageTail appends what no crash-free writer leaves to
+// an intact tail — bytes that frame nothing, and a frame whose checksum
+// holds over a dictionary that does not decode — and pins the policy
+// for each: recovery clips the tail back to its last record, physically,
+// so it takes appends again; a scan of the corrupted bytes delivers
+// every record before it and reports a dictionary it cannot read.
 func TestRecoveryGarbageTail(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{NoDownsample: true})
-	fill(t, st, time.Second, time.Second, 10, 1)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg := newestSegment(t, dir, "raw")
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("\xde\xad\xbe\xef garbage that is no frame")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	corruptDict := append(beginFrame(nil), RecordVersion, v2KindDict, 0x7f) // 127 entries in 3 bytes
+	endFrame(corruptDict)
+	for _, tc := range []struct {
+		name    string
+		tail    []byte
+		scanErr string // "" = the scan stops cleanly
+	}{
+		{"garbage", []byte("\xde\xad\xbe\xef garbage that is no frame"), ""},
+		{"corrupt dictionary", corruptDict, "corrupt dictionary"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := mustOpen(t, dir, Options{NoDownsample: true})
+			fill(t, st, time.Second, time.Second, 10, 1)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seg := newestSegment(t, dir, "raw")
+			intact, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupted := append(intact, tc.tail...)
+			if err := os.WriteFile(seg, corrupted, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	st = mustOpen(t, dir, Options{NoDownsample: true})
-	if got := st.Records(); got != 10 {
-		t.Fatalf("recovered %d records, want 10 with garbage clipped", got)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+			sc := getScanner(nil, nil)
+			defer sc.release()
+			n := 0
+			err = sc.scan(bytes.NewReader(corrupted), 0, 1<<62, func() *Record { return &Record{} },
+				func(*Record, []string) error { n++; return nil })
+			if n != 10 || (tc.scanErr == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.scanErr)) {
+				t.Fatalf("a scan emitted %d records and returned %v, want 10 and error %q", n, err, tc.scanErr)
+			}
+
+			st = mustOpen(t, dir, Options{NoDownsample: true})
+			if got := st.Records(); got != 10 {
+				t.Fatalf("recovered %d records, want 10 with the tail clipped", got)
+			}
+			if fi, err := os.Stat(seg); err != nil {
+				t.Fatal(err)
+			} else if fi.Size() != int64(len(intact)) {
+				t.Fatalf("tail is %d bytes after recovery, want it clipped to %d", fi.Size(), len(intact))
+			}
+			fill(t, st, time.Second, time.Second, 1, 1)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = mustOpen(t, dir, Options{NoDownsample: true})
+			if got := st.Records(); got != 11 {
+				t.Fatalf("after recover-append-recover: %d records, want 11", got)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Docs gate: fail CI when README.md or ARCHITECTURE.md reference flags
-# endpoints or make targets that no longer exist in the source, or when
-# a command grows a flag README.md never mentions. Three checks run in
-# the docs -> source direction (stale documentation is the failure
-# mode):
+# Docs gate: fail CI when README.md or ARCHITECTURE.md reference flags,
+# endpoints, make targets or identifiers that no longer exist in the
+# source, or when a command grows a flag README.md never mentions. Three
+# checks run in the docs -> source direction (stale documentation is the
+# failure mode):
 #
 #  1. every /api/v1/* endpoint and /metrics mentioned in the docs must
 #     be registered — a "GET <endpoint>" mux pattern — by a non-test Go
@@ -19,12 +19,19 @@
 #  4. every flag a command's flag set defines, the shared ones
 #     included, must appear in README.md as `-flag`;
 #
-# and one that does both for the -config file's <options> attributes:
+# one that does both for the -config file's <options> attributes:
 #
 #  5. every attribute README's Configuration section names — in its
 #     <options ...> example, or as `attr=` in its precedence paragraph —
 #     must be a row of config.Options (internal/config/flags.go), and
-#     every row must be named there.
+#     every row must be named there;
+#
+# and one over every identifier the docs quote:
+#
+#  6. every backticked name in the docs of the form ident(.ident)* must
+#     have its last dotted part occur as a whole word in some .go file
+#     (tests and bench/ count), so a renamed or deleted function leaves
+#     no doc pointing at it. Words that are not Go go in ident_allow.
 #
 # Run as `make docs` (part of `make verify`).
 set -eu
@@ -133,6 +140,18 @@ done
 for attr in $rows; do
     if ! printf '%s\n' "$named" | grep -qx "$attr"; then
         echo "docs gate: config.Options maps $attr= but README's Configuration section never names it"
+        fail=1
+    fi
+done
+
+# --- 6. backticked identifiers exist in the source --------------------
+ident_allow="curl"
+words=$(find . -name '*.go' -exec cat {} + | grep -oE '[A-Za-z0-9_]+' | sort -u)
+for name in $(grep -ohE '`[^`]*`' $docs | tr -d '`' | grep -xE '[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*' | sort -u); do
+    last=${name##*.}
+    case " $ident_allow " in *" $last "*) continue ;; esac
+    if ! printf '%s\n' "$words" | grep -qxF "$last"; then
+        echo "docs gate: docs quote \`$name\` but no .go file has the word $last"
         fail=1
     fi
 done
