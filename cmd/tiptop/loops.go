@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"tiptop"
@@ -14,7 +15,8 @@ import (
 // MonitorAPI — a local engine or a -connect'ed remote daemon: one attach
 // pass, then a sample per iteration handed to the emitter (which shows
 // it and tees it to the record sinks) until -n refreshes are done, quit
-// fires, or — without -n — a simulated scenario drains.
+// fires, or — without -n — a simulated scenario drains: a sample with no
+// live row, only the exit rows of the last tasks, ends the run.
 func refreshLoop(mon tiptop.MonitorAPI, iterations int, em *emitter, quit <-chan os.Signal) error {
 	if _, err := mon.SampleNow(); err != nil { // attach pass
 		return err
@@ -32,7 +34,7 @@ func refreshLoop(mon tiptop.MonitorAPI, iterations int, em *emitter, quit <-chan
 		if err := em.emit(sample); err != nil {
 			return err
 		}
-		if len(sample.Rows) == 0 && iterations <= 0 {
+		if iterations <= 0 && !slices.ContainsFunc(sample.Rows, func(r tiptop.Row) bool { return r.State != tiptop.StateExited }) {
 			return nil
 		}
 	}

@@ -123,6 +123,21 @@ func TestRunBatchSim(t *testing.T) {
 	}
 }
 
+// TestRunBatchDrainsOnExitRows: without -n, a simulated scenario runs
+// until a refresh holds no live row. Jobs that all finish within the
+// first interval show once, as exit rows carrying their final counts,
+// and that refresh is the last.
+func TestRunBatchDrainsOnExitRows(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-b", "-d", "1", "-sim", "spec", "-scale", "0.001"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 6 || lines[0] != "--- t=1s tasks=4" || strings.Contains(sb.String(), " - ") {
+		t.Fatalf("want one block of 4 exit rows with their counts, got:\n%s", sb.String())
+	}
+}
+
 // TestRunBatchGolden pins the batch-mode text output over a seeded sim
 // scenario byte for byte. The simulator is deterministic, so any drift
 // here is a real behaviour change.

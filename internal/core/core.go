@@ -34,11 +34,16 @@ type TaskInfo struct {
 	ID        hpm.TaskID
 	User      string
 	Comm      string
-	State     string // R, S, Z, ...
+	State     string // R, S, Z, ..., StateExited on an exit row
 	CPUTime   time.Duration
 	StartTime time.Duration
 	LastCPU   int
 }
+
+// StateExited is the State of an exit row: the one row a task gets
+// after it leaves the process table (Linux's "dead"), holding the
+// deltas it counted since the previous refresh.
+const StateExited = "X"
 
 // ProcSource enumerates monitorable tasks. Implementations exist for the
 // real /proc filesystem and for the simulated kernel.
@@ -283,10 +288,12 @@ type taskState struct {
 	counter hpm.TaskCounter
 	// reader is non-nil when the counter supports allocation-free
 	// reads; prevCounts and spare then ping-pong as its destination.
-	reader      hpm.CountReader
-	prevCounts  []hpm.Count
-	spare       []hpm.Count
-	prevCPUTime time.Duration
+	reader     hpm.CountReader
+	prevCounts []hpm.Count
+	spare      []hpm.Count
+	// info is the task as last listed: the identity of its exit row,
+	// and the CPU time the next %CPU counts from.
+	info        TaskInfo
 	prevSeenAt  time.Duration
 	everSampled bool
 	seen        uint64 // epoch that last listed the task
@@ -433,8 +440,8 @@ func ResolveScreenEvents(registry *hpm.Registry, screen *metrics.Screen) ([]hpm.
 }
 
 // Update performs one refresh: it rescans the process table, attaches
-// counters to newly discovered tasks, reads deltas for known ones, and
-// returns the computed sample.
+// counters to newly discovered tasks, reads deltas for known ones, gives
+// each task that vanished one exit row, and returns the computed sample.
 func (s *Session) Update() (*Sample, error) {
 	if s.closed {
 		return nil, errors.New("core: session closed")
@@ -461,6 +468,7 @@ func (s *Session) Update() (*Sample, error) {
 	rows := make([]Row, 0, n)
 	values := make([]float64, n*ncols)
 	counts := make([]uint64, n*nev)
+	live, dropped := 0, 0 // tasks with counters this refresh lists, and tasks gone
 	for i := range infos {
 		info := &infos[i]
 		if s.opt.FilterUser != "" && info.User != s.opt.FilterUser {
@@ -473,6 +481,22 @@ func (s *Session) Update() (*Sample, error) {
 		// Book-keeping is keyed by the full TaskID, so per-thread rows,
 		// per-process leader rows and group-scope rows never collide.
 		st, ok := s.states[info.ID]
+		if ok && st.info.StartTime != info.StartTime {
+			// The OS recycled the TaskID. The old task leaves through
+			// the exit path, its exit row in this slot; the new one is
+			// attached fresh and shows from the next refresh on, so no
+			// sample carries one TaskID twice.
+			rows = s.exit(rows[:len(rows)-1], st, now, vals, counts[:nev:nev])
+			counts = counts[nev:]
+			delete(s.states, info.ID)
+			dropped++
+			if st = s.admit(info, now); st != nil {
+				st.seen = s.epoch
+				s.states[info.ID] = st
+				live++
+			}
+			continue
+		}
 		if !ok {
 			if st = s.admit(info, now); st == nil {
 				// Attach failed; show an unmonitored row.
@@ -483,19 +507,25 @@ func (s *Session) Update() (*Sample, error) {
 		}
 		s.sampleTask(row, st, info, now, vals, counts[:nev:nev])
 		counts = counts[nev:]
-		st.prevCPUTime = info.CPUTime
+		st.info = *info
 		st.prevSeenAt = now
 		st.everSampled = true
 		st.seen = s.epoch
+		live++
 	}
 
-	// Reap tasks that disappeared.
-	dropped := 0
-	for id, st := range s.states {
-		if st.seen != s.epoch {
-			_ = st.counter.Close() // the task is gone; nothing to retry
-			delete(s.states, id)
-			dropped++
+	// Tasks the snapshot no longer lists leave through the exit path.
+	if gone := len(s.states) - live; gone > 0 {
+		rows = slices.Grow(rows, gone)
+		values = make([]float64, gone*ncols)
+		counts = make([]uint64, gone*nev)
+		for id, st := range s.states {
+			if st.seen != s.epoch {
+				rows = s.exit(rows, st, now, values[:ncols:ncols], counts[:nev:nev])
+				values, counts = values[ncols:], counts[nev:]
+				delete(s.states, id)
+				dropped++
+			}
 		}
 	}
 	// Attach-failure state goes with the task: the map cannot grow
@@ -564,7 +594,7 @@ func ValidateSortKey(screen *metrics.Screen, key string) error {
 func (s *Session) cpuPct(st *taskState, info *TaskInfo, now time.Duration) float64 {
 	var used, wall time.Duration
 	if st != nil && st.everSampled {
-		used = info.CPUTime - st.prevCPUTime
+		used = info.CPUTime - st.info.CPUTime
 		wall = now - st.prevSeenAt
 	} else {
 		used = info.CPUTime
@@ -596,7 +626,8 @@ func (s *Session) sortRows(rows []Row) {
 		}
 	}
 	// Descending by the key, ties (and NaN, which no key yields) broken
-	// by ascending PID.
+	// by ascending PID, then TID: no two rows tie, so the order never
+	// depends on the order the engine met them in.
 	slices.SortStableFunc(rows, func(a, b Row) int {
 		switch {
 		case key == "pid":
@@ -609,7 +640,7 @@ func (s *Session) sortRows(rows []Row) {
 				return c
 			}
 		}
-		return cmp.Compare(a.Info.ID.PID, b.Info.ID.PID)
+		return cmp.Or(cmp.Compare(a.Info.ID.PID, b.Info.ID.PID), cmp.Compare(a.Info.ID.TID, b.Info.ID.TID))
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,6 +76,16 @@ func TestCounterReadFailureDegradesToCPUOnly(t *testing.T) {
 	}
 	if sam.Rows[0].CPUPct < 0 {
 		t.Fatal("cpu percentage still computed")
+	}
+	// The task exits while its counter still fails: the final read
+	// fails too, so there is no exit row, and the counter is closed.
+	p.infos = nil
+	c.Advance(time.Second)
+	if sam, err = s.Update(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sam.Rows) != 0 || sam.Dropped != 1 || b.closeCount != 1 {
+		t.Fatalf("%d rows, Dropped = %d, %d closes after the exit; want 0, 1, 1", len(sam.Rows), sam.Dropped, b.closeCount)
 	}
 }
 
@@ -230,5 +241,48 @@ func TestManyTasksChurn(t *testing.T) {
 	}
 	if b.closeCount != len(b.attachLog) {
 		t.Fatalf("leaked counters: %d attached, %d closed", len(b.attachLog), b.closeCount)
+	}
+}
+
+// TestReusedTaskIDExitsOldTask: a TaskID listed again with another
+// StartTime is a new process on a recycled PID. The old task leaves
+// through the exit path — one final read into one exit row, its counter
+// closed once — and the new one is attached fresh, without a row of its
+// own in that refresh, so no sample carries one TaskID twice.
+func TestReusedTaskIDExitsOldTask(t *testing.T) {
+	b, p, c := fixture()
+	addTask(b, p, 1, "u", 1, 1e9)
+	addTask(b, p, 2, "u", 1, 1e9)
+	s := newTestSession(t, b, p, c, Options{})
+	if _, err := s.Update(); err != nil {
+		t.Fatal(err)
+	}
+	c.Advance(time.Second)
+	p.infos[0].StartTime, p.infos[0].Comm = c.now, "reborn"
+	sam, err := s.Update()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(b.attachLog, []int{1, 2, 1}) || b.closeCount != 1 {
+		t.Fatalf("attach log %v, %d closes: want pid 1 attached again and its first counter closed", b.attachLog, b.closeCount)
+	}
+	var pid1 []Row
+	for _, row := range sam.Rows {
+		if row.Info.ID.PID == 1 {
+			pid1 = append(pid1, row)
+		}
+	}
+	if len(pid1) != 1 || sam.Dropped != 1 {
+		t.Fatalf("%d rows for pid 1 and Dropped = %d, want one exit row and 1", len(pid1), sam.Dropped)
+	}
+	if r := pid1[0]; r.Info.State != StateExited || r.Info.Comm != "proc1" || !r.Valid || r.Count(hpm.EventCycles) != 1e9 {
+		t.Fatalf("exit row = %+v, want the old task's final second", r.Info)
+	}
+	c.Advance(time.Second)
+	if sam, err = s.Update(); err != nil {
+		t.Fatal(err)
+	}
+	if r := sam.Rows[0]; r.Info.Comm != "reborn" || r.Info.State != "R" || r.Count(hpm.EventCycles) != 1e9 || b.closeCount != 1 {
+		t.Fatalf("next refresh: row %+v, %d closes; want the new task's first second", r.Info, b.closeCount)
 	}
 }

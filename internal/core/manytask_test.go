@@ -65,8 +65,8 @@ func simManySession(tb testing.TB, k *sched.Kernel) *core.Session {
 }
 
 // TestManyTaskChurn kills half the tasks mid-flight and checks the
-// engine reaps exactly the dead ones, closing each of their descriptors
-// once, in the refresh that misses them.
+// engine reaps exactly the dead ones, each with one exit row, closing
+// each of their descriptors once, in the refresh that misses them.
 func TestManyTaskChurn(t *testing.T) {
 	const tasks = 1200
 	k := manyTaskKernel(t, tasks)
@@ -95,8 +95,17 @@ func TestManyTaskChurn(t *testing.T) {
 	if sample.Dropped != killed {
 		t.Fatalf("Dropped = %d, want %d", sample.Dropped, killed)
 	}
-	if len(sample.Rows) != tasks-killed {
-		t.Fatalf("rows = %d, want %d", len(sample.Rows), tasks-killed)
+	exits := 0
+	for _, row := range sample.Rows {
+		if row.Info.State == core.StateExited {
+			if row.Info.ID.PID%2 != 0 {
+				t.Fatalf("exit row for live pid %d", row.Info.ID.PID)
+			}
+			exits++
+		}
+	}
+	if len(sample.Rows) != tasks || exits != killed {
+		t.Fatalf("rows = %d with %d exit rows, want %d live + %d exit rows", len(sample.Rows), exits, tasks-killed, killed)
 	}
 	// One descriptor per event per task: the dead tasks' were closed
 	// inside that refresh, and a later refresh closes nothing again.
@@ -105,8 +114,8 @@ func TestManyTaskChurn(t *testing.T) {
 		t.Fatalf("%d closes after the reap, want %d (%d events x %d dead tasks)", got, wantCloses, len(s.Events()), killed)
 	}
 	s.AdvanceClock()
-	if again, err := s.Update(); err != nil || again.Dropped != 0 {
-		t.Fatalf("refresh after the reap: Dropped = %d, err = %v", again.Dropped, err)
+	if again, err := s.Update(); err != nil || again.Dropped != 0 || len(again.Rows) != tasks-killed {
+		t.Fatalf("refresh after the reap: %d rows, Dropped = %d, err = %v", len(again.Rows), again.Dropped, err)
 	}
 	if got := sim.Syscalls().Closes; got != wantCloses {
 		t.Fatalf("%d closes one refresh later, want still %d", got, wantCloses)

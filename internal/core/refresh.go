@@ -52,12 +52,28 @@ func (s *Session) admit(info *TaskInfo, now time.Duration) *taskState {
 	delete(s.failed, info.ID)
 	reader, _ := ctr.(hpm.CountReader)
 	return &taskState{
-		counter:     ctr,
-		reader:      reader,
-		prevCounts:  counts,
-		prevCPUTime: info.CPUTime,
-		prevSeenAt:  now,
+		counter:    ctr,
+		reader:     reader,
+		prevCounts: counts,
+		info:       *info,
+		prevSeenAt: now,
 	}
+}
+
+// exit gives a task that left the process table, or whose TaskID the OS
+// recycled, one last read and closes its counters. It appends the task's
+// exit row to rows — its last listed TaskInfo with State StateExited and
+// the deltas of the final partial interval — unless that read fails.
+func (s *Session) exit(rows []Row, st *taskState, now time.Duration, vals []float64, deltas []uint64) []Row {
+	info := st.info
+	info.State = StateExited
+	var row Row
+	s.sampleTask(&row, st, &info, now, vals, deltas)
+	_ = st.counter.Close() // the task is gone; nothing to retry
+	if !row.Valid {
+		return rows
+	}
+	return append(rows, row)
 }
 
 // noteFailure records an attach failure and schedules (or forbids) the

@@ -165,15 +165,14 @@ type (
 	coreSession = core.Session
 )
 
-// simSession wires a tiptop engine onto a simulated kernel. Exited tasks
-// stay visible (like zombies with open perf descriptors) so the final
-// refresh still reads the deltas of tasks that finished mid-interval.
+// simSession wires a tiptop engine onto a simulated kernel, through the
+// process source users run: a task that finishes mid-interval leaves the
+// table, and the refresh that misses it reads its final deltas into its
+// exit row.
 func simSession(k *sched.Kernel, screen *metrics.Screen, interval time.Duration, sortBy string) (*core.Session, error) {
-	src := proc.NewSource(k)
-	src.IncludeExited = true
 	return core.NewSession(
 		pmu.New(k),
-		src,
+		proc.NewSource(k),
 		proc.NewClock(k),
 		core.Options{
 			Screen:   screen,

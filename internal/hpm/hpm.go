@@ -198,8 +198,8 @@ type Backend interface {
 // happened. Interval scaling has no such phase: a window in which the
 // event counted the whole time contributes its raw increment exactly,
 // and a window in which it counted part of the time is extrapolated by
-// that window's coverage alone. A negative delta (counter re-created,
-// task died and pid reused) is clamped to zero: the tool displays
+// that window's coverage alone. A negative delta (a counter reset or
+// re-created) is clamped to zero: the tool displays
 // occurrences since the previous refresh and must never show garbage.
 //
 // The deltas are written into dst, which is grown as needed and

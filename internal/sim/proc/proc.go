@@ -17,9 +17,6 @@ import (
 // Source is the simulated process table.
 type Source struct {
 	k *sched.Kernel
-	// IncludeExited controls whether zombies remain visible. The real
-	// top drops them once reaped; the default hides them.
-	IncludeExited bool
 	// PerThread lists one entry per thread instead of one per process
 	// (paper §2.2). In process mode, a multi-threaded process shows
 	// the summed CPU time of its group.
@@ -61,8 +58,8 @@ func (s *Source) Snapshot() ([]core.TaskInfo, error) {
 		}
 	}
 	for _, t := range tasks {
-		if t.State() == sched.TaskExited && !s.IncludeExited {
-			continue
+		if t.State() == sched.TaskExited {
+			continue // gone from the table; the engine reads it once more, into its exit row
 		}
 		if !s.PerThread && !t.ID().IsProcess() {
 			continue // threads fold into their leader

@@ -59,15 +59,7 @@ func TestZombieVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(infos) != 0 {
-		t.Fatalf("exited tasks hidden by default, got %d", len(infos))
-	}
-	src.IncludeExited = true
-	infos, err = src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].State != "Z" {
-		t.Fatalf("zombie visibility: %+v", infos)
+		t.Fatalf("exited tasks must leave the process table, got %d", len(infos))
 	}
 }
 

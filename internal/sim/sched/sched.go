@@ -28,8 +28,9 @@ const (
 	TaskRunnable TaskState = iota
 	// TaskSleeping tasks are in the off part of their duty cycle.
 	TaskSleeping
-	// TaskExited tasks have finished; they remain visible (like
-	// zombies) so monitors can take a final reading.
+	// TaskExited tasks have finished. They stay in Kernel.Tasks, but
+	// the process table no longer lists them; a monitor's counters
+	// stay readable, so its next refresh takes the final reading.
 	TaskExited
 )
 

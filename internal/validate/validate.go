@@ -379,9 +379,7 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 	rotation := capacity > 0 && total > capacity
 	muxedEvent := func(name string) bool { return rotation && slotCost[name] > 0 }
 
-	src := proc.NewSource(kern)
-	src.IncludeExited = true
-	sess, err := core.NewSession(mux.Wrap(inner), src, proc.NewClock(kern), core.Options{
+	sess, err := core.NewSession(mux.Wrap(inner), proc.NewSource(kern), proc.NewClock(kern), core.Options{
 		Screen:   screen,
 		Interval: interval,
 		FreqHz:   m.FreqHz,
@@ -407,7 +405,7 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 	// The live run: attach at t=0 (nothing has executed yet, so the
 	// perf "only events after attach" semantics still observe the whole
 	// program), then refresh until the kernel exits — the final sample
-	// reads the partial last interval of the then-zombie task.
+	// holds the task's exit row, the partial last interval.
 	sums := make(map[string]uint64, len(events))
 	maxSamples := opt.RefreshTarget*3 + 32
 	done := false

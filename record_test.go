@@ -262,8 +262,14 @@ func TestScrapeEncodeSteadyAllocs(t *testing.T) {
 	if _, err := sc.StartSynthetic("user0", "job02000", 1.5); err != nil {
 		t.Fatal(err)
 	}
+	// A replacement is two membership changes: the new task joins beside
+	// the killed one's exit row, and one refresh later the exit row
+	// leaves.
 	if _, renders := encode(); renders != 1 {
 		t.Fatalf("one task replaced: %d re-renders, want 1", renders)
+	}
+	if _, renders := encode(); renders != 1 {
+		t.Fatalf("the exit row leaves: %d re-renders, want 1", renders)
 	}
 	steady("after the replacement", 3)
 	if st := cache.Stats(); st.Encodes != version || st.BodyBytes < 2000*1000 || st.LastEncode <= 0 {

@@ -162,6 +162,11 @@ type ScreenDef struct {
 	Columns []ColumnDef
 }
 
+// StateExited is the State of an exit row: the one row a task gets
+// after it leaves the process table, holding the counts of its last
+// partial interval.
+const StateExited = core.StateExited
+
 // Row is one monitored task in a sample.
 type Row struct {
 	PID int
