@@ -53,24 +53,24 @@ func dashboardStore(tb testing.TB, tasks, refreshes int) *store.Store {
 }
 
 // dashboardShapes are the ranges a dashboard asks a store of 100
-// refreshes (2 s … 200 s) for; records bounds how many each decodes.
+// refreshes (2 s … 200 s) for.
 var dashboardShapes = []struct {
-	name    string
-	opt     Options
-	records int
+	name string
+	opt  Options
 }{
-	{"3 records raw", Options{FromSeconds: 195.5, ToSeconds: 200}, 3},
-	{"narrow window step 10", Options{FromSeconds: 150, ToSeconds: 200, StepSeconds: 10}, 6},
-	{"whole range step 60", Options{StepSeconds: 60}, 4},
-	{"whole range raw", Options{}, 100},
+	{"3 records raw", Options{FromSeconds: 195.5, ToSeconds: 200}},
+	{"narrow window step 10", Options{FromSeconds: 150, ToSeconds: 200, StepSeconds: 10}},
+	{"whole range step 60", Options{StepSeconds: 60}},
+	{"whole range raw", Options{}},
 }
 
 // TestDashboardQueryAllocs: a query over records of 2000 rows allocates
-// per slab chunk, per scratch record and per file — a quarter of an
-// allocation per series and a fixed 200 — whether it decodes 6000 rows or
-// all 200 000. The scan pool decodes ahead of the merge, so it adds the
-// scratch it holds in flight: three allocations a record (the record,
-// its rows, its values block), never anything per row.
+// per slab chunk, per scratch record or scan batch and per file — a
+// quarter of an allocation per series and a fixed 100 — whether it
+// decodes 6000 rows or all 200 000, inline or through the scan pool: a
+// pooled scan's batches own their storage and go back to the workers
+// once merged, so what it decodes ahead costs per batch in flight, not
+// per record.
 func TestDashboardQueryAllocs(t *testing.T) {
 	const tasks, refreshes = 2000, 100
 	st := dashboardStore(t, tasks, refreshes)
@@ -80,10 +80,7 @@ func TestDashboardQueryAllocs(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				opt := shape.opt
 				opt.Workers = workers
-				budget := 0.25*(tasks+1) + 200
-				if workers > 1 {
-					budget += 3 * float64(shape.records)
-				}
+				budget := 0.25*(tasks+1) + 100
 				var res *Result
 				allocs := testing.AllocsPerRun(3, func() {
 					var err error

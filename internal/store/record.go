@@ -35,7 +35,8 @@ type Record struct {
 	Rows    []RecordRow `json:"rows"`
 	Machine RecordAgg   `json:"machine"`
 	// block backs every row's Values in a record a binary decode filled —
-	// the scratch a scan reuses (see decodeDataInto).
+	// the scratch a scan reuses, or a window onto a scan batch's values
+	// slab (see decodeDataInto).
 	block []float64
 }
 

@@ -318,7 +318,9 @@ func (p *projection) keepCol(j int) bool {
 // carved from one block the record owns (Record.block), sized from the
 // summed per-row counts once those are checked against the payload: a
 // fresh record costs one values allocation however many rows it has, a
-// reused one none unless it is wider than any the scratch held. It
+// reused one none unless it is wider than any the scratch held (a scan
+// batch hands in empty windows onto its slabs: a record that does not fit
+// gets exact storage of its own; block is left at the length used). It
 // mirrors appendData exactly, stepping over a v2 frame's IPC chain;
 // trailing bytes are an error, not ignored. Strings are shared with the
 // segment dictionary, never re-allocated. A nil proj decodes every
@@ -399,7 +401,8 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) erro
 	if rec.block == nil || uint64(cap(rec.block)) < total {
 		rec.block = make([]float64, total)
 	}
-	block := rec.block[:total]
+	rec.block = rec.block[:total]
+	block := rec.block
 	clear(block) // a projected decode leaves unreferenced slots unwritten
 	for i := range rows {
 		// Three-index: a consumer's append cannot reach the next row. Empty

@@ -22,13 +22,16 @@ package store
 // dictionary frame that passes its checksum but does not decode is an
 // error to a scan and the end of the valid prefix to recovery.
 //
-// What a scan allocates: per scratch record in flight — the record, its
-// rows and the one block its rows' Values are carved from (recordv2.go) —
-// never per row; and per file, the open and the owned column names. The
-// walker's own state (read buffer, frame payload buffer, dictionary
-// slice, string intern table) outlives the scan in a sync.Pool. Scratch
-// records do not: a pool would park 2000-row records across requests for
-// the collector to mark, and a narrow range decodes only a handful.
+// What a scan allocates: never anything per row; per file, the open and
+// the owned column names; inline, one scratch record — the record, its
+// rows and the one block its rows' Values are carved from (recordv2.go);
+// pooled, per batch in flight — a batch owns the slabs its records are
+// decoded into and goes back to the workers whole once merged, so what a
+// scan holds decoded is bounded by rows, not records. The walker's own
+// state (read buffer, frame payload buffer, dictionary slice, string
+// intern table) outlives the scan in a sync.Pool. Records and batches do
+// not: a pool would park 2000-row records across requests for the
+// collector to mark, and a narrow range decodes only a handful.
 //
 // The determinism contract: for the same snapshot, ScanWith emits the
 // same records with the same column annotations regardless of worker
@@ -396,18 +399,73 @@ func (s *segScanner) frame() ([]byte, time.Duration, error) {
 
 // scanBatchSize is how many records ride one channel send from a
 // worker to the merger — large enough to amortize the handoff, small
-// enough to keep the pipeline moving.
-const scanBatchSize = 64
+// enough to keep the pipeline moving — unless scanBatchRows rows come
+// first, so wide records travel a few at a time, or alone. The row
+// bound is small because slabs are sized for a whole batch: a file's
+// last batch, cut short, should waste little of them.
+const (
+	scanBatchSize = 64
+	scanBatchRows = 1024
+)
 
 type scanItem struct {
-	rec *Record
+	rec Record
 	// cols is the file's column state at this record; nil inherits from
 	// earlier files.
 	cols []string
 }
 
+// scanBatch is one channel send and the storage its records were
+// decoded into: a row slab and a value slab, both sized from the first
+// record's width, as is how many records the batch holds.
 type scanBatch struct {
-	items []scanItem
+	n     int // records kept
+	items [scanBatchSize]scanItem
+	per   int         // records this batch holds, from its first record's width
+	rows  []RecordRow // the rows carved so far
+	vals  []float64   // the values carved so far
+}
+
+// next returns the record the next binary frame decodes into, its rows
+// and block empty windows onto what the slabs have left.
+func (b *scanBatch) next() *Record {
+	rec := &b.items[b.n].rec
+	rec.Rows, rec.block = b.rows[len(b.rows):], b.vals[len(b.vals):]
+	return rec
+}
+
+// keep counts rec into the batch and reports whether the batch is full:
+// it holds per records, or rec outgrew the slabs. rec is next's record —
+// decodeDataInto keeps a window it fits in and swaps one it does not for
+// an exact allocation, so the capacity tells whether it was carved — or
+// a v1 record, decoded fresh, whose storage the batch carries.
+func (b *scanBatch) keep(rec *Record, cols []string) bool {
+	n := b.n
+	b.n++
+	it := &b.items[n]
+	it.cols = cols
+	if rec != &it.rec {
+		it.rec = *rec
+	} else if cap(rec.Rows) == cap(b.rows)-len(b.rows) && cap(rec.block) == cap(b.vals)-len(b.vals) {
+		b.rows = b.rows[:len(b.rows)+len(rec.Rows)]
+		b.vals = b.vals[:len(b.vals)+len(rec.block)]
+		rec.Rows = rec.Rows[:len(rec.Rows):len(rec.Rows)] // an append cannot reach the next record
+	} else if n > 0 {
+		return true
+	}
+	if n == 0 {
+		w, v := len(rec.Rows), 0
+		for i := range rec.Rows {
+			v += len(rec.Rows[i].Values)
+		}
+		b.per = min(scanBatchSize, max(1, scanBatchRows/max(w, 1)))
+		// Slabs too small for the batch: new ones, for the rest of it now
+		// and all of it next time.
+		if cap(b.rows) < b.per*w || cap(b.vals) < b.per*v {
+			b.rows, b.vals = make([]RecordRow, 0, b.per*w), make([]float64, 0, b.per*v)
+		}
+	}
+	return n+1 >= b.per
 }
 
 // errScanAborted signals a worker that the merger has stopped reading;
@@ -416,8 +474,9 @@ var errScanAborted = fmt.Errorf("store: scan aborted")
 
 // scanParallel fans the file list out to a worker pool and merges the
 // decoded streams back in file (= time) order on the calling
-// goroutine. Scratch records and batches recycle through free lists,
-// so a steady-state scan allocates O(workers), not O(records).
+// goroutine. Batches, and the records decoded into them, recycle
+// through one free list, so a scan allocates per batch in flight, not
+// per record.
 func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, to time.Duration, workers int, mk func() *projection, fn func(rec *Record, cols []string) error) error {
 	outs := make([]chan *scanBatch, len(files))
 	for i := range outs {
@@ -427,7 +486,6 @@ func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, 
 	done := make(chan struct{})
 	var stop sync.Once
 	abort := func() { stop.Do(func() { close(done) }) }
-	free := make(chan *Record, workers*scanBatchSize*4)
 	batchFree := make(chan *scanBatch, workers*4)
 	// window bounds how many files are decoded but not yet merged. A
 	// file's batches queue until the merger reaches it, so without the
@@ -455,7 +513,7 @@ func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, 
 				if i >= len(files) {
 					return
 				}
-				errs[i] = runScanFile(sc, files[i], from, to, outs[i], free, batchFree, done)
+				errs[i] = runScanFile(sc, files[i], from, to, outs[i], batchFree, done)
 				close(outs[i])
 				select {
 				case <-done:
@@ -472,19 +530,16 @@ func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, 
 	cols := startCols
 	for i := range files {
 		for b := range outs[i] {
-			for _, it := range b.items {
+			for k := range b.n {
+				it := &b.items[k]
 				if it.cols != nil {
 					cols = it.cols
 				}
-				if err := fn(it.rec, cols); err != nil {
+				if err := fn(&it.rec, cols); err != nil {
 					return err
 				}
-				select {
-				case free <- it.rec:
-				default:
-				}
 			}
-			b.items = b.items[:0]
+			b.n, b.rows, b.vals = 0, b.rows[:0], b.vals[:0]
 			select {
 			case batchFree <- b:
 			default:
@@ -498,46 +553,40 @@ func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, 
 	return nil
 }
 
-// runScanFile scans one file into out, batching records and recycling
-// scratch through the free lists. The error it returns is the file's
-// own scan failure; an aborted merge returns nil (nobody is listening).
+// runScanFile scans one file into out, decoding into batches from the
+// free list. The error it returns is the file's own scan failure; an
+// aborted merge returns nil (nobody is listening).
 // Records decoded before a failure are still flushed — the merger
 // delivers them before surfacing the error, exactly like the inline
 // walk.
-func runScanFile(sc *segScanner, f queryFile, from, to time.Duration, out chan<- *scanBatch, free chan *Record, batchFree chan *scanBatch, done <-chan struct{}) error {
-	getBatch := func() *scanBatch {
+func runScanFile(sc *segScanner, f queryFile, from, to time.Duration, out chan<- *scanBatch, batchFree chan *scanBatch, done <-chan struct{}) error {
+	// A new batch's slabs are sized like the last the file filled.
+	getBatch := func(rows, vals int) *scanBatch {
 		select {
 		case b := <-batchFree:
 			return b
 		default:
-			return &scanBatch{items: make([]scanItem, 0, scanBatchSize)}
+			return &scanBatch{rows: make([]RecordRow, 0, rows), vals: make([]float64, 0, vals)}
 		}
 	}
-	batch := getBatch()
+	batch := getBatch(0, 0)
 	flush := func() error {
-		if len(batch.items) == 0 {
+		if batch.n == 0 {
 			return nil
 		}
+		rows, vals := cap(batch.rows), cap(batch.vals) // the merger owns it once sent
 		select {
 		case out <- batch:
-			batch = getBatch()
+			batch = getBatch(rows, vals)
 			return nil
 		case <-done:
 			return errScanAborted
 		}
 	}
 	err := sc.scanFile(f, from, to,
-		func() *Record {
-			select {
-			case r := <-free:
-				return r
-			default:
-				return &Record{}
-			}
-		},
+		func() *Record { return batch.next() },
 		func(rec *Record, fileCols []string) error {
-			batch.items = append(batch.items, scanItem{rec: rec, cols: fileCols})
-			if len(batch.items) >= scanBatchSize {
+			if batch.keep(rec, fileCols) {
 				return flush()
 			}
 			return nil
@@ -545,7 +594,14 @@ func runScanFile(sc *segScanner, f queryFile, from, to time.Duration, out chan<-
 	if err == errScanAborted {
 		return nil
 	}
-	if ferr := flush(); ferr == nil && err == nil {
+	ferr := flush()
+	if batch.n == 0 { // the spare the last flush took goes back unused
+		select {
+		case batchFree <- batch:
+		default:
+		}
+	}
+	if ferr == nil && err == nil {
 		return nil
 	}
 	return err

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -101,31 +102,102 @@ func everything(q QueryOptions, workers int) ScanOptions {
 		Columns: []string{"branch-miss", "llc-load"}, NeedCPUPct: true}
 }
 
+// straddleStore builds a store whose pooled scans end batches at both
+// bounds and mid-stream: ragged record widths (so a record outgrows the
+// slabs its batch's first record sized), records wider than
+// scanBatchRows, a screen change in the middle of a segment, and v1
+// JSON frames — whole segments of them, and a tail where v3 appends
+// follow them.
+func straddleStore(t *testing.T) *Store {
+	t.Helper()
+	dir := t.TempDir()
+	st := mustOpen(t, dir, Options{SegmentBytes: 32 << 10})
+	seed := uint64(23)
+	now := time.Duration(0)
+	fill := func(n int, widths ...int) {
+		for i := 0; i < n; i++ {
+			now += 1500 * time.Millisecond
+			if err := st.AppendSample(variedSample(now, widths[i%len(widths)], &seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ragged := []int{6, 9, 7, 8, 6, 9}
+	st.SetColumns([]string{"branch-miss", "llc-load"})
+	fill(100, ragged...)
+	fill(1, scanBatchRows+1)
+	fill(40, ragged...)
+	st.SetColumns([]string{"llc-load", "branch-miss"})
+	fill(40, ragged...)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rewriteSegmentsV1(t, dir)
+	st = mustOpen(t, dir, Options{SegmentBytes: 32 << 10})
+	st.SetColumns([]string{"llc-load", "branch-miss"})
+	fill(60, ragged...)
+	fill(2, scanBatchRows+1)
+	fill(80, ragged...)
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // TestScanParallelMatchesSerial: the one walker, inline (one worker) or
 // pooled, full or projected, emits exactly the reference loop's
-// sequence over every segment layout.
+// sequence over every segment layout and wherever its batches end. An
+// fn error in the middle of a batch ends the scan there, with every
+// worker gone.
 func TestScanParallelMatchesSerial(t *testing.T) {
-	st := mixedStore(t)
-	for _, q := range []QueryOptions{
-		{PID: -1},
-		{PID: -1, StepSeconds: 10},
-		{PID: -1, StepSeconds: 60},
-		{PID: -1, FromSeconds: 100, ToSeconds: 300},
-		{PID: -1, FromSeconds: 77.7},
-	} {
-		ref := refScan(t, st, q)
-		if len(ref) == 0 {
-			t.Fatalf("query %+v scanned nothing", q)
-		}
-		for _, workers := range []int{1, 2, 4, 16} {
-			for name, opts := range map[string]ScanOptions{
-				"full":      {QueryOptions: q, Workers: workers},
-				"projected": everything(q, workers),
-			} {
-				if got := collectScan(t, st, opts); !reflect.DeepEqual(ref, got) {
-					t.Fatalf("query %+v: %d-worker %s scan differs from the reference (%d vs %d records)",
-						q, workers, name, len(got), len(ref))
+	straddle := straddleStore(t)
+	for _, st := range []*Store{mixedStore(t), straddle} {
+		for _, q := range []QueryOptions{
+			{PID: -1},
+			{PID: -1, StepSeconds: 10},
+			{PID: -1, StepSeconds: 60},
+			{PID: -1, FromSeconds: 100, ToSeconds: 300},
+			{PID: -1, FromSeconds: 77.7},
+		} {
+			ref := refScan(t, st, q)
+			if len(ref) == 0 {
+				t.Fatalf("query %+v scanned nothing", q)
+			}
+			for _, workers := range []int{1, 2, 4, 16} {
+				for name, opts := range map[string]ScanOptions{
+					"full":      {QueryOptions: q, Workers: workers},
+					"projected": everything(q, workers),
+				} {
+					if got := collectScan(t, st, opts); !reflect.DeepEqual(ref, got) {
+						t.Fatalf("query %+v: %d-worker %s scan differs from the reference (%d vs %d records)",
+							q, workers, name, len(got), len(ref))
+					}
 				}
+			}
+		}
+	}
+
+	q := QueryOptions{PID: -1}
+	ref := refScan(t, straddle, q)
+	stop := errors.New("enough")
+	const keep = 70 // inside the first file's second batch
+	for _, workers := range []int{2, 4} {
+		before := runtime.NumGoroutine()
+		var got []scannedRec
+		_, err := straddle.ScanWith(ScanOptions{QueryOptions: q, Workers: workers}, func(rec *Record, cols []string) error {
+			if len(got) == keep {
+				return stop
+			}
+			got = append(got, copyScan(rec, cols))
+			return nil
+		})
+		if !errors.Is(err, stop) || !reflect.DeepEqual(got, ref[:keep]) {
+			t.Fatalf("%d-worker scan stopped at record %d returned %v after %d records, want fn's error after the reference's first %d",
+				workers, keep, err, len(got), keep)
+		}
+		// Workers call wg.Done on their way out, so the last may still be
+		// unwinding when ScanWith returns.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d-worker scan stopped by fn left %d goroutines behind", workers, runtime.NumGoroutine()-before)
 			}
 		}
 	}
@@ -226,6 +298,80 @@ func TestScanAllocsPerRecord(t *testing.T) {
 			t.Fatalf("%d-worker projected scan: %.0f allocations for %d records, want <= 1 per record", workers, allocs, records)
 		}
 		t.Logf("%d-worker projected scan: %.3f allocations per record", workers, allocs/records)
+	}
+
+	// The shape a dashboard asks: a few hundred to a few thousand 8-row
+	// records over a handful of segments, where nothing amortises. A
+	// pooled scan pays per file and per batch in flight — a batch's items,
+	// its first record and its two slabs — so the same constant bounds a
+	// range of 250 records and one of 2000.
+	const dashboardScan = 250
+	st = mustOpen(t, t.TempDir(), Options{SegmentBytes: 256 << 10, NoDownsample: true})
+	defer st.Close()
+	st.SetColumns([]string{"branch-miss", "llc-load"})
+	fillVaried(t, st, time.Second, time.Second, 2000, 8, &seed)
+	edge := st.tiers[0].sealed[0].last.Seconds()
+	for _, want := range []int{250, 2000} {
+		q := QueryOptions{PID: -1}
+		if want < 2000 {
+			q.FromSeconds, q.ToSeconds = edge-124, edge+125 // across the first two segments
+		}
+		for _, workers := range []int{2, 4} {
+			opts := ScanOptions{QueryOptions: q, Workers: workers, Project: true, Columns: []string{"llc-load"}}
+			var seen int
+			allocs := testing.AllocsPerRun(3, func() {
+				seen = 0
+				if _, err := st.ScanWith(opts, func(*Record, []string) error { seen++; return nil }); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if seen != want {
+				t.Fatalf("%d-worker dashboard scan saw %d records, want %d", workers, seen, want)
+			}
+			if allocs > dashboardScan {
+				t.Errorf("%d-worker scan of %d records: %.0f allocations, want <= %d", workers, want, allocs, dashboardScan)
+			} else {
+				t.Logf("%d-worker scan of %d records: %.0f allocations", workers, want, allocs)
+			}
+		}
+	}
+}
+
+// TestScanInFlightBoundedByRows: what a pooled scan holds decoded is
+// bounded by rows, not records. Over 8 MiB segments of 2000-row records —
+// a few hundred records a file — a full-range 4-worker scan allocates at
+// most what its batches in flight can hold: per worker two files of two
+// queued batches and one being filled, and four on the free list, plus
+// the one being merged, each at most scanBatchRows rows or one record.
+func TestScanInFlightBoundedByRows(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 8 << 20, NoDownsample: true})
+	defer st.Close()
+	st.SetColumns([]string{"branch-miss", "llc-load"})
+	seed := uint64(29)
+	fillVaried(t, st, time.Second, time.Second, 400, 2000, &seed)
+	const workers = 4
+	if files := len(st.tiers[0].sealed) + 1; files < workers {
+		t.Fatalf("the store holds %d segments, want at least %d", files, workers)
+	}
+	rowBytes := reflect.TypeOf(RecordRow{}).Size() + 2*8 // two values a row
+	bound := uint64(workers*(2*3+4)+1) * max(scanBatchRows, 2000) * uint64(rowBytes)
+	for i := 0; i < 2; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		seen := 0
+		if _, err := st.ScanWith(ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: workers},
+			func(*Record, []string) error { seen++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if seen != 400 {
+			t.Fatalf("scanned %d records, want 400", seen)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > bound {
+			t.Fatalf("a 4-worker scan of 400 records of 2000 rows allocated %d bytes, want <= %d", got, bound)
+		}
+		t.Logf("a 4-worker scan of 400 records of 2000 rows allocated %.1f MB (bound %.1f MB)", float64(got)/1e6, float64(bound)/1e6)
 	}
 }
 
