@@ -50,7 +50,11 @@ docs:
 # json.Unmarshal, or lets the /metrics integer path drift from
 # strconv.AppendFloat, or lets
 # the packed history rings read differently from the array ring they
-# replaced, is caught before it lands.
+# replaced, or lets a -config file's definitions fail to round-trip or
+# get a different verdict from the facade's Config.Validate, is caught
+# before it lands. That last one minimizes in at most 100 runs: a
+# definitions document costs about a millisecond, and the default 60 s
+# of minimizing would eat its whole pass.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundEvalMatchesEnv$$' -fuzztime 15s ./internal/metrics/
@@ -63,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzRingMatchesReference$$' -fuzztime 15s ./internal/history/
+	$(GO) test -run '^$$' -fuzz '^FuzzDefinitionsRoundTrip$$' -fuzztime 15s -fuzzminimizetime 100x ./internal/config/
 
 # The counter-validation oracle (§2.4): every ukernel.ValidationSuite
 # micro-kernel runs live on all four machine models and its measured

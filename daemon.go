@@ -64,6 +64,9 @@ type FleetSnapshot = remote.FleetSnapshot
 type Daemon struct {
 	cfg Config
 	opt DaemonOptions
+	// named is cfg's stored expressions, name → source, which
+	// /api/v1/query?expr=<name> expands.
+	named map[string]string
 	// machines in join order; a solo daemon's one is labelled "".
 	machines []*node
 	// mon feeds a solo daemon's machine; nil under Join.
@@ -117,13 +120,14 @@ var errEnough = errors.New("tiptop: refresh target reached")
 // compacted; under Join one subdirectory per agent). Nothing samples or
 // serves before Run or Refresh.
 func NewDaemon(cfg Config, opt DaemonOptions) (_ *Daemon, err error) {
-	if err := cfg.Validate(); err != nil {
+	defs, err := cfg.check()
+	if err != nil {
 		return nil, err
 	}
 	if opt.Log == nil {
 		opt.Log = io.Discard
 	}
-	d := &Daemon{cfg: cfg, opt: opt, redial: reconnectDelay, timeout: agentTimeout}
+	d := &Daemon{cfg: cfg, opt: opt, named: defs.Named, redial: reconnectDelay, timeout: agentTimeout}
 	defer func() {
 		if err != nil {
 			d.Close()
@@ -553,7 +557,7 @@ func (d *Daemon) Handler() http.Handler {
 		{"GET /api/v1/sample", solo, d.srv.HandleSample, nil},
 		{"GET /api/v1/agents", !solo, d.agents, nil},
 		{"GET /api/v1/stream", true, d.srv.Hub().ServeStream, nil},
-		{"GET /api/v1/query", true, query.NamedExprs(d.cfg.namedExprs(), queryHandler(d.Stores(), d.Recorder())).ServeHTTP, q},
+		{"GET /api/v1/query", true, query.NamedExprs(d.named, queryHandler(d.Stores(), d.Recorder())).ServeHTTP, q},
 	}, func(rt route) bool { return !rt.on })
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {

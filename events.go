@@ -3,6 +3,7 @@ package tiptop
 import (
 	"sort"
 
+	"tiptop/internal/config"
 	"tiptop/internal/hpm"
 	"tiptop/internal/perfevent"
 )
@@ -34,7 +35,7 @@ type EventInfo struct {
 // defaults plus cfg.Events — sorted by name, with the support status of
 // the default perf_event backend and of the named simulated machine.
 func ListEvents(cfg Config, machine MachineName) ([]EventInfo, error) {
-	registry, err := cfg.buildRegistry()
+	defs, err := config.Check(cfg.Events, cfg.Exprs, cfg.Screens)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +45,7 @@ func ListEvents(cfg Config, machine MachineName) ([]EventInfo, error) {
 	}
 	perf := perfevent.New()
 	sim := sc.backend()
-	return eventInfos(registry, func(d hpm.EventDesc) map[string]bool {
+	return eventInfos(defs.Registry, func(d hpm.EventDesc) map[string]bool {
 		return map[string]bool{
 			perf.Name(): perf.Supported(d),
 			sim.Name():  sim.Supported(d),

@@ -25,6 +25,12 @@
 // registry understands (a built-in name, RAW:0x<hex>, or a hw-cache
 // event such as L1D_READ_MISS). Screen expressions reference the events
 // by name; unknown identifiers are rejected at load time.
+//
+// The element types (Event, Expr, Screen, Column) are also the public
+// facade's definition types — tiptop.EventDef and its siblings alias
+// them — and Check is the one checker both run: Parse and Write on a
+// file, tiptop.Config.Validate and the monitor and daemon constructors
+// on definitions built in Go, so the two sources cannot disagree.
 package config
 
 import (
@@ -42,11 +48,11 @@ import (
 
 // File is the root XML document.
 type File struct {
-	XMLName xml.Name    `xml:"tiptop"`
-	Options OptionsXML  `xml:"options"`
-	Events  []EventXML  `xml:"event"`
-	Exprs   []ExprXML   `xml:"expr"`
-	Screens []ScreenXML `xml:"screen"`
+	XMLName xml.Name   `xml:"tiptop"`
+	Options OptionsXML `xml:"options"`
+	Events  []Event    `xml:"event"`
+	Exprs   []Expr     `xml:"expr"`
+	Screens []Screen   `xml:"screen"`
 }
 
 // OptionsXML is the <options> element: a second spelling of the
@@ -79,61 +85,65 @@ func SplitPeers(list string) []string {
 	return out
 }
 
-// EventXML is one user-defined event.
-type EventXML struct {
-	// Name is the identifier screen expressions reference.
+// Event defines one user event on top of the built-in registry: an
+// <event> element, and the facade's tiptop.EventDef.
+type Event struct {
+	// Name is the identifier metric expressions reference.
 	Name string `xml:"name,attr"`
 	// Raw is a model-specific raw event code in hex ("0x1EF7");
-	// shorthand for spec="RAW:0x1EF7".
+	// shorthand for Spec "RAW:0x1EF7".
 	Raw string `xml:"raw,attr,omitempty"`
 	// Spec is any event specification the registry resolves: a built-in
 	// event name (aliasing), "RAW:0x<hex>", or a hw-cache event such as
-	// L1D_READ_MISS. Exactly one of raw and spec must be given.
+	// L1D_READ_MISS. Exactly one of Raw and Spec must be given.
 	Spec string `xml:"spec,attr,omitempty"`
 	Unit string `xml:"unit,attr,omitempty"`
 	Desc string `xml:"desc,attr,omitempty"`
 }
 
 // EventSpec returns the registry specification string of the event.
-func (e *EventXML) EventSpec() string {
+func (e *Event) EventSpec() string {
 	if e.Raw != "" {
 		return "RAW:" + e.Raw
 	}
 	return e.Spec
 }
 
-// ExprXML is one named stored expression:
+// Expr defines one named stored expression: an <expr> element, and the
+// facade's tiptop.ExprDef.
 //
 //	<expr name="fleet_ipc" expr="delta(INSTRUCTIONS)/delta(CYCLES)"
 //	      desc="cluster-wide instructions per cycle"/>
 //
 // The name is usable wherever an expression is: as a screen column's
-// expr= attribute (it expands to the stored source), and as the expr=
-// parameter of /api/v1/query on daemons started with this config.
-// Stored expressions may use the full query grammar — topk(), `by`
-// grouping, *_over_time() — which screen columns reject but range
-// queries serve.
-type ExprXML struct {
+// whole expression (it expands to the stored source), and as the expr=
+// parameter of /api/v1/query on daemons started with it. Stored
+// expressions may use the full query grammar — topk(), `by` grouping,
+// *_over_time() — which screen columns reject but range queries serve.
+type Expr struct {
 	Name string `xml:"name,attr"`
 	Expr string `xml:"expr,attr"`
 	Desc string `xml:"desc,attr,omitempty"`
 }
 
-// ScreenXML is one custom screen.
-type ScreenXML struct {
-	Name    string      `xml:"name,attr"`
-	Desc    string      `xml:"desc,attr,omitempty"`
-	Columns []ColumnXML `xml:"column"`
+// Screen defines one custom screen: a <screen> element, and the
+// facade's tiptop.ScreenDef.
+type Screen struct {
+	Name    string   `xml:"name,attr"`
+	Desc    string   `xml:"desc,attr,omitempty"`
+	Columns []Column `xml:"column"`
 }
 
-// ColumnXML is one column definition.
-type ColumnXML struct {
-	Name   string `xml:"name,attr"`
-	Header string `xml:"header,attr"`
-	Format string `xml:"format,attr,omitempty"`
-	Width  int    `xml:"width,attr,omitempty"`
-	Expr   string `xml:"expr,attr"`
-	Desc   string `xml:"desc,attr,omitempty"`
+// Column defines one column of a custom screen.
+type Column struct {
+	Name   string `xml:"name,attr"`             // machine-friendly identifier, unique in the screen
+	Header string `xml:"header,attr"`           // display heading
+	Format string `xml:"format,attr,omitempty"` // printf verb for the cell ("" = %8.2f)
+	Width  int    `xml:"width,attr,omitempty"`  // minimum cell width (0 = derived from the header)
+	// Expr is a metric expression over event names, or the name of a
+	// stored expression, which stands for its source.
+	Expr string `xml:"expr,attr"`
+	Desc string `xml:"desc,attr,omitempty"`
 }
 
 // Parse reads and validates a configuration document, compiling every
@@ -153,119 +163,159 @@ func Parse(r io.Reader) (*File, error) {
 		}
 	}
 	f.Options.Attrs = kept
-	if err := f.Validate(); err != nil {
+	if err := f.check(); err != nil {
 		return nil, err
 	}
 	return &f, nil
 }
 
-// Validate checks structural constraints and expression syntax.
-func (f *File) Validate() error {
+// check applies the one cross-attribute rule of <options> and Check.
+func (f *File) check() error {
 	if f.Options.value("connect") != "" && f.Options.value("join") != "" {
 		return fmt.Errorf("config: connect and join are mutually exclusive")
 	}
-	registry, err := f.BuildRegistry()
-	if err != nil {
-		return err
-	}
-	if err := f.validateExprs(registry); err != nil {
-		return err
-	}
-	named := f.NamedExprs()
-	seen := map[string]bool{}
-	for _, s := range f.Screens {
-		if s.Name == "" {
-			return fmt.Errorf("config: screen without name")
-		}
-		if seen[s.Name] {
-			return fmt.Errorf("config: duplicate screen %q", s.Name)
-		}
-		seen[s.Name] = true
-		if len(s.Columns) == 0 {
-			return fmt.Errorf("config: screen %q has no columns", s.Name)
-		}
-		cols := map[string]bool{}
-		screen := &metrics.Screen{Name: s.Name}
-		for _, c := range s.Columns {
-			if c.Name == "" || c.Header == "" {
-				return fmt.Errorf("config: screen %q: column needs name and header", s.Name)
-			}
-			if cols[c.Name] {
-				return fmt.Errorf("config: screen %q: duplicate column %q", s.Name, c.Name)
-			}
-			cols[c.Name] = true
-			expr, err := metrics.Compile(expandExpr(c.Expr, named))
-			if err != nil {
-				return fmt.Errorf("config: screen %q column %q: %w", s.Name, c.Name, err)
-			}
-			screen.Columns = append(screen.Columns, &metrics.Column{Name: c.Name, Expr: expr})
-		}
-		// Reject unknown identifiers at load time: a typo'd event name
-		// must fail here, naming the column, not per-row at eval time.
-		// core.ResolveScreenEvents is the same resolution NewSession
-		// performs, so Load and the engine cannot drift.
-		if _, err := core.ResolveScreenEvents(registry, screen); err != nil {
-			return fmt.Errorf("config: %w", err)
-		}
-	}
-	return nil
+	_, err := Check(f.Events, f.Exprs, f.Screens)
+	return err
 }
 
-// validateExprs checks the document's named stored expressions: each
-// needs a distinct identifier name that shadows nothing, and a source
-// that compiles under the query grammar (topk, `by` grouping and the
-// *_over_time folds allowed) against the vocabulary a daemon running
-// this config will serve — registry events plus every screen column
-// (built-in and custom).
-func (f *File) validateExprs(registry *hpm.Registry) error {
-	if len(f.Exprs) == 0 {
-		return nil
+// Defs is a checked set of definitions.
+type Defs struct {
+	// Registry holds the built-in events and the user events: what
+	// sessions resolve screens against.
+	Registry *hpm.Registry
+	// Named maps each stored expression's name to its source (nil when
+	// none is defined): what a daemon's /api/v1/query?expr=<name>
+	// expands.
+	Named map[string]string
+	// Screens holds every custom screen compiled, by name.
+	Screens map[string]*metrics.Screen
+}
+
+// Check is the one checker of user definitions: Parse and Write run it
+// on a file's elements, and the facade's tiptop.Config on definitions
+// built in Go. It builds the registry, checks every stored expression,
+// expands each column whose whole expression names a stored
+// expression, and compiles every screen (selected or not), resolving
+// each identifier against the registry.
+func Check(events []Event, exprs []Expr, screens []Screen) (*Defs, error) {
+	registry := hpm.DefaultRegistry()
+	for _, e := range events {
+		if err := registerEvent(registry, e); err != nil {
+			return nil, fmt.Errorf("config: %w", err)
+		}
+	}
+	named, err := storedExprs(registry, exprs, screens)
+	if err != nil {
+		return nil, err
+	}
+	d := &Defs{Registry: registry, Named: named, Screens: make(map[string]*metrics.Screen, len(screens))}
+	for _, sd := range screens {
+		if sd.Name == "" {
+			return nil, fmt.Errorf("config: screen without name")
+		}
+		if d.Screens[sd.Name] != nil {
+			return nil, fmt.Errorf("config: duplicate screen %q", sd.Name)
+		}
+		s, err := compileScreen(sd, named)
+		if err != nil {
+			return nil, err
+		}
+		// Reject unknown identifiers here: a typo'd event name must
+		// fail naming the column, not per row at eval time.
+		// core.ResolveScreenEvents is the resolution NewSession
+		// performs, so the checker and the engine cannot drift.
+		if _, err := core.ResolveScreenEvents(registry, s); err != nil {
+			return nil, fmt.Errorf("config: %w", err)
+		}
+		d.Screens[sd.Name] = s
+	}
+	return d, nil
+}
+
+// compileScreen compiles a screen definition, substituting a stored
+// expression's source for a column expression that is exactly its name
+// (a whole-attribute reference; no splicing inside larger expressions).
+func compileScreen(sd Screen, named map[string]string) (*metrics.Screen, error) {
+	if len(sd.Columns) == 0 {
+		return nil, fmt.Errorf("config: screen %q has no columns", sd.Name)
+	}
+	s := &metrics.Screen{Name: sd.Name}
+	seen := map[string]bool{}
+	for _, c := range sd.Columns {
+		if c.Name == "" || c.Header == "" {
+			return nil, fmt.Errorf("config: screen %q: column needs name and header", sd.Name)
+		}
+		if seen[c.Name] {
+			return nil, fmt.Errorf("config: screen %q: duplicate column %q", sd.Name, c.Name)
+		}
+		seen[c.Name] = true
+		src := c.Expr
+		if stored, ok := named[strings.TrimSpace(src)]; ok {
+			src = stored
+		}
+		expr, err := metrics.Compile(src)
+		if err != nil {
+			return nil, fmt.Errorf("config: screen %q column %q: %w", sd.Name, c.Name, err)
+		}
+		col := metrics.NewColumn(c.Name, c.Header, c.Format, c.Width)
+		col.Expr, col.Desc = expr, c.Desc
+		s.Columns = append(s.Columns, col)
+	}
+	return s, nil
+}
+
+// storedExprs checks the stored expressions and returns them as a
+// name → source map. Each needs a distinct identifier name that shadows
+// nothing, and a source that compiles under the query grammar (topk,
+// `by` grouping and the *_over_time folds allowed) against the
+// vocabulary a daemon serving them answers for — registry events plus
+// every screen column (built-in and custom).
+func storedExprs(registry *hpm.Registry, exprs []Expr, screens []Screen) (map[string]string, error) {
+	if len(exprs) == 0 {
+		return nil, nil
 	}
 	known := query.KnownNames(nil)
 	known = append(known, registry.Names()...)
 	colSeen := map[string]bool{}
-	addCols := func(s *metrics.Screen) {
-		for _, c := range s.Columns {
-			if !colSeen[c.Name] {
-				colSeen[c.Name] = true
-				known = append(known, c.Name)
-			}
+	addCol := func(name string) {
+		if !colSeen[name] {
+			colSeen[name] = true
+			known = append(known, name)
 		}
 	}
 	for _, s := range metrics.BuiltinScreens() {
-		addCols(s)
-	}
-	for _, sx := range f.Screens {
-		for _, cx := range sx.Columns {
-			if !colSeen[cx.Name] {
-				colSeen[cx.Name] = true
-				known = append(known, cx.Name)
-			}
+		for _, c := range s.Columns {
+			addCol(c.Name)
 		}
 	}
-	names := map[string]bool{}
-	for _, e := range f.Exprs {
+	for _, s := range screens {
+		for _, c := range s.Columns {
+			addCol(c.Name)
+		}
+	}
+	named := make(map[string]string, len(exprs))
+	for _, e := range exprs {
 		if e.Name == "" {
-			return fmt.Errorf("config: expr without name")
+			return nil, fmt.Errorf("config: expr without name")
 		}
 		if !hpm.ValidEventName(e.Name) && !validLowerName(e.Name) {
-			return fmt.Errorf("config: expr name %q is not an identifier (want e.g. fleet_ipc)", e.Name)
+			return nil, fmt.Errorf("config: expr name %q is not an identifier (want e.g. fleet_ipc)", e.Name)
 		}
 		if metrics.IsContextVar(e.Name) {
-			return fmt.Errorf("config: expr %q shadows a context variable", e.Name)
+			return nil, fmt.Errorf("config: expr %q shadows a context variable", e.Name)
 		}
 		if _, taken := registry.Lookup(e.Name); taken {
-			return fmt.Errorf("config: expr %q shadows event %q", e.Name, e.Name)
+			return nil, fmt.Errorf("config: expr %q shadows event %q", e.Name, e.Name)
 		}
-		if names[e.Name] {
-			return fmt.Errorf("config: duplicate expr %q", e.Name)
+		if _, dup := named[e.Name]; dup {
+			return nil, fmt.Errorf("config: duplicate expr %q", e.Name)
 		}
-		names[e.Name] = true
 		if _, err := query.Compile(e.Expr, known); err != nil {
-			return fmt.Errorf("config: expr %q: %w", e.Name, err)
+			return nil, fmt.Errorf("config: expr %q: %w", e.Name, err)
 		}
+		named[e.Name] = e.Expr
 	}
-	return nil
+	return named, nil
 }
 
 // validLowerName accepts lower-case identifier names for stored
@@ -282,74 +332,34 @@ func validLowerName(s string) bool {
 	return len(s) > 0
 }
 
-// NamedExprs returns the document's stored expressions as a name →
-// source map — what daemons hand the query endpoint and screen
-// building uses for expansion.
-func (f *File) NamedExprs() map[string]string {
-	if len(f.Exprs) == 0 {
-		return nil
+// registerEvent resolves a user event's specification against the
+// registry and registers the result under its name, inheriting the
+// base descriptor's unit and description where the definition leaves
+// them empty.
+func registerEvent(registry *hpm.Registry, e Event) error {
+	if e.Name == "" {
+		return fmt.Errorf("event without name")
 	}
-	m := make(map[string]string, len(f.Exprs))
-	for _, e := range f.Exprs {
-		m[e.Name] = e.Expr
+	if !hpm.ValidEventName(e.Name) {
+		return fmt.Errorf("event name %q is not an identifier (want e.g. FP_ASSIST_ALL)", e.Name)
 	}
-	return m
-}
-
-// expandExpr substitutes a stored expression's source when src is
-// exactly a stored expression's name (whole-attribute reference; no
-// splicing inside larger expressions).
-func expandExpr(src string, named map[string]string) string {
-	if e, ok := named[strings.TrimSpace(src)]; ok {
-		return e
+	if (e.Raw == "") == (e.Spec == "") {
+		return fmt.Errorf("event %q needs exactly one of raw= and spec=", e.Name)
 	}
-	return src
-}
-
-// BuildRegistry resolves the document's <event> definitions on top of
-// the built-in defaults and returns the combined registry sessions
-// resolve screens against.
-func (f *File) BuildRegistry() (*hpm.Registry, error) {
-	registry := hpm.DefaultRegistry()
-	for _, e := range f.Events {
-		if e.Name == "" {
-			return nil, fmt.Errorf("config: event without name")
-		}
-		if !hpm.ValidEventName(e.Name) {
-			return nil, fmt.Errorf("config: event name %q is not an identifier (want e.g. FP_ASSIST_ALL)", e.Name)
-		}
-		if (e.Raw == "") == (e.Spec == "") {
-			return nil, fmt.Errorf("config: event %q needs exactly one of raw= and spec=", e.Name)
-		}
-		if err := RegisterUserEvent(registry, e.Name, e.EventSpec(), e.Unit, e.Desc); err != nil {
-			return nil, fmt.Errorf("config: %w", err)
-		}
+	if metrics.IsContextVar(e.Name) {
+		return fmt.Errorf("event %q shadows a context variable", e.Name)
 	}
-	return registry, nil
-}
-
-// RegisterUserEvent resolves spec against the registry and registers
-// the result under name, inheriting the base descriptor's unit and
-// description where the definition leaves them empty. It is the single
-// builder behind user-defined events — the XML <event> path and the
-// public facade's EventDef both go through it, so their validation
-// (identifier syntax, context-variable shadowing, duplicate names)
-// cannot diverge.
-func RegisterUserEvent(registry *hpm.Registry, name, spec, unit, desc string) error {
-	if metrics.IsContextVar(name) {
-		return fmt.Errorf("event %q shadows a context variable", name)
-	}
-	base, err := registry.ParseEvent(spec)
+	base, err := registry.ParseEvent(e.EventSpec())
 	if err != nil {
-		return fmt.Errorf("event %q: %w", name, err)
+		return fmt.Errorf("event %q: %w", e.Name, err)
 	}
 	d := hpm.EventDesc{
-		Name:   name,
+		Name:   e.Name,
 		Kind:   base.Kind,
 		Type:   base.Type,
 		Config: base.Config,
-		Unit:   unit,
-		Desc:   desc,
+		Unit:   e.Unit,
+		Desc:   e.Desc,
 	}
 	if d.Unit == "" {
 		d.Unit = base.Unit
@@ -372,7 +382,7 @@ func Load(path string) (*File, error) {
 
 // Write serializes a configuration document.
 func Write(w io.Writer, f *File) error {
-	if err := f.Validate(); err != nil {
+	if err := f.check(); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(w, xml.Header); err != nil {
@@ -400,9 +410,9 @@ func Default() *File {
 		metrics.LatencyScreen(), metrics.RooflineScreen(),
 		metrics.WideScreen(), metrics.SystemScreen(),
 	} {
-		sx := ScreenXML{Name: s.Name}
+		sx := Screen{Name: s.Name}
 		for _, c := range s.Columns {
-			sx.Columns = append(sx.Columns, ColumnXML{
+			sx.Columns = append(sx.Columns, Column{
 				Name:   c.Name,
 				Header: c.Header,
 				Format: c.Format,

@@ -129,7 +129,7 @@ func TestApplyRules(t *testing.T) {
 }
 
 func TestWriteInvalid(t *testing.T) {
-	f := &File{Screens: []ScreenXML{{Name: ""}}}
+	f := &File{Screens: []Screen{{Name: ""}}}
 	var sb strings.Builder
 	if err := Write(&sb, f); err == nil {
 		t.Fatal("invalid file must not serialize")
@@ -250,10 +250,11 @@ func TestEventDefinitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := f.BuildRegistry()
+	defs, err := Check(f.Events, f.Exprs, f.Screens)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := defs.Registry
 	fpa, ok := reg.Lookup("FP_ASSIST_ALL")
 	if !ok || fpa.Kind != hpm.KindRaw || fpa.Config != 0x1EF7 {
 		t.Fatalf("FP_ASSIST_ALL = %+v, %v", fpa, ok)

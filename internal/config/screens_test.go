@@ -7,6 +7,9 @@ package config_test
 // facade that imports this one.
 
 import (
+	"encoding/xml"
+	"flag"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -152,14 +155,12 @@ func TestNamedExprs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	named := f.NamedExprs()
-	if named["fleet_ipc"] != "delta(INSTRUCTIONS)/delta(CYCLES)" {
-		t.Fatalf("NamedExprs = %v", named)
+	defs, err := config.Check(f.Events, f.Exprs, f.Screens)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var cfg tiptop.Config
-	cfg.ApplyDefinitions(f)
-	if got := cfg.Screens[0].Columns[0].Expr; got != "delta(INSTRUCTIONS)/delta(CYCLES)" {
-		t.Fatalf("column expr not expanded: %q", got)
+	if named := defs.Named; named["fleet_ipc"] != "delta(INSTRUCTIONS)/delta(CYCLES)" {
+		t.Fatalf("Named = %v", named)
 	}
 	// The expanded column evaluates: every monitored task's IPC.
 	rows := secondSample(t, monitorFor(t, f, "s", "spec")).Rows
@@ -212,4 +213,194 @@ func TestNamedExprs(t *testing.T) {
 	if _, err := config.Parse(strings.NewReader(ok)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDefinitionRulesAgree: a definition is checked by one set of rules
+// whether a -config file or Go code declares it. Every case runs twice —
+// as an XML document through config.Parse, and as a tiptop.Config
+// literal through Validate (or NewDaemon) — and both must give the
+// case's verdict.
+func TestDefinitionRulesAgree(t *testing.T) {
+	ipc := tiptop.ColumnDef{Name: "ipc", Header: "IPC", Expr: "ratio(INSTRUCTIONS, CYCLES)"}
+	const ipcXML = `<column name="ipc" header="IPC" expr="ratio(INSTRUCTIONS, CYCLES)"/>`
+	for _, tc := range []struct {
+		name string
+		doc  string        // the definitions, inside <tiptop>
+		cfg  tiptop.Config // the same definitions built in Go
+		// file, when set, is a -config document ConfigFromFlags adds
+		// to cfg (doc then holds both sources' definitions).
+		file   string
+		daemon bool // check cfg by starting a daemon, not by Validate
+		ok     bool
+	}{
+		{
+			name: "valid definitions",
+			doc:  `<event name="X_RAW" spec="RAW:0x1EF7"/><expr name="x_rate" expr="rate(X_RAW)"/><screen name="s">` + ipcXML + `</screen>`,
+			cfg: tiptop.Config{Screen: "s",
+				Events:  []tiptop.EventDef{{Name: "X_RAW", Spec: "RAW:0x1EF7"}},
+				Exprs:   []tiptop.ExprDef{{Name: "x_rate", Expr: "rate(X_RAW)"}},
+				Screens: []tiptop.ScreenDef{{Name: "s", Columns: []tiptop.ColumnDef{ipc}}}},
+			ok: true,
+		},
+		{
+			name: "stored expression does not compile",
+			doc:  `<expr name="e" expr="1 +"/>`,
+			cfg:  tiptop.Config{Exprs: []tiptop.ExprDef{{Name: "e", Expr: "1 +"}}},
+		},
+		{
+			name: "stored expression shadows an event",
+			doc:  `<expr name="CYCLES" expr="INSTRUCTIONS"/>`,
+			cfg:  tiptop.Config{Exprs: []tiptop.ExprDef{{Name: "CYCLES", Expr: "INSTRUCTIONS"}}},
+		},
+		{
+			name: "stored expression name is not an identifier",
+			doc:  `<expr name="no spaces" expr="CYCLES"/>`,
+			cfg:  tiptop.Config{Exprs: []tiptop.ExprDef{{Name: "no spaces", Expr: "CYCLES"}}},
+		},
+		{
+			name: "duplicate stored expressions",
+			doc:  `<expr name="e" expr="CYCLES"/><expr name="e" expr="INSTRUCTIONS"/>`,
+			cfg:  tiptop.Config{Exprs: []tiptop.ExprDef{{Name: "e", Expr: "CYCLES"}, {Name: "e", Expr: "INSTRUCTIONS"}}},
+		},
+		{
+			name: "duplicate screens",
+			doc:  `<screen name="s">` + ipcXML + `</screen><screen name="s">` + ipcXML + `</screen>`,
+			cfg: tiptop.Config{Screens: []tiptop.ScreenDef{
+				{Name: "s", Columns: []tiptop.ColumnDef{ipc}}, {Name: "s", Columns: []tiptop.ColumnDef{ipc}}}},
+		},
+		{
+			name: "duplicate columns",
+			doc:  `<screen name="s">` + ipcXML + ipcXML + `</screen>`,
+			cfg:  tiptop.Config{Screen: "s", Screens: []tiptop.ScreenDef{{Name: "s", Columns: []tiptop.ColumnDef{ipc, ipc}}}},
+		},
+		{
+			name: "column without header",
+			doc:  `<screen name="s"><column name="c" expr="CYCLES"/></screen>`,
+			cfg:  tiptop.Config{Screen: "s", Screens: []tiptop.ScreenDef{{Name: "s", Columns: []tiptop.ColumnDef{{Name: "c", Expr: "CYCLES"}}}}},
+		},
+		{
+			name: "broken screen defined but not selected",
+			doc:  `<screen name="s"><column name="c" header="C" expr="ratio(CYCELS, INSTRUCTIONS)"/></screen>`,
+			cfg: tiptop.Config{Screens: []tiptop.ScreenDef{{Name: "s", Columns: []tiptop.ColumnDef{
+				{Name: "c", Header: "C", Expr: "ratio(CYCELS, INSTRUCTIONS)"}}}}},
+		},
+		{
+			name: "broken screen selected",
+			doc:  `<screen name="s"><column name="c" header="C" expr="ratio(CYCELS, INSTRUCTIONS)"/></screen>`,
+			cfg: tiptop.Config{Screen: "s", Screens: []tiptop.ScreenDef{{Name: "s", Columns: []tiptop.ColumnDef{
+				{Name: "c", Header: "C", Expr: "ratio(CYCELS, INSTRUCTIONS)"}}}}},
+		},
+		{
+			name: "column names a stored expression",
+			doc:  `<expr name="fleet_ipc" expr="delta(INSTRUCTIONS)/delta(CYCLES)"/><screen name="s"><column name="c" header="C" expr="fleet_ipc"/></screen>`,
+			cfg: tiptop.Config{Screen: "s",
+				Exprs:   []tiptop.ExprDef{{Name: "fleet_ipc", Expr: "delta(INSTRUCTIONS)/delta(CYCLES)"}},
+				Screens: []tiptop.ScreenDef{{Name: "s", Columns: []tiptop.ColumnDef{{Name: "c", Header: "C", Expr: "fleet_ipc"}}}}},
+			ok: true,
+		},
+		{
+			name: "screen defined by the base config and again by the file",
+			doc:  `<screen name="s">` + ipcXML + `</screen><screen name="s">` + ipcXML + `</screen>`,
+			cfg:  tiptop.Config{Screens: []tiptop.ScreenDef{{Name: "s", Columns: []tiptop.ColumnDef{ipc}}}},
+			file: `<tiptop><screen name="s">` + ipcXML + `</screen></tiptop>`,
+		},
+		{
+			name:   "daemon serving a stored expression that shadows an event",
+			doc:    `<expr name="CYCLES" expr="INSTRUCTIONS"/>`,
+			cfg:    tiptop.Config{Exprs: []tiptop.ExprDef{{Name: "CYCLES", Expr: "INSTRUCTIONS"}}},
+			daemon: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			verdict := func(side string, err error) {
+				if (err == nil) != tc.ok {
+					t.Errorf("%s: error %v, want accepted = %v", side, err, tc.ok)
+				}
+			}
+			_, err := config.Parse(strings.NewReader("<tiptop>" + tc.doc + "</tiptop>"))
+			verdict("config.Parse", err)
+
+			cfg := tc.cfg
+			if tc.file != "" {
+				file, err := config.Parse(strings.NewReader(tc.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				flags := config.BindFlags(flag.NewFlagSet("tiptop", flag.ContinueOnError))
+				if cfg, err = tiptop.ConfigFromFlags(flags, file, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !tc.daemon {
+				verdict("Config.Validate", cfg.Validate())
+				return
+			}
+			d, err := tiptop.NewDaemon(cfg, tiptop.DaemonOptions{Sim: "spec", Scale: 0.01})
+			if err == nil {
+				d.Close()
+			}
+			verdict("NewDaemon", err)
+		})
+	}
+}
+
+// FuzzDefinitionsRoundTrip: a document Parse accepts writes back to
+// equal definitions, which a tiptop.Config built from them passes
+// Validate with; one Parse rejects for its definitions, the facade
+// rejects too.
+func FuzzDefinitionsRoundTrip(f *testing.F) {
+	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "custom-events.xml"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(example))
+	var def strings.Builder
+	if err := config.Write(&def, config.Default()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(def.String())
+	for _, doc := range []string{
+		`<tiptop><expr name="fleet_ipc" expr="delta(INSTRUCTIONS)/delta(CYCLES)" desc="cluster IPC"/><expr name="busy_users" expr="topk(3, rate(CYCLES)) by user"/><screen name="s" desc="uses a stored expr"><column name="ipc" header="IPC" expr="fleet_ipc"/></screen></tiptop>`,
+		`<tiptop><expr name="t" expr="topk(2, CYCLES)"/><screen name="s"><column name="c" header="C" expr="t"/></screen></tiptop>`,
+		`<tiptop><expr name="x" expr="CYCLES"/><expr name="x" expr="CYCLES"/></tiptop>`,
+		`<tiptop><expr name="CYCLES" expr="CYCLES"/></tiptop>`,
+		`<tiptop><event name="MY_ASSISTS" raw="0x1EF7"/><expr name="assist_rate" expr="rate(MY_ASSISTS)"/><expr name="avg_ipc" expr="avg_over_time(ipc)"/></tiptop>`,
+	} {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		var raw config.File
+		if xml.Unmarshal([]byte(doc), &raw) != nil {
+			return // not a document
+		}
+		for _, a := range raw.Options.Attrs {
+			if a.Name.Local == "connect" || a.Name.Local == "join" {
+				return // Parse's one rule that is not about definitions
+			}
+		}
+		facade := tiptop.Config{Events: raw.Events, Exprs: raw.Exprs, Screens: raw.Screens}.Validate()
+		parsed, err := config.Parse(strings.NewReader(doc))
+		if err != nil {
+			if facade == nil {
+				t.Fatalf("Parse rejects (%v), the facade accepts", err)
+			}
+			return
+		}
+		if facade != nil {
+			t.Fatalf("Parse accepts, the facade rejects: %v", facade)
+		}
+		var out strings.Builder
+		if err := config.Write(&out, parsed); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		back, err := config.Parse(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatalf("reparse: %v\n%s", err, out.String())
+		}
+		if !reflect.DeepEqual(back.Events, parsed.Events) || !reflect.DeepEqual(back.Exprs, parsed.Exprs) ||
+			!reflect.DeepEqual(back.Screens, parsed.Screens) {
+			t.Fatalf("definitions changed in the round trip:\nparsed %+v %+v %+v\nback   %+v %+v %+v",
+				parsed.Events, parsed.Exprs, parsed.Screens, back.Events, back.Exprs, back.Screens)
+		}
+	})
 }

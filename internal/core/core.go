@@ -409,7 +409,7 @@ func (s *Session) Backend() hpm.Backend { return s.backend }
 // event descriptors in first-use order. An identifier that is neither a
 // context variable nor resolvable as an event is rejected with an error
 // naming the screen, the column and the identifier — the single source
-// of truth behind both config.Load validation and NewSession.
+// of truth behind both config.Check and NewSession.
 func ResolveScreenEvents(registry *hpm.Registry, screen *metrics.Screen) ([]hpm.EventDesc, error) {
 	var events []hpm.EventDesc
 	seen := make(map[string]bool)

@@ -9,7 +9,6 @@ import (
 	"tiptop/internal/sim/machine"
 	"tiptop/internal/sim/workload"
 	"tiptop/internal/trace"
-	"tiptop/internal/ui"
 )
 
 // fig1Jobs is the anonymized process roster of Figure 1: eleven
@@ -129,29 +128,12 @@ func RunFig1(cfg Config) (*Result, error) {
 	res.Tables = append(res.Tables, table)
 	res.Metrics["rows"] = float64(len(sample.Rows))
 
-	// Also keep the batch rendering for the tool's output files.
-	var sb renderBuffer
-	br := &ui.BatchRenderer{W: &sb, Timestamps: true}
-	if err := br.Render(s.Screen(), sample); err != nil {
-		return nil, err
-	}
 	res.notef("paper: 11 processes of 3 users, IPC between 0.66 and 2.36, one job at 43.7%% CPU, DMIS 0.9 for the memory-bound job")
 	res.notef("measured: %d rows; process1 IPC %.2f (paper 1.97); process6 IPC %.2f DMIS %.1f (paper 0.66/0.9); process11 %%CPU %.1f (paper 43.7)",
 		len(sample.Rows), res.Metrics["ipc_process1"], res.Metrics["ipc_process6"],
 		res.Metrics["dmis_process6"], res.Metrics["cpu_process11"])
 	return res, nil
 }
-
-// renderBuffer is a minimal strings.Builder clone implementing io.Writer
-// without importing strings in this file's hot path.
-type renderBuffer struct{ buf []byte }
-
-func (b *renderBuffer) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-
-func (b *renderBuffer) String() string { return string(b.buf) }
 
 // RunFig10 regenerates Figure 10, the §3.4 process-conflict study: user1
 // has two long-running jobs; user2 submits five jobs that run for a

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"tiptop/internal/config"
 	"tiptop/internal/core"
 	"tiptop/internal/export"
 	"tiptop/internal/history"
@@ -147,24 +148,30 @@ func (r *Recorder) ExpositionStats() (encodes, renders uint64) {
 // definition, an unknown sort key or a negative interval. Commands call
 // it to fail fast on bad flags.
 func (c Config) Validate() error {
-	screen, _, err := c.resolve()
+	_, err := c.check()
+	return err
+}
+
+// check is Validate, returning the checked definitions.
+func (c Config) check() (*config.Defs, error) {
+	screen, defs, err := c.resolve()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if c.Interval < 0 {
-		return fmt.Errorf("tiptop: negative interval %v", c.Interval)
+		return nil, fmt.Errorf("tiptop: negative interval %v", c.Interval)
 	}
 	if err := core.ValidateSortKey(screen, c.SortBy); err != nil {
-		return fmt.Errorf("tiptop: %w", err)
+		return nil, fmt.Errorf("tiptop: %w", err)
 	}
 	if c.StoreRetention < 0 {
-		return fmt.Errorf("tiptop: negative store retention %v", c.StoreRetention)
+		return nil, fmt.Errorf("tiptop: negative store retention %v", c.StoreRetention)
 	}
 	if c.StoreBudget < 0 {
-		return fmt.Errorf("tiptop: negative store budget %d", c.StoreBudget)
+		return nil, fmt.Errorf("tiptop: negative store budget %d", c.StoreBudget)
 	}
 	if c.StoreCompact < 0 {
-		return fmt.Errorf("tiptop: negative store compaction period %v", c.StoreCompact)
+		return nil, fmt.Errorf("tiptop: negative store compaction period %v", c.StoreCompact)
 	}
-	return nil
+	return defs, nil
 }

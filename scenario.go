@@ -184,23 +184,28 @@ func (sc *Scenario) StartSynthetic(user, name string, ipc float64, pinned ...int
 
 // StartSyntheticJob launches a fully specified synthetic job.
 func (sc *Scenario) StartSyntheticJob(user string, job SyntheticJob, pinned ...int) (int, error) {
-	if job.IPC <= 0 || job.IPC > 4 {
-		return 0, fmt.Errorf("tiptop: synthetic IPC %v out of (0, 4]", job.IPC)
+	spin, err := sc.newSpin(job)
+	if err != nil {
+		return 0, err
 	}
-	spec := workload.SyntheticSpec{
+	task := sc.kernel.Spawn(user, job.Name, spin, maskOf(pinned))
+	return task.ID().PID, nil
+}
+
+// newSpin builds a synthetic job's endless workload, drawing the
+// scenario's next seed.
+func (sc *Scenario) newSpin(job SyntheticJob) (*workload.Spin, error) {
+	if job.IPC <= 0 || job.IPC > 4 {
+		return nil, fmt.Errorf("tiptop: synthetic IPC %v out of (0, 4]", job.IPC)
+	}
+	return workload.NewSpin(workload.Synthetic(workload.SyntheticSpec{
 		Name:       job.Name,
 		IPC:        job.IPC,
 		MemRefsPKI: job.MemRefsPKI,
 		HotBytes:   job.HotMB * (1 << 20),
 		WarmBytes:  job.WarmMB * (1 << 20),
 		MidProb:    job.MidProb,
-	}
-	spin, err := workload.NewSpin(workload.Synthetic(spec), sc.nextSeed())
-	if err != nil {
-		return 0, err
-	}
-	task := sc.kernel.Spawn(user, job.Name, spin, maskOf(pinned))
-	return task.ID().PID, nil
+	}), sc.nextSeed())
 }
 
 // StartMicroKernel assembles src in the tiny assembly language of the
@@ -265,18 +270,7 @@ func (sc *Scenario) AddSyntheticThread(pid int, job SyntheticJob, pinned ...int)
 	if !ok {
 		return 0, fmt.Errorf("tiptop: no process %d", pid)
 	}
-	if job.IPC <= 0 || job.IPC > 4 {
-		return 0, fmt.Errorf("tiptop: synthetic IPC %v out of (0, 4]", job.IPC)
-	}
-	spec := workload.SyntheticSpec{
-		Name:       job.Name,
-		IPC:        job.IPC,
-		MemRefsPKI: job.MemRefsPKI,
-		HotBytes:   job.HotMB * (1 << 20),
-		WarmBytes:  job.WarmMB * (1 << 20),
-		MidProb:    job.MidProb,
-	}
-	spin, err := workload.NewSpin(workload.Synthetic(spec), sc.nextSeed())
+	spin, err := sc.newSpin(job)
 	if err != nil {
 		return 0, err
 	}

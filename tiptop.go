@@ -34,7 +34,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"tiptop/internal/config"
@@ -124,43 +123,28 @@ func (cfg Config) StoreOptions() StoreOptions {
 	return StoreOptions{Retention: cfg.StoreRetention, Budget: cfg.StoreBudget, Fsync: cfg.StoreFsync}
 }
 
-// EventDef defines one user event: Name is the identifier metric
-// expressions use, Spec is any event specification the registry
-// resolves — "RAW:0x<hex>" for a model-specific code from the vendor's
-// manual, a hw-cache event such as "L1D_READ_MISS", or an existing
-// event name (aliasing).
-type EventDef struct {
-	Name string
-	Spec string
-	Unit string
-	Desc string
-}
-
-// ExprDef defines one named stored expression. Expr may use the full
-// query grammar — topk(), `by user|command|agent` grouping,
-// *_over_time() folds — which range queries serve and screen columns
-// reject.
-type ExprDef struct {
-	Name string
-	Expr string
-	Desc string
-}
-
-// ColumnDef defines one column of a custom screen.
-type ColumnDef struct {
-	Name   string // machine-friendly identifier, unique in the screen
-	Header string // display heading
-	Format string // printf verb for the cell ("" = %8.2f)
-	Width  int    // minimum cell width (0 = derived from the header)
-	Expr   string // metric expression over event names
-	Desc   string
-}
-
-// ScreenDef defines a custom screen.
-type ScreenDef struct {
-	Name    string
-	Columns []ColumnDef
-}
+// The definition types are internal/config's, which a -config file's
+// <event>, <expr> and <screen> elements decode into, so a definition
+// built in Go is checked by the same rules (config.Check) at Validate
+// or constructor time.
+type (
+	// EventDef defines one user event: Name is the identifier metric
+	// expressions use, Spec is any event specification the registry
+	// resolves — "RAW:0x<hex>" for a model-specific code from the
+	// vendor's manual, a hw-cache event such as "L1D_READ_MISS", or an
+	// existing event name (aliasing) — and Raw is shorthand for a
+	// "RAW:" Spec; exactly one of the two is given.
+	EventDef = config.Event
+	// ExprDef defines one named stored expression. Expr may use the
+	// full query grammar — topk(), `by user|command|agent` grouping,
+	// *_over_time() folds — which range queries serve and screen
+	// columns reject.
+	ExprDef = config.Expr
+	// ScreenDef defines a custom screen.
+	ScreenDef = config.Screen
+	// ColumnDef defines one column of a custom screen.
+	ColumnDef = config.Column
+)
 
 // StateExited is the State of an exit row: the one row a task gets
 // after it leaves the process table, holding the counts of its last
@@ -243,20 +227,6 @@ func newMonitor(session *core.Session, machine string) *Monitor {
 // fall back to a simulated scenario.
 var ErrNoBackend = errors.New("tiptop: no usable counter backend")
 
-// buildRegistry resolves cfg.Events on top of the built-in defaults.
-// Registration goes through config.RegisterUserEvent — the same
-// builder behind XML <event> definitions — so the two paths validate
-// identically.
-func (cfg Config) buildRegistry() (*hpm.Registry, error) {
-	registry := hpm.DefaultRegistry()
-	for _, def := range cfg.Events {
-		if err := config.RegisterUserEvent(registry, def.Name, def.Spec, def.Unit, def.Desc); err != nil {
-			return nil, fmt.Errorf("tiptop: %w", err)
-		}
-	}
-	return registry, nil
-}
-
 // ConfigFromFlags reads the flags tiptop and tiptopd share into a
 // Config, once the command has applied its -config file's <options> to
 // them (config.Flags.ApplyConfig). base carries what the command's own
@@ -278,90 +248,13 @@ func ConfigFromFlags(f *config.Flags, file *config.File, base Config) (Config, e
 	return cfg, nil
 }
 
-// ApplyDefinitions merges a parsed XML configuration document's
-// <event>, <expr> and <screen> elements into the config — the one
-// translation both commands (tiptop, tiptopd) use. Screen columns
-// whose expression is exactly a stored expression's name are expanded
-// here, so the facade's screen builder needs no expression registry.
+// ApplyDefinitions appends a parsed XML configuration document's
+// <event>, <expr> and <screen> elements to the config — the one
+// translation both commands (tiptop, tiptopd) use.
 func (cfg *Config) ApplyDefinitions(f *config.File) {
-	for _, e := range f.Events {
-		cfg.Events = append(cfg.Events, EventDef{
-			Name: e.Name, Spec: e.EventSpec(), Unit: e.Unit, Desc: e.Desc,
-		})
-	}
-	for _, e := range f.Exprs {
-		cfg.Exprs = append(cfg.Exprs, ExprDef{Name: e.Name, Expr: e.Expr, Desc: e.Desc})
-	}
-	named := f.NamedExprs()
-	for _, sx := range f.Screens {
-		sd := ScreenDef{Name: sx.Name}
-		for _, cx := range sx.Columns {
-			expr := cx.Expr
-			if src, ok := named[strings.TrimSpace(expr)]; ok {
-				expr = src
-			}
-			sd.Columns = append(sd.Columns, ColumnDef{
-				Name: cx.Name, Header: cx.Header, Format: cx.Format,
-				Width: cx.Width, Expr: expr, Desc: cx.Desc,
-			})
-		}
-		cfg.Screens = append(cfg.Screens, sd)
-	}
-}
-
-// namedExprs returns the config's stored expressions as a name →
-// source map, nil when none are defined — what a Daemon's
-// /api/v1/query?expr=<name> expands.
-func (cfg Config) namedExprs() map[string]string {
-	if len(cfg.Exprs) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(cfg.Exprs))
-	for _, e := range cfg.Exprs {
-		m[e.Name] = e.Expr
-	}
-	return m
-}
-
-// resolveScreen selects cfg.Screen among the custom screens (which take
-// precedence) and the built-ins.
-func (cfg Config) resolveScreen() (*metrics.Screen, error) {
-	name := cfg.Screen
-	if name == "" {
-		name = "default"
-		if cfg.SystemWide {
-			name = "system"
-		}
-	}
-	for _, sd := range cfg.Screens {
-		if sd.Name != name {
-			continue
-		}
-		return buildScreen(sd)
-	}
-	s, ok := metrics.BuiltinScreens()[name]
-	if !ok {
-		return nil, fmt.Errorf("tiptop: unknown screen %q", name)
-	}
-	return s, nil
-}
-
-// buildScreen compiles a screen definition.
-func buildScreen(sd ScreenDef) (*metrics.Screen, error) {
-	if len(sd.Columns) == 0 {
-		return nil, fmt.Errorf("tiptop: screen %q has no columns", sd.Name)
-	}
-	s := &metrics.Screen{Name: sd.Name}
-	for _, cd := range sd.Columns {
-		expr, err := metrics.Compile(cd.Expr)
-		if err != nil {
-			return nil, fmt.Errorf("tiptop: screen %q column %q: %w", sd.Name, cd.Name, err)
-		}
-		col := metrics.NewColumn(cd.Name, cd.Header, cd.Format, cd.Width)
-		col.Expr, col.Desc = expr, cd.Desc
-		s.Columns = append(s.Columns, col)
-	}
-	return s, nil
+	cfg.Events = append(cfg.Events, f.Events...)
+	cfg.Exprs = append(cfg.Exprs, f.Exprs...)
+	cfg.Screens = append(cfg.Screens, f.Screens...)
 }
 
 // coreOptions builds the engine options; freqHz and numCPUs are what
@@ -384,7 +277,7 @@ func coreOptions(cfg Config, screen *metrics.Screen, registry *hpm.Registry, fre
 // perf_event_open here. Expressions read NUM_CPUS as runtime.NumCPU()
 // and FREQ_HZ as 0: the nominal clock is not probed.
 func NewRealMonitor(cfg Config) (*Monitor, error) {
-	screen, registry, err := cfg.resolve()
+	screen, defs, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +289,7 @@ func NewRealMonitor(cfg Config) (*Monitor, error) {
 	src := procfs.NewSource("")
 	src.PerThread = cfg.PerThread
 	src.SystemWide = cfg.SystemWide
-	session, err := core.NewSession(mux.Wrap(backend), src, core.NewRealClock(), coreOptions(cfg, screen, registry, 0, runtime.NumCPU()))
+	session, err := core.NewSession(mux.Wrap(backend), src, core.NewRealClock(), coreOptions(cfg, screen, defs.Registry, 0, runtime.NumCPU()))
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +303,7 @@ func NewSimMonitor(sc *Scenario, cfg Config) (*Monitor, error) {
 	if sc == nil {
 		return nil, errors.New("tiptop: nil scenario")
 	}
-	screen, registry, err := cfg.resolve()
+	screen, defs, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +311,7 @@ func NewSimMonitor(sc *Scenario, cfg Config) (*Monitor, error) {
 	src.PerThread = cfg.PerThread
 	src.SystemWide = cfg.SystemWide
 	m := sc.Machine()
-	session, err := core.NewSession(mux.Wrap(sc.backend()), src, sc.clock(), coreOptions(cfg, screen, registry, m.FreqHz, m.NumLogical()))
+	session, err := core.NewSession(mux.Wrap(sc.backend()), src, sc.clock(), coreOptions(cfg, screen, defs.Registry, m.FreqHz, m.NumLogical()))
 	if err != nil {
 		return nil, err
 	}
@@ -447,22 +340,30 @@ func OpenMonitor(sim, fallback string, scale float64, cfg Config) (mon *Monitor,
 	return mon, true, err
 }
 
-// resolve builds the screen and event registry of a configuration,
-// resolving every screen identifier so Config.Validate fails on
-// exactly what a Monitor constructor would reject.
-func (cfg Config) resolve() (*metrics.Screen, *hpm.Registry, error) {
-	registry, err := cfg.buildRegistry()
+// resolve checks cfg's definitions with config.Check, the checker
+// -config files go through, and selects cfg.Screen among the custom
+// screens (which take precedence) and the built-ins, so Config.Validate
+// fails on exactly what a Monitor constructor would reject.
+func (cfg Config) resolve() (*metrics.Screen, *config.Defs, error) {
+	defs, err := config.Check(cfg.Events, cfg.Exprs, cfg.Screens)
 	if err != nil {
 		return nil, nil, err
 	}
-	screen, err := cfg.resolveScreen()
-	if err != nil {
-		return nil, nil, err
+	name := cfg.Screen
+	if name == "" {
+		name = "default"
+		if cfg.SystemWide {
+			name = "system"
+		}
 	}
-	if _, err := core.ResolveScreenEvents(registry, screen); err != nil {
-		return nil, nil, fmt.Errorf("tiptop: %w", err)
+	if s, ok := defs.Screens[name]; ok {
+		return s, defs, nil
 	}
-	return screen, registry, nil
+	s, ok := metrics.BuiltinScreens()[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("tiptop: unknown screen %q", name)
+	}
+	return s, defs, nil
 }
 
 // Machine describes what the monitor observes.

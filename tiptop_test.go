@@ -647,14 +647,14 @@ func TestColumnDisplayDefaults(t *testing.T) {
 		{"LONGHEADER", "", 0, "%8.2f", 10},
 		{"IPC", "%5.1f", 4, "%5.1f", 4},
 	} {
-		local, err := buildScreen(ScreenDef{Name: "s", Columns: []ColumnDef{
-			{Name: "c", Header: tc.header, Format: tc.format, Width: tc.width, Expr: "CYCLES"}}})
+		local, _, err := Config{Screen: "s", Screens: []ScreenDef{{Name: "s", Columns: []ColumnDef{
+			{Name: "c", Header: tc.header, Format: tc.format, Width: tc.width, Expr: "CYCLES"}}}}}.resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wire := (&remote.Sample{Columns: []remote.Column{
 			{Name: "c", Header: tc.header, Format: tc.format, Width: tc.width}}}).Screen()
-		for side, sc := range map[string]*metrics.Screen{"buildScreen": local, "remote.Sample.Screen": wire} {
+		for side, sc := range map[string]*metrics.Screen{"Config.resolve": local, "remote.Sample.Screen": wire} {
 			if c := sc.Columns[0]; c.Format != tc.wantFormat || c.Width != tc.wantWidth {
 				t.Errorf("%s %+v: format %q width %d, want %q %d", side, tc, c.Format, c.Width, tc.wantFormat, tc.wantWidth)
 			}
