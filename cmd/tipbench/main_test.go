@@ -72,3 +72,26 @@ func TestRunBadFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryGolden regenerates every experiment at the default scale
+// and seed and compares SUMMARY.txt with testdata/summary.golden byte
+// for byte. The simulator is deterministic, so a line that moves is a
+// changed measurement, and the golden's diff is the list of them.
+func TestSummaryGolden(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-scale", "0.02", "-seed", "1", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "SUMMARY.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "summary.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("SUMMARY.txt drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}

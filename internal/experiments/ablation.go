@@ -10,8 +10,9 @@ import (
 	"tiptop/internal/ukernel"
 )
 
-// Ablations quantify the design choices DESIGN.md calls out: which
-// simulator mechanisms carry the paper's results.
+// Ablations quantify which simulator mechanisms carry the paper's
+// results. They drive the scheduler and the micro-kernel VM directly:
+// what they switch off sits below the monitor.
 
 // AblationContention measures the Figure 11 three-copy mcf slowdown with
 // the shared-cache contention model enabled and disabled. Without it the
@@ -20,10 +21,7 @@ import (
 func AblationContention(cfg Config) (withSharing, withoutSharing float64, err error) {
 	cfg = cfg.normalized()
 	run := func(disable bool, copies int) (float64, error) {
-		k, err := sched.New(machine.XeonW3550(), sched.Options{
-			Quantum:             cfg.Quantum,
-			DisableCacheSharing: disable,
-		})
+		k, err := sched.New(machine.XeonW3550(), sched.Options{DisableCacheSharing: disable})
 		if err != nil {
 			return 0, err
 		}
@@ -91,11 +89,6 @@ func AblationAssistPenalty(penalties []int) (map[int]float64, error) {
 		slow, err := ipcOf(ukernel.FPNaN)
 		if err != nil {
 			return nil, err
-		}
-		if p == 0 {
-			// No assist mechanism: no slowdown at all.
-			out[p] = finite / slow
-			continue
 		}
 		out[p] = finite / slow
 	}

@@ -1,24 +1,23 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment builds the relevant simulated scenario,
-// monitors it with the real tiptop engine (the same code path the
-// command-line tool uses), and returns plots, tables, headline metrics
-// and paper-vs-measured notes. cmd/tipbench renders them to files;
-// bench_test.go wraps them as Go benchmarks; EXPERIMENTS.md records the
-// outcomes.
+// evaluation. Each figure builds its workload as a tiptop.Scenario,
+// monitors it through tiptop.NewSimMonitor (the monitor tiptop -sim and
+// tiptopd -sim run), records every refresh with a Recorder teed into a
+// Store, and reads its series and totals back as store queries. The §2.4
+// oracle and the §2.5 perturbation study measure the engine and the
+// scheduler themselves, so they compose the engine directly. Each
+// experiment returns plots, tables, headline metrics and
+// paper-vs-measured notes; cmd/tipbench renders them to files.
 package experiments
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"tiptop/internal/core"
-	"tiptop/internal/metrics"
-	"tiptop/internal/sim/machine"
-	"tiptop/internal/sim/pmu"
-	"tiptop/internal/sim/proc"
-	"tiptop/internal/sim/sched"
+	"tiptop"
 	"tiptop/internal/trace"
 )
 
@@ -31,8 +30,6 @@ type Config struct {
 	Scale float64
 	// Seed drives all simulation randomness.
 	Seed int64
-	// Quantum is the scheduler timeslice (default 10 ms).
-	Quantum time.Duration
 }
 
 // DefaultConfig returns the quick configuration used by tests: 2 % of
@@ -47,9 +44,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 10 * time.Millisecond
 	}
 	return c
 }
@@ -109,7 +103,7 @@ type Result struct {
 	// Tables are the regenerated tables.
 	Tables []*Table
 	// Metrics are headline numbers, keyed by stable names, consumed by
-	// tests and EXPERIMENTS.md.
+	// tests and tipbench's SUMMARY.txt.
 	Metrics map[string]float64
 	// Notes record paper-vs-measured comparisons, one line each.
 	Notes []string
@@ -157,85 +151,149 @@ func Get(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// --- shared machinery ---
+// --- the monitored run ---
 
-// coreSample and coreSession alias the engine types for driver callbacks.
-type (
-	coreSample  = core.Sample
-	coreSession = core.Session
-)
+// maxRefreshes bounds a run that waits for its processes to exit.
+const maxRefreshes = 500_000
 
-// simSession wires a tiptop engine onto a simulated kernel, through the
-// process source users run: a task that finishes mid-interval leaves the
-// table, and the refresh that misses it reads its final deltas into its
-// exit row.
-func simSession(k *sched.Kernel, screen *metrics.Screen, interval time.Duration, sortBy string) (*core.Session, error) {
-	return core.NewSession(
-		pmu.New(k),
-		proc.NewSource(k),
-		proc.NewClock(k),
-		core.Options{
-			Screen:   screen,
-			Interval: interval,
-			FreqHz:   k.Machine().FreqHz,
-			NumCPUs:  k.Machine().NumLogical(),
-			SortBy:   sortBy,
-		},
-	)
+// run is one monitored experiment run, composed as tiptopd composes it:
+// the scenario sampled by a sim Monitor whose Recorder tees every
+// refresh into a Store in a temporary directory. Series and totals are
+// read back from that store.
+type run struct {
+	sc       *tiptop.Scenario
+	mon      *tiptop.Monitor
+	st       *tiptop.Store
+	dir      string
+	interval time.Duration
+	// start is the attach pass's time: refresh 0 of the run.
+	start time.Duration
 }
 
-// newKernel builds a kernel or panics (machine presets are known-valid).
-func newKernel(m *machine.Machine, cfg Config) *sched.Kernel {
-	k, err := sched.New(m, sched.Options{Quantum: cfg.Quantum})
+// monitor starts recording sc under the named built-in screen, one
+// refresh per interval, and takes the attach pass.
+func monitor(sc *tiptop.Scenario, screen string, interval time.Duration) (*run, error) {
+	dir, err := os.MkdirTemp("", "tipbench-")
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return k
+	r := &run{sc: sc, dir: dir, interval: interval, start: sc.Now()}
+	if err := r.attach(screen); err != nil {
+		r.close()
+		return nil, err
+	}
+	return r, nil
 }
 
-// monitorUntilDone samples the session at the given interval until every
-// task has exited (or maxSamples is reached), invoking cb per sample.
-func monitorUntilDone(s *core.Session, k *sched.Kernel, maxSamples int, cb func(int, *core.Sample)) error {
-	for i := 0; i < maxSamples; i++ {
-		sample, err := s.Update()
-		if err != nil {
+func (r *run) attach(screen string) (err error) {
+	cfg := tiptop.Config{Interval: r.interval, Screen: screen, SortBy: "cpu"}
+	if r.mon, err = tiptop.NewSimMonitor(r.sc, cfg); err != nil {
+		return err
+	}
+	if r.st, err = tiptop.OpenStore(r.dir, tiptop.StoreOptions{}); err != nil {
+		return err
+	}
+	rec := tiptop.NewRecorder(tiptop.RecorderOptions{})
+	r.mon.Subscribe(rec)
+	rec.Tee(r.st)
+	_, err = r.mon.SampleNow()
+	return err
+}
+
+// close releases the counters and deletes the store. The store is
+// scratch, read before this, so its close errors change no result.
+func (r *run) close() {
+	if r.mon != nil {
+		r.mon.Close()
+	}
+	if r.st != nil {
+		r.st.Close()
+	}
+	os.RemoveAll(r.dir)
+}
+
+// untilExit refreshes until none of pids runs: the refresh that misses a
+// process records its exit row, the counts of its last partial interval.
+func (r *run) untilExit(pids ...int) error {
+	for i := 0; slices.ContainsFunc(pids, r.sc.Running); i++ {
+		if i == maxRefreshes {
+			return fmt.Errorf("processes %v still running after %d refreshes", pids, maxRefreshes)
+		}
+		if _, err := r.mon.Sample(); err != nil {
 			return err
 		}
-		if cb != nil {
-			cb(i, sample)
+	}
+	return nil
+}
+
+// index converts a store time to the refresh's index in the run.
+func (r *run) index(seconds float64) float64 {
+	return math.Round((seconds - r.start.Seconds()) / r.interval.Seconds())
+}
+
+// points evaluates expr by command over the store, one point per
+// refresh: X is the refresh's index, Y the command's value.
+func (r *run) points(expr string) (map[string][]trace.Point, error) {
+	if err := r.st.Err(); err != nil {
+		return nil, err
+	}
+	res, err := r.st.Querier().QueryExpr(expr+" by command", tiptop.QueryOptions{})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]trace.Point, len(res.Series))
+	for _, s := range res.Series {
+		if s.Total {
+			continue
 		}
-		alive := false
-		for _, t := range k.Tasks() {
-			if t.State() != sched.TaskExited {
-				alive = true
-				break
+		pts := make([]trace.Point, len(s.Points))
+		for i, p := range s.Points {
+			pts[i] = trace.Point{X: r.index(p.TimeSeconds), Y: p.Value}
+		}
+		out[s.Key] = pts
+	}
+	return out, nil
+}
+
+// series reads per-command series back from the store. The first
+// expression keeps the refreshes where a command's value is nonzero —
+// for an IPC, those where it retired instructions, which the attach
+// pass does not — and each further one is read at the same refreshes.
+// out[i] maps each command to exprs[i]'s series, named after it.
+func (r *run) series(exprs ...string) ([]map[string]*trace.Series, error) {
+	out := make([]map[string]*trace.Series, len(exprs))
+	kept := map[string]map[float64]bool{}
+	for i, expr := range exprs {
+		pts, err := r.points(expr)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = make(map[string]*trace.Series, len(pts))
+		for comm, ps := range pts {
+			s := &trace.Series{Name: comm}
+			if i == 0 {
+				kept[comm] = map[float64]bool{}
 			}
+			for _, p := range ps {
+				if i == 0 && p.Y != 0 {
+					kept[comm][p.X] = true
+				}
+				if kept[comm][p.X] {
+					s.Add(p.X, p.Y)
+				}
+			}
+			out[i][comm] = s
 		}
-		if !alive {
-			return nil
-		}
-		// Advance one interval of simulated time.
-		s.AdvanceClock()
 	}
-	return nil
+	return out, nil
 }
 
-// rowByComm finds the first row whose command matches.
-func rowByComm(sample *core.Sample, comm string) *core.Row {
-	for i := range sample.Rows {
-		if sample.Rows[i].Info.Comm == comm {
-			return &sample.Rows[i]
+// only returns the series of a run's one process.
+func only(m map[string]*trace.Series) (*trace.Series, error) {
+	for _, s := range m {
+		if len(m) == 1 {
+			return s, nil
 		}
 	}
-	return nil
-}
-
-// sortedKeys returns map keys in sorted order for deterministic notes.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return nil, fmt.Errorf("want one process in the store, found %d", len(m))
 }

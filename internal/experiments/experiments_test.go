@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -333,10 +338,37 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSortedKeysHelper(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2, "c": 3}
-	keys := sortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("keys = %v", keys)
+// TestFiguresUseTheFacade keeps the figures on the monitor users run:
+// only the §2.4 oracle, the §2.5 perturbation study and the ablations,
+// which measure the engine and the simulator themselves, may compose
+// them from the internal packages.
+func TestFiguresUseTheFacade(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := []string{"tiptop/internal/core", "tiptop/internal/sim/sched", "tiptop/internal/sim/pmu", "tiptop/internal/sim/proc"}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		if name == "val24.go" || name == "per25.go" || name == "ablation.go" {
+			continue
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); slices.Contains(engine, path) {
+				t.Errorf("%s imports %q: run the figure through the tiptop facade", name, path)
+			}
+		}
+	}
+	if checked < 5 {
+		t.Fatalf("parsed %d of the package's files; is the test running in its package directory?", checked)
 	}
 }

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"tiptop/internal/metrics"
-	"tiptop/internal/sim/machine"
-	"tiptop/internal/sim/sched"
-	"tiptop/internal/sim/workload"
+	"tiptop"
 	"tiptop/internal/trace"
 )
 
@@ -27,56 +25,73 @@ func RunFig11(cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	res := newResult("fig11", "Figure 11: cross-core interferences for 429.mcf")
 
-	m := machine.XeonW3550()
-	interval := 5 * time.Second
-
 	type runOut struct {
 		ipc, dmis, l2m, l3m *trace.Series
 		minCPU              float64
-		samples             int
 	}
-	// corun runs `copies` instances pinned to the given CPUs and traces
-	// the first copy.
-	corun := func(cpus []machine.CPUID) (runOut, error) {
-		k := newKernel(m, cfg)
-		var first *sched.Task
-		for i, cpu := range cpus {
-			w := workload.Scaled(workload.MCF(), cfg.Scale)
-			task := k.Spawn("user", fmt.Sprintf("mcf.%d", i), workload.MustInstance(w, cfg.Seed+int64(i)),
-				machine.MaskOf(cpu))
-			if i == 0 {
-				first = task
-			}
-		}
-		s, err := simSession(k, metrics.MemoryScreen(), interval, "cpu")
+	var topology string
+	// corun runs one copy pinned to each of cpus and traces the first
+	// copy.
+	corun := func(cpus []int) (runOut, error) {
+		sc, err := tiptop.NewScenario(tiptop.MachineXeonW3550)
 		if err != nil {
 			return runOut{}, err
 		}
-		defer s.Close()
+		topology = sc.Topology()
+		sc.SetSeed(cfg.Seed)
+		pids := make([]int, len(cpus))
+		for i, cpu := range cpus {
+			if pids[i], err = sc.StartWorkload("user", "mcf", cfg.Scale, cpu); err != nil {
+				return runOut{}, err
+			}
+		}
+		r, err := monitor(sc, "mem", 5*time.Second)
+		if err != nil {
+			return runOut{}, err
+		}
+		defer r.close()
+		if err := r.untilExit(pids...); err != nil {
+			return runOut{}, err
+		}
+		if err := r.st.Err(); err != nil {
+			return runOut{}, err
+		}
+		got, err := r.st.Query(tiptop.StoreQuery{PID: pids[0]})
+		if err != nil {
+			return runOut{}, err
+		}
+		if len(got.Series) != 1 {
+			return runOut{}, fmt.Errorf("fig11: %d series for the first copy", len(got.Series))
+		}
+		l2, l3 := slices.Index(got.Columns, "l2m"), slices.Index(got.Columns, "l3m")
+		if l2 < 0 || l3 < 0 {
+			return runOut{}, fmt.Errorf("fig11: the store lacks the l2m or l3m column: %v", got.Columns)
+		}
+		label := fmt.Sprintf("%d run(s)", len(cpus))
 		out := runOut{
-			ipc:    &trace.Series{Name: fmt.Sprintf("%d run(s)", len(cpus))},
-			dmis:   &trace.Series{Name: fmt.Sprintf("%d run(s)", len(cpus))},
-			l2m:    &trace.Series{Name: fmt.Sprintf("L2 - %d run(s)", len(cpus))},
-			l3m:    &trace.Series{Name: fmt.Sprintf("L3 - %d run(s)", len(cpus))},
+			ipc:    &trace.Series{Name: label},
+			dmis:   &trace.Series{Name: label},
+			l2m:    &trace.Series{Name: "L2 - " + label},
+			l3m:    &trace.Series{Name: "L3 - " + label},
 			minCPU: 200,
 		}
-		firstComm := "mcf.0"
-		err = monitorUntilDone(s, k, 100000, func(i int, sample *coreSample) {
-			row := rowByComm(sample, firstComm)
-			if row == nil || !row.Valid || row.IPC() == 0 {
-				return
+		points := got.Series[0].Points
+		for i, p := range points {
+			if p.IPC == 0 {
+				continue
 			}
-			out.ipc.Add(float64(i), row.IPC())
-			// MemoryScreen columns: ipc, lpi, l2m, l3m.
-			out.l2m.Add(float64(i), row.Values[2])
-			out.l3m.Add(float64(i), row.Values[3])
-			out.dmis.Add(float64(i), row.Values[3])
-			if i > 0 && first.State() == sched.TaskRunnable && row.CPUPct < out.minCPU {
-				out.minCPU = row.CPUPct
+			x := r.index(p.TimeSeconds)
+			out.ipc.Add(x, p.IPC)
+			out.l2m.Add(x, p.Values[l2])
+			out.l3m.Add(x, p.Values[l3])
+			out.dmis.Add(x, p.Values[l3])
+			// The last point is the exit row: the partial interval
+			// after the copy finished.
+			if i > 0 && i < len(points)-1 {
+				out.minCPU = min(out.minCPU, p.CPUPct)
 			}
-			out.samples = i + 1
-		})
-		return out, err
+		}
+		return out, nil
 	}
 
 	// (a)+(b): 1, 2, 3 copies on distinct physical cores.
@@ -84,9 +99,9 @@ func RunFig11(cfg Config) (*Result, error) {
 	plotB := trace.NewPlot("Figure 11 (b): LLC misses per 100 instructions", "sample (5s/tick)", "misses/100instr")
 	var sep []runOut
 	for copies := 1; copies <= 3; copies++ {
-		cpus := make([]machine.CPUID, copies)
+		cpus := make([]int, copies)
 		for i := range cpus {
-			cpus[i] = machine.CPUID(i)
+			cpus[i] = i
 		}
 		out, err := corun(cpus)
 		if err != nil {
@@ -101,7 +116,7 @@ func RunFig11(cfg Config) (*Result, error) {
 	}
 
 	// (d): two copies on SMT siblings of core 0 (logical CPUs 0 and 4).
-	sameCore, err := corun([]machine.CPUID{0, 4})
+	sameCore, err := corun([]int{0, 4})
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +136,7 @@ func RunFig11(cfg Config) (*Result, error) {
 	// (c): topology art.
 	res.Tables = append(res.Tables, &Table{
 		Title:  "Figure 11 (c): machine topology (hwloc-style)",
-		Header: []string{m.RenderTopology()},
+		Header: []string{topology},
 	})
 
 	// Headline numbers.

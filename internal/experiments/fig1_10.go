@@ -2,105 +2,81 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
-	"tiptop/internal/grid"
-	"tiptop/internal/metrics"
-	"tiptop/internal/sim/machine"
-	"tiptop/internal/sim/workload"
+	"tiptop"
 	"tiptop/internal/trace"
 )
 
-// fig1Jobs is the anonymized process roster of Figure 1: eleven
+// fig1Job is one process of Figure 1's anonymized roster: eleven
 // processes of three users on a 16-logical-core bi-Xeon E5640, with the
 // IPC values the paper's snapshot displays. process6 is the one
 // memory-bound job (DMIS 0.9); process11 runs at 43.7 % CPU.
 type fig1Job struct {
-	comm string
+	n    int // processN
 	user string
 	ipc  float64
 	mem  bool // memory-hungry (visible DMIS)
 	duty bool // partially idle (the 43.7 % process)
 }
 
+// fig1Roster lists the processes in the order they start: the partially
+// idle one, then the ten batch jobs.
 func fig1Roster() []fig1Job {
 	return []fig1Job{
-		{"process1", "user1", 1.97, false, false},
-		{"process2", "user3", 1.32, false, false},
-		{"process3", "user1", 2.27, false, false},
-		{"process4", "user1", 2.36, false, false},
-		{"process5", "user3", 1.17, false, false},
-		{"process6", "user2", 0.66, true, false},
-		{"process7", "user1", 1.73, false, false},
-		{"process8", "user1", 1.44, false, false},
-		{"process9", "user1", 1.39, false, false},
-		{"process10", "user1", 1.39, false, false},
-		{"process11", "user1", 1.62, false, true},
+		{11, "user1", 1.62, false, true},
+		{1, "user1", 1.97, false, false},
+		{2, "user3", 1.32, false, false},
+		{3, "user1", 2.27, false, false},
+		{4, "user1", 2.36, false, false},
+		{5, "user3", 1.17, false, false},
+		{6, "user2", 0.66, true, false},
+		{7, "user1", 1.73, false, false},
+		{8, "user1", 1.44, false, false},
+		{9, "user1", 1.39, false, false},
+		{10, "user1", 1.39, false, false},
 	}
-}
-
-func fig1Runner(j fig1Job, seed int64) (workload.Runner, error) {
-	spec := workload.SyntheticSpec{Name: j.comm, IPC: j.ipc}
-	if j.mem {
-		spec.MemRefsPKI = 300
-		spec.HotBytes = 1 << 20
-		spec.WarmBytes = 30 << 20
-	}
-	return workload.NewSpin(workload.Synthetic(spec), seed)
 }
 
 // RunFig1 regenerates Figure 1: a tiptop snapshot of a data-center node.
-// Eleven grid jobs are dispatched onto the bi-Xeon E5640 node, the
-// machine warms up, and one refresh of the default screen is rendered in
-// the paper's layout (PID, USER, %CPU, Mcycle, Minst, IPC, DMIS,
-// COMMAND), sorted by %CPU.
+// Eleven jobs start on the bi-Xeon E5640 node, the machine warms up,
+// and one refresh of the default screen is rendered in the paper's
+// layout (PID, USER, %CPU, Mcycle, Minst, IPC, DMIS, COMMAND), sorted by
+// %CPU.
 func RunFig1(cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	res := newResult("fig1", "Figure 1: snapshot of processes on a data-center node")
 
-	node := &grid.Node{Name: "node42", Kernel: newKernel(machine.XeonE5640x2(), cfg)}
-	cluster, err := grid.NewCluster(node)
+	sc, err := tiptop.NewScenario(tiptop.MachineE5640)
 	if err != nil {
 		return nil, err
 	}
-	if err := cluster.AddQueue(grid.Queue{Name: "batch", Priority: 1}); err != nil {
-		return nil, err
-	}
-	for i, j := range fig1Roster() {
-		r, err := fig1Runner(j, cfg.Seed+int64(i))
-		if err != nil {
-			return nil, err
+	for _, j := range fig1Roster() {
+		job := tiptop.SyntheticJob{Name: fmt.Sprintf("process%d", j.n), IPC: j.ipc}
+		if j.mem {
+			job.MemRefsPKI, job.HotMB, job.WarmMB = 300, 1, 30
 		}
-		spec := grid.JobSpec{User: j.user, Name: j.comm, Queue: "batch", Runner: r}
 		if j.duty {
-			// The 43.7 % process alternates compute and I/O; model
-			// it by spawning with a duty cycle directly on the node.
-			task, err := node.Kernel.SpawnDuty(j.user, j.comm, r, nil,
-				437*time.Millisecond, time.Second)
-			if err != nil {
-				return nil, err
-			}
-			_ = task
-			continue
+			// The 43.7 % process alternates compute and I/O.
+			job.Duty = 0.437
 		}
-		if _, err := cluster.Submit(spec); err != nil {
+		sc.SetSeed(cfg.Seed + int64(j.n-1))
+		if _, err := sc.StartSyntheticJob(j.user, job); err != nil {
 			return nil, err
 		}
 	}
 
-	// Let the dispatcher place everything and the caches warm up.
-	cluster.Advance(30 * time.Second)
+	// Let the caches warm up.
+	sc.Advance(30 * time.Second)
 
-	s, err := simSession(node.Kernel, metrics.DefaultScreen(), 10*time.Second, "cpu")
+	r, err := monitor(sc, "default", 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	if _, err := s.Update(); err != nil { // attach pass
-		return nil, err
-	}
-	s.AdvanceClock()
-	sample, err := s.Update()
+	defer r.close()
+	sample, err := r.mon.Sample()
 	if err != nil {
 		return nil, err
 	}
@@ -112,18 +88,18 @@ func RunFig1(cfg Config) (*Result, error) {
 	for i := range sample.Rows {
 		row := &sample.Rows[i]
 		table.Rows = append(table.Rows, []string{
-			fmt.Sprint(row.Info.ID.PID),
-			row.Info.User,
+			fmt.Sprint(row.PID),
+			row.User,
 			fmt.Sprintf("%.1f", row.CPUPct),
-			fmt.Sprintf("%.0f", row.Values[0]),
-			fmt.Sprintf("%.0f", row.Values[1]),
-			fmt.Sprintf("%.2f", row.Values[2]),
-			fmt.Sprintf("%.1f", row.Values[3]),
-			row.Info.Comm,
+			fmt.Sprintf("%.0f", row.Columns[0]),
+			fmt.Sprintf("%.0f", row.Columns[1]),
+			fmt.Sprintf("%.2f", row.Columns[2]),
+			fmt.Sprintf("%.1f", row.Columns[3]),
+			row.Command,
 		})
-		res.Metrics["ipc_"+row.Info.Comm] = row.Values[2]
-		res.Metrics["cpu_"+row.Info.Comm] = row.CPUPct
-		res.Metrics["dmis_"+row.Info.Comm] = row.Values[3]
+		res.Metrics["ipc_"+row.Command] = row.Columns[2]
+		res.Metrics["cpu_"+row.Command] = row.CPUPct
+		res.Metrics["dmis_"+row.Command] = row.Columns[3]
 	}
 	res.Tables = append(res.Tables, table)
 	res.Metrics["rows"] = float64(len(sample.Rows))
@@ -152,88 +128,80 @@ func RunFig10(cfg Config) (*Result, error) {
 	tailTicks := intScale(150, cfg.Scale, 10)
 	totalTicks := warmTicks + overlapTicks + tailTicks
 
-	node := &grid.Node{Name: "node7", Kernel: newKernel(machine.XeonE5640x2(), cfg)}
-	cluster, err := grid.NewCluster(node)
+	sc, err := tiptop.NewScenario(tiptop.MachineE5640)
 	if err != nil {
 		return nil, err
 	}
-	if err := cluster.AddQueue(grid.Queue{Name: "batch", Priority: 1}); err != nil {
-		return nil, err
-	}
-
 	// The scheduler spreads user1's two jobs across the node's sockets
 	// (one per 12 MB L3), so their pre-overlap IPC equals the solo
 	// calibration: the paper's 1.3 and 1.0. MidProb 0.98 keeps their
-	// contention-sensitive band at the ~20%% the paper's drop implies.
-	user1Jobs := []workload.SyntheticSpec{
-		{Name: "u1job1", IPC: 1.30, MemRefsPKI: 300, HotBytes: 1.5 * (1 << 20), WarmBytes: 10 << 20, MidProb: 0.98, Noise: 0.02},
-		{Name: "u1job2", IPC: 1.00, MemRefsPKI: 330, HotBytes: 2 << 20, WarmBytes: 12 << 20, MidProb: 0.98, Noise: 0.02},
-	}
-	for i, spec := range user1Jobs {
-		r, err := workload.NewSpin(workload.Synthetic(spec), cfg.Seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := cluster.Submit(grid.JobSpec{User: "user1", Name: spec.Name, Queue: "batch", Runner: r}); err != nil {
-			return nil, err
-		}
-	}
-	// user2's five memory-hungry jobs arrive after the warm window and
-	// run for the overlap duration.
-	overlapStart := time.Duration(warmTicks) * tick
-	overlapLen := time.Duration(overlapTicks) * tick
-	for i := 0; i < 5; i++ {
-		w := workload.Synthetic(workload.SyntheticSpec{
-			Name: fmt.Sprintf("u2job%d", i+1), IPC: 0.68,
-			MemRefsPKI: 340, HotBytes: 2 << 20, WarmBytes: 24 << 20, Noise: 0.03,
-		})
-		// Size the job to last roughly the overlap window.
-		instr := 0.68 * node.Kernel.Machine().FreqHz * overlapLen.Seconds()
-		w = workload.Scaled(w, instr/float64(w.TotalInstructions()))
-		r := workload.MustInstance(w, cfg.Seed+int64(100+i))
-		if _, err := cluster.Submit(grid.JobSpec{
-			User: "user2", Name: w.Name, Queue: "batch", Runner: r,
-			SubmitAt: overlapStart,
-		}); err != nil {
+	// contention-sensitive band at the ~20% the paper's drop implies.
+	sc.SetSeed(cfg.Seed)
+	for _, job := range []tiptop.SyntheticJob{
+		{Name: "u1job1", IPC: 1.30, MemRefsPKI: 300, HotMB: 1.5, WarmMB: 10, MidProb: 0.98, Noise: 0.02},
+		{Name: "u1job2", IPC: 1.00, MemRefsPKI: 330, HotMB: 2, WarmMB: 12, MidProb: 0.98, Noise: 0.02},
+	} {
+		if _, err := sc.StartSyntheticJob("user1", job); err != nil {
 			return nil, err
 		}
 	}
 
-	s, err := simSession(node.Kernel, metrics.DefaultScreen(), tick, "cpu")
+	// Refresh i reads the tick that ends at (i+1)*tick: the attach pass
+	// is refresh 0.
+	sc.Advance(tick)
+	r, err := monitor(sc, "default", tick)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-
-	plot := trace.NewPlot("Figure 10: IPC of the jobs on one node", "time (10s/tick)", "IPC")
-	series := map[string]*trace.Series{}
-	minCPU := 200.0
-	for i := 0; i < totalTicks; i++ {
-		cluster.Advance(tick)
-		sample, err := s.Update()
-		if err != nil {
+	defer r.close()
+	// user2's five memory-hungry jobs arrive after the warm window and
+	// leave when the overlap ends.
+	var user2 []int
+	for i := 1; i < totalTicks; i++ {
+		switch i {
+		case warmTicks:
+			sc.SetSeed(cfg.Seed + 100)
+			for j := 1; j <= 5; j++ {
+				pid, err := sc.StartSyntheticJob("user2", tiptop.SyntheticJob{
+					Name: fmt.Sprintf("u2job%d", j), IPC: 0.68,
+					MemRefsPKI: 340, HotMB: 2, WarmMB: 24,
+				})
+				if err != nil {
+					return nil, err
+				}
+				user2 = append(user2, pid)
+			}
+		case warmTicks + overlapTicks:
+			for _, pid := range user2 {
+				if err := sc.Kill(pid); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if _, err := r.mon.Sample(); err != nil {
 			return nil, err
 		}
-		for r := range sample.Rows {
-			row := &sample.Rows[r]
-			if !row.Valid || row.IPC() == 0 {
-				continue
-			}
-			sr := series[row.Info.Comm]
-			if sr == nil {
-				sr = plot.NewSeries(row.Info.Comm)
-				series[row.Info.Comm] = sr
-			}
-			sr.Add(float64(i), row.IPC())
-			// The %CPU invariant is tracked on the always-running
-			// user1 jobs; a finishing u2 job legitimately shows a
-			// partial final interval, exactly as top would.
-			if i > 1 && row.CPUPct < minCPU && (row.Info.Comm == "u1job1" || row.Info.Comm == "u1job2") {
-				minCPU = row.CPUPct
+	}
+
+	read, err := r.series("ratio(INSTRUCTIONS, CYCLES)", "CPU_PCT")
+	if err != nil {
+		return nil, err
+	}
+	series := read[0]
+	plot := trace.NewPlot("Figure 10: IPC of the jobs on one node", "time (10s/tick)", "IPC")
+	for _, name := range slices.Sorted(maps.Keys(series)) {
+		plot.Series = append(plot.Series, series[name])
+	}
+	res.Plots = append(res.Plots, plot)
+	// The %CPU invariant is tracked on the always-running user1 jobs.
+	minCPU := 200.0
+	for _, name := range []string{"u1job1", "u1job2"} {
+		for _, p := range read[1][name].Points {
+			if p.X > 1 {
+				minCPU = min(minCPU, p.Y)
 			}
 		}
 	}
-	res.Plots = append(res.Plots, plot)
 
 	// Quantify the conflict: user1's IPC before vs during the overlap.
 	before := func(name string) float64 {

@@ -3,11 +3,9 @@ package experiments
 import (
 	"time"
 
-	"tiptop/internal/hpm"
-	"tiptop/internal/metrics"
+	"tiptop"
 	"tiptop/internal/phase"
 	"tiptop/internal/sim/machine"
-	"tiptop/internal/sim/workload"
 	"tiptop/internal/stats"
 	"tiptop/internal/trace"
 )
@@ -24,82 +22,79 @@ import (
 //	    assist rate jumps exactly when the IPC drops;
 //	(d) original algorithm on PPC970: no assist pathology, flat noisy
 //	    IPC at a lower level, longer total run.
+//
+// The catalog shortens the run by its number of time steps, never the
+// length of one step, so a 5-second sample keeps covering at most one
+// iteration and the 0.03 floor with its brief pulses survives at small
+// scale.
 func RunFig3(cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	res := newResult("fig3", "Figure 3: IPC of the R evolutionary algorithm")
-
-	interval := 5 * time.Second
-	opts := workload.DefaultREvolution()
 
 	type runOut struct {
 		ipc     *trace.Series
 		assist  *trace.Series
 		samples int
 	}
-	// Scaling note: the run is shortened by reducing the *number of
-	// time steps*, never the length of one step — a 5-second sample must
-	// keep covering at most one iteration so the 0.03 floor and its
-	// brief pulses survive at small scale, exactly as in Figure 3 (a).
-	healthy := scaleCount(opts.HealthyIters, cfg.Scale, 30)
-	diverged := scaleCount(opts.DivergedIters, cfg.Scale, 15)
-	run := func(m *machine.Machine, clipped bool, plot *trace.Plot) (runOut, error) {
-		w := workload.REvolution(workload.REvolutionOptions{
-			Clipped:       clipped,
-			HealthyIters:  healthy,
-			DivergedIters: diverged,
-		})
-		k := newKernel(m, cfg)
-		k.Spawn("biologist", "R", workload.MustInstance(w, cfg.Seed), nil)
-		screen := metrics.FPScreen()
-		if m.FPAssistPenalty == 0 {
-			// The PPC970 has no FP_ASSIST event (§3.1); use the
-			// default screen there, as the paper's plot does.
-			screen = metrics.DefaultScreen()
-		}
-		s, err := simSession(k, screen, interval, "cpu")
+	trial := func(name tiptop.MachineName, algorithm string) (runOut, error) {
+		sc, err := tiptop.NewScenario(name)
 		if err != nil {
 			return runOut{}, err
 		}
-		defer s.Close()
-		out := runOut{ipc: plot.NewSeries(plotName(m, clipped))}
-		if m.FPAssistPenalty > 0 {
-			out.assist = &trace.Series{Name: "assist/100instr"}
+		sc.SetSeed(cfg.Seed)
+		pid, err := sc.StartWorkload("biologist", algorithm, cfg.Scale)
+		if err != nil {
+			return runOut{}, err
 		}
-		err = monitorUntilDone(s, k, 500_000, func(i int, sample *coreSample) {
-			row := rowByComm(sample, "R")
-			if row == nil || !row.Valid || row.Count(hpm.EventCycles) == 0 {
-				return
-			}
-			out.ipc.Add(float64(i), row.IPC())
-			if out.assist != nil {
-				instr := row.Count(hpm.EventInstructions)
-				if instr > 0 {
-					out.assist.Add(float64(i),
-						100*float64(row.Count(hpm.EventFPAssist))/float64(instr))
-				}
-			}
-			out.samples = i + 1
-		})
+		m := sc.Machine()
+		screen, exprs := "fp", []string{"ratio(INSTRUCTIONS, CYCLES)", "assist"}
+		if m.FPAssistPenalty == 0 {
+			// The PPC970 has no FP_ASSIST event (§3.1); use the
+			// default screen there, as the paper's plot does.
+			screen, exprs = "default", exprs[:1]
+		}
+		r, err := monitor(sc, screen, 5*time.Second)
+		if err != nil {
+			return runOut{}, err
+		}
+		defer r.close()
+		if err := r.untilExit(pid); err != nil {
+			return runOut{}, err
+		}
+		series, err := r.series(exprs...)
+		if err != nil {
+			return runOut{}, err
+		}
+		var out runOut
+		if out.ipc, err = only(series[0]); err != nil {
+			return runOut{}, err
+		}
+		out.ipc.Name = plotName(m, algorithm == "r-evolution-clipped")
+		out.samples = int(out.ipc.MaxX()) + 1
+		if len(series) > 1 {
+			out.assist, err = only(series[1])
+		}
 		return out, err
 	}
 
-	nehalem := machine.XeonW3550()
+	a, err := trial(tiptop.MachineXeonW3550, "r-evolution")
+	if err != nil {
+		return nil, err
+	}
+	b, err := trial(tiptop.MachineXeonW3550, "r-evolution-clipped")
+	if err != nil {
+		return nil, err
+	}
+	d, err := trial(tiptop.MachinePPC970, "r-evolution")
+	if err != nil {
+		return nil, err
+	}
 	plotA := trace.NewPlot("Figure 3 (a): original algorithm on Nehalem", "sample (5s/tick)", "IPC")
-	a, err := run(nehalem, false, plotA)
-	if err != nil {
-		return nil, err
-	}
+	plotA.Series = append(plotA.Series, a.ipc)
 	plotB := trace.NewPlot("Figure 3 (b): algorithm with clipping on Nehalem", "sample (5s/tick)", "IPC")
-	b, err := run(nehalem, true, plotB)
-	if err != nil {
-		return nil, err
-	}
+	plotB.Series = append(plotB.Series, b.ipc)
 	plotD := trace.NewPlot("Figure 3 (d): original algorithm on PowerPC", "sample (5s/tick)", "IPC")
-	d, err := run(machine.PPC970(), false, plotD)
-	if err != nil {
-		return nil, err
-	}
-
+	plotD.Series = append(plotD.Series, d.ipc)
 	// (c) zoom: IPC and assist rate around the transition, located by
 	// the phase detector (the automated version of the paper's visual
 	// observation).
@@ -151,15 +146,6 @@ func RunFig3(cfg Config) (*Result, error) {
 		cfg.Scale, dropAt, a.samples, ipcBefore, ipcAfter, assistBefore, assistAfter,
 		speedupTotal, speedupFaulty, d.ipc.MeanY())
 	return res, nil
-}
-
-// scaleCount shrinks an iteration count with a floor.
-func scaleCount(full int, scale float64, floor int) int {
-	n := int(float64(full) * scale)
-	if n < floor {
-		n = floor
-	}
-	return n
 }
 
 func plotName(m *machine.Machine, clipped bool) string {

@@ -4,65 +4,84 @@ import (
 	"fmt"
 	"time"
 
-	"tiptop/internal/hpm"
-	"tiptop/internal/metrics"
+	"tiptop"
 	"tiptop/internal/phase"
-	"tiptop/internal/sim/machine"
-	"tiptop/internal/sim/workload"
 	"tiptop/internal/trace"
 )
 
-// phaseTrace runs one workload solo on one machine, sampled by tiptop at
-// the given interval, and returns (IPC series over sample index, series
-// of IPC over cumulative instructions in millions, total samples).
-func phaseTrace(cfg Config, m *machine.Machine, w *workload.Workload, interval time.Duration, seed int64) (*trace.Series, *trace.Series, int, error) {
-	k := newKernel(m, cfg)
-	k.Spawn("user", w.Name, workload.MustInstance(workload.Scaled(w, cfg.Scale), seed), nil)
-	s, err := simSession(k, metrics.DefaultScreen(), interval, "cpu")
+// phaseRun is one catalog workload run solo on one machine.
+type phaseRun struct {
+	// arch is the machine's micro-architecture, name the workload's
+	// command.
+	arch, name string
+	// byTime is the IPC per sample, byInstr the IPC over the cumulative
+	// instructions in millions.
+	byTime, byInstr *trace.Series
+	samples         int
+}
+
+// phaseTrace runs one catalog workload solo on one machine, sampled by
+// tiptop at the given interval.
+func phaseTrace(cfg Config, machine tiptop.MachineName, workload string, interval time.Duration) (*phaseRun, error) {
+	sc, err := tiptop.NewScenario(machine)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	defer s.Close()
-	byTime := &trace.Series{Name: w.Name}
-	byInstr := &trace.Series{Name: w.Name}
+	sc.SetSeed(cfg.Seed)
+	pid, err := sc.StartWorkload("user", workload, cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	r, err := monitor(sc, "default", interval)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	if err := r.untilExit(pid); err != nil {
+		return nil, err
+	}
+	series, err := r.series("ratio(INSTRUCTIONS, CYCLES)", "INSTRUCTIONS")
+	if err != nil {
+		return nil, err
+	}
+	ipc, err := only(series[0])
+	if err != nil {
+		return nil, err
+	}
+	instr, err := only(series[1])
+	if err != nil {
+		return nil, err
+	}
+	out := &phaseRun{arch: sc.Machine().MicroArch, name: ipc.Name, byTime: ipc,
+		byInstr: &trace.Series{Name: ipc.Name}, samples: int(ipc.MaxX()) + 1}
 	var cumInstr float64
-	samples := 0
-	err = monitorUntilDone(s, k, 500_000, func(i int, sample *coreSample) {
-		row := rowByComm(sample, w.Name)
-		if row == nil || !row.Valid {
-			return
-		}
-		ipc := row.IPC()
-		if ipc == 0 {
-			return
-		}
-		cumInstr += float64(row.Count(hpm.EventInstructions))
-		byTime.Add(float64(i), ipc)
-		byInstr.Add(cumInstr/1e6, ipc)
-		samples = i + 1
-	})
-	return byTime, byInstr, samples, err
+	for i, p := range ipc.Points {
+		cumInstr += instr.Points[i].Y
+		out.byInstr.Add(cumInstr/1e6, p.Y)
+	}
+	return out, nil
 }
 
 // machineSet is the three platforms of Figures 6–8.
-func machineSet() []*machine.Machine {
-	return []*machine.Machine{machine.XeonW3550(), machine.Core2(), machine.PPC970()}
+func machineSet() []tiptop.MachineName {
+	return []tiptop.MachineName{tiptop.MachineXeonW3550, tiptop.MachineCore2, tiptop.MachinePPC970}
 }
 
 // runPhaseFigure drives one Figure 6/7 panel: one workload on the three
 // machines.
-func runPhaseFigure(cfg Config, res *Result, w *workload.Workload, interval time.Duration) error {
-	plot := trace.NewPlot(fmt.Sprintf("IPC of %s", w.Name), "sample (1s/tick)", "IPC")
+func runPhaseFigure(cfg Config, res *Result, workload string, interval time.Duration) error {
+	plot := trace.NewPlot("", "sample (1s/tick)", "IPC")
 	for _, m := range machineSet() {
-		byTime, _, samples, err := phaseTrace(cfg, m, w, interval, cfg.Seed)
+		pr, err := phaseTrace(cfg, m, workload, interval)
 		if err != nil {
 			return err
 		}
-		byTime.Name = m.MicroArch
-		plot.Series = append(plot.Series, byTime)
-		key := fmt.Sprintf("%s_%s", w.Name, m.MicroArch)
-		res.Metrics["ipc_"+key] = byTime.MeanY()
-		res.Metrics["samples_"+key] = float64(samples)
+		plot.Title = "IPC of " + pr.name
+		pr.byTime.Name = pr.arch
+		plot.Series = append(plot.Series, pr.byTime)
+		key := fmt.Sprintf("%s_%s", pr.name, pr.arch)
+		res.Metrics["ipc_"+key] = pr.byTime.MeanY()
+		res.Metrics["samples_"+key] = float64(pr.samples)
 	}
 	res.Plots = append(res.Plots, plot)
 	return nil
@@ -73,7 +92,7 @@ func runPhaseFigure(cfg Config, res *Result, w *workload.Workload, interval time
 func RunFig6(cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	res := newResult("fig6", "Figure 6: IPC of 429.mcf and 473.astar")
-	for _, w := range []*workload.Workload{workload.MCF(), workload.Astar()} {
+	for _, w := range []string{"mcf", "astar"} {
 		if err := runPhaseFigure(cfg, res, w, time.Second); err != nil {
 			return nil, err
 		}
@@ -90,7 +109,7 @@ func RunFig6(cfg Config) (*Result, error) {
 func RunFig7(cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	res := newResult("fig7", "Figure 7: IPC of 410.bwaves and 435.gromacs")
-	for _, w := range []*workload.Workload{workload.Bwaves(), workload.Gromacs()} {
+	for _, w := range []string{"bwaves", "gromacs"} {
 		if err := runPhaseFigure(cfg, res, w, time.Second); err != nil {
 			return nil, err
 		}
@@ -110,17 +129,16 @@ func RunFig8(cfg Config) (*Result, error) {
 	res := newResult("fig8", "Figure 8: IPC versus executed instructions for 473.astar")
 	plot := trace.NewPlot("IPC versus executed instructions, 473.astar",
 		"executed instructions (millions)", "IPC")
-	w := workload.Astar()
 	var totals []float64
 	for _, m := range machineSet() {
-		_, byInstr, _, err := phaseTrace(cfg, m, w, time.Second, cfg.Seed)
+		pr, err := phaseTrace(cfg, m, "astar", time.Second)
 		if err != nil {
 			return nil, err
 		}
-		byInstr.Name = m.MicroArch
-		plot.Series = append(plot.Series, byInstr)
-		res.Metrics["instr_M_"+m.MicroArch] = byInstr.MaxX()
-		totals = append(totals, byInstr.MaxX())
+		pr.byInstr.Name = pr.arch
+		plot.Series = append(plot.Series, pr.byInstr)
+		res.Metrics["instr_M_"+pr.arch] = pr.byInstr.MaxX()
+		totals = append(totals, pr.byInstr.MaxX())
 	}
 	res.Plots = append(res.Plots, plot)
 	// Both Intel machines execute the same binary: their instruction
@@ -164,32 +182,23 @@ func RunFig8(cfg Config) (*Result, error) {
 func RunFig9(cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	res := newResult("fig9", "Figure 9: IPC produced by different compilers")
-	nehalem := machine.XeonW3550()
-
-	pairs := []struct {
-		panel    string
-		gcc, icc *workload.Workload
-	}{
-		{"a_hmmer", workload.HmmerGCC(), workload.HmmerICC()},
-		{"b_sphinx3", workload.Sphinx3GCC(), workload.Sphinx3ICC()},
-		{"c_h264ref", workload.H264RefGCC(), workload.H264RefICC()},
-		{"d_milc", workload.MilcGCC(), workload.MilcICC()},
+	pairs := []struct{ panel, bench string }{
+		{"a_hmmer", "hmmer"},
+		{"b_sphinx3", "sphinx3"},
+		{"c_h264ref", "h264ref"},
+		{"d_milc", "milc"},
 	}
 	for _, pair := range pairs {
 		plot := trace.NewPlot(fmt.Sprintf("Figure 9 (%s)", pair.panel), "sample (1s/tick)", "IPC")
-		for _, w := range []*workload.Workload{pair.gcc, pair.icc} {
-			byTime, _, samples, err := phaseTrace(cfg, nehalem, w, time.Second, cfg.Seed)
+		for _, comp := range []string{"gcc", "icc"} {
+			pr, err := phaseTrace(cfg, tiptop.MachineXeonW3550, pair.bench+"-"+comp, time.Second)
 			if err != nil {
 				return nil, err
 			}
-			comp := "gcc"
-			if w == pair.icc {
-				comp = "icc"
-			}
-			byTime.Name = comp
-			plot.Series = append(plot.Series, byTime)
-			res.Metrics[fmt.Sprintf("ipc_%s_%s", pair.panel, comp)] = byTime.MeanY()
-			res.Metrics[fmt.Sprintf("time_%s_%s", pair.panel, comp)] = float64(samples)
+			pr.byTime.Name = comp
+			plot.Series = append(plot.Series, pr.byTime)
+			res.Metrics[fmt.Sprintf("ipc_%s_%s", pair.panel, comp)] = pr.byTime.MeanY()
+			res.Metrics[fmt.Sprintf("time_%s_%s", pair.panel, comp)] = float64(pr.samples)
 		}
 		res.Plots = append(res.Plots, plot)
 	}

@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"time"
 
+	"tiptop/internal/core"
 	"tiptop/internal/metrics"
 	"tiptop/internal/sim/machine"
+	"tiptop/internal/sim/pmu"
+	"tiptop/internal/sim/proc"
 	"tiptop/internal/sim/sched"
 	"tiptop/internal/sim/workload"
 	"tiptop/internal/stats"
@@ -51,7 +54,6 @@ func RunPerturbation(cfg Config) (*Result, error) {
 	// its wall time.
 	runOne := func(w *workload.Workload, seed int64, monitored bool, instrument float64) (float64, error) {
 		k, err := sched.New(m, sched.Options{
-			Quantum:             cfg.Quantum,
 			MonitorSwitchCycles: 2_000, // save/restore a few counters
 		})
 		if err != nil {
@@ -62,9 +64,17 @@ func RunPerturbation(cfg Config) (*Result, error) {
 			r = &workload.Instrumented{R: r, Factor: instrument}
 		}
 		task := k.Spawn("user", w.Name, r, nil)
-		var s *coreSession
+		// The monitored runs attach an engine session directly: what is
+		// measured is the scheduler's counter save/restore cost.
+		var s *core.Session
 		if monitored {
-			sess, err := simSession(k, metrics.DefaultScreen(), 5*time.Second, "cpu")
+			sess, err := core.NewSession(pmu.New(k), proc.NewSource(k), proc.NewClock(k), core.Options{
+				Screen:   metrics.DefaultScreen(),
+				Interval: 5 * time.Second,
+				FreqHz:   m.FreqHz,
+				NumCPUs:  m.NumLogical(),
+				SortBy:   "cpu",
+			})
 			if err != nil {
 				return 0, err
 			}

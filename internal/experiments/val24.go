@@ -5,9 +5,13 @@ import (
 	"math"
 	"time"
 
+	"tiptop/internal/core"
 	"tiptop/internal/hpm"
 	"tiptop/internal/metrics"
 	"tiptop/internal/sim/machine"
+	"tiptop/internal/sim/pmu"
+	"tiptop/internal/sim/proc"
+	"tiptop/internal/sim/sched"
 	"tiptop/internal/ukernel"
 )
 
@@ -39,28 +43,51 @@ func RunValidation(cfg Config) (*Result, error) {
 		},
 	}
 
+	// measure runs one kernel on its own machine under an engine session
+	// composed directly over the virtual PMU, so the oracle compares
+	// the engine's deltas with nothing in between.
 	measure := func(m *machine.Machine, screen *metrics.Screen, k ukernel.ValidationKernel) (measured uint64, oracle uint64, err error) {
-		kern := newKernel(m, cfg)
+		kern, err := sched.New(m, sched.Options{})
+		if err != nil {
+			return 0, 0, err
+		}
 		runner, err := ukernel.NewRunner(k.Name, k.Program, k.Inputs, m)
 		if err != nil {
 			return 0, 0, err
 		}
-		kern.Spawn("user", k.Name, runner, nil)
-		s, err := simSession(kern, screen, 100*time.Millisecond, "cpu")
-		if err != nil {
-			return 0, 0, err
-		}
-		defer s.Close()
-		var instr uint64
-		err = monitorUntilDone(s, kern, 1_000_000, func(_ int, sample *coreSample) {
-			if row := rowByComm(sample, k.Name); row != nil && row.Valid {
-				instr += row.Count(hpm.EventInstructions)
-			}
+		task := kern.Spawn("user", k.Name, runner, nil)
+		s, err := core.NewSession(pmu.New(kern), proc.NewSource(kern), proc.NewClock(kern), core.Options{
+			Screen:   screen,
+			Interval: 100 * time.Millisecond,
+			FreqHz:   m.FreqHz,
+			NumCPUs:  m.NumLogical(),
+			SortBy:   "cpu",
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		return instr, runner.VM().Counts().Instructions, nil
+		defer s.Close()
+		// Refresh until the kernel has exited: the refresh that misses
+		// it reads its final deltas into its exit row.
+		var instr uint64
+		for i := 0; ; i++ {
+			sample, err := s.Update()
+			if err != nil {
+				return 0, 0, err
+			}
+			for r := range sample.Rows {
+				if row := &sample.Rows[r]; row.Info.Comm == k.Name && row.Valid {
+					instr += row.Count(hpm.EventInstructions)
+				}
+			}
+			if task.State() == sched.TaskExited {
+				return instr, runner.VM().Counts().Instructions, nil
+			}
+			if i == maxRefreshes {
+				return 0, 0, fmt.Errorf("val24: %s still running after %d refreshes", k.Name, maxRefreshes)
+			}
+			s.AdvanceClock()
+		}
 	}
 
 	table := &Table{

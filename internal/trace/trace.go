@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Point is one sample of one series.
@@ -90,16 +89,6 @@ func (p *Plot) NewSeries(name string) *Series {
 	s := &Series{Name: name}
 	p.Series = append(p.Series, s)
 	return s
-}
-
-// Get returns the series with the given name, or nil.
-func (p *Plot) Get(name string) *Series {
-	for _, s := range p.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // WriteCSV emits the plot as a wide CSV: the union of X values in the
@@ -236,30 +225,3 @@ func (p *Plot) RenderASCII(width, height int) string {
 	fmt.Fprintf(&b, "%8s  x: %s, y: %s | %s\n", "", p.XLabel, p.YLabel, strings.Join(legend, ", "))
 	return b.String()
 }
-
-// Recorder accumulates per-key series over time, keyed by (task, metric)
-// labels, turning engine samples into figures.
-type Recorder struct {
-	plot *Plot
-	// XUnit scales the recorded X value (e.g. seconds per tick).
-	XUnit time.Duration
-}
-
-// NewRecorder creates a recorder whose X axis is time in units of xunit
-// (the paper uses 1, 5, or 10 seconds per tick).
-func NewRecorder(title, ylabel string, xunit time.Duration) *Recorder {
-	xl := fmt.Sprintf("time (%s/tick)", xunit)
-	return &Recorder{plot: NewPlot(title, xl, ylabel), XUnit: xunit}
-}
-
-// Record appends a value for the named series at time t.
-func (r *Recorder) Record(series string, t time.Duration, y float64) {
-	s := r.plot.Get(series)
-	if s == nil {
-		s = r.plot.NewSeries(series)
-	}
-	s.Add(float64(t)/float64(r.XUnit), y)
-}
-
-// Plot returns the assembled figure.
-func (r *Recorder) Plot() *Plot { return r.plot }

@@ -57,6 +57,11 @@ func (sc *Scenario) Machine() *machine.Machine { return sc.kernel.Machine() }
 // Topology renders the machine topology hwloc-style (Figure 11 c).
 func (sc *Scenario) Topology() string { return sc.kernel.Machine().RenderTopology() }
 
+// SetSeed reseeds the scenario's processes: the next one started draws
+// seed, the ones after it seed+1, seed+2, ... A new scenario's
+// processes draw 2, 3, ...
+func (sc *Scenario) SetSeed(seed int64) { sc.seed = seed - 1 }
+
 // nextSeed hands out deterministic per-process seeds.
 func (sc *Scenario) nextSeed() int64 {
 	sc.seed++
@@ -174,6 +179,12 @@ type SyntheticJob struct {
 	// MidProb (default 0.94) is the hit probability once HotMB fit;
 	// raising it toward 1 shrinks the contention-sensitive band.
 	MidProb float64
+	// Noise is the per-quantum IPC variability (0 = the default ±3 %).
+	Noise float64
+	// Duty is the fraction of each second the process computes, idle
+	// the rest (0 = always runnable; Figure 1's partially idle process
+	// is 0.437). Threads take no duty cycle.
+	Duty float64
 }
 
 // StartSynthetic launches an endless CPU-bound job with the given target
@@ -188,7 +199,14 @@ func (sc *Scenario) StartSyntheticJob(user string, job SyntheticJob, pinned ...i
 	if err != nil {
 		return 0, err
 	}
-	task := sc.kernel.Spawn(user, job.Name, spin, maskOf(pinned))
+	if job.Duty == 0 {
+		return sc.kernel.Spawn(user, job.Name, spin, maskOf(pinned)).ID().PID, nil
+	}
+	task, err := sc.kernel.SpawnDuty(user, job.Name, spin, maskOf(pinned),
+		time.Duration(job.Duty*float64(time.Second)), time.Second)
+	if err != nil {
+		return 0, err
+	}
 	return task.ID().PID, nil
 }
 
@@ -205,6 +223,7 @@ func (sc *Scenario) newSpin(job SyntheticJob) (*workload.Spin, error) {
 		HotBytes:   job.HotMB * (1 << 20),
 		WarmBytes:  job.WarmMB * (1 << 20),
 		MidProb:    job.MidProb,
+		Noise:      job.Noise,
 	}), sc.nextSeed())
 }
 
@@ -269,6 +288,9 @@ func (sc *Scenario) AddSyntheticThread(pid int, job SyntheticJob, pinned ...int)
 	leader, ok := sc.kernel.Task(pid)
 	if !ok {
 		return 0, fmt.Errorf("tiptop: no process %d", pid)
+	}
+	if job.Duty != 0 {
+		return 0, fmt.Errorf("tiptop: thread %q has a duty cycle; only processes take one", job.Name)
 	}
 	spin, err := sc.newSpin(job)
 	if err != nil {

@@ -2,6 +2,7 @@ package tiptop
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +189,64 @@ func TestSyntheticAndKill(t *testing.T) {
 	}
 	if _, err := sc.StartSynthetic("ops", "bad", 99); err == nil {
 		t.Fatal("absurd IPC accepted")
+	}
+}
+
+// TestSyntheticJobDutyNoiseAndSeed covers the scenario knobs the
+// paper's figures set: a duty cycle shows as %CPU, the noise amplitude
+// spreads the IPC, and SetSeed replays a process's randomness.
+func TestSyntheticJobDutyNoiseAndSeed(t *testing.T) {
+	ipcs := func(seed int64, job SyntheticJob) (cpu float64, ipc []float64) {
+		t.Helper()
+		sc, _ := NewScenario(MachineE5640)
+		sc.SetSeed(seed)
+		if _, err := sc.StartSyntheticJob("u", job); err != nil {
+			t.Fatal(err)
+		}
+		mon, err := NewSimMonitor(sc, Config{Interval: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mon.Close()
+		mon.SampleNow()
+		for i := 0; i < 5; i++ {
+			s, err := mon.Sample()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu = s.Rows[0].CPUPct
+			ipc = append(ipc, s.Rows[0].IPC)
+		}
+		return cpu, ipc
+	}
+	cpu, _ := ipcs(1, SyntheticJob{Name: "io", IPC: 1.5, Duty: 0.437})
+	if cpu < 40 || cpu > 48 {
+		t.Errorf("a 0.437 duty cycle shows %.1f %%CPU, want ~43.7", cpu)
+	}
+	if cpu, _ := ipcs(1, SyntheticJob{Name: "busy", IPC: 1.5}); cpu < 99 {
+		t.Errorf("no duty cycle shows %.1f %%CPU, want 100", cpu)
+	}
+	_, a := ipcs(7, SyntheticJob{Name: "j", IPC: 1.5})
+	_, b := ipcs(7, SyntheticJob{Name: "j", IPC: 1.5})
+	_, c := ipcs(8, SyntheticJob{Name: "j", IPC: 1.5})
+	if !slices.Equal(a, b) || slices.Equal(a, c) {
+		t.Errorf("SetSeed must replay a seed and only it: %v %v %v", a, b, c)
+	}
+	spread := func(xs []float64) float64 { return slices.Max(xs) - slices.Min(xs) }
+	_, quiet := ipcs(7, SyntheticJob{Name: "j", IPC: 1.5, Noise: 0.001})
+	if spread(quiet) >= spread(a) {
+		t.Errorf("Noise 0.001 spreads IPC by %v, the default by %v", spread(quiet), spread(a))
+	}
+
+	sc, _ := NewScenario(MachineE5640)
+	for _, duty := range []float64{-0.5, 1.5} {
+		if _, err := sc.StartSyntheticJob("u", SyntheticJob{Name: "x", IPC: 1, Duty: duty}); err == nil {
+			t.Errorf("duty %v accepted", duty)
+		}
+	}
+	pid, _ := sc.StartSyntheticJob("u", SyntheticJob{Name: "x", IPC: 1})
+	if _, err := sc.AddSyntheticThread(pid, SyntheticJob{Name: "t", IPC: 1, Duty: 0.5}); err == nil {
+		t.Error("a thread took a duty cycle")
 	}
 }
 
