@@ -28,9 +28,10 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The docs gate: flags, endpoints, make targets and backticked
-# identifiers named in README.md and ARCHITECTURE.md must exist in the
-# source (stale docs fail the build).
+# The docs gate: flags, endpoints, make targets, backticked identifiers
+# and backticked internal/, cmd/ and examples/ paths named in README.md
+# and ARCHITECTURE.md must exist in the source (stale docs fail the
+# build).
 # The Example functions run under `go test`, so the documented snippets
 # are covered by race/test above.
 docs:
@@ -70,10 +71,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDefinitionsRoundTrip$$' -fuzztime 15s -fuzzminimizetime 100x ./internal/config/
 
 # The counter-validation oracle (§2.4): every ukernel.ValidationSuite
-# micro-kernel runs live on all four machine models and its measured
-# counts are asserted layer by layer (session deltas, mux extrapolation,
-# store round-trip, derived query expressions) against the analytic
-# expectations. Writes results/VALIDATE.json; exits non-zero when any
+# micro-kernel runs on all four machine models through the sim monitor,
+# a recorder and a default store, and its measured counts are asserted
+# layer by layer (session deltas, mux extrapolation, store round-trip,
+# derived query expressions) against the analytic expectations. Writes results/VALIDATE.json; exits non-zero when any
 # muxed layer is off by more than 5% or any unconstrained count is
 # inexact.
 validate:

@@ -95,3 +95,32 @@ func TestSummaryGolden(t *testing.T) {
 		t.Fatalf("SUMMARY.txt drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
+
+// TestValidateGolden runs the counter-validation oracle and compares
+// VALIDATE.json, minus its go_version line, with
+// testdata/validate.golden byte for byte. The oracle is deterministic,
+// so any moved count, error or verdict shows up in the golden's diff.
+func TestValidateGolden(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-validate", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "VALIDATE.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), `"go_version":`) {
+			got.WriteString(line)
+		}
+	}
+	golden := filepath.Join("testdata", "validate.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("VALIDATE.json drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.String(), want)
+	}
+}

@@ -1,12 +1,14 @@
 package main
 
-// The -validate mode: the counter-validation oracle. Every
-// ukernel.ValidationSuite micro-kernel runs as a live workload on all
-// four conformance machine models, and the measured counts are asserted
-// at each pipeline layer (session deltas, mux extrapolation, store
-// round-trip, derived query expressions) against the kernels' analytic
-// expectations. The matrix is written to <outDir>/VALIDATE.json and the
-// exit status carries the verdict — this is the `make validate` CI gate.
+// The -validate mode: the counter-validation oracle
+// (experiments.RunOracle). Every ukernel.ValidationSuite micro-kernel
+// runs as a process of a simulated scenario on all four conformance
+// machine models, watched by the sim monitor with a recorder teed into
+// a default store, and the measured counts are asserted at each layer
+// (session deltas, mux extrapolation, store round-trip, derived query
+// expressions) against the kernels' analytic expectations. The matrix
+// is written to <outDir>/VALIDATE.json and the exit status carries the
+// verdict — this is the `make validate` CI gate.
 
 import (
 	"encoding/json"
@@ -15,7 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 
-	"tiptop/internal/validate"
+	"tiptop/internal/experiments"
 )
 
 // validateReport is the VALIDATE.json document: the conformance matrix
@@ -23,7 +25,7 @@ import (
 type validateReport struct {
 	GeneratedBy string `json:"generated_by"`
 	GoVersion   string `json:"go_version"`
-	validate.Report
+	experiments.OracleReport
 }
 
 // benchValidate runs the conformance harness and writes
@@ -33,14 +35,14 @@ func benchValidate(outDir string) error {
 		return err
 	}
 	fmt.Println("== validate: analytic micro-kernels through session → mux → store → query")
-	rep, err := validate.Run(validate.Options{})
+	rep, err := experiments.RunOracle()
 	if err != nil {
 		return err
 	}
 	report := validateReport{
-		GeneratedBy: "tipbench -validate",
-		GoVersion:   runtime.Version(),
-		Report:      *rep,
+		GeneratedBy:  "tipbench -validate",
+		GoVersion:    runtime.Version(),
+		OracleReport: *rep,
 	}
 	data, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {

@@ -2,8 +2,9 @@
 // evaluation. Each figure builds its workload as a tiptop.Scenario,
 // monitors it through tiptop.NewSimMonitor (the monitor tiptop -sim and
 // tiptopd -sim run), records every refresh with a Recorder teed into a
-// Store, and reads its series and totals back as store queries. The §2.4
-// oracle and the §2.5 perturbation study measure the engine and the
+// Store, and reads its series and totals back as store queries; so does
+// the counter-validation oracle (RunOracle). The §2.4 VM-level
+// validation and the §2.5 perturbation study measure the engine and the
 // scheduler themselves, so they compose the engine directly. Each
 // experiment returns plots, tables, headline metrics and
 // paper-vs-measured notes; cmd/tipbench renders them to files.
@@ -170,23 +171,22 @@ type run struct {
 	start time.Duration
 }
 
-// monitor starts recording sc under the named built-in screen, one
-// refresh per interval, and takes the attach pass.
-func monitor(sc *tiptop.Scenario, screen string, interval time.Duration) (*run, error) {
+// monitor starts recording sc under cfg — its screen, one refresh per
+// cfg.Interval — and takes the attach pass.
+func monitor(sc *tiptop.Scenario, cfg tiptop.Config) (*run, error) {
 	dir, err := os.MkdirTemp("", "tipbench-")
 	if err != nil {
 		return nil, err
 	}
-	r := &run{sc: sc, dir: dir, interval: interval, start: sc.Now()}
-	if err := r.attach(screen); err != nil {
+	r := &run{sc: sc, dir: dir, interval: cfg.Interval, start: sc.Now()}
+	if err := r.attach(cfg); err != nil {
 		r.close()
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *run) attach(screen string) (err error) {
-	cfg := tiptop.Config{Interval: r.interval, Screen: screen, SortBy: "cpu"}
+func (r *run) attach(cfg tiptop.Config) (err error) {
 	if r.mon, err = tiptop.NewSimMonitor(r.sc, cfg); err != nil {
 		return err
 	}
@@ -197,6 +197,16 @@ func (r *run) attach(screen string) (err error) {
 	r.mon.Subscribe(rec)
 	rec.Tee(r.st)
 	_, err = r.mon.SampleNow()
+	return err
+}
+
+// reopen closes the store and recovers it from disk, so what is read
+// next has made the durable round trip. Nothing is recorded after it.
+func (r *run) reopen() (err error) {
+	if err := r.st.Close(); err != nil {
+		return err
+	}
+	r.st, err = tiptop.OpenStore(r.dir, tiptop.StoreOptions{})
 	return err
 }
 

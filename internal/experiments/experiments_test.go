@@ -338,8 +338,9 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestFiguresUseTheFacade keeps the figures on the monitor users run:
-// only the §2.4 oracle, the §2.5 perturbation study and the ablations,
+// TestFiguresUseTheFacade keeps the figures and the counter-validation
+// oracle on the monitor, store and queries users run: only the §2.4
+// VM-level validation, the §2.5 perturbation study and the ablations,
 // which measure the engine and the simulator themselves, may compose
 // them from the internal packages.
 func TestFiguresUseTheFacade(t *testing.T) {
@@ -347,7 +348,10 @@ func TestFiguresUseTheFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := []string{"tiptop/internal/core", "tiptop/internal/sim/sched", "tiptop/internal/sim/pmu", "tiptop/internal/sim/proc"}
+	engine := []string{
+		"tiptop/internal/core", "tiptop/internal/sim/sched", "tiptop/internal/sim/pmu", "tiptop/internal/sim/proc",
+		"tiptop/internal/mux", "tiptop/internal/store", "tiptop/internal/query", "tiptop/internal/metrics",
+	}
 	fset := token.NewFileSet()
 	checked := 0
 	for _, name := range files {
@@ -364,7 +368,7 @@ func TestFiguresUseTheFacade(t *testing.T) {
 		}
 		for _, imp := range f.Imports {
 			if path, _ := strconv.Unquote(imp.Path.Value); slices.Contains(engine, path) {
-				t.Errorf("%s imports %q: run the figure through the tiptop facade", name, path)
+				t.Errorf("%s imports %q: run it through the tiptop facade", name, path)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func RunFig11(cfg Config) (*Result, error) {
 				return runOut{}, err
 			}
 		}
-		r, err := monitor(sc, "mem", 5*time.Second)
+		r, err := monitor(sc, tiptop.Config{Screen: "mem", Interval: 5 * time.Second})
 		if err != nil {
 			return runOut{}, err
 		}

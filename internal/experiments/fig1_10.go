@@ -71,7 +71,7 @@ func RunFig1(cfg Config) (*Result, error) {
 	// Let the caches warm up.
 	sc.Advance(30 * time.Second)
 
-	r, err := monitor(sc, "default", 10*time.Second)
+	r, err := monitor(sc, tiptop.Config{Interval: 10 * time.Second})
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func RunFig10(cfg Config) (*Result, error) {
 	// Refresh i reads the tick that ends at (i+1)*tick: the attach pass
 	// is refresh 0.
 	sc.Advance(tick)
-	r, err := monitor(sc, "default", tick)
+	r, err := monitor(sc, tiptop.Config{Interval: tick})
 	if err != nil {
 		return nil, err
 	}

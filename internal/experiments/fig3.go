@@ -53,7 +53,7 @@ func RunFig3(cfg Config) (*Result, error) {
 			// default screen there, as the paper's plot does.
 			screen, exprs = "default", exprs[:1]
 		}
-		r, err := monitor(sc, screen, 5*time.Second)
+		r, err := monitor(sc, tiptop.Config{Screen: screen, Interval: 5 * time.Second})
 		if err != nil {
 			return runOut{}, err
 		}

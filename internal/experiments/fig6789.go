@@ -32,7 +32,7 @@ func phaseTrace(cfg Config, machine tiptop.MachineName, workload string, interva
 	if err != nil {
 		return nil, err
 	}
-	r, err := monitor(sc, "default", interval)
+	r, err := monitor(sc, tiptop.Config{Interval: interval})
 	if err != nil {
 		return nil, err
 	}

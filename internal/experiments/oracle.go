@@ -1,23 +1,24 @@
-// Package validate is the counter-validation oracle: a conformance
-// harness that runs every micro-kernel of ukernel.ValidationSuite() as
-// a live workload under a real core.Session — per machine model — and
-// asserts the measured counts at every layer of the pipeline against
-// the kernel's analytic expectations and the VM oracle.
-//
-// The paper's §2.4 methodology validates instruction counts with
-// micro-kernels whose event counts are known by inspecting the
-// assembly; internal/experiments exercises that VM-level. This package
-// asserts that those counts survive the path users actually see:
+package experiments
+
+// The counter-validation oracle: a conformance harness that runs every
+// micro-kernel of ukernel.ValidationSuite() as a process of a
+// tiptop.Scenario — per machine model — and asserts the measured counts
+// at every layer against the kernel's analytic expectations and the VM
+// oracle. The paper's §2.4 methodology validates instruction counts
+// with micro-kernels whose event counts are known by inspecting the
+// assembly; val24 exercises that VM-level. The oracle asserts that
+// those counts survive the path users actually run — the sim monitor,
+// a recorder teed into a default store, and store queries:
 //
 //	attach → refresh → mux rotation/extrapolation
 //	       → store append → recovery → expression query
 //
 // Four layers are checked per kernel × model × event:
 //
-//	session   raw engine deltas summed over the run. On models whose
-//	          PMU holds the whole screen (Xeon W3550, PPC970) — and
-//	          for fixed counters that never rotate (the U74's
-//	          cycle/instret CSRs) — the sum must be EXACT.
+//	session   the sample rows' event deltas summed over the run. On
+//	          models whose PMU holds the whole screen (Xeon W3550,
+//	          PPC970) — and for fixed counters that never rotate (the
+//	          U74's cycle/instret CSRs) — the sum must be EXACT.
 //	mux       the same sums where counter pressure forced rotation
 //	          (Cortex-A7: 8 events on 4 counters; SiFive U74: 6 on 2).
 //	          Extrapolated counts must converge within the tolerance.
@@ -26,35 +27,25 @@
 //	          mux or not (fidelity of the durable path, not of the
 //	          extrapolation, is under test).
 //	query     derived expressions (IPC, LLC misses per 100
-//	          instructions) evaluated through internal/query over the
-//	          recovered store, against oracle-derived values.
+//	          instructions) queried from the recovered store, against
+//	          oracle-derived values.
 //
 // Events a model legitimately lacks (PPC970 has no FP-assist raw
 // code) are reported as unsupported — never as a zero count.
-package validate
 
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
-	"tiptop/internal/core"
+	"tiptop"
 	"tiptop/internal/hpm"
-	"tiptop/internal/metrics"
-	"tiptop/internal/mux"
-	"tiptop/internal/query"
 	"tiptop/internal/sim/cpu"
 	"tiptop/internal/sim/machine"
-	"tiptop/internal/sim/pmu"
-	"tiptop/internal/sim/proc"
-	"tiptop/internal/sim/sched"
-	"tiptop/internal/store"
 	"tiptop/internal/ukernel"
 )
 
-// Layer names of Entry.Layer.
+// Layer names of OracleEntry.Layer.
 const (
 	// LayerAnalytic compares the VM oracle against the kernel's
 	// analytic instruction count (the §2.4 hand-derived expectation).
@@ -66,9 +57,39 @@ const (
 	LayerMux = "mux"
 	// LayerStore is the durable round-trip: append, recover, QueryExpr.
 	LayerStore = "store"
-	// LayerQuery is a derived expression through internal/query.
+	// LayerQuery is a derived expression queried from the store.
 	LayerQuery = "query"
 )
+
+const (
+	// oracleRefreshTarget is roughly how many refresh intervals a live
+	// run spans: the sampling interval is derived per kernel × model
+	// from an oracle pre-run so every kernel sees enough rotations for
+	// extrapolation to converge.
+	oracleRefreshTarget = 150
+	// oracleMuxTolerance is the worst relative error allowed on
+	// mux-extrapolated counts. Derived expressions that mix
+	// extrapolated events get twice this band — a quotient compounds
+	// the error of both operands.
+	oracleMuxTolerance = 0.05
+	// oracleMuxAbsSlack is the absolute-count slack on mux-extrapolated
+	// entries. Rotation sub-samples the run, so an event that fires
+	// only a handful of times — the branch predictor's two
+	// warm-up/exit misses, say — is either missed entirely or caught
+	// once and multiplied by the rotation factor; no extrapolation can
+	// place a two-count burst within 5%. A muxed entry therefore also
+	// passes when |measured-expected| <= oracleMuxAbsSlack: the
+	// relative band governs every count large enough for extrapolation
+	// to be statistically meaningful, the slack the ones that are not.
+	oracleMuxAbsSlack = 64
+)
+
+// oracleModels are the four conformance models: the two unconstrained
+// references and the two counter-starved embedded models that force
+// multiplexing.
+var oracleModels = []tiptop.MachineName{
+	tiptop.MachineXeonW3550, tiptop.MachinePPC970, tiptop.MachineCortexA7, tiptop.MachineSiFiveU74,
+}
 
 // baseEvents is the validation screen: eight slot-costing hardware
 // events, sized so the PPC970's eight counters still hold all of them
@@ -94,44 +115,10 @@ var optionalEvents = []string{hpm.EventFPAssist}
 // row; the store and query layers validate through these.
 var storeEvents = []string{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses}
 
-// Options configure a harness run.
-type Options struct {
-	// Models are machine preset keys (machine.Presets()); nil runs
-	// DefaultModels().
-	Models []string
-	// RefreshTarget is roughly how many refresh intervals the live run
-	// should span: the sampling interval is derived per kernel × model
-	// from an oracle pre-run so every kernel sees enough rotations for
-	// extrapolation to converge. Default 150.
-	RefreshTarget int
-	// MuxTolerance is the worst relative error allowed on
-	// mux-extrapolated counts (default 0.05). Derived expressions that
-	// mix extrapolated events get twice this band — a quotient
-	// compounds the error of both operands.
-	MuxTolerance float64
-	// MuxAbsSlack is the absolute-count slack on mux-extrapolated
-	// entries (default 64). Rotation sub-samples the run, so an event
-	// that fires only a handful of times — the branch predictor's two
-	// warm-up/exit misses, say — is either missed entirely or caught
-	// once and multiplied by the rotation factor; no extrapolation can
-	// place a two-count burst within 5%. A muxed entry therefore also
-	// passes when |measured-expected| <= MuxAbsSlack: the relative band
-	// governs every count large enough for extrapolation to be
-	// statistically meaningful, the slack the ones that are not.
-	MuxAbsSlack float64
-	// ScratchDir holds the per-run store directories; empty uses a
-	// fresh temporary directory, removed afterwards.
-	ScratchDir string
-}
-
-// DefaultModels returns the four conformance models: the two
-// unconstrained references and the two counter-starved embedded models
-// that force multiplexing.
-func DefaultModels() []string { return []string{"w3550", "ppc970", "a7", "u74"} }
-
-// Entry is one assertion of the conformance matrix: kernel × model ×
-// layer × event, with the expectation, the measurement and the error.
-type Entry struct {
+// OracleEntry is one assertion of the conformance matrix: kernel ×
+// model × layer × event, with the expectation, the measurement and the
+// error.
+type OracleEntry struct {
 	Kernel string `json:"kernel"`
 	Model  string `json:"model"`
 	Layer  string `json:"layer"`
@@ -157,14 +144,14 @@ type Entry struct {
 	Note      string `json:"note,omitempty"`
 }
 
-// Report is the machine-readable result of a harness run — what
+// OracleReport is the machine-readable result of an oracle run — what
 // tipbench -validate writes to results/VALIDATE.json and CI gates on.
-type Report struct {
-	Models       []string `json:"models"`
-	Kernels      []string `json:"kernels"`
-	MuxTolerance float64  `json:"mux_tolerance"`
-	MuxAbsSlack  float64  `json:"mux_abs_slack"`
-	Entries      []Entry  `json:"entries"`
+type OracleReport struct {
+	Models       []tiptop.MachineName `json:"models"`
+	Kernels      []string             `json:"kernels"`
+	MuxTolerance float64              `json:"mux_tolerance"`
+	MuxAbsSlack  float64              `json:"mux_abs_slack"`
+	Entries      []OracleEntry        `json:"entries"`
 	// WorstMuxedRelError is the worst relative error over every muxed
 	// entry whose absolute miss exceeds MuxAbsSlack — the entries the
 	// relative band governs. (Counter and derived layers; the derived
@@ -179,45 +166,19 @@ type Report struct {
 	Pass              bool `json:"pass"`
 }
 
-// Run executes the conformance matrix.
-func Run(opt Options) (*Report, error) {
-	if opt.RefreshTarget <= 0 {
-		opt.RefreshTarget = 150
-	}
-	if opt.MuxTolerance <= 0 {
-		opt.MuxTolerance = 0.05
-	}
-	if opt.MuxAbsSlack <= 0 {
-		opt.MuxAbsSlack = 64
-	}
-	models := opt.Models
-	if len(models) == 0 {
-		models = DefaultModels()
-	}
-	scratch := opt.ScratchDir
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "tiptop-validate")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		scratch = dir
-	}
-	presets := machine.Presets()
+// RunOracle executes the conformance matrix: every suite kernel on
+// every conformance model.
+func RunOracle() (*OracleReport, error) {
 	suite := ukernel.ValidationSuite()
-	rep := &Report{Models: models, MuxTolerance: opt.MuxTolerance, MuxAbsSlack: opt.MuxAbsSlack, Pass: true}
+	rep := &OracleReport{Models: oracleModels, MuxTolerance: oracleMuxTolerance, MuxAbsSlack: oracleMuxAbsSlack, Pass: true}
 	for _, k := range suite {
 		rep.Kernels = append(rep.Kernels, k.Name)
 	}
-	for _, name := range models {
-		m, ok := presets[name]
-		if !ok {
-			return nil, fmt.Errorf("validate: unknown machine model %q", name)
-		}
+	for _, model := range oracleModels {
 		for _, k := range suite {
-			entries, err := runOne(name, m, k, opt, scratch)
+			entries, err := oracleOne(model, k)
 			if err != nil {
-				return nil, fmt.Errorf("validate: %s on %s: %w", k.Name, name, err)
+				return nil, fmt.Errorf("validate: %s on %s: %w", k.Name, model, err)
 			}
 			rep.Entries = append(rep.Entries, entries...)
 		}
@@ -228,7 +189,7 @@ func Run(opt Options) (*Report, error) {
 		case !e.Supported:
 			rep.UnsupportedEvents++
 		case e.Muxed:
-			if math.Abs(e.Measured-e.Expected) > opt.MuxAbsSlack && e.RelError > rep.WorstMuxedRelError {
+			if math.Abs(e.Measured-e.Expected) > oracleMuxAbsSlack && e.RelError > rep.WorstMuxedRelError {
 				rep.WorstMuxedRelError = e.RelError
 			}
 		case e.Exact && !e.Pass:
@@ -241,15 +202,13 @@ func Run(opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// validationScreen builds a screen whose columns reference exactly the
-// given events, so the session resolves and attaches precisely the
-// validation set and every row carries each one's per-refresh delta.
-func validationScreen(events []string) *metrics.Screen {
-	s := &metrics.Screen{Name: "validate"}
+// validationScreen defines a screen whose columns reference exactly the
+// given events, so the monitor attaches precisely the validation set.
+func validationScreen(events []string) tiptop.ScreenDef {
+	s := tiptop.ScreenDef{Name: "validate"}
 	for _, ev := range events {
-		s.Columns = append(s.Columns, &metrics.Column{
-			Name: ev, Header: ev, Width: 12, Format: "%12.0f",
-			Expr: metrics.MustCompile(ev),
+		s.Columns = append(s.Columns, tiptop.ColumnDef{
+			Name: ev, Header: ev, Width: 12, Format: "%12.0f", Expr: ev,
 			Desc: "per-refresh delta of " + ev,
 		})
 	}
@@ -258,7 +217,7 @@ func validationScreen(events []string) *metrics.Screen {
 
 // oracleCounts executes the kernel to completion on a private VM — the
 // ground truth. The live run replays the identical deterministic
-// instruction stream, so its VM totals equal this pre-run; the pre-run
+// instruction stream, so its totals equal this pre-run; the pre-run
 // additionally prices the sampling interval off the exact cycle count.
 func oracleCounts(k ukernel.ValidationKernel, m *machine.Machine) (cpu.Delta, error) {
 	r, err := ukernel.NewRunner(k.Name, k.Program, k.Inputs, m)
@@ -275,7 +234,7 @@ func oracleCounts(k ukernel.ValidationKernel, m *machine.Machine) (cpu.Delta, er
 }
 
 // relError computes |measured-expected|/expected with the zero
-// conventions of Entry.RelError.
+// conventions of OracleEntry.RelError.
 func relError(expected, measured float64) float64 {
 	if expected == 0 {
 		if measured == 0 {
@@ -291,7 +250,7 @@ func relError(expected, measured float64) float64 {
 // quotients may differ in the last ulp depending on evaluation order.
 const exactEps = 1e-9
 
-func checkEntry(e *Entry, tolerance, absSlack float64) {
+func checkEntry(e *OracleEntry, tolerance, absSlack float64) {
 	e.RelError = relError(e.Expected, e.Measured)
 	switch {
 	case e.Exact:
@@ -308,139 +267,111 @@ func checkEntry(e *Entry, tolerance, absSlack float64) {
 	}
 }
 
-// runOne drives one kernel on one model through the full pipeline and
-// returns its slice of the conformance matrix.
-func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt Options, scratch string) ([]Entry, error) {
+// oracleOne runs one kernel on one model through the monitor, the
+// recorder and the store, and returns its slice of the conformance
+// matrix.
+func oracleOne(model tiptop.MachineName, vk ukernel.ValidationKernel) ([]OracleEntry, error) {
+	sc, err := tiptop.NewScenario(model)
+	if err != nil {
+		return nil, err
+	}
+	m := sc.Machine()
 	oracle, err := oracleCounts(vk, m)
 	if err != nil {
 		return nil, err
 	}
 	// The analytic layer: the §2.4 hand-derived instruction count must
 	// match the VM oracle on every model, exactly.
-	entries := []Entry{{
-		Kernel: vk.Name, Model: model, Layer: LayerAnalytic, Event: hpm.EventInstructions,
+	entries := []OracleEntry{{
+		Kernel: vk.Name, Model: string(model), Layer: LayerAnalytic, Event: hpm.EventInstructions,
 		Expected: float64(vk.ExpectedInstructions), Measured: float64(oracle.Instructions),
 		Exact: true, Supported: true,
 	}}
-	checkEntry(&entries[0], opt.MuxTolerance, 0)
+	checkEntry(&entries[0], oracleMuxTolerance, 0)
 
-	// Price the sampling interval so the run spans ~RefreshTarget
-	// refreshes: enough rotations for extrapolation to converge, and
-	// the same refresh cadence regardless of kernel length.
-	intervalNS := float64(oracle.Cycles) / m.FreqHz * 1e9 / float64(opt.RefreshTarget)
-	interval := time.Duration(intervalNS)
-	if interval < 100*time.Nanosecond {
-		interval = 100 * time.Nanosecond
-	}
-
-	kern, err := sched.New(m, sched.Options{})
-	if err != nil {
-		return nil, err
-	}
-	runner, err := ukernel.NewRunner(vk.Name, vk.Program, vk.Inputs, m)
-	if err != nil {
-		return nil, err
-	}
-	task := kern.Spawn("validate", vk.Name, runner, nil)
-	pid := task.ID().PID
-
-	inner := pmu.New(kern)
-	registry := hpm.DefaultRegistry()
-	events := append([]string(nil), baseEvents...)
-	for _, name := range optionalEvents {
-		d, err := registry.ParseEvent(name)
-		if err == nil && inner.Supported(d) {
-			events = append(events, name)
-			continue
-		}
-		entries = append(entries, Entry{
-			Kernel: vk.Name, Model: model, Layer: LayerSession, Event: name,
-			Supported: false, Pass: true,
-			Note: "event not implemented by this machine model; reported unsupported, not zero",
-		})
-	}
-	screen := validationScreen(events)
-	descs, err := core.ResolveScreenEvents(registry, screen)
-	if err != nil {
-		return nil, err
-	}
 	// Rotation pressure: does the screen fit the PMU? Per event, a
 	// measurement is extrapolated only when rotation is active AND the
 	// event costs a slot — the U74's fixed cycle/instret CSRs stay
 	// attached and exact even while its two programmable counters
 	// rotate.
-	capacity := inner.Capacity()
-	slotCost := make(map[string]int, len(descs))
+	infos, err := tiptop.ListEvents(tiptop.Config{}, model)
+	if err != nil {
+		return nil, err
+	}
+	info := make(map[string]tiptop.EventInfo, len(infos))
+	for _, in := range infos {
+		info[in.Name] = in
+	}
+	events := append([]string(nil), baseEvents...)
+	for _, name := range optionalEvents {
+		if info[name].Supported["sim"] {
+			events = append(events, name)
+			continue
+		}
+		entries = append(entries, OracleEntry{
+			Kernel: vk.Name, Model: string(model), Layer: LayerSession, Event: name,
+			Supported: false, Pass: true,
+			Note: "event not implemented by this machine model; reported unsupported, not zero",
+		})
+	}
+	capacities, err := tiptop.Capacities(model)
+	if err != nil {
+		return nil, err
+	}
 	total := 0
-	for _, d := range descs {
-		slotCost[d.Name] = inner.SlotCost(d)
-		total += inner.SlotCost(d)
+	for _, ev := range events {
+		total += info[ev].SlotCost["sim"]
 	}
-	rotation := capacity > 0 && total > capacity
-	muxedEvent := func(name string) bool { return rotation && slotCost[name] > 0 }
+	rotation := capacities["sim"] > 0 && total > capacities["sim"]
+	muxedEvent := func(name string) bool { return rotation && info[name].SlotCost["sim"] > 0 }
 
-	sess, err := core.NewSession(mux.Wrap(inner), proc.NewSource(kern), proc.NewClock(kern), core.Options{
-		Screen:   screen,
-		Interval: interval,
-		FreqHz:   m.FreqHz,
-		NumCPUs:  m.NumLogical(),
-		SortBy:   "pid",
-	})
-	if err != nil {
-		return nil, err
+	// Price the sampling interval so the run spans ~oracleRefreshTarget
+	// refreshes: enough rotations for extrapolation to converge, and
+	// the same refresh cadence regardless of kernel length.
+	interval := time.Duration(float64(oracle.Cycles) / m.FreqHz * 1e9 / oracleRefreshTarget)
+	if interval < 100*time.Nanosecond {
+		interval = 100 * time.Nanosecond
 	}
-	defer sess.Close()
-
-	dir := filepath.Join(scratch, model+"-"+vk.Name)
-	st, err := store.Open(dir, store.Options{NoDownsample: true})
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]string, len(screen.Columns))
-	for i, c := range screen.Columns {
-		cols[i] = c.Name
-	}
-	st.SetColumns(cols)
 
 	// The live run: attach at t=0 (nothing has executed yet, so the
 	// perf "only events after attach" semantics still observe the whole
 	// program), then refresh until the kernel exits — the final sample
 	// holds the task's exit row, the partial last interval.
+	pid, err := sc.StartValidationKernel("validate", vk.Name)
+	if err != nil {
+		return nil, err
+	}
+	r, err := monitor(sc, tiptop.Config{
+		Interval: interval, Screen: "validate",
+		Screens: []tiptop.ScreenDef{validationScreen(events)},
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
 	sums := make(map[string]uint64, len(events))
-	maxSamples := opt.RefreshTarget*3 + 32
-	done := false
-	for i := 0; i < maxSamples; i++ {
-		sample, err := sess.Update()
+	maxSamples := oracleRefreshTarget*3 + 32
+	for i := 0; sc.Running(pid); i++ {
+		if i == maxSamples {
+			return nil, fmt.Errorf("kernel did not finish within %d refreshes", maxSamples)
+		}
+		sample, err := r.mon.Sample()
 		if err != nil {
-			st.Close()
 			return nil, err
 		}
-		for r := range sample.Rows {
-			row := &sample.Rows[r]
-			if row.Info.ID.PID != pid {
+		for _, row := range sample.Rows {
+			if row.PID != pid {
 				continue
 			}
 			for _, ev := range events {
-				sums[ev] += row.Count(ev)
+				sums[ev] += row.Events[ev]
 			}
 		}
-		if err := st.AppendSample(sample); err != nil {
-			st.Close()
-			return nil, err
-		}
-		if task.State() == sched.TaskExited {
-			done = true
-			break
-		}
-		sess.AdvanceClock()
 	}
-	if !done {
-		st.Close()
-		return nil, fmt.Errorf("kernel did not finish within %d refreshes", maxSamples)
-	}
-	if got := runner.VM().Counts(); got != oracle {
-		st.Close()
-		return nil, fmt.Errorf("live VM diverged from oracle pre-run: %+v vs %+v", got, oracle)
+	for _, ev := range events {
+		if got, err := sc.TaskTotal(pid, ev); err != nil || got != oracle.Count(ev) {
+			return nil, fmt.Errorf("live %s diverged from oracle pre-run: %d vs %d (%v)", ev, got, oracle.Count(ev), err)
+		}
 	}
 
 	// Layers a/b: raw engine deltas (exact) or mux extrapolation
@@ -451,35 +382,25 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 		if muxed {
 			layer = LayerMux
 		}
-		e := Entry{
-			Kernel: vk.Name, Model: model, Layer: layer, Event: ev,
+		e := OracleEntry{
+			Kernel: vk.Name, Model: string(model), Layer: layer, Event: ev,
 			Expected: float64(oracle.Count(ev)), Measured: float64(sums[ev]),
 			Exact: !muxed, Muxed: muxed, Supported: true,
 		}
-		checkEntry(&e, opt.MuxTolerance, opt.MuxAbsSlack)
+		checkEntry(&e, oracleMuxTolerance, oracleMuxAbsSlack)
 		entries = append(entries, e)
 	}
 
 	// Layer c: store round-trip. Close seals the buffered tail; the
 	// reopen exercises recovery; the query must reproduce the session
-	// sums exactly — extrapolated or not, what the engine measured is
+	// sums exactly — extrapolated or not, what the monitor measured is
 	// what the store must persist.
-	if err := st.Close(); err != nil {
+	if err := r.reopen(); err != nil {
 		return nil, err
 	}
-	st2, err := store.Open(dir, store.Options{NoDownsample: true})
-	if err != nil {
-		return nil, err
-	}
-	defer st2.Close()
-	step := st2.LastTime().Seconds()*2 + 1
-	known := query.KnownNames(cols)
+	step := r.st.LastTime().Seconds()*2 + 1
 	queryOne := func(expr string) (float64, error) {
-		c, err := query.Compile(expr, known)
-		if err != nil {
-			return 0, err
-		}
-		res, err := query.QueryStore(st2, c, query.Options{StepSeconds: step})
+		res, err := r.st.Querier().QueryExpr(expr, tiptop.QueryOptions{StepSeconds: step})
 		if err != nil {
 			return 0, err
 		}
@@ -500,16 +421,16 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 		if err != nil {
 			return nil, err
 		}
-		e := Entry{
-			Kernel: vk.Name, Model: model, Layer: LayerStore, Event: ev,
+		e := OracleEntry{
+			Kernel: vk.Name, Model: string(model), Layer: LayerStore, Event: ev,
 			Expected: float64(sums[ev]), Measured: measured,
 			Exact: true, Supported: true,
 		}
-		checkEntry(&e, opt.MuxTolerance, 0)
+		checkEntry(&e, oracleMuxTolerance, 0)
 		entries = append(entries, e)
 	}
 
-	// Layer d: derived expressions through internal/query, against
+	// Layer d: derived expressions queried from the store, against
 	// oracle-derived values. A quotient of two extrapolated counts can
 	// compound both errors, so muxed derived entries get twice the
 	// band; quotients of exact counts (and of the U74's fixed
@@ -535,12 +456,12 @@ func runOne(model string, m *machine.Machine, vk ukernel.ValidationKernel, opt O
 		if err != nil {
 			return nil, err
 		}
-		e := Entry{
-			Kernel: vk.Name, Model: model, Layer: LayerQuery, Event: d.event,
+		e := OracleEntry{
+			Kernel: vk.Name, Model: string(model), Layer: LayerQuery, Event: d.event,
 			Expected: d.expected, Measured: measured,
 			Exact: !d.muxed, Muxed: d.muxed, Supported: true,
 		}
-		checkEntry(&e, 2*opt.MuxTolerance, 0)
+		checkEntry(&e, 2*oracleMuxTolerance, 0)
 		entries = append(entries, e)
 	}
 	return entries, nil

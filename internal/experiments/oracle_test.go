@@ -1,4 +1,4 @@
-package validate
+package experiments
 
 import (
 	"testing"
@@ -6,12 +6,12 @@ import (
 	"tiptop/internal/hpm"
 )
 
-// TestConformanceMatrix runs the full harness — every ValidationSuite
+// TestConformanceMatrix runs the full oracle — every ValidationSuite
 // kernel on all four machine models through session → mux → store →
 // query — and asserts the gates tipbench -validate enforces in CI:
 // exact counts on unconstrained layers, ≤5% on mux-extrapolated ones.
 func TestConformanceMatrix(t *testing.T) {
-	rep, err := Run(Options{ScratchDir: t.TempDir()})
+	rep, err := RunOracle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 }
 
-// TestUnsupportedEventsReported asserts the satellite contract: a model
-// without the FP-assist raw code must surface the event as unsupported
-// — a distinguishable report, not a silent zero count.
+// TestUnsupportedEventsReported asserts that a model without the
+// FP-assist raw code surfaces the event as unsupported — a
+// distinguishable report, not a silent zero count.
 func TestUnsupportedEventsReported(t *testing.T) {
-	rep, err := Run(Options{Models: []string{"ppc970", "w3550"}, ScratchDir: t.TempDir()})
+	rep, err := RunOracle()
 	if err != nil {
 		t.Fatal(err)
 	}

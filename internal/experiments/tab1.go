@@ -32,7 +32,7 @@ func RunTable1(cfg Config) (*Result, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		r, err := monitor(sc, "fp", time.Second)
+		r, err := monitor(sc, tiptop.Config{Screen: "fp", Interval: time.Second})
 		if err != nil {
 			return cell{}, err
 		}

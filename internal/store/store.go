@@ -102,8 +102,8 @@ type Options struct {
 	// (default 64 MiB). When exceeded, the oldest sealed segments are
 	// deleted, rawest tier first.
 	Budget int64
-	// NoDownsample disables the 10s/1m tiers (raw records only); used
-	// by benchmarks isolating the append path.
+	// NoDownsample disables the 10s/1m tiers (raw records only). Only
+	// the store's own tests set it, to isolate the raw tier.
 	NoDownsample bool
 	// Fsync bounds the window a kernel crash can lose (group-commit
 	// durability). The zero policy never syncs — durability is the page

@@ -236,12 +236,20 @@ func (sc *Scenario) StartMicroKernel(user, name, src string, pinned ...int) (int
 	if err != nil {
 		return 0, err
 	}
-	runner, err := ukernel.NewRunner(name, prog, nil, sc.kernel.Machine())
-	if err != nil {
-		return 0, err
+	return sc.spawnProgram(user, name, prog, nil, maskOf(pinned))
+}
+
+// StartValidationKernel runs one micro-kernel of the §2.4 validation
+// suite (ukernel.ValidationSuite: intloop, fploop, memwalk, randbranch,
+// branchy) as a process at its analytic length, so TaskTotal of its
+// INSTRUCTIONS is the count read off its assembly.
+func (sc *Scenario) StartValidationKernel(user, name string) (int, error) {
+	for _, vk := range ukernel.ValidationSuite() {
+		if vk.Name == name {
+			return sc.spawnProgram(user, name, vk.Program, vk.Inputs, nil)
+		}
 	}
-	task := sc.kernel.Spawn(user, name, runner, maskOf(pinned))
-	return task.ID().PID, nil
+	return 0, fmt.Errorf("tiptop: unknown validation kernel %q", name)
 }
 
 // StartFPMicro runs the paper's Figure 4 micro-benchmark: mode is "x87"
@@ -271,13 +279,17 @@ func (sc *Scenario) StartFPMicro(user, mode, values string, iterations int64) (i
 		iterations = 1_000_000
 	}
 	prog, inputs := ukernel.FPMicroKernel(fpMode, fpVals, iterations)
-	name := "fpmicro-" + mode + "-" + values
+	return sc.spawnProgram(user, "fpmicro-"+mode+"-"+values, prog, inputs, nil)
+}
+
+// spawnProgram runs an assembled micro-kernel program as a process and
+// returns its PID.
+func (sc *Scenario) spawnProgram(user, name string, prog *ukernel.Program, inputs *ukernel.VMInputs, mask machine.AffinityMask) (int, error) {
 	runner, err := ukernel.NewRunner(name, prog, inputs, sc.kernel.Machine())
 	if err != nil {
 		return 0, err
 	}
-	task := sc.kernel.Spawn(user, name, runner, nil)
-	return task.ID().PID, nil
+	return sc.kernel.Spawn(user, name, runner, mask).ID().PID, nil
 }
 
 // AddSyntheticThread adds a thread to an existing process. Together with
@@ -483,11 +495,9 @@ var scenarios = []struct {
 			if n, ok := vk.Inputs.IntRegs[1]; ok {
 				vk.Inputs.IntRegs[1] = n * factor
 			}
-			runner, err := ukernel.NewRunner(vk.Name, vk.Program, vk.Inputs, sc.kernel.Machine())
-			if err != nil {
+			if _, err := sc.spawnProgram("oracle", vk.Name, vk.Program, vk.Inputs, nil); err != nil {
 				return err
 			}
-			sc.kernel.Spawn("oracle", vk.Name, runner, nil)
 		}
 		return nil
 	}},

@@ -31,7 +31,15 @@
 #  6. every backticked name in the docs of the form ident(.ident)* must
 #     have its last dotted part occur as a whole word in some .go file
 #     (tests and bench/ count), so a renamed or deleted function leaves
-#     no doc pointing at it. Words that are not Go go in ident_allow.
+#     no doc pointing at it. Words that are not Go go in ident_allow;
+#
+# and one over every repository path the docs quote:
+#
+#  7. every backticked span that starts with an internal/, cmd/ or
+#     examples/ path must name a file or directory that exists, so a
+#     moved or deleted package leaves no doc pointing at it. The path
+#     ends where a Go identifier or a glob begins: `internal/hpm.EventDesc`
+#     checks internal/hpm, `internal/sim/*` checks internal/sim.
 #
 # Run as `make docs` (part of `make verify`).
 set -eu
@@ -152,6 +160,14 @@ for name in $(grep -ohE '`[^`]*`' $docs | tr -d '`' | grep -xE '[A-Za-z_][A-Za-z
     case " $ident_allow " in *" $last "*) continue ;; esac
     if ! printf '%s\n' "$words" | grep -qxF "$last"; then
         echo "docs gate: docs quote \`$name\` but no .go file has the word $last"
+        fail=1
+    fi
+done
+
+# --- 7. backticked repository paths exist ----------------------------
+for path in $(grep -ohE '`[^`]*`' $docs | tr -d '`' | grep -oE '^(\./)?(internal|cmd|examples)(/[A-Za-z0-9_-]+)+(\.[a-z]+)*' | sort -u); do
+    if [ ! -e "$path" ]; then
+        echo "docs gate: docs quote \`$path\` but no such file or directory exists"
         fail=1
     fi
 done

@@ -9,6 +9,7 @@ import (
 
 	"tiptop/internal/metrics"
 	"tiptop/internal/remote"
+	"tiptop/internal/ukernel"
 )
 
 func TestScenarioCreation(t *testing.T) {
@@ -168,6 +169,61 @@ loop:
 	}
 	if _, err := sc.StartMicroKernel("u", "bad", "not asm"); err == nil {
 		t.Fatal("bad assembly accepted")
+	}
+}
+
+// TestStartValidationKernel: every suite kernel, started by name on the
+// Nehalem workstation, runs to exit under the sim monitor and retires
+// exactly its analytic instruction count; an unknown name is refused,
+// and the validate scenario still starts the whole suite.
+func TestStartValidationKernel(t *testing.T) {
+	for _, vk := range ukernel.ValidationSuite() {
+		sc, _ := NewScenario(MachineXeonW3550)
+		pid, err := sc.StartValidationKernel("u", vk.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := NewSimMonitor(sc, Config{Interval: 100 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mon.SampleNow(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; sc.Running(pid); i++ {
+			if i == 1000 {
+				t.Fatalf("%s still running after %d refreshes", vk.Name, i)
+			}
+			if _, err := mon.Sample(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mon.Close()
+		if got, err := sc.TaskTotal(pid, "INSTRUCTIONS"); err != nil || got != vk.ExpectedInstructions {
+			t.Errorf("%s retired %d instructions (%v), want %d", vk.Name, got, err, vk.ExpectedInstructions)
+		}
+	}
+
+	sc, _ := NewScenario(MachineXeonW3550)
+	if _, err := sc.StartValidationKernel("u", "nope"); err == nil {
+		t.Fatal("unknown validation kernel accepted")
+	}
+
+	sc, err := NewNamedScenario("validate", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := NewSimMonitor(sc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	sample, err := mon.SampleNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sample.Rows) != 5 {
+		t.Fatalf("validate scenario runs %d processes, want the 5 suite kernels", len(sample.Rows))
 	}
 }
 
