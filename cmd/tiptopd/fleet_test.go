@@ -38,7 +38,7 @@ func (a *agent) close(t *testing.T) {
 // startAgent launches a live agent over the named scenario.
 func startAgent(t *testing.T, scenario string) *agent {
 	t.Helper()
-	return start(t, newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond}, tiptop.DaemonOptions{Sim: scenario}))
+	return start(t, newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond}, tiptop.DaemonOptions{Sim: sim(t, scenario)}))
 }
 
 // startFleet runs an aggregator joining the agents — with a store

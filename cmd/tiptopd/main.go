@@ -96,7 +96,12 @@ func resolve(args []string) (*options, error) {
 		return nil, fmt.Errorf("-join %q names no agents", o.join)
 	}
 	f := o.shared
-	o.daemon.Sim, o.daemon.Scale, o.daemon.Wire, o.daemon.Refreshes = f.Sim, f.Scale, f.Wire, f.Iterations
+	o.daemon.Wire, o.daemon.Refreshes = f.Wire, f.Iterations
+	if f.Sim != "" {
+		if o.daemon.Sim, err = tiptop.NewNamedScenario(f.Sim, f.Scale); err != nil {
+			return nil, err
+		}
+	}
 	return o, nil
 }
 

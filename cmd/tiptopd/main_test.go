@@ -19,12 +19,20 @@ import (
 	"tiptop/internal/remote"
 )
 
-// newDaemon builds a daemon the way run does, over a fast simulated
-// scenario (scale 0.01) unless opt joins agents, with the rings the
-// tests read.
+// sim builds the named scenario as -sim name -scale 0.01 does.
+func sim(t *testing.T, name string) *tiptop.Scenario {
+	t.Helper()
+	sc, err := tiptop.NewNamedScenario(name, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// newDaemon builds a daemon the way run does, with the rings the tests
+// read.
 func newDaemon(t *testing.T, cfg tiptop.Config, opt tiptop.DaemonOptions) *tiptop.Daemon {
 	t.Helper()
-	opt.Scale = 0.01
 	opt.History, opt.Window = 64, time.Second
 	d, err := tiptop.NewDaemon(cfg, opt)
 	if err != nil {
@@ -69,7 +77,7 @@ func start(t *testing.T, d *tiptop.Daemon) *live {
 // and waits for its first refreshes.
 func testDaemon(t *testing.T) (*tiptop.Daemon, *live) {
 	t.Helper()
-	srv := start(t, newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond}, tiptop.DaemonOptions{Sim: "datacenter"}))
+	srv := start(t, newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond}, tiptop.DaemonOptions{Sim: sim(t, "datacenter")}))
 	waitUntil(t, "the first refreshes", func() bool { return srv.Refreshes() >= 2 })
 	return srv.Daemon, srv
 }
@@ -282,7 +290,7 @@ func TestDaemonSystemWideEndToEnd(t *testing.T) {
 		Interval:   10 * time.Millisecond,
 		SystemWide: true,
 		StoreDir:   t.TempDir(),
-	}, tiptop.DaemonOptions{Sim: "steady"}))
+	}, tiptop.DaemonOptions{Sim: sim(t, "steady")}))
 	waitUntil(t, "the first refreshes", func() bool { return srv.Refreshes() >= 4 })
 
 	// The scrape carries one task per logical CPU of the A7.

@@ -36,7 +36,7 @@ func twinMonitor(t *testing.T) *tiptop.Monitor {
 // through Refresh.
 func twinDaemon(t *testing.T) *tiptop.Daemon {
 	t.Helper()
-	return newDaemon(t, tiptop.Config{Interval: 50 * time.Millisecond}, tiptop.DaemonOptions{Sim: "datacenter"})
+	return newDaemon(t, tiptop.Config{Interval: 50 * time.Millisecond}, tiptop.DaemonOptions{Sim: sim(t, "datacenter")})
 }
 
 // sameRows compares public samples field by field. Start travels the
@@ -91,7 +91,7 @@ func TestRemoteMonitorByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Refresh(); err != nil {
+	if _, err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +132,7 @@ func TestRemoteMonitorByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Refresh(); err != nil {
+		if _, err := d.Refresh(); err != nil {
 			t.Fatal(err)
 		}
 		rs, err = rm.Sample()
@@ -203,7 +203,7 @@ func TestDaemonMetricsETag(t *testing.T) {
 	defer ts.Close()
 	defer d.Close()
 
-	if err := d.Refresh(); err != nil {
+	if _, err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +231,7 @@ func TestDaemonMetricsETag(t *testing.T) {
 	}
 
 	// A new refresh invalidates the ETag.
-	if err := d.Refresh(); err != nil {
+	if _, err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.DefaultClient.Do(req)

@@ -36,7 +36,7 @@ func bootDaemon(t *testing.T, dir string) (*tiptop.Daemon, *live, func()) {
 		Interval: 10 * time.Millisecond,
 		StoreDir: dir,
 		Exprs:    []tiptop.ExprDef{{Name: "ipc_expr", Expr: "delta(INSTRUCTIONS)/delta(CYCLES)"}},
-	}, tiptop.DaemonOptions{Sim: "datacenter"}))
+	}, tiptop.DaemonOptions{Sim: sim(t, "datacenter")}))
 	return ts.Daemon, ts, func() { _ = ts.stop() }
 }
 
@@ -319,7 +319,7 @@ func TestFleetStoreDirCollision(t *testing.T) {
 // sampling loop must stop with an error instead of serving on while
 // history silently goes missing.
 func TestLoopSurfacesStoreError(t *testing.T) {
-	d := newDaemon(t, tiptop.Config{Interval: time.Millisecond, StoreDir: t.TempDir()}, tiptop.DaemonOptions{Sim: "datacenter", Refreshes: 5})
+	d := newDaemon(t, tiptop.Config{Interval: time.Millisecond, StoreDir: t.TempDir()}, tiptop.DaemonOptions{Sim: sim(t, "datacenter"), Refreshes: 5})
 	defer d.Close()
 	// Simulate the store failing mid-run (disk gone, etc.): every
 	// subsequent append latches an error the loop must notice.

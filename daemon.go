@@ -29,11 +29,10 @@ type DaemonOptions struct {
 	// Join lists the agents to aggregate (-join, "host:port" or URLs);
 	// empty monitors locally.
 	Join []string
-	// Sim and Scale pick a solo daemon's scenario (-sim, -scale); an
-	// empty Sim is the real machine, falling back to "datacenter" where
-	// perf_event is unavailable.
-	Sim   string
-	Scale float64
+	// Sim is the scenario a solo daemon monitors (tiptopd builds it from
+	// -sim and -scale); nil is the real machine, falling back to
+	// "datacenter" where perf_event is unavailable.
+	Sim *Scenario
 	// History and Window size the recorders, the solo one or one per
 	// agent: points retained per task (-history) and the windowed-rate
 	// horizon (-window); 0 takes RecorderOptions' defaults.
@@ -135,8 +134,8 @@ func NewDaemon(cfg Config, opt DaemonOptions) (_ *Daemon, err error) {
 	}()
 	ro := RecorderOptions{Capacity: opt.History, Window: opt.Window}
 	if len(opt.Join) > 0 {
-		if opt.Sim != "" {
-			return nil, fmt.Errorf("-join aggregates remote agents and cannot monitor -sim %s itself", opt.Sim)
+		if opt.Sim != nil {
+			return nil, errors.New("-join aggregates remote agents and cannot monitor a -sim scenario itself")
 		}
 		for _, addr := range opt.Join {
 			a, err := remote.NewAgent(addr, opt.Wire)
@@ -150,8 +149,13 @@ func NewDaemon(cfg Config, opt DaemonOptions) (_ *Daemon, err error) {
 		}
 		d.target = uint64(max(opt.Refreshes, 0))
 	} else {
-		var simulated bool
-		if d.mon, simulated, err = OpenMonitor(opt.Sim, "datacenter", opt.Scale, cfg); err != nil {
+		simulated := opt.Sim != nil
+		if simulated {
+			d.mon, err = NewSimMonitor(opt.Sim, cfg)
+		} else {
+			d.mon, simulated, err = OpenMonitor("", "datacenter", 0, cfg)
+		}
+		if err != nil {
 			return nil, err
 		}
 		if simulated {
@@ -425,7 +429,7 @@ func (d *Daemon) feed(ctx context.Context, m *node) error {
 		return m.agent.Stream(ctx, d.redial, d.timeout, func(ws *remote.Sample) error { return d.observe(m, ws) })
 	}
 	for i := 0; ctx.Err() == nil; i++ {
-		if err := d.refresh(); err != nil {
+		if _, err := d.refresh(); err != nil {
 			return err
 		}
 		if i > 0 && d.pace > 0 {
@@ -439,30 +443,32 @@ func (d *Daemon) feed(ctx context.Context, m *node) error {
 }
 
 // Refresh takes one sample — the attach pass first, then one interval
-// per call — and publishes it; a store that has latched an append error
-// fails it. Run loops over it; call it yourself only to drive a daemon
-// you serve through Handler, never while Run runs (the monitor is not
-// safe for concurrent use). Under Join the agents sample, and it fails.
-func (d *Daemon) Refresh() error {
+// per call — publishes it and returns it; a store that has latched an
+// append error fails it. Run loops over it; call it yourself to drive a
+// daemon you serve through Handler, or one whose Sim scenario you steer
+// between refreshes, never while Run runs (the monitor is not safe for
+// concurrent use). Under Join the agents sample, and it fails.
+func (d *Daemon) Refresh() (*Sample, error) {
 	if d.mon == nil {
-		return errors.New("tiptop: an aggregating daemon samples through its agents, not Refresh")
+		return nil, errors.New("tiptop: an aggregating daemon samples through its agents, not Refresh")
 	}
-	if err := d.refresh(); err != errEnough {
-		return err
+	s, err := d.refresh()
+	if err != nil && err != errEnough {
+		return nil, err
 	}
-	return nil
+	return s, nil
 }
 
-func (d *Daemon) refresh() error {
+func (d *Daemon) refresh() (*Sample, error) {
 	sample := d.mon.Sample
 	if !d.attached {
 		sample, d.attached = d.mon.SampleNow, true
 	}
 	s, err := sample() // the subscribed recorder records it, and tees it
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return d.publish(d.machines[0], d.mon.WireSample(s))
+	return s, d.publish(d.machines[0], d.mon.WireSample(s))
 }
 
 // observe is where an agent's refresh enters the daemon, on the agent's

@@ -2,18 +2,33 @@ package tiptop_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"tiptop"
+	"tiptop/internal/remote"
 )
+
+// scenario builds the named scenario as -sim name -scale 0.01 does.
+func scenario(t *testing.T, name string) *tiptop.Scenario {
+	t.Helper()
+	sc, err := tiptop.NewNamedScenario(name, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
 
 // runDaemon builds a daemon and runs it on 127.0.0.1:0 until the test
 // ends, when it checks what Run and Close returned; it returns the
@@ -108,8 +123,8 @@ func TestDaemonIndexRoutesAnswer(t *testing.T) {
 	cfg := func() tiptop.Config {
 		return tiptop.Config{Interval: 10 * time.Millisecond, StoreDir: t.TempDir()}
 	}
-	solo, soloURL := runDaemon(t, cfg(), tiptop.DaemonOptions{Sim: "datacenter", Scale: 0.01})
-	_, specURL := runDaemon(t, cfg(), tiptop.DaemonOptions{Sim: "spec", Scale: 0.01})
+	solo, soloURL := runDaemon(t, cfg(), tiptop.DaemonOptions{Sim: scenario(t, "datacenter")})
+	_, specURL := runDaemon(t, cfg(), tiptop.DaemonOptions{Sim: scenario(t, "spec")})
 	waitFor(t, "the solo store", func() bool { return solo.Stores()[""].Records() >= 3 })
 	pid := strconv.Itoa(solo.Recorder().PIDs()[0])
 
@@ -138,23 +153,57 @@ func TestDaemonIndexRoutesAnswer(t *testing.T) {
 	}
 }
 
+// TestDaemonRefreshReturnsWhatItServes: the sample Refresh returns is
+// the one the daemon then serves at /api/v1/sample — its time, and
+// every row's identity, columns and event deltas.
+func TestDaemonRefreshReturnsWhatItServes(t *testing.T) {
+	d, err := tiptop.NewDaemon(tiptop.Config{Interval: time.Second}, tiptop.DaemonOptions{Sim: scenario(t, "datacenter")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	h := d.Handler()
+	for i := 0; i < 3; i++ { // the attach pass, then two refreshes
+		s, err := d.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/sample", nil))
+		var served remote.Sample
+		if err := json.Unmarshal(w.Body.Bytes(), &served); err != nil {
+			t.Fatalf("GET /api/v1/sample: %d %v", w.Code, err)
+		}
+		if served.TimeSeconds != s.Time.Seconds() || len(served.Rows) != len(s.Rows) || len(s.Rows) == 0 {
+			t.Fatalf("refresh %d returned %d rows at t=%v, the daemon serves %d at t=%gs",
+				i, len(s.Rows), s.Time, len(served.Rows), served.TimeSeconds)
+		}
+		for j, row := range s.Rows {
+			got := served.Rows[j]
+			if got.PID != row.PID || got.Command != row.Command || !slices.Equal(got.Values, row.Columns) || !maps.Equal(got.Events, row.Events) {
+				t.Fatalf("refresh %d row %d: returned %+v, served %+v", i, j, row, got)
+			}
+		}
+	}
+}
+
 // TestDaemonCloseReportsStoreFailure: a store that stops appending
 // beneath a daemon fails its next Refresh, and Close reports it rather
 // than letting the process exit 0.
 func TestDaemonCloseReportsStoreFailure(t *testing.T) {
 	d, err := tiptop.NewDaemon(tiptop.Config{Interval: time.Millisecond, StoreDir: t.TempDir()},
-		tiptop.DaemonOptions{Sim: "datacenter", Scale: 0.01})
+		tiptop.DaemonOptions{Sim: scenario(t, "datacenter")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Refresh(); err != nil {
+	if _, err := d.Refresh(); err != nil {
 		t.Fatalf("healthy refresh: %v", err)
 	}
 	// The disk goes away: every append from here on latches an error.
 	if err := d.Stores()[""].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Refresh(); err == nil || !strings.Contains(err.Error(), "store") {
+	if _, err := d.Refresh(); err == nil || !strings.Contains(err.Error(), "store") {
 		t.Fatalf("Refresh over a failed store: %v", err)
 	}
 	if err := d.Close(); err == nil {

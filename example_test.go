@@ -174,8 +174,12 @@ func ExampleQueryClient() {
 // while it samples — until its context ends (tiptopd passes
 // signal.NotifyContext) or, here, three refreshes after the attach pass.
 func ExampleNewDaemon() {
+	sc, err := tiptop.NewNamedScenario("datacenter", 0.01)
+	if err != nil {
+		log.Fatal(err)
+	}
 	d, err := tiptop.NewDaemon(tiptop.Config{Interval: 10 * time.Millisecond},
-		tiptop.DaemonOptions{Sim: "datacenter", Scale: 0.01, Refreshes: 3})
+		tiptop.DaemonOptions{Sim: sc, Refreshes: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

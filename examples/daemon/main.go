@@ -21,8 +21,12 @@ import (
 )
 
 func main() {
+	sc, err := tiptop.NewNamedScenario("datacenter", 0.01)
+	if err != nil {
+		log.Fatal(err)
+	}
 	d, err := tiptop.NewDaemon(tiptop.Config{Interval: time.Second}, tiptop.DaemonOptions{
-		Sim: "datacenter", Scale: 0.01,
+		Sim: sc,
 		// The recorder: every sample lands in per-task rings and the
 		// user/command/machine aggregates, without perturbing sampling.
 		History: 120, Window: 30 * time.Second,
@@ -35,7 +39,7 @@ func main() {
 	// Sample for a simulated minute: the attach pass, then 60 refreshes.
 	// (Run would pace them in real time; Refresh takes them at once.)
 	for i := 0; i <= 60; i++ {
-		if err := d.Refresh(); err != nil {
+		if _, err := d.Refresh(); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -32,8 +32,12 @@ func main() {
 	scenarios := []string{"datacenter", "spec", "conflict"}
 	var agents []*tiptop.Daemon
 	var addrs []string
-	for _, sc := range scenarios {
-		d, err := tiptop.NewDaemon(tiptop.Config{Interval: 500 * time.Millisecond}, tiptop.DaemonOptions{Sim: sc, Scale: 0.01})
+	for _, name := range scenarios {
+		sc, err := tiptop.NewNamedScenario(name, 0.01)
+		if err != nil {
+			log.Fatal(err)
+		}
+		d, err := tiptop.NewDaemon(tiptop.Config{Interval: 500 * time.Millisecond}, tiptop.DaemonOptions{Sim: sc})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,13 +46,13 @@ func main() {
 		defer srv.Close()
 		addr := srv.Listener.Addr().String()
 		agents, addrs = append(agents, d), append(addrs, addr)
-		fmt.Printf("agent %-11s %s  (%s)\n", sc, addr, d.Machine())
+		fmt.Printf("agent %-11s %s  (%s)\n", name, addr, d.Machine())
 	}
 
 	// Each agent samples and publishes a few refreshes.
 	for i := 0; i < 6; i++ {
 		for _, d := range agents {
-			if err := d.Refresh(); err != nil {
+			if _, err := d.Refresh(); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -126,8 +126,13 @@ func TestNewFleetValidation(t *testing.T) {
 			t.Fatalf("-join %q accepted", join)
 		}
 	}
+	// An aggregator monitors no scenario of its own.
+	if d, err := tiptop.NewDaemon(tiptop.Config{}, tiptop.DaemonOptions{Join: []string{"host:1"}, Sim: tiptop.ScenarioSPEC()}); err == nil {
+		d.Close()
+		t.Fatal("-join with a scenario accepted")
+	}
 	// An empty join list is no aggregator: the daemon monitors locally.
-	solo, err := tiptop.NewDaemon(tiptop.Config{}, tiptop.DaemonOptions{Sim: "spec", Scale: 0.01})
+	solo, err := tiptop.NewDaemon(tiptop.Config{}, tiptop.DaemonOptions{Sim: tiptop.ScenarioSPEC()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -335,7 +335,7 @@ func TestDefinitionRulesAgree(t *testing.T) {
 				verdict("Config.Validate", cfg.Validate())
 				return
 			}
-			d, err := tiptop.NewDaemon(cfg, tiptop.DaemonOptions{Sim: "spec", Scale: 0.01})
+			d, err := tiptop.NewDaemon(cfg, tiptop.DaemonOptions{Sim: tiptop.ScenarioSPEC()})
 			if err == nil {
 				d.Close()
 			}

@@ -1,13 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each figure builds its workload as a tiptop.Scenario,
-// monitors it through tiptop.NewSimMonitor (the monitor tiptop -sim and
-// tiptopd -sim run), records every refresh with a Recorder teed into a
-// Store, and reads its series and totals back as store queries; so does
-// the counter-validation oracle (RunOracle). The §2.4 VM-level
-// validation and the §2.5 perturbation study measure the engine and the
-// scheduler themselves, so they compose the engine directly. Each
-// experiment returns plots, tables, headline metrics and
-// paper-vs-measured notes; cmd/tipbench renders them to files.
+// monitors it with a tiptop.Daemon (what tiptopd -sim runs), refreshed
+// by hand and recording into a store, and reads its series and totals
+// back as store queries; so does the counter-validation oracle
+// (RunOracle). The §2.4 VM-level validation and the §2.5 perturbation
+// study measure the engine and the scheduler themselves, so they
+// compose the engine directly. Each experiment returns plots, tables,
+// headline metrics and paper-vs-measured notes; cmd/tipbench renders
+// them to files.
 package experiments
 
 import (
@@ -157,16 +157,14 @@ func Get(id string) (Experiment, bool) {
 // maxRefreshes bounds a run that waits for its processes to exit.
 const maxRefreshes = 500_000
 
-// run is one monitored experiment run, composed as tiptopd composes it:
-// the scenario sampled by a sim Monitor whose Recorder tees every
-// refresh into a Store in a temporary directory. Series and totals are
-// read back from that store.
+// run is one monitored experiment run on the daemon tiptopd runs: a
+// tiptop.Daemon over the scenario, whose recorder tees every refresh
+// into a store in a temporary directory. Series and totals are read
+// back from that store.
 type run struct {
-	sc       *tiptop.Scenario
-	mon      *tiptop.Monitor
-	st       *tiptop.Store
-	dir      string
-	interval time.Duration
+	sc  *tiptop.Scenario
+	cfg tiptop.Config
+	d   *tiptop.Daemon
 	// start is the attach pass's time: refresh 0 of the run.
 	start time.Duration
 }
@@ -178,48 +176,39 @@ func monitor(sc *tiptop.Scenario, cfg tiptop.Config) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &run{sc: sc, dir: dir, interval: cfg.Interval, start: sc.Now()}
-	if err := r.attach(cfg); err != nil {
+	cfg.StoreDir = dir
+	r := &run{sc: sc, cfg: cfg, start: sc.Now()}
+	if r.d, err = tiptop.NewDaemon(cfg, tiptop.DaemonOptions{Sim: sc}); err == nil {
+		_, err = r.d.Refresh()
+	}
+	if err != nil {
 		r.close()
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *run) attach(cfg tiptop.Config) (err error) {
-	if r.mon, err = tiptop.NewSimMonitor(r.sc, cfg); err != nil {
-		return err
-	}
-	if r.st, err = tiptop.OpenStore(r.dir, tiptop.StoreOptions{}); err != nil {
-		return err
-	}
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{})
-	r.mon.Subscribe(rec)
-	rec.Tee(r.st)
-	_, err = r.mon.SampleNow()
-	return err
-}
+// store is the run's durable history.
+func (r *run) store() *tiptop.Store { return r.d.Stores()[""] }
 
-// reopen closes the store and recovers it from disk, so what is read
-// next has made the durable round trip. Nothing is recorded after it.
+// reopen restarts the daemon over the same store directory and
+// scenario, as a tiptopd restart does, so what is read next has made
+// the durable round trip. Nothing is recorded after it.
 func (r *run) reopen() (err error) {
-	if err := r.st.Close(); err != nil {
+	if err := r.d.Close(); err != nil {
 		return err
 	}
-	r.st, err = tiptop.OpenStore(r.dir, tiptop.StoreOptions{})
+	r.d, err = tiptop.NewDaemon(r.cfg, tiptop.DaemonOptions{Sim: r.sc})
 	return err
 }
 
-// close releases the counters and deletes the store. The store is
-// scratch, read before this, so its close errors change no result.
+// close stops the daemon and deletes the store. The store is scratch,
+// read before this, so its close errors change no result.
 func (r *run) close() {
-	if r.mon != nil {
-		r.mon.Close()
+	if r.d != nil {
+		r.d.Close()
 	}
-	if r.st != nil {
-		r.st.Close()
-	}
-	os.RemoveAll(r.dir)
+	os.RemoveAll(r.cfg.StoreDir)
 }
 
 // untilExit refreshes until none of pids runs: the refresh that misses a
@@ -229,7 +218,7 @@ func (r *run) untilExit(pids ...int) error {
 		if i == maxRefreshes {
 			return fmt.Errorf("processes %v still running after %d refreshes", pids, maxRefreshes)
 		}
-		if _, err := r.mon.Sample(); err != nil {
+		if _, err := r.d.Refresh(); err != nil {
 			return err
 		}
 	}
@@ -238,16 +227,13 @@ func (r *run) untilExit(pids ...int) error {
 
 // index converts a store time to the refresh's index in the run.
 func (r *run) index(seconds float64) float64 {
-	return math.Round((seconds - r.start.Seconds()) / r.interval.Seconds())
+	return math.Round((seconds - r.start.Seconds()) / r.cfg.Interval.Seconds())
 }
 
 // points evaluates expr by command over the store, one point per
 // refresh: X is the refresh's index, Y the command's value.
 func (r *run) points(expr string) (map[string][]trace.Point, error) {
-	if err := r.st.Err(); err != nil {
-		return nil, err
-	}
-	res, err := r.st.Querier().QueryExpr(expr+" by command", tiptop.QueryOptions{})
+	res, err := r.store().Querier().QueryExpr(expr+" by command", tiptop.QueryOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
@@ -339,10 +340,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestFiguresUseTheFacade keeps the figures and the counter-validation
-// oracle on the monitor, store and queries users run: only the §2.4
+// oracle on the daemon, store and queries users run: only the §2.4
 // VM-level validation, the §2.5 perturbation study and the ablations,
 // which measure the engine and the simulator themselves, may compose
-// them from the internal packages.
+// them from the internal packages — or hand-compose the daemon's
+// monitor, recorder and store from the facade.
 func TestFiguresUseTheFacade(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -352,13 +354,14 @@ func TestFiguresUseTheFacade(t *testing.T) {
 		"tiptop/internal/core", "tiptop/internal/sim/sched", "tiptop/internal/sim/pmu", "tiptop/internal/sim/proc",
 		"tiptop/internal/mux", "tiptop/internal/store", "tiptop/internal/query", "tiptop/internal/metrics",
 	}
+	composers := []string{"NewSimMonitor", "NewRecorder", "OpenStore"}
 	fset := token.NewFileSet()
 	checked := 0
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,11 +369,27 @@ func TestFiguresUseTheFacade(t *testing.T) {
 		if name == "val24.go" || name == "per25.go" || name == "ablation.go" {
 			continue
 		}
+		facade := ""
 		for _, imp := range f.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); slices.Contains(engine, path) {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if slices.Contains(engine, path) {
 				t.Errorf("%s imports %q: run it through the tiptop facade", name, path)
 			}
+			if path == "tiptop" {
+				facade = "tiptop"
+				if imp.Name != nil {
+					facade = imp.Name.Name
+				}
+			}
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == facade && slices.Contains(composers, sel.Sel.Name) {
+					t.Errorf("%s: tiptop.%s: run it on a tiptop.Daemon", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 	if checked < 5 {
 		t.Fatalf("parsed %d of the package's files; is the test running in its package directory?", checked)

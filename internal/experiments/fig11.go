@@ -53,10 +53,7 @@ func RunFig11(cfg Config) (*Result, error) {
 		if err := r.untilExit(pids...); err != nil {
 			return runOut{}, err
 		}
-		if err := r.st.Err(); err != nil {
-			return runOut{}, err
-		}
-		got, err := r.st.Query(tiptop.StoreQuery{PID: pids[0]})
+		got, err := r.store().Query(tiptop.StoreQuery{PID: pids[0]})
 		if err != nil {
 			return runOut{}, err
 		}

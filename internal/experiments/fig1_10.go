@@ -76,7 +76,7 @@ func RunFig1(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer r.close()
-	sample, err := r.mon.Sample()
+	sample, err := r.d.Refresh()
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func RunFig10(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		if _, err := r.mon.Sample(); err != nil {
+		if _, err := r.d.Refresh(); err != nil {
 			return nil, err
 		}
 	}

@@ -7,8 +7,8 @@ package experiments
 // oracle. The paper's §2.4 methodology validates instruction counts
 // with micro-kernels whose event counts are known by inspecting the
 // assembly; val24 exercises that VM-level. The oracle asserts that
-// those counts survive the path users actually run — the sim monitor,
-// a recorder teed into a default store, and store queries:
+// those counts survive the path users actually run — a tiptopd daemon
+// over the scenario, its default store, and store queries:
 //
 //	attach → refresh → mux rotation/extrapolation
 //	       → store append → recovery → expression query
@@ -267,9 +267,8 @@ func checkEntry(e *OracleEntry, tolerance, absSlack float64) {
 	}
 }
 
-// oracleOne runs one kernel on one model through the monitor, the
-// recorder and the store, and returns its slice of the conformance
-// matrix.
+// oracleOne runs one kernel on one model through a daemon and its
+// store, and returns its slice of the conformance matrix.
 func oracleOne(model tiptop.MachineName, vk ukernel.ValidationKernel) ([]OracleEntry, error) {
 	sc, err := tiptop.NewScenario(model)
 	if err != nil {
@@ -355,7 +354,7 @@ func oracleOne(model tiptop.MachineName, vk ukernel.ValidationKernel) ([]OracleE
 		if i == maxSamples {
 			return nil, fmt.Errorf("kernel did not finish within %d refreshes", maxSamples)
 		}
-		sample, err := r.mon.Sample()
+		sample, err := r.d.Refresh()
 		if err != nil {
 			return nil, err
 		}
@@ -391,16 +390,17 @@ func oracleOne(model tiptop.MachineName, vk ukernel.ValidationKernel) ([]OracleE
 		entries = append(entries, e)
 	}
 
-	// Layer c: store round-trip. Close seals the buffered tail; the
-	// reopen exercises recovery; the query must reproduce the session
-	// sums exactly — extrapolated or not, what the monitor measured is
-	// what the store must persist.
+	// Layer c: store round-trip. Closing the daemon seals the buffered
+	// tail; restarting it exercises recovery; the query must reproduce
+	// the session sums exactly — extrapolated or not, what the monitor
+	// measured is what the store must persist.
 	if err := r.reopen(); err != nil {
 		return nil, err
 	}
-	step := r.st.LastTime().Seconds()*2 + 1
+	st := r.store()
+	step := st.LastTime().Seconds()*2 + 1
 	queryOne := func(expr string) (float64, error) {
-		res, err := r.st.Querier().QueryExpr(expr, tiptop.QueryOptions{StepSeconds: step})
+		res, err := st.Querier().QueryExpr(expr, tiptop.QueryOptions{StepSeconds: step})
 		if err != nil {
 			return 0, err
 		}

@@ -405,7 +405,7 @@ func TestCompactCrashRecovery(t *testing.T) {
 // record lose their rows; live series and the machine roll-up persist.
 func TestCompactTombstones(t *testing.T) {
 	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{SegmentBytes: 2 << 10, NoDownsample: true})
+	st := mustOpen(t, dir, Options{SegmentBytes: 2 << 10})
 	// Task 100 and 200 both live until t=60; 200 exits, 100 runs on to
 	// t=600.
 	both := func(now time.Duration) *core.Sample {
@@ -441,11 +441,13 @@ func TestCompactTombstones(t *testing.T) {
 	}
 	var tomb, dropped int
 	for _, tc := range res.Tiers {
-		tomb += tc.TombstonedSeries
-		dropped += int(tc.DroppedRows)
+		if tc.Tier == "raw" {
+			tomb += tc.TombstonedSeries
+			dropped += int(tc.DroppedRows)
+		}
 	}
 	if tomb != 1 || dropped == 0 {
-		t.Fatalf("tombstoned %d series / %d rows, want 1 series and > 0 rows", tomb, dropped)
+		t.Fatalf("tombstoned %d raw series / %d rows, want 1 series and > 0 rows", tomb, dropped)
 	}
 	if got := st.Records(); got != records {
 		t.Fatalf("tombstoning changed the record count: %d -> %d", records, got)
@@ -478,7 +480,7 @@ func TestCompactRemerges(t *testing.T) {
 	dir := t.TempDir()
 	// Segments seal by age, well under the size target, so every pass
 	// has small sealed segments to fold into one output.
-	opt := Options{SegmentBytes: 64 << 10, SegmentAge: 40 * time.Second, NoDownsample: true}
+	opt := Options{SegmentBytes: 64 << 10, SegmentAge: 40 * time.Second}
 	st := mustOpen(t, dir, opt)
 	seed := uint64(9)
 	fillVaried(t, st, time.Second, time.Second, 100, 3, &seed)

@@ -86,9 +86,9 @@ func scenarios() []scenario {
 	one := func(k stepKind) []step { return []step{{kind: k}} }
 	s := time.Second
 	return []scenario{
-		{name: "append", opt: Options{NoDownsample: true},
+		{name: "append", opt: Options{},
 			steps: slices.Concat(cols("v"), appends(s, s, 10, 2), one(stepReopen), cols("v"), appends(s, s, 6, 3), one(stepScan))},
-		{name: "rotate", opt: Options{NoDownsample: true, SegmentBytes: 512, SegmentAge: 8 * s, Fsync: FsyncPolicy{Records: 4}},
+		{name: "rotate", opt: Options{SegmentBytes: 512, SegmentAge: 8 * s, Fsync: FsyncPolicy{Records: 4}},
 			steps: slices.Concat(cols("v"), appends(s, s, 24, 2), one(stepScan))},
 		{name: "buckets", opt: Options{},
 			steps: slices.Concat(cols("v"), appends(2*s, 2*s, 66, 1), one(stepScan))},
@@ -481,7 +481,7 @@ func checkCompactFault(t *testing.T, cell string, m *memFS, st *Store, before []
 // active segment as well, so a scan returned its records twice and
 // DiskUsage counted its bytes twice.
 func TestFailedRotationListsSegmentOnce(t *testing.T) {
-	sc := scenario{opt: Options{NoDownsample: true, SegmentBytes: 512},
+	sc := scenario{opt: Options{SegmentBytes: 512},
 		steps: append([]step{{kind: stepColumns, cols: []string{"v"}}}, appends(time.Second, time.Second, 40, 2)...)}
 	ops, _ := cleanReplay(t, sc)
 	k := 0
@@ -497,6 +497,11 @@ func TestFailedRotationListsSegmentOnce(t *testing.T) {
 	r := play(m, fakeDir, sc)
 	if r.at != stepAppend || !errors.Is(r.err, syscall.EMFILE) {
 		t.Fatalf("the failed rotation reported %v", r.err)
+	}
+	// Until the eleventh append (t=11 s) closes the first 10 s bucket,
+	// every create is the raw tier's.
+	if len(r.acked) >= 10 {
+		t.Fatalf("the fault struck append %d, not the raw tier's first rotation", len(r.acked)+1)
 	}
 	if got := rawKeys(r.st); !slices.Equal(got, r.acked) {
 		t.Fatalf("%d records acknowledged, a scan returns %d", len(r.acked), len(got))

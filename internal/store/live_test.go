@@ -33,7 +33,7 @@ func namedSample(now time.Duration, tasks int, names ...string) *core.Sample {
 }
 
 func TestTailRecoveryResumesDictionary(t *testing.T) {
-	opt := Options{SegmentBytes: 2 << 10, NoDownsample: true}
+	opt := Options{SegmentBytes: 2 << 10}
 	dir := t.TempDir()
 	st := mustOpen(t, dir, opt)
 	twin := mustOpen(t, t.TempDir(), opt) // same appends, never restarted
@@ -133,7 +133,7 @@ func TestTailRecoveryResumesDictionary(t *testing.T) {
 // leave a tail that takes appends and scans clean — including when the
 // clip strands the pair's dictionary frame without its record.
 func TestTornPairEveryOffset(t *testing.T) {
-	opt := Options{NoDownsample: true}
+	opt := Options{}
 	src := t.TempDir()
 	st := mustOpen(t, src, opt)
 	st.SetColumns([]string{"v"})
@@ -170,7 +170,7 @@ func TestTornPairEveryOffset(t *testing.T) {
 		if cut == int64(len(whole)) {
 			want = acked // not torn at all
 		}
-		if got := st.Records(); got != want {
+		if got := rawRecords(st); got != want {
 			t.Fatalf("cut at %d of %d: recovered %d records, want %d", cut, len(whole), got, want)
 		}
 		st.SetColumns([]string{"v"})
@@ -182,7 +182,7 @@ func TestTornPairEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		st = mustOpen(t, dir, opt)
-		if got := st.Records(); got != want+1 {
+		if got := rawRecords(st); got != want+1 {
 			t.Fatalf("cut at %d: %d records after recover-append-recover, want %d", cut, got, want+1)
 		}
 		recs := collectScan(t, st, ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: 1})
@@ -211,7 +211,7 @@ func TestResumedDictionaryIsOwned(t *testing.T) {
 	write := func(names ...string) string {
 		t.Helper()
 		dir := t.TempDir()
-		st := mustOpen(t, dir, Options{NoDownsample: true})
+		st := mustOpen(t, dir, Options{})
 		st.SetColumns([]string{"v"})
 		for i := 1; i <= 3; i++ {
 			if err := st.AppendSample(namedSample(time.Duration(i)*time.Second, len(names), names...)); err != nil {

@@ -276,7 +276,7 @@ func TestScanProjectedMatchesFull(t *testing.T) {
 // here and TestDashboardQueryAllocs' in internal/query.
 func TestScanAllocsPerRecord(t *testing.T) {
 	const records = 24000
-	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 64 << 10, NoDownsample: true})
+	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 64 << 10})
 	defer st.Close()
 	st.SetColumns([]string{"branch-miss", "llc-load"})
 	seed := uint64(11)
@@ -306,7 +306,7 @@ func TestScanAllocsPerRecord(t *testing.T) {
 	// its first record and its two slabs — so the same constant bounds a
 	// range of 250 records and one of 2000.
 	const dashboardScan = 250
-	st = mustOpen(t, t.TempDir(), Options{SegmentBytes: 256 << 10, NoDownsample: true})
+	st = mustOpen(t, t.TempDir(), Options{SegmentBytes: 256 << 10})
 	defer st.Close()
 	st.SetColumns([]string{"branch-miss", "llc-load"})
 	fillVaried(t, st, time.Second, time.Second, 2000, 8, &seed)
@@ -344,7 +344,7 @@ func TestScanAllocsPerRecord(t *testing.T) {
 // queued batches and one being filled, and four on the free list, plus
 // the one being merged, each at most scanBatchRows rows or one record.
 func TestScanInFlightBoundedByRows(t *testing.T) {
-	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 8 << 20, NoDownsample: true})
+	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 8 << 20})
 	defer st.Close()
 	st.SetColumns([]string{"branch-miss", "llc-load"})
 	seed := uint64(29)
@@ -520,7 +520,7 @@ func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 // internMax entries it is cleared before the next file.
 func TestPooledScannerCarriesNothingOver(t *testing.T) {
 	build := func(cols []string, user string) *Store {
-		st := mustOpen(t, t.TempDir(), Options{NoDownsample: true})
+		st := mustOpen(t, t.TempDir(), Options{})
 		t.Cleanup(func() { st.Close() })
 		st.SetColumns(cols)
 		seed := uint64(5)

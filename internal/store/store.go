@@ -102,9 +102,6 @@ type Options struct {
 	// (default 64 MiB). When exceeded, the oldest sealed segments are
 	// deleted, rawest tier first.
 	Budget int64
-	// NoDownsample disables the 10s/1m tiers (raw records only). Only
-	// the store's own tests set it, to isolate the raw tier.
-	NoDownsample bool
 	// Fsync bounds the window a kernel crash can lose (group-commit
 	// durability). The zero policy never syncs — durability is the page
 	// cache's, as before.
@@ -361,10 +358,8 @@ func (st *Store) appendLocked(s *core.Sample) error {
 	if err := st.writeRecord(st.tiers[0], now, rows); err != nil {
 		return err
 	}
-	if !st.opt.NoDownsample {
-		if err := st.fold(1, now, rows); err != nil {
-			return err
-		}
+	if err := st.fold(1, now, rows); err != nil {
+		return err
 	}
 	st.lastTime = now
 	if err := st.maybeSyncLocked(); err != nil {

@@ -180,7 +180,7 @@ func TestDownsampleTiers(t *testing.T) {
 // it must survive and stay queryable.
 func TestCrashRecoveryTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{NoDownsample: true})
+	st := mustOpen(t, dir, Options{})
 	st.SetColumns([]string{"v"})
 	fill(t, st, time.Second, time.Second, 20, 2)
 	if err := st.Close(); err != nil {
@@ -197,8 +197,8 @@ func TestCrashRecoveryTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st = mustOpen(t, dir, Options{NoDownsample: true})
-	if got := st.Records(); got != 19 {
+	st = mustOpen(t, dir, Options{})
+	if got := rawRecords(st); got != 19 {
 		t.Fatalf("recovered %d records, want 19 after clipping the torn tail", got)
 	}
 	res, err := st.Query(QueryOptions{PID: 100})
@@ -219,8 +219,8 @@ func TestCrashRecoveryTruncatedTail(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st = mustOpen(t, dir, Options{NoDownsample: true})
-	if got := st.Records(); got != 24 {
+	st = mustOpen(t, dir, Options{})
+	if got := rawRecords(st); got != 24 {
 		t.Fatalf("after restart-append-restart: %d records, want 24", got)
 	}
 	if err := st.Close(); err != nil {
@@ -247,7 +247,7 @@ func TestRecoveryGarbageTail(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			st := mustOpen(t, dir, Options{NoDownsample: true})
+			st := mustOpen(t, dir, Options{})
 			fill(t, st, time.Second, time.Second, 10, 1)
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -271,8 +271,8 @@ func TestRecoveryGarbageTail(t *testing.T) {
 				t.Fatalf("a scan emitted %d records and returned %v, want 10 and error %q", n, err, tc.scanErr)
 			}
 
-			st = mustOpen(t, dir, Options{NoDownsample: true})
-			if got := st.Records(); got != 10 {
+			st = mustOpen(t, dir, Options{})
+			if got := rawRecords(st); got != 10 {
 				t.Fatalf("recovered %d records, want 10 with the tail clipped", got)
 			}
 			if fi, err := os.Stat(seg); err != nil {
@@ -284,8 +284,8 @@ func TestRecoveryGarbageTail(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			st = mustOpen(t, dir, Options{NoDownsample: true})
-			if got := st.Records(); got != 11 {
+			st = mustOpen(t, dir, Options{})
+			if got := rawRecords(st); got != 11 {
 				t.Fatalf("after recover-append-recover: %d records, want 11", got)
 			}
 			if err := st.Close(); err != nil {
@@ -482,9 +482,8 @@ func wideSampleAt(now time.Duration, tasks int) *core.Sample {
 
 // TestAppendSteadyStateAllocs pins the hot path, which runs on the
 // sampling goroutine: once segments and accumulator entries exist,
-// appending one refresh stays within a few allocations — with
-// downsampling off, and as every command runs it, folding into the 10s
-// and 1m tiers (200 one-second appends close 20 10s and 3 1m buckets,
+// appending one refresh, folded into the 10s and 1m tiers, stays within
+// an allocation (200 one-second appends close 20 10s and 3 1m buckets,
 // so bucket writes are inside the mean; measured: under half an
 // allocation per append).
 func TestAppendSteadyStateAllocs(t *testing.T) {
@@ -495,7 +494,6 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 		cols   []string
 		max    float64
 	}{
-		{"raw-only", Options{NoDownsample: true}, sampleAt(0, 50), []string{"v"}, 3},
 		{"downsampling", Options{Budget: 1 << 30}, wideSampleAt(0, 100), []string{"mcycle", "minst", "ipc", "dmis"}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -602,6 +600,22 @@ func TestRecordVersionRejected(t *testing.T) {
 	}
 }
 
+// rawRecords counts the raw tier's records: Records less the 10s and
+// 1m buckets.
+func rawRecords(st *Store) int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var n int64
+	raw := st.tiers[0]
+	for _, sg := range raw.sealed {
+		n += sg.n
+	}
+	if raw.active != nil {
+		n += raw.active.n
+	}
+	return n
+}
+
 // newestSegment returns the highest-sequence segment file of a tier.
 func newestSegment(t *testing.T, dir, tier string) string {
 	t.Helper()
@@ -678,7 +692,7 @@ func TestReadFoldEqualsWriteFold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := mustOpen(t, t.TempDir(), Options{NoDownsample: true})
+	b := mustOpen(t, t.TempDir(), Options{})
 	b.SetColumns(a.Columns())
 	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
 	if _, err := a.Scan(QueryOptions{PID: -1, StepSeconds: 10}, func(rec *Record, _ []string) error {
@@ -739,7 +753,7 @@ func TestReadFoldEqualsWriteFold(t *testing.T) {
 // latched error instead of writing frames after a possibly-torn tail.
 func TestAppendErrorPoisonsStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "s")
-	st := mustOpen(t, dir, Options{SegmentBytes: 512, NoDownsample: true})
+	st := mustOpen(t, dir, Options{SegmentBytes: 512})
 	if err := st.AppendSample(sampleAt(time.Second, 2)); err != nil {
 		t.Fatal(err)
 	}
