@@ -93,7 +93,7 @@ func TestRunConnectBatch(t *testing.T) {
 	}
 }
 
-// TestRunConnectCSV: the export sinks run unchanged against a remote
+// TestRunConnectCSV: the CSV/JSONL sinks run unchanged against a remote
 // monitor.
 func TestRunConnectCSV(t *testing.T) {
 	ts := startWireAgent(t)

@@ -33,7 +33,6 @@ import (
 
 	"tiptop"
 	"tiptop/internal/config"
-	"tiptop/internal/export"
 	"tiptop/internal/metrics"
 	"tiptop/internal/term"
 )
@@ -275,8 +274,8 @@ type emitter struct {
 	cols        []string
 	stdout      io.Writer
 	screen      *term.Screen  // the interactive display (run sets it); nil in batch mode
-	stdoutSink  export.Sink   // nil for text format
-	recordSink  export.Sink   // nil without a file -record target
+	stdoutSink  *sink         // nil for text format
+	recordSink  *sink         // nil without a file -record target
 	recordStore *tiptop.Store // nil without a store -record target
 	displayRows int
 }
@@ -285,7 +284,7 @@ type emitter struct {
 func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPath string, cfg tiptop.Config) (*emitter, func() error, error) {
 	e := &emitter{mon: mon, cols: mon.Columns(), stdout: stdout}
 	if format != "text" {
-		sink, err := export.NewSink(format, stdout)
+		sink, err := newSink(format, stdout, e.cols)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -298,11 +297,11 @@ func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPa
 			return nil, nil, err
 		}
 		recordFile = f
-		format := export.FormatCSV
+		format := "csv"
 		if strings.HasSuffix(recordPath, ".jsonl") || strings.HasSuffix(recordPath, ".ndjson") {
-			format = export.FormatJSONL
+			format = "jsonl"
 		}
-		sink, err := export.NewSink(format, f)
+		sink, err := newSink(format, f, e.cols)
 		if err != nil {
 			f.Close()
 			return nil, nil, err
@@ -322,16 +321,8 @@ func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPa
 	}
 	closer := func() error {
 		var first error
-		switch {
-		case e.screen != nil:
+		if e.screen != nil {
 			first = e.screen.Close() // restores the cursor
-		case e.stdoutSink != nil:
-			first = e.stdoutSink.Close()
-		}
-		if e.recordSink != nil {
-			if err := e.recordSink.Close(); err != nil && first == nil {
-				first = err
-			}
 		}
 		if recordFile != nil {
 			if err := recordFile.Close(); err != nil && first == nil {
@@ -348,30 +339,6 @@ func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPa
 	return e, closer, nil
 }
 
-// toExport converts a public sample to the sink representation.
-func (e *emitter) toExport(s *tiptop.Sample) *export.Sample {
-	out := &export.Sample{
-		TimeSeconds: s.Time.Seconds(),
-		Columns:     e.cols,
-		Rows:        make([]export.Row, 0, len(s.Rows)),
-	}
-	for i := range s.Rows {
-		r := &s.Rows[i]
-		out.Rows = append(out.Rows, export.Row{
-			PID:       r.PID,
-			TID:       r.TID,
-			User:      r.User,
-			Command:   r.Command,
-			State:     r.State,
-			CPUPct:    r.CPUPct,
-			IPC:       r.IPC,
-			Monitored: r.Monitored,
-			Values:    r.Columns,
-		})
-	}
-	return out
-}
-
 // display returns the sample as rendered views see it: clipped to
 // -rows when the engine-side truncation was lifted for the sinks.
 func (e *emitter) display(s *tiptop.Sample) *tiptop.Sample {
@@ -386,14 +353,10 @@ func (e *emitter) display(s *tiptop.Sample) *tiptop.Sample {
 // emit shows one sample on stdout — painted, rendered or through the
 // structured sink — and tees it to the record sinks.
 func (e *emitter) emit(s *tiptop.Sample) error {
-	var es *export.Sample
-	if e.stdoutSink != nil || e.recordSink != nil {
-		es = e.toExport(s)
-	}
 	var err error
 	switch {
 	case e.stdoutSink != nil:
-		err = e.stdoutSink.Write(es)
+		err = e.stdoutSink.Write(s)
 	case e.screen != nil:
 		err = e.paint(e.display(s))
 	default:
@@ -403,7 +366,7 @@ func (e *emitter) emit(s *tiptop.Sample) error {
 		return err
 	}
 	if e.recordSink != nil {
-		if err := e.recordSink.Write(es); err != nil {
+		if err := e.recordSink.Write(s); err != nil {
 			return err
 		}
 	}

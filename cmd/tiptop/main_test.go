@@ -156,6 +156,26 @@ func TestRunBatchGolden(t *testing.T) {
 	}
 }
 
+// TestRunBatchSinkGoldens pins the CSV and JSONL sinks' bytes over the
+// same seeded scenario as TestRunBatchGolden; the goldens were written
+// by the encoding/json-based sinks the hand-written ones replace.
+func TestRunBatchSinkGoldens(t *testing.T) {
+	for _, format := range []string{"csv", "jsonl"} {
+		var sb strings.Builder
+		if err := run([]string{"-b", "-n", "2", "-d", "1", "-sim", "datacenter", "-o", format}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", "batch_datacenter_"+format+".golden")
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != string(want) {
+			t.Fatalf("%s output drifted from %s:\n--- got ---\n%s--- want ---\n%s", format, golden, sb.String(), want)
+		}
+	}
+}
+
 // TestRunFlagValidation covers the CLI input checks: the removed -j,
 // non-positive -d, unknown -sort/-screen/-o, bad combinations.
 func TestRunFlagValidation(t *testing.T) {

@@ -50,7 +50,25 @@ type DaemonOptions struct {
 
 // FleetSnapshot is an aggregator's merged state: agent health, the
 // cluster-wide roll-up and every machine's snapshot.
-type FleetSnapshot = remote.FleetSnapshot
+type FleetSnapshot struct {
+	Agents   []remote.AgentStatus `json:"agents"`
+	Cluster  ClusterAggregate     `json:"cluster"`
+	Machines map[string]*Snapshot `json:"machines"`
+}
+
+// ClusterAggregate is the fleet-wide roll-up. Live fields (Tasks,
+// CPUPct, IPC) sum only currently connected agents; cumulative counters
+// include everything ever recorded.
+type ClusterAggregate struct {
+	Agents       int     `json:"agents"`
+	AgentsUp     int     `json:"agents_up"`
+	Tasks        int     `json:"tasks"`
+	CPUPct       float64 `json:"cpu_pct"`
+	IPC          float64 `json:"ipc"`
+	Instructions uint64  `json:"instructions_total"`
+	Cycles       uint64  `json:"cycles_total"`
+	CacheMisses  uint64  `json:"cache_misses_total"`
+}
 
 // Daemon serves what its machines record: a solo daemon's one machine,
 // fed by the local monitor, or under Join one machine per agent, each
@@ -484,7 +502,7 @@ func (d *Daemon) observe(m *node, ws *remote.Sample) error {
 		m.cols = tagged.ColumnNames()
 		m.rec.h.SetColumns(m.cols)
 	}
-	m.rec.h.Observe(tagged.CoreSample())
+	m.rec.h.Observe(publicSample(&tagged).coreSample())
 	return d.publish(m, &tagged)
 }
 

@@ -19,6 +19,7 @@ import (
 	"tiptop"
 	"tiptop/internal/config"
 	"tiptop/internal/metrics"
+	"tiptop/internal/remote"
 )
 
 // monitorFor builds a monitor of the named simulated scenario over the
@@ -71,11 +72,11 @@ func TestBuildScreens(t *testing.T) {
 	}
 	mon := monitorFor(t, f, "fpstudy", "assist")
 	// Defaults: format and width filled in.
-	want := []tiptop.ColumnSpec{
+	want := []remote.Column{
 		{Name: "ipc", Header: "IPC", Format: "%5.2f", Width: 5},
 		{Name: "asst", Header: "%ASST", Format: "%8.2f", Width: 6},
 	}
-	if got := mon.ColumnSpecs(); !reflect.DeepEqual(got, want) {
+	if got := mon.WireSample(&tiptop.Sample{}).Columns; !reflect.DeepEqual(got, want) {
 		t.Fatalf("columns = %+v, want %+v", got, want)
 	}
 	// The expressions work: the x87/inf kernel assists on every fadd,
@@ -115,8 +116,9 @@ func TestDefaultRoundTrip(t *testing.T) {
 	}
 	for name := range builtin {
 		got, want := monitorFor(t, f, name, "spec"), monitorFor(t, &config.File{}, name, "spec")
-		if !reflect.DeepEqual(got.ColumnSpecs(), want.ColumnSpecs()) {
-			t.Fatalf("screen %q: columns %+v, want %+v", name, got.ColumnSpecs(), want.ColumnSpecs())
+		gc, wc := got.WireSample(&tiptop.Sample{}).Columns, want.WireSample(&tiptop.Sample{}).Columns
+		if !reflect.DeepEqual(gc, wc) {
+			t.Fatalf("screen %q: columns %+v, want %+v", name, gc, wc)
 		}
 		gs, ws := secondSample(t, got), secondSample(t, want)
 		if len(gs.Rows) == 0 || !reflect.DeepEqual(gs.Rows, ws.Rows) {

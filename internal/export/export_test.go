@@ -16,117 +16,6 @@ import (
 	"tiptop/internal/hpm"
 )
 
-func sampleFixture() *Sample {
-	return &Sample{
-		TimeSeconds: 2,
-		Columns:     []string{"ipc", "dmis"},
-		Rows: []Row{
-			{
-				PID: 3, TID: 3, User: "alice", Command: "mcf, \"opt\"", State: "R",
-				CPUPct: 93.5, IPC: 1.25, Monitored: true, Values: []float64{1.25, 0.5},
-			},
-			{
-				PID: 9, TID: 9, User: "bob", Command: "idle", State: "S",
-				Values: []float64{0, 0},
-			},
-		},
-	}
-}
-
-func TestCSVSink(t *testing.T) {
-	var sb strings.Builder
-	sink := NewCSV(&sb)
-	s := sampleFixture()
-	if err := sink.Write(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Write(s); err != nil { // header only once
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 5 { // header + 2 rows × 2 samples
-		t.Fatalf("lines = %d:\n%s", len(lines), sb.String())
-	}
-	if lines[0] != "time_s,pid,tid,user,command,state,cpu_pct,ipc,monitored,ipc,dmis" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	// The command contains a comma and quotes: must be RFC-4180 quoted.
-	if !strings.Contains(lines[1], `"mcf, ""opt"""`) {
-		t.Fatalf("quoting broken: %q", lines[1])
-	}
-	if !strings.HasPrefix(lines[1], "2,3,3,alice,") {
-		t.Fatalf("row = %q", lines[1])
-	}
-}
-
-func TestJSONLSink(t *testing.T) {
-	var sb strings.Builder
-	sink := NewJSONL(&sb)
-	s := sampleFixture()
-	for i := 0; i < 2; i++ {
-		if err := sink.Write(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("jsonl lines = %d", len(lines))
-	}
-	for _, line := range lines {
-		if !strings.HasPrefix(line, `{"time_s":2,`) || !strings.Contains(line, `"pid":3`) {
-			t.Fatalf("line = %q", line)
-		}
-	}
-}
-
-func TestNewSinkByName(t *testing.T) {
-	var sb strings.Builder
-	for _, f := range []string{FormatCSV, FormatJSONL} {
-		if _, err := NewSink(f, &sb); err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-	}
-	if _, err := NewSink("xml", &sb); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-}
-
-// failWriter fails after n bytes, standing in for a broken pipe.
-type failWriter struct{ n int }
-
-func (f *failWriter) Write(p []byte) (int, error) {
-	if f.n <= 0 {
-		return 0, errors.New("broken pipe")
-	}
-	if len(p) > f.n {
-		n := f.n
-		f.n = 0
-		return n, errors.New("broken pipe")
-	}
-	f.n -= len(p)
-	return len(p), nil
-}
-
-func TestSinksSurfacePipeErrors(t *testing.T) {
-	for _, format := range []string{FormatCSV, FormatJSONL} {
-		sink, _ := NewSink(format, &failWriter{n: 10})
-		s := sampleFixture()
-		var err error
-		for i := 0; i < 4 && err == nil; i++ {
-			err = sink.Write(s)
-		}
-		if err == nil {
-			t.Fatalf("%s: write error on a dead pipe was swallowed", format)
-		}
-	}
-}
-
 func recorderFixture() *history.Recorder {
 	rec := history.New(history.Options{Capacity: 8})
 	rec.SetColumns([]string{"ipc", "dmis"})
@@ -314,6 +203,22 @@ func TestFleetExpositionCarriesCoverage(t *testing.T) {
 			t.Errorf("fleet exposition missing %q\n%s", want, b.String())
 		}
 	}
+}
+
+// failWriter fails after n bytes, standing in for a broken pipe.
+type failWriter struct{ n int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, errors.New("broken pipe")
+	}
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, errors.New("broken pipe")
+	}
+	f.n -= len(p)
+	return len(p), nil
 }
 
 // TestOpenMetricsSurfacesWriteError: a failing destination is reported

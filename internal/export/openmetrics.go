@@ -1,3 +1,8 @@
+// Package export renders the recording subsystem's aggregates in the
+// OpenMetrics / Prometheus text format for scrapers: an Encoder keeps
+// each task's, user's and command's label block between refreshes, so
+// a scrape while membership stands re-renders only the values. The
+// line-oriented CSV/JSONL sinks of the -b mode live in cmd/tiptop.
 package export
 
 import (

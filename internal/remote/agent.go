@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"tiptop/internal/history"
 )
 
 // Agent is the aggregating side of one joined tiptopd: Stream dials it,
@@ -152,26 +150,4 @@ type AgentStatus struct {
 	Connected bool   `json:"connected"`
 	Samples   uint64 `json:"samples"`
 	LastError string `json:"last_error,omitempty"`
-}
-
-// ClusterAggregate is the fleet-wide roll-up. Live fields (Tasks,
-// CPUPct, IPC) sum only currently connected agents; cumulative counters
-// include everything ever recorded.
-type ClusterAggregate struct {
-	Agents       int     `json:"agents"`
-	AgentsUp     int     `json:"agents_up"`
-	Tasks        int     `json:"tasks"`
-	CPUPct       float64 `json:"cpu_pct"`
-	IPC          float64 `json:"ipc"`
-	Instructions uint64  `json:"instructions_total"`
-	Cycles       uint64  `json:"cycles_total"`
-	CacheMisses  uint64  `json:"cache_misses_total"`
-}
-
-// FleetSnapshot is the merged state of every agent, per-machine plus
-// cluster-wide.
-type FleetSnapshot struct {
-	Agents   []AgentStatus                `json:"agents"`
-	Cluster  ClusterAggregate             `json:"cluster"`
-	Machines map[string]*history.Snapshot `json:"machines"`
 }

@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"tiptop/internal/hpm"
 )
 
 func testSample(refresh uint64, t float64) *Sample {
@@ -97,57 +95,6 @@ func TestDecodeRejectsNewerVersion(t *testing.T) {
 	}
 	if _, err := Decode([]byte("{")); err == nil {
 		t.Fatal("decoded malformed JSON")
-	}
-}
-
-func TestCoreSampleConversion(t *testing.T) {
-	cs := testSample(1, 10).CoreSample()
-	if cs.Time != 10*time.Second {
-		t.Fatalf("Time = %v", cs.Time)
-	}
-	if len(cs.Rows) != 2 {
-		t.Fatalf("rows = %d", len(cs.Rows))
-	}
-	r := cs.Rows[0]
-	if r.Info.ID.PID != 101 || r.Info.User != "alice" || r.Info.Comm != "mcf" {
-		t.Fatalf("row info = %+v", r.Info)
-	}
-	if r.Info.StartTime != 1500*time.Millisecond {
-		t.Fatalf("StartTime = %v", r.Info.StartTime)
-	}
-	if r.Count(hpm.EventCycles) != 1000 || r.Count(hpm.EventInstructions) != 700 {
-		t.Fatalf("counts = %v", r.Counts)
-	}
-	if !r.Valid || cs.Rows[1].Valid {
-		t.Fatal("Valid flags lost in conversion")
-	}
-}
-
-// TestCoreSampleCarriesUnknownEvents: events travel by canonical name,
-// so counters this build has never heard of (a newer agent's
-// user-defined raw events) survive the wire → engine conversion intact
-// instead of being dropped.
-func TestCoreSampleCarriesUnknownEvents(t *testing.T) {
-	s := testSample(1, 1)
-	s.Rows[0].Events["FUTURE_EVENT"] = 42
-	cs := s.CoreSample()
-	if got := cs.Rows[0].Count("FUTURE_EVENT"); got != 42 {
-		t.Fatalf("counts = %v, want FUTURE_EVENT carried through", cs.Rows[0].Counts)
-	}
-}
-
-func TestScreenSynthesis(t *testing.T) {
-	sc := testSample(1, 0).Screen()
-	if len(sc.Columns) != 2 || sc.Columns[0].Header != "IPC" || sc.Columns[0].Width != 6 {
-		t.Fatalf("screen = %+v", sc.Columns[0])
-	}
-	// Defaults fill in when the wire omits display attributes.
-	s := testSample(1, 0)
-	s.Columns[0].Width = 0
-	s.Columns[0].Format = ""
-	sc = s.Screen()
-	if sc.Columns[0].Width != 6 || sc.Columns[0].Format != "%8.2f" {
-		t.Fatalf("defaults not applied: %+v", sc.Columns[0])
 	}
 }
 

@@ -4,6 +4,11 @@
 // tiptopd's refreshes, and the Agent stream loop an aggregating daemon
 // follows each joined tiptopd with.
 //
+// It is the wire form only: samples are encoded, decoded, served and
+// followed as remote.Sample, and every translation to another sample
+// shape (the public tiptop.Sample, the engine's) is the caller's, so of
+// this module's packages it imports only internal/binenc.
+//
 // The design goal is fleet-scale cost: every encoding of a refresh —
 // the JSON/SSE frame, the binary frame, the /metrics body — is built at
 // most once per refresh per format, on first demand, never on the
@@ -24,10 +29,6 @@ import (
 	"strconv"
 	"time"
 	"unicode/utf8"
-
-	"tiptop/internal/core"
-	"tiptop/internal/hpm"
-	"tiptop/internal/metrics"
 )
 
 // WireVersion is the protocol version stamped into every sample. A
@@ -108,17 +109,21 @@ func (s *Sample) sizeHint() int {
 // in the sample, in field order. Every publisher runs it before a
 // sample is retained, which is why the deferred encoders cannot fail.
 func (s *Sample) checkFinite() error {
-	err := finite(s.IntervalSeconds, s.TimeSeconds)
+	err := CheckFinite(s.IntervalSeconds, s.TimeSeconds)
 	for i := 0; err == nil && i < len(s.Rows); i++ {
 		r := &s.Rows[i]
-		if err = finite(r.CPUPct, r.IPC, r.StartSeconds, r.Coverage); err == nil {
-			err = finite(r.Values...)
+		if err = CheckFinite(r.CPUPct, r.IPC, r.StartSeconds, r.Coverage); err == nil {
+			err = CheckFinite(r.Values...)
 		}
 	}
 	return err
 }
 
-func finite(fs ...float64) error {
+// CheckFinite returns encoding/json's error for the first NaN or ±Inf
+// among fs, nil when all are finite: what a hand-written JSON encoder
+// (this package's, tiptop's JSONL sink) returns where json.Marshal
+// would refuse the value.
+func CheckFinite(fs ...float64) error {
 	for _, f := range fs {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
@@ -345,47 +350,6 @@ func (s *Sample) Interval() time.Duration {
 // Time returns the sample's monitor clock time.
 func (s *Sample) Time() time.Duration {
 	return time.Duration(s.TimeSeconds * float64(time.Second))
-}
-
-// Screen synthesizes a render-only screen from the wire columns: same
-// headers, widths and formats as the serving side, no expressions (the
-// values were computed remotely).
-func (s *Sample) Screen() *metrics.Screen {
-	sc := &metrics.Screen{Name: "remote"}
-	for _, c := range s.Columns {
-		sc.Columns = append(sc.Columns, metrics.NewColumn(c.Name, c.Header, c.Format, c.Width))
-	}
-	return sc
-}
-
-// CoreSample converts the wire sample into the engine's representation,
-// which is what recorders (history.Recorder) consume. Events travel by
-// canonical name end to end — rows carry the names verbatim, so an
-// agent can stream counters (including user-defined raw events) that
-// the aggregator's build has never heard of. The name-keyed rows are
-// resolved to positional counts here, once; Values alias the wire
-// sample's, which observers only read.
-func (s *Sample) CoreSample() *core.Sample {
-	cs := &core.Sample{Time: s.Time(), Dropped: s.Dropped}
-	cs.Rows = make([]core.Row, 0, len(s.Rows))
-	for i := range s.Rows {
-		r := &s.Rows[i]
-		cs.Rows = append(cs.Rows, core.Row{
-			Info: core.TaskInfo{
-				ID:        hpm.TaskID{PID: r.PID, TID: r.TID},
-				User:      r.User,
-				Comm:      r.Command,
-				State:     r.State,
-				StartTime: time.Duration(r.StartSeconds * float64(time.Second)),
-			},
-			CPUPct:   r.CPUPct,
-			Values:   r.Values,
-			Coverage: core.ExactCoverage(r.Coverage),
-			Valid:    r.Monitored,
-		})
-	}
-	cs.SetEvents(func(i int) map[string]uint64 { return s.Rows[i].Events })
-	return cs
 }
 
 // ColumnNames returns the wire columns' machine-friendly names.

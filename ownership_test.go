@@ -99,7 +99,7 @@ func TestSamplesOwnTheirStorage(t *testing.T) {
 
 // TestNameKeyedRowsRecordTheirCounts: rows that reach the engine's
 // representation name-keyed — a public sample handed to
-// Store.RecordSample, a wire sample through CoreSample — are resolved to
+// Store.RecordSample, a wire sample through publicSample — are resolved to
 // positional counts at that boundary, whatever each row's event set.
 func TestNameKeyedRowsRecordTheirCounts(t *testing.T) {
 	rows := []Row{
@@ -157,6 +157,6 @@ func TestNameKeyedRowsRecordTheirCounts(t *testing.T) {
 	}
 	rec := NewRecorder(RecorderOptions{})
 	rec.h.SetColumns(ws.ColumnNames())
-	rec.h.Observe(ws.CoreSample())
-	check("CoreSample", rec.Querier())
+	rec.h.Observe(publicSample(ws).coreSample())
+	check("publicSample", rec.Querier())
 }

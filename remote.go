@@ -3,6 +3,7 @@ package tiptop
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"tiptop/internal/core"
@@ -12,7 +13,7 @@ import (
 
 // MonitorAPI is the sampling surface shared by the local Monitor and
 // the network-attached RemoteMonitor — everything the front ends (the
-// TUI loops, the batch renderer, the export sinks) consume, so they run
+// TUI loops, the batch renderer, the CSV/JSONL sinks) consume, so they run
 // unchanged whether the counters are read on this machine or streamed
 // from a tiptopd across the network.
 type MonitorAPI interface {
@@ -30,26 +31,6 @@ var (
 	_ MonitorAPI = (*Monitor)(nil)
 	_ MonitorAPI = (*RemoteMonitor)(nil)
 )
-
-// ColumnSpec describes one metric column of a monitor's active screen,
-// including the display attributes (width, printf format) remote
-// renderers need to reproduce the local output byte-for-byte.
-type ColumnSpec struct {
-	Name   string
-	Header string
-	Format string
-	Width  int
-}
-
-// ColumnSpecs returns the active screen's column descriptions.
-func (m *Monitor) ColumnSpecs() []ColumnSpec {
-	cols := m.session.Screen().Columns
-	out := make([]ColumnSpec, len(cols))
-	for i, c := range cols {
-		out[i] = ColumnSpec{Name: c.Name, Header: c.Header, Format: c.Format, Width: c.Width}
-	}
-	return out
-}
 
 // WireSample converts one of the monitor's samples to the wire
 // representation tiptopd serves — the single place the public sample →
@@ -92,8 +73,11 @@ func (m *Monitor) WireSample(s *Sample) *remote.Sample {
 // interactive TUI, batch mode, CSV/JSONL sinks, a subscribed Recorder —
 // works against it unchanged.
 type RemoteMonitor struct {
-	c      *remote.Client
+	c *remote.Client
+	// screen is the render-only screen synthesized from cols, the wire
+	// columns of the latest sample: rebuilt only when they change.
 	screen *metrics.Screen
+	cols   []remote.Column
 	recs   []*Recorder
 }
 
@@ -113,9 +97,9 @@ func NewRemoteMonitorWire(url, wire string) (*RemoteMonitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &RemoteMonitor{c: c}
+	m := &RemoteMonitor{c: c, screen: &metrics.Screen{Name: "remote"}}
 	if ws := c.Latest(); ws != nil {
-		m.screen = ws.Screen()
+		m.setColumns(ws.Columns)
 	}
 	return m, nil
 }
@@ -165,15 +149,43 @@ func (m *RemoteMonitor) SampleNow() (*Sample, error) {
 
 // convert turns a wire sample into the public representation, keeps the
 // synthesized screen current, and feeds subscribed recorders — the same
-// observer contract the local engine honors. The rows alias the wire
-// sample's Values and Events: the client decoded it for this caller
-// alone, and recorders only read.
+// observer contract the local engine honors.
 func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
-	m.screen = ws.Screen()
-	out := &Sample{Time: ws.Time(), Rows: make([]Row, 0, len(ws.Rows)), Dropped: ws.Dropped}
+	m.setColumns(ws.Columns)
+	out := publicSample(ws)
+	if len(m.recs) > 0 {
+		cs := out.coreSample()
+		for _, rec := range m.recs {
+			rec.h.Observe(cs)
+		}
+	}
+	return out
+}
+
+// setColumns rebuilds the render-only screen when the wire columns
+// differ from the ones it was built from: same headers, widths and
+// formats as the serving side, no expressions (the values were computed
+// remotely).
+func (m *RemoteMonitor) setColumns(cols []remote.Column) {
+	if slices.Equal(m.cols, cols) {
+		return
+	}
+	m.cols = slices.Clone(cols)
+	m.screen = &metrics.Screen{Name: "remote"}
+	for _, c := range cols {
+		m.screen.Columns = append(m.screen.Columns, metrics.NewColumn(c.Name, c.Header, c.Format, c.Width))
+	}
+}
+
+// publicSample is the one wire → public translation, behind the
+// RemoteMonitor and an aggregating Daemon's agents. The rows alias the
+// wire sample's Values and Events: the wire sample was decoded for this
+// caller alone, and recorders only read.
+func publicSample(ws *remote.Sample) *Sample {
+	out := &Sample{Time: ws.Time(), Rows: make([]Row, len(ws.Rows)), Dropped: ws.Dropped}
 	for i := range ws.Rows {
 		r := &ws.Rows[i]
-		out.Rows = append(out.Rows, Row{
+		out.Rows[i] = Row{
 			PID:       r.PID,
 			TID:       r.TID,
 			User:      r.User,
@@ -186,12 +198,6 @@ func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
 			Monitored: r.Monitored,
 			Start:     time.Duration(r.StartSeconds * float64(time.Second)),
 			Events:    r.Events,
-		})
-	}
-	if len(m.recs) > 0 {
-		cs := ws.CoreSample()
-		for _, rec := range m.recs {
-			rec.h.Observe(cs)
 		}
 	}
 	return out
@@ -223,11 +229,7 @@ func (m *RemoteMonitor) Unsubscribe(r *Recorder) {
 // Render writes the sample as a batch-mode text block, byte-identical
 // to the remote daemon rendering the same refresh locally.
 func (m *RemoteMonitor) Render(w io.Writer, s *Sample) error {
-	screen := m.screen
-	if screen == nil {
-		screen = &metrics.Screen{Name: "remote"}
-	}
-	return renderSample(screen, w, s)
+	return renderSample(m.screen, w, s)
 }
 
 // Close detaches from the remote daemon.

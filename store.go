@@ -133,9 +133,7 @@ func queryHandler(stores map[string]*Store, rec *Recorder) http.Handler {
 // uses when its target is a store directory rather than a CSV/JSONL
 // file.
 func (st *Store) RecordSample(s *Sample) error {
-	cs := s.coreView()
-	cs.SetEvents(func(i int) map[string]uint64 { return s.Rows[i].Events })
-	return st.s.AppendSample(cs)
+	return st.s.AppendSample(s.coreSample())
 }
 
 // Close seals the store. Partial downsample buckets are discarded (the

@@ -44,7 +44,6 @@ import (
 	"tiptop/internal/perfevent"
 	"tiptop/internal/procfs"
 	"tiptop/internal/remote"
-	"tiptop/internal/ui"
 )
 
 // Config tunes a Monitor.
@@ -214,7 +213,7 @@ type Monitor struct {
 
 func newMonitor(session *core.Session, machine string) *Monitor {
 	m := &Monitor{session: session, machine: machine}
-	for _, c := range m.ColumnSpecs() {
+	for _, c := range session.Screen().Columns {
 		m.wireCols = append(m.wireCols, remote.Column{
 			Name: c.Name, Header: c.Header, Width: c.Width, Format: c.Format,
 		})
@@ -442,19 +441,12 @@ func (m *Monitor) Render(w io.Writer, s *Sample) error {
 	return renderSample(m.session.Screen(), w, s)
 }
 
-// renderSample writes a public sample as a batch text block under the
-// given screen — shared by the local and remote monitors so the same
-// refresh renders byte-identically on both sides of the wire.
-func renderSample(screen *metrics.Screen, w io.Writer, s *Sample) error {
-	br := &ui.BatchRenderer{W: w, Timestamps: true}
-	return br.Render(screen, s.coreView())
-}
-
-// coreView is the one public → engine row translation, behind both the
-// renderer and Store.RecordSample. Values alias the sample's Columns;
-// the name-keyed Events are not resolved here (core.Sample.SetEvents
-// does that for the one caller that stores them).
-func (s *Sample) coreView() *core.Sample {
+// coreSample is the one public → engine translation, behind
+// Store.RecordSample and every recorder fed from outside the engine (a
+// RemoteMonitor's, an aggregating Daemon's agents'). Values alias the
+// sample's Columns; the name-keyed Events are resolved to positional
+// counts once, here (core.Sample.SetEvents).
+func (s *Sample) coreSample() *core.Sample {
 	cs := &core.Sample{Time: s.Time, Dropped: s.Dropped, Rows: make([]core.Row, len(s.Rows))}
 	for i := range s.Rows {
 		row := &s.Rows[i]
@@ -472,6 +464,7 @@ func (s *Sample) coreView() *core.Sample {
 			Valid:    row.Monitored,
 		}
 	}
+	cs.SetEvents(func(i int) map[string]uint64 { return s.Rows[i].Events })
 	return cs
 }
 

@@ -767,9 +767,9 @@ func TestColumnDisplayDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := (&remote.Sample{Columns: []remote.Column{
-			{Name: "c", Header: tc.header, Format: tc.format, Width: tc.width}}}).Screen()
-		for side, sc := range map[string]*metrics.Screen{"Config.resolve": local, "remote.Sample.Screen": wire} {
+		var rm RemoteMonitor
+		rm.setColumns([]remote.Column{{Name: "c", Header: tc.header, Format: tc.format, Width: tc.width}})
+		for side, sc := range map[string]*metrics.Screen{"Config.resolve": local, "RemoteMonitor.setColumns": rm.screen} {
 			if c := sc.Columns[0]; c.Format != tc.wantFormat || c.Width != tc.wantWidth {
 				t.Errorf("%s %+v: format %q width %d, want %q %d", side, tc, c.Format, c.Width, tc.wantFormat, tc.wantWidth)
 			}
