@@ -3,7 +3,8 @@ package tiptop_test
 // The aggregating Daemon against fake agents the tests publish into
 // directly: the merged snapshot and exposition, a reconnect's replayed
 // frame, the source-tagged re-broadcast, and agents that restart, stall,
-// or go down and come back.
+// or go down and come back; and a RemoteMonitor following one that
+// restarts.
 
 import (
 	"bufio"
@@ -14,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -326,6 +328,127 @@ func TestFleetAgentRestartRebases(t *testing.T) {
 		if got := d.FleetSnapshot().Machines[a.host()].TimeSeconds; got != want.Seconds() {
 			t.Errorf("refresh %d after the restart recorded at %vs, want %v", i+1, got, want)
 		}
+	}
+}
+
+// TestRemoteMonitorFollowsRestartedDaemon: a RemoteMonitor whose daemon
+// restarts — its refresh counter back at 1, serving another screen —
+// returns the restarted daemon's first refresh and relabels its
+// subscribed recorder, while the frame a connect to the same daemon
+// replays, and a frame older than one SampleNow returned, stay skipped.
+func TestRemoteMonitorFollowsRestartedDaemon(t *testing.T) {
+	a := newFakeAgent(t)
+	for at := 2.0; at <= 10; at += 2 {
+		a.publish(agentSample(1, at))
+	}
+	rm, err := tiptop.NewRemoteMonitor(a.host())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	rec := tiptop.NewRecorder(tiptop.RecorderOptions{})
+	rm.Subscribe(rec)
+
+	type sampled struct {
+		s   *tiptop.Sample
+		err error
+	}
+	// pending calls Sample on its own goroutine and waits until its
+	// stream is subscribed, so a frame published next follows the
+	// connect's replay.
+	pending := func() <-chan sampled {
+		t.Helper()
+		ch := make(chan sampled, 1)
+		go func() {
+			s, err := rm.Sample()
+			ch <- sampled{s, err}
+		}()
+		waitFor(t, "the stream to subscribe", func() bool { return a.srv.Hub().Subscribers() == 1 })
+		return ch
+	}
+	within := func(ch <-chan sampled, d time.Duration) (*tiptop.Sample, bool) {
+		t.Helper()
+		select {
+		case r := <-ch:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			return r.s, true
+		case <-time.After(d):
+			return nil, false
+		}
+	}
+	// next publishes s to a pending Sample and returns the clock of the
+	// refresh it hands out.
+	next := func(ch <-chan sampled, s *remote.Sample) time.Duration {
+		t.Helper()
+		a.publish(s)
+		got, ok := within(ch, 5*time.Second)
+		if !ok {
+			t.Fatalf("no refresh within 5s of publishing t=%vs", s.TimeSeconds)
+		}
+		return got.Time
+	}
+	lost := func() {
+		t.Helper()
+		if _, err := rm.Sample(); err == nil {
+			t.Fatal("Sample returned a refresh from a stream that is gone")
+		}
+	}
+
+	// The connect replays refresh 5, which the dial already fetched.
+	if got := next(pending(), agentSample(1, 12)); got != 12*time.Second {
+		t.Fatalf("first Sample returned t=%v, want the new refresh at 12s", got)
+	}
+	// Refreshes 7 and 8 wait on the stream; SampleNow returns 8, so the
+	// stream's 7 and 8 are skipped.
+	a.publish(agentSample(1, 14))
+	a.publish(agentSample(1, 16))
+	if s, err := rm.SampleNow(); err != nil || s.Time != 16*time.Second {
+		t.Fatalf("SampleNow = %v, %v; want the refresh at 16s", s, err)
+	}
+	if got := next(pending(), agentSample(1, 18)); got != 18*time.Second {
+		t.Errorf("Sample after SampleNow returned t=%v, want 18s: a frame older than SampleNow's was handed out", got)
+	}
+	// A reconnect to the same daemon: its replay of refresh 9 is skipped.
+	a.ts.CloseClientConnections()
+	waitFor(t, "the stream to drop", func() bool { return a.srv.Hub().Subscribers() == 0 })
+	lost()
+	if got := next(pending(), agentSample(1, 20)); got != 20*time.Second {
+		t.Errorf("Sample after a reconnect returned t=%v, want 20s: the replayed refresh was handed out again", got)
+	}
+
+	// The daemon restarts: refresh counter and clock start over, on
+	// another screen.
+	a.stop()
+	a.start()
+	restarted := func(at float64) *remote.Sample {
+		s := agentSample(1, at)
+		s.Columns = []remote.Column{
+			{Name: "ipc", Header: "IPC", Width: 6, Format: "%6.2f"},
+			{Name: "l3miss", Header: "L3MISS", Width: 6, Format: "%6.2f"},
+		}
+		return s
+	}
+	lost()
+	ch := pending()
+	a.publish(restarted(2))
+	got, ok := within(ch, 5*time.Second)
+	if !ok {
+		t.Errorf("the restarted daemon's first refresh was not returned")
+		// Publish on until one is, so the recorder is still checked.
+		for at := 4.0; !ok; at += 2 {
+			if at > 100 {
+				t.Fatal("no refresh of the restarted daemon was returned")
+			}
+			a.publish(restarted(at))
+			got, ok = within(ch, 50*time.Millisecond)
+		}
+	} else if got.Time != 2*time.Second {
+		t.Errorf("after the restart Sample returned t=%v, want 2s", got.Time)
+	}
+	if cols := rec.Snapshot().Columns; !slices.Equal(cols, []string{"ipc", "l3miss"}) {
+		t.Errorf("subscribed recorder's columns = %q after the restart, want the new screen's [ipc l3miss]", cols)
 	}
 }
 

@@ -3,11 +3,11 @@
 // monitors it with a tiptop.Daemon (what tiptopd -sim runs), refreshed
 // by hand and recording into a store, and reads its series and totals
 // back as store queries; so does the counter-validation oracle
-// (RunOracle). The §2.4 VM-level validation and the §2.5 perturbation
-// study measure the engine and the scheduler themselves, so they
-// compose the engine directly. Each experiment returns plots, tables,
-// headline metrics and paper-vs-measured notes; cmd/tipbench renders
-// them to files.
+// (RunOracle), of whose report the §2.4 validation is a view. The §2.5
+// perturbation study measures the engine and the scheduler themselves,
+// so it composes the engine directly. Each experiment returns plots,
+// tables, headline metrics and paper-vs-measured notes; cmd/tipbench
+// renders them to files.
 package experiments
 
 import (

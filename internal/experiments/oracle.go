@@ -6,9 +6,10 @@ package experiments
 // at every layer against the kernel's analytic expectations and the VM
 // oracle. The paper's §2.4 methodology validates instruction counts
 // with micro-kernels whose event counts are known by inspecting the
-// assembly; val24 exercises that VM-level. The oracle asserts that
-// those counts survive the path users actually run — a tiptopd daemon
-// over the scenario, its default store, and store queries:
+// assembly; val24 is a view of this harness's report. The oracle
+// asserts that those counts survive the path users actually run — a
+// tiptopd daemon over the scenario, its default store, and store
+// queries:
 //
 //	attach → refresh → mux rotation/extrapolation
 //	       → store append → recovery → expression query

@@ -123,7 +123,7 @@ func (a *Agent) session(ctx context.Context, timeout time.Duration, observe func
 func (a *Agent) accept(ws *Sample) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.last != nil && ws.Refresh == a.last.Refresh && ws.TimeSeconds == a.last.TimeSeconds {
+	if replays(a.last, ws) {
 		return false
 	}
 	a.last = ws

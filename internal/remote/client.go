@@ -37,9 +37,13 @@ type Client struct {
 	poll   *http.Client
 	stream *http.Client
 
-	mu          sync.Mutex
-	latest      *Sample
+	mu     sync.Mutex
+	latest *Sample
+	// lastRefresh is the highest refresh counter seen on the current
+	// stream connection (Poll raises it too); fresh marks a stream
+	// connection whose first frame is still to come.
 	lastRefresh uint64
+	fresh       bool
 	closed      bool
 	cancel      context.CancelFunc
 	body        io.ReadCloser
@@ -209,6 +213,12 @@ func firstLine(body []byte, fallback string) string {
 	return string(body)
 }
 
+// replays reports whether ws is the refresh last handed on, as a
+// stream (re)connect replays it: the same refresh counter and clock.
+func replays(last, ws *Sample) bool {
+	return last != nil && ws.Refresh == last.Refresh && ws.TimeSeconds == last.TimeSeconds
+}
+
 func (c *Client) remember(ws *Sample) {
 	c.mu.Lock()
 	c.latest = ws
@@ -219,8 +229,10 @@ func (c *Client) remember(ws *Sample) {
 }
 
 // Next blocks until the agent publishes a refresh this client has not
-// returned yet (the stream replays the latest frame on connect; frames
-// at or below the last seen refresh counter are skipped).
+// returned yet. Within one stream connection, frames at or below the
+// highest refresh counter seen are skipped. The first frame of a new
+// connection is skipped only when it replays the refresh last returned:
+// the agent may have restarted, its counter back at 1.
 func (c *Client) Next() (*Sample, error) {
 	for {
 		br, binary, err := c.ensureStream()
@@ -254,6 +266,9 @@ func (c *Client) Next() (*Sample, error) {
 		}
 		c.mu.Lock()
 		stale := ws.Refresh <= c.lastRefresh
+		if c.fresh {
+			stale, c.fresh, c.lastRefresh = replays(c.latest, ws), false, ws.Refresh
+		}
 		c.mu.Unlock()
 		if stale {
 			continue
@@ -301,6 +316,7 @@ func (c *Client) ensureStream() (*bufio.Reader, bool, error) {
 	c.cancel = cancel
 	c.body = resp.Body
 	c.br = bufio.NewReader(resp.Body)
+	c.fresh = true
 	c.binary = strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeBinary)
 	return c.br, c.binary, nil
 }

@@ -149,9 +149,15 @@ func (m *RemoteMonitor) SampleNow() (*Sample, error) {
 
 // convert turns a wire sample into the public representation, keeps the
 // synthesized screen current, and feeds subscribed recorders — the same
-// observer contract the local engine honors.
+// observer contract the local engine honors. A column change (a
+// restarted daemon serving another screen) reaches the recorders
+// before the refresh does, as in Daemon.observe.
 func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
-	m.setColumns(ws.Columns)
+	if m.setColumns(ws.Columns) {
+		for _, rec := range m.recs {
+			rec.h.SetColumns(ws.ColumnNames())
+		}
+	}
 	out := publicSample(ws)
 	if len(m.recs) > 0 {
 		cs := out.coreSample()
@@ -165,16 +171,17 @@ func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
 // setColumns rebuilds the render-only screen when the wire columns
 // differ from the ones it was built from: same headers, widths and
 // formats as the serving side, no expressions (the values were computed
-// remotely).
-func (m *RemoteMonitor) setColumns(cols []remote.Column) {
+// remotely). It reports whether they differed.
+func (m *RemoteMonitor) setColumns(cols []remote.Column) bool {
 	if slices.Equal(m.cols, cols) {
-		return
+		return false
 	}
 	m.cols = slices.Clone(cols)
 	m.screen = &metrics.Screen{Name: "remote"}
 	for _, c := range cols {
 		m.screen.Columns = append(m.screen.Columns, metrics.NewColumn(c.Name, c.Header, c.Format, c.Width))
 	}
+	return true
 }
 
 // publicSample is the one wire → public translation, behind the
