@@ -113,11 +113,10 @@ type node struct {
 	store *Store
 	agent *remote.Agent
 	// Touched only by the goroutine feeding an agent's machine: the
-	// column set last pushed into the recorder, and the rebase of the
-	// agent's clock (the last time observed and the offset added).
-	cols         []string
-	last, offset time.Duration
-	observed     bool
+	// column set last pushed into the recorder, and the agent's clock
+	// kept monotone across its restarts.
+	cols  []string
+	clock followClock
 }
 
 // The agent streams' timing: the pause before re-dialing a lost agent,
@@ -495,7 +494,9 @@ func (d *Daemon) refresh() (*Sample, error) {
 func (d *Daemon) observe(m *node, ws *remote.Sample) error {
 	tagged := *ws
 	tagged.Source = m.label
-	m.rebase(&tagged)
+	if t := m.clock.rebase(ws); m.clock.offset != 0 {
+		tagged.TimeSeconds = t.Seconds()
+	}
 	// Push the column set into the recorder only when it changes, so
 	// the steady-state observe path stays allocation-light.
 	if !slices.EqualFunc(m.cols, tagged.Columns, func(name string, c remote.Column) bool { return name == c.Name }) {
@@ -504,24 +505,6 @@ func (d *Daemon) observe(m *node, ws *remote.Sample) error {
 	}
 	m.rec.h.Observe(publicSample(&tagged).coreSample())
 	return d.publish(m, &tagged)
-}
-
-// rebase keeps an agent machine's clock monotone: a refresh at or
-// before the last one observed (the agent restarted, and its monitor
-// clock with it) moves the machine's offset so that it lands one
-// advertised interval after that one. Without it the store would nudge
-// every such refresh 1 ms past its horizon until the agent's new clock
-// caught up, and the recorder's rate window would see time go back.
-func (m *node) rebase(ws *remote.Sample) {
-	t := ws.Time() + m.offset
-	if m.observed && t <= m.last {
-		m.offset += m.last + ws.Interval() - t
-		t = m.last + ws.Interval()
-	}
-	if m.offset != 0 {
-		ws.TimeSeconds = t.Seconds()
-	}
-	m.last, m.observed = t, true
 }
 
 // publish is the one check after a machine recorded a refresh, made on

@@ -334,7 +334,8 @@ func TestFleetAgentRestartRebases(t *testing.T) {
 // TestRemoteMonitorFollowsRestartedDaemon: a RemoteMonitor whose daemon
 // restarts — its refresh counter back at 1, serving another screen —
 // returns the restarted daemon's first refresh and relabels its
-// subscribed recorder, while the frame a connect to the same daemon
+// subscribed recorder, which records it past the pre-restart refreshes,
+// while the frame a connect to the same daemon
 // replays, and a frame older than one SampleNow returned, stay skipped.
 func TestRemoteMonitorFollowsRestartedDaemon(t *testing.T) {
 	a := newFakeAgent(t)
@@ -407,6 +408,13 @@ func TestRemoteMonitorFollowsRestartedDaemon(t *testing.T) {
 	if s, err := rm.SampleNow(); err != nil || s.Time != 16*time.Second {
 		t.Fatalf("SampleNow = %v, %v; want the refresh at 16s", s, err)
 	}
+	// Polled again, the same refresh is recorded at the same time.
+	if s, err := rm.SampleNow(); err != nil || s.Time != 16*time.Second {
+		t.Fatalf("SampleNow again = %v, %v; want the refresh at 16s", s, err)
+	}
+	if ts := rec.Snapshot().TimeSeconds; ts != 16 {
+		t.Errorf("the recorder's last time is %vs after polling the 16s refresh twice, want 16s", ts)
+	}
 	if got := next(pending(), agentSample(1, 18)); got != 18*time.Second {
 		t.Errorf("Sample after SampleNow returned t=%v, want 18s: a frame older than SampleNow's was handed out", got)
 	}
@@ -447,8 +455,14 @@ func TestRemoteMonitorFollowsRestartedDaemon(t *testing.T) {
 	} else if got.Time != 2*time.Second {
 		t.Errorf("after the restart Sample returned t=%v, want 2s", got.Time)
 	}
-	if cols := rec.Snapshot().Columns; !slices.Equal(cols, []string{"ipc", "l3miss"}) {
-		t.Errorf("subscribed recorder's columns = %q after the restart, want the new screen's [ipc l3miss]", cols)
+	snap := rec.Snapshot()
+	if !slices.Equal(snap.Columns, []string{"ipc", "l3miss"}) {
+		t.Errorf("subscribed recorder's columns = %q after the restart, want the new screen's [ipc l3miss]", snap.Columns)
+	}
+	// The recorder follows one clock: the restarted daemon's refresh is
+	// recorded after the last one before the restart, at 20s.
+	if snap.TimeSeconds <= 20 {
+		t.Errorf("subscribed recorder's last time is %vs after the restart, want past the pre-restart 20s", snap.TimeSeconds)
 	}
 }
 

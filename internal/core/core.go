@@ -188,6 +188,11 @@ type Sample struct {
 	Time    time.Duration // clock time at the refresh
 	Rows    []Row
 	Dropped int // tasks that disappeared since the previous refresh
+	// Screen is the screen whose column expressions computed every row's
+	// Values from its Counts, on a sample the engine made; nil on one
+	// built elsewhere (off the wire, from the public facade), whose
+	// values nothing vouches for.
+	Screen *metrics.Screen
 }
 
 // SetEvents resolves rows that arrive name-keyed — off the wire, from
@@ -537,7 +542,7 @@ func (s *Session) Update() (*Sample, error) {
 		}
 	}
 
-	sample := &Sample{Time: now, Rows: rows, Dropped: dropped}
+	sample := &Sample{Time: now, Rows: rows, Dropped: dropped, Screen: s.opt.Screen}
 	s.sortRows(sample.Rows)
 	// Observers run before MaxRows clips the display: recording and
 	// aggregation must cover every monitored task.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -99,6 +100,12 @@ func (e *Expr) Identifiers() []string {
 	})
 	return out
 }
+
+// Reads returns every identifier the expression's program reads: its
+// identifiers and the context variables builtins read implicitly
+// (rate's DELTA_NS) — the names a slot vector must carry for Bind to
+// leave no read of them a constant 0.
+func (e *Expr) Reads() []string { return slices.Clone(e.names) }
 
 // GroupKeys are the identifiers allowed after the `by` keyword: the
 // roll-up dimensions the query engine can group series on.

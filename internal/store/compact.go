@@ -1,16 +1,19 @@
 package store
 
 // Compaction: rewriting a tier's sealed segments into fewer, fuller
-// ones. Live segments already hold record-format-v3 frames, so there is
+// ones. Live segments already hold record-format-v4 frames, so there is
 // nothing left to shrink frame by frame; the rewrite merges segments
 // that sealed small (by age, or fragmented by restarts) into full-size
-// ones under a single dictionary, converts whatever v1 JSON or v2 frames
-// an older build left behind, and optionally tombstones series that
-// exited long ago. Query results are unchanged by construction — every
-// field v3 keeps is carried bit-exactly, and the v2 per-row IPC it drops
-// was never read — except that tombstoned rows disappear (the machine
-// roll-up keeps their contribution; it is an aggregate of what happened,
-// not of what is retained).
+// ones under a single dictionary, converts whatever v1 JSON, v2 or v3
+// frames an older build left behind, and optionally tombstones series
+// that exited long ago. A record that left derived columns out leaves
+// them out again where they still verify (a tombstone can only help),
+// under a column header naming the same expressions. Query results are
+// unchanged by construction — every field v4 keeps is carried
+// bit-exactly, every column it omits recomputes to the same bits, and
+// the v2 per-row IPC it drops was never read — except that tombstoned
+// rows disappear (the machine roll-up keeps their contribution; it is an
+// aggregate of what happened, not of what is retained).
 //
 // Crash safety follows the name-carries-the-range protocol:
 //
@@ -68,7 +71,7 @@ type CompactionResult struct {
 }
 
 // Compact rewrites every tier's sealed segments, merging them into
-// compacted segments of Options.SegmentBytes (all record format v3,
+// compacted segments of Options.SegmentBytes (all record format v4,
 // whatever the inputs held). The active segments are untouched —
 // appends and queries run concurrently with the rewrite (queries see
 // the swap atomically). Calling Compact on a store with nothing to
@@ -185,6 +188,13 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 			for _, c := range rec.Cols {
 				w.dict.intern(c)
 			}
+			if der := sc.dv.cur; len(rec.Cols) > 0 && der != nil {
+				for _, src := range der.src {
+					if src != "" {
+						w.dict.intern(src)
+					}
+				}
+			}
 			return nil
 		})
 		if err != nil {
@@ -206,13 +216,14 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 		tc.TombstonedSeries = len(dead)
 	}
 	var activeCols, writtenCols []string
+	var writtenDer *derivation
 	var filtered []RecordRow
 	for i, in := range inputs {
 		if w.f == nil {
 			if err := w.start(in.seq); err != nil {
 				return tc, nil, err
 			}
-			writtenCols = nil
+			writtenCols, writtenDer = nil, nil
 		}
 		err := each(in, func(rec *Record, fileCols []string) error {
 			if fileCols != nil {
@@ -232,14 +243,17 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 				out.Rows = filtered
 			}
 			// Each output segment's first record carries the columns in
-			// force; mid-segment frames only carry a genuine change.
-			if !sameCols(writtenCols, activeCols) {
+			// force; mid-segment frames only carry a genuine change, of
+			// the columns or of the derivation in force. A record the
+			// input derived columns of omits them again where they verify.
+			der := sc.dv.cur
+			if !sameCols(writtenCols, activeCols) || der != nil && !der.same(writtenDer) {
 				out.Cols = activeCols
-				writtenCols = activeCols
+				writtenCols, writtenDer = activeCols, der
 			} else {
 				out.Cols = nil
 			}
-			return w.record(&out)
+			return w.record(&out, der)
 		})
 		if err != nil {
 			return tc, nil, err
@@ -301,9 +315,10 @@ func (w *compactWriter) start(a int64) error {
 	return w.writeFrame()
 }
 
-// record encodes one record as a v3 data frame.
-func (w *compactWriter) record(rec *Record) error {
-	w.buf = appendData(beginFrame(w.buf[:0]), rec, w.dict)
+// record encodes one record as a v4 data frame under the derivation der
+// (see appendData).
+func (w *compactWriter) record(rec *Record, der *derivation) error {
+	w.buf = appendData(beginFrame(w.buf[:0]), rec, w.dict, der)
 	if err := w.writeFrame(); err != nil {
 		return err
 	}

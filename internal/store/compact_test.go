@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tiptop/internal/binenc"
 	"tiptop/internal/core"
 	"tiptop/internal/hpm"
 )
@@ -88,7 +89,7 @@ func countFiles(t *testing.T, dir, pattern string) int {
 // leave every query's marshaled result byte-for-byte identical — before
 // and after, and again after a close/reopen that recovers the compacted
 // chain from disk. Over segments an older build wrote as v1 JSON the
-// rewrite must also shrink them >= 3x; over live v3 segments there is
+// rewrite must also shrink them >= 3x; over live v4 segments there is
 // nothing left to shrink, only segments to merge, so it must not grow.
 func TestCompactGoldenQueryIdentical(t *testing.T) {
 	for _, tc := range []struct {
@@ -179,9 +180,9 @@ func TestCompactGoldenQueryIdentical(t *testing.T) {
 }
 
 // kinds counts a segment file's frames by what they hold: v1 JSON
-// records, dictionary frames of either binary version, and binary data
-// frames by version.
-type kinds struct{ V1, Dicts, V2, V3 int }
+// records, dictionary frames of any binary version, binary data frames
+// by version, and the v4 ones among them that leave columns out.
+type kinds struct{ V1, Dicts, V2, V3, V4, Omitting int }
 
 func frameKinds(t *testing.T, path string) (k kinds) {
 	t.Helper()
@@ -207,8 +208,16 @@ func frameKinds(t *testing.T, path string) (k kinds) {
 			k.Dicts++
 		case payload[0] == recordVersionV2:
 			k.V2++
-		default:
+		case payload[0] == recordVersionV3:
 			k.V3++
+		default:
+			k.V4++
+			r := binenc.NewReader(payload[2:])
+			r.Uvarint() // time
+			r.Uvarint() // res
+			if r.Byte()&v4FlagOmit != 0 {
+				k.Omitting++
+			}
 		}
 	}
 }
@@ -216,9 +225,9 @@ func frameKinds(t *testing.T, path string) (k kinds) {
 // TestMixedVersionTwin is the old-store test. Two stores take identical
 // appends; one is turned mid-way into what a build with the v1 live
 // writer left behind — compacted .cseg segments plus v1 JSON .seg
-// segments, the tail included — and must then open, append (v3 frames
+// segments, the tail included — and must then open, append (v4 frames
 // after the v1 ones in the tail file), query, compact and reopen with
-// answers byte-identical to the twin that was v3 from the start.
+// answers byte-identical to the twin that was v4 from the start.
 func TestMixedVersionTwin(t *testing.T) {
 	opt := Options{SegmentBytes: 4 << 10}
 	mixed := mustOpen(t, t.TempDir(), opt)
@@ -242,7 +251,7 @@ func TestMixedVersionTwin(t *testing.T) {
 		}
 	}
 	rewriteSegmentsV1(t, mixed.Dir())
-	// The v1 rendering of a full v3 segment is several times the segment
+	// The v1 rendering of a full v4 segment is several times the segment
 	// size; reopen with room, so the tail is the part-filled segment an
 	// old build would have left and takes appends instead of rotating.
 	opt.SegmentBytes = 16 << 10
@@ -260,15 +269,15 @@ func TestMixedVersionTwin(t *testing.T) {
 	want := snapshotQueries(t, plain)
 	for i, b := range snapshotQueries(t, mixed) {
 		if !bytes.Equal(b, want[i]) {
-			t.Fatalf("query %d: old store differs from its v3 twin:\nv3:  %s\nold: %s", i, want[i], b)
+			t.Fatalf("query %d: old store differs from its v4 twin:\nv4:  %s\nold: %s", i, want[i], b)
 		}
 	}
 	// A few appends land in the recovered v1 tail file, the rest seal it
-	// and spill into fresh v3 segments.
+	// and spill into fresh v4 segments.
 	fillVaried(t, mixed, time.Second, time.Second, 2, 4, &seedA)
 	fillVaried(t, plain, time.Second, time.Second, 2, 4, &seedB)
-	if k := frameKinds(t, tail); k.V1 == 0 || k != (kinds{V1: k.V1, Dicts: 1, V3: 2}) {
-		t.Fatalf("recovered tail holds %+v frames; want v1 frames, then one dictionary and two v3 records", k)
+	if k := frameKinds(t, tail); k.V1 == 0 || k != (kinds{V1: k.V1, Dicts: 1, V4: 2}) {
+		t.Fatalf("recovered tail holds %+v frames; want v1 frames, then one dictionary and two v4 records", k)
 	}
 	fillVaried(t, mixed, 3*time.Second, time.Second, 98, 4, &seedA)
 	fillVaried(t, plain, 3*time.Second, time.Second, 98, 4, &seedB)
@@ -277,7 +286,7 @@ func TestMixedVersionTwin(t *testing.T) {
 		want := snapshotQueries(t, plain)
 		for i, b := range snapshotQueries(t, mixed) {
 			if !bytes.Equal(b, want[i]) {
-				t.Fatalf("query %d differs %s:\nv3:  %s\nold: %s", i, when, want[i], b)
+				t.Fatalf("query %d differs %s:\nv4:  %s\nold: %s", i, when, want[i], b)
 			}
 		}
 	}
@@ -316,18 +325,18 @@ func writeRawFrame(t *testing.T, path string, payload []byte) {
 }
 
 // TestFutureVersionsRejectedLoudly: a frame from the future — binary
-// v4 or JSON {"v":4} — must fail Open with a version error, not be
+// v5 or JSON {"v":5} — must fail Open with a version error, not be
 // clipped silently as corruption.
 func TestFutureVersionsRejectedLoudly(t *testing.T) {
 	for name, payload := range map[string][]byte{
-		"binary-v4": {0x04, 0x01, 0x80, 0x08},
-		"json-v4":   []byte(`{"v":4,"time_s":1,"rows":[],"machine":{}}`),
+		"binary-v5": {0x05, 0x01, 0x80, 0x08},
+		"json-v5":   []byte(`{"v":5,"time_s":1,"rows":[],"machine":{}}`),
 	} {
 		dir := t.TempDir()
 		writeRawFrame(t, filepath.Join(dir, "raw-0000000001.seg"), payload)
 		_, err := Open(dir, Options{})
-		if err == nil || !strings.Contains(err.Error(), "version 4") {
-			t.Fatalf("%s: Open = %v, want loud version-4 rejection", name, err)
+		if err == nil || !strings.Contains(err.Error(), "version 5") {
+			t.Fatalf("%s: Open = %v, want loud version-5 rejection", name, err)
 		}
 	}
 }

@@ -6,7 +6,9 @@ package store
 var (
 	MustOpen          = mustOpen
 	FillVaried        = fillVaried
+	FillEngine        = fillEngine
 	RewriteSegmentsV1 = rewriteSegmentsV1
 	RewriteSegmentsV2 = rewriteSegmentsV2
+	RewriteSegmentsV3 = rewriteSegmentsV3
 	FrameKinds        = frameKinds
 )

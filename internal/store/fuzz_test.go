@@ -14,6 +14,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"tiptop/internal/binenc"
 )
 
 // fuzzSeedRecord is a representative record touching every encoded
@@ -40,8 +42,123 @@ func fuzzSeedRecord() *Record {
 	}
 }
 
-// FuzzDecodeFrame drives the scan walker's binary frame decode, v3 and
-// v2 (and the v1 JSON path it dispatches to), with corrupt, truncated
+// Expression sources for v4 seeds: two a row's counts determine, and
+// three a reader must refuse — one that does not compile, and two that
+// read what a row does not store (rate's implicit DELTA_NS, CPU_PCT).
+var (
+	fuzzDerivedSrc = []string{"ratio(INSTRUCTIONS, CYCLES)", "per100(CACHE_MISSES, INSTRUCTIONS)"}
+	fuzzBadSrc     = []string{"mega(", "rate(CYCLES)", "CPU_PCT * 2"}
+)
+
+// fuzzSeedDict is the seed record's table plus every seed expression.
+func fuzzSeedDict(rec *Record) *v2Dict {
+	dict := newV2Dict(nil)
+	for _, r := range rec.Rows {
+		dict.intern(r.User)
+		dict.intern(r.Command)
+	}
+	for _, c := range rec.Cols {
+		dict.intern(c)
+	}
+	for _, src := range append(slices.Clone(fuzzDerivedSrc), fuzzBadSrc...) {
+		dict.intern(src)
+	}
+	return dict
+}
+
+// fuzzDerivedRecord is the seed record as an engine whose screen derives
+// its first and last columns would have made it, and that derivation.
+func fuzzDerivedRecord(t testing.TB) (*Record, *derivation) {
+	rec := fuzzSeedRecord()
+	der, err := derivationOf([]string{fuzzDerivedSrc[0], "", fuzzDerivedSrc[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := make([]float64, der.depth)
+	for i := range rec.Rows {
+		r := &rec.Rows[i]
+		for j := range r.Values {
+			if der.prog[j] != nil {
+				r.Values[j] = der.eval(j, r, stack)
+			}
+		}
+	}
+	return rec, der
+}
+
+// v4HeaderFrame hand-builds a row-less v4 data payload whose header names
+// columns cols (dictionary indices) with expression references refs (1
+// + a dictionary index, 0 for a stored column) and omits mask.
+func v4HeaderFrame(cols, refs []uint64, mask uint64) []byte {
+	b := []byte{recordVersionV4, v2KindData}
+	b = binenc.AppendUvarint(b, 12345) // time, ms
+	b = binenc.AppendUvarint(b, 0)     // res
+	flags := byte(v2FlagCols | v4FlagExprs)
+	if mask != 0 {
+		flags |= v4FlagOmit
+	}
+	b = append(b, flags)
+	b = binenc.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
+		b = binenc.AppendUvarint(b, c)
+	}
+	for _, r := range refs {
+		b = binenc.AppendUvarint(b, r)
+	}
+	if mask != 0 {
+		b = binenc.AppendUvarint(b, mask)
+	}
+	b = binenc.AppendUvarint(b, 0) // rows
+	b = binenc.AppendUvarint(b, 0) // the roll-up: tasks,
+	b = binenc.AppendFloat(b, 0, 0)
+	return append(b, 0, 0, 0) // and its three counts
+}
+
+// badV4Frames are v4 payloads a reader must refuse against the seed
+// dictionary d, by what is wrong with them.
+func badV4Frames(d *v2Dict) map[string][]byte {
+	cols := []uint64{d.index["IPC"], d.index["CYCLES"], d.index["%MISS"]}
+	expr := func(src string) uint64 { return d.index[src] + 1 }
+	good := expr(fuzzDerivedSrc[0])
+	return map[string][]byte{
+		"mask wider than the columns":   v4HeaderFrame(cols, []uint64{good, 0, 0}, 1|1<<5),
+		"mask on a stored column":       v4HeaderFrame(cols, []uint64{good, 0, 0}, 1<<1),
+		"expression index out of range": v4HeaderFrame(cols, []uint64{uint64(len(d.strs)) + 1, 0, 0}, 0),
+		"expression does not compile":   v4HeaderFrame(cols, []uint64{expr(fuzzBadSrc[0]), 0, 0}, 0),
+		"expression reads DELTA_NS":     v4HeaderFrame(cols, []uint64{expr(fuzzBadSrc[1]), 0, 0}, 0),
+		"expression reads CPU_PCT":      v4HeaderFrame(cols, []uint64{0, expr(fuzzBadSrc[2]), 0}, 0),
+	}
+}
+
+// TestDecodeRefusesBadDerivations: every malformed v4 header is refused
+// with an error, while the well-formed frame its derivation leaves
+// columns out of decodes to the record an engine appended, bit for bit.
+func TestDecodeRefusesBadDerivations(t *testing.T) {
+	rec, der := fuzzDerivedRecord(t)
+	d := fuzzSeedDict(rec)
+	for name, p := range badV4Frames(d) {
+		if err := decodeDataInto(&Record{}, p, d.strs, nil, &deriver{}); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	p := appendData(nil, rec, d, der)
+	r := binenc.NewReader(p[2:])
+	r.Uvarint() // time
+	r.Uvarint() // res
+	if flags := r.Byte(); flags&v4FlagOmit == 0 {
+		t.Fatalf("the derived seed record omits nothing (flags %#x)", flags)
+	}
+	got := &Record{}
+	if err := decodeDataInto(got, p, d.strs, nil, &deriver{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recordBytes(got, nil), recordBytes(rec, nil)) {
+		t.Fatalf("the derived record decodes as %+v, want %+v", got, rec)
+	}
+}
+
+// FuzzDecodeFrame drives the scan walker's binary frame decode, v4, v3
+// and v2 (and the v1 JSON path it dispatches to), with corrupt, truncated
 // and mutated payloads, asserting walker ≡ reference loop on each. Each
 // input is walked twice as a frame — against an empty dictionary and
 // against a pre-seeded one — so both the index-out-of-range rejection
@@ -54,23 +171,25 @@ func fuzzSeedRecord() *Record {
 // recovery keeps (recoveryMatchesScan).
 func FuzzDecodeFrame(f *testing.F) {
 	rec := fuzzSeedRecord()
-	dict := newV2Dict(nil)
-	for _, r := range rec.Rows {
-		dict.intern(r.User)
-		dict.intern(r.Command)
-	}
-	for _, c := range rec.Cols {
-		dict.intern(c)
-	}
+	dict := fuzzSeedDict(rec)
 	dictFrame := dict.appendDictFrame(nil, 0)
-	dataFrame := appendData(nil, rec, dict)
+	dataFrame := appendData(nil, rec, dict, nil)
+	// v4's derived columns: a record that leaves two out, and the
+	// headers a reader must refuse.
+	derived, der := fuzzDerivedRecord(f)
+	f.Add(appendData(nil, derived, dict, der))
+	for _, p := range badV4Frames(dict) {
+		f.Add(p)
+	}
 
 	f.Add([]byte(`{"v":1,"time_s":1.5,"rows":[{"pid":1,"user":"u","command":"c",` +
 		`"cpu_pct":50,"ipc":1,"values":[1],"instr":10,"cycles":10,"misses":0}],` +
 		`"machine":{"tasks":1,"cpu_pct":50,"instr":10,"cycles":10,"misses":0}}`))
 	f.Add(dictFrame)
 	f.Add(dataFrame)
-	// The same record and table as a v2 build wrote them.
+	// The same record and table as the v3 and v2 builds wrote them.
+	f.Add(appendV3DictFrame(nil, dict, 0))
+	f.Add(appendV3Data(nil, rec, dict))
 	f.Add(appendV2DictFrame(nil, dict, 0))
 	f.Add(appendV2Data(nil, rec, dict))
 	// Truncations and header mutations seed the interesting failure
@@ -94,10 +213,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	live := newV2Dict(nil)
 	first := *rec
 	first.Rows = rec.Rows[:2]
-	data1 := framed(appendData(nil, &first, live))
+	data1 := framed(appendData(nil, &first, live, nil))
 	known := len(live.strs)
 	dict1 := framed(live.appendDictFrame(nil, 0))
-	data2 := framed(appendData(nil, rec, live))
+	data2 := framed(appendData(nil, rec, live, nil))
 	dict2 := framed(live.appendDictFrame(nil, known))
 	seg := bytes.Join([][]byte{dict1, data1, dict2, data2}, nil)
 	if sg, err := recoverWalk(seg); err != nil || sg.n != 2 || sg.size != int64(len(seg)) || len(sg.dict.strs) != len(live.strs) || known == len(live.strs) {
@@ -120,9 +239,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		walkerMatchesReference(t, payload)
 		framePrefix(payload)
 		recoveryMatchesScan(t, payload)
-		if len(payload) >= 2 && (payload[0] == recordVersionV2 || payload[0] == RecordVersion) && payload[1] == v2KindData {
+		if len(payload) >= 2 && payload[0] >= recordVersionV2 && payload[0] <= RecordVersion && payload[1] == v2KindData {
 			var rec Record
-			if err := decodeDataInto(&rec, payload, seeded, nil); err != nil {
+			if err := decodeDataInto(&rec, payload, seeded, nil, &deriver{}); err != nil {
 				// The cheap peek may accept a payload the full decode
 				// rejects (it only reads the header prefix).
 				return
@@ -133,7 +252,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			// The reverse — peek erroring, or disagreeing about the
 			// column list, where the full decode succeeded — would mean
 			// the two readers disagree about the header layout.
-			cols, err := v2PeekCols(payload, seeded)
+			cols, err := v2PeekCols(payload, seeded, &deriver{})
 			if err != nil {
 				t.Fatalf("the full decode accepted a payload v2PeekCols rejects: %v", err)
 			}
@@ -256,7 +375,7 @@ func recoveryMatchesScan(t *testing.T, seg []byte) {
 // nil-versus-empty slices — fresh decode versus reused scratch — do not.
 func recordBytes(rec *Record, cols []string) []byte {
 	d := newV2Dict(nil)
-	b := appendData(nil, rec, d)
+	b := appendData(nil, rec, d, nil)
 	for _, c := range cols {
 		b = append(append(b, 0), c...)
 	}

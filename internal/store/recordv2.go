@@ -1,53 +1,67 @@
 package store
 
-// The columnar record formats: v3, the layout every record is written
+// The columnar record formats: v4, the layout every record is written
 // in — live appends (store.go) and compaction's merged rewrites
-// (compact.go) alike — and v2, which older builds wrote and this one
-// still reads. The framing (length/CRC header, torn-tail clipping) is
-// shared with the legacy v1 JSON records (record.go); only the payload
-// differs. Version sniffing is by first payload byte — '{' (0x7b) opens
-// a v1 JSON document, 0x02 or 0x03 a binary frame of that version, and
-// anything else in 0x04..0x1f is a newer binary version this build
-// rejects loudly, mirroring the JSON "v" field contract. Names prefixed
-// v2 are the layout v2 introduced and v3 keeps.
+// (compact.go) alike — and v3 and v2, which older builds wrote and this
+// one still reads. The framing (length/CRC header, torn-tail clipping)
+// is shared with the legacy v1 JSON records (record.go); only the
+// payload differs. Version sniffing is by first payload byte — '{'
+// (0x7b) opens a v1 JSON document, 0x02, 0x03 or 0x04 a binary frame of
+// that version, and anything else in 0x05..0x1f is a newer binary
+// version this build rejects loudly, mirroring the JSON "v" field
+// contract. Names prefixed v2 are the layout v2 introduced and its
+// successors keep.
 //
-// A segment holds two payload kinds (shown for v3; v2 leads with 0x02):
+// A segment holds two payload kinds (shown for v4; v3 leads with 0x03,
+// v2 with 0x02):
 //
-//	0x03 0x00  dictionary: uvarint count, then length-prefixed strings.
+//	0x04 0x00  dictionary: uvarint count, then length-prefixed strings.
 //	           Cumulative — entries append to the segment's table; user,
-//	           command and column names in data frames are indices into
-//	           it, so a name repeated across thousands of records is
-//	           stored once per segment. A live segment writes one
-//	           whenever a record brings strings its table lacks, just
-//	           ahead of that record; a compacted segment opens with one
-//	           frame holding its whole table. v2 and v3 frames extend
-//	           the same table, so a v2 tail takes v3 appends.
-//	0x03 0x01  data: one record, column-major. Header (uvarint time and
+//	           command and column names and column expressions in data
+//	           frames are indices into it, so a name repeated across
+//	           thousands of records is stored once per segment. A live
+//	           segment writes one whenever a record brings strings its
+//	           table lacks, just ahead of that record; a compacted
+//	           segment opens with one frame holding its whole table.
+//	           Frames of every version extend the same table, so a v2
+//	           or v3 tail takes v4 appends.
+//	0x04 0x01  data: one record, column-major. Header (uvarint time and
 //	           resolution in ms, a flags byte, optional column-name
-//	           indices), then per-field arrays over the rows: PIDs
-//	           zigzag-delta encoded, TIDs as zigzag(tid-pid), string
-//	           fields as dictionary indices, counters as uvarints, and
-//	           floats XOR'd against the previous row (binenc.AppendFloat)
-//	           so they round-trip bit-exactly. A v2 data frame also holds
-//	           a per-row IPC chain after the CPU% chain; v3 drops it, as
-//	           every reader recomputes Σinstr/Σcycles from the counters.
+//	           indices and, in v4, per named column its expression's
+//	           index + 1 — 0 for a stored column — then an optional
+//	           uvarint mask of the columns the record omits), then
+//	           per-field arrays over the rows: PIDs zigzag-delta
+//	           encoded, TIDs as zigzag(tid-pid), string fields as
+//	           dictionary indices, counters as uvarints, and floats
+//	           XOR'd against the previous row (binenc.AppendFloat) so
+//	           they round-trip bit-exactly — every value column but the
+//	           omitted ones, which readers recompute from the counters
+//	           under the expressions the segment's last column header
+//	           named (derive.go). A v3 frame omits nothing; a v2 data
+//	           frame also holds a per-row IPC chain after the CPU%
+//	           chain, which every reader steps over and recomputes as
+//	           Σinstr/Σcycles from the counters.
 //
 // Dictionary frames are not records: scans skip them when counting and
 // when tracking first/last times, and queries fold them into the
-// decoder state even when they precede the queried range.
+// decoder state even when they precede the queried range. So are column
+// headers: a record before the range still sets the columns and the
+// derivation in force.
 //
 // The decode side is built for reuse: decodeDataInto fills scratch
 // the caller may have decoded into before, every row's Values a window
 // of one block per record (a 2000-row record costs its scratch one
-// values allocation, not 2000), and decodeV2Dict passes strings through
+// values allocation, not 2000), decodeV2Dict passes strings through
 // the scanner's intern table, so a scan shares them with every earlier
-// scan that met the same names.
+// scan that met the same names, and a derived column's program is
+// compiled once per process (derivationOf).
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -61,6 +75,13 @@ const (
 	v2KindData = 0x01
 
 	v2FlagCols = 0x01
+	// v4 header flags: the column list is followed by each column's
+	// expression reference, and a uvarint mask of the columns the record
+	// omits follows the header.
+	v4FlagExprs = 0x02
+	v4FlagOmit  = 0x04
+
+	recordVersionV4 = 4
 )
 
 // Frame kinds as classified by framePrefix.
@@ -147,16 +168,27 @@ func (d *v2Dict) appendDictFrame(buf []byte, from int) []byte {
 	return buf
 }
 
-// appendData encodes one record as a v3 data payload, interning the
+// appendData encodes one record as a v4 data payload, interning the
 // strings it references in d; entries that adds must reach the file in a
-// dictionary frame ahead of this payload.
-func appendData(buf []byte, rec *Record, d *v2Dict) []byte {
+// dictionary frame ahead of this payload. der is the derivation the
+// record may omit columns under (nil: it stores every value): one the
+// record's own column header establishes — when it carries columns, der
+// gives their expressions — or, when it carries none, the one the
+// segment's last header established.
+func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation) []byte {
 	buf = append(buf, RecordVersion, v2KindData)
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.TimeSeconds*1000)))
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.ResSeconds*1000)))
 	var flags byte
 	if len(rec.Cols) > 0 {
 		flags |= v2FlagCols
+		if der != nil {
+			flags |= v4FlagExprs
+		}
+	}
+	omit := der.omit(rec.Rows)
+	if omit != 0 {
+		flags |= v4FlagOmit
 	}
 	buf = append(buf, flags)
 	if flags&v2FlagCols != 0 {
@@ -164,6 +196,19 @@ func appendData(buf []byte, rec *Record, d *v2Dict) []byte {
 		for _, c := range rec.Cols {
 			buf = binenc.AppendUvarint(buf, d.intern(c))
 		}
+	}
+	if flags&v4FlagExprs != 0 {
+		// Per column, 0 for a stored one, else 1 + its source's entry.
+		for _, src := range der.src {
+			ref := uint64(0)
+			if src != "" {
+				ref = d.intern(src) + 1
+			}
+			buf = binenc.AppendUvarint(buf, ref)
+		}
+	}
+	if omit != 0 {
+		buf = binenc.AppendUvarint(buf, omit)
 	}
 	rows := rec.Rows
 	buf = binenc.AppendUvarint(buf, uint64(len(rows)))
@@ -194,8 +239,12 @@ func appendData(buf []byte, rec *Record, d *v2Dict) []byte {
 			maxVals = len(rows[i].Values)
 		}
 	}
-	// Values column-major, each column XOR'd down the rows that have it.
+	// Values column-major, each column XOR'd down the rows that have it;
+	// an omitted column has no chain.
 	for j := 0; j < maxVals; j++ {
+		if omitted(omit, j) {
+			continue
+		}
 		prev = 0.0
 		for i := range rows {
 			if j < len(rows[i].Values) {
@@ -312,7 +361,7 @@ func (p *projection) keepCol(j int) bool {
 	return j < len(p.keep) && p.keep[j]
 }
 
-// decodeDataInto decodes one v2 or v3 data payload against the
+// decodeDataInto decodes one v2, v3 or v4 data payload against the
 // segment's dictionary into rec, reusing its row, column and values
 // storage — the decode the scan walker runs. A record's Values are
 // carved from one block the record owns (Record.block), sized from the
@@ -323,11 +372,15 @@ func (p *projection) keepCol(j int) bool {
 // gets exact storage of its own; block is left at the length used). It
 // mirrors appendData exactly, stepping over a v2 frame's IPC chain;
 // trailing bytes are an error, not ignored. Strings are shared with the
-// segment dictionary, never re-allocated. A nil proj decodes every
-// field; otherwise unreferenced value columns and an unrequested CPU%
-// chain are stepped over via their control bytes and their slots left
-// zero, keeping Values index-aligned with the columns in force.
-func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) error {
+// segment dictionary, never re-allocated. dv carries the derivation in
+// force from the segment's earlier records and takes the one this
+// record's header sets; an omitted column is recomputed from each row's
+// counts into the slots a stored one would decode into. A nil proj
+// decodes every field; otherwise unreferenced value columns, stored or
+// omitted, and an unrequested CPU% chain are stepped over (stored ones
+// via their control bytes) and their slots left zero, keeping Values
+// index-aligned with the columns in force.
+func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *deriver) error {
 	r := binenc.NewReader(p[2:])
 	rec.V = int(p[0])
 	rec.TimeSeconds = float64(r.Uvarint()) / 1000
@@ -336,7 +389,8 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) erro
 		rec.ResSeconds = float64(resMs) / 1000
 	}
 	var err error
-	if rec.Cols, err = readCols(r, p, dict, rec.Cols[:0]); err != nil {
+	var omit uint64
+	if rec.Cols, omit, err = readHeader(r, p, dict, rec.Cols[:0], dv); err != nil {
 		return err
 	}
 	if proj != nil {
@@ -412,6 +466,9 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) erro
 		rows[i].Values, block = block[:n:n], block[n:]
 	}
 	for j := 0; j < maxVals; j++ {
+		if omitted(omit, j) {
+			continue
+		}
 		if proj != nil && !proj.keepCol(j) {
 			chain := 0
 			for i := range rows {
@@ -439,6 +496,23 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) erro
 	for i := range rows {
 		rows[i].Misses = r.Uvarint()
 	}
+	// Omitted columns are recomputed from the counts just read, into the
+	// same slots a stored one decodes into.
+	if omit != 0 {
+		var buf [32]float64
+		stack := dv.cur.stackIn(buf[:])
+		for m := omit; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if proj != nil && !proj.keepCol(j) {
+				continue
+			}
+			for i := range rows {
+				if j < len(rows[i].Values) {
+					rows[i].Values[j] = dv.cur.eval(j, &rows[i], stack)
+				}
+			}
+		}
+	}
 	rec.Machine.Tasks = int(r.Uvarint())
 	rec.Machine.CPUPct = r.Float(0)
 	rec.Machine.Instr = r.Uvarint()
@@ -455,35 +529,74 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection) erro
 
 // v2PeekCols extracts just the column names of a data payload (nil
 // when the frame carries none) so pre-range records can keep the column
-// tracking honest without decoding their rows.
-func v2PeekCols(p []byte, dict []string) ([]string, error) {
+// tracking honest without decoding their rows; like a decode, it moves
+// dv to the derivation a column header establishes.
+func v2PeekCols(p []byte, dict []string, dv *deriver) ([]string, error) {
 	r := binenc.NewReader(p[2:])
 	r.Uvarint() // time
 	r.Uvarint() // res
-	return readCols(r, p, dict, nil)
+	cols, _, err := readHeader(r, p, dict, nil, dv)
+	return cols, err
 }
 
-// readCols reads a data payload's column list (the flags byte after the
-// time and resolution, then any column-name indices) onto cols: the one
-// header parse behind decodeDataInto and v2PeekCols.
-func readCols(r *binenc.Reader, p []byte, dict, cols []string) ([]string, error) {
-	if r.Byte()&v2FlagCols == 0 {
-		return cols, r.Err()
+// readHeader reads a data payload's header after its time and resolution
+// onto cols: the flags byte and any column-name indices, then, in v4,
+// each named column's expression reference and the omission mask — the
+// one header parse behind decodeDataInto and v2PeekCols. A header that
+// names columns sets the derivation in force in dv: the columns' own
+// expressions, or none. The mask may only name columns the derivation
+// then in force derives. dv changes only when the whole header reads.
+func readHeader(r *binenc.Reader, p []byte, dict, cols []string, dv *deriver) ([]string, uint64, error) {
+	flags := r.Byte()
+	if p[0] < recordVersionV4 {
+		flags &= v2FlagCols // older writers set no other bit, and readers never looked
 	}
-	n := r.Uvarint()
-	if n > uint64(len(p)) {
-		return cols, fmt.Errorf("store: corrupt binary record (cols)")
+	if flags&^(v2FlagCols|v4FlagExprs|v4FlagOmit) != 0 || flags&(v2FlagCols|v4FlagExprs) == v4FlagExprs {
+		return cols, 0, fmt.Errorf("store: corrupt binary record (flags %#x)", flags)
 	}
-	cols = slices.Grow(cols, int(n))
-	for i := uint64(0); i < n; i++ {
-		c, err := dictRef(r, dict)
-		if err != nil {
-			return cols, err
+	cur := dv.cur
+	if flags&v2FlagCols != 0 {
+		n := r.Uvarint()
+		if n > uint64(len(p)) {
+			return cols, 0, fmt.Errorf("store: corrupt binary record (cols)")
 		}
-		cols = append(cols, c)
+		cols = slices.Grow(cols, int(n))
+		for i := uint64(0); i < n; i++ {
+			c, err := dictRef(r, dict)
+			if err != nil {
+				return cols, 0, err
+			}
+			cols = append(cols, c)
+		}
+		cur = nil
+		if flags&v4FlagExprs != 0 {
+			var err error
+			if cur, err = dv.read(r, dict, int(n)); err != nil {
+				return cols, 0, err
+			}
+		}
 	}
-	return cols, nil
+	var omit uint64
+	if flags&v4FlagOmit != 0 {
+		omit = r.Uvarint()
+		if omit == 0 {
+			return cols, 0, fmt.Errorf("store: corrupt binary record (empty omission mask)")
+		}
+		for m := omit; m != 0; m &= m - 1 {
+			if j := bits.TrailingZeros64(m); cur == nil || j >= len(cur.prog) || cur.prog[j] == nil {
+				return cols, 0, fmt.Errorf("store: binary record omits column %d, which no expression in force derives", j)
+			}
+		}
+	}
+	if err := r.Err(); err != nil {
+		return cols, 0, err
+	}
+	dv.cur = cur
+	return cols, omit, nil
 }
+
+// omitted reports whether mask omits value column j.
+func omitted(mask uint64, j int) bool { return j < maxDerived && mask&(1<<j) != 0 }
 
 // dictRef reads one dictionary index and resolves it against the
 // segment's table, rejecting an index the table does not hold.

@@ -21,6 +21,7 @@ import (
 // dictionaries never span segments.
 type refDecoder struct {
 	dict []string
+	dv   deriver
 }
 
 // decode turns one frame payload into a fresh record. rec is nil (with
@@ -42,10 +43,14 @@ func (d *refDecoder) decode(payload []byte) (*Record, error) {
 		return nil, nil
 	}
 	if payload[0] == '{' {
-		return DecodeRecord(payload)
+		rec, err := DecodeRecord(payload)
+		if err == nil && len(rec.Cols) > 0 {
+			d.dv.cur = nil
+		}
+		return rec, err
 	}
 	rec := &Record{}
-	if err := decodeDataInto(rec, payload, d.dict, nil); err != nil {
+	if err := decodeDataInto(rec, payload, d.dict, nil, &d.dv); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -104,9 +109,10 @@ func refScanStream(r io.Reader, from, to time.Duration, cols *[]string, fn func(
 				if bytes.Contains(payload, colsKey) {
 					if rec, derr := DecodeRecord(payload); derr == nil && len(rec.Cols) > 0 {
 						*cols = rec.Cols
+						fd.dv.cur = nil
 					}
 				}
-			} else if c, derr := v2PeekCols(payload, fd.dict); derr == nil && len(c) > 0 {
+			} else if c, derr := v2PeekCols(payload, fd.dict, &fd.dv); derr == nil && len(c) > 0 {
 				*cols = c
 			}
 			continue

@@ -230,10 +230,11 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 }
 
 // segScanner walks segment files one at a time, carrying the decoder
-// state a file establishes (its dictionary, the projection's keep set)
-// and the buffers every file needs: a frame reader (its read and payload
-// buffers), the dictionary slice, and an intern table, so a dictionary
-// string is made once per distinct string, not once per file per scan.
+// state a file establishes (its dictionary, the derivation in force, the
+// projection's keep set) and the buffers every file needs: a frame
+// reader (its read and payload buffers), the dictionary slice, and an
+// intern table, so a dictionary string is made once per distinct string,
+// not once per file per scan.
 // Scanners outlive the scan that used them: getScanner leases one from
 // a pool, release hands it back.
 type segScanner struct {
@@ -241,6 +242,7 @@ type segScanner struct {
 	proj   *projection // nil = full decode
 	dict   []string
 	intern map[string]string
+	dv     deriver // the derivation in force
 	fr     *frameReader
 }
 
@@ -276,7 +278,7 @@ var colsKey = []byte(`,"cols":[`)
 
 // scanFile streams one segment's in-range records. Frames are
 // version-sniffed individually (an old store's recovered tail segment
-// holds v1 JSON or v2 frames with v3 ones appended after them). Records
+// holds v1 JSON, v2 or v3 frames with v4 ones appended after them). Records
 // before the range are skipped undecoded, but dictionary frames always
 // fold into the decoder state, and records carrying column names (each
 // segment's first record, and any screen change) surface them, so the
@@ -316,9 +318,10 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 				if bytes.Contains(payload, colsKey) {
 					if rec, derr := DecodeRecord(payload); derr == nil && len(rec.Cols) > 0 {
 						fileCols = rec.Cols
+						s.dv.cur = nil
 					}
 				}
-			} else if c, derr := v2PeekCols(payload, s.dict); derr == nil && len(c) > 0 {
+			} else if c, derr := v2PeekCols(payload, s.dict, &s.dv); derr == nil && len(c) > 0 {
 				fileCols = c
 			}
 			if s.proj != nil {
@@ -332,9 +335,12 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 			if err != nil {
 				return err
 			}
+			if len(rec.Cols) > 0 {
+				s.dv.cur = nil // a v1 header derives nothing
+			}
 		} else {
 			rec = next()
-			if err := decodeDataInto(rec, payload, s.dict, s.proj); err != nil {
+			if err := decodeDataInto(rec, payload, s.dict, s.proj, &s.dv); err != nil {
 				return err
 			}
 		}
@@ -352,12 +358,14 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 
 // begin starts a walk over one segment's bytes, forgetting the decoder
 // state the previous file established: its dictionary (and the intern
-// table, once that has passed internMax) and the projection's columns.
+// table, once that has passed internMax), its derivation in force and
+// the projection's columns.
 func (s *segScanner) begin(r io.Reader) {
 	s.dict = s.dict[:0]
 	if len(s.intern) > internMax {
 		clear(s.intern)
 	}
+	s.dv.cur = nil
 	if s.proj != nil {
 		s.proj.reset()
 	}

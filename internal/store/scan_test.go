@@ -3,7 +3,7 @@ package store
 // Tests for the scan walker: inline and pooled, full and projected, it
 // must reproduce the reference loop (refscan_test.go) record-for-record
 // (including column-change annotations) over stores mixing v1 JSON and
-// v3 columnar segments;
+// v4 columnar segments;
 // projection must zero exactly the unreferenced fields and nothing
 // else; invalid ranges must fail with typed errors; and scans must be
 // race-free against concurrent appends and compaction.
@@ -60,9 +60,9 @@ func collectScan(t *testing.T, st *Store, opts ScanOptions) []scannedRec {
 }
 
 // mixedStore builds a store whose segments span every layout a scan can
-// meet: varied appends, a compaction pass (merged v3 .cseg), more
+// meet: varied appends, a compaction pass (merged v4 .cseg), more
 // appends rewritten as the v1 JSON an older build's live writer left,
-// then live v3 appends — the first of them after the v1 frames of the
+// then live v4 appends — the first of them after the v1 frames of the
 // recovered tail.
 func mixedStore(t *testing.T) *Store {
 	t.Helper()
@@ -88,8 +88,8 @@ func mixedStore(t *testing.T) *Store {
 	st = mustOpen(t, dir, Options{SegmentBytes: 64 << 10})
 	st.SetColumns([]string{"branch-miss", "llc-load"})
 	fillVaried(t, st, 1500*time.Millisecond, 1500*time.Millisecond, n/2, 6, &seed)
-	if k := frameKinds(t, newestSegment(t, dir, "raw")); k.V1 == 0 || k.Dicts == 0 || k.V3 == 0 {
-		t.Fatalf("tail segment holds %+v frames; want v1, dictionary and v3 ones", k)
+	if k := frameKinds(t, newestSegment(t, dir, "raw")); k.V1 == 0 || k.Dicts == 0 || k.V4 == 0 {
+		t.Fatalf("tail segment holds %+v frames; want v1, dictionary and v4 ones", k)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
@@ -106,7 +106,7 @@ func everything(q QueryOptions, workers int) ScanOptions {
 // bounds and mid-stream: ragged record widths (so a record outgrows the
 // slabs its batch's first record sized), records wider than
 // scanBatchRows, a screen change in the middle of a segment, and v1
-// JSON frames — whole segments of them, and a tail where v3 appends
+// JSON frames — whole segments of them, and a tail where v4 appends
 // follow them.
 func straddleStore(t *testing.T) *Store {
 	t.Helper()
@@ -387,7 +387,7 @@ func scratchPayload(d *v2Dict, base float64, widths ...int) []byte {
 		}
 		rec.Rows = append(rec.Rows, r)
 	}
-	return appendData(nil, rec, d)
+	return appendData(nil, rec, d, nil)
 }
 
 // TestDecodeScratchReuse: one scratch record decoded wide, then narrow,
@@ -419,10 +419,10 @@ func TestDecodeScratchReuse(t *testing.T) {
 	scratch := &Record{}
 	for _, step := range steps {
 		fresh := &Record{}
-		if err := decodeDataInto(fresh, step.payload, d.strs, step.proj()); err != nil {
+		if err := decodeDataInto(fresh, step.payload, d.strs, step.proj(), &deriver{}); err != nil {
 			t.Fatalf("%s: fresh decode: %v", step.name, err)
 		}
-		if err := decodeDataInto(scratch, step.payload, d.strs, step.proj()); err != nil {
+		if err := decodeDataInto(scratch, step.payload, d.strs, step.proj(), &deriver{}); err != nil {
 			t.Fatalf("%s: scratch decode: %v", step.name, err)
 		}
 		if !reflect.DeepEqual(copyScan(scratch, nil), copyScan(fresh, nil)) {
@@ -448,14 +448,14 @@ func TestDecodeScratchReuse(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := decodeDataInto(&Record{}, wide, d.strs, nil); err != nil {
+		if err := decodeDataInto(&Record{}, wide, d.strs, nil, &deriver{}); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 6 {
 		t.Errorf("a fresh decode of %d rows made %.0f allocations, want <= 6 (the record, its rows, one values block, three column names appended)", len(wideRows), allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := decodeDataInto(scratch, wide, d.strs, nil); err != nil {
+		if err := decodeDataInto(scratch, wide, d.strs, nil, &deriver{}); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -466,7 +466,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 // TestDecodeRefusesClaimedValueCounts: the per-row value counts size the
 // record's values block, so a payload that claims more values than it
 // has bytes — in one row, summed over rows, or by wrapping the sum — is
-// refused before anything is sized from them, in a v3 frame and in a v2
+// refused before anything is sized from them, in a v4 frame and in a v2
 // one (whose IPC chain the decode steps over).
 func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 	dict := []string{"u", "job"}
@@ -495,7 +495,7 @@ func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 			p := binenc.AppendUvarint(binenc.AppendUvarint(prefix(v), counts[0]), counts[1])
 			p = append(p, make([]byte, 24)...) // what would follow: zero control bytes and counters
 			scratch := &Record{}
-			if err := decodeDataInto(scratch, p, dict, nil); err == nil {
+			if err := decodeDataInto(scratch, p, dict, nil, &deriver{}); err == nil {
 				t.Errorf("v%d, %s: a %d-byte payload claiming %d + %d values decoded", v, name, len(p), counts[0], counts[1])
 			}
 			if cap(scratch.block) > len(p) {
@@ -505,7 +505,7 @@ func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 		// The same frame with honest counts decodes.
 		p := binenc.AppendUvarint(binenc.AppendUvarint(prefix(v), 1), 0)
 		p = append(p, make([]byte, 1+6+5)...) // one value, three counters a row, the roll-up
-		if err := decodeDataInto(&Record{}, p, dict, nil); err != nil {
+		if err := decodeDataInto(&Record{}, p, dict, nil, &deriver{}); err != nil {
 			t.Fatalf("the hand-built v%d frame does not decode with honest counts: %v", v, err)
 		}
 	}

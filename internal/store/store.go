@@ -11,14 +11,18 @@
 //	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
 //
 // with lengths little-endian and the payload a versioned binary frame:
-// record format v3 (recordv2.go), column-major with XOR-compressed
+// record format v4 (recordv2.go), column-major with XOR-compressed
 // floats and a per-segment string dictionary, so the log is dense the
 // moment it is written and a query decodes only the columns it names.
-// The first payload byte is the version; readers accept versions up to
-// their own RecordVersion and reject newer ones loudly, like the remote
-// wire format. Stores written by older builds hold record format v2 —
-// the same layout plus a per-row IPC column — or v1, one JSON document
-// per frame (record.go); both are still read, frame by frame, but never
+// A raw record stores only what its counts do not determine: a value
+// column the engine's screen computed from the instruction, cycle and
+// cache-miss counts every row stores is verified and left out, and
+// readers recompute it (derive.go). The first payload byte is the
+// version; readers accept versions up to their own RecordVersion and
+// reject newer ones loudly, like the remote wire format. Stores written
+// by older builds hold record format v3 — every value stored — v2, the
+// v3 layout plus a per-row IPC column, or v1, one JSON document per
+// frame (record.go); all are still read, frame by frame, but never
 // written. The write path encodes into reused buffers, so steady-state
 // appends are near-zero-alloc like history.Recorder.Observe — a store
 // teed into a recorder does not perturb the sampling loop.
@@ -60,17 +64,19 @@ import (
 	"time"
 
 	"tiptop/internal/core"
+	"tiptop/internal/metrics"
 )
 
 // RecordVersion is the newest record format this build reads, and the
-// one it writes: 3 is the columnar layout of recordv2.go, in live
-// segments and compacted ones alike. 2 is the same layout with a stored
-// per-row IPC column, and 1 the JSON layout; older builds wrote them,
-// and they are decode-only now. Readers sniff the version per frame (a
-// recovered tail may hold v1 or v2 frames followed by v3 ones), accept
-// documents up to this ceiling and reject newer ones loudly, mirroring
-// the remote wire contract.
-const RecordVersion = 3
+// one it writes: 4 is the columnar layout of recordv2.go, whose raw
+// records leave out the columns their counts determine, in live
+// segments and compacted ones alike. 3 is the same layout storing every
+// value, 2 that with a stored per-row IPC column, and 1 the JSON
+// layout; older builds wrote them, and they are decode-only now. Readers
+// sniff the version per frame (a recovered tail may hold v1, v2 or v3
+// frames followed by v4 ones), accept documents up to this ceiling and
+// reject newer ones loudly, mirroring the remote wire contract.
+const RecordVersion = 4
 
 // Resolutions are the store's downsampling tiers: raw refreshes, then
 // 10-second averages, then 1-minute averages. Index 0 is the raw tier.
@@ -150,6 +156,10 @@ type Store struct {
 	rows      []RecordRow
 	vals      []float64
 	buf, pair []byte
+	// derived is the derivation the screen derivedFrom gives the columns
+	// in force (nil: none), built once per screen and column list.
+	derivedFrom *metrics.Screen
+	derived     *derivation
 	// group-commit fsync bookkeeping (zero policy: never touched).
 	unsynced int64
 	lastSync time.Time
@@ -167,8 +177,10 @@ type tier struct {
 	active *segment
 	acc    *accumulator // nil for the raw tier
 	// colsWritten tracks whether the active segment already carries the
-	// column names (each segment is self-describing).
+	// column names (each segment is self-describing), and derived the
+	// derivation its last column header established (raw tier only).
 	colsWritten bool
+	derived     *derivation
 	// dirty marks the active segment as having unsynced appends (only
 	// maintained when a fsync policy is set).
 	dirty bool
@@ -270,8 +282,9 @@ func (st *Store) SetColumns(names []string) {
 		st.lastErr = st.writeBucket(ti, st.tiers[ti].acc.close())
 	}
 	st.cols = append(st.cols[:0:0], names...)
+	st.derivedFrom, st.derived = nil, nil
 	for _, t := range st.tiers {
-		t.colsWritten = false
+		t.colsWritten, t.derived = false, nil
 	}
 }
 
@@ -355,7 +368,7 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		})
 	}
 	st.rows = rows
-	if err := st.writeRecord(st.tiers[0], now, rows); err != nil {
+	if err := st.writeRecord(st.tiers[0], now, rows, st.derivationFor(s.Screen)); err != nil {
 		return err
 	}
 	if err := st.fold(1, now, rows); err != nil {
@@ -366,6 +379,37 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		return err
 	}
 	return st.enforceLocked(now)
+}
+
+// derivationFor returns the derivation the screen that computed a
+// sample's values gives the columns in force: each column whose
+// expression reads only the counts a raw row stores. nil for a sample
+// the engine did not make, a screen whose column names are not the ones
+// in force, or one with no such column.
+func (st *Store) derivationFor(sc *metrics.Screen) *derivation {
+	if sc == nil {
+		return nil
+	}
+	if sc == st.derivedFrom {
+		return st.derived
+	}
+	st.derivedFrom, st.derived = sc, nil
+	if len(sc.Columns) != len(st.cols) {
+		return nil
+	}
+	src := make([]string, len(sc.Columns))
+	for j, col := range sc.Columns {
+		if col.Name != st.cols[j] {
+			return nil
+		}
+		if j < maxDerived && col.Expr != nil && derivable(col.Expr) == nil {
+			src[j] = col.Expr.Source()
+		}
+	}
+	// A source that does not compile as it did for the screen leaves the
+	// store writing every value.
+	st.derived, _ = derivationOf(src)
+	return st.derived
 }
 
 // maybeSyncLocked applies the group-commit fsync policy: once enough
@@ -420,27 +464,38 @@ func finite(f float64) float64 {
 }
 
 // writeRecord rotates the tier's active segment if due and appends rows
-// (store-owned scratch, sanitised in place) as one record-v3 data
+// (store-owned scratch, sanitised in place) as one record-v4 data
 // frame, computing the machine roll-up on the way. Non-finite floats
 // become 0 here: the XOR float encoding would persist them bit-exactly
-// and every later JSON encode of a query over them would fail. When the
-// record names a user, command or column the segment's dictionary has
-// not seen, an incremental dictionary frame precedes the data frame and
-// the pair goes down in one write, so a concurrent scan's snapshot and
-// crash clipping never separate a record from the strings it needs.
-func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow) error {
+// and every later JSON encode of a query over them would fail. der is
+// the derivation the rows' values came from (nil: none known): the
+// frame leaves out every column it verifies, after a column header
+// naming der's expressions when the segment's last one named others.
+// When the record names a user, command, column or expression the
+// segment's dictionary has not seen, an incremental dictionary frame
+// precedes the data frame and the pair goes down in one write, so a
+// concurrent scan's snapshot and crash clipping never separate a record
+// from the strings it needs.
+func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow, der *derivation) error {
 	if t.active == nil || t.active.size >= st.opt.SegmentBytes ||
 		(t.active.n > 0 && now-t.active.first >= st.opt.SegmentAge) {
 		if err := st.rotateLocked(t); err != nil {
 			return err
 		}
 	}
+	cols := st.colsFor(t)
+	if der != nil && !der.same(t.derived) {
+		cols = st.cols
+	}
+	if cols != nil {
+		t.derived = der
+	}
 	rec := &Record{
 		// Millisecond precision: the record clock's, and what every
 		// reader reconstructs.
 		TimeSeconds: float64(now.Milliseconds()) / 1000,
 		ResSeconds:  t.res.Seconds(),
-		Cols:        st.colsFor(t),
+		Cols:        cols,
 		Rows:        rows,
 		Machine:     RecordAgg{Tasks: len(rows)},
 	}
@@ -458,7 +513,7 @@ func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow) error
 	rec.Machine.CPUPct = finite(rec.Machine.CPUPct)
 	dict := t.active.dict
 	known := len(dict.strs)
-	st.buf = appendData(beginFrame(st.buf[:0]), rec, dict)
+	st.buf = appendData(beginFrame(st.buf[:0]), rec, dict, der)
 	endFrame(st.buf)
 	frames := st.buf
 	if len(dict.strs) > known {
@@ -515,7 +570,7 @@ func (st *Store) writeBucket(ti int, b *bucket) error {
 		}
 		return b.rows[i].TID < b.rows[j].TID
 	})
-	if err := st.writeRecord(st.tiers[ti], b.end, b.rows); err != nil {
+	if err := st.writeRecord(st.tiers[ti], b.end, b.rows, nil); err != nil {
 		return err
 	}
 	return st.fold(ti+1, b.end, b.rows)
@@ -554,7 +609,7 @@ func (st *Store) rotateLocked(t *tier) error {
 		return err
 	}
 	t.active = sg
-	t.colsWritten = false
+	t.colsWritten, t.derived = false, nil
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"tiptop/internal/core"
 	"tiptop/internal/hpm"
+	"tiptop/internal/metrics"
 )
 
 // sampleAt builds one engine refresh with `tasks` synthetic tasks at
@@ -495,6 +496,8 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 		max    float64
 	}{
 		{"downsampling", Options{Budget: 1 << 30}, wideSampleAt(0, 100), []string{"mcycle", "minst", "ipc", "dmis"}, 1},
+		// The engine's columns, verified and left out of every raw record.
+		{"derived columns", Options{Budget: 1 << 30}, engineShaped(sampleAt(0, 100), metrics.DefaultScreen()), []string{"mcycle", "minst", "ipc", "dmis"}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := mustOpen(t, t.TempDir(), tc.opt)
@@ -522,69 +525,82 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendDensity pins how dense live appends write the raw tier: at
-// most 18.5 bytes per task-refresh on the wide sample, which v3 writes
-// in 18.14 — so a per-row column added back fails here. The retired
-// writers needed 19.15 (v2, with its IPC column) and 141 (v1 JSON).
+// TestAppendDensity pins how dense live appends write the raw tier, in
+// bytes per task-refresh. The wide sample's four constant values are no
+// function of its counts: at most 18.5, which v3 and v4 write in 18.14 —
+// so a per-row column added back fails here. The retired writers needed
+// 19.15 (v2, with its IPC column) and 141 (v1 JSON). The engine's
+// default screen computes its four columns from the counts every row
+// stores, so v4 writes none of them: at most 15 (it writes 14.07), where
+// v3, storing them, wrote 30.51.
 func TestAppendDensity(t *testing.T) {
-	dir := t.TempDir()
-	// The budget keeps retention away: a dropped segment would read as
-	// density.
-	st := mustOpen(t, dir, Options{Budget: 1 << 30})
-	st.SetColumns([]string{"mcycle", "minst", "ipc", "dmis"})
-	const tasks, appends = 100, 600
-	rawBytes := func() (total int64) {
-		paths, err := filepath.Glob(filepath.Join(dir, "raw-*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range paths {
-			fi, err := os.Stat(p)
-			if err != nil {
+	for _, tc := range []struct {
+		name   string
+		sample func(now time.Duration, tasks int) *core.Sample
+		max    float64
+	}{
+		{"constant values", wideSampleAt, 18.5},
+		{"engine default screen", func(now time.Duration, tasks int) *core.Sample {
+			return engineShaped(sampleAt(now, tasks), metrics.DefaultScreen())
+		}, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// The budget keeps retention away: a dropped segment would read
+			// as density.
+			st := mustOpen(t, dir, Options{Budget: 1 << 30})
+			st.SetColumns([]string{"mcycle", "minst", "ipc", "dmis"})
+			const tasks, appends = 100, 600
+			rawBytes := func() (total int64) {
+				for _, p := range rawSegments(t, dir) {
+					fi, err := os.Stat(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					total += fi.Size()
+				}
+				return total
+			}
+			// The first records carry the segment's dictionary and column
+			// names; measure the steady state after them.
+			fill := func(start, n int) {
+				for i := start; i < start+n; i++ {
+					if err := st.AppendSample(tc.sample(time.Duration(i+1)*time.Second, tasks)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			fill(0, 8)
+			before := rawBytes()
+			fill(8, appends)
+			density := float64(rawBytes()-before) / (appends * tasks)
+			if density <= 0 || density > tc.max {
+				t.Fatalf("live appends write %.2f raw-tier bytes per task-refresh, want in (0, %g]", density, tc.max)
+			}
+			t.Logf("%.2f raw-tier bytes per task-refresh", density)
+			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			total += fi.Size()
-		}
-		return total
-	}
-	// The first records carry the segment's dictionary and column names;
-	// measure the steady state after them.
-	fillWide := func(start, n int) {
-		for i := start; i < start+n; i++ {
-			if err := st.AppendSample(wideSampleAt(time.Duration(i+1)*time.Second, tasks)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fillWide(0, 8)
-	before := rawBytes()
-	fillWide(8, appends)
-	density := float64(rawBytes()-before) / (appends * tasks)
-	if density <= 0 || density > 18.5 {
-		t.Fatalf("live appends write %.2f raw-tier bytes per task-refresh, want in (0, 18.5]", density)
-	}
-	t.Logf("%.2f raw-tier bytes per task-refresh", density)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
 // TestRecordVersionRejected: a record newer than RecordVersion is
 // refused loudly wherever it is read — a JSON document by DecodeRecord,
-// a binary frame led by 0x04 at Open and by a scan that reaches it after
-// a v3 record.
+// a binary frame led by 0x05 at Open and by a scan that reaches it after
+// a v4 record.
 func TestRecordVersionRejected(t *testing.T) {
 	if _, err := DecodeRecord([]byte(`{"v":99,"time_s":1,"rows":[],"machine":{}}`)); err == nil {
 		t.Fatal("future record version accepted")
 	}
 	d := newV2Dict(nil)
-	data := appendData(nil, &Record{TimeSeconds: 1, Rows: []RecordRow{{PID: 1, User: "u", Command: "c"}}}, d)
+	data := appendData(nil, &Record{TimeSeconds: 1, Rows: []RecordRow{{PID: 1, User: "u", Command: "c"}}}, d, nil)
 	path := filepath.Join(t.TempDir(), "raw-0000000001.seg")
-	for _, payload := range [][]byte{d.appendDictFrame(nil, 0), data, {0x04, v2KindData, 0x80, 0x08}} {
+	for _, payload := range [][]byte{d.appendDictFrame(nil, 0), data, {0x05, v2KindData, 0x80, 0x08}} {
 		writeRawFrame(t, path, payload)
 	}
-	if _, err := Open(filepath.Dir(path), Options{}); err == nil || !strings.Contains(err.Error(), "version 4") {
-		t.Fatalf("Open = %v, want a loud version-4 rejection", err)
+	if _, err := Open(filepath.Dir(path), Options{}); err == nil || !strings.Contains(err.Error(), "version 5") {
+		t.Fatalf("Open = %v, want a loud version-5 rejection", err)
 	}
 	seg, err := os.ReadFile(path)
 	if err != nil {
@@ -595,8 +611,8 @@ func TestRecordVersionRejected(t *testing.T) {
 	n := 0
 	err = sc.scan(bytes.NewReader(seg), 0, 1<<62, func() *Record { return &Record{} },
 		func(*Record, []string) error { n++; return nil })
-	if n != 1 || err == nil || !strings.Contains(err.Error(), "version 4") {
-		t.Fatalf("a scan emitted %d records and returned %v, want the v3 record, then a loud version-4 rejection", n, err)
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "version 5") {
+		t.Fatalf("a scan emitted %d records and returned %v, want the v4 record, then a loud version-5 rejection", n, err)
 	}
 }
 

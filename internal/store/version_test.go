@@ -1,11 +1,14 @@
 package store_test
 
 // The record-version contract across formats, end to end: a store that
-// an older build left in v1 JSON and v2 frames opens under this build,
-// takes v3 appends into its recovered v2 tail, and answers every raw and
-// expression query with the bytes a twin that was v3 from the start
-// answers — before Compact, after it (which rewrites every sealed
-// segment as v3) and after a reopen.
+// older builds left in v1 JSON, v2 and v3 frames opens under this build,
+// takes v4 appends into its recovered v3 raw tail and v2 tier tails,
+// and answers every raw and expression query with the bytes a twin that
+// was v4 from the start answers — before Compact, after it (which
+// rewrites every sealed segment as v4, leaving out again the columns the
+// appends' screen derives) and after a reopen. The appends are an
+// engine's, so the twin's raw records leave their derived columns out
+// and its answers recompute them.
 
 import (
 	"net/http/httptest"
@@ -59,8 +62,8 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 	seedOld, seedTwin := uint64(7), uint64(7)
 	fill := func(start time.Duration, n int) {
 		t.Helper()
-		store.FillVaried(t, old, start, time.Second, n, 4, &seedOld)
-		store.FillVaried(t, twin, start, time.Second, n, 4, &seedTwin)
+		store.FillEngine(t, old, start, time.Second, n, 4, &seedOld)
+		store.FillEngine(t, twin, start, time.Second, n, 4, &seedTwin)
 	}
 	closeBoth := func() {
 		t.Helper()
@@ -84,7 +87,7 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 		want := queryBodies(t, twin)
 		for i, got := range queryBodies(t, old) {
 			if got != want[i] {
-				t.Fatalf("%s, %s: the old store answers\n%.1500s\nits v3 twin\n%.1500s", when, contractQueries[i].Encode(), got, want[i])
+				t.Fatalf("%s, %s: the old store answers\n%.1500s\nits v4 twin\n%.1500s", when, contractQueries[i].Encode(), got, want[i])
 			}
 		}
 	}
@@ -96,8 +99,9 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 	}
 	fill(151*time.Second, 150)
 	closeBoth()
-	// The old build's directory: live segments in v1 JSON, except each
-	// tier's tail, which is v2 like the compacted segments.
+	// The old builds' directory: live segments in v1 JSON, except each
+	// tier's tail — the raw tier's v3, the others' v2 like the compacted
+	// segments.
 	dir := old.Dir()
 	store.RewriteSegmentsV1(t, dir)
 	v2, err := filepath.Glob(filepath.Join(dir, "*.cseg"))
@@ -111,27 +115,34 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 			t.Fatalf("no %s segments (%v)", tier, err)
 		}
 		sealed, tail = segs[0], segs[len(segs)-1] // raw's, after the loop
-		v2 = append(v2, tail)
+		if tier != "raw" {
+			v2 = append(v2, tail)
+		}
 	}
 	if sealed == tail {
 		t.Fatal("the raw tier has no sealed live segment")
 	}
 	store.RewriteSegmentsV2(t, v2...)
+	store.RewriteSegmentsV3(t, tail)
 	openBoth()
-	if k := store.FrameKinds(t, tail); k.V2 == 0 || k.V1+k.V3 != 0 {
-		t.Fatalf("the raw tail holds %+v frames, want v2 only", k)
+	if k := store.FrameKinds(t, tail); k.V3 == 0 || k.V1+k.V2+k.V4 != 0 {
+		t.Fatalf("the raw tail holds %+v frames, want v3 only", k)
 	}
-	if k := store.FrameKinds(t, sealed); k.V1 == 0 || k.V2+k.V3 != 0 {
+	if k := store.FrameKinds(t, sealed); k.V1 == 0 || k.V2+k.V3+k.V4 != 0 {
 		t.Fatalf("a sealed raw segment holds %+v frames, want v1 only", k)
 	}
-	compare("as the older build left it")
+	compare("as the older builds left it")
 
 	fill(time.Second, 2)
-	if k := store.FrameKinds(t, tail); k.V2 == 0 || k.V3 != 2 {
-		t.Fatalf("after two appends the raw tail holds %+v frames, want its v2 frames, then two v3 records", k)
+	if k := store.FrameKinds(t, tail); k.V3 == 0 || k.V4 != 2 {
+		t.Fatalf("after two appends the raw tail holds %+v frames, want its v3 frames, then two v4 records", k)
 	}
-	fill(3*time.Second, 98)
-	compare("after v3 appends")
+	if k := store.FrameKinds(t, tail); k.Omitting != 2 {
+		t.Fatalf("%d of the two v4 records in the raw tail leave columns out, want both", k.Omitting)
+	}
+	// Enough to seal the tail and v4 segments after it, for Compact.
+	fill(3*time.Second, 398)
+	compare("after v4 appends")
 	if _, err := old.Compact(store.CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +150,15 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	omitting := 0
 	for _, path := range csegs {
-		if k := store.FrameKinds(t, path); k.V3 == 0 || k.V1+k.V2 != 0 {
-			t.Fatalf("%s holds %+v frames after Compact, want v3 only", filepath.Base(path), k)
+		if k := store.FrameKinds(t, path); k.V4 == 0 || k.V1+k.V2+k.V3 != 0 {
+			t.Fatalf("%s holds %+v frames after Compact, want v4 only", filepath.Base(path), k)
 		}
+		omitting += store.FrameKinds(t, path).Omitting
+	}
+	if omitting == 0 {
+		t.Fatal("no compacted record leaves a derived column out: Compact dropped the omission")
 	}
 	compare("after Compact")
 	closeBoth()

@@ -79,6 +79,9 @@ type RemoteMonitor struct {
 	screen *metrics.Screen
 	cols   []remote.Column
 	recs   []*Recorder
+	// clock is the time the recorders see, monotone across restarts of
+	// the followed daemon.
+	clock followClock
 }
 
 // NewRemoteMonitor attaches to a tiptopd at url ("host:port" or a full
@@ -151,7 +154,8 @@ func (m *RemoteMonitor) SampleNow() (*Sample, error) {
 // synthesized screen current, and feeds subscribed recorders — the same
 // observer contract the local engine honors. A column change (a
 // restarted daemon serving another screen) reaches the recorders
-// before the refresh does, as in Daemon.observe.
+// before the refresh does, and they record on the followed clock, as in
+// Daemon.observe; the returned sample keeps the daemon's own time.
 func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
 	if m.setColumns(ws.Columns) {
 		for _, rec := range m.recs {
@@ -161,6 +165,7 @@ func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
 	out := publicSample(ws)
 	if len(m.recs) > 0 {
 		cs := out.coreSample()
+		cs.Time = m.clock.rebase(ws)
 		for _, rec := range m.recs {
 			rec.h.Observe(cs)
 		}
@@ -182,6 +187,37 @@ func (m *RemoteMonitor) setColumns(cols []remote.Column) bool {
 		m.screen.Columns = append(m.screen.Columns, metrics.NewColumn(c.Name, c.Header, c.Format, c.Width))
 	}
 	return true
+}
+
+// followClock keeps a followed daemon's refresh times monotone across its
+// restarts — for an aggregating Daemon's agent machines and for the
+// recorders a RemoteMonitor feeds alike. A refresh at or before the
+// last one (the daemon restarted, and its monitor clock with it) moves
+// the offset so that it lands one advertised interval after that one.
+// Without it a store would nudge every such refresh 1 ms past its
+// horizon until the new clock caught up, and a recorder's rate window
+// would see time go back. The refresh last seen, seen again (a poll
+// that found nothing newer), keeps its time.
+type followClock struct {
+	refresh      uint64
+	raw          float64 // the last refresh's own clock, in seconds
+	last, offset time.Duration
+	observed     bool
+}
+
+// rebase returns ws's time on the followed clock.
+func (c *followClock) rebase(ws *remote.Sample) time.Duration {
+	if c.observed && ws.Refresh == c.refresh && ws.TimeSeconds == c.raw {
+		return c.last
+	}
+	t := ws.Time() + c.offset
+	if c.observed && t <= c.last {
+		c.offset += c.last + ws.Interval() - t
+		t = c.last + ws.Interval()
+	}
+	c.refresh, c.raw = ws.Refresh, ws.TimeSeconds
+	c.last, c.observed = t, true
+	return t
 }
 
 // publicSample is the one wire → public translation, behind the

@@ -445,7 +445,9 @@ func (m *Monitor) Render(w io.Writer, s *Sample) error {
 // Store.RecordSample and every recorder fed from outside the engine (a
 // RemoteMonitor's, an aggregating Daemon's agents'). Values alias the
 // sample's Columns; the name-keyed Events are resolved to positional
-// counts once, here (core.Sample.SetEvents).
+// counts once, here (core.Sample.SetEvents). It names no Screen: no
+// engine here vouches for how the values were computed, so a store
+// keeps every one of them.
 func (s *Sample) coreSample() *core.Sample {
 	cs := &core.Sample{Time: s.Time, Dropped: s.Dropped, Rows: make([]core.Row, len(s.Rows))}
 	for i := range s.Rows {
