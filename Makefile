@@ -38,9 +38,10 @@ docs:
 	./scripts/check-docs.sh
 
 # Short coverage-guided passes over the metric-expression parser and
-# evaluator, the query-layer compiler, the store's frame decoder (v4,
-# with its derived-column headers, and the v3 and v2 frames older builds
-# wrote) and the wire encoders and decoders;
+# evaluator, the query-layer compiler, the store's frame decoder (v5,
+# with its event lists, refresh counts and derived-column headers, the
+# v4 frames the previous build wrote, and the refusal of older ones) and
+# the wire encoders and decoders;
 # CI runs them so a grammar change that
 # panics, breaks the canonical rendering fixpoint, lets a non-finite
 # value through the totality rule, lets the engine's slot-bound column

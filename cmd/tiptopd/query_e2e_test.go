@@ -11,6 +11,9 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -180,5 +183,70 @@ func TestFleetQueryExprAggregates(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no completed fleet buckets were comparable")
+	}
+}
+
+// TestFigure11NamedExpression: Figure 11's L2 misses per 100
+// instructions as a named <expr> of a -config file. A daemon on the mem
+// screen stores the screen's every event count, so it answers
+// ?expr=l2m_per100&step=10 from its 10 s tier, and each point is what
+// the tier's own l2m column reads for the same bucket.
+func TestFigure11NamedExpression(t *testing.T) {
+	conf := filepath.Join(t.TempDir(), "fig11.xml")
+	doc := `<tiptop><expr name="l2m_per100" expr="per100(L2_MISSES, INSTRUCTIONS)"/></tiptop>`
+	if err := os.WriteFile(conf, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := resolve([]string{"-sim", "datacenter", "-screen", "mem", "-d", "1", "-store", t.TempDir(), "-config", conf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDaemon(t, o.cfg, o.daemon)
+	defer d.Close()
+	for range 35 {
+		if _, err := d.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask := func(expr string) *query.Result {
+		t.Helper()
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/api/v1/query?step=10&expr="+expr, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("?expr=%s&step=10: HTTP %d: %s", expr, w.Code, w.Body)
+		}
+		var res query.Result
+		if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		return &res
+	}
+	named, column := ask("l2m_per100"), ask("l2m")
+	if named.ResolutionSeconds != 10 || named.Expr != "per100(L2_MISSES, INSTRUCTIONS)" {
+		t.Fatalf("served %q from resolution %gs, want the stored source from the 10 s tier", named.Expr, named.ResolutionSeconds)
+	}
+	if len(named.Series) != len(column.Series) || len(named.Series) < 2 {
+		t.Fatalf("%d series for the named expression, %d for the column", len(named.Series), len(column.Series))
+	}
+	points := 0
+	for i, s := range named.Series {
+		if s.Total {
+			continue // the total sums over tasks; the column averages them
+		}
+		c := column.Series[i]
+		if s.Key != c.Key || len(s.Points) != len(c.Points) {
+			t.Fatalf("series %d: %s with %d points, the column's %s with %d", i, s.Key, len(s.Points), c.Key, len(c.Points))
+		}
+		for j, p := range s.Points {
+			if want := c.Points[j].Value; math.Abs(p.Value-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("%s at %gs: l2m_per100 %v, the l2m column %v", s.Key, p.TimeSeconds, p.Value, want)
+			}
+			if p.Value > 0 {
+				points++
+			}
+		}
+	}
+	if points < 4 {
+		t.Fatalf("only %d non-zero points compared", points)
 	}
 }

@@ -129,6 +129,9 @@ type EventTable struct {
 	instr, cycles, misses int
 }
 
+// Names returns the table's event names, in Counts order (read-only).
+func (t *EventTable) Names() []string { return t.names }
+
 // NewEventTable builds the table of the given canonical event names.
 func NewEventTable(names ...string) *EventTable {
 	return &EventTable{
@@ -152,6 +155,9 @@ type Row struct {
 	// read the row by name.
 	Counts []uint64
 	Table  *EventTable
+	// Interval is the time the deltas span: 0 on a task's attach read
+	// (the refresh that opened its counters) and on an unread row.
+	Interval time.Duration
 	// Coverage is the fraction of the refresh interval the task's
 	// events were actually counted, averaged over the events: 1 when
 	// the PMU accommodated everything, lower when counts are

@@ -126,7 +126,8 @@ func (s *Session) sampleTask(row *Row, st *taskState, info *TaskInfo, now time.D
 		s.slots[i] = float64(d)
 	}
 	ctx := s.slots[len(deltas):]
-	ctx[metrics.SlotDeltaNS] = float64(now - st.prevSeenAt)
+	interval := now - st.prevSeenAt
+	ctx[metrics.SlotDeltaNS] = float64(interval)
 	ctx[metrics.SlotFreqHz] = s.opt.FreqHz
 	ctx[metrics.SlotCPUPct] = cpuPct
 	ctx[metrics.SlotNumCPU] = float64(s.opt.NumCPUs)
@@ -140,6 +141,7 @@ func (s *Session) sampleTask(row *Row, st *taskState, info *TaskInfo, now time.D
 		Counts:   deltas,
 		Table:    s.table,
 		Values:   vals,
+		Interval: interval,
 		Coverage: coverage,
 		Valid:    true,
 	}

@@ -35,8 +35,10 @@ package experiments
 // code) are reported as unsupported — never as a zero count.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"tiptop"
@@ -111,10 +113,6 @@ var baseEvents = []string{
 // optionalEvents are architecture-specific: validated where the model
 // implements them, reported unsupported elsewhere.
 var optionalEvents = []string{hpm.EventFPAssist}
-
-// storeEvents are the counters the durable record format carries per
-// row; the store and query layers validate through these.
-var storeEvents = []string{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses}
 
 // OracleEntry is one assertion of the conformance matrix: kernel ×
 // model × layer × event, with the expectation, the measurement and the
@@ -417,7 +415,11 @@ func oracleOne(model tiptop.MachineName, vk ukernel.ValidationKernel) ([]OracleE
 		}
 		return 0, fmt.Errorf("query %q returned no series for pid %d", expr, pid)
 	}
-	for _, ev := range storeEvents {
+	// Every event the screen counts is stored and queried back: the
+	// derived layer's inputs first, then the rest in screen order.
+	first := []string{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses}
+	rank := func(ev string) int { return cmp.Or(slices.Index(first, ev)+1, len(first)+1) }
+	for _, ev := range slices.SortedStableFunc(slices.Values(events), func(a, b string) int { return rank(a) - rank(b) }) {
 		measured, err := queryOne("delta(" + ev + ")")
 		if err != nil {
 			return nil, err

@@ -46,8 +46,8 @@ type Compiled struct {
 	// and so needs the individual points inside each bucket.
 	Pointwise bool
 	// slots is the layout of the rows the engine folds records into —
-	// BaseNames, then the screen columns Expr references — and bound is
-	// Expr resolved to it.
+	// DELTA_NS, CPU_PCT, then the events and columns Expr references —
+	// and bound is Expr resolved to it.
 	slots []string
 	bound *metrics.Bound
 	// pid is a raw plan's task filter (-1: every task); see rawPlan.
@@ -59,40 +59,56 @@ type Compiled struct {
 // gives it a column slot for every column the range carries, folds each
 // record's machine roll-up as its total, and renders a RawResult.
 func rawPlan(pid int) *Compiled {
-	return &Compiled{pid: max(pid, -1), slots: BaseNames()}
+	return &Compiled{pid: max(pid, -1), slots: []string{metrics.VarDeltaNS, metrics.VarCPUPct, hpm.EventInstructions, hpm.EventCycles}}
 }
 
 // raw reports whether c is a raw plan rather than an expression.
 func (c *Compiled) raw() bool { return c.Expr == nil }
 
-// Row positions of BaseNames; the referenced columns follow.
+// Row positions: two context variables, then the referenced names — for
+// a raw plan, the two events its IPC reads, then columns.
 const (
-	slotInstr = iota
-	slotCycles
-	slotMisses
-	slotDeltaNS
+	slotDeltaNS = iota
 	slotCPU
 	slotCols
 )
 
-// BaseNames are the identifiers every query backend resolves: the raw
-// counters persisted per record/point, plus the context variables that
-// make sense over a bucket. (FREQ_HZ and NUM_CPUS are live-sampling
-// context; stored records do not carry them.)
-func BaseNames() []string {
-	return []string{
-		hpm.EventInstructions,
-		hpm.EventCycles,
-		hpm.EventCacheMisses,
-		metrics.VarDeltaNS,
-		metrics.VarCPUPct,
+const (
+	rawInstr = slotCols + iota
+	rawCycles
+	rawCols
+)
+
+// countNames are the three counts a recorder keeps: what live rings
+// replay (Rings), and a source that names no events yet answers for.
+var countNames = []string{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses}
+
+// KnownNames is the vocabulary of a source counting events (countNames
+// when none are given) and labelled cols: the events, DELTA_NS, CPU_PCT,
+// then the columns; a name that is both is the event.
+func KnownNames(cols []string, events ...string) []string {
+	if len(events) == 0 {
+		events = countNames
 	}
+	out := append(slices.Clone(events), metrics.VarDeltaNS, metrics.VarCPUPct)
+	for _, c := range cols {
+		if !slices.Contains(events, c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
-// KnownNames is BaseNames plus the backend's screen column names — the
-// full identifier vocabulary of one query.
-func KnownNames(cols []string) []string {
-	return append(BaseNames(), cols...)
+// Names is the identifier vocabulary of a query over srcs: KnownNames
+// of the union of their columns and of their events.
+func Names(srcs map[string]Source) []string {
+	var cols, events []string
+	for _, src := range srcs {
+		cols, events = append(cols, src.Columns()...), append(events, src.Events()...)
+	}
+	slices.Sort(cols)
+	slices.Sort(events)
+	return KnownNames(slices.Compact(cols), slices.Compact(events)...)
 }
 
 // Compile parses and validates a query expression against the
@@ -132,7 +148,7 @@ func Compile(src string, known []string) (*Compiled, error) {
 		}
 	}
 	c.Pointwise = c.Expr.NeedsPointwise()
-	c.slots = BaseNames()
+	c.slots = []string{metrics.VarDeltaNS, metrics.VarCPUPct}
 	for _, id := range c.References() {
 		if !slices.Contains(c.slots, id) {
 			c.slots = append(c.slots, id)
@@ -146,9 +162,8 @@ func Compile(src string, known []string) (*Compiled, error) {
 
 // References returns the distinct identifiers the compiled per-bucket
 // expression reads — the projection a storage backend can restrict its
-// decode to. Counter and context names (BaseNames) appear alongside
-// screen column names; a backend matches what it recognizes and
-// ignores the rest.
+// decode to. Event and context names appear alongside screen column
+// names; a backend matches what it recognizes and ignores the rest.
 func (c *Compiled) References() []string {
 	return c.Expr.Identifiers()
 }

@@ -15,18 +15,14 @@ package query
 // their bucket lists and the buckets' rows are all carved from slabs, so
 // a fold allocates per slab chunk — not per series, bucket or row.
 //
-// A row's layout is INSTRUCTIONS, CYCLES, CACHE_MISSES, DELTA_NS,
-// CPU_PCT, then the screen columns the expression references. Within a
-// bucket the counters carry the bucket *sum* — so delta() is the bucket
-// delta and ratios recompute from sums (Σinstr/Σcycles), matching the
-// store's downsampling and the fleet snapshot's aggregate semantics.
-// CPU_PCT carries the mean over the contributing rows, a column the
-// mean over the rows that carried it: values fold under their column's
-// *name* (Push maps record positions to slots per column list), so a
-// range may cross a screen change. DELTA_NS is the bucket width (step);
-// at the serving resolution it is the record's own — a downsample
-// tier's resolution, or the time since the source's previous record
-// (0, unknown, for the first one in range).
+// A row's layout is DELTA_NS, CPU_PCT, then the events and columns the
+// expression references, folded by *name* (setLayout) so a range may
+// cross a screen change. Within a bucket an event carries the *sum* of
+// its counts — delta() is the bucket delta, ratios are ratios of sums,
+// as in the store's tiers — CPU_PCT the mean over the rows, a column
+// the mean over the rows that carried it. DELTA_NS is the bucket width
+// (step), or at the serving resolution the record's own: a tier's
+// resolution, or the time since the previous record (0 for the first).
 //
 // A raw plan (rawPlan) runs the same fold with three differences: its
 // column slots are every column the range carries, added as the scan
@@ -193,9 +189,12 @@ type Engine struct {
 	opt    Options
 	step   time.Duration
 	agent  string   // labels the source's series in fleet merges; "" solo
-	slots  []string // the row layout: c's, grown by setColumns for a raw plan
+	slots  []string // the row layout: c's, grown by setLayout for a raw plan
+	event  []bool   // per slot: an event's, summed rather than averaged
 	cols   []string // the record columns remap was built for
+	events []string // the record events eremap was built for
 	remap  []int    // record value position → slot, -1 when unreferenced
+	eremap []int    // record count position → slot, -1 when unreferenced
 	series map[seriesKey]*seriesAcc
 	total  *seriesAcc   // series[seriesKey{total: true}], nil before the first row
 	pos    []*seriesAcc // the series the previous record's row i folded into
@@ -215,31 +214,48 @@ func NewEngine(c *Compiled, agent string, opt Options) *Engine {
 		step:   time.Duration(opt.StepSeconds * float64(time.Second)),
 		agent:  agent,
 		slots:  slices.Clip(c.slots),
+		event:  make([]bool, len(c.slots)),
 		series: make(map[seriesKey]*seriesAcc),
 		last:   -1,
 	}
 }
 
-// setColumns maps the value positions of records labelled cols to
-// slots; the remap is rebuilt only when the scan crosses a screen
-// change. A raw plan gives a column it has not met yet the next slot.
-func (e *Engine) setColumns(cols []string) {
-	if e.remap != nil && slices.Equal(cols, e.cols) {
+// setLayout maps the count and value positions of records naming events
+// and labelled cols to slots, rebuilt only when the scan crosses a
+// screen change. A raw plan gives a column it has not met the next slot.
+func (e *Engine) setLayout(cols, events []string) {
+	if e.remap != nil && slices.Equal(cols, e.cols) && slices.Equal(events, e.events) {
 		return
 	}
-	e.cols = cols
-	e.remap = make([]int, len(cols))
-	for i, name := range cols {
-		slot := slices.Index(e.slots[slotCols:], name)
-		if slot < 0 && e.c.raw() {
-			e.slots = append(e.slots, name)
-			slot = len(e.slots) - 1 - slotCols
-		}
-		e.remap[i] = -1
-		if slot >= 0 {
-			e.remap[i] = slotCols + slot
+	evEnd, colStart := len(e.slots), slotCols // where event and column names may sit
+	if e.c.raw() {
+		evEnd, colStart = rawCols, rawCols
+	}
+	remaps := make([]int, len(events)+len(cols))
+	e.events, e.eremap = events, remaps[:len(events)]
+	for i, name := range events {
+		if e.eremap[i] = index(e.slots[:evEnd], name, slotCols); e.eremap[i] >= 0 {
+			e.event[e.eremap[i]] = true
 		}
 	}
+	e.cols, e.remap = cols, remaps[len(events):]
+	for i, name := range cols {
+		e.remap[i] = index(e.slots, name, colStart)
+		if e.c.raw() && e.remap[i] < 0 {
+			e.remap[i] = len(e.slots)
+			e.slots, e.event = append(e.slots, name), append(e.event, false)
+		} else if !e.c.raw() && slices.Contains(events, name) {
+			e.remap[i] = -1
+		}
+	}
+}
+
+// index returns the position of name in names from from on, or -1.
+func index(names []string, name string, from int) int {
+	if i := slices.Index(names[from:], name); i >= 0 {
+		return from + i
+	}
+	return -1
 }
 
 // width is the length of a bucket's vals under the current slots.
@@ -273,7 +289,7 @@ func (e *Engine) SetResolution(resSeconds float64) {
 // accumulators. The record is only read: a scan's reused scratch is
 // fine.
 func (e *Engine) Push(rec *store.Record, cols []string) {
-	e.setColumns(cols)
+	e.setLayout(cols, rec.Events)
 	dtNS := rec.ResSeconds * 1e9
 	if dtNS == 0 && e.last >= 0 && rec.TimeSeconds > e.last {
 		dtNS = (rec.TimeSeconds - e.last) * 1e9
@@ -297,7 +313,7 @@ func (e *Engine) Push(rec *store.Record, cols []string) {
 		// one fold however wide the record, a point even without tasks,
 		// and never thinned by the pid filter.
 		m := &rec.Machine
-		e.fold(tb, nil, &store.RecordRow{CPUPct: m.CPUPct, Instr: m.Instr, Cycles: m.Cycles, Misses: m.Misses}, dtNS)
+		e.fold(tb, nil, &store.RecordRow{CPUPct: m.CPUPct, Counts: m.Counts}, dtNS)
 		tb = nil
 	}
 	for len(e.pos) < len(rec.Rows) {
@@ -393,7 +409,6 @@ func (e *Engine) fold(b, tb *bucket, r *store.RecordRow, dtNS float64) {
 	var point []float64
 	if e.c.Pointwise {
 		point = e.rows.take(len(e.slots))
-		point[slotInstr], point[slotCycles], point[slotMisses] = float64(r.Instr), float64(r.Cycles), float64(r.Misses)
 		point[slotDeltaNS], point[slotCPU] = dtNS, r.CPUPct
 		e.addPoint(b, point)
 		e.addPoint(tb, point)
@@ -403,26 +418,29 @@ func (e *Engine) fold(b, tb *bucket, r *store.RecordRow, dtNS float64) {
 			continue
 		}
 		b.n++
-		b.vals[slotInstr] += float64(r.Instr)
-		b.vals[slotCycles] += float64(r.Cycles)
-		b.vals[slotMisses] += float64(r.Misses)
 		b.vals[slotDeltaNS] = dtNS
 		b.vals[slotCPU] += r.CPUPct
 	}
 	seen := len(e.slots) - slotCols // slot's count sits at seen+slot
-	for i, v := range r.Values[:min(len(r.Values), len(e.remap))] {
-		slot := e.remap[i]
-		if slot < 0 {
-			continue
-		}
-		b.vals[slot] += v
-		b.vals[seen+slot]++
-		if tb != nil {
-			tb.vals[slot] += v
-			tb.vals[seen+slot]++
+	add := func(slot int, v float64) {
+		for _, b := range [...]*bucket{b, tb} {
+			if b != nil {
+				b.vals[slot] += v
+				b.vals[seen+slot]++
+			}
 		}
 		if point != nil {
 			point[slot] = v
+		}
+	}
+	for i, c := range r.Counts[:min(len(r.Counts), len(e.eremap))] {
+		if slot := e.eremap[i]; slot >= 0 {
+			add(slot, float64(c))
+		}
+	}
+	for i, v := range r.Values[:min(len(r.Values), len(e.remap))] {
+		if slot := e.remap[i]; slot >= 0 {
+			add(slot, v)
 		}
 	}
 }
@@ -435,6 +453,9 @@ func (e *Engine) fold(b, tb *bucket, r *store.RecordRow, dtNS float64) {
 // intervals), exactly as its records would have arriving last.
 func (e *Engine) Merge(o *Engine) {
 	e.SetResolution(o.res)
+	for i, ev := range o.event {
+		e.event[i] = e.event[i] || ev
+	}
 	for key, oacc := range o.series {
 		acc := e.series[key]
 		if acc == nil {
@@ -517,7 +538,7 @@ func (e *Engine) Finish() *Result {
 			}
 			row[slotCPU] /= float64(b.n)
 			for i, n := range b.vals[len(row):] {
-				if n > 0 {
+				if n > 0 && !e.event[slotCols+i] {
 					row[slotCols+i] /= n
 				}
 			}
@@ -551,7 +572,7 @@ func (e *Engine) Finish() *Result {
 // PID then TID. On single-screen data that is what the downsampling
 // accumulator makes of the same rows — the fold that wrote the tiers.
 func (e *Engine) finishRaw() *RawResult {
-	out := &RawResult{PID: e.c.pid, ResolutionSeconds: e.res, Columns: e.slots[slotCols:]}
+	out := &RawResult{PID: e.c.pid, ResolutionSeconds: e.res, Columns: e.slots[rawCols:]}
 	if step := e.step.Seconds(); step > e.res {
 		out.StepSeconds = step
 	}
@@ -569,13 +590,13 @@ func (e *Engine) finishRaw() *RawResult {
 		for i := range acc.buckets {
 			b := e.widen(&acc.buckets[i])
 			p := RawPoint{TimeSeconds: b.t, CPUPct: b.vals[slotCPU] / float64(b.n)}
-			if cycles := b.vals[slotCycles]; cycles > 0 {
-				p.IPC = b.vals[slotInstr] / cycles
+			if cycles := b.vals[rawCycles]; cycles > 0 {
+				p.IPC = b.vals[rawInstr] / cycles
 			}
 			if !acc.key.total && ncols > 0 {
 				start := len(values)
-				for c, n := range b.vals[len(e.slots):] {
-					values = append(values, b.vals[slotCols+c]/max(n, 1)) // a column no row carried sums to 0
+				for c, n := range b.vals[len(e.slots)+rawCols-slotCols:] {
+					values = append(values, b.vals[rawCols+c]/max(n, 1)) // a column no row carried sums to 0
 				}
 				p.Values = values[start:len(values):len(values)]
 			}

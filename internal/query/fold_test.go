@@ -19,15 +19,19 @@ type pushed struct {
 // foldStream generates n records of a churning task set, one per second
 // from start: every task of a pool of 12 is present with probability
 // 0.8, so rows shift position from record to record, and the screen
-// changes from [a b] to [b a c] halfway. Every fourth record of a tiered
-// stream is stamped as a 10s tier record.
+// changes from [a b] to [b a c] halfway — its events from INSTRUCTIONS,
+// CYCLES, CACHE_MISSES to CYCLES, b, INSTRUCTIONS, a column's name read
+// as the event's. Every fourth record of a tiered stream is stamped as
+// a 10s tier record.
 func foldStream(rng *rand.Rand, n int, start float64, tiered bool) []pushed {
 	out := make([]pushed, n)
 	for i := range out {
 		p := &out[i]
 		p.cols = []string{"a", "b"}
+		p.rec.Events = []string{"INSTRUCTIONS", "CYCLES", "CACHE_MISSES"}
 		if i >= n/2 {
 			p.cols = []string{"b", "a", "c"}
+			p.rec.Events = []string{"CYCLES", "b", "INSTRUCTIONS"}
 		}
 		p.rec.TimeSeconds = start + float64(i+1)
 		if tiered && i%4 == 0 {
@@ -39,7 +43,7 @@ func foldStream(rng *rand.Rand, n int, start float64, tiered bool) []pushed {
 			}
 			row := store.RecordRow{
 				PID: 100 + k/2, TID: 100 + k, User: fmt.Sprint("u", k%3), Command: fmt.Sprint("c", k%4),
-				CPUPct: 100 * rng.Float64(), Instr: uint64(rng.Intn(1e6)), Cycles: uint64(rng.Intn(1e6)), Misses: uint64(rng.Intn(1e3)),
+				CPUPct: 100 * rng.Float64(), Counts: []uint64{uint64(rng.Intn(1e6)), uint64(rng.Intn(1e6)), uint64(rng.Intn(1e3))},
 			}
 			for range p.cols[:len(p.cols)-rng.Intn(2)] { // a row may carry fewer values than columns
 				row.Values = append(row.Values, rng.NormFloat64())
@@ -59,6 +63,7 @@ var foldExprs = []string{
 	"sum_over_time(CPU_PCT) by agent",
 	"topk(3, avg_over_time(a + c))",
 	"DELTA_NS + c",
+	"delta(CACHE_MISSES) + b",
 }
 
 // folder is what the engine and its reference share.
@@ -144,10 +149,11 @@ func TestEngineFoldAllocs(t *testing.T) {
 	for i := range stream {
 		rec := &stream[i].rec
 		rec.TimeSeconds = float64(i + 1)
+		rec.Events = []string{"INSTRUCTIONS", "CYCLES", "CACHE_MISSES"}
 		for k := 0; k < rows; k++ {
 			rec.Rows = append(rec.Rows, store.RecordRow{
 				PID: 100 + k, TID: 100 + k, User: fmt.Sprint("u", k%3), Command: "job",
-				CPUPct: 50, Instr: 2000, Cycles: 1000, Misses: 10, Values: []float64{1.5, float64(k)},
+				CPUPct: 50, Counts: []uint64{2000, 1000, 10}, Values: []float64{1.5, float64(k)},
 			})
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,21 +131,6 @@ func NamedExprs(named map[string]string, h http.Handler) http.Handler {
 	})
 }
 
-// knownNames is the identifier vocabulary of a query over srcs: the
-// union of their columns.
-func knownNames(srcs map[string]Source) []string {
-	var cols []string
-	for _, src := range srcs {
-		for _, c := range src.Columns() {
-			if !slices.Contains(cols, c) {
-				cols = append(cols, c)
-			}
-		}
-	}
-	sort.Strings(cols)
-	return KnownNames(cols)
-}
-
 // serve runs the request's plan over srcs: the raw series of p.pid from
 // the one source, or p.expr compiled against their columns.
 // Compilation failures are 400 with the position, and so is a range the
@@ -160,7 +144,7 @@ func serve(w http.ResponseWriter, p *params, srcs map[string]Source) {
 			res, err = RunRaw(src, p.pid, p.opt)
 		}
 	} else {
-		c, cerr := Compile(p.expr, knownNames(srcs))
+		c, cerr := Compile(p.expr, Names(srcs))
 		if cerr != nil {
 			writeError(w, http.StatusBadRequest, cerr)
 			return

@@ -36,9 +36,11 @@ type refEngine struct {
 	c      *Compiled
 	opt    Options
 	step   time.Duration
-	agent  string   // labels the source's series in fleet merges; "" solo
-	cols   []string // the record columns remap was built for
-	remap  []int    // record value position → slot, -1 when unreferenced
+	agent  string       // labels the source's series in fleet merges; "" solo
+	cols   []string     // the record columns remap was built for
+	events []string     // the record events remap was built for
+	remap  []int        // record value position → slot, -1 when unreferenced
+	event  map[int]bool // the slots a record's event folded into
 	series map[seriesKey]*refSeriesAcc
 	last   float64 // the previous record's time, -1 before the first
 	res    float64 // serving resolution, set by the source
@@ -51,24 +53,27 @@ func newRefEngine(c *Compiled, agent string, opt Options) *refEngine {
 		opt:    opt,
 		step:   time.Duration(opt.StepSeconds * float64(time.Second)),
 		agent:  agent,
+		event:  make(map[int]bool),
 		series: make(map[seriesKey]*refSeriesAcc),
 		last:   -1,
 	}
 }
 
 // setColumns maps the value positions of records labelled cols to
-// slots; the remap is rebuilt only when the scan crosses a screen
-// change.
-func (e *refEngine) setColumns(cols []string) {
-	if e.remap != nil && slices.Equal(cols, e.cols) {
+// slots, a name the records also have as an event to none; the remap is
+// rebuilt only when the scan crosses a screen change.
+func (e *refEngine) setColumns(cols, events []string) {
+	if e.remap != nil && slices.Equal(cols, e.cols) && slices.Equal(events, e.events) {
 		return
 	}
-	e.cols = cols
+	e.cols, e.events = cols, events
 	e.remap = make([]int, len(cols))
 	for i, name := range cols {
 		e.remap[i] = slices.Index(e.c.slots[slotCols:], name)
-		if e.remap[i] >= 0 {
+		if e.remap[i] >= 0 && !slices.Contains(events, name) {
 			e.remap[i] += slotCols
+		} else {
+			e.remap[i] = -1
 		}
 	}
 }
@@ -86,7 +91,7 @@ func (e *refEngine) SetResolution(resSeconds float64) {
 // accumulators. The record is only read: a scan's reused scratch is
 // fine.
 func (e *refEngine) Push(rec *store.Record, cols []string) {
-	e.setColumns(cols)
+	e.setColumns(cols, rec.Events)
 	dtNS := rec.ResSeconds * 1e9
 	if dtNS == 0 && e.last >= 0 && rec.TimeSeconds > e.last {
 		dtNS = (rec.TimeSeconds - e.last) * 1e9
@@ -98,8 +103,8 @@ func (e *refEngine) Push(rec *store.Record, cols []string) {
 	}
 	for i := range rec.Rows {
 		r := &rec.Rows[i]
-		e.fold(e.rowKey(r), r, bt, dtNS)
-		e.fold(seriesKey{total: true}, r, bt, dtNS)
+		e.fold(e.rowKey(r), rec.Events, r, bt, dtNS)
+		e.fold(seriesKey{total: true}, rec.Events, r, bt, dtNS)
 	}
 }
 
@@ -116,7 +121,7 @@ func (e *refEngine) rowKey(r *store.RecordRow) seriesKey {
 	return seriesKey{agent: e.agent, pid: r.PID, tid: r.TID}
 }
 
-func (e *refEngine) fold(key seriesKey, r *store.RecordRow, bt, dtNS float64) {
+func (e *refEngine) fold(key seriesKey, events []string, r *store.RecordRow, bt, dtNS float64) {
 	acc := e.series[key]
 	if acc == nil {
 		acc = &refSeriesAcc{key: key, buckets: make(map[float64]*refBucketAcc)}
@@ -131,17 +136,28 @@ func (e *refEngine) fold(key seriesKey, r *store.RecordRow, bt, dtNS float64) {
 		acc.buckets[bt] = b
 	}
 	b.n++
-	b.sum[slotInstr] += float64(r.Instr)
-	b.sum[slotCycles] += float64(r.Cycles)
-	b.sum[slotMisses] += float64(r.Misses)
 	b.sum[slotDeltaNS] = dtNS
 	b.sum[slotCPU] += r.CPUPct
 	var point []float64
 	if e.c.Pointwise {
 		point = make([]float64, len(b.sum))
-		point[slotInstr], point[slotCycles], point[slotMisses] = float64(r.Instr), float64(r.Cycles), float64(r.Misses)
 		point[slotDeltaNS], point[slotCPU] = dtNS, r.CPUPct
 		b.points = append(b.points, point)
+	}
+	for i, c := range r.Counts {
+		if i >= len(events) {
+			break
+		}
+		slot := slices.Index(e.c.slots[slotCols:], events[i])
+		if slot < 0 {
+			continue
+		}
+		slot += slotCols
+		e.event[slot] = true
+		b.sum[slot] += float64(c)
+		if point != nil {
+			point[slot] = float64(c)
+		}
 	}
 	for i, v := range r.Values[:min(len(r.Values), len(e.remap))] {
 		slot := e.remap[i]
@@ -164,6 +180,9 @@ func (e *refEngine) fold(key seriesKey, r *store.RecordRow, bt, dtNS float64) {
 // intervals), exactly as its records would have arriving last.
 func (e *refEngine) Merge(o *refEngine) {
 	e.SetResolution(o.res)
+	for slot := range o.event {
+		e.event[slot] = true
+	}
 	for key, oacc := range o.series {
 		acc := e.series[key]
 		if acc == nil {
@@ -233,7 +252,7 @@ func (e *refEngine) Finish() *Result {
 			}
 			row[slotCPU] /= float64(b.n)
 			for i, n := range b.seen {
-				if n > 0 {
+				if n > 0 && !e.event[slotCols+i] {
 					row[slotCols+i] /= n
 				}
 			}

@@ -9,8 +9,7 @@ package query
 //
 // Store scans run vectorized: segments decode on a worker pool,
 // projected down to the columns the compiled expression references
-// (plus CPU_PCT when referenced; IPC is always recomputed from the
-// counters, which every decode keeps).
+// (plus CPU_PCT when referenced; counts are always decoded).
 
 import (
 	"fmt"
@@ -25,22 +24,25 @@ import (
 	"tiptop/internal/store"
 )
 
-// Source is one backend of a query: the value columns an expression
-// may name, and a time-ordered scan of its records under
+// Source is one backend of a query: the events and value columns an
+// expression may name, and a time-ordered scan of its records under
 // store.Store's ScanWith contract (fn's record is scratch, cols are the
-// columns in force at that record).
+// columns in force at that record, its Events the events).
 type Source interface {
 	Columns() []string
+	Events() []string
 	ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols []string) error) (time.Duration, error)
 }
 
 // Rings adapts a live recorder's ring buffers — the data the
 // interactive screens render — to a Source: one raw-resolution record
-// per recorded instant, rows in PID/TID order, with the machine roll-up
-// the store's writer would have computed over them.
+// per recorded instant, rows in PID/TID order, counting countNames, with
+// the machine roll-up the store's writer would have computed.
 func Rings(rec *history.Recorder) Source { return rings{rec} }
 
 type rings struct{ *history.Recorder }
+
+func (rings) Events() []string { return countNames }
 
 func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols []string) error) (time.Duration, error) {
 	cols := r.Columns()
@@ -48,7 +50,8 @@ func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols 
 	// Every ring holds a time-ordered run of the recorder's refresh
 	// instants: one cursor per ring walks them in step.
 	next := make([]int, len(series))
-	var rec store.Record
+	rec := store.Record{Events: countNames, Machine: store.RecordAgg{Counts: make([]uint64, len(countNames))}}
+	counts := make([]uint64, 0, len(countNames)*len(series))
 	for {
 		rec.TimeSeconds = math.Inf(1)
 		for i := range series {
@@ -59,22 +62,26 @@ func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols 
 		if math.IsInf(rec.TimeSeconds, 1) || opts.ToSeconds > 0 && rec.TimeSeconds > opts.ToSeconds {
 			return 0, nil
 		}
-		rec.Rows = rec.Rows[:0]
-		rec.Machine = store.RecordAgg{}
+		rec.Rows, counts = rec.Rows[:0], counts[:0]
+		m := &rec.Machine
+		m.Tasks, m.CPUPct = 0, 0
+		clear(m.Counts)
 		for i := range series {
 			s := &series[i]
 			if n := next[i]; n < len(s.Points) && s.Points[n].TimeSeconds == rec.TimeSeconds {
 				p := &s.Points[n]
 				next[i]++
+				off := len(counts)
+				counts = append(counts, p.Instr, p.Cycles, p.Misses)
 				rec.Rows = append(rec.Rows, store.RecordRow{
 					PID: s.PID, TID: s.TID, User: s.User, Command: s.Command,
-					CPUPct: p.CPUPct, Values: p.Values,
-					Instr: p.Instr, Cycles: p.Cycles, Misses: p.Misses,
+					CPUPct: p.CPUPct, Values: p.Values, Counts: counts[off:len(counts):len(counts)],
 				})
-				m := &rec.Machine
 				m.Tasks++
 				m.CPUPct += p.CPUPct
-				m.Instr, m.Cycles, m.Misses = m.Instr+p.Instr, m.Cycles+p.Cycles, m.Misses+p.Misses
+				for e, c := range counts[off:] {
+					m.Counts[e] += c
+				}
 			}
 		}
 		if rec.TimeSeconds < opts.FromSeconds {

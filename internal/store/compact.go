@@ -1,17 +1,13 @@
 package store
 
 // Compaction: rewriting a tier's sealed segments into fewer, fuller
-// ones. Live segments already hold record-format-v4 frames, so there is
-// nothing left to shrink frame by frame; the rewrite merges segments
-// that sealed small (by age, or fragmented by restarts) into full-size
-// ones under a single dictionary, converts whatever v1 JSON, v2 or v3
-// frames an older build left behind, and optionally tombstones series
-// that exited long ago. A record that left derived columns out leaves
-// them out again where they still verify (a tombstone can only help),
-// under a column header naming the same expressions. Query results are
-// unchanged by construction — every field v4 keeps is carried
-// bit-exactly, every column it omits recomputes to the same bits, and
-// the v2 per-row IPC it drops was never read — except that tombstoned
+// ones. Live segments already hold record-format-v5 frames; the rewrite
+// merges segments that sealed small (by age, or fragmented by restarts)
+// into full-size ones under a single dictionary, rewrites the previous
+// build's v4 frames as v5, and optionally tombstones series that exited
+// long ago. Query results are unchanged by construction — every field
+// is carried bit-exactly, and an omitted column omitted again where it
+// still verifies — except that tombstoned
 // rows disappear (the machine roll-up keeps their contribution; it is an
 // aggregate of what happened, not of what is retained).
 //
@@ -71,7 +67,7 @@ type CompactionResult struct {
 }
 
 // Compact rewrites every tier's sealed segments, merging them into
-// compacted segments of Options.SegmentBytes (all record format v4,
+// compacted segments of Options.SegmentBytes (all record format v5,
 // whatever the inputs held). The active segments are untouched —
 // appends and queries run concurrently with the rewrite (queries see
 // the swap atomically). Calling Compact on a store with nothing to
@@ -188,6 +184,9 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 			for _, c := range rec.Cols {
 				w.dict.intern(c)
 			}
+			for _, e := range rec.Events {
+				w.dict.intern(e)
+			}
 			if der := sc.dv.cur; len(rec.Cols) > 0 && der != nil {
 				for _, src := range der.src {
 					if src != "" {
@@ -215,15 +214,16 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 		}
 		tc.TombstonedSeries = len(dead)
 	}
-	var activeCols, writtenCols []string
+	var activeCols, writtenCols, writtenEvents []string
 	var writtenDer *derivation
+	headed := false // the output segment has a layout header
 	var filtered []RecordRow
 	for i, in := range inputs {
 		if w.f == nil {
 			if err := w.start(in.seq); err != nil {
 				return tc, nil, err
 			}
-			writtenCols, writtenDer = nil, nil
+			headed = false
 		}
 		err := each(in, func(rec *Record, fileCols []string) error {
 			if fileCols != nil {
@@ -242,18 +242,16 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 				}
 				out.Rows = filtered
 			}
-			// Each output segment's first record carries the columns in
-			// force; mid-segment frames only carry a genuine change, of
-			// the columns or of the derivation in force. A record the
-			// input derived columns of omits them again where they verify.
+			// Each output segment's first record carries the layout in
+			// force; later ones only a genuine change of it.
 			der := sc.dv.cur
-			if !sameCols(writtenCols, activeCols) || der != nil && !der.same(writtenDer) {
-				out.Cols = activeCols
-				writtenCols, writtenDer = activeCols, der
-			} else {
-				out.Cols = nil
+			head := !headed || !slices.Equal(writtenCols, activeCols) ||
+				!slices.Equal(writtenEvents, rec.Events) || der != nil && !der.same(writtenDer)
+			if head {
+				headed, writtenCols, writtenEvents, writtenDer = true, activeCols, rec.Events, der
 			}
-			return w.record(&out, der)
+			out.Cols = activeCols
+			return w.record(&out, der, head)
 		})
 		if err != nil {
 			return tc, nil, err
@@ -279,8 +277,6 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 func recTime(rec *Record) time.Duration {
 	return time.Duration(rec.TimeSeconds * float64(time.Second))
 }
-
-func sameCols(a, b []string) bool { return slices.Equal(a, b) }
 
 // compactWriter produces the output segments of one tier's rewrite,
 // one at a time: dictionary frame first, then data frames, finished by
@@ -315,10 +311,9 @@ func (w *compactWriter) start(a int64) error {
 	return w.writeFrame()
 }
 
-// record encodes one record as a v4 data frame under the derivation der
-// (see appendData).
-func (w *compactWriter) record(rec *Record, der *derivation) error {
-	w.buf = appendData(beginFrame(w.buf[:0]), rec, w.dict, der)
+// record encodes one record as a v5 data frame (see appendData).
+func (w *compactWriter) record(rec *Record, der *derivation, head bool) error {
+	w.buf = appendData(beginFrame(w.buf[:0]), rec, w.dict, der, head)
 	if err := w.writeFrame(); err != nil {
 		return err
 	}

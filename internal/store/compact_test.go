@@ -88,17 +88,17 @@ func countFiles(t *testing.T, dir, pattern string) int {
 // TestCompactGoldenQueryIdentical is the golden test: compaction must
 // leave every query's marshaled result byte-for-byte identical — before
 // and after, and again after a close/reopen that recovers the compacted
-// chain from disk. Over segments an older build wrote as v1 JSON the
-// rewrite must also shrink them >= 3x; over live v4 segments there is
-// nothing left to shrink, only segments to merge, so it must not grow.
+// chain from disk. Over live v5 segments there is nothing left to
+// shrink, only segments to merge, so it must not grow; over segments the
+// previous build wrote as v4 it rewrites every frame as v5.
 func TestCompactGoldenQueryIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		v1       bool
+		v4       bool
 		minRatio int64
 	}{
-		{name: "v1-written", v1: true, minRatio: 3},
-		{name: "v3-live", minRatio: 1},
+		{name: "v4-written", v4: true},
+		{name: "v5-live", minRatio: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -113,15 +113,15 @@ func TestCompactGoldenQueryIdentical(t *testing.T) {
 			fillVaried(t, st, 500*time.Millisecond, 1500*time.Millisecond, n, 8, &seed)
 			pre := snapshotQueries(t, st)
 			records := st.Records()
-			if tc.v1 {
+			if tc.v4 {
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
-				rewriteSegmentsV1(t, dir)
+				rewriteSegmentsV4(t, segmentFiles(t, dir)...)
 				st = mustOpen(t, dir, opt)
 				for i, b := range snapshotQueries(t, st) {
 					if !bytes.Equal(b, pre[i]) {
-						t.Fatalf("query %d differs between the v3 and v1 renderings of the same appends", i)
+						t.Fatalf("query %d differs between the v5 and v4 renderings of the same appends", i)
 					}
 				}
 			}
@@ -141,7 +141,7 @@ func TestCompactGoldenQueryIdentical(t *testing.T) {
 					t.Fatalf("tier %s compacted zero records", tc.Tier)
 				}
 			}
-			if after*tc.minRatio > before {
+			if tc.minRatio > 0 && after*tc.minRatio > before {
 				t.Fatalf("compaction ratio %.2fx, want >= %dx (%d -> %d bytes)",
 					float64(before)/float64(after), tc.minRatio, before, after)
 			}
@@ -179,10 +179,24 @@ func TestCompactGoldenQueryIdentical(t *testing.T) {
 	}
 }
 
-// kinds counts a segment file's frames by what they hold: v1 JSON
-// records, dictionary frames of any binary version, binary data frames
-// by version, and the v4 ones among them that leave columns out.
-type kinds struct{ V1, Dicts, V2, V3, V4, Omitting int }
+// kinds counts a segment file's frames by what they hold: dictionary
+// frames of either version, data frames by version, and the ones among
+// them that leave columns out.
+type kinds struct{ Dicts, V4, V5, Omitting int }
+
+// segmentFiles lists every segment file of a closed store's directory.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	for _, pattern := range []string{"*.seg", "*.cseg"} {
+		m, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m...)
+	}
+	return out
+}
 
 func frameKinds(t *testing.T, path string) (k kinds) {
 	t.Helper()
@@ -202,16 +216,14 @@ func frameKinds(t *testing.T, path string) (k kinds) {
 		}
 		fr.accept()
 		switch {
-		case payload[0] == '{':
-			k.V1++
 		case payload[1] == v2KindDict:
 			k.Dicts++
-		case payload[0] == recordVersionV2:
-			k.V2++
-		case payload[0] == recordVersionV3:
-			k.V3++
-		default:
+		case payload[0] == recordVersionV4:
 			k.V4++
+		default:
+			k.V5++
+		}
+		if payload[1] == v2KindData {
 			r := binenc.NewReader(payload[2:])
 			r.Uvarint() // time
 			r.Uvarint() // res
@@ -223,11 +235,11 @@ func frameKinds(t *testing.T, path string) (k kinds) {
 }
 
 // TestMixedVersionTwin is the old-store test. Two stores take identical
-// appends; one is turned mid-way into what a build with the v1 live
-// writer left behind — compacted .cseg segments plus v1 JSON .seg
-// segments, the tail included — and must then open, append (v4 frames
-// after the v1 ones in the tail file), query, compact and reopen with
-// answers byte-identical to the twin that was v4 from the start.
+// appends; one is turned mid-way into what the v4 build left behind —
+// compacted .cseg segments plus .seg segments, the tail included, all in
+// v4 frames — and must then open, append (v5 frames after the v4 ones in
+// the tail file), query, compact and reopen with answers byte-identical
+// to the twin that was v5 from the start.
 func TestMixedVersionTwin(t *testing.T) {
 	opt := Options{SegmentBytes: 4 << 10}
 	mixed := mustOpen(t, t.TempDir(), opt)
@@ -244,40 +256,40 @@ func TestMixedVersionTwin(t *testing.T) {
 	fillVaried(t, mixed, 151*time.Second, time.Second, 150, 4, &seedA)
 	fillVaried(t, plain, 151*time.Second, time.Second, 150, 4, &seedB)
 	// Both restart (a restart drops the partial downsample buckets, so
-	// the twin must take it too); only one wakes up with v1 segments.
+	// the twin must take it too); only one wakes up with v4 segments.
 	for _, st := range []*Store{mixed, plain} {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rewriteSegmentsV1(t, mixed.Dir())
-	// The v1 rendering of a full v4 segment is several times the segment
-	// size; reopen with room, so the tail is the part-filled segment an
-	// old build would have left and takes appends instead of rotating.
+	rewriteSegmentsV4(t, segmentFiles(t, mixed.Dir())...)
+	// Reopen with room, so the tail is the part-filled segment an old
+	// build would have left and takes appends instead of rotating.
 	opt.SegmentBytes = 16 << 10
 	mixed = mustOpen(t, mixed.Dir(), opt)
 	plain = mustOpen(t, plain.Dir(), opt)
 	mixed.SetColumns([]string{"c"})
 	plain.SetColumns([]string{"c"})
 	if countFiles(t, mixed.Dir(), "*.cseg") == 0 || countFiles(t, mixed.Dir(), "*.seg") == 0 {
-		t.Fatal("directory does not actually mix compacted and v1 segments")
+		t.Fatal("directory does not actually mix compacted and live segments")
 	}
 	tail := newestSegment(t, mixed.Dir(), "raw")
-	if k := frameKinds(t, tail); k.V1 == 0 || k != (kinds{V1: k.V1}) {
-		t.Fatalf("old store's tail holds %+v frames; want v1 only", k)
+	if k := frameKinds(t, tail); k.V4 == 0 || k.V5 != 0 {
+		t.Fatalf("old store's tail holds %+v frames; want v4 only", k)
 	}
 	want := snapshotQueries(t, plain)
 	for i, b := range snapshotQueries(t, mixed) {
 		if !bytes.Equal(b, want[i]) {
-			t.Fatalf("query %d: old store differs from its v4 twin:\nv4:  %s\nold: %s", i, want[i], b)
+			t.Fatalf("query %d: old store differs from its v5 twin:\nv5:  %s\nold: %s", i, want[i], b)
 		}
 	}
-	// A few appends land in the recovered v1 tail file, the rest seal it
-	// and spill into fresh v4 segments.
+	// A few appends land in the recovered v4 tail file, the rest seal it
+	// and spill into fresh v5 segments.
+	before := frameKinds(t, tail)
 	fillVaried(t, mixed, time.Second, time.Second, 2, 4, &seedA)
 	fillVaried(t, plain, time.Second, time.Second, 2, 4, &seedB)
-	if k := frameKinds(t, tail); k.V1 == 0 || k != (kinds{V1: k.V1, Dicts: 1, V4: 2}) {
-		t.Fatalf("recovered tail holds %+v frames; want v1 frames, then one dictionary and two v4 records", k)
+	if k := frameKinds(t, tail); k.V4 != before.V4 || k.V5 != 2 || k.Dicts != before.Dicts+1 {
+		t.Fatalf("recovered tail holds %+v frames (%+v before); want its v4 frames, then one dictionary and two v5 records", k, before)
 	}
 	fillVaried(t, mixed, 3*time.Second, time.Second, 98, 4, &seedA)
 	fillVaried(t, plain, 3*time.Second, time.Second, 98, 4, &seedB)
@@ -286,7 +298,7 @@ func TestMixedVersionTwin(t *testing.T) {
 		want := snapshotQueries(t, plain)
 		for i, b := range snapshotQueries(t, mixed) {
 			if !bytes.Equal(b, want[i]) {
-				t.Fatalf("query %d differs %s:\nv4:  %s\nold: %s", i, when, want[i], b)
+				t.Fatalf("query %d differs %s:\nv5:  %s\nold: %s", i, when, want[i], b)
 			}
 		}
 	}
@@ -325,19 +337,14 @@ func writeRawFrame(t *testing.T, path string, payload []byte) {
 }
 
 // TestFutureVersionsRejectedLoudly: a frame from the future — binary
-// v5 or JSON {"v":5} — must fail Open with a version error, not be
-// clipped silently as corruption.
+// v6 — must fail Open with a version error, not be clipped silently as
+// corruption.
 func TestFutureVersionsRejectedLoudly(t *testing.T) {
-	for name, payload := range map[string][]byte{
-		"binary-v5": {0x05, 0x01, 0x80, 0x08},
-		"json-v5":   []byte(`{"v":5,"time_s":1,"rows":[],"machine":{}}`),
-	} {
-		dir := t.TempDir()
-		writeRawFrame(t, filepath.Join(dir, "raw-0000000001.seg"), payload)
-		_, err := Open(dir, Options{})
-		if err == nil || !strings.Contains(err.Error(), "version 5") {
-			t.Fatalf("%s: Open = %v, want loud version-5 rejection", name, err)
-		}
+	dir := t.TempDir()
+	writeRawFrame(t, filepath.Join(dir, "raw-0000000001.seg"), []byte{0x06, 0x01, 0x80, 0x08})
+	_, err := Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), "version 6") {
+		t.Fatalf("Open = %v, want loud version-6 rejection", err)
 	}
 }
 

@@ -1,82 +1,60 @@
 package store
 
-// Derived columns (record format v4). Every raw row stores its
-// INSTRUCTIONS, CYCLES and CACHE_MISSES counts, and the default screen's
-// columns — Mcycle, Minst, IPC, DMIS — are functions of exactly those.
-// A raw record therefore leaves out a column whose every row's value is
-// what the column's expression computes from that row's stored counts,
-// bit for bit, and readers recompute it. The expression sources travel
-// in the segment dictionary, referenced from the column header that
-// names the columns; a record's omission mask names the columns it left
-// out. Only the writer can know a column is derivable: the engine's
-// samples name the screen whose programs computed their values, and the
-// writer verifies every row before it omits anything. A sample whose
-// values came from elsewhere (a wire feed, a hand-built sample) names
-// no screen and is stored as given, and so is a column one row of which
-// fails verification, for that record.
+// Derived columns. Most screen columns are functions of a row's event
+// counts and CPU%, so a record leaves out a column whose every row's
+// value is what its expression computes from the row's counts (per
+// refresh, Σcount/N, on a downsampled row), bit for bit, and readers
+// recompute it. The sources travel in the segment dictionary, named by
+// the layout header; the omission mask names what a record left out.
+// Only engine samples name the screen that computed their values, and
+// the writer verifies every row before it omits anything; any other
+// sample is stored as given, as is a column one row of which fails, or
+// that reads what a row does not store (DELTA_NS, SMPL_PCT, FREQ_HZ,
+// NUM_CPUS).
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
 	"tiptop/internal/binenc"
-	"tiptop/internal/hpm"
 	"tiptop/internal/metrics"
 )
-
-// derivedInputs is the slot vector a derived column's program reads:
-// the counts every raw row stores.
-var derivedInputs = []string{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses}
 
 // maxDerived bounds the columns a record may omit: its mask is one
 // uvarint of 64 bits, so columns past the 64th are always stored.
 const maxDerived = 64
 
-// derivation names, for the columns in force, the ones the stored counts
-// may determine: per column the expression source ("" for a column that
-// is always stored) and its program over derivedInputs. A writer and a
-// reader hold the one in force in the segment they write or read; it is
-// immutable, and shared (derivationOf).
+// derivation names, for the columns in force, the ones the counts may
+// determine: per column the expression source ("" for a stored column)
+// and its program over the events, then CPU_PCT. It is immutable, and
+// shared (derivationOf).
 type derivation struct {
-	src   []string
-	prog  []*metrics.Bound
-	depth int // the deepest program's evaluation stack
+	src    []string
+	events []string
+	prog   []*metrics.Bound
+	depth  int // the deepest program's evaluation stack
 }
 
-// compileDerived compiles src into the program a derived column runs.
-func compileDerived(src string) (*metrics.Bound, error) {
-	e, err := metrics.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := derivable(e); err != nil {
-		return nil, err
-	}
-	return e.Bind(derivedInputs)
-}
-
-// derivable reports why e cannot compute a derived column, nil when it
-// can: an instant expression that reads nothing but the stored counts.
-func derivable(e *metrics.Expr) error {
+// derivable reports why e cannot compute a column over events: nil for
+// an instant expression reading nothing but the events and CPU_PCT.
+func derivable(e *metrics.Expr, events []string) error {
 	if why := e.SeriesOnly(); why != "" {
 		return fmt.Errorf("%s is not an instant expression", why)
 	}
 	for _, id := range e.Reads() {
-		if !slices.Contains(derivedInputs, id) {
+		if id != metrics.VarCPUPct && !slices.Contains(events, id) {
 			return fmt.Errorf("reads %s, which a row does not store", id)
 		}
 	}
 	return nil
 }
 
-// derivations holds every derivation built so far. A derivation is a
-// pure function of its sources, so every store and walker in the process
-// shares them: a scanner the pool let go at a collection, or a store
-// reopened, finds its programs compiled. Bounded: past maxDerivations
-// (only a store naming ever new expressions gets there) a derivation is
-// built afresh each time it is read.
+// derivations holds every derivation built so far — a pure function of
+// its sources and events, shared process-wide. Past maxDerivations (a
+// store naming ever new expressions) one is built afresh when read.
 var derivations struct {
 	sync.Mutex
 	known []*derivation
@@ -85,22 +63,29 @@ var derivations struct {
 const maxDerivations = 64
 
 // derivationOf returns the derivation of the per-column sources src (""
-// for a stored column), nil when src names no expression. A source that
-// is no derived column's expression is an error.
-func derivationOf(src []string) (*derivation, error) {
-	if d := knownDerivation(src); d != nil {
+// for a stored column) over events, nil when src names no expression,
+// and an error for a source no derived column over events may have.
+func derivationOf(src, events []string) (*derivation, error) {
+	if d := knownDerivation(src, events); d != nil {
 		return d, nil
 	}
-	d := &derivation{src: slices.Clone(src), prog: make([]*metrics.Bound, len(src))}
+	d := &derivation{src: slices.Clone(src), events: slices.Clone(events), prog: make([]*metrics.Bound, len(src))}
+	slots := append(slices.Clip(d.events), metrics.VarCPUPct)
 	for j, s := range src {
 		if s == "" {
 			continue
 		}
-		p, err := compileDerived(s)
+		e, err := metrics.Compile(s)
+		if err == nil {
+			err = derivable(e, events)
+		}
+		if err == nil {
+			d.prog[j], err = e.Bind(slots)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("column %d's expression %q: %w", j, s, err)
 		}
-		d.prog[j], d.depth = p, max(d.depth, p.Depth())
+		d.depth = max(d.depth, d.prog[j].Depth())
 	}
 	if d.depth == 0 {
 		return nil, nil
@@ -113,11 +98,11 @@ func derivationOf(src []string) (*derivation, error) {
 	return d, nil
 }
 
-func knownDerivation(src []string) *derivation {
+func knownDerivation(src, events []string) *derivation {
 	derivations.Lock()
 	defer derivations.Unlock()
 	for _, d := range derivations.known {
-		if slices.Equal(d.src, src) {
+		if slices.Equal(d.src, src) && slices.Equal(d.events, events) {
 			return d
 		}
 	}
@@ -126,63 +111,76 @@ func knownDerivation(src []string) *derivation {
 
 // same reports whether d and o derive the same columns the same way.
 func (d *derivation) same(o *derivation) bool {
-	return d == o || d != nil && o != nil && slices.Equal(d.src, o.src)
+	return d == o || d != nil && o != nil && slices.Equal(d.src, o.src) && slices.Equal(d.events, o.events)
 }
 
-// stackIn returns evaluation scratch for d's programs: buf, unless a
-// program is deeper than screen columns get.
-func (d *derivation) stackIn(buf []float64) []float64 {
-	if d.depth > len(buf) {
-		return make([]float64, d.depth)
-	}
-	return buf
-}
-
-// eval computes column j of row r from its counts, with stack (see
-// stackIn) as scratch.
-func (d *derivation) eval(j int, r *RecordRow, stack []float64) float64 {
-	slots := [...]float64{float64(r.Instr), float64(r.Cycles), float64(r.Misses)}
-	return d.prog[j].Eval(slots[:], stack)
-}
-
-// omit returns the mask of the columns rows need not store: those whose
-// every value (in every row that has the column) is what its program
-// gives over the row's counts, bit for bit. 0 for a nil d.
-func (d *derivation) omit(rows []RecordRow) (mask uint64) {
-	if d == nil || len(rows) == 0 {
-		return 0
-	}
-	var buf [32]float64
-	stack := d.stackIn(buf[:])
+// mask returns the mask of every column d derives.
+func (d *derivation) mask() (mask uint64) {
 	for j, p := range d.prog[:min(len(d.prog), maxDerived)] {
-		if p == nil {
-			continue
-		}
-		derived := true
-		for i := range rows {
-			r := &rows[i]
-			if j < len(r.Values) && math.Float64bits(r.Values[j]) != math.Float64bits(d.eval(j, r, stack)) {
-				derived = false
-				break
-			}
-		}
-		if derived {
+		if p != nil {
 			mask |= 1 << j
 		}
 	}
 	return mask
 }
 
-// deriver is a walker's decoder state for derived columns: the
-// derivation in force in the segment being read (nil: none).
-type deriver struct {
-	cur *derivation
-	src []string // read's scratch
+// each evaluates mask's programs over every row that has their column —
+// over its counts per refresh, then its CPU% — and hands fn the row, the
+// column and the value; a false drops the column from the returned mask.
+func (d *derivation) each(rows []RecordRow, mask uint64, fn func(r *RecordRow, j int, v float64) bool) uint64 {
+	var buf [48]float64
+	n, scratch := len(d.events), buf[:]
+	if n+1+d.depth > len(buf) {
+		scratch = make([]float64, n+1+d.depth)
+	}
+	slots, stack := scratch[:n+1], scratch[n+1:]
+	for i := 0; i < len(rows) && mask != 0; i++ {
+		r := &rows[i]
+		for e := range n {
+			if slots[e] = float64(at(r.Counts, e)); r.N > 1 {
+				slots[e] /= float64(r.N)
+			}
+		}
+		slots[n] = r.CPUPct
+		for m := mask; m != 0; m &= m - 1 {
+			if j := bits.TrailingZeros64(m); j < len(r.Values) && !fn(r, j, d.prog[j].Eval(slots, stack)) {
+				mask &^= 1 << j
+			}
+		}
+	}
+	return mask
 }
 
-// read reads the expression references of a column header naming n
-// columns and returns the derivation they name.
-func (dv *deriver) read(r *binenc.Reader, dict []string, n int) (*derivation, error) {
+// omit returns the mask of the columns whose every value is what its
+// program gives over the row's counts, bit for bit. 0 for a nil d.
+func (d *derivation) omit(rows []RecordRow) uint64 {
+	if d == nil || len(rows) == 0 {
+		return 0
+	}
+	return d.each(rows, d.mask(), func(r *RecordRow, j int, v float64) bool {
+		return math.Float64bits(r.Values[j]) == math.Float64bits(v)
+	})
+}
+
+// fill computes the columns of mask into every row that has them.
+func (d *derivation) fill(rows []RecordRow, mask uint64) {
+	d.each(rows, mask, func(r *RecordRow, j int, v float64) bool { r.Values[j] = v; return true })
+}
+
+// deriver is a walker's decoder state for a segment's layout: the
+// events and the derivation (nil: none) in force; a new segment starts
+// with neither.
+type deriver struct {
+	cur    *derivation
+	events []string // owned by the walk: records keep it
+	last   []string // the events last handed over, for the next segment to reuse
+	src    []string // read's scratch
+	evs    []string // readHeader's scratch
+}
+
+// read reads a header's expression references for n columns and returns
+// the derivation they name over events.
+func (dv *deriver) read(r *binenc.Reader, dict []string, n int, events []string) (*derivation, error) {
 	dv.src = slices.Grow(dv.src[:0], n)
 	for j := 0; j < n; j++ {
 		src := ""
@@ -193,7 +191,7 @@ func (dv *deriver) read(r *binenc.Reader, dict []string, n int) (*derivation, er
 		}
 		dv.src = append(dv.src, src)
 	}
-	der, err := derivationOf(dv.src)
+	der, err := derivationOf(dv.src, events)
 	if err != nil {
 		return nil, fmt.Errorf("store: corrupt binary record: %w", err)
 	}

@@ -9,11 +9,12 @@ package store
 // before its timestamp, and a record stamped exactly on a boundary
 // folds into the coarser bucket ending there).
 //
-// Within a bucket, CPU% and column values average and the raw counters
-// (instructions, cycles, misses) sum; a coarser tier averages the finer
-// tier's averages (buckets a task was absent from do not dilute it).
-// No ratio is stored: a reader's IPC is Σinstr/Σcycles over the summed
-// counters, not a mean of ratios.
+// Within a bucket each event's counts sum and a row records n, the
+// refreshes it folded (a coarser tier sums both), so a derived column
+// (derive.go) is a ratio of sums or a mean per refresh. CPU% and every
+// other column average — every column, in a bucket holding a record
+// written without a derivation — a coarser tier averaging the finer's.
+// An engine's attach read (N 0) stays in the raw tier, folded nowhere.
 //
 // The accumulator reuses all storage across buckets: folding a task
 // that already has an entry allocates nothing, keeping the append hot
@@ -21,6 +22,7 @@ package store
 // still holds their data.
 
 import (
+	"slices"
 	"time"
 
 	"tiptop/internal/hpm"
@@ -30,21 +32,24 @@ import (
 type dsTask struct {
 	id         hpm.TaskID
 	user, comm string
-	n          int           // finer-tier records folded this bucket
+	n          int           // refreshes folded this bucket
+	k          int           // finer-tier rows folded this bucket: the means' divisor
 	lastEnd    time.Duration // end of the last bucket folded into
 	cpuSum     float64
 	valSums    []float64
+	counts     []uint64  // per event, the bucket's sum
 	avg        []float64 // scratch the flushed row's Values point into
-	instr      uint64
-	cycles     uint64
-	misses     uint64
+	sums       []uint64  // scratch the flushed row's Counts point into
 }
 
-// bucket is a completed downsample window: one averaged row per task,
-// in no particular order (Store.fold sorts what it writes).
+// bucket is a completed downsample window: one row per task, in no
+// particular order (Store.fold sorts what it writes), counts under
+// events, values derived under der (nil: none).
 type bucket struct {
-	end  time.Duration
-	rows []RecordRow
+	end    time.Duration
+	rows   []RecordRow
+	events []string
+	der    *derivation
 }
 
 // accumulator folds finer-tier records into fixed-width buckets.
@@ -53,6 +58,13 @@ type accumulator struct {
 	end    time.Duration // current bucket's end, 0 before the first fold
 	tasks  map[hpm.TaskID]*dsTask
 	funnel bucket // reused flush scratch
+	// The bucket's layout: its records' events, and their derivation if
+	// they share one; pos maps posOf, the last record's events, into it.
+	open   bool
+	events []string
+	der    *derivation
+	pos    []int
+	posOf  []string
 }
 
 func newAccumulator(res time.Duration) *accumulator {
@@ -96,8 +108,9 @@ func (a *accumulator) advance(now time.Duration) *bucket {
 // close drains the current bucket into the reused flush scratch,
 // resetting per-bucket sums and evicting tasks gone for over a bucket.
 func (a *accumulator) close() *bucket {
-	a.funnel.end = a.end
+	a.funnel.end, a.funnel.events, a.funnel.der = a.end, a.events, a.der
 	a.funnel.rows = a.funnel.rows[:0]
+	a.open, a.der = false, nil
 	for id, t := range a.tasks {
 		if t.n == 0 {
 			if a.end-t.lastEnd > a.res {
@@ -105,34 +118,53 @@ func (a *accumulator) close() *bucket {
 			}
 			continue
 		}
-		n := float64(t.n)
-		if cap(t.avg) < len(t.valSums) {
-			t.avg = make([]float64, len(t.valSums))
+		k := float64(t.k)
+		t.avg = append(t.avg[:0], t.valSums...)
+		for i := range t.avg {
+			t.avg[i] /= k
 		}
-		t.avg = t.avg[:len(t.valSums)]
-		for i, s := range t.valSums {
-			t.avg[i] = s / n
-		}
+		t.sums = append(t.sums[:0], t.counts...)
 		a.funnel.rows = append(a.funnel.rows, RecordRow{
 			PID: id.PID, TID: id.TID, User: t.user, Command: t.comm,
-			CPUPct: t.cpuSum / n, Values: t.avg,
-			Instr: t.instr, Cycles: t.cycles, Misses: t.misses,
+			CPUPct: t.cpuSum / k, Values: t.avg, Counts: t.sums, N: t.n,
 		})
-		t.n = 0
-		t.cpuSum = 0
-		t.instr, t.cycles, t.misses = 0, 0, 0
-		// Zero before truncating: a later re-extension within capacity
-		// must expose zeros, not last bucket's sums.
-		for i := range t.valSums {
-			t.valSums[i] = 0
-		}
-		t.valSums = t.valSums[:0]
+		t.n, t.k, t.cpuSum = 0, 0, 0
+		clear(t.valSums)
+		clear(t.counts)
+		t.valSums, t.counts = t.valSums[:0], t.counts[:0]
+	}
+	if der := a.funnel.der; der != nil {
+		der.fill(a.funnel.rows, der.mask())
 	}
 	return &a.funnel
 }
 
-// fold adds one finer-tier task row to the current bucket.
-func (a *accumulator) fold(r *RecordRow) {
+// fold adds one finer-tier record's rows, counts laid out under events
+// and values derived under der, to the current bucket. A row spanning
+// no refresh (N 0) is not folded.
+func (a *accumulator) fold(rows []RecordRow, events []string, der *derivation) {
+	if !a.open {
+		a.open, a.events, a.der, a.posOf = true, events, der, nil
+	} else if !a.der.same(der) {
+		a.der = nil
+	}
+	if a.posOf == nil || !slices.Equal(events, a.posOf) {
+		a.posOf, a.pos = events, a.pos[:0]
+		for _, name := range events {
+			if !slices.Contains(a.events, name) {
+				a.events = append(slices.Clip(a.events), name)
+			}
+			a.pos = append(a.pos, slices.Index(a.events, name))
+		}
+	}
+	for i := range rows {
+		if r := &rows[i]; r.N > 0 {
+			a.foldRow(r)
+		}
+	}
+}
+
+func (a *accumulator) foldRow(r *RecordRow) {
 	id := hpm.TaskID{PID: r.PID, TID: r.TID}
 	t := a.tasks[id]
 	if t == nil {
@@ -141,20 +173,15 @@ func (a *accumulator) fold(r *RecordRow) {
 	}
 	t.user, t.comm = r.User, r.Command
 	t.lastEnd = a.end
-	t.n++
+	t.n += r.N
+	t.k++
 	t.cpuSum += r.CPUPct
-	t.instr += r.Instr
-	t.cycles += r.Cycles
-	t.misses += r.Misses
-	if len(t.valSums) < len(r.Values) {
-		if cap(t.valSums) < len(r.Values) {
-			grown := make([]float64, len(r.Values))
-			copy(grown, t.valSums)
-			t.valSums = grown
-		} else {
-			t.valSums = t.valSums[:len(r.Values)]
-		}
+	// Re-extended within capacity, the sums read zero: close clears them.
+	t.counts = slices.Grow(t.counts, max(0, len(a.events)-len(t.counts)))[:max(len(a.events), len(t.counts))]
+	for i, c := range r.Counts[:min(len(r.Counts), len(a.pos))] {
+		t.counts[a.pos[i]] += c
 	}
+	t.valSums = slices.Grow(t.valSums, max(0, len(r.Values)-len(t.valSums)))[:max(len(r.Values), len(t.valSums))]
 	for i, v := range r.Values {
 		t.valSums[i] += v
 	}

@@ -7,8 +7,14 @@ var (
 	MustOpen          = mustOpen
 	FillVaried        = fillVaried
 	FillEngine        = fillEngine
-	RewriteSegmentsV1 = rewriteSegmentsV1
-	RewriteSegmentsV2 = rewriteSegmentsV2
-	RewriteSegmentsV3 = rewriteSegmentsV3
+	RewriteSegmentsV4 = rewriteSegmentsV4
+	SegmentFiles      = segmentFiles
 	FrameKinds        = frameKinds
 )
+
+// Frame frames one payload as a segment file holds it.
+func Frame(payload []byte) []byte {
+	frame := append(beginFrame(nil), payload...)
+	endFrame(frame)
+	return frame
+}

@@ -182,7 +182,7 @@ func rowsKey(timeSeconds float64, rows []RecordRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%.3f", timeSeconds)
 	for _, r := range rows {
-		fmt.Fprintf(&b, " [%d/%d %s %s %g %v %d %d %d]", r.PID, r.TID, r.User, r.Command, r.CPUPct, r.Values, r.Instr, r.Cycles, r.Misses)
+		fmt.Fprintf(&b, " [%d/%d %s %s %g %v %v]", r.PID, r.TID, r.User, r.Command, r.CPUPct, r.Values, r.Counts)
 	}
 	return b.String()
 }
@@ -195,9 +195,8 @@ func sampleKey(base time.Duration, s *core.Sample) string {
 	rows := make([]RecordRow, len(s.Rows))
 	for i := range s.Rows {
 		row := &s.Rows[i]
-		instr, cycles, misses := row.Basics()
 		rows[i] = RecordRow{PID: row.Info.ID.PID, TID: row.Info.ID.TID, User: row.Info.User, Command: row.Info.Comm,
-			CPUPct: row.CPUPct, Values: row.Values, Instr: instr, Cycles: cycles, Misses: misses}
+			CPUPct: row.CPUPct, Values: row.Values, Counts: row.Counts}
 	}
 	return rowsKey(float64((base+s.Time).Milliseconds())/1000, rows)
 }

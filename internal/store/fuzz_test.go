@@ -19,35 +19,38 @@ import (
 )
 
 // fuzzSeedRecord is a representative record touching every encoded
-// field shape: column names, delta-coded PIDs, a thread row, XOR'd
-// float chains, ragged value rows and the machine roll-up.
+// field shape: column and event names, delta-coded PIDs, a thread row,
+// XOR'd float chains, ragged value and count rows, refresh counts and
+// the machine roll-up.
 func fuzzSeedRecord() *Record {
 	return &Record{
-		V:           RecordVersion,
 		TimeSeconds: 12.345,
 		ResSeconds:  10,
 		Cols:        []string{"IPC", "CYCLES", "%MISS"},
+		Events:      []string{"INSTRUCTIONS", "CYCLES", "CACHE_MISSES", "BRANCHES"},
 		Rows: []RecordRow{
 			{PID: 100, TID: 100, User: "root", Command: "tiptop",
 				CPUPct: 51.5, Values: []float64{1.25, 3.1e9, 0.02},
-				Instr: 1000, Cycles: 800, Misses: 3},
+				Counts: []uint64{1000, 800, 3, 120}, N: 10},
 			{PID: 100, TID: 101, User: "root", Command: "tiptop",
 				CPUPct: 12.5, Values: []float64{0.75},
-				Instr: 600, Cycles: 800, Misses: 1},
+				Counts: []uint64{600, 800, 1, 90}, N: 9},
 			{PID: 204, TID: 204, User: "user", Command: "mcf",
 				CPUPct: 99.9, Values: nil,
-				Instr: 310, Cycles: 1000, Misses: 42},
+				Counts: []uint64{310, 1000, 42}, N: 1},
 		},
-		Machine: RecordAgg{Tasks: 3, CPUPct: 163.9, Instr: 1910, Cycles: 2600, Misses: 46},
+		Machine: RecordAgg{Tasks: 3, CPUPct: 163.9, Counts: []uint64{1910, 2600, 46, 210}},
 	}
 }
 
-// Expression sources for v4 seeds: two a row's counts determine, and
-// three a reader must refuse — one that does not compile, and two that
-// read what a row does not store (rate's implicit DELTA_NS, CPU_PCT).
+// Expression sources for derived-column seeds: two a row's counts
+// determine, and three a reader must refuse — one that does not
+// compile, one that reads what a row does not store (rate's implicit
+// DELTA_NS), and one reading an event the seed record's segment does
+// not store.
 var (
 	fuzzDerivedSrc = []string{"ratio(INSTRUCTIONS, CYCLES)", "per100(CACHE_MISSES, INSTRUCTIONS)"}
-	fuzzBadSrc     = []string{"mega(", "rate(CYCLES)", "CPU_PCT * 2"}
+	fuzzBadSrc     = []string{"mega(", "rate(CYCLES)", "ratio(L2_MISSES, INSTRUCTIONS)"}
 )
 
 // fuzzSeedDict is the seed record's table plus every seed expression.
@@ -57,8 +60,8 @@ func fuzzSeedDict(rec *Record) *v2Dict {
 		dict.intern(r.User)
 		dict.intern(r.Command)
 	}
-	for _, c := range rec.Cols {
-		dict.intern(c)
+	for _, name := range append(slices.Clone(rec.Cols), rec.Events...) {
+		dict.intern(name)
 	}
 	for _, src := range append(slices.Clone(fuzzDerivedSrc), fuzzBadSrc...) {
 		dict.intern(src)
@@ -70,37 +73,37 @@ func fuzzSeedDict(rec *Record) *v2Dict {
 // its first and last columns would have made it, and that derivation.
 func fuzzDerivedRecord(t testing.TB) (*Record, *derivation) {
 	rec := fuzzSeedRecord()
-	der, err := derivationOf([]string{fuzzDerivedSrc[0], "", fuzzDerivedSrc[1]})
+	der, err := derivationOf([]string{fuzzDerivedSrc[0], "", fuzzDerivedSrc[1]}, rec.Events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := make([]float64, der.depth)
-	for i := range rec.Rows {
-		r := &rec.Rows[i]
-		for j := range r.Values {
-			if der.prog[j] != nil {
-				r.Values[j] = der.eval(j, r, stack)
-			}
-		}
-	}
+	der.fill(rec.Rows, der.mask())
 	return rec, der
 }
 
-// v4HeaderFrame hand-builds a row-less v4 data payload whose header names
-// columns cols (dictionary indices) with expression references refs (1
-// + a dictionary index, 0 for a stored column) and omits mask.
-func v4HeaderFrame(cols, refs []uint64, mask uint64) []byte {
-	b := []byte{recordVersionV4, v2KindData}
+// headerFrame hand-builds a row-less data payload of version v whose
+// header names columns cols and, in v5, events evs (dictionary indices),
+// with expression references refs (1 + a dictionary index, 0 for a
+// stored column), omits mask, and carries flags beyond those. k is the
+// event count a v5 body declares.
+func headerFrame(v byte, res uint64, flags byte, cols, evs, refs []uint64, mask uint64, k uint64) []byte {
+	b := []byte{v, v2KindData}
 	b = binenc.AppendUvarint(b, 12345) // time, ms
-	b = binenc.AppendUvarint(b, 0)     // res
-	flags := byte(v2FlagCols | v4FlagExprs)
+	b = binenc.AppendUvarint(b, res)
+	flags |= v2FlagCols | v4FlagExprs
 	if mask != 0 {
 		flags |= v4FlagOmit
 	}
 	b = append(b, flags)
-	b = binenc.AppendUvarint(b, uint64(len(cols)))
-	for _, c := range cols {
-		b = binenc.AppendUvarint(b, c)
+	names := [][]uint64{cols}
+	if v > recordVersionV4 {
+		names = append(names, evs)
+	}
+	for _, ns := range names {
+		b = binenc.AppendUvarint(b, uint64(len(ns)))
+		for _, n := range ns {
+			b = binenc.AppendUvarint(b, n)
+		}
 	}
 	for _, r := range refs {
 		b = binenc.AppendUvarint(b, r)
@@ -109,39 +112,60 @@ func v4HeaderFrame(cols, refs []uint64, mask uint64) []byte {
 		b = binenc.AppendUvarint(b, mask)
 	}
 	b = binenc.AppendUvarint(b, 0) // rows
+	nev := uint64(len(v4Events))
+	if v > recordVersionV4 {
+		b = binenc.AppendUvarint(b, k)
+		nev = k
+	}
 	b = binenc.AppendUvarint(b, 0) // the roll-up: tasks,
 	b = binenc.AppendFloat(b, 0, 0)
-	return append(b, 0, 0, 0) // and its three counts
+	return append(b, make([]byte, nev)...) // and its counts
 }
 
-// badV4Frames are v4 payloads a reader must refuse against the seed
+// badFrames are payloads a reader must refuse against the seed
 // dictionary d, by what is wrong with them.
-func badV4Frames(d *v2Dict) map[string][]byte {
+func badFrames(d *v2Dict) map[string][]byte {
 	cols := []uint64{d.index["IPC"], d.index["CYCLES"], d.index["%MISS"]}
+	evs := []uint64{d.index["INSTRUCTIONS"], d.index["CYCLES"], d.index["CACHE_MISSES"]}
 	expr := func(src string) uint64 { return d.index[src] + 1 }
 	good := expr(fuzzDerivedSrc[0])
+	v4 := func(refs []uint64, mask uint64) []byte {
+		return headerFrame(recordVersionV4, 0, 0, cols, nil, refs, mask, 3)
+	}
+	v5 := func(res uint64, flags byte, evs, refs []uint64, mask, k uint64) []byte {
+		return headerFrame(RecordVersion, res, flags, cols, evs, refs, mask, k)
+	}
 	return map[string][]byte{
-		"mask wider than the columns":   v4HeaderFrame(cols, []uint64{good, 0, 0}, 1|1<<5),
-		"mask on a stored column":       v4HeaderFrame(cols, []uint64{good, 0, 0}, 1<<1),
-		"expression index out of range": v4HeaderFrame(cols, []uint64{uint64(len(d.strs)) + 1, 0, 0}, 0),
-		"expression does not compile":   v4HeaderFrame(cols, []uint64{expr(fuzzBadSrc[0]), 0, 0}, 0),
-		"expression reads DELTA_NS":     v4HeaderFrame(cols, []uint64{expr(fuzzBadSrc[1]), 0, 0}, 0),
-		"expression reads CPU_PCT":      v4HeaderFrame(cols, []uint64{0, expr(fuzzBadSrc[2]), 0}, 0),
+		"v4: mask wider than the columns":        v4([]uint64{good, 0, 0}, 1|1<<5),
+		"v4: mask on a stored column":            v4([]uint64{good, 0, 0}, 1<<1),
+		"v4: expression index out of range":      v4([]uint64{uint64(len(d.strs)) + 1, 0, 0}, 0),
+		"v4: expression does not compile":        v4([]uint64{expr(fuzzBadSrc[0]), 0, 0}, 0),
+		"v4: expression reads DELTA_NS":          v4([]uint64{expr(fuzzBadSrc[1]), 0, 0}, 0),
+		"v5: event index out of range":           v5(0, 0, []uint64{evs[0], uint64(len(d.strs))}, []uint64{0, 0, 0}, 0, 2),
+		"v5: counts disagree with events":        v5(0, 0, evs, []uint64{good, 0, 0}, 0, 2),
+		"v5: refresh counts on a raw record":     v5(0, v5FlagN, evs, []uint64{good, 0, 0}, 0, 3),
+		"v5: expression reads an unstored event": v5(10_000, v5FlagN, evs, []uint64{expr(fuzzBadSrc[2]), 0, 0}, 0, 3),
+		"v5: mask under other events":            v5(0, 0, evs[:2], []uint64{0, 0, expr(fuzzDerivedSrc[1])}, 1<<2, 2),
 	}
 }
 
-// TestDecodeRefusesBadDerivations: every malformed v4 header is refused
+// TestDecodeRefusesBadDerivations: every malformed header is refused
 // with an error, while the well-formed frame its derivation leaves
 // columns out of decodes to the record an engine appended, bit for bit.
 func TestDecodeRefusesBadDerivations(t *testing.T) {
 	rec, der := fuzzDerivedRecord(t)
 	d := fuzzSeedDict(rec)
-	for name, p := range badV4Frames(d) {
+	ok := headerFrame(RecordVersion, 10_000, v5FlagN, []uint64{d.index["IPC"], d.index["CYCLES"], d.index["%MISS"]},
+		[]uint64{d.index["INSTRUCTIONS"], d.index["CYCLES"]}, []uint64{d.index[fuzzDerivedSrc[0]] + 1, 0, 0}, 1, 2)
+	if err := decodeDataInto(&Record{}, ok, d.strs, nil, &deriver{}); err != nil {
+		t.Fatalf("the well-formed hand-built header: %v", err)
+	}
+	for name, p := range badFrames(d) {
 		if err := decodeDataInto(&Record{}, p, d.strs, nil, &deriver{}); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
-	p := appendData(nil, rec, d, der)
+	p := appendData(nil, rec, d, der, true)
 	r := binenc.NewReader(p[2:])
 	r.Uvarint() // time
 	r.Uvarint() // res
@@ -157,13 +181,13 @@ func TestDecodeRefusesBadDerivations(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame drives the scan walker's binary frame decode, v4, v3
-// and v2 (and the v1 JSON path it dispatches to), with corrupt, truncated
-// and mutated payloads, asserting walker ≡ reference loop on each. Each
+// FuzzDecodeFrame drives the scan walker's frame decode, v5 and v4 (and
+// the refusal of older frames), with corrupt, truncated and mutated
+// payloads, asserting walker ≡ reference loop on each. Each
 // input is walked twice as a frame — against an empty dictionary and
 // against a pre-seeded one — so both the index-out-of-range rejection
 // and the in-range dictionary paths stay covered, and the cheap prefix
-// readers (framePrefix, v2PeekCols) see the same bytes the full decode
+// readers (framePrefix, peekLayout) see the same bytes the full decode
 // does.
 // The same bytes are then read as a whole segment file, by the walker
 // and by recovery, which steps the same walker over a tail it is about
@@ -173,33 +197,31 @@ func FuzzDecodeFrame(f *testing.F) {
 	rec := fuzzSeedRecord()
 	dict := fuzzSeedDict(rec)
 	dictFrame := dict.appendDictFrame(nil, 0)
-	dataFrame := appendData(nil, rec, dict, nil)
-	// v4's derived columns: a record that leaves two out, and the
-	// headers a reader must refuse.
+	dataFrame := appendData(nil, rec, dict, nil, true)
+	// Derived columns: a record that leaves two out, and the headers a
+	// reader must refuse.
 	derived, der := fuzzDerivedRecord(f)
-	f.Add(appendData(nil, derived, dict, der))
-	for _, p := range badV4Frames(dict) {
+	f.Add(appendData(nil, derived, dict, der, true))
+	for _, p := range badFrames(dict) {
 		f.Add(p)
 	}
-
-	f.Add([]byte(`{"v":1,"time_s":1.5,"rows":[{"pid":1,"user":"u","command":"c",` +
-		`"cpu_pct":50,"ipc":1,"values":[1],"instr":10,"cycles":10,"misses":0}],` +
-		`"machine":{"tasks":1,"cpu_pct":50,"instr":10,"cycles":10,"misses":0}}`))
 	f.Add(dictFrame)
 	f.Add(dataFrame)
-	// The same record and table as the v3 and v2 builds wrote them.
-	f.Add(appendV3DictFrame(nil, dict, 0))
-	f.Add(appendV3Data(nil, rec, dict))
-	f.Add(appendV2DictFrame(nil, dict, 0))
-	f.Add(appendV2Data(nil, rec, dict))
+	// The same record and table as the v4 build wrote them.
+	f.Add(appendV4DictFrame(nil, dict, 0))
+	f.Add(appendV4Data(nil, rec, dict, nil))
+	// Frames older than v4: refused, never clipped.
+	f.Add([]byte(`{"v":1,"time_s":1.5,"rows":[],"machine":{}}`))
+	f.Add([]byte{0x03, v2KindData, 0x00})
+	f.Add([]byte{0x02, v2KindDict, 0x00})
 	// Truncations and header mutations seed the interesting failure
 	// modes directly; the engine mutates from there.
 	f.Add(dataFrame[:len(dataFrame)/2])
 	f.Add(dataFrame[:2])
 	f.Add(dictFrame[:3])
-	f.Add([]byte{recordVersionV2})
-	f.Add([]byte{recordVersionV2, v2KindData})
-	f.Add([]byte{recordVersionV2, 0x7f})
+	f.Add([]byte{RecordVersion})
+	f.Add([]byte{RecordVersion, v2KindData})
+	f.Add([]byte{RecordVersion, 0x7f})
 	f.Add([]byte{RecordVersion + 1, v2KindData, 0x00}) // future binary version
 	f.Add([]byte("{"))
 	f.Add([]byte{})
@@ -213,10 +235,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	live := newV2Dict(nil)
 	first := *rec
 	first.Rows = rec.Rows[:2]
-	data1 := framed(appendData(nil, &first, live, nil))
+	data1 := framed(appendData(nil, &first, live, nil, true))
 	known := len(live.strs)
 	dict1 := framed(live.appendDictFrame(nil, 0))
-	data2 := framed(appendData(nil, rec, live, nil))
+	second := *rec
+	second.TimeSeconds += 10
+	second.Rows = append(slices.Clone(rec.Rows), RecordRow{PID: 300, User: "other", Command: "lbm", N: 1})
+	data2 := framed(appendData(nil, &second, live, nil, false))
 	dict2 := framed(live.appendDictFrame(nil, known))
 	seg := bytes.Join([][]byte{dict1, data1, dict2, data2}, nil)
 	if sg, err := recoverWalk(seg); err != nil || sg.n != 2 || sg.size != int64(len(seg)) || len(sg.dict.strs) != len(live.strs) || known == len(live.strs) {
@@ -224,9 +249,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			sg, err, len(seg), len(live.strs), known)
 	}
 	f.Add(seg)
-	// A v1 record whose time_s repeats: recovery dates it by the first,
-	// so the decode must not quietly take the second.
-	f.Add(framed([]byte(`{"v":1,"time_s":1.5,"time_s":7,"rows":[],"machine":{}}`)))
 
 	seeded := append([]string(nil), dict.strs...)
 	warmPrefix := framed(dictFrame)
@@ -239,7 +261,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		walkerMatchesReference(t, payload)
 		framePrefix(payload)
 		recoveryMatchesScan(t, payload)
-		if len(payload) >= 2 && payload[0] >= recordVersionV2 && payload[0] <= RecordVersion && payload[1] == v2KindData {
+		if len(payload) >= 2 && payload[0] >= recordVersionV4 && payload[0] <= RecordVersion && payload[1] == v2KindData {
 			var rec Record
 			if err := decodeDataInto(&rec, payload, seeded, nil, &deriver{}); err != nil {
 				// The cheap peek may accept a payload the full decode
@@ -252,12 +274,12 @@ func FuzzDecodeFrame(f *testing.F) {
 			// The reverse — peek erroring, or disagreeing about the
 			// column list, where the full decode succeeded — would mean
 			// the two readers disagree about the header layout.
-			cols, err := v2PeekCols(payload, seeded, &deriver{})
+			cols, err := peekLayout(payload, seeded, &deriver{})
 			if err != nil {
-				t.Fatalf("the full decode accepted a payload v2PeekCols rejects: %v", err)
+				t.Fatalf("the full decode accepted a payload peekLayout rejects: %v", err)
 			}
 			if len(cols) != len(rec.Cols) {
-				t.Fatalf("v2PeekCols saw %d columns, the full decode %d", len(cols), len(rec.Cols))
+				t.Fatalf("peekLayout saw %d columns, the full decode %d", len(cols), len(rec.Cols))
 			}
 		}
 	})
@@ -276,7 +298,7 @@ func walkerMatchesReference(t *testing.T, seg []byte) {
 	const all = 1<<63 - 1
 	var want [][]byte
 	var cols []string
-	refErr := refScanStream(bytes.NewReader(seg), -all, all, &cols, func(rec *Record, cols []string) error {
+	refErr := refScanStream(bytes.NewReader(seg), -all, all, &cols, &refDecoder{}, func(rec *Record, cols []string) error {
 		want = append(want, recordBytes(rec, cols))
 		return nil
 	})
@@ -370,12 +392,16 @@ func recoveryMatchesScan(t *testing.T, seg []byte) {
 	}
 }
 
-// recordBytes renders a decoded record and the columns in force as
-// bytes, so records compare bit for bit (NaN payloads included) and
-// nil-versus-empty slices — fresh decode versus reused scratch — do not.
+// recordBytes renders a decoded record — its events and refresh counts
+// included — and the columns in force as bytes, so records compare bit
+// for bit (NaN payloads included) and nil-versus-empty slices — fresh
+// decode versus reused scratch — do not.
 func recordBytes(rec *Record, cols []string) []byte {
 	d := newV2Dict(nil)
-	b := appendData(nil, rec, d, nil)
+	b := appendData(nil, rec, d, nil, true)
+	for _, r := range rec.Rows {
+		b = binenc.AppendUvarint(b, uint64(r.N))
+	}
 	for _, c := range cols {
 		b = append(append(b, 0), c...)
 	}

@@ -54,7 +54,7 @@ func TestTailRecoveryResumesDictionary(t *testing.T) {
 	}
 	tail := newestSegment(t, dir, "raw")
 	k := frameKinds(t, tail)
-	dictsBefore, recsBefore := k.Dicts, k.V4
+	dictsBefore, recsBefore := k.Dicts, k.V5
 	if dictsBefore != 1 || recsBefore == 0 {
 		t.Fatalf("tail holds %d dictionary frames and %d records before the restart; want 1 and some", dictsBefore, recsBefore)
 	}
@@ -67,14 +67,14 @@ func TestTailRecoveryResumesDictionary(t *testing.T) {
 	// The restarted store's sample clock starts over; its store clock
 	// carries on from t=40.
 	appendBoth(namedSample(time.Second, 3, "alpha", "beta"), namedSample(41*time.Second, 3, "alpha", "beta"))
-	if k := frameKinds(t, tail); k.Dicts != dictsBefore || k.V4 != recsBefore+1 {
+	if k := frameKinds(t, tail); k.Dicts != dictsBefore || k.V5 != recsBefore+1 {
 		t.Fatalf("reusing known strings after the restart left %d dictionary frames, %d records; want %d, %d",
-			k.Dicts, k.V4, dictsBefore, recsBefore+1)
+			k.Dicts, k.V5, dictsBefore, recsBefore+1)
 	}
 	appendBoth(namedSample(2*time.Second, 3, "alpha", "gamma"), namedSample(42*time.Second, 3, "alpha", "gamma"))
-	if k := frameKinds(t, tail); k.Dicts != dictsBefore+1 || k.V4 != recsBefore+2 {
+	if k := frameKinds(t, tail); k.Dicts != dictsBefore+1 || k.V5 != recsBefore+2 {
 		t.Fatalf("a new string after the restart left %d dictionary frames, %d records; want %d, %d",
-			k.Dicts, k.V4, dictsBefore+1, recsBefore+2)
+			k.Dicts, k.V5, dictsBefore+1, recsBefore+2)
 	}
 	for i := 3; i <= 40; i++ {
 		appendBoth(namedSample(time.Duration(i)*time.Second, 3, "gamma", "beta", "delta"),
@@ -156,8 +156,8 @@ func TestTornPairEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := frameKinds(t, seg); k.Dicts != 2 || k.V4 != acked {
-		t.Fatalf("fixture holds %d dictionary frames, %d records; want 2, %d", k.Dicts, k.V4, acked)
+	if k := frameKinds(t, seg); k.Dicts != 2 || k.V5 != acked {
+		t.Fatalf("fixture holds %d dictionary frames, %d records; want 2, %d", k.Dicts, k.V5, acked)
 	}
 	for cut := pairStart; cut <= int64(len(whole)); cut++ {
 		dir := t.TempDir()

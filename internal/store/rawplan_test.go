@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -23,16 +22,16 @@ import (
 )
 
 // TestRawPlanMatchesReference runs step × range over the
-// TestCompactGoldenQueryIdentical stores — written as v1 JSON or v2
-// frames by an older build, or live v3 — before and after Compact, with
-// five task-less refreshes at the end.
+// TestCompactGoldenQueryIdentical stores — written as v4 frames by the
+// previous build, or live v5 — before and after Compact, with five
+// task-less refreshes at the end.
 func TestRawPlanMatchesReference(t *testing.T) {
 	steps := []float64{0, 0.5, 3, 7, 10, 20, 30, 45, 60, 90, 120, 300, 3600}
 	refreshes := 400
 	if testing.Short() {
 		steps, refreshes = []float64{0, 3, 10, 30, 60, 3600}, 120
 	}
-	for _, name := range []string{"v1-written", "v2-written", "v3-live"} {
+	for _, name := range []string{"v4-written", "v5-live"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			opt := store.Options{SegmentBytes: 8 << 10}
@@ -46,19 +45,11 @@ func TestRawPlanMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if name != "v3-live" {
+			if name == "v4-written" {
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if name == "v1-written" {
-					store.RewriteSegmentsV1(t, dir)
-				} else {
-					segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					store.RewriteSegmentsV2(t, segs...)
-				}
+				store.RewriteSegmentsV4(t, store.SegmentFiles(t, dir)...)
 				st = store.MustOpen(t, dir, opt)
 			}
 			defer st.Close()

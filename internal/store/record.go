@@ -1,28 +1,11 @@
 package store
 
-// Records: the in-memory shape of one stored refresh, and the legacy
-// record format v1 — one JSON document per frame — that stores written
-// before live appends switched to columnar frames (recordv2.go) still
-// hold. v1 is read-only here: DecodeRecord and recordPrefix keep old
-// segments readable, nothing in this package writes the format. Its
-// per-row "ipc" field is not decoded: readers recompute the ratio from
-// the counters.
-//
-// The v1 field order is fixed — `{"v":1,"time_s":...}` first — so
-// recovery can read a record's version and timestamp with a cheap
-// prefix parse instead of a full decode (see recordPrefix).
-
-import (
-	"encoding/json"
-	"fmt"
-	"strconv"
-)
+// Records: the in-memory shape of one stored refresh or downsample
+// bucket; the binary layout is recordv2.go's.
 
 // Record is one decoded store record: the per-task rows of one refresh
 // (or one downsample bucket) plus the machine-wide roll-up.
 type Record struct {
-	// V is the version of the frame the record was decoded from.
-	V int `json:"v"`
 	// TimeSeconds is the record's time on the store's monotonic clock.
 	TimeSeconds float64 `json:"time_s"`
 	// ResSeconds is the downsampling resolution: 0 for raw refreshes,
@@ -31,17 +14,22 @@ type Record struct {
 	ResSeconds float64 `json:"res,omitempty"`
 	// Cols names the value columns; present in the first record of each
 	// segment (and whenever the screen changes), empty otherwise.
-	Cols    []string    `json:"cols,omitempty"`
+	Cols []string `json:"cols,omitempty"`
+	// Events names the positions of the rows' and the roll-up's Counts:
+	// the events in force, in a slice a scan owns and keeps stable.
+	Events  []string    `json:"events,omitempty"`
 	Rows    []RecordRow `json:"rows"`
 	Machine RecordAgg   `json:"machine"`
-	// block backs every row's Values in a record a binary decode filled —
-	// the scratch a scan reuses, or a window onto a scan batch's values
-	// slab (see decodeDataInto).
-	block []float64
+	// block and counts back the rows' Values and Counts in a decoded
+	// record (see decodeDataInto).
+	block  []float64
+	counts []uint64
 }
 
-// RecordRow is one task in a record. In downsampled records CPUPct and
-// Values are bucket averages and the counters are bucket sums.
+// RecordRow is one task in a record. In a downsampled record the counts
+// are sums over the N refreshes the row folded, CPUPct is a mean, and a
+// value column its expression over the counts per refresh (derive.go)
+// or, for a column no expression derives, a mean.
 type RecordRow struct {
 	PID     int       `json:"pid"`
 	TID     int       `json:"tid,omitempty"`
@@ -49,38 +37,23 @@ type RecordRow struct {
 	Command string    `json:"command"`
 	CPUPct  float64   `json:"cpu_pct"`
 	Values  []float64 `json:"values"`
-	Instr   uint64    `json:"instr"`
-	Cycles  uint64    `json:"cycles"`
-	Misses  uint64    `json:"misses"`
+	Counts  []uint64  `json:"counts"`
+	// N is how many refreshes a downsampled row folded (v4: 0). A raw row
+	// appends with 1, or 0 for the engine's attach read, and reads 0.
+	N int `json:"n,omitempty"`
+}
+
+// at returns counts[i], 0 out of range.
+func at(counts []uint64, i int) uint64 {
+	if i < 0 || i >= len(counts) {
+		return 0
+	}
+	return counts[i]
 }
 
 // RecordAgg is the roll-up over a record's rows.
 type RecordAgg struct {
-	Tasks  int     `json:"tasks"`
-	CPUPct float64 `json:"cpu_pct"`
-	Instr  uint64  `json:"instr"`
-	Cycles uint64  `json:"cycles"`
-	Misses uint64  `json:"misses"`
-}
-
-// DecodeRecord parses and version-checks one v1 JSON record payload,
-// rejecting one whose time is not its leading field's (recordPrefix, what
-// recovery and a scan's range filter date it by), e.g. a repeated time_s.
-func DecodeRecord(payload []byte) (*Record, error) {
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("store: bad record: %w", err)
-	}
-	if rec.V < 1 || rec.V > RecordVersion {
-		return nil, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", rec.V, RecordVersion)
-	}
-	if t, _, ok := recordPrefix(payload); !ok || t != recTime(&rec) {
-		return nil, fmt.Errorf("store: bad record: time_s %g is not the leading field's", rec.TimeSeconds)
-	}
-	return &rec, nil
-}
-
-// parseFloat parses a decimal number from a byte slice.
-func parseFloat(b []byte) (float64, error) {
-	return strconv.ParseFloat(string(b), 64)
+	Tasks  int      `json:"tasks"`
+	CPUPct float64  `json:"cpu_pct"`
+	Counts []uint64 `json:"counts"`
 }

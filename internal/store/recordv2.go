@@ -1,59 +1,48 @@
 package store
 
-// The columnar record formats: v4, the layout every record is written
-// in — live appends (store.go) and compaction's merged rewrites
-// (compact.go) alike — and v3 and v2, which older builds wrote and this
-// one still reads. The framing (length/CRC header, torn-tail clipping)
-// is shared with the legacy v1 JSON records (record.go); only the
-// payload differs. Version sniffing is by first payload byte — '{'
-// (0x7b) opens a v1 JSON document, 0x02, 0x03 or 0x04 a binary frame of
-// that version, and anything else in 0x05..0x1f is a newer binary
-// version this build rejects loudly, mirroring the JSON "v" field
-// contract. Names prefixed v2 are the layout v2 introduced and its
-// successors keep.
+// The columnar record formats: v5, the layout every record is written
+// in — live appends (store.go) and compaction's rewrites (compact.go)
+// alike — and v4, which the previous build wrote and this one still
+// reads. Version sniffing is by first payload byte: 0x04 or 0x05 opens a
+// binary frame of that version, 0x06..0x1f is a newer one, and 0x02,
+// 0x03 or '{' (v1 JSON) an older one; both are refused loudly
+// (segScanner.frame). Names prefixed v2 are the layout v2 introduced.
 //
-// A segment holds two payload kinds (shown for v4; v3 leads with 0x03,
-// v2 with 0x02):
+// A segment holds two payload kinds (shown for v5; v4 leads with 0x04):
 //
-//	0x04 0x00  dictionary: uvarint count, then length-prefixed strings.
+//	0x05 0x00  dictionary: uvarint count, then length-prefixed strings.
 //	           Cumulative — entries append to the segment's table; user,
-//	           command and column names and column expressions in data
-//	           frames are indices into it, so a name repeated across
-//	           thousands of records is stored once per segment. A live
-//	           segment writes one whenever a record brings strings its
-//	           table lacks, just ahead of that record; a compacted
-//	           segment opens with one frame holding its whole table.
-//	           Frames of every version extend the same table, so a v2
-//	           or v3 tail takes v4 appends.
-//	0x04 0x01  data: one record, column-major. Header (uvarint time and
-//	           resolution in ms, a flags byte, optional column-name
-//	           indices and, in v4, per named column its expression's
-//	           index + 1 — 0 for a stored column — then an optional
-//	           uvarint mask of the columns the record omits), then
-//	           per-field arrays over the rows: PIDs zigzag-delta
-//	           encoded, TIDs as zigzag(tid-pid), string fields as
-//	           dictionary indices, counters as uvarints, and floats
-//	           XOR'd against the previous row (binenc.AppendFloat) so
-//	           they round-trip bit-exactly — every value column but the
-//	           omitted ones, which readers recompute from the counters
-//	           under the expressions the segment's last column header
-//	           named (derive.go). A v3 frame omits nothing; a v2 data
-//	           frame also holds a per-row IPC chain after the CPU%
-//	           chain, which every reader steps over and recomputes as
-//	           Σinstr/Σcycles from the counters.
+//	           command, column and event names and column expressions in
+//	           data frames are indices into it. A live segment writes one
+//	           whenever a record brings strings its table lacks, just
+//	           ahead of that record; a compacted segment opens with one
+//	           frame holding its whole table. Frames of both versions
+//	           extend the same table, so a v4 tail takes v5 appends.
+//	0x05 0x01  data: one record, column-major. Header: uvarint time and
+//	           resolution in ms, a flags byte, then when the record names
+//	           its layout the column and event names, per column its
+//	           expression's index + 1 (0: stored), an optional uvarint
+//	           mask of the columns the record omits. Then per-field
+//	           arrays over the rows: PIDs zigzag-delta encoded, TIDs as
+//	           zigzag(tid-pid), strings as dictionary indices, floats
+//	           XOR'd against the previous row (binenc.AppendFloat) so they
+//	           round-trip bit-exactly — CPU%, then every value column but
+//	           the omitted ones, which readers recompute (derive.go) —
+//	           the event count and one uvarint chain per event in force,
+//	           on a downsampled record the refreshes each row folded, and
+//	           the machine roll-up: tasks, CPU%, a count per event.
 //
-// Dictionary frames are not records: scans skip them when counting and
-// when tracking first/last times, and queries fold them into the
-// decoder state even when they precede the queried range. So are column
-// headers: a record before the range still sets the columns and the
-// derivation in force.
+// A v4 frame names no events: its rows carry three count chains,
+// v4Events, without the event count or refresh counts.
 //
-// The decode side is built for reuse: decodeDataInto fills scratch
-// the caller may have decoded into before, every row's Values a window
-// of one block per record (a 2000-row record costs its scratch one
-// values allocation, not 2000), decodeV2Dict passes strings through
-// the scanner's intern table, so a scan shares them with every earlier
-// scan that met the same names, and a derived column's program is
+// Dictionary frames and layout headers are decoder state: scans skip
+// dictionaries when counting records, and fold both even when they
+// precede the queried range.
+//
+// The decode side is built for reuse: decodeDataInto fills scratch the
+// caller may have decoded into before, every row's Values and Counts
+// windows of one block each per record, decodeV2Dict passes strings
+// through the scanner's intern table, and a derived column's program is
 // compiled once per process (derivationOf).
 
 import (
@@ -66,67 +55,61 @@ import (
 	"time"
 
 	"tiptop/internal/binenc"
+	"tiptop/internal/hpm"
 )
 
 const (
-	recordVersionV2 = 2
-
 	v2KindDict = 0x00
 	v2KindData = 0x01
 
-	v2FlagCols = 0x01
-	// v4 header flags: the column list is followed by each column's
-	// expression reference, and a uvarint mask of the columns the record
-	// omits follows the header.
+	// Header flags: the record names its layout (columns, in v5 events),
+	// and its columns' expressions; an omission mask follows; the rows
+	// carry the refreshes they folded (v5 downsampled records).
+	v2FlagCols  = 0x01
 	v4FlagExprs = 0x02
 	v4FlagOmit  = 0x04
+	v5FlagN     = 0x08
 
 	recordVersionV4 = 4
 )
 
-// Frame kinds as classified by framePrefix.
-const (
-	frameKindRecord = iota
-	frameKindMeta
-)
+// v4Events are the events of every v4 record, in chain order.
+var v4Events = []string{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses}
 
-// framePrefix classifies a frame payload and extracts its version and
-// (for records) its time without a full decode — the binary counterpart
-// of recordPrefix, dispatching on the first payload byte.
-func framePrefix(p []byte) (t time.Duration, v int, kind int, ok bool) {
+// framePrefix classifies a frame payload — a record, or a dictionary
+// (meta) — and extracts its version and a record's time without a full
+// decode. A frame of a version
+// this build does not read classifies as a record of that version, so
+// the caller's version gate refuses it instead of clipping it silently.
+func framePrefix(p []byte) (t time.Duration, v int, meta, ok bool) {
 	if len(p) == 0 {
-		return 0, 0, 0, false
+		return 0, 0, false, false
 	}
 	if p[0] == '{' {
-		t, v, jok := recordPrefix(p)
-		return t, v, frameKindRecord, jok
+		return 0, 1, false, true // v1 JSON
 	}
 	if p[0] < 0x02 || p[0] >= 0x20 {
-		return 0, 0, 0, false
+		return 0, 0, false, false
 	}
 	v = int(p[0])
-	if v > RecordVersion {
-		// A newer binary version: classify as a record so the caller's
-		// version gate rejects it loudly instead of clipping it silently.
-		return 0, v, frameKindRecord, true
+	if v < recordVersionV4 || v > RecordVersion {
+		return 0, v, false, true
 	}
 	if len(p) < 2 {
-		return 0, 0, 0, false
+		return 0, 0, false, false
 	}
 	switch p[1] {
 	case v2KindDict:
-		return 0, v, frameKindMeta, true
+		return 0, v, true, true
 	case v2KindData:
 		ms, n := binary.Uvarint(p[2:])
 		if n <= 0 {
-			return 0, 0, 0, false
+			return 0, 0, false, false
 		}
-		// The same float path recordPrefix takes for v1, so a record
-		// carries one timestamp regardless of which format holds it.
 		secs := float64(ms) / 1000
-		return time.Duration(secs * float64(time.Second)), v, frameKindRecord, true
+		return time.Duration(secs * float64(time.Second)), v, false, true
 	}
-	return 0, 0, 0, false
+	return 0, 0, false, false
 }
 
 // v2Dict is the string table of a segment being written: strs is the
@@ -168,33 +151,38 @@ func (d *v2Dict) appendDictFrame(buf []byte, from int) []byte {
 	return buf
 }
 
-// appendData encodes one record as a v4 data payload, interning the
+// appendData encodes one record as a v5 data payload, interning the
 // strings it references in d; entries that adds must reach the file in a
-// dictionary frame ahead of this payload. der is the derivation the
-// record may omit columns under (nil: it stores every value): one the
-// record's own column header establishes — when it carries columns, der
-// gives their expressions — or, when it carries none, the one the
-// segment's last header established.
-func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation) []byte {
+// dictionary frame ahead of this payload. The rows' counts are laid out
+// under rec.Events — the segment's last header's, unless head names
+// them, rec.Cols and der's expressions. der is the derivation in force
+// (nil: every value stored).
+func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation, head bool) []byte {
 	buf = append(buf, RecordVersion, v2KindData)
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.TimeSeconds*1000)))
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.ResSeconds*1000)))
+	rows := rec.Rows
 	var flags byte
-	if len(rec.Cols) > 0 {
+	if head {
 		flags |= v2FlagCols
 		if der != nil {
 			flags |= v4FlagExprs
 		}
 	}
-	omit := der.omit(rec.Rows)
+	omit := der.omit(rows)
 	if omit != 0 {
 		flags |= v4FlagOmit
 	}
+	if rec.ResSeconds > 0 {
+		flags |= v5FlagN
+	}
 	buf = append(buf, flags)
-	if flags&v2FlagCols != 0 {
-		buf = binenc.AppendUvarint(buf, uint64(len(rec.Cols)))
-		for _, c := range rec.Cols {
-			buf = binenc.AppendUvarint(buf, d.intern(c))
+	if head {
+		for _, names := range [...][]string{rec.Cols, rec.Events} {
+			buf = binenc.AppendUvarint(buf, uint64(len(names)))
+			for _, name := range names {
+				buf = binenc.AppendUvarint(buf, d.intern(name))
+			}
 		}
 	}
 	if flags&v4FlagExprs != 0 {
@@ -210,7 +198,6 @@ func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation) []byte {
 	if omit != 0 {
 		buf = binenc.AppendUvarint(buf, omit)
 	}
-	rows := rec.Rows
 	buf = binenc.AppendUvarint(buf, uint64(len(rows)))
 	prevPID := int64(0)
 	for i := range rows {
@@ -235,9 +222,7 @@ func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation) []byte {
 	maxVals := 0
 	for i := range rows {
 		buf = binenc.AppendUvarint(buf, uint64(len(rows[i].Values)))
-		if len(rows[i].Values) > maxVals {
-			maxVals = len(rows[i].Values)
-		}
+		maxVals = max(maxVals, len(rows[i].Values))
 	}
 	// Values column-major, each column XOR'd down the rows that have it;
 	// an omitted column has no chain.
@@ -253,20 +238,22 @@ func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation) []byte {
 			}
 		}
 	}
-	for i := range rows {
-		buf = binenc.AppendUvarint(buf, rows[i].Instr)
+	buf = binenc.AppendUvarint(buf, uint64(len(rec.Events)))
+	for e := range rec.Events {
+		for i := range rows {
+			buf = binenc.AppendUvarint(buf, at(rows[i].Counts, e))
+		}
 	}
-	for i := range rows {
-		buf = binenc.AppendUvarint(buf, rows[i].Cycles)
-	}
-	for i := range rows {
-		buf = binenc.AppendUvarint(buf, rows[i].Misses)
+	if flags&v5FlagN != 0 {
+		for i := range rows {
+			buf = binenc.AppendUvarint(buf, uint64(rows[i].N))
+		}
 	}
 	buf = binenc.AppendUvarint(buf, uint64(rec.Machine.Tasks))
 	buf = binenc.AppendFloat(buf, 0, rec.Machine.CPUPct)
-	buf = binenc.AppendUvarint(buf, rec.Machine.Instr)
-	buf = binenc.AppendUvarint(buf, rec.Machine.Cycles)
-	buf = binenc.AppendUvarint(buf, rec.Machine.Misses)
+	for e := range rec.Events {
+		buf = binenc.AppendUvarint(buf, at(rec.Machine.Counts, e))
+	}
 	return buf
 }
 
@@ -309,7 +296,8 @@ func decodeV2Dict(p []byte, dict []string, intern map[string]string) ([]string, 
 // Columns are matched by the names in force at each record, so the keep
 // set follows screen changes mid-scan; until a segment has named its
 // columns the projection decodes every value column — a projected scan
-// never drops data it cannot prove is unreferenced.
+// never drops data it cannot prove is unreferenced. Counts are always
+// decoded: a derived column is computed from them.
 type projection struct {
 	names map[string]bool
 	cpu   bool
@@ -341,7 +329,7 @@ func (p *projection) update(cols []string) {
 	if len(cols) == 0 {
 		return
 	}
-	if p.known && sameCols(p.cols, cols) {
+	if p.known && slices.Equal(p.cols, cols) {
 		return
 	}
 	p.known = true
@@ -361,38 +349,32 @@ func (p *projection) keepCol(j int) bool {
 	return j < len(p.keep) && p.keep[j]
 }
 
-// decodeDataInto decodes one v2, v3 or v4 data payload against the
-// segment's dictionary into rec, reusing its row, column and values
-// storage — the decode the scan walker runs. A record's Values are
-// carved from one block the record owns (Record.block), sized from the
-// summed per-row counts once those are checked against the payload: a
-// fresh record costs one values allocation however many rows it has, a
-// reused one none unless it is wider than any the scratch held (a scan
-// batch hands in empty windows onto its slabs: a record that does not fit
-// gets exact storage of its own; block is left at the length used). It
-// mirrors appendData exactly, stepping over a v2 frame's IPC chain;
-// trailing bytes are an error, not ignored. Strings are shared with the
-// segment dictionary, never re-allocated. dv carries the derivation in
-// force from the segment's earlier records and takes the one this
-// record's header sets; an omitted column is recomputed from each row's
-// counts into the slots a stored one would decode into. A nil proj
-// decodes every field; otherwise unreferenced value columns, stored or
-// omitted, and an unrequested CPU% chain are stepped over (stored ones
-// via their control bytes) and their slots left zero, keeping Values
-// index-aligned with the columns in force.
+// decodeDataInto decodes one v4 or v5 data payload against the
+// segment's dictionary into rec, reusing its storage — the decode the
+// scan walker runs. Every row's Values and Counts are carved from one
+// block each (Record.block, .counts), sized once the per-row value
+// counts are checked against the payload (a scan batch hands in windows
+// onto its slabs: a record that does not fit gets its own). It mirrors
+// appendData exactly; trailing bytes are an error. dv carries the layout
+// in force — events and derivation — and takes the one this record's
+// header sets; an omitted column is recomputed into the slot a stored
+// one would decode into. A nil proj decodes every field; otherwise
+// unreferenced value columns and an unrequested CPU% chain are stepped
+// over and left zero, keeping Values index-aligned with the columns.
 func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *deriver) error {
 	r := binenc.NewReader(p[2:])
-	rec.V = int(p[0])
 	rec.TimeSeconds = float64(r.Uvarint()) / 1000
 	rec.ResSeconds = 0
 	if resMs := r.Uvarint(); resMs > 0 {
 		rec.ResSeconds = float64(resMs) / 1000
 	}
 	var err error
+	var flags byte
 	var omit uint64
-	if rec.Cols, omit, err = readHeader(r, p, dict, rec.Cols[:0], dv); err != nil {
+	if rec.Cols, flags, omit, err = readHeader(r, p, rec.ResSeconds == 0, dict, rec.Cols[:0], dv); err != nil {
 		return err
 	}
+	rec.Events = dv.events
 	if proj != nil {
 		// The record's own values are laid out under its new columns.
 		proj.update(rec.Cols)
@@ -424,10 +406,15 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *
 			return err
 		}
 	}
-	if proj != nil && !proj.cpu {
-		for i := range rows {
-			rows[i].CPUPct = 0
+	// The omitted columns this decode recomputes; they may read CPU%.
+	derive := omit
+	for m := omit; m != 0 && proj != nil; m &= m - 1 {
+		if j := bits.TrailingZeros64(m); !proj.keepCol(j) {
+			derive &^= 1 << j
 		}
+	}
+	dropCPU := proj != nil && !proj.cpu
+	if dropCPU && derive == 0 {
 		r.SkipFloats(len(rows))
 	} else {
 		prev := 0.0
@@ -435,9 +422,6 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *
 			rows[i].CPUPct = r.Float(prev)
 			prev = rows[i].CPUPct
 		}
-	}
-	if rec.V == recordVersionV2 {
-		r.SkipFloats(len(rows)) // the per-row IPC chain
 	}
 	// The per-row value counts are read twice: summed and checked against
 	// the payload first, so nothing is sized from a count a corrupt frame
@@ -452,16 +436,9 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *
 		total += n
 		maxVals = max(maxVals, int(n))
 	}
-	if rec.block == nil || uint64(cap(rec.block)) < total {
-		rec.block = make([]float64, total)
-	}
-	rec.block = rec.block[:total]
-	block := rec.block
-	clear(block) // a projected decode leaves unreferenced slots unwritten
+	block := sized(&rec.block, int(total)) // zeroed: a projected decode leaves slots unwritten
 	for i := range rows {
-		// Three-index: a consumer's append cannot reach the next row. Empty
-		// Values stay non-nil, matching encoding/json's decode of the v1
-		// "values":[] field.
+		// Three-index: a consumer's append cannot reach the next row.
 		n := int(counts.Uvarint())
 		rows[i].Values, block = block[:n:n], block[n:]
 	}
@@ -487,37 +464,38 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *
 			}
 		}
 	}
+	nev := len(rec.Events)
+	if k := uint64(nev); p[0] > recordVersionV4 && r.Uvarint() != k || k*(nrows+1) > uint64(len(p)) {
+		return fmt.Errorf("store: corrupt binary record (counts of %d events in force)", nev)
+	}
+	cblock := sized(&rec.counts, nev*(len(rows)+1)) // every row's counts, then the roll-up's
 	for i := range rows {
-		rows[i].Instr = r.Uvarint()
+		rows[i].Counts, cblock = cblock[:nev:nev], cblock[nev:]
+	}
+	rec.Machine.Counts = cblock
+	for e := range nev {
+		for i := range rows {
+			rows[i].Counts[e] = r.Uvarint()
+		}
 	}
 	for i := range rows {
-		rows[i].Cycles = r.Uvarint()
-	}
-	for i := range rows {
-		rows[i].Misses = r.Uvarint()
+		if rows[i].N = 0; flags&v5FlagN != 0 {
+			rows[i].N = int(min(r.Uvarint(), math.MaxInt32))
+		}
 	}
 	// Omitted columns are recomputed from the counts just read, into the
 	// same slots a stored one decodes into.
-	if omit != 0 {
-		var buf [32]float64
-		stack := dv.cur.stackIn(buf[:])
-		for m := omit; m != 0; m &= m - 1 {
-			j := bits.TrailingZeros64(m)
-			if proj != nil && !proj.keepCol(j) {
-				continue
-			}
-			for i := range rows {
-				if j < len(rows[i].Values) {
-					rows[i].Values[j] = dv.cur.eval(j, &rows[i], stack)
-				}
-			}
-		}
+	if derive != 0 {
+		dv.cur.fill(rows, derive)
+	}
+	for i := 0; dropCPU && i < len(rows); i++ {
+		rows[i].CPUPct = 0 // unprojected fields read zero
 	}
 	rec.Machine.Tasks = int(r.Uvarint())
 	rec.Machine.CPUPct = r.Float(0)
-	rec.Machine.Instr = r.Uvarint()
-	rec.Machine.Cycles = r.Uvarint()
-	rec.Machine.Misses = r.Uvarint()
+	for e := range rec.Machine.Counts {
+		rec.Machine.Counts[e] = r.Uvarint()
+	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("store: corrupt binary record: %w", err)
 	}
@@ -527,72 +505,102 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *
 	return nil
 }
 
-// v2PeekCols extracts just the column names of a data payload (nil
-// when the frame carries none) so pre-range records can keep the column
-// tracking honest without decoding their rows; like a decode, it moves
-// dv to the derivation a column header establishes.
-func v2PeekCols(p []byte, dict []string, dv *deriver) ([]string, error) {
+// peekLayout reads just the header of a data payload — returning its
+// column names, nil when it names none — so pre-range records keep the
+// layout in dv honest without decoding their rows.
+func peekLayout(p []byte, dict []string, dv *deriver) ([]string, error) {
 	r := binenc.NewReader(p[2:])
 	r.Uvarint() // time
-	r.Uvarint() // res
-	cols, _, err := readHeader(r, p, dict, nil, dv)
+	cols, _, _, err := readHeader(r, p, r.Uvarint() == 0, dict, nil, dv)
 	return cols, err
 }
 
-// readHeader reads a data payload's header after its time and resolution
-// onto cols: the flags byte and any column-name indices, then, in v4,
-// each named column's expression reference and the omission mask — the
-// one header parse behind decodeDataInto and v2PeekCols. A header that
-// names columns sets the derivation in force in dv: the columns' own
-// expressions, or none. The mask may only name columns the derivation
-// then in force derives. dv changes only when the whole header reads.
-func readHeader(r *binenc.Reader, p []byte, dict, cols []string, dv *deriver) ([]string, uint64, error) {
-	flags := r.Byte()
-	if p[0] < recordVersionV4 {
-		flags &= v2FlagCols // older writers set no other bit, and readers never looked
+// readHeader reads a data payload's header after its time and
+// resolution (raw: 0) onto cols, returning its flags and omission mask
+// — the one header parse behind decodeDataInto and peekLayout. It sets
+// the events (v4Events for a v4 record) and the derivation in force in
+// dv, which a header that names its layout replaces: its columns'
+// expressions over its events, or none. The mask may only name columns
+// that derivation derives over the record's events, and only a v5
+// downsampled record carries refresh counts. dv changes only when the
+// whole header reads.
+func readHeader(r *binenc.Reader, p []byte, raw bool, dict, cols []string, dv *deriver) (_ []string, flags byte, omit uint64, err error) {
+	v5, events := p[0] > recordVersionV4, v4Events
+	if v5 {
+		events = dv.events
 	}
-	if flags&^(v2FlagCols|v4FlagExprs|v4FlagOmit) != 0 || flags&(v2FlagCols|v4FlagExprs) == v4FlagExprs {
-		return cols, 0, fmt.Errorf("store: corrupt binary record (flags %#x)", flags)
+	if flags = r.Byte(); flags&^(v2FlagCols|v4FlagExprs|v4FlagOmit|v5FlagN) != 0 || flags&(v2FlagCols|v4FlagExprs) == v4FlagExprs ||
+		flags&v5FlagN != 0 && (raw || !v5) {
+		return cols, 0, 0, fmt.Errorf("store: corrupt binary record (flags %#x)", flags)
 	}
 	cur := dv.cur
 	if flags&v2FlagCols != 0 {
-		n := r.Uvarint()
-		if n > uint64(len(p)) {
-			return cols, 0, fmt.Errorf("store: corrupt binary record (cols)")
+		if cols, err = readNames(r, p, dict, cols); err != nil {
+			return cols, 0, 0, err
 		}
-		cols = slices.Grow(cols, int(n))
-		for i := uint64(0); i < n; i++ {
-			c, err := dictRef(r, dict)
-			if err != nil {
-				return cols, 0, err
+		if v5 {
+			if dv.evs, err = readNames(r, p, dict, dv.evs[:0]); err != nil {
+				return cols, 0, 0, err
 			}
-			cols = append(cols, c)
+			if !slices.Equal(dv.evs, events) {
+				if !slices.Equal(dv.evs, dv.last) { // hand the scratch over: emitted records keep it
+					dv.last, dv.evs = dv.evs, nil
+				}
+				events = dv.last // maybe the previous segment's
+			}
 		}
 		cur = nil
 		if flags&v4FlagExprs != 0 {
-			var err error
-			if cur, err = dv.read(r, dict, int(n)); err != nil {
-				return cols, 0, err
+			if cur, err = dv.read(r, dict, len(cols), events); err != nil {
+				return cols, 0, 0, err
 			}
 		}
 	}
-	var omit uint64
 	if flags&v4FlagOmit != 0 {
-		omit = r.Uvarint()
-		if omit == 0 {
-			return cols, 0, fmt.Errorf("store: corrupt binary record (empty omission mask)")
+		if omit = r.Uvarint(); omit == 0 {
+			return cols, 0, 0, fmt.Errorf("store: corrupt binary record (empty omission mask)")
 		}
 		for m := omit; m != 0; m &= m - 1 {
-			if j := bits.TrailingZeros64(m); cur == nil || j >= len(cur.prog) || cur.prog[j] == nil {
-				return cols, 0, fmt.Errorf("store: binary record omits column %d, which no expression in force derives", j)
+			if j := bits.TrailingZeros64(m); cur == nil || j >= len(cur.prog) || cur.prog[j] == nil || !slices.Equal(cur.events, events) {
+				return cols, 0, 0, fmt.Errorf("store: binary record omits column %d, which no expression in force derives", j)
 			}
 		}
 	}
 	if err := r.Err(); err != nil {
-		return cols, 0, err
+		return cols, 0, 0, err
 	}
-	dv.cur = cur
-	return cols, omit, nil
+	dv.cur, dv.events = cur, events
+	return cols, flags, omit, nil
+}
+
+// readNames reads a uvarint count of dictionary references onto names.
+func readNames(r *binenc.Reader, p []byte, dict, names []string) ([]string, error) {
+	n := r.Uvarint()
+	if n > uint64(len(p)) {
+		return names, fmt.Errorf("store: corrupt binary record (names)")
+	}
+	if cap(names) < int(n) { // names is empty: no copy to keep
+		names = make([]string, 0, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		name, err := dictRef(r, dict)
+		if err != nil {
+			return names, err
+		}
+		names = append(names, name)
+	}
+	return names, nil
+}
+
+// sized returns *buf at length n, zeroed, reallocating it only when it
+// lacks the capacity (or is nil: an empty row's Values are non-nil).
+func sized[T any](buf *[]T, n int) []T {
+	if *buf == nil || cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // omitted reports whether mask omits value column j.

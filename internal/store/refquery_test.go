@@ -3,15 +3,16 @@ package store
 // The raw range query as the store answered it before it became a plan
 // on the query engine (internal/query's RunRaw), kept as the reference:
 // the store's history-reading tests run on it, and rawplan_test.go
-// holds the engine's raw plan to its bytes. It is verbatim but for one
-// line: a point's IPC is its row's instr/cycles, the value the record
-// formats before v3 stored beside the counters. Query
-// re-buckets through the write side's accumulator, so reading a tier at
-// a coarser step and writing that coarser tier agree by construction —
-// on single-screen data; it labels values by position, so a range
-// across a screen change reads them under the last screen's names.
+// holds the engine's raw plan to its bytes. It is verbatim but for the
+// counts: a point's IPC is its row's INSTRUCTIONS/CYCLES, looked up by
+// name under the record's events, and a re-bucketed row folds as one
+// refresh. Query re-buckets through the write side's accumulator, with
+// every column averaged — on single-screen data; it labels values by
+// position, so a range across a screen change reads them under the
+// last screen's names.
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -78,16 +79,22 @@ func (st *Store) Query(q QueryOptions) (*Result, error) {
 	}
 	_, err := st.Scan(q, func(rec *Record, cols []string) error {
 		out.Columns = cols
-		m := RecordRow{
-			CPUPct: rec.Machine.CPUPct, Instr: rec.Machine.Instr, Cycles: rec.Machine.Cycles,
+		ii, ci := slices.Index(rec.Events, hpm.EventInstructions), slices.Index(rec.Events, hpm.EventCycles)
+		// ipcRow is r with just the two counts a point's IPC reads, folding
+		// as one refresh.
+		ipcRow := func(r *RecordRow) *RecordRow {
+			out := *r
+			out.Counts, out.N = []uint64{at(r.Counts, ii), at(r.Counts, ci)}, 1
+			return &out
 		}
+		m := ipcRow(&RecordRow{CPUPct: rec.Machine.CPUPct, Counts: rec.Machine.Counts})
 		if machineAcc == nil {
-			machine.add(rec.TimeSeconds, &m)
+			machine.add(rec.TimeSeconds, m)
 		} else {
 			now := time.Duration(rec.TimeSeconds * float64(time.Second))
 			machine.addBucket(machineAcc.advance(now))
 			tasks.addBucket(taskAcc.advance(now))
-			machineAcc.fold(&m)
+			machineAcc.fold([]RecordRow{*m}, ipcEvents, nil)
 		}
 		for i := range rec.Rows {
 			r := &rec.Rows[i]
@@ -95,9 +102,9 @@ func (st *Store) Query(q QueryOptions) (*Result, error) {
 				continue
 			}
 			if taskAcc == nil {
-				tasks.add(rec.TimeSeconds, r)
+				tasks.add(rec.TimeSeconds, ipcRow(r))
 			} else {
-				taskAcc.fold(r)
+				taskAcc.fold([]RecordRow{*ipcRow(r)}, ipcEvents, nil)
 			}
 		}
 		return nil
@@ -123,6 +130,9 @@ func (st *Store) Query(q QueryOptions) (*Result, error) {
 	return out, nil
 }
 
+// ipcEvents name the counts of a re-bucketed row.
+var ipcEvents = []string{hpm.EventInstructions, hpm.EventCycles}
+
 // seriesSet assembles one series per task, points in scan (time) order.
 type seriesSet map[hpm.TaskID]*Series
 
@@ -137,7 +147,7 @@ func (ss seriesSet) add(at float64, r *RecordRow) {
 	}
 	s.User, s.Command = r.User, r.Command
 	s.Points = append(s.Points, Point{
-		TimeSeconds: at, CPUPct: r.CPUPct, IPC: ratio(r.Instr, r.Cycles),
+		TimeSeconds: at, CPUPct: r.CPUPct, IPC: ratio(r.Counts[0], r.Counts[1]),
 		Values: append([]float64(nil), r.Values...),
 	})
 }

@@ -7,7 +7,6 @@ package store
 // against record for record.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -27,27 +26,20 @@ type refDecoder struct {
 // decode turns one frame payload into a fresh record. rec is nil (with
 // no error) for meta frames, which only update decoder state.
 func (d *refDecoder) decode(payload []byte) (*Record, error) {
-	_, v, kind, ok := framePrefix(payload)
+	_, v, meta, ok := framePrefix(payload)
 	if !ok {
 		return nil, fmt.Errorf("store: unparseable record payload")
 	}
-	if v > RecordVersion {
-		return nil, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
+	if v < recordVersionV4 || v > RecordVersion {
+		return nil, fmt.Errorf("store: record version %d not supported", v)
 	}
-	if kind == frameKindMeta {
+	if meta {
 		dict, err := decodeV2Dict(payload, d.dict, nil)
 		if err != nil {
 			return nil, err
 		}
 		d.dict = dict
 		return nil, nil
-	}
-	if payload[0] == '{' {
-		rec, err := DecodeRecord(payload)
-		if err == nil && len(rec.Cols) > 0 {
-			d.dv.cur = nil
-		}
-		return rec, err
 	}
 	rec := &Record{}
 	if err := decodeDataInto(rec, payload, d.dict, nil, &d.dv); err != nil {
@@ -59,26 +51,36 @@ func (d *refDecoder) decode(payload []byte) (*Record, error) {
 // refForEachRecord streams every record of one segment's valid prefix
 // in order, each freshly decoded.
 func refForEachRecord(path string, valid int64, fn func(*Record) error) error {
-	var cols []string
-	return refScanFile(queryFile{path: path, valid: valid}, math.MinInt64, math.MaxInt64, &cols,
-		func(rec *Record, _ []string) error { return fn(rec) })
+	return refForEachDerived(path, valid, func(rec *Record, _ *derivation) error { return fn(rec) })
 }
 
-// refScanFile walks one segment's valid prefix, streaming the records
-// inside [from, to] through fn with the columns in force at each.
-func refScanFile(f queryFile, from, to time.Duration, cols *[]string, fn func(rec *Record, cols []string) error) error {
+// refForEachDerived is refForEachRecord that also hands fn the
+// derivation in force at each record.
+func refForEachDerived(path string, valid int64, fn func(*Record, *derivation) error) error {
+	var cols []string
+	var fd refDecoder
+	return refScanFile(queryFile{path: path, valid: valid}, math.MinInt64, math.MaxInt64, &cols, &fd,
+		func(rec *Record, _ []string) error { return fn(rec, fd.dv.cur) })
+}
+
+// refScanFile walks one segment's valid prefix with fd (a fresh decoder
+// when nil), streaming the records inside [from, to] through fn with the
+// columns in force at each.
+func refScanFile(f queryFile, from, to time.Duration, cols *[]string, fd *refDecoder, fn func(rec *Record, cols []string) error) error {
 	fh, err := os.Open(f.path)
 	if err != nil {
 		return err
 	}
 	defer fh.Close()
-	return refScanStream(io.LimitReader(fh, f.valid), from, to, cols, fn)
+	if fd == nil {
+		fd = &refDecoder{}
+	}
+	return refScanStream(io.LimitReader(fh, f.valid), from, to, cols, fd, fn)
 }
 
 // refScanStream is refScanFile over the segment's bytes.
-func refScanStream(r io.Reader, from, to time.Duration, cols *[]string, fn func(rec *Record, cols []string) error) error {
+func refScanStream(r io.Reader, from, to time.Duration, cols *[]string, fd *refDecoder, fn func(rec *Record, cols []string) error) error {
 	fr := newFrameReader(r)
-	var fd refDecoder
 	for {
 		payload, ok, err := fr.next()
 		if err != nil {
@@ -88,14 +90,14 @@ func refScanStream(r io.Reader, from, to time.Duration, cols *[]string, fn func(
 			return nil
 		}
 		fr.accept()
-		t, v, kind, pok := framePrefix(payload)
+		t, v, meta, pok := framePrefix(payload)
 		if !pok {
 			return nil
 		}
-		if v > RecordVersion {
-			return fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
+		if v < recordVersionV4 || v > RecordVersion {
+			return fmt.Errorf("store: record version %d not supported", v)
 		}
-		if kind == frameKindMeta {
+		if meta {
 			if _, err := fd.decode(payload); err != nil {
 				return err
 			}
@@ -105,14 +107,7 @@ func refScanStream(r io.Reader, from, to time.Duration, cols *[]string, fn func(
 			return nil
 		}
 		if t < from {
-			if payload[0] == '{' {
-				if bytes.Contains(payload, colsKey) {
-					if rec, derr := DecodeRecord(payload); derr == nil && len(rec.Cols) > 0 {
-						*cols = rec.Cols
-						fd.dv.cur = nil
-					}
-				}
-			} else if c, derr := v2PeekCols(payload, fd.dict, &fd.dv); derr == nil && len(c) > 0 {
+			if c, derr := peekLayout(payload, fd.dict, &fd.dv); derr == nil && len(c) > 0 {
 				*cols = c
 			}
 			continue
@@ -149,7 +144,7 @@ func refScan(t *testing.T, st *Store, q QueryOptions) []scannedRec {
 		if f.last < from || f.first > to {
 			continue
 		}
-		err := refScanFile(f, from, to, &cols, func(rec *Record, cols []string) error {
+		err := refScanFile(f, from, to, &cols, nil, func(rec *Record, cols []string) error {
 			out = append(out, copyScan(rec, cols))
 			return nil
 		})

@@ -40,7 +40,6 @@ package store
 // that precedes the failure has been delivered.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -130,10 +129,9 @@ type ScanOptions struct {
 	// (GOMAXPROCS), 1 walks inline on the caller's goroutine. The pool
 	// never exceeds the number of segment files in range.
 	Workers int
-	// Project restricts binary decodes to the Columns named below; v1
-	// JSON frames transparently fall back to a full decode. Unprojected
+	// Project restricts decodes to the Columns named below. Unprojected
 	// fields are left zero, with Values index-aligned to the columns in
-	// force.
+	// force; counts are always decoded.
 	Project bool
 	// Columns are the referenced value-column names when projecting.
 	Columns []string
@@ -242,7 +240,8 @@ type segScanner struct {
 	proj   *projection // nil = full decode
 	dict   []string
 	intern map[string]string
-	dv     deriver // the derivation in force
+	dv     deriver  // the derivation in force
+	cols   []string // the owned copy of the columns a segment last named
 	fr     *frameReader
 }
 
@@ -271,24 +270,17 @@ func (s *segScanner) release() {
 	scanners.Put(s)
 }
 
-// colsKey marks a v1 record payload carrying column names. The bare
-// quotes cannot occur inside a JSON string value (they would be
-// escaped), so a substring match never false-positives on task names.
-var colsKey = []byte(`,"cols":[`)
-
 // scanFile streams one segment's in-range records. Frames are
-// version-sniffed individually (an old store's recovered tail segment
-// holds v1 JSON, v2 or v3 frames with v4 ones appended after them). Records
-// before the range are skipped undecoded, but dictionary frames always
-// fold into the decoder state, and records carrying column names (each
-// segment's first record, and any screen change) surface them, so the
-// columns reported where the range starts are the ones in force there —
-// not an older screen's. next supplies the record each binary frame
-// decodes into (the caller's scratch policy; v1 frames always decode
-// fresh). emit receives each record together with the columns the file
-// has established so far — nil until the file names them, meaning
-// "inherited from earlier files"; non-nil slices are owned by the scan,
-// never aliased to scratch.
+// version-sniffed individually (a recovered v4 tail holds v5 frames
+// after its own). Records before the range are skipped undecoded, but
+// dictionary frames and layout headers always fold into the decoder
+// state, so the layout in force where the range starts is the one
+// reported there. next supplies the record each frame decodes into (the
+// caller's scratch policy). emit receives each record together with the
+// columns the file has established so far — nil until the file names
+// them, meaning "inherited from earlier files"; non-nil slices, like
+// each record's Events, are owned by the scan, never aliased to
+// scratch.
 func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
 	fh, err := s.fsys.open(f.path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -314,14 +306,7 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 			return nil // records are time-ordered; nothing further matches
 		}
 		if t < from {
-			if payload[0] == '{' {
-				if bytes.Contains(payload, colsKey) {
-					if rec, derr := DecodeRecord(payload); derr == nil && len(rec.Cols) > 0 {
-						fileCols = rec.Cols
-						s.dv.cur = nil
-					}
-				}
-			} else if c, derr := v2PeekCols(payload, s.dict, &s.dv); derr == nil && len(c) > 0 {
+			if c, derr := peekLayout(payload, s.dict, &s.dv); derr == nil && len(c) > 0 {
 				fileCols = c
 			}
 			if s.proj != nil {
@@ -329,23 +314,15 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 			}
 			continue
 		}
-		var rec *Record
-		if payload[0] == '{' {
-			rec, err = DecodeRecord(payload)
-			if err != nil {
-				return err
-			}
-			if len(rec.Cols) > 0 {
-				s.dv.cur = nil // a v1 header derives nothing
-			}
-		} else {
-			rec = next()
-			if err := decodeDataInto(rec, payload, s.dict, s.proj, &s.dv); err != nil {
-				return err
-			}
+		rec := next()
+		if err := decodeDataInto(rec, payload, s.dict, s.proj, &s.dv); err != nil {
+			return err
 		}
 		if len(rec.Cols) > 0 {
-			fileCols = append([]string(nil), rec.Cols...)
+			if !slices.Equal(rec.Cols, s.cols) { // else the previous segment's copy serves
+				s.cols = slices.Clone(rec.Cols)
+			}
+			fileCols = s.cols
 			if s.proj != nil {
 				s.proj.update(fileCols)
 			}
@@ -358,14 +335,14 @@ func (s *segScanner) scan(r io.Reader, from, to time.Duration, next func() *Reco
 
 // begin starts a walk over one segment's bytes, forgetting the decoder
 // state the previous file established: its dictionary (and the intern
-// table, once that has passed internMax), its derivation in force and
-// the projection's columns.
+// table, once that has passed internMax), its layout in force and the
+// projection's columns.
 func (s *segScanner) begin(r io.Reader) {
 	s.dict = s.dict[:0]
 	if len(s.intern) > internMax {
 		clear(s.intern)
 	}
-	s.dv.cur = nil
+	s.dv.cur, s.dv.events = nil, nil
 	if s.proj != nil {
 		s.proj.reset()
 	}
@@ -377,21 +354,23 @@ func (s *segScanner) begin(r io.Reader) {
 // s.dict on the way. A frame joins the valid prefix (s.fr.valid) once
 // classified and, for a dictionary, decoded. A nil payload ends the walk:
 // a clean EOF, a torn or checksum-failing frame, or a payload framePrefix
-// rejects. A newer version fails, as does a corrupt dictionary.
+// rejects. A frame of a version this build does not read fails, as does
+// a corrupt dictionary.
 func (s *segScanner) frame() ([]byte, time.Duration, error) {
 	for {
 		payload, ok, err := s.fr.next()
 		if err != nil || !ok {
 			return nil, 0, err
 		}
-		t, v, kind, ok := framePrefix(payload)
+		t, v, meta, ok := framePrefix(payload)
 		if !ok {
 			return nil, 0, nil
 		}
-		if v > RecordVersion {
-			return nil, 0, fmt.Errorf("store: record version %d not supported (this build reads <= %d)", v, RecordVersion)
+		if v < recordVersionV4 || v > RecordVersion {
+			return nil, 0, fmt.Errorf("store: record version %d not supported (this build reads v%d and v%d; a v%[2]d build's Compact rewrites older sealed segments as v%[2]d)",
+				v, RecordVersion-1, RecordVersion)
 		}
-		if kind == frameKindMeta {
+		if meta {
 			dict, err := decodeV2Dict(payload, s.dict, s.intern)
 			if err != nil {
 				return nil, 0, err
@@ -424,53 +403,48 @@ type scanItem struct {
 }
 
 // scanBatch is one channel send and the storage its records were
-// decoded into: a row slab and a value slab, both sized from the first
-// record's width, as is how many records the batch holds.
+// decoded into: row, value and counts slabs sized, like how many records
+// the batch holds, from its first record's width.
 type scanBatch struct {
 	n     int // records kept
 	items [scanBatchSize]scanItem
 	per   int         // records this batch holds, from its first record's width
 	rows  []RecordRow // the rows carved so far
 	vals  []float64   // the values carved so far
+	cnts  []uint64    // the counts carved so far
 }
 
-// next returns the record the next binary frame decodes into, its rows
-// and block empty windows onto what the slabs have left.
+// next returns the record the next frame decodes into, its rows and
+// blocks empty windows onto what the slabs have left.
 func (b *scanBatch) next() *Record {
 	rec := &b.items[b.n].rec
-	rec.Rows, rec.block = b.rows[len(b.rows):], b.vals[len(b.vals):]
+	rec.Rows, rec.block, rec.counts = b.rows[len(b.rows):], b.vals[len(b.vals):], b.cnts[len(b.cnts):]
 	return rec
 }
 
-// keep counts rec into the batch and reports whether the batch is full:
-// it holds per records, or rec outgrew the slabs. rec is next's record —
+// keep counts rec, next's record, into the batch and reports whether the
+// batch is full: it holds per records, or rec outgrew the slabs.
 // decodeDataInto keeps a window it fits in and swaps one it does not for
-// an exact allocation, so the capacity tells whether it was carved — or
-// a v1 record, decoded fresh, whose storage the batch carries.
+// an exact allocation, so the capacity tells whether it was carved.
 func (b *scanBatch) keep(rec *Record, cols []string) bool {
 	n := b.n
 	b.n++
-	it := &b.items[n]
-	it.cols = cols
-	if rec != &it.rec {
-		it.rec = *rec
-	} else if cap(rec.Rows) == cap(b.rows)-len(b.rows) && cap(rec.block) == cap(b.vals)-len(b.vals) {
+	b.items[n].cols = cols
+	if cap(rec.Rows) == cap(b.rows)-len(b.rows) && cap(rec.block) == cap(b.vals)-len(b.vals) && cap(rec.counts) == cap(b.cnts)-len(b.cnts) {
 		b.rows = b.rows[:len(b.rows)+len(rec.Rows)]
 		b.vals = b.vals[:len(b.vals)+len(rec.block)]
+		b.cnts = b.cnts[:len(b.cnts)+len(rec.counts)]
 		rec.Rows = rec.Rows[:len(rec.Rows):len(rec.Rows)] // an append cannot reach the next record
 	} else if n > 0 {
 		return true
 	}
 	if n == 0 {
-		w, v := len(rec.Rows), 0
-		for i := range rec.Rows {
-			v += len(rec.Rows[i].Values)
-		}
+		w, v, c := len(rec.Rows), len(rec.block), len(rec.counts)
 		b.per = min(scanBatchSize, max(1, scanBatchRows/max(w, 1)))
 		// Slabs too small for the batch: new ones, for the rest of it now
 		// and all of it next time.
-		if cap(b.rows) < b.per*w || cap(b.vals) < b.per*v {
-			b.rows, b.vals = make([]RecordRow, 0, b.per*w), make([]float64, 0, b.per*v)
+		if cap(b.rows) < b.per*w || cap(b.vals) < b.per*v || cap(b.cnts) < b.per*c {
+			b.rows, b.vals, b.cnts = make([]RecordRow, 0, b.per*w), make([]float64, 0, b.per*v), make([]uint64, 0, b.per*c)
 		}
 	}
 	return n+1 >= b.per
@@ -547,7 +521,7 @@ func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, 
 					return err
 				}
 			}
-			b.n, b.rows, b.vals = 0, b.rows[:0], b.vals[:0]
+			b.n, b.rows, b.vals, b.cnts = 0, b.rows[:0], b.vals[:0], b.cnts[:0]
 			select {
 			case batchFree <- b:
 			default:
@@ -569,23 +543,23 @@ func scanParallel(fsys filesystem, files []queryFile, startCols []string, from, 
 // walk.
 func runScanFile(sc *segScanner, f queryFile, from, to time.Duration, out chan<- *scanBatch, batchFree chan *scanBatch, done <-chan struct{}) error {
 	// A new batch's slabs are sized like the last the file filled.
-	getBatch := func(rows, vals int) *scanBatch {
+	getBatch := func(rows, vals, cnts int) *scanBatch {
 		select {
 		case b := <-batchFree:
 			return b
 		default:
-			return &scanBatch{rows: make([]RecordRow, 0, rows), vals: make([]float64, 0, vals)}
+			return &scanBatch{rows: make([]RecordRow, 0, rows), vals: make([]float64, 0, vals), cnts: make([]uint64, 0, cnts)}
 		}
 	}
-	batch := getBatch(0, 0)
+	batch := getBatch(0, 0, 0)
 	flush := func() error {
 		if batch.n == 0 {
 			return nil
 		}
-		rows, vals := cap(batch.rows), cap(batch.vals) // the merger owns it once sent
+		rows, vals, cnts := cap(batch.rows), cap(batch.vals), cap(batch.cnts) // the merger owns it once sent
 		select {
 		case out <- batch:
-			batch = getBatch(rows, vals)
+			batch = getBatch(rows, vals, cnts)
 			return nil
 		case <-done:
 			return errScanAborted

@@ -33,7 +33,8 @@ type scannedRec struct {
 func copyScan(rec *Record, cols []string) scannedRec {
 	out := scannedRec{Cols: strings.Join(cols, ",")}
 	out.Rec = *rec
-	out.Rec.block = nil // scratch storage, not content
+	out.Rec.block, out.Rec.counts = nil, nil // scratch storage, not content
+	out.Rec.Machine.Counts = append([]uint64(nil), rec.Machine.Counts...)
 	out.Rec.Cols = nil
 	if len(rec.Cols) > 0 {
 		out.Rec.Cols = append([]string(nil), rec.Cols...)
@@ -42,6 +43,7 @@ func copyScan(rec *Record, cols []string) scannedRec {
 	for i := range rec.Rows {
 		r := rec.Rows[i]
 		r.Values = append([]float64(nil), rec.Rows[i].Values...)
+		r.Counts = append([]uint64(nil), rec.Rows[i].Counts...)
 		out.Rec.Rows = append(out.Rec.Rows, r)
 	}
 	return out
@@ -60,10 +62,10 @@ func collectScan(t *testing.T, st *Store, opts ScanOptions) []scannedRec {
 }
 
 // mixedStore builds a store whose segments span every layout a scan can
-// meet: varied appends, a compaction pass (merged v4 .cseg), more
-// appends rewritten as the v1 JSON an older build's live writer left,
-// then live v4 appends — the first of them after the v1 frames of the
-// recovered tail.
+// meet: varied appends, a compaction pass (merged .cseg), all of it
+// rewritten as the v4 frames the previous build left, then live v5
+// appends — the first of them after the v4 frames of the recovered
+// tail.
 func mixedStore(t *testing.T) *Store {
 	t.Helper()
 	dir := t.TempDir()
@@ -83,13 +85,13 @@ func mixedStore(t *testing.T) *Store {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rewriteSegmentsV1(t, dir)
-	// Segment size raised so the v1 tail still has room for appends.
+	rewriteSegmentsV4(t, segmentFiles(t, dir)...)
+	// Segment size raised so the v4 tail still has room for appends.
 	st = mustOpen(t, dir, Options{SegmentBytes: 64 << 10})
 	st.SetColumns([]string{"branch-miss", "llc-load"})
 	fillVaried(t, st, 1500*time.Millisecond, 1500*time.Millisecond, n/2, 6, &seed)
-	if k := frameKinds(t, newestSegment(t, dir, "raw")); k.V1 == 0 || k.Dicts == 0 || k.V4 == 0 {
-		t.Fatalf("tail segment holds %+v frames; want v1, dictionary and v4 ones", k)
+	if k := frameKinds(t, newestSegment(t, dir, "raw")); k.V4 == 0 || k.Dicts == 0 || k.V5 == 0 {
+		t.Fatalf("tail segment holds %+v frames; want v4, dictionary and v5 ones", k)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
@@ -105,9 +107,9 @@ func everything(q QueryOptions, workers int) ScanOptions {
 // straddleStore builds a store whose pooled scans end batches at both
 // bounds and mid-stream: ragged record widths (so a record outgrows the
 // slabs its batch's first record sized), records wider than
-// scanBatchRows, a screen change in the middle of a segment, and v1
-// JSON frames — whole segments of them, and a tail where v4 appends
-// follow them.
+// scanBatchRows, a screen change in the middle of a segment, and v4
+// frames — whole segments of them, and a tail where v5 appends follow
+// them.
 func straddleStore(t *testing.T) *Store {
 	t.Helper()
 	dir := t.TempDir()
@@ -132,7 +134,7 @@ func straddleStore(t *testing.T) *Store {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rewriteSegmentsV1(t, dir)
+	rewriteSegmentsV4(t, segmentFiles(t, dir)...)
 	st = mustOpen(t, dir, Options{SegmentBytes: 32 << 10})
 	st.SetColumns([]string{"llc-load", "branch-miss"})
 	fill(60, ragged...)
@@ -378,16 +380,16 @@ func TestScanInFlightBoundedByRows(t *testing.T) {
 // scratchPayload encodes a record of the given row widths under columns
 // a, b, c — every float distinct and non-zero, offset by base — against d.
 func scratchPayload(d *v2Dict, base float64, widths ...int) []byte {
-	rec := &Record{TimeSeconds: 1, Cols: []string{"a", "b", "c"}}
+	rec := &Record{TimeSeconds: 1, Cols: []string{"a", "b", "c"}, Events: []string{"INSTRUCTIONS", "CYCLES"}}
 	for i, w := range widths {
 		r := RecordRow{PID: 100 + i, TID: 100 + i, User: "u", Command: "job",
-			CPUPct: base + float64(i), Values: make([]float64, w), Instr: uint64(i)}
+			CPUPct: base + float64(i), Values: make([]float64, w), Counts: []uint64{uint64(i), uint64(2 * i)}}
 		for k := range r.Values {
 			r.Values[k] = base + float64(10*i+k+1)
 		}
 		rec.Rows = append(rec.Rows, r)
 	}
-	return appendData(nil, rec, d, nil)
+	return appendData(nil, rec, d, nil, true)
 }
 
 // TestDecodeScratchReuse: one scratch record decoded wide, then narrow,
@@ -397,7 +399,7 @@ func scratchPayload(d *v2Dict, base float64, widths ...int) []byte {
 // are one block carved with full slice expressions: appending to row i
 // cannot write row i+1, an empty row is non-nil, and the decode costs a
 // fresh record a fixed few allocations and a reused one none, however
-// many rows it has.
+// many rows it has. Their Counts are the same: one block, carved.
 func TestDecodeScratchReuse(t *testing.T) {
 	d := newV2Dict(nil)
 	wideRows := make([]int, 400)
@@ -434,9 +436,10 @@ func TestDecodeScratchReuse(t *testing.T) {
 			}
 		}
 		for i := range scratch.Rows {
-			v := scratch.Rows[i].Values
-			if v == nil || cap(v) != len(v) {
-				t.Fatalf("%s: row %d's Values are nil or have room to grow (len %d, cap %d)", step.name, i, len(v), cap(v))
+			v, c := scratch.Rows[i].Values, scratch.Rows[i].Counts
+			if v == nil || cap(v) != len(v) || cap(c) != len(c) || len(c) != 2 || c[1] != uint64(2*i) {
+				t.Fatalf("%s: row %d's Values are nil or have room to grow (len %d, cap %d), or its Counts %v (cap %d) are not its own",
+					step.name, i, len(v), cap(v), c, cap(c))
 			}
 		}
 		for i := 0; i+1 < len(scratch.Rows); i++ {
@@ -452,10 +455,11 @@ func TestDecodeScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs > 6 {
-		t.Errorf("a fresh decode of %d rows made %.0f allocations, want <= 6 (the record, its rows, one values block, three column names appended)", len(wideRows), allocs)
+		t.Errorf("a fresh decode of %d rows made %.0f allocations, want <= 6 (the record, its rows, one values and one counts block, the column and event names read)", len(wideRows), allocs)
 	}
+	dv := &deriver{}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := decodeDataInto(scratch, wide, d.strs, nil, &deriver{}); err != nil {
+		if err := decodeDataInto(scratch, wide, d.strs, nil, dv); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -466,8 +470,8 @@ func TestDecodeScratchReuse(t *testing.T) {
 // TestDecodeRefusesClaimedValueCounts: the per-row value counts size the
 // record's values block, so a payload that claims more values than it
 // has bytes — in one row, summed over rows, or by wrapping the sum — is
-// refused before anything is sized from them, in a v4 frame and in a v2
-// one (whose IPC chain the decode steps over).
+// refused before anything is sized from them, in a v5 frame and in a v4
+// one.
 func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 	dict := []string{"u", "job"}
 	prefix := func(v byte) []byte {
@@ -481,12 +485,9 @@ func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 		b = binenc.AppendUvarint(binenc.AppendUvarint(b, 0), 0) // users
 		b = binenc.AppendUvarint(binenc.AppendUvarint(b, 1), 1) // commands
 		b = append(b, 0, 0)                                     // the CPU chain, all "same as previous"
-		if v == recordVersionV2 {
-			b = append(b, 0, 0) // and the IPC chain
-		}
 		return b
 	}
-	for _, v := range []byte{recordVersionV2, RecordVersion} {
+	for _, v := range []byte{recordVersionV4, RecordVersion} {
 		for name, counts := range map[string][2]uint64{
 			"one row":  {1 << 40, 0},
 			"summed":   {40, 40},
@@ -504,7 +505,11 @@ func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 		}
 		// The same frame with honest counts decodes.
 		p := binenc.AppendUvarint(binenc.AppendUvarint(prefix(v), 1), 0)
-		p = append(p, make([]byte, 1+6+5)...) // one value, three counters a row, the roll-up
+		if v == recordVersionV4 {
+			p = append(p, make([]byte, 1+6+5)...) // one value, three counts a row, the roll-up
+		} else {
+			p = append(p, make([]byte, 1+1+2)...) // one value, no events, the roll-up
+		}
 		if err := decodeDataInto(&Record{}, p, dict, nil, &deriver{}); err != nil {
 			t.Fatalf("the hand-built v%d frame does not decode with honest counts: %v", v, err)
 		}

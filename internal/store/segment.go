@@ -146,7 +146,7 @@ func openSegment(sc *segScanner, path string, seq, seqEnd int64, writable bool) 
 		payload, t, werr := sc.frame()
 		if werr != nil && !errors.Is(werr, errCorruptDict) {
 			f.Close() // read-only
-			return nil, werr
+			return nil, fmt.Errorf("%w (segment %s)", werr, filepath.Base(path))
 		}
 		if payload == nil {
 			break // a corrupt dictionary clips like a torn frame
@@ -237,36 +237,3 @@ func (fr *frameReader) next() (payload []byte, ok bool, err error) {
 
 // accept commits the frame last returned by next into the valid prefix.
 func (fr *frameReader) accept() { fr.valid = fr.off }
-
-// recordPrefix parses the fixed leading fields of a record payload —
-// `{"v":<int>,"time_s":<float>` — without a full JSON decode, which
-// keeps recovery scans cheap (the bench recovers a million records).
-func recordPrefix(p []byte) (t time.Duration, v int, ok bool) {
-	const vKey = `{"v":`
-	if len(p) < len(vKey) || string(p[:len(vKey)]) != vKey {
-		return 0, 0, false
-	}
-	i := len(vKey)
-	start := i
-	for i < len(p) && p[i] >= '0' && p[i] <= '9' {
-		v = v*10 + int(p[i]-'0')
-		i++
-	}
-	if i == start {
-		return 0, 0, false
-	}
-	const tKey = `,"time_s":`
-	if len(p) < i+len(tKey) || string(p[i:i+len(tKey)]) != tKey {
-		return 0, 0, false
-	}
-	i += len(tKey)
-	j := i
-	for j < len(p) && p[j] != ',' && p[j] != '}' {
-		j++
-	}
-	secs, err := parseFloat(p[i:j])
-	if err != nil {
-		return 0, 0, false
-	}
-	return time.Duration(secs * float64(time.Second)), v, true
-}

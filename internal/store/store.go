@@ -11,21 +11,18 @@
 //	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
 //
 // with lengths little-endian and the payload a versioned binary frame:
-// record format v4 (recordv2.go), column-major with XOR-compressed
+// record format v5 (recordv2.go), column-major with XOR-compressed
 // floats and a per-segment string dictionary, so the log is dense the
 // moment it is written and a query decodes only the columns it names.
-// A raw record stores only what its counts do not determine: a value
-// column the engine's screen computed from the instruction, cycle and
-// cache-miss counts every row stores is verified and left out, and
-// readers recompute it (derive.go). The first payload byte is the
-// version; readers accept versions up to their own RecordVersion and
-// reject newer ones loudly, like the remote wire format. Stores written
-// by older builds hold record format v3 — every value stored — v2, the
-// v3 layout plus a per-row IPC column, or v1, one JSON document per
-// frame (record.go); all are still read, frame by frame, but never
-// written. The write path encodes into reused buffers, so steady-state
-// appends are near-zero-alloc like history.Recorder.Observe — a store
-// teed into a recorder does not perturb the sampling loop.
+// The unit of history is the screen's event counts, one per event a
+// row, the event names in the dictionary once; a value the engine's
+// screen computed from them is verified and left out, and readers
+// recompute it (derive.go). The first payload byte is the version:
+// readers accept this version and the one before, and refuse any other
+// loudly, an older one with its remedy (a v4 build's Compact). The
+// write path encodes into reused buffers, so steady-state appends are
+// near-zero-alloc like history.Recorder.Observe — a store teed into a
+// recorder does not perturb the sampling loop.
 //
 // Crash safety. Appends go straight to the file, one write per record
 // (a record that introduces new strings carries its dictionary frame in
@@ -37,8 +34,8 @@
 // needs an index or a journal.
 //
 // Tiers and retention. Raw refreshes land in the raw tier and are
-// folded into 10-second averages, which fold into 1-minute averages
-// (Resolutions). Segments rotate by size and record-time age; retention
+// folded into 10-second buckets, which fold into 1-minute ones
+// (Resolutions, downsample.go). Segments rotate by size and record-time age; retention
 // drops the oldest sealed segments when the configured byte budget or
 // age horizon is exceeded, rawest tier first — a week of wide-fleet
 // data degrades to 1-minute resolution instead of disappearing.
@@ -55,6 +52,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -68,15 +66,11 @@ import (
 )
 
 // RecordVersion is the newest record format this build reads, and the
-// one it writes: 4 is the columnar layout of recordv2.go, whose raw
-// records leave out the columns their counts determine, in live
-// segments and compacted ones alike. 3 is the same layout storing every
-// value, 2 that with a stored per-row IPC column, and 1 the JSON
-// layout; older builds wrote them, and they are decode-only now. Readers
-// sniff the version per frame (a recovered tail may hold v1, v2 or v3
-// frames followed by v4 ones), accept documents up to this ceiling and
-// reject newer ones loudly, mirroring the remote wire contract.
-const RecordVersion = 4
+// one it writes: 5 is recordv2.go's layout of event counts; 4, whose
+// rows stored three fixed counts, is decode-only now. Readers sniff the
+// version per frame (a recovered tail may hold v4 frames, then v5 ones)
+// and refuse any other loudly, mirroring the remote wire contract.
+const RecordVersion = 5
 
 // Resolutions are the store's downsampling tiers: raw refreshes, then
 // 10-second averages, then 1-minute averages. Index 0 is the raw tier.
@@ -141,9 +135,12 @@ type Store struct {
 	fsys filesystem
 	lock io.Closer // advisory directory lock, nil where unsupported
 
-	mu      sync.Mutex
-	tiers   []*tier
-	cols    []string
+	mu    sync.Mutex
+	tiers []*tier
+	cols  []string
+	// events names the counts of the records being written: the newest
+	// sample's that had counts (at Open, the raw tier's).
+	events  []string
 	lastErr error
 	// base offsets observed sample times so record time keeps rising
 	// across monitor restarts (sample clocks restart at zero).
@@ -151,13 +148,16 @@ type Store struct {
 	lastTime time.Duration
 	records  int64 // appended + recovered, all tiers
 	// Append scratch, reused so steady-state appends do not allocate:
-	// the raw tier's rows and their values, the data frame, and the
-	// dictionary+data pair when one is needed.
+	// the raw tier's rows, their values and re-laid-out counts, the
+	// machine roll-up's counts, the data frame, and the dictionary+data
+	// pair when one is needed.
 	rows      []RecordRow
 	vals      []float64
+	counts    []uint64
+	machine   []uint64
 	buf, pair []byte
 	// derived is the derivation the screen derivedFrom gives the columns
-	// in force (nil: none), built once per screen and column list.
+	// and events in force (nil: none), built once per screen and layout.
 	derivedFrom *metrics.Screen
 	derived     *derivation
 	// group-commit fsync bookkeeping (zero policy: never touched).
@@ -176,10 +176,10 @@ type tier struct {
 	sealed []*segment
 	active *segment
 	acc    *accumulator // nil for the raw tier
-	// colsWritten tracks whether the active segment already carries the
-	// column names (each segment is self-describing), and derived the
-	// derivation its last column header established (raw tier only).
-	colsWritten bool
+	// headWritten: the active segment carries a layout header (each is
+	// self-describing); events and derived are its last one's.
+	headWritten bool
+	events      []string
 	derived     *derivation
 	// dirty marks the active segment as having unsynced appends (only
 	// maintained when a fsync policy is set).
@@ -284,16 +284,23 @@ func (st *Store) SetColumns(names []string) {
 	st.cols = append(st.cols[:0:0], names...)
 	st.derivedFrom, st.derived = nil, nil
 	for _, t := range st.tiers {
-		t.colsWritten, t.derived = false, nil
+		t.headWritten = false
 	}
 }
 
-// Columns returns the column names currently labelling records — the
-// vocabulary an expression query over the store can reference.
+// Columns returns the column names currently labelling records.
 func (st *Store) Columns() []string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return append([]string(nil), st.cols...)
+}
+
+// Events returns the names of the events records currently count —
+// with Columns, what an expression query over the store can reference.
+func (st *Store) Events() []string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return slices.Clone(st.events)
 }
 
 // Observe appends one engine refresh. It implements core.Observer so a
@@ -345,8 +352,14 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		// back. One millisecond is the record clock's precision.
 		now = st.lastTime + time.Millisecond
 	}
-	// Rows and values are copied into store-owned scratch: writeRecord
-	// sanitises them in place, and the sample belongs to the caller.
+	// The events the sample's counts are stored under: its rows' table's.
+	if i := slices.IndexFunc(s.Rows, func(r core.Row) bool { return r.Table != nil }); i >= 0 &&
+		!slices.Equal(s.Rows[i].Table.Names(), st.events) {
+		st.events = slices.Clone(s.Rows[i].Table.Names())
+	}
+	// Values are copied into store-owned scratch: writeRecord sanitises
+	// them in place, and the sample belongs to the caller. Counts laid
+	// out as the store's events are only read, so rows lend them.
 	nvals := 0
 	for i := range s.Rows {
 		nvals += len(s.Rows[i].Values)
@@ -354,24 +367,38 @@ func (st *Store) appendLocked(s *core.Sample) error {
 	if cap(st.vals) < nvals {
 		st.vals = make([]float64, 0, nvals)
 	}
-	vals, rows := st.vals[:0], st.rows[:0]
+	vals, rows, counts := st.vals[:0], st.rows[:0], st.counts[:0]
 	for i := range s.Rows {
 		row := &s.Rows[i]
 		off := len(vals)
 		vals = append(vals, row.Values...)
-		instr, cycles, misses := row.Basics()
-		rows = append(rows, RecordRow{
+		r := RecordRow{
 			PID: row.Info.ID.PID, TID: row.Info.ID.TID,
 			User: row.Info.User, Command: row.Info.Comm,
-			CPUPct: row.CPUPct, Values: vals[off:],
-			Instr: instr, Cycles: cycles, Misses: misses,
-		})
+			CPUPct: row.CPUPct, Values: vals[off:], N: 1,
+		}
+		if s.Screen != nil && row.Valid && row.Interval == 0 {
+			r.N = 0 // the engine's attach read: no tier folds it
+		}
+		switch t := row.Table; {
+		case t == nil:
+		case slices.Equal(t.Names(), st.events):
+			r.Counts = row.Counts
+		default:
+			off := len(counts)
+			for _, name := range st.events {
+				counts = append(counts, row.Count(name))
+			}
+			r.Counts = counts[off:len(counts):len(counts)]
+		}
+		rows = append(rows, r)
 	}
-	st.rows = rows
-	if err := st.writeRecord(st.tiers[0], now, rows, st.derivationFor(s.Screen)); err != nil {
+	st.rows, st.counts = rows, counts
+	der := st.derivationFor(s.Screen)
+	if err := st.writeRecord(st.tiers[0], now, rows, st.events, der); err != nil {
 		return err
 	}
-	if err := st.fold(1, now, rows); err != nil {
+	if err := st.fold(1, now, rows, st.events, der); err != nil {
 		return err
 	}
 	st.lastTime = now
@@ -383,14 +410,14 @@ func (st *Store) appendLocked(s *core.Sample) error {
 
 // derivationFor returns the derivation the screen that computed a
 // sample's values gives the columns in force: each column whose
-// expression reads only the counts a raw row stores. nil for a sample
-// the engine did not make, a screen whose column names are not the ones
-// in force, or one with no such column.
+// expression reads only the store's events and CPU_PCT. nil for a
+// sample the engine did not make, a screen whose column names are not
+// the ones in force, or one with no such column.
 func (st *Store) derivationFor(sc *metrics.Screen) *derivation {
 	if sc == nil {
 		return nil
 	}
-	if sc == st.derivedFrom {
+	if sc == st.derivedFrom && (st.derived == nil || slices.Equal(st.derived.events, st.events)) {
 		return st.derived
 	}
 	st.derivedFrom, st.derived = sc, nil
@@ -402,13 +429,13 @@ func (st *Store) derivationFor(sc *metrics.Screen) *derivation {
 		if col.Name != st.cols[j] {
 			return nil
 		}
-		if j < maxDerived && col.Expr != nil && derivable(col.Expr) == nil {
+		if j < maxDerived && col.Expr != nil && derivable(col.Expr, st.events) == nil {
 			src[j] = col.Expr.Source()
 		}
 	}
 	// A source that does not compile as it did for the screen leaves the
 	// store writing every value.
-	st.derived, _ = derivationOf(src)
+	st.derived, _ = derivationOf(src, st.events)
 	return st.derived
 }
 
@@ -446,15 +473,6 @@ func (st *Store) maybeSyncLocked() error {
 	return nil
 }
 
-// colsFor returns the column names to embed in the next record of t:
-// set on the first record of each segment, empty afterwards.
-func (st *Store) colsFor(t *tier) []string {
-	if t.colsWritten || len(st.cols) == 0 {
-		return nil
-	}
-	return st.cols
-}
-
 // finite maps NaN and ±Inf — legal float64s, illegal JSON — to 0.
 func finite(f float64) float64 {
 	if f-f != 0 {
@@ -464,40 +482,40 @@ func finite(f float64) float64 {
 }
 
 // writeRecord rotates the tier's active segment if due and appends rows
-// (store-owned scratch, sanitised in place) as one record-v4 data
-// frame, computing the machine roll-up on the way. Non-finite floats
-// become 0 here: the XOR float encoding would persist them bit-exactly
-// and every later JSON encode of a query over them would fail. der is
-// the derivation the rows' values came from (nil: none known): the
-// frame leaves out every column it verifies, after a column header
-// naming der's expressions when the segment's last one named others.
-// When the record names a user, command, column or expression the
-// segment's dictionary has not seen, an incremental dictionary frame
-// precedes the data frame and the pair goes down in one write, so a
-// concurrent scan's snapshot and crash clipping never separate a record
-// from the strings it needs.
-func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow, der *derivation) error {
+// (store-owned scratch, sanitised in place) as one record-v5 data
+// frame, their counts laid out under events, computing the machine
+// roll-up on the way. Non-finite floats become 0 here: the XOR float
+// encoding would persist them bit-exactly and every later JSON encode
+// of a query over them would fail. der is the derivation the rows'
+// values came from (nil: none known): the frame leaves out every column
+// it verifies, behind a layout header (columns, events, der's
+// expressions) when the segment's last one differs. When the record
+// names a string the segment's dictionary has not seen, an incremental
+// dictionary frame precedes the data frame and the pair goes down in
+// one write, so a concurrent scan's snapshot and crash clipping never
+// separate a record from the strings it needs.
+func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow, events []string, der *derivation) error {
 	if t.active == nil || t.active.size >= st.opt.SegmentBytes ||
 		(t.active.n > 0 && now-t.active.first >= st.opt.SegmentAge) {
 		if err := st.rotateLocked(t); err != nil {
 			return err
 		}
 	}
-	cols := st.colsFor(t)
-	if der != nil && !der.same(t.derived) {
-		cols = st.cols
+	head := !t.headWritten || !slices.Equal(events, t.events) || der != nil && !der.same(t.derived)
+	if head {
+		t.headWritten, t.events, t.derived = true, events, der
 	}
-	if cols != nil {
-		t.derived = der
-	}
+	st.machine = slices.Grow(st.machine[:0], len(events))[:len(events)]
+	clear(st.machine)
 	rec := &Record{
 		// Millisecond precision: the record clock's, and what every
 		// reader reconstructs.
 		TimeSeconds: float64(now.Milliseconds()) / 1000,
 		ResSeconds:  t.res.Seconds(),
-		Cols:        cols,
+		Cols:        st.cols,
+		Events:      events,
 		Rows:        rows,
-		Machine:     RecordAgg{Tasks: len(rows)},
+		Machine:     RecordAgg{Tasks: len(rows), Counts: st.machine},
 	}
 	for i := range rows {
 		r := &rows[i]
@@ -506,14 +524,14 @@ func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow, der *
 			r.Values[j] = finite(v)
 		}
 		rec.Machine.CPUPct += r.CPUPct
-		rec.Machine.Instr += r.Instr
-		rec.Machine.Cycles += r.Cycles
-		rec.Machine.Misses += r.Misses
+		for e, c := range r.Counts[:min(len(r.Counts), len(events))] {
+			rec.Machine.Counts[e] += c
+		}
 	}
 	rec.Machine.CPUPct = finite(rec.Machine.CPUPct)
 	dict := t.active.dict
 	known := len(dict.strs)
-	st.buf = appendData(beginFrame(st.buf[:0]), rec, dict, der)
+	st.buf = appendData(beginFrame(st.buf[:0]), rec, dict, der, head)
 	endFrame(st.buf)
 	frames := st.buf
 	if len(dict.strs) > known {
@@ -528,7 +546,6 @@ func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow, der *
 	if st.opt.Fsync.enabled() {
 		t.dirty = true
 	}
-	t.colsWritten = t.colsWritten || len(st.cols) > 0
 	if t.active.n == 1 {
 		t.active.first = now
 	}
@@ -537,11 +554,11 @@ func (st *Store) writeRecord(t *tier, now time.Duration, rows []RecordRow, der *
 	return nil
 }
 
-// fold pushes one finer-tier record's rows into tier ti's accumulator.
-// A bucket that completes on the way is written as a record of tier ti,
-// rows sorted by PID then TID, and folded into the next coarser tier
-// first.
-func (st *Store) fold(ti int, now time.Duration, rows []RecordRow) error {
+// fold pushes one finer-tier record's rows (counts under events, values
+// derived under der) into tier ti's accumulator. A bucket that completes
+// on the way is written as a record of tier ti, rows sorted by PID then
+// TID, and folded into the next coarser tier first.
+func (st *Store) fold(ti int, now time.Duration, rows []RecordRow, events []string, der *derivation) error {
 	if ti >= len(st.tiers) {
 		return nil
 	}
@@ -551,9 +568,7 @@ func (st *Store) fold(ti int, now time.Duration, rows []RecordRow) error {
 			return err
 		}
 	}
-	for i := range rows {
-		t.acc.fold(&rows[i])
-	}
+	t.acc.fold(rows, events, der)
 	return nil
 }
 
@@ -570,10 +585,10 @@ func (st *Store) writeBucket(ti int, b *bucket) error {
 		}
 		return b.rows[i].TID < b.rows[j].TID
 	})
-	if err := st.writeRecord(st.tiers[ti], b.end, b.rows, nil); err != nil {
+	if err := st.writeRecord(st.tiers[ti], b.end, b.rows, b.events, b.der); err != nil {
 		return err
 	}
-	return st.fold(ti+1, b.end, b.rows)
+	return st.fold(ti+1, b.end, b.rows, b.events, b.der)
 }
 
 // rotateLocked seals the tier's active segment and starts the next one.
@@ -609,7 +624,7 @@ func (st *Store) rotateLocked(t *tier) error {
 		return err
 	}
 	t.active = sg
-	t.colsWritten, t.derived = false, nil
+	t.headWritten = false
 	return nil
 }
 
@@ -836,16 +851,22 @@ func (st *Store) recover() error {
 			st.lastTime = sg.last
 		}
 		if lastOfTier {
-			t.active = sg
-			// The recovered tail already carries its columns; don't
-			// rewrite them mid-segment.
-			t.colsWritten = sg.n > 0
+			t.active = sg // its first append writes a layout header
 		} else {
 			_ = sg.seal()
 			t.sealed = append(t.sealed, sg)
 		}
 	}
 	st.base = st.lastTime
+	// The events in force at the raw tier's newest record: what a query
+	// may name before the first append.
+	raw := slices.DeleteFunc(append(slices.Clip(st.tiers[0].sealed), st.tiers[0].active), func(sg *segment) bool { return sg == nil || sg.n == 0 })
+	if n := len(raw); n > 0 {
+		if err := sc.scanFile(queryFile{path: raw[n-1].path, valid: raw[n-1].size}, math.MaxInt64, math.MaxInt64, nil, nil); err != nil {
+			return err
+		}
+		st.events = sc.dv.events
+	}
 	return nil
 }
 

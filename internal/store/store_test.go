@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +172,39 @@ func TestDownsampleTiers(t *testing.T) {
 	}
 	if pts[0].TimeSeconds != 30 || pts[0].IPC != 2 {
 		t.Fatalf("step-30 first bucket = %+v", pts[0])
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An engine's columns are views of the counts at every tier: a 10s
+	// point's ipc column is the ratio of the bucket's sums — the point's
+	// IPC — not the mean of the refreshes' ratios, and its mcycle column
+	// the mean count per refresh.
+	st = mustOpen(t, t.TempDir(), Options{})
+	st.SetColumns([]string{"mcycle", "minst", "ipc", "dmis"})
+	seed := uint64(5)
+	var ratios, cycles float64
+	for i := 1; i <= 12; i++ {
+		s := engineShaped(variedSample(time.Duration(i)*time.Second, 1, &seed), metrics.DefaultScreen())
+		if i <= 10 {
+			ratios += s.Rows[0].Values[2] / 10
+			cycles += float64(s.Rows[0].Counts[1]) / 10
+		}
+		if err := st.AppendSample(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err = st.Query(QueryOptions{PID: 100, StepSeconds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Series[0].Points[0]
+	if rel := math.Abs(p.Values[2]/p.IPC - 1); rel > 1e-15 || math.Abs(p.Values[0]/(cycles/1e6)-1) > 1e-15 {
+		t.Fatalf("first 10s point: ipc %v against IPC %v, mcycle %v against the mean %v", p.Values[2], p.IPC, p.Values[0], cycles/1e6)
+	}
+	if math.Abs(p.Values[2]/ratios-1) < 1e-6 {
+		t.Fatalf("first 10s point's ipc %v is the mean of the refreshes' ratios %v", p.Values[2], ratios)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -586,21 +621,17 @@ func TestAppendDensity(t *testing.T) {
 }
 
 // TestRecordVersionRejected: a record newer than RecordVersion is
-// refused loudly wherever it is read — a JSON document by DecodeRecord,
-// a binary frame led by 0x05 at Open and by a scan that reaches it after
-// a v4 record.
+// refused loudly wherever it is read — a frame led by 0x06 at Open and
+// by a scan that reaches it after a v5 record.
 func TestRecordVersionRejected(t *testing.T) {
-	if _, err := DecodeRecord([]byte(`{"v":99,"time_s":1,"rows":[],"machine":{}}`)); err == nil {
-		t.Fatal("future record version accepted")
-	}
 	d := newV2Dict(nil)
-	data := appendData(nil, &Record{TimeSeconds: 1, Rows: []RecordRow{{PID: 1, User: "u", Command: "c"}}}, d, nil)
+	data := appendData(nil, &Record{TimeSeconds: 1, Rows: []RecordRow{{PID: 1, User: "u", Command: "c"}}}, d, nil, true)
 	path := filepath.Join(t.TempDir(), "raw-0000000001.seg")
-	for _, payload := range [][]byte{d.appendDictFrame(nil, 0), data, {0x05, v2KindData, 0x80, 0x08}} {
+	for _, payload := range [][]byte{d.appendDictFrame(nil, 0), data, {0x06, v2KindData, 0x80, 0x08}} {
 		writeRawFrame(t, path, payload)
 	}
-	if _, err := Open(filepath.Dir(path), Options{}); err == nil || !strings.Contains(err.Error(), "version 5") {
-		t.Fatalf("Open = %v, want a loud version-5 rejection", err)
+	if _, err := Open(filepath.Dir(path), Options{}); err == nil || !strings.Contains(err.Error(), "version 6") {
+		t.Fatalf("Open = %v, want a loud version-6 rejection", err)
 	}
 	seg, err := os.ReadFile(path)
 	if err != nil {
@@ -611,8 +642,8 @@ func TestRecordVersionRejected(t *testing.T) {
 	n := 0
 	err = sc.scan(bytes.NewReader(seg), 0, 1<<62, func() *Record { return &Record{} },
 		func(*Record, []string) error { n++; return nil })
-	if n != 1 || err == nil || !strings.Contains(err.Error(), "version 5") {
-		t.Fatalf("a scan emitted %d records and returned %v, want the v4 record, then a loud version-5 rejection", n, err)
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "version 6") {
+		t.Fatalf("a scan emitted %d records and returned %v, want the v5 record, then a loud version-6 rejection", n, err)
 	}
 }
 
@@ -710,14 +741,14 @@ func TestReadFoldEqualsWriteFold(t *testing.T) {
 	}
 	b := mustOpen(t, t.TempDir(), Options{})
 	b.SetColumns(a.Columns())
-	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
 	if _, err := a.Scan(QueryOptions{PID: -1, StepSeconds: 10}, func(rec *Record, _ []string) error {
 		s := &core.Sample{Time: time.Duration(rec.TimeSeconds / 10 * float64(time.Second))}
+		table := core.NewEventTable(rec.Events...)
 		for _, r := range rec.Rows {
 			s.Rows = append(s.Rows, core.Row{
 				Info:   core.TaskInfo{ID: hpm.TaskID{PID: r.PID, TID: r.TID}, User: r.User, Comm: r.Command},
 				CPUPct: r.CPUPct, Values: append([]float64(nil), r.Values...),
-				Counts: []uint64{r.Instr, r.Cycles, r.Misses}, Table: table, Valid: true,
+				Counts: append([]uint64(nil), r.Counts...), Table: table, Valid: true,
 			})
 		}
 		return b.AppendSample(s)
@@ -845,5 +876,85 @@ func TestColumnsChangeRespectsQueryRange(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTierRowsFollowTheirRecords: counts keep their event names when
+// the event list changes mid-segment (reordered, then widened) — the
+// raw tier re-names it in a layout header, and a tier row's counts add
+// up per name — and a bucket holding, mid-way, a record written without
+// a derivation averages its columns instead of deriving them.
+func TestTierRowsFollowTheirRecords(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{})
+	defer st.Close()
+	st.SetColumns([]string{"mcycle", "minst", "ipc", "dmis"})
+	layouts := [][]string{
+		{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses},
+		{hpm.EventCacheMisses, hpm.EventCycles, hpm.EventInstructions},
+		{hpm.EventBranches, hpm.EventCycles, hpm.EventCacheMisses, hpm.EventInstructions},
+	}
+	byName := func(events []string, counts []uint64) map[string]uint64 {
+		m := map[string]uint64{}
+		for e, name := range events {
+			m[name] += counts[e]
+		}
+		return m
+	}
+	var raw []map[string]uint64   // per refresh, its counts by name
+	var want [2]map[string]uint64 // per 10 s bucket, the summed counts by name
+	ipc := 0.0                    // the second bucket's summed ipc values
+	for i := 1; i <= 21; i++ {
+		s := sampleAt(time.Duration(i)*time.Second, 1)
+		if i <= 10 {
+			events := layouts[min(i/4, 2)]
+			s.Rows[0].Table, s.Rows[0].Counts = core.NewEventTable(events...), make([]uint64, len(events))
+			for e := range events {
+				s.Rows[0].Counts[e] = uint64(1000*i + e)
+			}
+		}
+		s = engineShaped(s, metrics.DefaultScreen())
+		if i == 15 { // no engine vouches for it, nor for its values
+			s.Screen, s.Rows[0].Values[2] = nil, 7
+		}
+		raw = append(raw, byName(s.Rows[0].Table.Names(), s.Rows[0].Counts))
+		if b := (i - 1) / 10; b < 2 {
+			if want[b] == nil {
+				want[b] = map[string]uint64{}
+			}
+			for name, c := range raw[i-1] {
+				want[b][name] += c
+			}
+			if b == 1 {
+				ipc += s.Rows[0].Values[2]
+			}
+		}
+		if err := st.AppendSample(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(step float64) (rows []RecordRow, counts []map[string]uint64) {
+		t.Helper()
+		if _, err := st.ScanWith(ScanOptions{QueryOptions: QueryOptions{PID: -1, StepSeconds: step}, Workers: 1}, func(rec *Record, _ []string) error {
+			for _, r := range rec.Rows {
+				r.Values = slices.Clone(r.Values)
+				rows, counts = append(rows, r), append(counts, byName(rec.Events, r.Counts))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows, counts
+	}
+	if _, got := read(0); !reflect.DeepEqual(got, raw) {
+		t.Fatalf("the raw tier reads counts %v, appended %v", got, raw)
+	}
+	rows, got := read(10)
+	if len(rows) != 2 || rows[0].N != 10 || rows[1].N != 10 || !reflect.DeepEqual(got, want[:]) {
+		t.Fatalf("the 10s tier reads %d rows with counts %v, want two of 10 refreshes with %v", len(rows), got, want)
+	}
+	// The second bucket holds the hand-built record: its ipc column is
+	// the mean of the rows' values, not the ratio of its sums.
+	if rows[1].Values[2] != ipc/10 {
+		t.Fatalf("the mixed bucket reads ipc %v, want the mean %v", rows[1].Values[2], ipc/10)
 	}
 }

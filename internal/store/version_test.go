@@ -1,19 +1,22 @@
 package store_test
 
-// The record-version contract across formats, end to end: a store that
-// older builds left in v1 JSON, v2 and v3 frames opens under this build,
-// takes v4 appends into its recovered v3 raw tail and v2 tier tails,
+// The record-version contract across formats, end to end: this version
+// and the one before. A store the previous build left in v4 frames
+// opens under this build, takes v5 appends into its recovered v4 tails,
 // and answers every raw and expression query with the bytes a twin that
-// was v4 from the start answers — before Compact, after it (which
-// rewrites every sealed segment as v4, leaving out again the columns the
+// was v5 from the start answers — before Compact, after it (which
+// rewrites every sealed segment as v5, leaving out again the columns the
 // appends' screen derives) and after a reopen. The appends are an
-// engine's, so the twin's raw records leave their derived columns out
-// and its answers recompute them.
+// engine's, so both stores' records leave their derived columns out and
+// their answers recompute them. A store holding an older frame does not
+// open, and says how to rewrite it.
 
 import (
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,7 +77,7 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 		}
 	}
 	// Reopened with room for appends, so the tail is the part-filled
-	// segment an older build left, not one this build seals at once.
+	// segment the previous build left, not one this build seals at once.
 	openBoth := func() {
 		t.Helper()
 		opt.SegmentBytes = 16 << 10
@@ -87,7 +90,7 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 		want := queryBodies(t, twin)
 		for i, got := range queryBodies(t, old) {
 			if got != want[i] {
-				t.Fatalf("%s, %s: the old store answers\n%.1500s\nits v4 twin\n%.1500s", when, contractQueries[i].Encode(), got, want[i])
+				t.Fatalf("%s, %s: the old store answers\n%.1500s\nits v5 twin\n%.1500s", when, contractQueries[i].Encode(), got, want[i])
 			}
 		}
 	}
@@ -99,50 +102,29 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 	}
 	fill(151*time.Second, 150)
 	closeBoth()
-	// The old builds' directory: live segments in v1 JSON, except each
-	// tier's tail — the raw tier's v3, the others' v2 like the compacted
-	// segments.
+	// The previous build's directory: every segment, compacted or live,
+	// each tier's tail included, in v4 frames.
 	dir := old.Dir()
-	store.RewriteSegmentsV1(t, dir)
-	v2, err := filepath.Glob(filepath.Join(dir, "*.cseg"))
-	if err != nil || len(v2) == 0 {
-		t.Fatalf("no compacted segments (%v)", err)
+	store.RewriteSegmentsV4(t, store.SegmentFiles(t, dir)...)
+	segs, err := filepath.Glob(filepath.Join(dir, "raw-*.seg"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("%d live raw segments (%v), want a sealed one and the tail", len(segs), err)
 	}
-	var sealed, tail string
-	for _, tier := range []string{"1m", "10s", "raw"} {
-		segs, err := filepath.Glob(filepath.Join(dir, tier+"-*.seg"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("no %s segments (%v)", tier, err)
-		}
-		sealed, tail = segs[0], segs[len(segs)-1] // raw's, after the loop
-		if tier != "raw" {
-			v2 = append(v2, tail)
-		}
-	}
-	if sealed == tail {
-		t.Fatal("the raw tier has no sealed live segment")
-	}
-	store.RewriteSegmentsV2(t, v2...)
-	store.RewriteSegmentsV3(t, tail)
+	tail := segs[len(segs)-1]
 	openBoth()
-	if k := store.FrameKinds(t, tail); k.V3 == 0 || k.V1+k.V2+k.V4 != 0 {
-		t.Fatalf("the raw tail holds %+v frames, want v3 only", k)
+	if k := store.FrameKinds(t, tail); k.V4 == 0 || k.V5 != 0 || k.Omitting == 0 {
+		t.Fatalf("the raw tail holds %+v frames, want v4 only, some leaving derived columns out", k)
 	}
-	if k := store.FrameKinds(t, sealed); k.V1 == 0 || k.V2+k.V3+k.V4 != 0 {
-		t.Fatalf("a sealed raw segment holds %+v frames, want v1 only", k)
-	}
-	compare("as the older builds left it")
+	compare("as the previous build left it")
 
+	before := store.FrameKinds(t, tail)
 	fill(time.Second, 2)
-	if k := store.FrameKinds(t, tail); k.V3 == 0 || k.V4 != 2 {
-		t.Fatalf("after two appends the raw tail holds %+v frames, want its v3 frames, then two v4 records", k)
+	if k := store.FrameKinds(t, tail); k.V4 != before.V4 || k.V5 != 2 || k.Omitting != before.Omitting+2 {
+		t.Fatalf("after two appends the raw tail holds %+v frames, want its %d v4 frames, then two v5 records leaving columns out", k, before.V4)
 	}
-	if k := store.FrameKinds(t, tail); k.Omitting != 2 {
-		t.Fatalf("%d of the two v4 records in the raw tail leave columns out, want both", k.Omitting)
-	}
-	// Enough to seal the tail and v4 segments after it, for Compact.
+	// Enough to seal the tail and v5 segments after it, for Compact.
 	fill(3*time.Second, 398)
-	compare("after v4 appends")
+	compare("after v5 appends")
 	if _, err := old.Compact(store.CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +134,11 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 	}
 	omitting := 0
 	for _, path := range csegs {
-		if k := store.FrameKinds(t, path); k.V4 == 0 || k.V1+k.V2+k.V3 != 0 {
-			t.Fatalf("%s holds %+v frames after Compact, want v4 only", filepath.Base(path), k)
+		k := store.FrameKinds(t, path)
+		if k.V5 == 0 || k.V4 != 0 {
+			t.Fatalf("%s holds %+v frames after Compact, want v5 only", filepath.Base(path), k)
 		}
-		omitting += store.FrameKinds(t, path).Omitting
+		omitting += k.Omitting
 	}
 	if omitting == 0 {
 		t.Fatal("no compacted record leaves a derived column out: Compact dropped the omission")
@@ -166,4 +149,33 @@ func TestVersionContractAcrossFormats(t *testing.T) {
 	compare("after a reopen")
 	old.Close()
 	twin.Close()
+}
+
+// TestOlderVersionRefusedAtOpen: a store holding a frame older than v4
+// does not open. The error names the segment and the frame's version,
+// and says what rewrites it: a v4 build's Compact.
+func TestOlderVersionRefusedAtOpen(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"v3": {0x03, 0x01, 0x80, 0x08, 0x00, 0x00},
+		"v2": {0x02, 0x00, 0x00},
+		"v1": []byte(`{"v":1,"time_s":1,"rows":[],"machine":{}}`),
+	} {
+		dir := t.TempDir()
+		st := store.MustOpen(t, dir, store.Options{})
+		store.FillEngine(t, st, time.Second, time.Second, 3, 2, new(uint64))
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, "10s-0000000007.seg")
+		frame := store.Frame(payload)
+		if err := os.WriteFile(seg, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := store.Open(dir, store.Options{})
+		for _, want := range []string{"segment " + filepath.Base(seg), "record version " + name[1:], "v4 build's Compact rewrites older sealed segments"} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: Open = %v, which does not say %q", name, err, want)
+			}
+		}
+	}
 }

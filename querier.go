@@ -54,7 +54,7 @@ func (q localQuerier) QueryExpr(expr string, opt QueryOptions, extra ...string) 
 	if err := rejectExtra(q.backend, extra); err != nil {
 		return nil, err
 	}
-	c, err := query.Compile(expr, query.KnownNames(q.src.Columns()))
+	c, err := query.Compile(expr, query.Names(map[string]query.Source{"": q.src}))
 	if err != nil {
 		return nil, err
 	}

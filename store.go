@@ -160,12 +160,10 @@ type CompactionResult = store.CompactionResult
 // Compact merges the store's sealed segments — those that sealed small
 // by age, or were fragmented by restarts — into full-size ones under
 // one string dictionary each, tombstoning series of long-exited tasks
-// if asked. Appends already write the columnar record format v4, so
-// this shrinks only what an older build left as v1 JSON or v2 (its v3
-// frames are rewritten at their size). Queries keep
-// answering (and appends keep landing) during the pass, and read every
-// segment layout transparently afterwards. tiptopd runs this
-// periodically with -compact; archival users call it after bulk loads.
+// if asked, and rewrites the previous build's v4 frames as v5. Queries
+// keep answering (and appends keep landing) during the pass. tiptopd
+// runs this periodically with -compact; archival users call it after
+// bulk loads.
 func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) { return st.s.Compact(opt) }
 
 // QueryOptions select the time range and step of an expression query.
