@@ -154,7 +154,7 @@ func run(args []string, stdout io.Writer) error {
 	// bounds only the rendered display, the recording covers every
 	// monitored task (the same contract the Recorder observer has).
 	displayRows := cfg.MaxRows
-	if format != "text" || record != "" || cfg.StoreDir != "" {
+	if format != "text" || record != "" {
 		cfg.MaxRows = 0
 	}
 
@@ -266,9 +266,8 @@ func isStoreTarget(path string) bool {
 
 // emitter routes samples: to stdout — the interactive screen, classic
 // batch text blocks or a structured sink — plus an optional record sink
-// behind -record, a CSV/JSONL file or the durable store when the target
-// is a directory. Sinks always receive the full sample; displayRows
-// clips only the rendered text/screen view (the -rows semantics).
+// behind -record, a CSV/JSONL file. Sinks always receive the full sample;
+// displayRows clips only the rendered text/screen view (the -rows semantics).
 type emitter struct {
 	mon         tiptop.MonitorAPI
 	cols        []string
@@ -276,11 +275,12 @@ type emitter struct {
 	screen      *term.Screen  // the interactive display (run sets it); nil in batch mode
 	stdoutSink  *sink         // nil for text format
 	recordSink  *sink         // nil without a file -record target
-	recordStore *tiptop.Store // nil without a store -record target
+	store       *tiptop.Store // filled by a subscribed recorder; nil without a store target
 	displayRows int
 }
 
-// newEmitter wires the output sinks; the returned closer flushes them.
+// newEmitter wires the output sinks and, before the attach pass, a store
+// target's recorder, as tiptopd -store does; the returned closer flushes them.
 func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPath string, cfg tiptop.Config) (*emitter, func() error, error) {
 	e := &emitter{mon: mon, cols: mon.Columns(), stdout: stdout}
 	if format != "text" {
@@ -316,8 +316,10 @@ func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPa
 			}
 			return nil, nil, err
 		}
-		st.SetColumns(e.cols)
-		e.recordStore = st
+		rec := tiptop.NewRecorder(tiptop.RecorderOptions{})
+		rec.Tee(st)
+		mon.Subscribe(rec)
+		e.store = st
 	}
 	closer := func() error {
 		var first error
@@ -329,8 +331,8 @@ func newEmitter(mon tiptop.MonitorAPI, format string, stdout io.Writer, recordPa
 				first = err
 			}
 		}
-		if e.recordStore != nil {
-			if err := e.recordStore.Close(); err != nil && first == nil {
+		if e.store != nil {
+			if err := e.store.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -351,7 +353,7 @@ func (e *emitter) display(s *tiptop.Sample) *tiptop.Sample {
 }
 
 // emit shows one sample on stdout — painted, rendered or through the
-// structured sink — and tees it to the record sinks.
+// structured sink — and tees it to the record sink; a failed store fails it.
 func (e *emitter) emit(s *tiptop.Sample) error {
 	var err error
 	switch {
@@ -370,8 +372,8 @@ func (e *emitter) emit(s *tiptop.Sample) error {
 			return err
 		}
 	}
-	if e.recordStore != nil {
-		return e.recordStore.RecordSample(s)
+	if e.store != nil {
+		return e.store.Err()
 	}
 	return nil
 }

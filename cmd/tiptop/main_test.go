@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -517,6 +521,139 @@ func TestRunRecordStore(t *testing.T) {
 	}
 	if before == 0 || after == 0 {
 		t.Fatalf("recorded history does not span the runs: %d before, %d after", before, after)
+	}
+}
+
+// TestRecordStoreIsDaemonStore: tiptop -record DIR and tiptopd -store
+// fill a store the same way — a recorder subscribed before the attach
+// pass, teed into the store — so the same scenario, configuration and
+// refresh count leave byte-identical segment files.
+func TestRecordStoreIsDaemonStore(t *testing.T) {
+	args := []string{"-b", "-n", "20", "-sim", "datacenter", "-d", "0.01"}
+	local := t.TempDir()
+	if err := run(append(args, "-record", local), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	o, err := resolve(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := tiptop.NewNamedScenario("datacenter", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := o.cfg
+	cfg.StoreDir = t.TempDir()
+	d, err := tiptop.NewDaemon(cfg, tiptop.DaemonOptions{Sim: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 21 { // the attach pass, then -n 20
+		if _, err := d.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segments := func(dir string) map[string][]byte {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no segments in %s (%v)", dir, err)
+		}
+		out := map[string][]byte{}
+		for _, f := range files {
+			if out[filepath.Base(f)], err = os.ReadFile(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	got, want := segments(local), segments(cfg.StoreDir)
+	if len(got) != len(want) {
+		t.Fatalf("tiptop wrote segments %v, the daemon %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+	for name, b := range want {
+		if !bytes.Equal(got[name], b) {
+			t.Errorf("%s: tiptop wrote %d bytes, the daemon %d, not the same", name, len(got[name]), len(b))
+		}
+	}
+}
+
+// TestRecordStoreSkipsAttachRow: through tiptop's own wiring, a job
+// that starts mid-run gets a first 10 s point whose ipc column is its
+// IPC (the ratio of the bucket's sums) and whose mcycle column is the
+// mean of its raw rows after its attach read: the store never folds an
+// attach read into a tier.
+func TestRecordStoreSkipsAttachRow(t *testing.T) {
+	sc, err := tiptop.NewScenario(tiptop.MachineE5640)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.StartSynthetic("user", "early", 1.5); err != nil {
+		t.Fatal(err)
+	}
+	cfg := tiptop.Config{Interval: time.Second, StoreDir: t.TempDir()}
+	mon, err := tiptop.NewSimMonitor(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	em, closeSinks, err := newEmitter(mon, "text", io.Discard, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.SampleNow(); err != nil { // the attach pass
+		t.Fatal(err)
+	}
+	var late int
+	for i := 1; i <= 40; i++ {
+		if i == 15 {
+			if late, err = sc.StartSynthetic("user", "late", 1.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := mon.Sample()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := em.emit(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := closeSinks(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := tiptop.OpenStore(cfg.StoreDir, tiptop.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	raw, err := st.Query(tiptop.StoreQuery{PID: late})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, err := st.Query(tiptop.StoreQuery{PID: late, StepSeconds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Series) != 1 || len(tier.Series) != 1 || len(tier.Series[0].Points) == 0 {
+		t.Fatalf("late job %d: %d raw series, %d tier series", late, len(raw.Series), len(tier.Series))
+	}
+	ipc, mcycle := slices.Index(tier.Columns, "ipc"), slices.Index(tier.Columns, "mcycle")
+	first := tier.Series[0].Points[0]
+	var sum float64
+	n := 0
+	for _, p := range raw.Series[0].Points[1:] { // past the attach read
+		if 10*math.Ceil(p.TimeSeconds/10) == first.TimeSeconds {
+			sum += p.Values[mcycle]
+			n++
+		}
+	}
+	if n == 0 || math.Abs(first.Values[ipc]/first.IPC-1) > 1e-12 || math.Abs(first.Values[mcycle]/(sum/float64(n))-1) > 1e-12 {
+		t.Fatalf("late job's first 10 s point at %gs reads ipc %.6g against IPC %.6g, mcycle %.6g against the mean %.6g of its %d raw rows after the attach read",
+			first.TimeSeconds, first.Values[ipc], first.IPC, first.Values[mcycle], sum/float64(n), n)
 	}
 }
 

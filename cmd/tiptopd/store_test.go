@@ -368,12 +368,11 @@ func TestFleetCompactsAgentStores(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mon.Close()
+			rec := tiptop.NewRecorder(tiptop.RecorderOptions{})
+			rec.Tee(st)
+			mon.Subscribe(rec)
 			for i := 0; i < 40; i++ {
-				s, err := mon.Sample()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.RecordSample(s); err != nil {
+				if _, err := mon.Sample(); err != nil {
 					t.Fatal(err)
 				}
 			}

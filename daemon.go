@@ -106,17 +106,13 @@ type Daemon struct {
 
 // node is one monitored machine: its label (an agent's host:port, ""
 // for a solo daemon's own), its recorder, its store (nil without
-// Config.StoreDir) and, under Join, the agent streaming it in.
+// Config.StoreDir) and, under Join, the agent streaming it in and its follow step.
 type node struct {
-	label string
-	rec   *Recorder
-	store *Store
-	agent *remote.Agent
-	// Touched only by the goroutine feeding an agent's machine: the
-	// column set last pushed into the recorder, and the agent's clock
-	// kept monotone across its restarts.
-	cols  []string
-	clock followClock
+	label  string
+	rec    *Recorder
+	store  *Store
+	agent  *remote.Agent
+	follow follower
 }
 
 // The agent streams' timing: the pause before re-dialing a lost agent,
@@ -489,21 +485,15 @@ func (d *Daemon) refresh() (*Sample, error) {
 }
 
 // observe is where an agent's refresh enters the daemon, on the agent's
-// stream goroutine: moved onto the machine's clock, recorded (and teed
-// into the machine's store), then published tagged with its origin.
+// stream goroutine: recorded on the machine's clock (and teed into the
+// machine's store), then published at that time, tagged with its origin.
 func (d *Daemon) observe(m *node, ws *remote.Sample) error {
+	t := m.follow.step(ws, publicSample(ws), m.rec)
 	tagged := *ws
 	tagged.Source = m.label
-	if t := m.clock.rebase(ws); m.clock.offset != 0 {
+	if m.follow.offset != 0 {
 		tagged.TimeSeconds = t.Seconds()
 	}
-	// Push the column set into the recorder only when it changes, so
-	// the steady-state observe path stays allocation-light.
-	if !slices.EqualFunc(m.cols, tagged.Columns, func(name string, c remote.Column) bool { return name == c.Name }) {
-		m.cols = tagged.ColumnNames()
-		m.rec.h.SetColumns(m.cols)
-	}
-	m.rec.h.Observe(publicSample(&tagged).coreSample())
 	return d.publish(m, &tagged)
 }
 

@@ -167,18 +167,12 @@ func (r *Reader) Float(prev float64) float64 {
 	return math.Float64frombits(math.Float64bits(prev) ^ x<<(8*lo))
 }
 
-// SkipFloat advances past one AppendFloat encoding without
-// reconstructing the value. The control byte alone carries the width,
-// so a reader can step over a whole XOR chain it does not need — the
-// store's projected scan skips unreferenced columns this way. Skipping
-// loses the chain's previous-value state, so it is only valid when
-// every value of the chain is skipped.
-func (r *Reader) SkipFloat() {
-	r.SkipFloats(1)
-}
-
-// SkipFloats advances past count consecutive AppendFloat encodings —
-// a whole chain in one call, without per-value call overhead.
+// SkipFloats advances past count consecutive AppendFloat encodings
+// without reconstructing the values. The control byte alone carries the
+// width, so a reader can step over a whole XOR chain it does not need —
+// the store's projected scan skips unreferenced columns this way.
+// Skipping loses the chain's previous-value state, so it is only valid
+// when every value of the chain is skipped.
 func (r *Reader) SkipFloats(count int) {
 	if r.err != nil {
 		return

@@ -125,9 +125,7 @@ func TestSkipFloat(t *testing.T) {
 	}
 	b = AppendUvarint(b, 424242)
 	r := NewReader(b)
-	for range vals {
-		r.SkipFloat()
-	}
+	r.SkipFloats(len(vals))
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +137,7 @@ func TestSkipFloat(t *testing.T) {
 	}
 
 	r2 := NewReader([]byte{0x18}) // control byte promises 8 bytes, none follow
-	r2.SkipFloat()
+	r2.SkipFloats(1)
 	if r2.Err() == nil {
 		t.Fatal("no error for truncated skip")
 	}

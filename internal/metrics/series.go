@@ -182,16 +182,6 @@ func UnknownNameHint(name string, known []string) string {
 	return ""
 }
 
-// FormatUnknownName builds the standard unknown-identifier message,
-// attaching nearest-name suggestions when any are close.
-func FormatUnknownName(name string, known []string) string {
-	msg := fmt.Sprintf("unknown event or column %q", name)
-	if h := UnknownNameHint(name, known); h != "" {
-		msg += " (" + h + ")"
-	}
-	return msg
-}
-
 // ParseStep parses a query step like "30s", "1m", "1h" or a bare
 // number of seconds, shared by the HTTP handler and the query client.
 func ParseStep(s string) (float64, error) {

@@ -217,9 +217,8 @@ func TestSuggestNames(t *testing.T) {
 	if len(got) == 0 || got[0] != "INSTRUCTIONS" {
 		t.Fatalf("SuggestNames(instructions) = %v (case-insensitive match expected)", got)
 	}
-	msg := FormatUnknownName("CYCLE", known)
-	if !strings.Contains(msg, "did you mean") || !strings.Contains(msg, "CYCLES") {
-		t.Fatalf("FormatUnknownName = %q", msg)
+	if hint := UnknownNameHint("CYCLE", known); hint != "did you mean CYCLES?" {
+		t.Fatalf("UnknownNameHint(CYCLE) = %q", hint)
 	}
 }
 

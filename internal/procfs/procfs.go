@@ -335,12 +335,3 @@ func (s *Source) userName(uid int) string {
 	s.userCache[uid] = name
 	return name
 }
-
-// Uptime reads system uptime from the source's root.
-func (s *Source) Uptime() (time.Duration, error) {
-	raw, err := os.ReadFile(filepath.Join(s.Root, "uptime"))
-	if err != nil {
-		return 0, fmt.Errorf("procfs: %w", err)
-	}
-	return ParseUptime(string(raw))
-}

@@ -198,14 +198,6 @@ func TestSnapshotMissingRoot(t *testing.T) {
 	}
 }
 
-func TestUptime(t *testing.T) {
-	src := NewSource(buildFakeProc(t))
-	up, err := src.Uptime()
-	if err != nil || up != 500*time.Second {
-		t.Fatalf("uptime = %v, %v", up, err)
-	}
-}
-
 func TestDefaultRoot(t *testing.T) {
 	if NewSource("").Root != "/proc" {
 		t.Fatal("default root must be /proc")

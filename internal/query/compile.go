@@ -138,8 +138,7 @@ func Compile(src string, known []string) (*Compiled, error) {
 	for _, id := range c.Expr.Identifiers() {
 		if !slices.Contains(known, id) {
 			// Msg and Hint stay separate so the HTTP envelope can carry
-			// the did-you-mean structurally; Error() renders both,
-			// matching FormatUnknownName.
+			// the did-you-mean structurally; Error() renders both.
 			return nil, &metrics.SyntaxError{
 				Src: src, Pos: identPos(src, id),
 				Msg:  fmt.Sprintf("unknown event or column %q", id),

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical helpers used throughout the
 // tiptop reproduction: central moments, order statistics, coefficients of
-// variation, histograms and simple linear fits. All functions are pure and
-// operate on float64 slices without modifying their inputs.
+// variation, geometric means and moving averages. All functions are pure
+// and operate on float64 slices without modifying their inputs.
 package stats
 
 import (
@@ -147,82 +147,6 @@ func GeoMean(xs []float64) (float64, error) {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs))), nil
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the
-// range are clamped into the first or last bin so that totals are
-// preserved; this mirrors how counter-derived ratios are bucketed for the
-// ASCII plots.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if !(lo < hi) {
-		return nil, errors.New("stats: histogram range must satisfy lo < hi")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := h.binOf(x)
-	h.Counts[idx]++
-	h.total++
-}
-
-func (h *Histogram) binOf(x float64) int {
-	n := len(h.Counts)
-	if x < h.Lo {
-		return 0
-	}
-	if x >= h.Hi {
-		return n - 1
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	return idx
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// LinearFit returns the slope and intercept of the least-squares line
-// through (xs[i], ys[i]). It requires at least two points and distinct xs.
-func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: mismatched lengths")
-	}
-	if len(xs) < 2 {
-		return 0, 0, errors.New("stats: need at least two points")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: degenerate x values")
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	return slope, intercept, nil
 }
 
 // MovingAverage returns the centered moving average of xs with the given

@@ -135,56 +135,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	// bins: [0,2) gets -1,0,1.9 ; [2,4) gets 2 ; [8,10) gets 9.99,10,100
-	if h.Counts[0] != 3 || h.Counts[1] != 1 || h.Counts[4] != 3 {
-		t.Fatalf("Counts = %v", h.Counts)
-	}
-	if got := h.BinCenter(0); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range should error")
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(slope, 2, 1e-12) || !almostEq(intercept, 1, 1e-12) {
-		t.Fatalf("fit = %v, %v; want 2, 1", slope, intercept)
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("single point should error")
-	}
-	if _, _, err := LinearFit([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Fatal("degenerate xs should error")
-	}
-	if _, _, err := LinearFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("mismatched lengths should error")
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	out := MovingAverage(xs, 3)
@@ -255,32 +205,6 @@ func TestPropVarianceShiftInvariant(t *testing.T) {
 		return v1 >= 0 && math.Abs(v1-v2) <= tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram preserves the total number of observations.
-func TestPropHistogramTotal(t *testing.T) {
-	f := func(raw []float64) bool {
-		h, err := NewHistogram(-100, 100, 17)
-		if err != nil {
-			return false
-		}
-		n := 0
-		for _, x := range raw {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(x)
-			n++
-		}
-		var sum uint64
-		for _, c := range h.Counts {
-			sum += c
-		}
-		return h.Total() == uint64(n) && sum == uint64(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

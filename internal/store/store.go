@@ -738,8 +738,8 @@ func (st *Store) Close() error {
 }
 
 // recover scans the directory, rebuilding each tier's segment chain and
-// clipping torn tails. The newest record time becomes the base offset
-// for subsequent appends.
+// clipping torn tails. The newest raw record's time (any tier's, when
+// the raw tier is empty) becomes the base offset for subsequent appends.
 //
 // Interrupted compactions resolve here: an unpublished rewrite
 // (*.cmpct) is deleted — its inputs are intact — while a published one
@@ -847,9 +847,7 @@ func (st *Store) recover() error {
 			continue
 		}
 		st.records += sg.n
-		if sg.last > st.lastTime {
-			st.lastTime = sg.last
-		}
+		st.lastTime = max(st.lastTime, sg.last)
 		if lastOfTier {
 			t.active = sg // its first append writes a layout header
 		} else {
@@ -857,16 +855,20 @@ func (st *Store) recover() error {
 			t.sealed = append(t.sealed, sg)
 		}
 	}
-	st.base = st.lastTime
-	// The events in force at the raw tier's newest record: what a query
-	// may name before the first append.
+	// The clock resumes at the raw tier's newest refresh, as a live
+	// store's LastTime reads: a coarser tier's newest record may be a
+	// partial bucket SetColumns wrote, stamped at its window's end. The
+	// events in force there are what a query may name before the first
+	// append.
 	raw := slices.DeleteFunc(append(slices.Clip(st.tiers[0].sealed), st.tiers[0].active), func(sg *segment) bool { return sg == nil || sg.n == 0 })
 	if n := len(raw); n > 0 {
+		st.lastTime = raw[n-1].last
 		if err := sc.scanFile(queryFile{path: raw[n-1].path, valid: raw[n-1].size}, math.MaxInt64, math.MaxInt64, nil, nil); err != nil {
 			return err
 		}
 		st.events = sc.dv.events
 	}
+	st.base = st.lastTime
 	return nil
 }
 

@@ -366,6 +366,79 @@ func TestMonotonicAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestReopenHorizonIsRawTiers: a column change writes the partial 10 s
+// and 1 m buckets stamped at their window ends (50 s and 60 s here, past
+// the last refresh at 45 s). Reopening resumes at the raw tier's
+// newest refresh regardless: LastTime survives the restart, the next
+// refresh lands one interval later, every tier's record times stay
+// non-decreasing, and the 10 s tier counts each raw refresh once.
+func TestReopenHorizonIsRawTiers(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, Options{})
+	st.SetColumns([]string{"a"})
+	fill(t, st, time.Second, time.Second, 45, 1)
+	st.SetColumns([]string{"b"})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = mustOpen(t, dir, Options{})
+	defer st.Close()
+	if got := st.LastTime(); got != 45*time.Second {
+		t.Fatalf("reopened LastTime = %v, want 45s", got)
+	}
+	st.SetColumns([]string{"b"})
+	fill(t, st, time.Second, time.Second, 1, 1) // the restarted monitor's first refresh
+	if got := st.LastTime(); got != 46*time.Second {
+		t.Fatalf("the first refresh after the reopen landed at %v, want 46s", got)
+	}
+	fill(t, st, 2*time.Second, time.Second, 30, 1) // 47..76 s
+
+	type bucket struct {
+		n      int
+		counts map[string]uint64
+	}
+	read := func(step float64) map[float64]*bucket {
+		t.Helper()
+		out := map[float64]*bucket{}
+		last := -1.0
+		if _, err := st.ScanWith(ScanOptions{QueryOptions: QueryOptions{PID: -1, StepSeconds: step}, Workers: 1}, func(rec *Record, _ []string) error {
+			if rec.TimeSeconds < last {
+				t.Errorf("step %g: record at %gs after one at %gs", step, rec.TimeSeconds, last)
+			}
+			last = rec.TimeSeconds
+			end := BucketEnd(time.Duration(rec.TimeSeconds*float64(time.Second)), 10*time.Second).Seconds()
+			b := out[end]
+			if b == nil {
+				b = &bucket{counts: map[string]uint64{}}
+				out[end] = b
+			}
+			for _, r := range rec.Rows {
+				b.n += r.N
+				if step == 0 {
+					b.n++ // a raw row is one refresh; its N is not stored
+				}
+				for e, name := range rec.Events {
+					b.counts[name] += r.Counts[e]
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	raw, tier := read(0), read(10)
+	read(60) // the 1 m tier: its record times only
+	if len(raw) != 8 || len(tier) != 7 {
+		t.Fatalf("%d raw buckets, %d written to the 10s tier; want 8 and all but the open one", len(raw), len(tier))
+	}
+	for end, got := range tier {
+		if want := raw[end]; want == nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("the 10s tier's bucket ending %gs folds %+v, the raw refreshes in it %+v", end, got, want)
+		}
+	}
+}
+
 // TestRetentionBudget is the long-run bound: the store must stay under
 // its byte budget while appends keep coming, shedding oldest data.
 func TestRetentionBudget(t *testing.T) {

@@ -13,7 +13,8 @@ import (
 
 // MonitorAPI is the sampling surface shared by the local Monitor and
 // the network-attached RemoteMonitor — everything the front ends (the
-// TUI loops, the batch renderer, the CSV/JSONL sinks) consume, so they run
+// TUI loops, the batch renderer, the CSV/JSONL sinks, a recorder teed
+// into a store) consume, so they run
 // unchanged whether the counters are read on this machine or streamed
 // from a tiptopd across the network.
 type MonitorAPI interface {
@@ -24,6 +25,7 @@ type MonitorAPI interface {
 	Sample() (*Sample, error)
 	SampleNow() (*Sample, error)
 	Render(w io.Writer, s *Sample) error
+	Subscribe(r *Recorder)
 	Close() error
 }
 
@@ -79,9 +81,7 @@ type RemoteMonitor struct {
 	screen *metrics.Screen
 	cols   []remote.Column
 	recs   []*Recorder
-	// clock is the time the recorders see, monotone across restarts of
-	// the followed daemon.
-	clock followClock
+	follow follower
 }
 
 // NewRemoteMonitor attaches to a tiptopd at url ("host:port" or a full
@@ -151,72 +151,78 @@ func (m *RemoteMonitor) SampleNow() (*Sample, error) {
 }
 
 // convert turns a wire sample into the public representation, keeps the
-// synthesized screen current, and feeds subscribed recorders — the same
-// observer contract the local engine honors. A column change (a
-// restarted daemon serving another screen) reaches the recorders
-// before the refresh does, and they record on the followed clock, as in
-// Daemon.observe; the returned sample keeps the daemon's own time.
+// synthesized screen current, and feeds subscribed recorders through the
+// follow step, as Daemon.observe feeds an agent's; the returned sample
+// keeps the daemon's own time.
 func (m *RemoteMonitor) convert(ws *remote.Sample) *Sample {
-	if m.setColumns(ws.Columns) {
-		for _, rec := range m.recs {
-			rec.h.SetColumns(ws.ColumnNames())
-		}
-	}
+	m.setColumns(ws.Columns)
 	out := publicSample(ws)
-	if len(m.recs) > 0 {
-		cs := out.coreSample()
-		cs.Time = m.clock.rebase(ws)
-		for _, rec := range m.recs {
-			rec.h.Observe(cs)
-		}
-	}
+	m.follow.step(ws, out, m.recs...)
 	return out
 }
 
 // setColumns rebuilds the render-only screen when the wire columns
 // differ from the ones it was built from: same headers, widths and
 // formats as the serving side, no expressions (the values were computed
-// remotely). It reports whether they differed.
-func (m *RemoteMonitor) setColumns(cols []remote.Column) bool {
+// remotely).
+func (m *RemoteMonitor) setColumns(cols []remote.Column) {
 	if slices.Equal(m.cols, cols) {
-		return false
+		return
 	}
 	m.cols = slices.Clone(cols)
 	m.screen = &metrics.Screen{Name: "remote"}
 	for _, c := range cols {
 		m.screen.Columns = append(m.screen.Columns, metrics.NewColumn(c.Name, c.Header, c.Format, c.Width))
 	}
-	return true
 }
 
-// followClock keeps a followed daemon's refresh times monotone across its
-// restarts — for an aggregating Daemon's agent machines and for the
-// recorders a RemoteMonitor feeds alike. A refresh at or before the
-// last one (the daemon restarted, and its monitor clock with it) moves
-// the offset so that it lands one advertised interval after that one.
-// Without it a store would nudge every such refresh 1 ms past its
-// horizon until the new clock caught up, and a recorder's rate window
-// would see time go back. The refresh last seen, seen again (a poll
-// that found nothing newer), keeps its time.
-type followClock struct {
-	refresh      uint64
-	raw          float64 // the last refresh's own clock, in seconds
-	last, offset time.Duration
+// follower is the one step a followed daemon's refreshes reach recorders
+// through — a RemoteMonitor's subscribers, an aggregating Daemon's agent
+// machines. Only the goroutine reading the followed stream touches it.
+type follower struct {
+	cols         []string // the column names last pushed into the recorders
+	refresh      uint64   // the last refresh recorded, and its own clock
+	raw          float64
+	last, offset time.Duration // its time on the followed clock, and the shift to it
 	observed     bool
 }
 
-// rebase returns ws's time on the followed clock.
-func (c *followClock) rebase(ws *remote.Sample) time.Duration {
-	if c.observed && ws.Refresh == c.refresh && ws.TimeSeconds == c.raw {
-		return c.last
+// step records out, the public form of ws, in recs and returns its time
+// on the followed clock; without recorders it does nothing and returns
+// the daemon's own. A changed column set (a restarted daemon serving
+// another screen) is pushed first. The followed clock is monotone
+// across the daemon's restarts: a refresh at or before the last one
+// (its monitor clock restarted too) moves the offset so that it lands
+// one advertised interval after that one — else a store would nudge
+// every such refresh 1 ms past its horizon until the new clock caught
+// up, and a recorder's rate window would see time go back. The refresh
+// last recorded, seen again (a poll that found nothing newer), keeps
+// its time.
+func (f *follower) step(ws *remote.Sample, out *Sample, recs ...*Recorder) time.Duration {
+	if len(recs) == 0 {
+		return out.Time
 	}
-	t := ws.Time() + c.offset
-	if c.observed && t <= c.last {
-		c.offset += c.last + ws.Interval() - t
-		t = c.last + ws.Interval()
+	t := f.last
+	if !f.observed || ws.Refresh != f.refresh || ws.TimeSeconds != f.raw {
+		if t = ws.Time() + f.offset; f.observed && t <= f.last {
+			f.offset += f.last + ws.Interval() - t
+			t = f.last + ws.Interval()
+		}
+		f.refresh, f.raw = ws.Refresh, ws.TimeSeconds
+		f.last, f.observed = t, true
 	}
-	c.refresh, c.raw = ws.Refresh, ws.TimeSeconds
-	c.last, c.observed = t, true
+	// Only a change allocates: the steady state pushes nothing.
+	if !slices.EqualFunc(f.cols, ws.Columns, func(name string, c remote.Column) bool { return name == c.Name }) {
+		f.cols = ws.ColumnNames()
+		for _, rec := range recs {
+			rec.h.SetColumns(f.cols)
+		}
+	}
+	cs := out.coreSample()
+	cs.Time = t
+	for _, rec := range recs {
+		rec.h.Observe(cs)
+	}
 	return t
 }
 

@@ -85,7 +85,7 @@ func (st *Store) DiskUsage() int64 { return st.s.DiskUsage() }
 func (st *Store) LastTime() time.Duration { return st.s.LastTime() }
 
 // SetColumns labels subsequent records with the screen's column names.
-// Recorder.Tee and RecordSample-based sinks call it for you.
+// Recorder.Tee calls it for you; call it before RecordSample.
 func (st *Store) SetColumns(names []string) { st.s.SetColumns(names) }
 
 // Query scans the store for a time range, serving from the downsample
@@ -129,9 +129,11 @@ func queryHandler(stores map[string]*Store, rec *Recorder) http.Handler {
 	return query.Handler(ss, h)
 }
 
-// RecordSample appends one public sample — the path `tiptop -record`
-// uses when its target is a store directory rather than a CSV/JSONL
-// file.
+// RecordSample appends one hand-built public sample. A monitor's
+// samples reach a store through a Recorder teed into it (Tee), as
+// tiptop -record DIR and tiptopd -store do: no engine vouches for a
+// hand-built sample, so the store keeps every value and folds every
+// row into its tiers.
 func (st *Store) RecordSample(s *Sample) error {
 	return st.s.AppendSample(s.coreSample())
 }
