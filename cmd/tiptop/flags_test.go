@@ -117,7 +117,7 @@ func TestOptionEdges(t *testing.T) {
 func TestOptionRejections(t *testing.T) {
 	for _, attr := range []string{
 		`delay="-1"`, `delay="soon"`, `max_tasks="-2"`, `max_tasks="many"`, `counters="-1"`, `batch="maybe"`,
-		`format="yaml"`, `wire="carrier-pigeon"`, `fsync="sometimes"`, `fsync="-2s"`,
+		`format="yaml"`, `fsync="sometimes"`, `fsync="-2s"`,
 		`retention="next tuesday"`, `retention="-5s"`, `budget="12XB"`, `budget="-3MB"`,
 	} {
 		args := []string{"-b", "-n", "1", "-sim", "spec", "-scale", "0.001", "-config", writeConfig(t, attr)}

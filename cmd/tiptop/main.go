@@ -58,8 +58,8 @@ type options struct {
 }
 
 // flags declares the command's flag set: the shared flags (-d -n
-// -screen -sort -u -sim -scale -system-wide -counters -config -wire
-// -store -retention -budget -fsync) and tiptop's own.
+// -screen -sort -u -sim -scale -system-wide -counters -config -store
+// -retention -budget -fsync) and tiptop's own.
 func flags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("tiptop", flag.ContinueOnError)
 	o := &options{shared: config.BindFlags(fs)}
@@ -165,7 +165,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		// The remote daemon's screen, sort order and cadence are
 		// authoritative: -connect renders what the agent samples.
-		mon, err = tiptop.NewRemoteMonitorWire(o.connect, shared.Wire)
+		mon, err = tiptop.NewRemoteMonitor(o.connect)
 	} else {
 		// Without -sim: the real machine, or the quickstart scenario where
 		// perf_event is unavailable.

@@ -94,7 +94,7 @@ func TestOptionEdges(t *testing.T) {
 func TestOptionRejections(t *testing.T) {
 	for _, attr := range []string{
 		`delay="-1"`, `counters="-1"`, `history="-1"`, `history="deep"`, `join=" , "`,
-		`compact="hourly"`, `compact="-1h"`, `wire="carrier-pigeon"`, `fsync="sometimes"`, `fsync="-2s"`,
+		`compact="hourly"`, `compact="-1h"`, `fsync="sometimes"`, `fsync="-2s"`,
 		`retention="next tuesday"`, `retention="-5s"`, `budget="12XB"`, `budget="-3MB"`,
 	} {
 		if _, err := resolve([]string{"-config", writeConfig(t, attr)}); err == nil {

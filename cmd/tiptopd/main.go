@@ -59,8 +59,8 @@ type options struct {
 }
 
 // flags declares the command's flag set: the shared flags (-d -n
-// -screen -sort -u -sim -scale -system-wide -counters -config -wire
-// -store -retention -budget -fsync) and tiptopd's own.
+// -screen -sort -u -sim -scale -system-wide -counters -config -store
+// -retention -budget -fsync) and tiptopd's own.
 func flags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("tiptopd", flag.ContinueOnError)
 	o := &options{shared: config.BindFlags(fs)}
@@ -96,7 +96,7 @@ func resolve(args []string) (*options, error) {
 		return nil, fmt.Errorf("-join %q names no agents", o.join)
 	}
 	f := o.shared
-	o.daemon.Wire, o.daemon.Refreshes = f.Wire, f.Iterations
+	o.daemon.Refreshes = f.Iterations
 	if f.Sim != "" {
 		if o.daemon.Sim, err = tiptop.NewNamedScenario(f.Sim, f.Scale); err != nil {
 			return nil, err

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -38,13 +37,12 @@ type DaemonOptions struct {
 	// horizon (-window); 0 takes RecorderOptions' defaults.
 	History int
 	Window  time.Duration
-	// Wire selects how Join dials agents (-wire): "" or "binary", or
-	// "json". A solo daemon serves both encodings regardless.
-	Wire string
 	// Refreshes, when positive, ends Run after that many refreshes past
 	// the attach pass (-n); under Join, samples across all agents.
 	Refreshes int
-	// Log receives the store and serving banners (nil discards them).
+	// Log receives the store and serving banners and the failures of
+	// periodic compaction (nil discards them). After the serving banner
+	// only the compaction goroutine writes it.
 	Log io.Writer
 }
 
@@ -151,7 +149,7 @@ func NewDaemon(cfg Config, opt DaemonOptions) (_ *Daemon, err error) {
 			return nil, errors.New("-join aggregates remote agents and cannot monitor a -sim scenario itself")
 		}
 		for _, addr := range opt.Join {
-			a, err := remote.NewAgent(addr, opt.Wire)
+			a, err := remote.NewAgent(addr)
 			if err != nil {
 				return nil, err
 			}
@@ -406,7 +404,7 @@ func (d *Daemon) compactEvery(ctx context.Context) {
 		case <-tick.C:
 			for _, st := range d.Stores() {
 				if _, err := st.Compact(CompactOptions{}); err != nil {
-					fmt.Fprintf(os.Stderr, "tiptopd: store %s: compaction: %v\n", st.Dir(), err)
+					fmt.Fprintf(d.opt.Log, "tiptopd: store %s: compaction: %v\n", st.Dir(), err)
 				}
 			}
 		}

@@ -334,7 +334,8 @@ func TestFleetAgentRestartRebases(t *testing.T) {
 // TestRemoteMonitorFollowsRestartedDaemon: a RemoteMonitor whose daemon
 // restarts — its refresh counter back at 1, serving another screen —
 // returns the restarted daemon's first refresh and relabels its
-// subscribed recorder, which records it past the pre-restart refreshes,
+// subscribed recorder, which records it at the new screen's width past
+// the pre-restart refreshes,
 // while the frame a connect to the same daemon
 // replays, and a frame older than one SampleNow returned, stay skipped.
 func TestRemoteMonitorFollowsRestartedDaemon(t *testing.T) {
@@ -435,7 +436,10 @@ func TestRemoteMonitorFollowsRestartedDaemon(t *testing.T) {
 		s.Columns = []remote.Column{
 			{Name: "ipc", Header: "IPC", Width: 6, Format: "%6.2f"},
 			{Name: "l3miss", Header: "L3MISS", Width: 6, Format: "%6.2f"},
+			{Name: "ref", Header: "REF", Width: 6, Format: "%6.2f"},
 		}
+		s.Rows[0].Values = []float64{0.7, 4.5, 9}
+		s.Rows[1].Values = []float64{0, 0, 0}
 		return s
 	}
 	lost()
@@ -456,8 +460,17 @@ func TestRemoteMonitorFollowsRestartedDaemon(t *testing.T) {
 		t.Errorf("after the restart Sample returned t=%v, want 2s", got.Time)
 	}
 	snap := rec.Snapshot()
-	if !slices.Equal(snap.Columns, []string{"ipc", "l3miss"}) {
-		t.Errorf("subscribed recorder's columns = %q after the restart, want the new screen's [ipc l3miss]", snap.Columns)
+	if !slices.Equal(snap.Columns, []string{"ipc", "l3miss", "ref"}) {
+		t.Errorf("subscribed recorder's columns = %q after the restart, want the new screen's [ipc l3miss ref]", snap.Columns)
+	}
+	// Its values are the new screen's, at the new width.
+	for _, task := range snap.Tasks {
+		if task.PID == 101 && !slices.Equal(task.Values, []float64{0.7, 4.5, 9}) {
+			t.Errorf("subscribed recorder holds %v for pid 101 after the restart, want the new screen's [0.7 4.5 9]", task.Values)
+		}
+	}
+	if len(snap.Tasks) == 0 {
+		t.Error("subscribed recorder shows no task after the restart")
 	}
 	// The recorder follows one clock: the restarted daemon's refresh is
 	// recorded after the last one before the restart, at 20s.

@@ -16,7 +16,7 @@ import (
 
 const sampleXML = `
 <tiptop>
-  <options delay="5" batch="true" sort="ipc" max_tasks="20" user="alice" parallelism="4"/>
+  <options delay="5" batch="true" sort="ipc" max_tasks="20" user="alice" parallelism="4" wire="json"/>
   <screen name="fpstudy" desc="IPC and assists">
     <column name="ipc" header="IPC" format="%5.2f" width="5"
             expr="ratio(INSTRUCTIONS, CYCLES)" desc="instructions per cycle"/>
@@ -36,16 +36,18 @@ func TestParseSample(t *testing.T) {
 			t.Errorf("%s = %q, want %q", attr, got, want)
 		}
 	}
-	// sampleXML carries parallelism="4", an attribute no option claims any
-	// more: a file written for an older tiptop keeps loading (Parse keeps
-	// only the attributes Options names), and writing it back drops the
-	// attribute.
+	// sampleXML carries parallelism="4" and wire="json", attributes no
+	// option claims any more: a file written for an older tiptop keeps
+	// loading (Parse keeps only the attributes Options names), and
+	// writing it back drops them.
 	var sb strings.Builder
 	if err := Write(&sb, f); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(sb.String(), "parallelism") {
-		t.Fatalf("Write still emits the removed parallelism attribute:\n%s", sb.String())
+	for _, gone := range []string{"parallelism", "wire"} {
+		if strings.Contains(sb.String(), gone) {
+			t.Fatalf("Write still emits the removed %s attribute:\n%s", gone, sb.String())
+		}
 	}
 	if len(f.Screens) != 1 || f.Screens[0].Name != "fpstudy" {
 		t.Fatalf("screens = %+v", f.Screens)
@@ -189,7 +191,7 @@ func TestNewOptionValidation(t *testing.T) {
 	// The shared flags' values are checked where they are applied
 	// (format=, history=, join= and compact= by the commands that read
 	// them).
-	for _, attrs := range []string{`fsync="sometimes"`, `fsync="-2s"`, `wire="carrier-pigeon"`} {
+	for _, attrs := range []string{`fsync="sometimes"`, `fsync="-2s"`} {
 		if err := applyShared(t, attrs, nil); err == nil {
 			t.Errorf("%s applied", attrs)
 		}
@@ -204,9 +206,9 @@ func TestNewOptionValidation(t *testing.T) {
 			t.Errorf("%s = %q, want %q", attr, got, want)
 		}
 	}
-	err = applyShared(t, `fsync="2s,1000-records" wire="binary"`, func(flags *Flags) {
-		if p := store.FsyncPolicy(flags.Fsync); p.Interval != 2*time.Second || p.Records != 1000 || flags.Wire != "binary" {
-			t.Fatalf("fsync = %+v, wire = %q", p, flags.Wire)
+	err = applyShared(t, `fsync="2s,1000-records"`, func(flags *Flags) {
+		if p := store.FsyncPolicy(flags.Fsync); p.Interval != 2*time.Second || p.Records != 1000 {
+			t.Fatalf("fsync = %+v", p)
 		}
 	})
 	if err != nil {

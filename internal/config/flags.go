@@ -24,7 +24,6 @@ type Flags struct {
 	SystemWide bool          // -system-wide
 	Counters   int           // -counters
 	ConfigFile string        // -config
-	Wire       string        // -wire
 	Store      string        // -store
 	Retention  time.Duration // -retention
 	Budget     Bytes         // -budget
@@ -44,7 +43,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.SystemWide, "system-wide", false, "monitor logical CPUs instead of tasks (perf's -a; one row per CPU)")
 	fs.IntVar(&f.Counters, "counters", 0, "PMU counter capacity for the real backend: rotate events beyond it in userland (0 = kernel multiplexing)")
 	fs.StringVar(&f.ConfigFile, "config", "", "load options, custom events and screens from an XML configuration file (options the file sets override flags)")
-	fs.StringVar(&f.Wire, "wire", "", "stream encoding when dialing a daemon (tiptop -connect, tiptopd -join): binary or json (default binary, falling back to json against older daemons; json forces the SSE stream)")
 	fs.StringVar(&f.Store, "store", "", "durable history store directory: recover on boot, tee every sample, serve /api/v1/query (tiptopd: one subdirectory per agent with -join)")
 	fs.DurationVar(&f.Retention, "retention", 0, "store age horizon, e.g. 72h (0 = bounded by the byte budget only)")
 	fs.Var(&f.Budget, "budget", "store on-disk `size` budget, e.g. 64MB (default 64MB)")
@@ -65,8 +63,6 @@ func (f *Flags) Validate() error {
 		return fmt.Errorf("counter capacity cannot be negative, got -counters %d", f.Counters)
 	case f.Retention < 0:
 		return fmt.Errorf("store retention cannot be negative, got -retention %v", f.Retention)
-	case f.Wire != "" && f.Wire != "json" && f.Wire != "binary":
-		return fmt.Errorf("unknown wire format %q, want -wire json or -wire binary", f.Wire)
 	}
 	return nil
 }
@@ -128,7 +124,6 @@ var Options = []Option{
 	{Attr: "budget", Flag: "budget", Examples: [2]string{"1MB", "2MB"}},
 	{Attr: "fsync", Flag: "fsync", Examples: [2]string{"2s", "5-records"}},
 	{Attr: "compact", Flag: "compact", Examples: [2]string{"1h", "2h"}},
-	{Attr: "wire", Flag: "wire", Examples: [2]string{"json", "binary"}},
 	{Attr: "systemwide", Flag: "system-wide", Examples: [2]string{"true", "false"}},
 	{Attr: "counters", Flag: "counters", Examples: [2]string{"4", "0"}},
 }

@@ -324,13 +324,21 @@ func New(opt Options) *Recorder {
 }
 
 // SetColumns records the screen's column names for snapshots and
-// exports, and fixes the width of the per-point value vectors.
-// Idempotent.
+// exports, and sets the width of the per-point value vectors. A list
+// that differs from the one in force, or from the width learned from
+// the rows before any list was set (a followed daemon restarted on
+// another screen), restarts every ring at the new width: a recorded
+// value is only ever read under the name it was recorded under. The
+// aggregates, and a tee'd store, keep what came before. Idempotent.
 func (r *Recorder) SetColumns(names []string) {
 	r.mu.Lock()
-	r.columns = append([]string(nil), names...)
-	if r.ncols < 0 {
-		r.ncols = len(names)
+	changed := r.ncols >= 0 && len(names) != r.ncols || r.columns != nil && !slices.Equal(r.columns, names)
+	r.columns, r.ncols = append([]string(nil), names...), len(names)
+	if changed {
+		for _, rg := range r.series {
+			rg.restart(r.ncols)
+		}
+		r.ringGen++
 	}
 	tee := r.tee
 	r.mu.Unlock()
@@ -393,7 +401,7 @@ func (r *Recorder) observe(s *core.Sample) {
 			// The OS recycled this TaskID for a new process: restart
 			// the series in place instead of splicing two tasks'
 			// histories under the old user/command labels.
-			rg.restart()
+			rg.restart(r.ncols)
 			rg.start = row.Info.StartTime
 			rg.user, rg.comm = row.Info.User, row.Info.Comm
 			r.ringGen++

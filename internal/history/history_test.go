@@ -235,6 +235,73 @@ func TestPIDReuseStartsFreshSeries(t *testing.T) {
 	}
 }
 
+// TestChangedColumnsRestartRings: a recorder following a daemon that
+// comes back on another screen takes the new column list's width, and
+// no value recorded under one list is read under another's names; the
+// same list set again keeps the history, and the aggregates keep theirs
+// across a change.
+func TestChangedColumnsRestartRings(t *testing.T) {
+	row := func(now time.Duration, vals ...float64) *core.Sample {
+		s := mkSample(now, []rowSpec{{pid: 1, user: "u", comm: "c", cpuPct: 50, instr: 2e9, cycle: 1e9}})
+		s.Rows[0].Values = vals
+		return s
+	}
+	points := func(r *Recorder) []Point {
+		t.Helper()
+		series := r.AllSeries()
+		if len(series) != 1 {
+			t.Fatalf("series = %d, want 1", len(series))
+		}
+		return series[0].Points
+	}
+	r := New(Options{})
+	r.SetColumns([]string{"ipc", "dmis", "l3", "ref"})
+	r.Observe(row(time.Second, 0.5, 1, 2, 3))
+	r.SetColumns([]string{"ipc", "dmis", "l3", "ref"})
+	r.Observe(row(2*time.Second, 0.5, 1, 2, 3))
+	if got := len(points(r)); got != 2 {
+		t.Fatalf("the same list set again left %d points, want 2", got)
+	}
+
+	wide := []string{"ipc", "ref", "dmis", "l3", "a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	r.SetColumns(wide)
+	if got := points(r); len(got) != 0 {
+		t.Fatalf("points recorded under the old list survive the change: %+v", got)
+	}
+	if snap := r.Snapshot(); len(snap.Tasks) != 0 {
+		t.Fatalf("before a refresh on the new list the view shows %+v", snap.Tasks)
+	}
+	vals := []float64{0.5, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	r.Observe(row(3*time.Second, vals...))
+	snap := r.Snapshot()
+	if len(snap.Tasks) != 1 || !reflect.DeepEqual(snap.Tasks[0].Values, vals) {
+		t.Fatalf("after the change the view holds %+v, want values %v", snap.Tasks, vals)
+	}
+	if got := points(r); len(got) != 1 || !reflect.DeepEqual(got[0].Values, vals) {
+		t.Fatalf("after the change the series holds %+v, want one point of %v", got, vals)
+	}
+	if got := snap.Machine.Instructions; got != 6e9 {
+		t.Fatalf("machine instructions = %v across the change, want 6e9", got)
+	}
+
+	// A list of the same width under other names restarts too: ref is
+	// not read back as the dmis recorded before it.
+	r.SetColumns([]string{"ipc", "dmis", "ref", "l3", "a", "b", "c", "d", "e", "f", "g", "h", "i"})
+	if got := points(r); len(got) != 0 {
+		t.Fatalf("a renamed list replays %+v", got)
+	}
+
+	// Without a list the rows set the width; a list of another width
+	// restarts at its own.
+	r = New(Options{})
+	r.Observe(row(time.Second, 0.5, 1))
+	r.SetColumns([]string{"ipc", "dmis", "ref"})
+	r.Observe(row(2*time.Second, 0.5, 1, 2))
+	if got := points(r); len(got) != 1 || !reflect.DeepEqual(got[0].Values, []float64{0.5, 1, 2}) {
+		t.Fatalf("after the first list the series holds %+v, want one point of [0.5 1 2]", got)
+	}
+}
+
 // TestObserveSteadyStateAllocations is the subsystem's core performance
 // contract. While a ring grows it allocates a buffer per chunk — the
 // first sized once more from the points that filled its 512 bytes, each

@@ -112,15 +112,18 @@ func (rg *ring) push(p point, values []float64, capacity int) {
 	rg.n++
 }
 
-// restart empties the ring for a new task under the same id, keeping one
-// buffer to start in.
-func (rg *ring) restart() {
+// restart empties the ring for a new task under the same id, or for a
+// new column list of ncols values, keeping one buffer to start in.
+func (rg *ring) restart(ncols int) {
 	if len(rg.chunks) > 0 {
 		clear(rg.chunks[1:])
 		rg.chunks = rg.chunks[:1]
 		rg.chunks[0] = rg.chunks[0][:0]
 	}
 	rg.n = 0
+	if len(rg.lastVals) != ncols {
+		rg.lastVals = make([]float64, ncols)
+	}
 }
 
 // points decodes the newest capacity points, oldest first. One array

@@ -25,47 +25,32 @@ type Segment struct {
 // Len returns the segment length in samples.
 func (s Segment) Len() int { return s.End - s.Start }
 
-// Options tune the detector.
-type Options struct {
-	// MinLen is the minimum segment length in samples (default 5):
-	// shorter excursions are treated as noise, like the brief pulses
-	// of Figure 3 (a).
-	MinLen int
-	// Threshold is the relative level change that opens a new segment
-	// (default 0.25 = 25 %): the paper's phases differ by far more.
-	Threshold float64
-	// Smooth is the moving-average window applied before detection
-	// (default 3).
-	Smooth int
-}
-
-func (o Options) normalized() Options {
-	if o.MinLen <= 0 {
-		o.MinLen = 5
-	}
-	if o.Threshold <= 0 {
-		o.Threshold = 0.25
-	}
-	if o.Smooth <= 0 {
-		o.Smooth = 3
-	}
-	return o
-}
+// The detector's tuning.
+const (
+	// minLen is the minimum segment length in samples: shorter
+	// excursions are treated as noise, like the brief pulses of
+	// Figure 3 (a).
+	minLen = 5
+	// threshold is the relative level change that opens a new segment
+	// (25 %): the paper's phases differ by far more.
+	threshold = 0.25
+	// smooth is the moving-average window applied before detection.
+	smooth = 3
+)
 
 // Detect segments ys into phases. The algorithm is a running-mean
 // comparator: a candidate boundary opens when the smoothed signal
-// departs from the current segment's mean by more than Threshold
-// (relatively), and commits once the departure persists for MinLen
+// departs from the current segment's mean by more than threshold
+// (relatively), and commits once the departure persists for minLen
 // samples; the departure onset becomes the boundary. This is
 // deliberately simple — the paper's point is that phases are visible to
 // the naked eye at 1–10 s sampling — but it is robust to the pulse
 // noise the R workload produces.
-func Detect(ys []float64, opt Options) []Segment {
-	opt = opt.normalized()
+func Detect(ys []float64) []Segment {
 	if len(ys) == 0 {
 		return nil
 	}
-	smoothed := stats.MovingAverage(ys, opt.Smooth)
+	smoothed := stats.MovingAverage(ys, smooth)
 
 	var segs []Segment
 	start := 0
@@ -92,7 +77,7 @@ func Detect(ys []float64, opt Options) []Segment {
 	}
 
 	for i := 1; i < len(smoothed); i++ {
-		if relDiff(smoothed[i], mean) > opt.Threshold {
+		if relDiff(smoothed[i], mean) > threshold {
 			if departAt < 0 {
 				departAt = i
 			}
@@ -100,7 +85,7 @@ func Detect(ys []float64, opt Options) []Segment {
 			// baseline is the *latest* smoothed value — the departure
 			// window straddles the transition ramp and its mean would
 			// immediately trigger a spurious second boundary.
-			if i-departAt+1 >= opt.MinLen {
+			if i-departAt+1 >= minLen {
 				commit(departAt)
 				start = departAt
 				mean = smoothed[i]
@@ -115,13 +100,13 @@ func Detect(ys []float64, opt Options) []Segment {
 		n++
 	}
 	commit(len(ys))
-	return mergeShort(ys, segs, opt.MinLen)
+	return mergeShort(ys, segs)
 }
 
 // mergeShort folds segments shorter than minLen into their neighbour:
 // level transitions pass through the smoothing window and can leave a
 // ramp sliver between two genuine phases.
-func mergeShort(ys []float64, segs []Segment, minLen int) []Segment {
+func mergeShort(ys []float64, segs []Segment) []Segment {
 	if len(segs) <= 1 {
 		return segs
 	}
@@ -188,7 +173,7 @@ func FastForward(xs, ys []float64, minFrac float64) (float64, error) {
 	if minFrac <= 0 || minFrac >= 1 {
 		minFrac = 0.1
 	}
-	segs := Detect(ys, Options{})
+	segs := Detect(ys)
 	total := len(ys)
 	for _, s := range segs {
 		if s.Start == 0 {

@@ -20,7 +20,7 @@ func synth(levels []float64, lens []int, noise float64, seed int64) []float64 {
 
 func TestDetectTwoPhases(t *testing.T) {
 	ys := synth([]float64{1.0, 0.03}, []int{100, 200}, 0.05, 1)
-	segs := Detect(ys, Options{})
+	segs := Detect(ys)
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2: %+v", len(segs), segs)
 	}
@@ -38,14 +38,14 @@ func TestDetectTwoPhases(t *testing.T) {
 
 func TestDetectIgnoresPulses(t *testing.T) {
 	// A low phase with brief high pulses (the Figure 3a shape): pulses
-	// shorter than MinLen must not split the segment.
+	// shorter than minLen must not split the segment.
 	ys := synth([]float64{1.0}, []int{50}, 0.02, 2)
 	low := synth([]float64{0.05}, []int{150}, 0.02, 3)
 	for i := 10; i < len(low); i += 25 {
 		low[i] = 1.0 // single-sample pulse
 	}
 	ys = append(ys, low...)
-	segs := Detect(ys, Options{MinLen: 5})
+	segs := Detect(ys)
 	if len(segs) != 2 {
 		t.Fatalf("pulses must not fragment: %d segments %+v", len(segs), segs)
 	}
@@ -53,7 +53,7 @@ func TestDetectIgnoresPulses(t *testing.T) {
 
 func TestDetectMultiPhase(t *testing.T) {
 	ys := synth([]float64{1.2, 0.7, 1.1, 0.6}, []int{80, 90, 70, 60}, 0.03, 4)
-	segs := Detect(ys, Options{})
+	segs := Detect(ys)
 	if len(segs) != 4 {
 		t.Fatalf("segments = %d, want 4: %+v", len(segs), segs)
 	}
@@ -64,21 +64,21 @@ func TestDetectMultiPhase(t *testing.T) {
 }
 
 func TestDetectEdgeCases(t *testing.T) {
-	if segs := Detect(nil, Options{}); segs != nil {
+	if segs := Detect(nil); segs != nil {
 		t.Fatal("empty input yields no segments")
 	}
-	segs := Detect([]float64{1}, Options{})
+	segs := Detect([]float64{1})
 	if len(segs) != 1 || segs[0].Len() != 1 {
 		t.Fatalf("singleton: %+v", segs)
 	}
 	// Constant series: one segment.
 	flat := synth([]float64{2}, []int{300}, 0, 5)
-	if segs := Detect(flat, Options{}); len(segs) != 1 {
+	if segs := Detect(flat); len(segs) != 1 {
 		t.Fatalf("flat series: %+v", segs)
 	}
 	// Zero-valued series must not divide by zero.
 	zeros := make([]float64, 50)
-	if segs := Detect(zeros, Options{}); len(segs) != 1 {
+	if segs := Detect(zeros); len(segs) != 1 {
 		t.Fatalf("zero series: %+v", segs)
 	}
 }
@@ -141,7 +141,7 @@ func TestPropSegmentsPartition(t *testing.T) {
 	f := func(seed int64, l1, l2, l3 uint8) bool {
 		lens := []int{int(l1)%80 + 10, int(l2)%80 + 10, int(l3)%80 + 10}
 		ys := synth([]float64{1.5, 0.4, 1.1}, lens, 0.03, seed)
-		segs := Detect(ys, Options{})
+		segs := Detect(ys)
 		if len(segs) == 0 {
 			return false
 		}

@@ -124,19 +124,6 @@ func ParseUID(status string) (int, error) {
 	return 0, fmt.Errorf("procfs: no Uid line in status")
 }
 
-// ParseUptime parses /proc/uptime, returning system uptime.
-func ParseUptime(data string) (time.Duration, error) {
-	fields := strings.Fields(data)
-	if len(fields) == 0 {
-		return 0, fmt.Errorf("procfs: empty uptime")
-	}
-	secs, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("procfs: bad uptime %q: %v", fields[0], err)
-	}
-	return time.Duration(secs * float64(time.Second)), nil
-}
-
 // Source lists tasks from a /proc tree.
 type Source struct {
 	// Root is the proc mount point; defaults to "/proc".

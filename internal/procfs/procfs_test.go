@@ -103,23 +103,6 @@ func TestParseUID(t *testing.T) {
 	}
 }
 
-func TestParseUptime(t *testing.T) {
-	up, err := ParseUptime("12345.67 99999.99\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := time.Duration(12345.67 * float64(time.Second))
-	if up != want {
-		t.Fatalf("uptime = %v, want %v", up, want)
-	}
-	if _, err := ParseUptime(""); err == nil {
-		t.Fatal("empty uptime should fail")
-	}
-	if _, err := ParseUptime("abc"); err == nil {
-		t.Fatal("bad uptime should fail")
-	}
-}
-
 // buildFakeProc creates a miniature /proc with two processes and one
 // multi-threaded task.
 func buildFakeProc(t *testing.T) string {

@@ -13,7 +13,7 @@ import (
 // falls silent, and hands each refresh on once (the frame a reconnect
 // replays is dropped); Status reports how that is going.
 type Agent struct {
-	label, url, wire string
+	label, url string
 
 	mu        sync.Mutex
 	connected bool
@@ -23,15 +23,14 @@ type Agent struct {
 }
 
 // NewAgent prepares to stream the tiptopd at addr ("host:port" or a full
-// URL), labelled by its host:port. wire selects the stream encoding: ""
-// or "binary" asks for binary frames, falling back to SSE JSON; "json"
-// forces SSE.
-func NewAgent(addr, wire string) (*Agent, error) {
+// URL), labelled by its host:port. Its stream asks for binary frames,
+// falling back to SSE JSON against a daemon that does not serve them.
+func NewAgent(addr string) (*Agent, error) {
 	url, label, err := normalizeBase(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Agent{label: label, url: url, wire: wire}, nil
+	return &Agent{label: label, url: url}, nil
 }
 
 // Label returns the agent's host:port.
@@ -79,7 +78,7 @@ func (a *Agent) Stream(ctx context.Context, redial, timeout time.Duration, obser
 // session dials the agent once and follows its stream, returning why
 // the connection was lost or, as err, observe's failure.
 func (a *Agent) session(ctx context.Context, timeout time.Duration, observe func(*Sample) error) (lost, err error) {
-	c, lost := dial(ctx, a.url, DialOptions{Wire: a.wire}, timeout)
+	c, lost := dial(ctx, a.url, DialOptions{}, timeout)
 	if lost != nil {
 		return lost, nil
 	}

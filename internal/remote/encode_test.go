@@ -285,7 +285,7 @@ func FuzzDecodeBinary(f *testing.F) {
 }
 
 // FuzzDecodeWire: the JSON frame — the /api/v1/sample body and the SSE
-// stream, which a client reads under -wire json — is untrusted bytes
+// stream, which a client dialed for JSON reads — is untrusted bytes
 // too. Whatever they are, Decode and the SSE reader return without
 // panicking; nothing newer than WireVersion is accepted; an accepted
 // sample re-encodes, and to a fixpoint (decode → encode is idempotent

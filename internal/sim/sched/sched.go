@@ -136,10 +136,11 @@ func (t *Task) DetachSink(s EventSink) {
 // Monitored reports whether any sink is attached.
 func (t *Task) Monitored() bool { return len(t.sinks) > 0 }
 
+// timeslice is the scheduling quantum.
+const timeslice = 10 * time.Millisecond
+
 // Options configure a Kernel.
 type Options struct {
-	// Quantum is the scheduling timeslice. Default 10 ms.
-	Quantum time.Duration
 	// MonitorSwitchCycles is the cost, in cycles, of saving and
 	// restoring the performance counters of a monitored task at each
 	// context switch ("the impact is limited to the cost of saving a
@@ -177,9 +178,6 @@ type Kernel struct {
 func New(m *machine.Machine, opt Options) (*Kernel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.Quantum <= 0 {
-		opt.Quantum = 10 * time.Millisecond
 	}
 	return &Kernel{
 		mach:      m,
@@ -338,9 +336,8 @@ func (t *Task) dutyRunnable(nowNS uint64) bool {
 // Advance runs the simulation forward by d, quantum by quantum.
 func (k *Kernel) Advance(d time.Duration) {
 	end := k.nowNS + uint64(d)
-	q := uint64(k.opt.Quantum)
 	for k.nowNS < end {
-		step := q
+		step := uint64(timeslice)
 		if rem := end - k.nowNS; rem < step {
 			step = rem
 		}

@@ -336,7 +336,7 @@ func TestSharedLLCContention(t *testing.T) {
 
 func TestQuantumClamp(t *testing.T) {
 	// Advancing by a non-multiple of the quantum still lands exactly.
-	k := newKernel(t, machine.XeonW3550(), Options{Quantum: 10 * time.Millisecond})
+	k := newKernel(t, machine.XeonW3550(), Options{})
 	k.Advance(25 * time.Millisecond)
 	if k.Now() != 25*time.Millisecond {
 		t.Fatalf("Now = %v", k.Now())

@@ -3,13 +3,10 @@ package store
 // Compaction: rewriting a tier's sealed segments into fewer, fuller
 // ones. Live segments already hold record-format-v5 frames; the rewrite
 // merges segments that sealed small (by age, or fragmented by restarts)
-// into full-size ones under a single dictionary, rewrites the previous
-// build's v4 frames as v5, and optionally tombstones series that exited
-// long ago. Query results are unchanged by construction — every field
-// is carried bit-exactly, and an omitted column omitted again where it
-// still verifies — except that tombstoned
-// rows disappear (the machine roll-up keeps their contribution; it is an
-// aggregate of what happened, not of what is retained).
+// into full-size ones under a single dictionary and rewrites the
+// previous build's v4 frames as v5. Query results are unchanged by
+// construction: every record and field is carried bit-exactly, and an
+// omitted column is omitted again where it still verifies.
 //
 // Crash safety follows the name-carries-the-range protocol:
 //
@@ -35,29 +32,21 @@ import (
 	"path/filepath"
 	"slices"
 	"time"
-
-	"tiptop/internal/hpm"
 )
 
-// CompactOptions tune a compaction pass. The zero value rewrites and
-// merges every sealed segment and keeps every series.
-type CompactOptions struct {
-	// TombstoneAge drops the rows of tasks whose last record is older
-	// than this relative to the newest input record — series that
-	// exited long ago stop costing bytes in every refresh they lived
-	// through. 0 keeps everything (required for byte-identical queries).
-	TombstoneAge time.Duration
-}
+// CompactOptions is a compaction pass's argument. It has no fields: a
+// pass rewrites and merges every sealed segment and keeps every record.
+// The type stays so that callers of Compact(CompactOptions{}) keep
+// compiling.
+type CompactOptions struct{}
 
 // TierCompaction reports one tier's rewrite.
 type TierCompaction struct {
-	Tier             string `json:"tier"`
-	Segments         int    `json:"segments"`
-	Records          int64  `json:"records"`
-	BytesBefore      int64  `json:"bytes_before"`
-	BytesAfter       int64  `json:"bytes_after"`
-	TombstonedSeries int    `json:"tombstoned_series,omitempty"`
-	DroppedRows      int64  `json:"dropped_rows,omitempty"`
+	Tier        string `json:"tier"`
+	Segments    int    `json:"segments"`
+	Records     int64  `json:"records"`
+	BytesBefore int64  `json:"bytes_before"`
+	BytesAfter  int64  `json:"bytes_after"`
 }
 
 // CompactionResult reports a whole compaction pass, one entry per tier
@@ -72,7 +61,7 @@ type CompactionResult struct {
 // appends and queries run concurrently with the rewrite (queries see
 // the swap atomically). Calling Compact on a store with nothing to
 // rewrite is a cheap no-op.
-func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) {
+func (st *Store) Compact(CompactOptions) (*CompactionResult, error) {
 	type job struct {
 		t      *tier
 		inputs []*segment
@@ -115,7 +104,7 @@ func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) {
 		st.mu.Unlock()
 	}()
 	for _, j := range jobs {
-		tc, outs, err := st.compactTier(j.t, j.inputs, opt)
+		tc, outs, err := st.compactTier(j.t, j.inputs)
 		if err != nil {
 			return res, err
 		}
@@ -145,10 +134,10 @@ func (st *Store) Compact(opt CompactOptions) (*CompactionResult, error) {
 }
 
 // compactTier rewrites one tier's inputs. Two streaming passes: the
-// first builds the string dictionary and the per-series last-seen map,
-// the second encodes. Runs without the store lock — inputs are sealed
-// and retention is deferred. A failed rewrite leaves no output behind.
-func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc TierCompaction, outs []*segment, err error) {
+// first builds the string dictionary, the second encodes. Runs without
+// the store lock — inputs are sealed and retention is deferred. A failed
+// rewrite leaves no output behind.
+func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, outs []*segment, err error) {
 	tc = TierCompaction{Tier: tierNames[t.idx], Segments: len(inputs)}
 	w := &compactWriter{fsys: st.fsys, dir: st.dir, tier: tierNames[t.idx], dict: newV2Dict(nil)}
 	defer func() {
@@ -156,8 +145,6 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 			w.abort(inputs)
 		}
 	}()
-	lastSeen := make(map[hpm.TaskID]time.Duration)
-	var newest time.Duration
 	// Both passes ride the scan walker over each input's whole time
 	// range, decoding every field into one scratch record.
 	sc := getScanner(st.fsys, nil)
@@ -171,15 +158,9 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 		tc.BytesBefore += in.size
 		err := each(in, func(rec *Record, _ []string) error {
 			tc.Records++
-			rt := recTime(rec)
-			if rt > newest {
-				newest = rt
-			}
 			for i := range rec.Rows {
-				r := &rec.Rows[i]
-				w.dict.intern(r.User)
-				w.dict.intern(r.Command)
-				lastSeen[hpm.TaskID{PID: r.PID, TID: r.TID}] = rt
+				w.dict.intern(rec.Rows[i].User)
+				w.dict.intern(rec.Rows[i].Command)
 			}
 			for _, c := range rec.Cols {
 				w.dict.intern(c)
@@ -203,21 +184,9 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 	if tc.Records == 0 {
 		return tc, nil, nil
 	}
-	var dead map[hpm.TaskID]bool
-	if opt.TombstoneAge > 0 {
-		horizon := newest - opt.TombstoneAge
-		dead = make(map[hpm.TaskID]bool)
-		for id, seen := range lastSeen {
-			if seen < horizon {
-				dead[id] = true
-			}
-		}
-		tc.TombstonedSeries = len(dead)
-	}
 	var activeCols, writtenCols, writtenEvents []string
 	var writtenDer *derivation
 	headed := false // the output segment has a layout header
-	var filtered []RecordRow
 	for i, in := range inputs {
 		if w.f == nil {
 			if err := w.start(in.seq); err != nil {
@@ -230,18 +199,6 @@ func (st *Store) compactTier(t *tier, inputs []*segment, opt CompactOptions) (tc
 				activeCols = fileCols // owned by the walk, unlike rec.Cols
 			}
 			out := *rec
-			if len(dead) > 0 {
-				filtered = filtered[:0]
-				for i := range rec.Rows {
-					r := &rec.Rows[i]
-					if dead[hpm.TaskID{PID: r.PID, TID: r.TID}] {
-						tc.DroppedRows++
-						continue
-					}
-					filtered = append(filtered, *r)
-				}
-				out.Rows = filtered
-			}
 			// Each output segment's first record carries the layout in
 			// force; later ones only a genuine change of it.
 			der := sc.dv.cur

@@ -417,79 +417,6 @@ func TestCompactCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCompactTombstones: series that exited long before the newest
-// record lose their rows; live series and the machine roll-up persist.
-func TestCompactTombstones(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{SegmentBytes: 2 << 10})
-	// Task 100 and 200 both live until t=60; 200 exits, 100 runs on to
-	// t=600.
-	both := func(now time.Duration) *core.Sample {
-		s := sampleAt(now, 1)
-		s.Rows = append(s.Rows, core.Row{
-			Info:   core.TaskInfo{ID: hpm.TaskID{PID: 200, TID: 200}, User: "u", Comm: "gone", State: "R"},
-			CPUPct: 10, Values: []float64{1},
-			Counts: []uint64{10, 5},
-			Table:  core.NewEventTable(hpm.EventInstructions, hpm.EventCycles),
-			Valid:  true,
-		})
-		return s
-	}
-	for i := 1; i <= 60; i++ {
-		if err := st.AppendSample(both(time.Duration(i) * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 61; i <= 600; i++ {
-		if err := st.AppendSample(sampleAt(time.Duration(i)*time.Second, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	records := st.Records()
-	preMachine, err := st.Query(QueryOptions{PID: -1, FromSeconds: 1, ToSeconds: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := st.Compact(CompactOptions{TombstoneAge: 120 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tomb, dropped int
-	for _, tc := range res.Tiers {
-		if tc.Tier == "raw" {
-			tomb += tc.TombstonedSeries
-			dropped += int(tc.DroppedRows)
-		}
-	}
-	if tomb != 1 || dropped == 0 {
-		t.Fatalf("tombstoned %d raw series / %d rows, want 1 series and > 0 rows", tomb, dropped)
-	}
-	if got := st.Records(); got != records {
-		t.Fatalf("tombstoning changed the record count: %d -> %d", records, got)
-	}
-	post, err := st.Query(QueryOptions{PID: -1, FromSeconds: 1, ToSeconds: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range post.Series {
-		if s.PID == 200 {
-			t.Fatal("exited series survived tombstoning")
-		}
-	}
-	if len(post.Series) == 0 {
-		t.Fatal("live series was dropped")
-	}
-	// The machine roll-up is an aggregate of what happened, not of what
-	// is retained: it must be untouched.
-	a, _ := json.Marshal(preMachine.Machine)
-	b, _ := json.Marshal(post.Machine)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("machine roll-up changed:\npre:  %s\npost: %s", a, b)
-	}
-	st.Close()
-}
-
 // TestCompactRemerges: a second pass folds newly sealed segments into
 // the existing compacted one, keeping the chain short across restarts.
 func TestCompactRemerges(t *testing.T) {

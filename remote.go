@@ -91,10 +91,10 @@ func NewRemoteMonitor(url string) (*RemoteMonitor, error) {
 }
 
 // NewRemoteMonitorWire attaches like NewRemoteMonitor and selects the
-// stream encoding: "" (the default) or "binary" negotiates the
+// stream encoding: "" (NewRemoteMonitor's) or "binary" negotiates the
 // length-prefixed binary frame, transparently falling back to SSE +
-// JSON against daemons that predate it; "json" forces SSE (tiptop
-// -connect -wire json).
+// JSON against daemons that predate it; "json" forces SSE, the stream a
+// browser or curl reads.
 func NewRemoteMonitorWire(url, wire string) (*RemoteMonitor, error) {
 	c, err := remote.DialWith(url, remote.DialOptions{Wire: wire})
 	if err != nil {

@@ -86,12 +86,12 @@ manifest="
 tiptop:b tiptop:d tiptop:n tiptop:screen tiptop:sort tiptop:rows
 tiptop:u tiptop:o tiptop:record tiptop:connect tiptop:sim
 tiptop:scale tiptop:list tiptop:list-events tiptop:dump-config
-tiptop:config tiptop:system-wide tiptop:counters tiptop:wire
+tiptop:config tiptop:system-wide tiptop:counters
 tiptop:fsync tiptop:store tiptop:retention tiptop:budget
 tiptopd:addr tiptopd:d tiptopd:n tiptopd:history tiptopd:window
 tiptopd:sim tiptopd:config tiptopd:join tiptopd:store
 tiptopd:retention tiptopd:budget tiptopd:system-wide tiptopd:counters
-tiptopd:fsync tiptopd:compact tiptopd:wire
+tiptopd:fsync tiptopd:compact
 tipbench:run tipbench:scale tipbench:out tipbench:list
 tipbench:validate
 "

@@ -153,7 +153,7 @@ type FsyncPolicy = store.FsyncPolicy
 // comma-combined.
 func ParseFsync(s string) (FsyncPolicy, error) { return store.ParseFsync(s) }
 
-// CompactOptions tune Store.Compact.
+// CompactOptions is Store.Compact's argument; it has no fields.
 type CompactOptions = store.CompactOptions
 
 // CompactionResult reports what a compaction pass rewrote, per tier.
@@ -161,8 +161,8 @@ type CompactionResult = store.CompactionResult
 
 // Compact merges the store's sealed segments — those that sealed small
 // by age, or were fragmented by restarts — into full-size ones under
-// one string dictionary each, tombstoning series of long-exited tasks
-// if asked, and rewrites the previous build's v4 frames as v5. Queries
+// one string dictionary each, and rewrites the previous build's v4
+// frames as v5. Queries
 // keep answering (and appends keep landing) during the pass. tiptopd
 // runs this periodically with -compact; archival users call it after
 // bulk loads.
