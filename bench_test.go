@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tiptop/internal/core"
 	"tiptop/internal/hpm"
 	"tiptop/internal/metrics"
 	"tiptop/internal/remote"
@@ -242,4 +243,47 @@ func BenchmarkScrapeEncode2000(b *testing.B) {
 		lease.Release()
 	}
 	b.ReportMetric(float64(cache.Stats().BodyBytes), "body-bytes")
+}
+
+// BenchmarkHistoryStore2000 is what /api/v1/history pays with -store:
+// one task's 600 refreshes read back from the raw tier of a 2000-task
+// node, a scan of every row of the window. internal/history's
+// BenchmarkHistory600 is the same read from a store-less recorder's ring.
+func BenchmarkHistoryStore2000(b *testing.B) {
+	const tasks, refreshes = 2000, 600
+	st, err := OpenStore(b.TempDir(), StoreOptions{Budget: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	rec := NewRecorder(RecorderOptions{Capacity: refreshes})
+	rec.h.SetColumns([]string{"ipc", "dmis"})
+	rec.Tee(st)
+	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
+	s := &core.Sample{Rows: make([]core.Row, tasks)}
+	for i := range s.Rows {
+		s.Rows[i] = core.Row{
+			Info:   core.TaskInfo{ID: hpm.TaskID{PID: 100 + i, TID: 100 + i}, User: fmt.Sprint("u", i%7), Comm: fmt.Sprint("job", i%40), State: "R"},
+			CPUPct: 50, Values: make([]float64, 2), Counts: make([]uint64, 3), Table: table, Valid: true,
+		}
+	}
+	for r := 1; r <= refreshes; r++ {
+		s.Time = time.Duration(r) * 2 * time.Second
+		for i := range s.Rows {
+			row := &s.Rows[i]
+			row.Counts[0], row.Counts[1], row.Counts[2] = uint64(1000*(i+r)), uint64(500*(i+1)), uint64(i%13)
+			row.Values[0], row.Values[1] = float64(i+r)/float64(i+1), float64(i%13)/100
+		}
+		rec.h.Observe(s)
+	}
+	if err := st.Err(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h := rec.History(1100); len(h) != 1 || len(h[0].Points) != refreshes {
+			b.Fatalf("%d series", len(h))
+		}
+	}
 }

@@ -65,7 +65,7 @@ func flags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("tiptopd", flag.ContinueOnError)
 	o := &options{shared: config.BindFlags(fs)}
 	fs.StringVar(&o.addr, "addr", ":9412", "HTTP listen address")
-	fs.IntVar(&o.daemon.History, "history", 0, "points retained per task (0 = default 600)")
+	fs.IntVar(&o.daemon.History, "history", 0, "history depth per task: points each ring retains, or with -store the refreshes /api/v1/history reads back from the store (0 = default 600)")
 	fs.DurationVar(&o.daemon.Window, "window", 0, "windowed-rate horizon, capped at 128 refreshes (0 = default 1m)")
 	fs.StringVar(&o.join, "join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
 	fs.DurationVar(&o.compact, "compact", 0, "merge the store's sealed segments at startup and then every period, e.g. 1h (0 = never)")

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tiptop"
 	"tiptop/internal/query"
@@ -37,33 +38,39 @@ func getQueryResult(t *testing.T, url string) *query.Result {
 // TestQueryExprMatchesLiveScreenIPC is the e2e golden: a seeded sim
 // daemon records into a store; the IPC expression queried over that
 // store at the raw tier reproduces, point for point, the IPC values
-// the live screen pipeline computed for the same refreshes.
+// the live screen pipeline computed for the same refreshes — the rows
+// Refresh returned, not the recorder's history, which reads the store.
 func TestQueryExprMatchesLiveScreenIPC(t *testing.T) {
-	d, ts, shutdown := bootDaemon(t, t.TempDir())
-	defer shutdown()
-	waitUntil(t, "daemon to record", func() bool { return d.Stores()[""].Records() >= 30 })
+	d := newDaemon(t, tiptop.Config{
+		Interval: 10 * time.Millisecond,
+		StoreDir: t.TempDir(),
+		Exprs:    []tiptop.ExprDef{{Name: "ipc_expr", Expr: "delta(INSTRUCTIONS)/delta(CYCLES)"}},
+	}, tiptop.DaemonOptions{Sim: sim(t, "datacenter")})
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+
+	// The live screen pipeline's IPC: (pid, millisecond) → the IPC of
+	// the pid's row in that refresh. A fresh store's clock is the
+	// samples'.
+	type obsKey struct {
+		pid int
+		ms  int64
+	}
+	live := map[obsKey]float64{}
+	for i := 0; i < 30; i++ {
+		s, err := d.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range s.Rows {
+			live[obsKey{row.PID, s.Time.Milliseconds()}] = row.IPC
+		}
+	}
 
 	res := getQueryResult(t, ts.URL+"/api/v1/query?expr=delta(INSTRUCTIONS)%2Fdelta(CYCLES)")
 	if len(res.Series) < 2 {
 		t.Fatalf("expected per-task series plus total, got %d", len(res.Series))
-	}
-
-	// The live screen pipeline's IPC, as the recorder captured it:
-	// (pid, tid, time) → the IPC column value of that refresh.
-	type obsKey struct {
-		pid, tid int
-		at       float64
-	}
-	live := map[obsKey]float64{}
-	for _, pid := range d.Recorder().PIDs() {
-		for _, s := range d.Recorder().History(pid) {
-			for _, p := range s.Points {
-				live[obsKey{s.PID, s.TID, p.TimeSeconds}] = p.IPC
-			}
-		}
-	}
-	if len(live) == 0 {
-		t.Fatal("recorder holds no live history")
 	}
 
 	matched := 0
@@ -72,11 +79,9 @@ func TestQueryExprMatchesLiveScreenIPC(t *testing.T) {
 			continue
 		}
 		for _, p := range s.Points {
-			ipc, ok := live[obsKey{s.PID, s.TID, p.TimeSeconds}]
+			ipc, ok := live[obsKey{s.PID, int64(math.Round(p.TimeSeconds * 1000))}]
 			if !ok {
-				// The ring may have evicted the oldest points the store
-				// still holds; only co-observed refreshes are comparable.
-				continue
+				t.Fatalf("pid %d at t=%g: the store holds a point no refresh returned", s.PID, p.TimeSeconds)
 			}
 			matched++
 			if math.Abs(p.Value-ipc) > 1e-12 {
@@ -85,8 +90,8 @@ func TestQueryExprMatchesLiveScreenIPC(t *testing.T) {
 			}
 		}
 	}
-	if matched < 10 {
-		t.Fatalf("only %d points were comparable between store query and live history", matched)
+	if matched < 10*len(res.Series[1:]) {
+		t.Fatalf("only %d points were comparable between the store query and the refreshes", matched)
 	}
 
 	// Stored expressions resolve by name on the endpoint.

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"os/exec"
@@ -129,6 +130,52 @@ func TestStoreQueryAcrossRestart(t *testing.T) {
 	for _, p := range res.Machine {
 		if p.TimeSeconds > boundary {
 			t.Fatalf("to=%g returned a point at t=%g", boundary, p.TimeSeconds)
+		}
+	}
+}
+
+// TestHistoryDoesNotSpliceRestarts: /api/v1/history reads the store
+// once -store is set, and the store spans daemon lifetimes; a pid's
+// history still holds only the refreshes this daemon observed, never the
+// previous lifetime's, though the same pid recorded there too.
+func TestHistoryDoesNotSpliceRestarts(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(refreshes int) (*tiptop.Daemon, *httptest.Server) {
+		d := newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond, StoreDir: dir}, tiptop.DaemonOptions{Sim: sim(t, "datacenter")})
+		for i := 0; i < refreshes; i++ {
+			if _, err := d.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d, httptest.NewServer(d.Handler())
+	}
+	d1, ts1 := boot(12)
+	ts1.Close()
+	boundary := d1.Stores()[""].LastTime().Seconds()
+	pid := d1.Recorder().PIDs()[0]
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, ts2 := boot(5)
+	defer d2.Close()
+	defer ts2.Close()
+	status, body := get(t, ts2.URL+"/api/v1/history?pid="+strconv.Itoa(pid))
+	if status != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", status, body)
+	}
+	var h struct {
+		Series []tiptop.HistorySeries `json:"series"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Series) != 1 || len(h.Series[0].Points) != 5 {
+		t.Fatalf("pid %d after a restart: %s, want the second lifetime's 5 points", pid, body)
+	}
+	for _, p := range h.Series[0].Points {
+		if p.TimeSeconds <= boundary {
+			t.Fatalf("pid %d: a point at t=%g, from the lifetime that ended at t=%g", pid, p.TimeSeconds, boundary)
 		}
 	}
 }

@@ -33,8 +33,9 @@ type DaemonOptions struct {
 	// "datacenter" where perf_event is unavailable.
 	Sim *Scenario
 	// History and Window size the recorders, the solo one or one per
-	// agent: points retained per task (-history) and the windowed-rate
-	// horizon (-window); 0 takes RecorderOptions' defaults.
+	// agent: the history depth per task (-history: points a ring retains,
+	// or with a store the refreshes History reads back from it) and the
+	// windowed-rate horizon (-window); 0 takes RecorderOptions' defaults.
 	History int
 	Window  time.Duration
 	// Refreshes, when positive, ends Run after that many refreshes past

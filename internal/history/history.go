@@ -1,7 +1,10 @@
 // Package history records the tiptop engine's samples over time: a ring
 // of counter/column observations per task, packed into chunks of 64
 // points (ring.go), plus roll-up aggregates (per-user, per-command and
-// machine-wide totals and windowed rates) maintained incrementally.
+// machine-wide totals and windowed rates) maintained incrementally. A
+// recorder teed into a Keeper (a durable store) packs no points: the
+// keeper holds every refresh already, and History reads them back from
+// it.
 //
 // The Recorder implements core.Observer and is fed synchronously from
 // the sampling goroutine, so its hot path is engineered like the
@@ -18,11 +21,13 @@
 // Queries (View, Snapshot, History, PIDs) copy out under a read lock and
 // may run concurrently with recording — this is what lets an HTTP daemon
 // serve scrapes against a live sampler. View reads each ring's newest
-// point, which is kept unpacked; History and AllSeries decode.
+// point, which is kept unpacked; History and AllSeries decode, or
+// History scans the keeper outside the lock.
 package history
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -37,6 +42,8 @@ type Options struct {
 	// Capacity is the number of points each task's ring retains
 	// (default 600 — twenty minutes at the paper's 2 s cadence). It bounds
 	// how far back a ring reaches, not what a task costs before then.
+	// Teed into a Keeper, the recorder keeps no points, and Capacity is
+	// the number of its newest refreshes History reads back.
 	Capacity int
 	// Window is the horizon of the windowed rates in the aggregates
 	// (default 60 s). Checkpoints are kept for the most recent 128
@@ -280,6 +287,20 @@ func (a *aggState) aggregate(live bool, now, window time.Duration) Aggregate {
 	return out
 }
 
+// Keeper is a tee that keeps every sample it observes and replays a
+// task's observations on request: a durable store. A recorder teed into
+// one packs no points; History reads them back from the keeper.
+type Keeper interface {
+	core.Observer
+	// LastTime is the keeper's clock at the newest sample it kept.
+	LastTime() time.Duration
+	// Replay calls fn with every kept observation of a task of pid whose
+	// time on the keeper's clock, to the millisecond, lies in [from, to],
+	// oldest first. The point is scratch, and its Values are the columns
+	// as kept; fn copies what it keeps.
+	Replay(pid int, from, to time.Duration, fn func(tid int, p *Point)) error
+}
+
 // Recorder accumulates history and aggregates from observed samples.
 // It implements core.Observer; queries are safe from other goroutines.
 type Recorder struct {
@@ -308,7 +329,14 @@ type Recorder struct {
 	order   viewOrder
 	// tee receives every observed sample after the recorder's own fold,
 	// outside the recorder lock — the hook a durable store attaches by.
-	tee core.Observer
+	// keeper is tee when it is a Keeper: then no ring packs points.
+	tee    core.Observer
+	keeper Keeper
+	// times is the keeper's clock after each of the newest Capacity
+	// refreshes it kept, by refresh number modulo Capacity; timed is the
+	// newest such refresh and teedAt the first the keeper observed.
+	times         []time.Duration
+	timed, teedAt uint64
 }
 
 // New creates a Recorder. Column names may be set later (SetColumns);
@@ -337,6 +365,7 @@ func (r *Recorder) SetColumns(names []string) {
 	if changed {
 		for _, rg := range r.series {
 			rg.restart(r.ncols)
+			rg.since = r.epoch + 1
 		}
 		r.ringGen++
 	}
@@ -351,7 +380,8 @@ func (r *Recorder) SetColumns(names []string) {
 // with the screen's column names (store.Store does).
 type columnSetter interface{ SetColumns([]string) }
 
-// Capacity returns the per-task ring capacity.
+// Capacity returns the per-task ring capacity: the refreshes History
+// reaches back.
 func (r *Recorder) Capacity() int { return r.opt.Capacity }
 
 // Tee forwards every subsequently observed sample to o after the
@@ -361,22 +391,46 @@ func (r *Recorder) Capacity() int { return r.opt.Capacity }
 // (a disk write) delays the next refresh, not concurrent queries. Like
 // Subscribe, not safe to call concurrently with Observe; a nil o
 // detaches. The tee gets the sample on core.Observer's terms: read-only.
+//
+// A Keeper takes over the rings' points: the rings let go of what they
+// packed and pack nothing while it is attached, and History reads the
+// refreshes the keeper observed from it. Replacing or detaching it
+// starts the rings afresh.
 func (r *Recorder) Tee(o core.Observer) {
+	k, _ := o.(Keeper)
+	r.mu.Lock()
+	if k != r.keeper {
+		for _, rg := range r.series {
+			rg.drop()
+		}
+		r.keeper, r.teedAt = k, r.epoch+1
+		if k != nil && r.times == nil {
+			r.times = make([]time.Duration, r.opt.Capacity)
+		}
+	}
 	r.tee = o
-	r.mu.RLock()
 	cols := r.columns
-	r.mu.RUnlock()
+	r.mu.Unlock()
 	if cs, ok := o.(columnSetter); ok && len(cols) > 0 {
 		cs.SetColumns(cols)
 	}
 }
 
 // Observe records one sample. It is the recorder's hot path: O(rows)
-// and allocation-free once aggregate entries exist and rings have filled.
+// and allocation-free once aggregate entries exist and rings have filled
+// — from a task's second refresh on when teed into a Keeper.
 func (r *Recorder) Observe(s *core.Sample) {
 	r.observe(s)
-	if r.tee != nil {
-		r.tee.Observe(s)
+	if r.tee == nil {
+		return
+	}
+	r.tee.Observe(s)
+	if r.keeper != nil {
+		t := r.keeper.LastTime()
+		r.mu.Lock()
+		r.times[r.epoch%uint64(len(r.times))] = t
+		r.timed = r.epoch
+		r.mu.Unlock()
 	}
 }
 
@@ -402,6 +456,7 @@ func (r *Recorder) observe(s *core.Sample) {
 			// the series in place instead of splicing two tasks'
 			// histories under the old user/command labels.
 			rg.restart(r.ncols)
+			rg.since = r.epoch
 			rg.start = row.Info.StartTime
 			rg.user, rg.comm = row.Info.User, row.Info.Comm
 			r.ringGen++
@@ -416,7 +471,11 @@ func (r *Recorder) observe(s *core.Sample) {
 		rg.coverage = row.Coverage
 		p := point{t: s.Time, cpu: row.CPUPct}
 		p.instr, p.cycles, p.misses = row.Basics()
-		rg.push(p, row.Values, r.opt.Capacity)
+		if r.keeper == nil {
+			rg.push(p, row.Values, r.opt.Capacity)
+		} else {
+			rg.hold(p, row.Values)
+		}
 		r.fold(&r.machine, &p)
 		r.fold(rg.userAgg, &p)
 		r.fold(rg.commAgg, &p)
@@ -463,6 +522,7 @@ func (r *Recorder) admit(info core.TaskInfo) *ring {
 		user:     info.User,
 		comm:     info.Comm,
 		start:    info.StartTime,
+		since:    r.epoch,
 		lastVals: make([]float64, r.ncols), // observe learned the width before it admits
 	}
 	r.resolveAggs(rg, info)
@@ -595,7 +655,7 @@ func (r *Recorder) View(v *View) {
 	if !stands {
 		o.live = o.live[:0]
 		for _, rg := range r.series {
-			if rg.lastEpoch == r.epoch && rg.n > 0 {
+			if rg.lastEpoch == r.epoch && rg.since <= rg.lastEpoch {
 				o.live = append(o.live, rg)
 			}
 		}
@@ -655,18 +715,80 @@ func (r *Recorder) Snapshot() *Snapshot {
 // History returns copies of every recorded series whose PID matches,
 // sorted by TID — one entry for process-scope recording, several under
 // per-thread monitoring. Nil when the PID was never observed.
+//
+// Teed into a Keeper, the points are the keeper's, read back outside the
+// recorder's lock: a task's observations among the newest Capacity
+// refreshes this recorder observed since the keeper was attached, from
+// the first of its current run (a reused pid answers for its newest
+// task), timed on the keeper's clock. A task last seen before them has
+// no series; a scan the keeper fails ends the points where it failed.
 func (r *Recorder) History(pid int) []Series {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []Series
+	var spans []span
 	for id, rg := range r.series {
 		if id.PID != pid {
 			continue
 		}
+		if r.keeper != nil {
+			sp, ok := r.window(rg)
+			if !ok {
+				continue
+			}
+			spans = append(spans, sp)
+		}
 		out = append(out, r.copySeries(rg))
+	}
+	keeper, ncols := r.keeper, max(r.ncols, 0)
+	r.mu.RUnlock()
+	if len(spans) > 0 {
+		replay(keeper, pid, out, spans, ncols)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TID < out[j].TID })
 	return out
+}
+
+// span is the part of one task's series History reads from the keeper:
+// its tid and first and last millisecond on the keeper's clock.
+type span struct {
+	tid      int
+	from, to int64
+}
+
+// window is the span of rg's current run among the newest Capacity
+// refreshes the keeper kept. Not ok when rg was last seen before them.
+func (r *Recorder) window(rg *ring) (span, bool) {
+	c := uint64(len(r.times))
+	lo, hi := max(rg.since, r.teedAt), min(rg.lastEpoch, r.timed)
+	if r.timed >= c {
+		lo = max(lo, r.timed-c+1)
+	}
+	return span{rg.id.TID, r.times[lo%c].Milliseconds(), r.times[hi%c].Milliseconds()}, lo <= hi
+}
+
+// replay appends to each out[i] the keeper's observations of pid inside
+// spans[i], with ncols values as push would have packed them: 0 for a
+// column the kept row lacks.
+func replay(k Keeper, pid int, out []Series, spans []span, ncols int) {
+	from, to := spans[0].from, spans[0].to
+	for _, sp := range spans[1:] {
+		from, to = min(from, sp.from), max(to, sp.to)
+	}
+	// History has no error to return: a failed scan ends the points there.
+	_ = k.Replay(pid, time.Duration(from)*time.Millisecond, time.Duration(to)*time.Millisecond, func(tid int, p *Point) {
+		ms := int64(math.Round(p.TimeSeconds * 1000))
+		for i, sp := range spans {
+			if sp.tid == tid && sp.from <= ms && ms <= sp.to {
+				pt, q := *p, point{instr: p.Instr, cycles: p.Cycles}
+				pt.IPC, pt.Values = q.ipc(), nil
+				if ncols > 0 {
+					pt.Values = make([]float64, ncols)
+					copy(pt.Values, p.Values)
+				}
+				out[i].Points = append(out[i].Points, pt)
+			}
+		}
+	})
 }
 
 func (r *Recorder) copySeries(rg *ring) Series {
@@ -680,9 +802,10 @@ func (r *Recorder) copySeries(rg *ring) Series {
 	}
 }
 
-// AllSeries copies out every recorded series, sorted by PID then TID —
-// the snapshot the expression query engine evaluates against when its
-// backend is live history rather than the durable store.
+// AllSeries copies out every series the rings hold, sorted by PID then
+// TID — the snapshot the expression query engine evaluates against when
+// its backend is a store-less recorder's live history. Teed into a
+// Keeper, the rings hold no points.
 func (r *Recorder) AllSeries() []Series {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -708,13 +831,17 @@ func (r *Recorder) Columns() []string {
 	return append([]string(nil), r.columns...)
 }
 
-// PIDs lists the recorded process IDs, sorted.
+// PIDs lists the recorded process IDs History answers for, sorted.
 func (r *Recorder) PIDs() []int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	seen := make(map[int]bool, len(r.series))
-	for id := range r.series {
-		seen[id.PID] = true
+	for id, rg := range r.series {
+		if r.keeper == nil {
+			seen[id.PID] = true
+		} else if _, ok := r.window(rg); ok {
+			seen[id.PID] = true
+		}
 	}
 	out := make([]int, 0, len(seen))
 	for pid := range seen {

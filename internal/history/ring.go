@@ -32,16 +32,18 @@ const chunkPoints = 64
 // later chunk from its predecessor.
 const firstChunkBytes = 512
 
-// ring is the time series of one task, packed: a list of chunks of
-// chunkPoints points, each a byte string appended to as points arrive —
-// time and the three counter deltas as zigzag varints against the
-// previous point, cpu and the column values XORed against the previous
-// point's (binenc), a chunk's first point against zero so a chunk
-// decodes alone — plus the newest point unpacked, which is what View
-// reads and what the next point is encoded against. A ring costs what
-// its task recorded, not what Capacity allows; the oldest chunk goes once
-// the others cover Capacity points, and the next one reuses its buffer,
-// so a ring that has wrapped appends in place.
+// ring is one task's state: its labels, its newest point unpacked —
+// what View reads and what the next point is encoded against — and,
+// for a recorder teed into no Keeper, its time series, packed: a list of
+// chunks of chunkPoints points, each a byte string appended to as points
+// arrive — time and the three counter deltas as zigzag varints against
+// the previous point, cpu and the column values XORed against the
+// previous point's (binenc), a chunk's first point against zero so a
+// chunk decodes alone. A ring costs what its task recorded, not what
+// Capacity allows; the oldest chunk goes once the others cover Capacity
+// points, and the next one reuses its buffer, so a ring that has wrapped
+// appends in place. A recorder teed into a Keeper holds its rings'
+// newest points only (hold): the keeper has the series.
 type ring struct {
 	id        hpm.TaskID
 	user      string
@@ -50,6 +52,10 @@ type ring struct {
 	coverage  float64       // counted fraction of the latest interval
 	start     time.Duration // TaskInfo.StartTime, the pid-reuse detector
 	lastEpoch uint64
+	// since is the refresh of the first point of the ring's current run:
+	// its admission, its pid's reuse, or the first refresh after a column
+	// change restarted it.
+	since uint64
 	// userAgg and commAgg are the aggregates the task's deltas fold
 	// into, those of aggUser and aggComm — the user and command of its
 	// latest row, where user and comm label the series as first seen —
@@ -105,12 +111,22 @@ func (rg *ring) push(p point, values []float64, capacity int) {
 			pv = 0
 		}
 		b = binenc.AppendFloat(b, pv, v)
-		rg.lastVals[i] = v
 	}
 	rg.chunks[len(rg.chunks)-1] = b
-	rg.last = p
 	rg.n++
+	rg.hold(p, values)
 }
+
+// hold makes p, with one value per column, the ring's newest point
+// without packing it: a row narrower than the screen reads 0 in the
+// columns it lacks, a wider one loses the extra.
+func (rg *ring) hold(p point, values []float64) {
+	clear(rg.lastVals[copy(rg.lastVals, values):])
+	rg.last = p
+}
+
+// drop lets go of every packed point, buffers and all.
+func (rg *ring) drop() { rg.chunks, rg.n = nil, 0 }
 
 // restart empties the ring for a new task under the same id, or for a
 // new column list of ncols values, keeping one buffer to start in.

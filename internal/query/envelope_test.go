@@ -60,12 +60,10 @@ func TestErrorEnvelope(t *testing.T) {
 			http.StatusBadRequest, "negative step -10", "bucket width", nil},
 		{"unknown format", solo, "/api/v1/query?expr=CYCLES&format=yaml",
 			http.StatusBadRequest, `unknown format "yaml"`, "", nil},
-		{"unknown source", solo, "/api/v1/query?expr=CYCLES&source=tape",
-			http.StatusBadRequest, `unknown source "tape"`, "", nil},
 		{"raw query without store", bare, "/api/v1/query?pid=100",
 			http.StatusNotFound, "no durable store configured", "-store DIR", nil},
 		{"live query without recorder", bare, "/api/v1/query?expr=CYCLES",
-			http.StatusNotFound, "no live recorder", "source=live", nil},
+			http.StatusNotFound, "no live recorder", "-store DIR", nil},
 		{"fleet without stores", empty, "/api/v1/query?expr=CYCLES",
 			http.StatusNotFound, "no durable store configured", "-store DIR", nil},
 		{"fleet raw unknown agent", fleet, "/api/v1/query?pid=100&agent=nope",

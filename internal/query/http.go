@@ -5,8 +5,8 @@ package query
 // consumes it — the query side of the remote monitoring story. Without
 // expr the endpoint serves one source's raw per-task series (the raw
 // plan, RunRaw); with expr the shared engine evaluates it over the
-// selected sources. Both shapes read the selected stores, or live
-// history when no store is configured. Parse and validation failures are
+// selected sources. Both shapes read the selected stores, or a
+// store-less recorder's live history. Parse and validation failures are
 // always HTTP 400 with the offending position — never 500 — and unknown
 // identifiers name the nearest known ones.
 
@@ -37,8 +37,8 @@ import (
 //
 // both as JSON, or OpenMetrics text with &format=openmetrics (or an
 // Accept header asking for it). Both shapes pick their sources by one
-// rule: rec's live rings when stores is empty (no -store) or with
-// ?source=live, the selected stores otherwise. A solo daemon is the
+// rule: rec's live rings when stores is empty (no -store), the selected
+// stores otherwise. A solo daemon is the
 // fleet of one unlabelled store, {"": st}, which no selector can
 // mismatch (?agent= is ignored); an aggregator's stores are keyed by
 // agent label, ?agent=label selecting one and ?agent=* (or no selector)
@@ -74,10 +74,10 @@ func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler
 			p.agent = "" // an unlabelled store has no selector to mismatch
 		}
 		switch st, ok := stores[p.agent]; {
-		case p.live || len(stores) == 0:
+		case len(stores) == 0:
 			if rec == nil {
 				remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured and no live recorder to query",
-					"start tiptopd with -store DIR; source=live needs a daemon that samples locally")
+					"start tiptopd with -store DIR")
 				return
 			}
 			srcs[""] = Rings(rec)
@@ -165,7 +165,6 @@ type params struct {
 	pid         int // -1 = every task (raw queries)
 	opt         Options
 	format      string
-	live        bool // source=live: the recorder, even beside a store
 }
 
 // respond writes a result in the negotiated format — indented JSON or
@@ -237,13 +236,6 @@ func parseParams(v url.Values) (*params, error) {
 	case "", "json", "openmetrics", "om":
 	default:
 		return nil, fmt.Errorf("unknown format %q (want json or openmetrics)", p.format)
-	}
-	switch v.Get("source") {
-	case "", "store":
-	case "live":
-		p.live = true
-	default:
-		return nil, fmt.Errorf("unknown source %q (want live or store)", v.Get("source"))
 	}
 	return p, nil
 }
@@ -366,7 +358,7 @@ func (c *Client) Query(q store.QueryOptions, extra ...string) (*RawResult, error
 
 // QueryExpr runs one expression query on the daemon. extra parameters
 // come in name/value pairs — "agent", "*" merges a fleet aggregator's
-// agents, "source", "live" forces a solo daemon's live rings.
+// agents.
 func (c *Client) QueryExpr(expr string, opt Options, extra ...string) (*Result, error) {
 	var res Result
 	if err := c.get(&res, opt, append(extra[:len(extra):len(extra)], "expr", expr)...); err != nil {

@@ -1,8 +1,8 @@
 package query
 
 // Sources: whatever replays its history as store records. A durable
-// store is one as it stands; live history rings become one through
-// Rings; a fleet is several, labelled by agent. Run scans each into an
+// store is one as it stands; a store-less recorder's live rings become
+// one through Rings; a fleet is several, labelled by agent. Run scans each into an
 // engine of its own and merges the partials in sorted label order, so
 // the result is independent of scan interleaving — the bucketing,
 // grouping and evaluation semantics live in the engine alone.
@@ -34,10 +34,11 @@ type Source interface {
 	ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols []string) error) (time.Duration, error)
 }
 
-// Rings adapts a live recorder's ring buffers — the data the
+// Rings adapts a store-less recorder's ring buffers — the data the
 // interactive screens render — to a Source: one raw-resolution record
 // per recorded instant, rows in PID/TID order, counting countNames, with
-// the machine roll-up the store's writer would have computed.
+// the machine roll-up the store's writer would have computed. A recorder
+// teed into a store holds no points in its rings; query the store.
 func Rings(rec *history.Recorder) Source { return rings{rec} }
 
 type rings struct{ *history.Recorder }

@@ -29,9 +29,12 @@ package store
 // decoded into and goes back to the workers whole once merged, so what a
 // scan holds decoded is bounded by rows, not records. The walker's own
 // state (read buffer, frame payload buffer, dictionary slice, string
-// intern table) outlives the scan in a sync.Pool. Records and batches do
-// not: a pool would park 2000-row records across requests for the
-// collector to mark, and a narrow range decodes only a handful.
+// intern table) outlives the scan on a small free list the package owns
+// — not a sync.Pool, which every GC empties, so a daemon whose heap is
+// small enough to collect often would rebuild walkers per query. Records
+// and batches do not: a free list would park 2000-row records across
+// requests for the collector to mark, and a narrow range decodes only a
+// handful.
 //
 // The determinism contract: for the same snapshot, ScanWith emits the
 // same records with the same column annotations regardless of worker
@@ -234,7 +237,7 @@ func (st *Store) ScanWith(opts ScanOptions, fn func(rec *Record, cols []string) 
 // intern table, so a dictionary string is made once per distinct string,
 // not once per file per scan.
 // Scanners outlive the scan that used them: getScanner leases one from
-// a pool, release hands it back.
+// the free list, release hands it back.
 type segScanner struct {
 	fsys   filesystem  // where the files are
 	proj   *projection // nil = full decode
@@ -250,24 +253,34 @@ type segScanner struct {
 // names churn cannot grow it without bound.
 const internMax = 4096
 
-var scanners = sync.Pool{New: func() any {
-	return &segScanner{fr: newFrameReader(nil), intern: make(map[string]string)}
-}}
+// scanners is the free list of idle scanners — Effective Go's leaky
+// buffer, a few per CPU: what concurrent scans and their workers lease
+// at once.
+var scanners = make(chan *segScanner, 4*runtime.GOMAXPROCS(0))
 
 // getScanner leases a scanner that reads fsys and decodes under proj.
 func getScanner(fsys filesystem, proj *projection) *segScanner {
-	s := scanners.Get().(*segScanner)
+	var s *segScanner
+	select {
+	case s = <-scanners:
+	default:
+		s = &segScanner{fr: newFrameReader(nil), intern: make(map[string]string)}
+	}
 	s.fsys, s.proj = fsys, proj
 	return s
 }
 
-// release returns the scanner to the pool, holding neither the file it
-// last read nor the scan's filesystem and projection. What it decoded
-// stays valid: records share only the dictionary's immutable strings.
+// release returns the scanner to the free list, holding neither the file
+// it last read nor the scan's filesystem and projection; a full list lets
+// it go. What it decoded stays valid: records share only the
+// dictionary's immutable strings.
 func (s *segScanner) release() {
 	s.fr.reset(nil)
 	s.fsys, s.proj = nil, nil
-	scanners.Put(s)
+	select {
+	case scanners <- s:
+	default:
+	}
 }
 
 // scanFile streams one segment's in-range records. Frames are

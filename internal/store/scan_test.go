@@ -516,7 +516,7 @@ func TestDecodeRefusesClaimedValueCounts(t *testing.T) {
 	}
 }
 
-// TestPooledScannerCarriesNothingOver: a scanner back from the pool
+// TestPooledScannerCarriesNothingOver: a scanner back from the free list
 // starts every file clean. Two stores whose columns are the same names in
 // opposite order are scanned back to back on one goroutine, projected on
 // one name: the second scan keeps that name's position in its own layout,
@@ -581,7 +581,7 @@ func TestPooledScannerCarriesNothingOver(t *testing.T) {
 	small := frame(newV2Dict([]string{"one", "two"}).appendDictFrame(nil, 0))
 	sc := getScanner(nil, nil)
 	defer sc.release()
-	clear(sc.intern) // whatever the pool's last user left
+	clear(sc.intern) // whatever the free list's last user left
 	none := func() *Record { t.Fatal("a dictionary-only segment decoded a record"); return nil }
 	for _, step := range []struct {
 		seg  []byte
@@ -665,4 +665,39 @@ func TestScanConcurrentAppendCompact(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestScannersSurviveGC: the walkers a query leases outlive collections
+// between queries — a repeated scan allocates no more after two
+// runtime.GC() calls than before them (beyond what the calls allocate
+// themselves), inline or through the scan pool. A sync.Pool would have
+// emptied by then (its victim cache lasts one cycle), and every scan
+// would build its walkers again: read and frame buffers, an intern
+// table. A daemon whose heap is small collects often.
+func TestScannersSurviveGC(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 16 << 10})
+	defer st.Close()
+	st.SetColumns([]string{"branch-miss", "llc-load"})
+	seed := uint64(3)
+	fillVaried(t, st, time.Second, time.Second, 400, 6, &seed)
+	for _, workers := range []int{1, 4} {
+		opts := ScanOptions{QueryOptions: QueryOptions{PID: -1}, Workers: workers}
+		scan := func() {
+			if _, err := st.ScanWith(opts, func(*Record, []string) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		collect := func() {
+			runtime.GC()
+			runtime.GC()
+		}
+		before := testing.AllocsPerRun(5, scan)
+		after := testing.AllocsPerRun(5, func() {
+			collect()
+			scan()
+		}) - testing.AllocsPerRun(5, collect)
+		if after > before {
+			t.Errorf("%d-worker scan: %.0f allocations after two collections, %.0f without", workers, after, before)
+		}
+	}
 }

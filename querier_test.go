@@ -11,10 +11,10 @@ import (
 	"tiptop"
 )
 
-// querierFixture builds a recorder and a store fed the same simulated
-// samples, plus an HTTP server exposing them — the three Querier
-// backends over one data set.
-func querierFixture(t *testing.T) (*tiptop.Recorder, *tiptop.Store, *httptest.Server) {
+// querierFixture builds a recorder teed into a store, a store-less
+// recorder fed the same simulated samples, and an HTTP server exposing
+// the first two — the four Querier backends over one data set.
+func querierFixture(t *testing.T) (rec, bare *tiptop.Recorder, st *tiptop.Store, ts *httptest.Server) {
 	t.Helper()
 	st, err := tiptop.OpenStore(t.TempDir(), tiptop.StoreOptions{})
 	if err != nil {
@@ -38,9 +38,11 @@ func querierFixture(t *testing.T) (*tiptop.Recorder, *tiptop.Store, *httptest.Se
 	}
 	defer mon.Close()
 
-	rec := tiptop.NewRecorder(tiptop.RecorderOptions{})
+	rec = tiptop.NewRecorder(tiptop.RecorderOptions{})
 	rec.Tee(st)
 	mon.Subscribe(rec)
+	bare = tiptop.NewRecorder(tiptop.RecorderOptions{})
+	mon.Subscribe(bare)
 	for i := 0; i < 10; i++ {
 		if _, err := mon.Sample(); err != nil {
 			t.Fatalf("Sample %d: %v", i, err)
@@ -49,16 +51,17 @@ func querierFixture(t *testing.T) (*tiptop.Recorder, *tiptop.Store, *httptest.Se
 
 	mux := http.NewServeMux()
 	mux.Handle("GET /api/v1/query", tiptop.QueryHandler(st, rec))
-	ts := httptest.NewServer(mux)
+	ts = httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return rec, st, ts
+	return rec, bare, st, ts
 }
 
 // TestQuerierUnification: the same expression through every Querier
-// backend — Store, Recorder, QueryClient — answers identically over the
-// same samples.
+// backend — Store, a Recorder teed into it (which queries the store), a
+// store-less Recorder (its rings), QueryClient — answers identically
+// over the same samples.
 func TestQuerierUnification(t *testing.T) {
-	rec, st, ts := querierFixture(t)
+	rec, bare, st, ts := querierFixture(t)
 	qc, err := tiptop.NewQueryClient(ts.URL)
 	if err != nil {
 		t.Fatalf("NewQueryClient: %v", err)
@@ -67,6 +70,7 @@ func TestQuerierUnification(t *testing.T) {
 	backends := map[string]tiptop.Querier{
 		"store":    st.Querier(),
 		"recorder": rec.Querier(),
+		"rings":    bare.Querier(),
 		"client":   qc,
 	}
 	exprs := []string{
@@ -101,20 +105,20 @@ func TestQuerierUnification(t *testing.T) {
 // parameters instead of silently ignoring them; the client forwards
 // them.
 func TestQuerierLocalRejectsExtra(t *testing.T) {
-	rec, st, ts := querierFixture(t)
+	rec, bare, st, ts := querierFixture(t)
 	qc, err := tiptop.NewQueryClient(ts.URL)
 	if err != nil {
 		t.Fatalf("NewQueryClient: %v", err)
 	}
 	opt := tiptop.QueryOptions{StepSeconds: 2}
-	for name, q := range map[string]tiptop.Querier{"store": st.Querier(), "recorder": rec.Querier()} {
-		_, err := q.QueryExpr("rate(CYCLES)", opt, "source", "live")
+	for name, q := range map[string]tiptop.Querier{"store": st.Querier(), "recorder": rec.Querier(), "rings": bare.Querier()} {
+		_, err := q.QueryExpr("rate(CYCLES)", opt, "agent", "*")
 		if err == nil || !strings.Contains(err.Error(), "remote-only") {
 			t.Fatalf("%s accepted extra params, err = %v", name, err)
 		}
 	}
-	if _, err := qc.QueryExpr("rate(CYCLES)", opt, "source", "live"); err != nil {
-		t.Fatalf("client with source=live: %v", err)
+	if _, err := qc.QueryExpr("rate(CYCLES)", opt, "agent", "*"); err != nil {
+		t.Fatalf("client with agent=*: %v", err)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // RecorderOptions tune a Recorder; the zero value gives a 600-point
-// ring per task, a one-minute rate window and an 8192-series retention
-// bound.
+// ring per task (600 refreshes of history read back from a teed store),
+// a one-minute rate window and an 8192-series retention bound.
 type RecorderOptions = history.Options
 
 // HistoryPoint is one recorded observation of a task.
@@ -32,16 +32,20 @@ type Aggregate = history.Aggregate
 // observation of every live task.
 type Snapshot = history.Snapshot
 
-// Recorder accumulates a Monitor's samples into per-task ring buffers,
-// packed and bounded by RecorderOptions.Capacity, and incrementally
-// maintained aggregates. Recording happens synchronously on the sampling
-// goroutine and — once the aggregate entries exist and a task's ring has
-// filled; a growing one takes a buffer per 64 points — performs no
-// allocations, so a subscribed Recorder does not perturb the engine's
-// refresh cost.
+// Recorder accumulates a Monitor's samples into incrementally
+// maintained aggregates, each task's newest observation, and its
+// history: per-task ring buffers, packed and bounded by
+// RecorderOptions.Capacity — or, teed into a Store (Tee), the store's
+// raw tier, and no rings. Recording happens synchronously on the
+// sampling goroutine and — once the aggregate entries exist and a task's
+// ring has filled (a growing one takes a buffer per 64 points), or from
+// its second refresh on when teed — performs no allocations, so a
+// subscribed Recorder does not perturb the engine's refresh cost.
 // Queries are safe from any goroutine while sampling continues.
 type Recorder struct {
 	h *history.Recorder
+	// st is the store the recorder is teed into, nil for none.
+	st *Store
 	// scrape is what WriteOpenMetrics keeps between calls.
 	scrape exposition
 }
@@ -122,9 +126,12 @@ func (r *Recorder) Snapshot() *Snapshot { return r.h.Snapshot() }
 
 // History returns the recorded series of every task with the given PID
 // (several under per-thread monitoring), or nil if it was never seen.
+// Teed into a Store, it reads the store's raw tier, timed on the store
+// clock, for the tasks seen in the recorder's newest Capacity refreshes
+// since the Tee: one scan of every row in that span.
 func (r *Recorder) History(pid int) []HistorySeries { return r.h.History(pid) }
 
-// PIDs lists every recorded process ID, sorted.
+// PIDs lists the recorded process IDs History answers for, sorted.
 func (r *Recorder) PIDs() []int { return r.h.PIDs() }
 
 // WriteOpenMetrics renders the recorder's aggregates and latest task

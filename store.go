@@ -7,10 +7,13 @@ package tiptop
 // semantics.
 
 import (
+	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"tiptop/internal/history"
+	"tiptop/internal/hpm"
 	"tiptop/internal/query"
 	"tiptop/internal/store"
 )
@@ -60,12 +63,57 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 // to the store, on the sampling goroutine but outside the recorder's
 // lock. Append errors are latched — check Store.Err. Not safe to call
 // concurrently with sampling.
+//
+// The store becomes the recorder's history: the recorder keeps each
+// task's newest observation only, History reads the refreshes it
+// observed back from the store's raw tier, and Querier queries the
+// store. Tee(nil) detaches it, and the recorder keeps points of its
+// own again from the next refresh on.
 func (r *Recorder) Tee(st *Store) {
+	r.st = st
 	if st == nil {
 		r.h.Tee(nil)
 		return
 	}
-	r.h.Tee(st.s)
+	r.h.Tee(keeper{st.s})
+}
+
+// keeper is a store as a teed recorder's history.Keeper: the raw tier
+// replays a task's refreshes as history points, counts read by event
+// name, time on the store clock — the points /api/v1/query?pid= serves.
+type keeper struct{ *store.Store }
+
+func (k keeper) Replay(pid int, from, to time.Duration, fn func(tid int, p *history.Point)) error {
+	secs := func(d time.Duration) float64 { return float64(d.Milliseconds()) / 1000 } // as the records read
+	var p history.Point
+	_, err := k.ScanWith(store.ScanOptions{QueryOptions: store.QueryOptions{
+		// A bound of 0 would read to the end.
+		FromSeconds: secs(from), ToSeconds: max(secs(to), math.SmallestNonzeroFloat64),
+	}}, func(rec *store.Record, _ []string) error {
+		instr, cycles := slices.Index(rec.Events, hpm.EventInstructions), slices.Index(rec.Events, hpm.EventCycles)
+		misses := slices.Index(rec.Events, hpm.EventCacheMisses)
+		for i := range rec.Rows {
+			row := &rec.Rows[i]
+			if row.PID != pid {
+				continue
+			}
+			p = history.Point{
+				TimeSeconds: rec.TimeSeconds, CPUPct: row.CPUPct, Values: row.Values,
+				Instr: count(row.Counts, instr), Cycles: count(row.Counts, cycles), Misses: count(row.Counts, misses),
+			}
+			fn(row.TID, &p)
+		}
+		return nil
+	})
+	return err
+}
+
+// count is counts[i], 0 for an event the record does not count.
+func count(counts []uint64, i int) uint64 {
+	if i < 0 || i >= len(counts) {
+		return 0
+	}
+	return counts[i]
 }
 
 // Dir returns the store's directory.
@@ -101,10 +149,13 @@ func (st *Store) Query(q StoreQuery) (*StoreResult, error) {
 func (st *Store) Handler() http.Handler { return QueryHandler(st, nil) }
 
 // QueryHandler serves the full /api/v1/query contract for a daemon: raw
-// range queries and expression queries, both against the store, or the
-// recorder's live rings when st is nil or with ?source=live. Either
-// argument may be nil.
+// range queries and expression queries, both against the store — st, or
+// the one rec is teed into when st is nil — or else against a store-less
+// recorder's live rings. Either argument may be nil.
 func QueryHandler(st *Store, rec *Recorder) http.Handler {
+	if st == nil && rec != nil {
+		st = rec.st
+	}
 	// A solo daemon is a fleet of one unlabelled store.
 	stores := map[string]*Store{}
 	if st != nil {
@@ -185,8 +236,7 @@ type QueryPoint = query.Point
 // durable-history counterpart of NewRemoteMonitor's live stream. It
 // serves both raw range queries (Query) and expression queries
 // (QueryExpr; optional extra parameters come in name/value pairs —
-// "agent", "*" merges a fleet aggregator's agents, "source", "live"
-// forces a solo daemon's live rings).
+// "agent", "*" merges a fleet aggregator's agents).
 type QueryClient = query.Client
 
 // NewQueryClient builds a query client for a daemon at addr
