@@ -45,7 +45,8 @@ docs:
 # CI runs them so a grammar change that
 # panics, breaks the canonical rendering fixpoint, lets a non-finite
 # value through the totality rule, lets the engine's slot-bound column
-# evaluation drift from Expr.Eval, makes the store's frame reader or
+# evaluation drift from Expr.Eval or a lane of the column kernel from
+# its row evaluated alone, makes the store's frame reader or
 # either wire decoder (binary, JSON + SSE) panic/over-read on corrupt
 # bytes or accept a newer version, lets a hand-written JSON encoder
 # (the wire sample's, the query responses') drift from encoding/json, or
@@ -61,6 +62,7 @@ docs:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundEvalMatchesEnv$$' -fuzztime 15s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalRowsMatchesOne$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryJSONIdentity$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s ./internal/store/

@@ -170,6 +170,55 @@ func BenchmarkMetricExprEvalBound(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalRows evaluates a screen's columns over a refresh's rows as
+// the sampling engine does, a column at a time over a slot matrix
+// ("rows"), against the same columns run a row at a time, each a batch
+// of one ("one"): the wide screen over 320 rows (live_mux's shape) and
+// the default one over 2000 (live_fleet's).
+func BenchmarkEvalRows(b *testing.B) {
+	for _, tc := range []struct {
+		screen string
+		rows   int
+	}{{"wide", 320}, {"default", 2000}} {
+		sc := metrics.BuiltinScreens()[tc.screen]
+		names := append(sc.Identifiers(), metrics.ContextVars[:]...)
+		cols, depth := make([]*metrics.Bound, len(sc.Columns)), 0
+		for j, col := range sc.Columns {
+			var err error
+			if cols[j], err = col.Expr.Bind(names); err != nil {
+				b.Fatal(err)
+			}
+			depth = max(depth, cols[j].Depth())
+		}
+		stride, r := len(names), rand.New(rand.NewSource(1))
+		m := make([]float64, tc.rows*stride)
+		for i := range m {
+			m[i] = float64(r.Intn(1e9))
+		}
+		out := make([]float64, tc.rows)
+		b.Run(fmt.Sprintf("%s/%d/rows", tc.screen, tc.rows), func(b *testing.B) {
+			var scratch metrics.Scratch
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, col := range cols {
+					col.EvalRows(out, m, stride, &scratch)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%s/%d/one", tc.screen, tc.rows), func(b *testing.B) {
+			stack := make([]float64, depth)
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, col := range cols {
+					for i := range out {
+						out[i] = col.Eval(m[i*stride:(i+1)*stride], stack)
+					}
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMonitorSample(b *testing.B) {
 	sc, err := NewScenario(MachineXeonW3550)
 	if err != nil {

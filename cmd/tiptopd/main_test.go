@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -222,7 +223,7 @@ func TestDaemonHistoryErrors(t *testing.T) {
 		status int
 		msg    string
 	}{
-		{"pid=999999", http.StatusNotFound, "pid 999999 was never observed"},
+		{"pid=999999", http.StatusNotFound, "pid 999999 has no history here: not observed in the newest 64 refreshes, or evicted"},
 		{"pid=abc", http.StatusBadRequest, `bad pid "abc"`},
 		{"pid=-1", http.StatusBadRequest, `bad pid "-1"`},
 	} {
@@ -239,6 +240,40 @@ func TestDaemonHistoryErrors(t *testing.T) {
 	}
 	if status, _ := get(t, srv.URL+"/api/v1/nope"); status != http.StatusNotFound {
 		t.Fatalf("unknown endpoint status = %d, want 404", status)
+	}
+
+	// With a store, History reads the newest History refreshes back from
+	// it: a pid the recorder observed before them has no series either,
+	// and the 404 says so rather than that it was never observed.
+	sc := sim(t, "datacenter")
+	d, err := tiptop.NewDaemon(tiptop.Config{Interval: 10 * time.Millisecond, StoreDir: t.TempDir()},
+		tiptop.DaemonOptions{Sim: sc, History: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	refresh := func(n int) {
+		for range n {
+			if _, err := d.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refresh(2)
+	pid := d.Recorder().PIDs()[0]
+	if status, body := get(t, ts.URL+"/api/v1/history?pid="+strconv.Itoa(pid)); status != http.StatusOK {
+		t.Fatalf("pid %d while it runs: %d %s", pid, status, body)
+	}
+	if err := sc.Kill(pid); err != nil {
+		t.Fatal(err)
+	}
+	refresh(4) // its exit row, then two refreshes without it
+	want := httptest.NewRecorder()
+	remote.WriteError(want, http.StatusNotFound, fmt.Sprintf("pid %d has no history here: not observed in the newest 2 refreshes, or evicted", pid))
+	if status, body := get(t, ts.URL+"/api/v1/history?pid="+strconv.Itoa(pid)); status != http.StatusNotFound || body != want.Body.String() {
+		t.Errorf("pid %d after it left the window = %d %q, want 404 %q", pid, status, body, want.Body.String())
 	}
 }
 

@@ -629,9 +629,13 @@ func (d *Daemon) history(w http.ResponseWriter, r *http.Request) {
 		remote.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad pid %q", q))
 		return
 	}
-	series := d.Recorder().History(pid)
+	rec := d.Recorder()
+	series := rec.History(pid)
 	if series == nil {
-		remote.WriteError(w, http.StatusNotFound, fmt.Sprintf("pid %d was never observed", pid))
+		// History has no series for a pid it never saw, one the
+		// MaxSeries bound evicted, and (with a store, which it reads
+		// for the newest Capacity refreshes) one last seen before them.
+		remote.WriteError(w, http.StatusNotFound, fmt.Sprintf("pid %d has no history here: not observed in the newest %d refreshes, or evicted", pid, rec.h.Capacity()))
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {

@@ -328,10 +328,15 @@ type Session struct {
 	// epoch counts refreshes: a task's state or attach failure stamped
 	// with an older one belongs to a task the snapshot no longer lists.
 	epoch uint64
-	// Scratch reused across refreshes, reachable from no sample: one
-	// row's slot vector and the column evaluator's value stack.
-	slots     []float64
-	stack     []float64
+	// Scratch reused across refreshes, reachable from no sample: the
+	// slot matrix, a row of stride slots per monitored row of the
+	// refresh, the Values each of those rows takes its columns in, and
+	// the column kernel's output and stack.
+	lanes     []float64
+	stride    int
+	dest      [][]float64
+	out       []float64
+	kernel    metrics.Scratch
 	observers []Observer
 	closed    bool
 }
@@ -388,17 +393,14 @@ func NewSession(backend hpm.Backend, proc ProcSource, clock Clock, opt Options) 
 	}
 	s.table = NewEventTable(slots...)
 	slots = append(slots, metrics.ContextVars[:]...)
-	depth := 0
 	for _, col := range opt.Screen.Columns {
 		b, err := col.Expr.Bind(slots)
 		if err != nil {
 			return nil, fmt.Errorf("core: screen %q column %q: %w", opt.Screen.Name, col.Name, err)
 		}
 		s.columns = append(s.columns, b)
-		depth = max(depth, b.Depth())
 	}
-	s.slots = make([]float64, len(slots))
-	s.stack = make([]float64, depth)
+	s.stride = len(slots)
 	return s, nil
 }
 
@@ -548,6 +550,7 @@ func (s *Session) Update() (*Sample, error) {
 		}
 	}
 
+	s.evaluate()
 	sample := &Sample{Time: now, Rows: rows, Dropped: dropped, Screen: s.opt.Screen}
 	s.sortRows(sample.Rows)
 	// Observers run before MaxRows clips the display: recording and
@@ -559,6 +562,36 @@ func (s *Session) Update() (*Sample, error) {
 		sample.Rows = sample.Rows[:s.opt.MaxRows]
 	}
 	return sample, nil
+}
+
+// lane returns the next row of the refresh's slot matrix, whose columns
+// evaluate will write into vals.
+func (s *Session) lane(vals []float64) []float64 {
+	at := len(s.dest) * s.stride
+	if at+s.stride > len(s.lanes) {
+		grown := make([]float64, 2*(at+s.stride))
+		copy(grown, s.lanes)
+		s.lanes = grown
+	}
+	s.dest = append(s.dest, vals)
+	return s.lanes[at : at+s.stride]
+}
+
+// evaluate computes the screen's columns for every row the refresh
+// staged a lane for, a column at a time.
+func (s *Session) evaluate() {
+	if len(s.out) < len(s.dest) {
+		s.out = make([]float64, cap(s.dest))
+	}
+	out := s.out[:len(s.dest)]
+	for j, col := range s.columns {
+		col.EvalRows(out, s.lanes, s.stride, &s.kernel)
+		for l, v := range out {
+			s.dest[l][j] = v
+		}
+	}
+	clear(s.dest) // the rows' Values belong to the sample
+	s.dest = s.dest[:0]
 }
 
 // Subscribe registers an observer for every subsequent sample. Not safe

@@ -100,9 +100,9 @@ func (s *Session) noteFailure(id hpm.TaskID, now time.Duration, err error) {
 	}
 }
 
-// sampleTask fills row: it reads counter deltas into deltas and
-// evaluates the screen columns into vals — the row's pre-carved slots
-// of this refresh's arrays.
+// sampleTask fills row: it reads counter deltas into deltas and stages
+// the row's slots for evaluate, which computes the screen columns into
+// vals — the row's pre-carved slots of this refresh's arrays.
 func (s *Session) sampleTask(row *Row, st *taskState, info *TaskInfo, now time.Duration, vals []float64, deltas []uint64) {
 	var counts []hpm.Count
 	var err error
@@ -122,19 +122,17 @@ func (s *Session) sampleTask(row *Row, st *taskState, info *TaskInfo, now time.D
 	st.prevCounts = counts
 
 	cpuPct := s.cpuPct(st, info, now)
+	slots := s.lane(vals)
 	for i, d := range deltas {
-		s.slots[i] = float64(d)
+		slots[i] = float64(d)
 	}
-	ctx := s.slots[len(deltas):]
+	ctx := slots[len(deltas):]
 	interval := now - st.prevSeenAt
 	ctx[metrics.SlotDeltaNS] = float64(interval)
 	ctx[metrics.SlotFreqHz] = s.opt.FreqHz
 	ctx[metrics.SlotCPUPct] = cpuPct
 	ctx[metrics.SlotNumCPU] = float64(s.opt.NumCPUs)
 	ctx[metrics.SlotSamplePct] = coverage * 100
-	for i, col := range s.columns {
-		vals[i] = col.Eval(s.slots, s.stack)
-	}
 	*row = Row{
 		Info:     *info,
 		CPUPct:   cpuPct,

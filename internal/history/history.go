@@ -714,7 +714,8 @@ func (r *Recorder) Snapshot() *Snapshot {
 
 // History returns copies of every recorded series whose PID matches,
 // sorted by TID — one entry for process-scope recording, several under
-// per-thread monitoring. Nil when the PID was never observed.
+// per-thread monitoring. Nil when the PID was never observed or its
+// series was evicted (MaxSeries).
 //
 // Teed into a Keeper, the points are the keeper's, read back outside the
 // recorder's lock: a task's observations among the newest Capacity

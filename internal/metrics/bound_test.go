@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -36,7 +37,8 @@ func savedCorpus(t testing.TB, target string) []string {
 
 // refEval is the recursive tree walk the compiled program replaced,
 // kept as the reference the program is compared against: operators and
-// the *_over_time folds are restated here, builtins come from the table.
+// the *_over_time folds are restated here, builtins come from the table
+// (over one-lane columns).
 func refEval(n node, env Env, bucket bool, points []Env) (float64, error) {
 	switch n := n.(type) {
 	case *numberNode:
@@ -115,7 +117,7 @@ func refEval(n node, env Env, bucket bool, points []Env) (float64, error) {
 			}
 			return finite(acc), nil
 		}
-		var a args
+		var a [3]float64
 		for i, arg := range n.args {
 			v, err := refEval(arg, env, bucket, points)
 			if err != nil {
@@ -133,7 +135,8 @@ func refEval(n node, env Env, bucket bool, points []Env) (float64, error) {
 			}
 			return a[0] * 1e9 / dt, nil
 		}
-		return n.fn.impl(a), nil
+		apply(n.fn.kernel, args{a[0:1], a[1:2], a[2:3]})
+		return a[0], nil
 	}
 	panic("unknown node")
 }
@@ -260,5 +263,87 @@ func TestBoundEvalAllocatesNothing(t *testing.T) {
 	e, env := MustCompile("per100(CACHE_MISSES, INSTRUCTIONS)"), MapEnv{"CACHE_MISSES": 5, "INSTRUCTIONS": 100}
 	if n := testing.AllocsPerRun(100, func() { _, _ = e.Eval(env) }); n != 0 {
 		t.Errorf("%v allocations per Expr.Eval, want 0", n)
+	}
+}
+
+// FuzzEvalRowsMatchesOne guards the column kernel: over an n-row slot
+// matrix every lane of EvalRows is, bit for bit, its row evaluated
+// alone (Bound.Eval, a batch of one) — with zeros, negatives, NaN and
+// ±Inf among the inputs, conditionals selecting per lane, and batches
+// that span several chunks of maxLanes.
+func FuzzEvalRowsMatchesOne(f *testing.F) {
+	srcs := slices.Concat(compileSeeds, savedCorpus(f, "FuzzParseExpr"), []string{
+		"A > B ? A / C : B % C",
+		"A == A ? sqrt(A) : log2(-A)", // NaN lanes take the other branch
+		"clamp(A, B, C) * rate(A) - per1000(B, C) + mega(A) + giga(B)",
+	})
+	for _, sc := range BuiltinScreens() {
+		for _, col := range sc.Columns {
+			srcs = append(srcs, col.Expr.Source())
+		}
+	}
+	for i, src := range srcs {
+		f.Add(src, uint16(i), uint64(i))
+		f.Add(src, uint16(maxLanes+7), uint64(i)+1)
+	}
+	f.Fuzz(func(t *testing.T, src string, n uint16, seed uint64) {
+		e, err := Compile(src)
+		if err != nil {
+			return
+		}
+		names := e.Identifiers()
+		for _, v := range ContextVars {
+			if !slices.Contains(names, v) {
+				names = append(names, v)
+			}
+		}
+		bound, err := e.Bind(names)
+		if err != nil {
+			t.Fatalf("Bind of %q to its identifiers: %v", src, err)
+		}
+		rows, stride := int(n%(3*maxLanes)), len(names)
+		special := []float64{0, -0.5, -3, 1, 1e9, math.NaN(), math.Inf(1), math.Inf(-1), 1e308, 5e-324}
+		r := rand.New(rand.NewPCG(seed, uint64(n)))
+		m := make([]float64, rows*stride)
+		for i := range m {
+			if r.IntN(3) == 0 {
+				m[i] = special[r.IntN(len(special))]
+			} else {
+				m[i] = (r.Float64() - 0.25) * math.Pow(10, float64(r.IntN(12)))
+			}
+		}
+		out := make([]float64, rows)
+		var sc Scratch
+		bound.EvalRows(out, m, stride, &sc)
+		stack := make([]float64, bound.Depth())
+		for i, got := range out {
+			if want := bound.Eval(m[i*stride:(i+1)*stride], stack); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%q lane %d of %d over %v: EvalRows %v, alone %v", src, i, rows, m[i*stride:(i+1)*stride], got, want)
+			}
+		}
+	})
+}
+
+// TestEvalRowsAllocatesNothing pins the kernel's cost contract: once its
+// scratch has grown, a batch evaluation stays off the heap.
+func TestEvalRowsAllocatesNothing(t *testing.T) {
+	sc := BuiltinScreens()["wide"]
+	names := append(sc.Identifiers(), ContextVars[:]...)
+	const rows = 2*maxLanes + 3
+	m := make([]float64, rows*len(names))
+	for i := range m {
+		m[i] = float64(i%97) * 1e6
+	}
+	out := make([]float64, rows)
+	var scratch Scratch
+	for _, col := range sc.Columns {
+		bound, err := col.Expr.Bind(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound.EvalRows(out, m, len(names), &scratch) // warm-up: the scratch grows
+		if n := testing.AllocsPerRun(100, func() { bound.EvalRows(out, m, len(names), &scratch) }); n != 0 {
+			t.Errorf("column %s: %v allocations per EvalRows, want 0", col.Name, n)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -35,7 +36,6 @@ type derivation struct {
 	src    []string
 	events []string
 	prog   []*metrics.Bound
-	depth  int // the deepest program's evaluation stack
 }
 
 // derivable reports why e cannot compute a column over events: nil for
@@ -66,6 +66,9 @@ const maxDerivations = 64
 // for a stored column) over events, nil when src names no expression,
 // and an error for a source no derived column over events may have.
 func derivationOf(src, events []string) (*derivation, error) {
+	if !slices.ContainsFunc(src, func(s string) bool { return s != "" }) {
+		return nil, nil
+	}
 	if d := knownDerivation(src, events); d != nil {
 		return d, nil
 	}
@@ -85,10 +88,6 @@ func derivationOf(src, events []string) (*derivation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("column %d's expression %q: %w", j, s, err)
 		}
-		d.depth = max(d.depth, d.prog[j].Depth())
-	}
-	if d.depth == 0 {
-		return nil, nil
 	}
 	derivations.Lock()
 	defer derivations.Unlock()
@@ -127,28 +126,75 @@ func (d *derivation) mask() (mask uint64) {
 // each evaluates mask's programs over every row that has their column —
 // over its counts per refresh, then its CPU% — and hands fn the row, the
 // column and the value; a false drops the column from the returned mask.
+// The rows are staged into one slot matrix and each program runs over
+// it through the column kernel.
 func (d *derivation) each(rows []RecordRow, mask uint64, fn func(r *RecordRow, j int, v float64) bool) uint64 {
-	var buf [48]float64
-	n, scratch := len(d.events), buf[:]
-	if n+1+d.depth > len(buf) {
-		scratch = make([]float64, n+1+d.depth)
+	if mask == 0 {
+		return 0
 	}
-	slots, stack := scratch[:n+1], scratch[n+1:]
-	for i := 0; i < len(rows) && mask != 0; i++ {
-		r := &rows[i]
+	sc := getEvalScratch()
+	defer releaseEvalScratch(sc)
+	n := len(d.events)
+	stride := n + 1
+	sc.lanes = grown(sc.lanes, len(rows)*stride)
+	sc.out = grown(sc.out, len(rows))
+	for i := range rows {
+		r, slots := &rows[i], sc.lanes[i*stride:(i+1)*stride]
 		for e := range n {
 			if slots[e] = float64(at(r.Counts, e)); r.N > 1 {
 				slots[e] /= float64(r.N)
 			}
 		}
 		slots[n] = r.CPUPct
-		for m := mask; m != 0; m &= m - 1 {
-			if j := bits.TrailingZeros64(m); j < len(r.Values) && !fn(r, j, d.prog[j].Eval(slots, stack)) {
+	}
+	out := sc.out[:len(rows)]
+	for m := mask; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		d.prog[j].EvalRows(out, sc.lanes, stride, &sc.kernel)
+		for i := range rows {
+			if r := &rows[i]; j < len(r.Values) && !fn(r, j, out[i]) {
 				mask &^= 1 << j
+				break
 			}
 		}
 	}
 	return mask
+}
+
+// grown returns s when it holds n values, else a slice that does, with
+// room to grow.
+func grown(s []float64, n int) []float64 {
+	if len(s) < n {
+		return make([]float64, max(n, 2*len(s)))
+	}
+	return s
+}
+
+// evalScratch is what each stages rows and runs the column kernel in.
+type evalScratch struct {
+	lanes, out []float64
+	kernel     metrics.Scratch
+}
+
+// evalScratches is the free list of idle evaluation scratch, a leaky
+// buffer like the scanners': one per CPU covers the appends, scans and
+// compactions evaluating at once, and each evaluation leases it briefly.
+var evalScratches = make(chan *evalScratch, runtime.GOMAXPROCS(0))
+
+func getEvalScratch() *evalScratch {
+	select {
+	case sc := <-evalScratches:
+		return sc
+	default:
+		return new(evalScratch)
+	}
+}
+
+func releaseEvalScratch(sc *evalScratch) {
+	select {
+	case evalScratches <- sc:
+	default:
+	}
 }
 
 // omit returns the mask of the columns whose every value is what its
