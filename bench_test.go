@@ -294,6 +294,45 @@ func BenchmarkScrapeEncode2000(b *testing.B) {
 	b.ReportMetric(float64(cache.Stats().BodyBytes), "body-bytes")
 }
 
+// BenchmarkRefresh2000 is the refresh of bench/'s live_fleet node —
+// SampleNow, which feeds a recorder teed into a store, then WireSample
+// and Publish — at its 2000 tasks and at smaller sizes around
+// core.SplitRows. The simulated machine's advance is outside the timer.
+// Run it with -cpu 1,2: at two procs a sample of SplitRows tasks or more
+// tees beside the recorder's fold and builds its public rows in halves.
+func BenchmarkRefresh2000(b *testing.B) {
+	for _, tasks := range []int{320, 640, 1000, 2000} {
+		b.Run(fmt.Sprint("tasks=", tasks), func(b *testing.B) {
+			sc, mon, rec := scrapeFixture(b, tasks, 3)
+			st, err := OpenStore(b.TempDir(), StoreOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			rec.Tee(st)
+			srv := remote.NewServer(rec.WriteOpenMetrics)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sc.Advance(time.Second)
+				b.StartTimer()
+				s, err := mon.SampleNow()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := srv.Publish(mon.WireSample(s)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := st.Err(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkHistoryStore2000 is what /api/v1/history pays with -store:
 // one task's 600 refreshes read back from the raw tier of a 2000-task
 // node, a scan of every row of the window. internal/history's
@@ -331,8 +370,8 @@ func BenchmarkHistoryStore2000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if h := rec.History(1100); len(h) != 1 || len(h[0].Points) != refreshes {
-			b.Fatalf("%d series", len(h))
+		if h, err := rec.History(1100); err != nil || len(h) != 1 || len(h[0].Points) != refreshes {
+			b.Fatalf("%d series, %v", len(h), err)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -274,6 +276,43 @@ func TestDaemonHistoryErrors(t *testing.T) {
 	remote.WriteError(want, http.StatusNotFound, fmt.Sprintf("pid %d has no history here: not observed in the newest 2 refreshes, or evicted", pid))
 	if status, body := get(t, ts.URL+"/api/v1/history?pid="+strconv.Itoa(pid)); status != http.StatusNotFound || body != want.Body.String() {
 		t.Errorf("pid %d after it left the window = %d %q, want 404 %q", pid, status, body, want.Body.String())
+	}
+}
+
+// TestDaemonHistoryScanFails: with a store, a history whose scan fails
+// — here every raw segment became unreadable under the daemon — is a
+// 500 naming the error, never a 200 with the points read before it.
+func TestDaemonHistoryScanFails(t *testing.T) {
+	dir := t.TempDir()
+	d, err := tiptop.NewDaemon(tiptop.Config{Interval: 10 * time.Millisecond, StoreDir: dir},
+		tiptop.DaemonOptions{Sim: sim(t, "datacenter")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	for range 3 {
+		if _, err := d.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pid := d.Recorder().PIDs()[0]
+	segs, err := filepath.Glob(filepath.Join(dir, "raw-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("raw segments %v, %v", segs, err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(seg, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	status, body := get(t, ts.URL+"/api/v1/history?pid="+strconv.Itoa(pid))
+	if prefix := fmt.Sprintf(`{"error":"pid %d: store: `, pid); status != http.StatusInternalServerError || !strings.HasPrefix(body, prefix) {
+		t.Fatalf("history over unreadable segments = %d %q, want 500 %s…", status, body, prefix)
 	}
 }
 

@@ -630,7 +630,11 @@ func (d *Daemon) history(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := d.Recorder()
-	series := rec.History(pid)
+	series, err := rec.History(pid)
+	if err != nil {
+		remote.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("pid %d: %v", pid, err))
+		return
+	}
 	if series == nil {
 		// History has no series for a pid it never saw, one the
 		// MaxSeries bound evicted, and (with a store, which it reads

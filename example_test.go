@@ -104,7 +104,10 @@ func ExampleRecorder() {
 
 	snap := rec.Snapshot()
 	pids := rec.PIDs()
-	series := rec.History(pids[0])
+	series, err := rec.History(pids[0])
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("refreshes recorded: %d\n", snap.Refreshes)
 	fmt.Printf("tasks live: %d, owned by alice: %v\n", snap.Machine.Tasks, snap.Users["alice"].Tasks == 1)
 	fmt.Printf("points in the task's history: %d\n", len(series[0].Points))

@@ -78,7 +78,11 @@ func main() {
 	// And one process's recorded history: the IPC series Prometheus
 	// would graph, straight from the ring buffer.
 	pid := rec.PIDs()[0]
-	series := rec.History(pid)[0]
+	history, err := rec.History(pid)
+	if err != nil {
+		log.Fatal(err)
+	}
+	series := history[0]
 	points := series.Points
 	if len(points) > 5 {
 		points = points[len(points)-5:]

@@ -108,10 +108,12 @@ type Options struct {
 	Registry *hpm.Registry
 }
 
-// Observer receives every sample a Session produces, synchronously on
-// the sampling goroutine, immediately after the rows are sorted and
-// before any MaxRows truncation — a recorder sees every monitored task
-// even when the display is clipped. A sample owns its storage: the
+// Observer receives every sample a Session produces before Update
+// returns, immediately after the rows are sorted and before any MaxRows
+// truncation — a recorder sees every monitored task even when the
+// display is clipped. Observe is called on the sampling goroutine; a
+// large sample's tee may run on a helper goroutine (Split), and has
+// returned when Observe does. A sample owns its storage: the
 // engine writes nothing of it again once Update returns it, so an
 // observer may keep the sample, its rows and their slices, and must
 // treat them as read-only, like every other holder.

@@ -327,8 +327,9 @@ type Recorder struct {
 	// ring; those still without one when it ends are dropped.
 	orphans []orphan
 	order   viewOrder
-	// tee receives every observed sample after the recorder's own fold,
-	// outside the recorder lock — the hook a durable store attaches by.
+	// tee receives every observed sample after or beside the recorder's
+	// own fold, outside the recorder lock — the hook a durable store
+	// attaches by.
 	// keeper is tee when it is a Keeper: then no ring packs points.
 	tee    core.Observer
 	keeper Keeper
@@ -337,18 +338,29 @@ type Recorder struct {
 	// newest such refresh and teedAt the first the keeper observed.
 	times         []time.Duration
 	timed, teedAt uint64
+	// aside tees teeing, a sample large enough to split (core.Split),
+	// on a helper goroutine beside the fold, and marks teed done. It is
+	// bound once in New: a go statement over a method value allocates.
+	aside  func()
+	teeing *core.Sample
+	teed   sync.WaitGroup
 }
 
 // New creates a Recorder. Column names may be set later (SetColumns);
 // recording works without them, value vectors are sized from the rows.
 func New(opt Options) *Recorder {
-	return &Recorder{
+	r := &Recorder{
 		opt:      opt.withDefaults(),
 		ncols:    -1,
 		series:   make(map[hpm.TaskID]*ring),
 		users:    make(map[string]*aggState),
 		commands: make(map[string]*aggState),
 	}
+	r.aside = func() {
+		r.tee.Observe(r.teeing)
+		r.teed.Done()
+	}
+	return r
 }
 
 // SetColumns records the screen's column names for snapshots and
@@ -384,13 +396,15 @@ type columnSetter interface{ SetColumns([]string) }
 // reaches back.
 func (r *Recorder) Capacity() int { return r.opt.Capacity }
 
-// Tee forwards every subsequently observed sample to o after the
-// recorder's own fold — the attachment point for a durable store
-// (internal/store) or any other secondary observer. The tee runs on the
-// sampling goroutine but outside the recorder's lock, so a slow tee
-// (a disk write) delays the next refresh, not concurrent queries. Like
-// Subscribe, not safe to call concurrently with Observe; a nil o
-// detaches. The tee gets the sample on core.Observer's terms: read-only.
+// Tee forwards every subsequently observed sample to o — the attachment
+// point for a durable store (internal/store) or any other secondary
+// observer. The tee runs outside the recorder's lock, so a slow tee (a
+// disk write) delays the next refresh, not concurrent queries: after the
+// recorder's own fold on the sampling goroutine, or, for a sample large
+// enough to split (core.Split), on a helper goroutine beside the fold.
+// Either way it has returned when Observe does. Like Subscribe, not safe
+// to call concurrently with Observe; a nil o detaches. The tee gets the
+// sample on core.Observer's terms: read-only.
 //
 // A Keeper takes over the rings' points: the rings let go of what they
 // packed and pack nothing while it is attached, and History reads the
@@ -418,13 +432,25 @@ func (r *Recorder) Tee(o core.Observer) {
 
 // Observe records one sample. It is the recorder's hot path: O(rows)
 // and allocation-free once aggregate entries exist and rings have filled
-// — from a task's second refresh on when teed into a Keeper.
+// — from a task's second refresh on when teed into a Keeper. A large
+// sample's tee runs beside the fold (see Tee); the two share only the
+// read-only sample.
 func (r *Recorder) Observe(s *core.Sample) {
-	r.observe(s)
-	if r.tee == nil {
+	switch {
+	case r.tee == nil:
+		r.observe(s)
 		return
+	case core.Split(len(s.Rows)):
+		r.teeing = s
+		r.teed.Add(1)
+		go r.aside()
+		r.observe(s)
+		r.teed.Wait()
+		r.teeing = nil
+	default:
+		r.observe(s)
+		r.tee.Observe(s)
 	}
-	r.tee.Observe(s)
 	if r.keeper != nil {
 		t := r.keeper.LastTime()
 		r.mu.Lock()
@@ -722,8 +748,8 @@ func (r *Recorder) Snapshot() *Snapshot {
 // refreshes this recorder observed since the keeper was attached, from
 // the first of its current run (a reused pid answers for its newest
 // task), timed on the keeper's clock. A task last seen before them has
-// no series; a scan the keeper fails ends the points where it failed.
-func (r *Recorder) History(pid int) []Series {
+// no series. A scan the keeper fails is History's error, with no series.
+func (r *Recorder) History(pid int) ([]Series, error) {
 	r.mu.RLock()
 	var out []Series
 	var spans []span
@@ -743,10 +769,12 @@ func (r *Recorder) History(pid int) []Series {
 	keeper, ncols := r.keeper, max(r.ncols, 0)
 	r.mu.RUnlock()
 	if len(spans) > 0 {
-		replay(keeper, pid, out, spans, ncols)
+		if err := replay(keeper, pid, out, spans, ncols); err != nil {
+			return nil, err
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TID < out[j].TID })
-	return out
+	return out, nil
 }
 
 // span is the part of one task's series History reads from the keeper:
@@ -770,13 +798,12 @@ func (r *Recorder) window(rg *ring) (span, bool) {
 // replay appends to each out[i] the keeper's observations of pid inside
 // spans[i], with ncols values as push would have packed them: 0 for a
 // column the kept row lacks.
-func replay(k Keeper, pid int, out []Series, spans []span, ncols int) {
+func replay(k Keeper, pid int, out []Series, spans []span, ncols int) error {
 	from, to := spans[0].from, spans[0].to
 	for _, sp := range spans[1:] {
 		from, to = min(from, sp.from), max(to, sp.to)
 	}
-	// History has no error to return: a failed scan ends the points there.
-	_ = k.Replay(pid, time.Duration(from)*time.Millisecond, time.Duration(to)*time.Millisecond, func(tid int, p *Point) {
+	return k.Replay(pid, time.Duration(from)*time.Millisecond, time.Duration(to)*time.Millisecond, func(tid int, p *Point) {
 		ms := int64(math.Round(p.TimeSeconds * 1000))
 		for i, sp := range spans {
 			if sp.tid == tid && sp.from <= ms && ms <= sp.to {

@@ -51,7 +51,7 @@ func TestRecorderSeriesAndSnapshot(t *testing.T) {
 		}))
 	}
 
-	series := r.History(1)
+	series := mustHistory(t, r, 1)
 	if len(series) != 1 {
 		t.Fatalf("series for pid 1 = %d, want 1", len(series))
 	}
@@ -69,7 +69,7 @@ func TestRecorderSeriesAndSnapshot(t *testing.T) {
 	if len(p.Values) != 2 || p.Values[1] != 42 {
 		t.Fatalf("point values = %v", p.Values)
 	}
-	if got := r.History(99); got != nil {
+	if got := mustHistory(t, r, 99); got != nil {
 		t.Fatalf("unknown pid returned %v", got)
 	}
 	if pids := r.PIDs(); len(pids) != 2 || pids[0] != 1 || pids[1] != 2 {
@@ -114,7 +114,7 @@ func TestRingWrapsAtCapacity(t *testing.T) {
 			{pid: 7, user: "u", comm: "c", cpuPct: float64(i), instr: 1e9, cycle: 1e9},
 		}))
 	}
-	s := r.History(7)[0]
+	s := mustHistory(t, r, 7)[0]
 	if len(s.Points) != 4 {
 		t.Fatalf("points = %d, want ring capacity 4", len(s.Points))
 	}
@@ -173,7 +173,7 @@ func TestDeadTasksLeaveAggregatesButKeepHistory(t *testing.T) {
 		t.Fatalf("dead command totals = %v", a.Instructions)
 	}
 	// History of the exited task survives, marked not alive.
-	s := r.History(1)
+	s := mustHistory(t, r, 1)
 	if len(s) != 1 || s[0].Alive || len(s[0].Points) != 1 {
 		t.Fatalf("exited series = %+v", s)
 	}
@@ -193,11 +193,11 @@ func TestEvictionPrefersDeadSeries(t *testing.T) {
 		{pid: 3, user: "u", comm: "c", instr: 1, cycle: 1},
 		{pid: 4, user: "u", comm: "d", instr: 1, cycle: 1},
 	}))
-	if got := r.History(1); got != nil {
+	if got := mustHistory(t, r, 1); got != nil {
 		t.Fatalf("dead pid 1 must be evicted, got %+v", got)
 	}
 	for _, pid := range []int{2, 3, 4} {
-		if got := r.History(pid); len(got) != 1 {
+		if got := mustHistory(t, r, pid); len(got) != 1 {
 			t.Fatalf("live pid %d evicted", pid)
 		}
 	}
@@ -222,7 +222,7 @@ func TestPIDReuseStartsFreshSeries(t *testing.T) {
 	reused.Rows[0].Info.StartTime = 2500 * time.Millisecond
 	r.Observe(reused)
 
-	series := r.History(5)
+	series := mustHistory(t, r, 5)
 	if len(series) != 1 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -386,10 +386,10 @@ func TestObserveAggregatesFollowRelabel(t *testing.T) {
 	}
 	// The recycled pid's series restarted under its new labels; the
 	// relabelled task keeps its series and the labels it was first seen with.
-	if s := r.History(1)[0]; s.User != "bob" || len(s.Points) != 2 {
+	if s := mustHistory(t, r, 1)[0]; s.User != "bob" || len(s.Points) != 2 {
 		t.Errorf("recycled pid: user %q with %d points, want bob with 2", s.User, len(s.Points))
 	}
-	if s := r.History(2)[0]; s.User != "bob" || len(s.Points) != 3 {
+	if s := mustHistory(t, r, 2)[0]; s.User != "bob" || len(s.Points) != 3 {
 		t.Errorf("relabelled task: user %q with %d points, want bob with 3", s.User, len(s.Points))
 	}
 	// Every refresh from here on restarts pid 1's ring, which keeps a

@@ -1,7 +1,9 @@
 package history
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -55,8 +57,15 @@ func (k *nopKeeper) Replay(int, time.Duration, time.Duration, func(int, *Point))
 // TestTeedRecorderKeepsNoPoints is the teed recorder's memory and
 // allocation budget: over 200 refreshes of 2000 tasks no ring packs a
 // chunk, and Observe allocates nothing from each task's second refresh
-// on — a ring holds its task's newest point, not its series.
+// on — a ring holds its task's newest point, not its series — with the
+// tee running beside the fold.
 func TestTeedRecorderKeepsNoPoints(t *testing.T) {
+	// Two procs: 2000 rows tee on a helper goroutine (core.Split), and
+	// the budget covers starting and joining it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if !core.Split(2000) {
+		t.Fatal("2000 rows at GOMAXPROCS(2) do not split")
+	}
 	s := manyTaskSample(2000, 4)
 	r := New(Options{})
 	r.SetColumns(make([]string, 4))
@@ -111,7 +120,7 @@ func TestTeedHistoryWindow(t *testing.T) {
 		}
 		return out
 	}
-	h := r.History(1)
+	h := mustHistory(t, r, 1)
 	if len(h) != 1 || !h[0].Alive {
 		t.Fatalf("pid 1: %+v", h)
 	}
@@ -122,10 +131,10 @@ func TestTeedHistoryWindow(t *testing.T) {
 	if p := h[0].Points[3]; p.CPUPct != 6 || p.IPC != 2 || p.Instr != 2e9 || len(p.Values) != 2 || p.Values[1] != 42 {
 		t.Fatalf("pid 1 newest point %+v", p)
 	}
-	if h := r.History(2); h != nil {
+	if h := mustHistory(t, r, 2); h != nil {
 		t.Fatalf("pid 2, last seen before the window, answers %+v", h)
 	}
-	if h := r.History(3); len(h) != 1 || h[0].Command != "reused" || len(h[0].Points) != 2 || h[0].Points[0].TimeSeconds != 3605 {
+	if h := mustHistory(t, r, 3); len(h) != 1 || h[0].Command != "reused" || len(h[0].Points) != 2 || h[0].Points[0].TimeSeconds != 3605 {
 		t.Fatalf("reused pid 3 answers %+v, want the newest task's two points", h)
 	}
 	if got := r.PIDs(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
@@ -135,14 +144,67 @@ func TestTeedHistoryWindow(t *testing.T) {
 	// A column change restarts every ring: the window starts after it.
 	r.SetColumns([]string{"ipc"})
 	observe(7, rowSpec{pid: 1, user: "u", comm: "one", cpuPct: 7, instr: 2e9, cycle: 1e9})
-	if h := r.History(1); len(h) != 1 || len(h[0].Points) != 1 || len(h[0].Points[0].Values) != 1 {
+	if h := mustHistory(t, r, 1); len(h) != 1 || len(h[0].Points) != 1 || len(h[0].Points[0].Values) != 1 {
 		t.Fatalf("pid 1 after the column change: %+v", h)
 	}
 
 	// Detached: rings again, from the next refresh on.
 	r.Tee(nil)
 	observe(8, rowSpec{pid: 1, user: "u", comm: "one", cpuPct: 8, instr: 2e9, cycle: 1e9})
-	if h := r.History(1); len(h) != 1 || len(h[0].Points) != 1 || h[0].Points[0].TimeSeconds != 8 {
+	if h := mustHistory(t, r, 1); len(h) != 1 || len(h[0].Points) != 1 || h[0].Points[0].TimeSeconds != 8 {
 		t.Fatalf("pid 1 detached: %+v", h)
 	}
+}
+
+// failingKeeper is a memKeeper whose Replay fails after passing on its
+// first good points: a store scan that breaks mid-series.
+type failingKeeper struct {
+	memKeeper
+	good int
+}
+
+var errScan = errors.New("segment unreadable")
+
+func (k *failingKeeper) Replay(pid int, from, to time.Duration, fn func(tid int, p *Point)) error {
+	n := 0
+	err := k.memKeeper.Replay(pid, from, to, func(tid int, p *Point) {
+		if n < k.good {
+			fn(tid, p)
+		}
+		n++
+	})
+	if err == nil && n > k.good {
+		err = errScan
+	}
+	return err
+}
+
+// TestTeedHistoryReportsReplayError: a keeper whose scan fails part way
+// through a task's series makes History fail with that error, instead
+// of answering the points read before it as the whole series.
+func TestTeedHistoryReportsReplayError(t *testing.T) {
+	r := New(Options{Capacity: 8})
+	r.SetColumns([]string{"ipc", "const"})
+	k := &failingKeeper{good: 2}
+	r.Tee(k)
+	for i := 1; i <= 5; i++ {
+		r.Observe(mkSample(time.Duration(i)*time.Second, []rowSpec{{pid: 1, user: "u", comm: "one", cpuPct: 1, instr: 2e9, cycle: 1e9}}))
+	}
+	if h, err := r.History(1); !errors.Is(err, errScan) || h != nil {
+		t.Fatalf("History over a failing scan = %d series, %v; want none and %v", len(h), err, errScan)
+	}
+	k.good = 5
+	if h := mustHistory(t, r, 1); len(h) != 1 || len(h[0].Points) != 5 {
+		t.Fatalf("History over a whole scan = %+v, want one series of 5 points", h)
+	}
+}
+
+// mustHistory is r.History(pid), failing tb on its error.
+func mustHistory(tb testing.TB, r *Recorder, pid int) []Series {
+	tb.Helper()
+	h, err := r.History(pid)
+	if err != nil {
+		tb.Fatalf("History(%d): %v", pid, err)
+	}
+	return h
 }

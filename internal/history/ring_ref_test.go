@@ -129,7 +129,7 @@ func (r *refRecorder) checkSeries(tb testing.TB, rec *Recorder) {
 	}
 	for i := range all {
 		id := hpm.TaskID{PID: all[i].PID, TID: all[i].TID}
-		hist := rec.History(id.PID)
+		hist := mustHistory(tb, rec, id.PID)
 		if len(hist) != 1 {
 			tb.Fatalf("History(%d) has %d series, want 1", id.PID, len(hist))
 		}

@@ -45,7 +45,7 @@ func TestNarrowRowReadsZero(t *testing.T) {
 	if got := r.Snapshot().Tasks[0].Values; !sameValues(got, want) {
 		t.Errorf("the snapshot reads %v after the narrow row, want %v", got, want)
 	}
-	points := r.History(1)[0].Points
+	points := mustHistory(t, r, 1)[0].Points
 	if got := points[len(points)-1].Values; !sameValues(got, want) {
 		t.Errorf("History reads %v for the narrow row, want %v", got, want)
 	}
@@ -76,7 +76,7 @@ func TestDeepHistoryCostsNothingUntilFilled(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
 		t.Fatalf("three refreshes of 200 tasks at Capacity 100000 allocate %d bytes, want under 8 MiB", got)
 	}
-	if got := len(r.History(200)[0].Points); got != 3 {
+	if got := len(mustHistory(t, r, 200)[0].Points); got != 3 {
 		t.Fatalf("History has %d points, want 3", got)
 	}
 }
@@ -367,7 +367,7 @@ func BenchmarkHistory600(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if h := r.History(3); len(h[0].Points) != r.Capacity() {
+		if h := mustHistory(b, r, 3); len(h[0].Points) != r.Capacity() {
 			b.Fatalf("%d points", len(h[0].Points))
 		}
 	}

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -667,13 +669,43 @@ func TestScanConcurrentAppendCompact(t *testing.T) {
 	wg.Wait()
 }
 
+// scanAllocs is the median count of heap allocations one call of scan
+// makes, over runs calls after a warm-up one, on one proc as
+// testing.AllocsPerRun counts them and with the collector off. With
+// collect, two collections precede each call, outside the count. The
+// median, because a scan through the pool now and then allocates one
+// batch more or less as its goroutines interleave, and a finalizer the
+// collections queued may allocate while it runs; a scan that rebuilds
+// its walkers allocates more every time.
+func scanAllocs(runs int, collect bool, scan func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	scan()
+	var ms runtime.MemStats
+	counts := make([]uint64, runs)
+	for i := range counts {
+		if collect {
+			runtime.GC()
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		scan()
+		runtime.ReadMemStats(&ms)
+		counts[i] = ms.Mallocs - before
+	}
+	slices.Sort(counts)
+	return counts[runs/2]
+}
+
 // TestScannersSurviveGC: the walkers a query leases outlive collections
 // between queries — a repeated scan allocates no more after two
-// runtime.GC() calls than before them (beyond what the calls allocate
-// themselves), inline or through the scan pool. A sync.Pool would have
-// emptied by then (its victim cache lasts one cycle), and every scan
-// would build its walkers again: read and frame buffers, an intern
-// table. A daemon whose heap is small collects often.
+// runtime.GC() calls than without them, inline or through the scan
+// pool. Only the scan's own allocations are counted, never the
+// collections'. A sync.Pool would have emptied by then (its victim
+// cache lasts one cycle), and every scan would build its walkers again:
+// read and frame buffers, an intern table. A daemon whose heap is small
+// collects often.
 func TestScannersSurviveGC(t *testing.T) {
 	st := mustOpen(t, t.TempDir(), Options{SegmentBytes: 16 << 10})
 	defer st.Close()
@@ -687,17 +719,9 @@ func TestScannersSurviveGC(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		collect := func() {
-			runtime.GC()
-			runtime.GC()
-		}
-		before := testing.AllocsPerRun(5, scan)
-		after := testing.AllocsPerRun(5, func() {
-			collect()
-			scan()
-		}) - testing.AllocsPerRun(5, collect)
+		before, after := scanAllocs(9, false, scan), scanAllocs(9, true, scan)
 		if after > before {
-			t.Errorf("%d-worker scan: %.0f allocations after two collections, %.0f without", workers, after, before)
+			t.Errorf("%d-worker scan: %d allocations after two collections, %d without", workers, after, before)
 		}
 	}
 }

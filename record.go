@@ -128,8 +128,9 @@ func (r *Recorder) Snapshot() *Snapshot { return r.h.Snapshot() }
 // (several under per-thread monitoring), or nil if it was never seen.
 // Teed into a Store, it reads the store's raw tier, timed on the store
 // clock, for the tasks seen in the recorder's newest Capacity refreshes
-// since the Tee: one scan of every row in that span.
-func (r *Recorder) History(pid int) []HistorySeries { return r.h.History(pid) }
+// since the Tee: one scan of every row in that span, whose failure is
+// History's error.
+func (r *Recorder) History(pid int) ([]HistorySeries, error) { return r.h.History(pid) }
 
 // PIDs lists the recorded process IDs History answers for, sorted.
 func (r *Recorder) PIDs() []int { return r.h.PIDs() }

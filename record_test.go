@@ -64,9 +64,9 @@ func TestRecorderThroughMonitor(t *testing.T) {
 	if len(pids) != 11 {
 		t.Fatalf("pids = %v", pids)
 	}
-	series := rec.History(pids[0])
-	if len(series) != 1 {
-		t.Fatalf("series = %d", len(series))
+	series, err := rec.History(pids[0])
+	if err != nil || len(series) != 1 {
+		t.Fatalf("series = %d, %v", len(series), err)
 	}
 	s := series[0]
 	// The first observation (the SampleNow attach pass) reads zero
@@ -78,8 +78,8 @@ func TestRecorderThroughMonitor(t *testing.T) {
 	if last.IPC <= 0 || len(last.Values) != len(snap.Columns) {
 		t.Fatalf("last point = %+v", last)
 	}
-	if rec.History(424242) != nil {
-		t.Fatal("unknown pid must return nil")
+	if h, err := rec.History(424242); h != nil || err != nil {
+		t.Fatalf("unknown pid: %v, %v; want nil, nil", h, err)
 	}
 }
 

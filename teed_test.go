@@ -84,7 +84,7 @@ func TestTeedHistoryMatchesRings(t *testing.T) {
 	outOfWindow := 0
 	for _, pid := range twin.PIDs() {
 		var want []tiptop.HistorySeries
-		for _, s := range twin.History(pid) {
+		for _, s := range mustHistory(t, twin, pid) {
 			i := slices.IndexFunc(s.Points, func(p tiptop.HistoryPoint) bool { return p.TimeSeconds >= since })
 			if i < 0 {
 				continue
@@ -92,7 +92,7 @@ func TestTeedHistoryMatchesRings(t *testing.T) {
 			s.Points = s.Points[i:]
 			want = append(want, s)
 		}
-		got := teed.History(pid)
+		got := mustHistory(t, teed, pid)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pid %d: the teed recorder's history\n%+v\ndiffers from its twin's rings\n%+v", pid, got, want)
 		}
@@ -109,4 +109,14 @@ func TestTeedHistoryMatchesRings(t *testing.T) {
 	if got := teed.PIDs(); !slices.Equal(got, pids) {
 		t.Fatalf("teed PIDs %v, want the pids in the window %v", got, pids)
 	}
+}
+
+// mustHistory is rec.History(pid), failing tb on its error.
+func mustHistory(tb testing.TB, rec *tiptop.Recorder, pid int) []tiptop.HistorySeries {
+	tb.Helper()
+	h, err := rec.History(pid)
+	if err != nil {
+		tb.Fatalf("History(%d): %v", pid, err)
+	}
+	return h
 }

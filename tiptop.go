@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sync"
 	"time"
 
 	"tiptop/internal/config"
@@ -408,16 +409,34 @@ func (m *Monitor) sampleNow() (*Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The core sample owns its storage, so the public rows alias its
-	// Values; the name-keyed Events view is built here, once per row.
 	out := &Sample{Time: cs.Time, Rows: make([]Row, len(cs.Rows)), Dropped: cs.Dropped}
-	for i := range cs.Rows {
-		r := &cs.Rows[i]
+	if n := len(cs.Rows); core.Split(n) {
+		// Each half writes its own rows; the first on a helper goroutine.
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			publicRows(out.Rows[:n/2], cs.Rows[:n/2])
+			wg.Done()
+		}()
+		publicRows(out.Rows[n/2:], cs.Rows[n/2:])
+		wg.Wait()
+	} else {
+		publicRows(out.Rows, cs.Rows)
+	}
+	return out, nil
+}
+
+// publicRows fills out with the public form of the engine's rows. The
+// core sample owns its storage, so the public rows alias its Values;
+// the name-keyed Events view is built here, once per row.
+func publicRows(out []Row, rows []core.Row) {
+	for i := range rows {
+		r := &rows[i]
 		events := make(map[string]uint64, len(r.Counts))
 		for name, v := range r.Events {
 			events[name] = v
 		}
-		out.Rows[i] = Row{
+		out[i] = Row{
 			PID:       r.Info.ID.PID,
 			TID:       r.Info.ID.TID,
 			User:      r.Info.User,
@@ -432,7 +451,6 @@ func (m *Monitor) sampleNow() (*Sample, error) {
 			Events:    events,
 		}
 	}
-	return out, nil
 }
 
 // Render writes the sample as a batch-mode text block (the tiptop -b
