@@ -9,6 +9,7 @@ package tiptop
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -250,7 +251,36 @@ func BenchmarkMonitorSample(b *testing.B) {
 // sampled refreshes times at 1 s (70 fill the one-minute rate window).
 func scrapeFixture(tb testing.TB, tasks, refreshes int) (*Scenario, *Monitor, *Recorder) {
 	tb.Helper()
-	sc, err := NewScenario(MachineE5640)
+	sc, mon := nodeFixture(tb, MachineE5640, "", tasks)
+	rec := NewRecorder(RecorderOptions{})
+	mon.Subscribe(rec)
+	for i := 0; i < refreshes; i++ {
+		if _, err := mon.Sample(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sc, mon, rec
+}
+
+// nodeFixture is a seeded node of the given machine running tasks
+// synthetic jobs (nodeScenario), and a monitor of it on the named
+// screen ("" is the default) that has not sampled yet.
+func nodeFixture(tb testing.TB, machine MachineName, screen string, tasks int) (*Scenario, *Monitor) {
+	tb.Helper()
+	sc := nodeScenario(tb, machine, tasks)
+	mon, err := NewSimMonitor(sc, Config{Interval: time.Second, Screen: screen})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { mon.Close() })
+	return sc, mon
+}
+
+// nodeScenario is a seeded node of the given machine running tasks
+// synthetic jobs.
+func nodeScenario(tb testing.TB, machine MachineName, tasks int) *Scenario {
+	tb.Helper()
+	sc, err := NewScenario(machine)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -261,19 +291,7 @@ func scrapeFixture(tb testing.TB, tasks, refreshes int) (*Scenario, *Monitor, *R
 			tb.Fatal(err)
 		}
 	}
-	mon, err := NewSimMonitor(sc, Config{Interval: time.Second})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { mon.Close() })
-	rec := NewRecorder(RecorderOptions{})
-	mon.Subscribe(rec)
-	for i := 0; i < refreshes; i++ {
-		if _, err := mon.Sample(); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return sc, mon, rec
+	return sc
 }
 
 // BenchmarkScrapeEncode2000 is what one refresh costs the first scraper
@@ -294,42 +312,68 @@ func BenchmarkScrapeEncode2000(b *testing.B) {
 	b.ReportMetric(float64(cache.Stats().BodyBytes), "body-bytes")
 }
 
-// BenchmarkRefresh2000 is the refresh of bench/'s live_fleet node —
-// SampleNow, which feeds a recorder teed into a store, then WireSample
-// and Publish — at its 2000 tasks and at smaller sizes around
-// core.SplitRows. The simulated machine's advance is outside the timer.
-// Run it with -cpu 1,2: at two procs a sample of SplitRows tasks or more
-// tees beside the recorder's fold and builds its public rows in halves.
+// BenchmarkRefresh2000 is one refresh of a daemon's node — SampleNow,
+// which feeds a recorder teed into a store, then WireSample and Publish
+// — on bench/'s live_fleet node (the E5640's default screen) at its 2000
+// tasks and at smaller sizes around core.SplitRows, and on its live_mux
+// node (the Cortex-A7's 12-event wide screen, 320 tasks). The simulated
+// machine's advance is outside the timer. Run it with -cpu 1,2: at two
+// procs a sample of SplitRows tasks or more tees beside the recorder's
+// fold and the public rows, which it builds in halves. p50-us is the
+// median refresh, the ruler's statistic; ns/op is the mean, which also
+// carries the store's bucket writes and the collector.
 func BenchmarkRefresh2000(b *testing.B) {
-	for _, tasks := range []int{320, 640, 1000, 2000} {
-		b.Run(fmt.Sprint("tasks=", tasks), func(b *testing.B) {
-			sc, mon, rec := scrapeFixture(b, tasks, 3)
-			st, err := OpenStore(b.TempDir(), StoreOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			rec.Tee(st)
-			srv := remote.NewServer(rec.WriteOpenMetrics)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sc.Advance(time.Second)
-				b.StartTimer()
-				s, err := mon.SampleNow()
+	for _, node := range []struct {
+		name    string
+		machine MachineName
+		screen  string
+		tasks   []int
+	}{
+		{"e5640", MachineE5640, "", []int{256, 320, 640, 1000, 2000}},
+		{"a7-wide", MachineCortexA7, "wide", []int{320}},
+	} {
+		for _, tasks := range node.tasks {
+			b.Run(fmt.Sprintf("node=%s/tasks=%d", node.name, tasks), func(b *testing.B) {
+				sc, mon := nodeFixture(b, node.machine, node.screen, tasks)
+				rec := NewRecorder(RecorderOptions{})
+				mon.Subscribe(rec)
+				st, err := OpenStore(b.TempDir(), StoreOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := srv.Publish(mon.WireSample(s)); err != nil {
+				defer st.Close()
+				rec.Tee(st)
+				srv := remote.NewServer(rec.WriteOpenMetrics)
+				for range 3 {
+					if _, err := mon.Sample(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				took := make([]time.Duration, 0, b.N)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					sc.Advance(time.Second)
+					b.StartTimer()
+					t := time.Now()
+					s, err := mon.SampleNow()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := srv.Publish(mon.WireSample(s)); err != nil {
+						b.Fatal(err)
+					}
+					took = append(took, time.Since(t))
+				}
+				b.StopTimer()
+				if err := st.Err(); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			if err := st.Err(); err != nil {
-				b.Fatal(err)
-			}
-		})
+				slices.Sort(took)
+				b.ReportMetric(float64(took[len(took)/2].Nanoseconds())/1e3, "p50-us")
+			})
+		}
 	}
 }
 

@@ -109,14 +109,19 @@ type Options struct {
 }
 
 // Observer receives every sample a Session produces before Update
-// returns, immediately after the rows are sorted and before any MaxRows
-// truncation — a recorder sees every monitored task even when the
-// display is clipped. Observe is called on the sampling goroutine; a
-// large sample's tee may run on a helper goroutine (Split), and has
-// returned when Observe does. A sample owns its storage: the
-// engine writes nothing of it again once Update returns it, so an
-// observer may keep the sample, its rows and their slices, and must
-// treat them as read-only, like every other holder.
+// returns, immediately after the rows are sorted — a recorder sees
+// every monitored task even when the display is clipped: under MaxRows
+// Update returns a clipped copy and leaves the observers' sample whole.
+// Observe is called on the sampling goroutine. A recorder's store
+// append for a large sample (Split) runs on a helper goroutine and may
+// outlive Observe: the facade's Monitor feeds its recorders through
+// history.Recorder.Start and joins them once it has built the public
+// rows, before the sample is handed on (a followed daemon's step calls
+// Observe, which joins). A sample owns its storage: the engine writes
+// nothing of it again once the observers have it, so an observer may
+// keep the sample, its rows and their slices, and must treat them as
+// read-only, like every other holder — which is what lets the append
+// and the public rows read it at once.
 type Observer interface {
 	Observe(*Sample)
 }
@@ -561,7 +566,11 @@ func (s *Session) Update() (*Sample, error) {
 		o.Observe(sample)
 	}
 	if s.opt.MaxRows > 0 && len(sample.Rows) > s.opt.MaxRows {
-		sample.Rows = sample.Rows[:s.opt.MaxRows]
+		// The observers' sample stays whole: a recorder's store append
+		// may still be reading it (Observer). The caller gets a clip.
+		clipped := *sample
+		clipped.Rows = sample.Rows[:s.opt.MaxRows]
+		return &clipped, nil
 	}
 	return sample, nil
 }

@@ -341,9 +341,12 @@ type Recorder struct {
 	// aside tees teeing, a sample large enough to split (core.Split),
 	// on a helper goroutine beside the fold, and marks teed done. It is
 	// bound once in New: a go statement over a method value allocates.
-	aside  func()
-	teeing *core.Sample
-	teed   sync.WaitGroup
+	// joining is set from Start until Join. teeing and joining belong
+	// to the sampling goroutine.
+	aside   func()
+	teeing  *core.Sample
+	teed    sync.WaitGroup
+	joining bool
 }
 
 // New creates a Recorder. Column names may be set later (SetColumns);
@@ -401,16 +404,21 @@ func (r *Recorder) Capacity() int { return r.opt.Capacity }
 // observer. The tee runs outside the recorder's lock, so a slow tee (a
 // disk write) delays the next refresh, not concurrent queries: after the
 // recorder's own fold on the sampling goroutine, or, for a sample large
-// enough to split (core.Split), on a helper goroutine beside the fold.
-// Either way it has returned when Observe does. Like Subscribe, not safe
-// to call concurrently with Observe; a nil o detaches. The tee gets the
-// sample on core.Observer's terms: read-only.
+// enough to split (core.Split), on a helper goroutine that Start leaves
+// running beside the fold and whatever its caller reads of the sample
+// next, until Join. Observe joins before it returns (a followed
+// daemon's step observes); the facade's Monitor starts its recorders and
+// joins them once it has built its public rows. Like Subscribe, not
+// safe to call concurrently with Observe; it joins a tee still running
+// first. A nil o detaches. The tee gets the sample on core.Observer's
+// terms: read-only.
 //
 // A Keeper takes over the rings' points: the rings let go of what they
 // packed and pack nothing while it is attached, and History reads the
 // refreshes the keeper observed from it. Replacing or detaching it
 // starts the rings afresh.
 func (r *Recorder) Tee(o core.Observer) {
+	r.Join()
 	k, _ := o.(Keeper)
 	r.mu.Lock()
 	if k != r.keeper {
@@ -430,27 +438,48 @@ func (r *Recorder) Tee(o core.Observer) {
 	}
 }
 
-// Observe records one sample. It is the recorder's hot path: O(rows)
-// and allocation-free once aggregate entries exist and rings have filled
-// — from a task's second refresh on when teed into a Keeper. A large
-// sample's tee runs beside the fold (see Tee); the two share only the
-// read-only sample.
+// Observe records one sample and returns once the tee has kept it:
+// Start, then Join. It implements core.Observer for a caller that has
+// nothing of its own to do beside the tee.
 func (r *Recorder) Observe(s *core.Sample) {
+	r.Start(s)
+	r.Join()
+}
+
+// Start records one sample. It is the recorder's hot path: O(rows) and
+// allocation-free once aggregate entries exist and rings have filled —
+// from a task's second refresh on when teed into a Keeper. A large
+// sample's tee runs beside the fold and may still run when Start
+// returns (see Tee); the two share only the read-only sample. The
+// sample's owner calls Join before it hands the sample on. Start first
+// joins a tee still running, so at most one is in flight and the tee
+// sees the samples in order.
+func (r *Recorder) Start(s *core.Sample) {
+	r.Join()
+	r.joining = true
 	switch {
 	case r.tee == nil:
 		r.observe(s)
-		return
 	case core.Split(len(s.Rows)):
 		r.teeing = s
 		r.teed.Add(1)
 		go r.aside()
 		r.observe(s)
-		r.teed.Wait()
-		r.teeing = nil
 	default:
 		r.observe(s)
 		r.tee.Observe(s)
 	}
+}
+
+// Join waits for the tee of the sample Start recorded, then notes the
+// keeper's clock for History. A no-op when no Start is outstanding.
+func (r *Recorder) Join() {
+	if !r.joining {
+		return
+	}
+	r.joining = false
+	r.teed.Wait()
+	r.teeing = nil
 	if r.keeper != nil {
 		t := r.keeper.LastTime()
 		r.mu.Lock()

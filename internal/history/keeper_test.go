@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,24 +57,24 @@ func (k *nopKeeper) LastTime() time.Duration                                    
 func (k *nopKeeper) Replay(int, time.Duration, time.Duration, func(int, *Point)) error { return nil }
 
 // TestTeedRecorderKeepsNoPoints is the teed recorder's memory and
-// allocation budget: over 200 refreshes of 2000 tasks no ring packs a
-// chunk, and Observe allocates nothing from each task's second refresh
-// on — a ring holds its task's newest point, not its series — with the
-// tee running beside the fold.
+// allocation budget: over 200 refreshes of core.SplitRows tasks no ring
+// packs a chunk, and Start and Join allocate nothing from each task's
+// second refresh on — a ring holds its task's newest point, not its
+// series — with the tee running beside the fold.
 func TestTeedRecorderKeepsNoPoints(t *testing.T) {
-	// Two procs: 2000 rows tee on a helper goroutine (core.Split), and
-	// the budget covers starting and joining it.
+	// Two procs: SplitRows rows tee on a helper goroutine (core.Split),
+	// and the budget covers starting and joining it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	if !core.Split(2000) {
-		t.Fatal("2000 rows at GOMAXPROCS(2) do not split")
+	if !core.Split(core.SplitRows) {
+		t.Fatalf("%d rows at GOMAXPROCS(2) do not split", core.SplitRows)
 	}
-	s := manyTaskSample(2000, 4)
+	s := manyTaskSample(core.SplitRows, 4)
 	r := New(Options{})
 	r.SetColumns(make([]string, 4))
 	r.Tee(&nopKeeper{})
 	r.Observe(s.next())
-	if allocs := testing.AllocsPerRun(198, func() { r.Observe(s.next()) }); allocs != 0 {
-		t.Fatalf("a teed recorder's refresh of 2000 known tasks allocates %.1f times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(198, func() { r.Start(s.next()); r.Join() }); allocs != 0 {
+		t.Fatalf("a teed recorder's refresh of %d known tasks allocates %.1f times, want 0", core.SplitRows, allocs)
 	}
 	if r.refreshes != 200 {
 		t.Fatalf("%d refreshes, want 200", r.refreshes)
@@ -81,6 +83,96 @@ func TestTeedRecorderKeepsNoPoints(t *testing.T) {
 		if rg.chunks != nil || rg.n != 0 {
 			t.Fatalf("task %v holds %d chunks (%d points)", id, len(rg.chunks), rg.n)
 		}
+	}
+}
+
+// gateKeeper is a Keeper whose Observe holds until the test lets it go:
+// a slow store append. It notes the samples in the order it kept them
+// and the most appends it ever saw in flight at once.
+type gateKeeper struct {
+	nopKeeper
+	gate     chan struct{}
+	mu       sync.Mutex
+	kept     []time.Duration
+	inFlight int
+	most     int
+}
+
+func (k *gateKeeper) Observe(s *core.Sample) {
+	k.mu.Lock()
+	k.kept = append(k.kept, s.Time)
+	k.inFlight++
+	k.most = max(k.most, k.inFlight)
+	k.mu.Unlock()
+	<-k.gate
+	k.mu.Lock()
+	k.inFlight--
+	k.last = s.Time
+	k.mu.Unlock()
+}
+
+func (k *gateKeeper) LastTime() time.Duration {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.last
+}
+
+func (k *gateKeeper) seen() []time.Duration {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return slices.Clone(k.kept)
+}
+
+// TestStartWaitsForTheTeeInFlight: Start leaves a large sample's append
+// running, and a second Start that comes before any Join waits for it —
+// one append in flight per recorder, kept in refresh order — and Join
+// notes the keeper's clock only once the append is done.
+func TestStartWaitsForTheTeeInFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	first := manyTaskSample(core.SplitRows, 2).next()
+	second := manyTaskSample(core.SplitRows, 2)
+	second.next()
+	k := &gateKeeper{gate: make(chan struct{})}
+	r := New(Options{Capacity: 8})
+	r.SetColumns(make([]string, 2))
+	r.Tee(k)
+	defer close(k.gate) // lets a held append go when the test fails
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		r.Start(first)
+		close(started)
+		r.Start(second.next())
+		r.Join()
+		close(done)
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Start waited for its own sample's append")
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := k.seen(); len(got) != 1 {
+		t.Fatalf("with the first append held, the keeper has begun %v: the second did not wait", got)
+	}
+	select {
+	case <-done:
+		t.Fatal("the second refresh was joined while the first append was held")
+	default:
+	}
+	// Let the first append go; hold the second until the sampler has
+	// had time to reach its Join.
+	k.gate <- struct{}{}
+	for len(k.seen()) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	k.gate <- struct{}{}
+	<-done
+	if got, want := k.seen(), []time.Duration{time.Second, 2 * time.Second}; !slices.Equal(got, want) || k.most != 1 {
+		t.Fatalf("kept %v with up to %d in flight, want %v one at a time", got, k.most, want)
+	}
+	if r.timed != 2 || r.times[2] != 2*time.Second {
+		t.Fatalf("refresh %d noted at %v, want refresh 2 at the keeper's 2s", r.timed, r.times[r.timed])
 	}
 }
 

@@ -368,6 +368,10 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		st.vals = make([]float64, 0, nvals)
 	}
 	vals, rows, counts := st.vals[:0], st.rows[:0], st.counts[:0]
+	// same is a table found to name st.events: the rows under it lend
+	// their counts after one pointer compare. An engine sample has one
+	// table; another table's names are compared until one matches.
+	var same *core.EventTable
 	for i := range s.Rows {
 		row := &s.Rows[i]
 		off := len(vals)
@@ -382,7 +386,8 @@ func (st *Store) appendLocked(s *core.Sample) error {
 		}
 		switch t := row.Table; {
 		case t == nil:
-		case slices.Equal(t.Names(), st.events):
+		case t == same || slices.Equal(t.Names(), st.events):
+			same = t
 			r.Counts = row.Counts
 		default:
 			off := len(counts)

@@ -3,6 +3,7 @@ package tiptop
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"tiptop/internal/config"
@@ -109,7 +110,7 @@ func (m *Monitor) Subscribe(r *Recorder) {
 		return
 	}
 	r.h.SetColumns(m.Columns())
-	m.session.Subscribe(r.h)
+	m.recs = append(m.recs, r.h)
 }
 
 // Unsubscribe detaches a previously subscribed recorder; its recorded
@@ -118,7 +119,21 @@ func (m *Monitor) Unsubscribe(r *Recorder) {
 	if r == nil {
 		return
 	}
-	m.session.Unsubscribe(r.h)
+	if i := slices.Index(m.recs, r.h); i >= 0 {
+		m.recs = slices.Delete(m.recs, i, i+1)
+	}
+}
+
+// recorders are a Monitor's subscribed recorders, the one observer it
+// registers with its session. The session only starts them, so that a
+// large sample's store append runs on beside the public rows;
+// sampleNow joins them before it returns.
+type recorders []*history.Recorder
+
+func (rs *recorders) Observe(cs *core.Sample) {
+	for _, h := range *rs {
+		h.Start(cs)
+	}
 }
 
 // Snapshot copies out the recorder's current state.

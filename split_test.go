@@ -18,38 +18,56 @@ import (
 	"tiptop/internal/core"
 )
 
-// TestSplitRefreshMatchesSerial: a 2000-task refresh at GOMAXPROCS(2)
-// runs its consumers side by side (core.Split) — the recorder's fold
-// beside the store append it tees, the public rows in two halves — and
-// at GOMAXPROCS(1) one after the other. Over the same seeded node, with
-// tasks leaving and arriving, both leave the same store bytes, scrape
-// bodies, snapshots and public rows.
+// TestSplitRefreshMatchesSerial: a refresh of core.SplitRows tasks or
+// more at GOMAXPROCS(2) runs its consumers side by side (core.Split) —
+// the store append the recorder tees beside its fold and the public
+// rows, which are built in two halves — and at GOMAXPROCS(1) one after
+// the other. Over the same seeded node, with tasks leaving and
+// arriving, both leave the same store bytes, scrape bodies, snapshots
+// and public rows: on bench/'s live_fleet node (2000 tasks, the E5640's
+// default screen) and its live_mux node (320 tasks, the Cortex-A7's
+// 12-event wide screen).
 func TestSplitRefreshMatchesSerial(t *testing.T) {
-	serial, split := splitRun(t, 1), splitRun(t, 2)
-	for _, aspect := range []struct {
-		name     string
-		one, two [][sha256.Size]byte
-	}{
-		{"public rows", serial.rows, split.rows},
-		{"WriteOpenMetrics", serial.metrics, split.metrics},
-		{"Snapshot", serial.snaps, split.snaps},
+	for _, n := range []splitNode{
+		{tiptop.MachineE5640, "", 2000},
+		{tiptop.MachineCortexA7, "wide", 320},
 	} {
-		for i := range aspect.one {
-			if aspect.one[i] != aspect.two[i] {
-				t.Errorf("refresh %d: %s differ between one proc and two", i, aspect.name)
-				break
+		t.Run(fmt.Sprintf("%s/%d", n.machine, n.tasks), func(t *testing.T) {
+			serial, split := splitRun(t, n, 1), splitRun(t, n, 2)
+			for _, aspect := range []struct {
+				name     string
+				one, two [][sha256.Size]byte
+			}{
+				{"public rows", serial.rows, split.rows},
+				{"WriteOpenMetrics", serial.metrics, split.metrics},
+				{"Snapshot", serial.snaps, split.snaps},
+			} {
+				for i := range aspect.one {
+					if aspect.one[i] != aspect.two[i] {
+						t.Errorf("refresh %d: %s differ between one proc and two", i, aspect.name)
+						break
+					}
+				}
 			}
-		}
+			names := slices.Sorted(maps.Keys(serial.files))
+			if len(names) == 0 || !slices.Equal(names, slices.Sorted(maps.Keys(split.files))) {
+				t.Fatalf("store files %v with one proc, %v with two", names, slices.Sorted(maps.Keys(split.files)))
+			}
+			for _, name := range names {
+				if !bytes.Equal(serial.files[name], split.files[name]) {
+					t.Errorf("%s differs between one proc (%d bytes) and two (%d)", name, len(serial.files[name]), len(split.files[name]))
+				}
+			}
+		})
 	}
-	names := slices.Sorted(maps.Keys(serial.files))
-	if len(names) == 0 || !slices.Equal(names, slices.Sorted(maps.Keys(split.files))) {
-		t.Fatalf("store files %v with one proc, %v with two", names, slices.Sorted(maps.Keys(split.files)))
-	}
-	for _, name := range names {
-		if !bytes.Equal(serial.files[name], split.files[name]) {
-			t.Errorf("%s differs between one proc (%d bytes) and two (%d)", name, len(serial.files[name]), len(split.files[name]))
-		}
-	}
+}
+
+// splitNode is the node a splitRun samples: a machine, a screen ("" is
+// the default) and its number of tasks.
+type splitNode struct {
+	machine tiptop.MachineName
+	screen  string
+	tasks   int
 }
 
 // splitTrace is what one splitRun leaves: per refresh, digests of the
@@ -60,17 +78,17 @@ type splitTrace struct {
 	files                map[string][]byte
 }
 
-// splitRun samples a seeded 2000-task node eight times at GOMAXPROCS
-// procs through a recorder teed into a store; ten tasks exit and ten
-// arrive before the fifth refresh.
-func splitRun(t *testing.T, procs int) splitTrace {
+// splitRun samples a seeded node eight times at GOMAXPROCS procs
+// through a recorder teed into a store; ten tasks exit and ten arrive
+// before the fifth refresh.
+func splitRun(t *testing.T, n splitNode, procs int) splitTrace {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	const tasks = 2000
+	tasks := n.tasks
 	if got := core.Split(tasks); got != (procs >= 2) {
 		t.Fatalf("core.Split(%d) = %v at GOMAXPROCS(%d)", tasks, got, procs)
 	}
-	sc, err := tiptop.NewScenario(tiptop.MachineE5640)
+	sc, err := tiptop.NewScenario(n.machine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +106,7 @@ func splitRun(t *testing.T, procs int) splitTrace {
 	for i := range tasks {
 		start(i)
 	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: time.Second})
+	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: time.Second, Screen: n.screen})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,11 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 
 // Tee attaches the store to the recorder: every sample the recorder
 // observes (from a local Monitor or a remote stream) is also appended
-// to the store, on the sampling goroutine but outside the recorder's
-// lock. Append errors are latched — check Store.Err. Not safe to call
-// concurrently with sampling.
+// to the store outside the recorder's lock — for a sample of
+// core.SplitRows rows or more on a helper goroutine, beside the
+// recorder's fold and the sample's public rows. Either way the append
+// is done when Sample returns. Append errors are latched — check
+// Store.Err. Not safe to call concurrently with sampling.
 //
 // The store becomes the recorder's history: the recorder keeps each
 // task's newest observation only, History reads the refreshes it

@@ -210,10 +210,13 @@ type Monitor struct {
 	// wireCols is the screen's wire description, fixed for the session
 	// and shared by every WireSample.
 	wireCols []remote.Column
+	// recs are the subscribed recorders, which sampleNow joins.
+	recs recorders
 }
 
 func newMonitor(session *core.Session, machine string) *Monitor {
 	m := &Monitor{session: session, machine: machine}
+	session.Subscribe(&m.recs)
 	for _, c := range session.Screen().Columns {
 		m.wireCols = append(m.wireCols, remote.Column{
 			Name: c.Name, Header: c.Header, Width: c.Width, Format: c.Format,
@@ -404,6 +407,11 @@ func (m *Monitor) Sample() (*Sample, error) {
 // session attaches counters and reads zeros).
 func (m *Monitor) SampleNow() (*Sample, error) { return m.sampleNow() }
 
+// sampleNow refreshes the session and builds the public sample. The
+// session only starts the recorders (recorders.Observe): a large
+// sample's store append runs beside the public rows, and is joined
+// before sampleNow returns, so the store holds the refresh and its Err
+// is current.
 func (m *Monitor) sampleNow() (*Sample, error) {
 	cs, err := m.session.Update()
 	if err != nil {
@@ -422,6 +430,9 @@ func (m *Monitor) sampleNow() (*Sample, error) {
 		wg.Wait()
 	} else {
 		publicRows(out.Rows, cs.Rows)
+	}
+	for _, h := range m.recs {
+		h.Join()
 	}
 	return out, nil
 }
