@@ -40,8 +40,9 @@ docs:
 # Short coverage-guided passes over the metric-expression parser and
 # evaluator, the query-layer compiler, the store's frame decoder (v5,
 # with its event lists, refresh counts and derived-column headers, the
-# v4 frames the previous build wrote, and the refusal of older ones) and
-# the wire encoders and decoders;
+# v4 frames the previous build wrote, and the refusal of older ones),
+# compaction's frame transcoder against that decoder, and the wire
+# encoders and decoders;
 # CI runs them so a grammar change that
 # panics, breaks the canonical rendering fixpoint, lets a non-finite
 # value through the totality rule, lets the engine's slot-bound column
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryJSONIdentity$$' -fuzztime 15s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzTranscodeMatchesDecode$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenMetricsValueIdentity$$' -fuzztime 15s ./internal/export/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireJSONIdentity$$' -fuzztime 15s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/remote/

@@ -4,9 +4,20 @@ package store
 // ones. Live segments already hold record-format-v5 frames; the rewrite
 // merges segments that sealed small (by age, or fragmented by restarts)
 // into full-size ones under a single dictionary and rewrites the
-// previous build's v4 frames as v5. Query results are unchanged by
-// construction: every record and field is carried bit-exactly, and an
-// omitted column is omitted again where it still verifies.
+// previous build's v4 frames as v5.
+//
+// A v5 data frame is transcoded, not decoded: all that changes is its
+// dictionary indices — the merged table numbers strings its own way —
+// and whether it carries the layout header. So the rewrite validates
+// the frame without decoding it (walkData), writes the header afresh or
+// leaves it out, remaps the rows' user and command indices, and copies
+// every other byte: task IDs, the CPU% and value XOR chains, the
+// omission mask, the counts and the roll-up. v4 frames are decoded and
+// encoded again, since their columns verify anew over v5's events. The
+// output is byte for byte what decoding and encoding every record would
+// write, so query results are unchanged by construction: every record
+// and field is carried bit-exactly, and an omitted column is omitted
+// again where it still verifies.
 //
 // Crash safety follows the name-carries-the-range protocol:
 //
@@ -20,7 +31,8 @@ package store
 // is deleted (its inputs are intact), a published .cseg supersedes
 // every segment file whose sequence range it contains. A tier whose
 // rewrite fails before step 3 removes what it published, so its inputs
-// stay the only copy. Retention is deferred while a rewrite is in
+// stay the only copy (one published over an input's own name stays, and
+// that input reads as it). Retention is deferred while a rewrite is in
 // flight so inputs cannot vanish mid-read; it catches up on the next
 // append.
 
@@ -28,7 +40,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"slices"
 	"time"
@@ -133,49 +144,41 @@ func (st *Store) Compact(CompactOptions) (*CompactionResult, error) {
 	return res, nil
 }
 
-// compactTier rewrites one tier's inputs. Two streaming passes: the
-// first builds the string dictionary, the second encodes. Runs without
-// the store lock — inputs are sealed and retention is deferred. A failed
-// rewrite leaves no output behind.
+// compactTier rewrites one tier's inputs in two streaming passes over
+// their frames. The first builds the output's dictionary from the
+// strings each data frame references (compactWriter.intern); the second
+// rewrites every data frame into the outputs (compactWriter.data).
+// Runs without the store lock — inputs are sealed and retention is
+// deferred. A failed rewrite leaves no output behind, but for one
+// published over an input's own name, which that input reads as.
 func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, outs []*segment, err error) {
 	tc = TierCompaction{Tier: tierNames[t.idx], Segments: len(inputs)}
-	w := &compactWriter{fsys: st.fsys, dir: st.dir, tier: tierNames[t.idx], dict: newV2Dict(nil)}
-	defer func() {
-		if err != nil {
-			w.abort(inputs)
-		}
-	}()
-	// Both passes ride the scan walker over each input's whole time
-	// range, decoding every field into one scratch record.
 	sc := getScanner(st.fsys, nil)
 	defer sc.release()
-	scratch := &Record{}
-	each := func(in *segment, fn func(rec *Record, fileCols []string) error) error {
-		f := queryFile{path: in.path, valid: in.size}
-		return sc.scanFile(f, math.MinInt64, math.MaxInt64, func() *Record { return scratch }, fn)
+	w := &compactWriter{fsys: st.fsys, dir: st.dir, tier: tierNames[t.idx], dict: newV2Dict(nil), sc: sc}
+	defer func() {
+		if err == nil {
+			return
+		}
+		w.abort(inputs)
+		// The input's bytes are that output's now, its table maybe grown.
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for _, o := range w.outs {
+			if i := slices.IndexFunc(inputs, func(in *segment) bool { return in.path == o.path }); i >= 0 {
+				inputs[i].size = o.size
+			}
+		}
+	}()
+	each := func(in *segment, fn func(p []byte, t time.Duration) error) error {
+		w.remap = w.remap[:0] // each input has a table of its own
+		return sc.frames(queryFile{path: in.path, valid: in.size}, fn)
 	}
 	for _, in := range inputs {
 		tc.BytesBefore += in.size
-		err := each(in, func(rec *Record, _ []string) error {
+		err := each(in, func(p []byte, _ time.Duration) error {
 			tc.Records++
-			for i := range rec.Rows {
-				w.dict.intern(rec.Rows[i].User)
-				w.dict.intern(rec.Rows[i].Command)
-			}
-			for _, c := range rec.Cols {
-				w.dict.intern(c)
-			}
-			for _, e := range rec.Events {
-				w.dict.intern(e)
-			}
-			if der := sc.dv.cur; len(rec.Cols) > 0 && der != nil {
-				for _, src := range der.src {
-					if src != "" {
-						w.dict.intern(src)
-					}
-				}
-			}
-			return nil
+			return w.intern(p)
 		})
 		if err != nil {
 			return tc, nil, err
@@ -184,33 +187,13 @@ func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, out
 	if tc.Records == 0 {
 		return tc, nil, nil
 	}
-	var activeCols, writtenCols, writtenEvents []string
-	var writtenDer *derivation
-	headed := false // the output segment has a layout header
 	for i, in := range inputs {
 		if w.f == nil {
 			if err := w.start(in.seq); err != nil {
 				return tc, nil, err
 			}
-			headed = false
 		}
-		err := each(in, func(rec *Record, fileCols []string) error {
-			if fileCols != nil {
-				activeCols = fileCols // owned by the walk, unlike rec.Cols
-			}
-			out := *rec
-			// Each output segment's first record carries the layout in
-			// force; later ones only a genuine change of it.
-			der := sc.dv.cur
-			head := !headed || !slices.Equal(writtenCols, activeCols) ||
-				!slices.Equal(writtenEvents, rec.Events) || der != nil && !der.same(writtenDer)
-			if head {
-				headed, writtenCols, writtenEvents, writtenDer = true, activeCols, rec.Events, der
-			}
-			out.Cols = activeCols
-			return w.record(&out, der, head)
-		})
-		if err != nil {
+		if err := each(in, w.data); err != nil {
 			return tc, nil, err
 		}
 		w.b = in.seqEnd
@@ -227,12 +210,6 @@ func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, out
 		tc.BytesAfter += o.size
 	}
 	return tc, w.outs, nil
-}
-
-// recTime recovers a record's monotonic store time, through the same
-// float path every prefix parser uses so boundaries agree.
-func recTime(rec *Record) time.Duration {
-	return time.Duration(rec.TimeSeconds * float64(time.Second))
 }
 
 // compactWriter produces the output segments of one tier's rewrite,
@@ -252,6 +229,21 @@ type compactWriter struct {
 	last      time.Duration
 	buf       []byte
 	outs      []*segment
+
+	// The walk over the inputs: sc reads them, holding the input's table
+	// and layout in force; remap holds, per entry of that table, 1 + the
+	// output's entry for it (0: not met yet).
+	sc    *segScanner
+	remap []uint64
+	lay   frameLayout // the frame in hand
+	rec   Record      // the frame in hand, decoded, when it is encoded again
+	cols  []string    // the columns in force: an owned copy
+	// The layout the current output last wrote a header for.
+	headed  bool
+	written struct {
+		cols, events []string
+		der          *derivation
+	}
 }
 
 // start opens the unpublished output covering inputs from sequence a.
@@ -264,21 +256,112 @@ func (w *compactWriter) start(a int64) error {
 	w.f, w.bw = f, bufio.NewWriterSize(f, 1<<16)
 	w.a, w.b = a, a
 	w.size, w.n, w.first, w.last = 0, 0, 0, 0
+	w.headed = false
 	w.buf = w.dict.appendDictFrame(beginFrame(w.buf[:0]), 0)
 	return w.writeFrame()
 }
 
-// record encodes one record as a v5 data frame (see appendData).
-func (w *compactWriter) record(rec *Record, der *derivation, head bool) error {
-	w.buf = appendData(beginFrame(w.buf[:0]), rec, w.dict, der, head)
+// ref returns the output's entry for entry idx of the input's table,
+// interning its string the first time the input references it.
+func (w *compactWriter) ref(idx uint64) uint64 {
+	if n := len(w.remap); idx >= uint64(n) {
+		w.remap = slices.Grow(w.remap, len(w.sc.dict)-n)[:len(w.sc.dict)]
+		clear(w.remap[n:])
+	}
+	if r := w.remap[idx]; r > 0 {
+		return r - 1
+	}
+	r := w.dict.intern(w.sc.dict[idx])
+	w.remap[idx] = r + 1
+	return r
+}
+
+// intern folds the strings data payload p references into the output's
+// table in the order a decode meets them: per row its user, then its
+// command; then the columns and events a layout header names (a v4
+// frame's are fixed) and the expressions of the derivation it sets.
+func (w *compactWriter) intern(p []byte) error {
+	sc, lay := w.sc, &w.lay
+	if err := walkData(p, sc.dict, &sc.dv, lay, false); err != nil {
+		return err
+	}
+	users, cmds := lay.refs[:lay.nrows], lay.refs[lay.nrows:]
+	for i := range users {
+		w.ref(users[i])
+		w.ref(cmds[i])
+	}
+	for _, c := range lay.cols {
+		w.dict.intern(c)
+	}
+	if lay.flags&v2FlagCols != 0 || p[0] == recordVersionV4 {
+		for _, e := range sc.dv.events {
+			w.dict.intern(e)
+		}
+	}
+	if der := sc.dv.cur; len(lay.cols) > 0 && der != nil {
+		for _, src := range der.src {
+			if src != "" {
+				w.dict.intern(src)
+			}
+		}
+	}
+	return nil
+}
+
+// data rewrites one input data frame, payload p at time t, into the
+// current output as a v5 frame. Each output's first record carries the
+// layout in force; later ones only a genuine change of it. A v5 frame
+// laid out as appendData would lay out its record (asEncoded) is
+// transcoded: validated by walkData, then rewritten by appendTranscoded
+// with its rows' dictionary indices renumbered for the output. Any other
+// frame is decoded and encoded again: a v4 frame, whose columns verify
+// anew over v5's events, or a v5 frame that stores a column its
+// derivation derives, which an encode verifies again.
+func (w *compactWriter) data(p []byte, t time.Duration) error {
+	sc, lay := w.sc, &w.lay
+	copied := p[0] > recordVersionV4
+	if copied {
+		if err := walkData(p, sc.dict, &sc.dv, lay, true); err != nil {
+			return err
+		}
+		copied = lay.asEncoded(sc.dv.cur)
+	}
+	cols := lay.cols
+	if !copied {
+		if err := decodeDataInto(&w.rec, p, sc.dict, nil, &sc.dv); err != nil {
+			return err
+		}
+		cols = w.rec.Cols
+	}
+	if len(cols) > 0 && !slices.Equal(cols, w.cols) {
+		w.cols = slices.Clone(cols)
+	}
+	events, der := sc.dv.events, sc.dv.cur
+	head := !w.headed || !slices.Equal(w.written.cols, w.cols) ||
+		!slices.Equal(w.written.events, events) || der != nil && !der.same(w.written.der)
+	if head {
+		w.headed = true
+		w.written.cols, w.written.events, w.written.der = w.cols, events, der
+	}
+	buf := beginFrame(w.buf[:0])
+	if copied {
+		for i, idx := range lay.refs {
+			lay.refs[i] = w.ref(idx)
+		}
+		buf = appendTranscoded(buf, p, lay, w.dict, w.cols, events, der, head)
+	} else {
+		out := w.rec
+		out.Cols = w.cols
+		buf = appendData(buf, &out, w.dict, der, head)
+	}
+	w.buf = buf
 	if err := w.writeFrame(); err != nil {
 		return err
 	}
-	rt := recTime(rec)
 	if w.n == 0 {
-		w.first = rt
+		w.first = t
 	}
-	w.last = rt
+	w.last = t
 	w.n++
 	return nil
 }

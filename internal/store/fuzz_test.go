@@ -10,7 +10,10 @@ package store
 // size before use).
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -197,34 +200,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	rec := fuzzSeedRecord()
 	dict := fuzzSeedDict(rec)
 	dictFrame := dict.appendDictFrame(nil, 0)
-	dataFrame := appendData(nil, rec, dict, nil, true)
-	// Derived columns: a record that leaves two out, and the headers a
-	// reader must refuse.
-	derived, der := fuzzDerivedRecord(f)
-	f.Add(appendData(nil, derived, dict, der, true))
-	for _, p := range badFrames(dict) {
+	for _, p := range frameSeeds(f) {
 		f.Add(p)
 	}
-	f.Add(dictFrame)
-	f.Add(dataFrame)
-	// The same record and table as the v4 build wrote them.
-	f.Add(appendV4DictFrame(nil, dict, 0))
-	f.Add(appendV4Data(nil, rec, dict, nil))
-	// Frames older than v4: refused, never clipped.
-	f.Add([]byte(`{"v":1,"time_s":1.5,"rows":[],"machine":{}}`))
-	f.Add([]byte{0x03, v2KindData, 0x00})
-	f.Add([]byte{0x02, v2KindDict, 0x00})
-	// Truncations and header mutations seed the interesting failure
-	// modes directly; the engine mutates from there.
-	f.Add(dataFrame[:len(dataFrame)/2])
-	f.Add(dataFrame[:2])
-	f.Add(dictFrame[:3])
-	f.Add([]byte{RecordVersion})
-	f.Add([]byte{RecordVersion, v2KindData})
-	f.Add([]byte{RecordVersion, 0x7f})
-	f.Add([]byte{RecordVersion + 1, v2KindData, 0x00}) // future binary version
-	f.Add([]byte("{"))
-	f.Add([]byte{})
 	// A live segment's opening: two records, each preceded by the
 	// incremental dictionary frame carrying the strings it introduced.
 	framed := func(payload []byte) []byte {
@@ -283,6 +261,166 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// frameSeeds are FuzzDecodeFrame's one-payload seeds, against the seed
+// record's dictionary (fuzzSeedDict).
+func frameSeeds(tb testing.TB) [][]byte {
+	rec := fuzzSeedRecord()
+	dict := fuzzSeedDict(rec)
+	dictFrame := dict.appendDictFrame(nil, 0)
+	dataFrame := appendData(nil, rec, dict, nil, true)
+	// Derived columns: a record that leaves two out, and the headers a
+	// reader must refuse.
+	derived, der := fuzzDerivedRecord(tb)
+	seeds := [][]byte{appendData(nil, derived, dict, der, true)}
+	for _, p := range badFrames(dict) {
+		seeds = append(seeds, p)
+	}
+	return append(seeds,
+		dictFrame,
+		dataFrame,
+		// The same record and table as the v4 build wrote them.
+		appendV4DictFrame(nil, dict, 0),
+		appendV4Data(nil, rec, dict, nil),
+		// Frames older than v4: refused, never clipped.
+		[]byte(`{"v":1,"time_s":1.5,"rows":[],"machine":{}}`),
+		[]byte{0x03, v2KindData, 0x00},
+		[]byte{0x02, v2KindDict, 0x00},
+		// Truncations and header mutations seed the interesting failure
+		// modes directly; the engine mutates from there.
+		dataFrame[:len(dataFrame)/2],
+		dataFrame[:2],
+		dictFrame[:3],
+		[]byte{RecordVersion},
+		[]byte{RecordVersion, v2KindData},
+		[]byte{RecordVersion, 0x7f},
+		[]byte{RecordVersion + 1, v2KindData, 0x00}, // future binary version
+		[]byte("{"),
+		[]byte{},
+	)
+}
+
+// FuzzTranscodeMatchesDecode holds compaction's frame rewrite to the
+// decoder. For any data payload, the rewrite (compactWriter.intern, then
+// .data) accepts exactly what decodeDataInto accepts; what it writes
+// decodes, under the merged dictionary, to the record the payload
+// decodes to, with the same columns and events in force. Each input is
+// rewritten alone and behind a derived record's header, so a headerless
+// payload meets a derivation and events in force. The output table
+// starts with 130 other strings, so every index is remapped and takes
+// two bytes. Seeded from FuzzDecodeFrame's corpus.
+func FuzzTranscodeMatchesDecode(f *testing.F) {
+	rec := fuzzSeedRecord()
+	dict := fuzzSeedDict(rec)
+	derived, der := fuzzDerivedRecord(f)
+	warm := appendData(nil, derived, dict, der, true)
+	for _, p := range frameSeeds(f) {
+		f.Add(p)
+	}
+	// Headerless records: one storing every value, one omitting the
+	// derived columns, one storing a derivable column, and a truncated and
+	// an overlong one.
+	f.Add(appendData(nil, rec, dict, nil, false))
+	f.Add(appendData(nil, derived, dict, der, false))
+	stored := *derived
+	stored.Rows = slices.Clone(derived.Rows)
+	stored.Rows[1].Values = slices.Clone(stored.Rows[1].Values)
+	stored.Rows[1].Values[0]++
+	f.Add(appendData(nil, &stored, dict, der, false))
+	f.Add(appendData(nil, derived, dict, der, false)[:40])
+	f.Add(append(appendData(nil, derived, dict, der, false), 0))
+	seeded := slices.Clone(dict.strs)
+	var pre []string
+	for i := range 130 {
+		pre = append(pre, fmt.Sprintf("other-%d", i))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) < 2 || payload[0] < recordVersionV4 || payload[0] > RecordVersion || payload[1] != v2KindData {
+			return
+		}
+		for _, frames := range [][][]byte{{payload}, {warm, payload}} {
+			var want Record
+			var wantCols []string
+			dv := &deriver{}
+			var refErr error
+			for _, p := range frames {
+				if refErr = decodeDataInto(&want, p, seeded, nil, dv); refErr == nil && len(want.Cols) > 0 {
+					wantCols = slices.Clone(want.Cols)
+				}
+			}
+			outs, merged, err := transcodeFrames(t, seeded, pre, frames)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("the rewrite returns %v, the decode %v", err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			var got Record
+			var gotCols []string
+			dv = &deriver{}
+			for _, p := range outs {
+				if err := decodeDataInto(&got, p, merged, nil, dv); err != nil {
+					t.Fatalf("the rewritten frame does not decode: %v", err)
+				}
+				if len(got.Cols) > 0 {
+					gotCols = slices.Clone(got.Cols)
+				}
+			}
+			// The writer's float path keeps a time exact to 2^50 ms; past
+			// it a re-encoded frame's time rounds, so only acceptance is
+			// compared.
+			if math.Round(want.TimeSeconds*1000) >= 1<<50 || math.Round(want.ResSeconds*1000) >= 1<<50 {
+				continue
+			}
+			want.Cols, got.Cols = nil, nil
+			if !bytes.Equal(recordBytes(&got, gotCols), recordBytes(&want, wantCols)) || !slices.Equal(got.Events, want.Events) {
+				t.Fatalf("the rewritten frame decodes as\n%+v (cols %v), want\n%+v (cols %v)", got, gotCols, want, wantCols)
+			}
+		}
+	})
+}
+
+// transcodeFrames rewrites frames — the data payloads of one input
+// segment, in order, read under table dict — the way compactTier does:
+// the dictionary pass, then the rewrite into an output whose table
+// starts as pre. It returns each rewritten payload and the output's
+// table, and fails the test if the rewrite meets a string the
+// dictionary pass did not.
+func transcodeFrames(t *testing.T, dict, pre []string, frames [][]byte) ([][]byte, []string, error) {
+	sc := getScanner(nil, nil)
+	defer sc.release()
+	w := &compactWriter{dict: newV2Dict(slices.Clone(pre)), sc: sc}
+	begin := func() {
+		sc.begin(bytes.NewReader(nil))
+		sc.dict = append(sc.dict, dict...)
+		w.remap = w.remap[:0]
+	}
+	begin()
+	for _, p := range frames {
+		if err := w.intern(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	known := len(w.dict.strs)
+	begin()
+	var out bytes.Buffer
+	w.bw = bufio.NewWriter(&out)
+	var outs [][]byte
+	for _, p := range frames {
+		if err := w.data(p, 0); err != nil {
+			return nil, nil, err
+		}
+		if err := w.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, slices.Clone(out.Bytes()[frameHeader:]))
+		out.Reset()
+	}
+	if len(w.dict.strs) != known {
+		t.Fatalf("the rewrite interned %v, which the dictionary pass missed", w.dict.strs[known:])
+	}
+	return outs, w.dict.strs, nil
 }
 
 // walkerMatchesReference reads seg as a segment file through the scan

@@ -43,7 +43,9 @@ package store
 // caller may have decoded into before, every row's Values and Counts
 // windows of one block each per record, decodeV2Dict passes strings
 // through the scanner's intern table, and a derived column's program is
-// compiled once per process (derivationOf).
+// compiled once per process (derivationOf). walkData locates a data
+// payload's parts without decoding it, refusing what decodeDataInto
+// refuses: compaction (compact.go) rewrites v5 frames through it.
 
 import (
 	"encoding/binary"
@@ -161,43 +163,8 @@ func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation, head bool) 
 	buf = append(buf, RecordVersion, v2KindData)
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.TimeSeconds*1000)))
 	buf = binenc.AppendUvarint(buf, uint64(math.Round(rec.ResSeconds*1000)))
-	rows := rec.Rows
-	var flags byte
-	if head {
-		flags |= v2FlagCols
-		if der != nil {
-			flags |= v4FlagExprs
-		}
-	}
-	omit := der.omit(rows)
-	if omit != 0 {
-		flags |= v4FlagOmit
-	}
-	if rec.ResSeconds > 0 {
-		flags |= v5FlagN
-	}
-	buf = append(buf, flags)
-	if head {
-		for _, names := range [...][]string{rec.Cols, rec.Events} {
-			buf = binenc.AppendUvarint(buf, uint64(len(names)))
-			for _, name := range names {
-				buf = binenc.AppendUvarint(buf, d.intern(name))
-			}
-		}
-	}
-	if flags&v4FlagExprs != 0 {
-		// Per column, 0 for a stored one, else 1 + its source's entry.
-		for _, src := range der.src {
-			ref := uint64(0)
-			if src != "" {
-				ref = d.intern(src) + 1
-			}
-			buf = binenc.AppendUvarint(buf, ref)
-		}
-	}
-	if omit != 0 {
-		buf = binenc.AppendUvarint(buf, omit)
-	}
+	rows, omit := rec.Rows, der.omit(rec.Rows)
+	buf = appendLayout(buf, d, rec.Cols, rec.Events, der, head, omit, rec.ResSeconds > 0)
 	buf = binenc.AppendUvarint(buf, uint64(len(rows)))
 	prevPID := int64(0)
 	for i := range rows {
@@ -244,7 +211,7 @@ func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation, head bool) 
 			buf = binenc.AppendUvarint(buf, at(rows[i].Counts, e))
 		}
 	}
-	if flags&v5FlagN != 0 {
+	if rec.ResSeconds > 0 {
 		for i := range rows {
 			buf = binenc.AppendUvarint(buf, uint64(rows[i].N))
 		}
@@ -253,6 +220,49 @@ func appendData(buf []byte, rec *Record, d *v2Dict, der *derivation, head bool) 
 	buf = binenc.AppendFloat(buf, 0, rec.Machine.CPUPct)
 	for e := range rec.Events {
 		buf = binenc.AppendUvarint(buf, at(rec.Machine.Counts, e))
+	}
+	return buf
+}
+
+// appendLayout appends a v5 data payload's flags byte and what it
+// announces: when head is set, the layout header — cols, events and
+// der's expressions, interned in d — then the omission mask. tiered
+// flags the refresh counts a downsampled record's rows carry.
+func appendLayout(buf []byte, d *v2Dict, cols, events []string, der *derivation, head bool, omit uint64, tiered bool) []byte {
+	var flags byte
+	if head {
+		flags |= v2FlagCols
+		if der != nil {
+			flags |= v4FlagExprs
+		}
+	}
+	if omit != 0 {
+		flags |= v4FlagOmit
+	}
+	if tiered {
+		flags |= v5FlagN
+	}
+	buf = append(buf, flags)
+	if head {
+		for _, names := range [...][]string{cols, events} {
+			buf = binenc.AppendUvarint(buf, uint64(len(names)))
+			for _, name := range names {
+				buf = binenc.AppendUvarint(buf, d.intern(name))
+			}
+		}
+	}
+	if flags&v4FlagExprs != 0 {
+		// Per column, 0 for a stored one, else 1 + its source's entry.
+		for _, src := range der.src {
+			ref := uint64(0)
+			if src != "" {
+				ref = d.intern(src) + 1
+			}
+			buf = binenc.AppendUvarint(buf, ref)
+		}
+	}
+	if omit != 0 {
+		buf = binenc.AppendUvarint(buf, omit)
 	}
 	return buf
 }
@@ -503,6 +513,168 @@ func decodeDataInto(rec *Record, p []byte, dict []string, proj *projection, dv *
 		return fmt.Errorf("store: binary record has %d trailing bytes", r.Len())
 	}
 	return nil
+}
+
+// frameLayout is where a data payload's parts lie, as walkData finds
+// them: what compaction rewrites (compact.go) copies, and what it
+// re-addresses.
+type frameLayout struct {
+	res   uint64   // the resolution, ms: 0 for a raw record
+	head  int      // offset of the flags byte; the time and resolution precede it
+	flags byte     // the header's flags
+	cols  []string // the columns the header names: empty when it names none
+	omit  uint64   // the omission mask
+	nrows uint64
+	ids   int      // offset of the row count, then the PIDs and the TIDs
+	strs  int      // offset of the rows' dictionary indices: refs
+	refs  []uint64 // the rows' user, then command dictionary indices
+	tail  int      // offset of the CPU% chain and every field behind it
+}
+
+// walkData locates a v4 or v5 data payload's parts against the segment's
+// dictionary without decoding its rows, folding its header into dv as
+// decodeDataInto does. Short of whole it stops after the rows'
+// dictionary indices, which is all a dictionary pass reads; whole, it
+// steps over every field behind them too and refuses exactly the
+// payloads decodeDataInto refuses.
+func walkData(p []byte, dict []string, dv *deriver, lay *frameLayout, whole bool) error {
+	r := binenc.NewReader(p[2:])
+	r.Uvarint() // time
+	lay.res = r.Uvarint()
+	lay.head = len(p) - r.Len()
+	var err error
+	if lay.cols, lay.flags, lay.omit, err = readHeader(r, p, lay.res == 0, dict, lay.cols[:0], dv); err != nil {
+		return err
+	}
+	off := len(p) - r.Len()
+	lay.ids = off
+	nrows, w := binary.Uvarint(p[off:])
+	if w <= 0 || nrows > uint64(len(p)) {
+		return fmt.Errorf("store: corrupt binary record (row count)")
+	}
+	lay.nrows = nrows
+	off, ok := skipUvarints(p, off+w, 2*nrows) // PIDs, TIDs
+	if !ok {
+		return fmt.Errorf("store: corrupt binary record (task IDs)")
+	}
+	lay.strs, lay.refs = off, lay.refs[:0]
+	for range 2 * nrows {
+		idx, w := binary.Uvarint(p[off:])
+		if w <= 0 {
+			return fmt.Errorf("store: corrupt binary record (dictionary index)")
+		}
+		if idx >= uint64(len(dict)) {
+			return fmt.Errorf("store: binary record references dictionary entry %d of %d", idx, len(dict))
+		}
+		lay.refs = append(lay.refs, idx)
+		off += w
+	}
+	lay.tail = off
+	if !whole {
+		return nil
+	}
+	if off, ok = skipFloats(p, off, nrows); !ok { // CPU%
+		return fmt.Errorf("store: corrupt binary record (CPU%%)")
+	}
+	// Every row's values but the omitted columns', in chains.
+	total, stored := uint64(0), uint64(0)
+	for range nrows {
+		n, w := binary.Uvarint(p[off:])
+		if w <= 0 || n > uint64(len(p))-total {
+			return fmt.Errorf("store: corrupt binary record (values)")
+		}
+		total += n
+		below := lay.omit
+		if n < maxDerived {
+			below &= 1<<n - 1
+		}
+		stored += n - uint64(bits.OnesCount64(below))
+		off += w
+	}
+	if off, ok = skipFloats(p, off, stored); !ok {
+		return fmt.Errorf("store: corrupt binary record (values)")
+	}
+	nev := uint64(len(dv.events))
+	if p[0] > recordVersionV4 {
+		k, w := binary.Uvarint(p[off:])
+		if w <= 0 || k != nev {
+			return fmt.Errorf("store: corrupt binary record (counts of %d events in force)", nev)
+		}
+		off += w
+	}
+	if nev*(nrows+1) > uint64(len(p)) {
+		return fmt.Errorf("store: corrupt binary record (counts of %d events in force)", nev)
+	}
+	n := nev * nrows // the counts,
+	if lay.flags&v5FlagN != 0 {
+		n += nrows // the refresh counts
+	}
+	off, ok = skipUvarints(p, off, n+1) // and the roll-up's tasks
+	if ok {
+		off, ok = skipFloats(p, off, 1) // the roll-up's CPU%
+	}
+	if ok {
+		off, ok = skipUvarints(p, off, nev)
+	}
+	if !ok {
+		return fmt.Errorf("store: corrupt binary record (counts)")
+	}
+	if off != len(p) {
+		return fmt.Errorf("store: binary record has %d trailing bytes", len(p)-off)
+	}
+	return nil
+}
+
+// asEncoded reports whether the payload lay describes is laid out as
+// appendData lays out its record under der, the derivation in force:
+// omitting every column der derives (nothing without der or rows), and
+// carrying refresh counts exactly when it is downsampled. Transcoding
+// such a payload writes what decoding and encoding it would.
+func (lay *frameLayout) asEncoded(der *derivation) bool {
+	want := uint64(0)
+	if der != nil && lay.nrows > 0 {
+		want = der.mask()
+	}
+	return lay.omit == want && (lay.flags&v5FlagN != 0) == (lay.res > 0)
+}
+
+// appendTranscoded appends v5 data payload p, as walkData laid it out in
+// lay, rewritten for another segment: its layout header as appendData
+// writes it (head, cols, events and der's expressions interned in d), its
+// rows' dictionary indices as lay.refs now holds them, every other byte
+// as it was.
+func appendTranscoded(buf, p []byte, lay *frameLayout, d *v2Dict, cols, events []string, der *derivation, head bool) []byte {
+	buf = append(buf, p[:lay.head]...) // version, kind, time, resolution
+	buf = appendLayout(buf, d, cols, events, der, head, lay.omit, lay.res > 0)
+	buf = append(buf, p[lay.ids:lay.strs]...) // row count, PIDs, TIDs
+	for _, idx := range lay.refs {
+		buf = binenc.AppendUvarint(buf, idx)
+	}
+	return append(buf, p[lay.tail:]...) // CPU%, values, counts, roll-up
+}
+
+// skipUvarints steps over n uvarints — or zigzag varints, which read the
+// same — from p[off:], accepting exactly what binary.Uvarint accepts.
+func skipUvarints(p []byte, off int, n uint64) (int, bool) {
+	for ; n > 0; n-- {
+		if off < len(p) && p[off] < 0x80 {
+			off++
+			continue
+		}
+		_, w := binary.Uvarint(p[off:])
+		if w <= 0 {
+			return off, false
+		}
+		off += w
+	}
+	return off, true
+}
+
+// skipFloats steps over n binenc floats from p[off:].
+func skipFloats(p []byte, off int, n uint64) (int, bool) {
+	r := binenc.NewReader(p[off:])
+	r.SkipFloats(int(n))
+	return len(p) - r.Len(), r.Err() == nil
 }
 
 // peekLayout reads just the header of a data payload — returning its

@@ -295,15 +295,40 @@ func (s *segScanner) release() {
 // each record's Events, are owned by the scan, never aliased to
 // scratch.
 func (s *segScanner) scanFile(f queryFile, from, to time.Duration, next func() *Record, emit func(rec *Record, fileCols []string) error) error {
+	return s.onFile(f, func(r io.Reader) error { return s.scan(r, from, to, next, emit) })
+}
+
+// frames steps every data frame of one segment file through fn with its
+// time, undecoded: compaction's walk, which reads each frame's layout
+// itself (walkData). Dictionary frames fold into s.dict on the way.
+func (s *segScanner) frames(f queryFile, fn func(p []byte, t time.Duration) error) error {
+	return s.onFile(f, func(r io.Reader) error {
+		s.begin(r)
+		for {
+			p, t, err := s.frame()
+			if err != nil || p == nil {
+				return err
+			}
+			if err := fn(p, t); err != nil {
+				return err
+			}
+		}
+	})
+}
+
+// onFile runs walk over one segment file's valid prefix. A file that is
+// gone walks as empty: retention or compaction retired it between
+// snapshot and scan.
+func (s *segScanner) onFile(f queryFile, walk func(io.Reader) error) error {
 	fh, err := s.fsys.open(f.path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil // retired by retention or compaction between snapshot and scan
+		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer fh.Close() // read-only
-	return s.scan(io.LimitReader(fh, f.valid), from, to, next, emit)
+	return walk(io.LimitReader(fh, f.valid))
 }
 
 // scan is scanFile over the segment's bytes.
