@@ -53,11 +53,11 @@ docs:
 # (the wire sample's, the query responses') drift from encoding/json, or
 # lets the one-pass JSON sample decoder answer differently from
 # json.Unmarshal, or lets the /metrics integer path drift from
-# strconv.AppendFloat, or lets
-# the packed history rings read differently from the array ring they
-# replaced, or lets a -config file's definitions fail to round-trip or
-# get a different verdict from the facade's Config.Validate, is caught
-# before it lands. That last one minimizes in at most 100 runs: a
+# strconv.AppendFloat, or lets a teed recorder's History read
+# differently from a plain reference of its window rule (the newest
+# Capacity refreshes), or lets a -config file's definitions fail to
+# round-trip or get a different verdict from the facade's
+# Config.Validate, is caught before it lands. That last one minimizes in at most 100 runs: a
 # definitions document costs about a millisecond, and the default 60 s
 # of minimizing would eat its whole pass.
 fuzz:
@@ -91,17 +91,16 @@ validate:
 # results/bench/report.json (end-to-end metrics gated by the bounds in
 # BENCHMARK.json, per-layer metrics beside them). The go test lines are
 # for eyeballing one refresh of 1000 and 4000 tasks, one refresh of 2000
-# folded into rings at depth, one 600-point ring read back, one
-# /metrics encode of 2000, one range query of a 2000-task store in
-# each of four dashboard shapes, and one 2000-task refresh read off the
-# stream in each wire encoding; their allocation budgets are asserted by
+# known tasks folded into a recorder, one /metrics encode of 2000, one
+# range query of a 2000-task store in each of four dashboard shapes, and
+# one 2000-task refresh read off the stream in each wire encoding; their allocation budgets are asserted by
 # TestUpdateAllocsFlat, TestObserveSteadyStateAllocations,
 # TestScrapeEncodeSteadyAllocs, TestDashboardQueryAllocs and
 # TestDecodeJSONAllocs.
 bench:
 	$(GO) run ./bench
 	$(GO) test -run xxx -bench 'BenchmarkUpdate[0-9]+$$' -benchmem ./internal/core/
-	$(GO) test -run xxx -bench 'Benchmark(Observe2000|History600)$$' -benchmem ./internal/history/
+	$(GO) test -run xxx -bench 'BenchmarkObserve2000$$' -benchmem ./internal/history/
 	$(GO) test -run xxx -bench 'BenchmarkScrapeEncode2000' -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkDashboardQuery2000' -benchmem ./internal/query/
 	$(GO) test -run xxx -bench 'BenchmarkDecode(JSON|Binary)2000' -benchmem ./internal/remote/

@@ -321,28 +321,34 @@ func BenchmarkScrapeEncode2000(b *testing.B) {
 // procs a sample of SplitRows tasks or more tees beside the recorder's
 // fold and the public rows, which it builds in halves. p50-us is the
 // median refresh, the ruler's statistic; ns/op is the mean, which also
-// carries the store's bucket writes and the collector.
+// carries the store's bucket writes and the collector. The store is on
+// disk, but for the store-less node's, which is the recorder's own in
+// memory.
 func BenchmarkRefresh2000(b *testing.B) {
 	for _, node := range []struct {
-		name    string
-		machine MachineName
-		screen  string
-		tasks   []int
+		name      string
+		machine   MachineName
+		screen    string
+		tasks     []int
+		storeless bool
 	}{
-		{"e5640", MachineE5640, "", []int{256, 320, 640, 1000, 2000}},
-		{"a7-wide", MachineCortexA7, "wide", []int{320}},
+		{"e5640", MachineE5640, "", []int{256, 320, 640, 1000, 2000}, false},
+		{"a7-wide", MachineCortexA7, "wide", []int{320}, false},
+		{"e5640-storeless", MachineE5640, "", []int{2000}, true},
 	} {
 		for _, tasks := range node.tasks {
 			b.Run(fmt.Sprintf("node=%s/tasks=%d", node.name, tasks), func(b *testing.B) {
 				sc, mon := nodeFixture(b, node.machine, node.screen, tasks)
 				rec := NewRecorder(RecorderOptions{})
 				mon.Subscribe(rec)
-				st, err := OpenStore(b.TempDir(), StoreOptions{})
-				if err != nil {
-					b.Fatal(err)
+				if !node.storeless {
+					st, err := OpenStore(b.TempDir(), StoreOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer st.Close()
+					rec.Tee(st)
 				}
-				defer st.Close()
-				rec.Tee(st)
 				srv := remote.NewServer(rec.WriteOpenMetrics)
 				for range 3 {
 					if _, err := mon.Sample(); err != nil {
@@ -367,7 +373,7 @@ func BenchmarkRefresh2000(b *testing.B) {
 					took = append(took, time.Since(t))
 				}
 				b.StopTimer()
-				if err := st.Err(); err != nil {
+				if err := rec.store().Err(); err != nil {
 					b.Fatal(err)
 				}
 				slices.Sort(took)
@@ -377,45 +383,53 @@ func BenchmarkRefresh2000(b *testing.B) {
 	}
 }
 
-// BenchmarkHistoryStore2000 is what /api/v1/history pays with -store:
-// one task's 600 refreshes read back from the raw tier of a 2000-task
-// node, a scan of every row of the window. internal/history's
-// BenchmarkHistory600 is the same read from a store-less recorder's ring.
+// BenchmarkHistoryStore2000 is what /api/v1/history pays: one task's
+// 600 refreshes read back from the raw tier of a 2000-task node, a scan
+// of every row of the window — from a disk store with -store, and from
+// the recorder's own in-memory store without.
 func BenchmarkHistoryStore2000(b *testing.B) {
 	const tasks, refreshes = 2000, 600
-	st, err := OpenStore(b.TempDir(), StoreOptions{Budget: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	rec := NewRecorder(RecorderOptions{Capacity: refreshes})
-	rec.h.SetColumns([]string{"ipc", "dmis"})
-	rec.Tee(st)
-	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
-	s := &core.Sample{Rows: make([]core.Row, tasks)}
-	for i := range s.Rows {
-		s.Rows[i] = core.Row{
-			Info:   core.TaskInfo{ID: hpm.TaskID{PID: 100 + i, TID: 100 + i}, User: fmt.Sprint("u", i%7), Comm: fmt.Sprint("job", i%40), State: "R"},
-			CPUPct: 50, Values: make([]float64, 2), Counts: make([]uint64, 3), Table: table, Valid: true,
-		}
-	}
-	for r := 1; r <= refreshes; r++ {
-		s.Time = time.Duration(r) * 2 * time.Second
-		for i := range s.Rows {
-			row := &s.Rows[i]
-			row.Counts[0], row.Counts[1], row.Counts[2] = uint64(1000*(i+r)), uint64(500*(i+1)), uint64(i%13)
-			row.Values[0], row.Values[1] = float64(i+r)/float64(i+1), float64(i%13)/100
-		}
-		rec.h.Observe(s)
-	}
-	if err := st.Err(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if h, err := rec.History(1100); err != nil || len(h) != 1 || len(h[0].Points) != refreshes {
-			b.Fatalf("%d series, %v", len(h), err)
-		}
+	for _, disk := range []bool{true, false} {
+		b.Run(map[bool]string{true: "store=disk", false: "store=mem"}[disk], func(b *testing.B) {
+			rec := NewRecorder(RecorderOptions{Capacity: refreshes})
+			rec.h.SetColumns([]string{"ipc", "dmis"})
+			if disk {
+				st, err := OpenStore(b.TempDir(), StoreOptions{Budget: 1 << 30})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer st.Close()
+				rec.Tee(st)
+			}
+			table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
+			s := &core.Sample{Rows: make([]core.Row, tasks)}
+			for i := range s.Rows {
+				s.Rows[i] = core.Row{
+					Info:   core.TaskInfo{ID: hpm.TaskID{PID: 100 + i, TID: 100 + i}, User: fmt.Sprint("u", i%7), Comm: fmt.Sprint("job", i%40), State: "R"},
+					CPUPct: 50, Values: make([]float64, 2), Counts: make([]uint64, 3), Table: table, Valid: true,
+				}
+			}
+			feed := recorders{rec}
+			for r := 1; r <= refreshes; r++ {
+				s.Time = time.Duration(r) * 2 * time.Second
+				for i := range s.Rows {
+					row := &s.Rows[i]
+					row.Counts[0], row.Counts[1], row.Counts[2] = uint64(1000*(i+r)), uint64(500*(i+1)), uint64(i%13)
+					row.Values[0], row.Values[1] = float64(i+r)/float64(i+1), float64(i%13)/100
+				}
+				feed.Observe(s)
+				rec.h.Join()
+			}
+			if err := rec.store().Err(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if h, err := rec.History(1100); err != nil || len(h) != 1 || len(h[0].Points) != refreshes {
+					b.Fatalf("%d series, %v", len(h), err)
+				}
+			}
+		})
 	}
 }

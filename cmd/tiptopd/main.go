@@ -13,7 +13,7 @@
 //	tiptopd                        monitor the real machine on :9412
 //	tiptopd -sim datacenter        serve the Figure 1 grid node
 //	tiptopd -addr :8080 -d 1       custom listen address and cadence
-//	tiptopd -history 1800 -n 100   deeper rings, exit after 100 refreshes
+//	tiptopd -history 1800 -n 100   deeper history, exit after 100 refreshes
 //	tiptopd -config f.xml          options (delay, sort, listen, ...) from XML
 //	tiptopd -join host1:9412,host2:9412   aggregate a fleet of agents
 //	tiptopd -store /var/lib/tiptop -retention 168h -budget 256MB
@@ -65,7 +65,7 @@ func flags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("tiptopd", flag.ContinueOnError)
 	o := &options{shared: config.BindFlags(fs)}
 	fs.StringVar(&o.addr, "addr", ":9412", "HTTP listen address")
-	fs.IntVar(&o.daemon.History, "history", 0, "history depth per task: points each ring retains, or with -store the refreshes /api/v1/history reads back from the store (0 = default 600)")
+	fs.IntVar(&o.daemon.History, "history", 0, "history depth: the refreshes /api/v1/history reads back from the store, in memory or -store's (0 = default 600)")
 	fs.DurationVar(&o.daemon.Window, "window", 0, "windowed-rate horizon, capped at 128 refreshes (0 = default 1m)")
 	fs.StringVar(&o.join, "join", "", "aggregate remote tiptopd agents (comma-separated host:port list) instead of monitoring locally")
 	fs.DurationVar(&o.compact, "compact", 0, "merge the store's sealed segments at startup and then every period, e.g. 1h (0 = never)")

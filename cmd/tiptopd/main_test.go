@@ -32,8 +32,8 @@ func sim(t *testing.T, name string) *tiptop.Scenario {
 	return sc
 }
 
-// newDaemon builds a daemon the way run does, with the rings the tests
-// read.
+// newDaemon builds a daemon the way run does, with the history depth
+// and rate window the tests read.
 func newDaemon(t *testing.T, cfg tiptop.Config, opt tiptop.DaemonOptions) *tiptop.Daemon {
 	t.Helper()
 	opt.History, opt.Window = 64, time.Second

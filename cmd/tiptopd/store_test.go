@@ -293,7 +293,7 @@ func TestStoreQueryOpenMetricsVariant(t *testing.T) {
 }
 
 // TestQueryWithoutStore: a daemon without -store answers raw range
-// queries from its live rings, as it does expressions (a 404 before).
+// queries from its recorder's in-memory store, as it does expressions.
 func TestQueryWithoutStore(t *testing.T) {
 	d, srv := testDaemon(t)
 	pid := d.Recorder().PIDs()[0]
@@ -303,12 +303,28 @@ func TestQueryWithoutStore(t *testing.T) {
 		t.Fatalf("got HTTP %d (%v): %s", status, err, body)
 	}
 	if res.PID != pid || len(res.Series) == 0 || len(res.Machine) == 0 || len(res.Columns) == 0 {
-		t.Fatalf("raw query of pid %d from the live rings: %s", pid, body)
+		t.Fatalf("raw query of pid %d from the in-memory store: %s", pid, body)
 	}
 	for _, s := range res.Series {
 		if s.PID != pid || len(s.Points) == 0 {
 			t.Fatalf("series %+v in pid %d's answer", s, pid)
 		}
+	}
+}
+
+// TestStorelessDaemonQueriesEveryEvent: a daemon without -store on the
+// wide screen answers an expression over an event beyond INSTRUCTIONS,
+// CYCLES and CACHE_MISSES, as a -store daemon does.
+func TestStorelessDaemonQueriesEveryEvent(t *testing.T) {
+	srv := start(t, newDaemon(t, tiptop.Config{Interval: 10 * time.Millisecond, Screen: "wide"}, tiptop.DaemonOptions{Sim: sim(t, "datacenter")}))
+	waitUntil(t, "the first refreshes", func() bool { return srv.Refreshes() >= 3 })
+	status, body := get(t, srv.URL+"/api/v1/query?expr=delta(BRANCH_MISSES)&step=2")
+	var res tiptop.QueryResult
+	if err := json.Unmarshal([]byte(body), &res); status != http.StatusOK || err != nil {
+		t.Fatalf("got HTTP %d (%v): %s", status, err, body)
+	}
+	if len(res.Series) == 0 {
+		t.Fatalf("delta(BRANCH_MISSES) answered no series: %s", body)
 	}
 }
 
@@ -349,6 +365,37 @@ func TestFleetPerAgentDurableStores(t *testing.T) {
 	status, body = get(t, ts.URL+"/api/v1/query?agent=nope")
 	if status != http.StatusBadRequest {
 		t.Fatalf("unknown agent got HTTP %d: %s", status, body)
+	}
+}
+
+// TestFleetStorelessAgentQueries: a -join aggregator without -store
+// lists the query forms and answers them from each machine's in-memory
+// store, ?agent= selecting as it does with -store.
+func TestFleetStorelessAgentQueries(t *testing.T) {
+	agents := []*agent{startAgent(t, "datacenter"), startAgent(t, "spec")}
+	defer func() {
+		for _, a := range agents {
+			a.close(t)
+		}
+	}()
+	fd, ts := startFleet(t, tiptop.Config{}, agents)
+	waitUntil(t, "both agents' refreshes", func() bool { return fd.Refreshes() >= 10 })
+	if _, body := get(t, ts.URL+"/"); !strings.Contains(body, "/api/v1/query?agent=*&expr=") {
+		t.Fatalf("the index page lists no query form:\n%s", body)
+	}
+	status, body := get(t, ts.URL+"/api/v1/query?agent=*&expr=delta(INSTRUCTIONS)&step=1")
+	if status != http.StatusOK {
+		t.Fatalf("agent=*: HTTP %d: %s", status, body)
+	}
+	for _, a := range agents {
+		label := strings.TrimPrefix(a.URL, "http://")
+		if !strings.Contains(body, label) {
+			t.Fatalf("agent=* answers no series of %s: %.400s", label, body)
+		}
+		status, body := get(t, ts.URL+"/api/v1/query?agent="+url.QueryEscape(label))
+		if status != http.StatusOK || !strings.Contains(body, `"points"`) {
+			t.Fatalf("agent %s: HTTP %d: %.400s", label, status, body)
+		}
 	}
 }
 

@@ -33,9 +33,9 @@ type DaemonOptions struct {
 	// "datacenter" where perf_event is unavailable.
 	Sim *Scenario
 	// History and Window size the recorders, the solo one or one per
-	// agent: the history depth per task (-history: points a ring retains,
-	// or with a store the refreshes History reads back from it) and the
-	// windowed-rate horizon (-window); 0 takes RecorderOptions' defaults.
+	// agent: the history depth (-history: the refreshes History reads
+	// back from the recorder's store) and the windowed-rate horizon
+	// (-window); 0 takes RecorderOptions' defaults.
 	History int
 	Window  time.Duration
 	// Refreshes, when positive, ends Run after that many refreshes past
@@ -535,15 +535,15 @@ type route struct {
 // Refresh.
 func (d *Daemon) Handler() http.Handler {
 	solo := d.mon != nil
-	// With stores: raw and expression queries over durable history.
-	// Without, a solo daemon answers both from its recorder's live
-	// rings; an aggregator lists the query forms only with stores.
+	// Raw and expression queries over each machine's recorder store: its
+	// durable one with a store directory, its in-memory one without.
 	q := []string{"/api/v1/query?expr=&from=&to=&step=", "/api/v1/query?pid=&from=&to=&step="}
+	stores := map[string]*Store{}
+	for _, m := range d.machines {
+		stores[m.label] = m.rec.store()
+	}
 	if !solo {
-		q = []string{}
-		if d.cfg.StoreDir != "" {
-			q = []string{"/api/v1/query?agent=*&expr=&from=&to=&step=", "/api/v1/query?agent=&pid=&from=&to=&step="}
-		}
+		q = []string{"/api/v1/query?agent=*&expr=&from=&to=&step=", "/api/v1/query?agent=&pid=&from=&to=&step="}
 	}
 	routes := slices.DeleteFunc([]route{
 		{"GET /metrics", true, d.srv.HandleMetrics, nil},
@@ -553,7 +553,7 @@ func (d *Daemon) Handler() http.Handler {
 		{"GET /api/v1/sample", solo, d.srv.HandleSample, nil},
 		{"GET /api/v1/agents", !solo, d.agents, nil},
 		{"GET /api/v1/stream", true, d.srv.Hub().ServeStream, nil},
-		{"GET /api/v1/query", true, query.NamedExprs(d.named, queryHandler(d.Stores(), d.Recorder())).ServeHTTP, q},
+		{"GET /api/v1/query", true, query.NamedExprs(d.named, queryHandler(stores)).ServeHTTP, q},
 	}, func(rt route) bool { return !rt.on })
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {

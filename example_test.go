@@ -77,8 +77,8 @@ func ExampleScenario_StartFPMicro() {
 }
 
 // Recording: subscribe a Recorder and every subsequent sample also
-// lands in per-task history rings and per-user/command/machine
-// aggregates, queryable while sampling continues.
+// lands in its in-memory store and per-user/command/machine aggregates,
+// queryable while sampling continues.
 func ExampleRecorder() {
 	scenario, err := tiptop.NewScenario(tiptop.MachineXeonW3550)
 	if err != nil {

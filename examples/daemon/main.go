@@ -27,7 +27,7 @@ func main() {
 	}
 	d, err := tiptop.NewDaemon(tiptop.Config{Interval: time.Second}, tiptop.DaemonOptions{
 		Sim: sc,
-		// The recorder: every sample lands in per-task rings and the
+		// The recorder: every sample lands in its in-memory store and the
 		// user/command/machine aggregates, without perturbing sampling.
 		History: 120, Window: 30 * time.Second,
 	})
@@ -76,7 +76,7 @@ func main() {
 	}
 
 	// And one process's recorded history: the IPC series Prometheus
-	// would graph, straight from the ring buffer.
+	// would graph, read back from the recorder's store.
 	pid := rec.PIDs()[0]
 	history, err := rec.History(pid)
 	if err != nil {

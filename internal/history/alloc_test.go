@@ -1,8 +1,8 @@
 package history_test
 
 // End-to-end allocation accounting against the real engine: recording
-// must add zero allocations per refresh once the rings have wrapped (a
-// growing ring allocates a buffer per 64 points). Measured by running
+// must add zero allocations per refresh once every task has been seen.
+// Measured by running
 // two identically seeded simulated sessions — one with a subscribed
 // Recorder, one without — through testing.AllocsPerRun and comparing.
 
@@ -61,10 +61,8 @@ func sessionAllocs(tb testing.TB, tasks int, record bool) float64 {
 		rec.SetColumns(cols)
 		s.Subscribe(rec)
 	}
-	// Warm up: attach every counter, create every ring and aggregate, and
-	// run until every ring has dropped a chunk and written a full one into
-	// each of its two buffers, so the measured refreshes are pure steady
-	// state; they cross a chunk boundary.
+	// Warm up: attach every counter and create every task's state and
+	// aggregate, so the measured refreshes are pure steady state.
 	for i := 0; i < 240; i++ {
 		s.AdvanceClock()
 		if _, err := s.Update(); err != nil {

@@ -1,28 +1,24 @@
-// Package history records the tiptop engine's samples over time: a ring
-// of counter/column observations per task, packed into chunks of 64
-// points (ring.go), plus roll-up aggregates (per-user, per-command and
-// machine-wide totals and windowed rates) maintained incrementally. A
-// recorder teed into a Keeper (a durable store) packs no points: the
-// keeper holds every refresh already, and History reads them back from
-// it.
+// Package history records the tiptop engine's samples over time: each
+// task's labels and newest observation, plus roll-up aggregates
+// (per-user, per-command and machine-wide totals and windowed rates)
+// maintained incrementally. A task's series lives in the Keeper the
+// recorder is teed into (a store, on disk or in memory): History reads
+// the newest Capacity refreshes back from it, and without a keeper there
+// is no series to read.
 //
 // The Recorder implements core.Observer and is fed synchronously from
 // the sampling goroutine, so its hot path is engineered like the
 // engine's: recording one refresh costs O(rows) work and one hashed
 // lookup per row, of its TaskID: counts are read by position and each
-// ring caches its user's and command's aggregates. A ring holds what its
-// task recorded, not what Capacity allows: a growing ring allocates one
-// buffer per 64 points, and once it has reached Capacity it writes in
-// the buffers it has — from then on, and for the aggregate checkpoint
-// rings and the touched-scratch slice from the start, a refresh
-// allocates nothing. Only new tasks, users or commands, and rings still
-// filling, allocate.
+// task caches its user's and command's aggregates. From a task's second
+// refresh on — and for the aggregate checkpoint rings and the
+// touched-scratch slice from the start — a refresh allocates nothing.
+// Only new tasks, users or commands allocate.
 //
 // Queries (View, Snapshot, History, PIDs) copy out under a read lock and
 // may run concurrently with recording — this is what lets an HTTP daemon
-// serve scrapes against a live sampler. View reads each ring's newest
-// point, which is kept unpacked; History and AllSeries decode, or
-// History scans the keeper outside the lock.
+// serve scrapes against a live sampler. View reads each task's newest
+// point; History scans the keeper outside the lock.
 package history
 
 import (
@@ -39,11 +35,9 @@ import (
 
 // Options tune a Recorder.
 type Options struct {
-	// Capacity is the number of points each task's ring retains
-	// (default 600 — twenty minutes at the paper's 2 s cadence). It bounds
-	// how far back a ring reaches, not what a task costs before then.
-	// Teed into a Keeper, the recorder keeps no points, and Capacity is
-	// the number of its newest refreshes History reads back.
+	// Capacity is the number of the recorder's newest refreshes History
+	// reads back from the keeper (default 600 — twenty minutes at the
+	// paper's 2 s cadence).
 	Capacity int
 	// Window is the horizon of the windowed rates in the aggregates
 	// (default 60 s). Checkpoints are kept for the most recent 128
@@ -70,10 +64,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Point is one recorded observation of a task. Instr, Cycles and
-// Misses are the raw counter deltas of the refresh interval — what the
-// expression query engine evaluates INSTRUCTIONS/CYCLES/CACHE_MISSES
-// against when querying live history instead of the durable store.
+// Point is one recorded observation of a task, as History reads it back
+// from the keeper: time on the keeper's clock, and Instr, Cycles and
+// Misses the raw counter deltas of the refresh interval.
 type Point struct {
 	TimeSeconds float64   `json:"time_s"`
 	CPUPct      float64   `json:"cpu_pct"`
@@ -196,6 +189,60 @@ func (v *View) Snapshot() *Snapshot {
 	return snap
 }
 
+// point holds the scalars of one observation.
+type point struct {
+	t                     time.Duration
+	cpu                   float64
+	instr, cycles, misses uint64 // per-interval counter deltas
+}
+
+// ipc is the point's instructions per cycle, as core.Row.IPC computes it.
+func (p *point) ipc() float64 {
+	if p.cycles == 0 {
+		return 0
+	}
+	return float64(p.instr) / float64(p.cycles)
+}
+
+// task is one task's state: its labels, its newest point — what View
+// reads — and the aggregates it folds into. Its series is the keeper's.
+type task struct {
+	id        hpm.TaskID
+	user      string
+	comm      string
+	state     string
+	coverage  float64       // counted fraction of the latest interval
+	start     time.Duration // TaskInfo.StartTime, the pid-reuse detector
+	lastEpoch uint64
+	// since is the refresh of the first point of the task's current run:
+	// its admission, its pid's reuse, or the first refresh after a column
+	// change restarted it.
+	since uint64
+	// userAgg and commAgg are the aggregates the task's deltas fold
+	// into, those of aggUser and aggComm — the user and command of its
+	// latest row, where user and comm label the series as first seen —
+	// so a refresh that finds both unchanged hashes neither string.
+	aggUser, aggComm string
+	userAgg, commAgg *aggState
+	last             point // the newest point
+	lastVals         []float64
+}
+
+// hold makes p, with one value per column, the task's newest point: a
+// row narrower than the screen reads 0 in the columns it lacks, a wider
+// one loses the extra.
+func (tk *task) hold(p point, values []float64) {
+	clear(tk.lastVals[copy(tk.lastVals, values):])
+	tk.last = p
+}
+
+// restart readies the task for a column list of ncols values.
+func (tk *task) restart(ncols int) {
+	if len(tk.lastVals) != ncols {
+		tk.lastVals = make([]float64, ncols)
+	}
+}
+
 // aggCheckpoints is the capacity of each aggregate's checkpoint ring
 // backing the windowed rates. At the default 2 s cadence it spans over
 // four minutes, comfortably more than the default 60 s window.
@@ -203,7 +250,7 @@ const aggCheckpoints = 128
 
 // aggState is the recorder's book-keeping for one aggregate key.
 type aggState struct {
-	refs  int    // rings folding into this aggregate; it is dropped with the last
+	refs  int    // tasks folding into this aggregate; it is dropped with the last
 	epoch uint64 // refresh that last touched this aggregate
 	// Per-refresh accumulation, reset lazily when a new epoch first
 	// touches the entry.
@@ -288,8 +335,8 @@ func (a *aggState) aggregate(live bool, now, window time.Duration) Aggregate {
 }
 
 // Keeper is a tee that keeps every sample it observes and replays a
-// task's observations on request: a durable store. A recorder teed into
-// one packs no points; History reads them back from the keeper.
+// task's observations on request: a store. History reads a recorder's
+// series back from the keeper it is teed into.
 type Keeper interface {
 	core.Observer
 	// LastTime is the keeper's clock at the newest sample it kept.
@@ -311,7 +358,7 @@ type Recorder struct {
 	epoch     uint64
 	refreshes uint64
 	lastTime  time.Duration
-	series    map[hpm.TaskID]*ring
+	series    map[hpm.TaskID]*task
 	users     map[string]*aggState
 	commands  map[string]*aggState
 	machine   aggState
@@ -320,21 +367,23 @@ type Recorder struct {
 	// reused across refreshes.
 	touched []*aggState
 	// keyGen counts changes to the key sets of users and commands,
-	// ringGen changes to which rings exist and how one is labelled
+	// taskGen changes to which tasks exist and how one is labelled
 	// (admit, evict, pid reuse): what View's kept order is checked by.
-	keyGen, ringGen uint64
+	keyGen, taskGen uint64
 	// orphans lists the aggregates the current refresh left without a
-	// ring; those still without one when it ends are dropped.
+	// task; those still without one when it ends are dropped.
 	orphans []orphan
 	order   viewOrder
 	// tee receives every observed sample after or beside the recorder's
 	// own fold, outside the recorder lock — the hook a durable store
 	// attaches by.
-	// keeper is tee when it is a Keeper: then no ring packs points.
+	// keeper is tee when it is a Keeper: what History reads.
 	tee    core.Observer
 	keeper Keeper
 	// times is the keeper's clock after each of the newest Capacity
-	// refreshes it kept, by refresh number modulo Capacity; timed is the
+	// refreshes it kept, by refresh number modulo Capacity: room for up
+	// to timesReserved of them from New, grown past that as refreshes
+	// come, so a deep Capacity costs what was observed. timed is the
 	// newest such refresh and teedAt the first the keeper observed.
 	times         []time.Duration
 	timed, teedAt uint64
@@ -355,10 +404,11 @@ func New(opt Options) *Recorder {
 	r := &Recorder{
 		opt:      opt.withDefaults(),
 		ncols:    -1,
-		series:   make(map[hpm.TaskID]*ring),
+		series:   make(map[hpm.TaskID]*task),
 		users:    make(map[string]*aggState),
 		commands: make(map[string]*aggState),
 	}
+	r.times = make([]time.Duration, 0, min(r.opt.Capacity, timesReserved))
 	r.aside = func() {
 		r.tee.Observe(r.teeing)
 		r.teed.Done()
@@ -366,23 +416,27 @@ func New(opt Options) *Recorder {
 	return r
 }
 
+// timesReserved is the most keeper clock slots New reserves: 32 KiB.
+const timesReserved = 4096
+
 // SetColumns records the screen's column names for snapshots and
 // exports, and sets the width of the per-point value vectors. A list
 // that differs from the one in force, or from the width learned from
 // the rows before any list was set (a followed daemon restarted on
-// another screen), restarts every ring at the new width: a recorded
-// value is only ever read under the name it was recorded under. The
-// aggregates, and a tee'd store, keep what came before. Idempotent.
+// another screen), restarts every task at the new width, and History's
+// window after it: a recorded value is only ever read under the name it
+// was recorded under. The aggregates, and a tee'd store, keep what came
+// before. Idempotent.
 func (r *Recorder) SetColumns(names []string) {
 	r.mu.Lock()
 	changed := r.ncols >= 0 && len(names) != r.ncols || r.columns != nil && !slices.Equal(r.columns, names)
 	r.columns, r.ncols = append([]string(nil), names...), len(names)
 	if changed {
-		for _, rg := range r.series {
-			rg.restart(r.ncols)
-			rg.since = r.epoch + 1
+		for _, tk := range r.series {
+			tk.restart(r.ncols)
+			tk.since = r.epoch + 1
 		}
-		r.ringGen++
+		r.taskGen++
 	}
 	tee := r.tee
 	r.mu.Unlock()
@@ -395,8 +449,7 @@ func (r *Recorder) SetColumns(names []string) {
 // with the screen's column names (store.Store does).
 type columnSetter interface{ SetColumns([]string) }
 
-// Capacity returns the per-task ring capacity: the refreshes History
-// reaches back.
+// Capacity returns the number of refreshes History reaches back.
 func (r *Recorder) Capacity() int { return r.opt.Capacity }
 
 // Tee forwards every subsequently observed sample to o — the attachment
@@ -413,22 +466,15 @@ func (r *Recorder) Capacity() int { return r.opt.Capacity }
 // first. A nil o detaches. The tee gets the sample on core.Observer's
 // terms: read-only.
 //
-// A Keeper takes over the rings' points: the rings let go of what they
-// packed and pack nothing while it is attached, and History reads the
-// refreshes the keeper observed from it. Replacing or detaching it
-// starts the rings afresh.
+// A Keeper is what History reads: the refreshes it observed from the
+// next one on. Replacing it starts History's window afresh; detaching
+// it leaves History nothing to read.
 func (r *Recorder) Tee(o core.Observer) {
 	r.Join()
 	k, _ := o.(Keeper)
 	r.mu.Lock()
 	if k != r.keeper {
-		for _, rg := range r.series {
-			rg.drop()
-		}
 		r.keeper, r.teedAt = k, r.epoch+1
-		if k != nil && r.times == nil {
-			r.times = make([]time.Duration, r.opt.Capacity)
-		}
 	}
 	r.tee = o
 	cols := r.columns
@@ -447,8 +493,8 @@ func (r *Recorder) Observe(s *core.Sample) {
 }
 
 // Start records one sample. It is the recorder's hot path: O(rows) and
-// allocation-free once aggregate entries exist and rings have filled —
-// from a task's second refresh on when teed into a Keeper. A large
+// allocation-free once aggregate entries exist — from a task's second
+// refresh on. A large
 // sample's tee runs beside the fold and may still run when Start
 // returns (see Tee); the two share only the read-only sample. The
 // sample's owner calls Join before it hands the sample on. Start first
@@ -482,8 +528,12 @@ func (r *Recorder) Join() {
 	r.teeing = nil
 	if r.keeper != nil {
 		t := r.keeper.LastTime()
+		i := r.epoch % uint64(r.opt.Capacity)
 		r.mu.Lock()
-		r.times[r.epoch%uint64(len(r.times))] = t
+		for uint64(len(r.times)) <= i {
+			r.times = append(r.times, 0)
+		}
+		r.times[i] = t
 		r.timed = r.epoch
 		r.mu.Unlock()
 	}
@@ -502,46 +552,42 @@ func (r *Recorder) observe(s *core.Sample) {
 		if r.ncols < 0 {
 			r.ncols = len(row.Values)
 		}
-		rg := r.series[row.Info.ID]
+		tk := r.series[row.Info.ID]
 		switch {
-		case rg == nil:
-			rg = r.admit(row.Info)
-		case rg.start != row.Info.StartTime:
+		case tk == nil:
+			tk = r.admit(row.Info)
+		case tk.start != row.Info.StartTime:
 			// The OS recycled this TaskID for a new process: restart
 			// the series in place instead of splicing two tasks'
 			// histories under the old user/command labels.
-			rg.restart(r.ncols)
-			rg.since = r.epoch
-			rg.start = row.Info.StartTime
-			rg.user, rg.comm = row.Info.User, row.Info.Comm
-			r.ringGen++
-			r.resolveAggs(rg, row.Info)
-		case rg.aggUser != row.Info.User || rg.aggComm != row.Info.Comm:
+			tk.restart(r.ncols)
+			tk.since = r.epoch
+			tk.start = row.Info.StartTime
+			tk.user, tk.comm = row.Info.User, row.Info.Comm
+			r.taskGen++
+			r.resolveAggs(tk, row.Info)
+		case tk.aggUser != row.Info.User || tk.aggComm != row.Info.Comm:
 			// Same task, new credentials or an exec: its deltas now
 			// count towards the new user's and command's aggregates.
-			r.resolveAggs(rg, row.Info)
+			r.resolveAggs(tk, row.Info)
 		}
-		rg.lastEpoch = r.epoch
-		rg.state = row.Info.State
-		rg.coverage = row.Coverage
+		tk.lastEpoch = r.epoch
+		tk.state = row.Info.State
+		tk.coverage = row.Coverage
 		p := point{t: s.Time, cpu: row.CPUPct}
 		p.instr, p.cycles, p.misses = row.Basics()
-		if r.keeper == nil {
-			rg.push(p, row.Values, r.opt.Capacity)
-		} else {
-			rg.hold(p, row.Values)
-		}
+		tk.hold(p, row.Values)
 		r.fold(&r.machine, &p)
-		r.fold(rg.userAgg, &p)
-		r.fold(rg.commAgg, &p)
+		r.fold(tk.userAgg, &p)
+		r.fold(tk.commAgg, &p)
 	}
 
 	// One windowed-rate checkpoint per aggregate the refresh touched.
 	for _, a := range r.touched {
 		a.checkpoint(s.Time)
 	}
-	// An aggregate lives as long as a ring in series folds into it (a
-	// dead task's ring still does). Dropping waits for the refresh to
+	// An aggregate lives as long as a task in series folds into it (a
+	// dead task still does). Dropping waits for the refresh to
 	// end, so one that a later row claimed again is kept as it is.
 	for _, o := range r.orphans {
 		if a := o.m[o.key]; a != nil && a.refs == 0 {
@@ -566,13 +612,13 @@ func (r *Recorder) fold(a *aggState, p *point) {
 	a.cacheMisses += p.misses
 }
 
-// admit creates the ring for a newly seen task, evicting the stalest
+// admit creates the state of a newly seen task, evicting the stalest
 // series when the retention bound is hit.
-func (r *Recorder) admit(info core.TaskInfo) *ring {
+func (r *Recorder) admit(info core.TaskInfo) *task {
 	if len(r.series) >= r.opt.MaxSeries {
 		r.evict()
 	}
-	rg := &ring{
+	tk := &task{
 		id:       info.ID,
 		user:     info.User,
 		comm:     info.Comm,
@@ -580,19 +626,19 @@ func (r *Recorder) admit(info core.TaskInfo) *ring {
 		since:    r.epoch,
 		lastVals: make([]float64, r.ncols), // observe learned the width before it admits
 	}
-	r.resolveAggs(rg, info)
-	r.series[info.ID] = rg
-	r.ringGen++
-	return rg
+	r.resolveAggs(tk, info)
+	r.series[info.ID] = tk
+	r.taskGen++
+	return tk
 }
 
-// resolveAggs points the ring at the aggregates of the task's current
-// user and command, creating the entry of one first seen and letting go
-// of the ones it folded into before.
-func (r *Recorder) resolveAggs(rg *ring, info core.TaskInfo) {
-	r.release(rg)
-	rg.aggUser, rg.aggComm = info.User, info.Comm
-	rg.userAgg, rg.commAgg = r.aggOf(r.users, info.User), r.aggOf(r.commands, info.Comm)
+// resolveAggs points the task at the aggregates of its current user and
+// command, creating the entry of one first seen and letting go of the
+// ones it folded into before.
+func (r *Recorder) resolveAggs(tk *task, info core.TaskInfo) {
+	r.release(tk)
+	tk.aggUser, tk.aggComm = info.User, info.Comm
+	tk.userAgg, tk.commAgg = r.aggOf(r.users, info.User), r.aggOf(r.commands, info.Comm)
 }
 
 func (r *Recorder) aggOf(m map[string]*aggState, key string) *aggState {
@@ -606,23 +652,23 @@ func (r *Recorder) aggOf(m map[string]*aggState, key string) *aggState {
 	return a
 }
 
-// orphan names an aggregate whose last ring let go of it.
+// orphan names an aggregate whose last task let go of it.
 type orphan struct {
 	m   map[string]*aggState
 	key string
 }
 
-// release ends the ring's hold on its aggregates (a newly admitted ring
+// release ends the task's hold on its aggregates (a newly admitted task
 // has none yet).
-func (r *Recorder) release(rg *ring) {
-	if rg.userAgg == nil {
+func (r *Recorder) release(tk *task) {
+	if tk.userAgg == nil {
 		return
 	}
-	if rg.userAgg.refs--; rg.userAgg.refs == 0 {
-		r.orphans = append(r.orphans, orphan{r.users, rg.aggUser})
+	if tk.userAgg.refs--; tk.userAgg.refs == 0 {
+		r.orphans = append(r.orphans, orphan{r.users, tk.aggUser})
 	}
-	if rg.commAgg.refs--; rg.commAgg.refs == 0 {
-		r.orphans = append(r.orphans, orphan{r.commands, rg.aggComm})
+	if tk.commAgg.refs--; tk.commAgg.refs == 0 {
+		r.orphans = append(r.orphans, orphan{r.commands, tk.aggComm})
 	}
 }
 
@@ -633,39 +679,39 @@ func (r *Recorder) evict() {
 	var victim hpm.TaskID
 	var victimEpoch uint64
 	found := false
-	for id, rg := range r.series {
-		if rg.lastEpoch == r.epoch {
+	for id, tk := range r.series {
+		if tk.lastEpoch == r.epoch {
 			continue // live this refresh
 		}
-		if !found || rg.lastEpoch < victimEpoch {
-			victim, victimEpoch, found = id, rg.lastEpoch, true
+		if !found || tk.lastEpoch < victimEpoch {
+			victim, victimEpoch, found = id, tk.lastEpoch, true
 		}
 	}
 	if !found {
-		for id, rg := range r.series {
-			if !found || rg.lastEpoch < victimEpoch {
-				victim, victimEpoch, found = id, rg.lastEpoch, true
+		for id, tk := range r.series {
+			if !found || tk.lastEpoch < victimEpoch {
+				victim, victimEpoch, found = id, tk.lastEpoch, true
 			}
 		}
 	}
 	if found {
 		r.release(r.series[victim])
 		delete(r.series, victim)
-		r.ringGen++
+		r.taskGen++
 	}
 }
 
 // viewOrder is what View keeps between calls: the aggregates in key
-// order and the live rings in pid, tid order, rebuilt only when the
+// order and the live tasks in pid, tid order, rebuilt only when the
 // recorder's generations or the liveness check say they changed. View
 // runs under the recorder's read lock, which does not keep a second
 // View out; mu does.
 type viewOrder struct {
 	mu              sync.Mutex
-	keyGen, ringGen uint64 // the recorder generations the lists were built at
+	keyGen, taskGen uint64 // the recorder generations the lists were built at
 	gen             uint64 // rebuilds of either so far: View.Gen
 	users, commands []keyedAgg
-	live            []*ring
+	live            []*task
 }
 
 type keyedAgg struct {
@@ -695,32 +741,32 @@ func (r *Recorder) View(v *View) {
 		o.keyGen = r.keyGen
 		o.gen++
 	}
-	// The kept order stands while no ring was admitted, evicted or
-	// relabelled, it holds as many rings as the last refresh had rows and
+	// The kept order stands while no task was admitted, evicted or
+	// relabelled, it holds as many tasks as the last refresh had rows and
 	// each is live: then it is the live set. An exit or a return after a
 	// missed refresh raises no event; the count or the liveness shows it.
 	live := 0
 	if r.machine.epoch == r.epoch {
 		live = r.machine.tasks
 	}
-	stands := o.ringGen == r.ringGen && len(o.live) == live
+	stands := o.taskGen == r.taskGen && len(o.live) == live
 	for i := 0; stands && i < len(o.live); i++ {
 		stands = o.live[i].lastEpoch == r.epoch
 	}
 	if !stands {
 		o.live = o.live[:0]
-		for _, rg := range r.series {
-			if rg.lastEpoch == r.epoch && rg.since <= rg.lastEpoch {
-				o.live = append(o.live, rg)
+		for _, tk := range r.series {
+			if tk.lastEpoch == r.epoch && tk.since <= tk.lastEpoch {
+				o.live = append(o.live, tk)
 			}
 		}
-		slices.SortFunc(o.live, func(a, b *ring) int {
+		slices.SortFunc(o.live, func(a, b *task) int {
 			if c := cmp.Compare(a.id.PID, b.id.PID); c != 0 {
 				return c
 			}
 			return cmp.Compare(a.id.TID, b.id.TID)
 		})
-		o.ringGen = r.ringGen
+		o.taskGen = r.taskGen
 		o.gen++
 	}
 
@@ -736,21 +782,21 @@ func (r *Recorder) View(v *View) {
 	ncols := max(r.ncols, 0)
 	v.Tasks = slices.Grow(v.Tasks[:0], len(o.live))[:len(o.live)]
 	v.values = slices.Grow(v.values[:0], len(o.live)*ncols)
-	for i, rg := range o.live {
+	for i, tk := range o.live {
 		t := &v.Tasks[i]
 		*t = TaskSnap{
-			PID:      rg.id.PID,
-			TID:      rg.id.TID,
-			User:     rg.user,
-			Command:  rg.comm,
-			State:    rg.state,
-			CPUPct:   rg.last.cpu,
-			IPC:      rg.last.ipc(),
-			Coverage: core.ElideCoverage(rg.coverage),
+			PID:      tk.id.PID,
+			TID:      tk.id.TID,
+			User:     tk.user,
+			Command:  tk.comm,
+			State:    tk.state,
+			CPUPct:   tk.last.cpu,
+			IPC:      tk.last.ipc(),
+			Coverage: core.ElideCoverage(tk.coverage),
 		}
 		if ncols > 0 {
 			lo := len(v.values)
-			v.values = append(v.values, rg.lastVals...)
+			v.values = append(v.values, tk.lastVals...)
 			t.Values = v.values[lo:len(v.values):len(v.values)]
 		}
 	}
@@ -769,31 +815,35 @@ func (r *Recorder) Snapshot() *Snapshot {
 
 // History returns copies of every recorded series whose PID matches,
 // sorted by TID — one entry for process-scope recording, several under
-// per-thread monitoring. Nil when the PID was never observed or its
-// series was evicted (MaxSeries).
+// per-thread monitoring.
 //
-// Teed into a Keeper, the points are the keeper's, read back outside the
-// recorder's lock: a task's observations among the newest Capacity
-// refreshes this recorder observed since the keeper was attached, from
-// the first of its current run (a reused pid answers for its newest
-// task), timed on the keeper's clock. A task last seen before them has
-// no series. A scan the keeper fails is History's error, with no series.
+// The points are the keeper's, read back outside the recorder's lock: a
+// task's observations among the newest Capacity refreshes this recorder
+// observed since the keeper was attached, from the first of its current
+// run (a reused pid answers for its newest task), timed on the keeper's
+// clock. Nil when no task of the PID was seen in them (or its series was
+// evicted, MaxSeries), and without a keeper. A scan the keeper fails is
+// History's error, with no series.
 func (r *Recorder) History(pid int) ([]Series, error) {
 	r.mu.RLock()
 	var out []Series
 	var spans []span
-	for id, rg := range r.series {
+	for id, tk := range r.series {
 		if id.PID != pid {
 			continue
 		}
-		if r.keeper != nil {
-			sp, ok := r.window(rg)
-			if !ok {
-				continue
-			}
-			spans = append(spans, sp)
+		sp, ok := r.window(tk)
+		if !ok {
+			continue
 		}
-		out = append(out, r.copySeries(rg))
+		spans = append(spans, sp)
+		out = append(out, Series{
+			PID:     tk.id.PID,
+			TID:     tk.id.TID,
+			User:    tk.user,
+			Command: tk.comm,
+			Alive:   tk.lastEpoch == r.epoch,
+		})
 	}
 	keeper, ncols := r.keeper, max(r.ncols, 0)
 	r.mu.RUnlock()
@@ -813,20 +863,24 @@ type span struct {
 	from, to int64
 }
 
-// window is the span of rg's current run among the newest Capacity
-// refreshes the keeper kept. Not ok when rg was last seen before them.
-func (r *Recorder) window(rg *ring) (span, bool) {
-	c := uint64(len(r.times))
-	lo, hi := max(rg.since, r.teedAt), min(rg.lastEpoch, r.timed)
+// window is the span of tk's current run among the newest Capacity
+// refreshes the keeper kept. Not ok when tk was last seen before them,
+// or before the keeper was attached: without one, never ok.
+func (r *Recorder) window(tk *task) (span, bool) {
+	c := uint64(r.opt.Capacity)
+	lo, hi := max(tk.since, r.teedAt), min(tk.lastEpoch, r.timed)
 	if r.timed >= c {
 		lo = max(lo, r.timed-c+1)
 	}
-	return span{rg.id.TID, r.times[lo%c].Milliseconds(), r.times[hi%c].Milliseconds()}, lo <= hi
+	if lo > hi {
+		return span{}, false
+	}
+	return span{tk.id.TID, r.times[lo%c].Milliseconds(), r.times[hi%c].Milliseconds()}, true
 }
 
 // replay appends to each out[i] the keeper's observations of pid inside
-// spans[i], with ncols values as push would have packed them: 0 for a
-// column the kept row lacks.
+// spans[i], with ncols values as hold keeps them: 0 for a column the
+// kept row lacks.
 func replay(k Keeper, pid int, out []Series, spans []span, ncols int) error {
 	from, to := spans[0].from, spans[0].to
 	for _, sp := range spans[1:] {
@@ -848,55 +902,13 @@ func replay(k Keeper, pid int, out []Series, spans []span, ncols int) error {
 	})
 }
 
-func (r *Recorder) copySeries(rg *ring) Series {
-	return Series{
-		PID:     rg.id.PID,
-		TID:     rg.id.TID,
-		User:    rg.user,
-		Command: rg.comm,
-		Alive:   rg.lastEpoch == r.epoch,
-		Points:  rg.points(r.opt.Capacity),
-	}
-}
-
-// AllSeries copies out every series the rings hold, sorted by PID then
-// TID — the snapshot the expression query engine evaluates against when
-// its backend is a store-less recorder's live history. Teed into a
-// Keeper, the rings hold no points.
-func (r *Recorder) AllSeries() []Series {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Series, 0, len(r.series))
-	for _, rg := range r.series {
-		out = append(out, r.copySeries(rg))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PID != out[j].PID {
-			return out[i].PID < out[j].PID
-		}
-		return out[i].TID < out[j].TID
-	})
-	return out
-}
-
-// Columns returns the screen column names in force, as set by
-// SetColumns — the names a query expression can reference in addition
-// to the raw counters.
-func (r *Recorder) Columns() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.columns...)
-}
-
 // PIDs lists the recorded process IDs History answers for, sorted.
 func (r *Recorder) PIDs() []int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	seen := make(map[int]bool, len(r.series))
-	for id, rg := range r.series {
-		if r.keeper == nil {
-			seen[id.PID] = true
-		} else if _, ok := r.window(rg); ok {
+	for id, tk := range r.series {
+		if _, ok := r.window(tk); ok {
 			seen[id.PID] = true
 		}
 	}

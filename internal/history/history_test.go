@@ -1,10 +1,8 @@
 package history
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -42,7 +40,7 @@ func mkSample(t time.Duration, specs []rowSpec) *core.Sample {
 }
 
 func TestRecorderSeriesAndSnapshot(t *testing.T) {
-	r := New(Options{Capacity: 8})
+	r := kept(Options{Capacity: 8})
 	r.SetColumns([]string{"ipc", "const"})
 	for i := 1; i <= 3; i++ {
 		r.Observe(mkSample(time.Duration(i)*time.Second, []rowSpec{
@@ -106,8 +104,10 @@ func TestRecorderSeriesAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestRingWrapsAtCapacity: History's window is a ring of the newest
+// Capacity refreshes — it reads those back, no more.
 func TestRingWrapsAtCapacity(t *testing.T) {
-	r := New(Options{Capacity: 4})
+	r := kept(Options{Capacity: 4})
 	r.SetColumns([]string{"ipc", "const"})
 	for i := 1; i <= 10; i++ {
 		r.Observe(mkSample(time.Duration(i)*time.Second, []rowSpec{
@@ -116,11 +116,11 @@ func TestRingWrapsAtCapacity(t *testing.T) {
 	}
 	s := mustHistory(t, r, 7)[0]
 	if len(s.Points) != 4 {
-		t.Fatalf("points = %d, want ring capacity 4", len(s.Points))
+		t.Fatalf("points = %d, want capacity 4", len(s.Points))
 	}
 	// Oldest retained is refresh 7, newest is 10.
 	if s.Points[0].TimeSeconds != 7 || s.Points[3].TimeSeconds != 10 {
-		t.Fatalf("ring window = [%v, %v], want [7, 10]",
+		t.Fatalf("window = [%v, %v], want [7, 10]",
 			s.Points[0].TimeSeconds, s.Points[3].TimeSeconds)
 	}
 	if s.Points[0].CPUPct != 7 {
@@ -148,7 +148,7 @@ func TestWindowedRates(t *testing.T) {
 }
 
 func TestDeadTasksLeaveAggregatesButKeepHistory(t *testing.T) {
-	r := New(Options{Capacity: 8})
+	r := kept(Options{Capacity: 8})
 	r.SetColumns([]string{"ipc", "const"})
 	r.Observe(mkSample(1*time.Second, []rowSpec{
 		{pid: 1, user: "u", comm: "a", cpuPct: 10, instr: 1e9, cycle: 1e9},
@@ -180,7 +180,7 @@ func TestDeadTasksLeaveAggregatesButKeepHistory(t *testing.T) {
 }
 
 func TestEvictionPrefersDeadSeries(t *testing.T) {
-	r := New(Options{Capacity: 2, MaxSeries: 3})
+	r := kept(Options{Capacity: 2, MaxSeries: 3})
 	r.SetColumns([]string{"ipc", "const"})
 	// Three tasks, then pid 1 dies, then a fourth task arrives.
 	r.Observe(mkSample(1*time.Second, []rowSpec{
@@ -207,7 +207,7 @@ func TestEvictionPrefersDeadSeries(t *testing.T) {
 // new process (detected by StartTime), the recorder must not splice the
 // two tasks' histories under the old labels.
 func TestPIDReuseStartsFreshSeries(t *testing.T) {
-	r := New(Options{Capacity: 8})
+	r := kept(Options{Capacity: 8})
 	r.SetColumns([]string{"ipc", "const"})
 	old := mkSample(1*time.Second, []rowSpec{
 		{pid: 5, user: "alice", comm: "postgres", cpuPct: 10, instr: 1e9, cycle: 1e9},
@@ -237,9 +237,9 @@ func TestPIDReuseStartsFreshSeries(t *testing.T) {
 
 // TestChangedColumnsRestartRings: a recorder following a daemon that
 // comes back on another screen takes the new column list's width, and
-// no value recorded under one list is read under another's names; the
-// same list set again keeps the history, and the aggregates keep theirs
-// across a change.
+// History reads no value recorded under one list under another's names;
+// the same list set again keeps the history, and the aggregates keep
+// theirs across a change.
 func TestChangedColumnsRestartRings(t *testing.T) {
 	row := func(now time.Duration, vals ...float64) *core.Sample {
 		s := mkSample(now, []rowSpec{{pid: 1, user: "u", comm: "c", cpuPct: 50, instr: 2e9, cycle: 1e9}})
@@ -248,13 +248,16 @@ func TestChangedColumnsRestartRings(t *testing.T) {
 	}
 	points := func(r *Recorder) []Point {
 		t.Helper()
-		series := r.AllSeries()
-		if len(series) != 1 {
-			t.Fatalf("series = %d, want 1", len(series))
+		series := mustHistory(t, r, 1)
+		if len(series) > 1 {
+			t.Fatalf("series = %d, want at most 1", len(series))
+		}
+		if len(series) == 0 {
+			return nil
 		}
 		return series[0].Points
 	}
-	r := New(Options{})
+	r := kept(Options{})
 	r.SetColumns([]string{"ipc", "dmis", "l3", "ref"})
 	r.Observe(row(time.Second, 0.5, 1, 2, 3))
 	r.SetColumns([]string{"ipc", "dmis", "l3", "ref"})
@@ -293,7 +296,7 @@ func TestChangedColumnsRestartRings(t *testing.T) {
 
 	// Without a list the rows set the width; a list of another width
 	// restarts at its own.
-	r = New(Options{})
+	r = kept(Options{})
 	r.Observe(row(time.Second, 0.5, 1))
 	r.SetColumns([]string{"ipc", "dmis", "ref"})
 	r.Observe(row(2*time.Second, 0.5, 1, 2))
@@ -303,11 +306,8 @@ func TestChangedColumnsRestartRings(t *testing.T) {
 }
 
 // TestObserveSteadyStateAllocations is the subsystem's core performance
-// contract. While a ring grows it allocates a buffer per chunk — the
-// first sized once more from the points that filled its 512 bytes, each
-// later one from its predecessor — and its chunk list at doublings; once
-// it has dropped a chunk it writes in the dropped one's buffer and
-// recording a refresh allocates nothing.
+// contract: a task's first refresh allocates its state, and from its
+// second on recording a refresh allocates nothing.
 func TestObserveSteadyStateAllocations(t *testing.T) {
 	specs := make([]rowSpec, 200)
 	for i := range specs {
@@ -319,47 +319,21 @@ func TestObserveSteadyStateAllocations(t *testing.T) {
 		}
 	}
 	sample := mkSample(time.Second, specs)
-	// Filling: in refreshes 2…128 each ring sizes its first chunk, gets
-	// its second buffer and a longer chunk list, and that is all. The
-	// count is process-wide, so a stray allocation elsewhere (the
-	// runtime, the test framework) only adds to it: the fewest over
-	// three fresh recorders is the recorder's own.
-	var r *Recorder
-	fill := uint64(math.MaxUint64)
-	for range 3 {
-		r = New(Options{Capacity: 64})
-		r.SetColumns([]string{"ipc", "const"})
-		r.Observe(sample) // every ring, its first buffer and every aggregate entry
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 2; i <= 2*chunkPoints; i++ {
-			r.Observe(sample)
-		}
-		runtime.ReadMemStats(&after)
-		fill = min(fill, after.Mallocs-before.Mallocs)
-	}
-	if want := uint64(3 * len(specs)); fill > want {
-		t.Fatalf("filling two chunks allocates %d times for %d rings, want at most %d", fill, len(specs), want)
-	}
-	// Refresh 129 is the first to drop a chunk; from there on, nothing.
-	allocs := testing.AllocsPerRun(3*chunkPoints, func() { r.Observe(sample) })
-	if allocs != 0 {
+	r := New(Options{Capacity: 64})
+	r.SetColumns([]string{"ipc", "const"})
+	r.Observe(sample) // every task and every aggregate entry
+	if allocs := testing.AllocsPerRun(200, func() { r.Observe(sample) }); allocs != 0 {
 		t.Fatalf("steady-state Observe allocates %.1f times per refresh, want 0", allocs)
-	}
-	for _, rg := range r.series {
-		if len(rg.chunks) != 2 {
-			t.Fatalf("a wrapped ring of capacity 64 holds %d chunks, want 2", len(rg.chunks))
-		}
 	}
 }
 
-// TestObserveAggregatesFollowRelabel: a ring caches the aggregates its
-// task folds into. A recycled pid and a task that changes user or
+// TestObserveAggregatesFollowRelabel: a task caches the aggregates it
+// folds into. A recycled pid and a task that changes user or
 // command mid-life must re-resolve them — counting towards the new
 // labels from that refresh on — and doing so among known users and
 // commands allocates nothing.
 func TestObserveAggregatesFollowRelabel(t *testing.T) {
-	r := New(Options{Capacity: 8})
+	r := kept(Options{Capacity: 8})
 	r.SetColumns([]string{"ipc", "const"})
 	a := mkSample(time.Second, []rowSpec{
 		{pid: 1, user: "alice", comm: "mcf", cpuPct: 50, instr: 1000, cycle: 1000},
@@ -392,8 +366,9 @@ func TestObserveAggregatesFollowRelabel(t *testing.T) {
 	if s := mustHistory(t, r, 2)[0]; s.User != "bob" || len(s.Points) != 3 {
 		t.Errorf("relabelled task: user %q with %d points, want bob with 3", s.User, len(s.Points))
 	}
-	// Every refresh from here on restarts pid 1's ring, which keeps a
-	// buffer; pid 2's grows until it has dropped a chunk.
+	// Every refresh from here on restarts pid 1's series. A keeper that
+	// keeps nothing leaves the recorder's own allocations to count.
+	r.Tee(&nopKeeper{})
 	flip := false
 	alternate := func() {
 		if flip = !flip; flip {
@@ -402,7 +377,7 @@ func TestObserveAggregatesFollowRelabel(t *testing.T) {
 			r.Observe(b)
 		}
 	}
-	for i := 0; i < 2*chunkPoints; i++ {
+	for range 8 {
 		alternate()
 	}
 	allocs := testing.AllocsPerRun(100, alternate)
@@ -581,7 +556,7 @@ func TestWindowBisectionMatchesLinearScan(t *testing.T) {
 }
 
 // refSnapshot is Snapshot as it stood before it was derived from View:
-// its own map loops and its own sort of the live rings.
+// its own map loops and its own sort of the live tasks.
 func refSnapshot(r *Recorder) *Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -599,10 +574,10 @@ func refSnapshot(r *Recorder) *Snapshot {
 	for c, a := range r.commands {
 		snap.Commands[c] = a.aggregate(a.epoch == r.epoch, r.lastTime, r.opt.Window)
 	}
-	var live []*ring
-	for _, rg := range r.series {
-		if rg.lastEpoch == r.epoch && rg.n > 0 {
-			live = append(live, rg)
+	var live []*task
+	for _, tk := range r.series {
+		if tk.lastEpoch == r.epoch && tk.since <= tk.lastEpoch {
+			live = append(live, tk)
 		}
 	}
 	sort.Slice(live, func(i, j int) bool {
@@ -611,13 +586,13 @@ func refSnapshot(r *Recorder) *Snapshot {
 		}
 		return live[i].id.TID < live[j].id.TID
 	})
-	for _, rg := range live {
+	for _, tk := range live {
 		t := TaskSnap{
-			PID: rg.id.PID, TID: rg.id.TID, User: rg.user, Command: rg.comm, State: rg.state,
-			CPUPct: rg.last.cpu, IPC: rg.last.ipc(), Coverage: core.ElideCoverage(rg.coverage),
+			PID: tk.id.PID, TID: tk.id.TID, User: tk.user, Command: tk.comm, State: tk.state,
+			CPUPct: tk.last.cpu, IPC: tk.last.ipc(), Coverage: core.ElideCoverage(tk.coverage),
 		}
 		if r.ncols > 0 {
-			t.Values = append([]float64(nil), rg.lastVals...)
+			t.Values = append([]float64(nil), tk.lastVals...)
 		}
 		snap.Tasks = append(snap.Tasks, t)
 	}

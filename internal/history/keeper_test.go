@@ -10,13 +10,17 @@ import (
 	"time"
 
 	"tiptop/internal/core"
+	"tiptop/internal/hpm"
+	"tiptop/internal/sim/workload"
 )
 
 // memKeeper is a Keeper in memory: every observed row as a point, on a
 // clock that runs offset ahead of the samples' — as a store's does after
-// a restart.
+// a restart — or, with tick set, steps tick per sample whatever the
+// samples' times: a keeper's clock is its own.
 type memKeeper struct {
 	offset time.Duration
+	tick   time.Duration
 	last   time.Duration
 	kept   []keptPoint
 }
@@ -27,7 +31,11 @@ type keptPoint struct {
 }
 
 func (k *memKeeper) Observe(s *core.Sample) {
-	k.last = k.offset + s.Time
+	if k.tick > 0 {
+		k.last += k.tick
+	} else {
+		k.last = k.offset + s.Time
+	}
 	for i := range s.Rows {
 		row := &s.Rows[i]
 		p := Point{TimeSeconds: float64(k.last.Milliseconds()) / 1000, CPUPct: row.CPUPct, Values: append([]float64(nil), row.Values...)}
@@ -56,11 +64,10 @@ func (k *nopKeeper) Observe(s *core.Sample)                                     
 func (k *nopKeeper) LastTime() time.Duration                                           { return k.last }
 func (k *nopKeeper) Replay(int, time.Duration, time.Duration, func(int, *Point)) error { return nil }
 
-// TestTeedRecorderKeepsNoPoints is the teed recorder's memory and
-// allocation budget: over 200 refreshes of core.SplitRows tasks no ring
-// packs a chunk, and Start and Join allocate nothing from each task's
-// second refresh on — a ring holds its task's newest point, not its
-// series — with the tee running beside the fold.
+// TestTeedRecorderKeepsNoPoints is the teed recorder's allocation
+// budget: over 200 refreshes of core.SplitRows tasks Start and Join
+// allocate nothing from each task's second refresh on — a task holds its
+// newest point, not its series — with the tee running beside the fold.
 func TestTeedRecorderKeepsNoPoints(t *testing.T) {
 	// Two procs: SplitRows rows tee on a helper goroutine (core.Split),
 	// and the budget covers starting and joining it.
@@ -78,11 +85,6 @@ func TestTeedRecorderKeepsNoPoints(t *testing.T) {
 	}
 	if r.refreshes != 200 {
 		t.Fatalf("%d refreshes, want 200", r.refreshes)
-	}
-	for id, rg := range r.series {
-		if rg.chunks != nil || rg.n != 0 {
-			t.Fatalf("task %v holds %d chunks (%d points)", id, len(rg.chunks), rg.n)
-		}
 	}
 }
 
@@ -180,8 +182,7 @@ func TestStartWaitsForTheTeeInFlight(t *testing.T) {
 // on the keeper's clock, for the newest Capacity refreshes it observed:
 // a pid reused inside them answers for its newest task only, a task last
 // seen before them answers nil, and a column change starts the window
-// afresh. Detached, the recorder packs points again from the next
-// refresh on.
+// afresh. Detached, the recorder has no series to read.
 func TestTeedHistoryWindow(t *testing.T) {
 	const capacity = 4
 	r := New(Options{Capacity: capacity})
@@ -233,18 +234,52 @@ func TestTeedHistoryWindow(t *testing.T) {
 		t.Fatalf("PIDs %v, want [1 3]", got)
 	}
 
-	// A column change restarts every ring: the window starts after it.
+	// A column change restarts every task: the window starts after it.
 	r.SetColumns([]string{"ipc"})
 	observe(7, rowSpec{pid: 1, user: "u", comm: "one", cpuPct: 7, instr: 2e9, cycle: 1e9})
 	if h := mustHistory(t, r, 1); len(h) != 1 || len(h[0].Points) != 1 || len(h[0].Points[0].Values) != 1 {
 		t.Fatalf("pid 1 after the column change: %+v", h)
 	}
 
-	// Detached: rings again, from the next refresh on.
+	// Detached: nothing to read, before or after the next refresh.
 	r.Tee(nil)
-	observe(8, rowSpec{pid: 1, user: "u", comm: "one", cpuPct: 8, instr: 2e9, cycle: 1e9})
-	if h := mustHistory(t, r, 1); len(h) != 1 || len(h[0].Points) != 1 || h[0].Points[0].TimeSeconds != 8 {
-		t.Fatalf("pid 1 detached: %+v", h)
+	for _, now := range []int{0, 8} {
+		if now > 0 {
+			observe(now, rowSpec{pid: 1, user: "u", comm: "one", cpuPct: 8, instr: 2e9, cycle: 1e9})
+		}
+		if h := mustHistory(t, r, 1); h != nil || len(r.PIDs()) != 0 {
+			t.Fatalf("pid 1 detached at %ds: %+v, PIDs %v", now, h, r.PIDs())
+		}
+	}
+}
+
+// TestDeepHistoryCostsNothingUntilFilled: -history N is how far back
+// History may reach, not what a task or the recorder is charged on first
+// sight. A Capacity far beyond what memory holds costs what the
+// refreshes observed cost. (The array ring allocated 1.1 GB at -history
+// 100000, and died at -history 4000000000.)
+func TestDeepHistoryCostsNothingUntilFilled(t *testing.T) {
+	const capacity = 1 << 40
+	r := kept(Options{Capacity: capacity})
+	r.SetColumns([]string{"ipc", "const"})
+	specs := make([]rowSpec, 200)
+	for i := range specs {
+		specs[i] = rowSpec{pid: i + 1, user: "u", comm: "c", cpuPct: 50, instr: 1e9, cycle: 1e9}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= 3; i++ {
+		r.Observe(mkSample(time.Duration(i)*time.Second, specs))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("three refreshes of 200 tasks at Capacity %d allocate %d bytes, want under 8 MiB", capacity, got)
+	}
+	if h := mustHistory(t, r, 200); len(h) != 1 || len(h[0].Points) != 3 {
+		t.Fatalf("History = %+v, want one series of 3 points", h)
+	}
+	if n := cap(r.times); n > timesReserved {
+		t.Fatalf("3 refreshes of a Capacity of %d hold %d clock slots, want at most %d", capacity, n, timesReserved)
 	}
 }
 
@@ -291,6 +326,14 @@ func TestTeedHistoryReportsReplayError(t *testing.T) {
 	}
 }
 
+// kept is a recorder teed into a fresh memKeeper: one whose History
+// reads every refresh back, on the samples' clock.
+func kept(opt Options) *Recorder {
+	r := New(opt)
+	r.Tee(&memKeeper{})
+	return r
+}
+
 // mustHistory is r.History(pid), failing tb on its error.
 func mustHistory(tb testing.TB, r *Recorder, pid int) []Series {
 	tb.Helper()
@@ -299,4 +342,99 @@ func mustHistory(tb testing.TB, r *Recorder, pid int) []Series {
 		tb.Fatalf("History(%d): %v", pid, err)
 	}
 	return h
+}
+
+// TestNarrowRowReadsZero: a row narrower than the screen (a -join agent
+// restarted on a smaller one) reads 0 in the columns it lacks, not what
+// the point before it had there, and a wider one loses the extra.
+func TestNarrowRowReadsZero(t *testing.T) {
+	r := kept(Options{Capacity: 2})
+	r.SetColumns([]string{"ipc", "const"})
+	wide := mkSample(time.Second, []rowSpec{{pid: 1, user: "u", comm: "c", instr: 1, cycle: 1}}) // [1 42]
+	r.Observe(wide)
+	r.Observe(wide)
+	narrow := mkSample(2*time.Second, []rowSpec{{pid: 1, user: "u", comm: "c", instr: 1, cycle: 1}})
+	narrow.Rows[0].Values = []float64{7}
+	r.Observe(narrow)
+	want := []float64{7, 0}
+	if got := r.Snapshot().Tasks[0].Values; !slices.Equal(got, want) {
+		t.Errorf("the snapshot reads %v after the narrow row, want %v", got, want)
+	}
+	points := mustHistory(t, r, 1)[0].Points
+	if got := points[len(points)-1].Values; !slices.Equal(got, want) {
+		t.Errorf("History reads %v for the narrow row, want %v", got, want)
+	}
+	extra := mkSample(3*time.Second, []rowSpec{{pid: 1, user: "u", comm: "c", instr: 1, cycle: 1}})
+	extra.Rows[0].Values = []float64{1, 2, 3}
+	r.Observe(extra)
+	if got, want := r.Snapshot().Tasks[0].Values, []float64{1, 2}; !slices.Equal(got, want) {
+		t.Errorf("the snapshot reads %v after a row with a value too many, want %v", got, want)
+	}
+}
+
+// BenchmarkObserve2000 is one steady-state refresh of 2000 known tasks,
+// on the default screen's four columns.
+func BenchmarkObserve2000(b *testing.B) {
+	s := manyTaskSample(2000, 4)
+	r := New(Options{})
+	r.SetColumns(make([]string, 4))
+	r.Observe(s.next())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sample := s.next()
+		b.StartTimer()
+		r.Observe(sample)
+	}
+}
+
+// stepSample is a sample whose rows move a little on every refresh, as a
+// busy node's do: counters jitter around a per-task level, the columns
+// are ratios of them.
+type stepSample struct {
+	s    core.Sample
+	tick uint64
+}
+
+func manyTaskSample(tasks, ncols int) *stepSample {
+	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
+	st := &stepSample{}
+	for i := 0; i < tasks; i++ {
+		st.s.Rows = append(st.s.Rows, core.Row{
+			Info:   core.TaskInfo{ID: hpm.TaskID{PID: i + 1, TID: i + 1}, User: workload.ManyTaskUser(i), Comm: workload.ManyTaskSpec(i).Name, State: "R"},
+			Values: make([]float64, ncols),
+			Counts: make([]uint64, 3),
+			Table:  table,
+			Valid:  true,
+		})
+	}
+	return st
+}
+
+func (st *stepSample) next() *core.Sample {
+	st.tick++
+	st.s.Time += time.Second
+	for i := range st.s.Rows {
+		row := &st.s.Rows[i]
+		// A cheap deterministic jitter of a few percent per task and tick.
+		x := (st.tick*2654435761 + uint64(i)*40503) % 4096
+		cycles := 2_400_000_000 + x*50_000
+		instr := uint64(float64(cycles) * (0.25 + 0.05*float64(i%60)) * (1 + float64(x%64)/2048))
+		row.Counts[0], row.Counts[1], row.Counts[2] = instr, cycles, instr/(200+x%32)
+		row.CPUPct = 100 * float64(cycles) / 2.66e9
+		for c := range row.Values {
+			switch c % 4 {
+			case 0:
+				row.Values[c] = float64(cycles) / 1e6
+			case 1:
+				row.Values[c] = float64(instr) / 1e6
+			case 2:
+				row.Values[c] = float64(instr) / float64(cycles)
+			case 3:
+				row.Values[c] = 100 * float64(row.Counts[2]) / float64(instr)
+			}
+		}
+	}
+	return &st.s
 }

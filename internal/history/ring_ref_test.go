@@ -1,14 +1,16 @@
 package history
 
-// The reference the packed ring is compared with: the array ring as it
-// stood before chunks — Capacity points and Capacity × columns values
-// preallocated per task, written in place — with the loop copySeries read
-// it by, and an observer that keeps one per task the way the Recorder
-// admits and restarts them. Test-only; push is the old code verbatim.
+// The reference History is compared with: its rule written the plainest
+// way — each task's points of its current run, in a ring of the
+// recorder's newest Capacity refreshes, each stamped with the keeper's
+// clock after its refresh — and an observer that admits and restarts
+// tasks the way the Recorder does. Test-only; it replaced the array ring
+// the packed rings were held to, when the rings gave way to the keeper.
 
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -16,94 +18,92 @@ import (
 	"tiptop/internal/hpm"
 )
 
-type refRing struct {
-	start   time.Duration
-	ncols   int
-	points  []point
-	vals    []float64 // len = len(points) * ncols, row-major
-	head, n int
+// refPoint is one kept point and the refresh it was observed in.
+type refPoint struct {
+	refresh uint64
+	p       Point
 }
 
-func (rg *refRing) push(p point, values []float64, ncols int) {
-	if ncols != rg.ncols {
-		// The screen's column count was learned after this ring was
-		// created (a first refresh with no rows): rebuild the value
-		// matrix once and restart the series.
-		rg.ncols = ncols
-		rg.vals = make([]float64, len(rg.points)*ncols)
-		rg.head, rg.n = 0, 0
-	}
-	c := len(rg.points)
-	idx := (rg.head + rg.n) % c
-	if rg.n == c {
-		rg.head = (rg.head + 1) % c
-	} else {
-		rg.n++
-	}
-	rg.points[idx] = p
-	copy(rg.vals[idx*ncols:(idx+1)*ncols], values)
+// refTask is one task's current run: labels as first seen, the points
+// of its newest Capacity refreshes and how many it has had in all.
+type refTask struct {
+	start      time.Duration
+	user, comm string
+	points     []refPoint // oldest first
+	n          int
 }
 
-// series is the body of the old copySeries.
-func (rg *refRing) series() []Point {
-	ncols := rg.ncols
-	out := make([]Point, 0, rg.n)
-	for i := 0; i < rg.n; i++ {
-		idx := (rg.head + i) % len(rg.points)
-		p := &rg.points[idx]
-		out = append(out, Point{
-			TimeSeconds: p.t.Seconds(),
-			CPUPct:      p.cpu,
-			IPC:         p.ipc(),
-			Values:      append([]float64(nil), rg.vals[idx*ncols:(idx+1)*ncols]...),
-			Instr:       p.instr,
-			Cycles:      p.cycles,
-			Misses:      p.misses,
-		})
-	}
-	return out
-}
-
-// refRecorder keeps a refRing per task: admitted on first sight,
+// refRecorder keeps a refTask per task: admitted on first sight,
 // restarted when the id comes back with another start time. It never
-// evicts; the tests that use it stay under MaxSeries.
+// evicts; the tests that use it stay under MaxSeries. Observe it after
+// the recorder, so that keeper holds the refresh's time.
 type refRecorder struct {
 	capacity, ncols int
-	rings           map[hpm.TaskID]*refRing
+	keeper          Keeper
+	refresh         uint64
+	tasks           map[hpm.TaskID]*refTask
 }
 
-func newRefRecorder(capacity, ncols int) *refRecorder {
-	return &refRecorder{capacity: capacity, ncols: ncols, rings: make(map[hpm.TaskID]*refRing)}
+func newRefRecorder(capacity, ncols int, keeper Keeper) *refRecorder {
+	return &refRecorder{capacity: capacity, ncols: ncols, keeper: keeper, tasks: make(map[hpm.TaskID]*refTask)}
 }
 
 func (r *refRecorder) Observe(s *core.Sample) {
+	r.refresh++
+	now := float64(r.keeper.LastTime().Milliseconds()) / 1000
 	for i := range s.Rows {
 		row := &s.Rows[i]
-		rg := r.rings[row.Info.ID]
-		switch {
-		case rg == nil:
-			rg = &refRing{
-				start:  row.Info.StartTime,
-				ncols:  r.ncols,
-				points: make([]point, r.capacity),
-				vals:   make([]float64, r.capacity*r.ncols),
-			}
-			r.rings[row.Info.ID] = rg
-		case rg.start != row.Info.StartTime:
-			rg.head, rg.n = 0, 0
-			rg.start = row.Info.StartTime
+		tk := r.tasks[row.Info.ID]
+		if tk == nil || tk.start != row.Info.StartTime {
+			tk = &refTask{start: row.Info.StartTime, user: row.Info.User, comm: row.Info.Comm}
+			r.tasks[row.Info.ID] = tk
 		}
-		p := point{t: s.Time, cpu: row.CPUPct}
+		p := point{cpu: row.CPUPct}
 		p.instr, p.cycles, p.misses = row.Basics()
-		// The old push left a narrow row's missing columns holding the
-		// values of the point it overwrote (TestNarrowRowReadsZero); the
-		// reference is handed the row the way it is recorded now.
-		values := row.Values
-		if len(values) < r.ncols {
-			values = append(make([]float64, 0, r.ncols), values...)[:r.ncols]
+		// A narrow row reads 0 in the columns it lacks, a wide one loses
+		// the extra; no columns, no values.
+		var values []float64
+		if r.ncols > 0 {
+			values = make([]float64, r.ncols)
+			copy(values, row.Values)
 		}
-		rg.push(p, values, r.ncols)
+		tk.points = append(tk.points, refPoint{r.refresh, Point{
+			TimeSeconds: now, CPUPct: p.cpu, IPC: p.ipc(), Values: values,
+			Instr: p.instr, Cycles: p.cycles, Misses: p.misses,
+		}})
+		tk.n++
+		for !r.inWindow(tk.points[0].refresh) {
+			tk.points = tk.points[1:]
+		}
 	}
+}
+
+// inWindow reports whether refresh is among the newest Capacity.
+func (r *refRecorder) inWindow(refresh uint64) bool {
+	return refresh+uint64(r.capacity) > r.refresh
+}
+
+// series is what History should answer for pid: the window's part of
+// each task of pid, by tid.
+func (r *refRecorder) series(pid int) []Series {
+	var out []Series
+	for id, tk := range r.tasks {
+		if id.PID != pid {
+			continue
+		}
+		var points []Point
+		for _, rp := range tk.points {
+			if r.inWindow(rp.refresh) {
+				points = append(points, rp.p)
+			}
+		}
+		if len(points) > 0 {
+			out = append(out, Series{PID: id.PID, TID: id.TID, User: tk.user, Command: tk.comm,
+				Alive: tk.points[len(tk.points)-1].refresh == r.refresh, Points: points})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].TID < out[j].TID })
+	return out
 }
 
 // sameBits reports whether two values are the same float64, NaN payload
@@ -119,28 +119,38 @@ func samePoint(a, b *Point) bool {
 		a.Instr == b.Instr && a.Cycles == b.Cycles && a.Misses == b.Misses && sameValues(a.Values, b.Values)
 }
 
-// checkSeries compares what rec's History and AllSeries return with the
-// reference rings, point by point to the float bit.
+// checkSeries compares what rec's PIDs and History return with the
+// reference, series by series and point by point to the float bit —
+// every pid it ever saw, those last seen before the window included.
 func (r *refRecorder) checkSeries(tb testing.TB, rec *Recorder) {
 	tb.Helper()
-	all := rec.AllSeries()
-	if len(all) != len(r.rings) {
-		tb.Fatalf("AllSeries has %d series, the reference %d", len(all), len(r.rings))
-	}
-	for i := range all {
-		id := hpm.TaskID{PID: all[i].PID, TID: all[i].TID}
-		hist := mustHistory(tb, rec, id.PID)
-		if len(hist) != 1 {
-			tb.Fatalf("History(%d) has %d series, want 1", id.PID, len(hist))
+	var pids []int
+	for id := range r.tasks {
+		if len(r.series(id.PID)) > 0 && !slices.Contains(pids, id.PID) {
+			pids = append(pids, id.PID)
 		}
-		want := r.rings[id].series()
-		for name, got := range map[string][]Point{"AllSeries": all[i].Points, "History": hist[0].Points} {
-			if len(got) != len(want) {
-				tb.Fatalf("%s of pid %d has %d points, the reference %d", name, id.PID, len(got), len(want))
+	}
+	slices.Sort(pids)
+	if got := rec.PIDs(); !slices.Equal(got, pids) {
+		tb.Fatalf("PIDs = %v, the reference %v", got, pids)
+	}
+	for id := range r.tasks {
+		got, want := mustHistory(tb, rec, id.PID), r.series(id.PID)
+		if len(got) != len(want) {
+			tb.Fatalf("History(%d) has %d series, the reference %d", id.PID, len(got), len(want))
+		}
+		for i := range got {
+			g, w := &got[i], &want[i]
+			if g.PID != w.PID || g.TID != w.TID || g.User != w.User || g.Command != w.Command || g.Alive != w.Alive {
+				tb.Fatalf("History(%d) series %d is %d/%d %s %s alive %v, the reference %d/%d %s %s alive %v", id.PID, i,
+					g.PID, g.TID, g.User, g.Command, g.Alive, w.PID, w.TID, w.User, w.Command, w.Alive)
 			}
-			for j := range got {
-				if !samePoint(&got[j], &want[j]) {
-					tb.Fatalf("%s of pid %d, point %d of %d: %+v, the reference has %+v", name, id.PID, j, len(got), got[j], want[j])
+			if len(g.Points) != len(w.Points) {
+				tb.Fatalf("History of %d/%d has %d points, the reference %d", g.PID, g.TID, len(g.Points), len(w.Points))
+			}
+			for j := range g.Points {
+				if !samePoint(&g.Points[j], &w.Points[j]) {
+					tb.Fatalf("History of %d/%d, point %d of %d: %+v, the reference has %+v", g.PID, g.TID, j, len(g.Points), g.Points[j], w.Points[j])
 				}
 			}
 		}
@@ -148,7 +158,7 @@ func (r *refRecorder) checkSeries(tb testing.TB, rec *Recorder) {
 }
 
 // checkView compares a refilled View's tasks with the newest point of
-// the reference ring of every task the last sample s held.
+// the reference of every task the last sample s held.
 func (r *refRecorder) checkView(tb testing.TB, rec *Recorder, v *View, s *core.Sample) {
 	tb.Helper()
 	rec.View(v)
@@ -157,15 +167,14 @@ func (r *refRecorder) checkView(tb testing.TB, rec *Recorder, v *View, s *core.S
 	}
 	for i := range v.Tasks {
 		t := &v.Tasks[i]
-		rg := r.rings[hpm.TaskID{PID: t.PID, TID: t.TID}]
-		if rg == nil || rg.n == 0 {
+		tk := r.tasks[hpm.TaskID{PID: t.PID, TID: t.TID}]
+		if tk == nil || len(tk.points) == 0 {
 			tb.Fatalf("the view has pid %d, the reference has no point of it", t.PID)
 		}
-		last := (rg.head + rg.n - 1) % len(rg.points)
-		p, vals := &rg.points[last], rg.vals[last*rg.ncols:(last+1)*rg.ncols]
-		if !sameBits(t.CPUPct, p.cpu) || !sameBits(t.IPC, p.ipc()) || !slices.EqualFunc(t.Values, vals, sameBits) {
+		p := &tk.points[len(tk.points)-1].p
+		if !sameBits(t.CPUPct, p.CPUPct) || !sameBits(t.IPC, p.IPC) || !slices.EqualFunc(t.Values, p.Values, sameBits) {
 			tb.Fatalf("the view's pid %d reads cpu %v ipc %v values %v, the reference cpu %v ipc %v values %v",
-				t.PID, t.CPUPct, t.IPC, t.Values, p.cpu, p.ipc(), vals)
+				t.PID, t.CPUPct, t.IPC, t.Values, p.CPUPct, p.IPC, p.Values)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -19,67 +18,9 @@ import (
 	"tiptop/internal/sim/workload"
 )
 
-// held is what the ring keeps on the heap, counted from the capacities of
+// held is what a task keeps on the heap, counted from the capacities of
 // what it allocated.
-func (rg *ring) held() int {
-	bytes := int(unsafe.Sizeof(*rg)) + 8*cap(rg.lastVals) + int(unsafe.Sizeof(rg.chunks))*cap(rg.chunks)
-	for _, c := range rg.chunks {
-		bytes += cap(c)
-	}
-	return bytes
-}
-
-// TestNarrowRowReadsZero: a row narrower than the screen (a -join agent
-// restarted on a smaller one) records 0 in the columns it lacks, not
-// what the point it overwrote — or the one before it — had there.
-func TestNarrowRowReadsZero(t *testing.T) {
-	r := New(Options{Capacity: 2})
-	r.SetColumns([]string{"ipc", "const"})
-	wide := mkSample(time.Second, []rowSpec{{pid: 1, user: "u", comm: "c", instr: 1, cycle: 1}}) // [1 42]
-	r.Observe(wide)
-	r.Observe(wide)
-	narrow := mkSample(2*time.Second, []rowSpec{{pid: 1, user: "u", comm: "c", instr: 1, cycle: 1}})
-	narrow.Rows[0].Values = []float64{7}
-	r.Observe(narrow)
-	want := []float64{7, 0}
-	if got := r.Snapshot().Tasks[0].Values; !sameValues(got, want) {
-		t.Errorf("the snapshot reads %v after the narrow row, want %v", got, want)
-	}
-	points := mustHistory(t, r, 1)[0].Points
-	if got := points[len(points)-1].Values; !sameValues(got, want) {
-		t.Errorf("History reads %v for the narrow row, want %v", got, want)
-	}
-	extra := mkSample(3*time.Second, []rowSpec{{pid: 1, user: "u", comm: "c", instr: 1, cycle: 1}})
-	extra.Rows[0].Values = []float64{1, 2, 3}
-	r.Observe(extra)
-	if got, want := r.Snapshot().Tasks[0].Values, []float64{1, 2}; !sameValues(got, want) {
-		t.Errorf("the snapshot reads %v after a row with a value too many, want %v", got, want)
-	}
-}
-
-// TestDeepHistoryCostsNothingUntilFilled: -history N is how far back a
-// ring may reach, not what a task is charged on first sight. The array
-// ring allocated 1.1 GB here, and died at -history 4000000000.
-func TestDeepHistoryCostsNothingUntilFilled(t *testing.T) {
-	r := New(Options{Capacity: 100_000})
-	r.SetColumns([]string{"ipc", "const"})
-	specs := make([]rowSpec, 200)
-	for i := range specs {
-		specs[i] = rowSpec{pid: i + 1, user: "u", comm: "c", cpuPct: 50, instr: 1e9, cycle: 1e9}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 1; i <= 3; i++ {
-		r.Observe(mkSample(time.Duration(i)*time.Second, specs))
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
-		t.Fatalf("three refreshes of 200 tasks at Capacity 100000 allocate %d bytes, want under 8 MiB", got)
-	}
-	if got := len(mustHistory(t, r, 200)[0].Points); got != 3 {
-		t.Fatalf("History has %d points, want 3", got)
-	}
-}
+func (tk *task) held() int { return int(unsafe.Sizeof(*tk)) + 8*cap(tk.lastVals) }
 
 // datacenterSession is the "datacenter" scenario of the root package,
 // which imports this one: Figure 1's eleven synthetic jobs on the E5640
@@ -120,17 +61,19 @@ func columnNames(screen *metrics.Screen) []string {
 }
 
 // TestPackedRingsMatchReference drives the datacenter node through a real
-// Session into the recorder and into the reference rings for 700
-// refreshes — the rings wrap, two jobs exit, one arrives late — and
-// requires every reader to agree with the reference to the last float
-// bit: View after each refresh, History and AllSeries at every phase of
-// a chunk.
+// Session into a teed recorder and into the reference for 700 refreshes —
+// History's window wraps, two jobs exit, one arrives late — and requires
+// every reader to agree with the reference to the last float bit: View
+// after each refresh, PIDs and History of every pid, the exited ones
+// included, after every seventh.
 func TestPackedRingsMatchReference(t *testing.T) {
 	screen := metrics.DefaultScreen()
 	s, k := datacenterSession(t, screen, 100*time.Millisecond) // simulating a second costs 2 ms
+	keeper := &memKeeper{}
 	rec := New(Options{})
 	rec.SetColumns(columnNames(screen))
-	ref := newRefRecorder(rec.Capacity(), len(screen.Columns))
+	rec.Tee(keeper)
+	ref := newRefRecorder(rec.Capacity(), len(screen.Columns), keeper)
 	s.Subscribe(rec)
 	s.Subscribe(ref)
 	var v View
@@ -153,56 +96,60 @@ func TestPackedRingsMatchReference(t *testing.T) {
 			ref.checkSeries(t, rec)
 		}
 	}
-	wrapped, short := 0, 0
-	for _, rg := range rec.series {
-		switch {
-		case rg.n > rec.Capacity():
+	wrapped, short, gone := 0, 0, 0
+	for _, tk := range ref.tasks {
+		if tk.n > rec.Capacity() {
 			wrapped++
-		case rg.n < 100:
+		} else {
 			short++
 		}
+		if !ref.inWindow(tk.points[len(tk.points)-1].refresh) {
+			gone++
+		}
 	}
-	if len(rec.series) != 12 || wrapped < 9 || short < 1 {
-		t.Fatalf("%d series, %d wrapped and %d short: the run must cover both", len(rec.series), wrapped, short)
+	if len(ref.tasks) != 12 || wrapped < 9 || short < 2 || gone < 1 {
+		t.Fatalf("%d tasks, %d wrapped, %d short and %d gone before the window: the run must cover each", len(ref.tasks), wrapped, short, gone)
 	}
 }
 
-// TestRingMemoryFollowsContent: a ring costs what its task recorded.
-// Deterministic — the sizes are capacities of what the ring allocated on
-// a seeded simulation at the cadence the benchmark samples at; the run
-// goes past the first dropped chunk, refresh 705.
+// TestRingMemoryFollowsContent: what a recorder keeps for History
+// follows what it recorded, not Capacity × refreshes. A task holds its
+// labels and its newest point however long it ran — its series is the
+// keeper's — and the ring of the keeper's clock readings grows with the
+// refreshes to Capacity slots and no further. Deterministic — the sizes
+// are capacities of what was allocated, on a seeded simulation at the
+// cadence the benchmark samples at; the run goes past the window's
+// first wrap, refresh 600.
 func TestRingMemoryFollowsContent(t *testing.T) {
 	screen := metrics.DefaultScreen()
 	s, _ := datacenterSession(t, screen, time.Second)
-	rec := New(Options{})
+	rec := kept(Options{})
 	rec.SetColumns(columnNames(screen))
 	s.Subscribe(rec)
 	// The array ring held 40 + 8·ncols bytes per point of Capacity from
-	// the first refresh on.
-	budget := rec.Capacity() * (40 + 8*len(screen.Columns)) * 7 / 10
+	// the first refresh on: 43 KiB a task here.
 	for i := 1; i <= 720; i++ {
 		s.AdvanceClock()
 		if _, err := s.Update(); err != nil {
 			t.Fatal(err)
 		}
-		for _, rg := range rec.series {
-			bytes := rg.held()
-			if rg.n > rec.Capacity()+2*chunkPoints-1 {
-				t.Fatalf("refresh %d: a ring holds %d points for a capacity of %d", i, rg.n, rec.Capacity())
-			}
-			if i == 1 && bytes > 1<<10 {
-				t.Fatalf("a ring with one point holds %d bytes, want at most 1 KiB", bytes)
-			}
-			if bytes > budget {
-				t.Fatalf("refresh %d: a ring of %d points holds %d bytes, want at most %d", i, rg.n, bytes, budget)
+		for _, tk := range rec.series {
+			if bytes := tk.held(); bytes > 1<<10 {
+				t.Fatalf("refresh %d: a task holds %d bytes, want at most 1 KiB", i, bytes)
 			}
 		}
+		if n, c := len(rec.times), cap(rec.times); n > min(i+1, rec.Capacity()) || c > rec.Capacity() {
+			t.Fatalf("refresh %d: %d clock readings in %d slots, for a capacity of %d", i, n, c, rec.Capacity())
+		}
+	}
+	if len(rec.series) != 11 || len(rec.times) != rec.Capacity() {
+		t.Fatalf("%d tasks and %d clock readings at the end, want 11 and %d", len(rec.series), len(rec.times), rec.Capacity())
 	}
 }
 
 // fuzzInput hands out the fuzzer's bytes and, once they are spent, a
 // pseudo-random tail seeded by them, so a short input still runs long
-// enough to cross chunk boundaries.
+// enough to wrap the window.
 type fuzzInput struct {
 	b    []byte
 	tail uint64
@@ -271,10 +218,11 @@ func (in *fuzzInput) float(prev float64) float64 {
 // FuzzRingMatchesReference replays the fuzzer's bytes as refreshes of two
 // tasks — arbitrary float bits, counters at the edges of uint64, time
 // standing still, going backwards or anywhere, pid-reuse restarts, rows
-// narrower and wider than the screen — into a recorder and the reference
-// rings, at capacities 1…200 and long enough to drop chunks at each, and
-// compares View after every refresh, History and AllSeries after every
-// eleventh.
+// narrower and wider than the screen — into a teed recorder and the
+// reference, at capacities 1…200 and long enough to wrap the window at
+// each, and compares View after every refresh, PIDs and History after
+// every eleventh. The keeper's clock is its own, as a store's is: it
+// steps a second a refresh whatever the samples' times.
 func FuzzRingMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint8(2), uint16(200), []byte{})
 	f.Add(uint8(3), uint8(4), uint16(1199), []byte("restart pid 1 \x01 then narrow rows \x02\x01 then wide \x03\x07"))
@@ -286,7 +234,9 @@ func FuzzRingMatchesReference(f *testing.F) {
 		in := newFuzzInput(data)
 		rec := New(Options{Capacity: 1 + int(capacity)%200})
 		rec.SetColumns(make([]string, ncols%6))
-		ref := newRefRecorder(rec.Capacity(), int(ncols%6))
+		keeper := &memKeeper{tick: time.Second}
+		rec.Tee(keeper)
+		ref := newRefRecorder(rec.Capacity(), int(ncols%6), keeper)
 		table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
 		var (
 			v      View
@@ -334,91 +284,4 @@ func FuzzRingMatchesReference(f *testing.F) {
 		}
 		ref.checkSeries(t, rec)
 	})
-}
-
-// BenchmarkObserve2000 is one refresh of 2000 tasks folded into rings that
-// have wrapped, on the default screen's four columns.
-func BenchmarkObserve2000(b *testing.B) {
-	s := manyTaskSample(2000, 4)
-	r := New(Options{})
-	r.SetColumns(make([]string, 4))
-	for i := 0; i < r.Capacity()+2*chunkPoints; i++ {
-		r.Observe(s.next())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sample := s.next()
-		b.StartTimer()
-		r.Observe(sample)
-	}
-}
-
-// BenchmarkHistory600 is what /api/v1/history pays: one full ring of 600
-// points copied out.
-func BenchmarkHistory600(b *testing.B) {
-	s := manyTaskSample(8, 4)
-	r := New(Options{})
-	r.SetColumns(make([]string, 4))
-	for i := 0; i < r.Capacity()+chunkPoints; i++ {
-		r.Observe(s.next())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if h := mustHistory(b, r, 3); len(h[0].Points) != r.Capacity() {
-			b.Fatalf("%d points", len(h[0].Points))
-		}
-	}
-}
-
-// stepSample is a sample whose rows move a little on every refresh, as a
-// busy node's do: counters jitter around a per-task level, the columns
-// are ratios of them.
-type stepSample struct {
-	s    core.Sample
-	tick uint64
-}
-
-func manyTaskSample(tasks, ncols int) *stepSample {
-	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
-	st := &stepSample{}
-	for i := 0; i < tasks; i++ {
-		st.s.Rows = append(st.s.Rows, core.Row{
-			Info:   core.TaskInfo{ID: hpm.TaskID{PID: i + 1, TID: i + 1}, User: workload.ManyTaskUser(i), Comm: workload.ManyTaskSpec(i).Name, State: "R"},
-			Values: make([]float64, ncols),
-			Counts: make([]uint64, 3),
-			Table:  table,
-			Valid:  true,
-		})
-	}
-	return st
-}
-
-func (st *stepSample) next() *core.Sample {
-	st.tick++
-	st.s.Time += time.Second
-	for i := range st.s.Rows {
-		row := &st.s.Rows[i]
-		// A cheap deterministic jitter of a few percent per task and tick.
-		x := (st.tick*2654435761 + uint64(i)*40503) % 4096
-		cycles := 2_400_000_000 + x*50_000
-		instr := uint64(float64(cycles) * (0.25 + 0.05*float64(i%60)) * (1 + float64(x%64)/2048))
-		row.Counts[0], row.Counts[1], row.Counts[2] = instr, cycles, instr/(200+x%32)
-		row.CPUPct = 100 * float64(cycles) / 2.66e9
-		for c := range row.Values {
-			switch c % 4 {
-			case 0:
-				row.Values[c] = float64(cycles) / 1e6
-			case 1:
-				row.Values[c] = float64(instr) / 1e6
-			case 2:
-				row.Values[c] = float64(instr) / float64(cycles)
-			case 3:
-				row.Values[c] = 100 * float64(row.Counts[2]) / float64(instr)
-			}
-		}
-	}
-	return &st.s
 }

@@ -1,8 +1,8 @@
 // Package query is the shared range-query engine: the screen expression
 // language (internal/metrics) evaluated as time series over labelled
-// sources of store records — a durable store's downsample tiers
-// (store.Store), live history rings replayed as records (Rings),
-// several agents' stores merged on aligned steps. One engine, one
+// sources of store records — a store's downsample tiers (store.Store,
+// on disk or a recorder's in memory), several agents' stores merged on
+// aligned steps. One engine, one
 // grammar, one slot binding and one totality rule serve the interactive
 // screens, the /api/v1/query?expr= endpoint and the fleet aggregator,
 // so `delta(INSTRUCTIONS)/delta(CYCLES)` means exactly the same thing
@@ -79,8 +79,8 @@ const (
 	rawCols
 )
 
-// countNames are the three counts a recorder keeps: what live rings
-// replay (Rings), and a source that names no events yet answers for.
+// countNames are the three counts a source that names no events yet
+// answers for.
 var countNames = []string{hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses}
 
 // KnownNames is the vocabulary of a source counting events (countNames

@@ -361,8 +361,8 @@ func (e *Engine) lookup(key seriesKey) *seriesAcc {
 	return acc
 }
 
-// bucketAt returns acc's bucket ending at bt. Scans and rings deliver
-// records in time order, so it is the newest bucket or a new one after
+// bucketAt returns acc's bucket ending at bt. Scans deliver records in
+// time order, so it is the newest bucket or a new one after
 // it; anything else is searched for and inserted in place — order buys
 // speed, never correctness. The pointer is good until acc's next
 // bucketAt.

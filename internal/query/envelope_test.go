@@ -22,11 +22,9 @@ import (
 // structurally, not just embedded in prose.
 func TestErrorEnvelope(t *testing.T) {
 	st := seedStore(t, 1, 10)
-	solo := Handler(one(st), nil)
-	bare := Handler(nil, nil)
+	solo := Handler(one(st))
 	stores := map[string]*store.Store{"a:1": seedStore(t, 1, 10), "b:2": seedStore(t, 1, 10)}
-	fleet := Handler(stores, nil)
-	empty := Handler(nil, nil)
+	fleet := Handler(stores)
 
 	intp := func(n int) *int { return &n }
 	tests := []struct {
@@ -60,12 +58,6 @@ func TestErrorEnvelope(t *testing.T) {
 			http.StatusBadRequest, "negative step -10", "bucket width", nil},
 		{"unknown format", solo, "/api/v1/query?expr=CYCLES&format=yaml",
 			http.StatusBadRequest, `unknown format "yaml"`, "", nil},
-		{"raw query without store", bare, "/api/v1/query?pid=100",
-			http.StatusNotFound, "no durable store configured", "-store DIR", nil},
-		{"live query without recorder", bare, "/api/v1/query?expr=CYCLES",
-			http.StatusNotFound, "no live recorder", "-store DIR", nil},
-		{"fleet without stores", empty, "/api/v1/query?expr=CYCLES",
-			http.StatusNotFound, "no durable store configured", "-store DIR", nil},
 		{"fleet raw unknown agent", fleet, "/api/v1/query?pid=100&agent=nope",
 			http.StatusBadRequest, `unknown agent "nope"`, "agent=a:1|b:2", nil},
 		{"fleet raw without agent", fleet, "/api/v1/query?pid=100",
@@ -125,8 +117,8 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 		h      http.Handler
 		target string
 	}{
-		{"solo", Handler(one(st), nil), "/api/v1/query?expr=delta(CYCLES)&step=1m"},
-		{"fleet", Handler(stores, nil),
+		{"solo", Handler(one(st)), "/api/v1/query?expr=delta(CYCLES)&step=1m"},
+		{"fleet", Handler(stores),
 			"/api/v1/query?expr=delta(CYCLES)&step=1m&agent=*"},
 	}
 	for _, tc := range cases {
@@ -163,7 +155,7 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 // behind; the exposition format, which can carry it, still answers.
 func TestUnencodableResultIs500(t *testing.T) {
 	huge := "/api/v1/query?expr=" + url.QueryEscape("1e308 + CYCLES * 0")
-	solo := Handler(one(seedStore(t, 2, 10)), nil)
+	solo := Handler(one(seedStore(t, 2, 10)))
 	respond := func(res response) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { (&params{}).respond(w, res) })
 	}
@@ -204,7 +196,7 @@ func TestUnencodableResultIs500(t *testing.T) {
 // TestResponsesCarryContentLength: both formats of both query kinds are
 // written as one buffer, so the client sees its length up front.
 func TestResponsesCarryContentLength(t *testing.T) {
-	h := Handler(one(seedStore(t, 2, 10)), nil)
+	h := Handler(one(seedStore(t, 2, 10)))
 	for _, target := range []string{"/api/v1/query", "/api/v1/query?expr=CYCLES", "/api/v1/query?format=om", "/api/v1/query?expr=CYCLES&format=om"} {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))

@@ -5,8 +5,8 @@ package query
 // consumes it — the query side of the remote monitoring story. Without
 // expr the endpoint serves one source's raw per-task series (the raw
 // plan, RunRaw); with expr the shared engine evaluates it over the
-// selected sources. Both shapes read the selected stores, or a
-// store-less recorder's live history. Parse and validation failures are
+// selected sources. Both shapes read the selected stores. Parse and
+// validation failures are
 // always HTTP 400 with the offending position — never 500 — and unknown
 // identifiers name the nearest known ones.
 
@@ -23,29 +23,24 @@ import (
 	"strings"
 	"time"
 
-	"tiptop/internal/history"
 	"tiptop/internal/metrics"
 	"tiptop/internal/remote"
 	"tiptop/internal/store"
 )
 
-// Handler serves /api/v1/query over a fleet of labelled stores plus an
-// optional live recorder:
+// Handler serves /api/v1/query over a fleet of labelled stores:
 //
 //	GET ...?expr=E&from=S&to=S&step=S   expression query
 //	GET ...?pid=N&from=S&to=S&step=S    raw per-task series of one source
 //
 // both as JSON, or OpenMetrics text with &format=openmetrics (or an
-// Accept header asking for it). Both shapes pick their sources by one
-// rule: rec's live rings when stores is empty (no -store), the selected
-// stores otherwise. A solo daemon is the
-// fleet of one unlabelled store, {"": st}, which no selector can
-// mismatch (?agent= is ignored); an aggregator's stores are keyed by
-// agent label, ?agent=label selecting one and ?agent=* (or no selector)
-// all of them — a raw query needs exactly one source, an expression
-// merges however many on aligned steps. rec may be nil (aggregators,
-// tiptop -record archives).
-func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler {
+// Accept header asking for it). A solo daemon is the fleet of one
+// unlabelled store, {"": st}, which no selector can mismatch (?agent= is
+// ignored); an aggregator's stores are keyed by agent label,
+// ?agent=label selecting one and ?agent=* (or no selector) all of them —
+// a raw query needs exactly one source, an expression merges however
+// many on aligned steps.
+func Handler(stores map[string]*store.Store) http.Handler {
 	labels := make([]string, 0, len(stores))
 	for label := range stores {
 		labels = append(labels, label)
@@ -74,13 +69,6 @@ func Handler(stores map[string]*store.Store, rec *history.Recorder) http.Handler
 			p.agent = "" // an unlabelled store has no selector to mismatch
 		}
 		switch st, ok := stores[p.agent]; {
-		case len(stores) == 0:
-			if rec == nil {
-				remote.WriteErrorHint(w, http.StatusNotFound, "no durable store configured and no live recorder to query",
-					"start tiptopd with -store DIR")
-				return
-			}
-			srcs[""] = Rings(rec)
 		case ok:
 			srcs[p.agent] = st
 		case p.agent == "" || p.agent == "*":

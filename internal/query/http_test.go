@@ -27,7 +27,7 @@ func get(t *testing.T, h http.Handler, target string) (int, string) {
 
 func TestHandlerParseErrorsAre400(t *testing.T) {
 	st := seedStore(t, 1, 10)
-	h := Handler(one(st), nil)
+	h := Handler(one(st))
 
 	// Syntax error: 400, never 500, and the offending position named.
 	code, body := get(t, h, "/api/v1/query?expr="+strings.ReplaceAll("delta(INSTRUCTIONS", " ", "%20"))
@@ -62,7 +62,7 @@ func TestHandlerParseErrorsAre400(t *testing.T) {
 
 func TestHandlerExprOverStore(t *testing.T) {
 	st := seedStore(t, 2, 63)
-	h := Handler(one(st), nil)
+	h := Handler(one(st))
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=1m")
 	if code != http.StatusOK {
 		t.Fatalf("status %d, body %s", code, body)
@@ -135,7 +135,7 @@ func TestNonFiniteSamplesStayQueryable(t *testing.T) {
 	}
 	defer st.Close()
 	st.SetColumns([]string{"a", "b", "c"})
-	h := Handler(one(st), nil)
+	h := Handler(one(st))
 	for _, target := range []string{"/api/v1/query", "/api/v1/query?step=10"} {
 		code, body := get(t, h, target)
 		if code != http.StatusOK {
@@ -179,7 +179,7 @@ func TestNonFiniteSamplesStayQueryable(t *testing.T) {
 
 func TestHandlerOpenMetrics(t *testing.T) {
 	st := seedStore(t, 1, 63)
-	h := Handler(one(st), nil)
+	h := Handler(one(st))
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=1m&format=openmetrics")
 	if code != http.StatusOK {
 		t.Fatalf("status %d, body %s", code, body)
@@ -215,7 +215,7 @@ func TestOpenMetricsLabelEscapes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := Handler(one(st), nil)
+	h := Handler(one(st))
 	for _, tc := range []struct {
 		target string
 		labels []string
@@ -241,20 +241,22 @@ func TestOpenMetricsLabelEscapes(t *testing.T) {
 	}
 }
 
+// TestHandlerLiveFallback: a daemon without -store hands the handler the
+// in-memory store its recorder keeps its live history in, and both query
+// shapes answer from it.
 func TestHandlerLiveFallback(t *testing.T) {
-	rec := seedRecorder(2, 20)
-	h := Handler(nil, rec)
+	live := seedMem(t, 2, 20)
+	h := Handler(one(live))
 
-	// No store: both query shapes run against the live rings.
-	want, err := RunRaw(Rings(rec), 100, Options{})
+	want, err := RunRaw(live, 100, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Series) != 1 || len(want.Series[0].Points) != 20 || len(want.Machine) != 20 {
-		t.Fatalf("raw series of the rings: %+v, want pid 100's 20 points and 20 machine points", want)
+		t.Fatalf("raw series of the live store: %+v, want pid 100's 20 points and 20 machine points", want)
 	}
 	if code, body := get(t, h, "/api/v1/query?pid=100"); code != http.StatusOK || body != string(want.AppendJSON(nil)) {
-		t.Fatalf("raw query without store: status %d, body %s", code, body)
+		t.Fatalf("raw query of the live store: status %d, body %s", code, body)
 	}
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=10")
 	if code != http.StatusOK {
@@ -274,7 +276,7 @@ func TestFleetHandler(t *testing.T) {
 		"a:1": seedStore(t, 2, 63),
 		"b:2": seedStore(t, 2, 63),
 	}
-	h := Handler(stores, nil)
+	h := Handler(stores)
 
 	// agent=* merges the fleet.
 	code, body := get(t, h, "/api/v1/query?expr=delta(INSTRUCTIONS)/delta(CYCLES)&step=1m&agent=*")
@@ -316,7 +318,7 @@ func TestFleetHandler(t *testing.T) {
 
 func TestQueryExprClient(t *testing.T) {
 	st := seedStore(t, 2, 63)
-	srv := httptest.NewServer(Handler(one(st), nil))
+	srv := httptest.NewServer(Handler(one(st)))
 	defer srv.Close()
 	c, err := NewClient(srv.URL)
 	if err != nil {
@@ -340,7 +342,7 @@ func TestQueryExprClient(t *testing.T) {
 // query does (step=1m was a 400 while expr=…&step=1m worked), and both
 // reject a negative step and an inverted range with the same envelope.
 func TestOneRangeParser(t *testing.T) {
-	h := Handler(one(seedStore(t, 2, 63)), nil)
+	h := Handler(one(seedStore(t, 2, 63)))
 	for _, q := range []string{"pid=100", "expr=delta(CYCLES)"} {
 		code, want := get(t, h, "/api/v1/query?"+q+"&step=60")
 		if code != http.StatusOK {
@@ -374,8 +376,8 @@ func TestOneRangeParser(t *testing.T) {
 // exactly the agent label.
 func TestSoloIsFleetOfOne(t *testing.T) {
 	st := seedStore(t, 3, 63)
-	solo := Handler(one(st), nil)
-	fleet := Handler(map[string]*store.Store{"a:1": st}, nil)
+	solo := Handler(one(st))
+	fleet := Handler(map[string]*store.Store{"a:1": st})
 	for _, q := range []string{
 		"",
 		"step=10",

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tiptop/internal/core"
-	"tiptop/internal/history"
 	"tiptop/internal/hpm"
 	"tiptop/internal/store"
 )
@@ -250,26 +249,35 @@ func TestQueryOverTime(t *testing.T) {
 	}
 }
 
-// seedRecorder observes the same synthetic refreshes into a live
-// recorder.
-func seedRecorder(tasks, refreshes int) *history.Recorder {
-	rec := history.New(history.Options{Capacity: 256})
-	rec.SetColumns([]string{"pidcol"})
-	for i := 1; i <= refreshes; i++ {
-		rec.Observe(sampleAt(time.Duration(i)*2*time.Second, tasks))
+// seedMem observes the same synthetic refreshes into an in-memory
+// store holding them all, as a store-less recorder's tee feeds its own.
+func seedMem(t *testing.T, tasks, refreshes int) *store.Store {
+	t.Helper()
+	st, err := store.OpenMem(refreshes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rec
+	t.Cleanup(func() { st.Close() })
+	st.SetColumns([]string{"pidcol"})
+	for i := 1; i <= refreshes; i++ {
+		st.Observe(sampleAt(time.Duration(i)*2*time.Second, tasks))
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestLiveMatchesStore is the cross-backend agreement check: the same
-// refreshes observed into a live recorder and a durable store evaluate
-// to identical expression series — exactly, since the rings replay as
-// the records the store wrote and both go through one scan-and-fold. At
-// step 0 both serve raw records; at step 10 the store serves its 10s
-// tier, whose sums and means of this data are exact in floating point.
+// refreshes observed into the in-memory store a store-less recorder
+// keeps its live history in and appended to a durable store evaluate
+// to identical expression series — exactly, since both are one store
+// behind one scan-and-fold. At step 0 both serve raw records, at step
+// 10 their 10s tier, whose sums and means of this data are exact in
+// floating point, its pending last bucket included.
 func TestLiveMatchesStore(t *testing.T) {
 	st := seedStore(t, 3, 50)
-	live := Rings(seedRecorder(3, 50))
+	live := seedMem(t, 3, 50)
 	for _, src := range []string{
 		"delta(INSTRUCTIONS) / delta(CYCLES)",
 		"delta(CACHE_MISSES)",
@@ -279,10 +287,7 @@ func TestLiveMatchesStore(t *testing.T) {
 		"topk(1, rate(CYCLES)) by user",
 	} {
 		c := mustCompile(t, src, "pidcol")
-		// Bound the window at 90s: the store's last partial 10s bucket
-		// (90,100] is still pending (unflushed) while the live rings hold
-		// every point, so only fully-flushed buckets are comparable.
-		for _, opt := range []Options{{ToSeconds: 90}, {StepSeconds: 10, ToSeconds: 90}, {StepSeconds: 10, FromSeconds: 21, ToSeconds: 70}} {
+		for _, opt := range []Options{{}, {ToSeconds: 90}, {StepSeconds: 10}, {StepSeconds: 10, FromSeconds: 21, ToSeconds: 70}} {
 			sres, err := QueryStore(st, c, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -294,24 +299,22 @@ func TestLiveMatchesStore(t *testing.T) {
 			if len(sres.Series) == 0 || len(sres.Series[0].Points) == 0 {
 				t.Fatalf("%s %+v: the store evaluated nothing", src, opt)
 			}
-			if !reflect.DeepEqual(sres.Series, hres.Series) {
-				t.Fatalf("%s %+v: store and live differ:\n%+v\n%+v", src, opt, sres.Series, hres.Series)
+			if !reflect.DeepEqual(sres, hres) {
+				t.Fatalf("%s %+v: store and live differ:\n%+v\n%+v", src, opt, sres, hres)
 			}
 		}
 	}
 }
 
 // TestRawLiveMatchesStore is TestLiveMatchesStore's raw twin: the raw
-// plan over the rings and over the store agrees on series, machine
-// roll-up and columns, exactly — ring records carry the machine sum the
-// store's writer computes. (The resolution and step echoes differ by
-// design: the rings serve raw records at any step.)
+// plan over the live in-memory store and over the durable one agrees on
+// series, machine roll-up, columns, resolution and step, exactly.
 func TestRawLiveMatchesStore(t *testing.T) {
 	st := seedStore(t, 3, 50)
-	live := Rings(seedRecorder(3, 50))
+	live := seedMem(t, 3, 50)
 	for _, pid := range []int{-1, 101} {
 		for _, step := range []float64{0, 10} {
-			opt := Options{StepSeconds: step, ToSeconds: 90} // the store's flushed buckets, as above
+			opt := Options{StepSeconds: step}
 			sres, err := RunRaw(st, pid, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -323,8 +326,7 @@ func TestRawLiveMatchesStore(t *testing.T) {
 			if len(sres.Series) == 0 || len(sres.Series[0].Points) == 0 || len(sres.Machine) == 0 {
 				t.Fatalf("pid %d step %v: the store answered nothing", pid, step)
 			}
-			if !reflect.DeepEqual(sres.Series, hres.Series) || !reflect.DeepEqual(sres.Machine, hres.Machine) ||
-				!reflect.DeepEqual(sres.Columns, hres.Columns) {
+			if !reflect.DeepEqual(sres, hres) {
 				t.Fatalf("pid %d step %v: store and live differ:\n%+v\n%+v", pid, step, sres, hres)
 			}
 		}
@@ -379,8 +381,8 @@ func TestQueryFleetMerge(t *testing.T) {
 
 // TestDivZeroUnifiedAcrossBackends is the regression test for the
 // unified division-by-zero/NaN rule: a task that retired no cycles
-// yields 0 — not Inf, not NaN — identically on the live path and the
-// store path.
+// yields 0 — not Inf, not NaN — identically from a store on disk and
+// one in memory, fed as a recorder's tee feeds it.
 func TestDivZeroUnifiedAcrossBackends(t *testing.T) {
 	zeroSample := func(now time.Duration) *core.Sample {
 		return &core.Sample{Time: now, Rows: []core.Row{{
@@ -397,19 +399,23 @@ func TestDivZeroUnifiedAcrossBackends(t *testing.T) {
 	}
 	defer st.Close()
 	st.SetColumns([]string{"c0"})
-	rec := history.New(history.Options{})
-	rec.SetColumns([]string{"c0"})
+	mem, err := store.OpenMem(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	mem.SetColumns([]string{"c0"})
 	for i := 1; i <= 5; i++ {
 		s := zeroSample(time.Duration(i) * time.Second)
 		if err := st.AppendSample(s); err != nil {
 			t.Fatal(err)
 		}
-		rec.Observe(zeroSample(time.Duration(i) * time.Second))
+		mem.Observe(zeroSample(time.Duration(i) * time.Second))
 	}
 	c := mustCompile(t, "delta(INSTRUCTIONS) / delta(CYCLES)", "c0")
 	for name, run := range map[string]func() (*Result, error){
 		"store": func() (*Result, error) { return QueryStore(st, c, Options{StepSeconds: 10}) },
-		"live":  func() (*Result, error) { return Run(map[string]Source{"": Rings(rec)}, c, Options{StepSeconds: 10}) },
+		"mem":   func() (*Result, error) { return QueryStore(mem, c, Options{StepSeconds: 10}) },
 	} {
 		res, err := run()
 		if err != nil {

@@ -1,11 +1,10 @@
 package query
 
-// Sources: whatever replays its history as store records. A durable
-// store is one as it stands; a store-less recorder's live rings become
-// one through Rings; a fleet is several, labelled by agent. Run scans each into an
-// engine of its own and merges the partials in sorted label order, so
-// the result is independent of scan interleaving — the bucketing,
-// grouping and evaluation semantics live in the engine alone.
+// Sources: whatever replays its history as store records — a store, on
+// disk or in memory; a fleet is several, labelled by agent. Run scans
+// each into an engine of its own and merges the partials in sorted label
+// order, so the result is independent of scan interleaving — the
+// bucketing, grouping and evaluation semantics live in the engine alone.
 //
 // Store scans run vectorized: segments decode on a worker pool,
 // projected down to the columns the compiled expression references
@@ -13,13 +12,11 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"tiptop/internal/history"
 	"tiptop/internal/metrics"
 	"tiptop/internal/store"
 )
@@ -32,66 +29,6 @@ type Source interface {
 	Columns() []string
 	Events() []string
 	ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols []string) error) (time.Duration, error)
-}
-
-// Rings adapts a store-less recorder's ring buffers — the data the
-// interactive screens render — to a Source: one raw-resolution record
-// per recorded instant, rows in PID/TID order, counting countNames, with
-// the machine roll-up the store's writer would have computed. A recorder
-// teed into a store holds no points in its rings; query the store.
-func Rings(rec *history.Recorder) Source { return rings{rec} }
-
-type rings struct{ *history.Recorder }
-
-func (rings) Events() []string { return countNames }
-
-func (r rings) ScanWith(opts store.ScanOptions, fn func(rec *store.Record, cols []string) error) (time.Duration, error) {
-	cols := r.Columns()
-	series := r.AllSeries()
-	// Every ring holds a time-ordered run of the recorder's refresh
-	// instants: one cursor per ring walks them in step.
-	next := make([]int, len(series))
-	rec := store.Record{Events: countNames, Machine: store.RecordAgg{Counts: make([]uint64, len(countNames))}}
-	counts := make([]uint64, 0, len(countNames)*len(series))
-	for {
-		rec.TimeSeconds = math.Inf(1)
-		for i := range series {
-			if n := next[i]; n < len(series[i].Points) {
-				rec.TimeSeconds = min(rec.TimeSeconds, series[i].Points[n].TimeSeconds)
-			}
-		}
-		if math.IsInf(rec.TimeSeconds, 1) || opts.ToSeconds > 0 && rec.TimeSeconds > opts.ToSeconds {
-			return 0, nil
-		}
-		rec.Rows, counts = rec.Rows[:0], counts[:0]
-		m := &rec.Machine
-		m.Tasks, m.CPUPct = 0, 0
-		clear(m.Counts)
-		for i := range series {
-			s := &series[i]
-			if n := next[i]; n < len(s.Points) && s.Points[n].TimeSeconds == rec.TimeSeconds {
-				p := &s.Points[n]
-				next[i]++
-				off := len(counts)
-				counts = append(counts, p.Instr, p.Cycles, p.Misses)
-				rec.Rows = append(rec.Rows, store.RecordRow{
-					PID: s.PID, TID: s.TID, User: s.User, Command: s.Command,
-					CPUPct: p.CPUPct, Values: p.Values, Counts: counts[off:len(counts):len(counts)],
-				})
-				m.Tasks++
-				m.CPUPct += p.CPUPct
-				for e, c := range counts[off:] {
-					m.Counts[e] += c
-				}
-			}
-		}
-		if rec.TimeSeconds < opts.FromSeconds {
-			continue
-		}
-		if err := fn(&rec, cols); err != nil {
-			return 0, err
-		}
-	}
 }
 
 // scanInto streams one source's in-range records into an engine. The

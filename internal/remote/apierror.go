@@ -8,7 +8,7 @@ package remote
 //
 // error is the complete human-readable message (what http.Error used
 // to carry), hint an optional actionable suggestion ("did you mean
-// CYCLES?", "start tiptopd with -store DIR"), and offset the byte
+// CYCLES?", "pass step=, e.g. step=10"), and offset the byte
 // position in a query expression when the failure is a parse or
 // validation error. Handlers across internal/store, internal/query and
 // the daemons share these writers, which is what keeps the envelope

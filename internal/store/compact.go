@@ -31,10 +31,11 @@ package store
 // is deleted (its inputs are intact), a published .cseg supersedes
 // every segment file whose sequence range it contains. A tier whose
 // rewrite fails before step 3 removes what it published, so its inputs
-// stay the only copy (one published over an input's own name stays, and
-// that input reads as it). Retention is deferred while a rewrite is in
-// flight so inputs cannot vanish mid-read; it catches up on the next
-// append.
+// stay the only copy. No output takes an input's name: a compacted input
+// that an output would hold alone stays in the chain as it is, since
+// rewriting it alone changes only its dictionary. Retention is deferred
+// while a rewrite is in flight so inputs cannot vanish mid-read; it
+// catches up on the next append.
 
 import (
 	"bufio"
@@ -91,7 +92,7 @@ func (st *Store) Compact(CompactOptions) (*CompactionResult, error) {
 		inputs := append([]*segment(nil), t.sealed...)
 		plain := 0
 		for _, sg := range inputs {
-			if sg.seqEnd == sg.seq && filepath.Ext(sg.path) == segmentExt {
+			if sg.plain() {
 				plain++
 			}
 		}
@@ -115,11 +116,11 @@ func (st *Store) Compact(CompactOptions) (*CompactionResult, error) {
 		st.mu.Unlock()
 	}()
 	for _, j := range jobs {
-		tc, outs, err := st.compactTier(j.t, j.inputs)
+		tc, chain, err := st.compactTier(j.t, j.inputs)
 		if err != nil {
 			return res, err
 		}
-		if len(outs) > 0 {
+		if len(chain) > 0 {
 			st.mu.Lock()
 			if st.tiers == nil {
 				st.mu.Unlock()
@@ -127,14 +128,10 @@ func (st *Store) Compact(CompactOptions) (*CompactionResult, error) {
 			}
 			// Retention was deferred, so the inputs are still the prefix
 			// of the sealed chain; anything sealed since stays behind them.
-			j.t.sealed = append(outs, j.t.sealed[len(j.inputs):]...)
+			j.t.sealed = append(chain, j.t.sealed[len(j.inputs):]...)
 			st.mu.Unlock()
-			// An output spanning exactly one already-compacted input is
-			// published over the input's own path (the name encodes the
-			// sequence range) — that path now holds the output, so it
-			// must survive the input cleanup.
 			for _, in := range j.inputs {
-				if !hasPath(outs, in.path) {
+				if !slices.Contains(chain, in) {
 					_ = st.fsys.remove(in.path)
 				}
 			}
@@ -148,26 +145,18 @@ func (st *Store) Compact(CompactOptions) (*CompactionResult, error) {
 // their frames. The first builds the output's dictionary from the
 // strings each data frame references (compactWriter.intern); the second
 // rewrites every data frame into the outputs (compactWriter.data).
-// Runs without the store lock — inputs are sealed and retention is
-// deferred. A failed rewrite leaves no output behind, but for one
-// published over an input's own name, which that input reads as.
-func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, outs []*segment, err error) {
+// It returns the tier's new chain for the inputs: the outputs, and the
+// compacted inputs kept as they are, in sequence order. Runs without the
+// store lock — inputs are sealed and retention is deferred. A failed
+// rewrite leaves no output behind.
+func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, chain []*segment, err error) {
 	tc = TierCompaction{Tier: tierNames[t.idx], Segments: len(inputs)}
 	sc := getScanner(st.fsys, nil)
 	defer sc.release()
 	w := &compactWriter{fsys: st.fsys, dir: st.dir, tier: tierNames[t.idx], dict: newV2Dict(nil), sc: sc}
 	defer func() {
-		if err == nil {
-			return
-		}
-		w.abort(inputs)
-		// The input's bytes are that output's now, its table maybe grown.
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		for _, o := range w.outs {
-			if i := slices.IndexFunc(inputs, func(in *segment) bool { return in.path == o.path }); i >= 0 {
-				inputs[i].size = o.size
-			}
+		if err != nil {
+			w.abort()
 		}
 	}()
 	each := func(in *segment, fn func(p []byte, t time.Duration) error) error {
@@ -187,8 +176,21 @@ func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, out
 	if tc.Records == 0 {
 		return tc, nil, nil
 	}
+	finish := func() error {
+		n := len(w.outs)
+		err := w.finish()
+		chain = append(chain, w.outs[n:]...)
+		return err
+	}
+	last := len(inputs) - 1
 	for i, in := range inputs {
 		if w.f == nil {
+			// A compacted input that would fill a fresh output alone, or
+			// end the pass in one, stays as it is.
+			if !in.plain() && (in.size >= st.opt.SegmentBytes || i == last) {
+				chain = append(chain, in)
+				continue
+			}
 			if err := w.start(in.seq); err != nil {
 				return tc, nil, err
 			}
@@ -197,19 +199,21 @@ func (st *Store) compactTier(t *tier, inputs []*segment) (tc TierCompaction, out
 			return tc, nil, err
 		}
 		w.b = in.seqEnd
-		if w.size >= st.opt.SegmentBytes && i < len(inputs)-1 {
-			if err := w.finish(); err != nil {
+		// An output holding one compacted input takes the next one too,
+		// whatever its size: alone, it would take the input's name.
+		if w.size >= st.opt.SegmentBytes && i < last && (in.plain() || w.a != in.seq) {
+			if err := finish(); err != nil {
 				return tc, nil, err
 			}
 		}
 	}
-	if err := w.finish(); err != nil {
+	if err := finish(); err != nil {
 		return tc, nil, err
 	}
-	for _, o := range w.outs {
-		tc.BytesAfter += o.size
+	for _, sg := range chain {
+		tc.BytesAfter += sg.size
 	}
-	return tc, w.outs, nil
+	return tc, chain, nil
 }
 
 // compactWriter produces the output segments of one tier's rewrite,
@@ -407,9 +411,8 @@ func (w *compactWriter) finish() error {
 }
 
 // abort discards the unpublished output and every output already
-// published, so the inputs stay the whole story — except an output
-// published over an input's own path, which now holds that input.
-func (w *compactWriter) abort(inputs []*segment) {
+// published, so the inputs stay the whole story.
+func (w *compactWriter) abort() {
 	if w.f != nil {
 		_ = w.f.Close()
 		w.f, w.bw = nil, nil
@@ -418,12 +421,6 @@ func (w *compactWriter) abort(inputs []*segment) {
 		_ = w.fsys.remove(w.tmpPath)
 	}
 	for _, o := range w.outs {
-		if !hasPath(inputs, o.path) {
-			_ = w.fsys.remove(o.path)
-		}
+		_ = w.fsys.remove(o.path)
 	}
-}
-
-func hasPath(segs []*segment, path string) bool {
-	return slices.ContainsFunc(segs, func(sg *segment) bool { return sg.path == path })
 }

@@ -714,6 +714,53 @@ func TestCompactRefusesMalformedFrame(t *testing.T) {
 	}
 }
 
+// TestCompactNeverRenamesOverTheChain: no output of a compaction is
+// published under the name of a file the chain lists, so a query that
+// snapshotted the chain before the swap reads every file it listed as it
+// was. A second pass over full-size compacted segments, fresh ones
+// behind them, is where an output would hold one compacted input alone.
+func TestCompactNeverRenamesOverTheChain(t *testing.T) {
+	m := newMemFS()
+	st, err := open(m, fakeDir, Options{SegmentBytes: 8 << 10, SegmentAge: 40 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetColumns([]string{"c", "d"})
+	seed := uint64(9)
+	engine := func(now time.Duration, _ int) *core.Sample {
+		return engineShaped(variedSample(now, 8, &seed), derivedScreen)
+	}
+	kept := 0
+	for pass := range 3 {
+		appendEach(t, st, 300, engine)
+		before, want := m.listing(fakeDir), answers(st)
+		m.renamed = nil
+		if _, err := st.Compact(CompactOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, to := range m.renamed {
+			if slices.Contains(before, filepath.Base(to)) {
+				t.Fatalf("pass %d published %s over a file the chain listed", pass, filepath.Base(to))
+			}
+		}
+		after := m.listing(fakeDir)
+		for _, n := range before {
+			if strings.HasSuffix(n, compactedExt) && slices.Contains(after, n) {
+				kept++
+			}
+		}
+		for i, a := range answers(st) {
+			if a != want[i] {
+				t.Fatalf("pass %d: query %d answers differently after Compact", pass, i)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no compacted segment was kept as it was: the case never meets one an output would hold alone")
+	}
+}
+
 // historyStore builds history_query's shape of store in dir: n refreshes
 // of 8 hand-built rows a second, raw segments sealed by age, and the
 // store compacts every tier into one output.

@@ -22,7 +22,8 @@ import (
 // refCompactTier rewrites one tier's inputs into dir the reference way,
 // returning what it rewrote and the outputs. Pass 1 decodes every record
 // to build the dictionary; pass 2 decodes every record again and encodes
-// it.
+// it, skipping the compacted inputs Compact keeps as they are: one that
+// would fill a fresh output alone, or end the pass in one.
 func refCompactTier(st *Store, t *tier, inputs []*segment, dir string) (TierCompaction, []*segment, error) {
 	tc := TierCompaction{Tier: tierNames[t.idx], Segments: len(inputs)}
 	w := &compactWriter{fsys: st.fsys, dir: dir, tier: tierNames[t.idx], dict: newV2Dict(nil)}
@@ -66,8 +67,13 @@ func refCompactTier(st *Store, t *tier, inputs []*segment, dir string) (TierComp
 	var activeCols, writtenCols, writtenEvents []string
 	var writtenDer *derivation
 	headed := false
+	last := len(inputs) - 1
 	for i, in := range inputs {
 		if w.f == nil {
+			if !in.plain() && (in.size >= st.opt.SegmentBytes || i == last) {
+				tc.BytesAfter += in.size
+				continue
+			}
 			if err := w.start(in.seq); err != nil {
 				return tc, nil, err
 			}
@@ -101,7 +107,7 @@ func refCompactTier(st *Store, t *tier, inputs []*segment, dir string) (TierComp
 			return tc, nil, err
 		}
 		w.b = in.seqEnd
-		if w.size >= st.opt.SegmentBytes && i < len(inputs)-1 {
+		if w.size >= st.opt.SegmentBytes && i < last && (in.plain() || w.a != in.seq) {
 			if err := w.finish(); err != nil {
 				return tc, nil, err
 			}
@@ -140,7 +146,7 @@ func refCompact(t *testing.T, st *Store, dir string) ([]TierCompaction, map[stri
 		inputs := sealed[i]
 		plain := 0
 		for _, sg := range inputs {
-			if sg.seqEnd == sg.seq && filepath.Ext(sg.path) == segmentExt {
+			if sg.plain() {
 				plain++
 			}
 		}

@@ -1,12 +1,12 @@
 package store
 
-// memFS is the store's filesystem in memory: a directory of byte
-// slices behind the seam in fs.go, so a test can run the real store
-// and decide, operation by operation, what the disk does.
+// memFS is the store's in-memory filesystem (ramFS, fs.go) with a
+// fault layer on top, so a test can run the real store and decide,
+// operation by operation, what the disk does.
 //
 // Every operation is counted in order — each filesystem call, and each
-// Write, Sync and Close of a file open for writing (releasing the lock
-// and closing a reader are not operations). Two faults can be armed by
+// Write, Sync and Close of a file open for writing (closing a reader is
+// not one). The lock is counted and holds nothing. Two faults can be armed by
 // operation number:
 //
 //   - fail: that one operation returns the armed error and the ones
@@ -22,11 +22,9 @@ package store
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"path/filepath"
-	"slices"
 	"sync"
 )
 
@@ -57,14 +55,13 @@ func (k opKind) opensFD() bool {
 var errKilled = errors.New("memfs: process killed")
 
 type memFS struct {
-	mu      sync.Mutex
-	files   map[string]*memInode
-	dirs    map[string]bool
-	locked  map[string]bool
-	ops     []opKind // every counted operation so far
-	handles int      // open, readers and writers
-	gen     int      // bumped by revive: older handles belong to a dead process
-	quiet   bool     // neither count nor fault operations (quietly)
+	*ramFS
+	mu      sync.Mutex // the fault layer's; ramFS.mu guards the files
+	ops     []opKind   // every counted operation so far
+	handles int        // open, readers and writers
+	gen     int        // bumped by revive: older handles belong to a dead process
+	quiet   bool       // neither count nor fault operations (quietly)
+	renamed []string   // every rename's target, in order
 
 	failAt  int // 1-based operation number; 0 = none
 	failErr error
@@ -73,13 +70,7 @@ type memFS struct {
 	dead    bool
 }
 
-// memInode is a file's content. Handles point at the inode, so a
-// renamed or removed file stays writable through them, as on POSIX.
-type memInode struct{ data []byte }
-
-func newMemFS() *memFS {
-	return &memFS{files: map[string]*memInode{}, dirs: map[string]bool{}, locked: map[string]bool{}}
-}
+func newMemFS() *memFS { return &memFS{ramFS: newRAMFS()} }
 
 // step counts one operation and returns the fault it meets, if any.
 // The caller holds m.mu.
@@ -115,40 +106,27 @@ func (m *memFS) quietly(fn func()) {
 	fn()
 }
 
-// revive starts a new process on the directory a kill left: its locks
-// and handles die with the old one, and no fault stays armed.
+// revive starts a new process on the directory a kill left: its
+// handles die with the old one, and no fault stays armed.
 func (m *memFS) revive() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.dead, m.killAt, m.failAt = false, 0, 0
 	m.ops, m.handles = nil, 0
 	m.gen++
-	clear(m.locked)
-}
-
-// names lists the directory's files in lexical order.
-func (m *memFS) names(dir string) []string {
-	var out []string
-	for p := range m.files {
-		if filepath.Dir(p) == dir {
-			out = append(out, filepath.Base(p))
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // listing is names for the tests.
 func (m *memFS) listing(dir string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.ramFS.mu.Lock()
+	defer m.ramFS.mu.Unlock()
 	return m.names(dir)
 }
 
 // contents copies the directory's files, keyed by name.
 func (m *memFS) contents(dir string) map[string][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.ramFS.mu.Lock()
+	defer m.ramFS.mu.Unlock()
 	out := map[string][]byte{}
 	for _, n := range m.names(dir) {
 		out[n] = bytes.Clone(m.files[filepath.Join(dir, n)].data)
@@ -170,18 +148,13 @@ func (m *memFS) openHandles() int {
 	return m.handles
 }
 
-func notExist(op, path string) error {
-	return &fs.PathError{Op: op, Path: path, Err: fs.ErrNotExist}
-}
-
 func (m *memFS) mkdirAll(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.step(opMkdir); err != nil {
 		return err
 	}
-	m.dirs[dir] = true
-	return nil
+	return m.ramFS.mkdirAll(dir)
 }
 
 func (m *memFS) lock(dir string) (io.Closer, error) {
@@ -190,26 +163,7 @@ func (m *memFS) lock(dir string) (io.Closer, error) {
 	if err := m.step(opLock); err != nil {
 		return nil, err
 	}
-	if m.locked[dir] {
-		return nil, fmt.Errorf("memfs: %s is already locked", dir)
-	}
-	m.locked[dir] = true
-	return &memLock{m: m, dir: dir, gen: m.gen}, nil
-}
-
-type memLock struct {
-	m   *memFS
-	dir string
-	gen int
-}
-
-func (l *memLock) Close() error {
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	if l.gen == l.m.gen {
-		delete(l.m.locked, l.dir)
-	}
-	return nil
+	return m.ramFS.lock(dir)
 }
 
 func (m *memFS) readDir(dir string) ([]string, error) {
@@ -218,31 +172,29 @@ func (m *memFS) readDir(dir string) ([]string, error) {
 	if err := m.step(opReadDir); err != nil {
 		return nil, err
 	}
-	if !m.dirs[dir] {
-		return nil, notExist("readdir", dir)
-	}
-	return m.names(dir), nil
+	return m.ramFS.readDir(dir)
 }
 
-func (m *memFS) create(path string) (file, error)     { return m.openWriter(opCreate, path) }
-func (m *memFS) openAppend(path string) (file, error) { return m.openWriter(opOpenAppend, path) }
+func (m *memFS) create(path string) (file, error) {
+	return m.openWriter(opCreate, path, m.ramFS.create)
+}
 
-func (m *memFS) openWriter(k opKind, path string) (file, error) {
+func (m *memFS) openAppend(path string) (file, error) {
+	return m.openWriter(opOpenAppend, path, m.ramFS.openAppend)
+}
+
+func (m *memFS) openWriter(k opKind, path string, open func(string) (file, error)) (file, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.step(k); err != nil {
 		return nil, err
 	}
-	if !m.dirs[filepath.Dir(path)] {
-		return nil, notExist("open", path)
-	}
-	ino := m.files[path]
-	if ino == nil || k == opCreate {
-		ino = &memInode{}
-		m.files[path] = ino
+	f, err := open(path)
+	if err != nil {
+		return nil, err
 	}
 	m.handles++
-	return &memFile{m: m, ino: ino, gen: m.gen}, nil
+	return &memFile{file: f, m: m, gen: m.gen}, nil
 }
 
 func (m *memFS) open(path string) (io.ReadCloser, error) {
@@ -251,12 +203,12 @@ func (m *memFS) open(path string) (io.ReadCloser, error) {
 	if err := m.step(opOpen); err != nil {
 		return nil, err
 	}
-	ino := m.files[path]
-	if ino == nil {
-		return nil, notExist("open", path)
+	rc, err := m.ramFS.open(path)
+	if err != nil {
+		return nil, err
 	}
 	m.handles++
-	return &memReader{Reader: bytes.NewReader(bytes.Clone(ino.data)), m: m, gen: m.gen}, nil
+	return &memReader{Reader: rc, m: m, gen: m.gen}, nil
 }
 
 func (m *memFS) truncate(path string, size int64) error {
@@ -265,16 +217,7 @@ func (m *memFS) truncate(path string, size int64) error {
 	if err := m.step(opTruncate); err != nil {
 		return err
 	}
-	ino := m.files[path]
-	if ino == nil {
-		return notExist("truncate", path)
-	}
-	if size <= int64(len(ino.data)) {
-		ino.data = ino.data[:size:size]
-	} else {
-		ino.data = append(ino.data, make([]byte, size-int64(len(ino.data)))...)
-	}
-	return nil
+	return m.ramFS.truncate(path, size)
 }
 
 func (m *memFS) rename(from, to string) error {
@@ -283,13 +226,8 @@ func (m *memFS) rename(from, to string) error {
 	if err := m.step(opRename); err != nil {
 		return err
 	}
-	ino := m.files[from]
-	if ino == nil {
-		return notExist("rename", from)
-	}
-	delete(m.files, from)
-	m.files[to] = ino
-	return nil
+	m.renamed = append(m.renamed, to)
+	return m.ramFS.rename(from, to)
 }
 
 func (m *memFS) remove(path string) error {
@@ -298,11 +236,7 @@ func (m *memFS) remove(path string) error {
 	if err := m.step(opRemove); err != nil {
 		return err
 	}
-	if m.files[path] == nil {
-		return notExist("remove", path)
-	}
-	delete(m.files, path)
-	return nil
+	return m.ramFS.remove(path)
 }
 
 func (m *memFS) syncDir(string) {
@@ -313,8 +247,8 @@ func (m *memFS) syncDir(string) {
 
 // memFile is a file open for writing.
 type memFile struct {
+	file
 	m      *memFS
-	ino    *memInode
 	gen    int
 	closed bool
 }
@@ -343,7 +277,7 @@ func (f *memFile) Write(p []byte) (int, error) {
 	default: // a torn kill, or a failed write cut short
 		n = len(p) / 2
 	}
-	f.ino.data = append(f.ino.data, p[:n]...)
+	_, _ = f.file.Write(p[:n])
 	return n, err
 }
 
@@ -370,7 +304,7 @@ func (f *memFile) Close() error {
 }
 
 type memReader struct {
-	*bytes.Reader
+	io.Reader
 	m      *memFS
 	gen    int
 	closed bool

@@ -75,7 +75,7 @@ func TestRawPlanMatchesReference(t *testing.T) {
 // handler wrote before it appended bodies itself.
 func compareRaw(t *testing.T, st *store.Store, steps []float64, ranges []store.QueryOptions) {
 	t.Helper()
-	h := query.Handler(map[string]*store.Store{"": st}, nil)
+	h := query.Handler(map[string]*store.Store{"": st})
 	for _, step := range steps {
 		for _, q := range ranges {
 			q.StepSeconds = step

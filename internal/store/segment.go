@@ -53,6 +53,12 @@ type segment struct {
 	last   time.Duration
 }
 
+// plain reports whether the segment is one appends sealed, not a
+// compaction's output.
+func (sg *segment) plain() bool {
+	return sg.seqEnd == sg.seq && filepath.Ext(sg.path) == segmentExt
+}
+
 // segmentPath names a segment file: "<tier>-<seq>.seg", zero-padded so
 // lexical order is chain order.
 func segmentPath(dir, tier string, seq int64) string {

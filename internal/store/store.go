@@ -166,6 +166,9 @@ type Store struct {
 	// compacting serializes Compact calls and defers retention while a
 	// rewrite is in flight (compact.go).
 	compacting bool
+	// keep is an in-memory store's window (OpenMem), in raw records; 0
+	// applies Options' age horizon and byte budget instead.
+	keep int64
 }
 
 // tier is one resolution's segment chain plus the accumulator folding
@@ -193,6 +196,21 @@ type tier struct {
 // second process opening a live store fails instead of corrupting the
 // segment chain with interleaved appends.
 func Open(dir string, opt Options) (*Store, error) { return open(osFS{}, dir, opt) }
+
+// OpenMem opens an empty store in memory, on files that live on the
+// heap (ramFS) and go with the store: the same tiers and queries as
+// Open's with Options' defaults, but retention keeps a window instead
+// of a budget. The raw tier keeps its newest refreshes records, and
+// every tier its records back to the oldest of them, whatever their
+// size. Its Dir is "mem".
+func OpenMem(refreshes int) (*Store, error) {
+	st, err := open(newRAMFS(), "mem", Options{})
+	if err != nil {
+		return nil, err
+	}
+	st.keep = int64(max(refreshes, 1))
+	return st, nil
+}
 
 // open is Open over any filesystem.
 func open(fsys filesystem, dir string, opt Options) (*Store, error) {
@@ -633,15 +651,19 @@ func (st *Store) rotateLocked(t *tier) error {
 	return nil
 }
 
-// enforceLocked applies the retention policy: first the age horizon,
-// then the byte budget (oldest sealed segments, rawest tier first,
-// preferring the tier most over its budget share).
+// enforceLocked applies the retention policy: an in-memory store's
+// window (keepLocked), or first the age horizon, then the byte budget
+// (oldest sealed segments, rawest tier first, preferring the tier most
+// over its budget share).
 func (st *Store) enforceLocked(now time.Duration) error {
 	if st.compacting {
 		// Retention is deferred while a compaction rewrite is reading
 		// sealed segments; it resumes (and catches up) on the first
 		// append after the rewrite finishes.
 		return nil
+	}
+	if st.keep > 0 {
+		return st.keepLocked()
 	}
 	if st.opt.Retention > 0 {
 		horizon := now - st.opt.Retention
@@ -676,6 +698,39 @@ func (st *Store) enforceLocked(now time.Duration) error {
 		}
 		if err := st.dropOldest(victim); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// keepLocked is an in-memory store's retention: the raw tier's oldest
+// sealed segment goes while the rest still hold st.keep records, and a
+// coarser tier's oldest sealed segment goes once it ends before the
+// oldest raw record left.
+func (st *Store) keepLocked() error {
+	raw := st.tiers[0]
+	if raw.active == nil {
+		return nil
+	}
+	n := raw.active.n
+	for _, sg := range raw.sealed {
+		n += sg.n
+	}
+	for len(raw.sealed) > 0 && n-raw.sealed[0].n >= st.keep {
+		n -= raw.sealed[0].n
+		if err := st.dropOldest(raw); err != nil {
+			return err
+		}
+	}
+	oldest := raw.active.first
+	if len(raw.sealed) > 0 {
+		oldest = raw.sealed[0].first
+	}
+	for _, t := range st.tiers[1:] {
+		for len(t.sealed) > 0 && t.sealed[0].last < oldest {
+			if err := st.dropOldest(t); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

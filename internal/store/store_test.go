@@ -1031,3 +1031,57 @@ func TestTierRowsFollowTheirRecords(t *testing.T) {
 		t.Fatalf("the mixed bucket reads ipc %v, want the mean %v", rows[1].Values[2], ipc/10)
 	}
 }
+
+// TestMemStoreKeepsItsWindow pins OpenMem's retention: the raw tier
+// keeps at least its newest keep records and drops a sealed segment as
+// soon as the rest hold that many; each coarser tier drops a sealed
+// segment once it ends before the oldest raw record left. Refreshes
+// 10 s apart seal every tier by age, so every tier sheds segments.
+func TestMemStoreKeepsItsWindow(t *testing.T) {
+	const keep = 40
+	st, err := OpenMem(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetColumns([]string{"pidcol"})
+	dropped := make([]bool, len(Resolutions))
+	for i := 1; i <= 500; i++ {
+		if err := st.AppendSample(sampleAt(time.Duration(i)*10*time.Second, 200)); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		raw := st.tiers[0]
+		n := raw.active.n
+		for _, sg := range raw.sealed {
+			n += sg.n
+		}
+		oldest := raw.active.first
+		if len(raw.sealed) > 0 {
+			oldest = raw.sealed[0].first
+			if n-raw.sealed[0].n >= keep {
+				t.Errorf("refresh %d: raw tier keeps %d records, %d without its oldest segment", i, n, n-raw.sealed[0].n)
+			}
+		}
+		if n < min(int64(i), keep) {
+			t.Errorf("refresh %d: raw tier keeps %d records, want at least %d", i, n, min(i, keep))
+		}
+		for ti, tr := range st.tiers {
+			if len(tr.sealed) > 0 && tr.sealed[0].seq > 1 {
+				dropped[ti] = true
+			}
+			if ti > 0 && len(tr.sealed) > 0 && tr.sealed[0].last < oldest {
+				t.Errorf("refresh %d: tier %s keeps a segment ending at %v, before the oldest raw record %v", i, tierNames[ti], tr.sealed[0].last, oldest)
+			}
+		}
+		st.mu.Unlock()
+		if t.Failed() {
+			return
+		}
+	}
+	for ti, d := range dropped {
+		if !d {
+			t.Errorf("tier %s never dropped a segment", tierNames[ti])
+		}
+	}
+}

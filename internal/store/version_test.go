@@ -45,7 +45,7 @@ var contractQueries = []url.Values{
 // queryBodies answers contractQueries from st through the query handler.
 func queryBodies(t *testing.T, st *store.Store) []string {
 	t.Helper()
-	h := query.Handler(map[string]*store.Store{"": st}, nil)
+	h := query.Handler(map[string]*store.Store{"": st})
 	var out []string
 	for _, q := range contractQueries {
 		w := httptest.NewRecorder()

@@ -157,6 +157,8 @@ func TestNameKeyedRowsRecordTheirCounts(t *testing.T) {
 	}
 	rec := NewRecorder(RecorderOptions{})
 	rec.h.SetColumns(ws.ColumnNames())
-	rec.h.Observe(publicSample(ws).coreSample())
+	feed := recorders{rec}
+	feed.Observe(publicSample(ws).coreSample())
+	rec.h.Join()
 	check("publicSample", rec.Querier())
 }

@@ -4,8 +4,7 @@ package tiptop
 // language expression — a durable Store, a live Recorder, a remote
 // QueryClient — satisfies one Querier interface, so code written
 // against it runs unchanged whether the history lives on local disk,
-// in a store-less recorder's ring buffers, or behind a daemon's HTTP
-// endpoint.
+// in a recorder's in-memory store, or behind a daemon's HTTP endpoint.
 
 import (
 	"fmt"
@@ -32,8 +31,8 @@ type Querier interface {
 
 var _ Querier = (*QueryClient)(nil)
 
-// localQuerier adapts an in-process history — a Store's segments, a
-// store-less Recorder's rings — to the Querier contract.
+// localQuerier adapts an in-process store — on disk or a Recorder's in
+// memory — to the Querier contract.
 type localQuerier struct {
 	backend string
 	src     query.Source
@@ -43,17 +42,9 @@ type localQuerier struct {
 func (st *Store) Querier() Querier { return localQuerier{"store", st.s} }
 
 // Querier returns the recorder's unified query surface: the store it is
-// teed into, or else its live ring buffers — the same data the
-// interactive screens render, served as series. The rings replay as the
-// records a Store would have written from the same observations, so the
-// two answer identically: counters (INSTRUCTIONS, CYCLES, CACHE_MISSES)
-// sum per bucket while columns and CPU_PCT average.
-func (r *Recorder) Querier() Querier {
-	if r.st != nil {
-		return localQuerier{"recorder", r.st.s}
-	}
-	return localQuerier{"recorder", query.Rings(r.h)}
-}
+// teed into, on disk or its own in memory, which answers every event and
+// column of the screen it recorded, at every tier.
+func (r *Recorder) Querier() Querier { return localQuerier{"recorder", r.store().s} }
 
 func (q localQuerier) QueryExpr(expr string, opt QueryOptions, extra ...string) (*QueryResult, error) {
 	if err := rejectExtra(q.backend, extra); err != nil {

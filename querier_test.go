@@ -13,8 +13,15 @@ import (
 
 // querierFixture builds a recorder teed into a store, a store-less
 // recorder fed the same simulated samples, and an HTTP server exposing
-// the first two — the four Querier backends over one data set.
+// the first two — the four Querier backends over one data set — on the
+// default screen.
 func querierFixture(t *testing.T) (rec, bare *tiptop.Recorder, st *tiptop.Store, ts *httptest.Server) {
+	t.Helper()
+	return querierFixtureOn(t, "")
+}
+
+// querierFixtureOn is querierFixture on the named screen.
+func querierFixtureOn(t *testing.T, screen string) (rec, bare *tiptop.Recorder, st *tiptop.Store, ts *httptest.Server) {
 	t.Helper()
 	st, err := tiptop.OpenStore(t.TempDir(), tiptop.StoreOptions{})
 	if err != nil {
@@ -32,7 +39,7 @@ func querierFixture(t *testing.T) (rec, bare *tiptop.Recorder, st *tiptop.Store,
 	if _, err := sc.StartWorkload("bob", "mcf", 0.03); err != nil {
 		t.Fatalf("StartWorkload: %v", err)
 	}
-	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: 2 * time.Second})
+	mon, err := tiptop.NewSimMonitor(sc, tiptop.Config{Interval: 2 * time.Second, Screen: screen})
 	if err != nil {
 		t.Fatalf("NewSimMonitor: %v", err)
 	}
@@ -58,8 +65,8 @@ func querierFixture(t *testing.T) (rec, bare *tiptop.Recorder, st *tiptop.Store,
 
 // TestQuerierUnification: the same expression through every Querier
 // backend — Store, a Recorder teed into it (which queries the store), a
-// store-less Recorder (its rings), QueryClient — answers identically
-// over the same samples.
+// store-less Recorder (its in-memory store), QueryClient — answers
+// identically over the same samples.
 func TestQuerierUnification(t *testing.T) {
 	rec, bare, st, ts := querierFixture(t)
 	qc, err := tiptop.NewQueryClient(ts.URL)
@@ -68,10 +75,10 @@ func TestQuerierUnification(t *testing.T) {
 	}
 
 	backends := map[string]tiptop.Querier{
-		"store":    st.Querier(),
-		"recorder": rec.Querier(),
-		"rings":    bare.Querier(),
-		"client":   qc,
+		"store":     st.Querier(),
+		"recorder":  rec.Querier(),
+		"storeless": bare.Querier(),
+		"client":    qc,
 	}
 	exprs := []string{
 		"delta(INSTRUCTIONS)/delta(CYCLES)",
@@ -101,6 +108,32 @@ func TestQuerierUnification(t *testing.T) {
 	}
 }
 
+// TestStorelessRecorderQueriesEveryEvent: on the wide screen, a
+// store-less recorder's Querier answers every event the screen counts —
+// not only INSTRUCTIONS, CYCLES and CACHE_MISSES — byte for byte as the
+// store on disk fed the same samples does.
+func TestStorelessRecorderQueriesEveryEvent(t *testing.T) {
+	_, bare, st, _ := querierFixtureOn(t, "wide")
+	opt := tiptop.QueryOptions{StepSeconds: 2}
+	for _, expr := range []string{"delta(BRANCH_MISSES)", "delta(L2_MISSES)/delta(INSTRUCTIONS)"} {
+		want, err := st.Querier().QueryExpr(expr, opt)
+		if err != nil {
+			t.Fatalf("store %q: %v", expr, err)
+		}
+		if len(want.Series) == 0 {
+			t.Fatalf("store %q: no series", expr)
+		}
+		got, err := bare.Querier().QueryExpr(expr, opt)
+		if err != nil {
+			t.Fatalf("store-less recorder %q: %v", expr, err)
+		}
+		wantJSON, _ := json.Marshal(want)
+		if gotJSON, _ := json.Marshal(got); string(gotJSON) != string(wantJSON) {
+			t.Errorf("store-less recorder %q diverges from the store:\n%s\nvs\n%s", expr, gotJSON, wantJSON)
+		}
+	}
+}
+
 // TestQuerierLocalRejectsExtra: the local backends refuse remote-only
 // parameters instead of silently ignoring them; the client forwards
 // them.
@@ -111,7 +144,7 @@ func TestQuerierLocalRejectsExtra(t *testing.T) {
 		t.Fatalf("NewQueryClient: %v", err)
 	}
 	opt := tiptop.QueryOptions{StepSeconds: 2}
-	for name, q := range map[string]tiptop.Querier{"store": st.Querier(), "recorder": rec.Querier(), "rings": bare.Querier()} {
+	for name, q := range map[string]tiptop.Querier{"store": st.Querier(), "recorder": rec.Querier(), "storeless": bare.Querier()} {
 		_, err := q.QueryExpr("rate(CYCLES)", opt, "agent", "*")
 		if err == nil || !strings.Contains(err.Error(), "remote-only") {
 			t.Fatalf("%s accepted extra params, err = %v", name, err)

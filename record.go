@@ -13,9 +13,9 @@ import (
 	"tiptop/internal/remote"
 )
 
-// RecorderOptions tune a Recorder; the zero value gives a 600-point
-// ring per task (600 refreshes of history read back from a teed store),
-// a one-minute rate window and an 8192-series retention bound.
+// RecorderOptions tune a Recorder; the zero value gives 600 refreshes
+// of history read back from its store, a one-minute rate window and an
+// 8192-series retention bound.
 type RecorderOptions = history.Options
 
 // HistoryPoint is one recorded observation of a task.
@@ -34,25 +34,29 @@ type Aggregate = history.Aggregate
 type Snapshot = history.Snapshot
 
 // Recorder accumulates a Monitor's samples into incrementally
-// maintained aggregates, each task's newest observation, and its
-// history: per-task ring buffers, packed and bounded by
-// RecorderOptions.Capacity — or, teed into a Store (Tee), the store's
-// raw tier, and no rings. Recording happens synchronously on the
-// sampling goroutine and — once the aggregate entries exist and a task's
-// ring has filled (a growing one takes a buffer per 64 points), or from
-// its second refresh on when teed — performs no allocations, so a
-// subscribed Recorder does not perturb the engine's refresh cost.
+// maintained aggregates and each task's newest observation, and keeps
+// its history in a Store: one in memory from NewRecorder on, or the
+// one Tee attaches. History reads the newest RecorderOptions.Capacity
+// refreshes back from the store's raw tier; Querier and QueryHandler
+// query the store. Recording happens synchronously on the sampling
+// goroutine and — once the aggregate entries exist, from a task's
+// second refresh on — the recorder's own fold performs no allocations,
+// so a subscribed Recorder does not perturb the engine's refresh cost.
 // Queries are safe from any goroutine while sampling continues.
 type Recorder struct {
 	h *history.Recorder
-	// st is the store the recorder is teed into, nil for none.
+	// mu guards st, the store the recorder is teed into: none until Tee
+	// attaches one or the recorder first records or is queried without
+	// one (store).
+	mu sync.Mutex
 	st *Store
 	// scrape is what WriteOpenMetrics keeps between calls.
 	scrape exposition
 }
 
 // NewRecorder creates an unattached Recorder; attach it to a Monitor
-// with Subscribe.
+// with Subscribe. Unless Tee attaches a store first, it opens its own
+// in memory when it first records or is queried.
 func NewRecorder(opt RecorderOptions) *Recorder {
 	r := &Recorder{h: history.New(opt)}
 	r.scrape.add("", r, nil)
@@ -110,7 +114,7 @@ func (m *Monitor) Subscribe(r *Recorder) {
 		return
 	}
 	r.h.SetColumns(m.Columns())
-	m.recs = append(m.recs, r.h)
+	m.recs = append(m.recs, r)
 }
 
 // Unsubscribe detaches a previously subscribed recorder; its recorded
@@ -119,7 +123,7 @@ func (m *Monitor) Unsubscribe(r *Recorder) {
 	if r == nil {
 		return
 	}
-	if i := slices.Index(m.recs, r.h); i >= 0 {
+	if i := slices.Index(m.recs, r); i >= 0 {
 		m.recs = slices.Delete(m.recs, i, i+1)
 	}
 }
@@ -128,11 +132,12 @@ func (m *Monitor) Unsubscribe(r *Recorder) {
 // registers with its session. The session only starts them, so that a
 // large sample's store append runs on beside the public rows;
 // sampleNow joins them before it returns.
-type recorders []*history.Recorder
+type recorders []*Recorder
 
 func (rs *recorders) Observe(cs *core.Sample) {
-	for _, h := range *rs {
-		h.Start(cs)
+	for _, r := range *rs {
+		r.store() // a recorder without one records into its own
+		r.h.Start(cs)
 	}
 }
 
@@ -140,11 +145,10 @@ func (rs *recorders) Observe(cs *core.Sample) {
 func (r *Recorder) Snapshot() *Snapshot { return r.h.Snapshot() }
 
 // History returns the recorded series of every task with the given PID
-// (several under per-thread monitoring), or nil if it was never seen.
-// Teed into a Store, it reads the store's raw tier, timed on the store
-// clock, for the tasks seen in the recorder's newest Capacity refreshes
-// since the Tee: one scan of every row in that span, whose failure is
-// History's error.
+// (several under per-thread monitoring), or nil if none was seen in the
+// recorder's newest Capacity refreshes since the Tee. It reads the
+// store's raw tier, timed on the store clock: one scan of every row in
+// that span, whose failure is History's error.
 func (r *Recorder) History(pid int) ([]HistorySeries, error) { return r.h.History(pid) }
 
 // PIDs lists the recorded process IDs History answers for, sorted.

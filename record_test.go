@@ -3,12 +3,16 @@ package tiptop
 import (
 	"flag"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"tiptop/internal/config"
+	"tiptop/internal/core"
+	"tiptop/internal/hpm"
 	"tiptop/internal/remote"
 )
 
@@ -274,5 +278,143 @@ func TestScrapeEncodeSteadyAllocs(t *testing.T) {
 	steady("after the replacement", 3)
 	if st := cache.Stats(); st.Encodes != version || st.BodyBytes < 2000*1000 || st.LastEncode <= 0 {
 		t.Fatalf("cache stats = %+v after %d versions", st, version)
+	}
+}
+
+// TestStorelessRefreshAllocs is a store-less recorder's budget: its
+// steady-state refresh — the fold and the append to its in-memory store
+// — allocates no more than internal/store's TestAppendSteadyStateAllocs
+// allows an append on disk (1), measured as that test measures it: 130
+// refreshes to warm up, then the mean over 200.
+func TestStorelessRefreshAllocs(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{})
+	rec.h.SetColumns([]string{"mcycle", "minst", "ipc", "dmis"})
+	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
+	s := &core.Sample{Rows: make([]core.Row, 100)}
+	for i := range s.Rows {
+		s.Rows[i] = core.Row{
+			Info:   core.TaskInfo{ID: hpm.TaskID{PID: 100 + i, TID: 100 + i}, User: "u" + string(rune('a'+i%7)), Comm: "job" + string(rune('a'+i%20)), State: "R"},
+			CPUPct: 50, Values: make([]float64, 4), Counts: make([]uint64, 3), Table: table, Valid: true,
+		}
+	}
+	feed, now := recorders{rec}, time.Duration(0)
+	step := func() {
+		now += time.Second
+		s.Time = now
+		for i := range s.Rows {
+			row := &s.Rows[i]
+			k := uint64(now/time.Second) + uint64(i)
+			row.Counts[0], row.Counts[1], row.Counts[2] = 1000*k, 500*uint64(i+1), k%13
+			row.Values[0], row.Values[1], row.Values[2], row.Values[3] = float64(k), float64(i), float64(k%7)/3, float64(i%13)/100
+		}
+		feed.Observe(s) // as a Monitor feeds it
+		rec.h.Join()
+	}
+	for range 130 {
+		step()
+	}
+	avg := testing.AllocsPerRun(200, step)
+	if avg > 1 {
+		t.Fatalf("a store-less recorder's steady-state refresh costs %.1f allocs, want <= 1", avg)
+	}
+	t.Logf("%.2f allocs per refresh", avg)
+	if err := rec.store().Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStorelessHistoryKeepsItsWindow holds a store-less recorder to
+// Capacity however wide its refreshes: 2500 tasks of eight columns, past
+// any per-task byte figure a budget could assume, over three windows.
+// History keeps answering exactly Capacity points, and the in-memory
+// store, which drops what lies before the window, stays within one
+// window's bytes and a segment per tier.
+func TestStorelessHistoryKeepsItsWindow(t *testing.T) {
+	const tasks, capacity = 2500, 30
+	rec := NewRecorder(RecorderOptions{Capacity: capacity})
+	rec.h.SetColumns([]string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"})
+	table := core.NewEventTable(hpm.EventInstructions, hpm.EventCycles, hpm.EventCacheMisses)
+	s := &core.Sample{Rows: make([]core.Row, tasks)}
+	for i := range s.Rows {
+		s.Rows[i] = core.Row{
+			Info:   core.TaskInfo{ID: hpm.TaskID{PID: 100 + i, TID: 100 + i}, User: "u", Comm: "job", State: "R"},
+			CPUPct: 50, Values: make([]float64, 8), Counts: make([]uint64, 3), Table: table, Valid: true,
+		}
+	}
+	feed := recorders{rec}
+	var window int64
+	for r := 1; r <= 3*capacity; r++ {
+		s.Time = time.Duration(r) * time.Second
+		for i := range s.Rows {
+			row := &s.Rows[i]
+			row.Counts[0], row.Counts[1], row.Counts[2] = uint64(r*i), uint64(r+i), uint64(i%13)
+			for j := range row.Values {
+				row.Values[j] = float64(r*i+j) / 7
+			}
+		}
+		feed.Observe(s)
+		rec.h.Join()
+		if r == capacity {
+			window = rec.store().DiskUsage()
+		}
+		if r < capacity || r%10 != 0 {
+			continue
+		}
+		for _, pid := range []int{100, 100 + tasks/2, 100 + tasks - 1} {
+			h, err := rec.History(pid)
+			if err != nil || len(h) != 1 || len(h[0].Points) != capacity {
+				t.Fatalf("refresh %d: pid %d: %d series, %v; want one of %d points", r, pid, len(h), err, capacity)
+			}
+			if got, want := h[0].Points[0].TimeSeconds, float64(r-capacity+1); got != want {
+				t.Fatalf("refresh %d: pid %d's window starts at %gs, want %gs", r, pid, got, want)
+			}
+		}
+	}
+	st := rec.store()
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if usage := st.DiskUsage(); usage > window+3<<20 {
+		t.Fatalf("the in-memory store holds %d bytes after three windows, one window is %d", usage, window)
+	}
+	t.Logf("one window %d bytes, %d after three", window, st.DiskUsage())
+}
+
+// TestRecorderOpensItsStoreOnFirstUse: a recorder teed into a store
+// before it records never opens one of its own; one that records, or
+// is queried, without a Tee opens its in-memory store then. A query
+// handler with neither a store nor a recorder answers 404.
+func TestRecorderOpensItsStoreOnFirstUse(t *testing.T) {
+	_, mon := nodeFixture(t, MachineE5640, "", 4)
+	teed, bare, idle := NewRecorder(RecorderOptions{}), NewRecorder(RecorderOptions{}), NewRecorder(RecorderOptions{})
+	mon.Subscribe(teed)
+	mon.Subscribe(bare)
+	if teed.st != nil || bare.st != nil {
+		t.Fatal("NewRecorder or Subscribe opened a store")
+	}
+	st, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	teed.Tee(st)
+	for range 2 {
+		if _, err := mon.SampleNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if teed.st != st {
+		t.Fatal("the teed recorder replaced its store")
+	}
+	if bare.st == nil || bare.st.Dir() != "mem" || bare.st.Records() == 0 {
+		t.Fatalf("the store-less recorder records into %v", bare.st)
+	}
+	if idle.Querier() == nil || idle.st == nil || idle.st.Dir() != "mem" {
+		t.Fatalf("a queried recorder has store %v", idle.st)
+	}
+	w := httptest.NewRecorder()
+	QueryHandler(nil, nil).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/query", nil))
+	if w.Code != http.StatusNotFound || !strings.Contains(w.Body.String(), `"error"`) {
+		t.Fatalf("QueryHandler(nil, nil): %d %s", w.Code, w.Body)
 	}
 }

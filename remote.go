@@ -221,6 +221,7 @@ func (f *follower) step(ws *remote.Sample, out *Sample, recs ...*Recorder) time.
 	cs := out.coreSample()
 	cs.Time = t
 	for _, rec := range recs {
+		rec.store() // a recorder without one records into its own
 		rec.h.Observe(cs)
 	}
 	return t

@@ -15,6 +15,7 @@ import (
 	"tiptop/internal/history"
 	"tiptop/internal/hpm"
 	"tiptop/internal/query"
+	"tiptop/internal/remote"
 	"tiptop/internal/store"
 )
 
@@ -58,26 +59,53 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 	return &Store{s: s}, nil
 }
 
-// Tee attaches the store to the recorder: every sample the recorder
-// observes (from a local Monitor or a remote stream) is also appended
-// to the store outside the recorder's lock — for a sample of
-// core.SplitRows rows or more on a helper goroutine, beside the
-// recorder's fold and the sample's public rows. Either way the append
-// is done when Sample returns. Append errors are latched — check
-// Store.Err. Not safe to call concurrently with sampling.
+// Tee makes st the recorder's store in place of the one it had: every
+// sample the recorder observes (from a local Monitor or a remote
+// stream) is also appended to the store outside the recorder's lock —
+// for a sample of core.SplitRows rows or more on a helper goroutine,
+// beside the recorder's fold and the sample's public rows. Either way
+// the append is done when Sample returns. Append errors are latched —
+// check Store.Err. Not safe to call concurrently with sampling.
 //
-// The store becomes the recorder's history: the recorder keeps each
-// task's newest observation only, History reads the refreshes it
-// observed back from the store's raw tier, and Querier queries the
-// store. Tee(nil) detaches it, and the recorder keeps points of its
-// own again from the next refresh on.
+// The store is the recorder's history: History reads the refreshes the
+// recorder observed from the Tee on back from the store's raw tier, and
+// Querier queries the store. Tee(nil) tees a fresh in-memory store, as
+// a recorder does for itself when it first records or is queried
+// without one.
 func (r *Recorder) Tee(st *Store) {
-	r.st = st
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.teeLocked(st)
+}
+
+func (r *Recorder) teeLocked(st *Store) {
 	if st == nil {
-		r.h.Tee(nil)
-		return
+		st = memStore(r.h.Capacity())
 	}
+	r.st = st
 	r.h.Tee(keeper{st.s})
+}
+
+// store returns the store the recorder is teed into, first teeing a
+// fresh in-memory one when it has none.
+func (r *Recorder) store() *Store {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.st == nil {
+		r.teeLocked(nil)
+	}
+	return r.st
+}
+
+// memStore opens an in-memory store that keeps the newest capacity
+// refreshes, the recorder's History window, and nothing older: what it
+// holds follows the recorder's traffic, with no byte budget to guess.
+func memStore(capacity int) *Store {
+	s, err := store.OpenMem(capacity)
+	if err != nil {
+		panic("tiptop: an empty in-memory store does not open: " + err.Error())
+	}
+	return &Store{s: s}
 }
 
 // keeper is a store as a teed recorder's history.Keeper: the raw tier
@@ -151,35 +179,33 @@ func (st *Store) Query(q StoreQuery) (*StoreResult, error) {
 func (st *Store) Handler() http.Handler { return QueryHandler(st, nil) }
 
 // QueryHandler serves the full /api/v1/query contract for a daemon: raw
-// range queries and expression queries, both against the store — st, or
-// the one rec is teed into when st is nil — or else against a store-less
-// recorder's live rings. Either argument may be nil.
+// range queries and expression queries, both against st, or when st is
+// nil against the store rec is teed into as it stands now. With neither
+// it answers every query 404.
 func QueryHandler(st *Store, rec *Recorder) http.Handler {
-	if st == nil && rec != nil {
-		st = rec.st
+	switch {
+	case st != nil:
+	case rec != nil:
+		st = rec.store()
+	default:
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			remote.WriteError(w, http.StatusNotFound, "no store or recorder to query")
+		})
 	}
 	// A solo daemon is a fleet of one unlabelled store.
-	stores := map[string]*Store{}
-	if st != nil {
-		stores[""] = st
-	}
-	return queryHandler(stores, rec)
+	return queryHandler(map[string]*Store{"": st})
 }
 
 // queryHandler is QueryHandler over any number of stores keyed by agent
 // label, as an aggregating Daemon mounts it: ?agent=label selects one
 // store, ?agent=* (or no selector) all of them — raw queries need
 // exactly one, expression queries merge however many on aligned steps.
-func queryHandler(stores map[string]*Store, rec *Recorder) http.Handler {
+func queryHandler(stores map[string]*Store) http.Handler {
 	ss := make(map[string]*store.Store, len(stores))
 	for label, st := range stores {
 		ss[label] = st.s
 	}
-	var h *history.Recorder
-	if rec != nil {
-		h = rec.h
-	}
-	return query.Handler(ss, h)
+	return query.Handler(ss)
 }
 
 // RecordSample appends one hand-built public sample. A monitor's

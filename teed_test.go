@@ -2,6 +2,7 @@ package tiptop_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,11 +13,11 @@ import (
 )
 
 // TestTeedHistoryMatchesRings: over a churning simulated node, a
-// recorder teed into a store — whose History reads the store's raw tier
-// back — answers every pid exactly as a store-less twin subscribed to
-// the same monitor answers from its rings, cut to the teed recorder's
-// window: the newest Capacity refreshes. A task last seen before the
-// window has no history, and PIDs lists what History answers for.
+// store-less recorder — whose history, once rings of its own, is now
+// its own in-memory store — answers History and PIDs exactly as a twin
+// teed into a store on disk, subscribed to the same monitor: the newest
+// Capacity refreshes, on the store clock. A task last seen before the
+// window has no history on either side.
 func TestTeedHistoryMatchesRings(t *testing.T) {
 	const capacity, refreshes = 16, 40
 	sc, err := tiptop.NewScenario(tiptop.MachineE5640)
@@ -49,10 +50,10 @@ func TestTeedHistoryMatchesRings(t *testing.T) {
 	teed := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: capacity})
 	teed.Tee(st)
 	mon.Subscribe(teed)
-	twin := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: capacity})
-	mon.Subscribe(twin)
+	bare := tiptop.NewRecorder(tiptop.RecorderOptions{Capacity: capacity})
+	mon.Subscribe(bare)
 
-	var times []float64
+	seen := map[int]bool{}
 	for i := 0; i < refreshes; i++ {
 		switch r := rng.Intn(10); {
 		case r < 3:
@@ -73,28 +74,20 @@ func TestTeedHistoryMatchesRings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		times = append(times, s.Time.Seconds())
+		for _, row := range s.Rows {
+			seen[row.PID] = true
+		}
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	since := times[refreshes-capacity]
 	var pids []int
 	outOfWindow := 0
-	for _, pid := range twin.PIDs() {
-		var want []tiptop.HistorySeries
-		for _, s := range mustHistory(t, twin, pid) {
-			i := slices.IndexFunc(s.Points, func(p tiptop.HistoryPoint) bool { return p.TimeSeconds >= since })
-			if i < 0 {
-				continue
-			}
-			s.Points = s.Points[i:]
-			want = append(want, s)
-		}
-		got := mustHistory(t, teed, pid)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pid %d: the teed recorder's history\n%+v\ndiffers from its twin's rings\n%+v", pid, got, want)
+	for _, pid := range slices.Sorted(maps.Keys(seen)) {
+		want := mustHistory(t, teed, pid)
+		if got := mustHistory(t, bare, pid); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pid %d: the store-less recorder's history\n%+v\ndiffers from its disk-teed twin's\n%+v", pid, got, want)
 		}
 		if want == nil {
 			outOfWindow++
@@ -106,8 +99,8 @@ func TestTeedHistoryMatchesRings(t *testing.T) {
 		t.Fatalf("%d pids in the window, %d before it: the churn exercises neither side", len(pids), outOfWindow)
 	}
 	t.Logf("%d pids in the window, %d before it", len(pids), outOfWindow)
-	if got := teed.PIDs(); !slices.Equal(got, pids) {
-		t.Fatalf("teed PIDs %v, want the pids in the window %v", got, pids)
+	if got, want := bare.PIDs(), teed.PIDs(); !slices.Equal(got, want) || !slices.Equal(want, pids) {
+		t.Fatalf("store-less PIDs %v, disk-teed %v, want the pids in the window %v", got, want, pids)
 	}
 }
 

@@ -431,8 +431,8 @@ func (m *Monitor) sampleNow() (*Sample, error) {
 	} else {
 		publicRows(out.Rows, cs.Rows)
 	}
-	for _, h := range m.recs {
-		h.Join()
+	for _, r := range m.recs {
+		r.h.Join()
 	}
 	return out, nil
 }
